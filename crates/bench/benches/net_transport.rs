@@ -1,12 +1,11 @@
 //! In-process dispatch vs loopback TCP: what does the wire cost?
 //!
-//! All arms run the *same* HDNS backend pipeline; the only difference is
-//! the [`Transport`] in front of it — direct calls, the v1 framed-JSON
-//! lock-step protocol, or the v2 binary-envelope multiplexed protocol.
-//! A second table measures sustained ops/s with concurrent callers:
-//! the v1 lock-step client (one round trip in flight per connection)
-//! against the v2 pipelined client at depth 8. Numbers are recorded in
-//! `bench_figures.txt`.
+//! Both arms run the *same* HDNS backend pipeline; the only difference is
+//! the [`Transport`] in front of it — direct calls, or the binary-envelope
+//! multiplexed protocol over loopback TCP. A second table measures
+//! sustained ops/s over one socket: one request in flight (the baseline)
+//! against 8 multiplexed callers and against a single caller pipelining
+//! at depth 8. Numbers are recorded in `bench_figures.txt`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,10 +19,9 @@ use rndi_core::spi::ProviderBackend;
 use rndi_core::value::BoundValue;
 use rndi_providers::HdnsProviderContext;
 
-const ARMS: [(&str, Transport); 3] = [
+const ARMS: [(&str, Transport); 2] = [
     ("in_process", Transport::InProcess),
-    ("loopback_v1", Transport::TcpV1),
-    ("loopback_v2", Transport::Tcp),
+    ("loopback", Transport::Tcp),
 ];
 
 fn backend(name: &str) -> Arc<dyn ProviderBackend> {
@@ -31,18 +29,11 @@ fn backend(name: &str) -> Arc<dyn ProviderBackend> {
     HdnsProviderContext::with_env(realm, 0, name, &Environment::new())
 }
 
-/// Health checks off for the bench client: a per-request ping would make
-/// the v1 TCP arm pay two round trips per op and measure the pool, not
-/// the wire.
-fn bench_env() -> Environment {
-    Environment::new().with(keys::NET_CLIENT_HEALTH_CHECK, "false")
-}
-
 fn arm(label: &str, transport: Transport) -> TransportHandle {
     let handle = via_transport(
         transport,
         backend(&format!("net-bench-{label}")),
-        &bench_env(),
+        &Environment::new(),
     )
     .expect("transport assembles");
     let seed = NamingOp::rebind("bench".into(), BoundValue::str("payload"));
@@ -103,10 +94,10 @@ fn fmt(ns: f64) -> String {
 
 fn latency_table() {
     println!();
-    println!("# net transport — in-process dispatch vs loopback TCP, v1 JSON vs v2 binary (net_transport bench) [median ns/op]");
+    println!("# net transport — in-process dispatch vs loopback TCP (net_transport bench) [median ns/op]");
     println!(
-        "{:>8}  {:>12}  {:>12}  {:>12}  {:>9}  {:>9}",
-        "op", "in_process", "loopback_v1", "loopback_v2", "v1_ratio", "v2_ratio"
+        "{:>8}  {:>12}  {:>12}  {:>9}",
+        "op", "in_process", "loopback", "ratio"
     );
     for (op_label, op) in [
         ("lookup", NamingOp::lookup("bench".into())),
@@ -125,26 +116,23 @@ fn latency_table() {
             handle.shutdown();
         }
         println!(
-            "{:>8}  {:>12}  {:>12}  {:>12}  {:>8.1}x  {:>8.1}x",
+            "{:>8}  {:>12}  {:>12}  {:>8.1}x",
             op_label,
             fmt(row[0]),
             fmt(row[1]),
-            fmt(row[2]),
             row[1] / row[0],
-            row[2] / row[0],
         );
     }
-    println!("## all arms run the identical HDNS pipeline; ratios are the wire cost over");
-    println!("## in-process dispatch. v1 = framed JSON, one lock-step round trip per op;");
-    println!("## v2 = binary envelopes on a multiplexed connection.");
+    println!("## both arms run the identical HDNS pipeline; the ratio is the wire cost");
+    println!("## (binary envelopes on a multiplexed connection) over in-process dispatch.");
     println!();
 }
 
-/// Sustained ops/s over ONE socket: the v1 lock-step client (one round
-/// trip in flight, ever) vs the v2 connection at pipeline depth 8 —
-/// first as 8 concurrent callers multiplexing through `NetClient`, then
-/// as a single caller driving batches of 8 through the sans-IO
-/// `conn::ClientConn` (pure protocol pipelining, no thread handoffs).
+/// Sustained ops/s over ONE socket at pipeline depth 8 — first as 8
+/// concurrent callers multiplexing through `NetClient`, then as a single
+/// caller driving batches of 8 through the sans-IO `conn::ClientConn`
+/// (pure protocol pipelining, no thread handoffs) — against that same
+/// single caller with one request in flight.
 fn throughput_table() {
     const DEPTH: usize = 8;
     const WINDOW: Duration = Duration::from_millis(1200);
@@ -162,34 +150,24 @@ fn throughput_table() {
         done as f64 / start.elapsed().as_secs_f64()
     }
 
-    // v1 lock-step: a single caller, one request per round trip.
-    let v1_handle = via_transport(Transport::TcpV1, backend("net-bench-tp-v1"), &bench_env())
-        .expect("v1 transport");
     let op = NamingOp::rebind("bench".into(), BoundValue::str("payload"));
-    dispatch(v1_handle.ctx().as_ref(), &op).unwrap();
     let lookup = NamingOp::lookup("bench".into());
-    let v1_ctx = v1_handle.ctx();
-    let v1_rate = timed(|| {
-        dispatch(v1_ctx.as_ref(), &lookup).unwrap();
-        1
-    });
-    v1_handle.shutdown();
 
-    // v2 multiplexed: 8 caller threads share one socket through the
+    // Multiplexed: 8 caller threads share one socket through the
     // NetClient, so up to 8 requests ride the wire concurrently.
-    let v2_handle = via_transport(
+    let mux_handle = via_transport(
         Transport::Tcp,
-        backend("net-bench-tp-v2"),
-        &bench_env()
+        backend("net-bench-tp-mux"),
+        &Environment::new()
             .with(keys::NET_CLIENT_POOL_SIZE, "1")
             .with(keys::NET_CLIENT_PIPELINE_DEPTH, DEPTH.to_string()),
     )
-    .expect("v2 transport");
-    dispatch(v2_handle.ctx().as_ref(), &op).unwrap();
+    .expect("tcp transport");
+    dispatch(mux_handle.ctx().as_ref(), &op).unwrap();
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let workers: Vec<_> = (0..DEPTH)
         .map(|_| {
-            let ctx = v2_handle.ctx();
+            let ctx = mux_handle.ctx();
             let stop = stop.clone();
             let lookup = lookup.clone();
             std::thread::spawn(move || {
@@ -206,15 +184,19 @@ fn throughput_table() {
     std::thread::sleep(WINDOW);
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     let total: u64 = workers.into_iter().map(|w| w.join().unwrap()).sum();
-    let v2_mux_rate = total as f64 / start.elapsed().as_secs_f64();
-    v2_handle.shutdown();
+    let mux_rate = total as f64 / start.elapsed().as_secs_f64();
+    mux_handle.shutdown();
 
-    // v2 pipelined: a single caller keeps `depth` requests in flight on
+    // Pipelined: a single caller keeps `depth` requests in flight on
     // one socket via the sans-IO client — writes coalesce into one
     // syscall per batch and responses drain in bulk. depth 1 is the
     // lock-step degenerate case (protocol cost without pipelining).
-    let pipe_handle = via_transport(Transport::Tcp, backend("net-bench-tp-pipe"), &bench_env())
-        .expect("v2 transport");
+    let pipe_handle = via_transport(
+        Transport::Tcp,
+        backend("net-bench-tp-pipe"),
+        &Environment::new(),
+    )
+    .expect("tcp transport");
     dispatch(pipe_handle.ctx().as_ref(), &op).unwrap();
     let addr = pipe_handle
         .server_addr()
@@ -255,46 +237,32 @@ fn throughput_table() {
             done
         })
     };
-    let v2_d1_rate = pipelined_rate(1);
-    let v2_pipe_rate = pipelined_rate(DEPTH);
+    let d1_rate = pipelined_rate(1);
+    let pipe_rate = pipelined_rate(DEPTH);
     pipe_handle.shutdown();
 
-    println!("# net transport — sustained lookups/s over ONE socket, v1 lock-step vs v2 at depth 8 (net_transport bench)");
+    println!("# net transport — sustained lookups/s over ONE socket, depth 1 vs depth 8 (net_transport bench)");
     println!(
         "{:>22}  {:>8}  {:>7}  {:>10}  {:>8}",
         "arm", "callers", "depth", "ops/s", "speedup"
     );
-    println!(
-        "{:>22}  {:>8}  {:>7}  {:>10.0}  {:>8}",
-        "v1_lockstep", 1, 1, v1_rate, "1.0x"
-    );
-    println!(
-        "{:>22}  {:>8}  {:>7}  {:>10.0}  {:>7.1}x",
-        "v2_mux_threads",
-        DEPTH,
-        DEPTH,
-        v2_mux_rate,
-        v2_mux_rate / v1_rate
-    );
-    println!(
-        "{:>22}  {:>8}  {:>7}  {:>10.0}  {:>7.1}x",
-        "v2_pipelined_d1",
-        1,
-        1,
-        v2_d1_rate,
-        v2_d1_rate / v1_rate
-    );
-    println!(
-        "{:>22}  {:>8}  {:>7}  {:>10.0}  {:>7.1}x",
-        "v2_pipelined",
-        1,
-        DEPTH,
-        v2_pipe_rate,
-        v2_pipe_rate / v1_rate
-    );
-    println!("## one socket in every arm. v1 lock-steps a round trip per op; v2_mux_threads");
-    println!("## multiplexes 8 callers' requests onto the socket; v2_pipelined keeps batches");
-    println!("## of 8 in flight from one caller via the sans-IO conn layer.");
+    for (arm, callers, depth, rate) in [
+        ("pipelined_d1", 1, 1, d1_rate),
+        ("mux_threads", DEPTH, DEPTH, mux_rate),
+        ("pipelined", 1, DEPTH, pipe_rate),
+    ] {
+        println!(
+            "{:>22}  {:>8}  {:>7}  {:>10.0}  {:>7.1}x",
+            arm,
+            callers,
+            depth,
+            rate,
+            rate / d1_rate
+        );
+    }
+    println!("## one socket in every arm. pipelined_d1 lock-steps a round trip per op;");
+    println!("## mux_threads multiplexes 8 callers' requests onto the socket; pipelined keeps");
+    println!("## batches of 8 in flight from one caller via the sans-IO conn layer.");
     println!();
 }
 

@@ -39,18 +39,13 @@ fn backend(name: &str, env: &Environment) -> Arc<dyn ProviderBackend> {
     HdnsProviderContext::with_env(realm, 0, name, env)
 }
 
-/// Health checks off so every arm measures the op, not the pool.
-fn base_env() -> Environment {
-    Environment::new().with(keys::NET_CLIENT_HEALTH_CHECK, "false")
-}
-
 fn obs_off_env() -> Environment {
-    base_env().with(keys::OBS_ENABLED, "false")
+    Environment::new().with(keys::OBS_ENABLED, "false")
 }
 
 fn flight_env() -> Environment {
     let dir = std::env::temp_dir().join(format!("rndi-obs-overhead-{}", std::process::id()));
-    base_env()
+    Environment::new()
         .with(keys::OBS_FLIGHT_DIR, dir.to_str().expect("utf-8 temp dir"))
         // Never trip mid-bench: this arm prices observation, not dumps.
         .with(keys::OBS_FLIGHT_P99_MULT, "1000000")
@@ -62,7 +57,7 @@ fn flight_env() -> Environment {
 fn arms() -> [(&'static str, Environment); 3] {
     [
         ("obs_off", obs_off_env()),
-        ("obs_on", base_env()),
+        ("obs_on", Environment::new()),
         ("flight_armed", flight_env()),
     ]
 }

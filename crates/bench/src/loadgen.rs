@@ -43,12 +43,8 @@ pub fn op_work(ctx: Arc<dyn DirContext>, op: NamingOp) -> WorkFn {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Transport {
     InProcess,
-    /// Loopback TCP with whatever protocol version the environment picks
-    /// (v2 binary envelopes by default).
+    /// Loopback TCP through `rndi-net`.
     Tcp,
-    /// Loopback TCP pinned to the v1 framed-JSON lock-step protocol — the
-    /// negotiated-fallback arm of v1-vs-v2 comparisons.
-    TcpV1,
 }
 
 /// A backend reached over a chosen [`Transport`]. For [`Transport::Tcp`]
@@ -92,15 +88,9 @@ pub fn via_transport(
             ctx: ProviderPipeline::standard(backend, env),
             server: None,
         }),
-        Transport::Tcp | Transport::TcpV1 => {
+        Transport::Tcp => {
             let server = rndi_net::NetServer::bind(backend, env)?;
-            let client_env = if transport == Transport::TcpV1 {
-                env.clone()
-                    .with(rndi_core::env::keys::NET_PROTO_VERSION, "1")
-            } else {
-                env.clone()
-            };
-            let ctx = rndi_net::NetClient::connect(server.local_addr().to_string(), &client_env)?;
+            let ctx = rndi_net::NetClient::connect(server.local_addr().to_string(), env)?;
             Ok(TransportHandle {
                 ctx,
                 server: Some(server),

@@ -72,18 +72,10 @@ pub mod keys {
     /// Per-request deadline, in milliseconds, that clients propagate and
     /// servers enforce. `0` disables deadlines. Default 5000.
     pub const NET_DEADLINE_MS: &str = "rndi.net.deadline-ms";
-    /// Maximum idle pooled connections a `NetClient` keeps per endpoint.
+    /// Multiplexed connections a `NetClient` keeps per endpoint.
     /// Default 4.
     pub const NET_CLIENT_POOL_SIZE: &str = "rndi.net.client.pool-size";
-    /// `"true"`/`"false"`: whether a `NetClient` pings pooled connections
-    /// before reuse (health check). Default true.
-    pub const NET_CLIENT_HEALTH_CHECK: &str = "rndi.net.client.health-check";
-    /// Wire protocol version a `NetClient` speaks: `2` (the default)
-    /// opens with the binary-envelope preamble and multiplexes requests;
-    /// `1` speaks lock-step framed JSON (what every server still accepts
-    /// as the negotiated fallback).
-    pub const NET_PROTO_VERSION: &str = "rndi.net.proto.version";
-    /// Maximum in-flight requests a v2 `NetClient` pipelines per
+    /// Maximum in-flight requests a `NetClient` pipelines per
     /// connection before a new call blocks. Default 32.
     pub const NET_CLIENT_PIPELINE_DEPTH: &str = "rndi.net.client.pipeline-depth";
     /// Event-loop shards (worker threads) a `NetServer` spreads its

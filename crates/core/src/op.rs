@@ -21,10 +21,6 @@ use crate::name::CompositeName;
 use crate::value::BoundValue;
 use rndi_obs::{TraceCell, TraceCtx};
 
-/// Meta key under which an op's encoded [`TraceCtx`] travels the pipeline
-/// (and federation hops — [`NamingOp::with_name`] preserves meta).
-pub const TRACE_META_KEY: &str = "obs.trace";
-
 /// The marshalling codec shared by every provider whose backing store holds
 /// opaque bytes (Jini entry payloads, HDNS leaf values, LDAP attribute
 /// strings, filesystem `.val` files). Lifted out of `providers::common` so
@@ -45,35 +41,12 @@ pub mod codec {
     }
 
     /// Unmarshal provider bytes back into a bound value. Undecodable bytes
-    /// surface as raw `Bytes` (foreign data bound by non-RNDI clients). A
-    /// trace frame, if present, is stripped and discarded — readers that
-    /// care about the context use [`decode_frame`].
+    /// surface as raw `Bytes` (foreign data bound by non-RNDI clients).
     pub fn unmarshal(bytes: &[u8]) -> BoundValue {
-        let (_, payload) = rndi_obs::frame::strip(bytes);
-        match StoredValue::decode(payload) {
+        match StoredValue::decode(bytes) {
             Some(s) => s.into_bound(),
             None => BoundValue::Bytes(bytes.to_vec()),
         }
-    }
-
-    /// Marshal a value for the wire, prepending a trace header when the
-    /// originating op carries a trace context. With `trace == None` the
-    /// output is byte-identical to [`marshal`], so untraced clients write
-    /// exactly the legacy encoding (old servers keep working).
-    pub fn encode_frame(value: &BoundValue, trace: Option<&TraceCtx>) -> Result<Vec<u8>> {
-        let bytes = marshal(value)?;
-        Ok(match trace {
-            Some(ctx) => rndi_obs::frame::wrap(ctx, &bytes),
-            None => bytes,
-        })
-    }
-
-    /// Inverse of [`encode_frame`]: split off the trace header (if any) and
-    /// unmarshal the remaining payload. Bytes written by an old client
-    /// (no header) decode with `None` for the context.
-    pub fn decode_frame(bytes: &[u8]) -> (BoundValue, Option<TraceCtx>) {
-        let (ctx, payload) = rndi_obs::frame::strip(bytes);
-        (unmarshal(payload), ctx)
     }
 }
 
@@ -259,9 +232,8 @@ pub struct NamingOp {
     pub meta: MetaBag,
     /// The trace context this op executes under. A first-class
     /// interior-mutable cell so per-layer re-annotation is a handful of
-    /// relaxed stores (no string encode, no op clone); the transports
-    /// translate it to/from the [`TRACE_META_KEY`] meta string (and the
-    /// v1 frame header) only at the wire boundary.
+    /// relaxed stores (no string encode, no op clone); the transport
+    /// carries it in the envelope's trace field.
     pub trace: TraceCell,
 }
 
@@ -412,13 +384,9 @@ impl NamingOp {
     }
 
     /// The trace context this op is executing under, if any layer above
-    /// annotated one. Ops annotated before the wire boundary existed may
-    /// carry the context as a [`TRACE_META_KEY`] meta string instead;
-    /// parse it as a fallback.
+    /// annotated one.
     pub fn trace_ctx(&self) -> Option<TraceCtx> {
-        self.trace
-            .get()
-            .or_else(|| self.meta.get(TRACE_META_KEY).and_then(TraceCtx::parse))
+        self.trace.get()
     }
 
     /// Annotate this op with a trace context (overwriting any previous one).

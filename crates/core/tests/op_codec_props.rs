@@ -1,15 +1,12 @@
 //! Property tests for the op-layer wire codec: every marshallable
 //! [`BoundValue`] survives a marshal/unmarshal round trip, bytes the
 //! codec never produced (foreign data bound by non-RNDI clients) fall back
-//! to raw [`BoundValue::Bytes`] instead of failing, and the optional trace
-//! frame is backward compatible in both directions (old client → new
-//! server and new client → old server).
+//! to raw [`BoundValue::Bytes`] instead of failing.
 
 use proptest::prelude::*;
 
-use rndi_core::op::codec::{decode_frame, encode_frame, marshal, unmarshal};
+use rndi_core::op::codec::{marshal, unmarshal};
 use rndi_core::value::{BoundValue, Reference, StoredValue};
-use rndi_obs::TraceCtx;
 
 fn json_leaf() -> impl Strategy<Value = serde_json::Value> {
     prop_oneof![
@@ -45,56 +42,7 @@ fn bound_value() -> impl Strategy<Value = BoundValue> {
     ]
 }
 
-fn trace_ctx() -> impl Strategy<Value = TraceCtx> {
-    // trace_id and span_id are never 0 in a valid context (0 parent means
-    // "root"); depth is a small hop count in practice but any u32 encodes.
-    (1..u64::MAX, 1..u64::MAX, any::<u64>(), any::<u32>()).prop_map(
-        |(trace_id, span_id, parent_span, depth)| TraceCtx {
-            trace_id,
-            span_id,
-            parent_span,
-            depth,
-        },
-    )
-}
-
 proptest! {
-    #[test]
-    fn framed_value_round_trips_with_trace(v in bound_value(), ctx in trace_ctx()) {
-        let bytes = encode_frame(&v, Some(&ctx)).expect("marshallable value");
-        let (decoded, got_ctx) = decode_frame(&bytes);
-        prop_assert_eq!(decoded, v);
-        prop_assert_eq!(got_ctx, Some(ctx));
-    }
-
-    #[test]
-    fn untraced_frame_is_byte_identical_to_legacy_encoding(v in bound_value()) {
-        // New client without a trace context → old server: the wire bytes
-        // are exactly what a pre-trace client would have written.
-        prop_assert_eq!(
-            encode_frame(&v, None).expect("marshallable value"),
-            marshal(&v).expect("marshallable value")
-        );
-    }
-
-    #[test]
-    fn legacy_bytes_decode_without_trace(v in bound_value()) {
-        // Old client → new server: un-framed bytes decode to the value
-        // with no trace context attached.
-        let legacy = marshal(&v).expect("marshallable value");
-        let (decoded, ctx) = decode_frame(&legacy);
-        prop_assert_eq!(decoded, v);
-        prop_assert_eq!(ctx, None);
-    }
-
-    #[test]
-    fn unmarshal_tolerates_framed_bytes(v in bound_value(), ctx in trace_ctx()) {
-        // A reader that doesn't care about traces still gets the value
-        // from framed bytes (defense in depth for mixed-version stores).
-        let framed = encode_frame(&v, Some(&ctx)).expect("marshallable value");
-        prop_assert_eq!(unmarshal(&framed), v);
-    }
-
     #[test]
     fn marshal_unmarshal_round_trips(v in bound_value()) {
         let bytes = marshal(&v).expect("marshallable value");

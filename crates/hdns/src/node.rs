@@ -6,6 +6,7 @@ use std::path::PathBuf;
 use serde::{Deserialize, Serialize};
 
 use groupcast::{Addr, ChannelEvent, GroupChannel, SendError, View};
+use rndi_obs::metrics::names;
 
 use crate::store::{HdnsEntry, HdnsError, HdnsStore, Op};
 
@@ -108,6 +109,8 @@ pub struct HdnsNode<C: ReplicaChannel = GroupChannel> {
     /// time intervals and upon process exit").
     snapshot_every: u64,
     ops_since_snapshot: u64,
+    /// Why the most recent [`HdnsNode::persist`] failed, if it did.
+    persist_error: Option<std::io::Error>,
     alive: bool,
 }
 
@@ -132,6 +135,7 @@ impl<C: ReplicaChannel> HdnsNode<C> {
             data_path,
             snapshot_every: 64,
             ops_since_snapshot: 0,
+            persist_error: None,
             alive: true,
         }
     }
@@ -276,15 +280,29 @@ impl<C: ReplicaChannel> HdnsNode<C> {
     }
 
     /// Write the snapshot to disk (periodic, and "upon process exit" via
-    /// [`HdnsNode::shutdown`]).
+    /// [`HdnsNode::shutdown`]). A failure is counted in
+    /// `rndi_hdns_persist_errors_total` and kept for
+    /// [`HdnsNode::last_persist_error`]; the replica keeps serving from
+    /// memory.
     pub fn persist(&mut self) {
         self.ops_since_snapshot = 0;
-        if let Some(p) = &self.data_path {
-            if let Some(dir) = p.parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            let _ = std::fs::write(p, self.store.snapshot());
+        let Some(p) = &self.data_path else {
+            return;
+        };
+        let written = p
+            .parent()
+            .map_or(Ok(()), std::fs::create_dir_all)
+            .and_then(|()| std::fs::write(p, self.store.snapshot()));
+        if written.is_err() {
+            rndi_obs::metrics::counter(names::HDNS_PERSIST_ERRORS, &[]).inc();
         }
+        self.persist_error = written.err();
+    }
+
+    /// The error from the most recent [`HdnsNode::persist`], or `None` if
+    /// it succeeded (or nothing has been persisted yet).
+    pub fn last_persist_error(&self) -> Option<&std::io::Error> {
+        self.persist_error.as_ref()
     }
 
     /// Graceful shutdown: persist and leave the group.
@@ -460,6 +478,26 @@ mod tests {
         );
         assert_eq!(b.lookup("durable").unwrap().value, vec![9]);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn persist_failure_is_counted_and_readable() {
+        // A regular file where the snapshot's parent directory should be.
+        let blocker =
+            std::env::temp_dir().join(format!("hdns-persist-blocker-{}", std::process::id()));
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let cluster = Cluster::new(5);
+        let mut node = HdnsNode::new(
+            cluster.create_channel(StackConfig::default()),
+            Some(blocker.join("sub").join("snap.json")),
+        );
+        assert!(node.last_persist_error().is_none());
+        let errors = || rndi_obs::metrics::counter(names::HDNS_PERSIST_ERRORS, &[]).get();
+        let before = errors();
+        node.persist();
+        assert!(errors() > before, "failed snapshot write is counted");
+        assert!(node.last_persist_error().is_some());
+        let _ = std::fs::remove_file(&blocker);
     }
 
     #[test]

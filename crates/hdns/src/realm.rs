@@ -153,34 +153,6 @@ impl HdnsRealm {
         self.cluster.stable_round();
     }
 
-    /// Detach an inbound trace frame (if any) from a bind payload: the
-    /// client's context comes back so the server-side span links into its
-    /// trace, and the stored bytes end up identical to what an untraced
-    /// client would have written.
-    fn strip_trace(op: Op) -> (Op, Option<TraceCtx>) {
-        match op {
-            Op::Bind {
-                path,
-                mut entry,
-                overwrite,
-            } => {
-                let (ctx, payload) = rndi_obs::frame::strip(&entry.value);
-                if ctx.is_some() {
-                    entry.value = payload.to_vec();
-                }
-                (
-                    Op::Bind {
-                        path,
-                        entry,
-                        overwrite,
-                    },
-                    ctx,
-                )
-            }
-            other => (other, None),
-        }
-    }
-
     fn op_label(op: &Op) -> &'static str {
         match op {
             Op::Bind {
@@ -196,8 +168,16 @@ impl HdnsRealm {
         }
     }
 
-    fn write(&self, node: usize, op: Op) -> Result<(), RealmError> {
-        let (op, trace) = Self::strip_trace(op);
+    /// Replicate one write via replica `node`. With a `trace` context the
+    /// realm records a "server" span as its child, linking the write into
+    /// the caller's trace; the named write methods below are shorthands
+    /// for the common ops with no context.
+    pub fn write_traced(
+        &self,
+        node: usize,
+        op: Op,
+        trace: Option<&TraceCtx>,
+    ) -> Result<(), RealmError> {
         let label = Self::op_label(&op);
         let start = Instant::now();
         let result = self.write_inner(node, op);
@@ -208,8 +188,6 @@ impl HdnsRealm {
             &[("server", &server), ("op", label)],
         )
         .record_duration(start.elapsed());
-        // A span is emitted only when the client shipped a trace frame —
-        // it becomes a child of the client-side span that wrapped it.
         if let Some(client_ctx) = trace {
             rndi_obs::trace::record(SpanRecord::new(
                 &client_ctx.child(),
@@ -251,68 +229,47 @@ impl HdnsRealm {
 
     /// Atomic bind via replica `node`.
     pub fn bind(&self, node: usize, path: &str, entry: HdnsEntry) -> Result<(), RealmError> {
-        self.write(
+        self.write_traced(
             node,
             Op::Bind {
                 path: path.to_string(),
                 entry,
                 overwrite: false,
             },
+            None,
         )
     }
 
     /// Rebind (overwrite) via replica `node`.
     pub fn rebind(&self, node: usize, path: &str, entry: HdnsEntry) -> Result<(), RealmError> {
-        self.write(
+        self.write_traced(
             node,
             Op::Bind {
                 path: path.to_string(),
                 entry,
                 overwrite: true,
             },
+            None,
         )
     }
 
     pub fn unbind(&self, node: usize, path: &str) -> Result<(), RealmError> {
-        self.write(
+        self.write_traced(
             node,
             Op::Unbind {
                 path: path.to_string(),
             },
-        )
-    }
-
-    pub fn rename(&self, node: usize, from: &str, to: &str) -> Result<(), RealmError> {
-        self.write(
-            node,
-            Op::Rename {
-                from: from.to_string(),
-                to: to.to_string(),
-            },
+            None,
         )
     }
 
     pub fn create_context(&self, node: usize, path: &str) -> Result<(), RealmError> {
-        self.write(
+        self.write_traced(
             node,
             Op::CreateContext {
                 path: path.to_string(),
             },
-        )
-    }
-
-    pub fn set_attrs(
-        &self,
-        node: usize,
-        path: &str,
-        attrs: std::collections::BTreeMap<String, String>,
-    ) -> Result<(), RealmError> {
-        self.write(
-            node,
-            Op::SetAttrs {
-                path: path.to_string(),
-                attrs,
-            },
+            None,
         )
     }
 
@@ -453,6 +410,16 @@ mod tests {
         r.bind(0, "svc", HdnsEntry::leaf(vec![1])).unwrap();
         for i in 0..3 {
             assert_eq!(r.lookup(i, "svc").unwrap().value, vec![1], "replica {i}");
+        }
+    }
+
+    #[test]
+    fn foreign_value_that_looks_like_a_trace_header_is_stored_verbatim() {
+        let r = realm(3);
+        let foreign = b"%RNDI-TRACE:1-2-0-0\nabc".to_vec();
+        r.bind(0, "x", HdnsEntry::leaf(foreign.clone())).unwrap();
+        for i in 0..3 {
+            assert_eq!(r.lookup(i, "x").unwrap().value, foreign, "replica {i}");
         }
     }
 

@@ -10,25 +10,20 @@
 //! is exactly what the retry interceptor re-submits, so
 //! `rndi.pipeline.retry.max-attempts=3` buys reconnect-on-drop for free.
 //!
-//! ## v2: multiplexed, pipelined connections
+//! ## Multiplexed, pipelined connections
 //!
-//! With `rndi.net.proto.version=2` (the default) the client speaks the
-//! binary envelope protocol and **multiplexes** concurrent calls over a
-//! small pool of connections instead of checking out one socket per
-//! request. Each call stamps its envelope with a fresh request ID,
-//! registers a response slot, and writes under a brief send lock; the
-//! response side uses a *caller-as-driver* scheme — whichever caller can
-//! take the read lock drives the socket, delivering responses to their
-//! owners' slots by request ID, and hands the read baton to another
-//! waiter when its own answer arrives. The serial case therefore never
-//! pays a cross-thread handoff (the one caller writes, then immediately
-//! reads its own reply), while N concurrent callers share one socket with
-//! requests pipelined back-to-back up to
-//! `rndi.net.client.pipeline-depth` in flight per connection.
-//!
-//! `rndi.net.proto.version=1` keeps the lock-step framed-JSON path —
-//! one request per round trip on a checked-out pooled socket — which
-//! every server still accepts as the negotiated fallback.
+//! The client **multiplexes** concurrent calls over a small pool of
+//! connections instead of checking out one socket per request. Each call
+//! stamps its envelope with a fresh request ID, registers a response
+//! slot, and writes under a brief send lock; the response side uses a
+//! *caller-as-driver* scheme — whichever caller can take the read lock
+//! drives the socket, delivering responses to their owners' slots by
+//! request ID, and hands the read baton to another waiter when its own
+//! answer arrives. The serial case therefore never pays a cross-thread
+//! handoff (the one caller writes, then immediately reads its own reply),
+//! while N concurrent callers share one socket with requests pipelined
+//! back-to-back up to `rndi.net.client.pipeline-depth` in flight per
+//! connection.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
@@ -49,7 +44,7 @@ use rndi_obs::metrics::{self, names};
 use rndi_obs::{SpanOutcome, SpanRecord, TraceCtx};
 
 use crate::conn::{ClientConn, ClientDecoder, ClientEncoder};
-use crate::proto::{self, AdminReply, AdminRequest, Envelope, EnvelopeBody, Request, Response};
+use crate::proto::{self, AdminReply, AdminRequest, Envelope, EnvelopeBody};
 
 /// Resolved client configuration (see the `rndi.net.*` environment keys).
 #[derive(Clone, Debug)]
@@ -57,17 +52,10 @@ pub struct ClientConfig {
     /// Per-request deadline budget in milliseconds; `0` disables. Also
     /// used as the socket read/write timeout.
     pub deadline_ms: u64,
-    /// Idle pooled connections kept per endpoint (v1), or maximum
-    /// multiplexed connections (v2).
+    /// Multiplexed connections to keep per endpoint.
     pub pool_size: usize,
-    /// Ping pooled connections before reuse (v1 only; v2 connections
-    /// prove liveness per call and are redialed on failure).
-    pub health_check: bool,
-    /// Wire protocol to speak: 2 = binary envelopes, multiplexed;
-    /// 1 = lock-step framed JSON.
-    pub proto_version: u32,
-    /// Maximum in-flight requests per v2 connection before the pool
-    /// prefers dialing another.
+    /// Maximum in-flight requests per connection before the pool prefers
+    /// dialing another.
     pub pipeline_depth: usize,
     /// Hard cap on total pooled connections, redials included. Resolved
     /// at parse time: the `0 = pool-size` default is already applied.
@@ -81,15 +69,6 @@ impl ClientConfig {
     /// Read the `rndi.net.*` keys strictly: a present-but-unparsable value
     /// is a [`NamingError::ConfigurationError`], not a silent default.
     pub fn from_env(env: &Environment) -> Result<ClientConfig> {
-        let proto_version = env.try_get_u64(keys::NET_PROTO_VERSION, 2)? as u32;
-        if proto_version != proto::PROTOCOL_V1 && proto_version != proto::PROTOCOL_V2 {
-            return Err(NamingError::ConfigurationError {
-                detail: format!(
-                    "{}: unknown protocol version {proto_version} (valid: 1, 2)",
-                    keys::NET_PROTO_VERSION
-                ),
-            });
-        }
         let pool_size = (env.try_get_u64(keys::NET_CLIENT_POOL_SIZE, 4)? as usize).max(1);
         let max_pool = match env.try_get_u64(keys::NET_CLIENT_MAX_POOL, 0)? as usize {
             0 => pool_size,
@@ -98,8 +77,6 @@ impl ClientConfig {
         Ok(ClientConfig {
             deadline_ms: env.try_get_u64(keys::NET_DEADLINE_MS, 5_000)?,
             pool_size,
-            health_check: env.try_get_bool(keys::NET_CLIENT_HEALTH_CHECK, true)?,
-            proto_version,
             pipeline_depth: (env.try_get_u64(keys::NET_CLIENT_PIPELINE_DEPTH, 32)? as usize).max(1),
             max_pool,
             idle_ms: env.try_get_u64(keys::NET_CLIENT_IDLE_MS, 30_000)?,
@@ -134,7 +111,7 @@ struct MuxReader {
     scratch: Vec<u8>,
 }
 
-/// One multiplexed v2 connection: many in-flight request IDs over one
+/// One multiplexed connection: many in-flight request IDs over one
 /// socket. Send and receive halves lock independently; `pending` maps
 /// request IDs to the channel of the caller awaiting that response.
 struct MuxConn {
@@ -188,9 +165,7 @@ impl MuxConn {
 pub struct NetClient {
     endpoint: String,
     config: ClientConfig,
-    /// v1: idle checked-in sockets, stamped with their checkin time.
-    pool: Mutex<Vec<(TcpStream, Instant)>>,
-    /// v2: live multiplexed connections, shared by all callers.
+    /// Live multiplexed connections, shared by all callers.
     mux_pool: Mutex<Vec<Arc<MuxConn>>>,
     label: Arc<str>,
     /// Zero point of the pool's idle clock.
@@ -206,14 +181,6 @@ pub struct NetClient {
     evicted_cap: Arc<metrics::Counter>,
 }
 
-/// A v1 connection checked out of the pool, remembering whether it was
-/// reused — a send failure on a *reused* connection is redialed once
-/// transparently (the server may simply have dropped an idle socket).
-struct Checked {
-    stream: TcpStream,
-    reused: bool,
-}
-
 impl NetClient {
     /// A bare client backend for `endpoint` (`host:port`).
     pub fn new(endpoint: impl Into<String>, env: &Environment) -> Result<NetClient> {
@@ -222,23 +189,16 @@ impl NetClient {
         let bytes_out = metrics::counter(names::NET_BYTES, &[("server", &label), ("dir", "out")]);
         let bytes_in = metrics::counter(names::NET_BYTES, &[("server", &label), ("dir", "in")]);
         let label: Arc<str> = Arc::from(label.as_str());
-        let events = [
-            "reuse",
-            "dial",
-            "drop",
-            "redial",
-            "health_ok",
-            "health_fail",
-        ]
-        .into_iter()
-        .map(|ev| {
-            let counter = metrics::counter(
-                names::NET_CLIENT_EVENTS,
-                &[("endpoint", &endpoint), ("event", ev)],
-            );
-            (ev, counter)
-        })
-        .collect();
+        let events = ["reuse", "dial", "drop", "redial"]
+            .into_iter()
+            .map(|ev| {
+                let counter = metrics::counter(
+                    names::NET_CLIENT_EVENTS,
+                    &[("endpoint", &endpoint), ("event", ev)],
+                );
+                (ev, counter)
+            })
+            .collect();
         let pool_gauge = metrics::gauge(names::NET_POOL_SIZE, &[("endpoint", &endpoint)]);
         let evicted_idle = metrics::counter(
             names::NET_POOL_EVICTIONS,
@@ -250,7 +210,6 @@ impl NetClient {
         );
         Ok(NetClient {
             config: ClientConfig::from_env(env)?,
-            pool: Mutex::new(Vec::new()),
             mux_pool: Mutex::new(Vec::new()),
             endpoint,
             label,
@@ -280,14 +239,9 @@ impl NetClient {
         &self.endpoint
     }
 
-    /// Idle pooled (v1) or live multiplexed (v2) connections right now
-    /// (diagnostics, tests).
+    /// Live pooled connections right now (diagnostics, tests).
     pub fn pooled(&self) -> usize {
-        if self.config.proto_version == proto::PROTOCOL_V2 {
-            self.mux_pool.lock().len()
-        } else {
-            self.pool.lock().len()
-        }
+        self.mux_pool.lock().len()
     }
 
     fn event(&self, event: &str) {
@@ -323,137 +277,6 @@ impl NetClient {
         Ok(stream)
     }
 
-    // ------------------------------------------------------ v1 path --
-
-    /// Round-trip a ping on a pooled connection; `false` means the socket
-    /// is stale and should be dropped.
-    fn healthy(&self, stream: &mut TcpStream) -> bool {
-        let Ok(ping) = proto::encode_message(&Request::Ping) else {
-            return false;
-        };
-        if proto::write_frame(stream, &ping).is_err() {
-            return false;
-        }
-        match proto::read_frame(stream) {
-            Ok(frame) => matches!(
-                proto::decode_response(rndi_obs::frame::strip(&frame).1),
-                Ok(Response::Pong)
-            ),
-            Err(_) => false,
-        }
-    }
-
-    fn checkout(&self) -> Result<Checked> {
-        loop {
-            let popped = {
-                let mut pool = self.pool.lock();
-                let popped = pool.pop();
-                self.pool_gauge.set(pool.len() as i64);
-                popped
-            };
-            let Some((mut stream, idle_since)) = popped else {
-                break;
-            };
-            if self.config.idle_ms > 0
-                && idle_since.elapsed() > Duration::from_millis(self.config.idle_ms)
-            {
-                self.evicted_idle.inc();
-                self.event("drop");
-                continue;
-            }
-            if self.config.health_check {
-                if !self.healthy(&mut stream) {
-                    self.event("health_fail");
-                    continue;
-                }
-                self.event("health_ok");
-            }
-            self.event("reuse");
-            return Ok(Checked {
-                stream,
-                reused: true,
-            });
-        }
-        self.event("dial");
-        Ok(Checked {
-            stream: self.dial()?,
-            reused: false,
-        })
-    }
-
-    fn checkin(&self, stream: TcpStream) {
-        let mut pool = self.pool.lock();
-        // Purge entries that went stale while pooled, oldest first, so the
-        // cap below counts only live candidates.
-        if self.config.idle_ms > 0 {
-            let ttl = Duration::from_millis(self.config.idle_ms);
-            let before = pool.len();
-            pool.retain(|(_, idle_since)| idle_since.elapsed() <= ttl);
-            self.evicted_idle.add((before - pool.len()) as u64);
-        }
-        if pool.len() < self.config.keep() {
-            pool.push((stream, Instant::now()));
-        } else {
-            self.evicted_cap.inc();
-            self.event("drop");
-        }
-        self.pool_gauge.set(pool.len() as i64);
-    }
-
-    /// One request/response exchange on one connection.
-    fn exchange(&self, stream: &mut TcpStream, request_bytes: &[u8]) -> Result<Response> {
-        proto::write_frame(stream, request_bytes)
-            .map_err(|e| io_error(&self.endpoint, "send", e))?;
-        self.bytes_out.add((request_bytes.len() + 4) as u64);
-        let frame =
-            proto::read_frame(stream).map_err(|e| io_error(&self.endpoint, "receive", e))?;
-        self.bytes_in.add((frame.len() + 4) as u64);
-        proto::decode_response(rndi_obs::frame::strip(&frame).1)
-    }
-
-    fn call_v1(&self, wire_op: proto::WireOp, ctx: &TraceCtx) -> Result<OpOutcome> {
-        // The op already carries the client span's context in its meta (we
-        // re-annotated before this call); additionally wrap the payload in
-        // the transport-level trace header for cross-wire linking.
-        let request = Request::Call {
-            v: proto::PROTOCOL_V1,
-            op: Box::new(wire_op),
-            deadline_ms: self.config.deadline_ms,
-        };
-        let bytes = proto::encode_message(&request)?;
-        let framed = rndi_obs::frame::wrap(ctx, &bytes);
-
-        let mut checked = self.checkout()?;
-        let response = match self.exchange(&mut checked.stream, &framed) {
-            Ok(resp) => resp,
-            Err(first) => {
-                // A reused socket may have been dropped server-side while
-                // idle; redial once before surfacing the failure.
-                if !checked.reused {
-                    return Err(first);
-                }
-                self.event("redial");
-                let mut fresh = self.dial()?;
-                let resp = self.exchange(&mut fresh, &framed)?;
-                checked.stream = fresh;
-                resp
-            }
-        };
-        match response {
-            Response::Ok(out) => {
-                self.checkin(checked.stream);
-                proto::decode_outcome(&out)
-            }
-            Response::Err(e) => {
-                self.checkin(checked.stream);
-                Err(proto::decode_error(&e))
-            }
-            Response::Pong => Err(NamingError::service("unexpected pong response")),
-        }
-    }
-
-    // ------------------------------------------------------ v2 path --
-
     fn dial_mux(&self) -> Result<Arc<MuxConn>> {
         self.event("dial");
         let stream = self.dial()?;
@@ -479,7 +302,7 @@ impl NetClient {
     }
 
     /// Drop broken connections and idle-expired ones (nothing in flight,
-    /// untouched past `idle-ms`) from the v2 pool. Call with the pool
+    /// untouched past `idle-ms`) from the pool. Call with the pool
     /// lock held; updates the size gauge.
     fn mux_sweep(&self, pool: &mut Vec<Arc<MuxConn>>) {
         pool.retain(|c| !c.broken.load(Ordering::SeqCst));
@@ -498,7 +321,7 @@ impl NetClient {
         self.pool_gauge.set(pool.len() as i64);
     }
 
-    /// Pool a freshly dialed v2 connection, enforcing the hard cap: if
+    /// Pool a freshly dialed connection, enforcing the hard cap: if
     /// the pool is full even after sweeping, the connection stays
     /// unpooled — its caller finishes the in-flight exchange and the
     /// socket closes when the last reference drops.
@@ -536,7 +359,9 @@ impl NetClient {
         Ok((conn, true))
     }
 
-    fn call_v2(&self, wire_op: proto::WireOp, ctx: &TraceCtx) -> Result<OpOutcome> {
+    /// Send one call under `ctx` — the envelope's trace field is how the
+    /// far side links its span to this hop.
+    fn call(&self, wire_op: proto::WireOp, ctx: &TraceCtx) -> Result<OpOutcome> {
         // The request ID is assigned per attempt, under the writer lock.
         let mut env = Envelope {
             req_id: 0,
@@ -546,13 +371,13 @@ impl NetClient {
                 trace: Some(*ctx),
             },
         };
-        decode_body(self.v2_roundtrip(&mut env)?)
+        decode_body(self.roundtrip(&mut env)?)
     }
 
-    /// One v2 exchange with the standard resilience policy: a transport
+    /// One exchange with the standard resilience policy: a transport
     /// failure on a *reused* connection is retried once on a fresh dial
     /// (the server may simply have dropped the socket while it idled).
-    fn v2_roundtrip(&self, env: &mut Envelope) -> Result<EnvelopeBody> {
+    fn roundtrip(&self, env: &mut Envelope) -> Result<EnvelopeBody> {
         let (conn, fresh) = self.mux_checkout()?;
         match self.mux_exchange(&conn, env) {
             Ok(body) => Ok(body),
@@ -569,20 +394,13 @@ impl NetClient {
 
     // --------------------------------------------------- admin scrape --
 
-    /// Round-trip one admin request. Admin vocabulary exists only in the
-    /// v2 envelope protocol; a v1-configured client reports that rather
-    /// than sending a frame the server cannot type.
+    /// Round-trip one admin request.
     fn admin(&self, req: AdminRequest) -> Result<AdminReply> {
-        if self.config.proto_version != proto::PROTOCOL_V2 {
-            return Err(NamingError::unsupported(
-                "admin scrapes require rndi.net.proto.version=2",
-            ));
-        }
         let mut env = Envelope {
             req_id: 0,
             body: EnvelopeBody::Admin(req),
         };
-        match self.v2_roundtrip(&mut env)? {
+        match self.roundtrip(&mut env)? {
             EnvelopeBody::AdminOk(reply) => Ok(reply),
             EnvelopeBody::Err(e) => Err(proto::decode_error(&e)),
             other => Err(NamingError::service(format!(
@@ -591,20 +409,14 @@ impl NetClient {
         }
     }
 
-    /// Round-trip one gossip request. Gossip, like admin, exists only in
-    /// the v2 envelope protocol and multiplexes over the same socket as
+    /// Round-trip one gossip request, multiplexed over the same socket as
     /// data ops.
     pub fn gossip(&self, req: proto::GossipRequest) -> Result<proto::GossipReply> {
-        if self.config.proto_version != proto::PROTOCOL_V2 {
-            return Err(NamingError::unsupported(
-                "gossip requires rndi.net.proto.version=2",
-            ));
-        }
         let mut env = Envelope {
             req_id: 0,
             body: EnvelopeBody::Gossip(req),
         };
-        match self.v2_roundtrip(&mut env)? {
+        match self.roundtrip(&mut env)? {
             EnvelopeBody::GossipOk(reply) => Ok(reply),
             EnvelopeBody::Err(e) => Err(proto::decode_error(&e)),
             other => Err(NamingError::service(format!(
@@ -854,15 +666,7 @@ impl ProviderBackend for NetClient {
             None => TraceCtx::root(),
         };
         let start = Instant::now();
-        // Encode the wire form carrying the client span's context (not
-        // the op's own) — the far side should link under this hop.
-        let result = proto::encode_op_as(op, Some(ctx)).and_then(|wire_op| {
-            if self.config.proto_version == proto::PROTOCOL_V2 {
-                self.call_v2(wire_op, &ctx)
-            } else {
-                self.call_v1(wire_op, &ctx)
-            }
-        });
+        let result = proto::encode_op(op).and_then(|wire_op| self.call(wire_op, &ctx));
         let outcome = match &result {
             Ok(_) => SpanOutcome::Ok,
             Err(e) if e.is_continue() => SpanOutcome::Continue,

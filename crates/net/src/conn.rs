@@ -2,7 +2,7 @@
 //!
 //! Everything in this module operates on byte slices in and byte buffers
 //! out — no sockets, no threads, no clocks — which is what makes the
-//! protocol's trickiest behaviour (version negotiation, pipelined
+//! protocol's trickiest behaviour (the preamble handshake, pipelined
 //! request-ID bookkeeping, partial frames split at arbitrary byte
 //! boundaries) unit-testable without IO. The readiness loops in
 //! [`crate::server`] and [`crate::client`] are thin drivers: they feed
@@ -10,15 +10,15 @@
 //! [`ClientConn::receive`] and write out whatever the machine queued.
 //!
 //! Layering (fraktor-rs-style): `proto` knows *messages*, `conn` knows
-//! *connections* (negotiation state, frame reassembly, response
-//! ordering), and only `server`/`client` know *sockets*.
+//! *connections* (preamble state, frame reassembly, request IDs), and
+//! only `server`/`client` know *sockets*.
 
 use rndi_core::error::{NamingError, Result};
 use rndi_obs::TraceCtx;
 
 use crate::proto::{
-    self, AdminReply, AdminRequest, Envelope, EnvelopeBody, GossipReply, GossipRequest, Negotiated,
-    WireError, WireOp, WireOutcome,
+    self, AdminReply, AdminRequest, Envelope, EnvelopeBody, GossipReply, GossipRequest, WireError,
+    WireOp, WireOutcome,
 };
 
 /// An incremental length-prefixed frame reassembler. Bytes go in at
@@ -60,7 +60,7 @@ impl FrameBuf {
     }
 
     /// Consume `n` unconsumed bytes (they have been processed elsewhere,
-    /// e.g. a negotiation preamble).
+    /// e.g. the connection preamble).
     pub fn consume(&mut self, n: usize) {
         debug_assert!(n <= self.pending());
         self.pos += n;
@@ -90,9 +90,7 @@ impl FrameBuf {
 }
 
 /// One decoded client→server message, tagged with the request ID the
-/// response must echo. v1 connections synthesize sequential IDs — v1
-/// responses are matched by order, not ID, so the value only has to be
-/// locally unique for deadline bookkeeping.
+/// response must echo.
 #[derive(Debug)]
 pub struct Inbound {
     pub req_id: u64,
@@ -106,13 +104,12 @@ pub enum InboundMsg {
     Call {
         op: Box<WireOp>,
         deadline_ms: u64,
-        /// Transport-level trace context (v1: the `%RNDI-TRACE:` payload
-        /// header; v2: the envelope's trace field).
+        /// The caller's trace context (the envelope's trace field).
         trace: Option<TraceCtx>,
     },
-    /// A telemetry scrape (v2 only — v1 has no admin vocabulary).
+    /// A telemetry scrape.
     Admin(AdminRequest),
-    /// A cluster membership exchange (v2 only, like admin).
+    /// A cluster membership exchange.
     Gossip(GossipRequest),
     /// The frame was self-delimiting but its payload did not decode; the
     /// server answers this error instead of dropping the connection.
@@ -129,18 +126,12 @@ pub enum ResponseBody {
     Gossip(GossipReply),
 }
 
-enum ServerProto {
-    /// Waiting for the first four bytes to classify the connection.
-    Negotiating,
-    V1,
-    V2,
-}
-
-/// Server-side per-connection state machine: negotiates the protocol
-/// version from the first bytes, reassembles frames, decodes requests,
-/// and encodes responses into an output buffer the IO layer drains.
+/// Server-side per-connection state machine: checks the connection
+/// preamble, reassembles frames, decodes requests, and encodes responses
+/// into an output buffer the IO layer drains.
 pub struct ServerConn {
-    proto: ServerProto,
+    /// Whether the client's preamble has been seen and acknowledged.
+    greeted: bool,
     frames: FrameBuf,
     outbuf: Vec<u8>,
     /// Bytes of `outbuf` already written to the socket.
@@ -156,97 +147,59 @@ impl Default for ServerConn {
 impl ServerConn {
     pub fn new() -> Self {
         ServerConn {
-            proto: ServerProto::Negotiating,
+            greeted: false,
             frames: FrameBuf::new(),
             outbuf: Vec::new(),
             out_pos: 0,
         }
     }
 
-    /// The negotiated protocol version, once known.
-    pub fn version(&self) -> Option<u32> {
-        match self.proto {
-            ServerProto::Negotiating => None,
-            ServerProto::V1 => Some(proto::PROTOCOL_V1),
-            ServerProto::V2 => Some(proto::PROTOCOL_V2),
-        }
-    }
-
     /// Feed transport bytes in; get fully-decoded requests out. An `Err`
-    /// means the connection is unrecoverable (unsupported version,
-    /// corrupt framing) and must be closed.
+    /// means the connection is unrecoverable (it did not open with
+    /// [`proto::PREAMBLE_V2`], or its framing is corrupt) and must be
+    /// closed.
     pub fn receive(&mut self, bytes: &[u8]) -> Result<Vec<Inbound>> {
         self.frames.push(bytes);
-        if matches!(self.proto, ServerProto::Negotiating) {
+        if !self.greeted {
             if self.frames.pending() < 4 {
                 return Ok(Vec::new());
             }
-            let first4: [u8; 4] = self.frames.peek()[..4].try_into().unwrap();
-            match proto::negotiate(&first4) {
-                Negotiated::V2 => {
-                    // Consume the preamble and acknowledge it so the
-                    // client knows the server speaks v2.
-                    self.frames.consume(4);
-                    self.outbuf.extend_from_slice(&proto::PREAMBLE_V2);
-                    self.proto = ServerProto::V2;
-                }
-                Negotiated::V1 => {
-                    // No preamble: the four bytes are the first frame's
-                    // length prefix. Leave them buffered.
-                    self.proto = ServerProto::V1;
-                }
-                Negotiated::Unsupported(v) => {
-                    return Err(NamingError::service(format!(
-                        "unsupported protocol version {v}"
-                    )));
-                }
+            let first4 = &self.frames.peek()[..4];
+            if first4 != proto::PREAMBLE_V2 {
+                return Err(NamingError::service(format!(
+                    "unsupported protocol version (connection opened with {first4:02x?})"
+                )));
             }
+            // Consume the preamble and acknowledge it so the client knows
+            // the server speaks its protocol.
+            self.frames.consume(4);
+            self.outbuf.extend_from_slice(&proto::PREAMBLE_V2);
+            self.greeted = true;
         }
         let mut inbound = Vec::new();
         while let Some(frame) = self.frames.next_frame()? {
-            inbound.push(match self.proto {
-                ServerProto::V1 => decode_v1_request(&frame),
-                ServerProto::V2 => decode_v2_request(&frame)?,
-                ServerProto::Negotiating => unreachable!("negotiated above"),
-            });
+            inbound.push(decode_request(&frame)?);
         }
         Ok(inbound)
     }
 
-    /// Queue the response for `req_id` in the connection's wire format.
-    /// v1 ignores the ID (responses are matched by order); v2 echoes it.
+    /// Queue the response for `req_id`.
     pub fn push_response(&mut self, req_id: u64, body: ResponseBody) -> Result<()> {
-        let payload = match self.proto {
-            ServerProto::V1 => proto::encode_message(&match body {
-                ResponseBody::Pong => proto::Response::Pong,
-                ResponseBody::Ok(out) => proto::Response::Ok(out),
-                ResponseBody::Err(err) => proto::Response::Err(err),
-                // Unreachable in practice: v1 cannot express an admin
-                // request, so no handler ever produces this on v1.
-                ResponseBody::Admin(_) => {
-                    return Err(NamingError::service("admin replies require protocol v2"))
-                }
-                // Same story: gossip is a v2-only vocabulary.
-                ResponseBody::Gossip(_) => {
-                    return Err(NamingError::service("gossip replies require protocol v2"))
-                }
-            })?,
-            ServerProto::V2 => proto::bin::encode_envelope(&Envelope {
-                req_id,
-                body: match body {
-                    ResponseBody::Pong => EnvelopeBody::Pong,
-                    ResponseBody::Ok(out) => EnvelopeBody::Ok(out),
-                    ResponseBody::Err(err) => EnvelopeBody::Err(err),
-                    ResponseBody::Admin(reply) => EnvelopeBody::AdminOk(reply),
-                    ResponseBody::Gossip(reply) => EnvelopeBody::GossipOk(reply),
-                },
-            })?,
-            ServerProto::Negotiating => {
-                return Err(NamingError::service(
-                    "response queued before version negotiation",
-                ))
-            }
-        };
+        if !self.greeted {
+            return Err(NamingError::service(
+                "response queued before the connection preamble",
+            ));
+        }
+        let payload = proto::bin::encode_envelope(&Envelope {
+            req_id,
+            body: match body {
+                ResponseBody::Pong => EnvelopeBody::Pong,
+                ResponseBody::Ok(out) => EnvelopeBody::Ok(out),
+                ResponseBody::Err(err) => EnvelopeBody::Err(err),
+                ResponseBody::Admin(reply) => EnvelopeBody::AdminOk(reply),
+                ResponseBody::Gossip(reply) => EnvelopeBody::GossipOk(reply),
+            },
+        })?;
         self.outbuf
             .extend_from_slice(&(payload.len() as u32).to_be_bytes());
         self.outbuf.extend_from_slice(&payload);
@@ -278,24 +231,7 @@ impl ServerConn {
     }
 }
 
-fn decode_v1_request(frame: &[u8]) -> Inbound {
-    let (frame_ctx, payload) = rndi_obs::frame::strip(frame);
-    let msg = match proto::decode_request(payload) {
-        Ok(proto::Request::Ping) => InboundMsg::Ping,
-        Ok(proto::Request::Call {
-            op, deadline_ms, ..
-        }) => InboundMsg::Call {
-            op,
-            deadline_ms,
-            trace: frame_ctx,
-        },
-        Err(e) => InboundMsg::Malformed(e),
-    };
-    // v1 responses are matched by order; the ID is only a local handle.
-    Inbound { req_id: 0, msg }
-}
-
-fn decode_v2_request(frame: &[u8]) -> Result<Inbound> {
+fn decode_request(frame: &[u8]) -> Result<Inbound> {
     match proto::bin::decode_envelope(frame) {
         Ok(Envelope { req_id, body }) => {
             let msg = match body {
@@ -340,7 +276,7 @@ fn decode_v2_request(frame: &[u8]) -> Result<Inbound> {
     }
 }
 
-/// The send half of a v2 client connection: request-ID allocation and
+/// The send half of a client connection: request-ID allocation and
 /// envelope→bytes encoding, including the connect preamble on the first
 /// send. Split from [`ClientDecoder`] so a multiplexing client can hold
 /// the two halves under independent locks (writers encode while one
@@ -392,7 +328,7 @@ impl ClientEncoder {
     }
 }
 
-/// The receive half of a v2 client connection: preamble-ack consumption
+/// The receive half of a client connection: preamble-ack consumption
 /// and frame reassembly into decoded envelopes.
 #[derive(Default)]
 pub struct ClientDecoder {
@@ -407,8 +343,8 @@ impl ClientDecoder {
 
     /// Feed server bytes in; get decoded response envelopes out. The
     /// server's 4-byte preamble ack is consumed here; a missing or
-    /// mismatched ack means the far side does not speak v2 and the
-    /// connection is unusable.
+    /// mismatched ack means the far side does not speak this protocol and
+    /// the connection is unusable.
     pub fn receive(&mut self, bytes: &[u8]) -> Result<Vec<Envelope>> {
         self.frames.push(bytes);
         if !self.acked {
@@ -418,8 +354,7 @@ impl ClientDecoder {
             let first4: [u8; 4] = self.frames.peek()[..4].try_into().unwrap();
             if first4 != proto::PREAMBLE_V2 {
                 return Err(NamingError::service(
-                    "server did not acknowledge protocol v2 (v1-only server? \
-                     set rndi.net.proto.version=1)",
+                    "server did not acknowledge the connection preamble",
                 ));
             }
             self.frames.consume(4);
@@ -433,7 +368,7 @@ impl ClientDecoder {
     }
 }
 
-/// Client-side sans-IO state for one v2 connection: request-ID
+/// Client-side sans-IO state for one connection: request-ID
 /// allocation, the connect preamble, ack handling, and response frame
 /// reassembly. The threading (who waits, who drives the socket) lives in
 /// [`crate::client`], which uses [`ClientConn::into_split`] to lock the
@@ -478,8 +413,10 @@ mod tests {
     #[test]
     fn framebuf_reassembles_byte_by_byte() {
         let mut framed = Vec::new();
-        proto::write_frame(&mut framed, b"hello").unwrap();
-        proto::write_frame(&mut framed, b"world!").unwrap();
+        for payload in [&b"hello"[..], b"world!"] {
+            framed.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+            framed.extend_from_slice(payload);
+        }
         let mut fb = FrameBuf::new();
         let mut got = Vec::new();
         for b in &framed {
@@ -500,7 +437,7 @@ mod tests {
     }
 
     #[test]
-    fn server_negotiates_v2_and_acks() {
+    fn server_acks_the_preamble_and_answers() {
         let mut server = ServerConn::new();
         let mut client = ClientConn::new();
         let id = client.next_req_id();
@@ -511,7 +448,6 @@ mod tests {
             })
             .unwrap();
         let inbound = server.receive(&bytes).unwrap();
-        assert_eq!(server.version(), Some(proto::PROTOCOL_V2));
         assert_eq!(inbound.len(), 1);
         assert!(matches!(inbound[0].msg, InboundMsg::Ping));
         server
@@ -524,37 +460,22 @@ mod tests {
     }
 
     #[test]
-    fn server_negotiates_v1_from_bare_frames() {
-        let mut server = ServerConn::new();
-        let mut framed = Vec::new();
-        let ping = proto::encode_message(&proto::Request::Ping).unwrap();
-        proto::write_frame(&mut framed, &ping).unwrap();
-        // Split delivery across the negotiation boundary.
-        let inbound = server.receive(&framed[..3]).unwrap();
-        assert!(inbound.is_empty());
-        assert_eq!(server.version(), None);
-        let inbound = server.receive(&framed[3..]).unwrap();
-        assert_eq!(server.version(), Some(proto::PROTOCOL_V1));
-        assert!(matches!(inbound[0].msg, InboundMsg::Ping));
-        server.push_response(0, ResponseBody::Pong).unwrap();
-        // v1 responses carry no preamble ack.
-        let out = server.pending_out().to_vec();
-        let frame = proto::read_frame(&mut &out[..]).unwrap();
-        assert!(matches!(
-            proto::decode_response(&frame).unwrap(),
-            proto::Response::Pong
-        ));
+    fn server_refuses_anything_but_the_preamble() {
+        // Another version byte, and a bare length-prefixed frame (what the
+        // retired JSON protocol opened with): both are refused on the
+        // first four bytes, with nothing acknowledged.
+        for first4 in [[b'R', b'N', b'I', 9], [0, 0, 0, 42]] {
+            let mut server = ServerConn::new();
+            assert!(server.receive(&first4[..3]).unwrap().is_empty());
+            let err = server.receive(&first4[3..]).unwrap_err();
+            assert!(err.to_string().contains("unsupported protocol version"));
+            assert!(server.pending_out().is_empty());
+            assert!(server.push_response(0, ResponseBody::Pong).is_err());
+        }
     }
 
     #[test]
-    fn server_closes_on_unsupported_version() {
-        let mut server = ServerConn::new();
-        let err = server.receive(&[b'R', b'N', b'I', 9]).unwrap_err();
-        assert!(err.to_string().contains("unsupported protocol version"));
-    }
-
-    #[test]
-    fn malformed_v2_payload_answers_typed_error() {
+    fn malformed_payload_answers_typed_error() {
         let mut server = ServerConn::new();
         let mut bytes = proto::PREAMBLE_V2.to_vec();
         // A frame with a valid req id but garbage body tag.
@@ -613,9 +534,9 @@ mod tests {
     }
 
     #[test]
-    fn client_rejects_non_v2_server() {
+    fn client_rejects_a_server_that_does_not_ack() {
         let mut client = ClientConn::new();
-        // A v1 server's first bytes are a frame length prefix, not an ack.
+        // A frame length prefix where the preamble ack should be.
         let err = client.receive(&[0, 0, 0, 42]).unwrap_err();
         assert!(err.to_string().contains("did not acknowledge"));
     }

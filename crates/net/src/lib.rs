@@ -7,11 +7,11 @@
 //! split into three layers (fraktor-rs-style), each testable without the
 //! one below it:
 //!
-//! - [`proto`] — pure protocol: message shapes, the v1 framed-JSON codec,
-//!   the v2 compact binary envelope codec ([`proto::bin`]), and the
-//!   4-byte version-negotiation preamble. No connection state, no IO.
+//! - [`proto`] — pure protocol: message shapes, the compact binary
+//!   envelope codec ([`proto::bin`]), and the 4-byte connection preamble.
+//!   No connection state, no IO.
 //! - [`conn`] — sans-IO connection state machines: incremental frame
-//!   reassembly, version negotiation, and request-ID multiplexing for
+//!   reassembly, the preamble handshake, and request-ID multiplexing for
 //!   pipelined calls. Bytes in, messages out; no sockets.
 //! - [`server`] / [`client`] — IO strategy: [`NetServer`] hosts **any**
 //!   [`ProviderBackend`](rndi_core::spi::ProviderBackend) — including a
@@ -21,18 +21,17 @@
 //!   drain. [`NetClient`] **is** a `ProviderBackend`: the client-side
 //!   pipeline stack (cache, retry, obs interceptors) wraps remote calls
 //!   unchanged, over pooled connections that multiplex concurrent
-//!   requests when the far side speaks v2.
+//!   requests.
 //!
 //! ## Wire format
 //!
-//! Every frame is a `u32` big-endian length prefix followed by that many
-//! payload bytes (16 MiB cap). A v2 client opens with the 4-byte
-//! `RNI\x02` preamble, which the server echoes as an acknowledgement;
-//! absent the preamble the connection is served as v1 framed JSON
-//! ([`proto::Request`] / [`proto::Response`], optionally wrapped in the
-//! `%RNDI-TRACE:<ctx>\n` header from `rndi_obs::frame`). v2 frames carry
-//! binary [`proto::Envelope`]s whose request IDs let one connection hold
-//! many in-flight calls and deliver responses out of order.
+//! A client opens with the 4-byte `RNI\x02` preamble, which the server
+//! echoes as an acknowledgement; a connection that opens with anything
+//! else is refused. Every frame after it is a `u32` big-endian length
+//! prefix followed by that many payload bytes (16 MiB cap) holding one
+//! binary [`proto::Envelope`], whose request ID lets one connection hold
+//! many in-flight calls and deliver responses out of order, and whose
+//! `trace` field is the one carrier of a call's trace context.
 
 pub mod client;
 pub mod conn;

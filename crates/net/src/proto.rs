@@ -1,31 +1,20 @@
-//! The wire protocol: framing, version negotiation, and the message
+//! The wire protocol: framing, the connection preamble, and the message
 //! schema. This module is *pure* — no sockets, no threads — so every
 //! codec path is unit- and property-testable in isolation; the sans-IO
 //! connection machinery lives in [`crate::conn`] and the IO strategies in
 //! [`crate::server`]/[`crate::client`].
 //!
-//! Two protocol versions share one vocabulary:
-//!
-//! - **v1 (JSON, lock-step).** Every frame is a big-endian `u32` length
-//!   prefix followed by that many payload bytes (capped at
-//!   [`MAX_FRAME_LEN`]). A request payload is optionally wrapped in the
-//!   `%RNDI-TRACE:` header from [`rndi_obs::frame`]; the bytes after the
-//!   optional header are a JSON-encoded [`Request`]. Responses are bare
-//!   JSON [`Response`]s, answered strictly in request order.
-//! - **v2 (binary, pipelined).** The connection opens with the 4-byte
-//!   preamble `RNI\x02` (magic + protocol-version byte); the server echoes
-//!   it back as an acknowledgement. Every subsequent frame is the same
-//!   `u32` length prefix, but the payload is a compact binary
-//!   [`Envelope`] carrying a request ID, so many calls can be in flight
-//!   on one connection and responses may arrive out of order. See
-//!   [`bin`] for the byte-level codec.
-//!
-//! Version negotiation is a single inspection of a connection's first
-//! four bytes: a v1 frame's length prefix always starts `0x00`/`0x01`
-//! (lengths are capped at 16 MiB), while the v2 magic starts `b'R'`, so
-//! the two are unambiguous. A server that sees the magic with an
-//! unsupported version byte closes the connection; anything else is
-//! served as v1 — old JSON clients keep working against new servers.
+//! A connection opens with the 4-byte preamble [`PREAMBLE_V2`] (`RNI\x02`:
+//! magic + protocol byte), which the server echoes back as its
+//! acknowledgement; a connection that opens with anything else is refused.
+//! Every subsequent frame is a big-endian `u32` length prefix followed by
+//! that many payload bytes (capped at [`MAX_FRAME_LEN`]). The payload is a
+//! compact binary [`Envelope`] carrying a request ID, so many calls can be
+//! in flight on one connection and responses may arrive out of order. A
+//! call's [`TraceCtx`](rndi_obs::TraceCtx) crosses in the envelope's
+//! `trace` field and nowhere else. See [`bin`] for the byte-level codec —
+//! [`bin::encode_envelope`] / [`bin::decode_envelope`] are the only
+//! message↔bytes entry points.
 //!
 //! The message schema reuses the codec types the in-process pipeline
 //! already standardised on: values cross the wire as
@@ -42,7 +31,6 @@
 pub mod bin;
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
 
 use rndi_core::attrs::{AttrMod, Attributes};
 use rndi_core::context::{Binding, NameClassPair, SearchControls, SearchItem, SearchScope};
@@ -51,112 +39,17 @@ use rndi_core::filter::Filter;
 use rndi_core::name::CompositeName;
 use rndi_core::op::{NamingOp, OpKind, OpOutcome, OpPayload, ALL_OP_KINDS};
 use rndi_core::value::{BoundValue, StoredValue};
-use serde::{Deserialize, Serialize};
-
-/// The legacy JSON protocol version (lock-step request/response).
-pub const PROTOCOL_V1: u32 = 1;
-
-/// The binary, pipelined protocol version (request-ID envelopes).
-pub const PROTOCOL_V2: u32 = 2;
-
-/// Protocol version tag carried in every v1 request.
-pub const PROTOCOL_VERSION: u32 = PROTOCOL_V1;
 
 /// Hard cap on a single frame's payload, request or response.
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
-/// The first three bytes of a v2+ connection preamble. `b'R'` can never
-/// open a v1 frame: v1 length prefixes are capped at [`MAX_FRAME_LEN`],
-/// so their first byte is always `0x00` or `0x01`.
-pub const PREAMBLE_MAGIC: [u8; 3] = *b"RNI";
-
-/// The full 4-byte preamble a v2 client sends on connect (and a v2
-/// server echoes back as its acknowledgement): magic + version byte.
-pub const PREAMBLE_V2: [u8; 4] = [b'R', b'N', b'I', PROTOCOL_V2 as u8];
-
-/// What a connection's first four bytes negotiate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Negotiated {
-    /// No preamble: the bytes are the start of a v1 frame stream.
-    V1,
-    /// The v2 preamble: binary envelopes with request IDs.
-    V2,
-    /// Preamble magic with a version byte this build does not speak; the
-    /// connection must be closed (there is no compatible framing).
-    Unsupported(u8),
-}
-
-/// Classify a connection's first four bytes (see the module docs for why
-/// this is unambiguous).
-pub fn negotiate(first4: &[u8; 4]) -> Negotiated {
-    if first4[..3] == PREAMBLE_MAGIC {
-        match first4[3] as u32 {
-            PROTOCOL_V2 => Negotiated::V2,
-            other => Negotiated::Unsupported(other as u8),
-        }
-    } else {
-        Negotiated::V1
-    }
-}
-
-// ------------------------------------------------------------ framing --
-
-/// Write one length-prefixed frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    if payload.len() > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds cap", payload.len()),
-        ));
-    }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
-/// Read one length-prefixed frame. Oversized length prefixes error out
-/// before any allocation, so a corrupt or hostile peer cannot force a
-/// multi-gigabyte buffer.
-pub fn read_frame(r: &mut impl Read) -> std::io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_be_bytes(len) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap"),
-        ));
-    }
-    let mut buf = vec![0u8; len];
-    r.read_exact(&mut buf)?;
-    Ok(buf)
-}
+/// The 4-byte preamble a client sends on connect (and the server echoes
+/// back as its acknowledgement): magic + protocol byte.
+pub const PREAMBLE_V2: [u8; 4] = *b"RNI\x02";
 
 // ----------------------------------------------------------- messages --
 
-/// One client→server message.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub enum Request {
-    /// Connection health probe; the server answers [`Response::Pong`].
-    Ping,
-    /// Execute one naming operation. `deadline_ms` is the client's
-    /// remaining per-request budget (`0` = no deadline).
-    Call {
-        v: u32,
-        op: Box<WireOp>,
-        deadline_ms: u64,
-    },
-}
-
-/// One server→client message.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub enum Response {
-    Pong,
-    Ok(WireOutcome),
-    Err(WireError),
-}
-
-/// A v2 message: a request ID plus a body, in either direction. Request
+/// One wire message: a request ID plus a body, in either direction. Request
 /// IDs are allocated by the client and echoed by the server, which is
 /// what lets one connection carry many in-flight calls (pipelining) and
 /// deliver responses out of order.
@@ -166,7 +59,7 @@ pub struct Envelope {
     pub body: EnvelopeBody,
 }
 
-/// The body of a v2 [`Envelope`].
+/// The body of an [`Envelope`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum EnvelopeBody {
     /// Connection health probe; answered with [`EnvelopeBody::Pong`].
@@ -174,9 +67,7 @@ pub enum EnvelopeBody {
     Pong,
     /// Execute one naming operation. `deadline_ms` is the client's
     /// remaining per-request budget (`0` = no deadline). `trace` is the
-    /// transport-level trace context (the v2 analogue of the v1
-    /// `%RNDI-TRACE:` payload header), used when the op meta carries no
-    /// `obs.trace` annotation.
+    /// caller's trace context — the only carrier that crosses the wire.
     Call {
         op: Box<WireOp>,
         deadline_ms: u64,
@@ -184,12 +75,12 @@ pub enum EnvelopeBody {
     },
     Ok(WireOutcome),
     Err(WireError),
-    /// A telemetry request (v2 only): scrape the serving instance over
+    /// A telemetry request: scrape the serving instance over
     /// the same socket as data ops. Answered with
     /// [`EnvelopeBody::AdminOk`] or [`EnvelopeBody::Err`].
     Admin(AdminRequest),
     AdminOk(AdminReply),
-    /// A cluster membership exchange (v2 only): gossip sync or a ferried
+    /// A cluster membership exchange: gossip sync or a ferried
     /// group-communication frame. Answered with [`EnvelopeBody::GossipOk`]
     /// or [`EnvelopeBody::Err`].
     Gossip(GossipRequest),
@@ -223,7 +114,7 @@ pub enum AdminReply {
 /// One member's lifecycle state as gossiped between nodes (the
 /// `Alive → Suspect → Dead → Quarantined` machine lives in
 /// `rndi-cluster`; the wire only carries the verdicts).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MemberState {
     Alive,
     Suspect,
@@ -256,7 +147,7 @@ impl MemberState {
 
 /// One row of a gossiped membership table: who, where, which incarnation,
 /// and what the gossiper believes about it.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MemberEntry {
     /// Stable node name (survives restarts; the quarantine key).
     pub name: String,
@@ -272,14 +163,14 @@ pub struct MemberEntry {
 /// travels without the highest-seq view that goes with it (that coupling
 /// is what prevents a healed minority coordinator from installing a
 /// rival view).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ViewSummary {
     pub seq: u64,
     /// Member names in view (coordinator-first) order.
     pub members: Vec<String>,
 }
 
-/// The gossip request family (v2 only).
+/// The gossip request family.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum GossipRequest {
     /// Push-pull membership exchange; doubles as the heartbeat the
@@ -312,7 +203,7 @@ pub enum GossipReply {
 }
 
 /// A [`NamingOp`] in wire form.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WireOp {
     /// [`OpKind::label`] string.
     pub kind: String,
@@ -320,30 +211,27 @@ pub struct WireOp {
     pub name: String,
     pub payload: WirePayload,
     pub attrs: Option<Attributes>,
-    /// Op metadata — this is how the trace context
-    /// (`obs.trace`) rides along even without the transport-level header.
+    /// Interceptor annotations ([`rndi_core::op::MetaBag`]). The trace
+    /// context is not among them: it rides in the envelope.
     pub meta: BTreeMap<String, String>,
 }
 
 /// [`OpPayload`] in wire form. Listener registrations are process-local
 /// and have no wire representation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WirePayload {
     None,
     Value(StoredValue),
     /// Raw marshalled bytes whose encoding this node does not recognise
-    /// (foreign data, or a payload wrapped in a trace frame that must be
-    /// preserved byte-exactly).
+    /// (foreign data that must be preserved byte-exactly).
     Wire {
         bytes: Vec<u8>,
         class_name: String,
     },
     /// An already-marshalled payload carried *decoded*: the wire form is
     /// the [`StoredValue`] itself, not its serialized bytes nested inside
-    /// the outer frame (the v1 double-encode this variant eliminates —
-    /// `StoredValue::encode` bytes used to cross as a JSON array of
-    /// integers). The receiver re-marshals with the shared op codec, so
-    /// backends still see [`OpPayload::Wire`] bytes.
+    /// the outer frame. The receiver re-marshals with the shared op
+    /// codec, so backends still see [`OpPayload::Wire`] bytes.
     Stored {
         value: StoredValue,
         class_name: String,
@@ -361,7 +249,7 @@ pub enum WirePayload {
 
 /// [`OpOutcome`] in wire form. `Subscribed` handles are process-local and
 /// have no wire representation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WireOutcome {
     Done,
     Value(StoredValue),
@@ -372,19 +260,19 @@ pub enum WireOutcome {
     Found(Vec<WireHit>),
 }
 
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WireNameClass {
     pub name: String,
     pub class_name: String,
 }
 
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WireBinding {
     pub name: String,
     pub value: StoredValue,
 }
 
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WireHit {
     pub name: String,
     pub value: Option<StoredValue>,
@@ -393,7 +281,7 @@ pub struct WireHit {
 
 /// [`NamingError`] in wire form, one variant per source variant so every
 /// error a remote backend can produce round-trips with full fidelity.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum WireError {
     NameNotFound {
         name: String,
@@ -482,15 +370,9 @@ fn parse_scope(s: &str) -> Result<SearchScope> {
 
 /// Encode a reified op for the wire. Fails — without touching the socket —
 /// for op shapes that are inherently process-local (listeners, handles,
-/// live context payloads).
+/// live context payloads). The op's trace context is not part of the wire
+/// op; the caller puts it in the envelope.
 pub fn encode_op(op: &NamingOp) -> Result<WireOp> {
-    encode_op_as(op, op.trace.get())
-}
-
-/// [`encode_op`], but materializing `trace` instead of the op's own trace
-/// cell — for callers (the client) that annotate the wire form with their
-/// own span's context and would otherwise encode the meta string twice.
-pub fn encode_op_as(op: &NamingOp, trace: Option<rndi_obs::TraceCtx>) -> Result<WireOp> {
     let payload = match &op.payload {
         OpPayload::None => WirePayload::None,
         OpPayload::Value(v) => WirePayload::Value(stored(v)?),
@@ -512,35 +394,23 @@ pub fn encode_op_as(op: &NamingOp, trace: Option<rndi_obs::TraceCtx>) -> Result<
         name: op.name.to_string(),
         payload,
         attrs: op.attrs.clone(),
-        meta: {
-            let mut meta: std::collections::BTreeMap<String, String> =
-                op.meta.iter().map(|(k, v)| (k.into(), v.into())).collect();
-            // Materialize the trace context as the wire meta string, so
-            // every encoder stays trace-correct.
-            if let Some(ctx) = trace {
-                meta.insert(rndi_core::op::TRACE_META_KEY.to_string(), ctx.encode());
-            }
-            meta
-        },
+        meta: op.meta.iter().map(|(k, v)| (k.into(), v.into())).collect(),
     })
 }
 
 /// Choose the single-encoded wire form for an already-marshalled payload.
 /// Bytes that are a bare canonical [`StoredValue`] encoding cross decoded
 /// (and are re-encoded on the far side — `encode ∘ decode` is the
-/// identity for the shared codec's own output); trace-framed payloads and
-/// foreign bytes must survive byte-exactly, so they stay raw. JSON-tree
-/// values also stay raw: their re-encoding need not be byte-identical.
+/// identity for the shared codec's own output); foreign bytes must survive
+/// byte-exactly, so they stay raw. JSON-tree values also stay raw: their
+/// re-encoding need not be byte-identical.
 fn encode_wire_payload(bytes: &[u8], class_name: &str) -> WirePayload {
-    let (frame_ctx, payload) = rndi_obs::frame::strip(bytes);
-    if frame_ctx.is_none() && payload.len() == bytes.len() {
-        if let Some(value) = StoredValue::decode(bytes) {
-            if !matches!(value, StoredValue::Json(_)) && value.encode() == bytes {
-                return WirePayload::Stored {
-                    value,
-                    class_name: class_name.to_string(),
-                };
-            }
+    if let Some(value) = StoredValue::decode(bytes) {
+        if !matches!(value, StoredValue::Json(_)) && value.encode() == bytes {
+            return WirePayload::Stored {
+                value,
+                class_name: class_name.to_string(),
+            };
         }
     }
     WirePayload::Wire {
@@ -595,16 +465,7 @@ pub fn decode_op(wire: &WireOp) -> Result<NamingOp> {
     op.payload = payload;
     op.attrs = wire.attrs.clone();
     for (k, v) in &wire.meta {
-        // The trace context travels the wire as a meta string; rehydrate
-        // it into the op's first-class field so server-side layers never
-        // re-parse (or re-clone) it.
-        if k == rndi_core::op::TRACE_META_KEY {
-            if let Some(ctx) = rndi_obs::TraceCtx::parse(v) {
-                op.trace.set(&ctx);
-            }
-        } else {
-            op.meta.set(k.clone(), v.clone());
-        }
+        op.meta.set(k.clone(), v.clone());
     }
     Ok(op)
 }
@@ -798,46 +659,18 @@ pub fn decode_error(wire: &WireError) -> NamingError {
     }
 }
 
-/// Parse request bytes (after the optional transport trace header has been
-/// stripped). Any decode failure maps to `ServiceFailure` — the server
-/// answers with an error response instead of dropping the connection.
-pub fn decode_request(payload: &[u8]) -> Result<Request> {
-    serde_json::from_slice(payload)
-        .map_err(|e| NamingError::service(format!("malformed request: {e}")))
-}
-
-/// Parse response bytes.
-pub fn decode_response(payload: &[u8]) -> Result<Response> {
-    serde_json::from_slice(payload)
-        .map_err(|e| NamingError::service(format!("malformed response: {e}")))
-}
-
-/// Serialize any message to bytes.
-pub fn encode_message<T: Serialize>(msg: &T) -> Result<Vec<u8>> {
-    serde_json::to_vec(msg).map_err(|e| NamingError::service(format!("encode failed: {e}")))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rndi_core::attrs::Attribute;
     use rndi_core::value::Reference;
 
-    #[test]
-    fn frame_roundtrip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        assert_eq!(buf.len(), 4 + 5);
-        let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap(), b"hello");
-    }
-
-    #[test]
-    fn frame_rejects_oversized_length() {
-        let mut bytes = (MAX_FRAME_LEN as u32 + 1).to_be_bytes().to_vec();
-        bytes.extend_from_slice(b"x");
-        let mut r = &bytes[..];
-        assert!(read_frame(&mut r).is_err());
+    /// One trip through the only bytes codec there is.
+    fn via_bytes(body: EnvelopeBody) -> EnvelopeBody {
+        let env = Envelope { req_id: 1, body };
+        bin::decode_envelope(&bin::encode_envelope(&env).unwrap())
+            .unwrap()
+            .body
     }
 
     #[test]
@@ -871,20 +704,24 @@ mod tests {
         ];
         for op in ops {
             let mut traced = op.clone();
-            traced.meta.set("obs.trace", "1-2-0-0");
+            traced.meta.set("retry.attempt", "2");
+            traced.set_trace_ctx(&rndi_obs::TraceCtx::root());
             let wire = encode_op(&traced).unwrap();
-            let bytes = encode_message(&wire).unwrap();
-            let parsed: WireOp = serde_json::from_slice(&bytes).unwrap();
+            // Interceptor annotations cross; the trace context is the
+            // envelope's business, not the op's.
+            assert_eq!(wire.meta.len(), 1);
+            let EnvelopeBody::Call { op: parsed, .. } = via_bytes(EnvelopeBody::Call {
+                op: Box::new(wire),
+                deadline_ms: 0,
+                trace: None,
+            }) else {
+                panic!("call decodes as a call");
+            };
             let back = decode_op(&parsed).unwrap();
             assert_eq!(back.kind, op.kind);
             assert_eq!(back.name.to_string(), op.name.to_string());
-            // The wire meta string rehydrates into the first-class trace
-            // field on decode (and is kept out of the meta bag).
-            assert_eq!(
-                back.trace_ctx().map(|c| c.encode()).as_deref(),
-                Some("1-2-0-0")
-            );
-            assert_eq!(back.meta.get("obs.trace"), None);
+            assert_eq!(back.meta.get("retry.attempt"), Some("2"));
+            assert_eq!(back.trace_ctx(), None);
         }
     }
 
@@ -923,9 +760,11 @@ mod tests {
             }]),
         ];
         for out in outs {
-            let wire = encode_outcome(&out).unwrap();
-            let bytes = encode_message(&wire).unwrap();
-            let parsed: WireOutcome = serde_json::from_slice(&bytes).unwrap();
+            let EnvelopeBody::Ok(parsed) =
+                via_bytes(EnvelopeBody::Ok(encode_outcome(&out).unwrap()))
+            else {
+                panic!("outcome decodes as an outcome");
+            };
             let back = decode_outcome(&parsed).unwrap();
             assert_eq!(format!("{back:?}"), format!("{out:?}"));
         }
@@ -946,34 +785,10 @@ mod tests {
             NamingError::FederationDepthExceeded { depth: 9 },
         ];
         for e in errors {
-            let wire = encode_error(&e);
-            let bytes = encode_message(&wire).unwrap();
-            let parsed: WireError = serde_json::from_slice(&bytes).unwrap();
+            let EnvelopeBody::Err(parsed) = via_bytes(EnvelopeBody::Err(encode_error(&e))) else {
+                panic!("error decodes as an error");
+            };
             assert_eq!(decode_error(&parsed), e);
         }
-    }
-
-    #[test]
-    fn request_response_roundtrip() {
-        let req = Request::Call {
-            v: PROTOCOL_VERSION,
-            op: Box::new(encode_op(&NamingOp::lookup("x".into())).unwrap()),
-            deadline_ms: 250,
-        };
-        let parsed = decode_request(&encode_message(&req).unwrap()).unwrap();
-        match parsed {
-            Request::Call { v, deadline_ms, .. } => {
-                assert_eq!(v, PROTOCOL_VERSION);
-                assert_eq!(deadline_ms, 250);
-            }
-            other => panic!("wrong request {other:?}"),
-        }
-        let resp = Response::Err(encode_error(&NamingError::not_found("y")));
-        match decode_response(&encode_message(&resp).unwrap()).unwrap() {
-            Response::Err(e) => assert_eq!(decode_error(&e), NamingError::not_found("y")),
-            other => panic!("wrong response {other:?}"),
-        }
-        assert!(decode_request(b"not json").is_err());
-        assert!(decode_response(b"{\"halfway\":").is_err());
     }
 }

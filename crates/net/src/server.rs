@@ -177,7 +177,7 @@ struct ServerState {
     membership: Arc<MembershipStats>,
 }
 
-/// Serves the v2 `Gossip` request family — membership sync exchanges and
+/// Serves the `Gossip` request family — membership sync exchanges and
 /// ferried group-communication frames. Runs inline on the shard event
 /// loop, so implementations must be quick and never block on the network.
 pub trait GossipHandler: Send + Sync {
@@ -582,7 +582,7 @@ impl NetServer {
         self.state.health()
     }
 
-    /// Attach a cluster membership plane: `handler` answers the v2
+    /// Attach a cluster membership plane: `handler` answers the
     /// `Gossip` request family on this server's data sockets.
     pub fn set_gossip_handler(&self, handler: Arc<dyn GossipHandler>) {
         *self.state.gossip.lock() = Some(handler);
@@ -735,9 +735,14 @@ fn shard_loop(state: Arc<ServerState>, inbox: Arc<ShardInbox>, shard: usize) {
                     i += 1;
                 }
                 Err(_) => {
-                    // Peer hung up, sent garbage framing, or spoke an
-                    // unsupported protocol version: drop the connection.
-                    conns.swap_remove(i);
+                    // Peer hung up, sent garbage framing, or did not open
+                    // with the protocol preamble: drop the connection. The
+                    // explicit shutdown is what the peer sees — `abort`'s
+                    // clone of the socket would otherwise keep it open.
+                    let _ = conns
+                        .swap_remove(i)
+                        .stream
+                        .shutdown(std::net::Shutdown::Both);
                     state.active.fetch_sub(1, Ordering::SeqCst);
                     active_gauge.add(-1);
                     progress = true;
@@ -908,8 +913,7 @@ fn flush_out(conn: &mut ShardConn, bytes_out: &Arc<rndi_obs::Counter>) -> std::i
 /// executed inline exactly as before.
 ///
 /// Shed responses can overtake queued ones from the same socket; that is
-/// fine for the v2 mux (responses match by id) and unobservable for the
-/// lock-step v1 client (it never has two calls in flight).
+/// fine because responses match by request ID.
 fn respond(
     state: &ServerState,
     conn: &mut ShardConn,
@@ -1009,11 +1013,11 @@ fn handle_call(
     state: &ServerState,
     wire_op: &proto::WireOp,
     deadline_ms: u64,
-    transport_ctx: Option<TraceCtx>,
+    trace: Option<TraceCtx>,
     start: Instant,
 ) -> ResponseBody {
     let instruments = state.req_instruments(&wire_op.kind);
-    let result = dispatch_call(state, wire_op, deadline_ms, transport_ctx, start);
+    let result = dispatch_call(state, wire_op, deadline_ms, trace, start);
     let took = start.elapsed();
     if result.is_ok() {
         instruments.ok.inc();
@@ -1031,16 +1035,14 @@ fn dispatch_call(
     state: &ServerState,
     wire_op: &proto::WireOp,
     deadline_ms: u64,
-    transport_ctx: Option<TraceCtx>,
+    trace: Option<TraceCtx>,
     start: Instant,
 ) -> Result<proto::WireOutcome> {
     let mut op = proto::decode_op(wire_op)?;
-    // Prefer the op-meta context (set by the client's span), falling back
-    // to the transport-level context (the v1 frame header or the v2
-    // envelope field); record a "server" span as its child and re-annotate
-    // so the backend pipeline's spans nest under this one.
-    let inbound = op.trace_ctx().or(transport_ctx);
-    let server_ctx = match &inbound {
+    // Record a "server" span as a child of the envelope's context (the
+    // client's span) and annotate the op with it, so the backend
+    // pipeline's spans nest under this one.
+    let server_ctx = match &trace {
         Some(parent) => parent.child(),
         None => TraceCtx::root(),
     };

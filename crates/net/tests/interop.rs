@@ -1,9 +1,10 @@
-//! Mixed-version interop: one v2 server concurrently serving a v1
-//! (lock-step framed JSON) client and a v2 (multiplexed binary) client,
-//! with cross-wire trace linking verified on both — the negotiated
-//! fallback is a live compatibility path, not dead code.
+//! One server, one protocol: many threads multiplexed on one connection
+//! with cross-wire trace linking, admin scrapes over the data socket, and
+//! a wire tap showing a traced call ships its context exactly once.
 
 use std::collections::BTreeMap;
+use std::io::{Read, Write};
+use std::net::TcpListener;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -14,7 +15,10 @@ use rndi_core::name::CompoundSyntax;
 use rndi_core::op::{NamingOp, OpKind, OpOutcome, OpPayload};
 use rndi_core::spi::ProviderBackend;
 use rndi_core::value::BoundValue;
+use rndi_net::conn::{InboundMsg, ResponseBody, ServerConn};
+use rndi_net::proto::WireOutcome;
 use rndi_net::{NetClient, NetServer, ServerConfig};
+use rndi_obs::TraceCtx;
 
 /// A minimal in-memory backend: enough of the op vocabulary for bind /
 /// rebind / lookup, so the transport can be exercised without pulling a
@@ -74,7 +78,7 @@ impl ProviderBackend for MemBackend {
     }
 }
 
-fn v2_server() -> NetServer {
+fn serve() -> NetServer {
     NetServer::with_config(
         Arc::new(MemBackend::default()),
         ServerConfig {
@@ -89,90 +93,16 @@ fn v2_server() -> NetServer {
 }
 
 #[test]
-fn v1_and_v2_clients_share_one_server_concurrently() {
-    let server = v2_server();
-    let addr = server.local_addr().to_string();
-
-    let v1_env = Environment::new().with(keys::NET_PROTO_VERSION, "1");
-    let v2_env = Environment::new().with(keys::NET_PROTO_VERSION, "2");
-    let v1 = NetClient::connect(addr.clone(), &v1_env).unwrap();
-    let v2 = NetClient::connect(addr.clone(), &v2_env).unwrap();
-
-    // Both clients hammer the same server at the same time, each speaking
-    // its own protocol on its own connections.
-    let threads: Vec<_> = [("v1", v1.clone()), ("v2", v2.clone())]
-        .into_iter()
-        .map(|(tag, client)| {
-            std::thread::spawn(move || {
-                for i in 0..16 {
-                    let key = format!("{tag}-{i}");
-                    client
-                        .bind_str(&key, format!("val-{tag}-{i}").as_str())
-                        .unwrap();
-                    let got = client.lookup_str(&key).unwrap();
-                    assert_eq!(got.as_str(), Some(format!("val-{tag}-{i}").as_str()));
-                }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().expect("client thread");
-    }
-
-    // Cross-checks through the *other* client: the two protocols read
-    // each other's writes, so they demonstrably hit one backend.
-    assert_eq!(
-        v1.lookup_str("v2-0").unwrap().as_str(),
-        Some("val-v2-0"),
-        "v1 client reads a binding written over v2"
-    );
-    assert_eq!(
-        v2.lookup_str("v1-0").unwrap().as_str(),
-        Some("val-v1-0"),
-        "v2 client reads a binding written over v1"
-    );
-
-    // Linked traces on both protocols: every client-layer lookup span for
-    // this endpoint must have a server-side child span in the same trace.
-    let ring = rndi_obs::trace::ring();
-    let client_label = format!("net-client:{addr}");
-    let client_spans: Vec<_> = ring
-        .snapshot()
-        .into_iter()
-        .filter(|s| s.layer == "client" && s.provider.as_ref() == client_label && s.op == "lookup")
-        .collect();
-    assert!(
-        client_spans.len() >= 32,
-        "both clients' lookups recorded spans (got {})",
-        client_spans.len()
-    );
-    for span in &client_spans {
-        let trace = ring.trace(span.trace_id);
-        let linked = trace
-            .iter()
-            .any(|s| s.layer == "server" && s.parent_span == span.span_id);
-        assert!(
-            linked,
-            "server span links to client span {} in trace {}",
-            span.span_id, span.trace_id
-        );
-    }
-
-    server.shutdown();
-}
-
-#[test]
-fn many_threads_multiplex_one_v2_connection() {
-    let server = v2_server();
+fn many_threads_multiplex_one_connection() {
+    let server = serve();
     let addr = server.local_addr().to_string();
 
     // One connection (pool of 1), deep pipeline: all threads' requests
     // interleave on a single socket and responses are matched by ID.
     let env = Environment::new()
-        .with(keys::NET_PROTO_VERSION, "2")
         .with(keys::NET_CLIENT_POOL_SIZE, "1")
         .with(keys::NET_CLIENT_PIPELINE_DEPTH, "64");
-    let client = NetClient::connect(addr, &env).unwrap();
+    let client = NetClient::connect(addr.clone(), &env).unwrap();
 
     let threads: Vec<_> = (0..8)
         .map(|t| {
@@ -193,7 +123,81 @@ fn many_threads_multiplex_one_v2_connection() {
         t.join().expect("worker thread");
     }
 
+    // Linked traces: every client-layer lookup span still in the ring for
+    // this endpoint has a server-side child span in the same trace.
+    let ring = rndi_obs::trace::ring();
+    let client_label = format!("net-client:{addr}");
+    let client_spans: Vec<_> = ring
+        .snapshot()
+        .into_iter()
+        .filter(|s| s.layer == "client" && s.provider.as_ref() == client_label && s.op == "lookup")
+        .collect();
+    assert!(!client_spans.is_empty(), "lookups recorded client spans");
+    for span in &client_spans {
+        let linked = ring
+            .trace(span.trace_id)
+            .iter()
+            .any(|s| s.layer == "server" && s.parent_span == span.span_id);
+        assert!(
+            linked,
+            "server span links to client span {} in trace {}",
+            span.span_id, span.trace_id
+        );
+    }
+
     server.shutdown();
+}
+
+#[test]
+fn a_traced_call_ships_its_context_once_in_the_envelope() {
+    // A wire tap in place of the server: the sans-IO ServerConn decodes
+    // exactly the bytes NetClient put on the socket.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let tap = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        let mut machine = ServerConn::new();
+        let mut wire = Vec::new();
+        let mut buf = [0u8; 4096];
+        loop {
+            let n = sock.read(&mut buf).unwrap();
+            assert!(n > 0, "client hung up before sending a call");
+            wire.extend_from_slice(&buf[..n]);
+            if let Some(req) = machine.receive(&buf[..n]).unwrap().pop() {
+                machine
+                    .push_response(req.req_id, ResponseBody::Ok(WireOutcome::Done))
+                    .unwrap();
+                sock.write_all(machine.pending_out()).unwrap();
+                return (req.msg, wire);
+            }
+        }
+    });
+
+    let client = NetClient::new(addr, &Environment::new()).unwrap();
+    let parent = TraceCtx::root();
+    let mut op = NamingOp::unbind("k".into());
+    op.set_trace_ctx(&parent);
+    client.execute(&op).unwrap();
+
+    let (msg, wire) = tap.join().expect("tap thread");
+    let InboundMsg::Call { op, trace, .. } = msg else {
+        panic!("expected a call, got {msg:?}");
+    };
+    let trace = trace.expect("envelope carries the context");
+    assert_eq!(trace.trace_id, parent.trace_id);
+    assert_eq!(
+        trace.parent_span, parent.span_id,
+        "the context on the wire is the client span, a child of the caller's"
+    );
+    assert!(
+        op.meta.is_empty(),
+        "no obs.trace (or any) meta entry: {:?}",
+        op.meta
+    );
+    assert!(
+        !wire.windows(9).any(|w| w == b"obs.trace"),
+        "no second, textual copy anywhere in the request bytes"
+    );
 }
 
 #[test]
@@ -215,8 +219,7 @@ fn admin_scrape_serves_metrics_traces_and_health_over_the_data_socket() {
     .expect("server starts");
     let addr = server.local_addr().to_string();
 
-    let env = Environment::new().with(keys::NET_PROTO_VERSION, "2");
-    let client = NetClient::new(addr.clone(), &env).unwrap();
+    let client = NetClient::new(addr, &Environment::new()).unwrap();
     for i in 0..8 {
         let key = format!("adm-{i}");
         client
@@ -256,14 +259,6 @@ fn admin_scrape_serves_metrics_traces_and_health_over_the_data_socket() {
     assert!(!trace.is_empty());
     assert!(trace.iter().all(|s| s.trace_id == server_span.trace_id));
     assert!(!client.dump_slowest(2).unwrap().is_empty());
-
-    // A v1-configured client refuses locally: the vocabulary is v2-only.
-    let v1 = NetClient::new(addr, &Environment::new().with(keys::NET_PROTO_VERSION, "1")).unwrap();
-    let err = v1.scrape_metrics().unwrap_err();
-    assert!(
-        matches!(err, NamingError::NotSupported { .. }),
-        "v1 admin scrape should be NotSupported, got {err:?}"
-    );
 
     server.shutdown();
 }

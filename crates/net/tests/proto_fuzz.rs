@@ -1,24 +1,31 @@
-//! Fuzz-style hardening for the wire decoders (v1 JSON and v2 binary):
-//! arbitrary, malformed, or truncated bytes must surface as errors —
-//! never panics, never huge allocations from attacker-controlled length
-//! prefixes — and every well-formed envelope must round-trip exactly.
-
-use std::io::Cursor;
+//! Fuzz-style hardening for the wire decoders: arbitrary, malformed, or
+//! truncated bytes must surface as errors — never panics, never huge
+//! allocations from attacker-controlled length prefixes — and every
+//! well-formed envelope must round-trip exactly.
 
 use proptest::prelude::*;
 
 use rndi_core::attrs::{AttrMod, Attribute, Attributes};
 use rndi_core::op::ALL_OP_KINDS;
 use rndi_core::value::StoredValue;
-use rndi_net::conn::{FrameBuf, ServerConn};
+use rndi_net::conn::{FrameBuf, ResponseBody, ServerConn};
 use rndi_net::proto::{self, Envelope, EnvelopeBody};
 use rndi_obs::TraceCtx;
 
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut out = (payload.len() as u32).to_be_bytes().to_vec();
+    out.extend_from_slice(payload);
+    out
+}
+
 proptest! {
-    /// Arbitrary bytes through the frame reader: error or frame, no panic.
+    /// Arbitrary bytes through the frame reassembler: error, frame, or
+    /// "need more" — no panic.
     #[test]
-    fn read_frame_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-        let _ = proto::read_frame(&mut Cursor::new(&bytes));
+    fn frame_reassembly_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
+        let mut fb = FrameBuf::new();
+        fb.push(&bytes);
+        while let Ok(Some(_)) = fb.next_frame() {}
     }
 
     /// A length prefix promising more than the cap is rejected before any
@@ -29,74 +36,52 @@ proptest! {
         tail in proptest::collection::vec(any::<u8>(), 0..16),
     ) {
         let len = (proto::MAX_FRAME_LEN as u64 + extra) as u32;
-        let mut bytes = len.to_be_bytes().to_vec();
-        bytes.extend_from_slice(&tail);
-        prop_assert!(proto::read_frame(&mut Cursor::new(&bytes)).is_err());
+        let mut fb = FrameBuf::new();
+        fb.push(&len.to_be_bytes());
+        fb.push(&tail);
+        prop_assert!(fb.next_frame().is_err());
     }
 
-    /// A well-formed frame truncated at any byte is an error, not a panic
-    /// or a partial frame.
+    /// A well-formed frame truncated at any byte is withheld — never a
+    /// partial frame — until the rest arrives.
     #[test]
-    fn truncated_frames_error(
+    fn truncated_frames_are_withheld(
         payload in proptest::collection::vec(any::<u8>(), 0..64),
         cut in 0usize..68,
     ) {
-        let mut framed = Vec::new();
-        proto::write_frame(&mut framed, &payload).expect("frame writes");
+        let framed = framed(&payload);
         let cut = cut.min(framed.len());
+        let mut fb = FrameBuf::new();
+        fb.push(&framed[..cut]);
         if cut < framed.len() {
-            prop_assert!(proto::read_frame(&mut Cursor::new(&framed[..cut])).is_err());
-        } else {
-            let back = proto::read_frame(&mut Cursor::new(&framed[..])).expect("intact frame");
-            prop_assert_eq!(back, payload);
+            prop_assert_eq!(fb.next_frame().expect("no framing error"), None);
+            fb.push(&framed[cut..]);
         }
+        prop_assert_eq!(fb.next_frame().expect("intact frame"), Some(payload));
     }
 
-    /// Request/response decoders on arbitrary bytes: typed error, no panic.
-    #[test]
-    fn message_decoders_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
-        let _ = proto::decode_request(&bytes);
-        let _ = proto::decode_response(&bytes);
-    }
-
-    /// Near-miss JSON — structurally valid but semantically wrong — is
-    /// rejected as an error, not a panic.
-    #[test]
-    fn near_miss_json_is_rejected(
-        key in "[a-zA-Z]{1,8}",
-        val in "[a-zA-Z0-9]{0,8}",
-        deep in 0usize..6,
-    ) {
-        let mut json = format!("{{\"{key}\":\"{val}\"}}");
-        for _ in 0..deep {
-            json = format!("{{\"{key}\":{json}}}");
-        }
-        prop_assert!(proto::decode_request(json.as_bytes()).is_err());
-        prop_assert!(proto::decode_response(json.as_bytes()).is_err());
-    }
-
-    /// Frames whose payload is valid JSON for the right shape but with a
-    /// corrupted op kind or scope string decode to an error.
+    /// A wire op whose kind string is not one of ours materializes to an
+    /// error, and never reaches the bytes codec.
     #[test]
     fn unknown_op_kinds_error(kind in "[a-z]{1,12}") {
-        let known = rndi_core::op::ALL_OP_KINDS.iter().any(|k| k.label() == kind);
-        let json = format!(
-            "{{\"Call\":{{\"v\":1,\"op\":{{\"kind\":\"{kind}\",\"name\":\"a\",\
-             \"payload\":\"None\",\"attrs\":null,\"meta\":{{}}}},\"deadline_ms\":0}}}}"
-        );
-        match proto::decode_request(json.as_bytes()) {
-            Ok(proto::Request::Call { op, .. }) => {
-                // Decoding the envelope is fine; materializing the op must
-                // reject unknown kinds.
-                prop_assert_eq!(proto::decode_op(&op).is_ok(), known);
-            }
-            Ok(_) => prop_assert!(false, "ping from a call payload"),
-            Err(_) => prop_assert!(!known),
-        }
+        let known = ALL_OP_KINDS.iter().any(|k| k.label() == kind);
+        let op = proto::WireOp {
+            kind,
+            name: "a".into(),
+            payload: proto::WirePayload::None,
+            attrs: None,
+            meta: Default::default(),
+        };
+        prop_assert_eq!(proto::decode_op(&op).is_ok(), known);
+        let env = Envelope {
+            req_id: 1,
+            body: EnvelopeBody::Call { op: Box::new(op), deadline_ms: 0, trace: None },
+        };
+        prop_assert_eq!(proto::bin::encode_envelope(&env).is_ok(), known);
     }
 }
 
-// ------------------------------------------------ v2 binary envelope --
+// --------------------------------------------------- binary envelope --
 
 fn arb_stored() -> impl Strategy<Value = StoredValue> {
     prop_oneof![
@@ -314,41 +299,36 @@ proptest! {
         prop_assert!(proto::bin::decode_envelope(&padded).is_err());
     }
 
-    /// Version negotiation on the first four connection bytes: the exact
-    /// v2 preamble selects v2; the magic with any other version byte is
-    /// rejected; everything else — in particular any v1 frame length
-    /// prefix, whose first byte is at most 0x01 — falls back to v1.
+    /// A connection that opens with anything but the exact preamble —
+    /// another version byte, a bare length-prefixed frame as the retired
+    /// JSON protocol sent, noise — is refused as soon as its fourth byte
+    /// arrives: before a single frame is buffered, with nothing
+    /// acknowledged and nothing decoded, whatever follows.
     #[test]
-    fn version_negotiation_classifies_first_bytes(first4 in any::<[u8; 4]>()) {
-        let got = proto::negotiate(&first4);
-        if first4 == proto::PREAMBLE_V2 {
-            prop_assert_eq!(got, proto::Negotiated::V2);
-        } else if first4[..3] == proto::PREAMBLE_MAGIC {
-            prop_assert_eq!(got, proto::Negotiated::Unsupported(first4[3]));
-        } else {
-            prop_assert_eq!(got, proto::Negotiated::V1);
-        }
-        // A v1 length prefix can never be mistaken for the magic: capped
-        // frame lengths keep the first byte at or below 0x01.
-        let frame_len = (proto::MAX_FRAME_LEN as u32).to_be_bytes();
-        prop_assert!(frame_len[0] < proto::PREAMBLE_MAGIC[0]);
+    fn server_conn_refuses_any_other_opening(
+        first4 in any::<[u8; 4]>(),
+        tail in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        prop_assume!(first4 != proto::PREAMBLE_V2);
+        let mut conn = ServerConn::new();
+        prop_assert!(conn.receive(&first4).is_err());
+        prop_assert!(conn.pending_out().is_empty());
+        prop_assert!(conn.push_response(0, ResponseBody::Pong).is_err());
+
+        let mut conn = ServerConn::new();
+        let mut opening = first4.to_vec();
+        opening.extend_from_slice(&tail);
+        prop_assert!(conn.receive(&opening).is_err());
+        prop_assert!(conn.pending_out().is_empty());
     }
 
-    /// A server connection fed an unknown-version preamble closes before
-    /// buffering anything further; a hostile frame length after a valid
-    /// preamble is rejected before allocation.
+    /// A hostile frame length after a valid preamble is rejected before
+    /// allocation.
     #[test]
-    fn server_conn_rejects_bad_preamble_and_oversized_frames(
-        version in any::<u8>(),
-        oversize in 1u32..1024,
-    ) {
-        if version != proto::PREAMBLE_V2[3] {
-            let mut conn = ServerConn::new();
-            let preamble = [b'R', b'N', b'I', version];
-            prop_assert!(conn.receive(&preamble).is_err());
-        }
-        let mut fb = FrameBuf::new();
-        fb.push(&(proto::MAX_FRAME_LEN as u32 + oversize).to_be_bytes());
-        prop_assert!(fb.next_frame().is_err());
+    fn server_conn_rejects_oversized_frames(oversize in 1u32..1024) {
+        let mut conn = ServerConn::new();
+        let mut bytes = proto::PREAMBLE_V2.to_vec();
+        bytes.extend_from_slice(&(proto::MAX_FRAME_LEN as u32 + oversize).to_be_bytes());
+        prop_assert!(conn.receive(&bytes).is_err());
     }
 }

@@ -86,6 +86,9 @@ mod tests {
 
     #[test]
     fn tracks_wall_time_within_tolerance() {
+        // Calibrate first: its one-off sleep must not land between the two
+        // starting reads below.
+        init();
         let w0 = Instant::now();
         let c0 = now_ns();
         std::thread::sleep(std::time::Duration::from_millis(20));

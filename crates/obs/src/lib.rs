@@ -6,17 +6,15 @@
 //!
 //! * [`trace`] — structured tracing. A [`TraceCtx`] (trace id, span id,
 //!   parent, depth) is minted at the pipeline entry, propagated through
-//!   interceptors and federation fan-out, and carried across the wire via
-//!   [`frame`]. Finished spans land in every installed [`TraceSink`]
+//!   interceptors and federation fan-out, and handed to servers as an
+//!   explicit argument (in-process) or envelope field (`rndi-net`).
+//!   Finished spans land in every installed [`TraceSink`]
 //!   (bounded ring buffer by default, optional JSONL file sink).
 //! * [`metrics`] — a registry of counters, gauges, and fixed-bucket (log2)
 //!   latency histograms keyed by `(name, labels)`.
 //! * [`expo`] — Prometheus-style text exposition: `metrics::render()`
 //!   produces it, [`expo::parse`] validates it (used by tests and the CI
 //!   smoke job).
-//! * [`frame`] — the optional trace header wrapped around wire payloads so
-//!   server-side spans link to client spans without the servers needing
-//!   the naming core's value codec.
 //! * [`snapshot`] — serializable, mergeable registry snapshots plus the
 //!   per-instance [`HealthSummary`]: the currency of the cluster telemetry
 //!   plane (remote scrape over the v2 admin protocol, client-side merge).
@@ -26,7 +24,6 @@
 
 pub mod clock;
 pub mod expo;
-pub mod frame;
 pub mod metrics;
 pub mod recorder;
 pub mod snapshot;

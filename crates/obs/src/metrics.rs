@@ -124,6 +124,9 @@ pub mod names {
     /// Gauge (per instance, label `peer`): phi score ×1000 for one peer,
     /// as scored by the accrual failure detector.
     pub const CLUSTER_PHI: &str = "rndi_cluster_phi_millis";
+    /// Counter: HDNS replica snapshot writes that failed (directory
+    /// creation or the file write itself).
+    pub const HDNS_PERSIST_ERRORS: &str = "rndi_hdns_persist_errors_total";
 }
 
 /// A monotonically increasing counter.

@@ -94,39 +94,6 @@ impl TraceCtx {
             depth: self.depth + 1,
         }
     }
-
-    /// Compact ASCII encoding used in op metadata and wire frames:
-    /// `trace-span-parent-depth`, hex fields.
-    pub fn encode(&self) -> String {
-        format!(
-            "{:x}-{:x}-{:x}-{:x}",
-            self.trace_id, self.span_id, self.parent_span, self.depth
-        )
-    }
-
-    /// Inverse of [`TraceCtx::encode`]; `None` on any malformed input.
-    pub fn parse(s: &str) -> Option<Self> {
-        let mut parts = s.split('-');
-        let trace_id = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let span_id = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let parent_span = u64::from_str_radix(parts.next()?, 16).ok()?;
-        let depth = u32::from_str_radix(parts.next()?, 16).ok()?;
-        if parts.next().is_some() || trace_id == 0 || span_id == 0 {
-            return None;
-        }
-        Some(TraceCtx {
-            trace_id,
-            span_id,
-            parent_span,
-            depth,
-        })
-    }
-}
-
-impl fmt::Display for TraceCtx {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.encode())
-    }
 }
 
 /// An interior-mutable slot for a [`TraceCtx`] annotation.
@@ -651,30 +618,13 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn ctx_encode_parse_roundtrip() {
+    fn child_links_to_its_parent_within_the_trace() {
         let root = TraceCtx::root();
-        assert_eq!(TraceCtx::parse(&root.encode()), Some(root));
         let child = root.child();
         assert_eq!(child.trace_id, root.trace_id);
         assert_eq!(child.parent_span, root.span_id);
         assert_eq!(child.depth, 1);
         assert_ne!(child.span_id, root.span_id);
-        assert_eq!(TraceCtx::parse(&child.encode()), Some(child));
-    }
-
-    #[test]
-    fn ctx_parse_rejects_malformed() {
-        for bad in [
-            "",
-            "xyz",
-            "1-2",
-            "1-2-3-4-5",
-            "0-1-0-0",
-            "1-0-0-0",
-            "g-1-0-0",
-        ] {
-            assert_eq!(TraceCtx::parse(bad), None, "input {bad:?}");
-        }
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! Fuzz-style hardening for the observability text surfaces: the
-//! exposition parser and the trace frame codec must return errors on
-//! malformed or truncated input — never panic, never read out of bounds.
+//! Fuzz-style hardening for the observability text surface: the
+//! exposition parser must return errors on malformed or truncated input —
+//! never panic, never read out of bounds.
 
 use proptest::prelude::*;
 
-use rndi_obs::{expo, frame, TraceCtx};
+use rndi_obs::expo;
 
 proptest! {
     /// Arbitrary text (including multi-byte characters, braces, quotes,
@@ -86,52 +86,5 @@ proptest! {
             prop_assert_eq!(v, pv);
         }
         prop_assert_eq!(samples[0].value, value);
-    }
-
-    /// The trace-frame codec: stripping arbitrary bytes never panics, and
-    /// bytes that don't carry a well-formed header pass through unchanged.
-    #[test]
-    fn frame_strip_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
-        let (ctx, rest) = frame::strip(&bytes);
-        if ctx.is_none() {
-            prop_assert_eq!(rest, &bytes[..]);
-        }
-    }
-
-    /// A wrapped payload always strips back to the identical context and
-    /// payload, even when the payload itself looks like a frame header.
-    #[test]
-    fn frame_wrap_strip_roundtrip(
-        payload in proptest::collection::vec(any::<u8>(), 0..64),
-        evil_prefix in any::<bool>(),
-    ) {
-        let mut payload = payload;
-        if evil_prefix {
-            let mut p = frame::MAGIC.to_vec();
-            p.extend_from_slice(&payload);
-            payload = p;
-        }
-        let ctx = TraceCtx::root().child();
-        let framed = frame::wrap(&ctx, &payload);
-        let (parsed, rest) = frame::strip(&framed);
-        prop_assert_eq!(parsed, Some(ctx));
-        prop_assert_eq!(rest, &payload[..]);
-    }
-
-    /// Truncating a framed payload anywhere must not panic.
-    #[test]
-    fn frame_strip_survives_truncation(
-        payload in proptest::collection::vec(any::<u8>(), 0..64),
-        cut in 0usize..128,
-    ) {
-        let framed = frame::wrap(&TraceCtx::root(), &payload);
-        let cut = cut.min(framed.len());
-        let _ = frame::strip(&framed[..cut]);
-    }
-
-    /// TraceCtx::parse (the header's text form) on arbitrary strings.
-    #[test]
-    fn trace_ctx_parse_never_panics(s in "[0-9a-fx-]{0,40}") {
-        let _ = TraceCtx::parse(&s);
     }
 }

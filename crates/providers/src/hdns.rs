@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use hdns::{HdnsEntry, HdnsError, HdnsEvent, HdnsRealm};
+use hdns::{HdnsEntry, HdnsError, HdnsEvent, HdnsRealm, Op};
 
 use rndi_core::attrs::{AttrMod, Attribute, Attributes};
 use rndi_core::context::{
@@ -30,6 +30,7 @@ use rndi_core::op::{NamingOp, OpKind, OpOutcome, OpPayload};
 use rndi_core::spi::{ProviderBackend, ProviderPipeline, UrlContextFactory, WireFormat};
 use rndi_core::url::RndiUrl;
 use rndi_core::value::BoundValue;
+use rndi_obs::TraceCtx;
 
 use crate::common;
 
@@ -230,18 +231,19 @@ fn path_to_name(path: &str) -> CompositeName {
     CompositeName::from_components(path.split('/').map(String::from))
 }
 
-/// Wrap a wire payload in a trace frame when the op is traced, so the
-/// realm's server side can link its span to the client's. The realm strips
-/// the frame before storing, keeping stored bytes identical to an untraced
-/// client's.
-fn frame_payload(payload: Vec<u8>, op: &NamingOp) -> Vec<u8> {
-    match op.trace_ctx() {
-        Some(ctx) => rndi_obs::frame::wrap(&ctx, &payload),
-        None => payload,
-    }
-}
-
 impl HdnsProviderContext {
+    /// Replicate one write through this context's replica, handing the
+    /// realm the op's trace context so its server span links under ours,
+    /// then pump the resulting replica events to listeners.
+    fn write(&self, op: Op, path: &str, trace: Option<&TraceCtx>) -> Result<()> {
+        let r = self
+            .realm
+            .write_traced(self.node, op, trace)
+            .map_err(|e| realm_err(e, path));
+        self.drain_events();
+        r
+    }
+
     fn lookup(&self, name: &CompositeName) -> Result<BoundValue> {
         if let Some(cont) = self.check_mount(name) {
             return Err(cont);
@@ -254,28 +256,30 @@ impl HdnsProviderContext {
         Ok(from_entry_value(&entry))
     }
 
-    fn unbind(&self, name: &CompositeName) -> Result<()> {
+    fn unbind(&self, name: &CompositeName, trace: Option<&TraceCtx>) -> Result<()> {
         if let Some(cont) = self.check_mount(name) {
             return Err(cont);
         }
         let path = self.path(name)?;
-        let r = self
-            .realm
-            .unbind(self.node, &path)
-            .map_err(|e| realm_err(e, &path));
-        self.drain_events();
-        r
+        self.write(Op::Unbind { path: path.clone() }, &path, trace)
     }
 
-    fn rename(&self, old: &CompositeName, new: &CompositeName) -> Result<()> {
+    fn rename(
+        &self,
+        old: &CompositeName,
+        new: &CompositeName,
+        trace: Option<&TraceCtx>,
+    ) -> Result<()> {
         let from = self.path(old)?;
         let to = self.path(new)?;
-        let r = self
-            .realm
-            .rename(self.node, &from, &to)
-            .map_err(|e| realm_err(e, &from));
-        self.drain_events();
-        r
+        self.write(
+            Op::Rename {
+                from: from.clone(),
+                to,
+            },
+            &from,
+            trace,
+        )
     }
 
     fn list(&self, name: &CompositeName) -> Result<Vec<NameClassPair>> {
@@ -322,24 +326,16 @@ impl HdnsProviderContext {
             .collect())
     }
 
-    fn create_subcontext(&self, name: &CompositeName) -> Result<()> {
+    fn create_subcontext(&self, name: &CompositeName, trace: Option<&TraceCtx>) -> Result<()> {
         let path = self.path(name)?;
-        let r = self
-            .realm
-            .create_context(self.node, &path)
-            .map_err(|e| realm_err(e, &path));
-        self.drain_events();
-        r
+        self.write(Op::CreateContext { path: path.clone() }, &path, trace)
     }
 
-    fn destroy_subcontext(&self, name: &CompositeName) -> Result<()> {
+    fn destroy_subcontext(&self, name: &CompositeName, trace: Option<&TraceCtx>) -> Result<()> {
         let path = self.path(name)?;
         match self.realm.lookup(self.node, &path) {
             None => Ok(()),
-            Some(e) if e.is_context => self
-                .realm
-                .unbind(self.node, &path)
-                .map_err(|err| realm_err(err, &path)),
+            Some(e) if e.is_context => self.write(Op::Unbind { path: path.clone() }, &path, trace),
             Some(_) => Err(NamingError::ContextExpected { name: path }),
         }
     }
@@ -356,7 +352,12 @@ impl HdnsProviderContext {
         from_entry_attrs(&entry)
     }
 
-    fn modify_attributes(&self, name: &CompositeName, mods: &[AttrMod]) -> Result<()> {
+    fn modify_attributes(
+        &self,
+        name: &CompositeName,
+        mods: &[AttrMod],
+        trace: Option<&TraceCtx>,
+    ) -> Result<()> {
         let path = self.path(name)?;
         let entry = self
             .realm
@@ -371,12 +372,14 @@ impl HdnsProviderContext {
             let vals: Vec<&str> = a.values.iter().filter_map(|v| v.as_str()).collect();
             map.insert(a.id.clone(), serde_json::to_string(&vals).expect("strings"));
         }
-        let r = self
-            .realm
-            .set_attrs(self.node, &path, map)
-            .map_err(|e| realm_err(e, &path));
-        self.drain_events();
-        r
+        self.write(
+            Op::SetAttrs {
+                path: path.clone(),
+                attrs: map,
+            },
+            &path,
+            trace,
+        )
     }
 
     fn bind_with_attrs(
@@ -384,37 +387,22 @@ impl HdnsProviderContext {
         name: &CompositeName,
         payload: Vec<u8>,
         attrs: &Attributes,
+        overwrite: bool,
+        trace: Option<&TraceCtx>,
     ) -> Result<()> {
         if let Some(cont) = self.check_mount(name) {
             return Err(cont);
         }
         let path = self.path(name)?;
-        let entry = to_entry(payload, attrs);
-        let r = self
-            .realm
-            .bind(self.node, &path, entry)
-            .map_err(|e| realm_err(e, &path));
-        self.drain_events();
-        r
-    }
-
-    fn rebind_with_attrs(
-        &self,
-        name: &CompositeName,
-        payload: Vec<u8>,
-        attrs: &Attributes,
-    ) -> Result<()> {
-        if let Some(cont) = self.check_mount(name) {
-            return Err(cont);
-        }
-        let path = self.path(name)?;
-        let entry = to_entry(payload, attrs);
-        let r = self
-            .realm
-            .rebind(self.node, &path, entry)
-            .map_err(|e| realm_err(e, &path));
-        self.drain_events();
-        r
+        self.write(
+            Op::Bind {
+                path: path.clone(),
+                entry: to_entry(payload, attrs),
+                overwrite,
+            },
+            &path,
+            trace,
+        )
     }
 
     fn search(
@@ -442,32 +430,35 @@ impl HdnsProviderContext {
 
 impl ProviderBackend for HdnsProviderContext {
     fn execute(&self, op: &NamingOp) -> Result<OpOutcome> {
+        // The realm takes the caller's trace context as an argument (same
+        // process, nothing to marshal) and records its own server span.
+        let trace = op.trace_ctx();
+        let trace = trace.as_ref();
         match op.kind {
             OpKind::Lookup => self.lookup(&op.name).map(OpOutcome::Value),
-            OpKind::Bind | OpKind::BindWithAttrs => {
+            OpKind::Bind | OpKind::BindWithAttrs | OpKind::Rebind | OpKind::RebindWithAttrs => {
                 let (payload, _) = op.wire_value()?;
                 let attrs = op.attrs.clone().unwrap_or_default();
-                self.bind_with_attrs(&op.name, frame_payload(payload, op), &attrs)?;
+                let overwrite = matches!(op.kind, OpKind::Rebind | OpKind::RebindWithAttrs);
+                self.bind_with_attrs(&op.name, payload, &attrs, overwrite, trace)?;
                 Ok(OpOutcome::Done)
             }
-            OpKind::Rebind | OpKind::RebindWithAttrs => {
-                let (payload, _) = op.wire_value()?;
-                let attrs = op.attrs.clone().unwrap_or_default();
-                self.rebind_with_attrs(&op.name, frame_payload(payload, op), &attrs)?;
-                Ok(OpOutcome::Done)
-            }
-            OpKind::Unbind => self.unbind(&op.name).map(|_| OpOutcome::Done),
+            OpKind::Unbind => self.unbind(&op.name, trace).map(|_| OpOutcome::Done),
             OpKind::Rename => self
-                .rename(&op.name, op.new_name()?)
+                .rename(&op.name, op.new_name()?, trace)
                 .map(|_| OpOutcome::Done),
             OpKind::List => self.list(&op.name).map(OpOutcome::Names),
             OpKind::ListBindings => self.list_bindings(&op.name).map(OpOutcome::Bindings),
-            OpKind::CreateSubcontext => self.create_subcontext(&op.name).map(|_| OpOutcome::Done),
-            OpKind::DestroySubcontext => self.destroy_subcontext(&op.name).map(|_| OpOutcome::Done),
+            OpKind::CreateSubcontext => self
+                .create_subcontext(&op.name, trace)
+                .map(|_| OpOutcome::Done),
+            OpKind::DestroySubcontext => self
+                .destroy_subcontext(&op.name, trace)
+                .map(|_| OpOutcome::Done),
             OpKind::GetAttributes => self.get_attributes(&op.name).map(OpOutcome::Attrs),
             OpKind::ModifyAttributes => match &op.payload {
                 OpPayload::Mods(mods) => self
-                    .modify_attributes(&op.name, mods)
+                    .modify_attributes(&op.name, mods, trace)
                     .map(|_| OpOutcome::Done),
                 _ => Err(NamingError::service("modify_attributes payload missing")),
             },
@@ -692,31 +683,56 @@ mod tests {
     }
 
     #[test]
-    fn traced_bind_links_server_span_and_stores_bare_payload() {
+    fn every_traced_write_links_a_server_span_under_the_provider_span() {
         let realm = HdnsRealm::new("obs-hdns", 2, StackConfig::default(), None, 3);
         let a = HdnsProviderContext::new(realm.clone(), 0, "obs-hdns");
-        let b = HdnsProviderContext::new(realm.clone(), 1, "obs-hdns");
+        let b = HdnsProviderContext::new(realm, 1, "obs-hdns");
         a.bind_str("traced", "payload").unwrap();
-        // The frame is stripped server-side: the stored bytes decode like
-        // an untraced write and replicate normally.
-        assert_eq!(b.lookup_str("traced").unwrap().as_str(), Some("payload"));
-        let raw = realm.lookup(0, "traced").unwrap();
-        assert!(!raw.value.starts_with(rndi_obs::frame::MAGIC));
-        // And the realm recorded a server span linked into the client's
-        // trace: its parent is the client-side span that framed the write.
-        let spans = rndi_obs::trace::ring().snapshot();
-        let server = spans
-            .iter()
-            .rev()
-            .find(|s| s.layer == "server" && &*s.provider == "hdns:obs-hdns" && s.op == "bind")
-            .expect("server span recorded");
-        assert_ne!(server.parent_span, 0);
-        let trace = rndi_obs::trace::ring().trace(server.trace_id);
-        assert!(
-            trace
+        a.rebind_str("traced", "payload-2").unwrap();
+        a.rename(&"traced".into(), &"moved".into()).unwrap();
+        assert_eq!(b.lookup_str("moved").unwrap().as_str(), Some("payload-2"));
+        a.unbind_str("moved").unwrap();
+        // The realm got each op's context as an argument — unbind and
+        // rename carry no value bytes, so nothing in-band could do this —
+        // and recorded a server span whose parent is the provider
+        // pipeline's span for that same op.
+        let ring = rndi_obs::trace::ring();
+        let spans = ring.snapshot();
+        for op in ["bind", "rebind", "rename", "unbind"] {
+            let server = spans
                 .iter()
-                .any(|s| s.span_id == server.parent_span && s.layer != "server"),
-            "server span links to a client-side span in the same trace"
+                .rev()
+                .find(|s| s.layer == "server" && &*s.provider == "hdns:obs-hdns" && s.op == op)
+                .unwrap_or_else(|| panic!("server span recorded for {op}"));
+            let parent = ring
+                .trace(server.trace_id)
+                .into_iter()
+                .find(|s| s.span_id == server.parent_span)
+                .unwrap_or_else(|| panic!("{op}: server span's parent is in its trace"));
+            assert_eq!(
+                (parent.layer.as_ref(), &*parent.provider, parent.op.as_ref()),
+                ("pipeline", "hdns:obs-hdns#0", op)
+            );
+        }
+    }
+
+    #[test]
+    fn foreign_payload_that_looks_like_a_trace_header_survives_byte_exact() {
+        let realm = HdnsRealm::new("foreign", 2, StackConfig::default(), None, 3);
+        let a = HdnsProviderContext::new(realm.clone(), 0, "foreign");
+        let b = HdnsProviderContext::new(realm.clone(), 1, "foreign");
+        let foreign = b"%RNDI-TRACE:1-2-0-0\nabc".to_vec();
+        let mut op = NamingOp::bind("x".into(), BoundValue::Null);
+        op.payload = OpPayload::Wire {
+            bytes: foreign.clone(),
+            class_name: "bytes".into(),
+        };
+        a.execute(&op).unwrap();
+        assert_eq!(realm.lookup(1, "x").unwrap().value, foreign);
+        assert_eq!(
+            b.lookup(&"x".into()).unwrap(),
+            BoundValue::Bytes(foreign),
+            "undecodable bytes surface raw, untruncated"
         );
     }
 

@@ -172,15 +172,12 @@ pub struct ClusterObserver {
 }
 
 impl ClusterObserver {
-    /// One admin client per shard in `map`. The clients always speak v2
-    /// regardless of `rndi.net.proto.version` — the admin vocabulary
-    /// only exists in the envelope protocol.
+    /// One admin client per shard in `map`.
     pub fn new(map: &ShardMap, env: &Environment) -> Result<ClusterObserver> {
-        let admin_env = env.clone().with(keys::NET_PROTO_VERSION, "2");
         let shards = map
             .shards()
             .iter()
-            .map(|s| NetClient::new(s.endpoint(), &admin_env).map(|c| (s.id().to_string(), c)))
+            .map(|s| NetClient::new(s.endpoint(), env).map(|c| (s.id().to_string(), c)))
             .collect::<Result<Vec<_>>>()?;
         Ok(ClusterObserver {
             shards,

@@ -3,10 +3,9 @@
 //! `NetClient` — which is just another `ProviderBackend`, so the usual
 //! pipeline (retry, cache, obs) wraps the remote calls unchanged.
 //!
-//! The connection speaks wire protocol v2 (binary envelopes multiplexed
-//! by request ID) by default; setting `rndi.net.proto.version=1` on the
-//! client environment would pin it to the legacy framed-JSON protocol —
-//! the servers accept both on the same port.
+//! The connection speaks the one wire protocol there is: binary
+//! envelopes multiplexed by request ID, each call carrying its trace
+//! context in the envelope.
 //!
 //! Run with: `cargo run --example remote_hdns`
 

@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
-# Workspace verification: build, tests, formatting, lints.
+# Workspace verification — the one script CI calls: build, each test target
+# once, formatting, lints, bench builds, example outputs, and the smoke run
+# of the separately-workspaced benchmark/ crate (so deleting product API it
+# compiles against fails here, not in the pipeline).
 # Everything runs offline — all dependencies are vendored under vendor/.
 # fmt/clippy run on the product crates only: the vendored stand-ins keep
 # their upstream-derived style and are exempt from local lint policy.
@@ -34,35 +37,21 @@ cargo build --examples
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
 
-echo "==> net smoke: mixed-version interop + concurrency bench builds"
-cargo test -q -p rndi-net --test interop
-cargo bench -p rndi-bench --bench net_concurrency --no-run
-
-echo "==> shard smoke: rendezvous props + sharded e2e + example + bench builds"
-cargo test -q -p rndi-shard
-cargo test -q --test sharded_namespace
-cargo bench -p rndi-bench --bench shard_scale --no-run
+echo "==> examples run end to end"
+remote_out="$(cargo run -q --example remote_hdns)"
+grep -q "lookup via node 1" <<<"$remote_out"
+grep -q "remote_hdns OK"    <<<"$remote_out"
 shard_out="$(cargo run -q --example sharded_namespace)"
-grep -q "sharded_namespace OK" <<<"$shard_out"
-
-echo "==> overload smoke: admission/shedding e2e + goodput bench builds"
-cargo test -q --test overload_resilience
-cargo bench -p rndi-bench --bench overload_goodput --no-run
-
-echo "==> obs cluster smoke: merge props + scrape/flight e2e + example + bench builds"
-cargo test -q -p rndi-obs --test merge_props
-cargo test -q --test obs_cluster
-cargo bench -p rndi-bench --bench obs_overhead --no-run
+grep -q "root list (4 entries)" <<<"$shard_out"
+grep -q "sharded_namespace OK"  <<<"$shard_out"
 top_out="$(cargo run -q --example cluster_top)"
 grep -q 'instance="cluster"' <<<"$top_out"
 grep -q 'instance="shard-0"' <<<"$top_out"
+grep -q 'instance="shard-3"' <<<"$top_out"
 grep -q "cluster_top OK"     <<<"$top_out"
-
-echo "==> cluster smoke: membership props + chaos e2e + example"
-cargo test -q -p rndi-cluster
-cargo test -q --test cluster_membership
 member_out="$(cargo run -q --example cluster_membership)"
 grep -q "rndi_cluster_members"   <<<"$member_out"
+grep -q "converged"              <<<"$member_out"
 grep -q "cluster_membership OK"  <<<"$member_out"
 
 echo "==> obs smoke: fig8_federation --obs-dump emits the exposition"
@@ -71,5 +60,8 @@ grep -q "obs dump: metrics exposition" <<<"$fig8_out"
 grep -q "rndi_ops_total"               <<<"$fig8_out"
 grep -q "rndi_op_duration_ns_bucket"   <<<"$fig8_out"
 grep -q "slowest traces"               <<<"$fig8_out"
+
+echo "==> benchmark smoke: the separately-workspaced benchmark/ crate builds and runs"
+bash benchmark/smoke.sh
 
 echo "verify: OK"

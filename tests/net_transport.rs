@@ -89,6 +89,9 @@ fn one_linked_trace_spans_client_and_server() {
     let server = serve::serve_hdns(hdns_realm("net-trace"), 0, "net-trace", &Environment::new())
         .expect("server starts");
     let remote = NetClient::connect(server.local_addr().to_string(), &client_env()).unwrap();
+    // Sibling tests in this binary record client spans too (some still in
+    // flight, their roots not yet in the ring): anchor on this endpoint's.
+    let client_label = format!("net-client:{}", server.local_addr());
 
     remote.bind_str("traced-net", "x").unwrap();
     assert_eq!(remote.lookup_str("traced-net").unwrap().as_str(), Some("x"));
@@ -101,7 +104,7 @@ fn one_linked_trace_spans_client_and_server() {
         .snapshot()
         .into_iter()
         .rev()
-        .find(|s| s.layer == "client" && s.provider.starts_with("net-client:") && s.op == "lookup")
+        .find(|s| s.layer == "client" && *s.provider == *client_label && s.op == "lookup")
         .expect("net client span recorded");
     let trace = ring.trace(client_span.trace_id);
 

@@ -79,7 +79,7 @@ struct SwarmTally {
 /// Drive `clients` closed-loop threads for `window` after `warmup`;
 /// every op is classified client-side against a 250 ms budget.
 fn swarm(addr: &str, clients: usize, warmup: Duration, window: Duration) -> SwarmTally {
-    let env = Environment::new().with(keys::NET_PROTO_VERSION, "2");
+    let env = Environment::new();
     let measuring = Arc::new(AtomicBool::new(false));
     let stop = Arc::new(AtomicBool::new(false));
     let workers: Vec<_> = (0..clients)
@@ -150,11 +150,7 @@ fn saturating_swarm_holds_goodput_and_sheds_overloaded_not_timeout() {
     // The overload plane is observable over the admin vocabulary: shed
     // totals and the admission gauges cross the wire in both the health
     // summary and the metrics snapshot.
-    let admin = NetClient::new(
-        addr.clone(),
-        &Environment::new().with(keys::NET_PROTO_VERSION, "2"),
-    )
-    .expect("admin client dials");
+    let admin = NetClient::new(addr.clone(), &Environment::new()).expect("admin client dials");
     let health = admin.scrape_health().expect("health scrape");
     assert!(health.shed_total > 0, "health reports sheds");
     assert!(health.concurrency_limit > 0, "admission limit exported");
@@ -185,7 +181,7 @@ fn saturating_swarm_holds_goodput_and_sheds_overloaded_not_timeout() {
 }
 
 #[test]
-fn rate_limit_sheds_deterministically_over_both_protocols() {
+fn rate_limit_sheds_deterministically() {
     let server = NetServer::with_config(
         Arc::new(SlowBackend),
         ServerConfig {
@@ -197,30 +193,26 @@ fn rate_limit_sheds_deterministically_over_both_protocols() {
     .expect("server starts");
     let addr = server.local_addr().to_string();
 
-    for version in ["1", "2"] {
-        // One pooled connection, so both calls share one token bucket.
-        let env = Environment::new()
-            .with(keys::NET_PROTO_VERSION, version)
-            .with(keys::NET_CLIENT_POOL_SIZE, "1");
-        let client = NetClient::new(addr.clone(), &env).expect("client dials");
-        let op = NamingOp::lookup("svc".into());
-        client
-            .execute(&op)
-            .unwrap_or_else(|e| panic!("first v{version} call spends the burst token: {e:?}"));
-        let err = client
-            .execute(&op)
-            .expect_err("second immediate call must be rate-shed");
-        match err {
-            NamingError::Overloaded { retry_after_ms } => {
-                assert!(
-                    (1..=10_000).contains(&retry_after_ms),
-                    "v{version} retry-after hint {retry_after_ms} ms"
-                );
-            }
-            other => panic!("v{version} expected Overloaded, got {other:?}"),
+    // One pooled connection, so both calls share one token bucket.
+    let env = Environment::new().with(keys::NET_CLIENT_POOL_SIZE, "1");
+    let client = NetClient::new(addr, &env).expect("client dials");
+    let op = NamingOp::lookup("svc".into());
+    client
+        .execute(&op)
+        .unwrap_or_else(|e| panic!("first call spends the burst token: {e:?}"));
+    let err = client
+        .execute(&op)
+        .expect_err("second immediate call must be rate-shed");
+    match err {
+        NamingError::Overloaded { retry_after_ms } => {
+            assert!(
+                (1..=10_000).contains(&retry_after_ms),
+                "retry-after hint {retry_after_ms} ms"
+            );
         }
-        assert!(is_transient(&NamingError::overloaded(1)));
+        other => panic!("expected Overloaded, got {other:?}"),
     }
+    assert!(is_transient(&NamingError::overloaded(1)));
     server.shutdown();
 }
 
