@@ -10,10 +10,13 @@
 //!   maintains, with deterministic [`store::Op`] application (so replicas
 //!   that apply the same op sequence converge).
 //! * [`node::HdnsNode`] — one replica: submits writes as group multicasts,
-//!   serves reads locally, answers state-transfer requests, persists
-//!   snapshots to disk ("each node maintains persistent view of the
+//!   serves reads locally, answers state-transfer requests, keeps its
+//!   state on disk ("each node maintains persistent view of the
 //!   registration data on a local disk"), and re-synchronizes after losing
 //!   a PRIMARY_PARTITION decision.
+//! * [`wal`] — that disk state: a snapshot plus an append-only log of the
+//!   proposals delivered since, written against a small [`wal::Storage`]
+//!   trait; persistence costs O(op), compaction and recovery live here.
 //! * [`realm::HdnsRealm`] — a deployment of replicas over a
 //!   [`groupcast::Cluster`], with the synchronous drive loop clients use,
 //!   plus crash/restart/partition fault injection.
@@ -26,7 +29,31 @@
 pub mod node;
 pub mod realm;
 pub mod store;
+pub mod wal;
 
 pub use node::{HdnsEvent, HdnsNode, OpOutcome, ReplicaChannel, Ticket};
 pub use realm::{AutoDrive, HdnsRealm};
 pub use store::{HdnsEntry, HdnsError, HdnsStore, Op};
+pub use wal::RecoveryReport;
+
+/// A unique scratch directory per test, removed when the guard drops.
+#[cfg(test)]
+pub(crate) struct TestDir(pub(crate) std::path::PathBuf);
+
+#[cfg(test)]
+impl TestDir {
+    pub(crate) fn new(tag: &str) -> TestDir {
+        static NEXT: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("hdns-{tag}-{}-{n}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        TestDir(dir)
+    }
+}
+
+#[cfg(test)]
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}

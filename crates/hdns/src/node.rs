@@ -9,6 +9,7 @@ use groupcast::{Addr, ChannelEvent, GroupChannel, SendError, View};
 use rndi_obs::metrics::names;
 
 use crate::store::{HdnsEntry, HdnsError, HdnsStore, Op};
+use crate::wal::{FsStorage, RecoveryReport, Storage, Wal};
 
 /// The group-communication surface one replica needs: the
 /// [`GroupChannel`] subset `HdnsNode` actually calls, as a trait so the
@@ -88,11 +89,12 @@ pub enum HdnsEvent {
     Resynced,
 }
 
-/// A proposal multicast to the group.
+/// A proposal multicast to the group — and, verbatim, the payload of one
+/// op-log record.
 #[derive(Serialize, Deserialize)]
-struct Proposal {
-    op_id: u64,
-    op: Op,
+pub(crate) struct Proposal {
+    pub(crate) op_id: u64,
+    pub(crate) op: Op,
 }
 
 /// One replica of the naming service, generic over how its group
@@ -104,27 +106,39 @@ pub struct HdnsNode<C: ReplicaChannel = GroupChannel> {
     next_op: u64,
     tickets: HashMap<u64, OpOutcome>,
     events: Vec<HdnsEvent>,
-    data_path: Option<PathBuf>,
-    /// Snapshot to disk every N applied ops (paper: "synchronized in fixed
-    /// time intervals and upon process exit").
-    snapshot_every: u64,
-    ops_since_snapshot: u64,
-    /// Why the most recent [`HdnsNode::persist`] failed, if it did.
+    /// Snapshot + op log on disk; `None` for a memory-only replica.
+    wal: Option<Wal>,
+    /// What start-up recovery found.
+    recovery: RecoveryReport,
+    /// Why the most recent persistence step (log append or compaction)
+    /// failed, if it did.
     persist_error: Option<std::io::Error>,
     alive: bool,
 }
 
 impl<C: ReplicaChannel> HdnsNode<C> {
-    /// Create a replica on `channel`. When `data_path` exists on disk, the
-    /// store is recovered from the snapshot (cold-start recovery: "the
-    /// service can thus recover the state after a complete
-    /// shutdown/restart").
+    /// Create a replica on `channel`. With a `data_path` the replica keeps
+    /// a snapshot there and an op log beside it (see [`crate::wal`]), and
+    /// starts from whatever they hold (cold-start recovery: "the service
+    /// can thus recover the state after a complete shutdown/restart").
+    /// Recovery never fails the constructor; [`HdnsNode::recovery`] says
+    /// what it found.
     pub fn new(channel: C, data_path: Option<PathBuf>) -> HdnsNode<C> {
-        let store = data_path
-            .as_ref()
-            .and_then(|p| std::fs::read(p).ok())
-            .and_then(|bytes| HdnsStore::restore(&bytes).ok())
-            .unwrap_or_default();
+        let storage = data_path.map(|p| Box::new(FsStorage::new(p)) as Box<dyn Storage + Send>);
+        Self::recover(channel, storage)
+    }
+
+    /// [`HdnsNode::new`] over any [`Storage`] — how the crash-point tests
+    /// put a faulty disk under an otherwise real replica.
+    pub fn with_storage(channel: C, storage: Box<dyn Storage + Send>) -> HdnsNode<C> {
+        Self::recover(channel, Some(storage))
+    }
+
+    fn recover(channel: C, storage: Option<Box<dyn Storage + Send>>) -> HdnsNode<C> {
+        let (wal, store, recovery) = match storage.map(Wal::open) {
+            Some((wal, store, recovery)) => (Some(wal), store, recovery),
+            None => (None, HdnsStore::new(), RecoveryReport::default()),
+        };
         HdnsNode {
             channel,
             store,
@@ -132,9 +146,8 @@ impl<C: ReplicaChannel> HdnsNode<C> {
             next_op: 0,
             tickets: HashMap::new(),
             events: Vec::new(),
-            data_path,
-            snapshot_every: 64,
-            ops_since_snapshot: 0,
+            wal,
+            recovery,
             persist_error: None,
             alive: true,
         }
@@ -212,6 +225,11 @@ impl<C: ReplicaChannel> HdnsNode<C> {
 
     /// Process pending channel events: apply delivered ops, answer state
     /// requests, install state. Call after each cluster pump.
+    ///
+    /// Every proposal delivered here is appended to the op log — the bytes
+    /// as delivered, one `write` for the whole call — before the call
+    /// returns, which is before any ticket it resolved can be read as
+    /// `Done`. No sync happens on that path; only a compaction syncs.
     pub fn process(&mut self) {
         for ev in self.channel.poll() {
             match ev {
@@ -224,12 +242,13 @@ impl<C: ReplicaChannel> HdnsNode<C> {
                         _ => false,
                     };
                     let result = self.store.apply(&p.op);
+                    // Failed ops are logged too: they advance
+                    // `ops_applied`, which is what numbers the records.
+                    if let Some(wal) = &mut self.wal {
+                        wal.stage(self.store.ops_applied, &bytes);
+                    }
                     if result.is_ok() {
                         self.emit(&p.op, existed);
-                        self.ops_since_snapshot += 1;
-                        if self.ops_since_snapshot >= self.snapshot_every {
-                            self.persist();
-                        }
                     }
                     if from == self.channel.addr() {
                         self.tickets.insert(p.op_id, OpOutcome::Done(result));
@@ -243,9 +262,7 @@ impl<C: ReplicaChannel> HdnsNode<C> {
                 }
                 ChannelEvent::SetState { bytes } => {
                     if let Ok(store) = HdnsStore::restore(&bytes) {
-                        self.store = store;
-                        self.events.push(HdnsEvent::Resynced);
-                        self.persist();
+                        self.install_state(store);
                     }
                 }
                 ChannelEvent::ResyncNeeded { .. } => {
@@ -262,6 +279,29 @@ impl<C: ReplicaChannel> HdnsNode<C> {
                 }
             }
         }
+        self.flush_log();
+        if self.wal.as_ref().is_some_and(Wal::wants_compaction) {
+            self.persist();
+        }
+    }
+
+    /// Replace the store wholesale (join, or the losing side of a
+    /// partition) and make the new state the snapshot on disk.
+    fn install_state(&mut self, store: HdnsStore) {
+        // Log records number themselves by `ops_applied`, and recovery
+        // skips those at or below the snapshot's. Records of the outgoing
+        // lineage that outrank the incoming state would instead be
+        // replayed onto it if a crash fell between the snapshot rename
+        // and the log truncation below — so fold them away first.
+        if self.store.ops_applied > store.ops_applied {
+            self.persist();
+        }
+        self.store = store;
+        self.events.push(HdnsEvent::Resynced);
+        if let Some(wal) = &mut self.wal {
+            wal.lineage_changed();
+        }
+        self.persist();
     }
 
     fn emit(&mut self, op: &Op, existed: bool) {
@@ -279,33 +319,50 @@ impl<C: ReplicaChannel> HdnsNode<C> {
         self.events.push(ev);
     }
 
-    /// Write the snapshot to disk (periodic, and "upon process exit" via
-    /// [`HdnsNode::shutdown`]). A failure is counted in
-    /// `rndi_hdns_persist_errors_total` and kept for
-    /// [`HdnsNode::last_persist_error`]; the replica keeps serving from
-    /// memory.
-    pub fn persist(&mut self) {
-        self.ops_since_snapshot = 0;
-        let Some(p) = &self.data_path else {
-            return;
-        };
-        let written = p
-            .parent()
-            .map_or(Ok(()), std::fs::create_dir_all)
-            .and_then(|()| std::fs::write(p, self.store.snapshot()));
-        if written.is_err() {
-            rndi_obs::metrics::counter(names::HDNS_PERSIST_ERRORS, &[]).inc();
+    /// Write out the records staged by the current `process()` call.
+    fn flush_log(&mut self) {
+        if let Some(flushed) = self.wal.as_mut().and_then(Wal::flush) {
+            self.note_persist(flushed);
         }
-        self.persist_error = written.err();
     }
 
-    /// The error from the most recent [`HdnsNode::persist`], or `None` if
-    /// it succeeded (or nothing has been persisted yet).
+    /// Compact: write the store as the new snapshot (atomically, synced)
+    /// and empty the op log. Runs by itself when the log outgrows its
+    /// threshold, on state transfer and "upon process exit" via
+    /// [`HdnsNode::shutdown`]. A failure is counted in
+    /// `rndi_hdns_persist_errors_total` and kept for
+    /// [`HdnsNode::last_persist_error`]; the replica keeps serving from
+    /// memory and retries as the log grows.
+    pub fn persist(&mut self) {
+        self.flush_log();
+        if let Some(wal) = &mut self.wal {
+            let compacted = wal.compact(&self.store.snapshot());
+            self.note_persist(compacted);
+        }
+    }
+
+    fn note_persist(&mut self, outcome: std::io::Result<()>) {
+        if outcome.is_err() {
+            rndi_obs::metrics::counter(names::HDNS_PERSIST_ERRORS, &[]).inc();
+        }
+        self.persist_error = outcome.err();
+    }
+
+    /// The error from the most recent persistence step — a log append or
+    /// a compaction — or `None` if it succeeded (or nothing has been
+    /// persisted yet).
     pub fn last_persist_error(&self) -> Option<&std::io::Error> {
         self.persist_error.as_ref()
     }
 
-    /// Graceful shutdown: persist and leave the group.
+    /// What start-up recovery did: snapshot entries loaded, log records
+    /// replayed, torn-tail bytes discarded, and the error if there was
+    /// one (also counted in `rndi_hdns_recovery_errors_total`).
+    pub fn recovery(&self) -> &RecoveryReport {
+        &self.recovery
+    }
+
+    /// Graceful shutdown: compact and leave the group.
     pub fn shutdown(&mut self) {
         self.persist();
         self.channel.disconnect();
@@ -444,60 +501,182 @@ mod tests {
         );
     }
 
-    #[test]
-    fn disk_persistence_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("hdns-test-{}", std::process::id()));
-        let path = dir.join("snap.json");
-        let _ = std::fs::remove_file(&path);
-
-        let cluster = Cluster::new(3);
-        let mut a = HdnsNode::new(
+    /// A single replica on its own cluster, joined and settled.
+    fn solo(seed: u64, data_path: &std::path::Path) -> (Cluster, HdnsNode) {
+        let cluster = Cluster::new(seed);
+        let mut node = HdnsNode::new(
             cluster.create_channel(StackConfig::default()),
-            Some(path.clone()),
+            Some(data_path.to_path_buf()),
         );
-        a.connect("g").unwrap();
-        cluster.pump_all();
-        a.process();
-        let t = a
+        node.connect("g").unwrap();
+        drive(&cluster, &mut [&mut node]);
+        (cluster, node)
+    }
+
+    fn bind(cluster: &Cluster, node: &mut HdnsNode, path: &str, value: u8) {
+        let t = node
             .submit(Op::Bind {
-                path: "durable".into(),
-                entry: HdnsEntry::leaf(vec![9]),
-                overwrite: false,
+                path: path.into(),
+                entry: HdnsEntry::leaf(vec![value]),
+                overwrite: true,
             })
             .unwrap();
-        cluster.pump_all();
-        a.process();
-        assert!(matches!(a.outcome(t), OpOutcome::Done(Ok(()))));
+        drive(cluster, &mut [&mut *node]);
+        assert!(matches!(node.outcome(t), OpOutcome::Done(Ok(()))));
+    }
+
+    /// `<data_path><suffix>`: the files a replica keeps beside its snapshot.
+    fn beside(data_path: &std::path::Path, suffix: &str) -> std::path::PathBuf {
+        let mut name = data_path.as_os_str().to_owned();
+        name.push(suffix);
+        name.into()
+    }
+
+    fn wal_path(data_path: &std::path::Path) -> std::path::PathBuf {
+        beside(data_path, ".wal")
+    }
+
+    #[test]
+    fn disk_persistence_roundtrip() {
+        let dir = crate::TestDir::new("roundtrip");
+        let path = dir.0.join("snap.json");
+        let (cluster, mut a) = solo(3, &path);
+        bind(&cluster, &mut a, "durable", 9);
         a.shutdown();
+        assert_eq!(std::fs::read(wal_path(&path)).unwrap(), b"", "compacted");
 
         // A fresh incarnation recovers from disk.
-        let cluster2 = Cluster::new(4);
-        let b = HdnsNode::new(
-            cluster2.create_channel(StackConfig::default()),
-            Some(path.clone()),
-        );
+        let (_cluster2, b) = solo(4, &path);
         assert_eq!(b.lookup("durable").unwrap().value, vec![9]);
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(b.recovery().snapshot_entries, 1);
+        assert_eq!(b.recovery().replayed, 0);
+        assert!(b.recovery().error.is_none());
+    }
+
+    #[test]
+    fn unclean_stop_recovers_every_delivered_op_from_the_log() {
+        let dir = crate::TestDir::new("unclean");
+        let path = dir.0.join("snap.json");
+        let (cluster, mut a) = solo(3, &path);
+        for i in 0..5u8 {
+            bind(&cluster, &mut a, &format!("k{i}"), i);
+        }
+        let expected = a.store_snapshot();
+        drop(a); // no shutdown(), no compaction
+
+        let (_cluster2, b) = solo(4, &path);
+        assert_eq!(b.store_snapshot(), expected);
+        assert_eq!(b.recovery().snapshot_entries, 0);
+        assert_eq!(b.recovery().replayed, 5);
+        assert_eq!(b.recovery().discarded_bytes, 0);
+    }
+
+    #[test]
+    fn garbage_log_tail_is_cut_off_and_reported() {
+        let dir = crate::TestDir::new("torn");
+        let path = dir.0.join("snap.json");
+        let (cluster, mut a) = solo(3, &path);
+        bind(&cluster, &mut a, "kept", 1);
+        let expected = a.store_snapshot();
+        drop(a);
+        let whole = std::fs::read(wal_path(&path)).unwrap();
+        let mut torn = whole.clone();
+        torn.extend_from_slice(&whole[..whole.len() - 3]); // a record missing its end
+        std::fs::write(wal_path(&path), &torn).unwrap();
+
+        let (cluster2, mut b) = solo(4, &path);
+        assert_eq!(b.store_snapshot(), expected);
+        assert_eq!(b.recovery().replayed, 1);
+        assert_eq!(b.recovery().discarded_bytes, whole.len() as u64 - 3);
+        assert!(b.recovery().error.is_none(), "a torn tail is not an error");
+        assert_eq!(std::fs::read(wal_path(&path)).unwrap(), whole);
+
+        // The log is appendable again right behind the last good record.
+        bind(&cluster2, &mut b, "after", 2);
+        let expected = b.store_snapshot();
+        drop(b);
+        let (_cluster3, c) = solo(5, &path);
+        assert_eq!(c.store_snapshot(), expected);
+        assert_eq!(c.recovery().replayed, 2);
+    }
+
+    #[test]
+    fn garbage_snapshot_is_moved_aside_not_overwritten() {
+        let dir = crate::TestDir::new("garbage");
+        let path = dir.0.join("snap.json");
+        std::fs::create_dir_all(&dir.0).unwrap();
+        std::fs::write(&path, b"{ not a store").unwrap();
+        std::fs::write(wal_path(&path), b"its log").unwrap();
+        let errors = || rndi_obs::metrics::counter(names::HDNS_RECOVERY_ERRORS, &[]).get();
+        let before = errors();
+
+        let (cluster, mut a) = solo(3, &path);
+        assert_eq!(a.entry_count(), 0, "starts empty");
+        let error = a.recovery().error.as_ref().expect("recovery says why");
+        assert_eq!(error.kind(), std::io::ErrorKind::InvalidData);
+        assert!(errors() > before);
+        assert!(a.last_persist_error().is_none());
+
+        // Persisting again leaves the evidence where recovery put it.
+        bind(&cluster, &mut a, "fresh", 1);
+        a.shutdown();
+        let aside = |suffix: &str| std::fs::read(beside(&path, suffix)).unwrap();
+        assert_eq!(aside(".corrupt"), b"{ not a store");
+        assert_eq!(aside(".wal.corrupt"), b"its log");
+        let (_cluster2, b) = solo(4, &path);
+        assert_eq!(b.lookup("fresh").unwrap().value, vec![1]);
+        assert!(b.recovery().error.is_none());
+    }
+
+    #[test]
+    fn snapshot_only_data_dir_from_before_the_log_recovers() {
+        // What the every-64-ops `fs::write(path, store.snapshot())` left.
+        let mut old = HdnsStore::new();
+        old.apply(&Op::CreateContext { path: "c".into() }).unwrap();
+        old.apply(&Op::Bind {
+            path: "c/x".into(),
+            entry: HdnsEntry::leaf(vec![7]).with_attr("k", "v"),
+            overwrite: false,
+        })
+        .unwrap();
+        let dir = crate::TestDir::new("legacy");
+        let path = dir.0.join("replica-0.json");
+        std::fs::create_dir_all(&dir.0).unwrap();
+        std::fs::write(&path, old.snapshot()).unwrap();
+
+        let (cluster, mut a) = solo(3, &path);
+        assert_eq!(a.store_snapshot(), old.snapshot());
+        assert_eq!(a.recovery().snapshot_entries, 2);
+        assert!(a.recovery().error.is_none());
+        bind(&cluster, &mut a, "c/y", 8);
+        let expected = a.store_snapshot();
+        drop(a);
+        let (_cluster2, b) = solo(4, &path);
+        assert_eq!(b.store_snapshot(), expected);
     }
 
     #[test]
     fn persist_failure_is_counted_and_readable() {
         // A regular file where the snapshot's parent directory should be.
-        let blocker =
-            std::env::temp_dir().join(format!("hdns-persist-blocker-{}", std::process::id()));
+        let dir = crate::TestDir::new("blocker");
+        std::fs::create_dir_all(&dir.0).unwrap();
+        let blocker = dir.0.join("file");
         std::fs::write(&blocker, b"not a directory").unwrap();
-        let cluster = Cluster::new(5);
-        let mut node = HdnsNode::new(
-            cluster.create_channel(StackConfig::default()),
-            Some(blocker.join("sub").join("snap.json")),
-        );
+        let (cluster, mut node) = solo(5, &blocker.join("sub").join("snap.json"));
         assert!(node.last_persist_error().is_none());
         let errors = || rndi_obs::metrics::counter(names::HDNS_PERSIST_ERRORS, &[]).get();
         let before = errors();
         node.persist();
-        assert!(errors() > before, "failed snapshot write is counted");
+        assert!(errors() > before, "failed compaction is counted");
         assert!(node.last_persist_error().is_some());
-        let _ = std::fs::remove_file(&blocker);
+
+        // So is a failed append — and the replica keeps serving.
+        let before = errors();
+        bind(&cluster, &mut node, "in-memory", 1);
+        assert!(errors() > before, "failed append is counted");
+        node.process(); // nothing delivered, nothing persisted: not a success
+        assert!(node.last_persist_error().is_some());
+        assert_eq!(node.lookup("in-memory").unwrap().value, vec![1]);
     }
 
     #[test]

@@ -66,7 +66,12 @@ pub struct HdnsRealm {
 
 impl HdnsRealm {
     /// Deploy `replicas` nodes into group `group`. With a `data_dir`, each
-    /// replica persists snapshots to `<data_dir>/replica-<i>.json`.
+    /// replica keeps its state there: a snapshot `replica-<i>.json` plus an
+    /// op log `replica-<i>.json.wal` holding every write delivered since
+    /// (see [`crate::wal`] for the layout and the durability contract). A
+    /// realm deployed over a directory that already holds such files — from
+    /// a clean shutdown, a crash, or the snapshot-only layout of earlier
+    /// versions — starts from them.
     pub fn new(
         group: &str,
         replicas: usize,
@@ -90,7 +95,7 @@ impl HdnsRealm {
         realm
     }
 
-    fn snapshot_path(&self, idx: usize) -> Option<PathBuf> {
+    fn data_path(&self, idx: usize) -> Option<PathBuf> {
         self.data_dir
             .as_ref()
             .map(|d| d.join(format!("replica-{idx}.json")))
@@ -98,7 +103,7 @@ impl HdnsRealm {
 
     fn spawn_replica(&self, idx: usize) {
         let channel = self.cluster.create_channel(self.config.clone());
-        let node = HdnsNode::new(channel, self.snapshot_path(idx));
+        let node = HdnsNode::new(channel, self.data_path(idx));
         let _ = node.connect(&self.group);
         let mut nodes = self.nodes.lock();
         if idx < nodes.len() {
@@ -331,8 +336,8 @@ impl HdnsRealm {
     // Fault injection
     // ---------------------------------------------------------------
 
-    /// Hard-crash replica `i` (no snapshot flush — disk has whatever the
-    /// last periodic snapshot wrote).
+    /// Hard-crash replica `i` (no compaction — disk has the last snapshot
+    /// and the op log of everything delivered since).
     pub fn crash(&self, i: usize) {
         let addr = self.addr(i);
         self.cluster.crash(addr);
@@ -344,15 +349,16 @@ impl HdnsRealm {
         self.drive();
     }
 
-    /// Restart a crashed replica: a fresh incarnation recovers its disk
-    /// snapshot, rejoins, and is brought current by state transfer.
+    /// Restart a crashed replica: a fresh incarnation recovers its
+    /// snapshot and op log, rejoins, and is brought current by state
+    /// transfer.
     pub fn restart(&self, i: usize) {
         self.spawn_replica(i);
         self.cluster.detect_failures();
         self.drive();
     }
 
-    /// Gracefully stop replica `i` (persists to disk first).
+    /// Gracefully stop replica `i` (compacts to disk first).
     pub fn shutdown_replica(&self, i: usize) {
         let handle = self.nodes.lock()[i].clone();
         handle.lock().shutdown();
@@ -510,18 +516,16 @@ mod tests {
 
     #[test]
     fn graceful_shutdown_persists_and_cold_restart_recovers() {
-        let dir = std::env::temp_dir().join(format!("hdns-realm-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = crate::TestDir::new("realm");
         {
-            let r = HdnsRealm::new("p", 1, StackConfig::default(), Some(dir.clone()), 1);
+            let r = HdnsRealm::new("p", 1, StackConfig::default(), Some(dir.0.clone()), 1);
             r.bind(0, "durable", HdnsEntry::leaf(vec![7])).unwrap();
             r.shutdown_replica(0);
         }
         // A brand-new realm over the same data dir: complete-shutdown
         // recovery from disk.
-        let r2 = HdnsRealm::new("p", 1, StackConfig::default(), Some(dir.clone()), 2);
+        let r2 = HdnsRealm::new("p", 1, StackConfig::default(), Some(dir.0.clone()), 2);
         assert_eq!(r2.lookup(0, "durable").unwrap().value, vec![7]);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

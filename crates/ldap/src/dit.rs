@@ -10,8 +10,10 @@
 //! are bounded range scans instead of full-tree walks. An equality index
 //! over `(attribute, value)` pairs additionally lets searches whose filter
 //! contains an equality conjunct start from the posting set instead of the
-//! scope range. Both structures only *prune*: every candidate is still
-//! verified with the real scope predicate and `LdapFilter::matches`.
+//! scope range — and, because postings are ordered by the same tree keys,
+//! only from the slice of it under the search base. Both structures only
+//! *prune*: every candidate is still verified with the real scope predicate
+//! and `LdapFilter::matches`.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -256,7 +258,8 @@ impl Dit {
     /// Search from `base` with the given scope and filter.
     ///
     /// Index-driven: an equality conjunct in the filter turns the search
-    /// into a walk of that posting set; otherwise `OneLevel`/`Subtree`
+    /// into a walk of that posting set (restricted to the base's key range
+    /// when the base is not the root); otherwise `OneLevel`/`Subtree`
     /// scan only the base's contiguous key range and `Base` is a direct
     /// map probe. Every candidate is verified against the real scope
     /// predicate and the full filter.
@@ -294,7 +297,28 @@ impl Dit {
         match posting {
             Posting::Empty => {}
             Posting::Keys(keys) => {
-                for key in keys {
+                // Postings are ordered by the same root-first tree keys as
+                // `entries`, so under a non-root base only the base's own
+                // key and its contiguous `base + KEY_SEP` range can be in
+                // scope — not the whole posting set.
+                let base_key = Self::tree_key(base);
+                let mut prefix = base_key.clone();
+                prefix.push(KEY_SEP);
+                let candidates: Box<dyn Iterator<Item = &String>> = if base.is_root() {
+                    Box::new(keys.iter())
+                } else {
+                    let own = keys.get(&base_key).into_iter();
+                    match scope {
+                        Scope::Base => Box::new(own),
+                        Scope::OneLevel | Scope::Subtree => Box::new(
+                            own.chain(
+                                keys.range::<String, _>(&prefix..)
+                                    .take_while(|k| k.starts_with(&prefix)),
+                            ),
+                        ),
+                    }
+                };
+                for key in candidates {
                     let Some(e) = self.entries.get(key) else {
                         continue;
                     };

@@ -188,3 +188,55 @@ proptest! {
         }
     }
 }
+
+/// The oracle again, on the shape the posting-range walk exists for: one
+/// equality value held by an entry in *every* department, searched under a
+/// deep base whose sibling's key shares its text prefix (`ou=d1` vs
+/// `ou=d10`).
+#[test]
+fn equality_filter_under_a_deep_base_matches_scan_oracle() {
+    let mut dit = Dit::new();
+    let org = Dn::parse("o=grid").unwrap();
+    dit.add(LdapEntry::new(org.clone()).with("o", "grid"))
+        .unwrap();
+    for d in 0..40 {
+        let dept = org.child(Rdn::new("ou", format!("d{d}")));
+        dit.add(LdapEntry::new(dept.clone()).with("ou", format!("d{d}")))
+            .unwrap();
+        let unit = dept.child(Rdn::new("ou", "unit"));
+        dit.add(LdapEntry::new(unit.clone()).with("ou", "unit"))
+            .unwrap();
+        for leaf in ["l3", "l4"] {
+            for parent in [&dept, &unit] {
+                dit.add(LdapEntry::new(parent.child(Rdn::new("cn", leaf))).with("cn", leaf))
+                    .unwrap();
+            }
+        }
+    }
+    let filter = LdapFilter::parse("(cn=l3)").unwrap();
+    let bases = [
+        "ou=d1,o=grid",
+        "ou=unit,ou=d1,o=grid",
+        "cn=l3,ou=unit,ou=d1,o=grid",
+        "cn=l4,ou=unit,ou=d1,o=grid",
+    ];
+    for base in bases.map(|b| Dn::parse(b).unwrap()) {
+        for scope in [Scope::Base, Scope::OneLevel, Scope::Subtree] {
+            for limit in [0, 1] {
+                let dns = |hits: Vec<&LdapEntry>| -> Vec<String> {
+                    hits.iter().map(|e| e.dn.normalized()).collect()
+                };
+                assert_eq!(
+                    dns(dit.search(&base, scope, &filter, limit).unwrap()),
+                    dns(dit.search_scan(&base, scope, &filter, limit).unwrap()),
+                    "base {base} scope {scope:?} limit {limit}"
+                );
+            }
+        }
+    }
+    // One-level under a department finds its own `cn=l3` and nobody else's.
+    let d1 = Dn::parse("ou=d1,o=grid").unwrap();
+    let hits = dit.search(&d1, Scope::OneLevel, &filter, 0).unwrap();
+    assert_eq!(hits.len(), 1);
+    assert_eq!(hits[0].dn.normalized(), "cn=l3,ou=d1,o=grid");
+}

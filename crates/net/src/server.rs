@@ -152,8 +152,11 @@ struct ServerState {
     started: Instant,
     shutdown: AtomicBool,
     active: AtomicUsize,
-    /// Live sockets, for `abort` to tear down mid-request.
-    conns: Mutex<Vec<TcpStream>>,
+    /// A second handle on every live socket, keyed by connection id, for
+    /// `abort` to tear down mid-request. The owning shard removes the
+    /// entry when it drops the connection, so churn does not accumulate
+    /// descriptors.
+    conns: Mutex<HashMap<u64, TcpStream>>,
     /// Shard inboxes, kept for the health probe: their depth is the
     /// accepted-but-not-yet-adopted backlog.
     inboxes: Vec<Arc<ShardInbox>>,
@@ -287,8 +290,9 @@ enum ShedReason {
 /// One connection owned by a shard: the socket plus its protocol state
 /// machine.
 struct ShardConn {
-    /// Stable handle queued [`Pending`] entries point back at; unique
-    /// within the owning shard for the server's life.
+    /// Stable handle queued [`Pending`] entries point back at, and the key
+    /// of `abort`'s clone in `ServerState::conns`; assigned by the accept
+    /// loop, unique for the server's life.
     id: u64,
     stream: TcpStream,
     machine: ServerConn,
@@ -457,7 +461,8 @@ impl Admission {
 /// The accept thread parks new sockets here; the owning shard adopts
 /// them at the top of its next pass.
 struct ShardInbox {
-    incoming: Mutex<Vec<TcpStream>>,
+    /// Accepted sockets with the connection id the accept loop gave them.
+    incoming: Mutex<Vec<(u64, TcpStream)>>,
 }
 
 /// A running TCP server hosting one backend (typically a fully-assembled
@@ -525,7 +530,7 @@ impl NetServer {
             started: Instant::now(),
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
-            conns: Mutex::new(Vec::new()),
+            conns: Mutex::new(HashMap::new()),
             inboxes: inboxes.clone(),
             queue_depths: (0..shard_count)
                 .map(|_| Arc::new(AtomicU64::new(0)))
@@ -609,7 +614,7 @@ impl NetServer {
     fn stop(&mut self, abort: bool) {
         self.state.shutdown.store(true, Ordering::SeqCst);
         if abort {
-            for conn in self.state.conns.lock().iter() {
+            for conn in self.state.conns.lock().values() {
                 let _ = conn.shutdown(std::net::Shutdown::Both);
             }
         }
@@ -633,6 +638,7 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>, inboxes: Vec<Arc<
         .registry
         .gauge(names::NET_ACTIVE_CONNS, &[("server", &state.label)]);
     let mut next_shard = 0usize;
+    let mut next_conn_id: u64 = 0;
     let mut idle = Backoff::new();
     while !state.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -653,10 +659,14 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>, inboxes: Vec<Arc<
                     .inc();
                 state.active.fetch_add(1, Ordering::SeqCst);
                 active_gauge.add(1);
+                next_conn_id += 1;
                 if let Ok(clone) = stream.try_clone() {
-                    state.conns.lock().push(clone);
+                    state.conns.lock().insert(next_conn_id, clone);
                 }
-                inboxes[next_shard].incoming.lock().push(stream);
+                inboxes[next_shard]
+                    .incoming
+                    .lock()
+                    .push((next_conn_id, stream));
                 next_shard = (next_shard + 1) % inboxes.len();
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => idle.pause(),
@@ -703,15 +713,13 @@ fn shard_loop(state: Arc<ServerState>, inbox: Arc<ShardInbox>, shard: usize) {
     let mut scratch = vec![0u8; READ_CHUNK];
     let mut idle = Backoff::new();
     let mut admission = Admission::new(&state, shard);
-    let mut next_conn_id: u64 = 0;
 
     while !state.shutdown.load(Ordering::SeqCst) {
         {
             let mut incoming = inbox.incoming.lock();
-            for stream in incoming.drain(..) {
-                next_conn_id += 1;
+            for (id, stream) in incoming.drain(..) {
                 conns.push(ShardConn {
-                    id: next_conn_id,
+                    id,
                     stream,
                     machine: ServerConn::new(),
                     bucket: (state.config.rate_ops > 0)
@@ -739,10 +747,9 @@ fn shard_loop(state: Arc<ServerState>, inbox: Arc<ShardInbox>, shard: usize) {
                     // with the protocol preamble: drop the connection. The
                     // explicit shutdown is what the peer sees — `abort`'s
                     // clone of the socket would otherwise keep it open.
-                    let _ = conns
-                        .swap_remove(i)
-                        .stream
-                        .shutdown(std::net::Shutdown::Both);
+                    let dropped = conns.swap_remove(i);
+                    let _ = dropped.stream.shutdown(std::net::Shutdown::Both);
+                    state.conns.lock().remove(&dropped.id);
                     state.active.fetch_sub(1, Ordering::SeqCst);
                     active_gauge.add(-1);
                     progress = true;
@@ -1100,4 +1107,103 @@ fn run_with_deadline(
         }
     }
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NetClient;
+    use rndi_core::context::ContextExt;
+    use rndi_core::env::keys;
+    use rndi_core::op::{OpKind, OpOutcome};
+    use std::sync::mpsc;
+
+    /// Answers every lookup; a lookup of `"block"` first reports that it
+    /// is executing and then waits to be released.
+    struct GateBackend {
+        entered: Mutex<mpsc::Sender<()>>,
+        release: Mutex<mpsc::Receiver<()>>,
+    }
+
+    impl ProviderBackend for GateBackend {
+        fn execute(&self, op: &NamingOp) -> Result<OpOutcome> {
+            if op.kind != OpKind::Lookup {
+                return Err(NamingError::unsupported("gate backend: lookups only"));
+            }
+            if op.name.to_string() == "block" {
+                let _ = self.entered.lock().send(());
+                let _ = self.release.lock().recv();
+            }
+            Ok(OpOutcome::Wire(rndi_core::op::codec::marshal(
+                &rndi_core::value::BoundValue::Str("v".into()),
+            )?))
+        }
+
+        fn provider_id(&self) -> String {
+            "gate".to_string()
+        }
+    }
+
+    fn open_fds() -> usize {
+        std::fs::read_dir("/proc/self/fd").expect("procfs").count()
+    }
+
+    #[test]
+    fn connection_churn_leaks_no_descriptors_and_abort_still_tears_down_mid_request() {
+        let (entered_tx, entered_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let backend = Arc::new(GateBackend {
+            entered: Mutex::new(entered_tx),
+            release: Mutex::new(release_rx),
+        });
+        let server = NetServer::with_config(
+            backend,
+            ServerConfig {
+                shards: 1,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("server starts");
+        let addr = server.local_addr().to_string();
+        let env = Environment::new().with(keys::RETRY_MAX_ATTEMPTS, "1");
+
+        let wait_idle = |server: &NetServer| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while server.active_connections() > 0 {
+                assert!(Instant::now() < deadline, "server never saw the hang-up");
+                std::thread::yield_now();
+            }
+        };
+
+        let fds_before = open_fds();
+        for _ in 0..300 {
+            let client = NetClient::connect(addr.clone(), &env).unwrap();
+            client.lookup_str("k").unwrap();
+            drop(client);
+            wait_idle(&server);
+        }
+        assert_eq!(
+            server.state.conns.lock().len(),
+            0,
+            "every abort handle was pruned with its connection"
+        );
+        // Sibling tests in this binary open sockets of their own; a leak
+        // would be one descriptor per cycle.
+        let grown = open_fds().saturating_sub(fds_before);
+        assert!(grown < 100, "{grown} descriptors leaked over 300 cycles");
+
+        // A request that is executing when `abort` lands: the client sees
+        // the socket die while the backend is still inside `execute`.
+        let client = NetClient::connect(addr, &env).unwrap();
+        let caller = std::thread::spawn(move || client.lookup_str("block"));
+        entered_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("request reached the backend");
+        assert_eq!(server.state.conns.lock().len(), 1);
+        let aborter = std::thread::spawn(move || server.abort());
+        let outcome = caller.join().expect("caller thread");
+        assert!(outcome.is_err(), "torn down mid-request: {outcome:?}");
+        release_tx.send(()).expect("backend still waiting");
+        aborter.join().expect("abort joins the server threads");
+    }
 }

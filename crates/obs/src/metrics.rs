@@ -124,9 +124,25 @@ pub mod names {
     /// Gauge (per instance, label `peer`): phi score ×1000 for one peer,
     /// as scored by the accrual failure detector.
     pub const CLUSTER_PHI: &str = "rndi_cluster_phi_millis";
-    /// Counter: HDNS replica snapshot writes that failed (directory
-    /// creation or the file write itself).
+    /// Counter: HDNS replica persistence steps that failed — a log
+    /// append, or any step of a compaction (tmp write, sync, rename,
+    /// truncate).
     pub const HDNS_PERSIST_ERRORS: &str = "rndi_hdns_persist_errors_total";
+    /// Counter: proposals appended to HDNS replica op logs.
+    pub const HDNS_WAL_APPENDS: &str = "rndi_hdns_wal_appends_total";
+    /// Counter: bytes appended to HDNS replica op logs (frames included).
+    pub const HDNS_WAL_BYTES: &str = "rndi_hdns_wal_bytes_total";
+    /// Counter: op logs folded into a fresh snapshot (log past its
+    /// threshold, state transfer, shutdown).
+    pub const HDNS_COMPACTIONS: &str = "rndi_hdns_compactions_total";
+    /// Histogram, ns: one compaction, tmp write through log truncation,
+    /// both syncs included.
+    pub const HDNS_COMPACTION_DURATION: &str = "rndi_hdns_compaction_duration_ns";
+    /// Counter: log records replayed on top of a snapshot at start-up.
+    pub const HDNS_RECOVERY_REPLAYED: &str = "rndi_hdns_recovery_replayed_total";
+    /// Counter: replica start-ups that met an unreadable or unparseable
+    /// snapshot or log (see `HdnsNode::recovery`).
+    pub const HDNS_RECOVERY_ERRORS: &str = "rndi_hdns_recovery_errors_total";
 }
 
 /// A monotonically increasing counter.

@@ -22,8 +22,14 @@ done
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-echo "==> cargo test -q"
-cargo test -q --workspace
+echo "==> cargo test -q (all but hdns)"
+cargo test -q --workspace --exclude hdns
+
+# Named on its own because it is the durability contract: tests/crash_points.rs
+# crashes a replica at every storage call under process kill and power loss.
+# A failure prints the seed, crash model and boundary that replay it.
+echo "==> cargo test -q -p hdns (unit tests + the crash-point suite)"
+cargo test -q -p hdns
 
 echo "==> cargo fmt --check"
 cargo fmt --check "${pkg_flags[@]}"
@@ -49,6 +55,9 @@ grep -q 'instance="cluster"' <<<"$top_out"
 grep -q 'instance="shard-0"' <<<"$top_out"
 grep -q 'instance="shard-3"' <<<"$top_out"
 grep -q "cluster_top OK"     <<<"$top_out"
+ft_out="$(cargo run -q --example fault_tolerance)"
+grep -q "unclean stop lost no acknowledged write: OK" <<<"$ft_out"
+grep -q "fault tolerance example OK"                  <<<"$ft_out"
 member_out="$(cargo run -q --example cluster_membership)"
 grep -q "rndi_cluster_members"   <<<"$member_out"
 grep -q "converged"              <<<"$member_out"

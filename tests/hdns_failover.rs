@@ -7,21 +7,31 @@ use rndi::groupcast::{OrderingMode, StackConfig};
 use rndi::hdns::HdnsRealm;
 use rndi::providers::HdnsProviderContext;
 
-fn realm(tag: &str, persist: bool) -> (HdnsRealm, Option<std::path::PathBuf>) {
-    let dir = persist.then(|| {
-        let d = std::env::temp_dir().join(format!("rndi-failover-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    });
-    (
-        HdnsRealm::new(tag, 3, StackConfig::default(), dir.clone(), 101),
-        dir,
-    )
+/// A data directory of this test's own, removed when the guard drops.
+struct DataDir(std::path::PathBuf);
+
+impl DataDir {
+    fn new(tag: &str) -> DataDir {
+        let dir = std::env::temp_dir().join(format!("rndi-failover-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        DataDir(dir)
+    }
+}
+
+impl Drop for DataDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn realm(tag: &str, data_dir: Option<&DataDir>) -> HdnsRealm {
+    let dir = data_dir.map(|d| d.0.clone());
+    HdnsRealm::new(tag, 3, StackConfig::default(), dir, 101)
 }
 
 #[test]
 fn client_fails_over_to_surviving_replica() {
-    let (realm, _) = realm("failover", false);
+    let realm = realm("failover", None);
     let ctx0 = HdnsProviderContext::new(realm.clone(), 0, "t");
     let ctx1 = HdnsProviderContext::new(realm.clone(), 1, "t");
 
@@ -37,7 +47,7 @@ fn client_fails_over_to_surviving_replica() {
 
 #[test]
 fn restarted_replica_serves_missed_writes() {
-    let (realm, _) = realm("rejoin", false);
+    let realm = realm("rejoin", None);
     let ctx2 = HdnsProviderContext::new(realm.clone(), 2, "t");
     let ctx0 = HdnsProviderContext::new(realm.clone(), 0, "t");
 
@@ -54,7 +64,7 @@ fn restarted_replica_serves_missed_writes() {
 
 #[test]
 fn primary_partition_discards_minority_writes_via_provider() {
-    let (realm, _) = realm("primary", false);
+    let realm = realm("primary", None);
     let majority = HdnsProviderContext::new(realm.clone(), 0, "t");
     let minority = HdnsProviderContext::new(realm.clone(), 2, "t");
 
@@ -71,7 +81,7 @@ fn primary_partition_discards_minority_writes_via_provider() {
 
 #[test]
 fn conflicting_binds_across_a_partition_resolve_deterministically() {
-    let (realm, _) = realm("conflict", false);
+    let realm = realm("conflict", None);
     let a = HdnsProviderContext::new(realm.clone(), 0, "t");
     let b = HdnsProviderContext::new(realm.clone(), 2, "t");
 
@@ -92,8 +102,8 @@ fn conflicting_binds_across_a_partition_resolve_deterministically() {
 
 #[test]
 fn full_shutdown_recovers_from_disk_snapshots() {
-    let (r, dir) = realm("persist", true);
-    let dir = dir.unwrap();
+    let dir = DataDir::new("persist");
+    let r = realm("persist", Some(&dir));
     {
         let ctx = HdnsProviderContext::new(r.clone(), 0, "t");
         ctx.bind_str("durable", "gold").unwrap();
@@ -103,10 +113,50 @@ fn full_shutdown_recovers_from_disk_snapshots() {
     }
     drop(r);
 
-    let revived = HdnsRealm::new("persist", 3, StackConfig::default(), Some(dir.clone()), 202);
+    let revived = HdnsRealm::new(
+        "persist",
+        3,
+        StackConfig::default(),
+        Some(dir.0.clone()),
+        202,
+    );
     let ctx = HdnsProviderContext::new(revived, 1, "t");
     assert_eq!(ctx.lookup_str("durable").unwrap().as_str(), Some("gold"));
-    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// No `shutdown_replica`, no compaction: the realm is simply dropped, the
+/// way a killed process leaves it. Every acknowledged write is in some
+/// replica's op log, so a realm revived over the same directory has them
+/// all — not just those up to the last snapshot.
+#[test]
+fn unclean_stop_loses_no_acknowledged_write() {
+    let dir = DataDir::new("unclean");
+    let r = realm("unclean", Some(&dir));
+    let ctx = HdnsProviderContext::new(r.clone(), 0, "t");
+    for i in 0..150 {
+        ctx.bind_str(&format!("name-{i}"), format!("value-{i}"))
+            .unwrap();
+    }
+    drop(ctx);
+    drop(r);
+
+    let revived = HdnsRealm::new(
+        "unclean",
+        3,
+        StackConfig::default(),
+        Some(dir.0.clone()),
+        202,
+    );
+    for node in 0..3 {
+        let ctx = HdnsProviderContext::new(revived.clone(), node, "t");
+        for i in 0..150 {
+            assert_eq!(
+                ctx.lookup_str(&format!("name-{i}")).unwrap().as_str(),
+                Some(format!("value-{i}").as_str()),
+                "replica {node}, name-{i}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -146,7 +196,7 @@ fn bimodal_stack_survives_lossy_network() {
 
 #[test]
 fn events_report_remote_writes() {
-    let (realm, _) = realm("events", false);
+    let realm = realm("events", None);
     let watcher = HdnsProviderContext::new(realm.clone(), 1, "t");
     let writer = HdnsProviderContext::new(realm, 0, "t");
 
