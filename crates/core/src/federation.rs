@@ -129,17 +129,17 @@ pub fn drive<R>(
 
 /// Run a reified [`NamingOp`] against `ctx`, following federation
 /// continuations until the operation completes — the op-valued counterpart
-/// of [`drive`]. Each hop re-targets the same op at the remaining name via
-/// [`NamingOp::with_name`], so interceptor annotations (retry attempt,
-/// trace tags) survive across naming-system boundaries.
+/// of [`drive`]. Each hop re-targets the same op — moved, not copied, so a
+/// write's payload crosses every naming system without being cloned — at
+/// the remaining name, and interceptor annotations (retry attempt, trace
+/// tags) survive across naming-system boundaries.
 pub fn drive_op(
     ctx: Arc<dyn DirContext>,
-    op: &NamingOp,
+    mut op: NamingOp,
     registry: &ProviderRegistry,
     env: &Environment,
 ) -> Result<OpOutcome> {
     let max_depth = env.get_u64(keys::MAX_FEDERATION_DEPTH, DEFAULT_MAX_DEPTH) as usize;
-    let mut op = op.clone();
     // The driver is the outermost instrumented layer for reified ops: when
     // the caller didn't trace the op, mint the trace root here so every
     // hop, pipeline layer, and remote server below joins one trace. An op
@@ -188,7 +188,7 @@ fn drive_op_loop(
             }) => {
                 let (next, prefix) = continuation_context(resolved, registry, env)?;
                 ctx = next;
-                op = op.with_name(prefix.join(&remaining));
+                op.name = prefix.join(&remaining);
             }
             other => return other,
         }
@@ -221,7 +221,7 @@ impl FederatedContext {
     }
 
     /// Run a reified op through the federation loop.
-    pub fn run_op(&self, op: &NamingOp) -> crate::error::Result<OpOutcome> {
+    pub fn run_op(&self, op: NamingOp) -> crate::error::Result<OpOutcome> {
         drive_op(self.base.clone(), op, &self.registry, &self.env)
     }
 
@@ -281,7 +281,7 @@ impl FederatedContext {
         rndi_obs::metrics::histogram(names::FED_DEPTH, &[]).record(depth as u64);
         let mut base_search = NamingOp::search(name.clone(), filter.clone(), controls.clone());
         base_search.set_trace_ctx(span_ctx);
-        let mut out = self.run_op(&base_search)?.into_found(OpKind::Search)?;
+        let mut out = self.run_op(base_search)?.into_found(OpKind::Search)?;
         let max_depth =
             self.env
                 .get_u64(keys::MAX_FEDERATION_DEPTH, DEFAULT_MAX_DEPTH) as usize;
@@ -292,7 +292,7 @@ impl FederatedContext {
         let mut list_mounts = NamingOp::list_bindings(name.clone());
         list_mounts.set_trace_ctx(span_ctx);
         let mut mounts: Vec<(String, BoundValue)> = match self
-            .run_op(&list_mounts)
+            .run_op(list_mounts)
             .and_then(|o| o.into_bindings(OpKind::ListBindings))
         {
             Ok(bindings) => bindings
@@ -374,27 +374,27 @@ impl FederatedContext {
 
 impl crate::context::Context for FederatedContext {
     fn lookup(&self, name: &CompositeName) -> crate::error::Result<BoundValue> {
-        self.run_op(&NamingOp::lookup(name.clone()))?
+        self.run_op(NamingOp::lookup(name.clone()))?
             .into_value(crate::op::OpKind::Lookup)
     }
 
     fn bind(&self, name: &CompositeName, value: BoundValue) -> crate::error::Result<()> {
-        self.run_op(&NamingOp::bind(name.clone(), value))?
+        self.run_op(NamingOp::bind(name.clone(), value))?
             .into_done(crate::op::OpKind::Bind)
     }
 
     fn rebind(&self, name: &CompositeName, value: BoundValue) -> crate::error::Result<()> {
-        self.run_op(&NamingOp::rebind(name.clone(), value))?
+        self.run_op(NamingOp::rebind(name.clone(), value))?
             .into_done(crate::op::OpKind::Rebind)
     }
 
     fn unbind(&self, name: &CompositeName) -> crate::error::Result<()> {
-        self.run_op(&NamingOp::unbind(name.clone()))?
+        self.run_op(NamingOp::unbind(name.clone()))?
             .into_done(crate::op::OpKind::Unbind)
     }
 
     fn rename(&self, old: &CompositeName, new: &CompositeName) -> crate::error::Result<()> {
-        self.run_op(&NamingOp::rename(old.clone(), new.clone()))?
+        self.run_op(NamingOp::rename(old.clone(), new.clone()))?
             .into_done(crate::op::OpKind::Rename)
     }
 
@@ -402,7 +402,7 @@ impl crate::context::Context for FederatedContext {
         &self,
         name: &CompositeName,
     ) -> crate::error::Result<Vec<crate::context::NameClassPair>> {
-        self.run_op(&NamingOp::list(name.clone()))?
+        self.run_op(NamingOp::list(name.clone()))?
             .into_names(crate::op::OpKind::List)
     }
 
@@ -410,17 +410,17 @@ impl crate::context::Context for FederatedContext {
         &self,
         name: &CompositeName,
     ) -> crate::error::Result<Vec<crate::context::Binding>> {
-        self.run_op(&NamingOp::list_bindings(name.clone()))?
+        self.run_op(NamingOp::list_bindings(name.clone()))?
             .into_bindings(crate::op::OpKind::ListBindings)
     }
 
     fn create_subcontext(&self, name: &CompositeName) -> crate::error::Result<()> {
-        self.run_op(&NamingOp::create_subcontext(name.clone()))?
+        self.run_op(NamingOp::create_subcontext(name.clone()))?
             .into_done(crate::op::OpKind::CreateSubcontext)
     }
 
     fn destroy_subcontext(&self, name: &CompositeName) -> crate::error::Result<()> {
-        self.run_op(&NamingOp::destroy_subcontext(name.clone()))?
+        self.run_op(NamingOp::destroy_subcontext(name.clone()))?
             .into_done(crate::op::OpKind::DestroySubcontext)
     }
 
@@ -438,7 +438,7 @@ impl crate::context::Context for FederatedContext {
                 self.search_federated(&op.name, filter, controls, 0, op.trace_ctx().as_ref())
                     .map(OpOutcome::Found),
             ),
-            _ => Some(self.run_op(op)),
+            _ => Some(self.run_op(op.clone())),
         }
     }
 }
@@ -448,7 +448,7 @@ impl crate::context::DirContext for FederatedContext {
         &self,
         name: &CompositeName,
     ) -> crate::error::Result<crate::attrs::Attributes> {
-        self.run_op(&NamingOp::get_attributes(name.clone()))?
+        self.run_op(NamingOp::get_attributes(name.clone()))?
             .into_attrs(crate::op::OpKind::GetAttributes)
     }
 
@@ -457,7 +457,7 @@ impl crate::context::DirContext for FederatedContext {
         name: &CompositeName,
         mods: &[crate::attrs::AttrMod],
     ) -> crate::error::Result<()> {
-        self.run_op(&NamingOp::modify_attributes(name.clone(), mods.to_vec()))?
+        self.run_op(NamingOp::modify_attributes(name.clone(), mods.to_vec()))?
             .into_done(crate::op::OpKind::ModifyAttributes)
     }
 
@@ -467,7 +467,7 @@ impl crate::context::DirContext for FederatedContext {
         value: BoundValue,
         attrs: crate::attrs::Attributes,
     ) -> crate::error::Result<()> {
-        self.run_op(&NamingOp::bind_with_attrs(name.clone(), value, attrs))?
+        self.run_op(NamingOp::bind_with_attrs(name.clone(), value, attrs))?
             .into_done(crate::op::OpKind::BindWithAttrs)
     }
 
@@ -477,7 +477,7 @@ impl crate::context::DirContext for FederatedContext {
         value: BoundValue,
         attrs: crate::attrs::Attributes,
     ) -> crate::error::Result<()> {
-        self.run_op(&NamingOp::rebind_with_attrs(name.clone(), value, attrs))?
+        self.run_op(NamingOp::rebind_with_attrs(name.clone(), value, attrs))?
             .into_done(crate::op::OpKind::RebindWithAttrs)
     }
 

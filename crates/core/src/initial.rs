@@ -88,10 +88,12 @@ impl InitialContext {
     /// authority, plain names resolve in the default context.
     fn route(&self, name: &str) -> Result<(Arc<dyn DirContext>, CompositeName)> {
         if looks_like_url(name) {
-            let url = RndiUrl::parse(name)?;
-            let root = url.with_path(CompositeName::empty());
-            let ctx = self.registry.create_context(&root, &self.env)?;
-            Ok((ctx, url.path))
+            // Factories see the authority only; the path is the name to
+            // resolve there.
+            let mut url = RndiUrl::parse(name)?;
+            let path = std::mem::take(&mut url.path);
+            let ctx = self.registry.create_context(&url, &self.env)?;
+            Ok((ctx, path))
         } else {
             let ctx = self
                 .default_ctx
@@ -114,7 +116,17 @@ impl InitialContext {
         make: impl FnOnce(CompositeName) -> NamingOp,
     ) -> Result<OpOutcome> {
         let (ctx, composite) = self.route(name)?;
-        drive_op(ctx, &make(composite), &self.registry, &self.env)
+        drive_op(ctx, make(composite), &self.registry, &self.env)
+    }
+
+    /// `value` as the state-factory chain stores it. The chain is told the
+    /// name as a composite name; with no factory to tell, it is not parsed.
+    fn to_stored(&self, name: &str, value: BoundValue) -> Result<BoundValue> {
+        if self.factories.is_empty() {
+            return Ok(value);
+        }
+        let parsed_name = CompositeName::parse(name).unwrap_or_default();
+        self.factories.to_stored(value, &parsed_name, &self.env)
     }
 
     /// Look up the value bound to `name` (composite or URL form).
@@ -122,29 +134,23 @@ impl InitialContext {
         let stored = self
             .run_op(name, NamingOp::lookup)?
             .into_value(OpKind::Lookup)?;
-        self.factories.to_object(
-            stored,
-            &CompositeName::parse(name).unwrap_or_default(),
-            &self.env,
-        )
+        if self.factories.is_empty() {
+            return Ok(stored);
+        }
+        let parsed_name = CompositeName::parse(name).unwrap_or_default();
+        self.factories.to_object(stored, &parsed_name, &self.env)
     }
 
     /// Atomically bind `value` under `name`.
     pub fn bind(&self, name: &str, value: impl Into<BoundValue>) -> Result<()> {
-        let parsed_name = CompositeName::parse(name).unwrap_or_default();
-        let stored = self
-            .factories
-            .to_stored(value.into(), &parsed_name, &self.env)?;
+        let stored = self.to_stored(name, value.into())?;
         self.run_op(name, |n| NamingOp::bind(n, stored))?
             .into_done(OpKind::Bind)
     }
 
     /// Bind `value` under `name`, replacing any previous binding.
     pub fn rebind(&self, name: &str, value: impl Into<BoundValue>) -> Result<()> {
-        let parsed_name = CompositeName::parse(name).unwrap_or_default();
-        let stored = self
-            .factories
-            .to_stored(value.into(), &parsed_name, &self.env)?;
+        let stored = self.to_stored(name, value.into())?;
         self.run_op(name, |n| NamingOp::rebind(n, stored))?
             .into_done(OpKind::Rebind)
     }
@@ -204,10 +210,7 @@ impl InitialContext {
         value: impl Into<BoundValue>,
         attrs: Attributes,
     ) -> Result<()> {
-        let parsed_name = CompositeName::parse(name).unwrap_or_default();
-        let stored = self
-            .factories
-            .to_stored(value.into(), &parsed_name, &self.env)?;
+        let stored = self.to_stored(name, value.into())?;
         self.run_op(name, |n| NamingOp::bind_with_attrs(n, stored, attrs))?
             .into_done(OpKind::BindWithAttrs)
     }
@@ -219,10 +222,7 @@ impl InitialContext {
         value: impl Into<BoundValue>,
         attrs: Attributes,
     ) -> Result<()> {
-        let parsed_name = CompositeName::parse(name).unwrap_or_default();
-        let stored = self
-            .factories
-            .to_stored(value.into(), &parsed_name, &self.env)?;
+        let stored = self.to_stored(name, value.into())?;
         self.run_op(name, |n| NamingOp::rebind_with_attrs(n, stored, attrs))?
             .into_done(OpKind::RebindWithAttrs)
     }

@@ -321,14 +321,6 @@ impl NamingOp {
         )
     }
 
-    /// The same operation re-targeted at a different name (federation hops
-    /// rewrite the remaining name as resolution crosses system boundaries).
-    pub fn with_name(&self, name: CompositeName) -> Self {
-        let mut op = self.clone();
-        op.name = name;
-        op
-    }
-
     /// The value payload as a live [`BoundValue`], unmarshalling a wire
     /// payload if the marshalling layer already encoded it.
     pub fn value(&self) -> Result<BoundValue> {

@@ -65,15 +65,19 @@ impl ProviderRegistry {
         self.factories.write().remove(&scheme.to_ascii_lowercase());
     }
 
-    /// Find the factory for `scheme`.
+    /// Find the factory for `scheme` (any case; a scheme that is lower
+    /// case already, as every parsed [`RndiUrl`]'s is, is looked up as it
+    /// stands).
     pub fn get(&self, scheme: &str) -> Result<Arc<dyn UrlContextFactory>> {
-        self.factories
-            .read()
-            .get(&scheme.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| NamingError::NoProvider {
-                scheme: scheme.to_string(),
-            })
+        let factories = self.factories.read();
+        let found = if scheme.bytes().any(|b| b.is_ascii_uppercase()) {
+            factories.get(&scheme.to_ascii_lowercase())
+        } else {
+            factories.get(scheme)
+        };
+        found.cloned().ok_or_else(|| NamingError::NoProvider {
+            scheme: scheme.to_string(),
+        })
     }
 
     /// Registered schemes, sorted.
@@ -132,6 +136,12 @@ impl FactoryChain {
 
     pub fn add_object_factory(&mut self, f: Arc<dyn ObjectFactory>) {
         self.object.push(f);
+    }
+
+    /// Whether the chain holds no factory at all, so both directions pass
+    /// every value through unchanged.
+    pub fn is_empty(&self) -> bool {
+        self.state.is_empty() && self.object.is_empty()
     }
 
     /// Apply the state-factory chain (bind direction).
@@ -869,8 +879,9 @@ impl Interceptor for MarshalInterceptor {
 ///
 /// Each call derives a child [`TraceCtx`] from the op's annotation (or
 /// mints a fresh root when the op enters untraced), re-annotates the op so
-/// layers below — and, through [`NamingOp::with_name`] and the wire frame,
-/// federation hops and remote servers — join the same trace, then records
+/// layers below — and, because the federation driver re-targets the same
+/// op at each hop and the wire frame carries the context, federation hops
+/// and remote servers — join the same trace, then records
 /// one finished [`SpanRecord`] plus the `rndi_ops_total` /
 /// `rndi_op_duration_ns` instruments for `(provider, op, layer)`.
 ///

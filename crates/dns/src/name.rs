@@ -1,20 +1,35 @@
-//! Domain names: dotted labels, case-insensitive, stored leaf-first.
+//! Domain names: dotted labels, case-insensitive, leaf label first.
 
+use std::borrow::Borrow;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-/// A fully qualified domain name. `labels[0]` is the leftmost (leaf)
-/// label; the root is the empty label sequence.
-#[derive(Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+/// A fully qualified domain name, held as its lower-cased dotted text
+/// without the trailing dot (`dcl.mathcs.emory.edu`; the root is the empty
+/// text). A name and its ancestors share one text: [`DnsName::parent`] and
+/// [`DnsName::suffix`] move an offset instead of copying labels, and a
+/// clone is a reference-count step, so a resolver can probe every ancestor
+/// of a name — and keep each as a cache key — without allocating.
+#[derive(Clone)]
 pub struct DnsName {
-    labels: Vec<String>,
+    text: Arc<str>,
+    /// Byte offset of this name's leaf label in `text`.
+    start: usize,
 }
 
 impl DnsName {
     /// The DNS root.
     pub fn root() -> Self {
         DnsName::default()
+    }
+
+    fn from_text(text: String) -> Self {
+        DnsName {
+            text: text.into(),
+            start: 0,
+        }
     }
 
     /// Parse a dotted name; a trailing dot (FQDN form) is accepted and
@@ -24,7 +39,6 @@ impl DnsName {
         if s.is_empty() {
             return Ok(DnsName::root());
         }
-        let mut labels = Vec::new();
         for label in s.split('.') {
             if label.is_empty() {
                 return Err(format!("empty label in {s:?}"));
@@ -38,84 +52,165 @@ impl DnsName {
             {
                 return Err(format!("invalid character in label {label:?}"));
             }
-            labels.push(label.to_ascii_lowercase());
         }
-        if labels.iter().map(|l| l.len() + 1).sum::<usize>() > 255 {
+        // Wire length: one length octet per label plus the label bytes.
+        if s.len() + 1 > 255 {
             return Err(format!("name too long: {s:?}"));
         }
-        Ok(DnsName { labels })
+        Ok(DnsName::from_text(s.to_ascii_lowercase()))
     }
 
+    /// Join pre-split labels, leaf first, lower-casing them. No validation:
+    /// this is how the wire decoder and tests build names.
     pub fn from_labels<I, S>(labels: I) -> DnsName
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
-        DnsName {
-            labels: labels
-                .into_iter()
-                .map(|l| l.into().to_ascii_lowercase())
-                .collect(),
+        let mut text = String::new();
+        for (i, label) in labels.into_iter().enumerate() {
+            if i > 0 {
+                text.push('.');
+            }
+            text.push_str(&label.into());
         }
+        text.make_ascii_lowercase();
+        DnsName::from_text(text)
+    }
+
+    /// The dotted text, leaf label first, without the trailing dot; empty
+    /// for the root.
+    pub fn as_str(&self) -> &str {
+        &self.text[self.start..]
     }
 
     /// Leaf-first labels.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
+    pub fn labels(&self) -> impl Iterator<Item = &str> {
+        let text = self.as_str();
+        text.split('.').filter(move |_| !text.is_empty())
     }
 
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.as_str().is_empty()
     }
 
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels().count()
     }
 
     /// The parent name (dropping the leaf label); `None` at the root.
     pub fn parent(&self) -> Option<DnsName> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(DnsName {
-                labels: self.labels[1..].to_vec(),
-            })
+        let text = self.as_str();
+        if text.is_empty() {
+            return None;
         }
+        let skip = text.find('.').map_or(text.len(), |dot| dot + 1);
+        Some(DnsName {
+            text: self.text.clone(),
+            start: self.start + skip,
+        })
     }
 
     /// Prepend a label.
     pub fn child(&self, label: &str) -> DnsName {
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label.to_ascii_lowercase());
-        labels.extend(self.labels.iter().cloned());
-        DnsName { labels }
+        let parent = self.as_str();
+        let mut text = String::with_capacity(label.len() + 1 + parent.len());
+        text.push_str(label);
+        if !parent.is_empty() {
+            text.push('.');
+            text.push_str(parent);
+        }
+        text.make_ascii_lowercase();
+        DnsName::from_text(text)
     }
 
     /// Whether `self` equals or is beneath `zone` (suffix match).
     pub fn is_under(&self, zone: &DnsName) -> bool {
-        if zone.labels.len() > self.labels.len() {
-            return false;
+        let (name, zone) = (self.as_str(), zone.as_str());
+        match name.len().checked_sub(zone.len()) {
+            None => false,
+            Some(0) => name == zone,
+            Some(cut) => {
+                zone.is_empty() || (name.ends_with(zone) && name.as_bytes()[cut - 1] == b'.')
+            }
         }
-        let offset = self.labels.len() - zone.labels.len();
-        self.labels[offset..] == zone.labels[..]
     }
 
     /// The trailing `n` labels (a suffix name).
     pub fn suffix(&self, n: usize) -> DnsName {
-        let n = n.min(self.labels.len());
+        let text = self.as_str();
+        // The suffix starts after the (n+1)-th dot from the right.
+        let start = match n {
+            0 => text.len(),
+            _ => text
+                .rmatch_indices('.')
+                .nth(n - 1)
+                .map_or(0, |(dot, _)| dot + 1),
+        };
         DnsName {
-            labels: self.labels[self.labels.len() - n..].to_vec(),
+            text: self.text.clone(),
+            start: self.start + start,
         }
+    }
+}
+
+impl Default for DnsName {
+    fn default() -> Self {
+        DnsName::from_text(String::new())
+    }
+}
+
+impl PartialEq for DnsName {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for DnsName {}
+
+impl std::hash::Hash for DnsName {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state)
+    }
+}
+
+impl PartialOrd for DnsName {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for DnsName {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.as_str().cmp(other.as_str())
+    }
+}
+
+/// Maps keyed by `DnsName` can be probed with the dotted text (`Eq`, `Ord`
+/// and `Hash` above are the text's own).
+impl Borrow<str> for DnsName {
+    fn borrow(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl Serialize for DnsName {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::String(self.as_str().to_string())
+    }
+}
+
+impl Deserialize for DnsName {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        v.as_str()
+            .map(|text| DnsName::from_labels([text]))
+            .ok_or_else(|| serde::Error::custom("expected a dotted name"))
     }
 }
 
 impl fmt::Display for DnsName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
-            f.write_str(".")
-        } else {
-            write!(f, "{}.", self.labels.join("."))
-        }
+        write!(f, "{}.", self.as_str())
     }
 }
 
@@ -139,7 +234,10 @@ mod tests {
     #[test]
     fn parse_and_display() {
         let n = DnsName::parse("dcl.MathCS.Emory.edu").unwrap();
-        assert_eq!(n.labels(), ["dcl", "mathcs", "emory", "edu"]);
+        assert_eq!(
+            n.labels().collect::<Vec<_>>(),
+            ["dcl", "mathcs", "emory", "edu"]
+        );
         assert_eq!(n.to_string(), "dcl.mathcs.emory.edu.");
         assert_eq!(DnsName::parse("dcl.mathcs.emory.edu.").unwrap(), n);
     }

@@ -6,8 +6,11 @@
 //! in for glue/A-record resolution of the real protocol).
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
+use rndi_obs::metrics::Counter;
 
 use crate::name::DnsName;
 use crate::rr::{RData, RecordType, ResourceRecord};
@@ -16,8 +19,8 @@ use crate::server::{AuthServer, Rcode};
 /// Resolution failures.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ResolveError {
-    /// Authoritative denial.
-    NxDomain(String),
+    /// Authoritative denial of this name.
+    NxDomain(DnsName),
     /// Referral loop / depth exceeded / unreachable nameserver.
     ServFail(String),
 }
@@ -33,11 +36,87 @@ impl std::fmt::Display for ResolveError {
 
 impl std::error::Error for ResolveError {}
 
-#[derive(Clone)]
+/// Most lines the cache holds. Distinct names are an input the caller
+/// controls (a client resolving made-up names mints one negative line
+/// each), so the cache is bounded: at the bound it drops what has expired,
+/// then the oldest lines.
+pub const MAX_CACHE_LINES: usize = 65_536;
+
+/// Lines left after an eviction pass. Evicting an eighth at a time keeps
+/// the pass (linear in the cache) off all but one in 8192 inserts.
+const CACHE_LINES_AFTER_EVICTION: usize = MAX_CACHE_LINES - MAX_CACHE_LINES / 8;
+
 struct CacheLine {
     expires_at_ms: u64,
+    /// Insertion order: eviction drops the lowest first.
+    seq: u64,
     /// `None` encodes a negative (NXDOMAIN) entry.
     records: Option<Vec<ResourceRecord>>,
+}
+
+/// One map per record type, each keyed by the name alone, so a lookup
+/// hashes the caller's `DnsName` where it stands (through `Borrow<str>`)
+/// instead of assembling an owned `(name, type)` key.
+#[derive(Default)]
+struct Cache {
+    by_type: [HashMap<DnsName, CacheLine>; RecordType::COUNT],
+    next_seq: u64,
+}
+
+impl Cache {
+    fn len(&self) -> usize {
+        self.by_type.iter().map(HashMap::len).sum()
+    }
+
+    /// Insert a line, first making room if the cache is at its bound.
+    /// Returns how many lines that evicted.
+    fn insert(
+        &mut self,
+        name: &DnsName,
+        rtype: RecordType,
+        expires_at_ms: u64,
+        records: Option<Vec<ResourceRecord>>,
+        now_ms: u64,
+    ) -> u64 {
+        let evicted = if self.len() >= MAX_CACHE_LINES {
+            self.evict(now_ms)
+        } else {
+            0
+        };
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.by_type[rtype as usize].insert(
+            name.clone(),
+            CacheLine {
+                expires_at_ms,
+                seq,
+                records,
+            },
+        );
+        evicted
+    }
+
+    /// Drop expired lines, then the oldest ones down to
+    /// [`CACHE_LINES_AFTER_EVICTION`].
+    fn evict(&mut self, now_ms: u64) -> u64 {
+        let before = self.len();
+        for lines in &mut self.by_type {
+            lines.retain(|_, line| now_ms < line.expires_at_ms);
+        }
+        let excess = self.len().saturating_sub(CACHE_LINES_AFTER_EVICTION);
+        if excess > 0 {
+            let mut seqs: Vec<u64> = self
+                .by_type
+                .iter()
+                .flat_map(|lines| lines.values().map(|line| line.seq))
+                .collect();
+            let (_, &mut newest_dropped, _) = seqs.select_nth_unstable(excess - 1);
+            for lines in &mut self.by_type {
+                lines.retain(|_, line| line.seq > newest_dropped);
+            }
+        }
+        (before - self.len()) as u64
+    }
 }
 
 /// Cache statistics.
@@ -46,6 +125,36 @@ pub struct ResolverStats {
     pub hits: u64,
     pub misses: u64,
     pub upstream_queries: u64,
+    /// Lines dropped to keep the cache under [`MAX_CACHE_LINES`].
+    pub evictions: u64,
+}
+
+/// The process-wide instruments every resolver reports into, looked up in
+/// the registry once rather than by label strings on each resolution.
+struct Instruments {
+    resolve: rndi_obs::ServerOp,
+    cache_hits: Arc<Counter>,
+    cache_misses: Arc<Counter>,
+    cache_evictions: Arc<Counter>,
+}
+
+fn instruments() -> &'static Instruments {
+    static INSTRUMENTS: OnceLock<Instruments> = OnceLock::new();
+    INSTRUMENTS.get_or_init(|| {
+        use rndi_obs::metrics::{counter, names};
+        let cache_event = |event| {
+            counter(
+                names::CACHE_EVENTS,
+                &[("provider", "minidns"), ("event", event)],
+            )
+        };
+        Instruments {
+            resolve: rndi_obs::ServerOp::new("minidns", "resolve"),
+            cache_hits: cache_event("hit"),
+            cache_misses: cache_event("miss"),
+            cache_evictions: cache_event("eviction"),
+        }
+    })
 }
 
 /// An iterative, caching resolver.
@@ -68,8 +177,11 @@ pub struct Resolver {
     roots: Vec<AuthServer>,
     /// Nameserver hostname → server handle (glue).
     servers: HashMap<DnsName, AuthServer>,
-    cache: Mutex<HashMap<(DnsName, RecordType), CacheLine>>,
-    stats: Mutex<ResolverStats>,
+    cache: Mutex<Cache>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+    upstream_queries: AtomicU64,
+    evictions: AtomicU64,
     negative_ttl_ms: u64,
     max_referrals: usize,
 }
@@ -79,8 +191,11 @@ impl Resolver {
         Resolver {
             roots,
             servers: HashMap::new(),
-            cache: Mutex::new(HashMap::new()),
-            stats: Mutex::new(ResolverStats::default()),
+            cache: Mutex::new(Cache::default()),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            upstream_queries: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
             negative_ttl_ms: 30_000,
             max_referrals: 16,
         }
@@ -92,7 +207,17 @@ impl Resolver {
     }
 
     pub fn stats(&self) -> ResolverStats {
-        *self.stats.lock()
+        ResolverStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            upstream_queries: self.upstream_queries.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Lines currently cached (positive and negative).
+    pub fn cache_len(&self) -> usize {
+        self.cache.lock().len()
     }
 
     /// [`Resolver::resolve`] carrying the caller's trace context: the
@@ -106,34 +231,31 @@ impl Resolver {
         now_ms: u64,
         trace: Option<&rndi_obs::TraceCtx>,
     ) -> Result<Vec<ResourceRecord>, ResolveError> {
-        use rndi_obs::metrics::names;
         let start = std::time::Instant::now();
         let result = self.resolve(name, rtype, now_ms);
-        rndi_obs::metrics::counter(
-            names::SERVER_OPS,
-            &[("server", "minidns"), ("op", "resolve")],
-        )
-        .inc();
-        rndi_obs::metrics::histogram(
-            names::SERVER_DURATION,
-            &[("server", "minidns"), ("op", "resolve")],
-        )
-        .record_duration(start.elapsed());
-        if let Some(ctx) = trace {
-            rndi_obs::trace::record(rndi_obs::SpanRecord::new(
-                &ctx.child(),
-                "server",
-                "minidns",
-                "resolve",
-                if result.is_ok() {
-                    rndi_obs::SpanOutcome::Ok
-                } else {
-                    rndi_obs::SpanOutcome::Err
-                },
-                start.elapsed(),
-            ));
-        }
+        instruments()
+            .resolve
+            .observe(start.elapsed(), result.is_ok(), trace);
         result
+    }
+
+    /// Store an answer, counting whatever the bound made it push out.
+    fn remember(
+        &self,
+        name: &DnsName,
+        rtype: RecordType,
+        ttl_ms: u64,
+        records: Option<Vec<ResourceRecord>>,
+        now_ms: u64,
+    ) {
+        let evicted = self
+            .cache
+            .lock()
+            .insert(name, rtype, now_ms + ttl_ms, records, now_ms);
+        if evicted > 0 {
+            self.evictions.fetch_add(evicted, Ordering::Relaxed);
+            instruments().cache_evictions.add(evicted);
+        }
     }
 
     /// Resolve `name`/`rtype` at virtual time `now_ms`.
@@ -146,18 +268,23 @@ impl Resolver {
         // Cache consultation.
         {
             let mut cache = self.cache.lock();
-            if let Some(line) = cache.get(&(name.clone(), rtype)) {
+            let lines = &mut cache.by_type[rtype as usize];
+            if let Some(line) = lines.get(name.as_str()) {
                 if now_ms < line.expires_at_ms {
-                    self.stats.lock().hits += 1;
-                    return match &line.records {
+                    let answer = match &line.records {
                         Some(rrs) => Ok(rrs.clone()),
-                        None => Err(ResolveError::NxDomain(name.to_string())),
+                        None => Err(ResolveError::NxDomain(name.clone())),
                     };
+                    drop(cache);
+                    self.hits.fetch_add(1, Ordering::Relaxed);
+                    instruments().cache_hits.inc();
+                    return answer;
                 }
-                cache.remove(&(name.clone(), rtype));
+                lines.remove(name.as_str());
             }
         }
-        self.stats.lock().misses += 1;
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        instruments().cache_misses.inc();
 
         let mut candidates: Vec<AuthServer> = self.roots.clone();
         for _hop in 0..self.max_referrals {
@@ -166,7 +293,7 @@ impl Resolver {
                     "no reachable nameserver for {name}"
                 )));
             };
-            self.stats.lock().upstream_queries += 1;
+            self.upstream_queries.fetch_add(1, Ordering::Relaxed);
             let resp = server.query(name, rtype);
             match resp.rcode {
                 Rcode::NoError if resp.is_referral() => {
@@ -193,24 +320,12 @@ impl Resolver {
                         .map(|r| r.ttl as u64 * 1000)
                         .min()
                         .unwrap_or(self.negative_ttl_ms);
-                    self.cache.lock().insert(
-                        (name.clone(), rtype),
-                        CacheLine {
-                            expires_at_ms: now_ms + ttl_ms,
-                            records: Some(resp.answers.clone()),
-                        },
-                    );
+                    self.remember(name, rtype, ttl_ms, Some(resp.answers.clone()), now_ms);
                     return Ok(resp.answers);
                 }
                 Rcode::NxDomain => {
-                    self.cache.lock().insert(
-                        (name.clone(), rtype),
-                        CacheLine {
-                            expires_at_ms: now_ms + self.negative_ttl_ms,
-                            records: None,
-                        },
-                    );
-                    return Err(ResolveError::NxDomain(name.to_string()));
+                    self.remember(name, rtype, self.negative_ttl_ms, None, now_ms);
+                    return Err(ResolveError::NxDomain(name.clone()));
                 }
                 Rcode::Refused | Rcode::ServFail => {
                     return Err(ResolveError::ServFail(format!(
@@ -334,5 +449,76 @@ mod tests {
             RData::Txt(t) => assert_eq!(t, "hdns://host2:8085"),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn cache_is_bounded_under_made_up_names() {
+        // One zone, nothing in it but the apex: every name asked is a new
+        // negative line.
+        let server = AuthServer::new();
+        let mut zone = Zone::new(DnsName::parse("example").unwrap());
+        zone.insert(ResourceRecord::txt("example", 60, "apex"));
+        server.add_zone(zone);
+        let r = Resolver::new(vec![server]);
+        for i in 0..200_000u32 {
+            let name = DnsName::parse(&format!("made-up-{i}.example")).unwrap();
+            assert!(matches!(
+                r.resolve(&name, RecordType::Txt, 0),
+                Err(ResolveError::NxDomain(_))
+            ));
+            assert!(r.cache_len() <= MAX_CACHE_LINES, "after {i} names");
+            if i % 1_000 == 0 {
+                // Asked again straight away, the same name is a hit —
+                // also right after an eviction pass made room for it.
+                let hits = r.stats().hits;
+                assert!(r.resolve(&name, RecordType::Txt, 0).is_err());
+                assert_eq!(r.stats().hits, hits + 1, "second ask of name {i}");
+            }
+        }
+        let stats = r.stats();
+        assert_eq!(stats.misses, 200_000);
+        assert_eq!(
+            stats.evictions as usize + r.cache_len(),
+            200_000,
+            "every line is either still cached or was counted out"
+        );
+        // The newest lines survive, the oldest went first.
+        let newest = DnsName::parse("made-up-199999.example").unwrap();
+        let oldest = DnsName::parse("made-up-0.example").unwrap();
+        let upstream = r.stats().upstream_queries;
+        assert!(r.resolve(&newest, RecordType::Txt, 0).is_err());
+        assert_eq!(r.stats().upstream_queries, upstream, "newest still cached");
+        assert!(r.resolve(&oldest, RecordType::Txt, 0).is_err());
+        assert_eq!(r.stats().upstream_queries, upstream + 1, "oldest evicted");
+    }
+
+    #[test]
+    fn eviction_drops_expired_lines_before_live_ones() {
+        let server = AuthServer::new();
+        let mut zone = Zone::new(DnsName::parse("example").unwrap());
+        zone.insert(ResourceRecord::txt("keep.example", 3_600, "long-lived"));
+        server.add_zone(zone);
+        let r = Resolver::new(vec![server]);
+        // The oldest line of all, but with an hour to live.
+        let keep = DnsName::parse("keep.example").unwrap();
+        r.resolve(&keep, RecordType::Txt, 0).unwrap();
+        // Fill to the bound with 30-second negative lines, then ask one
+        // more name after they have all expired.
+        for i in 1..MAX_CACHE_LINES as u32 {
+            let name = DnsName::parse(&format!("n{i}.example")).unwrap();
+            let _ = r.resolve(&name, RecordType::Txt, 0);
+        }
+        assert_eq!(r.cache_len(), MAX_CACHE_LINES);
+        let late = DnsName::parse("late.example").unwrap();
+        let _ = r.resolve(&late, RecordType::Txt, 60_000);
+        assert_eq!(
+            r.cache_len(),
+            2,
+            "only the live line and the new one remain"
+        );
+        assert_eq!(r.stats().evictions as usize, MAX_CACHE_LINES - 1);
+        let upstream = r.stats().upstream_queries;
+        r.resolve(&keep, RecordType::Txt, 60_000).unwrap();
+        assert_eq!(r.stats().upstream_queries, upstream, "live line kept");
     }
 }

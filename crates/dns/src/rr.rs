@@ -20,6 +20,9 @@ pub enum RecordType {
 }
 
 impl RecordType {
+    /// How many record types there are (`self as usize` indexes them).
+    pub const COUNT: usize = 7;
+
     /// Protocol number.
     pub fn code(self) -> u16 {
         match self {

@@ -33,7 +33,7 @@ pub enum ZoneAnswer {
 pub struct Zone {
     origin: DnsName,
     /// name → records at that name.
-    records: BTreeMap<String, Vec<ResourceRecord>>,
+    records: BTreeMap<DnsName, Vec<ResourceRecord>>,
 }
 
 impl Zone {
@@ -57,24 +57,20 @@ impl Zone {
             rr.name,
             self.origin
         );
-        self.records
-            .entry(rr.name.to_string())
-            .or_default()
-            .push(rr);
+        self.records.entry(rr.name.clone()).or_default().push(rr);
     }
 
     /// Remove every record of a given type at a name; returns the removed
     /// count (used by zone maintenance tooling).
     pub fn remove(&mut self, name: &DnsName, rtype: RecordType) -> usize {
-        let key = name.to_string();
-        let Some(list) = self.records.get_mut(&key) else {
+        let Some(list) = self.records.get_mut(name) else {
             return 0;
         };
         let before = list.len();
         list.retain(|r| r.rtype() != rtype);
         let removed = before - list.len();
         if list.is_empty() {
-            self.records.remove(&key);
+            self.records.remove(name);
         }
         removed
     }
@@ -97,7 +93,7 @@ impl Zone {
             if candidate == self.origin {
                 continue;
             }
-            if let Some(rrs) = self.records.get(&candidate.to_string()) {
+            if let Some(rrs) = self.records.get(&candidate) {
                 let ns: Vec<ResourceRecord> = rrs
                     .iter()
                     .filter(|r| r.rtype() == RecordType::Ns)
@@ -130,7 +126,7 @@ impl Zone {
                 return ZoneAnswer::Referral(ns);
             }
         }
-        let Some(rrs) = self.records.get(&name.to_string()) else {
+        let Some(rrs) = self.records.get(name) else {
             return ZoneAnswer::NxDomain;
         };
         // CNAME handling: if the name has a CNAME and the query is not for
@@ -144,7 +140,7 @@ impl Zone {
             };
             let mut answers = Vec::new();
             for _ in 0..8 {
-                if let Some(rrs) = self.records.get(&target.to_string()) {
+                if let Some(rrs) = self.records.get(&target) {
                     if let Some(next) = rrs.iter().find(|r| r.rtype() == RecordType::Cname) {
                         chain.push(next.clone());
                         target = match &next.rdata {

@@ -7,12 +7,11 @@
 //! recovery scenarios.
 
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use rndi_obs::metrics::names;
-use rndi_obs::{SpanOutcome, SpanRecord, TraceCtx};
+use rndi_obs::{ServerOp, TraceCtx};
 
 use groupcast::{Addr, Cluster, StackConfig};
 
@@ -62,6 +61,26 @@ pub struct HdnsRealm {
     config: StackConfig,
     nodes: Arc<Mutex<Vec<Arc<Mutex<HdnsNode>>>>>,
     data_dir: Option<PathBuf>,
+    write_instruments: Arc<WriteInstruments>,
+}
+
+/// The labels of the write ops a realm counts, in [`WriteInstruments`]
+/// slot order.
+const WRITE_OPS: [&str; 6] = [
+    "bind",
+    "rebind",
+    "unbind",
+    "rename",
+    "create_subcontext",
+    "modify_attributes",
+];
+
+/// A realm's per-op instruments under `server="hdns:<group>"`, each
+/// resolved on that op's first write and held from then on.
+struct WriteInstruments {
+    /// `hdns:<group>`.
+    server: Arc<str>,
+    by_op: [OnceLock<ServerOp>; WRITE_OPS.len()],
 }
 
 impl HdnsRealm {
@@ -87,6 +106,10 @@ impl HdnsRealm {
             config,
             nodes: Arc::new(Mutex::new(Vec::new())),
             data_dir,
+            write_instruments: Arc::new(WriteInstruments {
+                server: format!("hdns:{group}").into(),
+                by_op: Default::default(),
+            }),
         };
         for i in 0..replicas {
             realm.spawn_replica(i);
@@ -158,18 +181,19 @@ impl HdnsRealm {
         self.cluster.stable_round();
     }
 
-    fn op_label(op: &Op) -> &'static str {
+    /// The op's slot in [`WRITE_OPS`].
+    fn op_slot(op: &Op) -> usize {
         match op {
             Op::Bind {
                 overwrite: false, ..
-            } => "bind",
+            } => 0,
             Op::Bind {
                 overwrite: true, ..
-            } => "rebind",
-            Op::Unbind { .. } => "unbind",
-            Op::Rename { .. } => "rename",
-            Op::CreateContext { .. } => "create_subcontext",
-            Op::SetAttrs { .. } => "modify_attributes",
+            } => 1,
+            Op::Unbind { .. } => 2,
+            Op::Rename { .. } => 3,
+            Op::CreateContext { .. } => 4,
+            Op::SetAttrs { .. } => 5,
         }
     }
 
@@ -183,30 +207,13 @@ impl HdnsRealm {
         op: Op,
         trace: Option<&TraceCtx>,
     ) -> Result<(), RealmError> {
-        let label = Self::op_label(&op);
+        let slot = Self::op_slot(&op);
         let start = Instant::now();
         let result = self.write_inner(node, op);
-        let server = format!("hdns:{}", self.group);
-        rndi_obs::metrics::counter(names::SERVER_OPS, &[("server", &server), ("op", label)]).inc();
-        rndi_obs::metrics::histogram(
-            names::SERVER_DURATION,
-            &[("server", &server), ("op", label)],
-        )
-        .record_duration(start.elapsed());
-        if let Some(client_ctx) = trace {
-            rndi_obs::trace::record(SpanRecord::new(
-                &client_ctx.child(),
-                "server",
-                server.as_str(),
-                label,
-                if result.is_ok() {
-                    SpanOutcome::Ok
-                } else {
-                    SpanOutcome::Err
-                },
-                start.elapsed(),
-            ));
-        }
+        let obs = &self.write_instruments;
+        obs.by_op[slot]
+            .get_or_init(|| ServerOp::new(obs.server.clone(), WRITE_OPS[slot]))
+            .observe(start.elapsed(), result.is_ok(), trace);
         result
     }
 

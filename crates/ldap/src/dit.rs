@@ -88,9 +88,16 @@ impl Dit {
     /// Root-first map key: `o=emory` before its whole subtree, which makes
     /// the subtree a contiguous `entries` range.
     fn tree_key(dn: &Dn) -> String {
-        let mut parts: Vec<String> = dn.rdns().iter().map(|r| r.normalized()).collect();
-        parts.reverse();
-        parts.join(&KEY_SEP.to_string())
+        let rdns = dn.rdns();
+        let mut key =
+            String::with_capacity(rdns.iter().map(|r| r.attr.len() + r.value.len() + 2).sum());
+        for (i, rdn) in rdns.iter().rev().enumerate() {
+            if i > 0 {
+                key.push(KEY_SEP);
+            }
+            rdn.write_normalized(&mut key);
+        }
+        key
     }
 
     fn index_entry(&mut self, key: &str, entry: &LdapEntry) {
@@ -184,6 +191,19 @@ impl Dit {
             .any(|(_, e)| e.dn != *dn && e.dn.is_under(dn))
     }
 
+    /// Put `entry` at its DN: over the leaf entry already there, or as a
+    /// new entry under an existing parent. On any error the tree is as it
+    /// was.
+    pub fn replace(&mut self, entry: LdapEntry) -> Result<(), DitError> {
+        if !self.contains(&entry.dn) {
+            return self.add(entry);
+        }
+        if self.has_children(&entry.dn) {
+            return Err(DitError::NotAllowedOnNonLeaf(entry.dn.to_string()));
+        }
+        self.update(entry)
+    }
+
     /// Replace an entry's content in place (same DN).
     pub fn update(&mut self, entry: LdapEntry) -> Result<(), DitError> {
         let key = Self::tree_key(&entry.dn);
@@ -255,6 +275,43 @@ impl Dit {
         }
     }
 
+    /// Count which read path serves a search with this posting: a
+    /// posting-set walk (index) or the scope range scan. Handles are cached
+    /// in a static so the hot path pays one atomic increment, not a
+    /// registry lock.
+    fn count_read_path(posting: &Posting<'_>) {
+        let [index_reads, scan_reads] = read_path_counters();
+        if matches!(posting, Posting::Unindexed) {
+            scan_reads.inc();
+        } else {
+            index_reads.inc();
+        }
+    }
+
+    /// A `Base`-scope search: the entry at `base` when it matches `filter`.
+    /// One keyed probe; the hit is still verified against the exact
+    /// (case-preserving) DN and the full filter, as every candidate of
+    /// [`Dit::search`] is.
+    pub fn search_base(
+        &self,
+        base: &Dn,
+        filter: &LdapFilter,
+    ) -> Result<Option<&LdapEntry>, DitError> {
+        let base_key = Self::tree_key(base);
+        let at_base = self.entries.get(&base_key);
+        if at_base.is_none() && !base.is_root() {
+            return Err(DitError::NoSuchObject(base.to_string()));
+        }
+        let posting = self.filter_posting(filter);
+        Self::count_read_path(&posting);
+        let pruned = match posting {
+            Posting::Unindexed => false,
+            Posting::Empty => true,
+            Posting::Keys(keys) => !keys.contains(&base_key),
+        };
+        Ok(at_base.filter(|e| !pruned && e.dn == *base && filter.matches(e)))
+    }
+
     /// Search from `base` with the given scope and filter.
     ///
     /// Index-driven: an equality conjunct in the filter turns the search
@@ -270,7 +327,11 @@ impl Dit {
         filter: &LdapFilter,
         size_limit: usize,
     ) -> Result<Vec<&LdapEntry>, DitError> {
-        if !base.is_root() && !self.contains(base) {
+        if scope == Scope::Base {
+            return Ok(self.search_base(base, filter)?.into_iter().collect());
+        }
+        let base_key = Self::tree_key(base);
+        if !base.is_root() && !self.entries.contains_key(&base_key) {
             return Err(DitError::NoSuchObject(base.to_string()));
         }
         let in_scope = |e: &LdapEntry| match scope {
@@ -283,17 +344,11 @@ impl Dit {
         } else {
             size_limit
         };
+        let mut prefix = base_key.clone();
+        prefix.push(KEY_SEP);
         let mut out = Vec::new();
         let posting = self.filter_posting(filter);
-        // Record which read path served the search: a posting-set walk
-        // (index) or the scope range scan. Handles are cached in a static
-        // so the hot path pays one atomic increment, not a registry lock.
-        let [index_reads, scan_reads] = read_path_counters();
-        if matches!(posting, Posting::Unindexed) {
-            scan_reads.inc();
-        } else {
-            index_reads.inc();
-        }
+        Self::count_read_path(&posting);
         match posting {
             Posting::Empty => {}
             Posting::Keys(keys) => {
@@ -301,22 +356,15 @@ impl Dit {
                 // `entries`, so under a non-root base only the base's own
                 // key and its contiguous `base + KEY_SEP` range can be in
                 // scope — not the whole posting set.
-                let base_key = Self::tree_key(base);
-                let mut prefix = base_key.clone();
-                prefix.push(KEY_SEP);
                 let candidates: Box<dyn Iterator<Item = &String>> = if base.is_root() {
                     Box::new(keys.iter())
                 } else {
-                    let own = keys.get(&base_key).into_iter();
-                    match scope {
-                        Scope::Base => Box::new(own),
-                        Scope::OneLevel | Scope::Subtree => Box::new(
-                            own.chain(
-                                keys.range::<String, _>(&prefix..)
-                                    .take_while(|k| k.starts_with(&prefix)),
-                            ),
+                    Box::new(
+                        keys.get(&base_key).into_iter().chain(
+                            keys.range::<String, _>(&prefix..)
+                                .take_while(|k| k.starts_with(&prefix)),
                         ),
-                    }
+                    )
                 };
                 for key in candidates {
                     let Some(e) = self.entries.get(key) else {
@@ -330,44 +378,30 @@ impl Dit {
                     }
                 }
             }
-            Posting::Unindexed => match scope {
-                Scope::Base => {
-                    // Keyed probe; `in_scope` re-checks exact (case-
-                    // preserving) DN equality, matching the scan semantics.
-                    if let Some(e) = self.get(base) {
-                        if in_scope(e) && filter.matches(e) {
-                            out.push(e);
+            Posting::Unindexed if base.is_root() => {
+                for e in self.entries.values() {
+                    if in_scope(e) && filter.matches(e) {
+                        out.push(e);
+                        if out.len() >= cap {
+                            break;
                         }
                     }
                 }
-                Scope::OneLevel | Scope::Subtree if base.is_root() => {
-                    for e in self.entries.values() {
-                        if in_scope(e) && filter.matches(e) {
-                            out.push(e);
-                            if out.len() >= cap {
-                                break;
-                            }
+            }
+            Posting::Unindexed => {
+                let range = self
+                    .entries
+                    .range::<String, _>(&base_key..)
+                    .take_while(|(k, _)| **k == base_key || k.starts_with(&prefix));
+                for (_, e) in range {
+                    if in_scope(e) && filter.matches(e) {
+                        out.push(e);
+                        if out.len() >= cap {
+                            break;
                         }
                     }
                 }
-                Scope::OneLevel | Scope::Subtree => {
-                    let base_key = Self::tree_key(base);
-                    let mut prefix = base_key.clone();
-                    prefix.push(KEY_SEP);
-                    let range = self
-                        .entries
-                        .range(base_key.clone()..)
-                        .take_while(|(k, _)| **k == base_key || k.starts_with(&prefix));
-                    for (_, e) in range {
-                        if in_scope(e) && filter.matches(e) {
-                            out.push(e);
-                            if out.len() >= cap {
-                                break;
-                            }
-                        }
-                    }
-                }
-            },
+            }
         }
         Ok(out)
     }

@@ -47,7 +47,16 @@ impl Rdn {
 
     /// Normalized form used as a map key.
     pub fn normalized(&self) -> String {
-        format!("{}={}", self.attr, self.value.to_ascii_lowercase())
+        let mut out = String::with_capacity(self.attr.len() + 1 + self.value.len());
+        self.write_normalized(&mut out);
+        out
+    }
+
+    /// Append [`Rdn::normalized`] to `out`.
+    pub fn write_normalized(&self, out: &mut String) {
+        out.push_str(&self.attr);
+        out.push('=');
+        out.extend(self.value.chars().map(|c| c.to_ascii_lowercase()));
     }
 }
 

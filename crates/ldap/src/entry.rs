@@ -1,5 +1,6 @@
 //! Directory entries.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
@@ -19,6 +20,16 @@ pub struct LdapAttr {
 pub struct LdapEntry {
     pub dn: Dn,
     attrs: BTreeMap<String, LdapAttr>,
+}
+
+/// The map key of an attribute id: its lower-cased form, borrowed when the
+/// id already is lower case.
+fn attr_key(id: &str) -> Cow<'_, str> {
+    if id.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(id.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(id)
+    }
 }
 
 impl LdapEntry {
@@ -80,7 +91,7 @@ impl LdapEntry {
     }
 
     pub fn get(&self, id: &str) -> Option<&LdapAttr> {
-        self.attrs.get(&id.to_ascii_lowercase())
+        self.attrs.get(attr_key(id).as_ref())
     }
 
     /// First value of an attribute.
@@ -91,7 +102,7 @@ impl LdapEntry {
     }
 
     pub fn has(&self, id: &str) -> bool {
-        self.attrs.contains_key(&id.to_ascii_lowercase())
+        self.attrs.contains_key(attr_key(id).as_ref())
     }
 
     /// Whether the attribute holds `value` (case-insensitive).

@@ -1,11 +1,10 @@
 //! The directory server: connections, authentication, result codes.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use rndi_obs::metrics::names;
-use rndi_obs::{SpanOutcome, SpanRecord, TraceCtx};
+use rndi_obs::TraceCtx;
 
 use crate::dit::{Dit, DitError, Scope};
 use crate::dn::{Dn, Rdn};
@@ -98,6 +97,58 @@ struct Inner {
     dit: Dit,
     throttle: Option<ReadThrottle>,
     stats: ServerStats,
+}
+
+impl Inner {
+    /// Count one read and pass it through the anti-DoS throttle; returns
+    /// the delay the throttle imposes on it.
+    fn admit_read(&mut self, now_ms: u64) -> u64 {
+        self.stats.searches += 1;
+        match self.throttle.as_mut().map(|t| t.admit(now_ms)) {
+            Some(Admit::After(d)) => {
+                self.stats.throttled += 1;
+                d
+            }
+            _ => 0,
+        }
+    }
+}
+
+/// The operations a connection counts, times and traces.
+#[derive(Clone, Copy)]
+enum ServerOp {
+    Add,
+    Delete,
+    Modify,
+    Replace,
+    Search,
+}
+
+impl ServerOp {
+    fn label(self) -> &'static str {
+        match self {
+            ServerOp::Add => "add",
+            ServerOp::Delete => "delete",
+            ServerOp::Modify => "modify",
+            ServerOp::Replace => "replace",
+            ServerOp::Search => "search",
+        }
+    }
+
+    /// This op's instruments, resolved on its first use and held from
+    /// then on.
+    fn instruments(self) -> &'static rndi_obs::ServerOp {
+        static BY_OP: [OnceLock<rndi_obs::ServerOp>; 5] = [const { OnceLock::new() }; 5];
+        BY_OP[self as usize].get_or_init(|| rndi_obs::ServerOp::new("dirserv", self.label()))
+    }
+}
+
+/// [`LdapFilter::match_all`] for every [`Connection::read`], built once
+/// and spelt in lower case (attribute ids compare case-insensitively) so
+/// matching it needs no case folding.
+fn match_all() -> &'static LdapFilter {
+    static FILTER: OnceLock<LdapFilter> = OnceLock::new();
+    FILTER.get_or_init(|| LdapFilter::Present("objectclass".into()))
 }
 
 /// The directory server (cheaply cloneable handle).
@@ -208,29 +259,14 @@ impl Connection {
     /// span linked into the client's trace.
     fn observe<T>(
         &self,
-        op: &'static str,
+        op: ServerOp,
         trace: Option<&TraceCtx>,
         f: impl FnOnce() -> LdapResult<T>,
     ) -> LdapResult<T> {
         let start = Instant::now();
         let result = f();
-        rndi_obs::metrics::counter(names::SERVER_OPS, &[("server", "dirserv"), ("op", op)]).inc();
-        rndi_obs::metrics::histogram(names::SERVER_DURATION, &[("server", "dirserv"), ("op", op)])
-            .record_duration(start.elapsed());
-        if let Some(ctx) = trace {
-            rndi_obs::trace::record(SpanRecord::new(
-                &ctx.child(),
-                "server",
-                "dirserv",
-                op,
-                if result.is_ok() {
-                    SpanOutcome::Ok
-                } else {
-                    SpanOutcome::Err
-                },
-                start.elapsed(),
-            ));
-        }
+        op.instruments()
+            .observe(start.elapsed(), result.is_ok(), trace);
         result
     }
 
@@ -244,6 +280,18 @@ impl Connection {
         Ok(())
     }
 
+    /// What a write of a whole entry checks before it takes the lock: this
+    /// connection may write, and the entry fits the schema.
+    fn admit_entry(&self, entry: &LdapEntry) -> LdapResult<()> {
+        self.guard_write()?;
+        if self.server.config.validate_schema {
+            if let Err(reason) = self.server.config.schema.validate(entry) {
+                return Err((ResultCode::ObjectClassViolation, reason));
+            }
+        }
+        Ok(())
+    }
+
     /// Add an entry.
     pub fn add(&self, entry: LdapEntry) -> LdapResult<()> {
         self.add_traced(entry, None)
@@ -251,13 +299,8 @@ impl Connection {
 
     /// [`Connection::add`] carrying the caller's trace context.
     pub fn add_traced(&self, entry: LdapEntry, trace: Option<&TraceCtx>) -> LdapResult<()> {
-        self.observe("add", trace, || {
-            self.guard_write()?;
-            if self.server.config.validate_schema {
-                if let Err(reason) = self.server.config.schema.validate(&entry) {
-                    return Err((ResultCode::ObjectClassViolation, reason));
-                }
-            }
+        self.observe(ServerOp::Add, trace, || {
+            self.admit_entry(&entry)?;
             let mut inner = self.server.inner.lock();
             inner.stats.writes += 1;
             inner.dit.add(entry).map_err(dit_err)
@@ -271,11 +314,27 @@ impl Connection {
 
     /// [`Connection::delete`] carrying the caller's trace context.
     pub fn delete_traced(&self, dn: &Dn, trace: Option<&TraceCtx>) -> LdapResult<()> {
-        self.observe("delete", trace, || {
+        self.observe(ServerOp::Delete, trace, || {
             self.guard_write()?;
             let mut inner = self.server.inner.lock();
             inner.stats.writes += 1;
             inner.dit.delete(dn).map(|_| ()).map_err(dit_err)
+        })
+    }
+
+    /// Put `entry` at its DN whether or not an entry is there already: the
+    /// content of a leaf entry is replaced, an absent one is added. One
+    /// operation under one lock — a reader sees the old entry or the new
+    /// one, never neither — and all-or-nothing: the schema is checked
+    /// before anything is touched, an entry with children is refused
+    /// (`NotAllowedOnNonLeaf`), a missing parent too, and a refusal leaves
+    /// what was there in place.
+    pub fn replace_traced(&self, entry: LdapEntry, trace: Option<&TraceCtx>) -> LdapResult<()> {
+        self.observe(ServerOp::Replace, trace, || {
+            self.admit_entry(&entry)?;
+            let mut inner = self.server.inner.lock();
+            inner.stats.writes += 1;
+            inner.dit.replace(entry).map_err(dit_err)
         })
     }
 
@@ -291,7 +350,7 @@ impl Connection {
         mods: &[Modification],
         trace: Option<&TraceCtx>,
     ) -> LdapResult<()> {
-        self.observe("modify", trace, || self.modify_inner(dn, mods))
+        self.observe(ServerOp::Modify, trace, || self.modify_inner(dn, mods))
     }
 
     fn modify_inner(&self, dn: &Dn, mods: &[Modification]) -> LdapResult<()> {
@@ -356,7 +415,7 @@ impl Connection {
         now_ms: u64,
         trace: Option<&TraceCtx>,
     ) -> LdapResult<SearchOutcome> {
-        self.observe("search", trace, || {
+        self.observe(ServerOp::Search, trace, || {
             self.search_inner(base, scope, filter, attrs, now_ms)
         })
     }
@@ -371,14 +430,7 @@ impl Connection {
     ) -> LdapResult<SearchOutcome> {
         let size_limit = self.server.config.size_limit;
         let mut inner = self.server.inner.lock();
-        inner.stats.searches += 1;
-        let delay_ms = match inner.throttle.as_mut().map(|t| t.admit(now_ms)) {
-            Some(Admit::After(d)) => {
-                inner.stats.throttled += 1;
-                d
-            }
-            _ => 0,
-        };
+        let delay_ms = inner.admit_read(now_ms);
         let entries = inner
             .dit
             .search(base, scope, filter, size_limit)
@@ -389,14 +441,28 @@ impl Connection {
         Ok(SearchOutcome { entries, delay_ms })
     }
 
-    /// Fetch one entry by DN (a base-scope search convenience).
+    /// Fetch one entry by DN with the throttle delay imposed on the read:
+    /// what a base-scope match-all [`Connection::search`] answers, as one
+    /// keyed probe that copies the one entry.
     pub fn read(&self, dn: &Dn, now_ms: u64) -> LdapResult<(LdapEntry, u64)> {
-        let out = self.search(dn, Scope::Base, &LdapFilter::match_all(), None, now_ms)?;
-        out.entries
-            .into_iter()
-            .next()
-            .map(|e| (e, out.delay_ms))
-            .ok_or_else(|| (ResultCode::NoSuchObject, dn.to_string()))
+        self.read_traced(dn, now_ms, None)
+    }
+
+    /// [`Connection::read`] carrying the caller's trace context.
+    pub fn read_traced(
+        &self,
+        dn: &Dn,
+        now_ms: u64,
+        trace: Option<&TraceCtx>,
+    ) -> LdapResult<(LdapEntry, u64)> {
+        self.observe(ServerOp::Search, trace, || {
+            let mut inner = self.server.inner.lock();
+            let delay_ms = inner.admit_read(now_ms);
+            match inner.dit.search_base(dn, match_all()).map_err(dit_err)? {
+                Some(entry) => Ok((entry.clone(), delay_ms)),
+                None => Err((ResultCode::NoSuchObject, dn.to_string())),
+            }
+        })
     }
 
     /// LDAP compare: does `dn` carry `attr=value`?

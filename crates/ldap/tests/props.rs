@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use dirserv::{Dit, Dn, LdapEntry, LdapFilter, Rdn, Scope};
+use dirserv::{DirectoryServer, Dit, Dn, LdapEntry, LdapFilter, Rdn, Scope, ServerConfig};
 
 fn dn_strategy() -> impl Strategy<Value = Dn> {
     proptest::collection::vec(("[a-c]", "[a-d]{1,2}"), 1..4).prop_map(|rdns| {
@@ -13,6 +13,17 @@ fn dn_strategy() -> impl Strategy<Value = Dn> {
         }
         dn
     })
+}
+
+/// `dn` with every RDN value in upper case: the same entry to the tree's
+/// normalised keys, a different DN to exact comparison.
+fn shouted(dn: &Dn) -> Dn {
+    Dn::from_rdns(
+        dn.rdns()
+            .iter()
+            .map(|r| Rdn::new(r.attr.clone(), r.value.to_ascii_uppercase()))
+            .collect(),
+    )
 }
 
 #[derive(Clone, Debug)]
@@ -150,7 +161,11 @@ proptest! {
             "(cn=*)".to_string(),
             format!("(!(cn={needle}))"),
         ];
+        // Each base also in upper case: it finds the same tree key, and
+        // only the exact-DN re-check keeps `Base` scope from answering it.
         let mut all_bases = vec![Dn::root()];
+        all_bases.extend(bases.iter().map(shouted));
+        all_bases.extend(dit.iter().take(2).map(|e| shouted(&e.dn)));
         all_bases.extend(bases);
         for base in &all_bases {
             for scope in [Scope::Base, Scope::OneLevel, Scope::Subtree] {
@@ -186,6 +201,59 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+proptest! {
+    /// `Connection::read(dn)` is the first entry of a base-scope match-all
+    /// `search(dn)`: same entry, same `NoSuchObject` (a missing DN, an
+    /// entry without `objectClass`, a differently-cased DN that the exact
+    /// re-check turns away), same throttle delay, same counters. Two
+    /// identical servers are driven in lockstep, because every read spends
+    /// a throttle admission.
+    #[test]
+    fn read_is_a_base_scope_match_all_search(
+        entries in proptest::collection::vec((dn_strategy(), any::<bool>()), 0..16),
+        probes in proptest::collection::vec((dn_strategy(), any::<bool>(), 0u64..400), 1..24),
+    ) {
+        let server = || {
+            let s = DirectoryServer::new(ServerConfig {
+                validate_schema: false,
+                read_throttle_per_sec: Some(3),
+                ..Default::default()
+            });
+            let conn = s.connect_anonymous();
+            for (dn, classed) in &entries {
+                let mut e = LdapEntry::new(dn.clone()).with("cn", "x");
+                if *classed {
+                    e = e.with("objectClass", "device");
+                }
+                let _ = conn.add(e);
+            }
+            s
+        };
+        let (by_read, by_search) = (server(), server());
+        let (reader, searcher) = (by_read.connect_anonymous(), by_search.connect_anonymous());
+        let mut now_ms = 0;
+        // Every entry's own DN is probed too, so hits are not left to luck.
+        let own = entries.iter().map(|(dn, _)| (dn.clone(), false, 40));
+        for (dn, shout, step_ms) in own.chain(probes) {
+            now_ms += step_ms;
+            let dn = if shout { shouted(&dn) } else { dn };
+            let read = reader.read(&dn, now_ms);
+            let searched = searcher
+                .search(&dn, Scope::Base, &LdapFilter::match_all(), None, now_ms)
+                .and_then(|out| {
+                    let delay_ms = out.delay_ms;
+                    out.entries
+                        .into_iter()
+                        .next()
+                        .map(|e| (e, delay_ms))
+                        .ok_or_else(|| (dirserv::ResultCode::NoSuchObject, dn.to_string()))
+                });
+            prop_assert_eq!(read, searched, "dn {} at {} ms", dn, now_ms);
+        }
+        prop_assert_eq!(by_read.stats(), by_search.stats());
     }
 }
 

@@ -32,4 +32,4 @@ pub mod trace;
 pub use metrics::{Counter, Gauge, Histogram, Registry};
 pub use recorder::{FlightConfig, FlightRecorder};
 pub use snapshot::{HealthSummary, MetricsSnapshot};
-pub use trace::{RingSink, SpanOutcome, SpanRecord, TraceCell, TraceCtx, TraceSink};
+pub use trace::{RingSink, ServerOp, SpanOutcome, SpanRecord, TraceCell, TraceCtx, TraceSink};

@@ -16,7 +16,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 
-use crate::metrics::{self, names, Counter};
+use crate::metrics::{self, names, Counter, Histogram};
 
 /// Default capacity of the process-wide span ring buffer.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
@@ -580,6 +580,53 @@ pub fn record(span: SpanRecord) {
         sink.record(&span);
     }
     ring().push(span);
+}
+
+/// What a server keeps per operation it serves: the
+/// `rndi_server_ops_total` / `rndi_server_duration_ns` series of
+/// `(server, op)` and the labels of the op's `server`-layer span. The series
+/// are looked up in the process-wide registry once, here, so counting an
+/// operation afterwards is two atomic steps and no label strings.
+pub struct ServerOp {
+    ops: Arc<Counter>,
+    duration: Arc<Histogram>,
+    server: Arc<str>,
+    op: &'static str,
+}
+
+impl ServerOp {
+    pub fn new(server: impl Into<Arc<str>>, op: &'static str) -> Self {
+        let server = server.into();
+        let labels = [("server", &*server), ("op", op)];
+        ServerOp {
+            ops: metrics::counter(names::SERVER_OPS, &labels),
+            duration: metrics::histogram(names::SERVER_DURATION, &labels),
+            server,
+            op,
+        }
+    }
+
+    /// Count and time one finished operation; when the caller shipped a
+    /// trace context, also record a `server`-layer span as its child, which
+    /// links the operation into the caller's trace.
+    pub fn observe(&self, took: std::time::Duration, ok: bool, caller: Option<&TraceCtx>) {
+        self.ops.inc();
+        self.duration.record_duration(took);
+        if let Some(ctx) = caller {
+            record(SpanRecord::new(
+                &ctx.child(),
+                "server",
+                self.server.clone(),
+                self.op,
+                if ok {
+                    SpanOutcome::Ok
+                } else {
+                    SpanOutcome::Err
+                },
+                took,
+            ));
+        }
+    }
 }
 
 /// Install an additional sink alongside the ring buffer.

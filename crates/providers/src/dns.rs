@@ -76,19 +76,59 @@ impl DnsProviderContext {
 
     /// DNS name for the first `k` components of a composite name:
     /// components map to labels, most significant first in the composite
-    /// ⇒ appended leaf-outward under the anchor.
+    /// ⇒ appended leaf-outward under the anchor. The whole name is built
+    /// and validated once (every label non-empty, ≤ 63 bytes, in the DNS
+    /// charset; ≤ 255 bytes in all); the name of each shorter prefix is
+    /// then an ancestor of it — see [`Self::without`].
     fn dns_name(&self, name: &CompositeName, k: usize) -> Result<DnsName> {
-        let mut out = self.anchor.clone();
-        for c in name.components().iter().take(k) {
-            out = out.child(c);
-            if DnsName::parse(&out.to_string()).is_err() {
-                return Err(NamingError::invalid_name(
-                    name.to_string(),
-                    "component is not a valid DNS label",
-                ));
+        let components = &name.components()[..k];
+        if components.is_empty() {
+            return Ok(self.anchor.clone());
+        }
+        let anchor = self.anchor.as_str();
+        let mut text = String::with_capacity(
+            components.iter().map(|c| c.len() + 1).sum::<usize>() + anchor.len(),
+        );
+        for c in components.iter().rev() {
+            text.push_str(c);
+            text.push('.');
+        }
+        text.push_str(anchor);
+        DnsName::parse(&text).map_err(|_| {
+            NamingError::invalid_name(name.to_string(), "component is not a valid DNS label")
+        })
+    }
+
+    /// `dns_name` with its last component (`leaf`) taken off again: the
+    /// ancestor above the labels that component contributed (one, unless it
+    /// contains dots). Shares the text of `dns_name`; copies nothing.
+    fn without(dns_name: DnsName, leaf: &str) -> DnsName {
+        let labels = leaf.matches('.').count() + 1;
+        (0..labels).fold(dns_name, |n, _| n.parent().unwrap_or(n))
+    }
+
+    /// The longest-bound-prefix walk shared by reads and writes: probe the
+    /// first `from` components of `name`, then each shorter prefix down to
+    /// the anchor, and hand back the first TXT value found with the prefix
+    /// length and DNS name it was found at. Every prefix is probed — a
+    /// zone answers NXDOMAIN for an empty non-terminal, so a miss says
+    /// nothing about the names below it.
+    fn longest_bound_prefix(
+        &self,
+        name: &CompositeName,
+        from: usize,
+        trace: Option<&rndi_obs::TraceCtx>,
+    ) -> Result<Option<(usize, DnsName, BoundValue)>> {
+        let mut dns_name = self.dns_name(name, from)?;
+        for k in (0..=from).rev() {
+            if let Some(text) = self.txt_at(&dns_name, trace)? {
+                return Ok(Some((k, dns_name, Self::decode(text))));
+            }
+            if k > 0 {
+                dns_name = Self::without(dns_name, &name.components()[k - 1]);
             }
         }
-        Ok(out)
+        Ok(None)
     }
 
     fn txt_at(
@@ -100,8 +140,8 @@ impl DnsProviderContext {
             .resolver
             .resolve_traced(dns_name, RecordType::Txt, self.clock.now_ms(), trace)
         {
-            Ok(rrs) => Ok(rrs.iter().find_map(|rr| match &rr.rdata {
-                RData::Txt(t) => Some(t.clone()),
+            Ok(rrs) => Ok(rrs.into_iter().find_map(|rr| match rr.rdata {
+                RData::Txt(t) => Some(t),
                 _ => None,
             })),
             Err(ResolveError::NxDomain(_)) => Ok(None),
@@ -109,11 +149,11 @@ impl DnsProviderContext {
         }
     }
 
-    fn decode(text: &str) -> BoundValue {
-        if looks_like_url(text) {
+    fn decode(text: String) -> BoundValue {
+        if looks_like_url(&text) {
             BoundValue::Reference(Reference::url(text))
         } else {
-            BoundValue::Str(text.to_string())
+            BoundValue::Str(text)
         }
     }
 
@@ -126,19 +166,15 @@ impl DnsProviderContext {
         name: &CompositeName,
         trace: Option<&rndi_obs::TraceCtx>,
     ) -> Result<NamingError> {
-        for k in (0..name.len()).rev() {
-            let dns_name = self.dns_name(name, k)?;
-            let Some(text) = self.txt_at(&dns_name, trace)? else {
-                continue;
-            };
-            let value = Self::decode(&text);
-            if value.is_federation_link() {
-                return Ok(NamingError::Continue {
-                    resolved: value,
-                    remaining: name.suffix(k),
-                });
+        if let Some(strict) = name.len().checked_sub(1) {
+            if let Some((k, _, value)) = self.longest_bound_prefix(name, strict, trace)? {
+                if value.is_federation_link() {
+                    return Ok(NamingError::Continue {
+                        resolved: value,
+                        remaining: name.suffix(k),
+                    });
+                }
             }
-            break;
         }
         Ok(NamingError::unsupported(
             "DNS updates are administrative (edit the zone)",
@@ -152,32 +188,22 @@ impl DnsProviderContext {
     ) -> Result<BoundValue> {
         if name.is_empty() {
             // The anchor itself: return its TXT value if any.
-            let text = self
+            return self
                 .txt_at(&self.anchor, trace)?
-                .ok_or_else(|| NamingError::not_found(self.anchor.to_string()))?;
-            return Ok(Self::decode(&text));
+                .map(Self::decode)
+                .ok_or_else(|| NamingError::not_found(self.anchor.to_string()));
         }
-        // Longest bound prefix wins.
-        for k in (0..=name.len()).rev() {
-            let dns_name = self.dns_name(name, k)?;
-            let Some(text) = self.txt_at(&dns_name, trace)? else {
-                continue;
-            };
-            let value = Self::decode(&text);
-            if k == name.len() {
-                return Ok(value);
-            }
-            if value.is_federation_link() {
-                return Err(NamingError::Continue {
-                    resolved: value,
-                    remaining: name.suffix(k),
-                });
-            }
-            return Err(NamingError::NotAContext {
+        match self.longest_bound_prefix(name, name.len(), trace)? {
+            Some((k, _, value)) if k == name.len() => Ok(value),
+            Some((k, _, value)) if value.is_federation_link() => Err(NamingError::Continue {
+                resolved: value,
+                remaining: name.suffix(k),
+            }),
+            Some((_, dns_name, _)) => Err(NamingError::NotAContext {
                 name: dns_name.to_string(),
-            });
+            }),
+            None => Err(NamingError::not_found(name.to_string())),
         }
-        Err(NamingError::not_found(name.to_string()))
     }
 
     fn get_attributes(
@@ -193,7 +219,7 @@ impl DnsProviderContext {
         {
             Ok(rrs) if !rrs.is_empty() => Ok(Attributes::new().with("ttl", rrs[0].ttl.to_string())),
             Ok(_) => Ok(Attributes::new()),
-            Err(ResolveError::NxDomain(n)) => Err(NamingError::not_found(n)),
+            Err(ResolveError::NxDomain(n)) => Err(NamingError::not_found(n.to_string())),
             Err(e) => Err(NamingError::service(e.to_string())),
         }
     }
@@ -447,5 +473,244 @@ mod tests {
             ctx.lookup_str("bad label"),
             Err(NamingError::InvalidName { .. }) | Err(NamingError::NameNotFound { .. })
         ));
+    }
+
+    // ------------------------------------------------------ the oracle --
+    //
+    // The walk as it was before the whole name was built once: each prefix
+    // rebuilt label by label and re-validated from scratch, one probe per
+    // prefix. Kept as the reference the property test compares against.
+
+    fn dns_name_oracle(
+        ctx: &DnsProviderContext,
+        name: &CompositeName,
+        k: usize,
+    ) -> Result<DnsName> {
+        let mut out = ctx.anchor.clone();
+        for c in name.components().iter().take(k) {
+            out = out.child(c);
+            if DnsName::parse(&out.to_string()).is_err() {
+                return Err(NamingError::invalid_name(
+                    name.to_string(),
+                    "component is not a valid DNS label",
+                ));
+            }
+        }
+        Ok(out)
+    }
+
+    fn lookup_oracle(ctx: &DnsProviderContext, name: &CompositeName) -> Result<BoundValue> {
+        if name.is_empty() {
+            let text = ctx
+                .txt_at(&ctx.anchor, None)?
+                .ok_or_else(|| NamingError::not_found(ctx.anchor.to_string()))?;
+            return Ok(DnsProviderContext::decode(text));
+        }
+        for k in (0..=name.len()).rev() {
+            let dns_name = dns_name_oracle(ctx, name, k)?;
+            let Some(text) = ctx.txt_at(&dns_name, None)? else {
+                continue;
+            };
+            let value = DnsProviderContext::decode(text);
+            if k == name.len() {
+                return Ok(value);
+            }
+            if value.is_federation_link() {
+                return Err(NamingError::Continue {
+                    resolved: value,
+                    remaining: name.suffix(k),
+                });
+            }
+            return Err(NamingError::NotAContext {
+                name: dns_name.to_string(),
+            });
+        }
+        Err(NamingError::not_found(name.to_string()))
+    }
+
+    fn continue_write_oracle(
+        ctx: &DnsProviderContext,
+        name: &CompositeName,
+    ) -> Result<NamingError> {
+        for k in (0..name.len()).rev() {
+            let dns_name = dns_name_oracle(ctx, name, k)?;
+            let Some(text) = ctx.txt_at(&dns_name, None)? else {
+                continue;
+            };
+            let value = DnsProviderContext::decode(text);
+            if value.is_federation_link() {
+                return Ok(NamingError::Continue {
+                    resolved: value,
+                    remaining: name.suffix(k),
+                });
+            }
+            break;
+        }
+        Ok(NamingError::unsupported(
+            "DNS updates are administrative (edit the zone)",
+        ))
+    }
+
+    /// A value or error flattened to text, so two outcomes compare by
+    /// variant and by every field the caller can see.
+    fn told(value: &BoundValue) -> String {
+        match value.as_reference() {
+            Some(r) => format!("link {:?}", r.url_addr()),
+            None => format!("text {:?}", value.as_str()),
+        }
+    }
+
+    fn outcome(result: Result<BoundValue>) -> String {
+        match result {
+            Ok(v) => format!("ok {}", told(&v)),
+            Err(e) => refusal(e),
+        }
+    }
+
+    fn refusal(e: NamingError) -> String {
+        match e {
+            NamingError::Continue {
+                resolved,
+                remaining,
+            } => format!("continue {} remaining {:?}", told(&resolved), remaining),
+            other => format!("{other:?}"),
+        }
+    }
+
+    /// A provider over a fresh resolver and one zone at `global.test`:
+    /// `records` are `(path under the anchor, kind)` with kind 0 a link
+    /// TXT, 1 a plain TXT, 2 an A record only (the name exists, no TXT).
+    fn zone_world(records: &[(Vec<String>, u8)]) -> (DnsProviderContext, Arc<Resolver>) {
+        let anchor = DnsName::parse("global.test").unwrap();
+        let mut zone = Zone::new(anchor.clone());
+        for (path, kind) in records {
+            let at = path
+                .iter()
+                .fold(anchor.clone(), |n, c| n.child(c))
+                .to_string();
+            zone.insert(match kind {
+                0 => ResourceRecord::txt(&at, 60, format!("hdns://h/{}", path.join("-"))),
+                1 => ResourceRecord::txt(&at, 60, "just-text"),
+                _ => ResourceRecord::a(&at, 60, [10, 0, 0, 1]),
+            });
+        }
+        let server = AuthServer::new();
+        server.add_zone(zone);
+        let resolver = Arc::new(Resolver::new(vec![server]));
+        let ctx = DnsProviderContext {
+            resolver: resolver.clone(),
+            anchor,
+            clock: Arc::new(ZeroClock),
+            instance: "prop".to_string(),
+        };
+        (ctx, resolver)
+    }
+
+    #[test]
+    fn a_miss_probes_every_prefix_exactly_once() {
+        // Nothing bound anywhere, the anchor included: a k-component lookup
+        // asks the resolver about k + 1 names, a write about k.
+        let (ctx, resolver) = zone_world(&[]);
+        let probes = || {
+            let s = resolver.stats();
+            s.hits + s.misses
+        };
+        for k in 1..=5usize {
+            let name =
+                CompositeName::from_components((0..k).map(|i| format!("c{i}")).collect::<Vec<_>>());
+            let before = probes();
+            assert!(matches!(
+                ctx.lookup(&name, None),
+                Err(NamingError::NameNotFound { .. })
+            ));
+            assert_eq!(probes() - before, k as u64 + 1, "lookup of {k} components");
+            let before = probes();
+            assert!(matches!(
+                ctx.continue_write(&name, None),
+                Ok(NamingError::NotSupported { .. })
+            ));
+            assert_eq!(probes() - before, k as u64, "write to {k} components");
+        }
+    }
+
+    #[test]
+    fn dotted_and_oversized_components_are_pinned() {
+        let (ctx, _) = zone_world(&[(vec!["b".into(), "a".into()], 0)]);
+        // A component containing a dot names two labels at once.
+        assert_eq!(
+            outcome(ctx.lookup(&CompositeName::from_components(["a.b"]), None)),
+            "ok link Some(\"hdns://h/b-a\")"
+        );
+        for bad in ["", "a..b", ".a", "a.", "bad label", &"x".repeat(64)] {
+            let name = CompositeName::from_components([bad, "tail"]);
+            assert!(
+                matches!(
+                    ctx.lookup(&name, None),
+                    Err(NamingError::InvalidName { .. })
+                ),
+                "{bad:?} rejected"
+            );
+            // A write never validates its last component, only the
+            // strict prefixes it probes.
+            let last_only = CompositeName::from_components(["ok", bad]);
+            assert!(
+                matches!(
+                    ctx.continue_write(&last_only, None),
+                    Ok(NamingError::NotSupported { .. })
+                ),
+                "{bad:?} as the last component of a write"
+            );
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn component() -> impl Strategy<Value = String> {
+            prop_oneof![
+                12 => "[abAB]",
+                3 => "[ab]\\.[abA]",
+                1 => Just(String::new()),
+                1 => Just("bad label".to_string()),
+                1 => Just("a..b".to_string()),
+                1 => Just("x".repeat(64)),
+                1 => Just("y".repeat(63)),
+            ]
+        }
+
+        fn name() -> impl Strategy<Value = Vec<String>> {
+            prop_oneof![
+                8 => proptest::collection::vec(component(), 0..6),
+                // 63-byte labels: three fit under the anchor, four make
+                // the name longer than 255 bytes.
+                1 => proptest::collection::vec(Just("y".repeat(63)), 3..6),
+            ]
+        }
+
+        fn records() -> impl Strategy<Value = Vec<(Vec<String>, u8)>> {
+            proptest::collection::vec((proptest::collection::vec("[ab]", 0..4), 0u8..3), 0..8)
+        }
+
+        proptest! {
+            /// The one-build walk and the per-prefix oracle agree on every
+            /// outcome — value, continuation (link and remaining name) or
+            /// error variant — for reads and for writes.
+            #[test]
+            fn the_walk_matches_its_oracle(records in records(), name in name()) {
+                let (ctx, _) = zone_world(&records);
+                let name = CompositeName::from_components(name);
+                prop_assert_eq!(
+                    outcome(ctx.lookup(&name, None)),
+                    outcome(lookup_oracle(&ctx, &name)),
+                    "lookup of {:?} over {:?}", name, records
+                );
+                prop_assert_eq!(
+                    ctx.continue_write(&name, None).map(refusal),
+                    continue_write_oracle(&ctx, &name).map(refusal),
+                    "write to {:?} over {:?}", name, records
+                );
+            }
+        }
     }
 }

@@ -120,17 +120,22 @@ impl LdapProviderContext {
         }
     }
 
-    /// DN for the first `k` components.
+    /// DN for the first `k` components: their RDNs leaf-first, then the
+    /// base's.
     fn dn(&self, name: &CompositeName, k: usize) -> Result<Dn> {
-        let mut dn = self.base.clone();
-        for c in name.components().iter().take(k) {
-            dn = dn.child(Self::component_rdn(c)?);
+        let components = name.components();
+        let k = k.min(components.len());
+        let mut rdns = Vec::with_capacity(k + self.base.depth());
+        for c in &components[..k] {
+            rdns.push(Self::component_rdn(c)?);
         }
-        Ok(dn)
+        rdns.reverse();
+        rdns.extend_from_slice(self.base.rdns());
+        Ok(Dn::from_rdns(rdns))
     }
 
-    fn read(&self, dn: &Dn) -> Result<Option<LdapEntry>> {
-        match self.conn.read(dn, self.clock.now_ms()) {
+    fn read(&self, dn: &Dn, trace: Option<&TraceCtx>) -> Result<Option<LdapEntry>> {
+        match self.conn.read_traced(dn, self.clock.now_ms(), trace) {
             Ok((entry, delay)) => {
                 *self.throttle_delay_ms.lock() += delay;
                 Ok(Some(entry))
@@ -150,12 +155,16 @@ impl LdapProviderContext {
     /// If the *base itself* is a federation mount, continue with an empty
     /// remaining name — used by `list`/`search`, whose base may denote a
     /// mounted foreign context.
-    fn check_base_mount(&self, name: &CompositeName) -> Result<Option<NamingError>> {
+    fn check_base_mount(
+        &self,
+        name: &CompositeName,
+        trace: Option<&TraceCtx>,
+    ) -> Result<Option<NamingError>> {
         if name.is_empty() {
             return Ok(None);
         }
         let dn = self.dn(name, name.len())?;
-        if let Some(entry) = self.read(&dn)? {
+        if let Some(entry) = self.read(&dn, trace)? {
             let v = Self::decode(&entry);
             if v.is_federation_link() {
                 return Ok(Some(NamingError::Continue {
@@ -168,10 +177,14 @@ impl LdapProviderContext {
     }
 
     /// Find a federation mount on a strict prefix of `name`.
-    fn check_mount(&self, name: &CompositeName) -> Result<Option<NamingError>> {
+    fn check_mount(
+        &self,
+        name: &CompositeName,
+        trace: Option<&TraceCtx>,
+    ) -> Result<Option<NamingError>> {
         for k in (1..name.len()).rev() {
             let dn = self.dn(name, k)?;
-            if let Some(entry) = self.read(&dn)? {
+            if let Some(entry) = self.read(&dn, trace)? {
                 let v = Self::decode(&entry);
                 if v.is_federation_link() {
                     return Ok(Some(NamingError::Continue {
@@ -201,12 +214,13 @@ impl LdapProviderContext {
     }
 
     fn build_entry(&self, dn: Dn, payload: Vec<u8>, attrs: &Attributes) -> Result<LdapEntry> {
-        let mut entry = LdapEntry::new(dn.clone());
-        entry.add_value(CLASS_ATTR, RNDI_CLASS);
         let rdn = dn
             .rdn()
-            .ok_or_else(|| NamingError::invalid_name("", "cannot bind the base DN"))?;
-        entry.add_value(&rdn.attr, rdn.value.clone());
+            .ok_or_else(|| NamingError::invalid_name("", "cannot bind the base DN"))?
+            .clone();
+        let mut entry = LdapEntry::new(dn);
+        entry.add_value(CLASS_ATTR, RNDI_CLASS);
+        entry.add_value(&rdn.attr, rdn.value);
         entry.add_value(
             VALUE_ATTR,
             String::from_utf8(payload)
@@ -224,14 +238,14 @@ impl LdapProviderContext {
 }
 
 impl LdapProviderContext {
-    fn lookup(&self, name: &CompositeName) -> Result<BoundValue> {
+    fn lookup(&self, name: &CompositeName, trace: Option<&TraceCtx>) -> Result<BoundValue> {
         if name.is_empty() {
             return Err(NamingError::invalid_name("", "empty name"));
         }
         let dn = self.dn(name, name.len())?;
-        match self.read(&dn)? {
+        match self.read(&dn, trace)? {
             Some(entry) => Ok(Self::decode(&entry)),
-            None => match self.check_mount(name)? {
+            None => match self.check_mount(name, trace)? {
                 Some(cont) => Err(cont),
                 None => Err(NamingError::not_found(dn.to_string())),
             },
@@ -266,8 +280,8 @@ impl LdapProviderContext {
             .map_err(|(c, d)| code_err(c, d))
     }
 
-    fn list(&self, name: &CompositeName) -> Result<Vec<NameClassPair>> {
-        if let Some(cont) = self.check_base_mount(name)? {
+    fn list(&self, name: &CompositeName, trace: Option<&TraceCtx>) -> Result<Vec<NameClassPair>> {
+        if let Some(cont) = self.check_base_mount(name, trace)? {
             return Err(cont);
         }
         let base = self.dn(name, name.len())?;
@@ -292,8 +306,12 @@ impl LdapProviderContext {
             .collect())
     }
 
-    fn list_bindings(&self, name: &CompositeName) -> Result<Vec<Binding>> {
-        if let Some(cont) = self.check_base_mount(name)? {
+    fn list_bindings(
+        &self,
+        name: &CompositeName,
+        trace: Option<&TraceCtx>,
+    ) -> Result<Vec<Binding>> {
+        if let Some(cont) = self.check_base_mount(name, trace)? {
             return Err(cont);
         }
         let base = self.dn(name, name.len())?;
@@ -341,10 +359,10 @@ impl LdapProviderContext {
         self.unbind(name, trace)
     }
 
-    fn get_attributes(&self, name: &CompositeName) -> Result<Attributes> {
+    fn get_attributes(&self, name: &CompositeName, trace: Option<&TraceCtx>) -> Result<Attributes> {
         let dn = self.dn(name, name.len())?;
         let entry = self
-            .read(&dn)?
+            .read(&dn, trace)?
             .ok_or_else(|| NamingError::not_found(dn.to_string()))?;
         Ok(Self::core_attrs(&entry))
     }
@@ -395,7 +413,7 @@ impl LdapProviderContext {
         attrs: &Attributes,
         trace: Option<&TraceCtx>,
     ) -> Result<()> {
-        if let Some(cont) = self.check_mount(name)? {
+        if let Some(cont) = self.check_mount(name, trace)? {
             return Err(cont);
         }
         let dn = self.dn(name, name.len())?;
@@ -412,17 +430,16 @@ impl LdapProviderContext {
         attrs: &Attributes,
         trace: Option<&TraceCtx>,
     ) -> Result<()> {
-        if let Some(cont) = self.check_mount(name)? {
+        if let Some(cont) = self.check_mount(name, trace)? {
             return Err(cont);
         }
         let dn = self.dn(name, name.len())?;
-        let entry = self.build_entry(dn.clone(), payload, attrs)?;
-        match self.conn.delete_traced(&dn, trace) {
-            Ok(()) | Err((ResultCode::NoSuchObject, _)) => {}
-            Err((code, detail)) => return Err(code_err(code, detail)),
-        }
+        let entry = self.build_entry(dn, payload, attrs)?;
+        // One server operation: the entry is validated, then swapped in
+        // under the server's lock, so a concurrent reader never finds the
+        // name unbound and a refused rebind leaves the old binding.
         self.conn
-            .add_traced(entry, trace)
+            .replace_traced(entry, trace)
             .map_err(|(c, d)| code_err(c, d))
     }
 
@@ -433,7 +450,7 @@ impl LdapProviderContext {
         controls: &SearchControls,
         trace: Option<&TraceCtx>,
     ) -> Result<Vec<SearchItem>> {
-        if let Some(cont) = self.check_base_mount(name)? {
+        if let Some(cont) = self.check_base_mount(name, trace)? {
             return Err(cont);
         }
         let base = self.dn(name, name.len())?;
@@ -480,7 +497,7 @@ impl ProviderBackend for LdapProviderContext {
         let trace = op.trace_ctx();
         let trace = trace.as_ref();
         match op.kind {
-            OpKind::Lookup => self.lookup(&op.name).map(OpOutcome::Value),
+            OpKind::Lookup => self.lookup(&op.name, trace).map(OpOutcome::Value),
             OpKind::Bind | OpKind::BindWithAttrs => {
                 let (payload, _) = op.wire_value()?;
                 let attrs = op.attrs.clone().unwrap_or_default();
@@ -497,15 +514,15 @@ impl ProviderBackend for LdapProviderContext {
             OpKind::Rename => self
                 .rename(&op.name, op.new_name()?)
                 .map(|_| OpOutcome::Done),
-            OpKind::List => self.list(&op.name).map(OpOutcome::Names),
-            OpKind::ListBindings => self.list_bindings(&op.name).map(OpOutcome::Bindings),
+            OpKind::List => self.list(&op.name, trace).map(OpOutcome::Names),
+            OpKind::ListBindings => self.list_bindings(&op.name, trace).map(OpOutcome::Bindings),
             OpKind::CreateSubcontext => self
                 .create_subcontext(&op.name, trace)
                 .map(|_| OpOutcome::Done),
             OpKind::DestroySubcontext => self
                 .destroy_subcontext(&op.name, trace)
                 .map(|_| OpOutcome::Done),
-            OpKind::GetAttributes => self.get_attributes(&op.name).map(OpOutcome::Attrs),
+            OpKind::GetAttributes => self.get_attributes(&op.name, trace).map(OpOutcome::Attrs),
             OpKind::ModifyAttributes => match &op.payload {
                 OpPayload::Mods(mods) => self
                     .modify_attributes(&op.name, mods, trace)
@@ -832,5 +849,84 @@ mod tests {
         );
         admin_ctx.bind_str("x", "v").unwrap();
         assert_eq!(anon_ctx.lookup_str("x").unwrap().as_str(), Some("v"));
+    }
+
+    #[test]
+    fn rebind_never_leaves_the_name_unbound() {
+        // A name that is only ever re-bound must resolve at every instant:
+        // the reader spins on `lookup` while 20 000 rebinds land.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc;
+
+        let (ctx, _) = setup();
+        ctx.bind_str("pinned", "v0").unwrap();
+        let done = AtomicBool::new(false);
+        let (reading, started) = mpsc::channel();
+        let (reads, failures) = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                let (mut reads, mut failures) = (0u64, Vec::new());
+                while !done.load(Ordering::Acquire) {
+                    if let Err(e) = ctx.lookup_str("pinned") {
+                        failures.push(e.to_string());
+                    }
+                    reads += 1;
+                    if reads == 1 {
+                        reading.send(()).expect("the writer waits for this");
+                    }
+                }
+                (reads, failures)
+            });
+            // The rebinds start only once the reader is running.
+            started.recv().expect("reader started");
+            for i in 0..20_000 {
+                ctx.rebind_str("pinned", format!("v{i}")).unwrap();
+            }
+            done.store(true, Ordering::Release);
+            reader.join().expect("reader thread")
+        });
+        assert!(reads > 1, "the reader ran alongside the rebinds");
+        assert!(
+            failures.is_empty(),
+            "{} of {reads} lookups failed, first: {}",
+            failures.len(),
+            failures[0]
+        );
+        assert_eq!(ctx.lookup_str("pinned").unwrap().as_str(), Some("v19999"));
+    }
+
+    #[test]
+    fn refused_rebind_keeps_the_old_binding() {
+        let (ctx, server) = setup();
+        ctx.bind_str("kept", "old").unwrap();
+        // A caller attribute the schema rejects: the server must refuse
+        // before it touches the entry.
+        let err = ctx
+            .rebind_with_attrs(
+                &"kept".into(),
+                BoundValue::str("new"),
+                Attributes::new().with("objectClass", "martian"),
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, NamingError::InvalidName { reason, .. } if reason == "schema violation"),
+            "unexpected {err:?}"
+        );
+        assert_eq!(ctx.lookup_str("kept").unwrap().as_str(), Some("old"));
+
+        // An entry with children is refused as before, and stays.
+        ctx.create_subcontext(&"unit".into()).unwrap();
+        ctx.bind_str("unit/leaf", "x").unwrap();
+        assert!(matches!(
+            ctx.rebind_str("unit", "flattened"),
+            Err(NamingError::ContextNotEmpty { .. })
+        ));
+        assert_eq!(ctx.lookup_str("unit/leaf").unwrap().as_str(), Some("x"));
+
+        // Absent names are simply bound; a missing parent is an error.
+        let entries = server.entry_count();
+        ctx.rebind_str("fresh", "1").unwrap();
+        assert_eq!(server.entry_count(), entries + 1);
+        assert!(ctx.rebind_str("ou=ghost/leaf", "1").is_err());
+        assert_eq!(server.entry_count(), entries + 1);
     }
 }

@@ -3,12 +3,19 @@
 //! one child span per mount, pipeline spans below those, and server-side
 //! spans at the leaves — all retrievable from the trace sink, and the
 //! exposition reports counters/histograms for every provider exercised.
+//! Likewise one `dns → hdns → ldap` lookup: one trace with a pipeline span
+//! per naming system and a server span per backend call, and server
+//! counters that advance once per call.
 
 use std::sync::Arc;
 
 use rndi::core::prelude::*;
 use rndi::providers::common::MsClock;
-use rndi::providers::{HdnsFactory, JiniFactory, LdapFactory};
+use rndi::providers::{DnsFactory, HdnsFactory, JiniFactory, LdapFactory};
+
+/// The tests below read process-wide counters as before/after deltas, so
+/// they take turns.
+static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 struct ZeroClock;
 impl MsClock for ZeroClock {
@@ -23,6 +30,24 @@ impl MsClock for ZeroClock {
 fn world() -> (InitialContext, Arc<ProviderRegistry>) {
     let clock: Arc<dyn MsClock> = Arc::new(ZeroClock);
     let registry = Arc::new(ProviderRegistry::new());
+
+    // DNS anchor of the federation: `dns://obs-global` links to HDNS.
+    let dns_server = rndi::dns::AuthServer::new();
+    let anchor = rndi::dns::DnsName::parse("obs-global.test").unwrap();
+    let mut zone = rndi::dns::Zone::new(anchor.clone());
+    zone.insert(rndi::dns::ResourceRecord::txt(
+        "obs-global.test",
+        60,
+        "hdns://obs-h0",
+    ));
+    dns_server.add_zone(zone);
+    let dns_factory = DnsFactory::new(clock.clone());
+    dns_factory.register_anchor(
+        "obs-global",
+        Arc::new(rndi::dns::Resolver::new(vec![dns_server])),
+        anchor,
+    );
+    registry.register(dns_factory);
 
     let hdns_realm = rndi::hdns::HdnsRealm::new(
         "obs-acc",
@@ -70,6 +95,7 @@ fn world() -> (InitialContext, Arc<ProviderRegistry>) {
 
 #[test]
 fn federated_search_produces_one_linked_trace_with_server_spans() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let (ctx, registry) = world();
 
     // Two mounts under the HDNS base, plus matching entries in each leaf.
@@ -181,6 +207,149 @@ fn federated_search_produces_one_linked_trace_with_server_spans() {
                     && provider_of(s).is_some_and(|p| p.starts_with(scheme))
             }),
             "latency histogram exposed for {scheme} providers"
+        );
+    }
+}
+
+#[test]
+fn federated_lookup_produces_one_trace_with_a_server_span_per_backend_call() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (ctx, _) = world();
+    ctx.bind(
+        "hdns://obs-h0/obs-fed-dept",
+        BoundValue::Reference(Reference::url("ldap://obs-dir")),
+    )
+    .unwrap();
+    ctx.bind("ldap://obs-dir/obs-fed-leaf", "found").unwrap();
+
+    let count =
+        |name: &str, labels: &[(&str, &str)]| rndi::obs::metrics::counter(name, labels).get();
+    let resolves = || {
+        count(
+            "rndi_server_ops_total",
+            &[("server", "minidns"), ("op", "resolve")],
+        )
+    };
+    let searches = || {
+        count(
+            "rndi_server_ops_total",
+            &[("server", "dirserv"), ("op", "search")],
+        )
+    };
+    let scans = || {
+        count(
+            "rndi_index_reads_total",
+            &[("server", "dirserv"), ("path", "scan")],
+        )
+    };
+    let cache = |event: &str| {
+        count(
+            "rndi_cache_events_total",
+            &[("provider", "minidns"), ("event", event)],
+        )
+    };
+
+    // Two components under the anchor: the DNS walk probes k + 1 = 3 names
+    // (both NXDOMAIN, then the anchor's link), HDNS resolves the department
+    // link from its replica, LDAP reads the leaf once.
+    let url = "dns://obs-global/obs-fed-dept/obs-fed-leaf";
+    let before = (resolves(), searches(), scans(), cache("hit"), cache("miss"));
+    assert_eq!(ctx.lookup(url).unwrap().as_str(), Some("found"));
+    assert_eq!(resolves() - before.0, 3, "one resolve per probed prefix");
+    assert_eq!(searches() - before.1, 1, "one directory read");
+    assert_eq!(scans() - before.2, 1, "served by the keyed scan path");
+    assert_eq!(
+        (cache("hit") - before.3, cache("miss") - before.4),
+        (0, 3),
+        "a cold resolver misses every probe"
+    );
+    // The same lookup again: same calls, all three probes from the cache.
+    assert_eq!(ctx.lookup(url).unwrap().as_str(), Some("found"));
+    assert_eq!(resolves() - before.0, 6);
+    assert_eq!(searches() - before.1, 2);
+    assert_eq!(scans() - before.2, 2);
+    assert_eq!(
+        (cache("hit") - before.3, cache("miss") - before.4),
+        (3, 3),
+        "a warm resolver hits every probe"
+    );
+
+    // One trace for the (second) lookup.
+    let ring = rndi::obs::trace::ring();
+    let root = ring
+        .snapshot()
+        .into_iter()
+        .rev()
+        .find(|s| {
+            s.layer == "federation" && s.op == "lookup" && s.provider.starts_with("dns:obs-global")
+        })
+        .expect("federation root span recorded");
+    assert_eq!((root.parent_span, root.depth), (0, 0));
+    let trace = ring.trace(root.trace_id);
+    assert_eq!(
+        trace.iter().filter(|s| s.parent_span == 0).count(),
+        1,
+        "exactly one root span in the trace"
+    );
+
+    let pipeline_of = |scheme: &str| {
+        let spans: Vec<_> = trace
+            .iter()
+            .filter(|s| s.layer == "pipeline" && s.provider.starts_with(scheme))
+            .collect();
+        assert_eq!(spans.len(), 1, "one pipeline span for {scheme}");
+        assert_eq!(
+            (spans[0].parent_span, spans[0].depth, spans[0].op.as_ref()),
+            (root.span_id, 1, "lookup"),
+            "{scheme} pipeline span hangs off the federation root"
+        );
+        spans[0]
+    };
+    let (dns, _hdns, ldap) = (
+        pipeline_of("dns:"),
+        pipeline_of("hdns:"),
+        pipeline_of("ldap:"),
+    );
+    assert_eq!(
+        trace.iter().filter(|s| s.layer == "pipeline").count(),
+        3,
+        "one hop per naming system, no more"
+    );
+
+    let server_spans = |provider: &str, op: &str| -> Vec<_> {
+        trace
+            .iter()
+            .filter(|s| s.layer == "server" && s.provider.as_ref() == provider && s.op == op)
+            .collect()
+    };
+    let probes = server_spans("minidns", "resolve");
+    assert_eq!(probes.len(), 3, "one server span per probed prefix");
+    assert!(
+        probes
+            .iter()
+            .all(|s| s.parent_span == dns.span_id && s.depth == 2),
+        "resolve spans hang off the DNS pipeline span"
+    );
+    let reads = server_spans("dirserv", "search");
+    assert_eq!(reads.len(), 1, "one server span for the directory read");
+    assert_eq!((reads[0].parent_span, reads[0].depth), (ldap.span_id, 2));
+    assert_eq!(
+        trace.iter().filter(|s| s.layer == "server").count(),
+        4,
+        "no other server calls"
+    );
+
+    // The resolver cache's behaviour is in the live exposition.
+    let text = rndi::core::spi::telemetry::render();
+    let samples = rndi::obs::expo::parse(&text).expect("exposition parses");
+    for event in ["hit", "miss", "eviction"] {
+        assert!(
+            samples.iter().any(|s| {
+                s.name == "rndi_cache_events_total"
+                    && s.label("provider") == Some("minidns")
+                    && s.label("event") == Some(event)
+            }),
+            "resolver cache {event} counter exposed"
         );
     }
 }
