@@ -32,7 +32,7 @@ use rndi_core::op::{NamingOp, OpKind, OpOutcome};
 use rndi_core::spi::ProviderBackend;
 use rndi_net::proto::{GossipReply, GossipRequest, MemberEntry, MemberState, ViewSummary};
 use rndi_net::{GossipHandler, MembershipStats, NetClient, NetServer, ServerConfig};
-use rndi_obs::metrics::{names, Registry};
+use rndi_obs::metrics::{names, Counter, Registry};
 
 use crate::bridge::{self, addr_of};
 use crate::config::ClusterConfig;
@@ -109,13 +109,12 @@ impl Inner {
             if self.blocked.contains(&ep) {
                 continue;
             }
-            let bytes = serde_json::to_vec(&out.wire).expect("wires serialize");
             self.outbox.push((
                 ep,
                 GossipRequest::Group {
                     group: self.group.clone(),
                     from: me.0,
-                    wire: bytes,
+                    wire: out.wire.encode(),
                 },
             ));
         }
@@ -226,6 +225,8 @@ impl ReplicaChannel for TcpChannel {
 struct Handler {
     inner: Arc<Mutex<Inner>>,
     epoch: Instant,
+    /// `rndi_cluster_undecodable_frames_total` in the node's registry.
+    undecodable_frames: Arc<Counter>,
 }
 
 impl GossipHandler for Handler {
@@ -261,23 +262,27 @@ impl GossipHandler for Handler {
                     }
                     inner.engine.note_contact(&name, now);
                 }
-                if let Ok(w) = serde_json::from_slice::<Wire>(&wire) {
-                    // Never regress the lineage: a candidate that healed
-                    // out of a minority partition keeps re-asserting its
-                    // stale view until gossip catches it up, and blindly
-                    // installing that would roll a majority-side member
-                    // back. (Same-seq conflicts cannot arise — a minority
-                    // can never reach the quorum needed to mint one.)
-                    let stale_install = match &w {
-                        Wire::InstallView(v) => {
-                            inner.core.view().is_some_and(|cur| v.id.seq < cur.id.seq)
-                        }
-                        _ => false,
-                    };
-                    if !stale_install {
-                        let outgoing = inner.core.on_wire(from, w);
-                        inner.deliver(outgoing);
+                let Ok(w) = Wire::decode(&wire) else {
+                    // Dropped, but not silently: the sender's protocol
+                    // step is lost with it.
+                    self.undecodable_frames.inc();
+                    return GossipReply::Ack;
+                };
+                // Never regress the lineage: a candidate that healed out of
+                // a minority partition keeps re-asserting its stale view
+                // until gossip catches it up, and blindly installing that
+                // would roll a majority-side member back. (Same-seq
+                // conflicts cannot arise — a minority can never reach the
+                // quorum needed to mint one.)
+                let stale_install = match &w {
+                    Wire::InstallView(v) => {
+                        inner.core.view().is_some_and(|cur| v.id.seq < cur.id.seq)
                     }
+                    _ => false,
+                };
+                if !stale_install {
+                    let outgoing = inner.core.on_wire(from, w);
+                    inner.deliver(outgoing);
                 }
                 GossipReply::Ack
             }
@@ -329,6 +334,7 @@ impl ClusterBackend {
                 }
             }
             if Instant::now() >= deadline {
+                self.hdns.lock().abandon(ticket);
                 return Err(NamingError::service("write not ordered within budget"));
             }
             std::thread::sleep(Duration::from_millis(1));
@@ -452,6 +458,7 @@ impl ClusterNode {
         server.set_gossip_handler(Arc::new(Handler {
             inner: inner.clone(),
             epoch,
+            undecodable_frames: registry.counter(names::CLUSTER_UNDECODABLE_FRAMES, &[]),
         }));
         let membership = server.membership_stats();
 
@@ -569,6 +576,8 @@ impl ClusterNode {
                 resolved => return resolved,
             }
             if Instant::now() >= deadline {
+                // Nobody holds the ticket after this: let it go.
+                self.hdns.lock().abandon(ticket);
                 return HdnsOutcome::Pending;
             }
             std::thread::sleep(Duration::from_millis(1));
@@ -788,13 +797,12 @@ fn queue_install(inner: &mut Inner, view: &groupcast::View, names: &[String], me
         if inner.blocked.contains(&ep) {
             continue;
         }
-        let bytes = serde_json::to_vec(&Wire::InstallView(view.clone())).expect("wires serialize");
         inner.outbox.push((
             ep,
             GossipRequest::Group {
                 group: inner.group.clone(),
                 from: inner.core.me().0,
-                wire: bytes,
+                wire: Wire::InstallView(view.clone()).encode(),
             },
         ));
     }

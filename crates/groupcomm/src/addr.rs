@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies one channel endpoint (a group member). Addresses are
 /// assigned by the [`Cluster`](crate::cluster::Cluster) at channel creation
 /// and are never reused — a restarted process gets a fresh address, which
 /// is how membership distinguishes incarnations.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Addr(pub u64);
 
 impl fmt::Debug for Addr {

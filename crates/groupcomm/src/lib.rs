@@ -24,7 +24,9 @@
 //!   partition deemed to have the valid state, and forcing other
 //!   partitions to re-synchronize."
 //! * **Flow control** ([`protocols::flow`]) — bounded or unbounded message
-//!   buffers with memory accounting. The **unbounded** variant reproduces
+//!   buffers with memory accounting; a queued message is charged
+//!   [`Wire::size`], the bytes its binary frame ([`Wire::encode`], built on
+//!   [`codec`]) occupies on a link. The **unbounded** variant reproduces
 //!   the paper's Fig. 5 failure: "flooding the server with requests cause
 //!   internal JGroups message queues to grow without bounds, eventually
 //!   causing memory exhaustion and server crash."
@@ -38,6 +40,7 @@
 pub mod addr;
 pub mod channel;
 pub mod cluster;
+pub mod codec;
 pub mod config;
 pub mod member;
 pub mod protocols;

@@ -80,7 +80,7 @@ impl MemberCore {
     /// *transport* applies loss per target (the core proposes the full
     /// fan-out in view-member order).
     pub fn mcast(&mut self, bytes: Vec<u8>) -> Result<Vec<Outgoing>, SendError> {
-        let view = self.view.clone().ok_or(SendError::NotConnected)?;
+        let view = self.view.as_ref().ok_or(SendError::NotConnected)?;
         let mut out = Vec::new();
         match self.ordering {
             OrderingMode::Sequencer => {
@@ -95,7 +95,7 @@ impl MemberCore {
             }
             OrderingMode::Bimodal { .. } => {
                 let sseq = self.bim.next_send(self.me, bytes.clone());
-                for m in view.members {
+                for &m in &view.members {
                     out.push(Outgoing {
                         to: m,
                         wire: Wire::Gossip {
@@ -124,7 +124,7 @@ impl MemberCore {
         match wire {
             Wire::Forward { origin, body } => {
                 // I am (supposed to be) the coordinator: stamp + multicast.
-                let Some(view) = self.view.clone() else {
+                let Some(view) = self.view.as_ref() else {
                     return out;
                 };
                 if view.coordinator() != self.me {
@@ -136,7 +136,7 @@ impl MemberCore {
                     return out;
                 }
                 let gseq = self.seq.assign();
-                for m in view.members {
+                for &m in &view.members {
                     out.push(Outgoing {
                         to: m,
                         wire: Wire::Ordered {

@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::Addr;
 
 /// Identifies a view: a monotonically increasing sequence number plus the
 /// coordinator that installed it.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ViewId {
     pub seq: u64,
     pub coord: Addr,
@@ -22,7 +20,7 @@ impl fmt::Debug for ViewId {
 
 /// A membership view: the members, in join order. The first member is the
 /// coordinator (JGroups convention: the oldest member coordinates).
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct View {
     pub id: ViewId,
     pub members: Vec<Addr>,

@@ -14,6 +14,9 @@
 //!   state on disk ("each node maintains persistent view of the
 //!   registration data on a local disk"), and re-synchronizes after losing
 //!   a PRIMARY_PARTITION decision.
+//! * `proposal` — the byte form a write travels and is logged in: a
+//!   versioned binary codec over [`groupcast::codec`], which still reads
+//!   the JSON earlier versions wrote.
 //! * [`wal`] — that disk state: a snapshot plus an append-only log of the
 //!   proposals delivered since, written against a small [`wal::Storage`]
 //!   trait; persistence costs O(op), compaction and recovery live here.
@@ -27,6 +30,7 @@
 //! JNDI provider needs no distributed locking.
 
 pub mod node;
+mod proposal;
 pub mod realm;
 pub mod store;
 pub mod wal;

@@ -2,12 +2,12 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-
-use serde::{Deserialize, Serialize};
+use std::sync::{Arc, OnceLock};
 
 use groupcast::{Addr, ChannelEvent, GroupChannel, SendError, View};
-use rndi_obs::metrics::names;
+use rndi_obs::metrics::{self, names, Counter};
 
+use crate::proposal::Proposal;
 use crate::store::{HdnsEntry, HdnsError, HdnsStore, Op};
 use crate::wal::{FsStorage, RecoveryReport, Storage, Wal};
 
@@ -64,7 +64,8 @@ pub enum OpOutcome {
     Pending,
     /// Applied; this is the deterministic result every replica computed.
     Done(Result<(), HdnsError>),
-    /// The replica died before the op resolved.
+    /// The op will not resolve here: the replica died first, the
+    /// proposal came back undecodable, or the ticket is unknown.
     Lost,
 }
 
@@ -89,12 +90,11 @@ pub enum HdnsEvent {
     Resynced,
 }
 
-/// A proposal multicast to the group — and, verbatim, the payload of one
-/// op-log record.
-#[derive(Serialize, Deserialize)]
-pub(crate) struct Proposal {
-    pub(crate) op_id: u64,
-    pub(crate) op: Op,
+/// `rndi_hdns_undecodable_proposals_total`, resolved once per process:
+/// deliveries sit on the write path.
+fn undecodable_proposals() -> &'static Counter {
+    static COUNTER: OnceLock<Arc<Counter>> = OnceLock::new();
+    COUNTER.get_or_init(|| metrics::counter(names::HDNS_UNDECODABLE_PROPOSALS, &[]))
 }
 
 /// One replica of the naming service, generic over how its group
@@ -202,9 +202,7 @@ impl<C: ReplicaChannel> HdnsNode<C> {
     pub fn submit(&mut self, op: Op) -> Result<Ticket, SendError> {
         let op_id = self.next_op;
         self.next_op += 1;
-        let proposal = Proposal { op_id, op };
-        let bytes = serde_json::to_vec(&proposal).expect("ops serialize");
-        self.channel.mcast(bytes)?;
+        self.channel.mcast(Proposal { op_id, op }.encode())?;
         self.tickets.insert(op_id, OpOutcome::Pending);
         Ok(Ticket(op_id))
     }
@@ -216,6 +214,17 @@ impl<C: ReplicaChannel> HdnsNode<C> {
             Some(_) => self.tickets.remove(&ticket.0).expect("present"),
             None => OpOutcome::Lost,
         }
+    }
+
+    /// Stop waiting for `ticket`: its outcome will not be asked for, and a
+    /// delivery that still arrives applies without recording one.
+    pub fn abandon(&mut self, ticket: Ticket) {
+        self.tickets.remove(&ticket.0);
+    }
+
+    /// Tickets submitted and neither read as resolved nor abandoned.
+    pub fn open_tickets(&self) -> usize {
+        self.tickets.len()
     }
 
     /// Drain accumulated change events.
@@ -230,28 +239,42 @@ impl<C: ReplicaChannel> HdnsNode<C> {
     /// as delivered, one `write` for the whole call — before the call
     /// returns, which is before any ticket it resolved can be read as
     /// `Done`. No sync happens on that path; only a compaction syncs.
+    ///
+    /// A delivery that does not decode — another version's proposal, or
+    /// damage — is not applied, numbered or logged, so this replica no
+    /// longer matches one that could read it: it is counted in
+    /// `rndi_hdns_undecodable_proposals_total`, and when it is this
+    /// replica's own, the write it carried resolves as [`OpOutcome::Lost`].
     pub fn process(&mut self) {
         for ev in self.channel.poll() {
             match ev {
                 ChannelEvent::Message { from, bytes } => {
-                    let Ok(p) = serde_json::from_slice::<Proposal>(&bytes) else {
+                    let Ok(p) = Proposal::decode(&bytes) else {
+                        undecodable_proposals().inc();
+                        if from == self.channel.addr() {
+                            self.lose_oldest_pending();
+                        }
                         continue;
                     };
                     let existed = match &p.op {
                         Op::Bind { path, .. } => self.store.get(path).is_some(),
                         _ => false,
                     };
-                    let result = self.store.apply(&p.op);
+                    let event = Self::event_of(&p.op, existed);
+                    let result = self.store.apply_owned(p.op);
                     // Failed ops are logged too: they advance
                     // `ops_applied`, which is what numbers the records.
                     if let Some(wal) = &mut self.wal {
                         wal.stage(self.store.ops_applied, &bytes);
                     }
                     if result.is_ok() {
-                        self.emit(&p.op, existed);
+                        self.events.push(event);
                     }
                     if from == self.channel.addr() {
-                        self.tickets.insert(p.op_id, OpOutcome::Done(result));
+                        // Absent when the submitter abandoned the ticket.
+                        if let Some(outcome) = self.tickets.get_mut(&p.op_id) {
+                            *outcome = OpOutcome::Done(result);
+                        }
                     }
                 }
                 ChannelEvent::View(v) => {
@@ -285,6 +308,20 @@ impl<C: ReplicaChannel> HdnsNode<C> {
         }
     }
 
+    /// An own delivery came back unreadable, so its op id with it. Both
+    /// orderings deliver one sender's messages in the order sent: it was
+    /// the oldest write still pending.
+    fn lose_oldest_pending(&mut self) {
+        let oldest = self
+            .tickets
+            .iter_mut()
+            .filter(|(_, outcome)| **outcome == OpOutcome::Pending)
+            .min_by_key(|(op_id, _)| **op_id);
+        if let Some((_, outcome)) = oldest {
+            *outcome = OpOutcome::Lost;
+        }
+    }
+
     /// Replace the store wholesale (join, or the losing side of a
     /// partition) and make the new state the snapshot on disk.
     fn install_state(&mut self, store: HdnsStore) {
@@ -304,8 +341,9 @@ impl<C: ReplicaChannel> HdnsNode<C> {
         self.persist();
     }
 
-    fn emit(&mut self, op: &Op, existed: bool) {
-        let ev = match op {
+    /// The change event `op` causes if it applies.
+    fn event_of(op: &Op, existed: bool) -> HdnsEvent {
+        match op {
             Op::Bind { path, .. } if existed => HdnsEvent::Changed { path: path.clone() },
             Op::Bind { path, .. } => HdnsEvent::Bound { path: path.clone() },
             Op::CreateContext { path } => HdnsEvent::Bound { path: path.clone() },
@@ -315,8 +353,7 @@ impl<C: ReplicaChannel> HdnsNode<C> {
                 to: to.clone(),
             },
             Op::SetAttrs { path, .. } => HdnsEvent::Changed { path: path.clone() },
-        };
-        self.events.push(ev);
+        }
     }
 
     /// Write out the records staged by the current `process()` call.
@@ -343,7 +380,7 @@ impl<C: ReplicaChannel> HdnsNode<C> {
 
     fn note_persist(&mut self, outcome: std::io::Result<()>) {
         if outcome.is_err() {
-            rndi_obs::metrics::counter(names::HDNS_PERSIST_ERRORS, &[]).inc();
+            metrics::counter(names::HDNS_PERSIST_ERRORS, &[]).inc();
         }
         self.persist_error = outcome.err();
     }
@@ -677,6 +714,100 @@ mod tests {
         node.process(); // nothing delivered, nothing persisted: not a success
         assert!(node.last_persist_error().is_some());
         assert_eq!(node.lookup("in-memory").unwrap().value, vec![1]);
+    }
+
+    fn undecodable() -> u64 {
+        undecodable_proposals().get()
+    }
+
+    #[test]
+    fn undecodable_delivery_is_counted_and_leaves_replicas_identical() {
+        let (cluster, mut a, mut b) = pair();
+        // A third member that speaks some other version.
+        let stranger = cluster.create_channel(StackConfig::default());
+        stranger.connect("hdns").unwrap();
+        drive(&cluster, &mut [&mut a, &mut b]);
+        bind(&cluster, &mut a, "before", 1);
+        b.process();
+
+        let before = undecodable();
+        for garbage in [&b"\x02 a later version"[..], b"", b"{\"op_id\":"] {
+            stranger.mcast(garbage.to_vec()).unwrap();
+        }
+        drive(&cluster, &mut [&mut a, &mut b]);
+        assert!(
+            undecodable() >= before + 6,
+            "three deliveries, two replicas"
+        );
+        assert_eq!(a.store_snapshot(), b.store_snapshot());
+        assert_eq!(a.entry_count(), 1, "nothing was applied");
+
+        // The group still orders and applies what it can read.
+        bind(&cluster, &mut a, "after", 2);
+        b.process();
+        assert_eq!(a.store_snapshot(), b.store_snapshot());
+        assert_eq!(b.lookup("after").unwrap().value, vec![2]);
+    }
+
+    /// A channel that damages every proposal on its way out: this
+    /// replica's own writes come back undecodable.
+    struct Corrupting(GroupChannel);
+
+    impl ReplicaChannel for Corrupting {
+        fn addr(&self) -> Addr {
+            self.0.addr()
+        }
+        fn connect(&self, group: &str) -> Result<(), SendError> {
+            self.0.connect(group)
+        }
+        fn disconnect(&self) {
+            self.0.disconnect()
+        }
+        fn mcast(&self, mut bytes: Vec<u8>) -> Result<(), SendError> {
+            bytes[0] = 0x7F;
+            self.0.mcast(bytes)
+        }
+        fn poll(&self) -> Vec<ChannelEvent> {
+            self.0.poll()
+        }
+        fn provide_state(&self, to: Addr, bytes: Vec<u8>) -> Result<(), SendError> {
+            self.0.provide_state(to, bytes)
+        }
+    }
+
+    #[test]
+    fn own_undecodable_write_is_lost_at_once_not_pending_forever() {
+        let cluster = Cluster::new(13);
+        let channel = cluster.create_channel(StackConfig::default());
+        let mut node = HdnsNode::new(Corrupting(channel), None);
+        node.connect("g").unwrap();
+        cluster.pump_all();
+        node.process();
+
+        let before = undecodable();
+        let first = node.submit(Op::Unbind { path: "a".into() }).unwrap();
+        let second = node.submit(Op::Unbind { path: "b".into() }).unwrap();
+        assert_eq!(node.open_tickets(), 2);
+        // One pump, one process: what a single `drive()` round does.
+        cluster.pump_all();
+        node.process();
+        assert!(undecodable() >= before + 2);
+        assert_eq!(node.outcome(first), OpOutcome::Lost);
+        assert_eq!(node.outcome(second), OpOutcome::Lost);
+        assert_eq!(node.open_tickets(), 0);
+        assert_eq!(node.store.ops_applied, 0, "neither applied nor numbered");
+    }
+
+    #[test]
+    fn an_abandoned_ticket_is_not_resurrected_by_its_delivery() {
+        let (cluster, mut a, mut b) = pair();
+        drive(&cluster, &mut [&mut a, &mut b]);
+        let ticket = a.submit(Op::CreateContext { path: "c".into() }).unwrap();
+        a.abandon(ticket);
+        drive(&cluster, &mut [&mut a, &mut b]);
+        assert!(a.lookup("c").is_some(), "the write itself still lands");
+        assert_eq!(a.open_tickets(), 0);
+        assert_eq!(a.outcome(ticket), OpOutcome::Lost);
     }
 
     #[test]

@@ -223,20 +223,18 @@ impl HdnsRealm {
             .lock()
             .submit(op)
             .map_err(|_| RealmError::NodeUnavailable)?;
-        self.drive();
-        // Give gossip a few more chances before declaring the write lost.
-        for _ in 0..4 {
+        // One drive resolves a write; gossip gets a few more chances to
+        // repair a lost one before it is declared so.
+        for _ in 0..5 {
+            self.drive();
             match handle.lock().outcome(ticket) {
                 OpOutcome::Done(r) => return r.map_err(RealmError::from),
                 OpOutcome::Lost => return Err(RealmError::NodeUnavailable),
-                OpOutcome::Pending => self.drive(),
+                OpOutcome::Pending => {}
             }
         }
-        let outcome = handle.lock().outcome(ticket);
-        match outcome {
-            OpOutcome::Done(r) => r.map_err(RealmError::from),
-            _ => Err(RealmError::NodeUnavailable),
-        }
+        handle.lock().abandon(ticket);
+        Err(RealmError::NodeUnavailable)
     }
 
     /// Atomic bind via replica `node`.
@@ -578,6 +576,37 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
         drop(driver); // stops and joins the thread
+    }
+
+    #[test]
+    fn a_write_that_is_given_up_leaves_no_ticket_behind() {
+        let r = realm(2);
+        r.bind(0, "base", HdnsEntry::leaf(vec![0])).unwrap();
+        let open_tickets = |i: usize| r.nodes.lock()[i].lock().open_tickets();
+
+        // Cut replica 1 off before any failure detector has run: it still
+        // forwards to coordinator 0, the network drops it, and the write
+        // stays pending until the realm gives up on it.
+        r.cluster().partition(&[&[r.addr(1)]]);
+        for i in 0..1_000u32 {
+            assert_eq!(
+                r.rebind(1, "k", HdnsEntry::leaf(i.to_le_bytes().to_vec())),
+                Err(RealmError::NodeUnavailable)
+            );
+        }
+        assert_eq!(open_tickets(1), 0);
+
+        // A crashed replica refuses at submit and holds nothing either.
+        r.heal();
+        r.crash(1);
+        for _ in 0..1_000 {
+            assert_eq!(
+                r.rebind(1, "k", HdnsEntry::leaf(vec![1])),
+                Err(RealmError::NodeUnavailable)
+            );
+        }
+        assert_eq!(open_tickets(1), 0);
+        assert_eq!(open_tickets(0), 0);
     }
 
     #[test]

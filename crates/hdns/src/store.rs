@@ -184,6 +184,39 @@ impl HdnsStore {
             .is_some_and(|(k, _)| k.starts_with(&prefix))
     }
 
+    /// The normalized key `path` may be bound under, or why it may not.
+    fn bindable(&self, path: &str, overwrite: bool) -> Result<String, HdnsError> {
+        let p = normalize_path(path)?;
+        self.check_parent(&p)?;
+        if !overwrite && self.entries.contains_key(&p) {
+            return Err(HdnsError::AlreadyBound(p));
+        }
+        if let Some(existing) = self.entries.get(&p) {
+            if existing.is_context && self.has_children(&p) {
+                return Err(HdnsError::NotEmpty(p));
+            }
+        }
+        Ok(p)
+    }
+
+    /// [`HdnsStore::apply`] for a caller that is done with the op: a bound
+    /// entry moves into the store instead of being copied.
+    pub fn apply_owned(&mut self, op: Op) -> Result<(), HdnsError> {
+        match op {
+            Op::Bind {
+                path,
+                entry,
+                overwrite,
+            } => {
+                self.ops_applied += 1;
+                let p = self.bindable(&path, overwrite)?;
+                self.entries.insert(p, entry);
+                Ok(())
+            }
+            other => self.apply(&other),
+        }
+    }
+
     /// Apply an operation. Deterministic: identical stores applying the
     /// same op yield identical results and identical new states.
     pub fn apply(&mut self, op: &Op) -> Result<(), HdnsError> {
@@ -194,16 +227,7 @@ impl HdnsStore {
                 entry,
                 overwrite,
             } => {
-                let p = normalize_path(path)?;
-                self.check_parent(&p)?;
-                if !overwrite && self.entries.contains_key(&p) {
-                    return Err(HdnsError::AlreadyBound(p));
-                }
-                if let Some(existing) = self.entries.get(&p) {
-                    if existing.is_context && self.has_children(&p) {
-                        return Err(HdnsError::NotEmpty(p));
-                    }
-                }
+                let p = self.bindable(path, *overwrite)?;
                 self.entries.insert(p, entry.clone());
                 Ok(())
             }
@@ -474,8 +498,9 @@ mod tests {
         ];
         let mut a = HdnsStore::new();
         let mut b = HdnsStore::new();
+        // …and whether the op is borrowed or given away.
         let ra: Vec<_> = ops.iter().map(|o| a.apply(o)).collect();
-        let rb: Vec<_> = ops.iter().map(|o| b.apply(o)).collect();
+        let rb: Vec<_> = ops.iter().map(|o| b.apply_owned(o.clone())).collect();
         assert_eq!(ra, rb);
         assert_eq!(a.snapshot(), b.snapshot());
         assert_eq!(a.get("c/y").unwrap().value, vec![1], "first bind won");

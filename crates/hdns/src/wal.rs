@@ -39,7 +39,7 @@ use std::time::Instant;
 
 use rndi_obs::metrics::{self, names, Counter, Histogram};
 
-use crate::node::Proposal;
+use crate::proposal::Proposal;
 use crate::store::HdnsStore;
 
 /// The files a replica keeps (see the module table).
@@ -329,13 +329,11 @@ impl Wal {
                 while let Some((seq, proposal, used)) = decode_record(&log[at..]) {
                     if seq > store.ops_applied {
                         let next = seq == store.ops_applied + 1;
-                        let Some(p) = next
-                            .then(|| serde_json::from_slice::<Proposal>(proposal).ok())
-                            .flatten()
+                        let Some(p) = next.then(|| Proposal::decode(proposal).ok()).flatten()
                         else {
                             break;
                         };
-                        let _ = store.apply(&p.op);
+                        let _ = store.apply_owned(p.op);
                         report.replayed += 1;
                     }
                     at += used;
@@ -466,7 +464,7 @@ mod tests {
         let mut storage = FsStorage::new(dir.0.join("snap.json"));
         let create = |path: &str| {
             let op = crate::Op::CreateContext { path: path.into() };
-            serde_json::to_vec(&Proposal { op_id: 0, op }).unwrap()
+            Proposal { op_id: 0, op }.encode()
         };
         let mut log = Vec::new();
         encode_record(&mut log, 1, &create("a"));
@@ -480,6 +478,82 @@ mod tests {
         assert_eq!(report.replayed, 2);
         assert_eq!(report.discarded_bytes, log.len() as u64 - good);
         assert_eq!(wal.log_len, good);
+    }
+
+    /// What the version before the binary proposal left on disk — a
+    /// snapshot and a log of JSON records — recovers to the same store,
+    /// takes binary appends behind them, and the mixed log recovers too.
+    #[test]
+    fn a_json_era_data_dir_recovers_then_takes_binary_appends() {
+        use crate::proposal::tests::json_of;
+        use crate::{HdnsEntry, Op};
+
+        let bind = |path: &str, byte: u8, overwrite| Op::Bind {
+            path: path.into(),
+            entry: HdnsEntry::leaf(vec![byte; 74]).with_attr("owner", "é"),
+            overwrite,
+        };
+        let mut model = HdnsStore::new();
+        model
+            .apply(&Op::CreateContext { path: "c".into() })
+            .unwrap();
+        model.apply(&bind("c/old", 1, false)).unwrap();
+        let dir = crate::TestDir::new("json-era");
+        let path = dir.0.join("replica-0.json");
+        std::fs::create_dir_all(&dir.0).unwrap();
+        std::fs::write(&path, model.snapshot()).unwrap();
+
+        let json_era = [
+            bind("c/x", 2, false),
+            bind("c/x", 3, false), // fails everywhere, logged all the same
+            bind("c/x", 4, true),
+            Op::Rename {
+                from: "c/old".into(),
+                to: "c/new".into(),
+            },
+            Op::SetAttrs {
+                path: "c/new".into(),
+                attrs: [("k".to_string(), "v".to_string())].into(),
+            },
+            Op::CreateContext { path: "d".into() },
+            Op::Unbind { path: "c/x".into() },
+        ];
+        let mut log = Vec::new();
+        for (op_id, op) in (0..).zip(&json_era) {
+            let _ = model.apply(op);
+            let record = json_of(&Proposal {
+                op_id,
+                op: op.clone(),
+            });
+            encode_record(&mut log, model.ops_applied, &record);
+        }
+        FsStorage::new(path.clone()).append(&log).unwrap();
+
+        let (mut wal, store, report) = Wal::open(Box::new(FsStorage::new(path.clone())));
+        assert_eq!(store.snapshot(), model.snapshot());
+        assert_eq!(report.snapshot_entries, 2);
+        assert_eq!(report.replayed, json_era.len() as u64);
+        assert_eq!(report.discarded_bytes, 0);
+        assert!(report.error.is_none());
+
+        let binary = [bind("d/y", 5, false), Op::Unbind { path: "d/y".into() }];
+        for (op_id, op) in (100..).zip(&binary) {
+            let _ = model.apply(op);
+            let record = Proposal {
+                op_id,
+                op: op.clone(),
+            }
+            .encode();
+            wal.stage(model.ops_applied, &record);
+        }
+        wal.flush().expect("staged").unwrap();
+        drop(wal);
+
+        let (_, store, report) = Wal::open(Box::new(FsStorage::new(path)));
+        assert_eq!(store.snapshot(), model.snapshot());
+        assert_eq!(report.replayed, (json_era.len() + binary.len()) as u64);
+        assert_eq!(report.discarded_bytes, 0);
+        assert!(report.error.is_none());
     }
 
     #[test]

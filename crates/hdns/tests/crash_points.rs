@@ -604,8 +604,10 @@ const SCRIPT_SEED: u64 = 0x4844_4e53; // "HDNS"
 /// 200 mixed steps: three contexts, then seeded binds / rebinds / unbinds /
 /// renames / set-attrs (a share of them failing by construction), one state
 /// transfer to a lower-numbered lineage two thirds in.
+/// Values run to 6 000 bytes (a binary record is its value plus ≈ 30), which
+/// takes the log past its 64 KiB threshold three times in 200 steps.
 fn scripted() -> Script {
-    Script::new(&mut Rng(SCRIPT_SEED), 200, 2000, &[130])
+    Script::new(&mut Rng(SCRIPT_SEED), 200, 6000, &[130])
 }
 
 #[test]

@@ -143,6 +143,13 @@ pub mod names {
     /// Counter: replica start-ups that met an unreadable or unparseable
     /// snapshot or log (see `HdnsNode::recovery`).
     pub const HDNS_RECOVERY_ERRORS: &str = "rndi_hdns_recovery_errors_total";
+    /// Counter: group deliveries an HDNS replica could not decode as a
+    /// proposal (another version's, or damaged) and so did not apply —
+    /// from then on it may differ from replicas that could.
+    pub const HDNS_UNDECODABLE_PROPOSALS: &str = "rndi_hdns_undecodable_proposals_total";
+    /// Counter (per instance): `Group` gossip frames dropped because their
+    /// payload did not decode as a group wire message.
+    pub const CLUSTER_UNDECODABLE_FRAMES: &str = "rndi_cluster_undecodable_frames_total";
 }
 
 /// A monotonically increasing counter.

@@ -22,9 +22,10 @@ done
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-# The two oracle proptests are skipped here and named below, so each still
-# runs once.
-ORACLE_PROPTESTS=(the_walk_matches_its_oracle read_is_a_base_scope_match_all_search)
+# The oracle and codec proptests are skipped here and named below, so each
+# still runs once. (The two single-binary allocation budgets,
+# tests/federation_allocs.rs and tests/hdns_write_allocs.rs, run here.)
+ORACLE_PROPTESTS=(the_walk_matches_its_oracle read_is_a_base_scope_match_all_search wire_codec_)
 echo "==> cargo test -q (all but hdns and the oracle proptests)"
 cargo test -q --workspace --exclude hdns -- "${ORACLE_PROPTESTS[@]/#/--skip=}"
 
@@ -36,10 +37,19 @@ echo "==> oracle proptests: dns walk, ldap read"
 cargo test -q -p rndi-providers --lib the_walk_matches_its_oracle
 cargo test -q -p dirserv --test props read_is_a_base_scope_match_all_search
 
+# Named on its own because `Wire::{encode, decode, size}` is what group
+# flow control charges and what rndi-cluster puts on TCP: round trips,
+# size() == encode().len(), strict rejection and a measured allocation bound
+# on hostile frames. A failure prints the case number and seed.
+echo "==> codec proptests: groupcast wire frames"
+cargo test -q -p groupcast --test wire_codec
+
 # Named on its own because it is the durability contract: tests/crash_points.rs
-# crashes a replica at every storage call under process kill and power loss.
-# A failure prints the seed, crash model and boundary that replay it.
-echo "==> cargo test -q -p hdns (unit tests + the crash-point suite)"
+# crashes a replica at every storage call under process kill and power loss,
+# and the unit tests hold the proposal codec (`proposal_codec_*`: what the
+# op log's records are) to its round trip, its JSON-era oracle and hostile
+# input. A failure prints the seed, crash model and boundary that replay it.
+echo "==> cargo test -q -p hdns (unit tests + proposal codec + the crash-point suite)"
 cargo test -q -p hdns
 
 echo "==> cargo fmt --check"

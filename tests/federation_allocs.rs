@@ -1,73 +1,16 @@
 //! Allocation budget of the federated path: how many heap allocations one
 //! `dns://… → hdns://… → ldap://…` lookup and one rebind through the same
-//! chain make, counted exactly. Lives in its own test binary because it
-//! installs a `#[global_allocator]`; counting is gated per thread, so
-//! background threads (replica drivers) never leak into the numbers.
+//! chain make, counted exactly. Lives in its own test binary because
+//! `common` installs a counting `#[global_allocator]`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
 use rndi::core::prelude::*;
 use rndi::providers::common::MsClock;
 use rndi::providers::{DnsFactory, HdnsFactory, LdapFactory};
 
-thread_local! {
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-fn note() {
-    // `try_with`: the allocator also runs while a thread's locals are
-    // being torn down.
-    let _ = COUNTING.try_with(|on| {
-        if on.get() {
-            let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-        }
-    });
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are plain thread-local
-// cells and touch no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note();
-        // SAFETY: same contract as the caller's.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note();
-        // SAFETY: `ptr` came from `System` with this `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Allocations this thread makes while `f` runs.
-fn count_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOCATIONS.with(Cell::get);
-    COUNTING.with(|on| on.set(true));
-    let result = f();
-    COUNTING.with(|on| on.set(false));
-    (result, ALLOCATIONS.with(Cell::get) - before)
-}
+mod common;
+use common::count_during;
 
 struct ZeroClock;
 impl MsClock for ZeroClock {
@@ -178,7 +121,10 @@ fn federated_lookup_and_rebind_stay_inside_their_allocation_budgets() {
     }
 
     let per_op = |op: &dyn Fn(&str)| -> (u64, u64) {
-        let counts: Vec<u64> = urls.iter().map(|u| count_during(|| op(u)).1).collect();
+        let counts: Vec<u64> = urls
+            .iter()
+            .map(|u| count_during(|| op(u)).1.calls)
+            .collect();
         (
             *counts.iter().min().expect("urls"),
             *counts.iter().max().expect("urls"),
