@@ -14,8 +14,9 @@
 //!   (JGroups' "oldest member coordinates", survived by lineage). Because
 //!   gossip always piggybacks that view, any node that can hear rumours
 //!   at all also hears the lineage and either is the candidate or defers.
-//! * **Quorum.** A candidate only installs a view holding a **strict
-//!   majority of all known member names** — dead or alive. A minority
+//! * **Quorum.** A candidate only installs a view in which a **strict
+//!   majority of all known member names** — dead or alive — is `Alive`
+//!   (a member kept while merely Suspect lends no vote). A minority
 //!   partition therefore freezes on its last view (and, via
 //!   [`quorum_holds`], refuses writes) instead of electing a rump
 //!   coordinator; the majority side advances the lineage and absorbs the
@@ -40,13 +41,12 @@ pub fn addr_of(name: &str) -> Addr {
     Addr(h | 1)
 }
 
-/// A proposed view change, in names (the caller owns the Addr mapping of
-/// record via [`addr_of`]).
+/// A view to install, with its rendering in names for gossip (same seq,
+/// same order; the Addr mapping of record is [`addr_of`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Proposal {
     pub view: View,
-    /// View membership by name, same order as `view.members`.
-    pub names: Vec<String>,
+    pub summary: ViewSummary,
 }
 
 /// Is `name` the coordinator candidate for the lineage `engine` knows?
@@ -58,22 +58,14 @@ pub struct Proposal {
 pub fn is_candidate(engine: &GossipEngine, name: &str) -> bool {
     match engine.best_view() {
         None => false,
-        Some(vs) => {
-            let alive = |n: &str| {
-                engine
-                    .table
-                    .get(n)
-                    .is_some_and(|m| m.state == MemberState::Alive)
-            };
-            match vs.members.iter().find(|m| alive(m)) {
-                Some(first) => first == name,
-                None => engine
-                    .table
-                    .in_state(MemberState::Alive)
-                    .first()
-                    .is_some_and(|m| m.name == name),
-            }
-        }
+        Some(vs) => match vs.members.iter().find(|m| engine.table.is_alive(m)) {
+            Some(first) => first == name,
+            None => engine
+                .table
+                .in_state(MemberState::Alive)
+                .first()
+                .is_some_and(|m| m.name == name),
+        },
     }
 }
 
@@ -110,9 +102,15 @@ pub fn desired_members(engine: &GossipEngine) -> Vec<String> {
     desired
 }
 
-/// Does `members` hold a strict majority of every name the table knows?
-pub fn quorum_holds(engine: &GossipEngine, members: &[String]) -> bool {
-    members.len() * 2 > engine.table.known_count()
+/// Does `members` hold a strict majority of every name the table knows,
+/// counting only those believed `Alive`? A lineage member kept while
+/// `Suspect` keeps its place in the view but lends no vote: a coordinator
+/// being cut off sees its peers die one by one, and must not mint a view
+/// on the strength of the ones it merely has not written off yet — the
+/// far side mints the same seq.
+pub fn quorum_holds<'a>(engine: &GossipEngine, members: impl IntoIterator<Item = &'a str>) -> bool {
+    let alive = members.into_iter().filter(|n| engine.table.is_alive(n));
+    alive.count() * 2 > engine.table.known_count()
 }
 
 /// Decide whether this node should install a new view now. `me` must be
@@ -124,39 +122,31 @@ pub fn propose(engine: &GossipEngine, me: &str) -> Option<Proposal> {
         return None;
     }
     let desired = desired_members(engine);
-    if desired.is_empty() || !quorum_holds(engine, &desired) {
+    if desired.is_empty() || !quorum_holds(engine, desired.iter().map(String::as_str)) {
         return None;
     }
     let current = engine.best_view().expect("candidate implies lineage");
     if current.members == desired {
         return None;
     }
-    let view = View::new(
-        current.seq + 1,
-        desired.iter().map(|n| addr_of(n)).collect(),
-    );
+    let seq = current.seq + 1;
     Some(Proposal {
-        view,
-        names: desired,
+        view: View::new(seq, desired.iter().map(|n| addr_of(n)).collect()),
+        summary: ViewSummary {
+            seq,
+            members: desired,
+        },
     })
 }
 
 /// The bootstrap view a seed node (no lineage anywhere) starts from.
-pub fn bootstrap(me: &str) -> (View, ViewSummary) {
-    let view = View::new(1, vec![addr_of(me)]);
-    let summary = ViewSummary {
-        seq: 1,
-        members: vec![me.to_string()],
-    };
-    (view, summary)
-}
-
-/// Render a [`View`] whose membership is `names` as the gossiped summary.
-pub fn summarize(view: &View, names: &[String]) -> ViewSummary {
-    debug_assert_eq!(view.members.len(), names.len());
-    ViewSummary {
-        seq: view.id.seq,
-        members: names.to_vec(),
+pub fn bootstrap(me: &str) -> Proposal {
+    Proposal {
+        view: View::new(1, vec![addr_of(me)]),
+        summary: ViewSummary {
+            seq: 1,
+            members: vec![me.to_string()],
+        },
     }
 }
 
@@ -209,21 +199,23 @@ mod tests {
         assert!(is_candidate(&e, "b"));
         assert!(!is_candidate(&e, "c"));
         let p = propose(&e, "b").expect("membership changed");
-        assert_eq!(p.names, vec!["b".to_string(), "c".to_string()]);
+        assert_eq!(p.summary.members, vec!["b".to_string(), "c".to_string()]);
         assert_eq!(p.view.id.seq, 6);
         assert_eq!(p.view.coordinator(), addr_of("b"));
     }
 
     #[test]
     fn minority_refuses_to_propose() {
-        // 5 known names, only 2 alive on this side: no quorum.
+        // 5 known names, only 2 alive on this side: no quorum, though the
+        // peers not yet written off would still fill a 4-member view (the
+        // far side is minting the same seq).
         let mut e = engine_with(
             "a",
             &[
                 ("b", MemberState::Alive),
                 ("c", MemberState::Dead),
-                ("d", MemberState::Dead),
-                ("e", MemberState::Dead),
+                ("d", MemberState::Suspect),
+                ("e", MemberState::Suspect),
             ],
         );
         e.observe_view(&ViewSummary {
@@ -232,7 +224,7 @@ mod tests {
         });
         assert!(is_candidate(&e, "a"));
         assert!(propose(&e, "a").is_none(), "2 of 5 is not a quorum");
-        assert!(!quorum_holds(&e, &["a".into(), "b".into()]));
+        assert!(!quorum_holds(&e, ["a", "b"]));
     }
 
     #[test]
@@ -251,7 +243,10 @@ mod tests {
             members: vec!["a".into(), "b".into(), "c".into(), "d".into(), "e".into()],
         });
         let p = propose(&e, "a").expect("3 of 5 is a quorum");
-        assert_eq!(p.names, vec!["a".to_string(), "b".into(), "c".into()]);
+        assert_eq!(
+            p.summary.members,
+            vec!["a".to_string(), "b".into(), "c".into()]
+        );
         assert_eq!(p.view.id.seq, 3);
     }
 
@@ -274,7 +269,7 @@ mod tests {
         });
         let p = propose(&e, "a").expect("two newcomers");
         assert_eq!(
-            p.names,
+            p.summary.members,
             vec!["a".to_string(), "b".into(), "z".into()],
             "lineage first, then name order"
         );

@@ -13,7 +13,7 @@
 //! Every gossip contact doubles as a heartbeat into the per-peer
 //! [`PhiFailureDetector`]; [`GossipEngine::tick`] turns accrued phi into
 //! `Suspect` (≥ threshold) and `Dead` (≥ 2× threshold) demotions, which
-//! then disseminate like any other rumour.
+//! then disseminate as rumours — to peers that have lost the subject too.
 
 use std::collections::BTreeMap;
 
@@ -120,7 +120,17 @@ impl GossipEngine {
     /// re-demote it on the next tick — a flap loop that churns views
     /// forever. Dropping the detector instead means phi stays 0 until
     /// the first *direct* contact restarts the clock.
+    ///
+    /// A third party's Suspect/Dead about a peer whose heartbeats still
+    /// reach this node is somebody else's partition, not news: a minority
+    /// healing back in holds the majority's members Dead, and a member
+    /// adopting that would unseat its live coordinator and mint a rival
+    /// view. The holder's probe of its subject refutes it at the source.
     fn merge(&mut self, entry: &MemberEntry, now_ms: u64) {
+        let heard = |d: &PhiFailureDetector| d.phi(now_ms) < self.phi_threshold;
+        if entry.state > MemberState::Alive && self.phi.get(&entry.name).is_some_and(heard) {
+            return;
+        }
         let before = self.table.get(&entry.name).map(|m| m.state);
         if !self.table.observe(entry, now_ms) {
             return;
@@ -153,11 +163,6 @@ impl GossipEngine {
 
     pub fn best_view(&self) -> Option<&ViewSummary> {
         self.best_view.as_ref()
-    }
-
-    /// Current phi for `peer` (0.0 for unknown peers).
-    pub fn phi_of(&self, peer: &str, now_ms: u64) -> f64 {
-        self.phi.get(peer).map_or(0.0, |d| d.phi(now_ms))
     }
 
     /// Largest phi across peers this node still counts on (diagnostics).

@@ -15,9 +15,16 @@
 //! * [`QuarantineTable`] — time-gated re-admission of flapping nodes;
 //! * [`bridge`] — converged beliefs → [`groupcast::View`] proposals
 //!   (lineage-anchored candidate, strict-majority quorum);
-//! * [`ClusterNode`] — one booted member: `NetServer` + HDNS replica +
-//!   gossip pacer, with membership exported through `Admin::Health` and
-//!   the node's metrics registry.
+//! * [`NodeState`] — all of one node's protocol state, every step taking
+//!   the time as an argument (`plan_round`, `absorb`, `handle`);
+//!   [`NodeReplica`] — that state plus the node's HDNS replica, as the
+//!   [`hdns::Replica`] the HDNS provider serves (write gate → the shared
+//!   `replicate` loop): a node minus its sockets, clock and threads;
+//! * [`ClusterNode`] — one booted member: a `NetServer` answering naming
+//!   calls with the standard `HdnsProviderContext` pipeline over its
+//!   `NodeReplica`, the gossip handler and the pacer (the only code that
+//!   touches sockets or reads a clock), with membership exported through
+//!   `Admin::Health` and the node's metrics registry.
 //!
 //! Knobs (`rndi.cluster.*`): `seed`, `gossip-interval-ms`,
 //! `phi-threshold`, `quarantine-ms` — see [`ClusterConfig`].
@@ -34,6 +41,6 @@ pub use bridge::addr_of;
 pub use config::ClusterConfig;
 pub use gossip::GossipEngine;
 pub use membership::{MemberInfo, MembershipTable};
-pub use node::{ClusterNode, TcpChannel};
+pub use node::{ClusterNode, NodeReplica, NodeState, RoundPlan, TcpChannel, BACKEND_WRITE_BUDGET};
 pub use phi::PhiFailureDetector;
 pub use quarantine::QuarantineTable;

@@ -107,6 +107,12 @@ impl MembershipTable {
         self.members.get(name)
     }
 
+    /// Is `name` known and believed `Alive`?
+    pub fn is_alive(&self, name: &str) -> bool {
+        self.get(name)
+            .is_some_and(|m| m.state == MemberState::Alive)
+    }
+
     /// Every record, for gossip exchange (deterministic name order).
     pub fn entries(&self) -> Vec<MemberEntry> {
         self.members.values().map(MemberInfo::entry).collect()

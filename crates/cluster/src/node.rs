@@ -1,20 +1,23 @@
 //! [`ClusterNode`]: one member of the TCP membership plane.
 //!
 //! Each node hosts a [`NetServer`] whose v2 envelope protocol carries
-//! three planes over the *same* listener: naming calls (a lean
-//! [`ProviderBackend`] over the local HDNS replica), admin telemetry
-//! (scrapes see membership through `Admin::Health`), and the new
-//! `Gossip` family — membership Syncs plus `Group`-wrapped
-//! [`groupcast::Wire`] frames that carry the replication protocol
-//! (sequencer forwards, ordered deliveries, view installs, state
-//! snapshots) peer-to-peer.
+//! three planes over the *same* listener: naming calls (the standard
+//! [`HdnsProviderContext`] pipeline over the local HDNS replica, as every
+//! other HDNS endpoint serves), admin telemetry (scrapes see membership
+//! through `Admin::Health`), and the `Gossip` family — membership Syncs
+//! plus `Group`-wrapped [`groupcast::Wire`] frames that carry the
+//! replication protocol (sequencer forwards, ordered deliveries, view
+//! installs, state snapshots) peer-to-peer.
 //!
-//! Concurrency model: all protocol state lives in one `Inner` behind a
-//! mutex, and **no TCP I/O ever happens while it is held**. The server's
-//! gossip handler runs inline on a shard event loop, so it only mutates
-//! state and appends wire frames to an *outbox*; a per-node pacer thread
-//! drains the outbox, runs gossip rounds, evaluates phi, drives view
-//! proposals, pumps the HDNS replica, and exports telemetry.
+//! Concurrency model: all protocol state lives in one [`NodeState`] behind
+//! a mutex, every step of it takes the time as an argument, and **no TCP
+//! I/O ever happens while it is held**. The server's gossip handler runs
+//! inline on a shard event loop, so it only mutates state and appends wire
+//! frames to an *outbox*; a per-node pacer thread asks the state for each
+//! round's plan, does the plan's I/O, hands the replies back, pumps the
+//! HDNS replica, and exports telemetry. Handler and pacer are the only
+//! code that knows sockets or clocks: `crates/cluster/tests/no_sockets.rs`
+//! runs the same state with frames handed over in memory.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::Ordering;
@@ -25,14 +28,14 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use groupcast::{Addr, MemberCore, OrderingMode, Outgoing, SendError, Wire};
-use hdns::{HdnsEntry, HdnsNode, Op, OpOutcome as HdnsOutcome, ReplicaChannel, Ticket};
-use rndi_core::context::NameClassPair;
+use hdns::replica::replicate;
+use hdns::{HdnsEntry, HdnsEvent, HdnsNode, Op, RealmError, Replica, ReplicaChannel};
 use rndi_core::error::{NamingError, Result};
-use rndi_core::op::{NamingOp, OpKind, OpOutcome};
-use rndi_core::spi::ProviderBackend;
 use rndi_net::proto::{GossipReply, GossipRequest, MemberEntry, MemberState, ViewSummary};
 use rndi_net::{GossipHandler, MembershipStats, NetClient, NetServer, ServerConfig};
 use rndi_obs::metrics::{names, Counter, Registry};
+use rndi_obs::TraceCtx;
+use rndi_providers::hdns::HdnsProviderContext;
 
 use crate::bridge::{self, addr_of};
 use crate::config::ClusterConfig;
@@ -43,22 +46,20 @@ use crate::membership::MembershipTable;
 /// ordered self-delivery.
 const WRITE_BUDGET: Duration = Duration::from_millis(3_000);
 
-/// How long the *served* backend waits. Backend calls run inline on a
-/// server shard's event loop, so this must stay well under the phi
-/// suspect bound (~18× the gossip interval at the default threshold) —
-/// a stalled wait must surface as a retryable error to the remote
-/// caller, not as seconds of inbound-frame starvation that read as this
-/// node going silent.
-const BACKEND_WRITE_BUDGET: Duration = Duration::from_millis(250);
+/// How long a *served* write waits. Backend calls run inline on a server
+/// shard's event loop: gossip has a shard of its own, but every other
+/// client of that loop waits with the write, so a stalled one must
+/// surface as a retryable error soon.
+pub const BACKEND_WRITE_BUDGET: Duration = Duration::from_millis(250);
 
 /// All protocol state of one node. See the module doc for the locking
 /// rule: mutate freely, never touch a socket while holding this.
-struct Inner {
+pub struct NodeState {
     engine: GossipEngine,
     core: MemberCore,
     group: String,
     connected: bool,
-    /// Reverse of [`bridge::addr_of`] over every known member name.
+    /// Reverse of [`bridge::addr_of`] over every name in the table.
     names_by_addr: BTreeMap<Addr, String>,
     /// Group wires awaiting the pacer's flush, per target endpoint.
     outbox: Vec<(String, GossipRequest)>,
@@ -68,17 +69,32 @@ struct Inner {
     /// Seed endpoint still being courted (dropped once it appears in the
     /// membership table).
     seed: Option<String>,
+    /// `rndi_cluster_undecodable_frames_total` in the node's registry.
+    undecodable_frames: Arc<Counter>,
 }
 
-impl Inner {
-    fn now_names(&mut self) {
-        self.names_by_addr = self
-            .engine
-            .table
-            .entries()
-            .into_iter()
-            .map(|e| (addr_of(&e.name), e.name))
-            .collect();
+/// One gossip round's outbound work, computed under the lock, executed
+/// off it (public for `tests/no_sockets.rs`).
+#[doc(hidden)]
+pub struct RoundPlan {
+    pub sync: GossipRequest,
+    /// `(peer name if known, endpoint)` to Sync with.
+    pub targets: Vec<(Option<String>, String)>,
+    /// `(endpoint, Group frame)` to deliver.
+    pub wires: Vec<(String, GossipRequest)>,
+}
+
+impl NodeState {
+    fn name_of(&self, addr: Addr) -> Option<&str> {
+        self.names_by_addr.get(&addr).map(String::as_str)
+    }
+
+    /// Index the names a merge added to the table (none ever leaves it).
+    fn index_names(&mut self) {
+        if self.names_by_addr.len() != self.engine.table.known_count() {
+            let entries = self.engine.table.entries().into_iter();
+            self.names_by_addr = entries.map(|e| (addr_of(&e.name), e.name)).collect();
+        }
     }
 
     fn endpoint_of(&self, name: &str) -> Option<String> {
@@ -100,70 +116,60 @@ impl Inner {
                 work.extend(self.core.on_wire(me, out.wire));
                 continue;
             }
-            let Some(name) = self.names_by_addr.get(&out.to).cloned() else {
-                continue;
-            };
-            let Some(ep) = self.endpoint_of(&name) else {
-                continue;
-            };
-            if self.blocked.contains(&ep) {
-                continue;
+            if let Some(name) = self.name_of(out.to).map(str::to_string) {
+                self.queue(&name, &out.wire);
             }
-            self.outbox.push((
-                ep,
-                GossipRequest::Group {
-                    group: self.group.clone(),
-                    from: me.0,
-                    wire: out.wire.encode(),
-                },
-            ));
         }
+    }
+
+    /// Put `wire` in the outbox for member `name`, unless it has no known
+    /// endpoint or sits behind an injected partition.
+    fn queue(&mut self, name: &str, wire: &Wire) {
+        let Some(ep) = self.endpoint_of(name) else {
+            return;
+        };
+        if self.blocked.contains(&ep) {
+            return;
+        }
+        let frame = GossipRequest::Group {
+            group: self.group.clone(),
+            from: self.core.me().0,
+            wire: wire.encode(),
+        };
+        self.outbox.push((ep, frame));
+    }
+
+    /// This node's current belief about every member.
+    pub fn members(&self) -> Vec<MemberEntry> {
+        self.engine.table.entries()
     }
 
     /// Strict-majority write gate: the installed view must contain a
     /// strict majority of *all known* member names still believed Alive.
     /// A minority partition fails this and refuses writes, which is what
     /// makes "no acknowledged write lost" hold across heals.
-    fn writes_allowed(&self) -> bool {
+    pub fn writes_allowed(&self) -> bool {
         let Some(view) = self.core.view() else {
             return false;
         };
-        // A node whose installed view trails the lineage it has *heard*
-        // is healing from a partition: the gossip piggyback guarantees it
-        // learned the higher-sequence view no later than it learned its
-        // peers were back, so refusing here closes the window where a
-        // stale five-member view would pass the quorum count again.
-        if self
-            .engine
-            .best_view()
-            .is_some_and(|best| best.seq > view.id.seq)
-        {
-            return false;
-        }
-        let alive_in_view = view
-            .members
-            .iter()
-            .filter(|a| {
-                self.names_by_addr
-                    .get(a)
-                    .and_then(|n| self.engine.table.get(n))
-                    .is_some_and(|m| m.state == MemberState::Alive)
-            })
-            .count();
-        alive_in_view * 2 > self.engine.table.known_count()
+        // A node whose installed view trails the lineage it has *heard* is
+        // healing from a partition: the gossip piggyback taught it the
+        // higher-seq view no later than that its peers were back, so this
+        // closes the window where a stale full view passes the count again.
+        let healing = |best: &ViewSummary| best.seq > view.id.seq;
+        let named = view.members.iter().filter_map(|a| self.name_of(*a));
+        !self.engine.best_view().is_some_and(healing) && bridge::quorum_holds(&self.engine, named)
     }
 
     /// The installed view rendered in names (for gossip and telemetry).
-    fn installed_summary(&self) -> Option<ViewSummary> {
+    pub fn view(&self) -> Option<ViewSummary> {
         let view = self.core.view()?;
         let members = view
             .members
             .iter()
             .map(|a| {
-                self.names_by_addr
-                    .get(a)
-                    .cloned()
-                    .unwrap_or_else(|| format!("?{}", a.0))
+                self.name_of(*a)
+                    .map_or_else(|| format!("?{}", a.0), str::to_string)
             })
             .collect();
         Some(ViewSummary {
@@ -171,96 +177,85 @@ impl Inner {
             members,
         })
     }
-}
 
-/// The replica's transport handle: routes [`HdnsNode`]'s group traffic
-/// through the shared [`Inner`] onto real TCP.
-#[derive(Clone)]
-pub struct TcpChannel {
-    inner: Arc<Mutex<Inner>>,
-}
-
-impl ReplicaChannel for TcpChannel {
-    fn addr(&self) -> Addr {
-        self.inner.lock().core.me()
-    }
-
-    fn connect(&self, group: &str) -> std::result::Result<(), SendError> {
-        let mut inner = self.inner.lock();
-        inner.group = group.to_string();
-        inner.connected = true;
-        Ok(())
-    }
-
-    fn disconnect(&self) {
-        let mut inner = self.inner.lock();
-        inner.connected = false;
-        inner.core.clear_view();
-    }
-
-    fn mcast(&self, bytes: Vec<u8>) -> std::result::Result<(), SendError> {
-        let mut inner = self.inner.lock();
-        if !inner.connected {
-            return Err(SendError::NotConnected);
+    /// The state half of one pacer round at `now_ms`: accrue suspicion,
+    /// drive the view lineage, choose who to Sync with (courting the seed
+    /// until it shows up in the table) and hand over the outbox.
+    pub fn plan_round(&mut self, now_ms: u64) -> RoundPlan {
+        self.engine.tick(now_ms);
+        self.maintain_views();
+        let mut targets: Vec<(Option<String>, String)> = self
+            .engine
+            .gossip_targets()
+            .into_iter()
+            .map(|(n, ep)| (Some(n), ep))
+            .collect();
+        if let Some(seed) = self.seed.clone() {
+            let known = targets.iter().any(|(_, ep)| *ep == seed);
+            if known || self.engine.table.known_count() > 1 {
+                self.seed = None; // absorbed; normal gossip takes over
+            } else {
+                targets.push((None, seed));
+            }
         }
-        let outgoing = inner.core.mcast(bytes)?;
-        inner.deliver(outgoing);
-        Ok(())
+        let my_endpoint = &self.engine.table.me().endpoint;
+        targets.retain(|(_, ep)| !ep.is_empty() && ep != my_endpoint && !self.blocked.contains(ep));
+        self.engine.rounds += 1;
+        RoundPlan {
+            sync: self.engine.sync_request(),
+            targets,
+            wires: std::mem::take(&mut self.outbox),
+        }
     }
 
-    fn poll(&self) -> Vec<groupcast::ChannelEvent> {
-        self.inner.lock().core.take_events()
+    /// Take in the reply to a planned Sync with `(peer, endpoint)`; a seed
+    /// contact (no name yet) is identified by its endpoint.
+    pub fn absorb(&mut self, peer: Option<&str>, endpoint: &str, reply: &GossipReply, now_ms: u64) {
+        let name = peer.map(str::to_string).or_else(|| match reply {
+            GossipReply::Sync { entries, .. } => entries
+                .iter()
+                .find(|e| e.endpoint == endpoint)
+                .map(|e| e.name.clone()),
+            _ => None,
+        });
+        if let Some(name) = name {
+            self.engine.absorb_reply(&name, reply, now_ms);
+            self.index_names();
+        }
     }
 
-    fn provide_state(&self, to: Addr, bytes: Vec<u8>) -> std::result::Result<(), SendError> {
-        let mut inner = self.inner.lock();
-        let out = inner.core.provide_state(to, bytes);
-        inner.deliver(vec![out]);
-        Ok(())
-    }
-}
-
-/// Serves inbound `Gossip` envelopes on the server's event loop: quick
-/// state merges only, every resulting send deferred to the outbox.
-struct Handler {
-    inner: Arc<Mutex<Inner>>,
-    epoch: Instant,
-    /// `rndi_cluster_undecodable_frames_total` in the node's registry.
-    undecodable_frames: Arc<Counter>,
-}
-
-impl GossipHandler for Handler {
-    fn handle(&self, req: GossipRequest) -> GossipReply {
-        let now = self.epoch.elapsed().as_millis() as u64;
-        let mut inner = self.inner.lock();
+    /// Serve one inbound `Gossip` envelope at `now_ms`: quick state merges
+    /// only, every resulting send deferred to the outbox.
+    pub fn handle(&mut self, req: GossipRequest, now_ms: u64) -> GossipReply {
         match req {
             GossipRequest::Sync {
                 from,
                 entries,
                 view,
             } => {
-                if inner.blocked.contains(&from.endpoint) {
+                if self.blocked.contains(&from.endpoint) {
                     // Partitioned-off peer: reveal nothing, learn nothing.
                     return GossipReply::Ack;
                 }
-                let reply = inner
+                let reply = self
                     .engine
-                    .handle_sync(&from, &entries, view.as_ref(), now);
-                inner.now_names();
+                    .handle_sync(&from, &entries, view.as_ref(), now_ms);
+                self.index_names();
                 reply
             }
             GossipRequest::Group { group, from, wire } => {
-                if group != inner.group || !inner.connected {
+                if group != self.group || !self.connected {
                     return GossipReply::Ack;
                 }
                 let from = Addr(from);
-                if let Some(name) = inner.names_by_addr.get(&from).cloned() {
-                    if let Some(ep) = inner.endpoint_of(&name) {
-                        if inner.blocked.contains(&ep) {
-                            return GossipReply::Ack;
-                        }
+                if let Some(name) = self.name_of(from).map(str::to_string) {
+                    if self
+                        .endpoint_of(&name)
+                        .is_some_and(|ep| self.blocked.contains(&ep))
+                    {
+                        return GossipReply::Ack;
                     }
-                    inner.engine.note_contact(&name, now);
+                    self.engine.note_contact(&name, now_ms);
                 }
                 let Ok(w) = Wire::decode(&wire) else {
                     // Dropped, but not silently: the sender's protocol
@@ -268,143 +263,205 @@ impl GossipHandler for Handler {
                     self.undecodable_frames.inc();
                     return GossipReply::Ack;
                 };
-                // Never regress the lineage: a candidate that healed out of
-                // a minority partition keeps re-asserting its stale view
-                // until gossip catches it up, and blindly installing that
-                // would roll a majority-side member back. (Same-seq
-                // conflicts cannot arise — a minority can never reach the
-                // quorum needed to mint one.)
-                let stale_install = match &w {
-                    Wire::InstallView(v) => {
-                        inner.core.view().is_some_and(|cur| v.id.seq < cur.id.seq)
-                    }
-                    _ => false,
-                };
-                if !stale_install {
-                    let outgoing = inner.core.on_wire(from, w);
-                    inner.deliver(outgoing);
-                }
+                let outgoing = self.core.on_wire(from, w);
+                self.deliver(outgoing);
                 GossipReply::Ack
             }
         }
     }
-}
 
-/// The lean naming backend each node hosts: reads answer from the local
-/// replica ("nearest node" semantics); writes replicate through the
-/// group and only acknowledge after ordered self-delivery — and only
-/// while this node sits in the primary partition.
-struct ClusterBackend {
-    name: String,
-    inner: Arc<Mutex<Inner>>,
-    hdns: Arc<Mutex<HdnsNode<TcpChannel>>>,
-}
-
-impl ClusterBackend {
-    fn path(op: &NamingOp) -> Result<String> {
-        if op.name.is_empty() {
-            return Err(NamingError::invalid_name("", "empty name"));
+    /// Drive the view lineage: fold the installed view in, let the
+    /// (unique) candidate propose the next view when the alive-set changed
+    /// and quorum holds, and keep re-asserting the current view to its
+    /// members so a dropped `InstallView` heals instead of wedging a
+    /// joiner.
+    fn maintain_views(&mut self) {
+        if !self.connected {
+            return;
         }
-        Ok(op.name.components().join("/"))
+        let me = self.engine.table.my_name().to_string();
+        if let Some(summary) = self.view() {
+            self.engine.observe_view(&summary);
+        }
+        if let Some(p) = bridge::propose(&self.engine, &me) {
+            self.engine.observe_view(&p.summary);
+            self.core.install_view(p.view);
+        } else if !bridge::is_candidate(&self.engine, &me) {
+            return;
+        }
+        // The candidate (re-)asserts its view: idempotent at receivers.
+        let (Some(view), Some(summary)) = (self.core.view().cloned(), self.view()) else {
+            return;
+        };
+        let install = Wire::InstallView(view);
+        for name in summary.members.iter().filter(|n| **n != me) {
+            self.queue(name, &install);
+        }
+    }
+}
+
+/// The replica's transport handle: routes [`HdnsNode`]'s group traffic
+/// through the shared [`NodeState`] onto real TCP.
+#[derive(Clone)]
+pub struct TcpChannel {
+    state: Arc<Mutex<NodeState>>,
+}
+
+impl ReplicaChannel for TcpChannel {
+    fn addr(&self) -> Addr {
+        self.state.lock().core.me()
     }
 
-    fn write(&self, op: Op) -> Result<()> {
-        if !self.inner.lock().writes_allowed() {
-            return Err(NamingError::service(
-                "not in the primary partition: writes refused",
-            ));
+    /// Join `group`. A node with no seed and no lineage founds it: it
+    /// installs the singleton view every later view descends from.
+    fn connect(&self, group: &str) -> std::result::Result<(), SendError> {
+        let mut state = self.state.lock();
+        state.group = group.to_string();
+        state.connected = true;
+        if state.seed.is_none() && state.engine.best_view().is_none() {
+            let founding = bridge::bootstrap(state.engine.table.my_name());
+            state.engine.observe_view(&founding.summary);
+            state.core.install_view(founding.view);
         }
-        let ticket = self
-            .hdns
+        Ok(())
+    }
+
+    fn disconnect(&self) {
+        let mut state = self.state.lock();
+        state.connected = false;
+        state.core.clear_view();
+    }
+
+    fn mcast(&self, bytes: Vec<u8>) -> std::result::Result<(), SendError> {
+        let mut state = self.state.lock();
+        if !state.connected {
+            return Err(SendError::NotConnected);
+        }
+        let outgoing = state.core.mcast(bytes)?;
+        state.deliver(outgoing);
+        Ok(())
+    }
+
+    fn poll(&self) -> Vec<groupcast::ChannelEvent> {
+        self.state.lock().core.take_events()
+    }
+
+    fn provide_state(&self, to: Addr, bytes: Vec<u8>) -> std::result::Result<(), SendError> {
+        let mut state = self.state.lock();
+        let out = state.core.provide_state(to, bytes);
+        state.deliver(vec![out]);
+        Ok(())
+    }
+}
+
+/// One node's HDNS replica and the membership state that gates it: a node
+/// minus its sockets, clock and threads. Reads answer from the local
+/// replica ("nearest node"); writes replicate through the group and
+/// acknowledge only after ordered self-delivery, in the primary partition.
+#[derive(Clone)]
+pub struct NodeReplica {
+    // Both public for `tests/no_sockets.rs` only.
+    #[doc(hidden)]
+    pub state: Arc<Mutex<NodeState>>,
+    #[doc(hidden)]
+    pub hdns: Arc<Mutex<HdnsNode<TcpChannel>>>,
+}
+
+impl NodeReplica {
+    /// A node yet to join; `registry` takes its `rndi_cluster_*` series.
+    pub fn new(config: &ClusterConfig, registry: &Registry) -> NodeReplica {
+        let table = MembershipTable::new(&config.name, "", config.quarantine_ms);
+        let state = Arc::new(Mutex::new(NodeState {
+            engine: GossipEngine::new(table, config.phi_threshold, config.gossip_interval_ms),
+            core: MemberCore::new(addr_of(&config.name), OrderingMode::Sequencer),
+            group: config.group.clone(),
+            connected: false,
+            names_by_addr: BTreeMap::from([(addr_of(&config.name), config.name.clone())]),
+            outbox: Vec::new(),
+            blocked: BTreeSet::new(),
+            seed: config.seed.clone(),
+            undecodable_frames: registry.counter(names::CLUSTER_UNDECODABLE_FRAMES, &[]),
+        }));
+        let channel = TcpChannel {
+            state: state.clone(),
+        };
+        NodeReplica {
+            state,
+            hdns: Arc::new(Mutex::new(HdnsNode::new(channel, None))),
+        }
+    }
+
+    /// Start taking part from `endpoint`: join the group (founding its
+    /// view lineage when configured with no seed).
+    pub fn open(&self, endpoint: &str) -> Result<()> {
+        let group = {
+            let mut state = self.state.lock();
+            state.engine.table.set_my_endpoint(endpoint);
+            state.group.clone()
+        };
+        self.hdns
             .lock()
-            .submit(op)
-            .map_err(|e| NamingError::service(format!("replicate: {e}")))?;
-        let deadline = Instant::now() + BACKEND_WRITE_BUDGET;
-        loop {
-            {
-                let mut node = self.hdns.lock();
-                node.process();
-                match node.outcome(ticket) {
-                    HdnsOutcome::Pending => {}
-                    HdnsOutcome::Done(Ok(())) => return Ok(()),
-                    HdnsOutcome::Done(Err(e)) => {
-                        return Err(NamingError::service(format!("hdns: {e}")))
-                    }
-                    HdnsOutcome::Lost => return Err(NamingError::service("replica lost the op")),
-                }
-            }
-            if Instant::now() >= deadline {
-                self.hdns.lock().abandon(ticket);
-                return Err(NamingError::service("write not ordered within budget"));
-            }
-            std::thread::sleep(Duration::from_millis(1));
+            .connect(&group)
+            .map_err(|e| NamingError::service(format!("join group: {e}")))
+    }
+
+    /// Write gate → submit → wait for the ordered self-delivery; `pump` as
+    /// for [`replicate`].
+    pub fn write(&self, op: Op, pump: impl FnMut() -> bool) -> std::result::Result<(), RealmError> {
+        if !self.state.lock().writes_allowed() {
+            return Err(RealmError::NotPrimary);
         }
+        // Answer a joiner's state request before this write's `Ordered` is
+        // queued: a snapshot queued behind it would wipe it at the joiner.
+        self.hdns.lock().process();
+        replicate(&self.hdns, op, pump)
+    }
+
+    /// [`NodeReplica::write`] while the pacer thread carries the frames:
+    /// pump the replica between 1 ms naps for at most `budget`.
+    fn write_within(&self, op: Op, budget: Duration) -> std::result::Result<(), RealmError> {
+        let deadline = Instant::now() + budget;
+        let mut napped = false;
+        self.write(op, || {
+            if std::mem::replace(&mut napped, true) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            self.hdns.lock().process();
+            Instant::now() < deadline
+        })
     }
 }
 
-impl ProviderBackend for ClusterBackend {
-    fn execute(&self, op: &NamingOp) -> Result<OpOutcome> {
-        match op.kind {
-            OpKind::Lookup => {
-                let path = Self::path(op)?;
-                let entry = self
-                    .hdns
-                    .lock()
-                    .lookup(&path)
-                    .ok_or_else(|| NamingError::not_found(&path))?;
-                if entry.is_context {
-                    return Err(NamingError::service(format!("{path}: is a context")));
-                }
-                Ok(OpOutcome::Wire(entry.value))
-            }
-            OpKind::List => {
-                let prefix = if op.name.is_empty() {
-                    String::new()
-                } else {
-                    Self::path(op)?
-                };
-                let pairs = self
-                    .hdns
-                    .lock()
-                    .list(&prefix)
-                    .into_iter()
-                    .map(|(name, e)| NameClassPair {
-                        name,
-                        class_name: if e.is_context { "context" } else { "object" }.to_string(),
-                    })
-                    .collect();
-                Ok(OpOutcome::Names(pairs))
-            }
-            OpKind::Bind | OpKind::Rebind => {
-                let (payload, _) = op.wire_value()?;
-                self.write(Op::Bind {
-                    path: Self::path(op)?,
-                    entry: HdnsEntry::leaf(payload),
-                    overwrite: op.kind == OpKind::Rebind,
-                })?;
-                Ok(OpOutcome::Done)
-            }
-            OpKind::Unbind => {
-                self.write(Op::Unbind {
-                    path: Self::path(op)?,
-                })?;
-                Ok(OpOutcome::Done)
-            }
-            OpKind::CreateSubcontext => {
-                self.write(Op::CreateContext {
-                    path: Self::path(op)?,
-                })?;
-                Ok(OpOutcome::Done)
-            }
-            _ => Err(NamingError::unsupported(format!(
-                "cluster backend: {:?}",
-                op.kind
-            ))),
-        }
+impl Replica for NodeReplica {
+    fn lookup(&self, path: &str) -> Option<HdnsEntry> {
+        self.hdns.lock().lookup(path)
     }
+    fn list(&self, prefix: &str) -> Vec<(String, HdnsEntry)> {
+        self.hdns.lock().list(prefix)
+    }
+    /// The node's `NetServer` records the server span of a served op, so
+    /// `trace` has nothing further to link here.
+    fn write(&self, op: Op, _trace: Option<&TraceCtx>) -> std::result::Result<(), RealmError> {
+        self.write_within(op, BACKEND_WRITE_BUDGET)
+    }
+    fn take_events(&self) -> Vec<HdnsEvent> {
+        self.hdns.lock().take_events()
+    }
+    fn pump(&self) {
+        self.hdns.lock().process()
+    }
+}
 
-    fn provider_id(&self) -> String {
-        format!("cluster:{}", self.name)
+/// Serves inbound `Gossip` envelopes on the server's event loop.
+struct Handler {
+    state: Arc<Mutex<NodeState>>,
+    epoch: Instant,
+}
+
+impl GossipHandler for Handler {
+    fn handle(&self, req: GossipRequest) -> GossipReply {
+        let now = self.epoch.elapsed().as_millis() as u64;
+        self.state.lock().handle(req, now)
     }
 }
 
@@ -412,8 +469,7 @@ impl ProviderBackend for ClusterBackend {
 pub struct ClusterNode {
     config: ClusterConfig,
     endpoint: String,
-    inner: Arc<Mutex<Inner>>,
-    hdns: Arc<Mutex<HdnsNode<TcpChannel>>>,
+    replica: NodeReplica,
     server: Option<NetServer>,
     registry: Arc<Registry>,
     stop: Arc<std::sync::atomic::AtomicBool>,
@@ -426,81 +482,37 @@ impl ClusterNode {
     /// singleton; otherwise it courts the seed until absorbed.
     pub fn start(config: ClusterConfig) -> Result<ClusterNode> {
         let epoch = Instant::now();
-        let me = addr_of(&config.name);
-        let table = MembershipTable::new(&config.name, "", config.quarantine_ms);
-        let engine = GossipEngine::new(table, config.phi_threshold, config.gossip_interval_ms);
-        let inner = Arc::new(Mutex::new(Inner {
-            engine,
-            core: MemberCore::new(me, OrderingMode::Sequencer),
-            group: config.group.clone(),
-            connected: false,
-            names_by_addr: BTreeMap::new(),
-            outbox: Vec::new(),
-            blocked: BTreeSet::new(),
-            seed: config.seed.clone(),
-        }));
-        let channel = TcpChannel {
-            inner: inner.clone(),
-        };
-        let hdns = Arc::new(Mutex::new(HdnsNode::new(channel, None)));
         let registry = Arc::new(Registry::new());
-        let backend = Arc::new(ClusterBackend {
-            name: config.name.clone(),
-            inner: inner.clone(),
-            hdns: hdns.clone(),
-        });
+        let replica = NodeReplica::new(&config, &registry);
         let server = NetServer::with_registry(
-            backend,
+            HdnsProviderContext::over(Box::new(replica.clone()), &config.name, &config.env),
             ServerConfig::from_env(&config.env)?,
             registry.clone(),
         )?;
         let endpoint = server.local_addr().to_string();
         server.set_gossip_handler(Arc::new(Handler {
-            inner: inner.clone(),
+            state: replica.state.clone(),
             epoch,
-            undecodable_frames: registry.counter(names::CLUSTER_UNDECODABLE_FRAMES, &[]),
         }));
         let membership = server.membership_stats();
-
-        {
-            let mut i = inner.lock();
-            i.engine.table.set_my_endpoint(&endpoint);
-            i.now_names();
-        }
-        hdns.lock()
-            .connect(&config.group)
-            .map_err(|e| NamingError::service(format!("join group: {e}")))?;
-        if config.seed.is_none() {
-            let mut i = inner.lock();
-            let (view, summary) = bridge::bootstrap(&config.name);
-            i.engine.observe_view(&summary);
-            i.core.install_view(view);
-        }
+        replica.open(&endpoint)?;
 
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let pacer = {
-            let inner = inner.clone();
-            let hdns = hdns.clone();
+            let replica = replica.clone();
             let stop = stop.clone();
             let registry = registry.clone();
-            let membership = membership.clone();
             let config = config.clone();
-            let endpoint = endpoint.clone();
             std::thread::Builder::new()
                 .name(format!("cluster-pacer-{}", config.name))
-                .spawn(move || {
-                    pace(
-                        inner, hdns, stop, registry, membership, config, endpoint, epoch,
-                    )
-                })
+                .spawn(move || pace(replica, stop, registry, membership, config, epoch))
                 .map_err(|e| NamingError::service(format!("spawn pacer: {e}")))?
         };
 
         Ok(ClusterNode {
             config,
             endpoint,
-            inner,
-            hdns,
+            replica,
             server: Some(server),
             registry,
             stop,
@@ -518,82 +530,46 @@ impl ClusterNode {
     }
 
     pub fn incarnation(&self) -> u64 {
-        self.inner.lock().engine.table.incarnation()
+        self.replica.state.lock().engine.table.incarnation()
     }
 
     /// This node's current belief about every member.
     pub fn members(&self) -> Vec<MemberEntry> {
-        self.inner.lock().engine.table.entries()
+        self.replica.state.lock().members()
     }
 
     /// The installed group view, in member names.
     pub fn view(&self) -> Option<ViewSummary> {
-        self.inner.lock().installed_summary()
+        self.replica.state.lock().view()
     }
 
     /// Is this node currently allowed to acknowledge writes?
     pub fn writes_allowed(&self) -> bool {
-        self.inner.lock().writes_allowed()
-    }
-
-    /// Entries in the local replica store.
-    pub fn entry_count(&self) -> usize {
-        self.hdns.lock().entry_count()
+        self.replica.state.lock().writes_allowed()
     }
 
     /// Replica-local read.
     pub fn lookup(&self, path: &str) -> Option<HdnsEntry> {
-        self.hdns.lock().lookup(path)
+        self.replica.hdns.lock().lookup(path)
     }
 
-    /// Submit a replicated write (primary partition only). The returned
-    /// ticket resolves via [`ClusterNode::outcome`] once the op's ordered
-    /// self-delivery lands.
-    pub fn submit(&self, op: Op) -> std::result::Result<Ticket, SendError> {
-        if !self.inner.lock().writes_allowed() {
-            return Err(SendError::NotConnected);
-        }
-        self.hdns.lock().submit(op)
-    }
-
-    /// Check (and, when resolved, consume) a ticket.
-    pub fn outcome(&self, ticket: Ticket) -> HdnsOutcome {
-        let mut node = self.hdns.lock();
-        node.process();
-        node.outcome(ticket)
-    }
-
-    /// Submit and wait for the ordered outcome (test/demo convenience).
-    pub fn write_sync(&self, op: Op) -> HdnsOutcome {
-        let ticket = match self.submit(op) {
-            Ok(t) => t,
-            Err(_) => return HdnsOutcome::Lost,
-        };
-        let deadline = Instant::now() + WRITE_BUDGET;
-        loop {
-            match self.outcome(ticket) {
-                HdnsOutcome::Pending => {}
-                resolved => return resolved,
-            }
-            if Instant::now() >= deadline {
-                // Nobody holds the ticket after this: let it go.
-                self.hdns.lock().abandon(ticket);
-                return HdnsOutcome::Pending;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+    /// Replicate a write from inside the process and wait for its ordered
+    /// outcome (primary partition only; test/demo convenience — clients
+    /// write through the node's endpoint).
+    pub fn write_sync(&self, op: Op) -> std::result::Result<(), RealmError> {
+        self.replica.write_within(op, WRITE_BUDGET)
     }
 
     /// Fault injection: refuse all exchange with `endpoints` (apply the
     /// mirror-image block on the other side for a symmetric partition).
     pub fn block_endpoints(&self, endpoints: &[String]) {
-        let mut inner = self.inner.lock();
-        inner.blocked.extend(endpoints.iter().cloned());
+        let mut state = self.replica.state.lock();
+        state.blocked.extend(endpoints.iter().cloned());
     }
 
     /// Heal all injected partitions on this node.
     pub fn clear_blocked(&self) {
-        self.inner.lock().blocked.clear();
+        self.replica.state.lock().blocked.clear();
     }
 
     /// The node's private metrics registry (scraped remotely via admin).
@@ -601,26 +577,26 @@ impl ClusterNode {
         self.registry.clone()
     }
 
-    /// Crash the node: tear sockets down mid-request, no goodbyes. The
-    /// rest of the cluster finds out the phi-accrual way.
-    pub fn kill(mut self) {
+    /// Stop the pacer; what is left to stop is the server.
+    fn halt(&mut self) -> Option<NetServer> {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(p) = self.pacer.take() {
             let _ = p.join();
         }
-        if let Some(s) = self.server.take() {
-            s.abort();
-        }
+        self.server.take()
+    }
+
+    /// Crash the node: tear sockets down mid-request, no goodbyes. The
+    /// rest of the cluster finds out the phi-accrual way.
+    pub fn kill(self) {
+        drop(self) // dropping a node is crashing it
     }
 
     /// Graceful exit: persist, leave the group, drain the server.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(p) = self.pacer.take() {
-            let _ = p.join();
-        }
-        self.hdns.lock().shutdown();
-        if let Some(s) = self.server.take() {
+        let server = self.halt();
+        self.replica.hdns.lock().shutdown();
+        if let Some(s) = server {
             s.shutdown();
         }
     }
@@ -628,116 +604,52 @@ impl ClusterNode {
 
 impl Drop for ClusterNode {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(p) = self.pacer.take() {
-            let _ = p.join();
-        }
-        if let Some(s) = self.server.take() {
+        if let Some(s) = self.halt() {
             s.abort();
         }
     }
 }
 
-/// One gossip round's outbound work, computed under the lock, executed
-/// off it.
-struct RoundPlan {
-    sync: GossipRequest,
-    /// `(peer name if known, endpoint)` to Sync with.
-    targets: Vec<(Option<String>, String)>,
-    wires: Vec<(String, GossipRequest)>,
-}
-
-#[allow(clippy::too_many_arguments)]
+/// The node's clock and sockets: each round, ask the state for its plan,
+/// carry it out, hand the replies back.
 fn pace(
-    inner: Arc<Mutex<Inner>>,
-    hdns: Arc<Mutex<HdnsNode<TcpChannel>>>,
+    replica: NodeReplica,
     stop: Arc<std::sync::atomic::AtomicBool>,
     registry: Arc<Registry>,
     membership: Arc<MembershipStats>,
     config: ClusterConfig,
-    my_endpoint: String,
     epoch: Instant,
 ) {
     let mut clients: BTreeMap<String, NetClient> = BTreeMap::new();
     let interval = Duration::from_millis(config.gossip_interval_ms);
+    let now = || epoch.elapsed().as_millis() as u64;
     while !stop.load(Ordering::SeqCst) {
-        let now = epoch.elapsed().as_millis() as u64;
+        let plan = replica.state.lock().plan_round(now());
 
-        // Phase 1: state only, under the lock.
-        let plan = {
-            let mut i = inner.lock();
-            i.engine.tick(now);
-            i.now_names();
-            maintain_views(&mut i, &config.name);
-            let mut targets: Vec<(Option<String>, String)> = i
-                .engine
-                .gossip_targets()
-                .into_iter()
-                .map(|(n, ep)| (Some(n), ep))
-                .collect();
-            if let Some(seed) = i.seed.clone() {
-                let known = targets.iter().any(|(_, ep)| *ep == seed);
-                if known || i.engine.table.known_count() > 1 {
-                    i.seed = None; // absorbed; normal gossip takes over
-                } else {
-                    targets.push((None, seed));
-                }
+        // Network, no lock. Failed peers just miss heartbeats — that is
+        // the signal, not an error to handle.
+        let mut exchange = |ep: &str, req: GossipRequest| {
+            let reply = client_for(&mut clients, ep, &config)?.gossip(req);
+            if reply.is_err() {
+                clients.remove(ep);
             }
-            targets
-                .retain(|(_, ep)| !ep.is_empty() && *ep != my_endpoint && !i.blocked.contains(ep));
-            i.engine.rounds += 1;
-            RoundPlan {
-                sync: i.engine.sync_request(),
-                targets,
-                wires: std::mem::take(&mut i.outbox),
-            }
+            reply.ok()
         };
-
-        // Phase 2: network, no lock. Failed peers just miss heartbeats —
-        // that is the signal, not an error to handle.
         for (peer, ep) in &plan.targets {
-            let Some(client) = client_for(&mut clients, ep, &config) else {
-                continue;
-            };
-            match client.gossip(plan.sync.clone()) {
-                Ok(reply) => {
-                    let now = epoch.elapsed().as_millis() as u64;
-                    let mut i = inner.lock();
-                    let name = peer.clone().or_else(|| {
-                        // Seed contact: identify the peer by endpoint.
-                        if let GossipReply::Sync { entries, .. } = &reply {
-                            entries
-                                .iter()
-                                .find(|e| e.endpoint == *ep)
-                                .map(|e| e.name.clone())
-                        } else {
-                            None
-                        }
-                    });
-                    if let Some(name) = name {
-                        i.engine.absorb_reply(&name, &reply, now);
-                        i.now_names();
-                    }
-                }
-                Err(_) => {
-                    clients.remove(ep);
-                }
+            if let Some(reply) = exchange(ep, plan.sync.clone()) {
+                let mut state = replica.state.lock();
+                state.absorb(peer.as_deref(), ep, &reply, now());
             }
         }
         for (ep, wire) in plan.wires {
-            if let Some(client) = client_for(&mut clients, &ep, &config) {
-                if client.gossip(wire).is_err() {
-                    clients.remove(&ep);
-                }
-            }
+            exchange(&ep, wire);
         }
 
-        // Phase 3: pump the replica (applies deliveries, answers state
-        // requests into the outbox for the next flush).
-        hdns.lock().process();
+        // Pump the replica (applies deliveries, answers state requests
+        // into the outbox for the next flush).
+        replica.hdns.lock().process();
 
-        // Phase 4: telemetry.
-        export(&inner, &registry, &membership, epoch);
+        export(&replica.state, &registry, &membership, now());
 
         std::thread::sleep(interval);
     }
@@ -749,82 +661,27 @@ fn client_for<'a>(
     config: &ClusterConfig,
 ) -> Option<&'a NetClient> {
     if !clients.contains_key(ep) {
-        match NetClient::new(ep, &config.env) {
-            Ok(c) => {
-                clients.insert(ep.to_string(), c);
-            }
-            Err(_) => return None,
-        }
+        clients.insert(ep.to_string(), NetClient::new(ep, &config.env).ok()?);
     }
     clients.get(ep)
-}
-
-/// Drive the view lineage: fold the installed view in, let the (unique)
-/// candidate propose the next view when the alive-set changed and quorum
-/// holds, and keep re-asserting the current view to its members so a
-/// dropped `InstallView` heals instead of wedging a joiner.
-fn maintain_views(inner: &mut Inner, me: &str) {
-    if !inner.connected {
-        return;
-    }
-    if let Some(summary) = inner.installed_summary() {
-        inner.engine.observe_view(&summary);
-    }
-    if let Some(p) = bridge::propose(&inner.engine, me) {
-        let summary = bridge::summarize(&p.view, &p.names);
-        inner.engine.observe_view(&summary);
-        inner.core.install_view(p.view.clone());
-        queue_install(inner, &p.view, &p.names, me);
-        return;
-    }
-    // Steady state: the candidate re-asserts (idempotent at receivers).
-    if bridge::is_candidate(&inner.engine, me) {
-        if let (Some(view), Some(summary)) = (inner.core.view().cloned(), inner.installed_summary())
-        {
-            queue_install(inner, &view, &summary.members, me);
-        }
-    }
-}
-
-fn queue_install(inner: &mut Inner, view: &groupcast::View, names: &[String], me: &str) {
-    for name in names {
-        if name == me {
-            continue;
-        }
-        let Some(ep) = inner.endpoint_of(name) else {
-            continue;
-        };
-        if inner.blocked.contains(&ep) {
-            continue;
-        }
-        inner.outbox.push((
-            ep,
-            GossipRequest::Group {
-                group: inner.group.clone(),
-                from: inner.core.me().0,
-                wire: Wire::InstallView(view.clone()).encode(),
-            },
-        ));
-    }
 }
 
 /// Export membership into the health atomics (served by `Admin::Health`)
 /// and the node's registry (merged by cluster scrapes).
 fn export(
-    inner: &Arc<Mutex<Inner>>,
-    registry: &Arc<Registry>,
-    membership: &Arc<MembershipStats>,
-    epoch: Instant,
+    state: &Mutex<NodeState>,
+    registry: &Registry,
+    membership: &MembershipStats,
+    now_ms: u64,
 ) {
-    let now = epoch.elapsed().as_millis() as u64;
-    let i = inner.lock();
-    let alive = i.engine.table.count(MemberState::Alive) as u64;
-    let suspect = i.engine.table.count(MemberState::Suspect) as u64;
-    let dead = (i.engine.table.count(MemberState::Dead)
-        + i.engine.table.count(MemberState::Quarantined)) as u64;
+    let i = state.lock();
+    let count = |state| i.engine.table.count(state) as u64;
+    let alive = count(MemberState::Alive);
+    let suspect = count(MemberState::Suspect);
+    let dead = count(MemberState::Dead) + count(MemberState::Quarantined);
     let epoch_seq = i.core.view().map_or(0, |v| v.id.seq);
     let rounds = i.engine.rounds;
-    let phi_millis = (i.engine.max_phi(now) * 1_000.0) as i64;
+    let phi_millis = (i.engine.max_phi(now_ms) * 1_000.0) as u64;
     drop(i);
 
     membership.alive.store(alive, Ordering::Relaxed);
@@ -832,16 +689,14 @@ fn export(
     membership.dead.store(dead, Ordering::Relaxed);
     membership.view_epoch.store(epoch_seq, Ordering::Relaxed);
 
-    registry
-        .gauge(names::CLUSTER_MEMBERS, &[])
-        .set(alive as i64);
-    registry
-        .gauge(names::CLUSTER_SUSPECTS, &[])
-        .set(suspect as i64);
-    registry
-        .gauge(names::CLUSTER_VIEW_EPOCH, &[])
-        .set(epoch_seq as i64);
-    registry.gauge(names::CLUSTER_PHI, &[]).set(phi_millis);
+    for (name, value) in [
+        (names::CLUSTER_MEMBERS, alive),
+        (names::CLUSTER_SUSPECTS, suspect),
+        (names::CLUSTER_VIEW_EPOCH, epoch_seq),
+        (names::CLUSTER_PHI, phi_millis),
+    ] {
+        registry.gauge(name, &[]).set(value as i64);
+    }
     let counter = registry.counter(names::CLUSTER_GOSSIP_ROUNDS, &[]);
     let done = counter.get();
     if rounds > done {

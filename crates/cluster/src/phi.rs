@@ -81,11 +81,6 @@ impl PhiFailureDetector {
         let elapsed = now_ms.saturating_sub(last) as f64;
         LOG10_E * elapsed / self.mean_ms()
     }
-
-    /// Milliseconds since the last heartbeat (`None` before the first).
-    pub fn silence_ms(&self, now_ms: u64) -> Option<u64> {
-        self.last.map(|l| now_ms.saturating_sub(l))
-    }
 }
 
 #[cfg(test)]
@@ -108,7 +103,6 @@ mod tests {
     fn phi_zero_before_first_heartbeat() {
         let d = PhiFailureDetector::new(25);
         assert_eq!(d.phi(10_000), 0.0);
-        assert_eq!(d.silence_ms(10_000), None);
     }
 
     #[test]

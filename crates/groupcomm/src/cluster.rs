@@ -228,17 +228,6 @@ impl Cluster {
             .and_then(|n| n.member.view().cloned())
     }
 
-    /// Inject a raw wire message into the simulated network (the
-    /// [`GroupTransport`](crate::transport::GroupTransport) surface).
-    pub(crate) fn send_wire(&self, from: Addr, to: Addr, wire: Wire) -> Result<(), SendError> {
-        let mut core = self.core.lock();
-        let node = core.nodes.get(&from).ok_or(SendError::Dead)?;
-        if !node.alive {
-            return Err(SendError::Dead);
-        }
-        Self::enqueue(&mut core, from, to, wire, false)
-    }
-
     pub(crate) fn is_alive(&self, addr: Addr) -> bool {
         self.core.lock().nodes.get(&addr).is_some_and(|n| n.alive)
     }
@@ -418,16 +407,6 @@ impl Cluster {
     /// Messages currently queued.
     pub fn in_flight(&self) -> usize {
         self.core.lock().in_flight.len()
-    }
-
-    /// Queued inbound bytes at one member (flow-control diagnostics).
-    pub fn inbox_bytes(&self, addr: Addr) -> u64 {
-        self.core
-            .lock()
-            .nodes
-            .get(&addr)
-            .map(|n| n.inbox.bytes())
-            .unwrap_or(0)
     }
 
     // ------------------------------------------------------------------

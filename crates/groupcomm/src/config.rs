@@ -12,23 +12,13 @@ pub enum OrderingMode {
     /// Bimodal-multicast suite: senders multicast directly (per-sender
     /// FIFO), messages may be lost with probability `loss`, and periodic
     /// gossip rounds repair gaps. Scalable, probabilistically reliable —
-    /// the HDNS default.
+    /// what the paper's HDNS ran; [`StackConfig::default`] is the sequencer.
     Bimodal {
         /// Per-message loss probability on the initial multicast.
         loss: f64,
         /// Peers contacted per gossip round.
         fanout: usize,
     },
-}
-
-impl OrderingMode {
-    /// The paper's default HDNS stack.
-    pub fn bimodal_default() -> OrderingMode {
-        OrderingMode::Bimodal {
-            loss: 0.05,
-            fanout: 2,
-        }
-    }
 }
 
 /// Per-channel stack configuration.
@@ -53,18 +43,6 @@ impl Default for StackConfig {
     }
 }
 
-impl StackConfig {
-    /// The configuration HDNS shipped with: bimodal multicast, unbounded
-    /// queues (Fig. 5's failure mode).
-    pub fn hdns_default() -> StackConfig {
-        StackConfig {
-            ordering: OrderingMode::bimodal_default(),
-            inbox_bound: None,
-            memory_limit: Some(64 * 1024 * 1024),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,9 +52,6 @@ mod tests {
         let c = StackConfig::default();
         assert_eq!(c.ordering, OrderingMode::Sequencer);
         assert!(c.inbox_bound.is_none());
-
-        let h = StackConfig::hdns_default();
-        assert!(matches!(h.ordering, OrderingMode::Bimodal { .. }));
-        assert!(h.memory_limit.is_some());
+        assert!(c.memory_limit.is_none());
     }
 }

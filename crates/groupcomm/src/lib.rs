@@ -14,9 +14,9 @@
 //!   delivery … at the cost of scalability"); and
 //!   [`protocols::bimodal`] — best-effort multicast with gossip
 //!   anti-entropy ("improves scalability, for the price of probabilistic
-//!   message delivery reliability"), the HDNS default.
-//! * **Failure handling** ([`protocols::fd`]) — reachability-based suspect
-//!   detection feeding GMS.
+//!   message delivery reliability"), which the paper's HDNS ran.
+//! * **Failure handling** — [`Cluster::detect_failures`] reconciles every
+//!   group's views with what the simulated network can still reach.
 //! * **State transfer** — snapshots to joiners and to partition losers.
 //! * **PRIMARY_PARTITION** ([`protocols::primary`]) — the protocol the
 //!   authors *added* to the JGroups stack: "after a transient network
@@ -36,6 +36,7 @@
 //! calls; gossip and loss draw from a seeded RNG.
 //!
 //! [`Cluster::pump`]: cluster::Cluster::pump
+//! [`Cluster::detect_failures`]: cluster::Cluster::detect_failures
 
 pub mod addr;
 pub mod channel;
@@ -44,7 +45,6 @@ pub mod codec;
 pub mod config;
 pub mod member;
 pub mod protocols;
-pub mod transport;
 pub mod view;
 pub mod wire;
 
@@ -53,6 +53,5 @@ pub use channel::{ChannelEvent, GroupChannel, SendError};
 pub use cluster::Cluster;
 pub use config::{OrderingMode, StackConfig};
 pub use member::{MemberCore, Outgoing};
-pub use transport::GroupTransport;
 pub use view::{View, ViewId};
 pub use wire::Wire;

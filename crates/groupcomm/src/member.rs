@@ -193,7 +193,19 @@ impl MemberCore {
     /// coordinator) request state on behalf of every newcomer; members
     /// whose previous view lacked the new coordinator learn they lost the
     /// primary-partition decision.
+    ///
+    /// The lineage never runs backwards: a view whose seq is below the
+    /// installed one changes nothing. A candidate healed out of a minority
+    /// partition keeps re-asserting its stale view until gossip catches it
+    /// up, and installing that would roll a majority-side member back.
     pub fn install_view(&mut self, view: View) {
+        if self
+            .view
+            .as_ref()
+            .is_some_and(|cur| view.id.seq < cur.id.seq)
+        {
+            return;
+        }
         let prev = self.view.replace(view.clone());
         if prev.as_ref().is_some_and(|p| p.id == view.id) {
             return; // already installed
@@ -246,11 +258,6 @@ impl MemberCore {
     /// Messages retained for retransmission.
     pub fn retained_count(&self) -> usize {
         self.bim.retained_count()
-    }
-
-    /// Ordered-but-undelivered backlog (diagnostics).
-    pub fn pending_len(&self) -> usize {
-        self.seq.pending_len()
     }
 }
 
@@ -331,6 +338,19 @@ mod tests {
         assert!(evs.iter().any(
             |e| matches!(e, ChannelEvent::ResyncNeeded { coordinator } if *coordinator == Addr(1))
         ));
+    }
+
+    #[test]
+    fn a_lower_seq_view_after_a_higher_one_changes_nothing() {
+        let mut b = MemberCore::new(Addr(2), OrderingMode::Sequencer);
+        b.install_view(view(5, &[2, 3]));
+        b.take_events();
+        // The old coordinator, healed out of its minority, re-asserts.
+        assert!(b
+            .on_wire(Addr(1), Wire::InstallView(view(3, &[1, 2, 3])))
+            .is_empty());
+        assert_eq!(b.view(), Some(&view(5, &[2, 3])));
+        assert!(b.take_events().is_empty(), "no view event, no resync");
     }
 
     #[test]

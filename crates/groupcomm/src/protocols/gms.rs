@@ -1,42 +1,10 @@
 //! Group membership service helpers.
 //!
-//! View arithmetic used by the cluster's membership engine: computing
-//! successor views on join/leave/crash while preserving join order and the
+//! View arithmetic used by the cluster's membership engine: merging
+//! partition-side views while preserving join order and the
 //! oldest-member-coordinates rule.
 
-use crate::addr::Addr;
 use crate::view::View;
-
-/// Compute the next view after `joiner` joins (appended, preserving join
-/// order). `prev` is `None` for a brand-new group.
-pub fn view_after_join(prev: Option<&View>, joiner: Addr) -> View {
-    match prev {
-        None => View::new(1, vec![joiner]),
-        Some(v) => {
-            let mut members = v.members.clone();
-            if !members.contains(&joiner) {
-                members.push(joiner);
-            }
-            View::new(v.id.seq + 1, members)
-        }
-    }
-}
-
-/// Compute the next view after `leavers` are excluded (leave or crash);
-/// `None` when nobody remains.
-pub fn view_after_exclude(prev: &View, leavers: &[Addr]) -> Option<View> {
-    let members: Vec<Addr> = prev
-        .members
-        .iter()
-        .copied()
-        .filter(|m| !leavers.contains(m))
-        .collect();
-    if members.is_empty() {
-        None
-    } else {
-        Some(View::new(prev.id.seq + 1, members))
-    }
-}
 
 /// Compute the merged view joining several partition-side views.
 /// Members are ordered: winner side first (its join order), then the
@@ -63,28 +31,7 @@ pub fn merged_view(winner: &View, losers: &[&View]) -> View {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn join_sequence() {
-        let v1 = view_after_join(None, Addr(1));
-        assert_eq!(v1.id.seq, 1);
-        assert_eq!(v1.coordinator(), Addr(1));
-        let v2 = view_after_join(Some(&v1), Addr(2));
-        assert_eq!(v2.members, vec![Addr(1), Addr(2)]);
-        assert_eq!(v2.id.seq, 2);
-        // Rejoining an existing member does not duplicate.
-        let v3 = view_after_join(Some(&v2), Addr(2));
-        assert_eq!(v3.members, v2.members);
-    }
-
-    #[test]
-    fn exclude_rotates_coordinator() {
-        let v = View::new(5, vec![Addr(1), Addr(2), Addr(3)]);
-        let v2 = view_after_exclude(&v, &[Addr(1)]).unwrap();
-        assert_eq!(v2.coordinator(), Addr(2), "next-oldest coordinates");
-        assert_eq!(v2.id.seq, 6);
-        assert!(view_after_exclude(&v2, &[Addr(2), Addr(3)]).is_none());
-    }
+    use crate::addr::Addr;
 
     #[test]
     fn merge_prefers_winner_ordering() {

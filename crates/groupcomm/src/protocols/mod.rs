@@ -6,7 +6,6 @@
 //! stack from protocol layers.
 
 pub mod bimodal;
-pub mod fd;
 pub mod flow;
 pub mod gms;
 pub mod primary;

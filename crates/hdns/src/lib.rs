@@ -23,6 +23,9 @@
 //! * [`realm::HdnsRealm`] — a deployment of replicas over a
 //!   [`groupcast::Cluster`], with the synchronous drive loop clients use,
 //!   plus crash/restart/partition fault injection.
+//! * [`replica::Replica`] — one replica as its clients see it, whether a
+//!   realm or an `rndi-cluster` node hosts it; [`replica::replicate`] is
+//!   the one submit-and-wait loop every host writes through.
 //!
 //! Unlike the Jini lookup service, HDNS was co-designed with the JNDI
 //! mapping in mind: `bind` is natively atomic (first delivered bind wins,
@@ -32,11 +35,13 @@
 pub mod node;
 mod proposal;
 pub mod realm;
+pub mod replica;
 pub mod store;
 pub mod wal;
 
-pub use node::{HdnsEvent, HdnsNode, OpOutcome, ReplicaChannel, Ticket};
-pub use realm::{AutoDrive, HdnsRealm};
+pub use node::{HdnsEvent, HdnsNode, OpOutcome, ReplicaChannel, StateError, Ticket};
+pub use realm::HdnsRealm;
+pub use replica::{RealmError, Replica};
 pub use store::{HdnsEntry, HdnsError, HdnsStore, Op};
 pub use wal::RecoveryReport;
 

@@ -97,6 +97,29 @@ fn undecodable_proposals() -> &'static Counter {
     COUNTER.get_or_init(|| metrics::counter(names::HDNS_UNDECODABLE_PROPOSALS, &[]))
 }
 
+/// `rndi_hdns_undecodable_state_total`, resolved once like the above.
+fn undecodable_state() -> &'static Counter {
+    static COUNTER: OnceLock<Arc<Counter>> = OnceLock::new();
+    COUNTER.get_or_init(|| metrics::counter(names::HDNS_UNDECODABLE_STATE, &[]))
+}
+
+/// `rndi_hdns_state_send_errors_total`, resolved once like the above.
+fn state_send_errors() -> &'static Counter {
+    static COUNTER: OnceLock<Arc<Counter>> = OnceLock::new();
+    COUNTER.get_or_init(|| metrics::counter(names::HDNS_STATE_SEND_ERRORS, &[]))
+}
+
+/// Why a state transfer failed at this replica (see
+/// [`HdnsNode::last_state_error`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum StateError {
+    /// The snapshot this replica was handed does not decode; the store
+    /// it had is untouched.
+    Undecodable(String),
+    /// This replica, coordinating, could not send its snapshot to `to`.
+    Send { to: Addr, error: SendError },
+}
+
 /// One replica of the naming service, generic over how its group
 /// messages travel (defaults to the in-process [`GroupChannel`]).
 pub struct HdnsNode<C: ReplicaChannel = GroupChannel> {
@@ -113,6 +136,9 @@ pub struct HdnsNode<C: ReplicaChannel = GroupChannel> {
     /// Why the most recent persistence step (log append or compaction)
     /// failed, if it did.
     persist_error: Option<std::io::Error>,
+    /// Why the most recent state transfer (either direction) failed, if
+    /// it did.
+    state_error: Option<StateError>,
     alive: bool,
 }
 
@@ -149,6 +175,7 @@ impl<C: ReplicaChannel> HdnsNode<C> {
             wal,
             recovery,
             persist_error: None,
+            state_error: None,
             alive: true,
         }
     }
@@ -281,13 +308,22 @@ impl<C: ReplicaChannel> HdnsNode<C> {
                     self.view = Some(v);
                 }
                 ChannelEvent::StateRequest { joiner } => {
-                    let _ = self.channel.provide_state(joiner, self.store.snapshot());
+                    let sent = self.channel.provide_state(joiner, self.store.snapshot());
+                    self.state_error = sent.err().map(|error| {
+                        state_send_errors().inc();
+                        StateError::Send { to: joiner, error }
+                    });
                 }
-                ChannelEvent::SetState { bytes } => {
-                    if let Ok(store) = HdnsStore::restore(&bytes) {
+                ChannelEvent::SetState { bytes } => match HdnsStore::restore(&bytes) {
+                    Ok(store) => {
                         self.install_state(store);
+                        self.state_error = None;
                     }
-                }
+                    Err(why) => {
+                        undecodable_state().inc();
+                        self.state_error = Some(StateError::Undecodable(why));
+                    }
+                },
                 ChannelEvent::ResyncNeeded { .. } => {
                     // The winner's coordinator pushes state; nothing to do
                     // but wait for the SetState.
@@ -390,6 +426,15 @@ impl<C: ReplicaChannel> HdnsNode<C> {
     /// persisted yet).
     pub fn last_persist_error(&self) -> Option<&std::io::Error> {
         self.persist_error.as_ref()
+    }
+
+    /// Why the most recent state transfer failed here — a snapshot this
+    /// replica could not decode (`rndi_hdns_undecodable_state_total`; it
+    /// keeps the store it had and stays in the view, so it may answer
+    /// `NameNotFound` for names the group holds) or one it could not send
+    /// (`rndi_hdns_state_send_errors_total`) — or `None` if it succeeded.
+    pub fn last_state_error(&self) -> Option<&StateError> {
+        self.state_error.as_ref()
     }
 
     /// What start-up recovery did: snapshot entries loaded, log records
@@ -796,6 +841,38 @@ mod tests {
         assert_eq!(node.outcome(second), OpOutcome::Lost);
         assert_eq!(node.open_tickets(), 0);
         assert_eq!(node.store.ops_applied, 0, "neither applied nor numbered");
+    }
+
+    #[test]
+    fn undecodable_state_is_counted_and_leaves_the_store_as_it_was() {
+        // A coordinator nobody polls: the joiner gets only what we send.
+        let cluster = Cluster::new(17);
+        let donor = cluster.create_channel(StackConfig::default());
+        donor.connect("g").unwrap();
+        let mut fresh = HdnsNode::new(cluster.create_channel(StackConfig::default()), None);
+        fresh.connect("g").unwrap();
+        let hand = |bytes: Vec<u8>, fresh: &mut HdnsNode| {
+            donor.provide_state(fresh.addr(), bytes).unwrap();
+            cluster.pump_all();
+            fresh.process();
+        };
+
+        let before = undecodable_state().get();
+        hand(b"{ not a store".to_vec(), &mut fresh);
+        assert!(undecodable_state().get() > before);
+        assert_eq!(fresh.entry_count(), 0);
+        assert!(!fresh.take_events().contains(&HdnsEvent::Resynced));
+        assert!(matches!(
+            fresh.last_state_error(),
+            Some(StateError::Undecodable(_))
+        ));
+
+        let mut good = HdnsStore::new();
+        good.apply(&Op::CreateContext { path: "c".into() }).unwrap();
+        hand(good.snapshot(), &mut fresh);
+        assert_eq!(fresh.entry_count(), 1);
+        assert!(fresh.take_events().contains(&HdnsEvent::Resynced));
+        assert!(fresh.last_state_error().is_none());
     }
 
     #[test]

@@ -15,33 +15,9 @@ use rndi_obs::{ServerOp, TraceCtx};
 
 use groupcast::{Addr, Cluster, StackConfig};
 
-use crate::node::{HdnsEvent, HdnsNode, OpOutcome, Ticket};
-use crate::store::{HdnsEntry, HdnsError, Op};
-
-/// Client-visible failures.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RealmError {
-    Store(HdnsError),
-    /// The contacted node is down or the write never resolved.
-    NodeUnavailable,
-}
-
-impl From<HdnsError> for RealmError {
-    fn from(e: HdnsError) -> Self {
-        RealmError::Store(e)
-    }
-}
-
-impl std::fmt::Display for RealmError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RealmError::Store(e) => write!(f, "{e}"),
-            RealmError::NodeUnavailable => f.write_str("hdns node unavailable"),
-        }
-    }
-}
-
-impl std::error::Error for RealmError {}
+use crate::node::{HdnsEvent, HdnsNode};
+use crate::replica::{replicate, RealmError, Replica};
+use crate::store::{HdnsEntry, Op};
 
 /// A running HDNS deployment.
 ///
@@ -127,7 +103,8 @@ impl HdnsRealm {
     fn spawn_replica(&self, idx: usize) {
         let channel = self.cluster.create_channel(self.config.clone());
         let node = HdnsNode::new(channel, self.data_path(idx));
-        let _ = node.connect(&self.group);
+        node.connect(&self.group)
+            .expect("a channel the cluster just created is alive");
         let mut nodes = self.nodes.lock();
         if idx < nodes.len() {
             nodes[idx] = Arc::new(Mutex::new(node));
@@ -219,22 +196,14 @@ impl HdnsRealm {
 
     fn write_inner(&self, node: usize, op: Op) -> Result<(), RealmError> {
         let handle = self.nodes.lock()[node].clone();
-        let ticket: Ticket = handle
-            .lock()
-            .submit(op)
-            .map_err(|_| RealmError::NodeUnavailable)?;
         // One drive resolves a write; gossip gets a few more chances to
-        // repair a lost one before it is declared so.
-        for _ in 0..5 {
+        // repair a lost one before it is given up.
+        let mut drives_left = 5;
+        replicate(&handle, op, || {
             self.drive();
-            match handle.lock().outcome(ticket) {
-                OpOutcome::Done(r) => return r.map_err(RealmError::from),
-                OpOutcome::Lost => return Err(RealmError::NodeUnavailable),
-                OpOutcome::Pending => {}
-            }
-        }
-        handle.lock().abandon(ticket);
-        Err(RealmError::NodeUnavailable)
+            drives_left -= 1;
+            drives_left > 0
+        })
     }
 
     /// Atomic bind via replica `node`.
@@ -315,28 +284,6 @@ impl HdnsRealm {
         idx
     }
 
-    /// Spawn a background thread that drives the realm every `period` —
-    /// the deployment mode for applications that do not want to call
-    /// [`HdnsRealm::drive`] themselves (writes still force an inline drive,
-    /// so this mainly services gossip repair, state transfer, and event
-    /// delivery for passive watchers). The driver stops when the returned
-    /// handle is dropped.
-    pub fn start_auto_drive(&self, period: std::time::Duration) -> AutoDrive {
-        let realm = self.clone();
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = stop.clone();
-        let thread = std::thread::spawn(move || {
-            while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
-                realm.drive();
-                std::thread::sleep(period);
-            }
-        });
-        AutoDrive {
-            stop,
-            thread: Some(thread),
-        }
-    }
-
     // ---------------------------------------------------------------
     // Fault injection
     // ---------------------------------------------------------------
@@ -391,24 +338,30 @@ impl HdnsRealm {
     }
 }
 
-/// Handle for a background drive thread; dropping it stops the thread.
-pub struct AutoDrive {
-    stop: Arc<std::sync::atomic::AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Drop for AutoDrive {
-    fn drop(&mut self) {
-        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+/// Replica `.1` of realm `.0`. The node is looked up on every call, so a
+/// [`HdnsRealm::restart`] is seen by every holder of the pair.
+impl Replica for (HdnsRealm, usize) {
+    fn lookup(&self, path: &str) -> Option<HdnsEntry> {
+        self.0.lookup(self.1, path)
+    }
+    fn list(&self, prefix: &str) -> Vec<(String, HdnsEntry)> {
+        self.0.list(self.1, prefix)
+    }
+    fn write(&self, op: Op, trace: Option<&TraceCtx>) -> Result<(), RealmError> {
+        self.0.write_traced(self.1, op, trace)
+    }
+    fn take_events(&self) -> Vec<HdnsEvent> {
+        self.0.take_events(self.1)
+    }
+    fn pump(&self) {
+        self.0.drive()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::HdnsError;
     use groupcast::OrderingMode;
 
     fn realm(n: usize) -> HdnsRealm {
@@ -553,32 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_drive_services_passive_watchers() {
-        let r = realm(2);
-        let driver = r.start_auto_drive(std::time::Duration::from_millis(5));
-        // Submit a write but *don't* rely on the write path's inline drive
-        // for event delivery at the other replica: just wait for the
-        // background driver to ferry the events.
-        r.bind(0, "watched", HdnsEntry::leaf(vec![1])).unwrap();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let events = r.take_events(1);
-            if events
-                .iter()
-                .any(|e| matches!(e, HdnsEvent::Bound { path } if path == "watched"))
-            {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "auto-driver never delivered the event"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(2));
-        }
-        drop(driver); // stops and joins the thread
-    }
-
-    #[test]
     fn a_write_that_is_given_up_leaves_no_ticket_behind() {
         let r = realm(2);
         r.bind(0, "base", HdnsEntry::leaf(vec![0])).unwrap();
@@ -591,7 +518,7 @@ mod tests {
         for i in 0..1_000u32 {
             assert_eq!(
                 r.rebind(1, "k", HdnsEntry::leaf(i.to_le_bytes().to_vec())),
-                Err(RealmError::NodeUnavailable)
+                Err(RealmError::TimedOut)
             );
         }
         assert_eq!(open_tickets(1), 0);

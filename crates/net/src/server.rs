@@ -14,6 +14,12 @@
 //! shard off the CPU while keeping single-digit-microsecond reaction
 //! when traffic resumes.
 //!
+//! A connection that speaks the `Gossip` family is moved to a shard of
+//! its own, started with the first [`NetServer::set_gossip_handler`]: a
+//! naming call may wait on the group (a replicated write waits for its
+//! ordered delivery), and the frames it waits for must never sit unread
+//! behind it on the same event loop.
+//!
 //! Pipelined clients get pipelined service for free: every complete
 //! frame buffered on a socket is decoded, executed, and answered in one
 //! pass, so N queued requests cost one read wakeup and (at most) one
@@ -158,7 +164,8 @@ struct ServerState {
     /// descriptors.
     conns: Mutex<HashMap<u64, TcpStream>>,
     /// Shard inboxes, kept for the health probe: their depth is the
-    /// accepted-but-not-yet-adopted backlog.
+    /// accepted-but-not-yet-adopted backlog. The last one is the gossip
+    /// shard's: shards move connections that speak gossip there.
     inboxes: Vec<Arc<ShardInbox>>,
     /// Per-shard admission-queue depths, mirrored out of each shard's
     /// event loop so the health probe can sum them without touching it.
@@ -178,6 +185,14 @@ struct ServerState {
     /// Membership figures the attached plane keeps current, folded into
     /// the `Admin(Health)` answer.
     membership: Arc<MembershipStats>,
+}
+
+impl ServerState {
+    /// Index of the gossip shard: the last inbox, which the accept loop
+    /// never targets.
+    fn gossip_shard(&self) -> usize {
+        self.inboxes.len() - 1
+    }
 }
 
 /// Serves the `Gossip` request family — membership sync exchanges and
@@ -298,6 +313,8 @@ struct ShardConn {
     machine: ServerConn,
     /// Admission rate limiter, present when `rate_ops > 0`.
     bucket: Option<TokenBucket>,
+    /// Has carried a `Gossip` request a membership plane answered.
+    gossip: bool,
 }
 
 /// Per-connection token bucket: `rate` tokens/sec refill up to `burst`.
@@ -461,8 +478,8 @@ impl Admission {
 /// The accept thread parks new sockets here; the owning shard adopts
 /// them at the top of its next pass.
 struct ShardInbox {
-    /// Accepted sockets with the connection id the accept loop gave them.
-    incoming: Mutex<Vec<(u64, TcpStream)>>,
+    /// Accepted (or, on the gossip shard, handed-over) connections.
+    incoming: Mutex<Vec<ShardConn>>,
 }
 
 /// A running TCP server hosting one backend (typically a fully-assembled
@@ -471,7 +488,7 @@ struct ShardInbox {
 pub struct NetServer {
     addr: SocketAddr,
     state: Arc<ServerState>,
-    threads: Vec<JoinHandle<()>>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl NetServer {
@@ -507,7 +524,7 @@ impl NetServer {
             .map_err(|e| NamingError::service(format!("listener addr: {e}")))?;
         let label = format!("net:{}", backend.provider_id());
         let shard_count = config.effective_shards();
-        let inboxes: Vec<Arc<ShardInbox>> = (0..shard_count)
+        let inboxes: Vec<Arc<ShardInbox>> = (0..=shard_count)
             .map(|_| {
                 Arc::new(ShardInbox {
                     incoming: Mutex::new(Vec::new()),
@@ -532,10 +549,10 @@ impl NetServer {
             active: AtomicUsize::new(0),
             conns: Mutex::new(HashMap::new()),
             inboxes: inboxes.clone(),
-            queue_depths: (0..shard_count)
+            queue_depths: (0..=shard_count)
                 .map(|_| Arc::new(AtomicU64::new(0)))
                 .collect(),
-            conc_limits: (0..shard_count)
+            conc_limits: (0..=shard_count)
                 .map(|_| Arc::new(AtomicU64::new(0)))
                 .collect(),
             shed,
@@ -544,21 +561,18 @@ impl NetServer {
             membership: Arc::new(MembershipStats::default()),
         });
         let mut threads = Vec::with_capacity(shard_count + 1);
-        for (shard, inbox) in inboxes.iter().enumerate() {
+        for shard in 0..shard_count {
             let state = state.clone();
-            let inbox = inbox.clone();
-            threads.push(std::thread::spawn(move || shard_loop(state, inbox, shard)));
+            threads.push(std::thread::spawn(move || shard_loop(state, shard)));
         }
         {
             let state = state.clone();
-            threads.push(std::thread::spawn(move || {
-                accept_loop(listener, state, inboxes)
-            }));
+            threads.push(std::thread::spawn(move || accept_loop(listener, state)));
         }
         Ok(NetServer {
             addr,
             state,
-            threads,
+            threads: Mutex::new(threads),
         })
     }
 
@@ -590,7 +604,15 @@ impl NetServer {
     /// Attach a cluster membership plane: `handler` answers the
     /// `Gossip` request family on this server's data sockets.
     pub fn set_gossip_handler(&self, handler: Arc<dyn GossipHandler>) {
-        *self.state.gossip.lock() = Some(handler);
+        let mut slot = self.state.gossip.lock();
+        if slot.is_none() {
+            // The gossip shard must be running before any connection can
+            // be handed to it.
+            let (state, shard) = (self.state.clone(), self.state.gossip_shard());
+            let gossip_shard = std::thread::spawn(move || shard_loop(state, shard));
+            self.threads.lock().push(gossip_shard);
+        }
+        *slot = Some(handler);
     }
 
     /// The membership figures folded into `Admin(Health)`; a cluster
@@ -618,7 +640,7 @@ impl NetServer {
                 let _ = conn.shutdown(std::net::Shutdown::Both);
             }
         }
-        for handle in self.threads.drain(..) {
+        for handle in self.threads.get_mut().drain(..) {
             let _ = handle.join();
         }
         self.state.conns.lock().clear();
@@ -627,13 +649,14 @@ impl NetServer {
 
 impl Drop for NetServer {
     fn drop(&mut self) {
-        if !self.threads.is_empty() {
+        if !self.threads.get_mut().is_empty() {
             self.stop(false);
         }
     }
 }
 
-fn accept_loop(listener: TcpListener, state: Arc<ServerState>, inboxes: Vec<Arc<ShardInbox>>) {
+fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
+    let inboxes = &state.inboxes[..state.gossip_shard()];
     let active_gauge = state
         .registry
         .gauge(names::NET_ACTIVE_CONNS, &[("server", &state.label)]);
@@ -663,10 +686,14 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>, inboxes: Vec<Arc<
                 if let Ok(clone) = stream.try_clone() {
                     state.conns.lock().insert(next_conn_id, clone);
                 }
-                inboxes[next_shard]
-                    .incoming
-                    .lock()
-                    .push((next_conn_id, stream));
+                inboxes[next_shard].incoming.lock().push(ShardConn {
+                    id: next_conn_id,
+                    stream,
+                    machine: ServerConn::new(),
+                    bucket: (state.config.rate_ops > 0)
+                        .then(|| TokenBucket::new(state.config.rate_ops, state.config.rate_burst)),
+                    gossip: false,
+                });
                 next_shard = (next_shard + 1) % inboxes.len();
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => idle.pause(),
@@ -703,7 +730,8 @@ impl Backoff {
     }
 }
 
-fn shard_loop(state: Arc<ServerState>, inbox: Arc<ShardInbox>, shard: usize) {
+fn shard_loop(state: Arc<ServerState>, shard: usize) {
+    let gossip_shard = state.gossip_shard();
     let active_gauge = state
         .registry
         .gauge(names::NET_ACTIVE_CONNS, &[("server", &state.label)]);
@@ -715,18 +743,7 @@ fn shard_loop(state: Arc<ServerState>, inbox: Arc<ShardInbox>, shard: usize) {
     let mut admission = Admission::new(&state, shard);
 
     while !state.shutdown.load(Ordering::SeqCst) {
-        {
-            let mut incoming = inbox.incoming.lock();
-            for (id, stream) in incoming.drain(..) {
-                conns.push(ShardConn {
-                    id,
-                    stream,
-                    machine: ServerConn::new(),
-                    bucket: (state.config.rate_ops > 0)
-                        .then(|| TokenBucket::new(state.config.rate_ops, state.config.rate_burst)),
-                });
-            }
-        }
+        conns.append(&mut state.inboxes[shard].incoming.lock());
         let mut progress = false;
         let mut i = 0;
         while i < conns.len() {
@@ -740,7 +757,18 @@ fn shard_loop(state: Arc<ServerState>, inbox: Arc<ShardInbox>, shard: usize) {
             ) {
                 Ok(moved) => {
                     progress |= moved;
-                    i += 1;
+                    // Gossip moves out from behind this loop's calls, once
+                    // no admitted call of the connection still points here.
+                    let conn = &conns[i];
+                    if conn.gossip
+                        && shard != gossip_shard
+                        && !admission.queue.iter().any(|p| p.conn_id == conn.id)
+                    {
+                        let conn = conns.swap_remove(i);
+                        state.inboxes[gossip_shard].incoming.lock().push(conn);
+                    } else {
+                        i += 1;
+                    }
                 }
                 Err(_) => {
                     // Peer hung up, sent garbage framing, or did not open
@@ -969,7 +997,10 @@ fn respond(
         InboundMsg::Gossip(req) => {
             let handler = state.gossip.lock().clone();
             match handler {
-                Some(h) => ResponseBody::Gossip(h.handle(req)),
+                Some(h) => {
+                    conn.gossip = true;
+                    ResponseBody::Gossip(h.handle(req))
+                }
                 None => ResponseBody::Err(proto::encode_error(&NamingError::service(
                     "no cluster membership plane on this node",
                 ))),

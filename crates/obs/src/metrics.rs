@@ -147,6 +147,12 @@ pub mod names {
     /// proposal (another version's, or damaged) and so did not apply —
     /// from then on it may differ from replicas that could.
     pub const HDNS_UNDECODABLE_PROPOSALS: &str = "rndi_hdns_undecodable_proposals_total";
+    /// Counter: state snapshots a joining (or resyncing) HDNS replica was
+    /// handed and could not decode; its store stays as it was.
+    pub const HDNS_UNDECODABLE_STATE: &str = "rndi_hdns_undecodable_state_total";
+    /// Counter: state snapshots a coordinating HDNS replica failed to send
+    /// to a joiner, which then waits for the next view change.
+    pub const HDNS_STATE_SEND_ERRORS: &str = "rndi_hdns_state_send_errors_total";
     /// Counter (per instance): `Group` gossip frames dropped because their
     /// payload did not decode as a group wire message.
     pub const CLUSTER_UNDECODABLE_FRAMES: &str = "rndi_cluster_undecodable_frames_total";

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use hdns::{HdnsEntry, HdnsError, HdnsEvent, HdnsRealm, Op};
+use hdns::{HdnsEntry, HdnsError, HdnsEvent, HdnsRealm, Op, RealmError, Replica};
 
 use rndi_core::attrs::{AttrMod, Attribute, Attributes};
 use rndi_core::context::{
@@ -34,8 +34,8 @@ use rndi_obs::TraceCtx;
 
 use crate::common;
 
-fn realm_err(e: hdns::realm::RealmError, name: &str) -> NamingError {
-    use hdns::realm::RealmError::*;
+fn realm_err(e: RealmError, name: &str) -> NamingError {
+    use RealmError::*;
     match e {
         Store(HdnsError::AlreadyBound(p)) => NamingError::already_bound(p),
         Store(HdnsError::NotFound(p)) => NamingError::not_found(p),
@@ -43,6 +43,8 @@ fn realm_err(e: hdns::realm::RealmError, name: &str) -> NamingError {
         Store(HdnsError::NotEmpty(p)) => NamingError::ContextNotEmpty { name: p },
         Store(HdnsError::InvalidPath(p)) => NamingError::invalid_name(p, "invalid HDNS path"),
         NodeUnavailable => NamingError::service(format!("HDNS node unavailable for {name}")),
+        // Not `Timeout`: a server reads that as its own overload signal.
+        NotPrimary | TimedOut => NamingError::service(format!("{name}: {e}")),
     }
 }
 
@@ -84,15 +86,16 @@ fn from_entry_value(e: &HdnsEntry) -> BoundValue {
 }
 
 /// A naming backend over one HDNS replica (reads are replica-local; writes
-/// replicate through the group). Implements [`ProviderBackend`]; the
+/// replicate through the group), whoever hosts that replica — a realm or
+/// an `rndi-cluster` node. Implements [`ProviderBackend`]; the
 /// `Context`/`DirContext` surface comes from the [`ProviderPipeline`]
 /// returned by [`HdnsProviderContext::new`].
 pub struct HdnsProviderContext {
-    realm: HdnsRealm,
-    /// Which replica this context talks to (the paper's "nearest node").
-    node: usize,
+    /// The replica this context talks to (the paper's "nearest node").
+    replica: Box<dyn Replica>,
     hub: Arc<EventHub>,
-    instance: String,
+    /// `hdns:<instance>`.
+    id: String,
 }
 
 impl HdnsProviderContext {
@@ -100,19 +103,28 @@ impl HdnsProviderContext {
         Self::with_env(realm, node, instance, &Environment::new())
     }
 
-    /// Construct with an environment controlling the pipeline stack.
+    /// Construct over replica `node` of `realm`, with an environment
+    /// controlling the pipeline stack.
     pub fn with_env(
         realm: HdnsRealm,
         node: usize,
         instance: &str,
         env: &Environment,
     ) -> Arc<ProviderPipeline<Self>> {
+        Self::over(Box::new((realm, node)), &format!("{instance}#{node}"), env)
+    }
+
+    /// The same provider and pipeline over any hosted replica.
+    pub fn over(
+        replica: Box<dyn Replica>,
+        instance: &str,
+        env: &Environment,
+    ) -> Arc<ProviderPipeline<Self>> {
         ProviderPipeline::standard(
             Arc::new(HdnsProviderContext {
-                realm,
-                node,
+                replica,
                 hub: Arc::new(EventHub::new()),
-                instance: instance.to_string(),
+                id: format!("hdns:{instance}"),
             }),
             env,
         )
@@ -132,17 +144,22 @@ impl HdnsProviderContext {
         self.check_mount_upto(name, name.len())
     }
 
-    /// Like [`Self::check_mount`], but also treats the *full* name as a
-    /// potential mount (used by `list`/`search`, whose base may be a
-    /// mounted foreign context — the remaining name is then empty).
-    fn check_mount_inclusive(&self, name: &CompositeName) -> Option<NamingError> {
-        self.check_mount_upto(name, name.len() + 1)
+    /// The store path a listing or search starts from. The base may itself
+    /// be a mounted foreign context — the remaining name is then empty.
+    fn base(&self, name: &CompositeName) -> Result<String> {
+        if name.is_empty() {
+            return Ok(String::new());
+        }
+        match self.check_mount_upto(name, name.len() + 1) {
+            Some(cont) => Err(cont),
+            None => self.path(name),
+        }
     }
 
     fn check_mount_upto(&self, name: &CompositeName, upper: usize) -> Option<NamingError> {
         for k in 1..upper.min(name.len() + 1) {
             let prefix = name.prefix(k).components().join("/");
-            if let Some(e) = self.realm.lookup(self.node, &prefix) {
+            if let Some(e) = self.replica.lookup(&prefix) {
                 if !e.is_context {
                     let v = common::unmarshal(&e.value);
                     if v.is_federation_link() {
@@ -158,10 +175,10 @@ impl HdnsProviderContext {
     }
 
     /// Pump replica events into the provider hub. Driven by write
-    /// operations (which already force a realm drive) and by
+    /// operations (which already pump the replica) and by
     /// [`HdnsProviderContext::poll_events`].
     fn drain_events(&self) {
-        for ev in self.realm.take_events(self.node) {
+        for ev in self.replica.take_events() {
             match ev {
                 HdnsEvent::Bound { path } => {
                     self.hub.fire_added(path_to_name(&path), BoundValue::Null)
@@ -182,7 +199,7 @@ impl HdnsProviderContext {
 
     /// Deliver pending replica change events to listeners.
     pub fn poll_events(&self) {
-        self.realm.drive();
+        self.replica.pump();
         self.drain_events();
     }
 
@@ -194,7 +211,7 @@ impl HdnsProviderContext {
         controls: &SearchControls,
         out: &mut Vec<SearchItem>,
     ) -> Result<()> {
-        for (child, entry) in self.realm.list(self.node, base) {
+        for (child, entry) in self.replica.list(base) {
             if controls.count_limit > 0 && out.len() >= controls.count_limit {
                 return Ok(());
             }
@@ -232,13 +249,13 @@ fn path_to_name(path: &str) -> CompositeName {
 }
 
 impl HdnsProviderContext {
-    /// Replicate one write through this context's replica, handing the
-    /// realm the op's trace context so its server span links under ours,
+    /// Replicate one write through this context's replica, handing its
+    /// host the op's trace context so its server span links under ours,
     /// then pump the resulting replica events to listeners.
     fn write(&self, op: Op, path: &str, trace: Option<&TraceCtx>) -> Result<()> {
         let r = self
-            .realm
-            .write_traced(self.node, op, trace)
+            .replica
+            .write(op, trace)
             .map_err(|e| realm_err(e, path));
         self.drain_events();
         r
@@ -250,8 +267,8 @@ impl HdnsProviderContext {
         }
         let path = self.path(name)?;
         let entry = self
-            .realm
-            .lookup(self.node, &path)
+            .replica
+            .lookup(&path)
             .ok_or_else(|| NamingError::not_found(&path))?;
         Ok(from_entry_value(&entry))
     }
@@ -283,17 +300,10 @@ impl HdnsProviderContext {
     }
 
     fn list(&self, name: &CompositeName) -> Result<Vec<NameClassPair>> {
-        let prefix = if name.is_empty() {
-            String::new()
-        } else {
-            if let Some(cont) = self.check_mount_inclusive(name) {
-                return Err(cont);
-            }
-            self.path(name)?
-        };
+        let prefix = self.base(name)?;
         Ok(self
-            .realm
-            .list(self.node, &prefix)
+            .replica
+            .list(&prefix)
             .into_iter()
             .map(|(n, e)| NameClassPair {
                 name: n,
@@ -307,17 +317,10 @@ impl HdnsProviderContext {
     }
 
     fn list_bindings(&self, name: &CompositeName) -> Result<Vec<Binding>> {
-        let prefix = if name.is_empty() {
-            String::new()
-        } else {
-            if let Some(cont) = self.check_mount_inclusive(name) {
-                return Err(cont);
-            }
-            self.path(name)?
-        };
+        let prefix = self.base(name)?;
         Ok(self
-            .realm
-            .list(self.node, &prefix)
+            .replica
+            .list(&prefix)
             .into_iter()
             .map(|(n, e)| Binding {
                 name: n,
@@ -333,7 +336,7 @@ impl HdnsProviderContext {
 
     fn destroy_subcontext(&self, name: &CompositeName, trace: Option<&TraceCtx>) -> Result<()> {
         let path = self.path(name)?;
-        match self.realm.lookup(self.node, &path) {
+        match self.replica.lookup(&path) {
             None => Ok(()),
             Some(e) if e.is_context => self.write(Op::Unbind { path: path.clone() }, &path, trace),
             Some(_) => Err(NamingError::ContextExpected { name: path }),
@@ -346,8 +349,8 @@ impl HdnsProviderContext {
         }
         let path = self.path(name)?;
         let entry = self
-            .realm
-            .lookup(self.node, &path)
+            .replica
+            .lookup(&path)
             .ok_or_else(|| NamingError::not_found(&path))?;
         from_entry_attrs(&entry)
     }
@@ -360,8 +363,8 @@ impl HdnsProviderContext {
     ) -> Result<()> {
         let path = self.path(name)?;
         let entry = self
-            .realm
-            .lookup(self.node, &path)
+            .replica
+            .lookup(&path)
             .ok_or_else(|| NamingError::not_found(&path))?;
         let mut attrs = from_entry_attrs(&entry)?;
         for m in mods {
@@ -414,14 +417,7 @@ impl HdnsProviderContext {
         // HDNS has no server-side query engine; the provider evaluates the
         // filter client-side over a replica-local listing (§3's
         // capability-emulation point).
-        let base = if name.is_empty() {
-            String::new()
-        } else {
-            if let Some(cont) = self.check_mount_inclusive(name) {
-                return Err(cont);
-            }
-            self.path(name)?
-        };
+        let base = self.base(name)?;
         let mut out = Vec::new();
         self.search_recursive(&base, &CompositeName::empty(), filter, controls, &mut out)?;
         Ok(out)
@@ -430,8 +426,8 @@ impl HdnsProviderContext {
 
 impl ProviderBackend for HdnsProviderContext {
     fn execute(&self, op: &NamingOp) -> Result<OpOutcome> {
-        // The realm takes the caller's trace context as an argument (same
-        // process, nothing to marshal) and records its own server span.
+        // The replica's host takes the caller's trace context as an argument
+        // (same process, nothing to marshal) and records its own server span.
         let trace = op.trace_ctx();
         let trace = trace.as_ref();
         match op.kind {
@@ -485,7 +481,7 @@ impl ProviderBackend for HdnsProviderContext {
     }
 
     fn provider_id(&self) -> String {
-        format!("hdns:{}#{}", self.instance, self.node)
+        self.id.clone()
     }
 
     fn event_hub(&self) -> Option<Arc<EventHub>> {

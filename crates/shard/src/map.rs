@@ -71,12 +71,6 @@ impl ShardMap {
         Ok(ShardMap { epoch: 0, shards })
     }
 
-    /// The same membership at a different epoch (rebalancing handoff).
-    pub fn with_epoch(mut self, epoch: u64) -> Self {
-        self.epoch = epoch;
-        self
-    }
-
     /// Parse a `rndi.shard.map` spec: comma-separated members, each
     /// `id=endpoint` or a bare `endpoint` (which doubles as the id).
     pub fn parse(spec: &str) -> Result<Self> {

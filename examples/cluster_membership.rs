@@ -12,7 +12,7 @@
 
 use std::time::{Duration, Instant};
 
-use hdns::{HdnsEntry, Op, OpOutcome};
+use hdns::{HdnsEntry, Op};
 use rndi::core::env::{keys, Environment};
 use rndi::net::proto::MemberState;
 use rndi::serve::{serve_cluster_hdns, HdnsCluster};
@@ -71,20 +71,20 @@ fn main() {
     roster(&cluster);
 
     // Writes land through any replica and replicate to all.
-    assert!(matches!(
-        cluster.node(1).write_sync(Op::CreateContext {
-            path: "services".into()
-        }),
-        OpOutcome::Done(Ok(()))
-    ));
-    assert!(matches!(
-        cluster.node(3).write_sync(Op::Bind {
+    cluster
+        .node(1)
+        .write_sync(Op::CreateContext {
+            path: "services".into(),
+        })
+        .expect("a primary-partition write is acknowledged");
+    cluster
+        .node(3)
+        .write_sync(Op::Bind {
             path: "services/db".into(),
             entry: HdnsEntry::leaf(b"db:5432".to_vec()),
             overwrite: true,
-        }),
-        OpOutcome::Done(Ok(()))
-    ));
+        })
+        .expect("a primary-partition write is acknowledged");
     wait_for(Duration::from_secs(5), "bind replication", || {
         cluster
             .nodes()
@@ -113,14 +113,14 @@ fn main() {
 
     // 4 of 5 known members is a quorum: the survivors keep writing.
     assert!(cluster.node(0).writes_allowed());
-    assert!(matches!(
-        cluster.node(0).write_sync(Op::Bind {
+    cluster
+        .node(0)
+        .write_sync(Op::Bind {
             path: "services/cache".into(),
             entry: HdnsEntry::leaf(b"cache:6379".to_vec()),
             overwrite: true,
-        }),
-        OpOutcome::Done(Ok(()))
-    ));
+        })
+        .expect("a primary-partition write is acknowledged");
     wait_for(Duration::from_secs(5), "post-kill replication", || {
         cluster
             .nodes()

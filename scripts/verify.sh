@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Workspace verification — the one script CI calls: build, each test target
-# once, formatting, lints, bench builds, example outputs, and the smoke run
-# of the separately-workspaced benchmark/ crate (so deleting product API it
-# compiles against fails here, not in the pipeline).
+# once, formatting, lints, bench builds, example outputs, the smoke run of
+# the separately-workspaced benchmark/ crate (so deleting product API it
+# compiles against fails here, not in the pipeline), and the size score.
 # Everything runs offline — all dependencies are vendored under vendor/.
 # fmt/clippy run on the product crates only: the vendored stand-ins keep
 # their upstream-derived style and are exempt from local lint policy.
@@ -93,5 +93,8 @@ grep -q "slowest traces"               <<<"$fig8_out"
 
 echo "==> benchmark smoke: the separately-workspaced benchmark/ crate builds and runs"
 bash benchmark/smoke.sh
+
+echo "==> score: code size and option counts (printed; gates nothing)"
+bash scripts/score.sh || true
 
 echo "verify: OK"

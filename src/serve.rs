@@ -182,14 +182,6 @@ impl HdnsCluster {
         &self.nodes[i]
     }
 
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
     /// Remove a node from the cluster's bookkeeping (it keeps running —
     /// call [`ClusterNode::kill`] or [`ClusterNode::shutdown`] on it).
     pub fn take(&mut self, i: usize) -> ClusterNode {

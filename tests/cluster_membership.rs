@@ -6,11 +6,17 @@
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use hdns::{HdnsEntry, Op, OpOutcome};
+use hdns::{HdnsEntry, Op};
 use rndi::serve::{serve_cluster_hdns, HdnsCluster};
-use rndi_cluster::{ClusterConfig, ClusterNode};
+use rndi_cluster::{ClusterConfig, ClusterNode, BACKEND_WRITE_BUDGET};
+use rndi_core::attrs::Attributes;
+use rndi_core::context::{Context, ContextExt, DirContext, SearchControls};
 use rndi_core::env::{keys, Environment};
+use rndi_core::error::NamingError;
+use rndi_core::filter::Filter;
+use rndi_core::value::BoundValue;
 use rndi_net::proto::MemberState;
+use rndi_net::NetClient;
 
 /// The scenarios run one at a time: each boots a full TCP cluster with a
 /// millisecond-scale failure detector, and several clusters contending
@@ -51,32 +57,88 @@ fn view_members(node: &ClusterNode) -> Vec<String> {
     node.view().map(|v| v.members).unwrap_or_default()
 }
 
+/// Every node holds the same `n`-member view and believes all `n` alive.
+/// (The *same* view: a healed minority's stale view has `n` members too,
+/// for the round or two before the merged one reaches it.)
 fn converged(cluster: &HdnsCluster, n: usize) -> bool {
-    cluster.nodes().iter().all(|node| {
-        view_members(node).len() == n
-            && node.members().iter().all(|m| m.state == MemberState::Alive)
-            && node.members().len() == n
-    })
+    let reference = view_members(cluster.node(0));
+    reference.len() == n
+        && cluster.nodes().iter().all(|node| {
+            view_members(node) == reference
+                && node.members().iter().all(|m| m.state == MemberState::Alive)
+                && node.members().len() == n
+        })
 }
 
 fn bind_ok(node: &ClusterNode, path: &str, value: &[u8]) -> bool {
-    matches!(
-        node.write_sync(Op::Bind {
-            path: path.to_string(),
-            entry: HdnsEntry::leaf(value.to_vec()),
-            overwrite: true,
-        }),
-        OpOutcome::Done(Ok(()))
-    )
+    node.write_sync(Op::Bind {
+        path: path.to_string(),
+        entry: HdnsEntry::leaf(value.to_vec()),
+        overwrite: true,
+    })
+    .inspect_err(|e| eprintln!("bind {path} via {}: {e}", node.name()))
+    .is_ok()
 }
 
 fn mkdir_ok(node: &ClusterNode, path: &str) -> bool {
-    matches!(
-        node.write_sync(Op::CreateContext {
-            path: path.to_string(),
-        }),
-        OpOutcome::Done(Ok(()))
+    node.write_sync(Op::CreateContext {
+        path: path.to_string(),
+    })
+    .inspect_err(|e| eprintln!("mkdir {path} via {}: {e}", node.name()))
+    .is_ok()
+}
+
+/// A cluster node's endpoint is an HDNS endpoint like any other: what a
+/// client writes through `a`'s socket, a client of `b`'s reads, searches,
+/// renames and removes — every op kind the transport carries. Neither
+/// node coordinates the group, so each write waits for its ordered copy
+/// to come back through the very server that is serving it.
+fn endpoints_serve_the_whole_hdns_provider(a: &ClusterNode, b: &ClusterNode) {
+    let dial = |node: &ClusterNode| {
+        NetClient::connect(node.endpoint(), &Environment::new()).expect("dial the node")
+    };
+    let (a, b, replica_b) = (dial(a), dial(b), b);
+    a.create_subcontext(&"grid".into()).unwrap();
+    a.bind_with_attrs(
+        &"grid/n1".into(),
+        BoundValue::str("host-1"),
+        Attributes::new().with("os", "linux"),
     )
+    .unwrap();
+    wait_for(Duration::from_secs(5), "grid/n1 reaches b", || {
+        replica_b.lookup("grid/n1").is_some()
+    });
+
+    assert_eq!(b.lookup_str("grid/n1").unwrap().as_str(), Some("host-1"));
+    let attrs = b.get_attributes(&"grid/n1".into()).unwrap();
+    assert_eq!(attrs.get("os").unwrap().first_str(), Some("linux"));
+    let hits = b
+        .search(
+            &"grid".into(),
+            &Filter::parse("(os=linux)").unwrap(),
+            &SearchControls::default(),
+        )
+        .unwrap();
+    assert_eq!(hits.len(), 1);
+    assert_eq!(hits[0].name, "n1");
+
+    b.rename(&"grid/n1".into(), &"grid/n2".into()).unwrap();
+    let bound = b.list_bindings(&"grid".into()).unwrap();
+    assert_eq!(bound.len(), 1);
+    assert_eq!(
+        (bound[0].name.as_str(), bound[0].value.as_str()),
+        ("n2", Some("host-1"))
+    );
+    assert!(matches!(
+        b.destroy_subcontext(&"grid".into()),
+        Err(NamingError::ContextNotEmpty { .. })
+    ));
+    b.unbind_str("grid/n2").unwrap();
+    b.destroy_subcontext(&"grid".into()).unwrap();
+    assert!(matches!(
+        b.lookup_str("grid/n2"),
+        Err(NamingError::NameNotFound { .. })
+    ));
 }
 
 #[test]
@@ -111,6 +173,8 @@ fn five_nodes_boot_from_one_seed_and_converge() {
                 .is_some_and(|e| e.value == b"db:5432")
         })
     });
+
+    endpoints_serve_the_whole_hdns_provider(cluster.node(2), cluster.node(4));
 
     cluster.shutdown();
 }
@@ -273,6 +337,19 @@ fn partition_keeps_one_primary_and_loses_no_acknowledged_write() {
         "a minority write must not be acknowledged"
     );
     assert!(bind_ok(cluster.node(2), "split/majority", b"acked"));
+    // A client of a minority node's endpoint is told so, promptly.
+    let minority_client =
+        NetClient::connect(cluster.node(1).endpoint(), &Environment::new()).expect("dial node-1");
+    let asked = Instant::now();
+    let refusal = minority_client.rebind_str("split/served-minority", "must-not-ack");
+    assert!(
+        matches!(&refusal, Err(NamingError::ServiceFailure { detail }) if detail.contains("primary partition")),
+        "a minority endpoint must refuse, typed: {refusal:?}"
+    );
+    assert!(
+        asked.elapsed() < BACKEND_WRITE_BUDGET,
+        "refused, not timed out"
+    );
 
     // Heal. Refutation bumps + the quarantine cooldown re-admit both
     // sides into one lineage again; the majority's history wins.
@@ -307,6 +384,11 @@ fn partition_keeps_one_primary_and_loses_no_acknowledged_write() {
         assert!(
             n.lookup("split/minority").is_none(),
             "unacknowledged minority write leaked into {}",
+            n.name()
+        );
+        assert!(
+            n.lookup("split/served-minority").is_none(),
+            "write refused at node-1's endpoint leaked into {}",
             n.name()
         );
     }

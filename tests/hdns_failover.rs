@@ -45,6 +45,21 @@ fn client_fails_over_to_surviving_replica() {
     assert_eq!(ctx1.lookup_str("after-crash").unwrap().as_str(), Some("w"));
 }
 
+/// A server answering `Timeout` reads it as its own overload and sheds
+/// unrelated calls; a write stuck behind the sequencer is not that.
+#[test]
+fn a_write_given_up_on_is_a_service_failure_not_a_timeout() {
+    let realm = realm("given-up", None);
+    let ctx1 = HdnsProviderContext::new(realm.clone(), 1, "t");
+    // Cut replica 1 off before any failure detector runs: its forward to
+    // the coordinator is dropped and the write never comes back ordered.
+    realm.cluster().partition(&[&[realm.addr(1)]]);
+    assert!(matches!(
+        ctx1.rebind_str("k", "v"),
+        Err(NamingError::ServiceFailure { detail }) if detail.contains("not ordered")
+    ));
+}
+
 #[test]
 fn restarted_replica_serves_missed_writes() {
     let realm = realm("rejoin", None);
