@@ -11,8 +11,8 @@
 //! the client side costs nearly nothing and the server is the bottleneck
 //! being measured.
 //!
-//! Not a criterion harness: prints a sustained-throughput table for
-//! `bench_figures.txt`.
+//! Not a criterion harness: prints a sustained-throughput table
+//! (`cargo bench -p rndi-bench --bench net_concurrency`).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

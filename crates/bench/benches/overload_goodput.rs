@@ -11,9 +11,10 @@
 //! *Goodput* counts only completions inside the budget; shed ops are
 //! `Overloaded` responses that failed fast at admission.
 //!
-//! Not a criterion harness: prints goodput tables for
-//! `bench_figures.txt`, plus the acceptance summary (goodput at 100
-//! clients vs. peak, and saturated vs. pre-saturation in-budget p95).
+//! Not a criterion harness: prints goodput tables
+//! (`cargo bench -p rndi-bench --bench overload_goodput`), plus the
+//! acceptance summary (goodput at 100 clients vs. peak, and saturated vs.
+//! pre-saturation in-budget p95).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

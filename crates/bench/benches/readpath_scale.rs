@@ -3,7 +3,8 @@
 //! profile (pool width 1 vs 8 against deliberately slow mounts) and a
 //! client-thread sweep over the registrar's read lock.
 //!
-//! The headline claims this backs (recorded in `bench_figures.txt`):
+//! The headline claims this backs (`cargo bench -p rndi-bench --bench
+//! readpath_scale` prints the numbers):
 //! indexed registrar lookup is near-flat in directory size (≥10× over the
 //! scan at 100k items), LDAP subtree search rides the equality index, and
 //! federated subtree search costs ~max (not sum) of per-mount latencies.

@@ -9,7 +9,7 @@
 //! over seeded per-shard stores — is sampled inside the loop so the
 //! hashing, routing, and merge code is genuinely on the measured path.
 //!
-//! Headlines recorded in `bench_figures.txt`:
+//! Headlines (`cargo bench -p rndi-bench --bench shard_scale` prints them):
 //! * write throughput scales ~linearly with shards (independent write
 //!   queues; the single store's write lock stops mattering);
 //! * scatter reads (root list fanned to every shard) cost ~max, not sum,

@@ -64,13 +64,16 @@ impl Series {
         self.points.last().map(|p| p.throughput).unwrap_or(0.0)
     }
 
-    /// Throughput at the point closest to `clients`.
-    pub fn at(&self, clients: usize) -> f64 {
+    /// The sweep point closest to `clients`.
+    pub fn point(&self, clients: usize) -> Option<&LoadResult> {
         self.points
             .iter()
             .min_by_key(|p| p.clients.abs_diff(clients))
-            .map(|p| p.throughput)
-            .unwrap_or(0.0)
+    }
+
+    /// Throughput at the point closest to `clients`.
+    pub fn at(&self, clients: usize) -> f64 {
+        self.point(clients).map_or(0.0, |p| p.throughput)
     }
 }
 

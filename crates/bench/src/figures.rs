@@ -6,17 +6,89 @@
 //! inside the simulation (sampled for the heavyweight replicated paths) so
 //! the measured system is the actual implementation, not a stub.
 
+use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use simnet::{QueueingServer, ServerConfig, Sim};
+use simnet::{micros, QueueingServer, ServerConfig, Sim, SimRng};
 
 use rndi_core::prelude::*;
 
 use crate::cost;
 use crate::experiment::{sweep, Series, SweepConfig};
-use crate::loadgen::{op_work, DoneFn, Operation, RoundTrips};
+use crate::loadgen::{op_work, run_closed_loop, DoneFn, Operation, RoundTrips};
+
+/// What one experiment measured: the data its tables print and its claims
+/// ([`crate::claims`]) read.
+#[derive(Debug, Default)]
+pub struct Measured {
+    /// Throughput-vs-clients lines, in column order; claims find theirs by
+    /// label ([`Measured::line`]).
+    pub series: Vec<Series>,
+    /// A2b's table, one row per protocol stack.
+    pub delivery: Vec<Delivery>,
+    /// X1's table, one row per replica count.
+    pub scaling: Vec<Scaling>,
+}
+
+/// One A2b row: what share of 200 multicasts both receivers hold.
+#[derive(Debug)]
+pub struct Delivery {
+    pub stack: String,
+    /// Link loss, a fraction.
+    pub loss: f64,
+    /// % delivered right after the sends.
+    pub before_gossip: f64,
+    /// % delivered after twelve gossip rounds.
+    pub after_gossip: f64,
+}
+
+/// One X1 row: the HDNS layer at `replicas` nodes, op/s.
+#[derive(Debug)]
+pub struct Scaling {
+    pub replicas: usize,
+    pub reads: f64,
+    pub writes: f64,
+}
+
+impl Measured {
+    /// The series labelled `label`.
+    pub fn line(&self, label: &str) -> &Series {
+        self.series
+            .iter()
+            .find(|s| s.label == label)
+            .unwrap_or_else(|| {
+                let have: Vec<&str> = self.series.iter().map(|s| s.label.as_str()).collect();
+                panic!("no series {label:?} among {have:?}")
+            })
+    }
+
+    /// A2b's row for `stack`.
+    pub fn delivered(&self, stack: &str) -> &Delivery {
+        self.delivery
+            .iter()
+            .find(|d| d.stack == stack)
+            .unwrap_or_else(|| panic!("no delivery row for {stack:?}"))
+    }
+
+    /// X1's row for `replicas` nodes.
+    pub fn scaled(&self, replicas: usize) -> &Scaling {
+        self.scaling
+            .iter()
+            .find(|r| r.replicas == replicas)
+            .unwrap_or_else(|| panic!("no scaling row for {replicas} replicas"))
+    }
+}
+
+impl From<Vec<Series>> for Measured {
+    fn from(series: Vec<Series>) -> Self {
+        Measured {
+            series,
+            ..Default::default()
+        }
+    }
+}
 
 fn scale(d: Duration, factor: f64) -> Duration {
     Duration::from_nanos((d.as_nanos() as f64 * factor) as u64)
@@ -212,7 +284,7 @@ pub fn fig3(config: &SweepConfig) -> Vec<Series> {
 /// strict bind via the distributed lock against strict bind via the
 /// co-located [`rndi_providers::AtomicBindProxy`] (and the relaxed
 /// baseline).
-pub fn ablation_proxy(config: &SweepConfig) -> Vec<Series> {
+pub fn a5(config: &SweepConfig) -> Vec<Series> {
     let fig3_series = fig3(config);
     let mut out: Vec<Series> = fig3_series
         .into_iter()
@@ -377,6 +449,247 @@ pub fn fig5(config: &SweepConfig, bounded: bool) -> Vec<Series> {
     });
 
     vec![raw, spi]
+}
+
+/// Ablation A3 — bounded vs unbounded message queues. The paper closes
+/// Fig. 5's analysis with "the implementation needs improvement to be able
+/// to gracefully handle update overload": with the flow-control layer's
+/// bounded queue the stack rejects excess work and throughput *levels off*
+/// at capacity instead of growing its queues until the heap is gone.
+pub fn a3(config: &SweepConfig) -> Vec<Series> {
+    let raw_hdns = |bounded, label: &str| {
+        let mut s = fig5(config, bounded).swap_remove(0);
+        s.label = label.to_string();
+        s
+    };
+    vec![
+        raw_hdns(false, "unbounded (paper)"),
+        raw_hdns(true, "bounded (proposed fix)"),
+    ]
+}
+
+/// Ablation A2 — the §4.2 protocol-stack trade-off: "The Virtual Synchrony
+/// protocol suite guarantees an atomic broadcast and delivery. However, it
+/// comes at the cost of scalability … An alternative protocol suite uses
+/// Bimodal Multicast, which improves scalability, for the price of
+/// probabilistic message delivery reliability."
+///
+/// * A2a, `series`: write throughput in virtual time — a sequencer write
+///   pays the extra forward-to-coordinator hop, a bimodal one multicasts
+///   directly.
+/// * A2b, `delivery`: delivery on a lossy LAN, from a real `groupcast`
+///   cluster — the share of multicasts every member has right after the
+///   send and after gossip anti-entropy.
+pub fn a2(config: &SweepConfig) -> Measured {
+    let stack = |label: &str, segments: Vec<Duration>| {
+        sweep(label, config, move |sim, rng, _| {
+            let op = RoundTrips::new(
+                QueueingServer::new(sim, ServerConfig::default()),
+                rng.fork(),
+                cost::net_rtt(),
+                segments.clone(),
+            );
+            Rc::new(Rc::new(op)) as Rc<dyn Operation>
+        })
+    };
+    Measured {
+        series: vec![
+            stack("bimodal (HDNS default)", vec![cost::hdns_write()]),
+            // The coordinator hop is an extra serialized segment.
+            stack(
+                "sequencer (virtual synchrony)",
+                vec![micros(1800.0), cost::hdns_write()],
+            ),
+        ],
+        delivery: vec![
+            delivery(
+                "sequencer (virtual sync.)",
+                groupcast::OrderingMode::Sequencer,
+            ),
+            delivery(
+                "bimodal fanout=2",
+                groupcast::OrderingMode::Bimodal {
+                    loss: 0.10,
+                    fanout: 2,
+                },
+            ),
+        ],
+        scaling: Vec::new(),
+    }
+}
+
+/// One A2b row: 200 multicasts from one of three members, counted at the
+/// two receivers before and after twelve gossip rounds.
+fn delivery(stack: &str, ordering: groupcast::OrderingMode) -> Delivery {
+    use groupcast::{ChannelEvent, GroupChannel};
+    let count_delivered = |chan: &GroupChannel| {
+        chan.poll()
+            .into_iter()
+            .filter(|e| matches!(e, ChannelEvent::Message { .. }))
+            .count()
+    };
+    let loss = match ordering {
+        groupcast::OrderingMode::Sequencer => 0.0,
+        groupcast::OrderingMode::Bimodal { loss, .. } => loss,
+    };
+    let cluster = groupcast::Cluster::new(99);
+    let cfg = groupcast::StackConfig {
+        ordering,
+        ..Default::default()
+    };
+    let chans: Vec<GroupChannel> = (0..3)
+        .map(|_| cluster.create_channel(cfg.clone()))
+        .collect();
+    for c in &chans {
+        c.connect("abl").unwrap();
+        cluster.pump_all();
+    }
+    for c in &chans {
+        c.poll();
+    }
+    let n_msgs = 200;
+    for i in 0..n_msgs {
+        chans[0].mcast(vec![i as u8]).unwrap();
+    }
+    cluster.pump_all();
+    let expected = (n_msgs * 2) as f64; // two receivers
+    let before: usize = chans[1..].iter().map(count_delivered).sum();
+    for _ in 0..12 {
+        cluster.gossip_round();
+        cluster.pump_all();
+    }
+    let after = before + chans[1..].iter().map(count_delivered).sum::<usize>();
+    Delivery {
+        stack: stack.to_string(),
+        loss,
+        before_gossip: 100.0 * before as f64 / expected,
+        after_gossip: 100.0 * after as f64 / expected,
+    }
+}
+
+/// Extension X1 — the paper's future work, §8: "Building a large scale
+/// information service federation, and its thorough experimental
+/// evaluation". Scales the HDNS layer from 1 to 8 replicas under a fixed
+/// 600-client closed-loop load; one row per replica count:
+///
+/// * aggregate reads/s, spread round-robin across replicas (§6's "matching
+///   requesters to local nodes") — scale out, every replica answers locally;
+/// * writes/s through one node — fall, every write reaches the whole group.
+pub fn x1() -> Measured {
+    let scaling = [1usize, 2, 3, 4, 6, 8]
+        .into_iter()
+        .map(|replicas| Scaling {
+            replicas,
+            reads: scale_read_point(replicas, SCALE_CLIENTS),
+            writes: scale_write_point(replicas, SCALE_CLIENTS),
+        })
+        .collect();
+    Measured {
+        scaling,
+        ..Default::default()
+    }
+}
+
+/// X1's fixed closed-loop client count (offers 12 000 op/s).
+pub const SCALE_CLIENTS: usize = 600;
+
+/// Spreads successive operations round-robin across per-replica ops.
+struct RoundRobin {
+    ops: Vec<Rc<RoundTrips>>,
+    next: Cell<usize>,
+}
+
+impl Operation for RoundRobin {
+    fn issue(&self, sim: &Sim, done: DoneFn) {
+        let i = self.next.get();
+        self.next.set((i + 1) % self.ops.len());
+        Operation::issue(&self.ops[i].clone(), sim, done);
+    }
+}
+
+fn scale_point(op: Rc<dyn Operation>, sim: &Sim, rng: &SimRng, clients: usize) -> f64 {
+    run_closed_loop(
+        sim,
+        op,
+        clients,
+        cost::think_time(),
+        Duration::from_secs(2),
+        Duration::from_secs(15),
+        rng,
+    )
+    .throughput
+}
+
+fn scale_read_point(replicas: usize, clients: usize) -> f64 {
+    let sim = Sim::new();
+    let rng = SimRng::seed_from_u64(4242 + replicas as u64);
+    let realm = hdns::HdnsRealm::new(
+        "scale",
+        replicas,
+        groupcast::StackConfig::default(),
+        None,
+        5,
+    );
+    realm
+        .rebind(0, "bench", hdns::HdnsEntry::leaf(vec![0; 64]))
+        .expect("seed");
+    let ops: Vec<Rc<RoundTrips>> = (0..replicas)
+        .map(|node| {
+            let realm = realm.clone();
+            Rc::new(
+                RoundTrips::new(
+                    QueueingServer::new(&sim, ServerConfig::default()),
+                    rng.fork(),
+                    cost::net_rtt(),
+                    vec![cost::hdns_read()],
+                )
+                .with_work(
+                    Rc::new(move |_| {
+                        realm.lookup(node, "bench").expect("replicated entry");
+                    }),
+                    8,
+                ),
+            )
+        })
+        .collect();
+    let op = Rc::new(RoundRobin {
+        ops,
+        next: Cell::new(0),
+    });
+    scale_point(op, &sim, &rng, clients)
+}
+
+fn scale_write_point(replicas: usize, clients: usize) -> f64 {
+    let sim = Sim::new();
+    let rng = SimRng::seed_from_u64(777 + replicas as u64);
+    let realm = hdns::HdnsRealm::new(
+        "scale-w",
+        replicas,
+        groupcast::StackConfig::default(),
+        None,
+        6,
+    );
+    // Write cost grows with group size: the multicast fans out to every
+    // member and stability needs everyone's ack.
+    let per_member = 0.35;
+    let service = scale(cost::hdns_write(), 1.0 + per_member * (replicas - 1) as f64);
+    let op = Rc::new(
+        RoundTrips::new(
+            QueueingServer::new(&sim, ServerConfig::default()),
+            rng.fork(),
+            cost::net_rtt(),
+            vec![service],
+        )
+        .with_work(
+            Rc::new(move |_| {
+                realm
+                    .rebind(0, "bench", hdns::HdnsEntry::leaf(vec![0; 64]))
+                    .expect("replicated rebind");
+            }),
+            64,
+        ),
+    );
+    scale_point(Rc::new(op), &sim, &rng, clients)
 }
 
 // ---------------------------------------------------------------- DNS --
@@ -705,96 +1018,4 @@ fn ldap_server_for_federation() -> dirserv::DirectoryServer {
     )
     .expect("seed");
     ldap
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tiny() -> SweepConfig {
-        SweepConfig {
-            clients: vec![5, 40],
-            warmup: Duration::from_secs(1),
-            measure: Duration::from_secs(5),
-            ..Default::default()
-        }
-    }
-
-    #[test]
-    fn fig2_shape_raw_beats_spi() {
-        let s = fig2(&tiny());
-        // At 40 clients (offered 800/s) the raw LUS is saturated near 400
-        // and the SPI near 300.
-        assert!(s[0].at(40) > s[1].at(40) * 1.1, "raw > spi by ~25%");
-        // Strict == relaxed for reads.
-        let rel = s[1].at(40);
-        let strict = s[2].at(40);
-        assert!((strict - rel).abs() / rel < 0.15, "{strict} vs {rel}");
-    }
-
-    #[test]
-    fn fig3_shape_strict_is_much_slower() {
-        let s = fig3(&tiny());
-        assert!(s[0].at(40) > s[1].at(40), "raw > relaxed");
-        assert!(
-            s[1].at(40) > 3.0 * s[2].at(40),
-            "strict pays the lock: relaxed {} vs strict {}",
-            s[1].at(40),
-            s[2].at(40)
-        );
-    }
-
-    #[test]
-    fn fig5_unbounded_collapses_bounded_does_not() {
-        let cfg = tiny();
-        let unbounded = fig5(&cfg, false);
-        let bounded = fig5(&cfg, true);
-        // At 40 clients (offered 800/s ≫ 206/s) the unbounded stack has
-        // crashed; the bounded stack still serves at capacity.
-        assert!(
-            unbounded[0].at(40) < bounded[0].at(40) * 0.75,
-            "unbounded {} vs bounded {}",
-            unbounded[0].at(40),
-            bounded[0].at(40)
-        );
-    }
-
-    #[test]
-    fn fig7_read_plateaus_at_throttle() {
-        let cfg = SweepConfig {
-            clients: vec![60],
-            warmup: Duration::from_secs(1),
-            measure: Duration::from_secs(8),
-            ..Default::default()
-        };
-        let s = fig7(&cfg);
-        let read = s[0].at(60);
-        // 60 clients offer 1200/s; the throttle pins reads near 800/s.
-        assert!(
-            (700.0..880.0).contains(&read),
-            "plateau at ~800, got {read}"
-        );
-        let write = s[1].at(60);
-        assert!(write > read, "writes unthrottled: {write}");
-    }
-
-    #[test]
-    fn fig8_federation_resolves_and_preserves_plateau() {
-        let cfg = SweepConfig {
-            clients: vec![60],
-            warmup: Duration::from_secs(1),
-            measure: Duration::from_secs(8),
-            ..Default::default()
-        };
-        let s = fig8(&cfg);
-        let direct = s[0].at(60);
-        let fed = s[1].at(60);
-        // The leaf's throttle governs both paths.
-        assert!(
-            (fed - direct).abs() / direct < 0.2,
-            "federated {fed} vs direct {direct}"
-        );
-        // Federated latency is strictly higher (three hops).
-        assert!(s[1].points[0].mean_latency_ms > s[0].points[0].mean_latency_ms);
-    }
 }

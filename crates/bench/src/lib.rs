@@ -13,26 +13,23 @@
 //! resolution). Saturation, overload collapse and throttling therefore
 //! *emerge* from the simulation rather than being painted on.
 //!
-//! One bench target per figure:
+//! Five bench targets:
 //!
-//! | target | paper artifact |
+//! | target | what it prints |
 //! |---|---|
-//! | `fig2_jini_lookup` | Fig. 2 — Jini & JNDI-Jini lookup throughput |
-//! | `fig3_jini_rebind` | Fig. 3 — Jini & JNDI-Jini rebind throughput |
-//! | `fig4_hdns_lookup` | Fig. 4 — HDNS & SPI lookup throughput |
-//! | `fig5_hdns_rebind` | Fig. 5 — HDNS & SPI rebind throughput (collapse) |
-//! | `fig6_dns_lookup`  | Fig. 6 — JNDI-DNS lookup throughput |
-//! | `fig7_ldap`        | Fig. 7 — JNDI-LDAP read/write throughput |
-//! | `fig8_federation`  | §7 federation-preservation claim |
-//! | `ablation_stack`   | §4.2 sequencer vs bimodal trade-off |
-//! | `ablation_flowctl` | §7 unbounded vs bounded queues |
-//! | `spi_overhead`     | Criterion: per-op API-layer cost (§5.1 ≥8×) |
+//! | `figures` | Figs. 2–7, the §7 federation experiment, ablations A2/A3/A5 and the §8 extension X1 — [`runner`] is the name → experiment table; every shape they assert is a row of [`claims::CLAIMS`], checked by `cargo test` and printed ✔/✘ under its figure |
+//! | `net_concurrency` | wall clock: 1 024 live sockets against one `NetServer` |
+//! | `overload_goodput` | wall clock: goodput past the knee with admission control on and off |
+//! | `readpath_scale` | Criterion: indexed vs scanning reads (registrar, DIT), federated fan-out |
+//! | `shard_scale` | closed-loop model: throughput vs shard count |
 
+pub mod claims;
 pub mod cost;
 pub mod experiment;
 pub mod figures;
 pub mod loadgen;
 pub mod obsdump;
+pub mod runner;
 
 pub use experiment::{print_figure, print_goodput, print_latency, sweep, Series, SweepConfig};
 pub use loadgen::{

@@ -14,9 +14,7 @@ use std::time::Duration;
 use simnet::{JobOutcome, QueueingServer, Sim, SimRng, SimTime, ThroughputMeter};
 
 use rndi_core::context::DirContext;
-use rndi_core::env::Environment;
 use rndi_core::op::{dispatch, NamingOp};
-use rndi_core::spi::{ProviderBackend, ProviderPipeline};
 use rndi_obs::{SpanOutcome, SpanRecord, TraceCtx};
 
 /// Completion callback: `(sim, ok)`.
@@ -35,68 +33,6 @@ pub fn op_work(ctx: Arc<dyn DirContext>, op: NamingOp) -> WorkFn {
     Rc::new(move |_| {
         dispatch(ctx.as_ref(), &op).expect("benchmark op succeeds");
     })
-}
-
-/// Which transport carries [`op_work`] dispatches to the backend: direct
-/// in-process calls, or a loopback TCP hop through `rndi-net` (the
-/// in-proc-vs-TCP comparison benches switch on this).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Transport {
-    InProcess,
-    /// Loopback TCP through `rndi-net`.
-    Tcp,
-}
-
-/// A backend reached over a chosen [`Transport`]. For [`Transport::Tcp`]
-/// the handle owns the loopback server; dropping it (or calling
-/// [`TransportHandle::shutdown`]) stops the listener.
-pub struct TransportHandle {
-    ctx: Arc<dyn DirContext>,
-    server: Option<rndi_net::NetServer>,
-}
-
-impl TransportHandle {
-    /// The context benchmark ops should dispatch against.
-    pub fn ctx(&self) -> Arc<dyn DirContext> {
-        self.ctx.clone()
-    }
-
-    /// The loopback server's address, when the transport is TCP.
-    pub fn server_addr(&self) -> Option<std::net::SocketAddr> {
-        self.server.as_ref().map(|s| s.local_addr())
-    }
-
-    /// Gracefully stop the loopback server (no-op for in-process).
-    pub fn shutdown(self) {
-        if let Some(server) = self.server {
-            server.shutdown();
-        }
-    }
-}
-
-/// Put `backend` behind the chosen transport: in-process wraps it in the
-/// standard pipeline directly; TCP starts a loopback [`rndi_net::NetServer`]
-/// in front of it and returns a pooled [`rndi_net::NetClient`] pipeline, so
-/// the only difference between the two arms is the wire.
-pub fn via_transport(
-    transport: Transport,
-    backend: Arc<dyn ProviderBackend>,
-    env: &Environment,
-) -> rndi_core::error::Result<TransportHandle> {
-    match transport {
-        Transport::InProcess => Ok(TransportHandle {
-            ctx: ProviderPipeline::standard(backend, env),
-            server: None,
-        }),
-        Transport::Tcp => {
-            let server = rndi_net::NetServer::bind(backend, env)?;
-            let ctx = rndi_net::NetClient::connect(server.local_addr().to_string(), env)?;
-            Ok(TransportHandle {
-                ctx,
-                server: Some(server),
-            })
-        }
-    }
 }
 
 /// One logical client operation against a backend.

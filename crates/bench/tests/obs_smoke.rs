@@ -1,6 +1,6 @@
 //! Observability smoke: a small federation figure run must leave behind a
 //! parseable metrics exposition covering the pipeline layer — the same
-//! assertion CI's smoke job makes against the full `fig8_federation` run.
+//! assertion `scripts/verify.sh` makes against the runner's full `fig8` run.
 
 use std::time::Duration;
 

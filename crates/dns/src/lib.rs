@@ -15,14 +15,11 @@
 //!   rcodes/referrals.
 //! * [`resolver::Resolver`] — iterative resolution from root hints with a
 //!   TTL cache.
-//! * [`wire`] — a binary message codec (no name compression), used for
-//!   size accounting in the cost models.
 
 pub mod name;
 pub mod resolver;
 pub mod rr;
 pub mod server;
-pub mod wire;
 pub mod zone;
 
 pub use name::DnsName;

@@ -1,91 +1,14 @@
-//! Property tests: wire-codec robustness and name algebra.
+//! Property tests: name algebra.
 
 use proptest::prelude::*;
 
-use minidns::wire::Message;
-use minidns::{DnsName, RData, RecordType, ResourceRecord};
+use minidns::DnsName;
 
 fn name_strategy() -> impl Strategy<Value = DnsName> {
     proptest::collection::vec("[a-z0-9]{1,10}", 0..5).prop_map(DnsName::from_labels)
 }
 
-fn rdata_strategy() -> impl Strategy<Value = RData> {
-    prop_oneof![
-        any::<[u8; 4]>().prop_map(|o| RData::A(o.into())),
-        name_strategy().prop_map(RData::Ns),
-        name_strategy().prop_map(RData::Cname),
-        name_strategy().prop_map(RData::Ptr),
-        "[ -~]{0,300}".prop_map(RData::Txt),
-        (any::<u16>(), any::<u16>(), any::<u16>(), name_strategy()).prop_map(
-            |(priority, weight, port, target)| RData::Srv {
-                priority,
-                weight,
-                port,
-                target,
-            }
-        ),
-    ]
-}
-
-fn rr_strategy() -> impl Strategy<Value = ResourceRecord> {
-    (name_strategy(), any::<u32>(), rdata_strategy())
-        .prop_map(|(name, ttl, rdata)| ResourceRecord { name, ttl, rdata })
-}
-
 proptest! {
-    /// Encode/decode roundtrip for arbitrary well-formed messages.
-    #[test]
-    fn wire_roundtrip(
-        id in any::<u16>(),
-        qr in any::<bool>(),
-        aa in any::<bool>(),
-        rcode in 0u8..16,
-        qname in name_strategy(),
-        answers in proptest::collection::vec(rr_strategy(), 0..6),
-        authority in proptest::collection::vec(rr_strategy(), 0..3),
-    ) {
-        let msg = Message {
-            id,
-            qr,
-            aa,
-            rcode,
-            question: Some((qname, RecordType::Txt)),
-            answers,
-            authority,
-        };
-        let bytes = msg.encode();
-        let back = Message::decode(&bytes).expect("well-formed messages decode");
-        prop_assert_eq!(back, msg);
-    }
-
-    /// The decoder never panics on arbitrary bytes (it may error).
-    #[test]
-    fn decoder_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
-        let _ = Message::decode(&bytes);
-    }
-
-    /// Truncating a valid message never panics and (almost) always errors.
-    #[test]
-    fn truncation_is_detected(
-        qname in name_strategy(),
-        answers in proptest::collection::vec(rr_strategy(), 0..4),
-        cut_fraction in 0.0f64..1.0,
-    ) {
-        let msg = Message {
-            id: 7,
-            qr: true,
-            aa: true,
-            rcode: 0,
-            question: Some((qname, RecordType::A)),
-            answers,
-            authority: vec![],
-        };
-        let bytes = msg.encode();
-        let cut = ((bytes.len() as f64) * cut_fraction) as usize;
-        prop_assume!(cut < bytes.len());
-        let _ = Message::decode(&bytes[..cut]); // must not panic
-    }
-
     /// Name algebra: child/parent inverses and suffix transitivity.
     #[test]
     fn name_algebra(name in name_strategy(), label in "[a-z0-9]{1,8}") {

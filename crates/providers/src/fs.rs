@@ -34,6 +34,15 @@ fn io_err(e: std::io::Error, what: &str) -> NamingError {
     NamingError::service(format!("filesystem provider: {what}: {e}"))
 }
 
+/// Remove a file that may already be gone: "not there" is the state the
+/// caller wants, every other failure leaves the file behind and is reported.
+fn remove_if_present(path: &Path, what: &str) -> Result<()> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(io_err(e, what)),
+        _ => Ok(()),
+    }
+}
+
 /// `[read, write]` byte counters for value payloads, resolved once per
 /// process.
 fn io_counters() -> &'static [Arc<rndi_obs::Counter>; 2] {
@@ -141,14 +150,14 @@ impl FsContext {
     fn read_attrs(dir: &Path, leaf: &str) -> Result<Attributes> {
         match std::fs::read_to_string(Self::attr_path(dir, leaf)) {
             Ok(s) => common::attrs_from_json(&s),
-            Err(_) => Ok(Attributes::new()),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Attributes::new()),
+            Err(e) => Err(io_err(e, "read attrs")),
         }
     }
 
     fn write_attrs(dir: &Path, leaf: &str, attrs: &Attributes) -> Result<()> {
         if attrs.is_empty() {
-            let _ = std::fs::remove_file(Self::attr_path(dir, leaf));
-            return Ok(());
+            return remove_if_present(&Self::attr_path(dir, leaf), "remove attrs");
         }
         std::fs::write(Self::attr_path(dir, leaf), common::attrs_to_json(attrs)?)
             .map_err(|e| io_err(e, "write attrs"))
@@ -298,9 +307,8 @@ impl FsContext {
             std::fs::remove_dir(&sub).map_err(|e| io_err(e, "rmdir"))?;
             return Ok(());
         }
-        let _ = std::fs::remove_file(Self::val_path(&dir, &leaf));
-        let _ = std::fs::remove_file(Self::attr_path(&dir, &leaf));
-        Ok(())
+        remove_if_present(&Self::val_path(&dir, &leaf), "remove")?;
+        remove_if_present(&Self::attr_path(&dir, &leaf), "remove attrs")
     }
 
     fn rename(&self, old: &CompositeName, new: &CompositeName) -> Result<()> {
@@ -595,6 +603,32 @@ mod tests {
         ctx.unbind_str("s/x").unwrap(); // idempotent
         ctx.destroy_subcontext(&"s".into()).unwrap();
         assert!(!root.join("s").exists());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A directory where the `.attrs` file belongs makes every I/O call on
+    /// it fail with something other than "not found" — as root too, where
+    /// permission bits would not.
+    #[test]
+    fn io_errors_other_than_not_found_are_reported() {
+        let root = fresh_root("ioerr");
+        let ctx = FsContext::new(&root);
+        ctx.bind_str("n", "v").unwrap();
+        std::fs::create_dir(root.join("n.attrs")).unwrap();
+
+        let service_failure = |r: Result<()>| matches!(r, Err(NamingError::ServiceFailure { .. }));
+        // The stale attributes cannot be cleared: not a success.
+        assert!(service_failure(ctx.rebind_str("n", "v2")));
+        // Unreadable attributes are not "no attributes".
+        assert!(service_failure(ctx.get_attributes(&"n".into()).map(|_| ())));
+        // The binding's second file survives the unbind: not acknowledged.
+        assert!(service_failure(ctx.unbind_str("n")));
+
+        std::fs::remove_dir(root.join("n.attrs")).unwrap();
+        ctx.rebind_str("n", "v3").unwrap();
+        assert!(ctx.get_attributes(&"n".into()).unwrap().is_empty());
+        ctx.unbind_str("n").unwrap();
+        ctx.unbind_str("n").unwrap(); // still idempotent
         let _ = std::fs::remove_dir_all(&root);
     }
 

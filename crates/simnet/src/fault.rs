@@ -7,7 +7,11 @@
 //! causing memory exhaustion and server crash".
 //!
 //! [`FaultPlan`] schedules scripted crash/restart/partition events against
-//! a [`Network`], which the HDNS recovery tests and examples use.
+//! a [`Network`]. Nothing outside this crate's own tests drives one yet: the
+//! HDNS recovery tests and `examples/fault_tolerance.rs` crash and partition
+//! replicas through `HdnsRealm`, and the figure sweeps model the Fig. 5
+//! crash inside the queueing server. It is the substrate for running the
+//! production membership logic under a seeded fault schedule (ROADMAP).
 
 use std::cell::Cell;
 use std::rc::Rc;

@@ -89,9 +89,10 @@ struct Core {
     /// (pre-crash) are ignored.
     epoch: u64,
     stats: ServerStats,
-    /// When set, traced submissions report under this server label in the
-    /// process-wide metrics registry and trace ring.
-    obs_label: Option<String>,
+    /// The `rndi_server_*` instruments and span labels traced submissions
+    /// report under: resolved once per server — by `set_obs_label`, or as
+    /// `"simnet"` by the first traced job — not per job.
+    obs: Option<Rc<rndi_obs::ServerOp>>,
 }
 
 /// A simulated queueing server. Cloneable handle.
@@ -113,15 +114,15 @@ impl QueueingServer {
                 up: true,
                 epoch: 0,
                 stats: ServerStats::default(),
-                obs_label: None,
+                obs: None,
             })),
         }
     }
 
     /// Name this server in the process-wide observability registry; traced
     /// submissions ([`QueueingServer::submit_traced`]) report under it.
-    pub fn set_obs_label(&self, label: impl Into<String>) {
-        self.core.borrow_mut().obs_label = Some(label.into());
+    pub fn set_obs_label(&self, label: impl Into<std::sync::Arc<str>>) {
+        self.core.borrow_mut().obs = Some(Rc::new(rndi_obs::ServerOp::new(label, "job")));
     }
 
     /// Submit a job needing `service_time` of a worker. When the job finishes
@@ -145,47 +146,18 @@ impl QueueingServer {
     ) where
         F: FnOnce(&Sim, JobOutcome) + 'static,
     {
-        let label = self
+        let obs = self
             .core
-            .borrow()
-            .obs_label
-            .clone()
-            .unwrap_or_else(|| "simnet".to_string());
+            .borrow_mut()
+            .obs
+            .get_or_insert_with(|| Rc::new(rndi_obs::ServerOp::new("simnet", "job")))
+            .clone();
         let submitted_ns = self.sim.now().as_nanos();
         self.submit(service_time, move |sim, outcome| {
-            use rndi_obs::metrics::names;
             let sojourn = Duration::from_nanos(sim.now().as_nanos().saturating_sub(submitted_ns));
-            rndi_obs::metrics::counter(names::SERVER_OPS, &[("server", &label), ("op", "job")])
-                .inc();
-            rndi_obs::metrics::histogram(
-                names::SERVER_DURATION,
-                &[("server", &label), ("op", "job")],
-            )
-            .record_duration(sojourn);
-            if let Some(ctx) = &trace {
-                rndi_obs::trace::record(rndi_obs::SpanRecord::new(
-                    &ctx.child(),
-                    "server",
-                    label.as_str(),
-                    "job",
-                    match outcome {
-                        JobOutcome::Completed => rndi_obs::SpanOutcome::Ok,
-                        JobOutcome::Rejected | JobOutcome::Crashed => rndi_obs::SpanOutcome::Err,
-                    },
-                    sojourn,
-                ));
-            }
+            obs.observe(sojourn, outcome == JobOutcome::Completed, trace.as_ref());
             done(sim, outcome);
         });
-    }
-
-    /// The server's observability endpoint: a Prometheus-style text
-    /// snapshot of the process-wide metrics registry (every simulated
-    /// server shares the process, so each endpoint serves the same
-    /// registry — exactly like scraping any one replica of a co-located
-    /// deployment).
-    pub fn obs_exposition(&self) -> String {
-        rndi_obs::metrics::render()
     }
 
     /// Like [`QueueingServer::submit`], but runs `work` at service-completion
@@ -307,11 +279,6 @@ impl QueueingServer {
             core.up = true;
         }
         self.pump();
-    }
-
-    /// Whether the server is currently serving.
-    pub fn is_up(&self) -> bool {
-        self.core.borrow().up
     }
 
     /// Jobs waiting (excludes jobs in service).
@@ -437,7 +404,7 @@ mod tests {
             let done = mk();
             srv.submit(Duration::from_secs(1), move |s, o| done(s, o));
         }
-        assert!(!srv.is_up());
+        assert_eq!(srv.stats().crashes, 1, "down as the 4th job arrives");
         sim.run_until(SimTime::from_millis(50));
         let crashed = log
             .borrow()
@@ -445,10 +412,8 @@ mod tests {
             .filter(|(_, o)| *o == JobOutcome::Crashed)
             .count();
         assert_eq!(crashed, 3, "queued jobs fail on crash");
-        assert_eq!(srv.stats().crashes, 1);
         sim.run_until(SimTime::from_millis(200));
-        assert!(srv.is_up(), "restarted after delay");
-        // New work after restart completes.
+        // Restarted after the delay: new work completes.
         let done = mk();
         srv.submit(Duration::from_millis(10), move |s, o| done(s, o));
         sim.run();
@@ -533,7 +498,7 @@ mod tests {
         assert_eq!(span.trace_id, ctx.trace_id);
         assert_eq!(span.parent_span, ctx.span_id, "span links to submitter");
         assert_eq!(span.duration_ns, 5_000_000, "virtual sojourn time");
-        assert!(srv.obs_exposition().contains("rndi_server_ops_total"));
+        assert!(rndi_obs::metrics::render().contains("rndi_server_ops_total"));
     }
 
     #[test]
@@ -546,6 +511,6 @@ mod tests {
         srv.submit(Duration::from_millis(1), move |s, o| done(s, o));
         sim.run();
         assert_eq!(log.borrow()[0].1, JobOutcome::Rejected);
-        assert!(!srv.is_up());
+        assert_eq!(srv.stats().rejected, 1);
     }
 }

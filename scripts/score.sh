@@ -19,6 +19,7 @@ fields() {
 
 product=$(lines crates/*/src src)
 replication=$(lines crates/groupcomm/src crates/hdns/src crates/cluster/src crates/shard/src src/serve.rs)
+harness=$(lines crates/bench/src crates/simnet/src)
 env_keys=$(awk '/^pub mod keys/ { inside = 1 } inside && /pub const [A-Z0-9_]+: &str/ { n++ } END { print n + 0 }' crates/core/src/env.rs)
 
 echo "score: product_lines=$product replication_lines=$replication" \
@@ -27,4 +28,6 @@ echo "score: product_lines=$product replication_lines=$replication" \
   "ClientConfig=$(fields crates/net/src/client.rs ClientConfig)" \
   "ServerConfig=$(fields crates/net/src/server.rs ServerConfig)" \
   "ClusterConfig=$(fields crates/cluster/src/config.rs ClusterConfig)" \
-  "StackConfig=$(fields crates/groupcomm/src/config.rs StackConfig)"
+  "StackConfig=$(fields crates/groupcomm/src/config.rs StackConfig)" \
+  "harness_lines=$harness" \
+  "bench_targets=$(grep -c '^\[\[bench\]\]' crates/bench/Cargo.toml)"
