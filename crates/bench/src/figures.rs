@@ -973,7 +973,7 @@ fn federation_deployment_with_env(env: Environment) -> FederationDeployment {
 /// Repeated federated lookups through a cache-enabled deployment. The
 /// pipeline cache (TTL via `rndi.pipeline.cache.ttl.ms`) absorbs the
 /// re-resolution of the dns→hdns→ldap chain after the first hop — the
-/// resulting per-provider hit rates land in `rndi_core::spi::telemetry`.
+/// resulting per-provider hit rates land in `rndi_cache_events_total`.
 /// Kept out of the fig8 sweep itself so the throughput/latency curves
 /// retain the paper's uncached semantics.
 pub fn fig8_cached_lookups(repeats: usize) {

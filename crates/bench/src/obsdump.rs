@@ -1,12 +1,11 @@
 //! `--obs-dump`: post-run observability dump for the figure binaries.
 //!
 //! After a figure completes, `dump()` prints the full Prometheus-style
-//! exposition (`telemetry::render()`), per-provider pipeline latency rows
-//! derived from the shared `rndi_op_duration_ns` histograms, and the
+//! exposition (`rndi_obs::metrics::render()`), per-provider pipeline latency
+//! rows derived from the shared `rndi_op_duration_ns` histograms, and the
 //! slowest traces in the ring with their child spans — the same data a
 //! scrape of a live simnet obs endpoint would return, printed for eyeballs.
 
-use rndi_core::spi::telemetry;
 use rndi_obs::metrics::names;
 use rndi_obs::SpanRecord;
 
@@ -19,7 +18,7 @@ pub fn requested() -> bool {
 /// Print the exposition, provider latency table, and `top_n` slowest traces.
 pub fn dump(top_n: usize) {
     println!("\n==== obs dump: metrics exposition ====");
-    print!("{}", telemetry::render());
+    print!("{}", rndi_obs::metrics::render());
     print_provider_latency();
     print_slowest_traces(top_n);
 }

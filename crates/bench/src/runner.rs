@@ -119,7 +119,7 @@ fn print_federation(title: &str, m: &Measured) {
 fn print_pipeline_telemetry() {
     println!("\nProvider pipeline telemetry (per provider label):");
     for t in telemetry::snapshot() {
-        println!("  {} ({} pipeline(s))", t.label, t.pipelines);
+        println!("  {}", t.label);
         for row in &t.ops {
             let mean_us = if row.ops > 0 {
                 row.total.as_micros() as f64 / row.ops as f64
@@ -140,7 +140,7 @@ fn print_pipeline_telemetry() {
                 cache.hits,
                 cache.misses,
                 cache.invalidations,
-                cache.hit_rate() * 100.0
+                100.0 * cache.hits as f64 / (cache.hits + cache.misses).max(1) as f64
             );
         }
         if t.retries > 0 {
@@ -226,7 +226,7 @@ pub fn main() -> ExitCode {
     let mut failed = 0;
     for figure in selected {
         // Each figure's pipeline telemetry is its own, whichever ran before.
-        telemetry::reset();
+        rndi_obs::metrics::reset();
         let measured = (figure.measure)(&config);
         let verdicts = check(figure.id, &measured);
         (figure.print)(figure.title, &measured);

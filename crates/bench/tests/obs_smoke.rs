@@ -6,7 +6,6 @@ use std::time::Duration;
 
 use rndi_bench::figures::fig8;
 use rndi_bench::SweepConfig;
-use rndi_core::spi::telemetry;
 
 #[test]
 fn fig8_run_emits_parseable_exposition() {
@@ -16,11 +15,11 @@ fn fig8_run_emits_parseable_exposition() {
         measure: Duration::from_secs(3),
         ..Default::default()
     };
-    telemetry::reset();
+    rndi_obs::metrics::reset();
     let series = fig8(&cfg);
     assert_eq!(series.len(), 2, "direct and federated series");
 
-    let text = telemetry::render();
+    let text = rndi_obs::metrics::render();
     let samples = rndi_obs::expo::parse(&text).expect("exposition parses");
     assert!(!samples.is_empty(), "exposition carries samples");
     // The figure's real backend traffic ran through provider pipelines, so

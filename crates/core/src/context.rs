@@ -129,10 +129,10 @@ pub trait Context: Send + Sync {
 
     /// Execute a reified operation natively, or `None` to have
     /// [`crate::op::dispatch`] bridge to the per-method trait calls.
-    /// Contexts that understand op values (provider pipelines, federated
-    /// facades) override this so op annotations — the trace context above
-    /// all — survive instead of being dropped when the bridge rebuilds a
-    /// bare op from trait-method arguments.
+    /// Contexts that run op values (every [`crate::spi::OpContext`]:
+    /// provider pipelines, federated facades) answer here so op annotations
+    /// — the trace context above all — survive instead of being dropped
+    /// when the bridge rebuilds a bare op from trait-method arguments.
     fn execute_reified(&self, _op: &crate::op::NamingOp) -> Option<Result<crate::op::OpOutcome>> {
         None
     }

@@ -22,7 +22,7 @@ use crate::error::{NamingError, Result};
 use crate::filter::Filter;
 use crate::name::CompositeName;
 use crate::op::{self, NamingOp, OpKind, OpOutcome, OpPayload};
-use crate::spi::ProviderRegistry;
+use crate::spi::{OpContext, ProviderBackend, ProviderRegistry};
 use crate::url::RndiUrl;
 use crate::value::BoundValue;
 
@@ -372,124 +372,26 @@ impl FederatedContext {
     }
 }
 
-impl crate::context::Context for FederatedContext {
-    fn lookup(&self, name: &CompositeName) -> crate::error::Result<BoundValue> {
-        self.run_op(NamingOp::lookup(name.clone()))?
-            .into_value(crate::op::OpKind::Lookup)
-    }
-
-    fn bind(&self, name: &CompositeName, value: BoundValue) -> crate::error::Result<()> {
-        self.run_op(NamingOp::bind(name.clone(), value))?
-            .into_done(crate::op::OpKind::Bind)
-    }
-
-    fn rebind(&self, name: &CompositeName, value: BoundValue) -> crate::error::Result<()> {
-        self.run_op(NamingOp::rebind(name.clone(), value))?
-            .into_done(crate::op::OpKind::Rebind)
-    }
-
-    fn unbind(&self, name: &CompositeName) -> crate::error::Result<()> {
-        self.run_op(NamingOp::unbind(name.clone()))?
-            .into_done(crate::op::OpKind::Unbind)
-    }
-
-    fn rename(&self, old: &CompositeName, new: &CompositeName) -> crate::error::Result<()> {
-        self.run_op(NamingOp::rename(old.clone(), new.clone()))?
-            .into_done(crate::op::OpKind::Rename)
-    }
-
-    fn list(
-        &self,
-        name: &CompositeName,
-    ) -> crate::error::Result<Vec<crate::context::NameClassPair>> {
-        self.run_op(NamingOp::list(name.clone()))?
-            .into_names(crate::op::OpKind::List)
-    }
-
-    fn list_bindings(
-        &self,
-        name: &CompositeName,
-    ) -> crate::error::Result<Vec<crate::context::Binding>> {
-        self.run_op(NamingOp::list_bindings(name.clone()))?
-            .into_bindings(crate::op::OpKind::ListBindings)
-    }
-
-    fn create_subcontext(&self, name: &CompositeName) -> crate::error::Result<()> {
-        self.run_op(NamingOp::create_subcontext(name.clone()))?
-            .into_done(crate::op::OpKind::CreateSubcontext)
-    }
-
-    fn destroy_subcontext(&self, name: &CompositeName) -> crate::error::Result<()> {
-        self.run_op(NamingOp::destroy_subcontext(name.clone()))?
-            .into_done(crate::op::OpKind::DestroySubcontext)
+/// The facade runs ops, so it gets its `Context`/`DirContext` surface from
+/// the one bridge ([`OpContext`]) — and can be served by anything that hosts
+/// a backend. Searches take the federated fan-out path, everything else the
+/// continuation loop, which re-targets the op per hop and so needs its own.
+impl ProviderBackend for FederatedContext {
+    fn execute(&self, op: &NamingOp) -> Result<OpOutcome> {
+        match (op.kind, &op.payload) {
+            (OpKind::Search, OpPayload::Query { filter, controls }) => self
+                .search_federated(&op.name, filter, controls, 0, op.trace_ctx().as_ref())
+                .map(OpOutcome::Found),
+            _ => self.run_op(op.clone()),
+        }
     }
 
     fn provider_id(&self) -> String {
         format!("federated({})", self.base.provider_id())
     }
-
-    fn execute_reified(&self, op: &NamingOp) -> Option<Result<OpOutcome>> {
-        // Keep annotated ops (trace context above all) intact instead of
-        // letting `op::dispatch` rebuild them through the trait methods.
-        // Searches take the federated fan-out path, everything else the
-        // continuation loop — exactly what the trait methods would do.
-        match (op.kind, &op.payload) {
-            (OpKind::Search, OpPayload::Query { filter, controls }) => Some(
-                self.search_federated(&op.name, filter, controls, 0, op.trace_ctx().as_ref())
-                    .map(OpOutcome::Found),
-            ),
-            _ => Some(self.run_op(op.clone())),
-        }
-    }
 }
 
-impl crate::context::DirContext for FederatedContext {
-    fn get_attributes(
-        &self,
-        name: &CompositeName,
-    ) -> crate::error::Result<crate::attrs::Attributes> {
-        self.run_op(NamingOp::get_attributes(name.clone()))?
-            .into_attrs(crate::op::OpKind::GetAttributes)
-    }
-
-    fn modify_attributes(
-        &self,
-        name: &CompositeName,
-        mods: &[crate::attrs::AttrMod],
-    ) -> crate::error::Result<()> {
-        self.run_op(NamingOp::modify_attributes(name.clone(), mods.to_vec()))?
-            .into_done(crate::op::OpKind::ModifyAttributes)
-    }
-
-    fn bind_with_attrs(
-        &self,
-        name: &CompositeName,
-        value: BoundValue,
-        attrs: crate::attrs::Attributes,
-    ) -> crate::error::Result<()> {
-        self.run_op(NamingOp::bind_with_attrs(name.clone(), value, attrs))?
-            .into_done(crate::op::OpKind::BindWithAttrs)
-    }
-
-    fn rebind_with_attrs(
-        &self,
-        name: &CompositeName,
-        value: BoundValue,
-        attrs: crate::attrs::Attributes,
-    ) -> crate::error::Result<()> {
-        self.run_op(NamingOp::rebind_with_attrs(name.clone(), value, attrs))?
-            .into_done(crate::op::OpKind::RebindWithAttrs)
-    }
-
-    fn search(
-        &self,
-        name: &CompositeName,
-        filter: &crate::filter::Filter,
-        controls: &crate::context::SearchControls,
-    ) -> crate::error::Result<Vec<crate::context::SearchItem>> {
-        self.search_federated(name, filter, controls, 0, None)
-    }
-}
+impl OpContext for FederatedContext {}
 
 #[cfg(test)]
 mod tests {

@@ -4,7 +4,7 @@
 //! expressed as a first-class request value ([`NamingOp`]) paired with a
 //! response value ([`OpOutcome`]). Reifying the call gives every layer that
 //! sits between the application and a backend — federation, caching, retry,
-//! stats, marshalling — a single uniform unit to operate on, instead of
+//! metrics, marshalling — a single uniform unit to operate on, instead of
 //! one code path per trait method. The pipeline machinery that routes these
 //! values lives in [`crate::spi`].
 
@@ -497,8 +497,9 @@ impl OpOutcome {
 }
 
 /// Dispatch one reified op against a plain [`DirContext`]. This is the
-/// bridge between the op world and the trait world: the federation driver
-/// and [`crate::spi::ContextBackend`] both route through it, so any legacy
+/// op → method direction of the bridge between the op world and the trait
+/// world ([`crate::spi::OpContext`] is the other): the federation driver and
+/// [`crate::spi::ContextBackend`] both route through it, so any legacy
 /// context participates in the reified path unchanged.
 pub fn dispatch(ctx: &dyn DirContext, op: &NamingOp) -> Result<OpOutcome> {
     // Contexts that understand reified ops natively (provider pipelines,

@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
@@ -193,7 +193,7 @@ pub enum WireFormat {
 
 /// The slim surface a provider implements: execute one reified operation.
 ///
-/// Everything else — the full `Context`/`DirContext` trait surface, stats,
+/// Everything else — the full `Context`/`DirContext` trait surface, metrics,
 /// retries, caching, marshalling — is recovered generically by routing ops
 /// through a [`ProviderPipeline`], so cross-cutting concerns are written
 /// once instead of once per provider.
@@ -230,7 +230,7 @@ pub trait OpInvoker {
 
 /// Tower-style middleware around [`ProviderBackend::execute`].
 pub trait Interceptor: Send + Sync {
-    /// A short layer name for telemetry ("stats", "retry", "cache", …).
+    /// A short layer name for telemetry ("pipeline", "retry", "cache", …).
     fn layer(&self) -> &'static str;
 
     /// Handle `op`, typically delegating to `next.invoke(..)` zero (cache
@@ -256,114 +256,6 @@ impl<B: ProviderBackend + ?Sized> OpInvoker for Chain<'_, B> {
             ),
             None => self.backend.execute(op),
         }
-    }
-}
-
-// ------------------------------------------------------------- stats --
-
-/// Per-kind operation counters and latency totals.
-#[derive(Default)]
-struct OpStat {
-    ops: AtomicU64,
-    errors: AtomicU64,
-    nanos: AtomicU64,
-}
-
-/// Pipeline-wide per-op-kind statistics (lock-free counters).
-pub struct PipelineStats {
-    per_kind: [OpStat; 16],
-}
-
-/// One row of a [`PipelineStats`] snapshot.
-#[derive(Clone, Copy, Debug)]
-pub struct OpKindStat {
-    pub kind: OpKind,
-    pub ops: u64,
-    pub errors: u64,
-    pub total: Duration,
-}
-
-impl PipelineStats {
-    pub fn new() -> Self {
-        PipelineStats {
-            per_kind: std::array::from_fn(|_| OpStat::default()),
-        }
-    }
-
-    fn record(&self, kind: OpKind, took: Duration, ok: bool) {
-        let s = &self.per_kind[kind.index()];
-        s.ops.fetch_add(1, Ordering::Relaxed);
-        s.nanos.fetch_add(
-            took.as_nanos().min(u64::MAX as u128) as u64,
-            Ordering::Relaxed,
-        );
-        if !ok {
-            s.errors.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Per-kind rows with traffic, in stable order.
-    pub fn snapshot(&self) -> Vec<OpKindStat> {
-        ALL_OP_KINDS
-            .iter()
-            .filter_map(|&kind| {
-                let s = &self.per_kind[kind.index()];
-                let ops = s.ops.load(Ordering::Relaxed);
-                (ops > 0).then(|| OpKindStat {
-                    kind,
-                    ops,
-                    errors: s.errors.load(Ordering::Relaxed),
-                    total: Duration::from_nanos(s.nanos.load(Ordering::Relaxed)),
-                })
-            })
-            .collect()
-    }
-
-    /// Total operations across all kinds.
-    pub fn total_ops(&self) -> u64 {
-        self.per_kind
-            .iter()
-            .map(|s| s.ops.load(Ordering::Relaxed))
-            .sum()
-    }
-}
-
-impl Default for PipelineStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Records per-op latency and throughput counters. Federation `Continue`
-/// results are control flow, not failures, and count as successes.
-pub struct StatsInterceptor {
-    stats: Arc<PipelineStats>,
-}
-
-impl StatsInterceptor {
-    pub fn new(stats: Arc<PipelineStats>) -> Self {
-        StatsInterceptor { stats }
-    }
-
-    pub fn stats(&self) -> Arc<PipelineStats> {
-        self.stats.clone()
-    }
-}
-
-impl Interceptor for StatsInterceptor {
-    fn layer(&self) -> &'static str {
-        "stats"
-    }
-
-    fn call(&self, op: &NamingOp, next: &dyn OpInvoker) -> Result<OpOutcome> {
-        let start = Instant::now();
-        let result = next.invoke(op);
-        let ok = match &result {
-            Ok(_) => true,
-            Err(e) => e.is_continue(),
-        };
-        self.stats.record(op.kind, start.elapsed(), ok);
-        result
     }
 }
 
@@ -988,15 +880,16 @@ impl Interceptor for ObsInterceptor {
 
 /// An ordered interceptor stack in front of a [`ProviderBackend`].
 ///
-/// The pipeline itself implements [`Context`] and [`DirContext`] — that is
-/// how providers recover the full JNDI surface from their slim backend —
-/// and `Deref`s to the backend so provider-specific methods (lease polling,
+/// The pipeline is an [`OpContext`], so it implements [`Context`] and
+/// [`DirContext`] — that is how providers recover the full JNDI surface
+/// from their slim backend — and `Deref`s to the backend so provider-specific methods (lease polling,
 /// event draining…) stay reachable on the wrapped value.
 pub struct ProviderPipeline<B: ProviderBackend + ?Sized = dyn ProviderBackend> {
     interceptors: Vec<Arc<dyn Interceptor>>,
-    stats: Option<Arc<PipelineStats>>,
     cache: Option<Arc<CacheInterceptor>>,
     retry: Option<Arc<RetryInterceptor>>,
+    /// The cache layer's subscription on the backend's hub, released on drop.
+    invalidation: Option<(Arc<EventHub>, ListenerHandle)>,
     backend: Arc<B>,
 }
 
@@ -1005,9 +898,9 @@ impl<B: ProviderBackend + ?Sized> ProviderPipeline<B> {
     pub fn bare(backend: Arc<B>) -> Arc<Self> {
         Arc::new(ProviderPipeline {
             interceptors: Vec::new(),
-            stats: None,
             cache: None,
             retry: None,
+            invalidation: None,
             backend,
         })
     }
@@ -1016,28 +909,29 @@ impl<B: ProviderBackend + ?Sized> ProviderPipeline<B> {
     pub fn with_stack(backend: Arc<B>, interceptors: Vec<Arc<dyn Interceptor>>) -> Arc<Self> {
         Arc::new(ProviderPipeline {
             interceptors,
-            stats: None,
             cache: None,
             retry: None,
+            invalidation: None,
             backend,
         })
     }
 
-    /// The standard stack: obs → stats → retry → cache → marshalling →
-    /// obs → backend.
+    /// The standard stack: obs → retry → cache → marshalling → obs →
+    /// backend.
     ///
-    /// Stats always record. Retry engages when
-    /// [`keys::RETRY_MAX_ATTEMPTS`] > 1 and the cache when
-    /// [`keys::CACHE_TTL_MS`] > 0, so default environments preserve
+    /// Retry engages when [`keys::RETRY_MAX_ATTEMPTS`] > 1 and the cache
+    /// when [`keys::CACHE_TTL_MS`] > 0, so default environments preserve
     /// single-shot, uncached semantics. The marshalling layer joins for
     /// [`WireFormat::Encoded`] backends. The cache subscribes to the
-    /// backend's event hub for invalidation.
+    /// backend's event hub for invalidation, for as long as the pipeline
+    /// lives.
     ///
     /// The two [`ObsInterceptor`] instances (outermost `"pipeline"`,
-    /// innermost `"backend"`) engage unless [`keys::OBS_ENABLED`] is
-    /// `false`; [`keys::OBS_TRACE_FILE`] additionally streams finished
-    /// spans to a JSONL file and [`keys::OBS_RING_CAPACITY`] resizes the
-    /// process-wide span ring.
+    /// innermost `"backend"`) are the only layers that count or time an op.
+    /// They engage unless [`keys::OBS_ENABLED`] is `false`, which leaves
+    /// the stack uninstrumented; [`keys::OBS_TRACE_FILE`] additionally
+    /// streams finished spans to a JSONL file and
+    /// [`keys::OBS_RING_CAPACITY`] resizes the process-wide span ring.
     pub fn standard(backend: Arc<B>, env: &Environment) -> Arc<Self> {
         let provider_label = backend.provider_id();
         let obs = env.get_bool(keys::OBS_ENABLED, true);
@@ -1065,12 +959,10 @@ impl<B: ProviderBackend + ?Sized> ProviderPipeline<B> {
             }
         }
 
-        let stats = Arc::new(PipelineStats::new());
         let mut stack: Vec<Arc<dyn Interceptor>> = Vec::new();
         if obs {
             stack.push(Arc::new(ObsInterceptor::new(&provider_label, "pipeline")));
         }
-        stack.push(Arc::new(StatsInterceptor::new(stats.clone())));
 
         let max_attempts = env.get_u64(keys::RETRY_MAX_ATTEMPTS, 1);
         let retry = (max_attempts > 1).then(|| {
@@ -1104,9 +996,11 @@ impl<B: ProviderBackend + ?Sized> ProviderPipeline<B> {
                 cache
             })
         });
+        let mut invalidation = None;
         if let Some(c) = &cache {
             if let Some(hub) = backend.event_hub() {
-                hub.subscribe(CompositeName::empty(), c.clone());
+                let handle = hub.subscribe(CompositeName::empty(), c.clone());
+                invalidation = Some((hub, handle));
             }
             stack.push(c.clone());
         }
@@ -1125,15 +1019,13 @@ impl<B: ProviderBackend + ?Sized> ProviderPipeline<B> {
             stack.push(Arc::new(ObsInterceptor::new(&provider_label, "backend")));
         }
 
-        let pipeline = Arc::new(ProviderPipeline {
+        Arc::new(ProviderPipeline {
             interceptors: stack,
-            stats: Some(stats),
             cache,
             retry,
+            invalidation,
             backend,
-        });
-        telemetry::register(&*pipeline);
-        pipeline
+        })
     }
 
     /// Run one reified op through the stack.
@@ -1150,11 +1042,6 @@ impl<B: ProviderBackend + ?Sized> ProviderPipeline<B> {
         &self.backend
     }
 
-    /// The stats handle, when the stack records them.
-    pub fn stats(&self) -> Option<Arc<PipelineStats>> {
-        self.stats.clone()
-    }
-
     /// The cache layer, when installed.
     pub fn cache(&self) -> Option<Arc<CacheInterceptor>> {
         self.cache.clone()
@@ -1163,6 +1050,18 @@ impl<B: ProviderBackend + ?Sized> ProviderPipeline<B> {
     /// The retry layer, when installed.
     pub fn retry(&self) -> Option<Arc<RetryInterceptor>> {
         self.retry.clone()
+    }
+}
+
+/// A dropped pipeline lets go of its backend's hub: the backend may outlive
+/// it (two pipelines over one backend, a factory that rebuilds its pipeline),
+/// and a hub that kept the dead cache layer would keep its entries alive and
+/// keep firing invalidations into them.
+impl<B: ProviderBackend + ?Sized> Drop for ProviderPipeline<B> {
+    fn drop(&mut self) {
+        if let Some((hub, handle)) = self.invalidation.take() {
+            hub.unsubscribe(handle);
+        }
     }
 }
 
@@ -1202,7 +1101,18 @@ impl<B: ProviderBackend + ?Sized> std::ops::Deref for ProviderPipeline<B> {
     }
 }
 
-impl<B: ProviderBackend + ?Sized> Context for ProviderPipeline<B> {
+/// A backend that is itself the context its callers hold — a provider
+/// pipeline, a federated facade. Opting in recovers the whole
+/// [`Context`]/[`DirContext`] surface from [`ProviderBackend::execute`]
+/// through the blanket impls below: the method → op direction, written
+/// once. [`crate::op::dispatch`] is the reverse direction, and hands such a
+/// context the op as it stands (via [`Context::execute_reified`]) instead of
+/// unpacking it into a method call that would only rebuild it here.
+pub trait OpContext: ProviderBackend {}
+
+impl<B: ProviderBackend + ?Sized> OpContext for ProviderPipeline<B> {}
+
+impl<T: OpContext + ?Sized> Context for T {
     fn lookup(&self, name: &CompositeName) -> Result<BoundValue> {
         self.execute(&NamingOp::lookup(name.clone()))?
             .into_value(OpKind::Lookup)
@@ -1263,22 +1173,19 @@ impl<B: ProviderBackend + ?Sized> Context for ProviderPipeline<B> {
     }
 
     fn provider_id(&self) -> String {
-        self.backend.provider_id()
+        ProviderBackend::provider_id(self)
     }
 
     fn compound_syntax(&self) -> CompoundSyntax {
-        self.backend.compound_syntax()
+        ProviderBackend::compound_syntax(self)
     }
 
     fn execute_reified(&self, op: &NamingOp) -> Option<Result<OpOutcome>> {
-        // Take annotated ops (trace context above all) into the stack
-        // as-is instead of having `op::dispatch` rebuild a bare op via the
-        // trait methods above.
         Some(self.execute(op))
     }
 }
 
-impl<B: ProviderBackend + ?Sized> DirContext for ProviderPipeline<B> {
+impl<T: OpContext + ?Sized> DirContext for T {
     fn get_attributes(&self, name: &CompositeName) -> Result<Attributes> {
         self.execute(&NamingOp::get_attributes(name.clone()))?
             .into_attrs(OpKind::GetAttributes)
@@ -1323,7 +1230,6 @@ impl<B: ProviderBackend + ?Sized> DirContext for ProviderPipeline<B> {
         .into_found(OpKind::Search)
     }
 }
-
 /// Adapts any [`DirContext`] into a [`ProviderBackend`], so legacy contexts
 /// (the in-memory reference provider, federated facades, test doubles) ride
 /// the same reified op path as native backends.
@@ -1357,36 +1263,25 @@ impl<C: DirContext + 'static> ProviderBackend for ContextBackend<C> {
 
 // ---------------------------------------------------------- telemetry --
 
-/// Process-wide pipeline telemetry, aggregated by provider label — the
-/// benches print per-layer op counts and cache hit rates from here without
-/// having to thread handles through factories.
+/// Per-provider pipeline figures, read back out of the process-wide
+/// `rndi_obs` registry, where [`ObsInterceptor`] and the cache and retry
+/// layers count them. Nothing is measured or kept here.
+///
+/// The module survives only because `benchmark/src/probe.rs:573` compiles
+/// against `snapshot()` / `.ops` / `.kind`; it goes with the benchmark PR of
+/// ROADMAP item 2, after which every reader uses `rndi_obs::metrics`.
 pub mod telemetry {
     use super::*;
 
-    struct Registered {
-        label: String,
-        stats: Arc<PipelineStats>,
-        cache: Option<Arc<CacheInterceptor>>,
-        retry: Option<Arc<RetryInterceptor>>,
-    }
-
-    // parking_lot::Mutex: unlike a std mutex, it cannot be poisoned, so a
-    // panicking bench thread no longer cascades into `register`/`snapshot`
-    // panics on every later pipeline construction.
-    fn registry() -> &'static Mutex<Vec<Registered>> {
-        static REGISTRY: OnceLock<Mutex<Vec<Registered>>> = OnceLock::new();
-        REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
-    }
-
-    pub(super) fn register<B: ProviderBackend + ?Sized>(pipeline: &ProviderPipeline<B>) {
-        if let Some(stats) = pipeline.stats() {
-            registry().lock().push(Registered {
-                label: pipeline.backend().provider_id(),
-                stats,
-                cache: pipeline.cache(),
-                retry: pipeline.retry(),
-            });
-        }
+    /// One op kind's traffic through a provider's pipelines, as the caller
+    /// saw it (`layer="pipeline"`: a cache hit counts, a retried op counts
+    /// once). Federation `Continue` results are control flow, not errors.
+    #[derive(Clone, Copy, Debug)]
+    pub struct OpKindStat {
+        pub kind: OpKind,
+        pub ops: u64,
+        pub errors: u64,
+        pub total: Duration,
     }
 
     /// Cache layer counters.
@@ -1398,151 +1293,102 @@ pub mod telemetry {
         pub evictions: u64,
     }
 
-    impl CacheCounters {
-        pub fn hit_rate(&self) -> f64 {
-            let total = self.hits + self.misses;
-            if total == 0 {
-                0.0
-            } else {
-                self.hits as f64 / total as f64
-            }
-        }
-    }
-
-    /// Aggregated telemetry for all pipelines sharing one provider label.
+    /// Everything counted under one provider label.
     #[derive(Clone, Debug)]
     pub struct PipelineTelemetry {
         pub label: String,
-        /// Number of pipeline instances aggregated under this label.
-        pub pipelines: usize,
+        /// Kinds with traffic, in [`ALL_OP_KINDS`] order.
         pub ops: Vec<OpKindStat>,
-        /// Present when at least one pipeline carries a cache layer.
+        /// Present when a pipeline under this label carries a cache layer.
         pub cache: Option<CacheCounters>,
         pub retries: u64,
     }
 
-    /// Snapshot every registered pipeline, merged by label, sorted.
+    /// One entry per provider label with an instrumented pipeline, sorted.
     pub fn snapshot() -> Vec<PipelineTelemetry> {
-        let mut by_label: std::collections::BTreeMap<String, PipelineTelemetry> =
-            Default::default();
-        for reg in registry().lock().iter() {
+        fn label<'a>(labels: &'a rndi_obs::metrics::Labels, key: &str) -> &'a str {
+            labels
+                .iter()
+                .find(|(k, _)| k == key)
+                .map_or("", |(_, v)| v.as_str())
+        }
+        /// The row index of a series counted at the pipeline layer.
+        fn pipeline_kind(labels: &rndi_obs::metrics::Labels) -> Option<usize> {
+            if label(labels, "layer") != "pipeline" {
+                return None;
+            }
+            ALL_OP_KINDS
+                .iter()
+                .position(|k| k.label() == label(labels, "op"))
+        }
+
+        let metrics = rndi_obs::metrics::snapshot();
+        let mut by_label: BTreeMap<&str, PipelineTelemetry> = BTreeMap::new();
+        for c in metrics
+            .counters
+            .iter()
+            .filter(|c| c.name == names::OPS_TOTAL)
+        {
+            let Some(kind) = pipeline_kind(&c.labels) else {
+                continue;
+            };
+            let provider = label(&c.labels, "provider");
             let entry = by_label
-                .entry(reg.label.clone())
+                .entry(provider)
                 .or_insert_with(|| PipelineTelemetry {
-                    label: reg.label.clone(),
-                    pipelines: 0,
-                    ops: Vec::new(),
+                    label: provider.to_string(),
+                    ops: ALL_OP_KINDS
+                        .iter()
+                        .map(|&kind| OpKindStat {
+                            kind,
+                            ops: 0,
+                            errors: 0,
+                            total: Duration::ZERO,
+                        })
+                        .collect(),
                     cache: None,
                     retries: 0,
                 });
-            entry.pipelines += 1;
-            for row in reg.stats.snapshot() {
-                match entry.ops.iter_mut().find(|r| r.kind == row.kind) {
-                    Some(existing) => {
-                        existing.ops += row.ops;
-                        existing.errors += row.errors;
-                        existing.total += row.total;
-                    }
-                    None => entry.ops.push(row),
-                }
-            }
-            if let Some(cache) = &reg.cache {
-                let c = entry.cache.get_or_insert_with(Default::default);
-                c.hits += cache.hits();
-                c.misses += cache.misses();
-                c.invalidations += cache.invalidations();
-                c.evictions += cache.evictions();
-            }
-            if let Some(retry) = &reg.retry {
-                entry.retries += retry.retries();
+            entry.ops[kind].ops += c.value;
+            if label(&c.labels, "outcome") == "err" {
+                entry.ops[kind].errors += c.value;
             }
         }
-        by_label.into_values().collect()
-    }
-
-    /// Drop all registered handles (test isolation).
-    pub fn reset() {
-        registry().lock().clear();
-    }
-
-    /// Render every registered pipeline's telemetry *and* the process-wide
-    /// metrics registry (spans, histograms, provider/server counters) as
-    /// one Prometheus-style text exposition. The pipeline families use
-    /// names disjoint from the registry's (`rndi_pipeline_*`), so the two
-    /// sources concatenate without duplicate samples.
-    pub fn render() -> String {
-        use rndi_obs::expo::write_sample;
-
-        let mut out = String::new();
-        let snap = snapshot();
-        if snap.iter().any(|t| !t.ops.is_empty()) {
-            out.push_str("# TYPE rndi_pipeline_ops_total counter\n");
-            for t in &snap {
-                for row in &t.ops {
-                    write_sample(
-                        &mut out,
-                        "rndi_pipeline_ops_total",
-                        &[("provider", &t.label), ("op", row.kind.label())],
-                        row.ops as f64,
-                    );
-                }
+        for h in &metrics.histograms {
+            if h.name != names::OP_DURATION {
+                continue;
             }
-            out.push_str("# TYPE rndi_pipeline_op_errors_total counter\n");
-            for t in &snap {
-                for row in &t.ops {
-                    write_sample(
-                        &mut out,
-                        "rndi_pipeline_op_errors_total",
-                        &[("provider", &t.label), ("op", row.kind.label())],
-                        row.errors as f64,
-                    );
-                }
+            let entry = by_label.get_mut(label(&h.labels, "provider"));
+            if let (Some(kind), Some(entry)) = (pipeline_kind(&h.labels), entry) {
+                entry.ops[kind].total += Duration::from_nanos(h.sum);
             }
-            out.push_str("# TYPE rndi_pipeline_op_seconds_total counter\n");
-            for t in &snap {
-                for row in &t.ops {
-                    write_sample(
-                        &mut out,
-                        "rndi_pipeline_op_seconds_total",
-                        &[("provider", &t.label), ("op", row.kind.label())],
-                        row.total.as_secs_f64(),
-                    );
+        }
+        // Other owners count into these two families as well (the DNS
+        // resolver's cache): only a pipeline's label has an entry to add to.
+        for c in &metrics.counters {
+            let Some(entry) = by_label.get_mut(label(&c.labels, "provider")) else {
+                continue;
+            };
+            if c.name == names::RETRIES {
+                entry.retries += c.value;
+            } else if c.name == names::CACHE_EVENTS {
+                let cache = entry.cache.get_or_insert_with(CacheCounters::default);
+                match label(&c.labels, "event") {
+                    "hit" => cache.hits += c.value,
+                    "miss" => cache.misses += c.value,
+                    "invalidation" => cache.invalidations += c.value,
+                    "eviction" => cache.evictions += c.value,
+                    _ => {}
                 }
             }
         }
-        if snap.iter().any(|t| t.cache.is_some()) {
-            out.push_str("# TYPE rndi_pipeline_cache_events_total counter\n");
-            for t in &snap {
-                if let Some(c) = &t.cache {
-                    for (event, n) in [
-                        ("hit", c.hits),
-                        ("miss", c.misses),
-                        ("invalidation", c.invalidations),
-                        ("eviction", c.evictions),
-                    ] {
-                        write_sample(
-                            &mut out,
-                            "rndi_pipeline_cache_events_total",
-                            &[("provider", &t.label), ("event", event)],
-                            n as f64,
-                        );
-                    }
-                }
-            }
-        }
-        if snap.iter().any(|t| t.retries > 0) {
-            out.push_str("# TYPE rndi_pipeline_retries_total counter\n");
-            for t in &snap {
-                write_sample(
-                    &mut out,
-                    "rndi_pipeline_retries_total",
-                    &[("provider", &t.label)],
-                    t.retries as f64,
-                );
-            }
-        }
-        out.push_str(&rndi_obs::metrics::render());
-        out
+        by_label
+            .into_values()
+            .map(|mut entry| {
+                entry.ops.retain(|row| row.ops > 0);
+                entry
+            })
+            .collect()
     }
 }
 
@@ -1771,17 +1617,20 @@ mod tests {
     fn bare_pipeline_is_pure_dispatch() {
         let backend = Arc::new(MockBackend::new());
         let p = ProviderPipeline::bare(backend.clone());
-        assert!(p.stats().is_none() && p.cache().is_none() && p.retry().is_none());
+        assert!(p.cache().is_none() && p.retry().is_none());
         let v = p.lookup(&name("a")).unwrap();
         assert_eq!(v.as_str(), Some("v"));
         assert_eq!(backend.calls(), 1);
     }
 
     #[test]
-    fn standard_stack_defaults_to_stats_only() {
+    fn standard_stack_is_what_the_environment_asks_for() {
+        fn layers(p: &ProviderPipeline<MockBackend>) -> Vec<&'static str> {
+            p.interceptors.iter().map(|i| i.layer()).collect()
+        }
         let backend = Arc::new(MockBackend::new());
         let p = ProviderPipeline::standard(backend.clone(), &Environment::new());
-        assert!(p.stats().is_some());
+        assert_eq!(layers(&p), ["pipeline"], "one instrument, nothing else");
         assert!(p.cache().is_none(), "cache off without a TTL");
         assert!(p.retry().is_none(), "retry off at 1 attempt");
         p.lookup(&name("a")).unwrap();
@@ -1791,7 +1640,27 @@ mod tests {
             2,
             "no cache: every lookup hits the backend"
         );
-        assert_eq!(p.stats().unwrap().total_ops(), 2);
+
+        let tuned = Environment::new()
+            .with(keys::CACHE_TTL_MS, "60000")
+            .with(keys::RETRY_MAX_ATTEMPTS, "3");
+        let p = ProviderPipeline::standard(Arc::new(MockBackend::encoded()), &tuned);
+        assert_eq!(
+            layers(&p),
+            ["pipeline", "retry", "cache", "marshal", "backend"]
+        );
+        assert!(p.cache().is_some() && p.retry().is_some());
+
+        let p = ProviderPipeline::standard(
+            Arc::new(MockBackend::encoded()),
+            &tuned.clone().with(keys::OBS_ENABLED, "false"),
+        );
+        assert_eq!(layers(&p), ["retry", "cache", "marshal"], "off means off");
+        let p = ProviderPipeline::standard(
+            backend,
+            &Environment::new().with(keys::OBS_ENABLED, "false"),
+        );
+        assert!(layers(&p).is_empty());
     }
 
     #[test]
@@ -1926,6 +1795,27 @@ mod tests {
     }
 
     #[test]
+    fn dropped_pipeline_releases_the_hub_and_its_cache() {
+        // Two pipelines over one backend (a served one and a local one):
+        // dropping one must leave nothing of it behind.
+        let backend = Arc::new(MockBackend::new());
+        let env = Environment::new().with(keys::CACHE_TTL_MS, "60000");
+        let kept = ProviderPipeline::standard(backend.clone(), &env);
+        let dropped = ProviderPipeline::standard(backend.clone(), &env);
+        assert_eq!(backend.hub.len(), 2);
+        dropped.lookup(&name("a")).unwrap();
+        let cache = dropped.cache().expect("cache enabled by TTL");
+        drop(dropped);
+        assert_eq!(backend.hub.len(), 1, "only the live pipeline listens");
+        assert_eq!(Arc::strong_count(&cache), 1, "nothing else holds the cache");
+
+        kept.lookup(&name("a")).unwrap();
+        backend.hub.fire_removed(name("a"), None);
+        assert_eq!(kept.cache().unwrap().invalidations(), 1);
+        assert_eq!(cache.invalidations(), 0, "no events reach the dead layer");
+    }
+
+    #[test]
     fn cache_entries_expire_after_ttl() {
         let clock = ManualClock::new();
         let backend = Arc::new(MockBackend::new());
@@ -1961,7 +1851,10 @@ mod tests {
         let backend = Arc::new(MockBackend::encoded());
         let p = ProviderPipeline::standard(backend.clone(), &Environment::new());
         let err = p
-            .bind(&name("a"), BoundValue::Context(Arc::new(DummyCtx)))
+            .bind(
+                &name("a"),
+                BoundValue::Context(Arc::new(crate::mem::MemContext::new())),
+            )
             .unwrap_err();
         assert!(matches!(err, NamingError::NotSupported { .. }));
         assert_eq!(backend.calls(), 0, "rejected before reaching the backend");

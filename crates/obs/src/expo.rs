@@ -1,12 +1,11 @@
 //! A tiny parser for the Prometheus-style text exposition produced by
-//! [`crate::metrics::Registry::render`] (and `telemetry::render()` in the
-//! naming core). Tests and the CI smoke job use it to assert the
-//! exposition is non-empty and well-formed instead of string-grepping.
+//! [`crate::metrics::Registry::render`]. Tests and the CI smoke job use it
+//! to assert the exposition is non-empty and well-formed instead of
+//! string-grepping.
 
 /// Append one sample line (`name{labels} value`) to `out`, escaping label
 /// values. For callers that assemble exposition text from sources other
-/// than a [`crate::metrics::Registry`] (e.g. the naming core's telemetry
-/// snapshot).
+/// than a [`crate::metrics::Registry`].
 pub fn write_sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
     out.push_str(name);
     if !labels.is_empty() {

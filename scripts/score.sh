@@ -20,9 +20,11 @@ fields() {
 product=$(lines crates/*/src src)
 replication=$(lines crates/groupcomm/src crates/hdns/src crates/cluster/src crates/shard/src src/serve.rs)
 harness=$(lines crates/bench/src crates/simnet/src)
+spi=$(lines crates/core/src/spi*)
 env_keys=$(awk '/^pub mod keys/ { inside = 1 } inside && /pub const [A-Z0-9_]+: &str/ { n++ } END { print n + 0 }' crates/core/src/env.rs)
 
-echo "score: product_lines=$product replication_lines=$replication" \
+echo "score: product_lines=$product shipped_lines=$((product - harness))" \
+  "replication_lines=$replication spi_lines=$spi" \
   "hdns_provider_lines=$(wc -l < crates/providers/src/hdns.rs)" \
   "env_keys=$env_keys" \
   "ClientConfig=$(fields crates/net/src/client.rs ClientConfig)" \

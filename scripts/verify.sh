@@ -97,12 +97,19 @@ grep -q "slowest traces"               <<<"$fig8_out"
 # searched only for the capture and for `--bench <old target>` invocations, so
 # the old words stay free as identifiers. (CHANGES/ROADMAP/ISSUE are history;
 # this script holds the list.)
-echo "==> no doc, script or manifest names the deleted figure capture or a deleted bench target"
+echo "==> no doc, script or manifest names a deleted artefact"
 GONE='fig2_jini_lookup|fig3_jini_rebind|fig4_hdns_lookup|fig5_hdns_rebind|fig6_dns_lookup|fig7_ldap|fig8_federation|ablation_stack|ablation_flowctl|ablation_bindproxy|scale_federation|obs_overhead|spi_overhead'
 HISTORY=(':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!REVIEW.md' ':!scripts/verify.sh')
 if git grep -n -E "bench_figures\\.txt|--bench +($GONE)" -- . "${HISTORY[@]}" ||
    git grep -n -E "$GONE" -- '*.md' '*.toml' '*.yml' 'scripts/' "${HISTORY[@]}"; then
   echo "verify: the files above still name a deleted bench artefact" >&2
+  exit 1
+fi
+# Likewise the pipeline's second stats path: an op is counted once, by
+# ObsInterceptor into the rndi-obs registry, and read from there.
+STATS_PATH='StatsInterceptor|PipelineStats|rndi_pipeline_|telemetry::(render|reset|register)'
+if git grep -n -E "$STATS_PATH" -- '*.rs' '*.md' '*.toml' 'scripts/' "${HISTORY[@]}"; then
+  echo "verify: the files above still name the deleted pipeline stats path" >&2
   exit 1
 fi
 

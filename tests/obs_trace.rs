@@ -184,7 +184,7 @@ fn federated_search_produces_one_linked_trace_with_server_spans() {
     );
 
     // The exposition covers every provider exercised by the search.
-    let text = rndi::core::spi::telemetry::render();
+    let text = rndi::obs::metrics::render();
     let samples = rndi::obs::expo::parse(&text).expect("exposition parses");
     let provider_of = |s: &rndi::obs::expo::Sample| {
         s.labels
@@ -340,7 +340,7 @@ fn federated_lookup_produces_one_trace_with_a_server_span_per_backend_call() {
     );
 
     // The resolver cache's behaviour is in the live exposition.
-    let text = rndi::core::spi::telemetry::render();
+    let text = rndi::obs::metrics::render();
     let samples = rndi::obs::expo::parse(&text).expect("exposition parses");
     for event in ["hit", "miss", "eviction"] {
         assert!(
