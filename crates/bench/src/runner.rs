@@ -120,18 +120,14 @@ fn print_pipeline_telemetry() {
     println!("\nProvider pipeline telemetry (per provider label):");
     for t in telemetry::snapshot() {
         println!("  {}", t.label);
+        // Only kinds with traffic are listed, so `row.ops` is never zero.
         for row in &t.ops {
-            let mean_us = if row.ops > 0 {
-                row.total.as_micros() as f64 / row.ops as f64
-            } else {
-                0.0
-            };
             println!(
                 "    {:<18} ops={:<8} errors={:<6} mean={:.1}µs",
                 row.kind.label(),
                 row.ops,
                 row.errors,
-                mean_us
+                row.total.as_micros() as f64 / row.ops as f64
             );
         }
         if let Some(cache) = &t.cache {
