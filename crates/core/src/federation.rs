@@ -2,8 +2,9 @@
 //!
 //! A provider resolves the part of a name that belongs to its own naming
 //! system; when it reaches a binding that is a live foreign context or a
-//! URL reference, it returns [`NamingError::Continue`]. The
-//! [`drive`] loop — JNDI's `NamingManager.getContinuationContext` — turns
+//! URL reference, it returns [`NamingError::Continue`]
+//! ([`crate::spi::boundary`] decides when). The
+//! [`drive_op`] loop — JNDI's `NamingManager.getContinuationContext` — turns
 //! the resolved object into the next context (instantiating providers by
 //! URL scheme where needed) and re-issues the operation with the remaining
 //! name, until the operation completes or the hop limit trips.
@@ -99,40 +100,12 @@ pub fn continuation_context(
     }
 }
 
-/// Run `op` against `(ctx, name)`, following federation continuations until
-/// the operation completes.
-pub fn drive<R>(
-    ctx: Arc<dyn DirContext>,
-    name: CompositeName,
-    registry: &ProviderRegistry,
-    env: &Environment,
-    op: &mut dyn FnMut(&dyn DirContext, &CompositeName) -> Result<R>,
-) -> Result<R> {
-    let max_depth = env.get_u64(keys::MAX_FEDERATION_DEPTH, DEFAULT_MAX_DEPTH) as usize;
-    let mut ctx = ctx;
-    let mut name = name;
-    for _ in 0..=max_depth {
-        match op(ctx.as_ref(), &name) {
-            Err(NamingError::Continue {
-                resolved,
-                remaining,
-            }) => {
-                let (next, prefix) = continuation_context(resolved, registry, env)?;
-                ctx = next;
-                name = prefix.join(&remaining);
-            }
-            other => return other,
-        }
-    }
-    Err(NamingError::FederationDepthExceeded { depth: max_depth })
-}
-
 /// Run a reified [`NamingOp`] against `ctx`, following federation
-/// continuations until the operation completes — the op-valued counterpart
-/// of [`drive`]. Each hop re-targets the same op — moved, not copied, so a
-/// write's payload crosses every naming system without being cloned — at
-/// the remaining name, and interceptor annotations (retry attempt, trace
-/// tags) survive across naming-system boundaries.
+/// continuations until the operation completes. Each hop re-targets the
+/// same op — moved, not copied, so a write's payload crosses every naming
+/// system without being cloned — at the remaining name (a `rename`'s
+/// target with it), and interceptor annotations (retry attempt, trace tags)
+/// survive across naming-system boundaries.
 pub fn drive_op(
     ctx: Arc<dyn DirContext>,
     mut op: NamingOp,
@@ -187,6 +160,9 @@ fn drive_op_loop(
                 remaining,
             }) => {
                 let (next, prefix) = continuation_context(resolved, registry, env)?;
+                if let OpPayload::NewName(target) = &mut op.payload {
+                    *target = rebased(&op.name, &remaining, target, &prefix)?;
+                }
                 ctx = next;
                 op.name = prefix.join(&remaining);
             }
@@ -194,6 +170,30 @@ fn drive_op_loop(
         }
     }
     Err(NamingError::FederationDepthExceeded { depth: max_depth })
+}
+
+/// A rename's target as the next naming system spells it: the hop consumed
+/// the leading components of `old` that `remaining` no longer has, and the
+/// target moves with it only if it starts with those same components and
+/// goes on beneath them — a binding cannot be renamed out of the naming
+/// system that holds it.
+fn rebased(
+    old: &CompositeName,
+    remaining: &CompositeName,
+    target: &CompositeName,
+    prefix: &CompositeName,
+) -> Result<CompositeName> {
+    match old.len().checked_sub(remaining.len()) {
+        Some(consumed)
+            if target.len() > consumed
+                && target.components()[..consumed] == old.components()[..consumed] =>
+        {
+            Ok(prefix.join(&target.suffix(consumed)))
+        }
+        _ => Err(NamingError::unsupported(format!(
+            "rename across naming systems ({old} to {target})"
+        ))),
+    }
 }
 
 /// A `DirContext` facade over a federated namespace: every operation is
@@ -378,12 +378,12 @@ impl FederatedContext {
 /// continuation loop, which re-targets the op per hop and so needs its own.
 impl ProviderBackend for FederatedContext {
     fn execute(&self, op: &NamingOp) -> Result<OpOutcome> {
-        match (op.kind, &op.payload) {
-            (OpKind::Search, OpPayload::Query { filter, controls }) => self
-                .search_federated(&op.name, filter, controls, 0, op.trace_ctx().as_ref())
-                .map(OpOutcome::Found),
-            _ => self.run_op(op.clone()),
+        if op.kind != OpKind::Search {
+            return self.run_op(op.clone());
         }
+        let (filter, controls) = op.query()?;
+        self.search_federated(&op.name, filter, controls, 0, op.trace_ctx().as_ref())
+            .map(OpOutcome::Found)
     }
 
     fn provider_id(&self) -> String {
@@ -421,6 +421,15 @@ mod tests {
         }
     }
 
+    fn lookup_through(
+        ctx: Arc<dyn DirContext>,
+        name: &str,
+        registry: &ProviderRegistry,
+        env: &Environment,
+    ) -> Result<BoundValue> {
+        drive_op(ctx, NamingOp::lookup(name.into()), registry, env)?.into_value(OpKind::Lookup)
+    }
+
     impl UrlContextFactory for MemFactory {
         fn scheme(&self) -> &str {
             self.scheme
@@ -453,14 +462,7 @@ mod tests {
         registry.register(MemFactory::with_host("hdns", "host2", hdns));
         let env = Environment::new();
 
-        let got = drive(
-            Arc::new(root),
-            CompositeName::from("link/obj"),
-            &registry,
-            &env,
-            &mut |ctx, name| ctx.lookup(name),
-        )
-        .unwrap();
+        let got = lookup_through(Arc::new(root), "link/obj", &registry, &env).unwrap();
         assert_eq!(got.as_str(), Some("found-it"));
     }
 
@@ -474,14 +476,7 @@ mod tests {
 
         let registry = ProviderRegistry::new();
         let env = Environment::new();
-        let got = drive(
-            Arc::new(root),
-            CompositeName::from("mnt/x"),
-            &registry,
-            &env,
-            &mut |ctx, name| ctx.lookup(name),
-        )
-        .unwrap();
+        let got = lookup_through(Arc::new(root), "mnt/x", &registry, &env).unwrap();
         assert_eq!(got.as_str(), Some("v"));
     }
 
@@ -499,14 +494,7 @@ mod tests {
         registry.register(MemFactory::with_host("loop", "h", a.clone()));
         let env = Environment::new().with(keys::MAX_FEDERATION_DEPTH, "4");
 
-        let err = drive(
-            Arc::new(a),
-            CompositeName::from("self/self/x"),
-            &registry,
-            &env,
-            &mut |ctx, name| ctx.lookup(name),
-        )
-        .unwrap_err();
+        let err = lookup_through(Arc::new(a), "self/self/x", &registry, &env).unwrap_err();
         assert!(matches!(err, NamingError::FederationDepthExceeded { .. }));
     }
 
@@ -520,14 +508,7 @@ mod tests {
         .unwrap();
         let registry = ProviderRegistry::new();
         let env = Environment::new();
-        let err = drive(
-            Arc::new(root),
-            CompositeName::from("link/x"),
-            &registry,
-            &env,
-            &mut |ctx, name| ctx.lookup(name),
-        )
-        .unwrap_err();
+        let err = lookup_through(Arc::new(root), "link/x", &registry, &env).unwrap_err();
         assert!(matches!(err, NamingError::NoProvider { .. }));
     }
 
@@ -540,12 +521,11 @@ mod tests {
 
         let registry = ProviderRegistry::new();
         let env = Environment::new();
-        drive(
+        drive_op(
             Arc::new(root),
-            CompositeName::from("mnt/new"),
+            NamingOp::bind("mnt/new".into(), BoundValue::str("written")),
             &registry,
             &env,
-            &mut |ctx, name| ctx.bind(name, BoundValue::str("written")),
         )
         .unwrap();
         assert_eq!(far.lookup_str("new").unwrap().as_str(), Some("written"));
@@ -576,13 +556,13 @@ mod tests {
         outer
             .bind(&"world".into(), BoundValue::Context(fed))
             .unwrap();
-        let got = drive(
+        let got = drive_op(
             Arc::new(outer),
-            CompositeName::from("world/mnt"),
+            NamingOp::list("world/mnt".into()),
             &ProviderRegistry::new(),
             &Environment::new(),
-            &mut |c, n| c.list(n),
         )
+        .and_then(|o| o.into_names(OpKind::List))
         .unwrap();
         assert!(got.is_empty());
     }

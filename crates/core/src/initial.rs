@@ -14,7 +14,7 @@ use crate::attrs::{AttrMod, Attributes};
 use crate::context::{Binding, DirContext, NameClassPair, SearchControls, SearchItem};
 use crate::env::{keys, Environment};
 use crate::error::{NamingError, Result};
-use crate::federation::{drive, drive_op};
+use crate::federation::drive_op;
 use crate::filter::Filter;
 use crate::name::CompositeName;
 use crate::op::{NamingOp, OpKind, OpOutcome};
@@ -283,9 +283,8 @@ impl InitialContext {
                     let root = self
                         .registry
                         .create_context(&url.with_path(CompositeName::empty()), &self.env)?;
-                    let v = drive(root, url.path, &self.registry, &self.env, &mut |c, n| {
-                        c.lookup(n)
-                    })?;
+                    let v = drive_op(root, NamingOp::lookup(url.path), &self.registry, &self.env)?
+                        .into_value(OpKind::Lookup)?;
                     v.as_context().ok_or(NamingError::NotAContext {
                         name: name.to_string(),
                     })

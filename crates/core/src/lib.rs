@@ -19,7 +19,7 @@
 //!   and the [`spi::StateFactory`]/[`spi::ObjectFactory`] translation
 //!   chains that let generic tuples be stored in backends never designed
 //!   for them (the paper's Jini "fake service stub" trick).
-//! * **Federation** — [`federation::drive`] follows
+//! * **Federation** — [`federation::drive_op`] follows
 //!   [`error::NamingError::Continue`] continuations across naming-system
 //!   boundaries, so `hdns://host2/jiniCtx/name` transparently hops from
 //!   HDNS into Jini.

@@ -349,11 +349,47 @@ impl NamingOp {
         }
     }
 
+    fn payload_missing(&self) -> NamingError {
+        NamingError::service(format!("{} payload missing", self.kind.label()))
+    }
+
     /// The rename destination.
     pub fn new_name(&self) -> Result<&CompositeName> {
         match &self.payload {
             OpPayload::NewName(n) => Ok(n),
-            _ => Err(NamingError::service("rename payload missing")),
+            _ => Err(self.payload_missing()),
+        }
+    }
+
+    /// The attribute modifications of a `modify_attributes`.
+    pub fn mods(&self) -> Result<&[AttrMod]> {
+        match &self.payload {
+            OpPayload::Mods(mods) => Ok(mods),
+            _ => Err(self.payload_missing()),
+        }
+    }
+
+    /// The filter and controls of a `search`.
+    pub fn query(&self) -> Result<(&Filter, &SearchControls)> {
+        match &self.payload {
+            OpPayload::Query { filter, controls } => Ok((filter, controls)),
+            _ => Err(self.payload_missing()),
+        }
+    }
+
+    /// The listener an `add_listener` registers.
+    pub fn listener(&self) -> Result<Arc<dyn NamingListener>> {
+        match &self.payload {
+            OpPayload::Listener(l) => Ok(l.clone()),
+            _ => Err(self.payload_missing()),
+        }
+    }
+
+    /// The handle a `remove_listener` unregisters.
+    pub fn listener_handle(&self) -> Result<ListenerHandle> {
+        match &self.payload {
+            OpPayload::Handle(h) => Ok(*h),
+            _ => Err(self.payload_missing()),
         }
     }
 
@@ -522,34 +558,25 @@ pub fn dispatch(ctx: &dyn DirContext, op: &NamingOp) -> Result<OpOutcome> {
         OpKind::CreateSubcontext => ctx.create_subcontext(&op.name).map(|_| OpOutcome::Done),
         OpKind::DestroySubcontext => ctx.destroy_subcontext(&op.name).map(|_| OpOutcome::Done),
         OpKind::GetAttributes => ctx.get_attributes(&op.name).map(OpOutcome::Attrs),
-        OpKind::ModifyAttributes => match &op.payload {
-            OpPayload::Mods(mods) => ctx
-                .modify_attributes(&op.name, mods)
-                .map(|_| OpOutcome::Done),
-            _ => Err(NamingError::service("modify_attributes payload missing")),
-        },
+        OpKind::ModifyAttributes => ctx
+            .modify_attributes(&op.name, op.mods()?)
+            .map(|_| OpOutcome::Done),
         OpKind::BindWithAttrs => ctx
             .bind_with_attrs(&op.name, op.value()?, op.attrs.clone().unwrap_or_default())
             .map(|_| OpOutcome::Done),
         OpKind::RebindWithAttrs => ctx
             .rebind_with_attrs(&op.name, op.value()?, op.attrs.clone().unwrap_or_default())
             .map(|_| OpOutcome::Done),
-        OpKind::Search => match &op.payload {
-            OpPayload::Query { filter, controls } => {
-                ctx.search(&op.name, filter, controls).map(OpOutcome::Found)
-            }
-            _ => Err(NamingError::service("search payload missing")),
-        },
-        OpKind::AddListener => match &op.payload {
-            OpPayload::Listener(l) => ctx
-                .add_listener(&op.name, l.clone())
-                .map(OpOutcome::Subscribed),
-            _ => Err(NamingError::service("add_listener payload missing")),
-        },
-        OpKind::RemoveListener => match &op.payload {
-            OpPayload::Handle(h) => ctx.remove_listener(*h).map(|_| OpOutcome::Done),
-            _ => Err(NamingError::service("remove_listener payload missing")),
-        },
+        OpKind::Search => {
+            let (filter, controls) = op.query()?;
+            ctx.search(&op.name, filter, controls).map(OpOutcome::Found)
+        }
+        OpKind::AddListener => ctx
+            .add_listener(&op.name, op.listener()?)
+            .map(OpOutcome::Subscribed),
+        OpKind::RemoveListener => ctx
+            .remove_listener(op.listener_handle()?)
+            .map(|_| OpOutcome::Done),
     }
 }
 

@@ -12,8 +12,9 @@
 //! * [`ProviderBackend`] — the slim surface a provider implements; the
 //!   interceptors in front of it (`interceptors`), the [`ProviderPipeline`]
 //!   that stacks them and the [`OpContext`] bridge that recovers the
-//!   `Context`/`DirContext` surface from it (`pipeline`), and the
-//!   [`telemetry`] reader.
+//!   `Context`/`DirContext` surface from it (`pipeline`), the
+//!   [`telemetry`] reader, and [`boundary`] — the one place that decides
+//!   where a provider's namespace ends and a federation link takes over.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -29,6 +30,7 @@ use crate::op::{NamingOp, OpOutcome};
 use crate::url::RndiUrl;
 use crate::value::BoundValue;
 
+pub mod boundary;
 mod interceptors;
 mod pipeline;
 pub mod telemetry;

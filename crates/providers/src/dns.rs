@@ -8,10 +8,11 @@
 //! `global.emory.edu`); composite-name components become DNS labels under
 //! it (reversed — most significant last in DNS). Values live in TXT
 //! records; a TXT value that parses as a naming URL is a federation link.
-//! Resolution finds the **longest bound prefix**: if it covers the whole
-//! name the value is returned, otherwise resolution continues in the
-//! naming system the link points at. Updates are administrative (zone
-//! edits), so all write operations report `NotSupported` — exactly DNS's
+//! A name with a record of its own resolves to that record; otherwise the
+//! **longest bound prefix** — the anchor included — answers the federation
+//! probe, and resolution continues in the naming system a link found there
+//! points at. Updates are administrative (zone edits), so every write that
+//! does not leave through a link reports `NotSupported` — exactly DNS's
 //! "updates are rare and client-driven update is absent" profile.
 
 use std::collections::HashMap;
@@ -27,6 +28,7 @@ use rndi_core::env::Environment;
 use rndi_core::error::{NamingError, Result};
 use rndi_core::name::CompositeName;
 use rndi_core::op::{NamingOp, OpKind, OpOutcome};
+use rndi_core::spi::boundary::{self, Bound};
 use rndi_core::spi::{ProviderBackend, ProviderPipeline, UrlContextFactory};
 use rndi_core::url::{looks_like_url, RndiUrl};
 use rndi_core::value::{BoundValue, Reference};
@@ -107,22 +109,26 @@ impl DnsProviderContext {
         (0..labels).fold(dns_name, |n, _| n.parent().unwrap_or(n))
     }
 
-    /// The longest-bound-prefix walk shared by reads and writes: probe the
-    /// first `from` components of `name`, then each shorter prefix down to
-    /// the anchor, and hand back the first TXT value found with the prefix
-    /// length and DNS name it was found at. Every prefix is probed — a
-    /// zone answers NXDOMAIN for an empty non-terminal, so a miss says
-    /// nothing about the names below it.
-    fn longest_bound_prefix(
+    /// Answers the federation probe: ask about the first `upto` components
+    /// of `name` (`dns_name`), then each shorter prefix down to the anchor,
+    /// and hand back the first TXT value found. Every prefix is asked about
+    /// — a zone answers NXDOMAIN for an empty non-terminal, so a miss says
+    /// nothing about the names below it. DNS errors name DNS names, and
+    /// only a plain record can be refused.
+    fn bound_prefix(
         &self,
         name: &CompositeName,
-        from: usize,
+        upto: usize,
+        mut dns_name: DnsName,
         trace: Option<&rndi_obs::TraceCtx>,
-    ) -> Result<Option<(usize, DnsName, BoundValue)>> {
-        let mut dns_name = self.dns_name(name, from)?;
-        for k in (0..=from).rev() {
+    ) -> Result<Option<Bound>> {
+        for k in (0..=upto).rev() {
             if let Some(text) = self.txt_at(&dns_name, trace)? {
-                return Ok(Some((k, dns_name, Self::decode(text))));
+                let value = Self::decode(text);
+                return Ok(Some(Bound {
+                    spelled: matches!(value, BoundValue::Str(_)).then(|| dns_name.to_string()),
+                    ..Bound::leaf(k, value)
+                }));
             }
             if k > 0 {
                 dns_name = Self::without(dns_name, &name.components()[k - 1]);
@@ -157,65 +163,34 @@ impl DnsProviderContext {
         }
     }
 
-    /// Writes cannot land in DNS itself — but a name whose strict prefix
-    /// resolves to a federation link continues into the linked system,
-    /// which may well be writable (binding through
-    /// `dns://global/…/hdns-entry` is exactly the paper's scenario).
-    fn continue_write(
-        &self,
-        name: &CompositeName,
-        trace: Option<&rndi_obs::TraceCtx>,
-    ) -> Result<NamingError> {
-        if let Some(strict) = name.len().checked_sub(1) {
-            if let Some((k, _, value)) = self.longest_bound_prefix(name, strict, trace)? {
-                if value.is_federation_link() {
-                    return Ok(NamingError::Continue {
-                        resolved: value,
-                        remaining: name.suffix(k),
-                    });
-                }
-            }
-        }
-        Ok(NamingError::unsupported(
-            "DNS updates are administrative (edit the zone)",
-        ))
-    }
-
+    /// The TXT value of `name`'s own record (`dns_name`; for the empty name
+    /// the anchor's).
     fn lookup(
         &self,
         name: &CompositeName,
+        dns_name: &DnsName,
         trace: Option<&rndi_obs::TraceCtx>,
     ) -> Result<BoundValue> {
-        if name.is_empty() {
-            // The anchor itself: return its TXT value if any.
-            return self
-                .txt_at(&self.anchor, trace)?
-                .map(Self::decode)
-                .ok_or_else(|| NamingError::not_found(self.anchor.to_string()));
-        }
-        match self.longest_bound_prefix(name, name.len(), trace)? {
-            Some((k, _, value)) if k == name.len() => Ok(value),
-            Some((k, _, value)) if value.is_federation_link() => Err(NamingError::Continue {
-                resolved: value,
-                remaining: name.suffix(k),
-            }),
-            Some((_, dns_name, _)) => Err(NamingError::NotAContext {
-                name: dns_name.to_string(),
-            }),
-            None => Err(NamingError::not_found(name.to_string())),
-        }
+        self.txt_at(dns_name, trace)?
+            .map(Self::decode)
+            .ok_or_else(|| {
+                NamingError::not_found(if name.is_empty() {
+                    dns_name.to_string()
+                } else {
+                    name.to_string()
+                })
+            })
     }
 
     fn get_attributes(
         &self,
-        name: &CompositeName,
+        dns_name: &DnsName,
         trace: Option<&rndi_obs::TraceCtx>,
     ) -> Result<Attributes> {
         // Expose the record's TTL as the sole attribute.
-        let dns_name = self.dns_name(name, name.len())?;
         match self
             .resolver
-            .resolve_traced(&dns_name, RecordType::Txt, self.clock.now_ms(), trace)
+            .resolve_traced(dns_name, RecordType::Txt, self.clock.now_ms(), trace)
         {
             Ok(rrs) if !rrs.is_empty() => Ok(Attributes::new().with("ttl", rrs[0].ttl.to_string())),
             Ok(_) => Ok(Attributes::new()),
@@ -229,21 +204,44 @@ impl ProviderBackend for DnsProviderContext {
     fn execute(&self, op: &NamingOp) -> Result<OpOutcome> {
         let trace = op.trace_ctx();
         let trace = trace.as_ref();
-        match op.kind {
-            OpKind::Lookup => self.lookup(&op.name, trace).map(OpOutcome::Value),
-            // Writes cannot land in DNS; they either continue through a
-            // federation link or report NotSupported.
-            OpKind::Bind
-            | OpKind::Rebind
-            | OpKind::Unbind
-            | OpKind::BindWithAttrs
-            | OpKind::RebindWithAttrs => Err(self.continue_write(&op.name, trace)?),
-            // DNS offers no enumeration (zone transfers are not a client
-            // API).
-            OpKind::List | OpKind::ListBindings => Err(NamingError::unsupported("DNS enumeration")),
-            OpKind::GetAttributes => self.get_attributes(&op.name, trace).map(OpOutcome::Attrs),
-            _ => Err(NamingError::unsupported(op.kind.label())),
-        }
+        let name = &op.name;
+        // A read builds (and validates) its whole DNS name once: its own
+        // record is asked for by it, and the probe after a miss walks its
+        // ancestors. A write names only the strict prefixes it probes.
+        let whole = match op.kind {
+            OpKind::Lookup | OpKind::GetAttributes => Some(self.dns_name(name, name.len())?),
+            _ => None,
+        };
+        boundary::run(
+            op,
+            |upto| {
+                let dns_name = match &whole {
+                    Some(whole) => name.components()[upto..]
+                        .iter()
+                        .rev()
+                        .fold(whole.clone(), |n, c| Self::without(n, c)),
+                    None => self.dns_name(name, upto)?,
+                };
+                self.bound_prefix(name, upto, dns_name, trace)
+            },
+            || match (op.kind, &whole) {
+                (OpKind::Lookup, Some(at)) => self.lookup(name, at, trace).map(OpOutcome::Value),
+                (OpKind::GetAttributes, Some(at)) => {
+                    self.get_attributes(at, trace).map(OpOutcome::Attrs)
+                }
+                // DNS offers no enumeration (zone transfers are not a client
+                // API).
+                (OpKind::List | OpKind::ListBindings, _) => {
+                    Err(NamingError::unsupported("DNS enumeration"))
+                }
+                // Writes cannot land in DNS itself; the ones that got here
+                // did not leave through a link into a system where they can.
+                (kind, _) if kind.is_mutation() => Err(NamingError::unsupported(
+                    "DNS updates are administrative (edit the zone)",
+                )),
+                _ => Err(NamingError::unsupported(op.kind.label())),
+            },
+        )
     }
 
     fn provider_id(&self) -> String {
@@ -551,6 +549,19 @@ mod tests {
         ))
     }
 
+    /// The two operations the oracles stand for, as `execute` runs them.
+    fn looked_up(ctx: &DnsProviderContext, name: &CompositeName) -> Result<BoundValue> {
+        ctx.execute(&NamingOp::lookup(name.clone()))?
+            .into_value(OpKind::Lookup)
+    }
+
+    /// What a write to `name` is refused with — by validation, by the
+    /// boundary (`Continue`) or by DNS itself; none succeeds.
+    fn write_refusal(ctx: &DnsProviderContext, name: &CompositeName) -> NamingError {
+        ctx.execute(&NamingOp::bind(name.clone(), BoundValue::str("v")))
+            .expect_err("DNS takes no write")
+    }
+
     /// A value or error flattened to text, so two outcomes compare by
     /// variant and by every field the caller can see.
     fn told(value: &BoundValue) -> String {
@@ -620,14 +631,14 @@ mod tests {
                 CompositeName::from_components((0..k).map(|i| format!("c{i}")).collect::<Vec<_>>());
             let before = probes();
             assert!(matches!(
-                ctx.lookup(&name, None),
+                looked_up(&ctx, &name),
                 Err(NamingError::NameNotFound { .. })
             ));
             assert_eq!(probes() - before, k as u64 + 1, "lookup of {k} components");
             let before = probes();
             assert!(matches!(
-                ctx.continue_write(&name, None),
-                Ok(NamingError::NotSupported { .. })
+                write_refusal(&ctx, &name),
+                NamingError::NotSupported { .. }
             ));
             assert_eq!(probes() - before, k as u64, "write to {k} components");
         }
@@ -638,16 +649,13 @@ mod tests {
         let (ctx, _) = zone_world(&[(vec!["b".into(), "a".into()], 0)]);
         // A component containing a dot names two labels at once.
         assert_eq!(
-            outcome(ctx.lookup(&CompositeName::from_components(["a.b"]), None)),
+            outcome(looked_up(&ctx, &CompositeName::from_components(["a.b"]))),
             "ok link Some(\"hdns://h/b-a\")"
         );
         for bad in ["", "a..b", ".a", "a.", "bad label", &"x".repeat(64)] {
             let name = CompositeName::from_components([bad, "tail"]);
             assert!(
-                matches!(
-                    ctx.lookup(&name, None),
-                    Err(NamingError::InvalidName { .. })
-                ),
+                matches!(looked_up(&ctx, &name), Err(NamingError::InvalidName { .. })),
                 "{bad:?} rejected"
             );
             // A write never validates its last component, only the
@@ -655,8 +663,8 @@ mod tests {
             let last_only = CompositeName::from_components(["ok", bad]);
             assert!(
                 matches!(
-                    ctx.continue_write(&last_only, None),
-                    Ok(NamingError::NotSupported { .. })
+                    write_refusal(&ctx, &last_only),
+                    NamingError::NotSupported { .. }
                 ),
                 "{bad:?} as the last component of a write"
             );
@@ -701,13 +709,16 @@ mod tests {
                 let (ctx, _) = zone_world(&records);
                 let name = CompositeName::from_components(name);
                 prop_assert_eq!(
-                    outcome(ctx.lookup(&name, None)),
+                    outcome(looked_up(&ctx, &name)),
                     outcome(lookup_oracle(&ctx, &name)),
                     "lookup of {:?} over {:?}", name, records
                 );
+                // The oracle tells a name it could not validate (`Err`)
+                // from a verdict (`Ok`); to `execute` both are refusals.
+                let (Ok(told) | Err(told)) = continue_write_oracle(&ctx, &name);
                 prop_assert_eq!(
-                    ctx.continue_write(&name, None).map(refusal),
-                    continue_write_oracle(&ctx, &name).map(refusal),
+                    refusal(write_refusal(&ctx, &name)),
+                    refusal(told),
                     "write to {:?} over {:?}", name, records
                 );
             }

@@ -20,7 +20,8 @@ use rndi_core::env::Environment;
 use rndi_core::error::{NamingError, Result};
 use rndi_core::filter::Filter;
 use rndi_core::name::CompositeName;
-use rndi_core::op::{NamingOp, OpKind, OpOutcome, OpPayload};
+use rndi_core::op::{NamingOp, OpKind, OpOutcome};
+use rndi_core::spi::boundary::{self, Bound};
 use rndi_core::spi::{ProviderBackend, ProviderPipeline, UrlContextFactory, WireFormat};
 use rndi_core::url::RndiUrl;
 use rndi_core::value::BoundValue;
@@ -100,41 +101,46 @@ impl FsContext {
         Ok(c)
     }
 
-    /// Resolve the directory holding the final component, honouring
-    /// federation mounts (a `.val` file met mid-path that stores a URL).
+    /// Resolve the directory holding the final component.
     fn parent_dir(&self, name: &CompositeName) -> Result<(PathBuf, String)> {
-        if name.is_empty() {
+        let Some((leaf, parents)) = name.components().split_last() else {
             return Err(NamingError::invalid_name("", "empty name"));
-        }
+        };
         let mut dir = self.root.clone();
-        let n = name.len();
-        for (i, c) in name.components().iter().enumerate() {
-            let c = Self::check_component(c)?;
-            if i == n - 1 {
-                return Ok((dir, c.to_string()));
-            }
-            let sub = dir.join(c);
-            if sub.is_dir() {
-                dir = sub;
-                continue;
-            }
-            let val = dir.join(format!("{c}.{VAL_EXT}"));
-            if val.is_file() {
-                let bytes = read_val_file(&val).map_err(|e| io_err(e, "read"))?;
-                let v = common::unmarshal(&bytes);
-                if v.is_federation_link() {
-                    return Err(NamingError::Continue {
-                        resolved: v,
-                        remaining: name.suffix(i + 1),
-                    });
-                }
-                return Err(NamingError::NotAContext {
-                    name: name.prefix(i + 1).to_string(),
+        for (i, c) in parents.iter().enumerate() {
+            let sub = dir.join(Self::check_component(c)?);
+            if !sub.is_dir() {
+                let upto_here = name.prefix(i + 1).to_string();
+                return Err(if Self::val_path(&dir, c).is_file() {
+                    NamingError::NotAContext { name: upto_here }
+                } else {
+                    NamingError::not_found(upto_here)
                 });
             }
-            return Err(NamingError::not_found(name.prefix(i + 1).to_string()));
+            dir = sub;
         }
-        unreachable!("loop returns on the last component");
+        Ok((dir, Self::check_component(leaf)?.to_string()))
+    }
+
+    /// Answers the federation probe with the same directory walk: the
+    /// deepest directory among the first `upto` components, or the `.val`
+    /// file that ends the walk.
+    fn bound_prefix(&self, name: &CompositeName, upto: usize) -> Result<Option<Bound>> {
+        let mut dir = self.root.clone();
+        for (i, c) in name.components()[..upto].iter().enumerate() {
+            let sub = dir.join(Self::check_component(c)?);
+            if !sub.is_dir() {
+                let val = Self::val_path(&dir, c);
+                return Ok(if val.is_file() {
+                    let bytes = read_val_file(&val).map_err(|e| io_err(e, "read"))?;
+                    Some(Bound::leaf(i + 1, common::unmarshal(&bytes)))
+                } else {
+                    (i > 0).then(|| Bound::context(i))
+                });
+            }
+            dir = sub;
+        }
+        Ok((upto > 0).then(|| Bound::context(upto)))
     }
 
     fn val_path(dir: &Path, leaf: &str) -> PathBuf {
@@ -432,56 +438,42 @@ impl FsContext {
 
 impl ProviderBackend for FsContext {
     fn execute(&self, op: &NamingOp) -> Result<OpOutcome> {
-        match op.kind {
-            OpKind::Lookup => self.lookup(&op.name).map(OpOutcome::Value),
-            OpKind::Bind => {
-                let (bytes, _) = op.wire_value()?;
-                self.do_bind(&op.name, &bytes, Attributes::new(), false)
-                    .map(|_| OpOutcome::Done)
-            }
-            OpKind::Rebind => {
-                let (bytes, _) = op.wire_value()?;
-                self.do_bind(&op.name, &bytes, Attributes::new(), true)
-                    .map(|_| OpOutcome::Done)
-            }
-            OpKind::Unbind => self.unbind(&op.name).map(|_| OpOutcome::Done),
-            OpKind::Rename => self
-                .rename(&op.name, op.new_name()?)
-                .map(|_| OpOutcome::Done),
-            OpKind::List => self.list(&op.name).map(OpOutcome::Names),
-            OpKind::ListBindings => self.list_bindings(&op.name).map(OpOutcome::Bindings),
-            OpKind::CreateSubcontext => self.create_subcontext(&op.name).map(|_| OpOutcome::Done),
-            OpKind::DestroySubcontext => self.destroy_subcontext(&op.name).map(|_| OpOutcome::Done),
-            OpKind::GetAttributes => self.get_attributes(&op.name).map(OpOutcome::Attrs),
-            OpKind::ModifyAttributes => match &op.payload {
-                OpPayload::Mods(mods) => self
-                    .modify_attributes(&op.name, mods)
+        boundary::run(
+            op,
+            |upto| self.bound_prefix(&op.name, upto),
+            || match op.kind {
+                OpKind::Lookup => self.lookup(&op.name).map(OpOutcome::Value),
+                OpKind::Bind | OpKind::BindWithAttrs | OpKind::Rebind | OpKind::RebindWithAttrs => {
+                    let (bytes, _) = op.wire_value()?;
+                    let attrs = op.attrs.clone().unwrap_or_default();
+                    let overwrite = matches!(op.kind, OpKind::Rebind | OpKind::RebindWithAttrs);
+                    self.do_bind(&op.name, &bytes, attrs, overwrite)
+                        .map(|_| OpOutcome::Done)
+                }
+                OpKind::Unbind => self.unbind(&op.name).map(|_| OpOutcome::Done),
+                OpKind::Rename => self
+                    .rename(&op.name, op.new_name()?)
                     .map(|_| OpOutcome::Done),
-                _ => Err(NamingError::service("modify_attributes payload missing")),
+                OpKind::List => self.list(&op.name).map(OpOutcome::Names),
+                OpKind::ListBindings => self.list_bindings(&op.name).map(OpOutcome::Bindings),
+                OpKind::CreateSubcontext => {
+                    self.create_subcontext(&op.name).map(|_| OpOutcome::Done)
+                }
+                OpKind::DestroySubcontext => {
+                    self.destroy_subcontext(&op.name).map(|_| OpOutcome::Done)
+                }
+                OpKind::GetAttributes => self.get_attributes(&op.name).map(OpOutcome::Attrs),
+                OpKind::ModifyAttributes => self
+                    .modify_attributes(&op.name, op.mods()?)
+                    .map(|_| OpOutcome::Done),
+                OpKind::Search => {
+                    let (filter, controls) = op.query()?;
+                    self.search(&op.name, filter, controls)
+                        .map(OpOutcome::Found)
+                }
+                _ => Err(NamingError::unsupported(op.kind.label())),
             },
-            OpKind::BindWithAttrs => {
-                let (bytes, _) = op.wire_value()?;
-                self.do_bind(
-                    &op.name,
-                    &bytes,
-                    op.attrs.clone().unwrap_or_default(),
-                    false,
-                )
-                .map(|_| OpOutcome::Done)
-            }
-            OpKind::RebindWithAttrs => {
-                let (bytes, _) = op.wire_value()?;
-                self.do_bind(&op.name, &bytes, op.attrs.clone().unwrap_or_default(), true)
-                    .map(|_| OpOutcome::Done)
-            }
-            OpKind::Search => match &op.payload {
-                OpPayload::Query { filter, controls } => self
-                    .search(&op.name, filter, controls)
-                    .map(OpOutcome::Found),
-                _ => Err(NamingError::service("search payload missing")),
-            },
-            _ => Err(NamingError::unsupported(op.kind.label())),
-        }
+        )
     }
 
     fn provider_id(&self) -> String {

@@ -26,7 +26,8 @@ use rndi_core::error::{NamingError, Result};
 use rndi_core::event::EventHub;
 use rndi_core::filter::Filter;
 use rndi_core::name::CompositeName;
-use rndi_core::op::{NamingOp, OpKind, OpOutcome, OpPayload};
+use rndi_core::op::{NamingOp, OpKind, OpOutcome};
+use rndi_core::spi::boundary::{self, Bound};
 use rndi_core::spi::{ProviderBackend, ProviderPipeline, UrlContextFactory, WireFormat};
 use rndi_core::url::RndiUrl;
 use rndi_core::value::BoundValue;
@@ -130,46 +131,36 @@ impl HdnsProviderContext {
         )
     }
 
+    /// The store path of a binding.
     fn path(&self, name: &CompositeName) -> Result<String> {
         if name.is_empty() {
             return Err(NamingError::invalid_name("", "empty name"));
         }
-        Ok(name.components().join("/"))
+        Ok(self.base(name))
     }
 
-    /// Walk the path for a federation mount: the longest bound prefix whose
-    /// value is a URL reference diverts resolution elsewhere. Strict
-    /// prefixes only — the final component names the mount itself.
-    fn check_mount(&self, name: &CompositeName) -> Option<NamingError> {
-        self.check_mount_upto(name, name.len())
+    /// The store path a listing or search starts from (the root for the
+    /// empty name).
+    fn base(&self, name: &CompositeName) -> String {
+        name.components().join("/")
     }
 
-    /// The store path a listing or search starts from. The base may itself
-    /// be a mounted foreign context — the remaining name is then empty.
-    fn base(&self, name: &CompositeName) -> Result<String> {
-        if name.is_empty() {
-            return Ok(String::new());
-        }
-        match self.check_mount_upto(name, name.len() + 1) {
-            Some(cont) => Err(cont),
-            None => self.path(name),
-        }
-    }
-
-    fn check_mount_upto(&self, name: &CompositeName, upper: usize) -> Option<NamingError> {
-        for k in 1..upper.min(name.len() + 1) {
-            let prefix = name.prefix(k).components().join("/");
-            if let Some(e) = self.replica.lookup(&prefix) {
-                if !e.is_context {
-                    let v = common::unmarshal(&e.value);
-                    if v.is_federation_link() {
-                        return Some(NamingError::Continue {
-                            resolved: v,
-                            remaining: name.suffix(k),
-                        });
-                    }
-                }
+    /// Answers the federation probe: the entry at the longest bound prefix
+    /// of the first `upto` components. The path is joined once; each
+    /// shorter prefix is a slice of it.
+    fn bound_prefix(&self, name: &CompositeName, upto: usize) -> Option<Bound> {
+        let components = &name.components()[..upto];
+        let path = components.join("/");
+        let mut end = path.len();
+        for (k, last) in components.iter().enumerate().rev() {
+            if let Some(e) = self.replica.lookup(&path[..end]) {
+                return Some(if e.is_context {
+                    Bound::context(k + 1)
+                } else {
+                    Bound::leaf(k + 1, common::unmarshal(&e.value))
+                });
             }
+            end = end.saturating_sub(last.len() + 1);
         }
         None
     }
@@ -262,21 +253,15 @@ impl HdnsProviderContext {
     }
 
     fn lookup(&self, name: &CompositeName) -> Result<BoundValue> {
-        if let Some(cont) = self.check_mount(name) {
-            return Err(cont);
-        }
         let path = self.path(name)?;
         let entry = self
             .replica
             .lookup(&path)
-            .ok_or_else(|| NamingError::not_found(&path))?;
+            .ok_or_else(|| NamingError::not_found(path))?;
         Ok(from_entry_value(&entry))
     }
 
     fn unbind(&self, name: &CompositeName, trace: Option<&TraceCtx>) -> Result<()> {
-        if let Some(cont) = self.check_mount(name) {
-            return Err(cont);
-        }
         let path = self.path(name)?;
         self.write(Op::Unbind { path: path.clone() }, &path, trace)
     }
@@ -300,7 +285,7 @@ impl HdnsProviderContext {
     }
 
     fn list(&self, name: &CompositeName) -> Result<Vec<NameClassPair>> {
-        let prefix = self.base(name)?;
+        let prefix = self.base(name);
         Ok(self
             .replica
             .list(&prefix)
@@ -317,7 +302,7 @@ impl HdnsProviderContext {
     }
 
     fn list_bindings(&self, name: &CompositeName) -> Result<Vec<Binding>> {
-        let prefix = self.base(name)?;
+        let prefix = self.base(name);
         Ok(self
             .replica
             .list(&prefix)
@@ -344,14 +329,11 @@ impl HdnsProviderContext {
     }
 
     fn get_attributes(&self, name: &CompositeName) -> Result<Attributes> {
-        if let Some(cont) = self.check_mount(name) {
-            return Err(cont);
-        }
         let path = self.path(name)?;
         let entry = self
             .replica
             .lookup(&path)
-            .ok_or_else(|| NamingError::not_found(&path))?;
+            .ok_or_else(|| NamingError::not_found(path))?;
         from_entry_attrs(&entry)
     }
 
@@ -393,9 +375,6 @@ impl HdnsProviderContext {
         overwrite: bool,
         trace: Option<&TraceCtx>,
     ) -> Result<()> {
-        if let Some(cont) = self.check_mount(name) {
-            return Err(cont);
-        }
         let path = self.path(name)?;
         self.write(
             Op::Bind {
@@ -417,7 +396,7 @@ impl HdnsProviderContext {
         // HDNS has no server-side query engine; the provider evaluates the
         // filter client-side over a replica-local listing (§3's
         // capability-emulation point).
-        let base = self.base(name)?;
+        let base = self.base(name);
         let mut out = Vec::new();
         self.search_recursive(&base, &CompositeName::empty(), filter, controls, &mut out)?;
         Ok(out)
@@ -430,54 +409,48 @@ impl ProviderBackend for HdnsProviderContext {
         // (same process, nothing to marshal) and records its own server span.
         let trace = op.trace_ctx();
         let trace = trace.as_ref();
-        match op.kind {
-            OpKind::Lookup => self.lookup(&op.name).map(OpOutcome::Value),
-            OpKind::Bind | OpKind::BindWithAttrs | OpKind::Rebind | OpKind::RebindWithAttrs => {
-                let (payload, _) = op.wire_value()?;
-                let attrs = op.attrs.clone().unwrap_or_default();
-                let overwrite = matches!(op.kind, OpKind::Rebind | OpKind::RebindWithAttrs);
-                self.bind_with_attrs(&op.name, payload, &attrs, overwrite, trace)?;
-                Ok(OpOutcome::Done)
-            }
-            OpKind::Unbind => self.unbind(&op.name, trace).map(|_| OpOutcome::Done),
-            OpKind::Rename => self
-                .rename(&op.name, op.new_name()?, trace)
-                .map(|_| OpOutcome::Done),
-            OpKind::List => self.list(&op.name).map(OpOutcome::Names),
-            OpKind::ListBindings => self.list_bindings(&op.name).map(OpOutcome::Bindings),
-            OpKind::CreateSubcontext => self
-                .create_subcontext(&op.name, trace)
-                .map(|_| OpOutcome::Done),
-            OpKind::DestroySubcontext => self
-                .destroy_subcontext(&op.name, trace)
-                .map(|_| OpOutcome::Done),
-            OpKind::GetAttributes => self.get_attributes(&op.name).map(OpOutcome::Attrs),
-            OpKind::ModifyAttributes => match &op.payload {
-                OpPayload::Mods(mods) => self
-                    .modify_attributes(&op.name, mods, trace)
-                    .map(|_| OpOutcome::Done),
-                _ => Err(NamingError::service("modify_attributes payload missing")),
-            },
-            OpKind::Search => match &op.payload {
-                OpPayload::Query { filter, controls } => self
-                    .search(&op.name, filter, controls)
-                    .map(OpOutcome::Found),
-                _ => Err(NamingError::service("search payload missing")),
-            },
-            OpKind::AddListener => match &op.payload {
-                OpPayload::Listener(l) => Ok(OpOutcome::Subscribed(
-                    self.hub.subscribe(op.name.clone(), l.clone()),
-                )),
-                _ => Err(NamingError::service("listener payload missing")),
-            },
-            OpKind::RemoveListener => match &op.payload {
-                OpPayload::Handle(h) => {
-                    self.hub.unsubscribe(*h);
+        boundary::run(
+            op,
+            |upto| Ok(self.bound_prefix(&op.name, upto)),
+            || match op.kind {
+                OpKind::Lookup => self.lookup(&op.name).map(OpOutcome::Value),
+                OpKind::Bind | OpKind::BindWithAttrs | OpKind::Rebind | OpKind::RebindWithAttrs => {
+                    let (payload, _) = op.wire_value()?;
+                    let attrs = op.attrs.clone().unwrap_or_default();
+                    let overwrite = matches!(op.kind, OpKind::Rebind | OpKind::RebindWithAttrs);
+                    self.bind_with_attrs(&op.name, payload, &attrs, overwrite, trace)?;
                     Ok(OpOutcome::Done)
                 }
-                _ => Err(NamingError::service("listener handle missing")),
+                OpKind::Unbind => self.unbind(&op.name, trace).map(|_| OpOutcome::Done),
+                OpKind::Rename => self
+                    .rename(&op.name, op.new_name()?, trace)
+                    .map(|_| OpOutcome::Done),
+                OpKind::List => self.list(&op.name).map(OpOutcome::Names),
+                OpKind::ListBindings => self.list_bindings(&op.name).map(OpOutcome::Bindings),
+                OpKind::CreateSubcontext => self
+                    .create_subcontext(&op.name, trace)
+                    .map(|_| OpOutcome::Done),
+                OpKind::DestroySubcontext => self
+                    .destroy_subcontext(&op.name, trace)
+                    .map(|_| OpOutcome::Done),
+                OpKind::GetAttributes => self.get_attributes(&op.name).map(OpOutcome::Attrs),
+                OpKind::ModifyAttributes => self
+                    .modify_attributes(&op.name, op.mods()?, trace)
+                    .map(|_| OpOutcome::Done),
+                OpKind::Search => {
+                    let (filter, controls) = op.query()?;
+                    self.search(&op.name, filter, controls)
+                        .map(OpOutcome::Found)
+                }
+                OpKind::AddListener => Ok(OpOutcome::Subscribed(
+                    self.hub.subscribe(op.name.clone(), op.listener()?),
+                )),
+                OpKind::RemoveListener => {
+                    self.hub.unsubscribe(op.listener_handle()?);
+                    Ok(OpOutcome::Done)
+                }
             },
-        }
+        )
     }
 
     fn provider_id(&self) -> String {
@@ -541,6 +514,7 @@ mod tests {
     use super::*;
     use groupcast::StackConfig;
     use rndi_core::context::{Context, ContextExt};
+    use rndi_core::op::OpPayload;
     use rndi_core::value::Reference;
 
     type Pipeline = Arc<ProviderPipeline<HdnsProviderContext>>;

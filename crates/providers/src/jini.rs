@@ -37,7 +37,8 @@ use rndi_core::event::EventHub;
 use rndi_core::filter::Filter;
 use rndi_core::lease::{LeaseRenewalManager, LeaseRenewer};
 use rndi_core::name::CompositeName;
-use rndi_core::op::{NamingOp, OpKind, OpOutcome, OpPayload};
+use rndi_core::op::{NamingOp, OpKind, OpOutcome};
+use rndi_core::spi::boundary::{self, Bound};
 use rndi_core::spi::{ProviderBackend, ProviderPipeline, UrlContextFactory, WireFormat};
 use rndi_core::url::RndiUrl;
 use rndi_core::value::BoundValue;
@@ -310,42 +311,27 @@ impl JiniProviderContext {
         );
     }
 
+    /// The one component a name in this flat namespace has.
     fn single<'n>(&self, name: &'n CompositeName) -> Result<&'n str> {
         match name.components() {
             [one] if !one.is_empty() && !one.starts_with(LOCK_PREFIX) => Ok(one),
             [one] if one.starts_with(LOCK_PREFIX) => Err(NamingError::NoPermission {
                 detail: "reserved internal name".into(),
             }),
-            [] => Err(NamingError::invalid_name("", "empty name")),
-            _ => unreachable!("multi-component handled by resolve()"),
+            [] | [_] => Err(NamingError::invalid_name("", "empty name")),
+            // The flat LUS cannot itself hold subcontexts.
+            _ => Err(NamingError::NotAContext {
+                name: name.to_string(),
+            }),
         }
     }
 
-    /// Resolve the head of a multi-component name, signalling federation
-    /// continuation — the flat LUS cannot itself hold subcontexts.
-    fn resolve<'n>(&self, name: &'n CompositeName) -> Result<ResolveStep<'n>> {
-        match name.len() {
-            0 => Err(NamingError::invalid_name("", "empty name")),
-            1 => Ok(ResolveStep::Here(self.single(name)?)),
-            _ => {
-                let head = name.head().expect("len >= 1");
-                let item = self
-                    .registrar
-                    .lookup(&binding_template(head))
-                    .ok_or_else(|| NamingError::not_found(head))?;
-                let value = common::unmarshal(&item.service.payload);
-                if value.is_federation_link() {
-                    Ok(ResolveStep::Elsewhere {
-                        resolved: value,
-                        remaining: name.tail(),
-                    })
-                } else {
-                    Err(NamingError::NotAContext {
-                        name: head.to_string(),
-                    })
-                }
-            }
-        }
+    /// Answers the federation probe: the LUS is flat, so the only prefix
+    /// that can be bound is the head item.
+    fn bound_prefix(&self, name: &CompositeName, upto: usize) -> Option<Bound> {
+        let head = name.head().filter(|_| upto > 0)?;
+        let item = self.registrar.lookup(&binding_template(head))?;
+        Some(Bound::leaf(1, common::unmarshal(&item.service.payload)))
     }
 
     fn register(
@@ -385,44 +371,34 @@ impl JiniProviderContext {
         class_name: &str,
         attrs: Attributes,
     ) -> Result<()> {
-        match self.resolve(name)? {
-            ResolveStep::Elsewhere {
-                resolved,
-                remaining,
-            } => Err(NamingError::Continue {
-                resolved,
-                remaining,
-            }),
-            ResolveStep::Here(flat) => {
-                if let (true, Some(proxy)) = (self.strict, &self.proxy) {
-                    // The paper's proxy optimization: one round trip, the
-                    // lock held locally next to the LUS.
-                    let item = make_item(flat, payload.to_vec(), class_name, &attrs)?;
-                    match proxy.bind_if_absent(flat, item, self.lease_ms) {
-                        Some(reg) => {
-                            self.track_lease(flat, &reg);
-                            Ok(())
-                        }
-                        None => Err(NamingError::already_bound(flat)),
-                    }
-                } else if self.strict {
-                    // Distributed lock: check-and-register atomically with
-                    // respect to every other strict-mode client.
-                    self.lock.with(|| {
-                        if self.exists(flat) {
-                            return Err(NamingError::already_bound(flat));
-                        }
-                        self.register(flat, payload, class_name, &attrs)
-                    })
-                } else {
-                    // Relaxed: unlocked check-then-act (the documented
-                    // single-writer trade-off).
-                    if self.exists(flat) {
-                        return Err(NamingError::already_bound(flat));
-                    }
-                    self.register(flat, payload, class_name, &attrs)
+        let flat = self.single(name)?;
+        if let (true, Some(proxy)) = (self.strict, &self.proxy) {
+            // The paper's proxy optimization: one round trip, the
+            // lock held locally next to the LUS.
+            let item = make_item(flat, payload.to_vec(), class_name, &attrs)?;
+            match proxy.bind_if_absent(flat, item, self.lease_ms) {
+                Some(reg) => {
+                    self.track_lease(flat, &reg);
+                    Ok(())
                 }
+                None => Err(NamingError::already_bound(flat)),
             }
+        } else if self.strict {
+            // Distributed lock: check-and-register atomically with
+            // respect to every other strict-mode client.
+            self.lock.with(|| {
+                if self.exists(flat) {
+                    return Err(NamingError::already_bound(flat));
+                }
+                self.register(flat, payload, class_name, &attrs)
+            })
+        } else {
+            // Relaxed: unlocked check-then-act (the documented
+            // single-writer trade-off).
+            if self.exists(flat) {
+                return Err(NamingError::already_bound(flat));
+            }
+            self.register(flat, payload, class_name, &attrs)
         }
     }
 
@@ -433,16 +409,7 @@ impl JiniProviderContext {
         class_name: &str,
         attrs: Attributes,
     ) -> Result<()> {
-        match self.resolve(name)? {
-            ResolveStep::Elsewhere {
-                resolved,
-                remaining,
-            } => Err(NamingError::Continue {
-                resolved,
-                remaining,
-            }),
-            ResolveStep::Here(flat) => self.register(flat, payload, class_name, &attrs),
-        }
+        self.register(self.single(name)?, payload, class_name, &attrs)
     }
 
     /// Drive client-side lease renewal; returns names whose leases could
@@ -468,66 +435,38 @@ impl JiniProviderContext {
     }
 }
 
-enum ResolveStep<'n> {
-    Here(&'n str),
-    Elsewhere {
-        resolved: BoundValue,
-        remaining: CompositeName,
-    },
-}
-
 impl JiniProviderContext {
     /// Lookup returns the raw stub payload; the pipeline's marshalling
     /// layer decodes it on the way up.
     fn lookup_wire(&self, name: &CompositeName) -> Result<Vec<u8>> {
-        match self.resolve(name)? {
-            ResolveStep::Elsewhere {
-                resolved,
-                remaining,
-            } => Err(NamingError::Continue {
-                resolved,
-                remaining,
-            }),
-            ResolveStep::Here(flat) => {
-                let item = self
-                    .registrar
-                    .lookup(&binding_template(flat))
-                    .ok_or_else(|| NamingError::not_found(flat))?;
-                Ok(item.service.payload.clone())
-            }
-        }
+        let flat = self.single(name)?;
+        let item = self
+            .registrar
+            .lookup(&binding_template(flat))
+            .ok_or_else(|| NamingError::not_found(flat))?;
+        Ok(item.service.payload.clone())
     }
 
     fn unbind(&self, name: &CompositeName) -> Result<()> {
-        match self.resolve(name)? {
-            ResolveStep::Elsewhere {
-                resolved,
-                remaining,
-            } => Err(NamingError::Continue {
-                resolved,
-                remaining,
-            }),
-            ResolveStep::Here(flat) => {
-                self.lease_mgr.unmanage(flat);
-                let lease_id = self.leases.by_name.lock().remove(flat);
-                match lease_id {
-                    Some(id) => {
-                        let _ = self.registrar.cancel_service_lease(id);
-                    }
-                    None => {
-                        // Someone else bound it; a lease we don't hold can't
-                        // be cancelled. Emulate removal by overwriting with
-                        // an already-expired registration and sweeping.
-                        if self.exists(flat) {
-                            let item = make_item_value(flat, &BoundValue::Null, &Attributes::new());
-                            self.registrar.register(item, 0);
-                            self.registrar.sweep();
-                        }
-                    }
+        let flat = self.single(name)?;
+        self.lease_mgr.unmanage(flat);
+        let lease_id = self.leases.by_name.lock().remove(flat);
+        match lease_id {
+            Some(id) => {
+                let _ = self.registrar.cancel_service_lease(id);
+            }
+            None => {
+                // Someone else bound it; a lease we don't hold can't
+                // be cancelled. Emulate removal by overwriting with
+                // an already-expired registration and sweeping.
+                if self.exists(flat) {
+                    let item = make_item_value(flat, &BoundValue::Null, &Attributes::new());
+                    self.registrar.register(item, 0);
+                    self.registrar.sweep();
                 }
-                Ok(())
             }
         }
+        Ok(())
     }
 
     fn list(&self, name: &CompositeName) -> Result<Vec<NameClassPair>> {
@@ -569,54 +508,34 @@ impl JiniProviderContext {
     }
 
     fn get_attributes(&self, name: &CompositeName) -> Result<Attributes> {
-        match self.resolve(name)? {
-            ResolveStep::Elsewhere {
-                resolved,
-                remaining,
-            } => Err(NamingError::Continue {
-                resolved,
-                remaining,
-            }),
-            ResolveStep::Here(flat) => {
-                let item = self
-                    .registrar
-                    .lookup(&binding_template(flat))
-                    .ok_or_else(|| NamingError::not_found(flat))?;
-                item_attrs(&item)
-            }
-        }
+        let flat = self.single(name)?;
+        let item = self
+            .registrar
+            .lookup(&binding_template(flat))
+            .ok_or_else(|| NamingError::not_found(flat))?;
+        item_attrs(&item)
     }
 
     fn modify_attributes(&self, name: &CompositeName, mods: &[AttrMod]) -> Result<()> {
-        match self.resolve(name)? {
-            ResolveStep::Elsewhere {
-                resolved,
-                remaining,
-            } => Err(NamingError::Continue {
-                resolved,
-                remaining,
-            }),
-            ResolveStep::Here(flat) => {
-                let item = self
-                    .registrar
-                    .lookup(&binding_template(flat))
-                    .ok_or_else(|| NamingError::not_found(flat))?;
-                let mut attrs = item_attrs(&item)?;
-                for m in mods {
-                    m.apply(&mut attrs);
-                }
-                let id = item.service_id.expect("registered items carry ids");
-                self.registrar
-                    .set_attributes(
-                        id,
-                        vec![
-                            Entry::new(BINDING_ENTRY).with("name", flat),
-                            Entry::new(ATTRS_ENTRY).with("json", common::attrs_to_json(&attrs)?),
-                        ],
-                    )
-                    .map_err(|_| NamingError::not_found(flat))
-            }
+        let flat = self.single(name)?;
+        let item = self
+            .registrar
+            .lookup(&binding_template(flat))
+            .ok_or_else(|| NamingError::not_found(flat))?;
+        let mut attrs = item_attrs(&item)?;
+        for m in mods {
+            m.apply(&mut attrs);
         }
+        let id = item.service_id.expect("registered items carry ids");
+        self.registrar
+            .set_attributes(
+                id,
+                vec![
+                    Entry::new(BINDING_ENTRY).with("name", flat),
+                    Entry::new(ATTRS_ENTRY).with("json", common::attrs_to_json(&attrs)?),
+                ],
+            )
+            .map_err(|_| NamingError::not_found(flat))
     }
 
     fn search(
@@ -665,69 +584,45 @@ impl JiniProviderContext {
 
 impl ProviderBackend for JiniProviderContext {
     fn execute(&self, op: &NamingOp) -> Result<OpOutcome> {
-        match op.kind {
-            OpKind::Lookup => self.lookup_wire(&op.name).map(OpOutcome::Wire),
-            OpKind::Bind => {
-                let (payload, class) = op.wire_value()?;
-                self.do_bind(&op.name, &payload, &class, Attributes::new())
-                    .map(|_| OpOutcome::Done)
-            }
-            OpKind::Rebind => {
-                let (payload, class) = op.wire_value()?;
-                self.do_rebind(&op.name, &payload, &class, Attributes::new())
-                    .map(|_| OpOutcome::Done)
-            }
-            OpKind::Unbind => self.unbind(&op.name).map(|_| OpOutcome::Done),
-            OpKind::List => self.list(&op.name).map(OpOutcome::Names),
-            OpKind::ListBindings => self.list_bindings(&op.name).map(OpOutcome::Bindings),
-            OpKind::GetAttributes => self.get_attributes(&op.name).map(OpOutcome::Attrs),
-            OpKind::ModifyAttributes => match &op.payload {
-                OpPayload::Mods(mods) => self
-                    .modify_attributes(&op.name, mods)
+        boundary::run(
+            op,
+            |upto| Ok(self.bound_prefix(&op.name, upto)),
+            || match op.kind {
+                OpKind::Lookup => self.lookup_wire(&op.name).map(OpOutcome::Wire),
+                OpKind::Bind | OpKind::BindWithAttrs => {
+                    let (payload, class) = op.wire_value()?;
+                    let attrs = op.attrs.clone().unwrap_or_default();
+                    self.do_bind(&op.name, &payload, &class, attrs)
+                        .map(|_| OpOutcome::Done)
+                }
+                OpKind::Rebind | OpKind::RebindWithAttrs => {
+                    let (payload, class) = op.wire_value()?;
+                    let attrs = op.attrs.clone().unwrap_or_default();
+                    self.do_rebind(&op.name, &payload, &class, attrs)
+                        .map(|_| OpOutcome::Done)
+                }
+                OpKind::Unbind => self.unbind(&op.name).map(|_| OpOutcome::Done),
+                OpKind::List => self.list(&op.name).map(OpOutcome::Names),
+                OpKind::ListBindings => self.list_bindings(&op.name).map(OpOutcome::Bindings),
+                OpKind::GetAttributes => self.get_attributes(&op.name).map(OpOutcome::Attrs),
+                OpKind::ModifyAttributes => self
+                    .modify_attributes(&op.name, op.mods()?)
                     .map(|_| OpOutcome::Done),
-                _ => Err(NamingError::service("modify_attributes payload missing")),
-            },
-            OpKind::BindWithAttrs => {
-                let (payload, class) = op.wire_value()?;
-                self.do_bind(
-                    &op.name,
-                    &payload,
-                    &class,
-                    op.attrs.clone().unwrap_or_default(),
-                )
-                .map(|_| OpOutcome::Done)
-            }
-            OpKind::RebindWithAttrs => {
-                let (payload, class) = op.wire_value()?;
-                self.do_rebind(
-                    &op.name,
-                    &payload,
-                    &class,
-                    op.attrs.clone().unwrap_or_default(),
-                )
-                .map(|_| OpOutcome::Done)
-            }
-            OpKind::Search => match &op.payload {
-                OpPayload::Query { filter, controls } => self
-                    .search(&op.name, filter, controls)
-                    .map(OpOutcome::Found),
-                _ => Err(NamingError::service("search payload missing")),
-            },
-            OpKind::AddListener => match &op.payload {
-                OpPayload::Listener(l) => Ok(OpOutcome::Subscribed(
-                    self.hub.subscribe(op.name.clone(), l.clone()),
+                OpKind::Search => {
+                    let (filter, controls) = op.query()?;
+                    self.search(&op.name, filter, controls)
+                        .map(OpOutcome::Found)
+                }
+                OpKind::AddListener => Ok(OpOutcome::Subscribed(
+                    self.hub.subscribe(op.name.clone(), op.listener()?),
                 )),
-                _ => Err(NamingError::service("add_listener payload missing")),
-            },
-            OpKind::RemoveListener => match &op.payload {
-                OpPayload::Handle(h) => {
-                    self.hub.unsubscribe(*h);
+                OpKind::RemoveListener => {
+                    self.hub.unsubscribe(op.listener_handle()?);
                     Ok(OpOutcome::Done)
                 }
-                _ => Err(NamingError::service("remove_listener payload missing")),
+                _ => Err(NamingError::unsupported(op.kind.label())),
             },
-            _ => Err(NamingError::unsupported(op.kind.label())),
-        }
+        )
     }
 
     fn provider_id(&self) -> String {

@@ -24,7 +24,8 @@ use rndi_core::env::{keys, Environment};
 use rndi_core::error::{NamingError, Result};
 use rndi_core::filter::Filter;
 use rndi_core::name::CompositeName;
-use rndi_core::op::{NamingOp, OpKind, OpOutcome, OpPayload};
+use rndi_core::op::{NamingOp, OpKind, OpOutcome};
+use rndi_core::spi::boundary::{self, Bound};
 use rndi_core::spi::{ProviderBackend, ProviderPipeline, UrlContextFactory, WireFormat};
 use rndi_core::url::RndiUrl;
 use rndi_core::value::BoundValue;
@@ -70,9 +71,6 @@ pub struct LdapProviderContext {
     base: Dn,
     clock: Arc<dyn MsClock>,
     instance: String,
-    /// Cumulative anti-DoS delay the server imposed on our reads — the
-    /// benchmark harness charges it as response latency.
-    throttle_delay_ms: Mutex<u64>,
 }
 
 impl LdapProviderContext {
@@ -99,15 +97,9 @@ impl LdapProviderContext {
                 base,
                 clock,
                 instance: instance.to_string(),
-                throttle_delay_ms: Mutex::new(0),
             }),
             env,
         )
-    }
-
-    /// Total anti-DoS delay accumulated so far (and reset the counter).
-    pub fn take_throttle_delay_ms(&self) -> u64 {
-        std::mem::take(&mut self.throttle_delay_ms.lock())
     }
 
     fn component_rdn(component: &str) -> Result<Rdn> {
@@ -136,10 +128,7 @@ impl LdapProviderContext {
 
     fn read(&self, dn: &Dn, trace: Option<&TraceCtx>) -> Result<Option<LdapEntry>> {
         match self.conn.read_traced(dn, self.clock.now_ms(), trace) {
-            Ok((entry, delay)) => {
-                *self.throttle_delay_ms.lock() += delay;
-                Ok(Some(entry))
-            }
+            Ok((entry, _)) => Ok(Some(entry)),
             Err((ResultCode::NoSuchObject, _)) => Ok(None),
             Err((code, detail)) => Err(code_err(code, detail)),
         }
@@ -152,47 +141,22 @@ impl LdapProviderContext {
         }
     }
 
-    /// If the *base itself* is a federation mount, continue with an empty
-    /// remaining name — used by `list`/`search`, whose base may denote a
-    /// mounted foreign context.
-    fn check_base_mount(
+    /// Answers the federation probe: the entry at the longest DN that
+    /// exists among those of the first `upto` components — one `read` per
+    /// candidate, from the longest down. Any entry can have children, a
+    /// link included.
+    fn bound_prefix(
         &self,
         name: &CompositeName,
+        upto: usize,
         trace: Option<&TraceCtx>,
-    ) -> Result<Option<NamingError>> {
-        if name.is_empty() {
-            return Ok(None);
-        }
-        let dn = self.dn(name, name.len())?;
-        if let Some(entry) = self.read(&dn, trace)? {
-            let v = Self::decode(&entry);
-            if v.is_federation_link() {
-                return Ok(Some(NamingError::Continue {
-                    resolved: v,
-                    remaining: CompositeName::empty(),
+    ) -> Result<Option<Bound>> {
+        for k in (1..=upto).rev() {
+            if let Some(entry) = self.read(&self.dn(name, k)?, trace)? {
+                return Ok(Some(Bound {
+                    holds_names: true,
+                    ..Bound::leaf(k, Self::decode(&entry))
                 }));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Find a federation mount on a strict prefix of `name`.
-    fn check_mount(
-        &self,
-        name: &CompositeName,
-        trace: Option<&TraceCtx>,
-    ) -> Result<Option<NamingError>> {
-        for k in (1..name.len()).rev() {
-            let dn = self.dn(name, k)?;
-            if let Some(entry) = self.read(&dn, trace)? {
-                let v = Self::decode(&entry);
-                if v.is_federation_link() {
-                    return Ok(Some(NamingError::Continue {
-                        resolved: v,
-                        remaining: name.suffix(k),
-                    }));
-                }
-                return Ok(None); // a real intermediate entry: no mount
             }
         }
         Ok(None)
@@ -245,10 +209,7 @@ impl LdapProviderContext {
         let dn = self.dn(name, name.len())?;
         match self.read(&dn, trace)? {
             Some(entry) => Ok(Self::decode(&entry)),
-            None => match self.check_mount(name, trace)? {
-                Some(cont) => Err(cont),
-                None => Err(NamingError::not_found(dn.to_string())),
-            },
+            None => Err(NamingError::not_found(dn.to_string())),
         }
     }
 
@@ -280,10 +241,7 @@ impl LdapProviderContext {
             .map_err(|(c, d)| code_err(c, d))
     }
 
-    fn list(&self, name: &CompositeName, trace: Option<&TraceCtx>) -> Result<Vec<NameClassPair>> {
-        if let Some(cont) = self.check_base_mount(name, trace)? {
-            return Err(cont);
-        }
+    fn list(&self, name: &CompositeName) -> Result<Vec<NameClassPair>> {
         let base = self.dn(name, name.len())?;
         let out = self
             .conn
@@ -295,7 +253,6 @@ impl LdapProviderContext {
                 self.clock.now_ms(),
             )
             .map_err(|(c, d)| code_err(c, d))?;
-        *self.throttle_delay_ms.lock() += out.delay_ms;
         Ok(out
             .entries
             .iter()
@@ -306,14 +263,7 @@ impl LdapProviderContext {
             .collect())
     }
 
-    fn list_bindings(
-        &self,
-        name: &CompositeName,
-        trace: Option<&TraceCtx>,
-    ) -> Result<Vec<Binding>> {
-        if let Some(cont) = self.check_base_mount(name, trace)? {
-            return Err(cont);
-        }
+    fn list_bindings(&self, name: &CompositeName) -> Result<Vec<Binding>> {
         let base = self.dn(name, name.len())?;
         let out = self
             .conn
@@ -325,7 +275,6 @@ impl LdapProviderContext {
                 self.clock.now_ms(),
             )
             .map_err(|(c, d)| code_err(c, d))?;
-        *self.throttle_delay_ms.lock() += out.delay_ms;
         Ok(out
             .entries
             .iter()
@@ -413,9 +362,6 @@ impl LdapProviderContext {
         attrs: &Attributes,
         trace: Option<&TraceCtx>,
     ) -> Result<()> {
-        if let Some(cont) = self.check_mount(name, trace)? {
-            return Err(cont);
-        }
         let dn = self.dn(name, name.len())?;
         let entry = self.build_entry(dn, payload, attrs)?;
         self.conn
@@ -430,9 +376,6 @@ impl LdapProviderContext {
         attrs: &Attributes,
         trace: Option<&TraceCtx>,
     ) -> Result<()> {
-        if let Some(cont) = self.check_mount(name, trace)? {
-            return Err(cont);
-        }
         let dn = self.dn(name, name.len())?;
         let entry = self.build_entry(dn, payload, attrs)?;
         // One server operation: the entry is validated, then swapped in
@@ -450,9 +393,6 @@ impl LdapProviderContext {
         controls: &SearchControls,
         trace: Option<&TraceCtx>,
     ) -> Result<Vec<SearchItem>> {
-        if let Some(cont) = self.check_base_mount(name, trace)? {
-            return Err(cont);
-        }
         let base = self.dn(name, name.len())?;
         let scope = match controls.scope {
             SearchScope::Object => Scope::Base,
@@ -472,7 +412,6 @@ impl LdapProviderContext {
                 trace,
             )
             .map_err(|(c, d)| code_err(c, d))?;
-        *self.throttle_delay_ms.lock() += out.delay_ms;
         let mut items: Vec<SearchItem> = out
             .entries
             .iter()
@@ -496,48 +435,48 @@ impl ProviderBackend for LdapProviderContext {
         // connection would carry.
         let trace = op.trace_ctx();
         let trace = trace.as_ref();
-        match op.kind {
-            OpKind::Lookup => self.lookup(&op.name, trace).map(OpOutcome::Value),
-            OpKind::Bind | OpKind::BindWithAttrs => {
-                let (payload, _) = op.wire_value()?;
-                let attrs = op.attrs.clone().unwrap_or_default();
-                self.bind_with_attrs(&op.name, payload, &attrs, trace)?;
-                Ok(OpOutcome::Done)
-            }
-            OpKind::Rebind | OpKind::RebindWithAttrs => {
-                let (payload, _) = op.wire_value()?;
-                let attrs = op.attrs.clone().unwrap_or_default();
-                self.rebind_with_attrs(&op.name, payload, &attrs, trace)?;
-                Ok(OpOutcome::Done)
-            }
-            OpKind::Unbind => self.unbind(&op.name, trace).map(|_| OpOutcome::Done),
-            OpKind::Rename => self
-                .rename(&op.name, op.new_name()?)
-                .map(|_| OpOutcome::Done),
-            OpKind::List => self.list(&op.name, trace).map(OpOutcome::Names),
-            OpKind::ListBindings => self.list_bindings(&op.name, trace).map(OpOutcome::Bindings),
-            OpKind::CreateSubcontext => self
-                .create_subcontext(&op.name, trace)
-                .map(|_| OpOutcome::Done),
-            OpKind::DestroySubcontext => self
-                .destroy_subcontext(&op.name, trace)
-                .map(|_| OpOutcome::Done),
-            OpKind::GetAttributes => self.get_attributes(&op.name, trace).map(OpOutcome::Attrs),
-            OpKind::ModifyAttributes => match &op.payload {
-                OpPayload::Mods(mods) => self
-                    .modify_attributes(&op.name, mods, trace)
+        boundary::run(
+            op,
+            |upto| self.bound_prefix(&op.name, upto, trace),
+            || match op.kind {
+                OpKind::Lookup => self.lookup(&op.name, trace).map(OpOutcome::Value),
+                OpKind::Bind | OpKind::BindWithAttrs => {
+                    let (payload, _) = op.wire_value()?;
+                    let attrs = op.attrs.clone().unwrap_or_default();
+                    self.bind_with_attrs(&op.name, payload, &attrs, trace)?;
+                    Ok(OpOutcome::Done)
+                }
+                OpKind::Rebind | OpKind::RebindWithAttrs => {
+                    let (payload, _) = op.wire_value()?;
+                    let attrs = op.attrs.clone().unwrap_or_default();
+                    self.rebind_with_attrs(&op.name, payload, &attrs, trace)?;
+                    Ok(OpOutcome::Done)
+                }
+                OpKind::Unbind => self.unbind(&op.name, trace).map(|_| OpOutcome::Done),
+                OpKind::Rename => self
+                    .rename(&op.name, op.new_name()?)
                     .map(|_| OpOutcome::Done),
-                _ => Err(NamingError::service("modify_attributes payload missing")),
+                OpKind::List => self.list(&op.name).map(OpOutcome::Names),
+                OpKind::ListBindings => self.list_bindings(&op.name).map(OpOutcome::Bindings),
+                OpKind::CreateSubcontext => self
+                    .create_subcontext(&op.name, trace)
+                    .map(|_| OpOutcome::Done),
+                OpKind::DestroySubcontext => self
+                    .destroy_subcontext(&op.name, trace)
+                    .map(|_| OpOutcome::Done),
+                OpKind::GetAttributes => self.get_attributes(&op.name, trace).map(OpOutcome::Attrs),
+                OpKind::ModifyAttributes => self
+                    .modify_attributes(&op.name, op.mods()?, trace)
+                    .map(|_| OpOutcome::Done),
+                OpKind::Search => {
+                    let (filter, controls) = op.query()?;
+                    self.search(&op.name, filter, controls, trace)
+                        .map(OpOutcome::Found)
+                }
+                // dirserv has no change-notification protocol.
+                _ => Err(NamingError::unsupported(op.kind.label())),
             },
-            OpKind::Search => match &op.payload {
-                OpPayload::Query { filter, controls } => self
-                    .search(&op.name, filter, controls, trace)
-                    .map(OpOutcome::Found),
-                _ => Err(NamingError::service("search payload missing")),
-            },
-            // dirserv has no change-notification protocol.
-            _ => Err(NamingError::unsupported(op.kind.label())),
-        }
+        )
     }
 
     fn provider_id(&self) -> String {

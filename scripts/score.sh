@@ -21,6 +21,7 @@ product=$(lines crates/*/src src)
 replication=$(lines crates/groupcomm/src crates/hdns/src crates/cluster/src crates/shard/src src/serve.rs)
 harness=$(lines crates/bench/src crates/simnet/src)
 spi=$(lines crates/core/src/spi*)
+providers=$(lines crates/providers/src)
 env_keys=$(awk '/^pub mod keys/ { inside = 1 } inside && /pub const [A-Z0-9_]+: &str/ { n++ } END { print n + 0 }' crates/core/src/env.rs)
 
 echo "score: product_lines=$product shipped_lines=$((product - harness))" \
@@ -32,4 +33,5 @@ echo "score: product_lines=$product shipped_lines=$((product - harness))" \
   "ClusterConfig=$(fields crates/cluster/src/config.rs ClusterConfig)" \
   "StackConfig=$(fields crates/groupcomm/src/config.rs StackConfig)" \
   "harness_lines=$harness" \
-  "bench_targets=$(grep -c '^\[\[bench\]\]' crates/bench/Cargo.toml)"
+  "bench_targets=$(grep -c '^\[\[bench\]\]' crates/bench/Cargo.toml)" \
+  "providers_lines=$providers"

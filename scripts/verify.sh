@@ -22,12 +22,19 @@ done
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-# The oracle and codec proptests are skipped here and named below, so each
-# still runs once. (The two single-binary allocation budgets,
+# The oracle and codec proptests and the federation matrix are skipped here
+# and named below, so each still runs once. (The two single-binary allocation budgets,
 # tests/federation_allocs.rs and tests/hdns_write_allocs.rs, run here.)
-ORACLE_PROPTESTS=(the_walk_matches_its_oracle read_is_a_base_scope_match_all_search wire_codec_)
-echo "==> cargo test -q (all but hdns and the oracle proptests)"
-cargo test -q --workspace --exclude hdns -- "${ORACLE_PROPTESTS[@]/#/--skip=}"
+NAMED_BELOW=(the_walk_matches_its_oracle read_is_a_base_scope_match_all_search wire_codec_
+  every_operation_continues_through_a_mount_on_every_provider)
+echo "==> cargo test -q (all but hdns, the oracle proptests and the federation matrix)"
+cargo test -q --workspace --exclude hdns -- "${NAMED_BELOW[@]/#/--skip=}"
+
+# Named on its own because it is the federation contract: every writable
+# provider x every name-taking operation continues through a bound link. A
+# failure prints each cell that does not, as `provider/op(name): got ...`.
+echo "==> federation matrix: 5 providers x 17 operations continue through a mount"
+cargo test -q --test heterogeneity every_operation_continues_through_a_mount_on_every_provider
 
 # Named on their own because they pin the rewritten federated read path to
 # the code it replaced: the DNS provider's one-build prefix walk against the
@@ -112,6 +119,18 @@ if git grep -n -E "$STATS_PATH" -- '*.rs' '*.md' '*.toml' 'scripts/' "${HISTORY[
   echo "verify: the files above still name the deleted pipeline stats path" >&2
   exit 1
 fi
+
+# Where a namespace ends is decided in rndi_core::spi::boundary alone: a
+# provider answers its probe and nothing else about federation. Only the part
+# of each file above its unit tests is searched — tests match on `Continue`.
+echo "==> no provider decides federation for itself"
+for f in crates/providers/src/*.rs; do
+  if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+     grep -E 'NamingError::Continue|is_federation_link'; then
+    echo "verify: $f constructs Continue or tests for a link outside spi::boundary" >&2
+    exit 1
+  fi
+done
 
 echo "==> benchmark smoke: the separately-workspaced benchmark/ crate builds and runs"
 bash benchmark/smoke.sh
