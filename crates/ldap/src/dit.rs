@@ -14,12 +14,19 @@
 //! only from the slice of it under the search base. Both structures only
 //! *prune*: every candidate is still verified with the real scope predicate
 //! and `LdapFilter::matches`.
+//!
+//! Space: an entry's bytes exist once. Its tree key is one `Arc<str>` that
+//! the entry map and the entry's postings share, the entry one
+//! `Arc<LdapEntry>` that reads hand out; the index owns a folded copy of
+//! each *distinct* value.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound::{Included, Unbounded};
 use std::sync::{Arc, OnceLock};
 
 use crate::dn::{Dn, Rdn};
-use crate::entry::LdapEntry;
+use crate::entry::{fold, LdapEntry};
 use crate::filter::LdapFilter;
 
 /// Separator between RDNs in root-first tree keys. An information
@@ -48,83 +55,165 @@ pub enum DitError {
     NoSuchParent(String),
 }
 
+/// Where a DN sits in the root-first key order: `o=emory` before its whole
+/// subtree, which is the contiguous range of keys that start with
+/// `o=emory` + [`KEY_SEP`]. Built once per operation and passed down.
+struct TreeKey {
+    /// The key with a trailing separator: the prefix of the subtree's keys.
+    /// (The root's is empty: every key is below the root.)
+    below: String,
+}
+
+thread_local! {
+    /// The text of this thread's last dropped [`TreeKey`], for the next one
+    /// to write over: a probe is the one string every operation builds, and
+    /// this way a warmed thread builds it in place.
+    static KEY_TEXT: Cell<String> = const { Cell::new(String::new()) };
+}
+
+impl TreeKey {
+    fn of(dn: &Dn) -> Self {
+        // `try_with`: a tree may be read while a thread's locals go away.
+        let mut below = KEY_TEXT.try_with(Cell::take).unwrap_or_default();
+        below.clear();
+        for rdn in dn.rdns().iter().rev() {
+            rdn.write_normalized(&mut below);
+            below.push(KEY_SEP);
+        }
+        TreeKey { below }
+    }
+
+    /// The DN's own map key.
+    fn own(&self) -> &str {
+        self.below.strip_suffix(KEY_SEP).unwrap_or("")
+    }
+}
+
+impl Drop for TreeKey {
+    fn drop(&mut self) {
+        let _ = KEY_TEXT.try_with(|text| text.set(std::mem::take(&mut self.below)));
+    }
+}
+
+/// The tree keys of the entries holding one `(attribute, value)` pair,
+/// ordered as `Dit::entries` is. A pair one entry holds — a payload, a
+/// name — costs that entry's shared key and no set.
+#[derive(Debug, Clone)]
+enum Postings {
+    One(Arc<str>),
+    Many(BTreeSet<Arc<str>>),
+}
+
+impl Postings {
+    fn len(&self) -> usize {
+        match self {
+            Postings::One(_) => 1,
+            Postings::Many(keys) => keys.len(),
+        }
+    }
+
+    fn contains(&self, key: &str) -> bool {
+        match self {
+            Postings::One(only) => **only == *key,
+            Postings::Many(keys) => keys.contains(key),
+        }
+    }
+
+    fn insert(&mut self, key: &Arc<str>) {
+        match self {
+            Postings::One(only) if only == key => {}
+            Postings::One(only) => {
+                *self = Postings::Many(BTreeSet::from([only.clone(), key.clone()]));
+            }
+            Postings::Many(keys) => {
+                keys.insert(key.clone());
+            }
+        }
+    }
+
+    /// Drops `key`; `true` when that leaves no holder and the posting
+    /// itself has to go.
+    fn remove(&mut self, key: &str) -> bool {
+        match self {
+            Postings::One(only) => **only == *key,
+            Postings::Many(keys) => {
+                keys.remove(key);
+                if keys.len() == 1 {
+                    *self = Postings::One(keys.pop_first().expect("one key left"));
+                }
+                false
+            }
+        }
+    }
+}
+
+/// `attribute → value → postings`, both folded to lower case. Nested so a
+/// probe borrows its two strings (and folds nothing that is lower case
+/// already) instead of building an owned pair.
+#[derive(Default, Debug, Clone)]
+struct EqIndex {
+    by_attr: HashMap<Box<str>, HashMap<Box<str>, Postings>>,
+}
+
+impl EqIndex {
+    fn get(&self, attr: &str, value: &str) -> Option<&Postings> {
+        self.by_attr
+            .get(fold(attr).as_ref())?
+            .get(fold(value).as_ref())
+    }
+
+    fn insert(&mut self, attr: &str, value: &str, key: &Arc<str>) {
+        let (attr, value) = (fold(attr), fold(value));
+        if !self.by_attr.contains_key(attr.as_ref()) {
+            self.by_attr.insert(attr.as_ref().into(), HashMap::new());
+        }
+        let by_value = self.by_attr.get_mut(attr.as_ref()).expect("present");
+        match by_value.get_mut(value.as_ref()) {
+            Some(postings) => postings.insert(key),
+            None => {
+                by_value.insert(value.into(), Postings::One(key.clone()));
+            }
+        }
+    }
+
+    fn remove(&mut self, attr: &str, value: &str, key: &str) {
+        let (attr, value) = (fold(attr), fold(value));
+        let Some(by_value) = self.by_attr.get_mut(attr.as_ref()) else {
+            return;
+        };
+        let emptied = by_value.get_mut(value.as_ref());
+        if emptied.is_some_and(|postings| postings.remove(key)) {
+            by_value.remove(value.as_ref());
+            if by_value.is_empty() {
+                self.by_attr.remove(attr.as_ref());
+            }
+        }
+    }
+}
+
 /// The best read strategy the equality index offers for a filter.
-enum Posting<'a> {
+enum ReadPath<'a> {
     /// No equality conjunct indexed — fall back to the scope range scan.
     Unindexed,
     /// An equality conjunct nothing satisfies — the result is empty.
     Empty,
     /// Candidate tree keys (a superset of the matches).
-    Keys(&'a BTreeSet<String>),
-}
-
-/// `[index, scan]` read-path counters, resolved once per process.
-fn read_path_counters() -> &'static [Arc<rndi_obs::metrics::Counter>; 2] {
-    static COUNTERS: OnceLock<[Arc<rndi_obs::metrics::Counter>; 2]> = OnceLock::new();
-    COUNTERS.get_or_init(|| {
-        let name = rndi_obs::metrics::names::INDEX_READS;
-        [
-            rndi_obs::metrics::counter(name, &[("server", "dirserv"), ("path", "index")]),
-            rndi_obs::metrics::counter(name, &[("server", "dirserv"), ("path", "scan")]),
-        ]
-    })
+    Keys(&'a Postings),
 }
 
 /// The tree. BTreeMap keeps deterministic enumeration order (root-first).
 #[derive(Default, Debug, Clone)]
 pub struct Dit {
     /// Root-first tree key → entry; each subtree is a contiguous range.
-    entries: BTreeMap<String, LdapEntry>,
-    /// `(attr lowercase, value lowercase)` → tree keys of entries holding
-    /// that value. Maintained by every mutation, alongside `entries`.
-    eq_index: HashMap<(String, String), BTreeSet<String>>,
+    entries: BTreeMap<Arc<str>, Arc<LdapEntry>>,
+    /// Every `(attribute, value)` pair → the entries holding it. Maintained
+    /// by every mutation, alongside `entries`.
+    eq_index: EqIndex,
 }
 
 impl Dit {
     pub fn new() -> Self {
         Dit::default()
-    }
-
-    /// Root-first map key: `o=emory` before its whole subtree, which makes
-    /// the subtree a contiguous `entries` range.
-    fn tree_key(dn: &Dn) -> String {
-        let rdns = dn.rdns();
-        let mut key =
-            String::with_capacity(rdns.iter().map(|r| r.attr.len() + r.value.len() + 2).sum());
-        for (i, rdn) in rdns.iter().rev().enumerate() {
-            if i > 0 {
-                key.push(KEY_SEP);
-            }
-            rdn.write_normalized(&mut key);
-        }
-        key
-    }
-
-    fn index_entry(&mut self, key: &str, entry: &LdapEntry) {
-        for attr in entry.attrs() {
-            let id = attr.id.to_ascii_lowercase();
-            for value in &attr.values {
-                self.eq_index
-                    .entry((id.clone(), value.to_ascii_lowercase()))
-                    .or_default()
-                    .insert(key.to_string());
-            }
-        }
-    }
-
-    fn unindex_entry(&mut self, key: &str, entry: &LdapEntry) {
-        for attr in entry.attrs() {
-            let id = attr.id.to_ascii_lowercase();
-            for value in &attr.values {
-                let ik = (id.clone(), value.to_ascii_lowercase());
-                if let Some(set) = self.eq_index.get_mut(&ik) {
-                    set.remove(key);
-                    if set.is_empty() {
-                        self.eq_index.remove(&ik);
-                    }
-                }
-            }
-        }
     }
 
     pub fn len(&self) -> usize {
@@ -136,18 +225,21 @@ impl Dit {
     }
 
     pub fn contains(&self, dn: &Dn) -> bool {
-        self.entries.contains_key(&Self::tree_key(dn))
+        self.entries.contains_key(TreeKey::of(dn).own())
     }
 
     pub fn get(&self, dn: &Dn) -> Option<&LdapEntry> {
-        self.entries.get(&Self::tree_key(dn))
+        self.entries.get(TreeKey::of(dn).own()).map(Arc::as_ref)
     }
 
     /// Add an entry. The parent must already exist unless the entry is a
     /// suffix (depth 1) or the root itself.
     pub fn add(&mut self, entry: LdapEntry) -> Result<(), DitError> {
-        let key = Self::tree_key(&entry.dn);
-        if self.entries.contains_key(&key) {
+        self.add_at(&TreeKey::of(&entry.dn), entry)
+    }
+
+    fn add_at(&mut self, at: &TreeKey, entry: LdapEntry) -> Result<(), DitError> {
+        if self.entries.contains_key(at.own()) {
             return Err(DitError::AlreadyExists(entry.dn.to_string()));
         }
         if let Some(parent) = entry.dn.parent() {
@@ -155,23 +247,38 @@ impl Dit {
                 return Err(DitError::NoSuchParent(parent.to_string()));
             }
         }
-        self.index_entry(&key, &entry);
-        self.entries.insert(key, entry);
+        self.put(at, entry);
         Ok(())
     }
 
+    /// Store `entry` under a fresh key, which its postings share.
+    fn put(&mut self, at: &TreeKey, entry: LdapEntry) {
+        let key: Arc<str> = at.own().into();
+        for (attr, value) in entry.pairs() {
+            self.eq_index.insert(attr, value, &key);
+        }
+        self.entries.insert(key, Arc::new(entry));
+    }
+
     /// Delete a leaf entry.
-    pub fn delete(&mut self, dn: &Dn) -> Result<LdapEntry, DitError> {
-        let key = Self::tree_key(dn);
-        if !self.entries.contains_key(&key) {
+    pub fn delete(&mut self, dn: &Dn) -> Result<Arc<LdapEntry>, DitError> {
+        let at = TreeKey::of(dn);
+        if !self.entries.contains_key(at.own()) {
             return Err(DitError::NoSuchObject(dn.to_string()));
         }
-        if self.has_children(dn) {
+        if self.has_children(&at, dn) {
             return Err(DitError::NotAllowedOnNonLeaf(dn.to_string()));
         }
-        let entry = self.entries.remove(&key).expect("checked present");
-        self.unindex_entry(&key, &entry);
-        Ok(entry)
+        Ok(self.take(&at).expect("checked present"))
+    }
+
+    /// Remove the entry at `at`, and its postings, whatever is below it.
+    fn take(&mut self, at: &TreeKey) -> Option<Arc<LdapEntry>> {
+        let (key, entry) = self.entries.remove_entry(at.own())?;
+        for (attr, value) in entry.pairs() {
+            self.eq_index.remove(attr, value, &key);
+        }
+        Some(entry)
     }
 
     /// Whether the entry has any children.
@@ -179,15 +286,10 @@ impl Dit {
     /// A range probe over the entry's key block: because parents must exist
     /// and only leaves can be deleted, any descendant implies a direct
     /// child, so probing for *descendants* answers the child question.
-    pub fn has_children(&self, dn: &Dn) -> bool {
-        if dn.is_root() {
-            return self.entries.keys().any(|k| !k.is_empty());
-        }
-        let mut prefix = Self::tree_key(dn);
-        prefix.push(KEY_SEP);
+    fn has_children(&self, at: &TreeKey, dn: &Dn) -> bool {
         self.entries
-            .range(prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&prefix))
+            .range::<str, _>((Included(at.below.as_str()), Unbounded))
+            .take_while(|(k, _)| k.starts_with(&at.below))
             .any(|(_, e)| e.dn != *dn && e.dn.is_under(dn))
     }
 
@@ -195,48 +297,63 @@ impl Dit {
     /// new entry under an existing parent. On any error the tree is as it
     /// was.
     pub fn replace(&mut self, entry: LdapEntry) -> Result<(), DitError> {
-        if !self.contains(&entry.dn) {
-            return self.add(entry);
+        let at = TreeKey::of(&entry.dn);
+        if !self.entries.contains_key(at.own()) {
+            return self.add_at(&at, entry);
         }
-        if self.has_children(&entry.dn) {
+        if self.has_children(&at, &entry.dn) {
             return Err(DitError::NotAllowedOnNonLeaf(entry.dn.to_string()));
         }
-        self.update(entry)
+        self.update_at(&at, entry)
     }
 
     /// Replace an entry's content in place (same DN).
     pub fn update(&mut self, entry: LdapEntry) -> Result<(), DitError> {
-        let key = Self::tree_key(&entry.dn);
-        if !self.entries.contains_key(&key) {
+        self.update_at(&TreeKey::of(&entry.dn), entry)
+    }
+
+    /// Only the `(attribute, value)` pairs that left or arrived are edited
+    /// in the index — compared folded, as they are indexed, so a value that
+    /// changed case alone keeps its posting.
+    fn update_at(&mut self, at: &TreeKey, entry: LdapEntry) -> Result<(), DitError> {
+        // A one-key range: the map's own (shared) key and the slot, in one
+        // probe.
+        let own = (Included(at.own()), Included(at.own()));
+        let Some((key, slot)) = self.entries.range_mut::<str, _>(own).next() else {
             return Err(DitError::NoSuchObject(entry.dn.to_string()));
+        };
+        for (attr, value) in slot.pairs().filter(|(a, v)| !entry.has_value(a, v)) {
+            self.eq_index.remove(attr, value, key);
         }
-        if let Some(old) = self.entries.remove(&key) {
-            self.unindex_entry(&key, &old);
+        for (attr, value) in entry.pairs().filter(|(a, v)| !slot.has_value(a, v)) {
+            self.eq_index.insert(attr, value, key);
         }
-        self.index_entry(&key, &entry);
-        self.entries.insert(key, entry);
+        *slot = Arc::new(entry);
         Ok(())
     }
 
     /// Rename a leaf entry's RDN (LDAP `modifyRDN`).
     pub fn modify_rdn(&mut self, dn: &Dn, new_rdn: Rdn) -> Result<Dn, DitError> {
-        if self.has_children(dn) {
+        let at = TreeKey::of(dn);
+        if self.has_children(&at, dn) {
             return Err(DitError::NotAllowedOnNonLeaf(dn.to_string()));
         }
         let parent = dn.parent().unwrap_or_else(Dn::root);
         let new_dn = parent.child(new_rdn.clone());
-        if self.contains(&new_dn) {
+        let new_at = TreeKey::of(&new_dn);
+        if self.entries.contains_key(new_at.own()) {
             return Err(DitError::AlreadyExists(new_dn.to_string()));
         }
-        let mut entry = self.delete(dn)?;
+        let Some(entry) = self.take(&at) else {
+            return Err(DitError::NoSuchObject(dn.to_string()));
+        };
+        let mut entry = Arc::unwrap_or_clone(entry);
         entry.dn = new_dn.clone();
         // The new RDN's attribute value must be present on the entry.
         if !entry.has_value(&new_rdn.attr, &new_rdn.value) {
-            entry.add_value(&new_rdn.attr, new_rdn.value.clone());
+            entry.add_value(&new_rdn.attr, new_rdn.value);
         }
-        let new_key = Self::tree_key(&new_dn);
-        self.index_entry(&new_key, &entry);
-        self.entries.insert(new_key, entry);
+        self.put(&new_at, entry);
         Ok(new_dn)
     }
 
@@ -244,34 +361,29 @@ impl Dit {
     /// equality posting among conjuncts that *must* hold for a match.
     /// Recurses through `And` only — `Or`/`Not` arms don't constrain the
     /// candidate set.
-    fn filter_posting(&self, filter: &LdapFilter) -> Posting<'_> {
+    fn filter_posting(&self, filter: &LdapFilter) -> ReadPath<'_> {
         match filter {
-            LdapFilter::Equality(attr, value) => {
-                match self
-                    .eq_index
-                    .get(&(attr.to_ascii_lowercase(), value.to_ascii_lowercase()))
-                {
-                    Some(set) => Posting::Keys(set),
-                    None => Posting::Empty,
-                }
-            }
+            LdapFilter::Equality(attr, value) => match self.eq_index.get(attr, value) {
+                Some(keys) => ReadPath::Keys(keys),
+                None => ReadPath::Empty,
+            },
             LdapFilter::And(fs) => {
-                let mut best = Posting::Unindexed;
+                let mut best = ReadPath::Unindexed;
                 for f in fs {
                     match self.filter_posting(f) {
-                        Posting::Empty => return Posting::Empty,
-                        Posting::Keys(set) => {
+                        ReadPath::Empty => return ReadPath::Empty,
+                        ReadPath::Keys(keys) => {
                             best = match best {
-                                Posting::Keys(b) if b.len() <= set.len() => Posting::Keys(b),
-                                _ => Posting::Keys(set),
+                                ReadPath::Keys(b) if b.len() <= keys.len() => ReadPath::Keys(b),
+                                _ => ReadPath::Keys(keys),
                             };
                         }
-                        Posting::Unindexed => {}
+                        ReadPath::Unindexed => {}
                     }
                 }
                 best
             }
-            _ => Posting::Unindexed,
+            _ => ReadPath::Unindexed,
         }
     }
 
@@ -279,9 +391,16 @@ impl Dit {
     /// posting-set walk (index) or the scope range scan. Handles are cached
     /// in a static so the hot path pays one atomic increment, not a
     /// registry lock.
-    fn count_read_path(posting: &Posting<'_>) {
-        let [index_reads, scan_reads] = read_path_counters();
-        if matches!(posting, Posting::Unindexed) {
+    fn count_read_path(posting: &ReadPath<'_>) {
+        static COUNTERS: OnceLock<[Arc<rndi_obs::metrics::Counter>; 2]> = OnceLock::new();
+        let [index_reads, scan_reads] = COUNTERS.get_or_init(|| {
+            let name = rndi_obs::metrics::names::INDEX_READS;
+            [
+                rndi_obs::metrics::counter(name, &[("server", "dirserv"), ("path", "index")]),
+                rndi_obs::metrics::counter(name, &[("server", "dirserv"), ("path", "scan")]),
+            ]
+        });
+        if matches!(posting, ReadPath::Unindexed) {
             scan_reads.inc();
         } else {
             index_reads.inc();
@@ -296,18 +415,18 @@ impl Dit {
         &self,
         base: &Dn,
         filter: &LdapFilter,
-    ) -> Result<Option<&LdapEntry>, DitError> {
-        let base_key = Self::tree_key(base);
-        let at_base = self.entries.get(&base_key);
+    ) -> Result<Option<&Arc<LdapEntry>>, DitError> {
+        let at = TreeKey::of(base);
+        let at_base = self.entries.get(at.own());
         if at_base.is_none() && !base.is_root() {
             return Err(DitError::NoSuchObject(base.to_string()));
         }
         let posting = self.filter_posting(filter);
         Self::count_read_path(&posting);
         let pruned = match posting {
-            Posting::Unindexed => false,
-            Posting::Empty => true,
-            Posting::Keys(keys) => !keys.contains(&base_key),
+            ReadPath::Unindexed => false,
+            ReadPath::Empty => true,
+            ReadPath::Keys(keys) => !keys.contains(at.own()),
         };
         Ok(at_base.filter(|e| !pruned && e.dn == *base && filter.matches(e)))
     }
@@ -320,85 +439,68 @@ impl Dit {
     /// scan only the base's contiguous key range and `Base` is a direct
     /// map probe. Every candidate is verified against the real scope
     /// predicate and the full filter.
-    pub fn search(
-        &self,
+    pub fn search<'a>(
+        &'a self,
         base: &Dn,
         scope: Scope,
         filter: &LdapFilter,
         size_limit: usize,
-    ) -> Result<Vec<&LdapEntry>, DitError> {
+    ) -> Result<Vec<&'a Arc<LdapEntry>>, DitError> {
         if scope == Scope::Base {
             return Ok(self.search_base(base, filter)?.into_iter().collect());
         }
-        let base_key = Self::tree_key(base);
-        if !base.is_root() && !self.entries.contains_key(&base_key) {
+        let at = TreeKey::of(base);
+        if !base.is_root() && !self.entries.contains_key(at.own()) {
             return Err(DitError::NoSuchObject(base.to_string()));
         }
-        let in_scope = |e: &LdapEntry| match scope {
-            Scope::Base => e.dn == *base,
-            Scope::OneLevel => e.dn.is_child_of(base),
-            Scope::Subtree => e.dn.is_under(base),
-        };
+        // Only the base's own key and the contiguous range of keys below it
+        // can be in scope.
+        let in_block = |k: &str| k == at.own() || k.starts_with(&at.below);
         let cap = if size_limit == 0 {
             usize::MAX
         } else {
             size_limit
         };
-        let mut prefix = base_key.clone();
-        prefix.push(KEY_SEP);
         let mut out = Vec::new();
+        // Verifies a candidate; `false` once the result is full.
+        let mut offer = |e: &'a Arc<LdapEntry>| {
+            let in_scope = match scope {
+                Scope::Base => e.dn == *base,
+                Scope::OneLevel => e.dn.is_child_of(base),
+                Scope::Subtree => e.dn.is_under(base),
+            };
+            if in_scope && filter.matches(e) {
+                out.push(e);
+            }
+            out.len() < cap
+        };
         let posting = self.filter_posting(filter);
         Self::count_read_path(&posting);
         match posting {
-            Posting::Empty => {}
-            Posting::Keys(keys) => {
+            ReadPath::Empty => {}
+            ReadPath::Keys(Postings::One(key)) => {
+                if let Some(e) = self.entries.get(key).filter(|_| in_block(key)) {
+                    offer(e);
+                }
+            }
+            ReadPath::Keys(Postings::Many(keys)) => {
                 // Postings are ordered by the same root-first tree keys as
-                // `entries`, so under a non-root base only the base's own
-                // key and its contiguous `base + KEY_SEP` range can be in
-                // scope — not the whole posting set.
-                let candidates: Box<dyn Iterator<Item = &String>> = if base.is_root() {
-                    Box::new(keys.iter())
-                } else {
-                    Box::new(
-                        keys.get(&base_key).into_iter().chain(
-                            keys.range::<String, _>(&prefix..)
-                                .take_while(|k| k.starts_with(&prefix)),
-                        ),
-                    )
-                };
-                for key in candidates {
-                    let Some(e) = self.entries.get(key) else {
-                        continue;
-                    };
-                    if in_scope(e) && filter.matches(e) {
-                        out.push(e);
-                        if out.len() >= cap {
-                            break;
-                        }
+                // `entries`, so the block is a slice of the posting set.
+                let own = keys.get(at.own()).filter(|_| !base.is_root());
+                let rest = keys.range::<str, _>((Included(at.below.as_str()), Unbounded));
+                for key in own.into_iter().chain(rest.take_while(|k| in_block(k))) {
+                    if self.entries.get(key).is_some_and(|e| !offer(e)) {
+                        break;
                     }
                 }
             }
-            Posting::Unindexed if base.is_root() => {
-                for e in self.entries.values() {
-                    if in_scope(e) && filter.matches(e) {
-                        out.push(e);
-                        if out.len() >= cap {
-                            break;
-                        }
-                    }
-                }
-            }
-            Posting::Unindexed => {
+            ReadPath::Unindexed => {
                 let range = self
                     .entries
-                    .range::<String, _>(&base_key..)
-                    .take_while(|(k, _)| **k == base_key || k.starts_with(&prefix));
-                for (_, e) in range {
-                    if in_scope(e) && filter.matches(e) {
-                        out.push(e);
-                        if out.len() >= cap {
-                            break;
-                        }
+                    .range::<str, _>((Included(at.own()), Unbounded));
+                for (_, e) in range.take_while(|(k, _)| in_block(k)) {
+                    if !offer(e) {
+                        break;
                     }
                 }
             }
@@ -415,7 +517,7 @@ impl Dit {
         scope: Scope,
         filter: &LdapFilter,
         size_limit: usize,
-    ) -> Result<Vec<&LdapEntry>, DitError> {
+    ) -> Result<Vec<&Arc<LdapEntry>>, DitError> {
         if !base.is_root() && !self.contains(base) {
             return Err(DitError::NoSuchObject(base.to_string()));
         }
@@ -438,7 +540,7 @@ impl Dit {
 
     /// Iterate all entries (diagnostics, persistence), root-first.
     pub fn iter(&self) -> impl Iterator<Item = &LdapEntry> {
-        self.entries.values()
+        self.entries.values().map(Arc::as_ref)
     }
 }
 
@@ -588,5 +690,32 @@ mod tests {
         );
         let ghost = LdapEntry::new(Dn::parse("cn=ghost,o=emory").unwrap());
         assert!(matches!(d.update(ghost), Err(DitError::NoSuchObject(_))));
+    }
+
+    #[test]
+    fn a_posting_is_a_set_only_while_several_entries_hold_it() {
+        let mut d = seeded();
+        let held = |d: &Dit| match d.eq_index.get("objectclass", "DEVICE") {
+            None => 0,
+            Some(Postings::One(_)) => 1,
+            Some(Postings::Many(keys)) => 10 + keys.len(),
+        };
+        assert_eq!(held(&d), 1, "one holder: its key, no set");
+        let second = Dn::parse("cn=second,ou=mathcs,o=emory").unwrap();
+        d.add(LdapEntry::new(second.clone()).with("objectClass", "device"))
+            .unwrap();
+        assert_eq!(held(&d), 12, "a second holder makes it a set");
+        // The posting shares the map's key; it does not copy it.
+        let (key, _) = d.entries.get_key_value(TreeKey::of(&second).own()).unwrap();
+        assert_eq!(Arc::strong_count(key), 2);
+
+        d.delete(&second).unwrap();
+        assert_eq!(held(&d), 1, "back to one holder, back to its key");
+        let first = Dn::parse("cn=mokey,ou=mathcs,o=emory").unwrap();
+        let f = LdapFilter::parse("(objectClass=device)").unwrap();
+        assert!(d.search_base(&first, &f).unwrap().is_some(), "the first's");
+        d.delete(&first).unwrap();
+        assert_eq!(held(&d), 0, "no holder, no posting");
+        assert!(!d.eq_index.by_attr.contains_key("cn"), "nor an empty map");
     }
 }

@@ -1,7 +1,7 @@
 //! Directory entries.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
 use serde::{Deserialize, Serialize};
 
@@ -15,28 +15,36 @@ pub struct LdapAttr {
     pub values: Vec<String>,
 }
 
-/// An entry: a DN plus attributes keyed case-insensitively.
+/// An entry: a DN plus attributes, one per case-insensitive id.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LdapEntry {
     pub dn: Dn,
-    attrs: BTreeMap<String, LdapAttr>,
+    /// Sorted by case-folded id, which is never stored: lookups fold as
+    /// they compare.
+    attrs: Vec<LdapAttr>,
 }
 
-/// The map key of an attribute id: its lower-cased form, borrowed when the
-/// id already is lower case.
-fn attr_key(id: &str) -> Cow<'_, str> {
-    if id.bytes().any(|b| b.is_ascii_uppercase()) {
-        Cow::Owned(id.to_ascii_lowercase())
+/// `s` in lower case (ASCII, as every comparison in this crate folds),
+/// borrowed when it already is.
+pub(crate) fn fold(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
     } else {
-        Cow::Borrowed(id)
+        Cow::Borrowed(s)
     }
+}
+
+/// The order of `fold(a)` and `fold(b)`, without making either.
+fn cmp_folded(a: &str, b: &str) -> Ordering {
+    let lower = |b: u8| b.to_ascii_lowercase();
+    a.bytes().map(lower).cmp(b.bytes().map(lower))
 }
 
 impl LdapEntry {
     pub fn new(dn: Dn) -> Self {
         LdapEntry {
             dn,
-            attrs: BTreeMap::new(),
+            attrs: Vec::new(),
         }
     }
 
@@ -46,52 +54,52 @@ impl LdapEntry {
         self
     }
 
+    /// Where `id`'s attribute is (`Ok`) or would be inserted (`Err`).
+    fn position(&self, id: &str) -> Result<usize, usize> {
+        self.attrs.binary_search_by(|a| cmp_folded(&a.id, id))
+    }
+
     pub fn add_value(&mut self, id: &str, value: impl Into<String>) {
-        self.attrs
-            .entry(id.to_ascii_lowercase())
-            .or_insert_with(|| LdapAttr {
-                id: id.to_string(),
-                values: Vec::new(),
-            })
-            .values
-            .push(value.into());
+        match self.position(id) {
+            Ok(at) => self.attrs[at].values.push(value.into()),
+            Err(at) => self.attrs.insert(
+                at,
+                LdapAttr {
+                    id: id.to_string(),
+                    values: vec![value.into()],
+                },
+            ),
+        }
     }
 
     /// Replace an attribute's values wholesale; empty removes it.
     pub fn replace(&mut self, id: &str, values: Vec<String>) {
-        let key = id.to_ascii_lowercase();
-        if values.is_empty() {
-            self.attrs.remove(&key);
-        } else {
-            self.attrs.insert(
-                key,
-                LdapAttr {
-                    id: id.to_string(),
-                    values,
-                },
-            );
+        let found = self.position(id);
+        let (Ok(at) | Err(at)) = found;
+        if found.is_ok() {
+            self.attrs.remove(at);
+        }
+        if !values.is_empty() {
+            let id = id.to_string();
+            self.attrs.insert(at, LdapAttr { id, values });
         }
     }
 
     /// Remove specific values (removes the attribute when none remain);
     /// with an empty `values` list, removes the attribute entirely.
     pub fn remove_values(&mut self, id: &str, values: &[String]) {
-        let key = id.to_ascii_lowercase();
-        if values.is_empty() {
-            self.attrs.remove(&key);
+        let Ok(at) = self.position(id) else {
             return;
-        }
-        if let Some(attr) = self.attrs.get_mut(&key) {
-            attr.values
-                .retain(|v| !values.iter().any(|rm| rm.eq_ignore_ascii_case(v)));
-            if attr.values.is_empty() {
-                self.attrs.remove(&key);
-            }
+        };
+        let held = &mut self.attrs[at].values;
+        held.retain(|v| !values.iter().any(|rm| rm.eq_ignore_ascii_case(v)));
+        if values.is_empty() || held.is_empty() {
+            self.attrs.remove(at);
         }
     }
 
     pub fn get(&self, id: &str) -> Option<&LdapAttr> {
-        self.attrs.get(attr_key(id).as_ref())
+        self.position(id).ok().map(|at| &self.attrs[at])
     }
 
     /// First value of an attribute.
@@ -102,7 +110,7 @@ impl LdapEntry {
     }
 
     pub fn has(&self, id: &str) -> bool {
-        self.attrs.contains_key(attr_key(id).as_ref())
+        self.position(id).is_ok()
     }
 
     /// Whether the attribute holds `value` (case-insensitive).
@@ -111,39 +119,28 @@ impl LdapEntry {
             .is_some_and(|a| a.values.iter().any(|v| v.eq_ignore_ascii_case(value)))
     }
 
-    pub fn attr_count(&self) -> usize {
-        self.attrs.len()
-    }
-
+    /// The attributes, ordered by case-folded id.
     pub fn attrs(&self) -> impl Iterator<Item = &LdapAttr> {
-        self.attrs.values()
+        self.attrs.iter()
     }
 
-    /// A copy with only the requested attribute ids (`None` = all) — the
-    /// projection applied to search results.
-    pub fn project(&self, ids: Option<&[String]>) -> LdapEntry {
-        match ids {
-            None => self.clone(),
-            Some(ids) => {
-                let mut out = LdapEntry::new(self.dn.clone());
-                for id in ids {
-                    if let Some(a) = self.get(id) {
-                        out.attrs.insert(id.to_ascii_lowercase(), a.clone());
-                    }
-                }
-                out
+    /// Every `(attribute id, value)` the entry holds.
+    pub fn pairs(&self) -> impl Iterator<Item = (&str, &str)> {
+        self.attrs
+            .iter()
+            .flat_map(|a| a.values.iter().map(move |v| (a.id.as_str(), v.as_str())))
+    }
+
+    /// A copy with only the requested attribute ids — the projection
+    /// applied to search results.
+    pub fn project(&self, ids: &[String]) -> LdapEntry {
+        let mut out = LdapEntry::new(self.dn.clone());
+        for id in ids {
+            if let (Some(a), Err(at)) = (self.get(id), out.position(id)) {
+                out.attrs.insert(at, a.clone());
             }
         }
-    }
-
-    /// Approximate serialized size (bytes), for cost models.
-    pub fn size(&self) -> usize {
-        self.dn.to_string().len()
-            + self
-                .attrs
-                .values()
-                .map(|a| a.id.len() + a.values.iter().map(|v| v.len()).sum::<usize>())
-                .sum::<usize>()
+        out
     }
 }
 
@@ -165,7 +162,13 @@ mod tests {
         assert!(e.has_value("objectclass", "TOP"));
         assert!(!e.has_value("objectclass", "person"));
         assert_eq!(e.first("cn"), Some("x"));
-        assert_eq!(e.attr_count(), 2);
+        assert_eq!(e.attrs().count(), 2);
+        // Held once per folded id, in folded-id order, whatever the spelling.
+        let e = e.with("Sn", "1").with("CN", "y").with("sN", "2");
+        let ids: Vec<&str> = e.attrs().map(|a| a.id.as_str()).collect();
+        assert_eq!(ids, ["cn", "objectClass", "Sn"]);
+        assert_eq!(e.get("SN").unwrap().values, ["1", "2"]);
+        assert_eq!((e.get("s"), e.get("sna")), (None, None));
     }
 
     #[test]
@@ -192,9 +195,8 @@ mod tests {
     #[test]
     fn projection() {
         let e = entry();
-        let p = e.project(Some(&["cn".to_string()]));
-        assert!(p.has("cn") && !p.has("objectclass"));
-        let all = e.project(None);
-        assert_eq!(all, e);
+        let p = e.project(&["CN".to_string(), "cn".to_string(), "sn".to_string()]);
+        assert_eq!(p.attrs().count(), 1);
+        assert_eq!((p.first("cn"), &p.dn), (Some("x"), &e.dn));
     }
 }

@@ -121,6 +121,7 @@ enum ServerOp {
     Delete,
     Modify,
     Replace,
+    ModifyRdn,
     Search,
 }
 
@@ -131,6 +132,7 @@ impl ServerOp {
             ServerOp::Delete => "delete",
             ServerOp::Modify => "modify",
             ServerOp::Replace => "replace",
+            ServerOp::ModifyRdn => "modify_rdn",
             ServerOp::Search => "search",
         }
     }
@@ -138,7 +140,7 @@ impl ServerOp {
     /// This op's instruments, resolved on its first use and held from
     /// then on.
     fn instruments(self) -> &'static rndi_obs::ServerOp {
-        static BY_OP: [OnceLock<rndi_obs::ServerOp>; 5] = [const { OnceLock::new() }; 5];
+        static BY_OP: [OnceLock<rndi_obs::ServerOp>; 6] = [const { OnceLock::new() }; 6];
         BY_OP[self as usize].get_or_init(|| rndi_obs::ServerOp::new("dirserv", self.label()))
     }
 }
@@ -196,12 +198,13 @@ impl std::fmt::Debug for Connection {
     }
 }
 
-/// What a search returns: the matched (projected) entries plus the
+/// What a search returns: the matched entries — the directory's own when
+/// no projection was asked for, projected copies otherwise — plus the
 /// artificial delay imposed by the anti-DoS throttle — callers modelling
 /// latency (the benchmark harness) add it to their response time.
 #[derive(Clone, Debug)]
 pub struct SearchOutcome {
-    pub entries: Vec<LdapEntry>,
+    pub entries: Vec<Arc<LdapEntry>>,
     pub delay_ms: u64,
 }
 
@@ -358,6 +361,7 @@ impl Connection {
         let config = &self.server.config;
         let mut inner = self.server.inner.lock();
         inner.stats.writes += 1;
+        // The one deep copy a write makes: readers keep the entry they hold.
         let mut entry = inner
             .dit
             .get(dn)
@@ -384,10 +388,22 @@ impl Connection {
 
     /// Rename an entry's RDN.
     pub fn modify_rdn(&self, dn: &Dn, new_rdn: Rdn) -> LdapResult<Dn> {
-        self.guard_write()?;
-        let mut inner = self.server.inner.lock();
-        inner.stats.writes += 1;
-        inner.dit.modify_rdn(dn, new_rdn).map_err(dit_err)
+        self.modify_rdn_traced(dn, new_rdn, None)
+    }
+
+    /// [`Connection::modify_rdn`] carrying the caller's trace context.
+    pub fn modify_rdn_traced(
+        &self,
+        dn: &Dn,
+        new_rdn: Rdn,
+        trace: Option<&TraceCtx>,
+    ) -> LdapResult<Dn> {
+        self.observe(ServerOp::ModifyRdn, trace, || {
+            self.guard_write()?;
+            let mut inner = self.server.inner.lock();
+            inner.stats.writes += 1;
+            inner.dit.modify_rdn(dn, new_rdn).map_err(dit_err)
+        })
     }
 
     /// Search. `now_ms` feeds the anti-DoS throttle; callers without a
@@ -436,15 +452,19 @@ impl Connection {
             .search(base, scope, filter, size_limit)
             .map_err(dit_err)?
             .into_iter()
-            .map(|e| e.project(attrs))
+            .map(|e| match attrs {
+                None => e.clone(),
+                Some(ids) => Arc::new(e.project(ids)),
+            })
             .collect();
         Ok(SearchOutcome { entries, delay_ms })
     }
 
     /// Fetch one entry by DN with the throttle delay imposed on the read:
     /// what a base-scope match-all [`Connection::search`] answers, as one
-    /// keyed probe that copies the one entry.
-    pub fn read(&self, dn: &Dn, now_ms: u64) -> LdapResult<(LdapEntry, u64)> {
+    /// keyed probe that shares the one entry — nothing is copied under the
+    /// server's lock.
+    pub fn read(&self, dn: &Dn, now_ms: u64) -> LdapResult<(Arc<LdapEntry>, u64)> {
         self.read_traced(dn, now_ms, None)
     }
 
@@ -454,7 +474,7 @@ impl Connection {
         dn: &Dn,
         now_ms: u64,
         trace: Option<&TraceCtx>,
-    ) -> LdapResult<(LdapEntry, u64)> {
+    ) -> LdapResult<(Arc<LdapEntry>, u64)> {
         self.observe(ServerOp::Search, trace, || {
             let mut inner = self.server.inner.lock();
             let delay_ms = inner.admit_read(now_ms);

@@ -1,5 +1,7 @@
 //! Property tests: DIT structural invariants and filter totality.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use dirserv::{DirectoryServer, Dit, Dn, LdapEntry, LdapFilter, Rdn, Scope, ServerConfig};
@@ -31,6 +33,26 @@ enum DitOp {
     Add(Dn),
     Delete(Dn),
     Rename(Dn, String),
+    /// Rewrite the content of the `n`-th entry present (modulo how many
+    /// there are, so the draw always lands on one) with these
+    /// `(attribute, value)` pairs.
+    Update(usize, Vec<(&'static str, String)>),
+}
+
+/// What `Update` draws from: few ids (one of them twice, in two cases) and
+/// values that fold to two, so that consecutive rewrites of an entry give an
+/// attribute several values, change a value's case and nothing else, move a
+/// value from one attribute to another and drop an attribute — and share
+/// their postings with what `Add` and `Rename` index under `cn`.
+const UPDATE_IDS: [&str; 4] = ["cn", "CN", "seq", "tag"];
+
+fn update_attrs() -> impl Strategy<Value = Vec<(&'static str, String)>> {
+    proptest::collection::vec((0..UPDATE_IDS.len(), "[abAB]"), 0..5).prop_map(|pairs| {
+        pairs
+            .into_iter()
+            .map(|(id, v)| (UPDATE_IDS[id], v))
+            .collect()
+    })
 }
 
 fn op_strategy() -> impl Strategy<Value = DitOp> {
@@ -38,7 +60,21 @@ fn op_strategy() -> impl Strategy<Value = DitOp> {
         3 => dn_strategy().prop_map(DitOp::Add),
         2 => dn_strategy().prop_map(DitOp::Delete),
         1 => (dn_strategy(), "[a-d]{1,2}").prop_map(|(dn, v)| DitOp::Rename(dn, v)),
+        3 => (0usize..64, update_attrs()).prop_map(|(n, attrs)| DitOp::Update(n, attrs)),
     ]
+}
+
+/// Apply an `Update`: `false` when the tree is empty.
+fn apply_update(dit: &mut Dit, n: usize, attrs: &[(&str, String)]) -> bool {
+    let Some(dn) = dit.iter().nth(n % dit.len().max(1)).map(|e| e.dn.clone()) else {
+        return false;
+    };
+    let mut entry = LdapEntry::new(dn);
+    for (id, value) in attrs {
+        entry.add_value(id, value.clone());
+    }
+    dit.update(entry).expect("the entry is there");
+    true
 }
 
 proptest! {
@@ -57,6 +93,9 @@ proptest! {
                 }
                 DitOp::Rename(dn, v) => {
                     let _ = dit.modify_rdn(dn, Rdn::new("cn", v.clone()));
+                }
+                DitOp::Update(n, attrs) => {
+                    apply_update(&mut dit, *n, attrs);
                 }
             }
             for e in dit.iter() {
@@ -130,6 +169,8 @@ proptest! {
         needle in "[a-d]{1,2}",
     ) {
         let mut dit = Dit::new();
+        // Every pair an `Update` wrote (folded): each becomes a filter.
+        let mut touched = std::collections::BTreeSet::new();
         for (i, op) in ops.iter().enumerate() {
             match op {
                 DitOp::Add(dn) => {
@@ -146,21 +187,25 @@ proptest! {
                 DitOp::Rename(dn, v) => {
                     let _ = dit.modify_rdn(dn, Rdn::new("cn", v.clone()));
                 }
+                DitOp::Update(n, attrs) => {
+                    if apply_update(&mut dit, *n, attrs) {
+                        touched.extend(attrs.iter().map(|(id, v)| {
+                            format!("({}={})", id.to_ascii_lowercase(), v.to_ascii_lowercase())
+                        }));
+                    }
+                }
             }
         }
-        // Exercise update (attribute rewrite) on an existing entry too.
-        let first = dit.iter().next().map(|e| e.dn.clone());
-        if let Some(dn) = first {
-            let _ = dit.update(LdapEntry::new(dn).with("cn", needle.clone()));
-        }
 
-        let filters = [
+        let mut filters = vec![
             format!("(cn={needle})"),
             format!("(&(cn={needle})(seq=1))"),
             format!("(|(cn={needle})(seq=2))"),
             "(cn=*)".to_string(),
             format!("(!(cn={needle}))"),
+            "(&(cn=a)(tag=A))".to_string(),
         ];
+        filters.extend(touched);
         // Each base also in upper case: it finds the same tree key, and
         // only the exact-DN re-check keeps `Base` scope from answering it.
         let mut all_bases = vec![Dn::root()];
@@ -175,7 +220,7 @@ proptest! {
                     let scanned = dit.search_scan(base, scope, &filter, limit);
                     match (&indexed, &scanned) {
                         (Ok(a), Ok(b)) => {
-                            let dns = |v: &[&LdapEntry]| {
+                            let dns = |v: &[&Arc<LdapEntry>]| {
                                 let mut d: Vec<String> =
                                     v.iter().map(|e| e.dn.normalized()).collect();
                                 d.sort();
@@ -264,6 +309,10 @@ proptest! {
 #[test]
 fn equality_filter_under_a_deep_base_matches_scan_oracle() {
     let mut dit = Dit::new();
+    // The root entry holds the value too: its key is the empty string, and
+    // every key is below it.
+    dit.add(LdapEntry::new(Dn::root()).with("cn", "l3"))
+        .unwrap();
     let org = Dn::parse("o=grid").unwrap();
     dit.add(LdapEntry::new(org.clone()).with("o", "grid"))
         .unwrap();
@@ -283,6 +332,8 @@ fn equality_filter_under_a_deep_base_matches_scan_oracle() {
     }
     let filter = LdapFilter::parse("(cn=l3)").unwrap();
     let bases = [
+        "",
+        "o=grid",
         "ou=d1,o=grid",
         "ou=unit,ou=d1,o=grid",
         "cn=l3,ou=unit,ou=d1,o=grid",
@@ -291,7 +342,7 @@ fn equality_filter_under_a_deep_base_matches_scan_oracle() {
     for base in bases.map(|b| Dn::parse(b).unwrap()) {
         for scope in [Scope::Base, Scope::OneLevel, Scope::Subtree] {
             for limit in [0, 1] {
-                let dns = |hits: Vec<&LdapEntry>| -> Vec<String> {
+                let dns = |hits: Vec<&Arc<LdapEntry>>| -> Vec<String> {
                     hits.iter().map(|e| e.dn.normalized()).collect()
                 };
                 assert_eq!(
@@ -307,4 +358,55 @@ fn equality_filter_under_a_deep_base_matches_scan_oracle() {
     let hits = dit.search(&d1, Scope::OneLevel, &filter, 0).unwrap();
     assert_eq!(hits.len(), 1);
     assert_eq!(hits[0].dn.normalized(), "cn=l3,ou=d1,o=grid");
+}
+
+/// The diffing `update`, case by case: what the proptest above draws at
+/// random, spelt out.
+#[test]
+fn update_edits_only_the_pairs_that_left_or_arrived() {
+    let mut d = Dit::new();
+    for (dn, class) in [
+        ("o=emory", "organization"),
+        ("ou=mathcs,o=emory", "organizationalUnit"),
+        ("cn=mokey,ou=mathcs,o=emory", "device"),
+    ] {
+        let dn = Dn::parse(dn).unwrap();
+        let rdn = dn.rdn().unwrap().clone();
+        d.add(
+            LdapEntry::new(dn)
+                .with("objectClass", class)
+                .with(&rdn.attr, rdn.value),
+        )
+        .unwrap();
+    }
+    let dn = Dn::parse("cn=mokey,ou=mathcs,o=emory").unwrap();
+    let found = |d: &Dit, raw: &str| {
+        let f = LdapFilter::parse(raw).unwrap();
+        d.search(&Dn::root(), Scope::Subtree, &f, 0).unwrap().len()
+    };
+    // A value that changes case alone folds to the posting it had.
+    d.update(
+        LdapEntry::new(dn.clone())
+            .with("OBJECTCLASS", "Device")
+            .with("cn", "MOKEY")
+            .with("cn", "mokey"),
+    )
+    .unwrap();
+    assert_eq!(found(&d, "(objectclass=device)"), 1);
+    assert_eq!(found(&d, "(cn=mokey)"), 1);
+    assert_eq!(d.get(&dn).unwrap().first("objectclass"), Some("Device"));
+    // One of two same-folding values goes: the pair is still held.
+    d.update(
+        LdapEntry::new(dn.clone())
+            .with("objectClass", "device")
+            .with("cn", "Mokey"),
+    )
+    .unwrap();
+    assert_eq!(found(&d, "(cn=mokey)"), 1);
+    // A value moves to another attribute; an attribute goes.
+    d.update(LdapEntry::new(dn.clone()).with("description", "mokey"))
+        .unwrap();
+    assert_eq!(found(&d, "(cn=mokey)"), 0);
+    assert_eq!(found(&d, "(objectClass=device)"), 0);
+    assert_eq!(found(&d, "(description=MOKEY)"), 1);
 }

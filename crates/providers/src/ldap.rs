@@ -126,7 +126,7 @@ impl LdapProviderContext {
         Ok(Dn::from_rdns(rdns))
     }
 
-    fn read(&self, dn: &Dn, trace: Option<&TraceCtx>) -> Result<Option<LdapEntry>> {
+    fn read(&self, dn: &Dn, trace: Option<&TraceCtx>) -> Result<Option<Arc<LdapEntry>>> {
         match self.conn.read_traced(dn, self.clock.now_ms(), trace) {
             Ok((entry, _)) => Ok(Some(entry)),
             Err((ResultCode::NoSuchObject, _)) => Ok(None),
@@ -177,7 +177,12 @@ impl LdapProviderContext {
         out
     }
 
-    fn build_entry(&self, dn: Dn, payload: Vec<u8>, attrs: &Attributes) -> Result<LdapEntry> {
+    fn build_entry(
+        &self,
+        dn: Dn,
+        payload: Vec<u8>,
+        attrs: Option<&Attributes>,
+    ) -> Result<LdapEntry> {
         let rdn = dn
             .rdn()
             .ok_or_else(|| NamingError::invalid_name("", "cannot bind the base DN"))?
@@ -190,7 +195,7 @@ impl LdapProviderContext {
             String::from_utf8(payload)
                 .map_err(|_| NamingError::unsupported("non-UTF8 payloads in LDAP"))?,
         );
-        for a in attrs.iter() {
+        for a in attrs.into_iter().flat_map(Attributes::iter) {
             for v in &a.values {
                 if let AttrValue::Str(s) = v {
                     entry.add_value(&a.id, s.clone());
@@ -222,7 +227,12 @@ impl LdapProviderContext {
         }
     }
 
-    fn rename(&self, old: &CompositeName, new: &CompositeName) -> Result<()> {
+    fn rename(
+        &self,
+        old: &CompositeName,
+        new: &CompositeName,
+        trace: Option<&TraceCtx>,
+    ) -> Result<()> {
         let old_dn = self.dn(old, old.len())?;
         let new_rdn = Self::component_rdn(
             new.components()
@@ -236,25 +246,34 @@ impl LdapProviderContext {
             ));
         }
         self.conn
-            .modify_rdn(&old_dn, new_rdn)
+            .modify_rdn_traced(&old_dn, new_rdn, trace)
             .map(|_| ())
             .map_err(|(c, d)| code_err(c, d))
     }
 
-    fn list(&self, name: &CompositeName) -> Result<Vec<NameClassPair>> {
+    /// The entries directly under `name`: what both listings read.
+    fn children(
+        &self,
+        name: &CompositeName,
+        trace: Option<&TraceCtx>,
+    ) -> Result<Vec<Arc<LdapEntry>>> {
         let base = self.dn(name, name.len())?;
-        let out = self
-            .conn
-            .search(
+        self.conn
+            .search_traced(
                 &base,
                 Scope::OneLevel,
                 &LdapFilter::match_all(),
                 None,
                 self.clock.now_ms(),
+                trace,
             )
-            .map_err(|(c, d)| code_err(c, d))?;
-        Ok(out
-            .entries
+            .map(|out| out.entries)
+            .map_err(|(c, d)| code_err(c, d))
+    }
+
+    fn list(&self, name: &CompositeName, trace: Option<&TraceCtx>) -> Result<Vec<NameClassPair>> {
+        Ok(self
+            .children(name, trace)?
             .iter()
             .map(|e| NameClassPair {
                 name: e.dn.rdn().map(|r| r.to_string()).unwrap_or_default(),
@@ -263,20 +282,13 @@ impl LdapProviderContext {
             .collect())
     }
 
-    fn list_bindings(&self, name: &CompositeName) -> Result<Vec<Binding>> {
-        let base = self.dn(name, name.len())?;
-        let out = self
-            .conn
-            .search(
-                &base,
-                Scope::OneLevel,
-                &LdapFilter::match_all(),
-                None,
-                self.clock.now_ms(),
-            )
-            .map_err(|(c, d)| code_err(c, d))?;
-        Ok(out
-            .entries
+    fn list_bindings(
+        &self,
+        name: &CompositeName,
+        trace: Option<&TraceCtx>,
+    ) -> Result<Vec<Binding>> {
+        Ok(self
+            .children(name, trace)?
             .iter()
             .map(|e| Binding {
                 name: e.dn.rdn().map(|r| r.to_string()).unwrap_or_default(),
@@ -323,31 +335,17 @@ impl LdapProviderContext {
         trace: Option<&TraceCtx>,
     ) -> Result<()> {
         let dn = self.dn(name, name.len())?;
+        let strs = |a: &Attribute| -> Vec<String> {
+            let held = a.values.iter().filter_map(|v| v.as_str().map(String::from));
+            held.collect()
+        };
         let ldap_mods: Vec<Modification> = mods
             .iter()
             .map(|m| match m {
-                AttrMod::Add(a) => Modification::Add(
-                    a.id.clone(),
-                    a.values
-                        .iter()
-                        .filter_map(|v| v.as_str().map(String::from))
-                        .collect(),
-                ),
-                AttrMod::Replace(a) => Modification::Replace(
-                    a.id.clone(),
-                    a.values
-                        .iter()
-                        .filter_map(|v| v.as_str().map(String::from))
-                        .collect(),
-                ),
+                AttrMod::Add(a) => Modification::Add(a.id.clone(), strs(a)),
+                AttrMod::Replace(a) => Modification::Replace(a.id.clone(), strs(a)),
                 AttrMod::Remove(id) => Modification::Delete(id.clone(), vec![]),
-                AttrMod::RemoveValues(a) => Modification::Delete(
-                    a.id.clone(),
-                    a.values
-                        .iter()
-                        .filter_map(|v| v.as_str().map(String::from))
-                        .collect(),
-                ),
+                AttrMod::RemoveValues(a) => Modification::Delete(a.id.clone(), strs(a)),
             })
             .collect();
         self.conn
@@ -359,7 +357,7 @@ impl LdapProviderContext {
         &self,
         name: &CompositeName,
         payload: Vec<u8>,
-        attrs: &Attributes,
+        attrs: Option<&Attributes>,
         trace: Option<&TraceCtx>,
     ) -> Result<()> {
         let dn = self.dn(name, name.len())?;
@@ -373,7 +371,7 @@ impl LdapProviderContext {
         &self,
         name: &CompositeName,
         payload: Vec<u8>,
-        attrs: &Attributes,
+        attrs: Option<&Attributes>,
         trace: Option<&TraceCtx>,
     ) -> Result<()> {
         let dn = self.dn(name, name.len())?;
@@ -442,22 +440,22 @@ impl ProviderBackend for LdapProviderContext {
                 OpKind::Lookup => self.lookup(&op.name, trace).map(OpOutcome::Value),
                 OpKind::Bind | OpKind::BindWithAttrs => {
                     let (payload, _) = op.wire_value()?;
-                    let attrs = op.attrs.clone().unwrap_or_default();
-                    self.bind_with_attrs(&op.name, payload, &attrs, trace)?;
+                    self.bind_with_attrs(&op.name, payload, op.attrs.as_ref(), trace)?;
                     Ok(OpOutcome::Done)
                 }
                 OpKind::Rebind | OpKind::RebindWithAttrs => {
                     let (payload, _) = op.wire_value()?;
-                    let attrs = op.attrs.clone().unwrap_or_default();
-                    self.rebind_with_attrs(&op.name, payload, &attrs, trace)?;
+                    self.rebind_with_attrs(&op.name, payload, op.attrs.as_ref(), trace)?;
                     Ok(OpOutcome::Done)
                 }
                 OpKind::Unbind => self.unbind(&op.name, trace).map(|_| OpOutcome::Done),
                 OpKind::Rename => self
-                    .rename(&op.name, op.new_name()?)
+                    .rename(&op.name, op.new_name()?, trace)
                     .map(|_| OpOutcome::Done),
-                OpKind::List => self.list(&op.name).map(OpOutcome::Names),
-                OpKind::ListBindings => self.list_bindings(&op.name).map(OpOutcome::Bindings),
+                OpKind::List => self.list(&op.name, trace).map(OpOutcome::Names),
+                OpKind::ListBindings => {
+                    self.list_bindings(&op.name, trace).map(OpOutcome::Bindings)
+                }
                 OpKind::CreateSubcontext => self
                     .create_subcontext(&op.name, trace)
                     .map(|_| OpOutcome::Done),

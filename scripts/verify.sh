@@ -22,12 +22,14 @@ done
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-# The oracle and codec proptests and the federation matrix are skipped here
-# and named below, so each still runs once. (The two single-binary allocation budgets,
-# tests/federation_allocs.rs and tests/hdns_write_allocs.rs, run here.)
+# The oracle and codec proptests, the federation matrix and the directory's
+# byte budget are skipped here and named below, so each still runs once. (The
+# two single-binary allocation budgets, tests/federation_allocs.rs and
+# tests/hdns_write_allocs.rs, run here.)
 NAMED_BELOW=(the_walk_matches_its_oracle read_is_a_base_scope_match_all_search wire_codec_
-  every_operation_continues_through_a_mount_on_every_provider)
-echo "==> cargo test -q (all but hdns, the oracle proptests and the federation matrix)"
+  every_operation_continues_through_a_mount_on_every_provider
+  a_bound_leaf_stays_inside_its_byte_budget)
+echo "==> cargo test -q (all but hdns, the oracle proptests, the federation matrix and the byte budget)"
 cargo test -q --workspace --exclude hdns -- "${NAMED_BELOW[@]/#/--skip=}"
 
 # Named on its own because it is the federation contract: every writable
@@ -43,6 +45,11 @@ cargo test -q --test heterogeneity every_operation_continues_through_a_mount_on_
 echo "==> oracle proptests: dns walk, ldap read"
 cargo test -q -p rndi-providers --lib the_walk_matches_its_oracle
 cargo test -q -p dirserv --test props read_is_a_base_scope_match_all_search
+
+# Named on its own so the figure is in every log: the live heap bytes one
+# bound leaf of fed_resolve's shape leaves in dirserv, against its budget.
+echo "==> byte budget: what dirserv holds per bound leaf"
+cargo test -q --test ldap_footprint a_bound_leaf_stays_inside_its_byte_budget -- --nocapture
 
 # Named on its own because `Wire::{encode, decode, size}` is what group
 # flow control charges and what rndi-cluster puts on TCP: round trips,

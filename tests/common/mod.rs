@@ -10,10 +10,12 @@ thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
+/// One call into the allocator that asked for `bytes`.
 fn note(bytes: usize) {
     // `try_with`: the allocator also runs while a thread's locals are
     // being torn down.
@@ -21,6 +23,16 @@ fn note(bytes: usize) {
         if on.get() {
             let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
             let _ = ALLOCATED_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
+            let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + bytes as i64));
+        }
+    });
+}
+
+/// `bytes` given back: by a `dealloc`, or as the old block of a `realloc`.
+fn note_freed(bytes: usize) {
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            let _ = LIVE_BYTES.try_with(|n| n.set(n.get() - bytes as i64));
         }
     });
 }
@@ -36,6 +48,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_freed(layout.size());
         // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -48,6 +61,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
+        note_freed(layout.size());
         // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -75,4 +89,13 @@ pub fn count_during<R>(f: impl FnOnce() -> R) -> (R, Allocated) {
         bytes: ALLOCATED_BYTES.with(Cell::get) - before.1,
     };
     (result, allocated)
+}
+
+/// `f`'s result and by how many bytes this thread's heap grew while it ran:
+/// what it asked for minus what it gave back, so what `f` left behind.
+#[allow(dead_code)] // each test binary uses its own part of this module
+pub fn live_bytes_during<R>(f: impl FnOnce() -> R) -> (R, i64) {
+    let before = LIVE_BYTES.with(Cell::get);
+    let (result, _) = count_during(f);
+    (result, LIVE_BYTES.with(Cell::get) - before)
 }

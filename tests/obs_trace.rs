@@ -353,3 +353,67 @@ fn federated_lookup_produces_one_trace_with_a_server_span_per_backend_call() {
         );
     }
 }
+
+#[test]
+fn ldap_list_and_rename_reach_the_server_traced_and_counted() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let (ctx, _) = world();
+    ctx.create_subcontext("ldap://obs-dir/ou=obs-ops").unwrap();
+    ctx.bind("ldap://obs-dir/ou=obs-ops/old", "v").unwrap();
+
+    let served = |op: &str| {
+        rndi::obs::metrics::counter(
+            "rndi_server_ops_total",
+            &[("server", "dirserv"), ("op", op)],
+        )
+        .get()
+    };
+    // What the newest `op` the LDAP pipeline ran asked of the server: the
+    // ops of the `server/dirserv/…` spans in that pipeline span's trace,
+    // every one of them under it.
+    let server_ops_under = |op: &str| -> Vec<String> {
+        let ring = rndi::obs::trace::ring();
+        let pipeline = ring
+            .snapshot()
+            .into_iter()
+            .rev()
+            .find(|s| s.layer == "pipeline" && s.provider.starts_with("ldap:obs-dir") && s.op == op)
+            .unwrap_or_else(|| panic!("pipeline span for {op}"));
+        ring.trace(pipeline.trace_id)
+            .into_iter()
+            .filter(|s| s.layer == "server" && s.provider.as_ref() == "dirserv")
+            .map(|s| {
+                assert_eq!(s.parent_span, pipeline.span_id, "{op}: {} span", s.op);
+                s.op.to_string()
+            })
+            .collect()
+    };
+
+    // A listing reads the name (is it a mount?), then searches one level.
+    let before = served("search");
+    let names: Vec<String> = ctx
+        .list("ldap://obs-dir/ou=obs-ops")
+        .unwrap()
+        .into_iter()
+        .map(|pair| pair.name)
+        .collect();
+    assert_eq!(names, ["cn=old"]);
+    assert_eq!(served("search") - before, 2);
+    assert_eq!(server_ops_under("list"), ["search", "search"]);
+
+    let before = served("modify_rdn");
+    ctx.rename("ldap://obs-dir/ou=obs-ops/old", "ou=obs-ops/new")
+        .unwrap();
+    assert_eq!(served("modify_rdn") - before, 1, "the rename is counted");
+    let renames = server_ops_under("rename")
+        .iter()
+        .filter(|op| *op == "modify_rdn")
+        .count();
+    assert_eq!(renames, 1, "and is in the caller's trace");
+    assert_eq!(
+        ctx.lookup("ldap://obs-dir/ou=obs-ops/new")
+            .unwrap()
+            .as_str(),
+        Some("v")
+    );
+}
