@@ -14,7 +14,7 @@
 //! * [`server::AuthServer`] — hosts zones, answers queries with proper
 //!   rcodes/referrals.
 //! * [`resolver::Resolver`] — iterative resolution from root hints with a
-//!   TTL cache.
+//!   TTL cache that caches NXDOMAIN for a whole subtree (RFC 8020).
 
 pub mod name;
 pub mod resolver;

@@ -4,6 +4,9 @@
 //! authoritative answer, caching positive and negative results by TTL.
 //! Nameserver hostnames map to server handles through a registry (standing
 //! in for glue/A-record resolution of the real protocol).
+//!
+//! NXDOMAIN is cached as RFC 8020 has it: one line per name, whatever
+//! type was asked, that answers for every name below it too.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,16 +53,20 @@ struct CacheLine {
     expires_at_ms: u64,
     /// Insertion order: eviction drops the lowest first.
     seq: u64,
-    /// `None` encodes a negative (NXDOMAIN) entry.
-    records: Option<Vec<ResourceRecord>>,
+    /// Empty for NODATA, and in every denial.
+    records: Vec<ResourceRecord>,
 }
 
-/// One map per record type, each keyed by the name alone, so a lookup
-/// hashes the caller's `DnsName` where it stands (through `Borrow<str>`)
-/// instead of assembling an owned `(name, type)` key.
+/// Where the denials are in `Cache::by_type`: after the record types.
+const DENIED: usize = RecordType::COUNT;
+
+/// One map per record type, and one more ([`DENIED`]) for the names denied
+/// whatever the type, each keyed by the name alone, so a lookup hashes the
+/// caller's `DnsName` — or an ancestor's slice of its text — where it
+/// stands (through `Borrow<str>`) instead of assembling an owned key.
 #[derive(Default)]
 struct Cache {
-    by_type: [HashMap<DnsName, CacheLine>; RecordType::COUNT],
+    by_type: [HashMap<DnsName, CacheLine>; RecordType::COUNT + 1],
     next_seq: u64,
 }
 
@@ -68,8 +75,35 @@ impl Cache {
         self.by_type.iter().map(HashMap::len).sum()
     }
 
-    /// Insert a line, first making room if the cache is at its bound.
-    /// Returns how many lines that evicted.
+    /// What is cached for `name`/`rtype` at `now_ms`: its own line (an
+    /// expired one is dropped), or a live denial of it or an ancestor.
+    fn answer(
+        &mut self,
+        name: &DnsName,
+        rtype: RecordType,
+        now_ms: u64,
+    ) -> Option<Result<Vec<ResourceRecord>, ResolveError>> {
+        let lines = &mut self.by_type[rtype as usize];
+        if let Some(line) = lines.get(name.as_str()) {
+            if now_ms < line.expires_at_ms {
+                return Some(Ok(line.records.clone()));
+            }
+            lines.remove(name.as_str());
+        }
+        // The name, then each ancestor's text up to the root's empty one.
+        let mut ancestry = std::iter::successors(Some(name.as_str()), |text| {
+            (!text.is_empty()).then(|| text.split_once('.').map_or("", |(_, up)| up))
+        });
+        let denied = &self.by_type[DENIED];
+        let live = |text| denied.get(text).is_some_and(|l| now_ms < l.expires_at_ms);
+        ancestry
+            .any(live)
+            .then(|| Err(ResolveError::NxDomain(name.clone())))
+    }
+
+    /// Cache `records` for `name`/`rtype` — or, for `None`, a denial of
+    /// `name` — first making room if the cache is at its bound. Returns how
+    /// many lines that evicted.
     fn insert(
         &mut self,
         name: &DnsName,
@@ -85,7 +119,9 @@ impl Cache {
         };
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.by_type[rtype as usize].insert(
+        let at = records.as_ref().map_or(DENIED, |_| rtype as usize);
+        let records = records.unwrap_or_default();
+        self.by_type[at].insert(
             name.clone(),
             CacheLine {
                 expires_at_ms,
@@ -266,22 +302,11 @@ impl Resolver {
         now_ms: u64,
     ) -> Result<Vec<ResourceRecord>, ResolveError> {
         // Cache consultation.
-        {
-            let mut cache = self.cache.lock();
-            let lines = &mut cache.by_type[rtype as usize];
-            if let Some(line) = lines.get(name.as_str()) {
-                if now_ms < line.expires_at_ms {
-                    let answer = match &line.records {
-                        Some(rrs) => Ok(rrs.clone()),
-                        None => Err(ResolveError::NxDomain(name.clone())),
-                    };
-                    drop(cache);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    instruments().cache_hits.inc();
-                    return answer;
-                }
-                lines.remove(name.as_str());
-            }
+        let cached = self.cache.lock().answer(name, rtype, now_ms);
+        if let Some(answer) = cached {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            instruments().cache_hits.inc();
+            return answer;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         instruments().cache_misses.inc();

@@ -1,5 +1,6 @@
 //! The authoritative server: hosts zones, answers queries.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -42,15 +43,20 @@ pub struct DnsStats {
     pub nxdomain: u64,
 }
 
+/// The zones behind a write lock only their edits take, and the counters
+/// beside it, so queries answer under the read lock, side by side.
+#[derive(Default)]
 struct Inner {
-    zones: Vec<Zone>,
-    stats: DnsStats,
+    zones: RwLock<Vec<Zone>>,
+    queries: AtomicU64,
+    referrals: AtomicU64,
+    nxdomain: AtomicU64,
 }
 
 /// An authoritative DNS server (cheaply cloneable handle).
 #[derive(Clone)]
 pub struct AuthServer {
-    inner: Arc<RwLock<Inner>>,
+    inner: Arc<Inner>,
 }
 
 impl Default for AuthServer {
@@ -62,35 +68,32 @@ impl Default for AuthServer {
 impl AuthServer {
     pub fn new() -> Self {
         AuthServer {
-            inner: Arc::new(RwLock::new(Inner {
-                zones: Vec::new(),
-                stats: DnsStats::default(),
-            })),
+            inner: Arc::default(),
         }
     }
 
     /// Load (or replace) a zone.
     pub fn add_zone(&self, zone: Zone) {
-        let mut inner = self.inner.write();
-        inner.zones.retain(|z| z.origin() != zone.origin());
-        inner.zones.push(zone);
+        let mut zones = self.inner.zones.write();
+        zones.retain(|z| z.origin() != zone.origin());
+        zones.push(zone);
     }
 
     /// Mutate a hosted zone in place (operator-side updates — DNS offers
     /// no client-side update path, which is exactly the limitation the
     /// paper works around by layering HDNS below it).
     pub fn with_zone_mut<R>(&self, origin: &DnsName, f: impl FnOnce(&mut Zone) -> R) -> Option<R> {
-        let mut inner = self.inner.write();
-        inner.zones.iter_mut().find(|z| z.origin() == origin).map(f)
+        let mut zones = self.inner.zones.write();
+        zones.iter_mut().find(|z| z.origin() == origin).map(f)
     }
 
     /// Answer a query.
     pub fn query(&self, name: &DnsName, rtype: RecordType) -> Response {
-        let mut inner = self.inner.write();
-        inner.stats.queries += 1;
+        let count = |counter: &AtomicU64| counter.fetch_add(1, Ordering::Relaxed);
+        count(&self.inner.queries);
+        let zones = self.inner.zones.read();
         // Pick the zone with the longest origin that covers the name.
-        let zone = inner
-            .zones
+        let zone = zones
             .iter()
             .filter(|z| name.is_under(z.origin()))
             .max_by_key(|z| z.origin().label_count());
@@ -110,7 +113,7 @@ impl AuthServer {
                 authority: vec![],
             },
             ZoneAnswer::Referral(ns) => {
-                inner.stats.referrals += 1;
+                count(&self.inner.referrals);
                 Response {
                     rcode: Rcode::NoError,
                     aa: false,
@@ -129,7 +132,7 @@ impl AuthServer {
                 }
             }
             ZoneAnswer::NxDomain => {
-                inner.stats.nxdomain += 1;
+                count(&self.inner.nxdomain);
                 Response {
                     rcode: Rcode::NxDomain,
                     aa: true,
@@ -141,7 +144,12 @@ impl AuthServer {
     }
 
     pub fn stats(&self) -> DnsStats {
-        self.inner.read().stats
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        DnsStats {
+            queries: read(&self.inner.queries),
+            referrals: read(&self.inner.referrals),
+            nxdomain: read(&self.inner.nxdomain),
+        }
     }
 }
 

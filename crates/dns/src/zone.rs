@@ -2,9 +2,11 @@
 //!
 //! A zone holds records for names at or under its origin, with delegation:
 //! NS records at an interior name (other than the origin) cut the zone, and
-//! queries at or below the cut yield referrals instead of answers.
+//! queries at or below the cut yield referrals instead of answers. A name
+//! with no records but a descendant that has some (an empty non-terminal)
+//! exists, so NXDOMAIN denies a name and its whole subtree (RFC 8020).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::name::DnsName;
 use crate::rr::{RData, RecordType, ResourceRecord};
@@ -13,7 +15,7 @@ use crate::rr::{RData, RecordType, ResourceRecord};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ZoneAnswer {
     /// Authoritative records (possibly empty for a name that exists with
-    /// other types — a NODATA answer).
+    /// other types or none — a NODATA answer).
     Records(Vec<ResourceRecord>),
     /// The name lies below a delegation; here are the NS records to chase.
     Referral(Vec<ResourceRecord>),
@@ -34,6 +36,9 @@ pub struct Zone {
     origin: DnsName,
     /// name → records at that name.
     records: BTreeMap<DnsName, Vec<ResourceRecord>>,
+    /// Each ancestor (down to the origin) of a name with records → how
+    /// many such names are below it.
+    interior: HashMap<DnsName, usize>,
 }
 
 impl Zone {
@@ -41,6 +46,7 @@ impl Zone {
         Zone {
             origin,
             records: BTreeMap::new(),
+            interior: HashMap::new(),
         }
     }
 
@@ -57,6 +63,9 @@ impl Zone {
             rr.name,
             self.origin
         );
+        if !self.records.contains_key(&rr.name) {
+            self.count_below(&rr.name, true);
+        }
         self.records.entry(rr.name.clone()).or_default().push(rr);
     }
 
@@ -71,6 +80,7 @@ impl Zone {
         let removed = before - list.len();
         if list.is_empty() {
             self.records.remove(name);
+            self.count_below(name, false);
         }
         removed
     }
@@ -82,6 +92,19 @@ impl Zone {
 
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
+    }
+
+    /// Count `name` in (or out of) each of its ancestors' descendants.
+    fn count_below(&mut self, name: &DnsName, arrived: bool) {
+        let mut at = name.clone();
+        while let Some(up) = at.parent().filter(|_| at != self.origin) {
+            let below = self.interior.entry(up.clone()).or_default();
+            *below = if arrived { *below + 1 } else { *below - 1 };
+            if *below == 0 {
+                self.interior.remove(&up);
+            }
+            at = up;
+        }
     }
 
     /// Find the closest delegation cut strictly between the origin and
@@ -127,7 +150,11 @@ impl Zone {
             }
         }
         let Some(rrs) = self.records.get(name) else {
-            return ZoneAnswer::NxDomain;
+            return if self.interior.contains_key(name) {
+                ZoneAnswer::Records(vec![])
+            } else {
+                ZoneAnswer::NxDomain
+            };
         };
         // CNAME handling: if the name has a CNAME and the query is not for
         // CNAME itself, follow the chain within the zone.

@@ -4,8 +4,8 @@
 //! an entry's parent must exist (except suffixes at the tree root) and only
 //! leaf entries can be deleted.
 //!
-//! Read-path layout: the entry map is keyed by the *root-first* normalized
-//! DN (RDNs reversed, joined with an unprintable separator), so every
+//! Read-path layout: the entry map is keyed by the *root-first* folded DN
+//! text (RDNs reversed, joined with an unprintable separator), so every
 //! subtree is one contiguous key range and `OneLevel`/`Subtree` searches
 //! are bounded range scans instead of full-tree walks. An equality index
 //! over `(attribute, value)` pairs additionally lets searches whose filter
@@ -17,16 +17,19 @@
 //!
 //! Space: an entry's bytes exist once. Its tree key is one `Arc<str>` that
 //! the entry map and the entry's postings share, the entry one
-//! `Arc<LdapEntry>` that reads hand out; the index owns a folded copy of
-//! each *distinct* value.
+//! `Arc<LdapEntry>` that reads hand out, each attribute id one `Arc<str>`
+//! per spelling that every entry shares; the index keys a value by a hash
+//! of it and holds no copy of its text.
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::hash_map::RandomState;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::hash::BuildHasher;
 use std::ops::Bound::{Included, Unbounded};
 use std::sync::{Arc, OnceLock};
 
 use crate::dn::{Dn, Rdn};
-use crate::entry::{fold, LdapEntry};
+use crate::entry::{fold, hash_folded, LdapEntry};
 use crate::filter::LdapFilter;
 
 /// Separator between RDNs in root-first tree keys. An information
@@ -76,10 +79,11 @@ impl TreeKey {
         // `try_with`: a tree may be read while a thread's locals go away.
         let mut below = KEY_TEXT.try_with(Cell::take).unwrap_or_default();
         below.clear();
-        for rdn in dn.rdns().iter().rev() {
-            rdn.write_normalized(&mut below);
-            below.push(KEY_SEP);
+        for rdn in dn.rdns() {
+            below.insert(0, KEY_SEP);
+            below.insert_str(0, rdn.as_str());
         }
+        below.make_ascii_lowercase();
         TreeKey { below }
     }
 
@@ -101,7 +105,10 @@ impl Drop for TreeKey {
 #[derive(Debug, Clone)]
 enum Postings {
     One(Arc<str>),
-    Many(BTreeSet<Arc<str>>),
+    /// Boxed so that a posting — one per distinct value — is the size of a
+    /// key.
+    #[allow(clippy::box_collection)]
+    Many(Box<BTreeSet<Arc<str>>>),
 }
 
 impl Postings {
@@ -123,7 +130,7 @@ impl Postings {
         match self {
             Postings::One(only) if only == key => {}
             Postings::One(only) => {
-                *self = Postings::Many(BTreeSet::from([only.clone(), key.clone()]));
+                *self = Postings::Many(Box::new(BTreeSet::from([only.clone(), key.clone()])));
             }
             Postings::Many(keys) => {
                 keys.insert(key.clone());
@@ -147,46 +154,88 @@ impl Postings {
     }
 }
 
-/// `attribute → value → postings`, both folded to lower case. Nested so a
-/// probe borrows its two strings (and folds nothing that is lower case
-/// already) instead of building an owned pair.
+/// `attribute → value → postings`. The attribute is folded to lower case;
+/// the value is keyed by a keyed hash ([`RandomState`]) of its folded text,
+/// not by a copy of it. Two values whose hashes collide share a posting,
+/// which only widens a candidate set every hit is re-checked against.
+/// Nested so a probe borrows its strings (and folds nothing that is lower
+/// case already) instead of building an owned pair.
 #[derive(Default, Debug, Clone)]
 struct EqIndex {
-    by_attr: HashMap<Box<str>, HashMap<Box<str>, Postings>>,
+    by_attr: HashMap<Box<str>, HashMap<u64, Postings>>,
+    hasher: RandomState,
 }
 
 impl EqIndex {
-    fn get(&self, attr: &str, value: &str) -> Option<&Postings> {
-        self.by_attr
-            .get(fold(attr).as_ref())?
-            .get(fold(value).as_ref())
+    /// What `value` is filed under.
+    fn key(&self, value: &str) -> u64 {
+        let mut state = self.hasher.build_hasher();
+        hash_folded(value, &mut state);
+        std::hash::Hasher::finish(&state)
     }
 
-    fn insert(&mut self, attr: &str, value: &str, key: &Arc<str>) {
-        let (attr, value) = (fold(attr), fold(value));
+    /// Whether `entry` holds a value of `attr` filed under `value`.
+    fn files(&self, entry: &LdapEntry, attr: &str, value: u64) -> bool {
+        let mut values = entry.get(attr).into_iter().flat_map(|a| a.values());
+        values.any(|v| self.key(v) == value)
+    }
+
+    fn get(&self, attr: &str, value: &str) -> Option<&Postings> {
+        self.by_attr.get(fold(attr).as_ref())?.get(&self.key(value))
+    }
+
+    fn insert(&mut self, attr: &str, value: u64, key: &Arc<str>) {
+        let attr = fold(attr);
         if !self.by_attr.contains_key(attr.as_ref()) {
             self.by_attr.insert(attr.as_ref().into(), HashMap::new());
         }
         let by_value = self.by_attr.get_mut(attr.as_ref()).expect("present");
-        match by_value.get_mut(value.as_ref()) {
+        match by_value.get_mut(&value) {
             Some(postings) => postings.insert(key),
             None => {
-                by_value.insert(value.into(), Postings::One(key.clone()));
+                by_value.insert(value, Postings::One(key.clone()));
             }
         }
     }
 
-    fn remove(&mut self, attr: &str, value: &str, key: &str) {
-        let (attr, value) = (fold(attr), fold(value));
+    fn remove(&mut self, attr: &str, value: u64, key: &str) {
+        let attr = fold(attr);
         let Some(by_value) = self.by_attr.get_mut(attr.as_ref()) else {
             return;
         };
-        let emptied = by_value.get_mut(value.as_ref());
+        let emptied = by_value.get_mut(&value);
         if emptied.is_some_and(|postings| postings.remove(key)) {
-            by_value.remove(value.as_ref());
+            by_value.remove(&value);
             if by_value.is_empty() {
                 self.by_attr.remove(attr.as_ref());
             }
+        }
+    }
+}
+
+/// The attribute ids the tree's entries share: one `Arc<str>` per
+/// spelling. Swept of the spellings no entry holds any more whenever it has
+/// doubled since its last sweep, so it stays within twice the ids in the
+/// tree.
+#[derive(Default, Debug, Clone)]
+struct Ids {
+    shared: HashSet<Arc<str>>,
+    sweep_at: usize,
+}
+
+impl Ids {
+    /// Point each of `entry`'s ids at the shared copy of its spelling.
+    fn share(&mut self, entry: &mut LdapEntry) {
+        for id in entry.stored_ids() {
+            if let Some(shared) = self.shared.get(&**id) {
+                *id = shared.clone();
+                continue;
+            }
+            if self.shared.len() >= self.sweep_at {
+                self.shared.retain(|id| Arc::strong_count(id) > 1);
+                self.sweep_at = 2 * self.shared.len().max(8);
+            }
+            self.shared.insert(id.clone());
         }
     }
 }
@@ -209,6 +258,7 @@ pub struct Dit {
     /// Every `(attribute, value)` pair → the entries holding it. Maintained
     /// by every mutation, alongside `entries`.
     eq_index: EqIndex,
+    ids: Ids,
 }
 
 impl Dit {
@@ -252,9 +302,11 @@ impl Dit {
     }
 
     /// Store `entry` under a fresh key, which its postings share.
-    fn put(&mut self, at: &TreeKey, entry: LdapEntry) {
+    fn put(&mut self, at: &TreeKey, mut entry: LdapEntry) {
         let key: Arc<str> = at.own().into();
+        self.ids.share(&mut entry);
         for (attr, value) in entry.pairs() {
+            let value = self.eq_index.key(value);
             self.eq_index.insert(attr, value, &key);
         }
         self.entries.insert(key, Arc::new(entry));
@@ -276,6 +328,7 @@ impl Dit {
     fn take(&mut self, at: &TreeKey) -> Option<Arc<LdapEntry>> {
         let (key, entry) = self.entries.remove_entry(at.own())?;
         for (attr, value) in entry.pairs() {
+            let value = self.eq_index.key(value);
             self.eq_index.remove(attr, value, &key);
         }
         Some(entry)
@@ -313,20 +366,29 @@ impl Dit {
     }
 
     /// Only the `(attribute, value)` pairs that left or arrived are edited
-    /// in the index — compared folded, as they are indexed, so a value that
-    /// changed case alone keeps its posting.
-    fn update_at(&mut self, at: &TreeKey, entry: LdapEntry) -> Result<(), DitError> {
+    /// in the index — compared as they are filed, so a value that changed
+    /// case alone keeps its posting, and so does one whose hash another
+    /// value of the attribute shares.
+    fn update_at(&mut self, at: &TreeKey, mut entry: LdapEntry) -> Result<(), DitError> {
         // A one-key range: the map's own (shared) key and the slot, in one
         // probe.
         let own = (Included(at.own()), Included(at.own()));
         let Some((key, slot)) = self.entries.range_mut::<str, _>(own).next() else {
             return Err(DitError::NoSuchObject(entry.dn.to_string()));
         };
+        self.ids.share(&mut entry);
+        let index = &mut self.eq_index;
         for (attr, value) in slot.pairs().filter(|(a, v)| !entry.has_value(a, v)) {
-            self.eq_index.remove(attr, value, key);
+            let value = index.key(value);
+            if !index.files(&entry, attr, value) {
+                index.remove(attr, value, key);
+            }
         }
         for (attr, value) in entry.pairs().filter(|(a, v)| !slot.has_value(a, v)) {
-            self.eq_index.insert(attr, value, key);
+            let value = index.key(value);
+            if !index.files(slot, attr, value) {
+                index.insert(attr, value, key);
+            }
         }
         *slot = Arc::new(entry);
         Ok(())
@@ -408,9 +470,9 @@ impl Dit {
     }
 
     /// A `Base`-scope search: the entry at `base` when it matches `filter`.
-    /// One keyed probe; the hit is still verified against the exact
-    /// (case-preserving) DN and the full filter, as every candidate of
-    /// [`Dit::search`] is.
+    /// One keyed probe; the hit is still verified against the DN (under
+    /// LDAP case rules, as the key folds it) and the full filter, as every
+    /// candidate of [`Dit::search`] is.
     pub fn search_base(
         &self,
         base: &Dn,

@@ -70,8 +70,7 @@ impl LdapFilter {
 }
 
 fn any_val(e: &LdapEntry, attr: &str, pred: impl Fn(&str) -> bool) -> bool {
-    e.get(attr)
-        .is_some_and(|a| a.values.iter().any(|v| pred(v)))
+    e.get(attr).is_some_and(|a| a.values().any(pred))
 }
 
 fn ord(a: &str, b: &str) -> std::cmp::Ordering {

@@ -2,8 +2,8 @@
 //!
 //! Implements the slice of LDAP the paper's evaluation exercises:
 //!
-//! * [`dn::Dn`] — distinguished names (`cn=mokey,ou=dcl,o=emory`), parsed,
-//!   normalized, and ordered leaf-first as in LDAP.
+//! * [`dn::Dn`] — distinguished names (`cn=mokey,ou=dcl,o=emory`), held as
+//!   one canonical leaf-first text and compared under LDAP case rules.
 //! * [`entry::LdapEntry`] — entries with case-insensitive, multi-valued
 //!   attributes.
 //! * [`filter::LdapFilter`] — RFC 2254 search filters (this server's own

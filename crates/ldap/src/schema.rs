@@ -83,7 +83,7 @@ impl Schema {
             return Err("entry has no objectClass".into());
         };
         let mut allowed: Vec<String> = vec!["objectclass".into()];
-        for class_name in &classes_attr.values {
+        for class_name in classes_attr.values() {
             let Some(class) = self.get(class_name) else {
                 return Err(format!("unknown objectClass {class_name:?}"));
             };
@@ -99,8 +99,8 @@ impl Schema {
         }
         if self.strict_attrs {
             for attr in entry.attrs() {
-                if !allowed.contains(&attr.id.to_ascii_lowercase()) {
-                    return Err(format!("attribute {:?} not allowed by schema", attr.id));
+                if !allowed.contains(&attr.id().to_ascii_lowercase()) {
+                    return Err(format!("attribute {:?} not allowed by schema", attr.id()));
                 }
             }
         }

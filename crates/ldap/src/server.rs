@@ -234,9 +234,7 @@ impl DirectoryServer {
         if dn.is_root() && password.is_empty() {
             return Ok(self.connect_anonymous());
         }
-        if dn.normalized() == self.config.root_dn.normalized()
-            && password == self.config.root_password
-        {
+        if *dn == self.config.root_dn && password == self.config.root_password {
             Ok(Connection {
                 server: self.clone(),
                 authenticated: true,

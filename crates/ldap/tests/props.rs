@@ -17,13 +17,31 @@ fn dn_strategy() -> impl Strategy<Value = Dn> {
     })
 }
 
-/// `dn` with every RDN value in upper case: the same entry to the tree's
-/// normalised keys, a different DN to exact comparison.
+/// `dn` with every RDN value in upper case: another spelling of the same
+/// DN.
 fn shouted(dn: &Dn) -> Dn {
+    recased(dn, u64::MAX)
+}
+
+/// `dn` with the `i`-th letter of its values upper-cased where bit `i` of
+/// `mask` is set (bits reused past 64), lower-cased elsewhere.
+fn recased(dn: &Dn, mask: u64) -> Dn {
+    let mut bit = 0;
+    let mut recase = |value: &str| -> String {
+        value
+            .chars()
+            .map(|c| {
+                bit = (bit + 1) % 64;
+                match (mask >> bit) & 1 {
+                    1 => c.to_ascii_uppercase(),
+                    _ => c.to_ascii_lowercase(),
+                }
+            })
+            .collect()
+    };
     Dn::from_rdns(
         dn.rdns()
-            .iter()
-            .map(|r| Rdn::new(r.attr.clone(), r.value.to_ascii_uppercase()))
+            .map(|r| Rdn::new(r.attr(), recase(&r.value())))
             .collect(),
     )
 }
@@ -122,7 +140,7 @@ proptest! {
     ) {
         let mut dit = Dit::new();
         for dn in dns {
-            let value = dn.rdn().map(|r| r.value.clone()).unwrap_or_default();
+            let value = dn.rdn().map(|r| r.value().into_owned()).unwrap_or_default();
             let _ = dit.add(LdapEntry::new(dn).with("cn", value));
         }
         let filter = LdapFilter::parse(&format!("(cn={needle})")).unwrap();
@@ -174,7 +192,7 @@ proptest! {
         for (i, op) in ops.iter().enumerate() {
             match op {
                 DitOp::Add(dn) => {
-                    let value = dn.rdn().map(|r| r.value.clone()).unwrap_or_default();
+                    let value = dn.rdn().map(|r| r.value().into_owned()).unwrap_or_default();
                     let _ = dit.add(
                         LdapEntry::new(dn.clone())
                             .with("cn", value)
@@ -206,8 +224,7 @@ proptest! {
             "(&(cn=a)(tag=A))".to_string(),
         ];
         filters.extend(touched);
-        // Each base also in upper case: it finds the same tree key, and
-        // only the exact-DN re-check keeps `Base` scope from answering it.
+        // Each base also in upper case: another spelling of the same DN.
         let mut all_bases = vec![Dn::root()];
         all_bases.extend(bases.iter().map(shouted));
         all_bases.extend(dit.iter().take(2).map(|e| shouted(&e.dn)));
@@ -252,8 +269,8 @@ proptest! {
 proptest! {
     /// `Connection::read(dn)` is the first entry of a base-scope match-all
     /// `search(dn)`: same entry, same `NoSuchObject` (a missing DN, an
-    /// entry without `objectClass`, a differently-cased DN that the exact
-    /// re-check turns away), same throttle delay, same counters. Two
+    /// entry without `objectClass`), found through any spelling of the DN,
+    /// same throttle delay, same counters. Two
     /// identical servers are driven in lockstep, because every read spends
     /// a throttle admission.
     #[test]
@@ -299,6 +316,61 @@ proptest! {
             prop_assert_eq!(read, searched, "dn {} at {} ms", dn, now_ms);
         }
         prop_assert_eq!(by_read.stats(), by_search.stats());
+    }
+}
+
+proptest! {
+    /// A DN and every spelling of it that differs only in the case of its
+    /// values name one entry: `get`, `Connection::read`, `add`, `delete`
+    /// and all three scopes (indexed and scanned) find it — or refuse it,
+    /// when it is not there — the same through either spelling.
+    #[test]
+    fn every_spelling_of_a_dn_names_one_entry(
+        dns in proptest::collection::vec(dn_strategy(), 1..12),
+        pick in 0usize..12,
+        mask in any::<u64>(),
+    ) {
+        let mut dit = Dit::new();
+        let server = DirectoryServer::new(ServerConfig {
+            validate_schema: false,
+            read_throttle_per_sec: None,
+            ..Default::default()
+        });
+        let conn = server.connect_anonymous();
+        for dn in &dns {
+            let entry = LdapEntry::new(dn.clone()).with("objectClass", "device");
+            let _ = dit.add(entry.clone());
+            let _ = conn.add(entry);
+        }
+        let dn = &dns[pick % dns.len()];
+        let spelled = recased(dn, mask);
+        let refusal = std::mem::discriminant::<dirserv::dit::DitError>;
+        let named = |hits: Vec<&Arc<LdapEntry>>| -> Vec<String> {
+            hits.iter().map(|e| e.dn.to_string()).collect()
+        };
+        let found = |d: &Dn| {
+            let all = LdapFilter::match_all();
+            let scopes = [Scope::Base, Scope::OneLevel, Scope::Subtree].map(|scope| {
+                (
+                    dit.search(d, scope, &all, 0).map(named).map_err(|e| refusal(&e)),
+                    dit.search_scan(d, scope, &all, 0).map(named).map_err(|e| refusal(&e)),
+                )
+            });
+            let read = conn.read(d, 0).map(|(e, _)| e.dn.to_string()).map_err(|(code, _)| code);
+            (dit.get(d).map(|e| e.dn.to_string()), read, scopes)
+        };
+        prop_assert_eq!(found(&spelled), found(dn), "{} spelled {}", dn, spelled);
+        let added = |d: &Dn| {
+            let entry = LdapEntry::new(d.clone()).with("objectClass", "device");
+            dit.clone().add(entry).map_err(|e| refusal(&e))
+        };
+        prop_assert_eq!(added(&spelled), added(dn));
+        let deleted = |d: &Dn| {
+            let mut after = dit.clone();
+            let gone = after.delete(d).map(|e| e.dn.to_string()).map_err(|e| refusal(&e));
+            (gone, after.iter().map(|e| e.dn.to_string()).collect::<Vec<_>>())
+        };
+        prop_assert_eq!(deleted(&spelled), deleted(dn));
     }
 }
 
@@ -371,13 +443,11 @@ fn update_edits_only_the_pairs_that_left_or_arrived() {
         ("cn=mokey,ou=mathcs,o=emory", "device"),
     ] {
         let dn = Dn::parse(dn).unwrap();
-        let rdn = dn.rdn().unwrap().clone();
-        d.add(
-            LdapEntry::new(dn)
-                .with("objectClass", class)
-                .with(&rdn.attr, rdn.value),
-        )
-        .unwrap();
+        let rdn = dn.rdn().unwrap();
+        let entry = LdapEntry::new(dn.clone())
+            .with("objectClass", class)
+            .with(&rdn.attr(), rdn.value());
+        d.add(entry).unwrap();
     }
     let dn = Dn::parse("cn=mokey,ou=mathcs,o=emory").unwrap();
     let found = |d: &Dit, raw: &str| {

@@ -111,10 +111,10 @@ impl DnsProviderContext {
 
     /// Answers the federation probe: ask about the first `upto` components
     /// of `name` (`dns_name`), then each shorter prefix down to the anchor,
-    /// and hand back the first TXT value found. Every prefix is asked about
-    /// — a zone answers NXDOMAIN for an empty non-terminal, so a miss says
-    /// nothing about the names below it. DNS errors name DNS names, and
-    /// only a plain record can be refused.
+    /// and hand back the first TXT value found. Every prefix is asked about,
+    /// longest first; the resolver answers each name below a denied one
+    /// from that one cached denial (RFC 8020). DNS errors name DNS names,
+    /// and only a plain record can be refused.
     fn bound_prefix(
         &self,
         name: &CompositeName,

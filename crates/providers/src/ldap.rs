@@ -102,28 +102,23 @@ impl LdapProviderContext {
         )
     }
 
-    fn component_rdn(component: &str) -> Result<Rdn> {
+    /// The RDN a component names, as `(attribute, value)`.
+    fn component_rdn(component: &str) -> Result<(&str, &str)> {
         if component.contains('=') {
-            Rdn::parse(component).map_err(|reason| NamingError::invalid_name(component, reason))
+            Rdn::split(component).map_err(|reason| NamingError::invalid_name(component, reason))
         } else if component.is_empty() {
             Err(NamingError::invalid_name(component, "empty component"))
         } else {
-            Ok(Rdn::new("cn", component))
+            Ok(("cn", component))
         }
     }
 
     /// DN for the first `k` components: their RDNs leaf-first, then the
-    /// base's.
+    /// base's, written as one string.
     fn dn(&self, name: &CompositeName, k: usize) -> Result<Dn> {
         let components = name.components();
-        let k = k.min(components.len());
-        let mut rdns = Vec::with_capacity(k + self.base.depth());
-        for c in &components[..k] {
-            rdns.push(Self::component_rdn(c)?);
-        }
-        rdns.reverse();
-        rdns.extend_from_slice(self.base.rdns());
-        Ok(Dn::from_rdns(rdns))
+        let leaf_first = components[..k.min(components.len())].iter().rev();
+        self.base.under(leaf_first.map(|c| Self::component_rdn(c)))
     }
 
     fn read(&self, dn: &Dn, trace: Option<&TraceCtx>) -> Result<Option<Arc<LdapEntry>>> {
@@ -165,12 +160,12 @@ impl LdapProviderContext {
     fn core_attrs(entry: &LdapEntry) -> Attributes {
         let mut out = Attributes::new();
         for a in entry.attrs() {
-            if a.id.eq_ignore_ascii_case(VALUE_ATTR) {
+            if a.id().eq_ignore_ascii_case(VALUE_ATTR) {
                 continue;
             }
-            let mut attr = Attribute::new(a.id.clone());
-            for v in &a.values {
-                attr = attr.with(v.clone());
+            let mut attr = Attribute::new(a.id());
+            for v in a.values() {
+                attr = attr.with(v);
             }
             out.put(attr);
         }
@@ -185,11 +180,10 @@ impl LdapProviderContext {
     ) -> Result<LdapEntry> {
         let rdn = dn
             .rdn()
-            .ok_or_else(|| NamingError::invalid_name("", "cannot bind the base DN"))?
-            .clone();
-        let mut entry = LdapEntry::new(dn);
+            .ok_or_else(|| NamingError::invalid_name("", "cannot bind the base DN"))?;
+        let mut entry = LdapEntry::new(dn.clone());
         entry.add_value(CLASS_ATTR, RNDI_CLASS);
-        entry.add_value(&rdn.attr, rdn.value);
+        entry.add_value(&rdn.attr(), rdn.value());
         entry.add_value(
             VALUE_ATTR,
             String::from_utf8(payload)
@@ -234,11 +228,12 @@ impl LdapProviderContext {
         trace: Option<&TraceCtx>,
     ) -> Result<()> {
         let old_dn = self.dn(old, old.len())?;
-        let new_rdn = Self::component_rdn(
+        let (attr, value) = Self::component_rdn(
             new.components()
                 .last()
                 .ok_or_else(|| NamingError::invalid_name("", "empty target"))?,
         )?;
+        let new_rdn = Rdn::new(attr, value);
         // LDAP modifyRDN renames within the same parent.
         if old.prefix(old.len() - 1) != new.prefix(new.len() - 1) {
             return Err(NamingError::unsupported(
@@ -276,7 +271,11 @@ impl LdapProviderContext {
             .children(name, trace)?
             .iter()
             .map(|e| NameClassPair {
-                name: e.dn.rdn().map(|r| r.to_string()).unwrap_or_default(),
+                name: e
+                    .dn
+                    .rdn()
+                    .map(|r| r.as_str().to_owned())
+                    .unwrap_or_default(),
                 class_name: Self::decode(e).class_name().to_string(),
             })
             .collect())
@@ -291,7 +290,11 @@ impl LdapProviderContext {
             .children(name, trace)?
             .iter()
             .map(|e| Binding {
-                name: e.dn.rdn().map(|r| r.to_string()).unwrap_or_default(),
+                name: e
+                    .dn
+                    .rdn()
+                    .map(|r| r.as_str().to_owned())
+                    .unwrap_or_default(),
                 value: Self::decode(e),
             })
             .collect())
@@ -301,16 +304,15 @@ impl LdapProviderContext {
         let dn = self.dn(name, name.len())?;
         let rdn = dn
             .rdn()
-            .ok_or_else(|| NamingError::invalid_name("", "empty name"))?
-            .clone();
-        let mut entry = LdapEntry::new(dn);
-        let class = if rdn.attr == "ou" {
+            .ok_or_else(|| NamingError::invalid_name("", "empty name"))?;
+        let mut entry = LdapEntry::new(dn.clone());
+        let class = if rdn.attr() == "ou" {
             "organizationalUnit"
         } else {
             RNDI_CLASS
         };
         entry.add_value(CLASS_ATTR, class);
-        entry.add_value(&rdn.attr, rdn.value.clone());
+        entry.add_value(&rdn.attr(), rdn.value());
         self.conn
             .add_traced(entry, trace)
             .map_err(|(c, d)| code_err(c, d))
@@ -493,11 +495,8 @@ impl ProviderBackend for LdapProviderContext {
 /// Render `dn` relative to `base` as a composite-style name.
 fn relative_name(dn: &Dn, base: &Dn) -> String {
     let extra = dn.depth().saturating_sub(base.depth());
-    let rdns: Vec<String> = dn.rdns()[..extra]
-        .iter()
-        .rev()
-        .map(|r| r.to_string())
-        .collect();
+    let mut rdns: Vec<&str> = dn.rdns().take(extra).map(|r| r.as_str()).collect();
+    rdns.reverse();
     rdns.join("/")
 }
 

@@ -98,8 +98,8 @@ fn world() -> InitialContext {
 
 #[test]
 fn federated_lookup_and_rebind_stay_inside_their_allocation_budgets() {
-    const LOOKUP_BUDGET: u64 = 100;
-    const REBIND_BUDGET: u64 = 160;
+    const LOOKUP_BUDGET: u64 = 82;
+    const REBIND_BUDGET: u64 = 125;
 
     let ctx = world();
     let urls: Vec<String> = (0..ORGS)
