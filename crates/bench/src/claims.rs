@@ -16,6 +16,7 @@ use crate::figures::{Measured, SCALE_CLIENTS};
 
 /// One asserted shape. `id` is `<figure>.<name>`, the figure being the
 /// runner entry whose data `measure` reads.
+// Public as the element type of `CLAIMS`.
 pub struct Claim {
     pub id: &'static str,
     /// What is compared, in the units of `lo`/`hi`.

@@ -45,6 +45,7 @@ pub struct Delivery {
 }
 
 /// One X1 row: the HDNS layer at `replicas` nodes, op/s.
+// Public as the element type of `Measured::scaling`.
 #[derive(Debug)]
 pub struct Scaling {
     pub replicas: usize,
@@ -96,8 +97,8 @@ fn scale(d: Duration, factor: f64) -> Duration {
 
 /// An operation that chains several [`RoundTrips`] stages against distinct
 /// servers — the shape of a federated lookup (root, intermediate, leaf).
-pub struct SeqOp {
-    pub stages: Vec<Rc<RoundTrips>>,
+struct SeqOp {
+    stages: Vec<Rc<RoundTrips>>,
 }
 
 impl SeqOp {
@@ -150,14 +151,7 @@ fn jini_backend(
         env_keys::JINI_STRICT_BIND,
         if strict { "true" } else { "false" },
     );
-    let ctx = rndi_providers::JiniProviderContext::new(
-        registrar.clone(),
-        Arc::new(rndi_providers::common::RlusClock(
-            clock as Arc<dyn rlus::Clock>,
-        )),
-        env,
-        "bench",
-    );
+    let ctx = rndi_providers::JiniProviderContext::new(registrar.clone(), clock, env, "bench");
     (registrar, ctx)
 }
 
@@ -298,9 +292,7 @@ pub fn a5(config: &SweepConfig) -> Vec<Series> {
         let env = Environment::new().with(env_keys::JINI_STRICT_BIND, "true");
         let ctx = rndi_providers::JiniProviderContext::with_proxy(
             registrar,
-            Arc::new(rndi_providers::common::RlusClock(
-                clock as Arc<dyn rlus::Clock>,
-            )),
+            clock,
             env,
             "proxy-bench",
             Some(proxy),
@@ -910,13 +902,7 @@ fn federation_deployment() -> FederationDeployment {
 }
 
 fn federation_deployment_with_env(env: Environment) -> FederationDeployment {
-    struct ZeroClock;
-    impl rndi_providers::common::MsClock for ZeroClock {
-        fn now_ms(&self) -> u64 {
-            0
-        }
-    }
-    let clock: Arc<dyn rndi_providers::common::MsClock> = Arc::new(ZeroClock);
+    let clock: Arc<dyn rndi_providers::common::MsClock> = rlus::ManualClock::new();
 
     // DNS: TXT at the anchor points at the HDNS layer.
     let dns_server = minidns::AuthServer::new();

@@ -22,6 +22,7 @@ pub type DoneFn = Box<dyn FnOnce(&Sim, bool)>;
 /// Real-backend work executed at op completion.
 pub type WorkFn = Rc<dyn Fn(&Sim)>;
 /// Extra completion delay computed at completion time.
+// Public as the type `RoundTrips::with_extra_delay` takes.
 pub type DelayFn = Rc<dyn Fn(&Sim) -> Duration>;
 
 /// Build a [`WorkFn`] that dispatches one reified [`NamingOp`] against a
@@ -101,6 +102,8 @@ impl RoundTrips {
     }
 
     /// Trace every logical op under `label` (see [`RoundTrips::trace_label`]).
+    // Kept: how a workload opts into client→server trace trees; the
+    // module's tests drive it.
     pub fn with_trace_label(mut self, label: impl Into<String>) -> Self {
         self.trace_label = Some(label.into());
         self

@@ -26,7 +26,7 @@ pub fn dump(top_n: usize) {
 /// One latency row per `(provider, op)` observed at the pipeline layer —
 /// the same log2-bucket histograms the exposition exports, summarized the
 /// way `print_latency` summarizes a sweep series.
-pub fn print_provider_latency() {
+fn print_provider_latency() {
     let mut rows: Vec<(String, String, std::sync::Arc<rndi_obs::Histogram>)> = Vec::new();
     for (labels, hist) in rndi_obs::metrics::histogram_family(names::OP_DURATION) {
         let get = |key: &str| {
@@ -67,7 +67,7 @@ pub fn print_provider_latency() {
 /// Print the `top_n` slowest root spans with their children, indented by
 /// span depth, so a federated lookup reads as one tree: client root, one
 /// child per mount, server spans at the leaves.
-pub fn print_slowest_traces(top_n: usize) {
+fn print_slowest_traces(top_n: usize) {
     let ring = rndi_obs::trace::ring();
     let roots = ring.slowest_roots(top_n);
     if roots.is_empty() {

@@ -182,7 +182,7 @@ fn print_scaling(title: &str, m: &Measured) {
 
 /// The figures `names` asks for, in table order; all of them for no name.
 /// An unknown name is an error that lists the valid ones.
-pub fn select(names: &[String]) -> Result<Vec<&'static Figure>, String> {
+fn select(names: &[String]) -> Result<Vec<&'static Figure>, String> {
     if let Some(unknown) = names
         .iter()
         .find(|n| FIGURES.iter().all(|f| f.id != n.as_str()))

@@ -78,7 +78,7 @@ pub fn is_candidate(engine: &GossipEngine, name: &str) -> bool {
 /// on it would mint a view change for every network hiccup. Only `Dead`
 /// (the phi detector's final word) drops a member — which is also why
 /// newcomers must be fully `Alive` to get in.
-pub fn desired_members(engine: &GossipEngine) -> Vec<String> {
+fn desired_members(engine: &GossipEngine) -> Vec<String> {
     let in_view_worthy = |n: &str| {
         engine
             .table

@@ -202,7 +202,7 @@ impl GossipEngine {
 
     /// Peers worth gossiping with this round: everyone not written off.
     /// Suspects stay included so they can refute. Dead / Quarantined
-    /// peers get a probe every [`PROBE_EVERY`]th round — without it two
+    /// peers get a probe every `PROBE_EVERY`th round — without it two
     /// sides of a healed partition would each hold the other Dead, never
     /// initiate contact, and stay split forever; the probe delivers the
     /// "you are Dead" rumour that triggers the peer's refutation bump.

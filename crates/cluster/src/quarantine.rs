@@ -65,11 +65,6 @@ impl QuarantineTable {
             .is_some_and(|bar| now_ms < bar.until_ms)
     }
 
-    /// The incarnation `name` died at, while barred.
-    pub fn barred_incarnation(&self, name: &str) -> Option<u64> {
-        self.barred.get(name).map(|b| b.incarnation)
-    }
-
     /// Drop expired bars.
     pub fn sweep(&mut self, now_ms: u64) {
         self.barred.retain(|_, bar| now_ms < bar.until_ms);
@@ -104,7 +99,7 @@ mod tests {
         q.bar("n1", 3, 1_000);
         // The time gate is absolute; the incarnation is bookkeeping.
         assert!(!q.admit("n1", 999));
-        assert_eq!(q.barred_incarnation("n1"), Some(3));
+        assert_eq!(q.barred.get("n1").map(|b| b.incarnation), Some(3));
     }
 
     #[test]
@@ -113,7 +108,7 @@ mod tests {
         q.bar("n1", 3, 1_000);
         q.bar("n1", 4, 800);
         assert!(!q.admit("n1", 900), "deadline kept at the max");
-        assert_eq!(q.barred_incarnation("n1"), Some(4));
+        assert_eq!(q.barred.get("n1").map(|b| b.incarnation), Some(4));
         q.sweep(1_000);
         assert!(q.is_empty());
     }

@@ -78,13 +78,6 @@ impl Attribute {
     pub fn first_str(&self) -> Option<&str> {
         self.values.first().and_then(|v| v.as_str())
     }
-
-    /// Whether any value (string form, case-insensitive) equals `s`.
-    pub fn contains_str(&self, s: &str) -> bool {
-        self.values
-            .iter()
-            .any(|v| v.as_str().is_some_and(|x| x.eq_ignore_ascii_case(s)))
-    }
 }
 
 /// An attribute set keyed by lower-cased identifier.
@@ -244,8 +237,6 @@ mod tests {
     fn multivalued() {
         let a = Attribute::new("member").with("alice").with("bob");
         assert_eq!(a.values.len(), 2);
-        assert!(a.contains_str("ALICE"));
-        assert!(!a.contains_str("carol"));
     }
 
     #[test]

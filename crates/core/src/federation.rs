@@ -29,7 +29,7 @@ use crate::value::BoundValue;
 
 /// Default maximum federation hops (overridable via
 /// [`keys::MAX_FEDERATION_DEPTH`]).
-pub const DEFAULT_MAX_DEPTH: u64 = 16;
+const DEFAULT_MAX_DEPTH: u64 = 16;
 
 /// Default worker-pool width for federated subtree search fan-out
 /// (overridable via [`keys::FEDERATION_FANOUT`]).
@@ -79,7 +79,7 @@ where
 
 /// Turn a resolved boundary object into the continuation context plus the
 /// name prefix it contributes (URL references contribute their path).
-pub fn continuation_context(
+fn continuation_context(
     resolved: BoundValue,
     registry: &ProviderRegistry,
     env: &Environment,

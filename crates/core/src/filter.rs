@@ -37,6 +37,7 @@ pub enum Filter {
 
 /// The pattern of a substring filter: optional anchored prefix/suffix and
 /// any number of interior fragments, in order.
+// Public as the payload of `Filter::Substring`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SubstringPattern {
     pub initial: Option<String>,

@@ -5,8 +5,7 @@
 //! with strings. URL-form names (`jini://host1/printer`) route to the
 //! provider registered for the scheme; plain composite names resolve in the
 //! default context configured via [`keys::PROVIDER_URL`]. All operations
-//! transparently follow federation continuations, and bound/looked-up
-//! values pass through the configured state/object factory chains.
+//! transparently follow federation continuations.
 
 use std::sync::Arc;
 
@@ -18,7 +17,7 @@ use crate::federation::drive_op;
 use crate::filter::Filter;
 use crate::name::CompositeName;
 use crate::op::{NamingOp, OpKind, OpOutcome};
-use crate::spi::{FactoryChain, ProviderRegistry};
+use crate::spi::ProviderRegistry;
 use crate::url::{looks_like_url, RndiUrl};
 use crate::value::BoundValue;
 
@@ -26,7 +25,6 @@ use crate::value::BoundValue;
 pub struct InitialContext {
     env: Environment,
     registry: Arc<ProviderRegistry>,
-    factories: FactoryChain,
     default_ctx: Option<Arc<dyn DirContext>>,
 }
 
@@ -50,7 +48,6 @@ impl InitialContext {
         Ok(InitialContext {
             env,
             registry,
-            factories: FactoryChain::new(),
             default_ctx,
         })
     }
@@ -64,14 +61,8 @@ impl InitialContext {
         InitialContext {
             env,
             registry,
-            factories: FactoryChain::new(),
             default_ctx: Some(default_ctx),
         }
-    }
-
-    /// Install the state/object factory chain applied to every operation.
-    pub fn set_factories(&mut self, factories: FactoryChain) {
-        self.factories = factories;
     }
 
     /// The environment this context was created with.
@@ -119,39 +110,23 @@ impl InitialContext {
         drive_op(ctx, make(composite), &self.registry, &self.env)
     }
 
-    /// `value` as the state-factory chain stores it. The chain is told the
-    /// name as a composite name; with no factory to tell, it is not parsed.
-    fn to_stored(&self, name: &str, value: BoundValue) -> Result<BoundValue> {
-        if self.factories.is_empty() {
-            return Ok(value);
-        }
-        let parsed_name = CompositeName::parse(name).unwrap_or_default();
-        self.factories.to_stored(value, &parsed_name, &self.env)
-    }
-
     /// Look up the value bound to `name` (composite or URL form).
     pub fn lookup(&self, name: &str) -> Result<BoundValue> {
-        let stored = self
-            .run_op(name, NamingOp::lookup)?
-            .into_value(OpKind::Lookup)?;
-        if self.factories.is_empty() {
-            return Ok(stored);
-        }
-        let parsed_name = CompositeName::parse(name).unwrap_or_default();
-        self.factories.to_object(stored, &parsed_name, &self.env)
+        self.run_op(name, NamingOp::lookup)?
+            .into_value(OpKind::Lookup)
     }
 
     /// Atomically bind `value` under `name`.
     pub fn bind(&self, name: &str, value: impl Into<BoundValue>) -> Result<()> {
-        let stored = self.to_stored(name, value.into())?;
-        self.run_op(name, |n| NamingOp::bind(n, stored))?
+        let value = value.into();
+        self.run_op(name, |n| NamingOp::bind(n, value))?
             .into_done(OpKind::Bind)
     }
 
     /// Bind `value` under `name`, replacing any previous binding.
     pub fn rebind(&self, name: &str, value: impl Into<BoundValue>) -> Result<()> {
-        let stored = self.to_stored(name, value.into())?;
-        self.run_op(name, |n| NamingOp::rebind(n, stored))?
+        let value = value.into();
+        self.run_op(name, |n| NamingOp::rebind(n, value))?
             .into_done(OpKind::Rebind)
     }
 
@@ -210,8 +185,8 @@ impl InitialContext {
         value: impl Into<BoundValue>,
         attrs: Attributes,
     ) -> Result<()> {
-        let stored = self.to_stored(name, value.into())?;
-        self.run_op(name, |n| NamingOp::bind_with_attrs(n, stored, attrs))?
+        let value = value.into();
+        self.run_op(name, |n| NamingOp::bind_with_attrs(n, value, attrs))?
             .into_done(OpKind::BindWithAttrs)
     }
 
@@ -222,8 +197,8 @@ impl InitialContext {
         value: impl Into<BoundValue>,
         attrs: Attributes,
     ) -> Result<()> {
-        let stored = self.to_stored(name, value.into())?;
-        self.run_op(name, |n| NamingOp::rebind_with_attrs(n, stored, attrs))?
+        let value = value.into();
+        self.run_op(name, |n| NamingOp::rebind_with_attrs(n, value, attrs))?
             .into_done(OpKind::RebindWithAttrs)
     }
 
@@ -298,6 +273,7 @@ impl InitialContext {
 }
 
 /// A live event subscription; unsubscribes on drop.
+// Public as the type `InitialContext::add_listener` returns.
 pub struct Subscription {
     ctx: Arc<dyn DirContext>,
     handle: Option<crate::event::ListenerHandle>,

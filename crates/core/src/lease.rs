@@ -5,72 +5,18 @@
 //! leases") is to renew leases *inside the provider*: every entry a
 //! provider binds is kept alive automatically until it is explicitly
 //! unbound or the process exits. [`LeaseRenewalManager`] implements that
-//! policy, decoupled from wall-clock time through [`LeaseClock`] so both
-//! simulations and real deployments can drive it.
+//! policy, decoupled from wall-clock time through the process's one
+//! millisecond [`Clock`] so both simulations and real deployments can drive
+//! it.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::error::Result;
 
-/// Time source for lease bookkeeping (milliseconds, arbitrary epoch).
-pub trait LeaseClock: Send + Sync {
-    fn now_ms(&self) -> u64;
-}
-
-/// Wall-clock implementation of [`LeaseClock`].
-pub struct SystemLeaseClock {
-    start: std::time::Instant,
-}
-
-impl SystemLeaseClock {
-    pub fn new() -> Self {
-        SystemLeaseClock {
-            start: std::time::Instant::now(),
-        }
-    }
-}
-
-impl Default for SystemLeaseClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LeaseClock for SystemLeaseClock {
-    fn now_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
-    }
-}
-
-/// A manually advanced clock for tests and simulations.
-#[derive(Default)]
-pub struct ManualClock {
-    now: AtomicU64,
-}
-
-impl ManualClock {
-    pub fn new() -> Arc<Self> {
-        Arc::new(ManualClock::default())
-    }
-
-    pub fn advance(&self, ms: u64) {
-        self.now.fetch_add(ms, Ordering::Relaxed);
-    }
-
-    pub fn set(&self, ms: u64) {
-        self.now.store(ms, Ordering::Relaxed);
-    }
-}
-
-impl LeaseClock for ManualClock {
-    fn now_ms(&self) -> u64 {
-        self.now.load(Ordering::Relaxed)
-    }
-}
+pub use rndi_obs::clock::{Clock, ManualClock};
 
 /// The renewal callback: ask the backend to extend the lease on `key` by
 /// `duration_ms`; returns the new absolute expiry (clock-relative ms).
@@ -85,6 +31,7 @@ struct ManagedLease {
 }
 
 /// Summary of one [`LeaseRenewalManager::poll`] pass.
+// Public as the type `LeaseRenewalManager::poll` returns.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct PollOutcome {
     /// Keys whose leases were successfully renewed.
@@ -96,7 +43,7 @@ pub struct PollOutcome {
 
 /// Tracks leases and renews each one when it enters the renewal margin.
 pub struct LeaseRenewalManager {
-    clock: Arc<dyn LeaseClock>,
+    clock: Arc<dyn Clock>,
     /// Renew when remaining validity falls below this fraction of the
     /// total duration (e.g. `0.25` = renew in the last quarter).
     margin: f64,
@@ -104,7 +51,7 @@ pub struct LeaseRenewalManager {
 }
 
 impl LeaseRenewalManager {
-    pub fn new(clock: Arc<dyn LeaseClock>, margin: f64) -> Self {
+    pub fn new(clock: Arc<dyn Clock>, margin: f64) -> Self {
         LeaseRenewalManager {
             clock,
             margin: margin.clamp(0.01, 0.99),
@@ -144,9 +91,9 @@ impl LeaseRenewalManager {
         self.leases.lock().is_empty()
     }
 
-    /// The earliest instant at which some lease needs renewal — drive the
-    /// next `poll` no later than this.
-    pub fn next_due_ms(&self) -> Option<u64> {
+    /// The earliest instant at which some lease needs renewal.
+    #[cfg(test)]
+    fn next_due_ms(&self) -> Option<u64> {
         let leases = self.leases.lock();
         leases.values().map(|l| renew_point(l, self.margin)).min()
     }
@@ -265,22 +212,5 @@ mod tests {
         assert_eq!(mgr.poll(), PollOutcome::default());
         assert!(mgr.is_empty());
         assert_eq!(mgr.next_due_ms(), None);
-    }
-
-    #[test]
-    fn manual_clock_advances() {
-        let c = ManualClock::new();
-        assert_eq!(c.now_ms(), 0);
-        c.advance(5);
-        c.advance(7);
-        assert_eq!(c.now_ms(), 12);
-    }
-
-    #[test]
-    fn system_clock_is_monotonic() {
-        let c = SystemLeaseClock::new();
-        let a = c.now_ms();
-        let b = c.now_ms();
-        assert!(b >= a);
     }
 }

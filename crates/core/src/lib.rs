@@ -16,9 +16,9 @@
 //! * **Queries** — LDAP-style (RFC 2254) search [`filter::Filter`]s, as the
 //!   JNDI spec mandates.
 //! * **SPI** — [`spi::ProviderRegistry`] mapping URL schemes to providers,
-//!   and the [`spi::StateFactory`]/[`spi::ObjectFactory`] translation
-//!   chains that let generic tuples be stored in backends never designed
-//!   for them (the paper's Jini "fake service stub" trick).
+//!   and [`spi::ProviderBackend`], the one-method surface a provider
+//!   implements to store generic tuples in a backend never designed for
+//!   them (the Jini provider's "fake service stubs" are its own business).
 //! * **Federation** — [`federation::drive_op`] follows
 //!   [`error::NamingError::Continue`] continuations across naming-system
 //!   boundaries, so `hdns://host2/jiniCtx/name` transparently hops from
@@ -80,8 +80,8 @@ pub mod prelude {
     pub use crate::name::{CompositeName, CompoundName, CompoundSyntax};
     pub use crate::op::{NamingOp, OpKind, OpOutcome, OpPayload};
     pub use crate::spi::{
-        ContextBackend, FactoryChain, Interceptor, ObjectFactory, OpInvoker, ProviderBackend,
-        ProviderPipeline, ProviderRegistry, StateFactory, UrlContextFactory, WireFormat,
+        ContextBackend, Interceptor, OpInvoker, ProviderBackend, ProviderPipeline,
+        ProviderRegistry, UrlContextFactory, WireFormat,
     };
     pub use crate::url::{looks_like_url, RndiUrl};
     pub use crate::value::{BoundValue, RefAddr, Reference, StoredValue};

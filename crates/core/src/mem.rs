@@ -483,7 +483,7 @@ impl MemFactory {
 
     /// Create under a custom scheme (tests sometimes masquerade an
     /// in-memory context as another service).
-    pub fn with_scheme(scheme: &str) -> Arc<Self> {
+    fn with_scheme(scheme: &str) -> Arc<Self> {
         Arc::new(MemFactory {
             scheme: scheme.to_ascii_lowercase(),
             hosts: parking_lot::Mutex::new(std::collections::HashMap::new()),

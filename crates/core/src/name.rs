@@ -312,26 +312,6 @@ impl CompoundName {
     pub fn is_empty(&self) -> bool {
         self.components.is_empty()
     }
-
-    /// Compare under the syntax's case rule.
-    pub fn name_eq(&self, other: &CompoundName) -> bool {
-        if self.components.len() != other.components.len() {
-            return false;
-        }
-        self.components.iter().zip(&other.components).all(|(a, b)| {
-            if self.syntax.case_insensitive {
-                a.eq_ignore_ascii_case(b)
-            } else {
-                a == b
-            }
-        })
-    }
-
-    /// Convert to a composite name (one composite component per compound
-    /// component, most-significant first).
-    pub fn to_composite(&self) -> CompositeName {
-        CompositeName::from_components(self.components.clone())
-    }
 }
 
 impl fmt::Display for CompoundName {
@@ -447,25 +427,9 @@ mod tests {
     }
 
     #[test]
-    fn compound_case_insensitive_eq() {
-        let a = CompoundName::parse("WWW.Emory.EDU", CompoundSyntax::dns()).unwrap();
-        let b = CompoundName::parse("www.emory.edu", CompoundSyntax::dns()).unwrap();
-        assert!(a.name_eq(&b));
-        let c = CompoundName::parse("a/B", CompoundSyntax::path()).unwrap();
-        let d = CompoundName::parse("a/b", CompoundSyntax::path()).unwrap();
-        assert!(!c.name_eq(&d));
-    }
-
-    #[test]
     fn compound_escaped_separator() {
         let n = CompoundName::parse(r"a\.b.c", CompoundSyntax::dns()).unwrap();
         assert_eq!(n.components(), ["c", "a.b"]);
         assert_eq!(n.to_string(), r"a\.b.c");
-    }
-
-    #[test]
-    fn compound_to_composite() {
-        let n = CompoundName::parse("dcl.mathcs.emory", CompoundSyntax::dns()).unwrap();
-        assert_eq!(n.to_composite().to_string(), "emory/mathcs/dcl");
     }
 }

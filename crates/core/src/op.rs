@@ -1,6 +1,6 @@
 //! Reified naming operations.
 //!
-//! Every [`Context`]/[`DirContext`](crate::context::DirContext) call can be
+//! Every [`Context`](crate::context::Context)/[`DirContext`] call can be
 //! expressed as a first-class request value ([`NamingOp`]) paired with a
 //! response value ([`OpOutcome`]). Reifying the call gives every layer that
 //! sits between the application and a backend — federation, caching, retry,

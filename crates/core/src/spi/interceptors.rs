@@ -15,7 +15,7 @@ use super::{ProviderBackend, ProviderPipeline, WireFormat};
 use crate::env::keys;
 use crate::error::{NamingError, Result};
 use crate::event::{NamingEvent, NamingListener};
-use crate::lease::{LeaseClock, SystemLeaseClock};
+use crate::lease::Clock;
 use crate::name::CompositeName;
 use crate::op::{codec, NamingOp, OpKind, OpOutcome, OpPayload, ALL_OP_KINDS};
 use crate::value::BoundValue;
@@ -251,16 +251,16 @@ impl CacheMap {
 
 /// Read-through lookup cache with TTL expiry and a max-entries LRU bound.
 /// Entries are invalidated by mutations flowing through the pipeline and
-/// by the provider's own naming events (subscribe via
-/// [`CacheInterceptor::listener`] or let [`ProviderPipeline::standard`]
-/// wire it to the backend's hub).
+/// by the provider's own naming events (subscribe the interceptor itself, a
+/// `NamingListener`, to a hub, or let [`ProviderPipeline::standard`] wire it
+/// to the backend's hub).
 pub struct CacheInterceptor {
     ttl_ms: u64,
     max_entries: usize,
     /// Grace window past expiry during which an entry may still be served
     /// if the backend reports `Overloaded`; `0` disables serve-stale.
     serve_stale_ms: u64,
-    clock: Arc<dyn LeaseClock>,
+    clock: Arc<dyn Clock>,
     entries: Mutex<CacheMap>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -275,10 +275,10 @@ pub struct CacheInterceptor {
 
 impl CacheInterceptor {
     pub fn new(ttl_ms: u64) -> Self {
-        Self::with_clock(ttl_ms, Arc::new(SystemLeaseClock::new()))
+        Self::with_clock(ttl_ms, rndi_obs::clock::SystemClock::new())
     }
 
-    pub fn with_clock(ttl_ms: u64, clock: Arc<dyn LeaseClock>) -> Self {
+    pub fn with_clock(ttl_ms: u64, clock: Arc<dyn Clock>) -> Self {
         CacheInterceptor {
             ttl_ms,
             max_entries: DEFAULT_CACHE_MAX_ENTRIES,

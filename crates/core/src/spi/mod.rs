@@ -4,11 +4,6 @@
 //!   live provider context. The [`ProviderRegistry`] maps schemes to
 //!   factories (JNDI's `NamingManager` + `Context.URL_PKG_PREFIXES`
 //!   machinery, without the classpath scanning).
-//! * [`StateFactory`] / [`ObjectFactory`] — the translation layer the paper
-//!   uses to store generic name→value mappings in backends that were never
-//!   designed for them (§5.1 "State and Object Factories"): a state factory
-//!   converts the application object into the provider's storable form on
-//!   `bind`, and an object factory reverses the transformation on `lookup`.
 //! * [`ProviderBackend`] — the slim surface a provider implements; the
 //!   interceptors in front of it (`interceptors`), the [`ProviderPipeline`]
 //!   that stacks them and the [`OpContext`] bridge that recovers the
@@ -25,10 +20,9 @@ use crate::context::DirContext;
 use crate::env::Environment;
 use crate::error::{NamingError, Result};
 use crate::event::EventHub;
-use crate::name::{CompositeName, CompoundSyntax};
+use crate::name::CompoundSyntax;
 use crate::op::{NamingOp, OpOutcome};
 use crate::url::RndiUrl;
-use crate::value::BoundValue;
 
 pub mod boundary;
 mod interceptors;
@@ -103,88 +97,6 @@ impl ProviderRegistry {
     }
 }
 
-/// Converts application objects into a provider-storable form on bind.
-pub trait StateFactory: Send + Sync {
-    /// Return `Ok(Some(_))` to take responsibility for the conversion,
-    /// `Ok(None)` to pass to the next factory in the chain.
-    fn get_state_to_bind(
-        &self,
-        value: &BoundValue,
-        name: &CompositeName,
-        env: &Environment,
-    ) -> Result<Option<BoundValue>>;
-}
-
-/// Reconstructs application objects from the stored form on lookup.
-pub trait ObjectFactory: Send + Sync {
-    /// Return `Ok(Some(_))` to take responsibility for the conversion,
-    /// `Ok(None)` to pass to the next factory in the chain.
-    fn get_object_instance(
-        &self,
-        stored: &BoundValue,
-        name: &CompositeName,
-        env: &Environment,
-    ) -> Result<Option<BoundValue>>;
-}
-
-/// An ordered chain of state/object factories; the first factory that
-/// accepts wins, and with no taker the value passes through unchanged.
-#[derive(Default, Clone)]
-pub struct FactoryChain {
-    state: Vec<Arc<dyn StateFactory>>,
-    object: Vec<Arc<dyn ObjectFactory>>,
-}
-
-impl FactoryChain {
-    pub fn new() -> Self {
-        FactoryChain::default()
-    }
-
-    pub fn add_state_factory(&mut self, f: Arc<dyn StateFactory>) {
-        self.state.push(f);
-    }
-
-    pub fn add_object_factory(&mut self, f: Arc<dyn ObjectFactory>) {
-        self.object.push(f);
-    }
-
-    /// Whether the chain holds no factory at all, so both directions pass
-    /// every value through unchanged.
-    pub fn is_empty(&self) -> bool {
-        self.state.is_empty() && self.object.is_empty()
-    }
-
-    /// Apply the state-factory chain (bind direction).
-    pub fn to_stored(
-        &self,
-        value: BoundValue,
-        name: &CompositeName,
-        env: &Environment,
-    ) -> Result<BoundValue> {
-        for f in &self.state {
-            if let Some(converted) = f.get_state_to_bind(&value, name, env)? {
-                return Ok(converted);
-            }
-        }
-        Ok(value)
-    }
-
-    /// Apply the object-factory chain (lookup direction).
-    pub fn to_object(
-        &self,
-        stored: BoundValue,
-        name: &CompositeName,
-        env: &Environment,
-    ) -> Result<BoundValue> {
-        for f in &self.object {
-            if let Some(converted) = f.get_object_instance(&stored, name, env)? {
-                return Ok(converted);
-            }
-        }
-        Ok(stored)
-    }
-}
-
 // ====================================================================
 // The provider pipeline: reified ops through composable interceptors.
 // ====================================================================
@@ -192,8 +104,8 @@ impl FactoryChain {
 /// How a backend stores values.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WireFormat {
-    /// The backend keeps live [`BoundValue`]s (in-memory contexts); the
-    /// marshalling layer stays out of the way.
+    /// The backend keeps live [`BoundValue`](crate::value::BoundValue)s
+    /// (in-memory contexts); the marshalling layer stays out of the way.
     Native,
     /// The backend stores opaque bytes; the pipeline's marshalling layer
     /// encodes bind payloads before they reach [`ProviderBackend::execute`]
@@ -237,6 +149,8 @@ pub trait ProviderBackend: Send + Sync {
 mod tests {
     use super::*;
     use crate::context::{Binding, Context, NameClassPair};
+    use crate::name::CompositeName;
+    use crate::value::BoundValue;
 
     struct DummyCtx;
     impl Context for DummyCtx {
@@ -304,59 +218,5 @@ mod tests {
         ));
         reg.unregister("dummy");
         assert!(reg.get("dummy").is_err());
-    }
-
-    /// Wraps strings on the way in; unwraps on the way out — the same
-    /// pattern the Jini provider uses for "fake service stubs".
-    struct WrapFactory;
-    impl StateFactory for WrapFactory {
-        fn get_state_to_bind(
-            &self,
-            value: &BoundValue,
-            _: &CompositeName,
-            _: &Environment,
-        ) -> Result<Option<BoundValue>> {
-            Ok(value
-                .as_str()
-                .map(|s| BoundValue::Str(format!("wrapped:{s}"))))
-        }
-    }
-    impl ObjectFactory for WrapFactory {
-        fn get_object_instance(
-            &self,
-            stored: &BoundValue,
-            _: &CompositeName,
-            _: &Environment,
-        ) -> Result<Option<BoundValue>> {
-            Ok(stored
-                .as_str()
-                .and_then(|s| s.strip_prefix("wrapped:"))
-                .map(BoundValue::str))
-        }
-    }
-
-    #[test]
-    fn factory_chain_roundtrip() {
-        let mut chain = FactoryChain::new();
-        chain.add_state_factory(Arc::new(WrapFactory));
-        chain.add_object_factory(Arc::new(WrapFactory));
-        let name = CompositeName::from("x");
-        let env = Environment::new();
-
-        let stored = chain.to_stored(BoundValue::str("v"), &name, &env).unwrap();
-        assert_eq!(stored.as_str(), Some("wrapped:v"));
-        let back = chain.to_object(stored, &name, &env).unwrap();
-        assert_eq!(back.as_str(), Some("v"));
-    }
-
-    #[test]
-    fn factory_chain_passthrough_when_no_taker() {
-        let chain = FactoryChain::new();
-        let name = CompositeName::from("x");
-        let env = Environment::new();
-        let v = chain.to_stored(BoundValue::I64(3), &name, &env).unwrap();
-        assert_eq!(v, BoundValue::I64(3));
-        let v = chain.to_object(BoundValue::I64(3), &name, &env).unwrap();
-        assert_eq!(v, BoundValue::I64(3));
     }
 }

@@ -18,6 +18,7 @@ use crate::op::{OpKind, ALL_OP_KINDS};
 /// One op kind's traffic through a provider's pipelines, as the caller
 /// saw it (`layer="pipeline"`: a cache hit counts, a retried op counts
 /// once). Federation `Continue` results are control flow, not errors.
+// Public, as are the two types below, as part of what `snapshot` returns.
 #[derive(Clone, Copy, Debug)]
 pub struct OpKindStat {
     pub kind: OpKind,

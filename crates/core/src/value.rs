@@ -103,13 +103,6 @@ impl BoundValue {
         }
     }
 
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            BoundValue::I64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     pub fn as_bytes(&self) -> Option<&[u8]> {
         match self {
             BoundValue::Bytes(b) => Some(b),
@@ -289,7 +282,6 @@ mod tests {
     #[test]
     fn accessors() {
         assert_eq!(BoundValue::str("x").as_str(), Some("x"));
-        assert_eq!(BoundValue::I64(4).as_i64(), Some(4));
         assert_eq!(BoundValue::from("y").as_str(), Some("y"));
         assert_eq!(BoundValue::Bytes(vec![1]).as_bytes(), Some(&[1u8][..]));
         assert!(BoundValue::Null.as_str().is_none());

@@ -170,3 +170,14 @@ fn rebuilt_pipelines_share_their_label_s_series() {
     let t = entry("telemetry-rebuilt").unwrap();
     assert_eq!(row(&t, OpKind::Lookup), (10_001, 0));
 }
+
+#[test]
+fn an_unopenable_trace_file_is_counted_not_ignored() {
+    let _guard = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let failed = || rndi_obs::metrics::counter_total(rndi_obs::metrics::names::SINK_ERRORS);
+    let before = failed();
+    let path = std::env::temp_dir().join("rndi-no-such-dir/trace.jsonl");
+    let env = Environment::new().with(env_keys::OBS_TRACE_FILE, path.to_str().unwrap());
+    ProviderPipeline::standard(Scripted::new("telemetry-trace-file"), &env);
+    assert_eq!(failed() - before, 1, "the trace file that did not open");
+}

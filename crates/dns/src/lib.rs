@@ -13,8 +13,8 @@
 //!   CNAME handling.
 //! * [`server::AuthServer`] — hosts zones, answers queries with proper
 //!   rcodes/referrals.
-//! * [`resolver::Resolver`] — iterative resolution from root hints with a
-//!   TTL cache that caches NXDOMAIN for a whole subtree (RFC 8020).
+//! * [`resolver::Resolver`] — resolution against its servers with a TTL
+//!   cache that caches NXDOMAIN for a whole subtree (RFC 8020).
 
 pub mod name;
 pub mod resolver;

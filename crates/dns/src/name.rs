@@ -4,8 +4,6 @@ use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 /// A fully qualified domain name, held as its lower-cased dotted text
 /// without the trailing dot (`dcl.mathcs.emory.edu`; the root is the empty
 /// text). A name and its ancestors share one text: [`DnsName::parent`] and
@@ -191,20 +189,6 @@ impl Ord for DnsName {
 impl Borrow<str> for DnsName {
     fn borrow(&self) -> &str {
         self.as_str()
-    }
-}
-
-impl Serialize for DnsName {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::String(self.as_str().to_string())
-    }
-}
-
-impl Deserialize for DnsName {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        v.as_str()
-            .map(|text| DnsName::from_labels([text]))
-            .ok_or_else(|| serde::Error::custom("expected a dotted name"))
     }
 }
 

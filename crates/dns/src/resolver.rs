@@ -1,9 +1,8 @@
-//! Iterative resolution with a TTL cache.
+//! Resolution with a TTL cache.
 //!
-//! The resolver chases referrals from the root servers down to an
-//! authoritative answer, caching positive and negative results by TTL.
-//! Nameserver hostnames map to server handles through a registry (standing
-//! in for glue/A-record resolution of the real protocol).
+//! The resolver asks the first of its servers and caches positive and
+//! negative results by TTL. It holds no glue, so a referral (a name
+//! delegated away from that server) is SERVFAIL.
 //!
 //! NXDOMAIN is cached as RFC 8020 has it: one line per name, whatever
 //! type was asked, that answers for every name below it too.
@@ -16,7 +15,7 @@ use parking_lot::Mutex;
 use rndi_obs::metrics::Counter;
 
 use crate::name::DnsName;
-use crate::rr::{RData, RecordType, ResourceRecord};
+use crate::rr::{RecordType, ResourceRecord};
 use crate::server::{AuthServer, Rcode};
 
 /// Resolution failures.
@@ -43,7 +42,7 @@ impl std::error::Error for ResolveError {}
 /// controls (a client resolving made-up names mints one negative line
 /// each), so the cache is bounded: at the bound it drops what has expired,
 /// then the oldest lines.
-pub const MAX_CACHE_LINES: usize = 65_536;
+const MAX_CACHE_LINES: usize = 65_536;
 
 /// Lines left after an eviction pass. Evicting an eighth at a time keeps
 /// the pass (linear in the cache) off all but one in 8192 inserts.
@@ -156,12 +155,13 @@ impl Cache {
 }
 
 /// Cache statistics.
+// Public as the type `Resolver::stats` returns.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResolverStats {
     pub hits: u64,
     pub misses: u64,
     pub upstream_queries: u64,
-    /// Lines dropped to keep the cache under [`MAX_CACHE_LINES`].
+    /// Lines dropped to keep the cache under its bound (65 536 lines).
     pub evictions: u64,
 }
 
@@ -193,7 +193,7 @@ fn instruments() -> &'static Instruments {
     })
 }
 
-/// An iterative, caching resolver.
+/// A caching resolver.
 ///
 /// ```
 /// use minidns::{AuthServer, DnsName, RecordType, Resolver, ResourceRecord, Zone};
@@ -211,35 +211,25 @@ fn instruments() -> &'static Instruments {
 /// ```
 pub struct Resolver {
     roots: Vec<AuthServer>,
-    /// Nameserver hostname → server handle (glue).
-    servers: HashMap<DnsName, AuthServer>,
     cache: Mutex<Cache>,
     hits: AtomicU64,
     misses: AtomicU64,
     upstream_queries: AtomicU64,
     evictions: AtomicU64,
     negative_ttl_ms: u64,
-    max_referrals: usize,
 }
 
 impl Resolver {
     pub fn new(roots: Vec<AuthServer>) -> Self {
         Resolver {
             roots,
-            servers: HashMap::new(),
             cache: Mutex::new(Cache::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             upstream_queries: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             negative_ttl_ms: 30_000,
-            max_referrals: 16,
         }
-    }
-
-    /// Register glue: the server reachable as nameserver `host`.
-    pub fn add_glue(&mut self, host: DnsName, server: AuthServer) {
-        self.servers.insert(host, server);
     }
 
     pub fn stats(&self) -> ResolverStats {
@@ -311,78 +301,47 @@ impl Resolver {
         self.misses.fetch_add(1, Ordering::Relaxed);
         instruments().cache_misses.inc();
 
-        let mut candidates: Vec<AuthServer> = self.roots.clone();
-        for _hop in 0..self.max_referrals {
-            let Some(server) = candidates.first() else {
-                return Err(ResolveError::ServFail(format!(
-                    "no reachable nameserver for {name}"
-                )));
-            };
-            self.upstream_queries.fetch_add(1, Ordering::Relaxed);
-            let resp = server.query(name, rtype);
-            match resp.rcode {
-                Rcode::NoError if resp.is_referral() => {
-                    // Chase the referral through glue.
-                    let mut next = Vec::new();
-                    for ns in &resp.authority {
-                        if let RData::Ns(target) = &ns.rdata {
-                            if let Some(s) = self.servers.get(target) {
-                                next.push(s.clone());
-                            }
-                        }
-                    }
-                    if next.is_empty() {
-                        return Err(ResolveError::ServFail(format!(
-                            "referral for {name} has no resolvable nameserver"
-                        )));
-                    }
-                    candidates = next;
-                }
-                Rcode::NoError => {
-                    let ttl_ms = resp
-                        .answers
-                        .iter()
-                        .map(|r| r.ttl as u64 * 1000)
-                        .min()
-                        .unwrap_or(self.negative_ttl_ms);
-                    self.remember(name, rtype, ttl_ms, Some(resp.answers.clone()), now_ms);
-                    return Ok(resp.answers);
-                }
-                Rcode::NxDomain => {
-                    self.remember(name, rtype, self.negative_ttl_ms, None, now_ms);
-                    return Err(ResolveError::NxDomain(name.clone()));
-                }
-                Rcode::Refused | Rcode::ServFail => {
-                    return Err(ResolveError::ServFail(format!(
-                        "{name}: upstream rcode {:?}",
-                        resp.rcode
-                    )));
-                }
+        let Some(server) = self.roots.first() else {
+            return Err(ResolveError::ServFail(format!(
+                "no reachable nameserver for {name}"
+            )));
+        };
+        self.upstream_queries.fetch_add(1, Ordering::Relaxed);
+        let resp = server.query(name, rtype);
+        match resp.rcode {
+            Rcode::NoError if resp.is_referral() => Err(ResolveError::ServFail(format!(
+                "{name} is delegated to a nameserver this resolver cannot reach"
+            ))),
+            Rcode::NoError => {
+                let ttl_ms = resp
+                    .answers
+                    .iter()
+                    .map(|r| r.ttl as u64 * 1000)
+                    .min()
+                    .unwrap_or(self.negative_ttl_ms);
+                self.remember(name, rtype, ttl_ms, Some(resp.answers.clone()), now_ms);
+                Ok(resp.answers)
             }
+            Rcode::NxDomain => {
+                self.remember(name, rtype, self.negative_ttl_ms, None, now_ms);
+                Err(ResolveError::NxDomain(name.clone()))
+            }
+            Rcode::Refused | Rcode::ServFail => Err(ResolveError::ServFail(format!(
+                "{name}: upstream rcode {:?}",
+                resp.rcode
+            ))),
         }
-        Err(ResolveError::ServFail(format!(
-            "referral depth exceeded resolving {name}"
-        )))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rr::RData;
     use crate::zone::Zone;
 
-    /// Build root → edu → emory.edu delegation with glue.
+    /// One server, authoritative for emory.edu.
     fn world() -> Resolver {
-        let root = AuthServer::new();
-        let mut root_zone = Zone::new(DnsName::root());
-        root_zone.insert(ResourceRecord::ns("edu", 3600, "ns.edu-servers.net"));
-        root.add_zone(root_zone);
-
-        let edu = AuthServer::new();
-        let mut edu_zone = Zone::new(DnsName::parse("edu").unwrap());
-        edu_zone.insert(ResourceRecord::ns("emory.edu", 3600, "ns.emory.edu"));
-        edu.add_zone(edu_zone);
-
         let emory = AuthServer::new();
         let mut emory_zone = Zone::new(DnsName::parse("emory.edu").unwrap());
         emory_zone.insert(ResourceRecord::a("www.emory.edu", 60, [170, 140, 0, 2]));
@@ -392,22 +351,7 @@ mod tests {
             "hdns://host2:8085",
         ));
         emory.add_zone(emory_zone);
-
-        let mut r = Resolver::new(vec![root]);
-        r.add_glue(DnsName::parse("ns.edu-servers.net").unwrap(), edu);
-        r.add_glue(DnsName::parse("ns.emory.edu").unwrap(), emory);
-        r
-    }
-
-    #[test]
-    fn iterative_resolution_chases_referrals() {
-        let r = world();
-        let rrs = r
-            .resolve(&DnsName::parse("www.emory.edu").unwrap(), RecordType::A, 0)
-            .unwrap();
-        assert_eq!(rrs.len(), 1);
-        // Three upstream queries: root → edu → emory.
-        assert_eq!(r.stats().upstream_queries, 3);
+        Resolver::new(vec![emory])
     }
 
     #[test]
@@ -418,7 +362,7 @@ mod tests {
         r.resolve(&name, RecordType::A, 1_000).unwrap();
         let stats = r.stats();
         assert_eq!(stats.hits, 1);
-        assert_eq!(stats.upstream_queries, 3, "second hit went to cache");
+        assert_eq!(stats.upstream_queries, 1, "second hit went to cache");
     }
 
     #[test]
@@ -428,7 +372,7 @@ mod tests {
         r.resolve(&name, RecordType::A, 0).unwrap();
         // TTL is 60s; at 61s the cache line is stale.
         r.resolve(&name, RecordType::A, 61_000).unwrap();
-        assert_eq!(r.stats().upstream_queries, 6);
+        assert_eq!(r.stats().upstream_queries, 2);
     }
 
     #[test]
@@ -448,7 +392,7 @@ mod tests {
     }
 
     #[test]
-    fn missing_glue_is_servfail() {
+    fn a_referral_is_servfail() {
         let root = AuthServer::new();
         let mut z = Zone::new(DnsName::root());
         z.insert(ResourceRecord::ns("lost", 60, "ns.lost"));

@@ -3,12 +3,10 @@
 use std::fmt;
 use std::net::Ipv4Addr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::name::DnsName;
 
 /// Record types (the subset the workspace uses).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RecordType {
     A,
     Ns,
@@ -22,36 +20,10 @@ pub enum RecordType {
 impl RecordType {
     /// How many record types there are (`self as usize` indexes them).
     pub const COUNT: usize = 7;
-
-    /// Protocol number.
-    pub fn code(self) -> u16 {
-        match self {
-            RecordType::A => 1,
-            RecordType::Ns => 2,
-            RecordType::Cname => 5,
-            RecordType::Soa => 6,
-            RecordType::Ptr => 12,
-            RecordType::Txt => 16,
-            RecordType::Srv => 33,
-        }
-    }
-
-    pub fn from_code(code: u16) -> Option<RecordType> {
-        Some(match code {
-            1 => RecordType::A,
-            2 => RecordType::Ns,
-            5 => RecordType::Cname,
-            6 => RecordType::Soa,
-            12 => RecordType::Ptr,
-            16 => RecordType::Txt,
-            33 => RecordType::Srv,
-            _ => return None,
-        })
-    }
 }
 
 /// Typed record data.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RData {
     A(Ipv4Addr),
     Ns(DnsName),
@@ -75,22 +47,8 @@ pub enum RData {
     },
 }
 
-impl RData {
-    pub fn record_type(&self) -> RecordType {
-        match self {
-            RData::A(_) => RecordType::A,
-            RData::Ns(_) => RecordType::Ns,
-            RData::Cname(_) => RecordType::Cname,
-            RData::Soa { .. } => RecordType::Soa,
-            RData::Ptr(_) => RecordType::Ptr,
-            RData::Txt(_) => RecordType::Txt,
-            RData::Srv { .. } => RecordType::Srv,
-        }
-    }
-}
-
 /// A resource record.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResourceRecord {
     pub name: DnsName,
     pub ttl: u32,
@@ -103,7 +61,15 @@ impl ResourceRecord {
     }
 
     pub fn rtype(&self) -> RecordType {
-        self.rdata.record_type()
+        match self.rdata {
+            RData::A(_) => RecordType::A,
+            RData::Ns(_) => RecordType::Ns,
+            RData::Cname(_) => RecordType::Cname,
+            RData::Soa { .. } => RecordType::Soa,
+            RData::Ptr(_) => RecordType::Ptr,
+            RData::Txt(_) => RecordType::Txt,
+            RData::Srv { .. } => RecordType::Srv,
+        }
     }
 
     /// Convenience constructors for the common cases.
@@ -178,22 +144,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn type_codes_roundtrip() {
-        for t in [
-            RecordType::A,
-            RecordType::Ns,
-            RecordType::Cname,
-            RecordType::Soa,
-            RecordType::Ptr,
-            RecordType::Txt,
-            RecordType::Srv,
-        ] {
-            assert_eq!(RecordType::from_code(t.code()), Some(t));
-        }
-        assert_eq!(RecordType::from_code(999), None);
-    }
-
-    #[test]
     fn constructors_and_display() {
         let rr = ResourceRecord::a("www.emory.edu", 300, [170, 140, 1, 1]);
         assert_eq!(rr.rtype(), RecordType::A);
@@ -202,11 +152,5 @@ mod tests {
         let rr = ResourceRecord::srv("_hdns._tcp.global", 60, 0, 5, 8085, "host2.emory.edu");
         assert_eq!(rr.rtype(), RecordType::Srv);
         assert!(rr.to_string().contains("8085"));
-    }
-
-    #[test]
-    fn rdata_type_is_consistent() {
-        let rr = ResourceRecord::txt("x.y", 60, "hdns://host2");
-        assert_eq!(rr.rdata.record_type(), RecordType::Txt);
     }
 }

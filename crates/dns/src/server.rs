@@ -36,6 +36,7 @@ impl Response {
 }
 
 /// Counters for experiments.
+// Public as the type `AuthServer::stats` returns.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DnsStats {
     pub queries: u64,
@@ -77,14 +78,6 @@ impl AuthServer {
         let mut zones = self.inner.zones.write();
         zones.retain(|z| z.origin() != zone.origin());
         zones.push(zone);
-    }
-
-    /// Mutate a hosted zone in place (operator-side updates — DNS offers
-    /// no client-side update path, which is exactly the limitation the
-    /// paper works around by layering HDNS below it).
-    pub fn with_zone_mut<R>(&self, origin: &DnsName, f: impl FnOnce(&mut Zone) -> R) -> Option<R> {
-        let mut zones = self.inner.zones.write();
-        zones.iter_mut().find(|z| z.origin() == origin).map(f)
     }
 
     /// Answer a query.
@@ -196,19 +189,5 @@ mod tests {
         let r = s.query(&DnsName::parse("nothere.emory.edu").unwrap(), RecordType::A);
         assert_eq!(r.rcode, Rcode::NxDomain);
         assert_eq!(s.stats().nxdomain, 1);
-    }
-
-    #[test]
-    fn operator_side_zone_update() {
-        let s = server();
-        s.with_zone_mut(&DnsName::parse("emory.edu").unwrap(), |z| {
-            z.insert(ResourceRecord::txt("svc.emory.edu", 60, "hdns://host2"));
-        })
-        .unwrap();
-        let r = s.query(&DnsName::parse("svc.emory.edu").unwrap(), RecordType::Txt);
-        assert_eq!(r.answers.len(), 1);
-        assert!(s
-            .with_zone_mut(&DnsName::parse("nope.org").unwrap(), |_| ())
-            .is_none());
     }
 }

@@ -85,15 +85,6 @@ impl Zone {
         removed
     }
 
-    /// Total record count.
-    pub fn len(&self) -> usize {
-        self.records.values().map(|v| v.len()).sum()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
     /// Count `name` in (or out of) each of its ancestors' descendants.
     fn count_below(&mut self, name: &DnsName, arrived: bool) {
         let mut at = name.clone();
@@ -183,11 +174,6 @@ impl Zone {
             return ZoneAnswer::Cname { chain, answers };
         }
         ZoneAnswer::Records(rrs.iter().filter(|r| r.rtype() == rtype).cloned().collect())
-    }
-
-    /// Iterate all records (zone transfer / diagnostics).
-    pub fn iter(&self) -> impl Iterator<Item = &ResourceRecord> {
-        self.records.values().flatten()
     }
 }
 

@@ -19,8 +19,6 @@ pub struct Bimodal {
     store: HashMap<Addr, BTreeMap<u64, Vec<u8>>>,
     /// Highest contiguous sequence delivered per origin.
     delivered: HashMap<Addr, u64>,
-    /// Bytes currently retained (memory accounting).
-    retained_bytes: u64,
 }
 
 impl Bimodal {
@@ -38,11 +36,11 @@ impl Bimodal {
     }
 
     fn retain(&mut self, origin: Addr, sseq: u64, body: Vec<u8>) {
-        let per = self.store.entry(origin).or_default();
-        if let std::collections::btree_map::Entry::Vacant(e) = per.entry(sseq) {
-            self.retained_bytes += body.len() as u64;
-            e.insert(body);
-        }
+        self.store
+            .entry(origin)
+            .or_default()
+            .entry(sseq)
+            .or_insert(body);
     }
 
     /// Record an incoming message; returns the bodies now deliverable from
@@ -87,18 +85,10 @@ impl Bimodal {
     pub fn prune(&mut self, stable: &[(Addr, u64)]) {
         for (origin, up_to) in stable {
             if let Some(per) = self.store.get_mut(origin) {
-                let keep = per.split_off(up_to);
-                let dropped: u64 = per.values().map(|b| b.len() as u64).sum();
-                self.retained_bytes = self.retained_bytes.saturating_sub(dropped);
-                *per = keep;
+                *per = per.split_off(up_to);
             }
         }
         self.store.retain(|_, per| !per.is_empty());
-    }
-
-    /// Bytes currently retained.
-    pub fn retained_bytes(&self) -> u64 {
-        self.retained_bytes
     }
 
     /// Number of retained messages (diagnostics).
@@ -161,12 +151,14 @@ mod tests {
     fn prune_releases_memory() {
         let mut b = Bimodal::new();
         let me = Addr(1);
+        let retained_bytes =
+            |b: &Bimodal| -> usize { b.store.values().flatten().map(|(_, m)| m.len()).sum() };
         b.next_send(me, vec![0; 100]);
         b.next_send(me, vec![0; 100]);
-        assert_eq!(b.retained_bytes(), 200);
+        assert_eq!(retained_bytes(&b), 200);
         assert_eq!(b.retained_count(), 2);
         b.prune(&[(me, 1)]);
-        assert_eq!(b.retained_bytes(), 100);
+        assert_eq!(retained_bytes(&b), 100);
         assert_eq!(b.retained_count(), 1);
         b.prune(&[(me, 2)]);
         assert_eq!(b.retained_count(), 0);

@@ -46,12 +46,6 @@ impl Sequencer {
         out
     }
 
-    /// Messages buffered but not yet deliverable (diagnostics / memory
-    /// accounting).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Reset on view installation: a new view starts a new stamp epoch.
     pub fn reset(&mut self) {
         self.next_stamp = 0;
@@ -80,14 +74,14 @@ mod tests {
         let mut s = Sequencer::new();
         assert!(s.on_ordered(2, Addr(1), vec![2]).is_empty());
         assert!(s.on_ordered(1, Addr(1), vec![1]).is_empty());
-        assert_eq!(s.pending_len(), 2);
+        assert_eq!(s.pending.len(), 2);
         let d = s.on_ordered(0, Addr(1), vec![0]);
         assert_eq!(d.len(), 3);
         assert_eq!(
             d.iter().map(|(_, b)| b[0]).collect::<Vec<_>>(),
             vec![0, 1, 2]
         );
-        assert_eq!(s.pending_len(), 0);
+        assert_eq!(s.pending.len(), 0);
     }
 
     #[test]

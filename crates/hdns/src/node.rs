@@ -156,6 +156,7 @@ impl<C: ReplicaChannel> HdnsNode<C> {
 
     /// [`HdnsNode::new`] over any [`Storage`] — how the crash-point tests
     /// put a faulty disk under an otherwise real replica.
+    // Public because those tests are an integration target.
     pub fn with_storage(channel: C, storage: Box<dyn Storage + Send>) -> HdnsNode<C> {
         Self::recover(channel, Some(storage))
     }
@@ -424,6 +425,7 @@ impl<C: ReplicaChannel> HdnsNode<C> {
     /// The error from the most recent persistence step — a log append or
     /// a compaction — or `None` if it succeeded (or nothing has been
     /// persisted yet).
+    // Kept, with `last_state_error`: why persistence or a transfer failed.
     pub fn last_persist_error(&self) -> Option<&std::io::Error> {
         self.persist_error.as_ref()
     }

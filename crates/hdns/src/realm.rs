@@ -178,7 +178,7 @@ impl HdnsRealm {
     /// realm records a "server" span as its child, linking the write into
     /// the caller's trace; the named write methods below are shorthands
     /// for the common ops with no context.
-    pub fn write_traced(
+    fn write_traced(
         &self,
         node: usize,
         op: Op,

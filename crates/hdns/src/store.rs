@@ -93,7 +93,7 @@ pub enum Op {
 }
 
 /// Validate and normalize a path: non-empty `/`-separated segments.
-pub fn normalize_path(path: &str) -> Result<String, HdnsError> {
+fn normalize_path(path: &str) -> Result<String, HdnsError> {
     let p = path.trim_matches('/');
     if p.is_empty() {
         return Err(HdnsError::InvalidPath(path.to_string()));

@@ -43,6 +43,7 @@ use crate::proposal::Proposal;
 use crate::store::HdnsStore;
 
 /// The files a replica keeps (see the module table).
+// Public as the argument type of the public `Storage` trait.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Slot {
     Snapshot,

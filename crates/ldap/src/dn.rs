@@ -107,6 +107,7 @@ fn split_rdns(text: &str) -> impl Iterator<Item = &str> {
 }
 
 /// One RDN of a [`Dn`], borrowed from its text.
+// Public as the type `Dn::rdn` and `Dn::rdns` yield.
 #[derive(Clone, Copy, Debug)]
 pub struct RdnRef<'a>(&'a str);
 

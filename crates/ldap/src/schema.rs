@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 
 /// An object-class definition.
+// Public as the type `Schema::add` takes and `Schema::get` returns.
 #[derive(Clone, Debug)]
 pub struct ObjectClass {
     pub name: String,

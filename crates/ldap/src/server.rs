@@ -202,6 +202,7 @@ impl std::fmt::Debug for Connection {
 /// no projection was asked for, projected copies otherwise — plus the
 /// artificial delay imposed by the anti-DoS throttle — callers modelling
 /// latency (the benchmark harness) add it to their response time.
+// Public as the type the `Connection` search methods return.
 #[derive(Clone, Debug)]
 pub struct SearchOutcome {
     pub entries: Vec<Arc<LdapEntry>>,

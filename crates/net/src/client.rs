@@ -4,7 +4,7 @@
 //! Because the client is *itself* a backend, the whole existing pipeline
 //! stack — cache, retry, stats, obs — composes over it unchanged:
 //! [`NetClient::connect`] returns a standard
-//! [`ProviderPipeline`](rndi_core::spi::ProviderPipeline) whose innermost
+//! [`ProviderPipeline`] whose innermost
 //! layer speaks TCP. Transport failures map to transient
 //! [`NamingError::ServiceFailure`]/[`NamingError::Timeout`] errors, which
 //! is exactly what the retry interceptor re-submits, so
@@ -443,6 +443,8 @@ impl NetClient {
     }
 
     /// Every span of one trace still buffered in the remote trace ring.
+    // Kept, with `dump_slowest`: the client half of the `TraceDump` modes
+    // the server answers, which `tests/interop.rs` drives.
     pub fn dump_trace(&self, trace_id: u64) -> Result<Vec<SpanRecord>> {
         self.dump(AdminRequest::TraceDump {
             trace_id,

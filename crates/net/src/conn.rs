@@ -26,6 +26,7 @@ use crate::proto::{
 /// out. The [`proto::MAX_FRAME_LEN`] cap is enforced on the length prefix
 /// *before* the payload is buffered, so a hostile prefix cannot balloon
 /// memory.
+// Public so that `tests/proto_fuzz.rs` can feed it hostile byte streams.
 #[derive(Default)]
 pub struct FrameBuf {
     buf: Vec<u8>,
@@ -222,12 +223,6 @@ impl ServerConn {
             self.outbuf.drain(..self.out_pos);
             self.out_pos = 0;
         }
-    }
-
-    /// Whether a request frame is partially buffered (used by graceful
-    /// drain to decide if a client is mid-request).
-    pub fn has_partial_input(&self) -> bool {
-        self.frames.pending() > 0
     }
 }
 

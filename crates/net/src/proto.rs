@@ -18,7 +18,7 @@
 //!
 //! The message schema reuses the codec types the in-process pipeline
 //! already standardised on: values cross the wire as
-//! [`StoredValue`](rndi_core::StoredValue) (exactly what
+//! [`StoredValue`] (exactly what
 //! `rndi_core::op::codec` marshals), names and filters as their canonical
 //! string forms, and errors as a mirrored enum that round-trips every
 //! [`NamingError`] variant — including federation `Continue`, so a remote

@@ -1,6 +1,6 @@
 //! The binary envelope codec.
 //!
-//! One [`Envelope`](super::Envelope) per frame: a request ID, a body tag,
+//! One [`Envelope`] per frame: a request ID, a body tag,
 //! and a body whose hot-path shapes (lookup, bind/rebind, their
 //! outcomes) are encoded natively — fixed-width little-endian integers
 //! and length-prefixed strings/bytes — instead of through `serde_json`.

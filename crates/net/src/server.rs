@@ -5,7 +5,7 @@
 //! each new socket to one of `rndi.net.server.shards` worker shards in
 //! round-robin order. Each shard owns its connections outright — no
 //! cross-thread handoff per request — and drives them through the
-//! sans-IO [`ServerConn`](crate::conn::ServerConn) state machine:
+//! sans-IO [`ServerConn`] state machine:
 //! nonblocking reads feed the machine, decoded requests execute inline
 //! against the backend, and responses drain from the machine's output
 //! buffer back through nonblocking writes. Because one shard scans many
@@ -584,11 +584,6 @@ impl NetServer {
     /// The server's telemetry label (`net:<backend provider id>`).
     pub fn label(&self) -> &str {
         &self.state.label
-    }
-
-    /// Connections currently being served.
-    pub fn active_connections(&self) -> usize {
-        self.state.active.load(Ordering::Relaxed)
     }
 
     /// The registry this server's instruments land in.
@@ -1200,7 +1195,7 @@ mod tests {
 
         let wait_idle = |server: &NetServer| {
             let deadline = Instant::now() + Duration::from_secs(10);
-            while server.active_connections() > 0 {
+            while server.state.active.load(Ordering::Relaxed) > 0 {
                 assert!(Instant::now() < deadline, "server never saw the hang-up");
                 std::thread::yield_now();
             }

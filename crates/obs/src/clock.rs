@@ -1,4 +1,7 @@
-//! A cheap monotonic nanosecond clock for hot-path span timing.
+//! The process's clocks: a cheap monotonic nanosecond clock for hot-path
+//! span timing ([`now_ns`]), and the one injectable millisecond [`Clock`]
+//! that leases, TTLs and caches read, so tests and simulations can drive
+//! time by hand ([`ManualClock`]).
 //!
 //! `Instant::now()` goes through the vDSO (`clock_gettime`) — fine in
 //! isolation, but an instrumented pipeline reads the clock twice per obs
@@ -13,8 +16,59 @@
 //! `Instant`. Readings are process-relative nanoseconds: only differences
 //! are meaningful, which is all span timing needs.
 
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+/// Milliseconds since an arbitrary epoch.
+pub trait Clock: Send + Sync {
+    fn now_ms(&self) -> u64;
+}
+
+/// Wall-clock time relative to the clock's creation.
+pub struct SystemClock {
+    start: Instant,
+}
+
+impl SystemClock {
+    pub fn new() -> Arc<Self> {
+        Arc::new(SystemClock {
+            start: Instant::now(),
+        })
+    }
+}
+
+impl Clock for SystemClock {
+    fn now_ms(&self) -> u64 {
+        self.start.elapsed().as_millis() as u64
+    }
+}
+
+/// A manually advanced clock for tests and simulations; starts at 0.
+#[derive(Default)]
+pub struct ManualClock {
+    now: AtomicU64,
+}
+
+impl ManualClock {
+    pub fn new() -> Arc<Self> {
+        Arc::new(ManualClock::default())
+    }
+
+    pub fn advance(&self, ms: u64) {
+        self.now.fetch_add(ms, Ordering::Relaxed);
+    }
+
+    pub fn set(&self, ms: u64) {
+        self.now.store(ms, Ordering::Relaxed);
+    }
+}
+
+impl Clock for ManualClock {
+    fn now_ms(&self) -> u64 {
+        self.now.load(Ordering::Relaxed)
+    }
+}
 
 struct Calib {
     base: Instant,
@@ -99,6 +153,24 @@ mod tests {
             (0.9..1.1).contains(&ratio),
             "clock drift vs Instant: ratio {ratio}"
         );
+    }
+
+    #[test]
+    fn manual_clock_moves_only_when_told() {
+        let c = ManualClock::new();
+        assert_eq!(c.now_ms(), 0);
+        c.advance(5);
+        c.advance(7);
+        assert_eq!(c.now_ms(), 12);
+        c.set(5);
+        assert_eq!(c.now_ms(), 5);
+    }
+
+    #[test]
+    fn system_clock_is_monotonic() {
+        let c = SystemClock::new();
+        let a = c.now_ms();
+        assert!(c.now_ms() >= a);
     }
 
     #[test]

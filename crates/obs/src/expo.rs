@@ -1,30 +1,7 @@
-//! A tiny parser for the Prometheus-style text exposition produced by
-//! [`crate::metrics::Registry::render`]. Tests and the CI smoke job use it
-//! to assert the exposition is non-empty and well-formed instead of
-//! string-grepping.
-
-/// Append one sample line (`name{labels} value`) to `out`, escaping label
-/// values. For callers that assemble exposition text from sources other
-/// than a [`crate::metrics::Registry`].
-pub fn write_sample(out: &mut String, name: &str, labels: &[(&str, &str)], value: f64) {
-    out.push_str(name);
-    if !labels.is_empty() {
-        out.push('{');
-        for (i, (k, v)) in labels.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(k);
-            out.push_str("=\"");
-            out.push_str(&crate::metrics::escape(v));
-            out.push('"');
-        }
-        out.push('}');
-    }
-    out.push(' ');
-    out.push_str(&format!("{value}"));
-    out.push('\n');
-}
+//! A tiny parser for the Prometheus-style text exposition that
+//! [`crate::snapshot::MetricsSnapshot::render`] produces. Tests and the CI
+//! smoke job use it to assert the exposition is non-empty and well-formed
+//! instead of string-grepping.
 
 /// One parsed sample line: `name{labels} value`.
 #[derive(Clone, Debug, PartialEq)]
@@ -204,29 +181,6 @@ rndi_latency_bucket{le=\"+Inf\"} 7
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
-    }
-
-    #[test]
-    fn write_sample_roundtrips_through_parse() {
-        let mut text = String::new();
-        write_sample(
-            &mut text,
-            "rndi_x_total",
-            &[("provider", "a\"b"), ("op", "lookup")],
-            3.0,
-        );
-        write_sample(&mut text, "rndi_plain", &[], 0.5);
-        let samples = parse(&text).unwrap();
-        assert_eq!(samples[0].label("provider"), Some("a\"b"));
-        assert_eq!(samples[0].value, 3.0);
-        assert_eq!(
-            samples[1],
-            Sample {
-                name: "rndi_plain".into(),
-                labels: vec![],
-                value: 0.5
-            }
-        );
     }
 
     #[test]

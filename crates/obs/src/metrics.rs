@@ -22,7 +22,7 @@ pub const HISTOGRAM_BUCKETS: usize = 40;
 /// (`rndi.obs.max-series`). Past the cap, new label sets fold into an
 /// `overflow="true"` series instead of growing the registry unboundedly
 /// under per-client labels.
-pub const DEFAULT_MAX_SERIES: usize = 4096;
+const DEFAULT_MAX_SERIES: usize = 4096;
 
 /// Canonical metric names shared across the workspace, so the core
 /// pipeline, providers, servers, and benches all feed the same families.
@@ -108,7 +108,11 @@ pub mod names {
     pub const SHARD_IMBALANCE: &str = "rndi_shard_scatter_imbalance";
     /// Counter (no labels): label sets folded into an `overflow="true"`
     /// series because the registry hit its series cap.
-    pub const SERIES_OVERFLOW: &str = "rndi_obs_series_overflow_total";
+    pub(crate) const SERIES_OVERFLOW: &str = "rndi_obs_series_overflow_total";
+    /// Counter: `{sink}` with `sink` one of `flight|trace_file` — writes a
+    /// file sink could not make (an unopenable trace file, a failed span
+    /// line, a flight dump that did not reach disk).
+    pub const SINK_ERRORS: &str = "rndi_obs_sink_errors_total";
     /// Counter (no labels): spans evicted from the trace ring buffer
     /// before anyone read them — a nonzero value means ring dumps are
     /// partial.
@@ -269,8 +273,8 @@ impl Histogram {
         (n > 0).then(|| self.sum() as f64 / n as f64)
     }
 
-    /// Per-bucket counts (diagnostics and exposition).
-    pub fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
+    /// Per-bucket counts (quantiles and snapshots).
+    fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
@@ -321,7 +325,7 @@ fn canonical(labels: &[(&str, &str)]) -> Labels {
     v
 }
 
-pub(crate) fn escape(value: &str) -> String {
+fn escape(value: &str) -> String {
     value
         .replace('\\', "\\\\")
         .replace('"', "\\\"")
@@ -552,53 +556,12 @@ impl Registry {
         snap
     }
 
-    /// Render every instrument as Prometheus-style text exposition lines.
+    /// Render every instrument as Prometheus-style text exposition lines
+    /// (the one renderer is [`MetricsSnapshot::render`]).
+    ///
+    /// [`MetricsSnapshot::render`]: crate::snapshot::MetricsSnapshot::render
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        for (name, family) in &self.counters.lock().by_name {
-            out.push_str(&format!("# TYPE {name} counter\n"));
-            for (labels, counter) in family.values() {
-                out.push_str(&format!(
-                    "{name}{} {}\n",
-                    label_block(labels),
-                    counter.get()
-                ));
-            }
-        }
-        for (name, family) in &self.gauges.lock().by_name {
-            out.push_str(&format!("# TYPE {name} gauge\n"));
-            for (labels, gauge) in family.values() {
-                out.push_str(&format!("{name}{} {}\n", label_block(labels), gauge.get()));
-            }
-        }
-        for (name, family) in &self.histograms.lock().by_name {
-            out.push_str(&format!("# TYPE {name} histogram\n"));
-            for (labels, histogram) in family.values() {
-                let counts = histogram.bucket_counts();
-                let mut cum = 0u64;
-                for (i, n) in counts.iter().enumerate() {
-                    cum += n;
-                    // Omit empty leading/inner buckets to keep the text
-                    // readable; cumulative counts stay correct because
-                    // every non-empty bucket and +Inf are printed.
-                    if *n == 0 && i + 1 != HISTOGRAM_BUCKETS {
-                        continue;
-                    }
-                    let le = match Histogram::bucket_bound(i) {
-                        Some(b) => b.to_string(),
-                        None => "+Inf".to_string(),
-                    };
-                    out.push_str(&format!(
-                        "{name}_bucket{} {cum}\n",
-                        label_block_with(labels, "le", &le)
-                    ));
-                }
-                let block = label_block(labels);
-                out.push_str(&format!("{name}_sum{block} {}\n", histogram.sum()));
-                out.push_str(&format!("{name}_count{block} {}\n", histogram.count()));
-            }
-        }
-        out
+        self.snapshot().render()
     }
 }
 

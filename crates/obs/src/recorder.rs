@@ -13,7 +13,6 @@
 //! cooldown so an anomaly storm can't turn the recorder into the anomaly.
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -251,7 +250,11 @@ impl FlightRecorder {
     }
 
     /// Snapshot ring + metrics delta to a fresh JSONL file. Never fails
-    /// the observing op: IO errors are swallowed.
+    /// the observing op: a file that is not written is counted in
+    /// `rndi_obs_sink_errors_total{sink="flight"}`, and neither [`dumps`]
+    /// nor the delta's baseline moves, so the next dump still carries it.
+    ///
+    /// [`dumps`]: FlightRecorder::dumps
     fn dump(&self, trigger: Trigger, provider: &str, op: &str, duration_ns: u64, p99: Option<f64>) {
         {
             let mut last = self.last_dump.lock();
@@ -262,19 +265,13 @@ impl FlightRecorder {
             }
             *last = Some(Instant::now());
         }
-        let seq = self.dumps.fetch_add(1, Ordering::Relaxed);
+        // Held to the end: dumps are numbered, and the baseline advanced,
+        // one at a time.
+        let mut baseline = self.baseline.lock();
+        let seq = self.dumps.load(Ordering::Relaxed);
         let spans = trace::ring().snapshot();
         let current = metrics::snapshot();
-        let delta = {
-            let mut baseline = self.baseline.lock();
-            let delta = current.delta_since(&baseline);
-            *baseline = current;
-            delta
-        };
-        let path = std::path::Path::new(&self.config.dir).join(format!("flight-{seq:04}.jsonl"));
-        let Ok(mut file) = std::fs::File::create(&path) else {
-            return;
-        };
+        let delta = current.delta_since(&baseline);
         let p99 = p99.unwrap_or(0.0);
         let header = json!({
             "flight": {
@@ -290,11 +287,22 @@ impl FlightRecorder {
                 "trace_dropped": (trace::ring().dropped())
             }
         });
-        let _ = writeln!(file, "{header}");
+        let mut text = format!("{header}\n");
         for span in &spans {
-            let _ = writeln!(file, "{}", json!({ "span": (span.to_value()) }));
+            text.push_str(&format!("{}\n", json!({ "span": (span.to_value()) })));
         }
-        let _ = writeln!(file, "{}", json!({ "metrics_delta": (delta.to_value()) }));
+        text.push_str(&format!(
+            "{}\n",
+            json!({ "metrics_delta": (delta.to_value()) })
+        ));
+        let path = std::path::Path::new(&self.config.dir).join(format!("flight-{seq:04}.jsonl"));
+        match std::fs::write(path, text) {
+            Ok(()) => {
+                self.dumps.fetch_add(1, Ordering::Relaxed);
+                *baseline = current;
+            }
+            Err(_) => trace::sink_errors("flight").inc(),
+        }
     }
 }
 
@@ -446,6 +454,40 @@ mod tests {
         assert_eq!(rec.dumps(), 1);
         let text = std::fs::read_to_string(&dump_files(&dir)[0]).unwrap();
         assert!(text.contains("error_spike"));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_dump_that_is_not_written_is_counted_and_keeps_its_delta() {
+        // The dump directory is a regular file, so no dump can be created.
+        let dir = test_dir("unwritable");
+        std::fs::write(&dir, b"not a directory").unwrap();
+        let rec = FlightRecorder::new(FlightConfig {
+            dir: dir.clone(),
+            err_window: 4,
+            cooldown_ms: 0,
+            ..Default::default()
+        });
+        let failed = || metrics::counter_total(metrics::names::SINK_ERRORS);
+        let before = failed();
+        let moved = "rndi_test_flight_delta_total";
+        metrics::counter(moved, &[]).add(3);
+        for _ in 0..4 {
+            rec.observe("ldap", "bind", 1_000, true);
+        }
+        assert_eq!(rec.dumps(), 0, "nothing reached disk");
+        assert_eq!(failed() - before, 1, "the failed dump is counted");
+
+        // Once the directory exists, the next dump carries what moved
+        // before the failed one.
+        std::fs::remove_file(&dir).unwrap();
+        std::fs::create_dir(&dir).unwrap();
+        for _ in 0..4 {
+            rec.observe("ldap", "bind", 1_000, true);
+        }
+        assert_eq!(rec.dumps(), 1);
+        let text = std::fs::read_to_string(&dump_files(&dir)[0]).unwrap();
+        assert!(text.contains(moved), "the first delta was kept");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

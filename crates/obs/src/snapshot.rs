@@ -271,9 +271,10 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Render as Prometheus-style text, same format as
-    /// [`crate::metrics::Registry::render`] (cumulative `_bucket` lines,
-    /// empty inner buckets omitted, `+Inf` always present).
+    /// Render as Prometheus-style text: the process's one exposition
+    /// renderer, which [`crate::metrics::Registry::render`] calls. Series
+    /// sort by `(name, labels)`; histograms print cumulative `_bucket`
+    /// lines, empty inner buckets omitted, `+Inf` always present.
     pub fn render(&self) -> String {
         use crate::metrics::Histogram;
         let mut out = String::new();
@@ -505,12 +506,28 @@ mod tests {
     }
 
     #[test]
-    fn render_matches_registry_format() {
-        let r = sample_registry();
-        let live = r.render();
-        let snap = r.snapshot().render();
-        assert_eq!(live, snap, "snapshot render is byte-identical");
-        assert!(crate::expo::parse(&snap).is_ok());
+    fn render_prints_the_golden_text() {
+        let r = Registry::new();
+        r.counter("reqs_total", &[]).add(7);
+        r.gauge("active", &[("shard", "0")]).set(-2);
+        let h = r.histogram("lat_ns", &[("op", "lookup")]);
+        // Buckets le=4 and le=16 hold one each; le=8 between them is empty.
+        h.record(3);
+        h.record(10);
+        let golden = "\
+# TYPE reqs_total counter
+reqs_total 7
+# TYPE active gauge
+active{shard=\"0\"} -2
+# TYPE lat_ns histogram
+lat_ns_bucket{le=\"4\",op=\"lookup\"} 1
+lat_ns_bucket{le=\"16\",op=\"lookup\"} 2
+lat_ns_bucket{le=\"+Inf\",op=\"lookup\"} 2
+lat_ns_sum{op=\"lookup\"} 13
+lat_ns_count{op=\"lookup\"} 2
+";
+        assert_eq!(r.render(), golden);
+        assert_eq!(crate::expo::parse(golden).map(|s| s.len()), Ok(7));
     }
 
     #[test]

@@ -517,13 +517,19 @@ impl TraceSink for RingSink {
 }
 
 /// Appends one JSON object per span to a file (the `rndi.obs.trace-file`
-/// knob). Write errors are swallowed — tracing must never fail an op.
-pub struct JsonlSink {
+/// knob). Tracing must never fail an op, so a failed write is counted in
+/// [`names::SINK_ERRORS`] rather than returned.
+struct JsonlSink {
     file: Mutex<std::fs::File>,
 }
 
+/// The sink-error counter for `sink` (`flight` or `trace_file`).
+pub(crate) fn sink_errors(sink: &str) -> Arc<Counter> {
+    metrics::counter(names::SINK_ERRORS, &[("sink", sink)])
+}
+
 impl JsonlSink {
-    pub fn create(path: &str) -> std::io::Result<Self> {
+    fn create(path: &str) -> std::io::Result<Self> {
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -538,7 +544,9 @@ impl TraceSink for JsonlSink {
     fn record(&self, span: &SpanRecord) {
         if let Ok(line) = serde_json::to_string(span) {
             let mut file = self.file.lock();
-            let _ = writeln!(file, "{line}");
+            if writeln!(file, "{line}").is_err() {
+                sink_errors("trace_file").inc();
+            }
         }
     }
 }
@@ -629,33 +637,24 @@ impl ServerOp {
     }
 }
 
-/// Install an additional sink alongside the ring buffer.
-pub fn install_sink(sink: Arc<dyn TraceSink>) {
-    sinks().write().extra.push(sink);
-    EXTRA_SINKS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Install a JSONL file sink for `path`, once per path per process.
-/// Returns `false` (without error) when the file cannot be opened.
-pub fn install_jsonl(path: &str) -> bool {
-    {
-        let guard = sinks().read();
-        if guard.jsonl_paths.iter().any(|p| p == path) {
-            return true;
-        }
+/// Install a JSONL file sink for `path`, once per path per process. A
+/// file that cannot be opened installs nothing and is counted in
+/// [`names::SINK_ERRORS`] (`sink="trace_file"`), once per attempt.
+pub fn install_jsonl(path: &str) {
+    if sinks().read().jsonl_paths.iter().any(|p| p == path) {
+        return;
     }
     let mut guard = sinks().write();
     if guard.jsonl_paths.iter().any(|p| p == path) {
-        return true;
+        return;
     }
     match JsonlSink::create(path) {
         Ok(sink) => {
             guard.extra.push(Arc::new(sink));
             guard.jsonl_paths.push(path.to_string());
             EXTRA_SINKS.fetch_add(1, Ordering::Relaxed);
-            true
         }
-        Err(_) => false,
+        Err(_) => sink_errors("trace_file").inc(),
     }
 }
 

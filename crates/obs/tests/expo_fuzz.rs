@@ -1,10 +1,11 @@
 //! Fuzz-style hardening for the observability text surface: the
 //! exposition parser must return errors on malformed or truncated input —
-//! never panic, never read out of bounds.
+//! never panic, never read out of bounds — and must read back exactly what
+//! the one renderer, `Registry::render`, writes.
 
 use proptest::prelude::*;
 
-use rndi_obs::expo;
+use rndi_obs::{expo, Registry};
 
 proptest! {
     /// Arbitrary text (including multi-byte characters, braces, quotes,
@@ -43,16 +44,15 @@ proptest! {
     /// Truncating a *valid* exposition at any byte must not panic (the
     /// common failure when a scrape is cut off mid-line).
     #[test]
-    fn parse_survives_truncation(cut in 0usize..500) {
-        let mut text = String::new();
-        expo::write_sample(
-            &mut text,
-            "rndi_fuzz_total",
-            &[("provider", "a\"b\\c\nd"), ("op", "lookup")],
-            42.5,
-        );
-        text.push_str("# TYPE rndi_fuzz_total counter\n");
-        expo::write_sample(&mut text, "rndi_plain", &[], f64::INFINITY);
+    fn parse_survives_truncation(cut in 0usize..1000) {
+        let r = Registry::new();
+        r.counter("rndi_fuzz_total", &[("provider", "a\"b\\c\nd"), ("op", "lookup")])
+            .add(42);
+        r.gauge("rndi_plain", &[]).set(-1);
+        let h = r.histogram("rndi_fuzz_ns", &[("op", "lookup")]);
+        h.record(3);
+        h.record(1_000_000);
+        let text = r.render();
         let cut = cut.min(text.len());
         // Truncation may land inside a multi-byte char; use a lossy view
         // the way a scrape buffer would.
@@ -60,31 +60,31 @@ proptest! {
         let _ = expo::parse(&truncated);
     }
 
-    /// Everything write_sample can emit, parse accepts and round-trips.
+    /// Everything the registry renders, parse accepts and round-trips:
+    /// random names, label values with quotes, backslashes and newlines,
+    /// and values.
     #[test]
-    fn write_sample_output_always_reparses(
+    fn registry_render_always_reparses(
         name in proptest::string::string_regex("[a-z_][a-z0-9_:]{0,20}").expect("regex"),
         labels in proptest::collection::vec(
             (
                 proptest::string::string_regex("[a-z_][a-z0-9_]{0,10}").expect("regex"),
-                "[ -~]{0,12}",
+                "[ -~\n]{0,12}",
             ),
             0..4,
         ),
-        value in any::<i32>().prop_map(|v| v as f64),
+        value in any::<i32>(),
     ) {
-        let mut text = String::new();
+        let r = Registry::new();
         let borrowed: Vec<(&str, &str)> =
             labels.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-        expo::write_sample(&mut text, &name, &borrowed, value);
-        let samples = expo::parse(&text).expect("emitted sample reparses");
+        r.gauge(&name, &borrowed).set(value.into());
+        let samples = expo::parse(&r.render()).expect("rendered text reparses");
         prop_assert_eq!(samples.len(), 1);
         prop_assert_eq!(&samples[0].name, &name);
-        prop_assert_eq!(samples[0].labels.len(), labels.len());
-        for ((k, v), (pk, pv)) in labels.iter().zip(&samples[0].labels) {
-            prop_assert_eq!(k, pk);
-            prop_assert_eq!(v, pv);
-        }
-        prop_assert_eq!(samples[0].value, value);
+        let mut sorted = labels.clone();
+        sorted.sort();
+        prop_assert_eq!(&samples[0].labels, &sorted);
+        prop_assert_eq!(samples[0].value, f64::from(value));
     }
 }

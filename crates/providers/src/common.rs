@@ -25,24 +25,16 @@ pub fn attrs_from_json(s: &str) -> Result<Attributes> {
         .map_err(|e| NamingError::service(format!("stored attributes are corrupt: {e}")))
 }
 
-/// Milliseconds clock shared between providers and simulated backends.
-pub trait MsClock: Send + Sync {
-    fn now_ms(&self) -> u64;
-}
+/// The millisecond clock providers read: the process's one clock, shared
+/// with the backends they wrap.
+pub use rndi_obs::clock::Clock as MsClock;
 
-/// Adapt an `rlus` clock (manual or system) into [`MsClock`].
+/// A forwarding newtype, kept because the separately built `benchmark/`
+/// crate constructs it; an `Arc` of any clock is already an
+/// `Arc<dyn MsClock>`.
 pub struct RlusClock(pub Arc<dyn rlus::Clock>);
 
 impl MsClock for RlusClock {
-    fn now_ms(&self) -> u64 {
-        self.0.now_ms()
-    }
-}
-
-/// Adapt [`MsClock`] into the core lease clock.
-pub struct LeaseClockAdapter(pub Arc<dyn MsClock>);
-
-impl rndi_core::lease::LeaseClock for LeaseClockAdapter {
     fn now_ms(&self) -> u64 {
         self.0.now_ms()
     }

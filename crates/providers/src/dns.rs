@@ -306,13 +306,7 @@ mod tests {
     use super::*;
     use minidns::{AuthServer, ResourceRecord, Zone};
     use rndi_core::context::{Context, ContextExt};
-
-    struct ZeroClock;
-    impl MsClock for ZeroClock {
-        fn now_ms(&self) -> u64 {
-            0
-        }
-    }
+    use rndi_obs::clock::ManualClock;
 
     fn world() -> Arc<ProviderPipeline<DnsProviderContext>> {
         let server = AuthServer::new();
@@ -339,7 +333,7 @@ mod tests {
         DnsProviderContext::new(
             resolver,
             DnsName::parse("global.emory.edu").unwrap(),
-            Arc::new(ZeroClock),
+            ManualClock::new(),
             "global",
         )
     }
@@ -421,7 +415,7 @@ mod tests {
         let ctx = DnsProviderContext::new(
             Arc::new(minidns::Resolver::new(vec![server])),
             DnsName::parse("static.example").unwrap(),
-            Arc::new(ZeroClock),
+            ManualClock::new(),
             "static",
         );
         assert!(matches!(
@@ -611,7 +605,7 @@ mod tests {
         let ctx = DnsProviderContext {
             resolver: resolver.clone(),
             anchor,
-            clock: Arc::new(ZeroClock),
+            clock: ManualClock::new(),
             instance: "prop".to_string(),
         };
         (ctx, resolver)

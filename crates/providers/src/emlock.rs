@@ -9,11 +9,9 @@
 //! penalty over a raw Jini call.
 //!
 //! The algorithm runs over [`SharedRegisters`] — an abstraction the Jini
-//! provider implements with lock entries in the registry itself — and
-//! counts its register operations so the benchmark harness can charge each
-//! one a full client/registrar round-trip.
+//! provider implements with lock entries in the registry itself, so each
+//! register access is a full client/registrar round-trip.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The shared read/write register substrate (N flag registers + `turn`).
@@ -22,39 +20,6 @@ pub trait SharedRegisters: Send + Sync {
     fn read(&self, key: &str) -> String;
     /// Write register `key`.
     fn write(&self, key: &str, value: &str);
-}
-
-/// Operation counters (for the cost model and the §5.1 claim check).
-#[derive(Default)]
-pub struct RegisterOps {
-    pub reads: AtomicU64,
-    pub writes: AtomicU64,
-}
-
-impl RegisterOps {
-    pub fn snapshot(&self) -> (u64, u64) {
-        (
-            self.reads.load(Ordering::Relaxed),
-            self.writes.load(Ordering::Relaxed),
-        )
-    }
-}
-
-/// A counting wrapper around any register substrate.
-pub struct CountingRegisters<R> {
-    pub inner: R,
-    pub ops: Arc<RegisterOps>,
-}
-
-impl<R: SharedRegisters> SharedRegisters for CountingRegisters<R> {
-    fn read(&self, key: &str) -> String {
-        self.ops.reads.fetch_add(1, Ordering::Relaxed);
-        self.inner.read(key)
-    }
-    fn write(&self, key: &str, value: &str) {
-        self.ops.writes.fetch_add(1, Ordering::Relaxed);
-        self.inner.write(key, value);
-    }
 }
 
 const IDLE: &str = "idle";
@@ -127,7 +92,7 @@ impl<R: SharedRegisters> EisenbergMcGuire<R> {
     }
 
     /// Enter the critical section (spins under contention).
-    pub fn lock(&self) {
+    fn lock(&self) {
         loop {
             // Announce intent and defer to whoever holds the turn.
             self.set_flag(self.me, WAITING);
@@ -159,7 +124,7 @@ impl<R: SharedRegisters> EisenbergMcGuire<R> {
     }
 
     /// Leave the critical section.
-    pub fn unlock(&self) {
+    fn unlock(&self) {
         // Pass the turn to the next non-idle process (or keep it).
         let turn = self.turn();
         let mut j = (turn + 1) % self.n;
@@ -180,24 +145,58 @@ impl<R: SharedRegisters> EisenbergMcGuire<R> {
     }
 }
 
-/// An in-memory register file (tests and single-process deployments).
-#[derive(Default, Clone)]
-pub struct MemRegisters {
-    map: Arc<parking_lot::RwLock<std::collections::HashMap<String, String>>>,
-}
-
-impl SharedRegisters for MemRegisters {
-    fn read(&self, key: &str) -> String {
-        self.map.read().get(key).cloned().unwrap_or_default()
-    }
-    fn write(&self, key: &str, value: &str) {
-        self.map.write().insert(key.to_string(), value.to_string());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Register operation counters, for the §5.1 cost check.
+    #[derive(Default)]
+    struct RegisterOps {
+        reads: AtomicU64,
+        writes: AtomicU64,
+    }
+
+    impl RegisterOps {
+        fn snapshot(&self) -> (u64, u64) {
+            (
+                self.reads.load(Ordering::Relaxed),
+                self.writes.load(Ordering::Relaxed),
+            )
+        }
+    }
+
+    /// A counting wrapper around any register substrate.
+    struct CountingRegisters<R> {
+        inner: R,
+        ops: Arc<RegisterOps>,
+    }
+
+    impl<R: SharedRegisters> SharedRegisters for CountingRegisters<R> {
+        fn read(&self, key: &str) -> String {
+            self.ops.reads.fetch_add(1, Ordering::Relaxed);
+            self.inner.read(key)
+        }
+        fn write(&self, key: &str, value: &str) {
+            self.ops.writes.fetch_add(1, Ordering::Relaxed);
+            self.inner.write(key, value);
+        }
+    }
+
+    /// An in-memory register file.
+    #[derive(Default, Clone)]
+    struct MemRegisters {
+        map: Arc<parking_lot::RwLock<std::collections::HashMap<String, String>>>,
+    }
+
+    impl SharedRegisters for MemRegisters {
+        fn read(&self, key: &str) -> String {
+            self.map.read().get(key).cloned().unwrap_or_default()
+        }
+        fn write(&self, key: &str, value: &str) {
+            self.map.write().insert(key.to_string(), value.to_string());
+        }
+    }
 
     #[test]
     fn single_process_lock_unlock() {

@@ -22,6 +22,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use rlus::registrar::EventRegistration;
 use rlus::{
     DiscoveryRealm, Entry, EntryTemplate, Registrar, ServiceId, ServiceItem, ServiceStub,
     ServiceTemplate, Transition,
@@ -43,7 +44,7 @@ use rndi_core::spi::{ProviderBackend, ProviderPipeline, UrlContextFactory, WireF
 use rndi_core::url::RndiUrl;
 use rndi_core::value::BoundValue;
 
-use crate::common::{self, LeaseClockAdapter, MsClock, RlusClock};
+use crate::common::{self, MsClock};
 use crate::emlock::{EisenbergMcGuire, SharedRegisters};
 
 /// Entry class carrying the binding name.
@@ -164,7 +165,7 @@ impl AtomicBindProxy {
 
     /// Atomically register `item` under `name` unless the name is taken.
     /// Returns the registration on success, `None` when already bound.
-    pub fn bind_if_absent(
+    fn bind_if_absent(
         &self,
         name: &str,
         item: ServiceItem,
@@ -213,6 +214,9 @@ pub struct JiniProviderContext {
     lease_mgr: LeaseRenewalManager,
     lock: EisenbergMcGuire<RegistrarRegisters>,
     hub: Arc<EventHub>,
+    /// The registrar subscription that feeds `hub`. It is leased like any
+    /// registration, so [`JiniProviderContext::poll_leases`] renews it too.
+    events: Mutex<EventRegistration>,
     instance: String,
 }
 
@@ -245,7 +249,7 @@ impl JiniProviderContext {
             registrar: registrar.clone(),
             by_name: Mutex::new(HashMap::new()),
         });
-        let lease_mgr = LeaseRenewalManager::new(Arc::new(LeaseClockAdapter(clock.clone())), 0.5);
+        let lease_mgr = LeaseRenewalManager::new(clock, 0.5);
         let lock = EisenbergMcGuire::new(
             RegistrarRegisters {
                 registrar: registrar.clone(),
@@ -256,23 +260,26 @@ impl JiniProviderContext {
             slot,
             slots.max(slot + 1),
         );
+        let hub = Arc::new(EventHub::new());
+        let events = Mutex::new(Self::subscribe(&registrar, &hub));
         let backend = Arc::new(JiniProviderContext {
-            registrar: registrar.clone(),
+            registrar,
             strict,
             proxy,
             lease_ms,
             leases,
             lease_mgr,
             lock,
-            hub: Arc::new(EventHub::new()),
+            hub,
+            events,
             instance: instance.to_string(),
         });
-        backend.wire_events();
         ProviderPipeline::standard(backend, &env)
     }
 
-    /// Bridge registrar remote events into the provider's event hub.
-    fn wire_events(self: &Arc<Self>) {
+    /// Bridge registrar remote events into the provider's event hub, for
+    /// as long a lease as the registrar grants.
+    fn subscribe(registrar: &Registrar, hub: &Arc<EventHub>) -> EventRegistration {
         struct Bridge {
             hub: Arc<EventHub>,
         }
@@ -301,14 +308,12 @@ impl JiniProviderContext {
                 }
             }
         }
-        self.registrar.notify(
+        registrar.notify(
             ServiceTemplate::any().with_entry(EntryTemplate::new(BINDING_ENTRY)),
             &[Transition::Match, Transition::Changed, Transition::NoMatch],
-            Arc::new(Bridge {
-                hub: self.hub.clone(),
-            }),
+            Arc::new(Bridge { hub: hub.clone() }),
             u64::MAX / 4,
-        );
+        )
     }
 
     /// The one component a name in this flat namespace has.
@@ -413,8 +418,17 @@ impl JiniProviderContext {
     }
 
     /// Drive client-side lease renewal; returns names whose leases could
-    /// not be renewed (their entries have expired remotely).
+    /// not be renewed (their entries have expired remotely). The pass also
+    /// renews the event subscription that keeps listeners and the cache fed.
     pub fn poll_leases(&self) -> Vec<String> {
+        let mut events = self.events.lock();
+        let id = events.registration_id;
+        if self.registrar.renew_event_lease(id, u64::MAX / 4).is_err() {
+            // It lapsed between passes: drop it if unswept, subscribe again.
+            let _ = self.registrar.cancel_event_lease(id);
+            *events = Self::subscribe(&self.registrar, &self.hub);
+        }
+        drop(events);
         self.lease_mgr.poll().failed
     }
 
@@ -642,7 +656,7 @@ impl ProviderBackend for JiniProviderContext {
 /// realm, then wraps the located registrar.
 pub struct JiniFactory {
     realm: DiscoveryRealm,
-    clock: Arc<dyn rlus::Clock>,
+    clock: Arc<dyn MsClock>,
     /// One provider pipeline per located registrar, so lease managers,
     /// event bridges, and cache/stats stacks are shared across lookups of
     /// the same URL.
@@ -650,7 +664,7 @@ pub struct JiniFactory {
 }
 
 impl JiniFactory {
-    pub fn new(realm: DiscoveryRealm, clock: Arc<dyn rlus::Clock>) -> Arc<Self> {
+    pub fn new(realm: DiscoveryRealm, clock: Arc<dyn MsClock>) -> Arc<Self> {
         Arc::new(JiniFactory {
             realm,
             clock,
@@ -681,7 +695,7 @@ impl UrlContextFactory for JiniFactory {
         })?;
         let ctx = JiniProviderContext::new(
             registrar,
-            Arc::new(RlusClock(self.clock.clone())),
+            self.clock.clone(),
             env.clone(),
             &format!("{}:{}", locator.host, locator.port),
         );
@@ -711,12 +725,7 @@ mod tests {
             keys::JINI_STRICT_BIND,
             if strict { "true" } else { "false" },
         );
-        let ctx = JiniProviderContext::new(
-            registrar.clone(),
-            Arc::new(RlusClock(clock.clone() as Arc<dyn rlus::Clock>)),
-            env,
-            "test",
-        );
+        let ctx = JiniProviderContext::new(registrar.clone(), clock.clone(), env, "test");
         (ctx, registrar, clock)
     }
 
@@ -827,12 +836,7 @@ mod tests {
         // A second provider context over the same registrar (no lease map
         // entry for "shared").
         let env = Environment::new().with(keys::JINI_STRICT_BIND, "false");
-        let ctx_b = JiniProviderContext::new(
-            registrar.clone(),
-            Arc::new(RlusClock(clock as Arc<dyn rlus::Clock>)),
-            env,
-            "b",
-        );
+        let ctx_b = JiniProviderContext::new(registrar.clone(), clock, env, "b");
         ctx_b.unbind_str("shared").unwrap();
         assert!(ctx_b.lookup_str("shared").is_err());
     }
@@ -936,13 +940,8 @@ mod tests {
         let registrar = Registrar::new(clock.clone(), 600_000, 9);
         let proxy = AtomicBindProxy::new(registrar.clone());
         let env = Environment::new().with(keys::JINI_STRICT_BIND, "true");
-        let ctx = JiniProviderContext::with_proxy(
-            registrar.clone(),
-            Arc::new(RlusClock(clock as Arc<dyn rlus::Clock>)),
-            env,
-            "proxied",
-            Some(proxy),
-        );
+        let ctx =
+            JiniProviderContext::with_proxy(registrar.clone(), clock, env, "proxied", Some(proxy));
         let before = registrar.stats();
         ctx.bind_str("k", "1").unwrap();
         let after = registrar.stats();

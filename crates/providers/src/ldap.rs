@@ -571,13 +571,7 @@ mod tests {
     use dirserv::ServerConfig;
     use rndi_core::context::{Context, ContextExt, DirContext};
     use rndi_core::value::Reference;
-
-    struct ZeroClock;
-    impl MsClock for ZeroClock {
-        fn now_ms(&self) -> u64 {
-            0
-        }
-    }
+    use rndi_obs::clock::ManualClock;
 
     fn setup() -> (Arc<ProviderPipeline<LdapProviderContext>>, DirectoryServer) {
         let server = DirectoryServer::new(ServerConfig {
@@ -595,7 +589,7 @@ mod tests {
         let ctx = LdapProviderContext::new(
             server.connect_anonymous(),
             Dn::parse("o=emory").unwrap(),
-            Arc::new(ZeroClock),
+            ManualClock::new(),
             "test",
         );
         (ctx, server)
@@ -768,7 +762,7 @@ mod tests {
         let anon_ctx = LdapProviderContext::new(
             server.connect_anonymous(),
             Dn::parse("o=emory").unwrap(),
-            Arc::new(ZeroClock),
+            ManualClock::new(),
             "t",
         );
         assert!(matches!(
@@ -780,7 +774,7 @@ mod tests {
                 .simple_bind(&Dn::parse("cn=admin").unwrap(), "secret")
                 .unwrap(),
             Dn::parse("o=emory").unwrap(),
-            Arc::new(ZeroClock),
+            ManualClock::new(),
             "t",
         );
         admin_ctx.bind_str("x", "v").unwrap();

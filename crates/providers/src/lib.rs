@@ -5,7 +5,7 @@
 //! surface while emulating missing capabilities client-side.
 //!
 //! * [`jini`] — the Jini provider. Generic `<name, value, attrs>` tuples
-//!   become "fake service stubs" via state/object factory translation;
+//!   become "fake service stubs" on the way in and back on the way out;
 //!   leases are renewed inside the provider; and atomic `bind` is built on
 //!   the overwrite-only registry with [`emlock`] — Eisenberg & McGuire's
 //!   N-process mutual exclusion over shared read/write registers (3 reads
@@ -35,7 +35,7 @@ pub mod jini;
 pub mod ldap;
 
 pub use dns::{DnsFactory, DnsProviderContext};
-pub use emlock::{EisenbergMcGuire, RegisterOps, SharedRegisters};
+pub use emlock::{EisenbergMcGuire, SharedRegisters};
 pub use fs::{FsContext, FsFactory};
 pub use hdns::{HdnsFactory, HdnsProviderContext};
 pub use jini::{AtomicBindProxy, JiniFactory, JiniProviderContext};

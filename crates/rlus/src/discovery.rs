@@ -58,11 +58,6 @@ impl DiscoveryRealm {
         );
     }
 
-    /// Withdraw a registrar's announcement.
-    pub fn withdraw(&self, locator: &LookupLocator) {
-        self.inner.write().remove(locator);
-    }
-
     /// Discover every registrar serving `group` (`""` = all groups).
     pub fn discover(&self, group: &str) -> Vec<(LookupLocator, Registrar)> {
         let inner = self.inner.read();
@@ -84,7 +79,7 @@ impl DiscoveryRealm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
+    use crate::ManualClock;
 
     fn reg() -> Registrar {
         Registrar::new(ManualClock::new(), 60_000, 0)
@@ -104,14 +99,12 @@ mod tests {
     }
 
     #[test]
-    fn unicast_locate_and_withdraw() {
+    fn unicast_locate() {
         let realm = DiscoveryRealm::new();
         let loc = LookupLocator::new("h1", 4160);
         realm.announce(loc.clone(), &["g"], reg());
         assert!(realm.locate(&loc).is_some());
-        realm.withdraw(&loc);
-        assert!(realm.locate(&loc).is_none());
-        assert!(realm.discover("g").is_empty());
+        assert!(realm.locate(&LookupLocator::new("h2", 4160)).is_none());
     }
 
     #[test]

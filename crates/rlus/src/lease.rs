@@ -19,17 +19,6 @@ pub struct Lease {
     pub expires_at_ms: u64,
 }
 
-impl Lease {
-    pub fn is_expired(&self, now_ms: u64) -> bool {
-        now_ms >= self.expires_at_ms
-    }
-
-    /// Remaining validity at `now_ms`.
-    pub fn remaining_ms(&self, now_ms: u64) -> u64 {
-        self.expires_at_ms.saturating_sub(now_ms)
-    }
-}
-
 /// Lease operation failures.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LeaseError {
@@ -220,17 +209,5 @@ mod tests {
         let l = ls.grant(9, 100, 0);
         assert_eq!(ls.resource(l.id, 50), Some(&9));
         assert_eq!(ls.resource(l.id, 100), None);
-    }
-
-    #[test]
-    fn lease_helpers() {
-        let l = Lease {
-            id: 1,
-            expires_at_ms: 200,
-        };
-        assert!(!l.is_expired(100));
-        assert!(l.is_expired(200));
-        assert_eq!(l.remaining_ms(150), 50);
-        assert_eq!(l.remaining_ms(300), 0);
     }
 }

@@ -24,7 +24,6 @@
 //! *existing, heterogeneous* backend that the integration middleware must
 //! adapt to, not one designed for it.
 
-pub mod clock;
 pub mod discovery;
 pub mod event;
 pub mod id;
@@ -34,11 +33,12 @@ pub mod lease;
 pub mod registrar;
 pub mod template;
 
-pub use clock::{Clock, ManualClock, SystemClock};
 pub use discovery::DiscoveryRealm;
 pub use event::{ServiceEvent, ServiceListener, Transition};
 pub use id::ServiceId;
 pub use item::{Entry, ServiceItem, ServiceStub};
 pub use lease::{Lease, LeaseError};
 pub use registrar::{Registrar, ServiceRegistration};
+/// The registrar's time source: the process's one millisecond clock.
+pub use rndi_obs::clock::{Clock, ManualClock, SystemClock};
 pub use template::{EntryTemplate, ServiceTemplate};

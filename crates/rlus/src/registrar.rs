@@ -20,13 +20,13 @@ use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::clock::Clock;
 use crate::event::{ServiceEvent, ServiceListener, Transition};
 use crate::id::ServiceId;
 use crate::index::ServiceIndex;
 use crate::item::{Entry, ServiceItem};
 use crate::lease::{Lease, LeaseError, LeaseSet};
 use crate::template::ServiceTemplate;
+use crate::Clock;
 
 /// Returned by [`Registrar::register`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,6 +43,7 @@ pub struct EventRegistration {
 }
 
 /// Aggregate counters, for experiments and diagnostics.
+// Public as the type `Registrar::stats` returns.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RegistrarStats {
     pub registrations: u64,
@@ -436,10 +437,10 @@ impl Registrar {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
     use crate::event::BufferingListener;
     use crate::item::ServiceStub;
     use crate::template::EntryTemplate;
+    use crate::ManualClock;
 
     fn registrar() -> (Registrar, Arc<ManualClock>) {
         let clock = ManualClock::new();

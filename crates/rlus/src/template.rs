@@ -70,6 +70,8 @@ impl ServiceTemplate {
         ServiceTemplate::default()
     }
 
+    // Kept, with `with_type`: the id- and type-constrained templates the
+    // crate's property and stress tests drive through the index.
     pub fn by_id(id: ServiceId) -> Self {
         ServiceTemplate {
             service_id: Some(id),

@@ -40,6 +40,7 @@ use crate::router::DEFAULT_FANOUT;
 const INSTANCE_LABELS: &[&str] = &["server", "endpoint", "instance"];
 
 /// One shard's answers to the three admin scrape calls.
+// Public as the element type of `ClusterScrape::instances`.
 #[derive(Clone, Debug)]
 pub struct InstanceScrape {
     /// Shard id from the [`ShardMap`] (`shard-0`, ...).

@@ -43,7 +43,7 @@ impl SimRng {
     }
 
     /// A uniform `f64` in `[0, 1)`.
-    pub fn gen_f64(&self) -> f64 {
+    fn gen_f64(&self) -> f64 {
         self.inner.borrow_mut().gen::<f64>()
     }
 
@@ -63,6 +63,7 @@ impl SimRng {
     /// Used for service-time and inter-arrival jitter; the discrete-event
     /// server models draw from this to avoid artificial phase lock between
     /// closed-loop clients.
+    // Kept public: the crate's property test holds runs to it by seed.
     pub fn exp_duration(&self, mean: Duration) -> Duration {
         let u: f64 = self.gen_f64().max(1e-12);
         let scale = -u.ln();

@@ -73,6 +73,7 @@ impl Sim {
     }
 
     /// Number of events executed so far (diagnostics).
+    // Kept public: the crate's property test compares runs by it.
     pub fn events_executed(&self) -> u64 {
         self.core.borrow().executed
     }
@@ -95,7 +96,7 @@ impl Sim {
     /// Schedule `callback` at an absolute virtual instant. Instants in the
     /// past are clamped to "now" (the event still runs, immediately after
     /// already-queued events for the current instant).
-    pub fn schedule_at<F>(&self, at: SimTime, callback: F) -> EventId
+    fn schedule_at<F>(&self, at: SimTime, callback: F) -> EventId
     where
         F: FnOnce(&Sim) + 'static,
     {

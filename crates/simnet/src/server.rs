@@ -163,7 +163,7 @@ impl QueueingServer {
     /// Like [`QueueingServer::submit`], but runs `work` at service-completion
     /// time — this is where the benchmark harness executes the *real* backend
     /// operation whose virtual cost the job models.
-    pub fn submit_with_work<W, F>(&self, service_time: Duration, work: W, done: F)
+    fn submit_with_work<W, F>(&self, service_time: Duration, work: W, done: F)
     where
         W: FnOnce(&Sim) + 'static,
         F: FnOnce(&Sim, JobOutcome) + 'static,
@@ -282,13 +282,9 @@ impl QueueingServer {
     }
 
     /// Jobs waiting (excludes jobs in service).
-    pub fn queue_len(&self) -> usize {
+    #[cfg(test)]
+    fn queue_len(&self) -> usize {
         self.core.borrow().queue.len()
-    }
-
-    /// Workers currently busy.
-    pub fn busy(&self) -> usize {
-        self.core.borrow().busy
     }
 
     /// Counter snapshot.

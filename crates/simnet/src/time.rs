@@ -43,16 +43,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    /// Time since epoch expressed in (possibly fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
-    /// Saturating difference: `self - earlier`, or zero if `earlier > self`.
-    pub fn saturating_since(self, earlier: SimTime) -> Duration {
-        Duration::from_nanos(self.0.saturating_sub(earlier.0))
-    }
-
     /// Checked addition of a duration; `None` on overflow.
     pub fn checked_add(self, d: Duration) -> Option<SimTime> {
         self.0.checked_add(d.as_nanos() as u64).map(SimTime)
@@ -74,8 +64,7 @@ impl AddAssign<Duration> for SimTime {
 
 impl Sub<SimTime> for SimTime {
     type Output = Duration;
-    /// Panics if `rhs` is later than `self`; use [`SimTime::saturating_since`]
-    /// when the ordering is not statically known.
+    /// Panics if `rhs` is later than `self`.
     fn sub(self, rhs: SimTime) -> Duration {
         Duration::from_nanos(
             self.0
@@ -107,21 +96,12 @@ mod tests {
         assert_eq!(t.as_nanos(), 50_000_000);
         let u = t + Duration::from_millis(25);
         assert_eq!(u - t, Duration::from_millis(25));
-        assert_eq!(u.as_millis_f64(), 75.0);
     }
 
     #[test]
     fn ordering() {
         assert!(SimTime::ZERO < SimTime::from_nanos(1));
         assert!(SimTime::from_secs(1) < SimTime::MAX);
-    }
-
-    #[test]
-    fn saturating_since_clamps() {
-        let a = SimTime::from_millis(10);
-        let b = SimTime::from_millis(20);
-        assert_eq!(a.saturating_since(b), Duration::ZERO);
-        assert_eq!(b.saturating_since(a), Duration::from_millis(10));
     }
 
     #[test]

@@ -34,4 +34,5 @@ echo "score: product_lines=$product shipped_lines=$((product - harness))" \
   "StackConfig=$(fields crates/groupcomm/src/config.rs StackConfig)" \
   "harness_lines=$harness" \
   "bench_targets=$(grep -c '^\[\[bench\]\]' crates/bench/Cargo.toml)" \
-  "providers_lines=$providers"
+  "providers_lines=$providers" \
+  "$(bash scripts/unused_pub.sh --count)"

@@ -76,6 +76,23 @@ cargo fmt --check "${pkg_flags[@]}"
 echo "==> cargo clippy -D warnings"
 cargo clippy "${pkg_flags[@]}" --all-targets -- -D warnings
 
+# A doc link to an item that is gone or private is a broken page.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q "${pkg_flags[@]}"
+
+# Public items that nothing outside their own file and crate tests names
+# (scripts/unused_pub.sh). Each one left is kept with a `//` reason, bar
+# simnet's net and fault modules; the ceiling is what is left, so a new one
+# must be used, narrowed, or paid for by deleting another.
+UNUSED_PUB_CEILING=39
+echo "==> unused_pub census: at most $UNUSED_PUB_CEILING"
+census="$(bash scripts/unused_pub.sh)"
+if [ "${census##*unused_pub=}" -gt "$UNUSED_PUB_CEILING" ]; then
+  echo "$census" >&2
+  echo "verify: unused_pub rose above $UNUSED_PUB_CEILING (the list is above)" >&2
+  exit 1
+fi
+
 echo "==> cargo build --examples"
 cargo build --examples
 

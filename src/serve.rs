@@ -77,9 +77,9 @@ impl ShardCluster {
         &self.map
     }
 
-    /// A routing client over this cluster: one pooled [`NetClient`]
-    /// (rndi_net::NetClient) per shard under a [`ShardRouter`], wrapped in
-    /// the standard pipeline stack.
+    /// A routing client over this cluster: one pooled
+    /// [`NetClient`](rndi_net::NetClient) per shard under a
+    /// [`ShardRouter`], wrapped in the standard pipeline stack.
     pub fn connect(&self, env: &Environment) -> Result<Arc<ProviderPipeline<ShardRouter>>> {
         ShardRouter::connect(self.map.clone(), env)
     }

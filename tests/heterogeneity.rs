@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use rndi::core::context::ContextExt;
 use rndi::core::prelude::*;
-use rndi::providers::common::{attrs, MsClock, RlusClock};
+use rndi::providers::common::{attrs, MsClock};
 use rndi::providers::{FsContext, HdnsProviderContext, JiniProviderContext, LdapProviderContext};
 
 struct ZeroClock;
@@ -27,12 +27,7 @@ fn all_providers(tag: &str) -> Vec<(&'static str, Arc<dyn DirContext>)> {
     let registrar = rndi::rlus::Registrar::new(clock.clone(), u64::MAX / 4, 5);
     out.push((
         "jini",
-        JiniProviderContext::new(
-            registrar,
-            Arc::new(RlusClock(clock as Arc<dyn rndi::rlus::Clock>)),
-            Environment::new(),
-            "conformance",
-        ),
+        JiniProviderContext::new(registrar, clock, Environment::new(), "conformance"),
     ));
 
     let realm = rndi::hdns::HdnsRealm::new(

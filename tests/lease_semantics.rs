@@ -7,7 +7,6 @@ use std::sync::Arc;
 
 use rndi::core::context::ContextExt;
 use rndi::core::prelude::*;
-use rndi::providers::common::RlusClock;
 use rndi::providers::JiniProviderContext;
 use rndi::rlus::{Entry, ManualClock, Registrar, ServiceItem, ServiceStub};
 
@@ -23,12 +22,7 @@ fn setup(
     let env = Environment::new()
         .with(env_keys::JINI_STRICT_BIND, "false")
         .with(env_keys::LEASE_MS, lease_ms.to_string());
-    let ctx = JiniProviderContext::new(
-        registrar.clone(),
-        Arc::new(RlusClock(clock.clone() as Arc<dyn rndi::rlus::Clock>)),
-        env,
-        "lease-it",
-    );
+    let ctx = JiniProviderContext::new(registrar.clone(), clock.clone(), env, "lease-it");
     (ctx, registrar, clock)
 }
 
@@ -105,12 +99,7 @@ fn renewal_failure_reported_after_external_removal() {
     // Another client cancels it out from under us (re-registering with a
     // zero lease and sweeping — the expiry-emulation path).
     let env = Environment::new().with(env_keys::JINI_STRICT_BIND, "false");
-    let other = JiniProviderContext::new(
-        registrar.clone(),
-        Arc::new(RlusClock(clock.clone() as Arc<dyn rndi::rlus::Clock>)),
-        env,
-        "other",
-    );
+    let other = JiniProviderContext::new(registrar.clone(), clock.clone(), env, "other");
     other.unbind_str("contested").unwrap();
 
     clock.set(6_000);
@@ -124,5 +113,39 @@ fn renewal_failure_reported_after_external_removal() {
         ctx.managed_leases(),
         0,
         "dead lease dropped from management"
+    );
+}
+
+#[test]
+fn the_event_subscription_outlives_the_registrar_lease() {
+    // The registrar grants no lease longer than 1 s. The provider's renewal
+    // pass keeps its own event subscription alive, as it keeps its bindings:
+    // listeners still hear a foreign rebind, and the cache still drops what
+    // it changed, long after the first subscription lease would have ended.
+    let clock = ManualClock::new();
+    let registrar = Registrar::new(clock.clone(), 1_000, 56);
+    let relaxed = || Environment::new().with(env_keys::JINI_STRICT_BIND, "false");
+    let env = relaxed().with(env_keys::CACHE_TTL_MS, "3600000");
+    let a = JiniProviderContext::new(registrar.clone(), clock.clone(), env, "a");
+    let heard = CollectingListener::new();
+    a.add_listener(&CompositeName::empty(), heard.clone())
+        .unwrap();
+    a.bind_str("svc", "v1").unwrap();
+    assert_eq!(a.lookup_str("svc").unwrap().as_str(), Some("v1"));
+    assert_eq!(heard.drain().len(), 1, "A hears its own bind");
+
+    for t in (200..=5_000).step_by(200) {
+        clock.set(t);
+        assert!(a.poll_leases().is_empty());
+        registrar.sweep();
+    }
+    let b = JiniProviderContext::new(registrar.clone(), clock, relaxed(), "b");
+    b.rebind_str("svc", "v2").unwrap();
+
+    assert_eq!(heard.count(), 1, "A's listener heard B's rebind");
+    assert_eq!(
+        a.lookup_str("svc").unwrap().as_str(),
+        Some("v2"),
+        "A's cache was invalidated"
     );
 }

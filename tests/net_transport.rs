@@ -15,7 +15,7 @@ use rndi::core::name::CompositeName;
 use rndi::core::prelude::*;
 use rndi::core::spi::ProviderBackend;
 use rndi::net::{NetClient, NetServer, ServerConfig};
-use rndi::providers::common::{MsClock, RlusClock};
+use rndi::providers::common::MsClock;
 use rndi::providers::HdnsProviderContext;
 use rndi::serve;
 
@@ -234,13 +234,8 @@ fn ldap_and_jini_served_over_loopback() {
     // The rlus registrar (Jini analog) behind the net server.
     let rlus_clock = rndi::rlus::ManualClock::new();
     let registrar = rndi::rlus::Registrar::new(rlus_clock.clone(), u64::MAX / 4, 23);
-    let jini_server = serve::serve_jini(
-        registrar,
-        Arc::new(RlusClock(rlus_clock as Arc<dyn rndi::rlus::Clock>)),
-        "net-lus",
-        &Environment::new(),
-    )
-    .unwrap();
+    let jini_server =
+        serve::serve_jini(registrar, rlus_clock, "net-lus", &Environment::new()).unwrap();
     let jini_remote =
         NetClient::connect(jini_server.local_addr().to_string(), &client_env()).unwrap();
     jini_remote.bind_str("worker", "stub-7").unwrap();
