@@ -209,8 +209,6 @@ pub struct CompoundSyntax {
     pub separator: char,
     /// `true` when the most significant component is rightmost (DNS, LDAP).
     pub right_to_left: bool,
-    /// Whether component comparison ignores ASCII case.
-    pub case_insensitive: bool,
     /// Escape character, if the syntax supports escaping.
     pub escape: Option<char>,
     /// Whether surrounding whitespace in components is insignificant.
@@ -218,35 +216,32 @@ pub struct CompoundSyntax {
 }
 
 impl CompoundSyntax {
-    /// DNS-style: dot-separated, right-to-left, case-insensitive.
+    /// DNS-style: dot-separated, right-to-left.
     pub fn dns() -> Self {
         CompoundSyntax {
             separator: '.',
             right_to_left: true,
-            case_insensitive: true,
             escape: Some('\\'),
             trim_blanks: false,
         }
     }
 
-    /// LDAP-style: comma-separated, right-to-left, case-insensitive, with
-    /// blank trimming (`cn=a, dc=b` ≡ `cn=a,dc=b`).
+    /// LDAP-style: comma-separated, right-to-left, with blank trimming
+    /// (`cn=a, dc=b` ≡ `cn=a,dc=b`).
     pub fn ldap() -> Self {
         CompoundSyntax {
             separator: ',',
             right_to_left: true,
-            case_insensitive: true,
             escape: Some('\\'),
             trim_blanks: true,
         }
     }
 
-    /// Unix-path style: slash-separated, left-to-right, case-sensitive.
+    /// Unix-path style: slash-separated, left-to-right.
     pub fn path() -> Self {
         CompoundSyntax {
             separator: '/',
             right_to_left: false,
-            case_insensitive: false,
             escape: Some('\\'),
             trim_blanks: false,
         }

@@ -457,6 +457,7 @@ impl<C: ReplicaChannel> HdnsNode<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::tests::{json_era_store, JSON_ERA_SNAPSHOT};
     use groupcast::{Cluster, StackConfig};
 
     fn pair() -> (Cluster, HdnsNode, HdnsNode) {
@@ -714,19 +715,13 @@ mod tests {
 
     #[test]
     fn snapshot_only_data_dir_from_before_the_log_recovers() {
-        // What the every-64-ops `fs::write(path, store.snapshot())` left.
-        let mut old = HdnsStore::new();
-        old.apply(&Op::CreateContext { path: "c".into() }).unwrap();
-        old.apply(&Op::Bind {
-            path: "c/x".into(),
-            entry: HdnsEntry::leaf(vec![7]).with_attr("k", "v"),
-            overwrite: false,
-        })
-        .unwrap();
+        // What the every-64-ops `fs::write(path, store.snapshot())` left,
+        // when a snapshot was JSON.
+        let old = json_era_store();
         let dir = crate::TestDir::new("legacy");
         let path = dir.0.join("replica-0.json");
         std::fs::create_dir_all(&dir.0).unwrap();
-        std::fs::write(&path, old.snapshot()).unwrap();
+        std::fs::write(&path, JSON_ERA_SNAPSHOT).unwrap();
 
         let (cluster, mut a) = solo(3, &path);
         assert_eq!(a.store_snapshot(), old.snapshot());
@@ -873,6 +868,12 @@ mod tests {
         good.apply(&Op::CreateContext { path: "c".into() }).unwrap();
         hand(good.snapshot(), &mut fresh);
         assert_eq!(fresh.entry_count(), 1);
+        assert!(fresh.take_events().contains(&HdnsEvent::Resynced));
+        assert!(fresh.last_state_error().is_none());
+
+        // A donor running an older binary sends its state as JSON.
+        hand(JSON_ERA_SNAPSHOT.to_vec(), &mut fresh);
+        assert_eq!(fresh.store_snapshot(), json_era_store().snapshot());
         assert!(fresh.take_events().contains(&HdnsEvent::Resynced));
         assert!(fresh.last_state_error().is_none());
     }

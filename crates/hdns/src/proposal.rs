@@ -28,7 +28,7 @@ use crate::store::{HdnsEntry, Op};
 /// The binary format's version byte.
 const VERSION: u8 = 0x01;
 /// How every JSON-era payload begins.
-const JSON_OPEN: u8 = b'{';
+pub(crate) const JSON_OPEN: u8 = b'{';
 
 const TAG_BIND: u8 = 1;
 const TAG_UNBIND: u8 = 2;
@@ -63,7 +63,7 @@ fn attrs(r: &mut Reader<'_>) -> Result<BTreeMap<String, String>, DecodeError> {
     for _ in 0..n {
         let k = r.str("attribute name")?;
         // Strictly ascending, as the encoder walks the map: one byte form
-        // per proposal, so replicas that log it log the same bytes.
+        // per record, so replicas that log or snapshot it agree on bytes.
         if map
             .last_key_value()
             .is_some_and(|(last, _)| last.as_str() >= k)
@@ -73,6 +73,28 @@ fn attrs(r: &mut Reader<'_>) -> Result<BTreeMap<String, String>, DecodeError> {
         map.insert(k.to_owned(), r.str("attribute value")?.to_owned());
     }
     Ok(map)
+}
+
+/// `flags | value | attrs` of a Bind or a snapshot entry; flags = `extra` | is_context.
+pub(crate) fn put_entry(out: &mut Vec<u8>, entry: &HdnsEntry, extra: u8) {
+    let is_context = if entry.is_context { FLAG_IS_CONTEXT } else { 0 };
+    codec::put_u8(out, extra | is_context);
+    codec::put_bytes(out, &entry.value);
+    put_attrs(out, &entry.attrs);
+}
+
+/// What [`put_entry`] wrote, and its flags; a flag outside `extra` | is_context is refused.
+pub(crate) fn entry(r: &mut Reader<'_>, extra: u8) -> Result<(HdnsEntry, u8), DecodeError> {
+    let flags = r.u8("entry flags")?;
+    if flags & !(extra | FLAG_IS_CONTEXT) != 0 {
+        return Err(DecodeError::Invalid("entry flags"));
+    }
+    let entry = HdnsEntry {
+        value: r.bytes("value")?.to_vec(),
+        attrs: attrs(r)?,
+        is_context: flags & FLAG_IS_CONTEXT != 0,
+    };
+    Ok((entry, flags))
 }
 
 fn path(r: &mut Reader<'_>) -> Result<String, DecodeError> {
@@ -95,11 +117,7 @@ impl Proposal {
             } => {
                 codec::put_u8(&mut out, TAG_BIND);
                 codec::put_str(&mut out, path);
-                let overwrite = if *overwrite { FLAG_OVERWRITE } else { 0 };
-                let is_context = if entry.is_context { FLAG_IS_CONTEXT } else { 0 };
-                codec::put_u8(&mut out, overwrite | is_context);
-                codec::put_bytes(&mut out, &entry.value);
-                put_attrs(&mut out, &entry.attrs);
+                put_entry(&mut out, entry, if *overwrite { FLAG_OVERWRITE } else { 0 });
             }
             Op::Unbind { path } => {
                 codec::put_u8(&mut out, TAG_UNBIND);
@@ -146,17 +164,10 @@ impl Proposal {
         let op = match r.u8("op tag")? {
             TAG_BIND => {
                 let path = path(&mut r)?;
-                let flags = r.u8("bind flags")?;
-                if flags & !(FLAG_OVERWRITE | FLAG_IS_CONTEXT) != 0 {
-                    return Err(DecodeError::Invalid("bind flags"));
-                }
+                let (entry, flags) = entry(&mut r, FLAG_OVERWRITE)?;
                 Op::Bind {
                     path,
-                    entry: HdnsEntry {
-                        value: r.bytes("value")?.to_vec(),
-                        attrs: attrs(&mut r)?,
-                        is_context: flags & FLAG_IS_CONTEXT != 0,
-                    },
+                    entry,
                     overwrite: flags & FLAG_OVERWRITE != 0,
                 }
             }

@@ -1,8 +1,19 @@
-//! The replicated store: hierarchical entries + deterministic operations.
+//! The replicated store: hierarchical entries + deterministic operations,
+//! and its snapshot (state transfer + the snapshot file), over
+//! [`groupcast::codec`], entries in key order, fields as in a proposal's Bind:
+//! `0x02 | ops_applied u64 | count u32 | (path | flags | value | attrs)*`.
 
 use std::collections::BTreeMap;
 
+use groupcast::codec::{self, DecodeError, Reader, U32_LEN, U64_LEN, U8_LEN};
 use serde::{Deserialize, Serialize};
+
+use crate::proposal::{entry, put_entry, JSON_OPEN};
+
+/// The snapshot format's version byte (a proposal's is `0x01`).
+const SNAPSHOT_VERSION: u8 = 0x02;
+/// The fewest bytes one entry encodes to: path, flags, value, attrs, all empty.
+const MIN_ENTRY_LEN: usize = U32_LEN + U8_LEN + U32_LEN + U32_LEN;
 
 /// An entry in the naming service.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -110,7 +121,7 @@ fn parent_of(path: &str) -> Option<&str> {
 
 /// The replica-local store. A flat ordered map keyed by normalized path;
 /// hierarchy is enforced on mutation (parents must be contexts).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, Deserialize)]
 pub struct HdnsStore {
     entries: BTreeMap<String, HdnsEntry>,
     /// Number of operations applied (replica convergence diagnostics).
@@ -286,14 +297,60 @@ impl HdnsStore {
         }
     }
 
-    /// Serialize the full state (state transfer + disk snapshots).
+    /// Serialize the full state (state transfer + disk snapshots) into one
+    /// buffer sized for it up front.
     pub fn snapshot(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("store is always serializable")
+        let mut len = U8_LEN + U64_LEN + U32_LEN;
+        for (path, e) in &self.entries {
+            let attrs: usize = e.attrs.iter().map(|(k, v)| k.len() + v.len()).sum();
+            len += MIN_ENTRY_LEN + path.len() + e.value.len() + 2 * U32_LEN * e.attrs.len() + attrs;
+        }
+        let mut out = Vec::with_capacity(len);
+        codec::put_u8(&mut out, SNAPSHOT_VERSION);
+        codec::put_u64(&mut out, self.ops_applied);
+        codec::put_len(&mut out, self.entries.len());
+        for (path, entry) in &self.entries {
+            codec::put_str(&mut out, path);
+            put_entry(&mut out, entry, 0);
+        }
+        debug_assert_eq!(out.len(), len);
+        out
     }
 
-    /// Restore from a snapshot.
+    /// Restore from a snapshot: the binary form, strictly (so what restores
+    /// re-encodes to the same bytes), or the JSON form of earlier versions.
     pub fn restore(bytes: &[u8]) -> Result<HdnsStore, String> {
-        serde_json::from_slice(bytes).map_err(|e| e.to_string())
+        if bytes.first() == Some(&JSON_OPEN) {
+            return serde_json::from_slice(bytes).map_err(|e| e.to_string());
+        }
+        Self::decode(bytes).map_err(|e| e.to_string())
+    }
+
+    fn decode(bytes: &[u8]) -> Result<HdnsStore, DecodeError> {
+        let mut r = Reader::new(bytes);
+        let tag = r.u8("snapshot version")?;
+        if tag != SNAPSHOT_VERSION {
+            let what = "snapshot version";
+            return Err(DecodeError::UnknownTag { what, tag });
+        }
+        let mut store = HdnsStore {
+            entries: BTreeMap::new(),
+            ops_applied: r.u64("ops applied")?,
+        };
+        for _ in 0..r.count(MIN_ENTRY_LEN, "entry count")? {
+            let path = r.str("path")?;
+            if store
+                .entries
+                .last_key_value()
+                .is_some_and(|(last, _)| last.as_str() >= path)
+            {
+                return Err(DecodeError::Invalid("entry order"));
+            }
+            let (entry, _) = entry(&mut r, 0)?;
+            store.entries.insert(path.to_owned(), entry);
+        }
+        r.finish()?;
+        Ok(store)
     }
 
     /// Iterate all `(path, entry)` pairs.
@@ -303,8 +360,26 @@ impl HdnsStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// What `snapshot()` wrote for [`json_era_store`] before the binary
+    /// form: a data dir or a state transfer from an older binary.
+    pub(crate) const JSON_ERA_SNAPSHOT: &[u8] = r#"{"entries":{"c":{"attrs":{},"is_context":true,"value":[]},"c/x":{"attrs":{"k":"v","owner":"é"},"is_context":false,"value":[7]}},"ops_applied":2}"#.as_bytes();
+
+    pub(crate) fn json_era_store() -> HdnsStore {
+        let mut s = HdnsStore::new();
+        s.apply(&Op::CreateContext { path: "c".into() }).unwrap();
+        s.apply(&Op::Bind {
+            path: "c/x".into(),
+            entry: HdnsEntry::leaf(vec![7])
+                .with_attr("k", "v")
+                .with_attr("owner", "é"),
+            overwrite: false,
+        })
+        .unwrap();
+        s
+    }
 
     #[test]
     fn bind_get_roundtrip() {

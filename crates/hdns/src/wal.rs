@@ -4,7 +4,7 @@
 //!
 //! | file                  | content                                         |
 //! |-----------------------|-------------------------------------------------|
-//! | `<data_path>`         | the last snapshot ([`HdnsStore::snapshot`] JSON) |
+//! | `<data_path>`         | the last snapshot ([`HdnsStore::snapshot`])     |
 //! | `<data_path>.wal`     | every proposal delivered since that snapshot    |
 //! | `<data_path>.tmp`     | a snapshot being written (compaction in flight) |
 //! | `<data_path>.corrupt` | a snapshot recovery could not use, moved aside  |
@@ -487,6 +487,7 @@ mod tests {
     #[test]
     fn a_json_era_data_dir_recovers_then_takes_binary_appends() {
         use crate::proposal::tests::json_of;
+        use crate::store::tests::{json_era_store, JSON_ERA_SNAPSHOT};
         use crate::{HdnsEntry, Op};
 
         let bind = |path: &str, byte: u8, overwrite| Op::Bind {
@@ -494,30 +495,26 @@ mod tests {
             entry: HdnsEntry::leaf(vec![byte; 74]).with_attr("owner", "é"),
             overwrite,
         };
-        let mut model = HdnsStore::new();
-        model
-            .apply(&Op::CreateContext { path: "c".into() })
-            .unwrap();
-        model.apply(&bind("c/old", 1, false)).unwrap();
+        let mut model = json_era_store();
         let dir = crate::TestDir::new("json-era");
         let path = dir.0.join("replica-0.json");
         std::fs::create_dir_all(&dir.0).unwrap();
-        std::fs::write(&path, model.snapshot()).unwrap();
+        std::fs::write(&path, JSON_ERA_SNAPSHOT).unwrap();
 
         let json_era = [
-            bind("c/x", 2, false),
-            bind("c/x", 3, false), // fails everywhere, logged all the same
-            bind("c/x", 4, true),
+            bind("c/y", 2, false),
+            bind("c/y", 3, false), // fails everywhere, logged all the same
+            bind("c/y", 4, true),
             Op::Rename {
-                from: "c/old".into(),
+                from: "c/x".into(),
                 to: "c/new".into(),
             },
             Op::SetAttrs {
                 path: "c/new".into(),
-                attrs: [("k".to_string(), "v".to_string())].into(),
+                attrs: [("k".to_string(), "w".to_string())].into(),
             },
             Op::CreateContext { path: "d".into() },
-            Op::Unbind { path: "c/x".into() },
+            Op::Unbind { path: "c/y".into() },
         ];
         let mut log = Vec::new();
         for (op_id, op) in (0..).zip(&json_era) {

@@ -24,12 +24,14 @@ cargo build --release --workspace
 
 # The oracle and codec proptests, the federation matrix, the directory's
 # byte budget and the resolver's line count are skipped here and named below,
-# so each still runs once. (The two single-binary allocation budgets,
-# tests/federation_allocs.rs and tests/hdns_write_allocs.rs, run here.)
+# so each still runs once, as is the compaction's heap peak. (The two
+# single-binary allocation budgets, tests/federation_allocs.rs and
+# tests/hdns_write_allocs.rs's rebind budget, run here.)
 NAMED_BELOW=(the_walk_matches_its_oracle read_is_a_base_scope_match_all_search wire_codec_
   every_operation_continues_through_a_mount_on_every_provider
   a_bound_leaf_stays_inside_its_byte_budget
-  federated_lookups_cache_one_line_per_denied_subtree)
+  federated_lookups_cache_one_line_per_denied_subtree
+  compaction_peak_heap_stays_near_the_snapshot_length)
 echo "==> cargo test -q (all but hdns, the oracle proptests, the federation matrix and the two budgets)"
 cargo test -q --workspace --exclude hdns -- "${NAMED_BELOW[@]/#/--skip=}"
 
@@ -50,10 +52,12 @@ cargo test -q -p dirserv --test props read_is_a_base_scope_match_all_search
 # Named on their own so the figures are in every log: the live heap bytes
 # one bound leaf of fed_resolve's shape leaves in dirserv, and the lines and
 # upstream queries fed_resolve's DNS leg leaves in the resolver (RFC 8020
-# denial), each against its budget.
-echo "==> budgets: what dirserv holds per bound leaf, what the resolver caches"
+# denial), and the heap one compaction of replica_write's store peaks at,
+# each against its budget.
+echo "==> budgets: what dirserv holds per bound leaf, what the resolver caches, what a compaction peaks at"
 cargo test -q --test ldap_footprint a_bound_leaf_stays_inside_its_byte_budget -- --nocapture
 cargo test -q --test dns_denial federated_lookups_cache_one_line_per_denied_subtree -- --nocapture
+cargo test -q --test hdns_write_allocs compaction_peak_heap_stays_near_the_snapshot_length -- --nocapture
 
 # Named on its own because `Wire::{encode, decode, size}` is what group
 # flow control charges and what rndi-cluster puts on TCP: round trips,

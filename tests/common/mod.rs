@@ -11,6 +11,7 @@ thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+    static PEAK_LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -23,7 +24,10 @@ fn note(bytes: usize) {
         if on.get() {
             let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
             let _ = ALLOCATED_BYTES.try_with(|n| n.set(n.get() + bytes as u64));
-            let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + bytes as i64));
+            let _ = LIVE_BYTES.try_with(|n| {
+                n.set(n.get() + bytes as i64);
+                let _ = PEAK_LIVE_BYTES.try_with(|peak| peak.set(peak.get().max(n.get())));
+            });
         }
     });
 }
@@ -98,4 +102,15 @@ pub fn live_bytes_during<R>(f: impl FnOnce() -> R) -> (R, i64) {
     let before = LIVE_BYTES.with(Cell::get);
     let (result, _) = count_during(f);
     (result, LIVE_BYTES.with(Cell::get) - before)
+}
+
+/// `f`'s result and the most this thread's heap grew while it ran: the
+/// high-water mark of its live bytes, over where they stood when `f` began.
+/// A `realloc` counts its old and new blocks together, as a copy holds both.
+#[allow(dead_code)] // each test binary uses its own part of this module
+pub fn peak_bytes_during<R>(f: impl FnOnce() -> R) -> (R, i64) {
+    let before = LIVE_BYTES.with(Cell::get);
+    PEAK_LIVE_BYTES.with(|peak| peak.set(before));
+    let (result, _) = count_during(f);
+    (result, PEAK_LIVE_BYTES.with(Cell::get) - before)
 }

@@ -1,14 +1,15 @@
 //! Allocation budget of one replicated HDNS write: how many heap
 //! allocations, and how many bytes, one `realm.rebind` of a 74-byte value
 //! makes on a 1-replica and a 3-replica realm, counted exactly — the write
-//! leg's counterpart of `federation_allocs.rs`. Lives in its own test
-//! binary because `common` installs a counting `#[global_allocator]`.
+//! leg's counterpart of `federation_allocs.rs` — and the heap one
+//! compaction of `replica_write`'s store needs at its peak. Lives in its own
+//! test binary because `common` installs a counting `#[global_allocator]`.
 
-use rndi::groupcast::StackConfig;
-use rndi::hdns::{HdnsEntry, HdnsRealm};
+use rndi::groupcast::{Cluster, StackConfig};
+use rndi::hdns::{HdnsEntry, HdnsNode, HdnsRealm, Op};
 
 mod common;
-use common::{count_during, Allocated};
+use common::{count_during, peak_bytes_during, Allocated};
 
 const NAMES: u32 = 64;
 /// The repo benchmark's marshalled value size.
@@ -130,5 +131,56 @@ fn replicated_rebind_stays_inside_its_allocation_budget() {
     assert_eq!(
         trio.lookup(2, &name(NAMES - 1)).unwrap().value,
         vec![9; VALUE_LEN]
+    );
+}
+
+#[test]
+fn compaction_peak_heap_stays_near_the_snapshot_length() {
+    // The repo benchmark's replica_write store: 2 000 leaves of 64-byte
+    // values under 50 contexts.
+    const CONTEXTS: u32 = 50;
+    const PER_CONTEXT: u32 = 40;
+    let dir = std::env::temp_dir().join(format!("rndi-compaction-{}", std::process::id()));
+    let cluster = Cluster::new(17);
+    let channel = cluster.create_channel(StackConfig::default());
+    let mut node = HdnsNode::new(channel, Some(dir.join("replica-0.json")));
+    node.connect("compaction").unwrap();
+    let settle = |node: &mut HdnsNode| loop {
+        cluster.pump_all();
+        node.process();
+        if cluster.in_flight() == 0 {
+            break;
+        }
+    };
+    settle(&mut node);
+    for ctx in 0..CONTEXTS {
+        let context = format!("r{ctx:02}");
+        node.submit(Op::CreateContext {
+            path: context.clone(),
+        })
+        .unwrap();
+        for key in 0..PER_CONTEXT {
+            let entry = HdnsEntry::leaf(vec![key as u8; 64]);
+            let path = format!("{context}/k{key:02}");
+            node.submit(Op::Bind {
+                path,
+                entry,
+                overwrite: false,
+            })
+            .unwrap();
+        }
+        settle(&mut node);
+    }
+    assert_eq!(node.entry_count(), (CONTEXTS * (PER_CONTEXT + 1)) as usize);
+
+    let snapshot_len = node.store_snapshot().len() as i64;
+    let ((), peak) = peak_bytes_during(|| node.persist());
+    let budget = 2 * snapshot_len + (64 << 10);
+    println!("one compaction of a {snapshot_len}-byte snapshot: peak {peak} live bytes (budget {budget})");
+    assert!(node.last_persist_error().is_none());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        peak <= budget,
+        "compaction peaked at {peak} live bytes for a {snapshot_len}-byte snapshot, budget {budget}"
     );
 }
