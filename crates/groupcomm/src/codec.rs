@@ -135,6 +135,12 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// What is left to read: a caller that checked a value field by field
+    /// slices the value's bytes out as this before and after.
+    pub fn rest(&self) -> &'a [u8] {
+        self.rest
+    }
+
     /// The value is complete: nothing may follow it.
     pub fn finish(self) -> Result<(), DecodeError> {
         match self.rest.len() {

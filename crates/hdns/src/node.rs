@@ -201,7 +201,8 @@ impl<C: ReplicaChannel> HdnsNode<C> {
     }
 
     /// Replica-local read: any node serves lookups without communication
-    /// ("read requests can be handled entirely by any of the nodes").
+    /// ("read requests can be handled entirely by any of the nodes"). The
+    /// answer shares the stored record; nothing is copied.
     pub fn lookup(&self, path: &str) -> Option<HdnsEntry> {
         self.store.get(path).cloned()
     }
@@ -285,7 +286,9 @@ impl<C: ReplicaChannel> HdnsNode<C> {
                         continue;
                     };
                     let existed = match &p.op {
-                        Op::Bind { path, .. } => self.store.get(path).is_some(),
+                        Op::Bind { path, .. } | Op::Unbind { path } => {
+                            self.store.get(path).is_some()
+                        }
                         _ => false,
                     };
                     let event = Self::event_of(&p.op, existed);
@@ -295,7 +298,7 @@ impl<C: ReplicaChannel> HdnsNode<C> {
                     if let Some(wal) = &mut self.wal {
                         wal.stage(self.store.ops_applied, &bytes);
                     }
-                    if result.is_ok() {
+                    if let (Ok(()), Some(event)) = (&result, event) {
                         self.events.push(event);
                     }
                     if from == self.channel.addr() {
@@ -378,19 +381,22 @@ impl<C: ReplicaChannel> HdnsNode<C> {
         self.persist();
     }
 
-    /// The change event `op` causes if it applies.
-    fn event_of(op: &Op, existed: bool) -> HdnsEvent {
-        match op {
+    /// The change event `op` causes if it applies, given whether its path
+    /// was bound before: an unbind of a name that was never bound applies
+    /// (it is idempotent) but removes nothing, so it causes none.
+    fn event_of(op: &Op, existed: bool) -> Option<HdnsEvent> {
+        Some(match op {
             Op::Bind { path, .. } if existed => HdnsEvent::Changed { path: path.clone() },
             Op::Bind { path, .. } => HdnsEvent::Bound { path: path.clone() },
             Op::CreateContext { path } => HdnsEvent::Bound { path: path.clone() },
-            Op::Unbind { path } => HdnsEvent::Removed { path: path.clone() },
+            Op::Unbind { path } if existed => HdnsEvent::Removed { path: path.clone() },
+            Op::Unbind { .. } => return None,
             Op::Rename { from, to } => HdnsEvent::Renamed {
                 from: from.clone(),
                 to: to.clone(),
             },
             Op::SetAttrs { path, .. } => HdnsEvent::Changed { path: path.clone() },
-        }
+        })
     }
 
     /// Write out the records staged by the current `process()` call.
@@ -496,9 +502,9 @@ mod tests {
             .unwrap();
         drive(&cluster, &mut [&mut a, &mut b]);
         assert_eq!(a.outcome(t), OpOutcome::Done(Ok(())));
-        assert_eq!(a.lookup("svc").unwrap().value, vec![1]);
+        assert_eq!(a.lookup("svc").unwrap().value(), vec![1]);
         assert_eq!(
-            b.lookup("svc").unwrap().value,
+            b.lookup("svc").unwrap().value(),
             vec![1],
             "replica consistent"
         );
@@ -552,7 +558,7 @@ mod tests {
         let mut c = HdnsNode::new(cluster.create_channel(StackConfig::default()), None);
         c.connect("hdns").unwrap();
         drive(&cluster, &mut [&mut a, &mut b, &mut c]);
-        assert_eq!(c.lookup("existing").unwrap().value, vec![5]);
+        assert_eq!(c.lookup("existing").unwrap().value(), vec![5]);
         assert!(c.take_events().contains(&HdnsEvent::Resynced));
     }
 
@@ -574,7 +580,10 @@ mod tests {
         })
         .unwrap();
         a.submit(Op::Unbind { path: "e".into() }).unwrap();
+        // Applies (unbind is idempotent) but removes nothing: no event.
+        let never_bound = a.submit(Op::Unbind { path: "e".into() }).unwrap();
         drive(&cluster, &mut [&mut a, &mut b]);
+        assert_eq!(a.outcome(never_bound), OpOutcome::Done(Ok(())));
         let evs = b.take_events();
         assert_eq!(
             evs,
@@ -632,7 +641,7 @@ mod tests {
 
         // A fresh incarnation recovers from disk.
         let (_cluster2, b) = solo(4, &path);
-        assert_eq!(b.lookup("durable").unwrap().value, vec![9]);
+        assert_eq!(b.lookup("durable").unwrap().value(), vec![9]);
         assert_eq!(b.recovery().snapshot_entries, 1);
         assert_eq!(b.recovery().replayed, 0);
         assert!(b.recovery().error.is_none());
@@ -709,7 +718,7 @@ mod tests {
         assert_eq!(aside(".corrupt"), b"{ not a store");
         assert_eq!(aside(".wal.corrupt"), b"its log");
         let (_cluster2, b) = solo(4, &path);
-        assert_eq!(b.lookup("fresh").unwrap().value, vec![1]);
+        assert_eq!(b.lookup("fresh").unwrap().value(), vec![1]);
         assert!(b.recovery().error.is_none());
     }
 
@@ -755,7 +764,7 @@ mod tests {
         assert!(errors() > before, "failed append is counted");
         node.process(); // nothing delivered, nothing persisted: not a success
         assert!(node.last_persist_error().is_some());
-        assert_eq!(node.lookup("in-memory").unwrap().value, vec![1]);
+        assert_eq!(node.lookup("in-memory").unwrap().value(), vec![1]);
     }
 
     fn undecodable() -> u64 {
@@ -788,7 +797,7 @@ mod tests {
         bind(&cluster, &mut a, "after", 2);
         b.process();
         assert_eq!(a.store_snapshot(), b.store_snapshot());
-        assert_eq!(b.lookup("after").unwrap().value, vec![2]);
+        assert_eq!(b.lookup("after").unwrap().value(), vec![2]);
     }
 
     /// A channel that damages every proposal on its way out: this

@@ -20,10 +20,10 @@
 
 use std::collections::BTreeMap;
 
-use groupcast::codec::{self, DecodeError, Reader, U32_LEN};
+use groupcast::codec::{self, DecodeError, Reader};
 use serde::Deserialize;
 
-use crate::store::{HdnsEntry, Op};
+use crate::store::{each_attr, put_attrs, HdnsEntry, Op};
 
 /// The binary format's version byte.
 const VERSION: u8 = 0x01;
@@ -36,8 +36,8 @@ const TAG_RENAME: u8 = 3;
 const TAG_CREATE_CONTEXT: u8 = 4;
 const TAG_SET_ATTRS: u8 = 5;
 
+/// A Bind's flag beside the entry's own (`crate::store::FLAG_IS_CONTEXT`).
 const FLAG_OVERWRITE: u8 = 1;
-const FLAG_IS_CONTEXT: u8 = 2;
 
 /// One write on its way through the group: the op and the submitter's
 /// handle for it.
@@ -48,53 +48,12 @@ pub(crate) struct Proposal {
     pub(crate) op: Op,
 }
 
-fn put_attrs(out: &mut Vec<u8>, attrs: &BTreeMap<String, String>) {
-    codec::put_len(out, attrs.len());
-    for (k, v) in attrs {
-        codec::put_str(out, k);
-        codec::put_str(out, v);
-    }
-}
-
 fn attrs(r: &mut Reader<'_>) -> Result<BTreeMap<String, String>, DecodeError> {
-    // The count only bounds the loop: a map allocates per insert.
-    let n = r.count(2 * U32_LEN, "attribute count")?;
-    let mut map: BTreeMap<String, String> = BTreeMap::new();
-    for _ in 0..n {
-        let k = r.str("attribute name")?;
-        // Strictly ascending, as the encoder walks the map: one byte form
-        // per record, so replicas that log or snapshot it agree on bytes.
-        if map
-            .last_key_value()
-            .is_some_and(|(last, _)| last.as_str() >= k)
-        {
-            return Err(DecodeError::Invalid("attribute order"));
-        }
-        map.insert(k.to_owned(), r.str("attribute value")?.to_owned());
-    }
+    let mut map = BTreeMap::new();
+    each_attr(r, |k, v| {
+        map.insert(k.to_owned(), v.to_owned());
+    })?;
     Ok(map)
-}
-
-/// `flags | value | attrs` of a Bind or a snapshot entry; flags = `extra` | is_context.
-pub(crate) fn put_entry(out: &mut Vec<u8>, entry: &HdnsEntry, extra: u8) {
-    let is_context = if entry.is_context { FLAG_IS_CONTEXT } else { 0 };
-    codec::put_u8(out, extra | is_context);
-    codec::put_bytes(out, &entry.value);
-    put_attrs(out, &entry.attrs);
-}
-
-/// What [`put_entry`] wrote, and its flags; a flag outside `extra` | is_context is refused.
-pub(crate) fn entry(r: &mut Reader<'_>, extra: u8) -> Result<(HdnsEntry, u8), DecodeError> {
-    let flags = r.u8("entry flags")?;
-    if flags & !(extra | FLAG_IS_CONTEXT) != 0 {
-        return Err(DecodeError::Invalid("entry flags"));
-    }
-    let entry = HdnsEntry {
-        value: r.bytes("value")?.to_vec(),
-        attrs: attrs(r)?,
-        is_context: flags & FLAG_IS_CONTEXT != 0,
-    };
-    Ok((entry, flags))
 }
 
 fn path(r: &mut Reader<'_>) -> Result<String, DecodeError> {
@@ -104,7 +63,7 @@ fn path(r: &mut Reader<'_>) -> Result<String, DecodeError> {
 impl Proposal {
     pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(match &self.op {
-            Op::Bind { path, entry, .. } => 32 + path.len() + entry.value.len(),
+            Op::Bind { path, entry, .. } => 32 + path.len() + entry.value().len(),
             _ => 64,
         });
         codec::put_u8(&mut out, VERSION);
@@ -117,7 +76,7 @@ impl Proposal {
             } => {
                 codec::put_u8(&mut out, TAG_BIND);
                 codec::put_str(&mut out, path);
-                put_entry(&mut out, entry, if *overwrite { FLAG_OVERWRITE } else { 0 });
+                entry.put_body(&mut out, if *overwrite { FLAG_OVERWRITE } else { 0 });
             }
             Op::Unbind { path } => {
                 codec::put_u8(&mut out, TAG_UNBIND);
@@ -135,7 +94,10 @@ impl Proposal {
             Op::SetAttrs { path, attrs } => {
                 codec::put_u8(&mut out, TAG_SET_ATTRS);
                 codec::put_str(&mut out, path);
-                put_attrs(&mut out, attrs);
+                put_attrs(
+                    &mut out,
+                    attrs.iter().map(|(k, v)| (k.as_str(), v.as_str())),
+                );
             }
         }
         out
@@ -163,10 +125,11 @@ impl Proposal {
         let op_id = r.u64("op id")?;
         let op = match r.u8("op tag")? {
             TAG_BIND => {
-                let path = path(&mut r)?;
-                let (entry, flags) = entry(&mut r, FLAG_OVERWRITE)?;
+                // The entry's record keeps the path it was sent under: when
+                // that is already normalized, it is the record stored.
+                let (entry, flags) = HdnsEntry::read(&mut r, FLAG_OVERWRITE)?;
                 Op::Bind {
-                    path,
+                    path: entry.path().to_owned(),
                     entry,
                     overwrite: flags & FLAG_OVERWRITE != 0,
                 }
@@ -200,6 +163,7 @@ impl Proposal {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::store::FLAG_IS_CONTEXT;
     use proptest::prelude::*;
 
     /// What `HdnsNode::submit` put on the wire and in the log before the
@@ -233,14 +197,14 @@ pub(crate) mod tests {
                 any::<bool>(),
                 any::<bool>()
             )
-                .prop_map(|(path, value, attrs, is_context, overwrite)| Op::Bind {
-                    path,
-                    entry: HdnsEntry {
-                        value,
-                        attrs,
-                        is_context,
-                    },
-                    overwrite,
+                .prop_map(|(path, value, attrs, is_context, overwrite)| {
+                    let flags = if is_context { FLAG_IS_CONTEXT } else { 0 };
+                    let attrs = attrs.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+                    Op::Bind {
+                        path,
+                        entry: HdnsEntry::build("", flags, &value, attrs),
+                        overwrite,
+                    }
                 }),
             any_path().prop_map(|path| Op::Unbind { path }),
             (any_path(), any_path()).prop_map(|(from, to)| Op::Rename { from, to }),

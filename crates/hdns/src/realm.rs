@@ -28,7 +28,7 @@ use crate::store::{HdnsEntry, Op};
 /// let realm = HdnsRealm::new("docs", 2, StackConfig::default(), None, 1);
 /// realm.bind(0, "svc", HdnsEntry::leaf(b"hello".to_vec())).unwrap();
 /// // Reads are replica-local: the other node already has it.
-/// assert_eq!(realm.lookup(1, "svc").unwrap().value, b"hello");
+/// assert_eq!(realm.lookup(1, "svc").unwrap().value(), b"hello");
 /// ```
 #[derive(Clone)]
 pub struct HdnsRealm {
@@ -373,7 +373,7 @@ mod tests {
         let r = realm(3);
         r.bind(0, "svc", HdnsEntry::leaf(vec![1])).unwrap();
         for i in 0..3 {
-            assert_eq!(r.lookup(i, "svc").unwrap().value, vec![1], "replica {i}");
+            assert_eq!(r.lookup(i, "svc").unwrap().value(), vec![1], "replica {i}");
         }
     }
 
@@ -383,7 +383,7 @@ mod tests {
         let foreign = b"%RNDI-TRACE:1-2-0-0\nabc".to_vec();
         r.bind(0, "x", HdnsEntry::leaf(foreign.clone())).unwrap();
         for i in 0..3 {
-            assert_eq!(r.lookup(i, "x").unwrap().value, foreign, "replica {i}");
+            assert_eq!(r.lookup(i, "x").unwrap().value(), foreign, "replica {i}");
         }
     }
 
@@ -396,7 +396,7 @@ mod tests {
             Err(RealmError::Store(HdnsError::AlreadyBound("k".into())))
         );
         r.rebind(1, "k", HdnsEntry::leaf(vec![2])).unwrap();
-        assert_eq!(r.lookup(0, "k").unwrap().value, vec![2]);
+        assert_eq!(r.lookup(0, "k").unwrap().value(), vec![2]);
     }
 
     #[test]
@@ -409,8 +409,8 @@ mod tests {
         r.bind(0, "during", HdnsEntry::leaf(vec![2])).unwrap();
         r.restart(2);
         assert!(r.is_alive(2));
-        assert_eq!(r.lookup(2, "before").unwrap().value, vec![1]);
-        assert_eq!(r.lookup(2, "during").unwrap().value, vec![2]);
+        assert_eq!(r.lookup(2, "before").unwrap().value(), vec![1]);
+        assert_eq!(r.lookup(2, "during").unwrap().value(), vec![2]);
     }
 
     #[test]
@@ -464,7 +464,7 @@ mod tests {
         for node in 0..3 {
             for i in 0..10u8 {
                 assert_eq!(
-                    r.lookup(node, &format!("k{i}")).map(|e| e.value),
+                    r.lookup(node, &format!("k{i}")).map(|e| e.value().to_vec()),
                     Some(vec![i]),
                     "node {node} key k{i}"
                 );
@@ -483,7 +483,7 @@ mod tests {
         // A brand-new realm over the same data dir: complete-shutdown
         // recovery from disk.
         let r2 = HdnsRealm::new("p", 1, StackConfig::default(), Some(dir.0.clone()), 2);
-        assert_eq!(r2.lookup(0, "durable").unwrap().value, vec![7]);
+        assert_eq!(r2.lookup(0, "durable").unwrap().value(), vec![7]);
     }
 
     #[test]
@@ -495,14 +495,14 @@ mod tests {
         assert_eq!(idx, 2);
         assert_eq!(r.replica_count(), 3);
         assert_eq!(
-            r.lookup(idx, "pre-existing").unwrap().value,
+            r.lookup(idx, "pre-existing").unwrap().value(),
             vec![1],
             "newcomer received state transfer"
         );
         // The newcomer is a full citizen: it can accept writes.
         r.bind(idx, "from-newcomer", HdnsEntry::leaf(vec![2]))
             .unwrap();
-        assert_eq!(r.lookup(0, "from-newcomer").unwrap().value, vec![2]);
+        assert_eq!(r.lookup(0, "from-newcomer").unwrap().value(), vec![2]);
     }
 
     #[test]

@@ -1,52 +1,225 @@
-//! The replicated store: hierarchical entries + deterministic operations,
-//! and its snapshot (state transfer + the snapshot file), over
-//! [`groupcast::codec`], entries in key order, fields as in a proposal's Bind:
-//! `0x02 | ops_applied u64 | count u32 | (path | flags | value | attrs)*`.
+//! The replicated store: one record per binding, deterministic operations,
+//! and its snapshot (state transfer + the snapshot file).
+//!
+//! A record *is* the binding's snapshot entry, byte for byte — `path |
+//! flags | value | attrs` over [`groupcast::codec`], flags as in a
+//! proposal's Bind (`2` = is_context), attrs as a count and key/value pairs
+//! in key order — held once in an `Arc<[u8]>` that every read shares
+//! ([`HdnsEntry`]). The store keeps its records ordered by their path bytes,
+//! which is `str` order, so a snapshot is a header and the records
+//! concatenated: `0x02 | ops_applied u64 | count u32 | record*`.
 
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
+use std::sync::Arc;
 
 use groupcast::codec::{self, DecodeError, Reader, U32_LEN, U64_LEN, U8_LEN};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
-use crate::proposal::{entry, put_entry, JSON_OPEN};
+use crate::proposal::JSON_OPEN;
 
 /// The snapshot format's version byte (a proposal's is `0x01`).
 const SNAPSHOT_VERSION: u8 = 0x02;
 /// The fewest bytes one entry encodes to: path, flags, value, attrs, all empty.
 const MIN_ENTRY_LEN: usize = U32_LEN + U8_LEN + U32_LEN + U32_LEN;
+/// The entry flag a context carries (a Bind proposal may add others).
+pub(crate) const FLAG_IS_CONTEXT: u8 = 2;
 
-/// An entry in the naming service.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HdnsEntry {
-    /// Marshalled bound value (opaque to HDNS).
-    pub value: Vec<u8>,
-    /// String attributes (HDNS keeps its attribute model simple; richer
-    /// typing lives in the client layers).
-    pub attrs: BTreeMap<String, String>,
-    /// Whether this entry is a subcontext (may have children).
-    pub is_context: bool,
-}
+/// An entry in the naming service: one shared record (see the module doc).
+/// A clone shares it, so the store, a lookup's answer and a listing hold
+/// the same bytes. An entry not yet bound has an empty path; equality is
+/// the entry's, not its name's, and does not compare the path.
+#[derive(Clone, Debug)]
+pub struct HdnsEntry(Arc<[u8]>);
+
+const SOUND: &str = "a record is checked when it is made";
 
 impl HdnsEntry {
     pub fn leaf(value: Vec<u8>) -> HdnsEntry {
-        HdnsEntry {
-            value,
-            attrs: BTreeMap::new(),
-            is_context: false,
-        }
+        HdnsEntry::build("", 0, &value, std::iter::empty())
     }
 
     pub fn context() -> HdnsEntry {
-        HdnsEntry {
-            value: Vec::new(),
-            attrs: BTreeMap::new(),
-            is_context: true,
-        }
+        HdnsEntry::build("", FLAG_IS_CONTEXT, &[], std::iter::empty())
     }
 
-    pub fn with_attr(mut self, k: impl Into<String>, v: impl Into<String>) -> Self {
-        self.attrs.insert(k.into(), v.into());
-        self
+    /// This entry with attribute `k` set to `v`.
+    pub fn with_attr(self, k: &str, v: &str) -> Self {
+        let mut attrs: BTreeMap<&str, &str> = self.attrs().collect();
+        attrs.insert(k, v);
+        let attrs = attrs.iter().map(|(k, v)| (*k, *v));
+        HdnsEntry::build(self.path(), self.body()[0], self.value(), attrs)
+    }
+
+    /// Whether this entry is a subcontext (may have children).
+    pub fn is_context(&self) -> bool {
+        self.body()[0] & FLAG_IS_CONTEXT != 0
+    }
+
+    /// Marshalled bound value (opaque to HDNS).
+    pub fn value(&self) -> &[u8] {
+        self.fields().bytes("value").expect(SOUND)
+    }
+
+    /// String attributes in key order (HDNS keeps its attribute model
+    /// simple; richer typing lives in the client layers).
+    pub fn attrs(&self) -> impl Iterator<Item = (&str, &str)> + '_ {
+        let mut r = self.fields();
+        r.bytes("value").expect(SOUND);
+        let n = r.u32("attribute count").expect(SOUND);
+        (0..n).map(move |_| {
+            let k = r.str("attribute name").expect(SOUND);
+            (k, r.str("attribute value").expect(SOUND))
+        })
+    }
+
+    /// The record split after its path: `(path, flags | value | attrs)`.
+    fn split(&self) -> (&[u8], &[u8]) {
+        let (len, rest) = self.0.split_at(U32_LEN);
+        rest.split_at(u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize)
+    }
+
+    fn path_bytes(&self) -> &[u8] {
+        self.split().0
+    }
+
+    pub(crate) fn path(&self) -> &str {
+        std::str::from_utf8(self.path_bytes()).expect(SOUND)
+    }
+
+    fn body(&self) -> &[u8] {
+        self.split().1
+    }
+
+    /// A reader at `value | attrs`.
+    fn fields(&self) -> Reader<'_> {
+        Reader::new(&self.body()[U8_LEN..])
+    }
+
+    /// The record `path | flags | value | attrs`.
+    pub(crate) fn build<'a>(
+        path: &str,
+        flags: u8,
+        value: &[u8],
+        attrs: impl ExactSizeIterator<Item = (&'a str, &'a str)>,
+    ) -> HdnsEntry {
+        let mut out = Vec::with_capacity(MIN_ENTRY_LEN + path.len() + value.len());
+        codec::put_str(&mut out, path);
+        codec::put_u8(&mut out, flags);
+        codec::put_bytes(&mut out, value);
+        put_attrs(&mut out, attrs);
+        HdnsEntry(out.into())
+    }
+
+    /// This entry bound at `path`: itself when its record already names
+    /// `path`, else one new record.
+    fn at(self, path: &str) -> HdnsEntry {
+        if self.path_bytes() == path.as_bytes() {
+            return self;
+        }
+        let mut out = Vec::with_capacity(U32_LEN + path.len() + self.body().len());
+        codec::put_str(&mut out, path);
+        out.extend_from_slice(self.body());
+        HdnsEntry(out.into())
+    }
+
+    /// `flags | value | attrs` as a proposal's Bind carries them, flags =
+    /// `extra` | is_context.
+    pub(crate) fn put_body(&self, out: &mut Vec<u8>, extra: u8) {
+        let body = self.body();
+        codec::put_u8(out, extra | body[0]);
+        out.extend_from_slice(&body[U8_LEN..]);
+    }
+
+    /// The record at `r` — `path | flags | value | attrs`, checked strictly:
+    /// UTF-8 text, attributes in ascending key order, no flag outside
+    /// `extra` | is_context — copied as one allocation with `extra`
+    /// cleared, and the flags it was read with.
+    pub(crate) fn read(r: &mut Reader<'_>, extra: u8) -> Result<(HdnsEntry, u8), DecodeError> {
+        let start = r.rest();
+        let path_len = r.str("path")?.len();
+        let flags = r.u8("entry flags")?;
+        if flags & !(extra | FLAG_IS_CONTEXT) != 0 {
+            return Err(DecodeError::Invalid("entry flags"));
+        }
+        r.bytes("value")?;
+        each_attr(r, |_, _| {})?;
+        let mut record: Arc<[u8]> = Arc::from(&start[..start.len() - r.rest().len()]);
+        if flags & extra != 0 {
+            Arc::get_mut(&mut record).expect("not yet shared")[U32_LEN + path_len] &= !extra;
+        }
+        Ok((HdnsEntry(record), flags))
+    }
+}
+
+/// `attrs` as a count and its key/value pairs, in the order given.
+pub(crate) fn put_attrs<'a>(
+    out: &mut Vec<u8>,
+    attrs: impl ExactSizeIterator<Item = (&'a str, &'a str)>,
+) {
+    codec::put_len(out, attrs.len());
+    for (k, v) in attrs {
+        codec::put_str(out, k);
+        codec::put_str(out, v);
+    }
+}
+
+/// Each attribute pair at `r`, keys checked to ascend strictly — as an
+/// encoder walks a map, so a record has one byte form and replicas that
+/// log or snapshot it agree on bytes.
+pub(crate) fn each_attr<'a>(
+    r: &mut Reader<'a>,
+    mut pair: impl FnMut(&'a str, &'a str),
+) -> Result<(), DecodeError> {
+    let mut last: Option<&str> = None;
+    for _ in 0..r.count(2 * U32_LEN, "attribute count")? {
+        let k = r.str("attribute name")?;
+        if last.is_some_and(|last| last >= k) {
+            return Err(DecodeError::Invalid("attribute order"));
+        }
+        last = Some(k);
+        pair(k, r.str("attribute value")?);
+    }
+    Ok(())
+}
+
+impl PartialEq for HdnsEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.body() == other.body()
+    }
+}
+
+impl Eq for HdnsEntry {}
+
+/// An entry as JSON-era proposals and snapshots spell it.
+#[derive(Deserialize)]
+#[cfg_attr(test, derive(Serialize))]
+struct JsonEntry {
+    value: Vec<u8>,
+    attrs: BTreeMap<String, String>,
+    is_context: bool,
+}
+
+impl Deserialize for HdnsEntry {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let e = JsonEntry::from_value(v)?;
+        let flags = if e.is_context { FLAG_IS_CONTEXT } else { 0 };
+        let attrs = e.attrs.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+        Ok(HdnsEntry::build("", flags, &e.value, attrs))
+    }
+}
+
+#[cfg(test)]
+impl Serialize for HdnsEntry {
+    fn to_value(&self) -> Value {
+        JsonEntry {
+            value: self.value().to_vec(),
+            attrs: self.attrs().map(|(k, v)| (k.into(), v.into())).collect(),
+            is_context: self.is_context(),
+        }
+        .to_value()
     }
 }
 
@@ -78,7 +251,8 @@ impl std::error::Error for HdnsError {}
 
 /// A write operation, multicast to the group and applied deterministically
 /// at every replica.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Deserialize)]
+#[cfg_attr(test, derive(Serialize))]
 pub enum Op {
     /// Bind an entry; `overwrite = false` gives atomic-bind semantics.
     Bind {
@@ -104,28 +278,63 @@ pub enum Op {
 }
 
 /// Validate and normalize a path: non-empty `/`-separated segments.
-fn normalize_path(path: &str) -> Result<String, HdnsError> {
+fn normalize_path(path: &str) -> Result<&str, HdnsError> {
     let p = path.trim_matches('/');
-    if p.is_empty() {
+    if p.is_empty() || p.split('/').any(|s| s.is_empty()) {
         return Err(HdnsError::InvalidPath(path.to_string()));
     }
-    if p.split('/').any(|s| s.is_empty()) {
-        return Err(HdnsError::InvalidPath(path.to_string()));
-    }
-    Ok(p.to_string())
+    Ok(p)
 }
 
 fn parent_of(path: &str) -> Option<&str> {
     path.rsplit_once('/').map(|(p, _)| p)
 }
 
-/// The replica-local store. A flat ordered map keyed by normalized path;
-/// hierarchy is enforced on mutation (parents must be contexts).
-#[derive(Clone, Debug, Default, Deserialize)]
+/// A record as the store's ordered set holds it: ordered, and found, by
+/// its path bytes — `str` order, without reading them as text again.
+#[derive(Clone, Debug)]
+struct Keyed(HdnsEntry);
+
+impl Borrow<[u8]> for Keyed {
+    fn borrow(&self) -> &[u8] {
+        self.0.path_bytes()
+    }
+}
+
+impl Ord for Keyed {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.path_bytes().cmp(other.0.path_bytes())
+    }
+}
+
+impl PartialOrd for Keyed {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Keyed {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.path_bytes() == other.0.path_bytes()
+    }
+}
+
+impl Eq for Keyed {}
+
+/// The replica-local store: one record per normalized path, in path
+/// order; hierarchy is enforced on mutation (parents must be contexts).
+#[derive(Clone, Debug, Default)]
 pub struct HdnsStore {
-    entries: BTreeMap<String, HdnsEntry>,
+    entries: BTreeSet<Keyed>,
     /// Number of operations applied (replica convergence diagnostics).
     pub ops_applied: u64,
+}
+
+/// A store as JSON-era snapshots spell it.
+#[derive(Deserialize)]
+struct JsonStore {
+    entries: BTreeMap<String, HdnsEntry>,
+    ops_applied: u64,
 }
 
 impl HdnsStore {
@@ -143,42 +352,48 @@ impl HdnsStore {
 
     /// Read an entry (replica-local, no communication).
     pub fn get(&self, path: &str) -> Option<&HdnsEntry> {
-        normalize_path(path).ok().and_then(|p| self.entries.get(&p))
+        let p = normalize_path(path).ok()?;
+        self.entries.get(p.as_bytes()).map(|k| &k.0)
     }
 
-    /// Direct children of `prefix` (`""` = root).
-    ///
-    /// Non-root prefixes scan only the `"{prefix}/"` key range (the
-    /// subtree is contiguous in the ordered map) instead of the whole
-    /// store; the root has no such range in a flat path map, so it keeps
-    /// the full iteration.
+    /// The records from `from` on, in path order.
+    fn records_from(&self, from: &[u8]) -> impl Iterator<Item = &HdnsEntry> {
+        self.entries
+            .range::<[u8], _>((Bound::Included(from), Bound::Unbounded))
+            .map(|k| &k.0)
+    }
+
+    /// Direct children of `prefix` (`""` = root). A prefix's subtree is
+    /// contiguous in path order, and so is each child's own, which one
+    /// seek skips (to `child0`: `0` follows `/`), so the root of a store
+    /// of contexts is listed in one read per context and subtree.
     pub fn list(&self, prefix: &str) -> Vec<(String, &HdnsEntry)> {
         let norm = prefix.trim_matches('/');
-        if norm.is_empty() {
-            return self
-                .entries
-                .iter()
-                .filter(|(k, _)| !k.contains('/'))
-                .map(|(k, v)| (k.clone(), v))
-                .collect();
+        let under = if norm.is_empty() {
+            String::new()
+        } else {
+            format!("{norm}/")
+        };
+        let mut children = Vec::new();
+        let mut records = self.records_from(under.as_bytes());
+        while let Some(e) = records.next() {
+            let Some(rest) = e.path().strip_prefix(&under) else {
+                break;
+            };
+            match rest.split_once('/') {
+                None => children.push((rest.to_string(), e)),
+                Some((child, _)) => {
+                    records = self.records_from(format!("{under}{child}0").as_bytes())
+                }
+            }
         }
-        let depth = norm.matches('/').count() + 2;
-        let range_prefix = format!("{norm}/");
-        self.entries
-            .range(range_prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&range_prefix))
-            .filter(|(k, _)| k.matches('/').count() + 1 == depth)
-            .map(|(k, v)| {
-                let child = k.rsplit('/').next().expect("non-empty key").to_string();
-                (child, v)
-            })
-            .collect()
+        children
     }
 
     fn check_parent(&self, path: &str) -> Result<(), HdnsError> {
         if let Some(parent) = parent_of(path) {
-            match self.entries.get(parent) {
-                Some(e) if e.is_context => Ok(()),
+            match self.entries.get(parent.as_bytes()) {
+                Some(k) if k.0.is_context() => Ok(()),
                 Some(_) => Err(HdnsError::NotAContext(parent.to_string())),
                 None => Err(HdnsError::NotFound(parent.to_string())),
             }
@@ -189,48 +404,34 @@ impl HdnsStore {
 
     fn has_children(&self, path: &str) -> bool {
         let prefix = format!("{path}/");
-        self.entries
-            .range(prefix.clone()..)
+        self.records_from(prefix.as_bytes())
             .next()
-            .is_some_and(|(k, _)| k.starts_with(&prefix))
+            .is_some_and(|e| e.path_bytes().starts_with(prefix.as_bytes()))
     }
 
     /// The normalized key `path` may be bound under, or why it may not.
-    fn bindable(&self, path: &str, overwrite: bool) -> Result<String, HdnsError> {
+    fn bindable<'a>(&self, path: &'a str, overwrite: bool) -> Result<&'a str, HdnsError> {
         let p = normalize_path(path)?;
-        self.check_parent(&p)?;
-        if !overwrite && self.entries.contains_key(&p) {
-            return Err(HdnsError::AlreadyBound(p));
-        }
-        if let Some(existing) = self.entries.get(&p) {
-            if existing.is_context && self.has_children(&p) {
-                return Err(HdnsError::NotEmpty(p));
+        self.check_parent(p)?;
+        match self.entries.get(p.as_bytes()) {
+            Some(_) if !overwrite => Err(HdnsError::AlreadyBound(p.to_string())),
+            Some(k) if k.0.is_context() && self.has_children(p) => {
+                Err(HdnsError::NotEmpty(p.to_string()))
             }
-        }
-        Ok(p)
-    }
-
-    /// [`HdnsStore::apply`] for a caller that is done with the op: a bound
-    /// entry moves into the store instead of being copied.
-    pub fn apply_owned(&mut self, op: Op) -> Result<(), HdnsError> {
-        match op {
-            Op::Bind {
-                path,
-                entry,
-                overwrite,
-            } => {
-                self.ops_applied += 1;
-                let p = self.bindable(&path, overwrite)?;
-                self.entries.insert(p, entry);
-                Ok(())
-            }
-            other => self.apply(&other),
+            _ => Ok(p),
         }
     }
 
     /// Apply an operation. Deterministic: identical stores applying the
     /// same op yield identical results and identical new states.
     pub fn apply(&mut self, op: &Op) -> Result<(), HdnsError> {
+        self.apply_owned(op.clone())
+    }
+
+    /// [`HdnsStore::apply`] for a caller that is done with the op: a bound
+    /// entry whose record already names its path moves into the store as
+    /// it is.
+    pub fn apply_owned(&mut self, op: Op) -> Result<(), HdnsError> {
         self.ops_applied += 1;
         match op {
             Op::Bind {
@@ -238,82 +439,79 @@ impl HdnsStore {
                 entry,
                 overwrite,
             } => {
-                let p = self.bindable(path, *overwrite)?;
-                self.entries.insert(p, entry.clone());
+                let p = self.bindable(&path, overwrite)?;
+                self.entries.replace(Keyed(entry.at(p)));
                 Ok(())
             }
             Op::Unbind { path } => {
-                let p = normalize_path(path)?;
-                if self.has_children(&p) {
-                    return Err(HdnsError::NotEmpty(p));
+                let p = normalize_path(&path)?;
+                if self.has_children(p) {
+                    return Err(HdnsError::NotEmpty(p.to_string()));
                 }
-                self.entries.remove(&p);
+                self.entries.remove(p.as_bytes());
                 Ok(())
             }
             Op::Rename { from, to } => {
-                let f = normalize_path(from)?;
-                let t = normalize_path(to)?;
-                if self.has_children(&f) {
-                    return Err(HdnsError::NotEmpty(f));
+                let f = normalize_path(&from)?;
+                let t = normalize_path(&to)?;
+                if self.has_children(f) {
+                    return Err(HdnsError::NotEmpty(f.to_string()));
                 }
                 // Remove first, then validate the target — so renaming a
                 // context *into its own subtree* (a → a/b) fails on the
                 // missing parent instead of orphaning the entry.
-                let entry = self
+                let Keyed(entry) = self
                     .entries
-                    .remove(&f)
-                    .ok_or_else(|| HdnsError::NotFound(f.clone()))?;
-                let target_ok = if self.entries.contains_key(&t) {
-                    Err(HdnsError::AlreadyBound(t.clone()))
+                    .take(f.as_bytes())
+                    .ok_or_else(|| HdnsError::NotFound(f.to_string()))?;
+                let target_ok = if self.entries.contains(t.as_bytes()) {
+                    Err(HdnsError::AlreadyBound(t.to_string()))
                 } else {
-                    self.check_parent(&t)
+                    self.check_parent(t)
                 };
-                match target_ok {
-                    Ok(()) => {
-                        self.entries.insert(t, entry);
-                        Ok(())
-                    }
-                    Err(e) => {
-                        self.entries.insert(f, entry);
-                        Err(e)
-                    }
-                }
+                let (kept, result) = match target_ok {
+                    Ok(()) => (entry.at(t), Ok(())),
+                    Err(e) => (entry, Err(e)),
+                };
+                self.entries.insert(Keyed(kept));
+                result
             }
             Op::CreateContext { path } => {
-                let p = normalize_path(path)?;
-                self.check_parent(&p)?;
-                if self.entries.contains_key(&p) {
-                    return Err(HdnsError::AlreadyBound(p));
+                let p = normalize_path(&path)?;
+                self.check_parent(p)?;
+                if self.entries.contains(p.as_bytes()) {
+                    return Err(HdnsError::AlreadyBound(p.to_string()));
                 }
-                self.entries.insert(p, HdnsEntry::context());
+                let context = HdnsEntry::build(p, FLAG_IS_CONTEXT, &[], std::iter::empty());
+                self.entries.insert(Keyed(context));
                 Ok(())
             }
             Op::SetAttrs { path, attrs } => {
-                let p = normalize_path(path)?;
-                let entry = self.entries.get_mut(&p).ok_or(HdnsError::NotFound(p))?;
-                entry.attrs = attrs.clone();
+                let p = normalize_path(&path)?;
+                let Keyed(e) = self
+                    .entries
+                    .get(p.as_bytes())
+                    .ok_or_else(|| HdnsError::NotFound(p.to_string()))?;
+                let attrs = attrs.iter().map(|(k, v)| (k.as_str(), v.as_str()));
+                let updated = HdnsEntry::build(p, e.body()[0], e.value(), attrs);
+                self.entries.replace(Keyed(updated));
                 Ok(())
             }
         }
     }
 
-    /// Serialize the full state (state transfer + disk snapshots) into one
-    /// buffer sized for it up front.
+    /// Serialize the full state (state transfer + disk snapshots): the
+    /// header, then every record as it is held, into one buffer sized for
+    /// it up front.
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut len = U8_LEN + U64_LEN + U32_LEN;
-        for (path, e) in &self.entries {
-            let attrs: usize = e.attrs.iter().map(|(k, v)| k.len() + v.len()).sum();
-            len += MIN_ENTRY_LEN + path.len() + e.value.len() + 2 * U32_LEN * e.attrs.len() + attrs;
-        }
-        let mut out = Vec::with_capacity(len);
+        let records: usize = self.entries.iter().map(|k| k.0 .0.len()).sum();
+        let mut out = Vec::with_capacity(U8_LEN + U64_LEN + U32_LEN + records);
         codec::put_u8(&mut out, SNAPSHOT_VERSION);
         codec::put_u64(&mut out, self.ops_applied);
         codec::put_len(&mut out, self.entries.len());
-        for (path, entry) in &self.entries {
-            codec::put_str(&mut out, path);
-            put_entry(&mut out, entry, 0);
+        for Keyed(entry) in &self.entries {
+            out.extend_from_slice(&entry.0);
         }
-        debug_assert_eq!(out.len(), len);
         out
     }
 
@@ -321,7 +519,12 @@ impl HdnsStore {
     /// re-encodes to the same bytes), or the JSON form of earlier versions.
     pub fn restore(bytes: &[u8]) -> Result<HdnsStore, String> {
         if bytes.first() == Some(&JSON_OPEN) {
-            return serde_json::from_slice(bytes).map_err(|e| e.to_string());
+            let json: JsonStore = serde_json::from_slice(bytes).map_err(|e| e.to_string())?;
+            let entries = json.entries.into_iter().map(|(path, e)| Keyed(e.at(&path)));
+            return Ok(HdnsStore {
+                entries: entries.collect(),
+                ops_applied: json.ops_applied,
+            });
         }
         Self::decode(bytes).map_err(|e| e.to_string())
     }
@@ -334,28 +537,27 @@ impl HdnsStore {
             return Err(DecodeError::UnknownTag { what, tag });
         }
         let mut store = HdnsStore {
-            entries: BTreeMap::new(),
+            entries: BTreeSet::new(),
             ops_applied: r.u64("ops applied")?,
         };
         for _ in 0..r.count(MIN_ENTRY_LEN, "entry count")? {
-            let path = r.str("path")?;
+            let (entry, _) = HdnsEntry::read(&mut r, 0)?;
             if store
                 .entries
-                .last_key_value()
-                .is_some_and(|(last, _)| last.as_str() >= path)
+                .last()
+                .is_some_and(|last| last.0.path_bytes() >= entry.path_bytes())
             {
                 return Err(DecodeError::Invalid("entry order"));
             }
-            let (entry, _) = entry(&mut r, 0)?;
-            store.entries.insert(path.to_owned(), entry);
+            store.entries.insert(Keyed(entry));
         }
         r.finish()?;
         Ok(store)
     }
 
-    /// Iterate all `(path, entry)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&String, &HdnsEntry)> {
-        self.entries.iter()
+    /// Iterate all `(path, entry)` pairs in path order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &HdnsEntry)> {
+        self.entries.iter().map(|k| (k.0.path(), &k.0))
     }
 }
 
@@ -390,8 +592,8 @@ pub(crate) mod tests {
             overwrite: false,
         })
         .unwrap();
-        assert_eq!(s.get("x").unwrap().value, vec![1]);
-        assert_eq!(s.get("/x/").unwrap().value, vec![1], "normalized");
+        assert_eq!(s.get("x").unwrap().value(), [1]);
+        assert_eq!(s.get("/x/").unwrap().value(), [1], "normalized");
     }
 
     #[test]
@@ -499,7 +701,7 @@ pub(crate) mod tests {
         })
         .unwrap();
         assert!(s.get("old").is_none());
-        assert_eq!(s.get("new").unwrap().value, vec![7]);
+        assert_eq!(s.get("new").unwrap().value(), [7]);
         assert_eq!(
             s.apply(&Op::Rename {
                 from: "ghost".into(),
@@ -525,9 +727,10 @@ pub(crate) mod tests {
             attrs,
         })
         .unwrap();
-        let e = s.get("e").unwrap();
-        assert!(!e.attrs.contains_key("a"));
-        assert_eq!(e.attrs["b"], "2");
+        assert_eq!(
+            s.get("e").unwrap().attrs().collect::<Vec<_>>(),
+            [("b", "2")]
+        );
     }
 
     #[test]
@@ -578,7 +781,7 @@ pub(crate) mod tests {
         let rb: Vec<_> = ops.iter().map(|o| b.apply_owned(o.clone())).collect();
         assert_eq!(ra, rb);
         assert_eq!(a.snapshot(), b.snapshot());
-        assert_eq!(a.get("c/y").unwrap().value, vec![1], "first bind won");
+        assert_eq!(a.get("c/y").unwrap().value(), [1], "first bind won");
     }
 
     #[test]

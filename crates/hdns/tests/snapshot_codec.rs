@@ -16,7 +16,7 @@ const COUNT_AT: usize = 1 + 8;
 /// The fewest bytes one entry encodes to.
 const MIN_ENTRY_LEN: usize = 4 + 1 + 4 + 4;
 
-fn entries(s: &HdnsStore) -> Vec<(&String, &HdnsEntry)> {
+fn entries(s: &HdnsStore) -> Vec<(&str, &HdnsEntry)> {
     s.iter().collect()
 }
 
@@ -49,8 +49,9 @@ fn any_store() -> impl Strategy<Value = HdnsStore> {
                     Some(context) => format!("{context}/{name}"),
                     None => name,
                 };
-                let mut entry = HdnsEntry::leaf(value);
-                entry.attrs = attrs;
+                let entry = attrs
+                    .iter()
+                    .fold(HdnsEntry::leaf(value), |e, (k, v)| e.with_attr(k, v));
                 let _ = s.apply(&Op::Bind {
                     path,
                     entry,

@@ -52,22 +52,19 @@ fn realm_err(e: RealmError, name: &str) -> NamingError {
 /// Encode a marshalled payload + `Attributes` into an HDNS entry (binds
 /// arrive wire-encoded from the pipeline's marshalling layer).
 fn to_entry(payload: Vec<u8>, attrs: &Attributes) -> HdnsEntry {
-    let mut e = HdnsEntry::leaf(payload);
-    for a in attrs.iter() {
+    attrs.iter().fold(HdnsEntry::leaf(payload), |e, a| {
         let vals: Vec<&str> = a.values.iter().filter_map(|v| v.as_str()).collect();
-        e.attrs
-            .insert(a.id.clone(), serde_json::to_string(&vals).expect("strings"));
-    }
-    e
+        e.with_attr(&a.id, &serde_json::to_string(&vals).expect("strings"))
+    })
 }
 
 fn from_entry_attrs(e: &HdnsEntry) -> Result<Attributes> {
     let mut out = Attributes::new();
-    for (id, json) in &e.attrs {
+    for (id, json) in e.attrs() {
         let vals: Vec<String> = serde_json::from_str(json).map_err(|err| {
             NamingError::service(format!("stored attribute {id} is corrupt: {err}"))
         })?;
-        let mut attr = Attribute::new(id.clone());
+        let mut attr = Attribute::new(id);
         for v in vals {
             attr = attr.with(v);
         }
@@ -77,12 +74,12 @@ fn from_entry_attrs(e: &HdnsEntry) -> Result<Attributes> {
 }
 
 fn from_entry_value(e: &HdnsEntry) -> BoundValue {
-    if e.is_context {
+    if e.is_context() {
         // Represented to clients as a null placeholder; navigation happens
         // through composite names, not live handles.
         BoundValue::Null
     } else {
-        common::unmarshal(&e.value)
+        common::unmarshal(e.value())
     }
 }
 
@@ -154,10 +151,10 @@ impl HdnsProviderContext {
         let mut end = path.len();
         for (k, last) in components.iter().enumerate().rev() {
             if let Some(e) = self.replica.lookup(&path[..end]) {
-                return Some(if e.is_context {
+                return Some(if e.is_context() {
                     Bound::context(k + 1)
                 } else {
-                    Bound::leaf(k + 1, common::unmarshal(&e.value))
+                    Bound::leaf(k + 1, common::unmarshal(e.value()))
                 });
             }
             end = end.saturating_sub(last.len() + 1);
@@ -222,7 +219,7 @@ impl HdnsProviderContext {
                     attrs,
                 });
             }
-            if controls.scope == SearchScope::Subtree && entry.is_context {
+            if controls.scope == SearchScope::Subtree && entry.is_context() {
                 let child_base = if base.is_empty() {
                     child.clone()
                 } else {
@@ -292,7 +289,7 @@ impl HdnsProviderContext {
             .into_iter()
             .map(|(n, e)| NameClassPair {
                 name: n,
-                class_name: if e.is_context {
+                class_name: if e.is_context() {
                     "context".to_string()
                 } else {
                     from_entry_value(&e).class_name().to_string()
@@ -323,7 +320,9 @@ impl HdnsProviderContext {
         let path = self.path(name)?;
         match self.replica.lookup(&path) {
             None => Ok(()),
-            Some(e) if e.is_context => self.write(Op::Unbind { path: path.clone() }, &path, trace),
+            Some(e) if e.is_context() => {
+                self.write(Op::Unbind { path: path.clone() }, &path, trace)
+            }
             Some(_) => Err(NamingError::ContextExpected { name: path }),
         }
     }
@@ -644,12 +643,24 @@ mod tests {
 
     #[test]
     fn events_delivered_to_listeners() {
+        use rndi_core::event::EventType::{ObjectAdded, ObjectRemoved};
         let (a, b) = setup();
         let l = rndi_core::event::CollectingListener::new();
         b.add_listener(&CompositeName::empty(), l.clone()).unwrap();
         a.bind_str("e", "1").unwrap();
+        // Applies (unbind is idempotent) but removes nothing: no event.
+        a.unbind_str("ghost").unwrap();
+        a.unbind_str("e").unwrap();
         b.poll_events();
-        assert!(l.count() >= 1, "replica 1 saw the replicated bind");
+        let seen: Vec<_> = l
+            .drain()
+            .into_iter()
+            .map(|e| (e.event_type, e.name.to_string()))
+            .collect();
+        assert_eq!(
+            seen,
+            [(ObjectAdded, "e".into()), (ObjectRemoved, "e".into())]
+        );
     }
 
     #[test]
@@ -698,7 +709,7 @@ mod tests {
             class_name: "bytes".into(),
         };
         a.execute(&op).unwrap();
-        assert_eq!(realm.lookup(1, "x").unwrap().value, foreign);
+        assert_eq!(realm.lookup(1, "x").unwrap().value(), foreign);
         assert_eq!(
             b.lookup(&"x".into()).unwrap(),
             BoundValue::Bytes(foreign),

@@ -28,7 +28,7 @@ fn main() {
         .bind(1, "svc-b", HdnsEntry::leaf(b"beta".to_vec()))
         .unwrap();
     for i in 0..3 {
-        assert_eq!(realm.lookup(i, "svc-a").unwrap().value, b"alpha");
+        assert_eq!(realm.lookup(i, "svc-a").unwrap().value(), b"alpha");
     }
     println!("writes via different replicas visible everywhere: OK");
 
@@ -42,7 +42,7 @@ fn main() {
     realm.restart(2);
     assert!(realm.is_alive(2));
     assert_eq!(
-        realm.lookup(2, "svc-c").unwrap().value,
+        realm.lookup(2, "svc-c").unwrap().value(),
         b"gamma",
         "rejoined replica caught up via state transfer"
     );
@@ -82,11 +82,11 @@ fn main() {
     // §6: "Additional nodes can be deployed dynamically at a later stage
     // as well, while the system is already in operation."
     let newcomer = realm.add_replica();
-    assert_eq!(realm.lookup(newcomer, "svc-a").unwrap().value, b"alpha");
+    assert_eq!(realm.lookup(newcomer, "svc-a").unwrap().value(), b"alpha");
     realm
         .bind(newcomer, "svc-d", HdnsEntry::leaf(b"delta".to_vec()))
         .unwrap();
-    assert_eq!(realm.lookup(0, "svc-d").unwrap().value, b"delta");
+    assert_eq!(realm.lookup(0, "svc-d").unwrap().value(), b"delta");
     println!("replica {newcomer} joined live, synced, and serves writes: OK");
 
     println!("== complete shutdown & cold recovery from disk ==");
@@ -102,7 +102,7 @@ fn main() {
         Some(data_dir.clone()),
         2027,
     );
-    assert_eq!(reborn.lookup(0, "svc-a").unwrap().value, b"alpha");
+    assert_eq!(reborn.lookup(0, "svc-a").unwrap().value(), b"alpha");
     assert!(reborn.lookup(1, "written-by-majority").is_some());
     println!("fresh deployment recovered persisted state: OK");
 
@@ -126,10 +126,13 @@ fn main() {
         2028,
     );
     for replica in 0..3 {
-        assert_eq!(revived.lookup(replica, "svc-a").unwrap().value, b"alpha");
+        assert_eq!(revived.lookup(replica, "svc-a").unwrap().value(), b"alpha");
         for i in 0..100 {
             assert_eq!(
-                revived.lookup(replica, &format!("late-{i}")).unwrap().value,
+                revived
+                    .lookup(replica, &format!("late-{i}"))
+                    .unwrap()
+                    .value(),
                 format!("v{i}").into_bytes(),
                 "replica {replica} replayed late-{i} from its log"
             );

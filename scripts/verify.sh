@@ -22,17 +22,18 @@ done
 echo "==> cargo build --release"
 cargo build --release --workspace
 
-# The oracle and codec proptests, the federation matrix, the directory's
-# byte budget and the resolver's line count are skipped here and named below,
-# so each still runs once, as is the compaction's heap peak. (The two
-# single-binary allocation budgets, tests/federation_allocs.rs and
-# tests/hdns_write_allocs.rs's rebind budget, run here.)
+# The oracle and codec proptests, the federation matrix, the directory's and
+# the HDNS replica's byte budgets and the resolver's line count are skipped
+# here and named below, so each still runs once, as is the compaction's heap
+# peak. (The two single-binary allocation budgets, tests/federation_allocs.rs
+# and tests/hdns_write_allocs.rs's rebind budget, run here.)
 NAMED_BELOW=(the_walk_matches_its_oracle read_is_a_base_scope_match_all_search wire_codec_
   every_operation_continues_through_a_mount_on_every_provider
   a_bound_leaf_stays_inside_its_byte_budget
+  a_stored_binding_stays_inside_its_byte_budget a_replica_read_touches_no_heap
   federated_lookups_cache_one_line_per_denied_subtree
   compaction_peak_heap_stays_near_the_snapshot_length)
-echo "==> cargo test -q (all but hdns, the oracle proptests, the federation matrix and the two budgets)"
+echo "==> cargo test -q (all but hdns, the oracle proptests, the federation matrix and the budgets)"
 cargo test -q --workspace --exclude hdns -- "${NAMED_BELOW[@]/#/--skip=}"
 
 # Named on its own because it is the federation contract: every writable
@@ -41,21 +42,26 @@ cargo test -q --workspace --exclude hdns -- "${NAMED_BELOW[@]/#/--skip=}"
 echo "==> federation matrix: 5 providers x 17 operations continue through a mount"
 cargo test -q --test heterogeneity every_operation_continues_through_a_mount_on_every_provider
 
-# Named on their own because they pin the rewritten federated read path to
-# the code it replaced: the DNS provider's one-build prefix walk against the
-# per-prefix oracle, and Connection::read against a base-scope search. A
-# failure prints the case number and the seed that replays it.
-echo "==> oracle proptests: dns walk, ldap read"
+# Named on their own because they pin rewritten code to the code it
+# replaced: the DNS provider's one-build prefix walk against the per-prefix
+# oracle, Connection::read against a base-scope search, and the HDNS store of
+# shared records against the path-keyed map it was. A failure prints the
+# case number and the seed that replays it (the store's, also the op
+# sequence shrunk to the ops it fails with).
+echo "==> oracle proptests: dns walk, ldap read, hdns store"
 cargo test -q -p rndi-providers --lib the_walk_matches_its_oracle
 cargo test -q -p dirserv --test props read_is_a_base_scope_match_all_search
+cargo test -q -p hdns --test store_oracle the_store_matches_its_oracle
 
 # Named on their own so the figures are in every log: the live heap bytes
-# one bound leaf of fed_resolve's shape leaves in dirserv, and the lines and
-# upstream queries fed_resolve's DNS leg leaves in the resolver (RFC 8020
-# denial), and the heap one compaction of replica_write's store peaks at,
-# each against its budget.
-echo "==> budgets: what dirserv holds per bound leaf, what the resolver caches, what a compaction peaks at"
+# one bound leaf of fed_resolve's shape leaves in dirserv and one binding of
+# the wire store leaves in an HDNS replica (whose reads allocate nothing),
+# the lines and upstream queries fed_resolve's DNS leg leaves in the resolver
+# (RFC 8020 denial), and the heap one compaction of replica_write's store
+# peaks at, each against its budget.
+echo "==> budgets: what dirserv and an HDNS replica hold per binding, what the resolver caches, what a compaction peaks at"
 cargo test -q --test ldap_footprint a_bound_leaf_stays_inside_its_byte_budget -- --nocapture
+cargo test -q --test hdns_footprint -- --nocapture
 cargo test -q --test dns_denial federated_lookups_cache_one_line_per_denied_subtree -- --nocapture
 cargo test -q --test hdns_write_allocs compaction_peak_heap_stays_near_the_snapshot_length -- --nocapture
 
@@ -72,7 +78,7 @@ cargo test -q -p groupcast --test wire_codec
 # op log's records are) to its round trip, its JSON-era oracle and hostile
 # input. A failure prints the seed, crash model and boundary that replay it.
 echo "==> cargo test -q -p hdns (unit tests + proposal codec + the crash-point suite)"
-cargo test -q -p hdns
+cargo test -q -p hdns -- --skip the_store_matches_its_oracle
 
 echo "==> cargo fmt --check"
 cargo fmt --check "${pkg_flags[@]}"

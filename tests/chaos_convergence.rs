@@ -152,7 +152,7 @@ proptest! {
             .expect("post-chaos write succeeds");
         for node in 0..REPLICAS {
             prop_assert_eq!(
-                realm.lookup(node, "final").map(|e| e.value),
+                realm.lookup(node, "final").map(|e| e.value().to_vec()),
                 Some(vec![99]),
                 "replica {} serves the post-chaos write",
                 node

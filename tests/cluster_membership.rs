@@ -170,7 +170,7 @@ fn five_nodes_boot_from_one_seed_and_converge() {
     wait_for(Duration::from_secs(5), "replicated bind", || {
         cluster.nodes().iter().all(|n| {
             n.lookup("services/db")
-                .is_some_and(|e| e.value == b"db:5432")
+                .is_some_and(|e| e.value() == b"db:5432")
         })
     });
 
@@ -282,7 +282,7 @@ fn restarted_node_rejoins_with_a_bumped_incarnation() {
         cluster
             .node(2)
             .lookup("persist/me")
-            .is_some_and(|e| e.value == b"survives")
+            .is_some_and(|e| e.value() == b"survives")
     });
 
     cluster.shutdown();

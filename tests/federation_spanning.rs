@@ -278,7 +278,7 @@ fn stored_reference_encoding_is_portable() {
         )
         .unwrap();
     let raw = w.hdns_realm.lookup(0, "link").unwrap();
-    let decoded = StoredValue::decode(&raw.value).unwrap().into_bound();
+    let decoded = StoredValue::decode(raw.value()).unwrap().into_bound();
     assert_eq!(
         decoded.as_reference().unwrap().url_addr(),
         Some("ldap://dir")

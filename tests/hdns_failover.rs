@@ -199,10 +199,10 @@ fn bimodal_stack_survives_lossy_network() {
             assert_eq!(
                 realm
                     .lookup(node, &format!("k{i}"))
-                    .map(|e| String::from_utf8_lossy(&e.value).to_string()),
+                    .map(|e| String::from_utf8_lossy(e.value()).to_string()),
                 realm
                     .lookup(0, &format!("k{i}"))
-                    .map(|e| String::from_utf8_lossy(&e.value).to_string()),
+                    .map(|e| String::from_utf8_lossy(e.value()).to_string()),
                 "node {node} key k{i}"
             );
         }

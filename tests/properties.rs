@@ -203,7 +203,7 @@ proptest! {
             if let Some((parent, _)) = path.rsplit_once('/') {
                 let p = store.get(parent);
                 prop_assert!(p.is_some(), "orphan {path}");
-                prop_assert!(p.unwrap().is_context, "parent of {path} not a context");
+                prop_assert!(p.unwrap().is_context(), "parent of {path} not a context");
             }
         }
     }
