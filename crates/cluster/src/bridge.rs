@@ -125,7 +125,7 @@ pub fn propose(engine: &GossipEngine, me: &str) -> Option<Proposal> {
     if desired.is_empty() || !quorum_holds(engine, desired.iter().map(String::as_str)) {
         return None;
     }
-    let current = engine.best_view().expect("candidate implies lineage");
+    let current = engine.best_view()?;
     if current.members == desired {
         return None;
     }

@@ -98,9 +98,8 @@ impl GossipEngine {
     }
 
     /// Absorb the reply to a Sync we initiated. Only a substantive
-    /// `Sync` reply counts as a heartbeat — a bare `Ack` (what a
-    /// partition-simulating handler returns) proves a TCP path, not a
-    /// cooperating peer.
+    /// `Sync` reply counts as a heartbeat — a bare `Ack` proves a TCP
+    /// path, not a cooperating peer.
     pub fn absorb_reply(&mut self, peer: &str, reply: &GossipReply, now_ms: u64) {
         if let GossipReply::Sync { entries, view } = reply {
             self.note_contact(peer, now_ms);

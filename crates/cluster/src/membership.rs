@@ -85,6 +85,7 @@ impl MembershipTable {
     }
 
     pub fn me(&self) -> &MemberInfo {
+        // `new` inserts this node's own record, and no record is removed.
         self.members.get(&self.me).expect("self is always present")
     }
 
@@ -95,6 +96,7 @@ impl MembershipTable {
     /// Record where this node actually listens (known only after the
     /// server binds its — possibly ephemeral — port).
     pub fn set_my_endpoint(&mut self, endpoint: impl Into<String>) {
+        // Present: see `me`.
         let me = self.members.get_mut(&self.me).expect("self present");
         me.endpoint = endpoint.into();
     }
@@ -181,6 +183,13 @@ impl MembershipTable {
                 if rejoining && !self.quarantine.admit(&entry.name, now_ms) {
                     return false;
                 }
+                // A death heard by rumour bars the name as one seen first
+                // hand does: else this node, once coordinator, re-admits a
+                // restarted peer before the cooldown its accuser started.
+                if entry.state >= MemberState::Dead && existing.state < MemberState::Dead {
+                    let until = now_ms + self.quarantine_ms;
+                    self.quarantine.bar(&entry.name, entry.incarnation, until);
+                }
                 existing.incarnation = entry.incarnation;
                 existing.state = entry.state;
                 if !entry.endpoint.is_empty() {
@@ -197,6 +206,7 @@ impl MembershipTable {
     fn observe_self(&mut self, entry: &MemberEntry) -> bool {
         let my_inc = self.incarnation();
         if entry.state > MemberState::Alive && entry.incarnation >= my_inc {
+            // Present: see `me`.
             let me = self.members.get_mut(&self.me).expect("self present");
             me.incarnation = entry.incarnation + 1;
             me.state = MemberState::Alive;

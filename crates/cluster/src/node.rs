@@ -16,10 +16,10 @@
 //! frames to an *outbox*; a per-node pacer thread asks the state for each
 //! round's plan, does the plan's I/O, hands the replies back, pumps the
 //! HDNS replica, and exports telemetry. Handler and pacer are the only
-//! code that knows sockets or clocks: `crates/cluster/tests/no_sockets.rs`
-//! runs the same state with frames handed over in memory.
+//! code that knows sockets or clocks: the crate's seeded simulation
+//! (`tests/sim/mod.rs`) runs the same state with frames handed over in memory.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -63,9 +63,6 @@ pub struct NodeState {
     names_by_addr: BTreeMap<Addr, String>,
     /// Group wires awaiting the pacer's flush, per target endpoint.
     outbox: Vec<(String, GossipRequest)>,
-    /// Endpoints this node refuses to exchange with (fault injection:
-    /// a symmetric pair of blocks simulates a network partition).
-    blocked: BTreeSet<String>,
     /// Seed endpoint still being courted (dropped once it appears in the
     /// membership table).
     seed: Option<String>,
@@ -74,7 +71,7 @@ pub struct NodeState {
 }
 
 /// One gossip round's outbound work, computed under the lock, executed
-/// off it (public for `tests/no_sockets.rs`).
+/// off it (public for the crate's simulation tests).
 #[doc(hidden)]
 pub struct RoundPlan {
     pub sync: GossipRequest,
@@ -123,14 +120,11 @@ impl NodeState {
     }
 
     /// Put `wire` in the outbox for member `name`, unless it has no known
-    /// endpoint or sits behind an injected partition.
+    /// endpoint.
     fn queue(&mut self, name: &str, wire: &Wire) {
         let Some(ep) = self.endpoint_of(name) else {
             return;
         };
-        if self.blocked.contains(&ep) {
-            return;
-        }
         let frame = GossipRequest::Group {
             group: self.group.clone(),
             from: self.core.me().0,
@@ -199,7 +193,7 @@ impl NodeState {
             }
         }
         let my_endpoint = &self.engine.table.me().endpoint;
-        targets.retain(|(_, ep)| !ep.is_empty() && ep != my_endpoint && !self.blocked.contains(ep));
+        targets.retain(|(_, ep)| !ep.is_empty() && ep != my_endpoint);
         self.engine.rounds += 1;
         RoundPlan {
             sync: self.engine.sync_request(),
@@ -233,10 +227,6 @@ impl NodeState {
                 entries,
                 view,
             } => {
-                if self.blocked.contains(&from.endpoint) {
-                    // Partitioned-off peer: reveal nothing, learn nothing.
-                    return GossipReply::Ack;
-                }
                 let reply = self
                     .engine
                     .handle_sync(&from, &entries, view.as_ref(), now_ms);
@@ -249,12 +239,6 @@ impl NodeState {
                 }
                 let from = Addr(from);
                 if let Some(name) = self.name_of(from).map(str::to_string) {
-                    if self
-                        .endpoint_of(&name)
-                        .is_some_and(|ep| self.blocked.contains(&ep))
-                    {
-                        return GossipReply::Ack;
-                    }
                     self.engine.note_contact(&name, now_ms);
                 }
                 let Ok(w) = Wire::decode(&wire) else {
@@ -360,7 +344,7 @@ impl ReplicaChannel for TcpChannel {
 /// acknowledge only after ordered self-delivery, in the primary partition.
 #[derive(Clone)]
 pub struct NodeReplica {
-    // Both public for `tests/no_sockets.rs` only.
+    // Both public for the crate's simulation tests only.
     #[doc(hidden)]
     pub state: Arc<Mutex<NodeState>>,
     #[doc(hidden)]
@@ -378,7 +362,6 @@ impl NodeReplica {
             connected: false,
             names_by_addr: BTreeMap::from([(addr_of(&config.name), config.name.clone())]),
             outbox: Vec::new(),
-            blocked: BTreeSet::new(),
             seed: config.seed.clone(),
             undecodable_frames: registry.counter(names::CLUSTER_UNDECODABLE_FRAMES, &[]),
         }));
@@ -529,10 +512,6 @@ impl ClusterNode {
         &self.endpoint
     }
 
-    pub fn incarnation(&self) -> u64 {
-        self.replica.state.lock().engine.table.incarnation()
-    }
-
     /// This node's current belief about every member.
     pub fn members(&self) -> Vec<MemberEntry> {
         self.replica.state.lock().members()
@@ -558,18 +537,6 @@ impl ClusterNode {
     /// write through the node's endpoint).
     pub fn write_sync(&self, op: Op) -> std::result::Result<(), RealmError> {
         self.replica.write_within(op, WRITE_BUDGET)
-    }
-
-    /// Fault injection: refuse all exchange with `endpoints` (apply the
-    /// mirror-image block on the other side for a symmetric partition).
-    pub fn block_endpoints(&self, endpoints: &[String]) {
-        let mut state = self.replica.state.lock();
-        state.blocked.extend(endpoints.iter().cloned());
-    }
-
-    /// Heal all injected partitions on this node.
-    pub fn clear_blocked(&self) {
-        self.replica.state.lock().blocked.clear();
     }
 
     /// The node's private metrics registry (scraped remotely via admin).

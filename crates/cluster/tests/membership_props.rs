@@ -124,17 +124,26 @@ proptest! {
 
     /// Merge order independence: two nodes that hear the same rumours in
     /// different orders converge on the same `(incarnation, state)`
-    /// belief. (Endpoints are excluded: at equal belief the *latest*
-    /// rumour's endpoint wins by design, to carry restarts to new ports.)
+    /// belief. Gossip repeats itself, so each hears them twice: a claim of
+    /// life that a rumoured death's quarantine held back lands on the
+    /// hearing after the cooldown. (Endpoints are excluded: at equal belief
+    /// the *latest* rumour's endpoint wins by design, to carry restarts to
+    /// new ports.)
     #[test]
     fn merge_is_order_independent(
         rumours in proptest::collection::vec(arb_rumour(), 1..24),
         seed in 0u64..u64::MAX,
     ) {
+        let hear_twice = |t: &mut MembershipTable, rumours: &[MemberEntry]| {
+            for now in [0, QUARANTINE_MS] {
+                t.tick(now);
+                for r in rumours {
+                    t.observe(r, now);
+                }
+            }
+        };
         let mut forward = MembershipTable::new("a", "a:1", QUARANTINE_MS);
-        for r in &rumours {
-            forward.observe(r, 0);
-        }
+        hear_twice(&mut forward, &rumours);
         // A deterministic shuffle of the same rumours.
         let mut shuffled = rumours.clone();
         let mut s = seed | 1;
@@ -143,9 +152,7 @@ proptest! {
             shuffled.swap(i, (s >> 33) as usize % (i + 1));
         }
         let mut backward = MembershipTable::new("a", "a:1", QUARANTINE_MS);
-        for r in &shuffled {
-            backward.observe(r, 0);
-        }
+        hear_twice(&mut backward, &shuffled);
         let f = forward.get("b").expect("heard at least one rumour");
         let b = backward.get("b").expect("heard at least one rumour");
         prop_assert_eq!(f.incarnation, b.incarnation);

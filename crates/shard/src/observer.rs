@@ -275,7 +275,7 @@ fn derive_signals(instances: &[InstanceScrape], rollup: &MetricsSnapshot) -> Der
     let imbalance_pct = if sum == 0 || totals.is_empty() {
         100.0
     } else {
-        let max = *totals.iter().max().expect("non-empty") as f64;
+        let max = totals.iter().copied().max().unwrap_or(0) as f64;
         let mean = sum as f64 / totals.len() as f64;
         100.0 * max / mean
     };

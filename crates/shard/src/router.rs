@@ -246,7 +246,7 @@ impl ShardRouter {
                     Err(e) => first_err = first_err.or(Some(e)),
                 }
             }
-            return Err(first_err.expect("at least one shard"));
+            return Err(first_err.unwrap_or_else(|| NamingError::service("no shard to ask")));
         }
 
         let mut oks = Vec::with_capacity(n);
@@ -272,7 +272,7 @@ impl ShardRouter {
                     retry_after_ms: max_retry_after,
                 });
             }
-            return Err(first_err.expect("at least one shard"));
+            return Err(first_err.unwrap_or_else(|| NamingError::service("no shard to ask")));
         }
         if shed_legs > 0 {
             self.partial_overloaded.inc();
@@ -325,7 +325,7 @@ impl ShardRouter {
         };
         let total: usize = sizes.iter().sum();
         if total > 0 {
-            let max = *sizes.iter().max().expect("non-empty") as f64;
+            let max = sizes.iter().copied().max().unwrap_or(0) as f64;
             let mean = total as f64 / sizes.len() as f64;
             self.imbalance.record((100.0 * max / mean).round() as u64);
         }

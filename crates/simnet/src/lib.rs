@@ -8,13 +8,9 @@
 //! * [`time::SimTime`] — virtual timestamps with nanosecond resolution.
 //! * [`sched::Sim`] — the event scheduler / simulation handle. Everything
 //!   else is built from `Sim::schedule` callbacks.
-//! * [`net::Network`] — nodes, links with latency/jitter/loss, and network
-//!   partitions (used by the HDNS PRIMARY_PARTITION experiments).
 //! * [`server::QueueingServer`] — a queueing service centre with a bounded
 //!   worker pool; models a backend server's capacity, saturation and
 //!   overload degradation.
-//! * [`fault`] — crash/restart failure injection and memory budgets (used to
-//!   reproduce the Fig. 5 JGroups queue-growth crash).
 //! * [`rng::SimRng`] — seeded, deterministic randomness.
 //! * [`stats`] — throughput meters and latency accumulators used by the
 //!   load generator.
@@ -23,15 +19,12 @@
 //! running the same experiment twice yields identical event orders, which is
 //! what lets the benchmark harness regenerate the paper's figures stably.
 
-pub mod fault;
-pub mod net;
 pub mod rng;
 pub mod sched;
 pub mod server;
 pub mod stats;
 pub mod time;
 
-pub use net::{LinkSpec, Network, NodeId, Packet};
 pub use rng::SimRng;
 pub use sched::{EventId, Sim};
 pub use server::{JobOutcome, QueueingServer, ServerConfig};

@@ -47,17 +47,6 @@ impl SimRng {
         self.inner.borrow_mut().gen::<f64>()
     }
 
-    /// Bernoulli trial with probability `p` (clamped to `[0, 1]`).
-    pub fn chance(&self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        if p >= 1.0 {
-            return true;
-        }
-        self.gen_f64() < p
-    }
-
     /// Exponentially distributed duration with the given mean.
     ///
     /// Used for service-time and inter-arrival jitter; the discrete-event
@@ -120,13 +109,6 @@ mod tests {
         let _ = b.gen_f64();
         let v2: Vec<u32> = (0..8).map(|_| fork2.gen_range(0..1000)).collect();
         assert_eq!(v1, v2);
-    }
-
-    #[test]
-    fn chance_extremes() {
-        let rng = SimRng::seed_from_u64(1);
-        assert!(!rng.chance(0.0));
-        assert!(rng.chance(1.0));
     }
 
     #[test]

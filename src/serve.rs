@@ -164,10 +164,6 @@ pub fn serve_sharded_hdns(shards: usize, env: &Environment) -> Result<ShardClust
 /// `n` [`ClusterNode`]s gossiping over real TCP, each hosting a replica
 /// of the *same* namespace (contrast [`ShardCluster`], which partitions
 /// it). Built by [`serve_cluster_hdns`].
-///
-/// The node list is mutable so chaos tests can [`HdnsCluster::take`] a
-/// node out (to kill or restart it) and [`HdnsCluster::push`] a
-/// replacement back in.
 pub struct HdnsCluster {
     nodes: Vec<ClusterNode>,
     env: Environment,
@@ -186,11 +182,6 @@ impl HdnsCluster {
     /// call [`ClusterNode::kill`] or [`ClusterNode::shutdown`] on it).
     pub fn take(&mut self, i: usize) -> ClusterNode {
         self.nodes.remove(i)
-    }
-
-    /// Adopt a node (e.g. a restarted one) into the bookkeeping.
-    pub fn push(&mut self, node: ClusterNode) {
-        self.nodes.push(node);
     }
 
     /// The membership rendered as a [`ShardMap`] (node name → endpoint),
