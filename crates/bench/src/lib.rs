@@ -13,15 +13,11 @@
 //! resolution). Saturation, overload collapse and throttling therefore
 //! *emerge* from the simulation rather than being painted on.
 //!
-//! Five bench targets:
-//!
-//! | target | what it prints |
-//! |---|---|
-//! | `figures` | Figs. 2–7, the §7 federation experiment, ablations A2/A3/A5 and the §8 extension X1 — [`runner`] is the name → experiment table; every shape they assert is a row of [`claims::CLAIMS`], checked by `cargo test` and printed ✔/✘ under its figure |
-//! | `net_concurrency` | wall clock: 1 024 live sockets against one `NetServer` |
-//! | `overload_goodput` | wall clock: goodput past the knee with admission control on and off |
-//! | `readpath_scale` | Criterion: indexed vs scanning reads (registrar, DIT), federated fan-out |
-//! | `shard_scale` | closed-loop model: throughput vs shard count |
+//! One bench target, `figures`: Figs. 2–7, the §7 federation experiment,
+//! ablations A2/A3/A5 and the §8 extension X1. [`runner`] is the name →
+//! experiment table; every shape they assert is a row of
+//! [`claims::CLAIMS`], checked by `cargo test` and printed ✔/✘ under its
+//! figure.
 
 pub mod claims;
 pub mod cost;

@@ -486,3 +486,45 @@ fn a_joiner_whose_state_transfer_is_cut_off_asks_again() {
         sim.check_writes();
     });
 }
+
+/// A sixth: a restart faster than failure detection. node-2 crashes and
+/// comes back empty at a fresh endpoint before any peer holds it Dead, while
+/// writes go through node-0. The peers adopt the new endpoint at the old
+/// incarnation and the coordinator's view, which still names node-2, reaches
+/// the new process with no state transfer: it is in the view without ever
+/// having been held Dead (the quarantine check fails first), and it holds
+/// none of the acknowledged writes, not even the one made after it started
+/// (its parent context was created before).
+#[test]
+#[ignore = "ROADMAP item 3: rejoin and join are a NAK for the log"]
+fn a_node_restarted_before_it_is_declared_dead_catches_up() {
+    each_seed(0..SCENARIO_SEEDS, |seed| {
+        let mut sim = Sim::boot(3, seed, LOSSY);
+        let all = [0, 1, 2];
+        sim.run_until("3-node convergence", |s| s.converged(&all));
+        sim.write_op(0, mkdir("quick")).unwrap();
+        sim.write(0, "quick/before").unwrap();
+
+        sim.crash(2);
+        for k in 0..2 {
+            sim.write(0, &format!("quick/while-down-{k}")).unwrap();
+        }
+        let dead = |s: &Sim| {
+            [0, 1]
+                .iter()
+                .any(|&i| s.belief(i, "node-2") >= Some(MemberState::Dead))
+        };
+        assert!(!dead(&sim), "node-2 was declared Dead before the restart");
+        sim.restart(2);
+
+        sim.write(0, "quick/after").unwrap();
+        sim.run_until("3-node convergence after the restart", |s| {
+            s.converged(&all)
+        });
+        let acked = sim.acked();
+        sim.run_until("every acknowledged write on node-2", |s| {
+            acked.iter().all(|path| s.holds(2, path))
+        });
+        sim.check_writes();
+    });
+}

@@ -572,7 +572,7 @@ impl Dit {
 
     /// Reference implementation of [`Dit::search`]: a linear scan over
     /// every entry, ignoring both indexes. Retained as the oracle the
-    /// property tests and the `readpath_scale` bench compare against.
+    /// property tests and `tests/read_path_index.rs` compare against.
     pub fn search_scan(
         &self,
         base: &Dn,

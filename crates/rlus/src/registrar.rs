@@ -208,7 +208,7 @@ impl Registrar {
 
     /// Reference implementation of [`Registrar::lookup_all`]: a linear scan
     /// over every item, bypassing the indexes. Retained as the oracle the
-    /// property/stress tests and the `readpath_scale` bench compare the
+    /// property tests and `tests/read_path_index.rs` compare the
     /// indexed path against. Does not count toward [`RegistrarStats`].
     pub fn lookup_all_scan(&self, template: &ServiceTemplate, max: usize) -> Vec<ServiceItem> {
         let st = self.state.read();

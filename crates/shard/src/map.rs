@@ -49,7 +49,9 @@ pub struct ShardMap {
 impl ShardMap {
     /// A map over `shards`. Ids must be non-empty and unique — ownership
     /// is a function of the id, so a duplicate would silently split one
-    /// shard's keyspace across two endpoints.
+    /// shard's keyspace across two endpoints. Endpoints must be non-empty:
+    /// clients dial lazily, so a blank one would pass start-up and fail
+    /// only when a key first hashes to that shard.
     pub fn new(shards: Vec<ShardInfo>) -> Result<Self> {
         if shards.is_empty() {
             return Err(NamingError::ConfigurationError {
@@ -60,6 +62,11 @@ impl ShardMap {
             if s.id.is_empty() {
                 return Err(NamingError::ConfigurationError {
                     detail: format!("shard #{i} has an empty id"),
+                });
+            }
+            if s.endpoint.trim().is_empty() {
+                return Err(NamingError::ConfigurationError {
+                    detail: format!("shard {:?} has an empty endpoint", s.id),
                 });
             }
             if shards[..i].iter().any(|prev| prev.id == s.id) {
@@ -167,6 +174,13 @@ mod tests {
         assert!(ShardMap::new(vec![]).is_err());
         assert!(ShardMap::parse("a=h:1,a=h:2").is_err());
         assert!(ShardMap::new(vec![ShardInfo::new("", "h:1")]).is_err());
+        for spec in ["a=", "a= ", "a=,b=h:2"] {
+            let err = ShardMap::parse(spec).unwrap_err().to_string();
+            assert!(
+                err.contains("\"a\" has an empty endpoint"),
+                "{spec:?}: {err}"
+            );
+        }
     }
 
     #[test]

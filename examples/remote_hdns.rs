@@ -14,8 +14,8 @@ use rndi::core::env::{keys, Environment};
 use rndi::core::filter::Filter;
 use rndi::core::name::CompositeName;
 use rndi::core::prelude::*;
-use rndi::net::NetClient;
-use rndi::serve;
+use rndi::net::{NetClient, NetServer};
+use rndi::providers::HdnsProviderContext;
 
 fn main() -> Result<()> {
     // ---- Server side: a two-replica HDNS realm, each node a TCP endpoint ----
@@ -26,8 +26,16 @@ fn main() -> Result<()> {
         None,
         7,
     );
-    let node0 = serve::serve_hdns(realm.clone(), 0, "remote", &Environment::new())?;
-    let node1 = serve::serve_hdns(realm, 1, "remote", &Environment::new())?;
+    // Each replica behind its own server: the provider's standard pipeline
+    // (cache, retry, obs) on the server side, then the listener.
+    let node0 = NetServer::bind(
+        HdnsProviderContext::new(realm.clone(), 0, "remote"),
+        &Environment::new(),
+    )?;
+    let node1 = NetServer::bind(
+        HdnsProviderContext::new(realm, 1, "remote"),
+        &Environment::new(),
+    )?;
     println!("hdns node 0 listening on {}", node0.local_addr());
     println!("hdns node 1 listening on {}", node1.local_addr());
 

@@ -148,13 +148,17 @@ grep -q "slowest traces"               <<<"$fig8_out"
 # script or manifest that still names the hand-kept capture or a folded bench
 # target points a reader at something that no longer exists. Source files are
 # searched only for the capture and for `--bench <old target>` invocations, so
-# the old words stay free as identifiers. (CHANGES/ROADMAP/ISSUE are history;
-# this script holds the list.)
+# the old words stay free as identifiers. The four wall-clock targets whose
+# numbers became `cargo test` assertions are searched for everywhere, as whole
+# words (`rndi_net_concurrency_limit` is a live metric). (CHANGES/ROADMAP/ISSUE
+# are history; this script holds the list.)
 echo "==> no doc, script or manifest names a deleted artefact"
 GONE='fig2_jini_lookup|fig3_jini_rebind|fig4_hdns_lookup|fig5_hdns_rebind|fig6_dns_lookup|fig7_ldap|fig8_federation|ablation_stack|ablation_flowctl|ablation_bindproxy|scale_federation|obs_overhead|spi_overhead'
+WALL_CLOCK='net_concurrency|overload_goodput|readpath_scale|shard_scale'
 HISTORY=(':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!REVIEW.md' ':!scripts/verify.sh')
 if git grep -n -E "bench_figures\\.txt|--bench +($GONE)" -- . "${HISTORY[@]}" ||
-   git grep -n -E "$GONE" -- '*.md' '*.toml' '*.yml' 'scripts/' "${HISTORY[@]}"; then
+   git grep -n -E "$GONE" -- '*.md' '*.toml' '*.yml' 'scripts/' "${HISTORY[@]}" ||
+   git grep -n -w -E "$WALL_CLOCK" -- . "${HISTORY[@]}"; then
   echo "verify: the files above still name a deleted bench artefact" >&2
   exit 1
 fi

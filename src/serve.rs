@@ -1,11 +1,10 @@
-//! Serving the workspace's backends over the network transport.
-//!
-//! The net layer only knows the [`ProviderBackend`] vocabulary; these
-//! helpers do the provider-specific assembly — build the provider's
-//! standard pipeline (so the *server* side keeps its cache/retry/obs
-//! layers) and bind a [`NetServer`] in front of it. A remote
-//! [`NetClient`](rndi_net::NetClient) then composes its own pipeline on
-//! the other end of the wire.
+//! Serving the workspace's backends over the network where it takes
+//! assembly: a shard cluster (N backends behind N [`NetServer`]s plus the
+//! [`ShardMap`] naming them) and a replicated HDNS cluster on the
+//! membership plane. One backend needs no helper: hand the provider's
+//! standard pipeline to [`NetServer::bind`], e.g.
+//! `NetServer::bind(HdnsProviderContext::with_env(realm, 0, "campus", &env), &env)`,
+//! so the *server* side keeps its cache/retry/obs layers.
 
 use std::sync::Arc;
 
@@ -16,46 +15,9 @@ use rndi_core::spi::{ProviderBackend, ProviderPipeline};
 use rndi_net::{NetServer, ServerConfig};
 use rndi_shard::{ClusterObserver, ClusterScrape, ShardInfo, ShardMap, ShardRouter};
 
-use dirserv::server::Connection;
-use dirserv::Dn;
 use groupcast::StackConfig;
 use hdns::HdnsRealm;
-use rlus::Registrar;
-use rndi_providers::common::MsClock;
 use rndi_providers::hdns::HdnsProviderContext;
-use rndi_providers::jini::JiniProviderContext;
-use rndi_providers::ldap::LdapProviderContext;
-
-/// Host an arbitrary backend (or pipeline — `ProviderPipeline` is itself
-/// a backend) behind a TCP listener configured by `rndi.net.*` keys.
-pub fn serve_backend(backend: Arc<dyn ProviderBackend>, env: &Environment) -> Result<NetServer> {
-    NetServer::bind(backend, env)
-}
-
-/// Expose one HDNS replica as a network endpoint: every node of a realm
-/// can be served independently, giving remote clients the paper's
-/// "nearest node" choice.
-pub fn serve_hdns(
-    realm: HdnsRealm,
-    node: usize,
-    instance: &str,
-    env: &Environment,
-) -> Result<NetServer> {
-    let pipeline = HdnsProviderContext::with_env(realm, node, instance, env);
-    NetServer::bind(pipeline, env)
-}
-
-/// Expose an LDAP directory connection as a network endpoint.
-pub fn serve_ldap(
-    conn: Connection,
-    base: Dn,
-    clock: Arc<dyn MsClock>,
-    instance: &str,
-    env: &Environment,
-) -> Result<NetServer> {
-    let pipeline = LdapProviderContext::with_env(conn, base, clock, instance, env);
-    NetServer::bind(pipeline, env)
-}
 
 /// A locally-hosted shard cluster: N backends each behind their own
 /// [`NetServer`], plus the [`ShardMap`] describing where they listen.
@@ -243,16 +205,4 @@ pub fn serve_cluster_hdns(n: usize, group: &str, env: &Environment) -> Result<Hd
         nodes,
         env: env.clone(),
     })
-}
-
-/// Expose an rlus registrar (the Jini-analog lookup service) as a
-/// network endpoint.
-pub fn serve_jini(
-    registrar: Registrar,
-    clock: Arc<dyn MsClock>,
-    instance: &str,
-    env: &Environment,
-) -> Result<NetServer> {
-    let pipeline = JiniProviderContext::new(registrar, clock, env.clone(), instance);
-    NetServer::bind(pipeline, env)
 }

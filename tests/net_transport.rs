@@ -16,11 +16,16 @@ use rndi::core::prelude::*;
 use rndi::core::spi::ProviderBackend;
 use rndi::net::{NetClient, NetServer, ServerConfig};
 use rndi::providers::common::MsClock;
-use rndi::providers::HdnsProviderContext;
-use rndi::serve;
+use rndi::providers::{HdnsProviderContext, JiniProviderContext, LdapProviderContext};
 
 fn hdns_realm(name: &str) -> rndi::hdns::HdnsRealm {
     rndi::hdns::HdnsRealm::new(name, 2, rndi::groupcast::StackConfig::default(), None, 7)
+}
+
+/// Replica 0 of a fresh two-replica realm behind its own server.
+fn hdns_server(name: &str) -> NetServer {
+    let pipeline = HdnsProviderContext::new(hdns_realm(name), 0, name);
+    NetServer::bind(pipeline, &Environment::new()).expect("server starts")
 }
 
 fn client_env() -> Environment {
@@ -31,8 +36,7 @@ fn client_env() -> Environment {
 
 #[test]
 fn hdns_bind_lookup_search_over_loopback() {
-    let server = serve::serve_hdns(hdns_realm("net-e2e"), 0, "net-e2e", &Environment::new())
-        .expect("server starts");
+    let server = hdns_server("net-e2e");
     let remote = NetClient::connect(server.local_addr().to_string(), &client_env()).unwrap();
 
     // Bind (with attributes), lookup, list, and search — all through the
@@ -86,8 +90,7 @@ fn hdns_bind_lookup_search_over_loopback() {
 
 #[test]
 fn one_linked_trace_spans_client_and_server() {
-    let server = serve::serve_hdns(hdns_realm("net-trace"), 0, "net-trace", &Environment::new())
-        .expect("server starts");
+    let server = hdns_server("net-trace");
     let remote = NetClient::connect(server.local_addr().to_string(), &client_env()).unwrap();
     // Sibling tests in this binary record client spans too (some still in
     // flight, their roots not yet in the ring): anchor on this endpoint's.
@@ -140,7 +143,7 @@ fn retry_recovers_from_server_crash_and_restart() {
     let realm = hdns_realm("net-crash");
     let backend: Arc<dyn ProviderBackend> =
         HdnsProviderContext::with_env(realm, 0, "net-crash", &Environment::new());
-    let server = serve::serve_backend(backend.clone(), &Environment::new()).unwrap();
+    let server = NetServer::bind(backend.clone(), &Environment::new()).unwrap();
     let addr = server.local_addr();
 
     let remote = NetClient::connect(addr.to_string(), &client_env()).unwrap();
@@ -200,14 +203,13 @@ fn ldap_and_jini_served_over_loopback() {
                 .with("o", "netdept"),
         )
         .unwrap();
-    let ldap_server = serve::serve_ldap(
+    let ldap_pipeline = LdapProviderContext::new(
         directory.connect_anonymous(),
         rndi::ldap::Dn::parse("o=netdept").unwrap(),
         Arc::new(ZeroClock),
         "net-dir",
-        &Environment::new(),
-    )
-    .unwrap();
+    );
+    let ldap_server = NetServer::bind(ldap_pipeline, &Environment::new()).unwrap();
     let ldap_remote =
         NetClient::connect(ldap_server.local_addr().to_string(), &client_env()).unwrap();
     ldap_remote
@@ -234,8 +236,9 @@ fn ldap_and_jini_served_over_loopback() {
     // The rlus registrar (Jini analog) behind the net server.
     let rlus_clock = rndi::rlus::ManualClock::new();
     let registrar = rndi::rlus::Registrar::new(rlus_clock.clone(), u64::MAX / 4, 23);
-    let jini_server =
-        serve::serve_jini(registrar, rlus_clock, "net-lus", &Environment::new()).unwrap();
+    let jini_pipeline =
+        JiniProviderContext::new(registrar, rlus_clock, Environment::new(), "net-lus");
+    let jini_server = NetServer::bind(jini_pipeline, &Environment::new()).unwrap();
     let jini_remote =
         NetClient::connect(jini_server.local_addr().to_string(), &client_env()).unwrap();
     jini_remote.bind_str("worker", "stub-7").unwrap();
@@ -248,8 +251,7 @@ fn ldap_and_jini_served_over_loopback() {
 
 #[test]
 fn local_only_ops_and_deadlines_fail_cleanly() {
-    let server = serve::serve_hdns(hdns_realm("net-edge"), 0, "net-edge", &Environment::new())
-        .expect("server starts");
+    let server = hdns_server("net-edge");
     let remote = NetClient::connect(server.local_addr().to_string(), &client_env()).unwrap();
 
     // Live listener registration cannot cross the wire: rejected before a
