@@ -1,20 +1,26 @@
-//! The `Context` / `DirContext` trait hierarchy.
+//! The `Context` / `DirContext` client surface, written once.
 //!
-//! JNDI deliberately defines a hierarchy of interfaces and lets each
-//! provider choose its conformance level; here [`Context`] carries the
-//! naming operations and [`DirContext`] adds directory (attribute/search)
-//! operations. Optional operations have default implementations returning
-//! [`NamingError::NotSupported`], so a minimal provider only implements the
-//! core set — exactly the "lowest-common-denominator base interface,
-//! extensible per provider" design the paper leans on.
+//! JNDI defines a hierarchy of interfaces and lets each provider choose its
+//! conformance level; here [`Context`] carries the naming operations and
+//! [`DirContext`] adds directory (attribute/search) operations. Every method
+//! is a [`NamingOp`] run through [`ProviderBackend::execute`], the one
+//! method a provider implements: an operation its backend lacks it answers
+//! there with [`NamingError::NotSupported`] — the "lowest-common-denominator
+//! base interface, extensible per provider" design the paper leans on. A
+//! backend that is the context its callers hold opts in with [`OpContext`];
+//! nothing implements these methods by hand.
 
 use std::sync::Arc;
 
 use crate::attrs::{AttrMod, Attributes};
-use crate::error::{NamingError, Result};
+#[cfg(doc)]
+use crate::error::NamingError;
+use crate::error::Result;
 use crate::event::{ListenerHandle, NamingListener};
 use crate::filter::Filter;
 use crate::name::CompositeName;
+use crate::op::{NamingOp, OpKind};
+use crate::spi::ProviderBackend;
 use crate::value::BoundValue;
 
 /// Name plus class of a bound object — what [`Context::list`] returns.
@@ -67,92 +73,107 @@ pub struct SearchItem {
     pub attrs: Attributes,
 }
 
+/// A backend that is itself the context its callers hold — a provider
+/// pipeline, a federated facade, the in-memory model. Opting in gives it the
+/// whole [`Context`]/[`DirContext`] surface through the blanket impls below.
+pub trait OpContext: ProviderBackend {}
+
+impl<T: OpContext + ?Sized> Context for T {}
+impl<T: OpContext + ?Sized> DirContext for T {}
+
 /// Core naming operations (JNDI `javax.naming.Context`).
 ///
 /// All names are composite; a provider resolves as many leading components
 /// as belong to its own naming system and signals
 /// [`NamingError::Continue`] when resolution crosses into a foreign system.
-pub trait Context: Send + Sync {
+/// Each method reifies its call as a [`NamingOp`] and runs it through
+/// [`ProviderBackend::execute`]; the op's kind is the method's.
+pub trait Context: ProviderBackend {
     /// Retrieve the value bound to `name`.
-    fn lookup(&self, name: &CompositeName) -> Result<BoundValue>;
+    fn lookup(&self, name: &CompositeName) -> Result<BoundValue> {
+        self.execute(&NamingOp::lookup(name.clone()))?
+            .into_value(OpKind::Lookup)
+    }
 
     /// Bind `value` under `name` **atomically**: fails with
     /// [`NamingError::AlreadyBound`] if the name is taken.
-    fn bind(&self, name: &CompositeName, value: BoundValue) -> Result<()>;
+    fn bind(&self, name: &CompositeName, value: BoundValue) -> Result<()> {
+        self.execute(&NamingOp::bind(name.clone(), value))?
+            .into_done(OpKind::Bind)
+    }
 
     /// Bind `value` under `name`, replacing any existing binding.
-    fn rebind(&self, name: &CompositeName, value: BoundValue) -> Result<()>;
+    fn rebind(&self, name: &CompositeName, value: BoundValue) -> Result<()> {
+        self.execute(&NamingOp::rebind(name.clone(), value))?
+            .into_done(OpKind::Rebind)
+    }
 
     /// Remove the binding for `name`. Unbinding an unbound name succeeds
     /// (JNDI semantics).
-    fn unbind(&self, name: &CompositeName) -> Result<()>;
+    fn unbind(&self, name: &CompositeName) -> Result<()> {
+        self.execute(&NamingOp::unbind(name.clone()))?
+            .into_done(OpKind::Unbind)
+    }
 
-    /// Atomically rename a binding. Optional.
-    fn rename(&self, _old: &CompositeName, _new: &CompositeName) -> Result<()> {
-        Err(NamingError::unsupported("rename"))
+    /// Atomically rename a binding.
+    fn rename(&self, old: &CompositeName, new: &CompositeName) -> Result<()> {
+        self.execute(&NamingOp::rename(old.clone(), new.clone()))?
+            .into_done(OpKind::Rename)
     }
 
     /// Enumerate the names (and value classes) bound in the context `name`.
-    fn list(&self, name: &CompositeName) -> Result<Vec<NameClassPair>>;
+    fn list(&self, name: &CompositeName) -> Result<Vec<NameClassPair>> {
+        self.execute(&NamingOp::list(name.clone()))?
+            .into_names(OpKind::List)
+    }
 
     /// Enumerate names *and values* bound in the context `name`.
-    fn list_bindings(&self, name: &CompositeName) -> Result<Vec<Binding>>;
-
-    /// Create a subcontext. Optional (flat services do not nest).
-    fn create_subcontext(&self, _name: &CompositeName) -> Result<()> {
-        Err(NamingError::unsupported("create_subcontext"))
+    fn list_bindings(&self, name: &CompositeName) -> Result<Vec<Binding>> {
+        self.execute(&NamingOp::list_bindings(name.clone()))?
+            .into_bindings(OpKind::ListBindings)
     }
 
-    /// Destroy an **empty** subcontext. Optional.
-    fn destroy_subcontext(&self, _name: &CompositeName) -> Result<()> {
-        Err(NamingError::unsupported("destroy_subcontext"))
+    /// Create a subcontext (flat services do not nest).
+    fn create_subcontext(&self, name: &CompositeName) -> Result<()> {
+        self.execute(&NamingOp::create_subcontext(name.clone()))?
+            .into_done(OpKind::CreateSubcontext)
     }
 
-    /// Subscribe to naming events under `name` (prefix-scoped). Optional.
+    /// Destroy an **empty** subcontext.
+    fn destroy_subcontext(&self, name: &CompositeName) -> Result<()> {
+        self.execute(&NamingOp::destroy_subcontext(name.clone()))?
+            .into_done(OpKind::DestroySubcontext)
+    }
+
+    /// Subscribe to naming events under `name` (prefix-scoped).
     fn add_listener(
         &self,
-        _name: &CompositeName,
-        _listener: Arc<dyn NamingListener>,
+        name: &CompositeName,
+        listener: Arc<dyn NamingListener>,
     ) -> Result<ListenerHandle> {
-        Err(NamingError::unsupported("add_listener"))
+        self.execute(&NamingOp::add_listener(name.clone(), listener))?
+            .into_handle(OpKind::AddListener)
     }
 
-    /// Cancel a subscription. Optional.
-    fn remove_listener(&self, _handle: ListenerHandle) -> Result<()> {
-        Err(NamingError::unsupported("remove_listener"))
-    }
-
-    /// A human-readable identifier for diagnostics (provider + instance).
-    fn provider_id(&self) -> String {
-        "anonymous".to_string()
-    }
-
-    /// Execute a reified operation natively, or `None` to have
-    /// [`crate::op::dispatch`] bridge to the per-method trait calls.
-    /// Contexts that run op values (every [`crate::spi::OpContext`]:
-    /// provider pipelines, federated facades) answer here so op annotations
-    /// — the trace context above all — survive instead of being dropped
-    /// when the bridge rebuilds a bare op from trait-method arguments.
-    fn execute_reified(&self, _op: &crate::op::NamingOp) -> Option<Result<crate::op::OpOutcome>> {
-        None
-    }
-
-    /// The compound-name syntax of this naming system (JNDI's
-    /// `getNameParser`): how a single composite component would be written
-    /// natively — dots for DNS, commas for LDAP, slashes by default.
-    fn compound_syntax(&self) -> crate::name::CompoundSyntax {
-        crate::name::CompoundSyntax::path()
+    /// Cancel a subscription.
+    fn remove_listener(&self, handle: ListenerHandle) -> Result<()> {
+        self.execute(&NamingOp::remove_listener(handle))?
+            .into_done(OpKind::RemoveListener)
     }
 }
 
 /// Directory operations (JNDI `javax.naming.directory.DirContext`).
 pub trait DirContext: Context {
     /// Retrieve the attributes of `name` (all of them).
-    fn get_attributes(&self, name: &CompositeName) -> Result<Attributes>;
+    fn get_attributes(&self, name: &CompositeName) -> Result<Attributes> {
+        self.execute(&NamingOp::get_attributes(name.clone()))?
+            .into_attrs(OpKind::GetAttributes)
+    }
 
-    /// Apply attribute modifications to `name`. Optional.
-    fn modify_attributes(&self, _name: &CompositeName, _mods: &[AttrMod]) -> Result<()> {
-        Err(NamingError::unsupported("modify_attributes"))
+    /// Apply attribute modifications to `name`.
+    fn modify_attributes(&self, name: &CompositeName, mods: &[AttrMod]) -> Result<()> {
+        self.execute(&NamingOp::modify_attributes(name.clone(), mods.to_vec()))?
+            .into_done(OpKind::ModifyAttributes)
     }
 
     /// Bind with attributes, atomically.
@@ -161,7 +182,10 @@ pub trait DirContext: Context {
         name: &CompositeName,
         value: BoundValue,
         attrs: Attributes,
-    ) -> Result<()>;
+    ) -> Result<()> {
+        self.execute(&NamingOp::bind_with_attrs(name.clone(), value, attrs))?
+            .into_done(OpKind::BindWithAttrs)
+    }
 
     /// Rebind with attributes.
     fn rebind_with_attrs(
@@ -169,16 +193,25 @@ pub trait DirContext: Context {
         name: &CompositeName,
         value: BoundValue,
         attrs: Attributes,
-    ) -> Result<()>;
+    ) -> Result<()> {
+        self.execute(&NamingOp::rebind_with_attrs(name.clone(), value, attrs))?
+            .into_done(OpKind::RebindWithAttrs)
+    }
 
-    /// Search the context `name` for entries matching `filter`.
+    /// Search `name` for entries matching `filter`: the named entry itself
+    /// ([`SearchScope::Object`]), its children, or its whole subtree.
     fn search(
         &self,
-        _name: &CompositeName,
-        _filter: &Filter,
-        _controls: &SearchControls,
+        name: &CompositeName,
+        filter: &Filter,
+        controls: &SearchControls,
     ) -> Result<Vec<SearchItem>> {
-        Err(NamingError::unsupported("search"))
+        self.execute(&NamingOp::search(
+            name.clone(),
+            filter.clone(),
+            controls.clone(),
+        ))?
+        .into_found(OpKind::Search)
     }
 }
 
@@ -217,29 +250,26 @@ impl<T: Context + ?Sized> ContextExt for T {}
 mod tests {
     use super::*;
 
-    /// A do-nothing context exercising the default conformance level.
+    use crate::error::NamingError;
+    use crate::op::OpOutcome;
+
+    /// A provider of the lowest conformance level: the five core naming
+    /// operations, and `NotSupported` from its own `execute` for the rest.
     struct Minimal;
 
-    impl Context for Minimal {
-        fn lookup(&self, name: &CompositeName) -> Result<BoundValue> {
-            Err(NamingError::not_found(name.to_string()))
-        }
-        fn bind(&self, _: &CompositeName, _: BoundValue) -> Result<()> {
-            Ok(())
-        }
-        fn rebind(&self, _: &CompositeName, _: BoundValue) -> Result<()> {
-            Ok(())
-        }
-        fn unbind(&self, _: &CompositeName) -> Result<()> {
-            Ok(())
-        }
-        fn list(&self, _: &CompositeName) -> Result<Vec<NameClassPair>> {
-            Ok(vec![])
-        }
-        fn list_bindings(&self, _: &CompositeName) -> Result<Vec<Binding>> {
-            Ok(vec![])
+    impl ProviderBackend for Minimal {
+        fn execute(&self, op: &NamingOp) -> Result<OpOutcome> {
+            match op.kind {
+                OpKind::Lookup => Err(NamingError::not_found(op.name.to_string())),
+                OpKind::Bind | OpKind::Rebind | OpKind::Unbind => Ok(OpOutcome::Done),
+                OpKind::List => Ok(OpOutcome::Names(vec![])),
+                OpKind::ListBindings => Ok(OpOutcome::Bindings(vec![])),
+                other => Err(NamingError::unsupported(other.label())),
+            }
         }
     }
+
+    impl OpContext for Minimal {}
 
     #[test]
     fn optional_operations_report_unsupported() {
@@ -255,6 +285,14 @@ mod tests {
         ));
         assert!(matches!(
             c.destroy_subcontext(&n),
+            Err(NamingError::NotSupported { .. })
+        ));
+        assert!(matches!(
+            c.search(
+                &n,
+                &Filter::parse("(a=*)").unwrap(),
+                &SearchControls::default()
+            ),
             Err(NamingError::NotSupported { .. })
         ));
     }

@@ -17,13 +17,13 @@ use parking_lot::Mutex;
 use rndi_obs::metrics::names;
 use rndi_obs::{SpanOutcome, SpanRecord, TraceCtx};
 
-use crate::context::{DirContext, SearchControls, SearchItem, SearchScope};
+use crate::context::{DirContext, OpContext, SearchControls, SearchItem, SearchScope};
 use crate::env::{keys, Environment};
 use crate::error::{NamingError, Result};
 use crate::filter::Filter;
 use crate::name::CompositeName;
-use crate::op::{self, NamingOp, OpKind, OpOutcome, OpPayload};
-use crate::spi::{OpContext, ProviderBackend, ProviderRegistry};
+use crate::op::{NamingOp, OpKind, OpOutcome, OpPayload};
+use crate::spi::{ProviderBackend, ProviderRegistry};
 use crate::url::RndiUrl;
 use crate::value::BoundValue;
 
@@ -154,7 +154,7 @@ fn drive_op_loop(
     max_depth: usize,
 ) -> Result<OpOutcome> {
     for _ in 0..=max_depth {
-        match op::dispatch(ctx.as_ref(), &op) {
+        match ctx.execute(&op) {
             Err(NamingError::Continue {
                 resolved,
                 remaining,
@@ -262,7 +262,7 @@ impl FederatedContext {
         rndi_obs::trace::record(SpanRecord::new(
             &span_ctx,
             "federation",
-            crate::context::Context::provider_id(self),
+            self.provider_id(),
             "search",
             outcome,
             start.elapsed(),
@@ -372,9 +372,9 @@ impl FederatedContext {
     }
 }
 
-/// The facade runs ops, so it gets its `Context`/`DirContext` surface from
-/// the one bridge ([`OpContext`]) — and can be served by anything that hosts
-/// a backend. Searches take the federated fan-out path, everything else the
+/// The facade runs ops, so it opts in to the `Context`/`DirContext` surface
+/// ([`OpContext`]) like any backend — and can be served by anything that
+/// hosts one. Searches take the federated fan-out path, everything else the
 /// continuation loop, which re-targets the op per hop and so needs its own.
 impl ProviderBackend for FederatedContext {
     fn execute(&self, op: &NamingOp) -> Result<OpOutcome> {

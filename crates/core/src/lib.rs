@@ -10,8 +10,8 @@
 //!   separated with escapes/quotes) and [`name::CompoundName`] (per-system
 //!   syntax: DNS dots, LDAP commas, …).
 //! * **Contexts** — the [`context::Context`] / [`context::DirContext`]
-//!   trait hierarchy with optional-operation conformance levels, plus the
-//!   data model: [`value::BoundValue`] `<name, object, attributes>` tuples
+//!   client surface, written once over [`spi::ProviderBackend::execute`],
+//!   plus the data model: [`value::BoundValue`] `<name, object, attributes>` tuples
 //!   with [`attrs::Attributes`].
 //! * **Queries** — LDAP-style (RFC 2254) search [`filter::Filter`]s, as the
 //!   JNDI spec mandates.
@@ -27,7 +27,8 @@
 //! * **Leases** — [`lease::LeaseRenewalManager`], the client-side lease
 //!   emulation that hides Jini leasing from the JNDI API surface.
 //! * **[`initial::InitialContext`]** — the application entry point.
-//! * **[`mem::MemContext`]** — a complete in-memory reference provider.
+//! * **[`mem::MemContext`]** — the in-memory provider, and the independent
+//!   model the other providers are checked against.
 //!
 //! ## Quick start
 //!
@@ -65,8 +66,8 @@ pub mod value;
 pub mod prelude {
     pub use crate::attrs::{AttrMod, AttrValue, Attribute, Attributes};
     pub use crate::context::{
-        Binding, Context, ContextExt, DirContext, NameClassPair, SearchControls, SearchItem,
-        SearchScope,
+        Binding, Context, ContextExt, DirContext, NameClassPair, OpContext, SearchControls,
+        SearchItem, SearchScope,
     };
     pub use crate::env::{keys as env_keys, Environment};
     pub use crate::error::{NamingError, Result};
@@ -80,8 +81,8 @@ pub mod prelude {
     pub use crate::name::{CompositeName, CompoundName, CompoundSyntax};
     pub use crate::op::{NamingOp, OpKind, OpOutcome, OpPayload};
     pub use crate::spi::{
-        ContextBackend, Interceptor, OpInvoker, ProviderBackend, ProviderPipeline,
-        ProviderRegistry, UrlContextFactory, WireFormat,
+        Interceptor, OpInvoker, ProviderBackend, ProviderPipeline, ProviderRegistry,
+        UrlContextFactory, WireFormat,
     };
     pub use crate::url::{looks_like_url, RndiUrl};
     pub use crate::value::{BoundValue, RefAddr, Reference, StoredValue};

@@ -1,16 +1,22 @@
-//! An in-memory hierarchical directory context.
+//! The in-memory naming service, and the model the other providers answer to.
 //!
-//! `MemContext` is the reference implementation of the full
-//! [`DirContext`] conformance level: hierarchical namespace, atomic bind,
-//! attributes, search, events, rename — everything. Providers use it as a
-//! behavioural oracle in tests, and it doubles as a lightweight local
-//! naming service (the "local filesystem storage" slot in the paper's
-//! federation examples is backed by a persistent variant in
-//! `rndi-providers`).
+//! `MemContext` keeps the whole [`DirContext`] conformance level in memory:
+//! hierarchical namespace, atomic bind, attributes, search, events, rename.
+//! It is a [`ProviderBackend`] like every other provider, and opts in to the
+//! client surface with [`OpContext`] as a pipeline does. It doubles as a
+//! lightweight local naming service.
 //!
 //! Federation: a bound value that is a live context or a URL reference acts
 //! as a mount point — resolution that must pass *through* it returns
-//! [`NamingError::Continue`] for the federation driver to handle.
+//! [`NamingError::Continue`] for the federation driver to handle. The model
+//! walks names itself instead of through [`crate::spi::boundary`], so that
+//! the providers' federation can be checked against something independent.
+//!
+//! No node of the tree stores its name: an absolute name (for an event, an
+//! error, a listener's scope) is the path walked from the handle an
+//! operation started at, so renaming a subcontext takes its whole subtree
+//! along. A handle to a subcontext — what `lookup` returns for one —
+//! remembers the path it was reached by.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -18,16 +24,15 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use crate::attrs::{AttrMod, Attributes};
-use crate::context::{
-    Binding, Context, DirContext, NameClassPair, SearchControls, SearchItem, SearchScope,
-};
+use crate::context::{Binding, DirContext, NameClassPair, OpContext};
 use crate::error::{NamingError, Result};
-use crate::event::{EventHub, ListenerHandle, NamingListener};
-use crate::filter::Filter;
+use crate::event::EventHub;
 use crate::name::CompositeName;
+use crate::op::{NamingOp, OpKind, OpOutcome};
+use crate::spi::search;
+use crate::spi::ProviderBackend;
 use crate::value::BoundValue;
 
-#[derive(Clone)]
 struct Entry {
     attrs: Attributes,
     node: Node,
@@ -36,20 +41,21 @@ struct Entry {
 #[derive(Clone)]
 enum Node {
     Leaf(BoundValue),
-    Sub(MemContext),
+    Sub(Arc<Dir>),
 }
 
-struct Inner {
-    /// Absolute name of this context within its tree (for event names).
-    base: CompositeName,
+#[derive(Default)]
+struct Dir {
     entries: RwLock<BTreeMap<String, Entry>>,
-    hub: Arc<EventHub>,
 }
 
-/// A cheaply cloneable in-memory directory context.
+/// A cheaply cloneable handle on an in-memory directory context.
 #[derive(Clone)]
 pub struct MemContext {
-    inner: Arc<Inner>,
+    dir: Arc<Dir>,
+    hub: Arc<EventHub>,
+    /// The path this handle was reached by from its tree's root.
+    path: CompositeName,
 }
 
 impl Default for MemContext {
@@ -58,414 +64,323 @@ impl Default for MemContext {
     }
 }
 
+fn done(_: ()) -> OpOutcome {
+    OpOutcome::Done
+}
+
 impl MemContext {
     /// Create an empty root context.
     pub fn new() -> Self {
         MemContext {
-            inner: Arc::new(Inner {
-                base: CompositeName::empty(),
-                entries: RwLock::new(BTreeMap::new()),
-                hub: Arc::new(EventHub::new()),
-            }),
+            dir: Arc::default(),
+            hub: Arc::new(EventHub::new()),
+            path: CompositeName::empty(),
         }
     }
 
-    fn new_child(&self, component: &str) -> MemContext {
+    /// A handle on `dir`, bound under `component` here.
+    fn sub(&self, component: &str, dir: Arc<Dir>) -> MemContext {
         MemContext {
-            inner: Arc::new(Inner {
-                base: self.inner.base.child(component),
-                entries: RwLock::new(BTreeMap::new()),
-                hub: self.inner.hub.clone(),
-            }),
+            dir,
+            hub: self.hub.clone(),
+            path: self.abs(component),
         }
     }
 
     fn abs(&self, component: &str) -> CompositeName {
-        self.inner.base.child(component)
+        self.path.child(component)
     }
 
-    /// Resolve all but the last component, then run `f` on the owning
-    /// context and final component. Crossing a federation mount returns
-    /// `Continue`.
-    fn with_parent<R>(
+    /// Walk the first `upto` components of `name` from here to the context
+    /// they reach. A federation link on the way continues with the rest of
+    /// the name; a plain leaf is reported by `leaf`.
+    fn walk(
         &self,
         name: &CompositeName,
-        f: &mut dyn FnMut(&MemContext, &str) -> Result<R>,
-    ) -> Result<R> {
-        match name.len() {
-            0 => Err(NamingError::invalid_name("", "empty name")),
-            1 => f(self, name.head().expect("len checked")),
-            _ => {
-                let head = name.head().expect("len checked");
-                let entry = self
-                    .inner
-                    .entries
-                    .read()
-                    .get(head)
-                    .cloned()
-                    .ok_or_else(|| NamingError::not_found(self.abs(head).to_string()))?;
-                match entry.node {
-                    Node::Sub(sub) => sub.with_parent(&name.tail(), f),
-                    Node::Leaf(value) if value.is_federation_link() => Err(NamingError::Continue {
+        upto: usize,
+        leaf: fn(String) -> NamingError,
+    ) -> Result<MemContext> {
+        let mut ctx = self.clone();
+        for (i, component) in name.components()[..upto].iter().enumerate() {
+            let node = ctx
+                .dir
+                .entries
+                .read()
+                .get(component)
+                .map(|e| e.node.clone());
+            ctx = match node {
+                Some(Node::Sub(dir)) => ctx.sub(component, dir),
+                Some(Node::Leaf(value)) if value.is_federation_link() => {
+                    return Err(NamingError::Continue {
                         resolved: value,
-                        remaining: name.tail(),
-                    }),
-                    Node::Leaf(_) => Err(NamingError::NotAContext {
-                        name: self.abs(head).to_string(),
-                    }),
+                        remaining: name.suffix(i + 1),
+                    })
                 }
-            }
+                Some(Node::Leaf(_)) => return Err(leaf(ctx.abs(component).to_string())),
+                None => return Err(NamingError::not_found(ctx.abs(component).to_string())),
+            };
         }
+        Ok(ctx)
     }
 
-    /// Resolve a name to the context it denotes (empty name = self).
-    fn resolve_context(&self, name: &CompositeName) -> Result<MemContext> {
-        if name.is_empty() {
-            return Ok(self.clone());
-        }
-        let head = name.head().expect("non-empty");
-        let entry = self
-            .inner
-            .entries
-            .read()
-            .get(head)
-            .cloned()
-            .ok_or_else(|| NamingError::not_found(self.abs(head).to_string()))?;
-        match entry.node {
-            Node::Sub(sub) => sub.resolve_context(&name.tail()),
-            Node::Leaf(value) if value.is_federation_link() => Err(NamingError::Continue {
-                resolved: value,
-                remaining: name.tail(),
-            }),
-            Node::Leaf(_) => Err(NamingError::ContextExpected {
-                name: self.abs(head).to_string(),
-            }),
-        }
+    /// The context holding the last component of `name`, and that component.
+    fn parent<'n>(&self, name: &'n CompositeName) -> Result<(MemContext, &'n str)> {
+        let last = name
+            .components()
+            .last()
+            .ok_or_else(|| NamingError::invalid_name("", "empty name"))?;
+        let ctx = self.walk(name, name.len() - 1, |name| NamingError::NotAContext {
+            name,
+        })?;
+        Ok((ctx, last))
     }
 
-    fn entry_value(entry: &Entry) -> BoundValue {
+    /// The context `name` denotes (the empty name: this one).
+    fn context(&self, name: &CompositeName) -> Result<MemContext> {
+        self.walk(name, name.len(), |name| NamingError::ContextExpected {
+            name,
+        })
+    }
+
+    /// The value an entry stands for: a subcontext as a handle on it.
+    fn value_of(&self, component: &str, entry: &Entry) -> BoundValue {
         match &entry.node {
             Node::Leaf(v) => v.clone(),
-            Node::Sub(sub) => BoundValue::Context(Arc::new(sub.clone())),
+            Node::Sub(dir) => BoundValue::Context(Arc::new(self.sub(component, dir.clone()))),
         }
     }
 
-    fn do_bind(
+    fn get(&self, name: &CompositeName) -> Result<BoundValue> {
+        if name.is_empty() {
+            return Ok(BoundValue::Context(Arc::new(self.clone())));
+        }
+        let (ctx, last) = self.parent(name)?;
+        let entries = ctx.dir.entries.read();
+        let entry = entries
+            .get(last)
+            .ok_or_else(|| NamingError::not_found(ctx.abs(last).to_string()))?;
+        Ok(ctx.value_of(last, entry))
+    }
+
+    fn put(
         &self,
         name: &CompositeName,
         value: BoundValue,
         attrs: Attributes,
         overwrite: bool,
     ) -> Result<()> {
-        self.with_parent(name, &mut |ctx, last| {
-            let mut entries = ctx.inner.entries.write();
-            let existed = entries.get(last).map(Self::entry_value);
-            if existed.is_some() && !overwrite {
-                return Err(NamingError::already_bound(ctx.abs(last).to_string()));
-            }
-            entries.insert(
-                last.to_string(),
-                Entry {
-                    attrs: attrs.clone(),
-                    node: Node::Leaf(value.clone()),
-                },
-            );
-            drop(entries);
-            match existed {
-                Some(old) => ctx
-                    .inner
-                    .hub
-                    .fire_changed(ctx.abs(last), Some(old), value.clone()),
-                None => ctx.inner.hub.fire_added(ctx.abs(last), value.clone()),
-            }
-            Ok(())
-        })
+        let (ctx, last) = self.parent(name)?;
+        let mut entries = ctx.dir.entries.write();
+        let existed = entries.get(last).map(|e| ctx.value_of(last, e));
+        if existed.is_some() && !overwrite {
+            return Err(NamingError::already_bound(ctx.abs(last).to_string()));
+        }
+        entries.insert(
+            last.to_string(),
+            Entry {
+                attrs,
+                node: Node::Leaf(value.clone()),
+            },
+        );
+        drop(entries);
+        match existed {
+            Some(old) => ctx.hub.fire_changed(ctx.abs(last), Some(old), value),
+            None => ctx.hub.fire_added(ctx.abs(last), value),
+        }
+        Ok(())
     }
 
-    fn search_into(
-        &self,
-        rel: &CompositeName,
-        filter: &Filter,
-        controls: &SearchControls,
-        out: &mut Vec<SearchItem>,
-    ) {
-        let entries = self.inner.entries.read().clone();
-        for (name, entry) in entries {
-            if controls.count_limit > 0 && out.len() >= controls.count_limit {
-                return;
-            }
-            let rel_name = rel.child(&name);
-            if filter.matches(&entry.attrs) {
-                let attrs = match &controls.return_attrs {
-                    Some(ids) => {
-                        let ids: Vec<&str> = ids.iter().map(|s| s.as_str()).collect();
-                        entry.attrs.project(&ids)
-                    }
-                    None => entry.attrs.clone(),
-                };
-                out.push(SearchItem {
-                    name: rel_name.to_string(),
-                    value: controls.return_values.then(|| Self::entry_value(&entry)),
-                    attrs,
+    fn remove(&self, name: &CompositeName) -> Result<()> {
+        let (ctx, last) = self.parent(name)?;
+        let mut entries = ctx.dir.entries.write();
+        if let Some(Node::Sub(dir)) = entries.get(last).map(|e| &e.node) {
+            if !dir.entries.read().is_empty() {
+                return Err(NamingError::ContextNotEmpty {
+                    name: ctx.abs(last).to_string(),
                 });
             }
-            if controls.scope == SearchScope::Subtree {
-                if let Node::Sub(sub) = &entry.node {
-                    sub.search_into(&rel_name, filter, controls, out);
-                }
-            }
         }
-    }
-}
-
-impl Context for MemContext {
-    fn lookup(&self, name: &CompositeName) -> Result<BoundValue> {
-        if name.is_empty() {
-            return Ok(BoundValue::Context(Arc::new(self.clone())));
+        // Unbinding an unbound name succeeds (JNDI semantics).
+        if let Some(entry) = entries.remove(last) {
+            drop(entries);
+            let old = ctx.value_of(last, &entry);
+            ctx.hub.fire_removed(ctx.abs(last), Some(old));
         }
-        self.with_parent(name, &mut |ctx, last| {
-            let entries = ctx.inner.entries.read();
-            let entry = entries
-                .get(last)
-                .ok_or_else(|| NamingError::not_found(ctx.abs(last).to_string()))?;
-            Ok(Self::entry_value(entry))
-        })
+        Ok(())
     }
 
-    fn bind(&self, name: &CompositeName, value: BoundValue) -> Result<()> {
-        self.do_bind(name, value, Attributes::new(), false)
-    }
-
-    fn rebind(&self, name: &CompositeName, value: BoundValue) -> Result<()> {
-        self.do_bind(name, value, Attributes::new(), true)
-    }
-
-    fn unbind(&self, name: &CompositeName) -> Result<()> {
-        self.with_parent(name, &mut |ctx, last| {
-            let removed = {
-                let mut entries = ctx.inner.entries.write();
-                if let Some(entry) = entries.get(last) {
-                    if let Node::Sub(sub) = &entry.node {
-                        if !sub.inner.entries.read().is_empty() {
-                            return Err(NamingError::ContextNotEmpty {
-                                name: ctx.abs(last).to_string(),
-                            });
-                        }
-                    }
-                }
-                entries.remove(last)
-            };
-            if let Some(entry) = removed {
-                ctx.inner
-                    .hub
-                    .fire_removed(ctx.abs(last), Some(Self::entry_value(&entry)));
-            }
-            // Unbinding an unbound name succeeds (JNDI semantics).
-            Ok(())
-        })
-    }
-
+    /// Move the entry at `old` to `new`, subtree and all. Both names are
+    /// checked under the locks of the contexts that hold them, so nothing
+    /// moves unless the whole rename can succeed.
     fn rename(&self, old: &CompositeName, new: &CompositeName) -> Result<()> {
-        // Take the old entry out, bind it under the new name, restoring on
-        // failure so the operation stays atomic from the caller's view.
-        let entry = self.with_parent(old, &mut |ctx, last| {
-            let mut entries = ctx.inner.entries.write();
-            entries
-                .remove(last)
-                .ok_or_else(|| NamingError::not_found(ctx.abs(last).to_string()))
-        })?;
-        let reinsert = entry.clone();
-        let result = self.with_parent(new, &mut |ctx, last| {
-            let mut entries = ctx.inner.entries.write();
-            if entries.contains_key(last) {
-                return Err(NamingError::already_bound(ctx.abs(last).to_string()));
-            }
-            entries.insert(last.to_string(), entry.clone());
-            Ok(())
-        });
-        if result.is_err() {
-            // Put it back where it was.
-            let _ = self.with_parent(old, &mut |ctx, last| {
-                ctx.inner
-                    .entries
-                    .write()
-                    .insert(last.to_string(), reinsert.clone());
-                Ok(())
-            });
+        if new.len() > old.len() && new.starts_with(old) {
+            return Err(NamingError::invalid_name(
+                new.to_string(),
+                "a context cannot move beneath itself",
+            ));
         }
-        result
+        let (from, old_last) = self.parent(old)?;
+        let (to, new_last) = self.parent(new)?;
+        let check = |src: &BTreeMap<String, Entry>, dst: &BTreeMap<String, Entry>| {
+            if !src.contains_key(old_last) {
+                return Err(NamingError::not_found(from.abs(old_last).to_string()));
+            }
+            if dst.contains_key(new_last) {
+                return Err(NamingError::already_bound(to.abs(new_last).to_string()));
+            }
+            Ok(())
+        };
+        if Arc::ptr_eq(&from.dir, &to.dir) {
+            let mut entries = from.dir.entries.write();
+            check(&entries, &entries)?;
+            let entry = entries.remove(old_last).expect("checked");
+            entries.insert(new_last.to_string(), entry);
+            return Ok(());
+        }
+        // Two contexts: lock them in address order, so two renames crossing
+        // in opposite directions cannot deadlock.
+        let (mut src, mut dst) = if Arc::as_ptr(&from.dir) < Arc::as_ptr(&to.dir) {
+            let src = from.dir.entries.write();
+            (src, to.dir.entries.write())
+        } else {
+            let dst = to.dir.entries.write();
+            (from.dir.entries.write(), dst)
+        };
+        check(&src, &dst)?;
+        let entry = src.remove(old_last).expect("checked");
+        dst.insert(new_last.to_string(), entry);
+        Ok(())
     }
 
-    fn list(&self, name: &CompositeName) -> Result<Vec<NameClassPair>> {
-        let ctx = self.resolve_context(name)?;
-        let entries = ctx.inner.entries.read();
-        Ok(entries
-            .iter()
-            .map(|(n, e)| NameClassPair {
-                name: n.clone(),
-                class_name: Self::entry_value(e).class_name().to_string(),
-            })
-            .collect())
-    }
-
-    fn list_bindings(&self, name: &CompositeName) -> Result<Vec<Binding>> {
-        let ctx = self.resolve_context(name)?;
-        let entries = ctx.inner.entries.read();
+    fn bindings(&self, name: &CompositeName) -> Result<Vec<Binding>> {
+        let ctx = self.context(name)?;
+        let entries = ctx.dir.entries.read();
         Ok(entries
             .iter()
             .map(|(n, e)| Binding {
                 name: n.clone(),
-                value: Self::entry_value(e),
+                value: ctx.value_of(n, e),
             })
             .collect())
     }
 
-    fn create_subcontext(&self, name: &CompositeName) -> Result<()> {
-        self.with_parent(name, &mut |ctx, last| {
-            let mut entries = ctx.inner.entries.write();
-            if entries.contains_key(last) {
-                return Err(NamingError::already_bound(ctx.abs(last).to_string()));
-            }
-            let sub = ctx.new_child(last);
-            entries.insert(
-                last.to_string(),
-                Entry {
-                    attrs: Attributes::new(),
-                    node: Node::Sub(sub.clone()),
-                },
-            );
-            drop(entries);
-            ctx.inner
-                .hub
-                .fire_added(ctx.abs(last), BoundValue::Context(Arc::new(sub)));
-            Ok(())
-        })
-    }
-
-    fn destroy_subcontext(&self, name: &CompositeName) -> Result<()> {
-        self.with_parent(name, &mut |ctx, last| {
-            let mut entries = ctx.inner.entries.write();
-            match entries.get(last) {
-                None => Ok(()), // destroying a non-existent context succeeds
-                Some(Entry {
-                    node: Node::Sub(sub),
-                    ..
-                }) => {
-                    if !sub.inner.entries.read().is_empty() {
-                        return Err(NamingError::ContextNotEmpty {
-                            name: ctx.abs(last).to_string(),
-                        });
-                    }
-                    entries.remove(last);
-                    drop(entries);
-                    ctx.inner.hub.fire_removed(ctx.abs(last), None);
-                    Ok(())
-                }
-                Some(_) => Err(NamingError::ContextExpected {
-                    name: ctx.abs(last).to_string(),
-                }),
-            }
-        })
-    }
-
-    fn add_listener(
-        &self,
-        name: &CompositeName,
-        listener: Arc<dyn NamingListener>,
-    ) -> Result<ListenerHandle> {
-        Ok(self
-            .inner
-            .hub
-            .subscribe(self.inner.base.join(name), listener))
-    }
-
-    fn remove_listener(&self, handle: ListenerHandle) -> Result<()> {
-        self.inner.hub.unsubscribe(handle);
+    fn create(&self, name: &CompositeName) -> Result<()> {
+        let (ctx, last) = self.parent(name)?;
+        let mut entries = ctx.dir.entries.write();
+        if entries.contains_key(last) {
+            return Err(NamingError::already_bound(ctx.abs(last).to_string()));
+        }
+        let dir = Arc::<Dir>::default();
+        entries.insert(
+            last.to_string(),
+            Entry {
+                attrs: Attributes::new(),
+                node: Node::Sub(dir.clone()),
+            },
+        );
+        drop(entries);
+        let handle = BoundValue::Context(Arc::new(ctx.sub(last, dir)));
+        ctx.hub.fire_added(ctx.abs(last), handle);
         Ok(())
     }
 
-    fn provider_id(&self) -> String {
-        format!("mem:{}", self.inner.base)
+    fn destroy(&self, name: &CompositeName) -> Result<()> {
+        let (ctx, last) = self.parent(name)?;
+        let mut entries = ctx.dir.entries.write();
+        match entries.get(last).map(|e| &e.node) {
+            None => Ok(()), // destroying a non-existent context succeeds
+            Some(Node::Sub(dir)) => {
+                if !dir.entries.read().is_empty() {
+                    return Err(NamingError::ContextNotEmpty {
+                        name: ctx.abs(last).to_string(),
+                    });
+                }
+                entries.remove(last);
+                drop(entries);
+                ctx.hub.fire_removed(ctx.abs(last), None);
+                Ok(())
+            }
+            Some(Node::Leaf(_)) => Err(NamingError::ContextExpected {
+                name: ctx.abs(last).to_string(),
+            }),
+        }
     }
-}
 
-impl DirContext for MemContext {
-    fn get_attributes(&self, name: &CompositeName) -> Result<Attributes> {
+    fn attributes(&self, name: &CompositeName) -> Result<Attributes> {
         if name.is_empty() {
             return Ok(Attributes::new());
         }
-        self.with_parent(name, &mut |ctx, last| {
-            let entries = ctx.inner.entries.read();
-            entries
-                .get(last)
-                .map(|e| e.attrs.clone())
-                .ok_or_else(|| NamingError::not_found(ctx.abs(last).to_string()))
-        })
+        let (ctx, last) = self.parent(name)?;
+        let entries = ctx.dir.entries.read();
+        entries
+            .get(last)
+            .map(|e| e.attrs.clone())
+            .ok_or_else(|| NamingError::not_found(ctx.abs(last).to_string()))
     }
 
-    fn modify_attributes(&self, name: &CompositeName, mods: &[AttrMod]) -> Result<()> {
-        self.with_parent(name, &mut |ctx, last| {
-            let mut entries = ctx.inner.entries.write();
-            let entry = entries
-                .get_mut(last)
-                .ok_or_else(|| NamingError::not_found(ctx.abs(last).to_string()))?;
-            for m in mods {
-                m.apply(&mut entry.attrs);
-            }
-            Ok(())
-        })
-    }
-
-    fn bind_with_attrs(
-        &self,
-        name: &CompositeName,
-        value: BoundValue,
-        attrs: Attributes,
-    ) -> Result<()> {
-        self.do_bind(name, value, attrs, false)
-    }
-
-    fn rebind_with_attrs(
-        &self,
-        name: &CompositeName,
-        value: BoundValue,
-        attrs: Attributes,
-    ) -> Result<()> {
-        self.do_bind(name, value, attrs, true)
-    }
-
-    fn search(
-        &self,
-        name: &CompositeName,
-        filter: &Filter,
-        controls: &SearchControls,
-    ) -> Result<Vec<SearchItem>> {
-        let base = self.resolve_context(name)?;
-        let mut out = Vec::new();
-        match controls.scope {
-            SearchScope::Object => {
-                if name.is_empty() {
-                    return Ok(out);
-                }
-                let attrs = self.get_attributes(name)?;
-                if filter.matches(&attrs) {
-                    out.push(SearchItem {
-                        name: String::new(),
-                        value: controls
-                            .return_values
-                            .then(|| self.lookup(name))
-                            .transpose()?,
-                        attrs,
-                    });
-                }
-            }
-            SearchScope::OneLevel | SearchScope::Subtree => {
-                base.search_into(&CompositeName::empty(), filter, controls, &mut out);
-            }
+    fn modify(&self, name: &CompositeName, mods: &[AttrMod]) -> Result<()> {
+        let (ctx, last) = self.parent(name)?;
+        let mut entries = ctx.dir.entries.write();
+        let entry = entries
+            .get_mut(last)
+            .ok_or_else(|| NamingError::not_found(ctx.abs(last).to_string()))?;
+        for m in mods {
+            m.apply(&mut entry.attrs);
         }
-        Ok(out)
+        Ok(())
     }
 }
+
+impl ProviderBackend for MemContext {
+    fn execute(&self, op: &NamingOp) -> Result<OpOutcome> {
+        let name = &op.name;
+        match op.kind {
+            OpKind::Lookup => self.get(name).map(OpOutcome::Value),
+            OpKind::Bind | OpKind::BindWithAttrs | OpKind::Rebind | OpKind::RebindWithAttrs => {
+                let overwrite = matches!(op.kind, OpKind::Rebind | OpKind::RebindWithAttrs);
+                let attrs = op.attrs.clone().unwrap_or_default();
+                self.put(name, op.value()?, attrs, overwrite).map(done)
+            }
+            OpKind::Unbind => self.remove(name).map(done),
+            OpKind::Rename => self.rename(name, op.new_name()?).map(done),
+            OpKind::List => Ok(OpOutcome::Names(
+                self.bindings(name)?
+                    .into_iter()
+                    .map(|b| NameClassPair {
+                        class_name: b.value.class_name().to_string(),
+                        name: b.name,
+                    })
+                    .collect(),
+            )),
+            OpKind::ListBindings => self.bindings(name).map(OpOutcome::Bindings),
+            OpKind::CreateSubcontext => self.create(name).map(done),
+            OpKind::DestroySubcontext => self.destroy(name).map(done),
+            OpKind::GetAttributes => self.attributes(name).map(OpOutcome::Attrs),
+            OpKind::ModifyAttributes => self.modify(name, op.mods()?).map(done),
+            OpKind::Search => {
+                // A search of a mount searches the system behind it, as a
+                // listing does, whatever its scope.
+                if let Err(e @ NamingError::Continue { .. }) = self.context(name) {
+                    return Err(e);
+                }
+                search::walk(self, op)
+            }
+            OpKind::AddListener => Ok(OpOutcome::Subscribed(
+                self.hub.subscribe(self.path.join(name), op.listener()?),
+            )),
+            OpKind::RemoveListener => {
+                self.hub.unsubscribe(op.listener_handle()?);
+                Ok(OpOutcome::Done)
+            }
+        }
+    }
+
+    fn provider_id(&self) -> String {
+        format!("mem:{}", self.path)
+    }
+}
+
+impl OpContext for MemContext {}
 
 /// A URL factory serving `mem://<host>` from a registry of named in-memory
 /// roots. Handy as a lightweight provider in tests, examples, and as the
@@ -526,8 +441,9 @@ impl crate::spi::UrlContextFactory for MemFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::ContextExt;
+    use crate::context::{Context, ContextExt, SearchControls, SearchScope};
     use crate::event::CollectingListener;
+    use crate::filter::Filter;
     use crate::value::Reference;
 
     fn ctx() -> MemContext {
@@ -639,6 +555,43 @@ mod tests {
     }
 
     #[test]
+    fn a_renamed_subcontext_takes_its_subtree_along() {
+        let c = ctx();
+        c.create_subcontext(&"dir".into()).unwrap();
+        c.bind_str("dir/x", "1").unwrap();
+        c.rename(&"dir".into(), &"dir2".into()).unwrap();
+        assert_eq!(c.lookup_str("dir2/x").unwrap().as_str(), Some("1"));
+
+        let l = CollectingListener::new();
+        c.add_listener(&"dir2".into(), l.clone()).unwrap();
+        c.unbind_str("dir2/x").unwrap();
+        c.bind_str("dir2/x", "2").unwrap();
+        let heard: Vec<String> = l.drain().iter().map(|e| e.name.to_string()).collect();
+        assert_eq!(heard, ["dir2/x", "dir2/x"], "events name the new place");
+        match c.bind_str("dir2/x", "3") {
+            Err(NamingError::AlreadyBound { name }) => assert_eq!(name, "dir2/x"),
+            other => panic!("expected AlreadyBound, got {other:?}"),
+        }
+
+        // Nothing moves beneath itself, and a refused rename moves nothing.
+        assert!(matches!(
+            c.rename(&"dir2".into(), &"dir2/inner".into()),
+            Err(NamingError::InvalidName { .. })
+        ));
+        c.bind_str("taken", "t").unwrap();
+        assert!(matches!(
+            c.rename(&"dir2".into(), &"taken".into()),
+            Err(NamingError::AlreadyBound { .. })
+        ));
+        assert!(matches!(
+            c.rename(&"gone".into(), &"dir2/y".into()),
+            Err(NamingError::NameNotFound { .. })
+        ));
+        assert_eq!(c.lookup_str("dir2/x").unwrap().as_str(), Some("2"));
+        assert_eq!(c.lookup_str("taken").unwrap().as_str(), Some("t"));
+    }
+
+    #[test]
     fn attributes_and_search() {
         let c = ctx();
         c.bind_with_attrs(
@@ -711,6 +664,53 @@ mod tests {
         let mut names: Vec<String> = sub.into_iter().map(|s| s.name).collect();
         names.sort();
         assert_eq!(names, vec!["dept/host1", "top"]);
+    }
+
+    #[test]
+    fn search_scopes_have_one_meaning() {
+        let c = ctx();
+        let tagged = || Attributes::new().with("kind", "leaf");
+        c.create_subcontext(&"dir".into()).unwrap();
+        c.bind_with_attrs(&"dir/x".into(), BoundValue::str("x"), tagged())
+            .unwrap();
+        c.bind_with_attrs(&"y".into(), BoundValue::str("y"), tagged())
+            .unwrap();
+        // A mounted foreign context is the federation layer's to search.
+        let far = ctx();
+        far.bind_with_attrs(&"z".into(), BoundValue::Null, tagged())
+            .unwrap();
+        c.bind(&"mnt".into(), BoundValue::Context(Arc::new(far)))
+            .unwrap();
+
+        let kind = Filter::parse("(kind=*)").unwrap();
+        let search = |name: &str, scope| {
+            let controls = SearchControls {
+                scope,
+                return_values: true,
+                ..Default::default()
+            };
+            c.search(&name.into(), &kind, &controls)
+        };
+        let names = |name: &str, scope| -> Vec<String> {
+            let hits = search(name, scope).unwrap();
+            hits.into_iter().map(|h| h.name).collect()
+        };
+        let y = search("y", SearchScope::Object).unwrap();
+        assert_eq!((y.len(), y[0].name.as_str()), (1, ""), "the entry itself");
+        assert_eq!(y[0].value, Some(BoundValue::str("y")));
+        assert!(
+            names("dir", SearchScope::Object).is_empty(),
+            "never a child"
+        );
+        assert!(
+            names("", SearchScope::Object).is_empty(),
+            "the root is no entry"
+        );
+        assert_eq!(names("dir", SearchScope::OneLevel), ["x"]);
+        assert_eq!(names("", SearchScope::Subtree), ["dir/x", "y"]);
+        assert!(search("mnt", SearchScope::Object)
+            .unwrap_err()
+            .is_continue());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Reified naming operations.
 //!
-//! Every [`Context`](crate::context::Context)/[`DirContext`] call can be
-//! expressed as a first-class request value ([`NamingOp`]) paired with a
-//! response value ([`OpOutcome`]). Reifying the call gives every layer that
+//! Every [`Context`](crate::context::Context)/[`DirContext`] call is a
+//! first-class request value ([`NamingOp`]) paired with a response value
+//! ([`OpOutcome`]). Reifying the call gives every layer that
 //! sits between the application and a backend — federation, caching, retry,
 //! metrics, marshalling — a single uniform unit to operate on, instead of
 //! one code path per trait method. The pipeline machinery that routes these
@@ -532,52 +532,10 @@ impl OpOutcome {
     }
 }
 
-/// Dispatch one reified op against a plain [`DirContext`]. This is the
-/// op → method direction of the bridge between the op world and the trait
-/// world ([`crate::spi::OpContext`] is the other): the federation driver and
-/// [`crate::spi::ContextBackend`] both route through it, so any legacy
-/// context participates in the reified path unchanged.
+/// Run one reified op against a context, as it stands: its annotations
+/// (the trace context above all) reach the backend with it.
 pub fn dispatch(ctx: &dyn DirContext, op: &NamingOp) -> Result<OpOutcome> {
-    // Contexts that understand reified ops natively (provider pipelines,
-    // federated facades) take the op as-is, preserving its annotations
-    // (trace context, retry attempt) instead of rebuilding a bare op from
-    // the trait-method arguments.
-    if let Some(result) = ctx.execute_reified(op) {
-        return result;
-    }
-    match op.kind {
-        OpKind::Lookup => ctx.lookup(&op.name).map(OpOutcome::Value),
-        OpKind::Bind => ctx.bind(&op.name, op.value()?).map(|_| OpOutcome::Done),
-        OpKind::Rebind => ctx.rebind(&op.name, op.value()?).map(|_| OpOutcome::Done),
-        OpKind::Unbind => ctx.unbind(&op.name).map(|_| OpOutcome::Done),
-        OpKind::Rename => ctx
-            .rename(&op.name, op.new_name()?)
-            .map(|_| OpOutcome::Done),
-        OpKind::List => ctx.list(&op.name).map(OpOutcome::Names),
-        OpKind::ListBindings => ctx.list_bindings(&op.name).map(OpOutcome::Bindings),
-        OpKind::CreateSubcontext => ctx.create_subcontext(&op.name).map(|_| OpOutcome::Done),
-        OpKind::DestroySubcontext => ctx.destroy_subcontext(&op.name).map(|_| OpOutcome::Done),
-        OpKind::GetAttributes => ctx.get_attributes(&op.name).map(OpOutcome::Attrs),
-        OpKind::ModifyAttributes => ctx
-            .modify_attributes(&op.name, op.mods()?)
-            .map(|_| OpOutcome::Done),
-        OpKind::BindWithAttrs => ctx
-            .bind_with_attrs(&op.name, op.value()?, op.attrs.clone().unwrap_or_default())
-            .map(|_| OpOutcome::Done),
-        OpKind::RebindWithAttrs => ctx
-            .rebind_with_attrs(&op.name, op.value()?, op.attrs.clone().unwrap_or_default())
-            .map(|_| OpOutcome::Done),
-        OpKind::Search => {
-            let (filter, controls) = op.query()?;
-            ctx.search(&op.name, filter, controls).map(OpOutcome::Found)
-        }
-        OpKind::AddListener => ctx
-            .add_listener(&op.name, op.listener()?)
-            .map(OpOutcome::Subscribed),
-        OpKind::RemoveListener => ctx
-            .remove_listener(op.listener_handle()?)
-            .map(|_| OpOutcome::Done),
-    }
+    ctx.execute(op)
 }
 
 #[cfg(test)]

@@ -4,12 +4,12 @@
 //!   live provider context. The [`ProviderRegistry`] maps schemes to
 //!   factories (JNDI's `NamingManager` + `Context.URL_PKG_PREFIXES`
 //!   machinery, without the classpath scanning).
-//! * [`ProviderBackend`] — the slim surface a provider implements; the
+//! * [`ProviderBackend`] — the one method a provider implements; the
 //!   interceptors in front of it (`interceptors`), the [`ProviderPipeline`]
-//!   that stacks them and the [`OpContext`] bridge that recovers the
-//!   `Context`/`DirContext` surface from it (`pipeline`), the
-//!   [`telemetry`] reader, and [`boundary`] — the one place that decides
-//!   where a provider's namespace ends and a federation link takes over.
+//!   that stacks them (`pipeline`), the [`telemetry`] reader, [`boundary`]
+//!   — the one place that decides where a provider's namespace ends and a
+//!   federation link takes over — and [`search`], the client-side search
+//!   walk for a backend with no query engine of its own.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,13 +27,14 @@ use crate::url::RndiUrl;
 pub mod boundary;
 mod interceptors;
 mod pipeline;
+pub mod search;
 pub mod telemetry;
 
 pub use interceptors::{
     is_transient, CacheInterceptor, Interceptor, MarshalInterceptor, ObsInterceptor, OpInvoker,
     RetryInterceptor, DEFAULT_CACHE_MAX_ENTRIES,
 };
-pub use pipeline::{ContextBackend, OpContext, ProviderPipeline};
+pub use pipeline::ProviderPipeline;
 
 /// Creates provider contexts for one URL scheme.
 pub trait UrlContextFactory: Send + Sync {
@@ -113,12 +114,13 @@ pub enum WireFormat {
     Encoded,
 }
 
-/// The slim surface a provider implements: execute one reified operation.
+/// The one surface a provider implements: execute one reified operation,
+/// answering [`NamingError::NotSupported`] for what its backend lacks.
 ///
-/// Everything else — the full `Context`/`DirContext` trait surface, metrics,
-/// retries, caching, marshalling — is recovered generically by routing ops
-/// through a [`ProviderPipeline`], so cross-cutting concerns are written
-/// once instead of once per provider.
+/// Everything else — the `Context`/`DirContext` methods, metrics, retries,
+/// caching, marshalling — is written once: the methods in
+/// [`crate::context`], the rest by routing ops through a
+/// [`ProviderPipeline`].
 pub trait ProviderBackend: Send + Sync {
     /// Execute one operation against the backing naming service.
     fn execute(&self, op: &NamingOp) -> Result<OpOutcome>;
@@ -148,52 +150,7 @@ pub trait ProviderBackend: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::{Binding, Context, NameClassPair};
-    use crate::name::CompositeName;
-    use crate::value::BoundValue;
-
-    struct DummyCtx;
-    impl Context for DummyCtx {
-        fn lookup(&self, n: &CompositeName) -> Result<BoundValue> {
-            Err(NamingError::not_found(n.to_string()))
-        }
-        fn bind(&self, _: &CompositeName, _: BoundValue) -> Result<()> {
-            Ok(())
-        }
-        fn rebind(&self, _: &CompositeName, _: BoundValue) -> Result<()> {
-            Ok(())
-        }
-        fn unbind(&self, _: &CompositeName) -> Result<()> {
-            Ok(())
-        }
-        fn list(&self, _: &CompositeName) -> Result<Vec<NameClassPair>> {
-            Ok(vec![])
-        }
-        fn list_bindings(&self, _: &CompositeName) -> Result<Vec<Binding>> {
-            Ok(vec![])
-        }
-    }
-    impl DirContext for DummyCtx {
-        fn get_attributes(&self, _: &CompositeName) -> Result<crate::attrs::Attributes> {
-            Ok(Default::default())
-        }
-        fn bind_with_attrs(
-            &self,
-            _: &CompositeName,
-            _: BoundValue,
-            _: crate::attrs::Attributes,
-        ) -> Result<()> {
-            Ok(())
-        }
-        fn rebind_with_attrs(
-            &self,
-            _: &CompositeName,
-            _: BoundValue,
-            _: crate::attrs::Attributes,
-        ) -> Result<()> {
-            Ok(())
-        }
-    }
+    use crate::mem::MemContext;
 
     struct DummyFactory;
     impl UrlContextFactory for DummyFactory {
@@ -201,7 +158,7 @@ mod tests {
             "dummy"
         }
         fn create(&self, _: &RndiUrl, _: &Environment) -> Result<Arc<dyn DirContext>> {
-            Ok(Arc::new(DummyCtx))
+            Ok(Arc::new(MemContext::new()))
         }
     }
 

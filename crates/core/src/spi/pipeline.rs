@@ -1,5 +1,5 @@
 //! [`ProviderPipeline`]: the interceptor stack in front of a backend, and
-//! the bridge that makes it (and any other [`OpContext`]) a context.
+//! the context its callers hold.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -9,15 +9,14 @@ use super::interceptors::{
     DEFAULT_CACHE_MAX_ENTRIES,
 };
 use super::{ProviderBackend, WireFormat};
-use crate::attrs::{AttrMod, Attributes};
-use crate::context::{Binding, Context, DirContext, NameClassPair, SearchControls, SearchItem};
+#[cfg(doc)]
+use crate::context::DirContext;
+use crate::context::OpContext;
 use crate::env::{keys, Environment};
 use crate::error::Result;
-use crate::event::{EventHub, ListenerHandle, NamingListener};
-use crate::filter::Filter;
+use crate::event::{EventHub, ListenerHandle};
 use crate::name::{CompositeName, CompoundSyntax};
-use crate::op::{NamingOp, OpKind, OpOutcome};
-use crate::value::BoundValue;
+use crate::op::{NamingOp, OpOutcome};
 
 /// One frame of the interceptor stack during a call.
 struct Chain<'a, B: ProviderBackend + ?Sized> {
@@ -42,9 +41,9 @@ impl<B: ProviderBackend + ?Sized> OpInvoker for Chain<'_, B> {
 
 /// An ordered interceptor stack in front of a [`ProviderBackend`].
 ///
-/// The pipeline is an [`OpContext`], so it implements [`Context`] and
-/// [`DirContext`] — that is how providers recover the full JNDI surface
-/// from their slim backend — and `Deref`s to the backend so provider-specific methods (lease polling,
+/// The pipeline is an [`OpContext`], so it is a [`DirContext`] — that is
+/// how providers recover the full JNDI surface from their slim backend —
+/// and `Deref`s to the backend so provider-specific methods (lease polling,
 /// event draining…) stay reachable on the wrapped value.
 pub struct ProviderPipeline<B: ProviderBackend + ?Sized = dyn ProviderBackend> {
     interceptors: Vec<Arc<dyn Interceptor>>,
@@ -263,172 +262,18 @@ impl<B: ProviderBackend + ?Sized> std::ops::Deref for ProviderPipeline<B> {
     }
 }
 
-/// A backend that is itself the context its callers hold — a provider
-/// pipeline, a federated facade. Opting in recovers the whole
-/// [`Context`]/[`DirContext`] surface from [`ProviderBackend::execute`]
-/// through the blanket impls below: the method → op direction, written
-/// once. [`crate::op::dispatch`] is the reverse direction, and hands such a
-/// context the op as it stands (via [`Context::execute_reified`]) instead of
-/// unpacking it into a method call that would only rebuild it here.
-pub trait OpContext: ProviderBackend {}
-
+/// Callers hold a pipeline as their context: the client surface comes from
+/// [`ProviderBackend::execute`] above.
 impl<B: ProviderBackend + ?Sized> OpContext for ProviderPipeline<B> {}
-
-impl<T: OpContext + ?Sized> Context for T {
-    fn lookup(&self, name: &CompositeName) -> Result<BoundValue> {
-        self.execute(&NamingOp::lookup(name.clone()))?
-            .into_value(OpKind::Lookup)
-    }
-
-    fn bind(&self, name: &CompositeName, value: BoundValue) -> Result<()> {
-        self.execute(&NamingOp::bind(name.clone(), value))?
-            .into_done(OpKind::Bind)
-    }
-
-    fn rebind(&self, name: &CompositeName, value: BoundValue) -> Result<()> {
-        self.execute(&NamingOp::rebind(name.clone(), value))?
-            .into_done(OpKind::Rebind)
-    }
-
-    fn unbind(&self, name: &CompositeName) -> Result<()> {
-        self.execute(&NamingOp::unbind(name.clone()))?
-            .into_done(OpKind::Unbind)
-    }
-
-    fn rename(&self, old: &CompositeName, new: &CompositeName) -> Result<()> {
-        self.execute(&NamingOp::rename(old.clone(), new.clone()))?
-            .into_done(OpKind::Rename)
-    }
-
-    fn list(&self, name: &CompositeName) -> Result<Vec<NameClassPair>> {
-        self.execute(&NamingOp::list(name.clone()))?
-            .into_names(OpKind::List)
-    }
-
-    fn list_bindings(&self, name: &CompositeName) -> Result<Vec<Binding>> {
-        self.execute(&NamingOp::list_bindings(name.clone()))?
-            .into_bindings(OpKind::ListBindings)
-    }
-
-    fn create_subcontext(&self, name: &CompositeName) -> Result<()> {
-        self.execute(&NamingOp::create_subcontext(name.clone()))?
-            .into_done(OpKind::CreateSubcontext)
-    }
-
-    fn destroy_subcontext(&self, name: &CompositeName) -> Result<()> {
-        self.execute(&NamingOp::destroy_subcontext(name.clone()))?
-            .into_done(OpKind::DestroySubcontext)
-    }
-
-    fn add_listener(
-        &self,
-        name: &CompositeName,
-        listener: Arc<dyn NamingListener>,
-    ) -> Result<ListenerHandle> {
-        self.execute(&NamingOp::add_listener(name.clone(), listener))?
-            .into_handle(OpKind::AddListener)
-    }
-
-    fn remove_listener(&self, handle: ListenerHandle) -> Result<()> {
-        self.execute(&NamingOp::remove_listener(handle))?
-            .into_done(OpKind::RemoveListener)
-    }
-
-    fn provider_id(&self) -> String {
-        ProviderBackend::provider_id(self)
-    }
-
-    fn compound_syntax(&self) -> CompoundSyntax {
-        ProviderBackend::compound_syntax(self)
-    }
-
-    fn execute_reified(&self, op: &NamingOp) -> Option<Result<OpOutcome>> {
-        Some(self.execute(op))
-    }
-}
-
-impl<T: OpContext + ?Sized> DirContext for T {
-    fn get_attributes(&self, name: &CompositeName) -> Result<Attributes> {
-        self.execute(&NamingOp::get_attributes(name.clone()))?
-            .into_attrs(OpKind::GetAttributes)
-    }
-
-    fn modify_attributes(&self, name: &CompositeName, mods: &[AttrMod]) -> Result<()> {
-        self.execute(&NamingOp::modify_attributes(name.clone(), mods.to_vec()))?
-            .into_done(OpKind::ModifyAttributes)
-    }
-
-    fn bind_with_attrs(
-        &self,
-        name: &CompositeName,
-        value: BoundValue,
-        attrs: Attributes,
-    ) -> Result<()> {
-        self.execute(&NamingOp::bind_with_attrs(name.clone(), value, attrs))?
-            .into_done(OpKind::BindWithAttrs)
-    }
-
-    fn rebind_with_attrs(
-        &self,
-        name: &CompositeName,
-        value: BoundValue,
-        attrs: Attributes,
-    ) -> Result<()> {
-        self.execute(&NamingOp::rebind_with_attrs(name.clone(), value, attrs))?
-            .into_done(OpKind::RebindWithAttrs)
-    }
-
-    fn search(
-        &self,
-        name: &CompositeName,
-        filter: &Filter,
-        controls: &SearchControls,
-    ) -> Result<Vec<SearchItem>> {
-        self.execute(&NamingOp::search(
-            name.clone(),
-            filter.clone(),
-            controls.clone(),
-        ))?
-        .into_found(OpKind::Search)
-    }
-}
-/// Adapts any [`DirContext`] into a [`ProviderBackend`], so legacy contexts
-/// (the in-memory reference provider, federated facades, test doubles) ride
-/// the same reified op path as native backends.
-pub struct ContextBackend<C: DirContext + 'static> {
-    ctx: Arc<C>,
-}
-
-impl<C: DirContext + 'static> ContextBackend<C> {
-    pub fn new(ctx: Arc<C>) -> Self {
-        ContextBackend { ctx }
-    }
-
-    pub fn context(&self) -> &Arc<C> {
-        &self.ctx
-    }
-}
-
-impl<C: DirContext + 'static> ProviderBackend for ContextBackend<C> {
-    fn execute(&self, op: &NamingOp) -> Result<OpOutcome> {
-        crate::op::dispatch(self.ctx.as_ref(), op)
-    }
-
-    fn provider_id(&self) -> String {
-        self.ctx.provider_id()
-    }
-
-    fn compound_syntax(&self) -> CompoundSyntax {
-        self.ctx.compound_syntax()
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::context::Context;
     use crate::error::NamingError;
     use crate::lease::ManualClock;
-    use crate::op::{codec, OpPayload};
+    use crate::op::{codec, OpKind, OpPayload};
+    use crate::value::BoundValue;
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
 

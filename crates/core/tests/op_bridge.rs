@@ -1,9 +1,8 @@
-//! The two directions between `Context`/`DirContext` methods and reified
-//! ops, held against each other: every `OpKind`, through a provider pipeline
-//! and through a federated facade, once by the trait method (method → op:
-//! the `OpContext` blanket impls) and once by `op::dispatch` (op → method,
-//! which hands an op-running context the op as it stands). Same outcome on
-//! all four, and a dispatched op reaches the backend under its own trace.
+//! The two ways a caller reaches a backend, held against each other: every
+//! `OpKind`, through a provider pipeline and through a federated facade,
+//! once by the `Context`/`DirContext` method and once as a reified op by
+//! `op::dispatch`. Same outcome on all four; each reaches the backend once,
+//! as its own kind, and a dispatched op under the caller's trace.
 
 use std::sync::{Arc, Mutex};
 
@@ -14,15 +13,24 @@ use rndi_obs::TraceCtx;
 /// A `MemContext` behind the backend surface, noting what reaches it.
 struct Recording {
     inner: MemContext,
-    /// `(kind, trace id)` of the last op executed.
-    last: Mutex<Option<(OpKind, Option<u64>)>>,
+    /// `(kind, trace id)` of every op executed.
+    seen: Mutex<Vec<(OpKind, Option<u64>)>>,
+}
+
+impl Recording {
+    /// How often `kind` reached the backend, and what reached it last.
+    fn saw(&self, kind: OpKind) -> (usize, Option<(OpKind, Option<u64>)>) {
+        let seen = self.seen.lock().unwrap();
+        let times = seen.iter().filter(|(k, _)| *k == kind).count();
+        (times, seen.last().copied())
+    }
 }
 
 impl ProviderBackend for Recording {
     fn execute(&self, op: &NamingOp) -> Result<OpOutcome> {
         let trace = op.trace_ctx().map(|ctx| ctx.trace_id);
-        *self.last.lock().unwrap() = Some((op.kind, trace));
-        op::dispatch(&self.inner, op)
+        self.seen.lock().unwrap().push((op.kind, trace));
+        self.inner.execute(op)
     }
 }
 
@@ -42,7 +50,7 @@ fn backend() -> Arc<Recording> {
     inner.create_subcontext(&"empty".into()).unwrap();
     Arc::new(Recording {
         inner,
-        last: Mutex::new(None),
+        seen: Mutex::new(Vec::new()),
     })
 }
 
@@ -228,9 +236,11 @@ fn every_op_kind_takes_one_path_whichever_way_it_is_called() {
                 format!("{subject} by method"),
                 show((case.method)(build(by_method.clone()).as_ref())),
             ));
-            let seen = by_method.last.lock().unwrap().expect("the backend ran it");
+            let (times, last) = by_method.saw(case.kind);
+            assert_eq!(times, 1, "{subject}: {:?} by method runs once", case.kind);
             assert_eq!(
-                seen.0, case.kind,
+                last.map(|(kind, _)| kind),
+                Some(case.kind),
                 "{subject}: the method reifies its own kind"
             );
 
@@ -244,9 +254,9 @@ fn every_op_kind_takes_one_path_whichever_way_it_is_called() {
                 show(op::dispatch(ctx.as_ref(), &op)),
             ));
             assert_eq!(
-                *by_dispatch.last.lock().unwrap(),
-                Some((case.kind, Some(trace.trace_id))),
-                "{subject}: {:?} reaches the backend as the op it was, trace and all",
+                by_dispatch.saw(case.kind),
+                (1, Some((case.kind, Some(trace.trace_id)))),
+                "{subject}: {:?} reaches the backend once, as the op it was, trace and all",
                 case.kind
             );
         }

@@ -13,15 +13,13 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use rndi_core::attrs::{AttrMod, Attributes};
-use rndi_core::context::{
-    Binding, DirContext, NameClassPair, SearchControls, SearchItem, SearchScope,
-};
+use rndi_core::context::{Binding, DirContext, NameClassPair};
 use rndi_core::env::Environment;
 use rndi_core::error::{NamingError, Result};
-use rndi_core::filter::Filter;
 use rndi_core::name::CompositeName;
 use rndi_core::op::{NamingOp, OpKind, OpOutcome};
 use rndi_core::spi::boundary::{self, Bound};
+use rndi_core::spi::search;
 use rndi_core::spi::{ProviderBackend, ProviderPipeline, UrlContextFactory, WireFormat};
 use rndi_core::url::RndiUrl;
 use rndi_core::value::BoundValue;
@@ -228,48 +226,6 @@ impl FsContext {
         out.sort();
         Ok(out)
     }
-
-    fn search_dir(
-        &self,
-        dir: &Path,
-        rel: &CompositeName,
-        filter: &Filter,
-        controls: &SearchControls,
-        out: &mut Vec<SearchItem>,
-    ) -> Result<()> {
-        for (child, kind) in self.entries_in(dir)? {
-            if controls.count_limit > 0 && out.len() >= controls.count_limit {
-                return Ok(());
-            }
-            let rel_name = rel.child(&child);
-            let attrs = Self::read_attrs(dir, &child)?;
-            if filter.matches(&attrs) {
-                let attrs = match &controls.return_attrs {
-                    Some(ids) => {
-                        let ids: Vec<&str> = ids.iter().map(|s| s.as_str()).collect();
-                        attrs.project(&ids)
-                    }
-                    None => attrs,
-                };
-                let value = if controls.return_values && kind == EntryKind::Value {
-                    let bytes = read_val_file(&Self::val_path(dir, &child))
-                        .map_err(|e| io_err(e, "read"))?;
-                    Some(common::unmarshal(&bytes))
-                } else {
-                    None
-                };
-                out.push(SearchItem {
-                    name: rel_name.to_string(),
-                    value,
-                    attrs,
-                });
-            }
-            if controls.scope == SearchScope::Subtree && kind == EntryKind::Dir {
-                self.search_dir(&dir.join(&child), &rel_name, filter, controls, out)?;
-            }
-        }
-        Ok(())
-    }
 }
 
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
@@ -422,18 +378,6 @@ impl FsContext {
         }
         Self::write_attrs(&dir, &leaf, &attrs)
     }
-
-    fn search(
-        &self,
-        name: &CompositeName,
-        filter: &Filter,
-        controls: &SearchControls,
-    ) -> Result<Vec<SearchItem>> {
-        let dir = self.dir_of(name)?;
-        let mut out = Vec::new();
-        self.search_dir(&dir, &CompositeName::empty(), filter, controls, &mut out)?;
-        Ok(out)
-    }
 }
 
 impl ProviderBackend for FsContext {
@@ -466,11 +410,7 @@ impl ProviderBackend for FsContext {
                 OpKind::ModifyAttributes => self
                     .modify_attributes(&op.name, op.mods()?)
                     .map(|_| OpOutcome::Done),
-                OpKind::Search => {
-                    let (filter, controls) = op.query()?;
-                    self.search(&op.name, filter, controls)
-                        .map(OpOutcome::Found)
-                }
+                OpKind::Search => search::walk(self, op),
                 _ => Err(NamingError::unsupported(op.kind.label())),
             },
         )
@@ -529,7 +469,8 @@ impl UrlContextFactory for FsFactory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rndi_core::context::{Context, ContextExt, DirContext};
+    use rndi_core::context::{Context, ContextExt, DirContext, SearchControls};
+    use rndi_core::filter::Filter;
     use rndi_core::value::Reference;
 
     fn fresh_root(tag: &str) -> PathBuf {

@@ -18,16 +18,14 @@ use parking_lot::Mutex;
 use hdns::{HdnsEntry, HdnsError, HdnsEvent, HdnsRealm, Op, RealmError, Replica};
 
 use rndi_core::attrs::{AttrMod, Attribute, Attributes};
-use rndi_core::context::{
-    Binding, DirContext, NameClassPair, SearchControls, SearchItem, SearchScope,
-};
+use rndi_core::context::{Binding, DirContext, NameClassPair};
 use rndi_core::env::Environment;
 use rndi_core::error::{NamingError, Result};
 use rndi_core::event::EventHub;
-use rndi_core::filter::Filter;
 use rndi_core::name::CompositeName;
 use rndi_core::op::{NamingOp, OpKind, OpOutcome};
 use rndi_core::spi::boundary::{self, Bound};
+use rndi_core::spi::search;
 use rndi_core::spi::{ProviderBackend, ProviderPipeline, UrlContextFactory, WireFormat};
 use rndi_core::url::RndiUrl;
 use rndi_core::value::BoundValue;
@@ -190,46 +188,6 @@ impl HdnsProviderContext {
         self.replica.pump();
         self.drain_events();
     }
-
-    fn search_recursive(
-        &self,
-        base: &str,
-        rel: &CompositeName,
-        filter: &Filter,
-        controls: &SearchControls,
-        out: &mut Vec<SearchItem>,
-    ) -> Result<()> {
-        for (child, entry) in self.replica.list(base) {
-            if controls.count_limit > 0 && out.len() >= controls.count_limit {
-                return Ok(());
-            }
-            let rel_name = rel.child(&child);
-            let attrs = from_entry_attrs(&entry)?;
-            if filter.matches(&attrs) {
-                let attrs = match &controls.return_attrs {
-                    Some(ids) => {
-                        let ids: Vec<&str> = ids.iter().map(|s| s.as_str()).collect();
-                        attrs.project(&ids)
-                    }
-                    None => attrs,
-                };
-                out.push(SearchItem {
-                    name: rel_name.to_string(),
-                    value: controls.return_values.then(|| from_entry_value(&entry)),
-                    attrs,
-                });
-            }
-            if controls.scope == SearchScope::Subtree && entry.is_context() {
-                let child_base = if base.is_empty() {
-                    child.clone()
-                } else {
-                    format!("{base}/{child}")
-                };
-                self.search_recursive(&child_base, &rel_name, filter, controls, out)?;
-            }
-        }
-        Ok(())
-    }
 }
 
 fn path_to_name(path: &str) -> CompositeName {
@@ -385,21 +343,6 @@ impl HdnsProviderContext {
             trace,
         )
     }
-
-    fn search(
-        &self,
-        name: &CompositeName,
-        filter: &Filter,
-        controls: &SearchControls,
-    ) -> Result<Vec<SearchItem>> {
-        // HDNS has no server-side query engine; the provider evaluates the
-        // filter client-side over a replica-local listing (§3's
-        // capability-emulation point).
-        let base = self.base(name);
-        let mut out = Vec::new();
-        self.search_recursive(&base, &CompositeName::empty(), filter, controls, &mut out)?;
-        Ok(out)
-    }
 }
 
 impl ProviderBackend for HdnsProviderContext {
@@ -436,11 +379,9 @@ impl ProviderBackend for HdnsProviderContext {
                 OpKind::ModifyAttributes => self
                     .modify_attributes(&op.name, op.mods()?, trace)
                     .map(|_| OpOutcome::Done),
-                OpKind::Search => {
-                    let (filter, controls) = op.query()?;
-                    self.search(&op.name, filter, controls)
-                        .map(OpOutcome::Found)
-                }
+                // No server-side query engine: the filter is evaluated
+                // client-side over replica-local reads (§3).
+                OpKind::Search => search::walk(self, op),
                 OpKind::AddListener => Ok(OpOutcome::Subscribed(
                     self.hub.subscribe(op.name.clone(), op.listener()?),
                 )),
@@ -512,7 +453,8 @@ impl UrlContextFactory for HdnsFactory {
 mod tests {
     use super::*;
     use groupcast::StackConfig;
-    use rndi_core::context::{Context, ContextExt};
+    use rndi_core::context::{Context, ContextExt, SearchControls, SearchScope};
+    use rndi_core::filter::Filter;
     use rndi_core::op::OpPayload;
     use rndi_core::value::Reference;
 

@@ -29,17 +29,15 @@ use rlus::{
 };
 
 use rndi_core::attrs::{AttrMod, Attributes};
-use rndi_core::context::{
-    Binding, DirContext, NameClassPair, SearchControls, SearchItem, SearchScope,
-};
+use rndi_core::context::{Binding, DirContext, NameClassPair};
 use rndi_core::env::{keys, Environment};
 use rndi_core::error::{NamingError, Result};
 use rndi_core::event::EventHub;
-use rndi_core::filter::Filter;
 use rndi_core::lease::{LeaseRenewalManager, LeaseRenewer};
 use rndi_core::name::CompositeName;
 use rndi_core::op::{NamingOp, OpKind, OpOutcome};
 use rndi_core::spi::boundary::{self, Bound};
+use rndi_core::spi::search;
 use rndi_core::spi::{ProviderBackend, ProviderPipeline, UrlContextFactory, WireFormat};
 use rndi_core::url::RndiUrl;
 use rndi_core::value::BoundValue;
@@ -551,49 +549,6 @@ impl JiniProviderContext {
             )
             .map_err(|_| NamingError::not_found(flat))
     }
-
-    fn search(
-        &self,
-        name: &CompositeName,
-        filter: &Filter,
-        controls: &SearchControls,
-    ) -> Result<Vec<SearchItem>> {
-        if !name.is_empty() {
-            return Err(NamingError::NotAContext {
-                name: name.to_string(),
-            });
-        }
-        // The LUS matches templates, not LDAP filters: fetch candidates and
-        // evaluate the filter client-side (capability emulation, §3).
-        let mut out = Vec::new();
-        for item in self.visible_items() {
-            if controls.count_limit > 0 && out.len() >= controls.count_limit {
-                break;
-            }
-            if controls.scope == SearchScope::Object {
-                continue;
-            }
-            let attrs = item_attrs(&item)?;
-            if filter.matches(&attrs) {
-                let attrs = match &controls.return_attrs {
-                    Some(ids) => {
-                        let ids: Vec<&str> = ids.iter().map(|s| s.as_str()).collect();
-                        attrs.project(&ids)
-                    }
-                    None => attrs,
-                };
-                out.push(SearchItem {
-                    name: binding_name(&item).expect("filtered").to_string(),
-                    value: controls
-                        .return_values
-                        .then(|| common::unmarshal(&item.service.payload)),
-                    attrs,
-                });
-            }
-        }
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        Ok(out)
-    }
 }
 
 impl ProviderBackend for JiniProviderContext {
@@ -622,11 +577,9 @@ impl ProviderBackend for JiniProviderContext {
                 OpKind::ModifyAttributes => self
                     .modify_attributes(&op.name, op.mods()?)
                     .map(|_| OpOutcome::Done),
-                OpKind::Search => {
-                    let (filter, controls) = op.query()?;
-                    self.search(&op.name, filter, controls)
-                        .map(OpOutcome::Found)
-                }
+                // The LUS matches templates, not LDAP filters: the filter is
+                // evaluated client-side (capability emulation, §3).
+                OpKind::Search => search::walk(self, op),
                 OpKind::AddListener => Ok(OpOutcome::Subscribed(
                     self.hub.subscribe(op.name.clone(), op.listener()?),
                 )),
@@ -708,8 +661,9 @@ impl UrlContextFactory for JiniFactory {
 mod tests {
     use super::*;
     use rlus::ManualClock;
-    use rndi_core::context::{Context, ContextExt, DirContext};
+    use rndi_core::context::{Context, ContextExt, DirContext, SearchControls};
     use rndi_core::event::CollectingListener;
+    use rndi_core::filter::Filter;
     use rndi_core::value::Reference;
 
     fn setup(

@@ -150,16 +150,18 @@ grep -q "slowest traces"               <<<"$fig8_out"
 # searched only for the capture and for `--bench <old target>` invocations, so
 # the old words stay free as identifiers. The four wall-clock targets whose
 # numbers became `cargo test` assertions are searched for everywhere, as whole
-# words (`rndi_net_concurrency_limit` is a live metric). (CHANGES/ROADMAP/ISSUE
-# are history; this script holds the list.)
+# words (`rndi_net_concurrency_limit` is a live metric), and so are the two
+# adapters of the method-level provider SPI that `ProviderBackend` replaced.
+# (CHANGES/ROADMAP/ISSUE are history; this script holds the list.)
 echo "==> no doc, script or manifest names a deleted artefact"
 GONE='fig2_jini_lookup|fig3_jini_rebind|fig4_hdns_lookup|fig5_hdns_rebind|fig6_dns_lookup|fig7_ldap|fig8_federation|ablation_stack|ablation_flowctl|ablation_bindproxy|scale_federation|obs_overhead|spi_overhead'
 WALL_CLOCK='net_concurrency|overload_goodput|readpath_scale|shard_scale'
+SECOND_SPI='ContextBackend|execute_reified'
 HISTORY=(':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!REVIEW.md' ':!scripts/verify.sh')
 if git grep -n -E "bench_figures\\.txt|--bench +($GONE)" -- . "${HISTORY[@]}" ||
    git grep -n -E "$GONE" -- '*.md' '*.toml' '*.yml' 'scripts/' "${HISTORY[@]}" ||
-   git grep -n -w -E "$WALL_CLOCK" -- . "${HISTORY[@]}"; then
-  echo "verify: the files above still name a deleted bench artefact" >&2
+   git grep -n -w -E "$WALL_CLOCK|$SECOND_SPI" -- . "${HISTORY[@]}"; then
+  echo "verify: the files above still name a deleted artefact" >  echo "verify: the files above still name a deleted bench artefact" >&22
   exit 1
 fi
 # Likewise the pipeline's second stats path: an op is counted once, by
@@ -170,9 +172,22 @@ if git grep -n -E "$STATS_PATH" -- '*.rs' '*.md' '*.toml' 'scripts/' "${HISTORY[
   exit 1
 fi
 
+# A provider meets the API one way, `ProviderBackend::execute`: the
+# `Context`/`DirContext` methods are written once, in crates/core/src/context.rs,
+# and a backend opts in to them with `OpContext`. An `impl ... Context for`
+# anywhere else is a second SPI growing back.
+echo "==> the client surface is implemented in one place"
+if git grep -n -E '^[[:space:]]*impl([<[:space:]].*)?[^A-Za-z0-9_](Dir)?Context for ' \
+     -- '*.rs' ':!crates/core/src/context.rs'; then
+  echo "verify: the files above implement Context/DirContext outside crates/core/src/context.rs" >&2
+  exit 1
+fi
+
 # Where a namespace ends is decided in rndi_core::spi::boundary alone: a
 # provider answers its probe and nothing else about federation. Only the part
 # of each file above its unit tests is searched — tests match on `Continue`.
+# crates/core/src/mem.rs is exempt: it is the independent model the
+# providers' federation is checked against, so it walks names itself.
 echo "==> no provider decides federation for itself"
 for f in crates/providers/src/*.rs; do
   if awk '/#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |

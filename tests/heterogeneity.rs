@@ -164,6 +164,43 @@ fn attributes_and_search_uniform() {
 }
 
 #[test]
+fn object_scope_is_the_named_entry_itself_on_every_provider() {
+    // As LDAP's base scope: one hit named "" when the entry's own
+    // attributes match, and never one of its children.
+    let kind = Filter::parse("(kind=*)").unwrap();
+    let object = SearchControls {
+        scope: SearchScope::Object,
+        ..Default::default()
+    };
+    let mut wrong = Vec::new();
+    for (provider, ctx) in all_providers("object-scope") {
+        let found = |name: &str| -> Result<Vec<String>> {
+            let hits = ctx.search(&name.into(), &kind, &object)?;
+            Ok(hits.into_iter().map(|h| h.name).collect())
+        };
+        ctx.bind_with_attrs(&"y".into(), "leaf".into(), attrs(&[("kind", "leaf")]))
+            .unwrap_or_else(|e| panic!("{provider}: bind y: {e}"));
+        match found("y") {
+            Ok(names) if names == [""] => {}
+            other => wrong.push(format!("{provider}: search(y, Object) = {other:?}")),
+        }
+        if provider == "jini" {
+            // The flat LUS holds no subcontexts (see above).
+            continue;
+        }
+        ctx.create_subcontext(&"dir".into())
+            .unwrap_or_else(|e| panic!("{provider}: create dir: {e}"));
+        ctx.bind_with_attrs(&"dir/x".into(), "in dir".into(), attrs(&[("kind", "leaf")]))
+            .unwrap_or_else(|e| panic!("{provider}: bind dir/x: {e}"));
+        match found("dir") {
+            Ok(names) if names.is_empty() => {}
+            other => wrong.push(format!("{provider}: search(dir, Object) = {other:?}")),
+        }
+    }
+    assert!(wrong.is_empty(), "{}", wrong.join("\n"));
+}
+
+#[test]
 fn list_reflects_bindings_uniform() {
     for (name, ctx) in all_providers("list") {
         ctx.bind_str("alpha", "1").unwrap();

@@ -18,8 +18,7 @@ use rndi::core::mem::MemContext;
 use rndi::core::name::{CompositeName, CompoundSyntax};
 use rndi::core::op::{NamingOp, OpKind, OpOutcome};
 use rndi::core::spi::{
-    is_transient, CacheInterceptor, ContextBackend, ProviderBackend, ProviderPipeline,
-    RetryInterceptor,
+    is_transient, CacheInterceptor, ProviderBackend, ProviderPipeline, RetryInterceptor,
 };
 use rndi::core::value::BoundValue;
 use rndi::net::{NetClient, NetServer, ServerConfig};
@@ -229,7 +228,7 @@ fn scatter_degrades_to_flagged_partial_when_a_leg_is_shed() {
     let store = MemContext::new();
     store.bind_str("alpha", "1").unwrap();
     store.bind_str("beta", "2").unwrap();
-    let healthy = Arc::new(ContextBackend::new(Arc::new(store))) as Arc<dyn ProviderBackend>;
+    let healthy = Arc::new(store) as Arc<dyn ProviderBackend>;
     let shedding = Arc::new(SheddingBackend { retry_after_ms: 37 }) as Arc<dyn ProviderBackend>;
     let router = ShardRouter::new(map.clone(), vec![healthy, shedding], &env).expect("router");
 
