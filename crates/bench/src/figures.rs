@@ -525,10 +525,7 @@ fn delivery(stack: &str, ordering: groupcast::OrderingMode) -> Delivery {
         groupcast::OrderingMode::Bimodal { loss, .. } => loss,
     };
     let cluster = groupcast::Cluster::new(99);
-    let cfg = groupcast::StackConfig {
-        ordering,
-        ..Default::default()
-    };
+    let cfg = groupcast::StackConfig { ordering };
     let chans: Vec<GroupChannel> = (0..3)
         .map(|_| cluster.create_channel(cfg.clone()))
         .collect();

@@ -20,19 +20,26 @@ pub mod keys {
     /// `"true"`/`"false"`: whether the Jini provider enforces strict atomic
     /// `bind` semantics via distributed locking (paper §5.1). Default true.
     pub const JINI_STRICT_BIND: &str = "rndi.jini.bind.strict";
+    /// This process's slot in the Jini provider's strict-bind lock
+    /// (Eisenberg–McGuire over registers in the lookup service). Default 0.
+    /// Every process that binds strictly through one lookup service needs
+    /// its own slot below [`JINI_LOCK_SLOTS`]: the lock excludes distinct
+    /// slots only. Callers in one process that share a lookup service and
+    /// a slot are serialised locally.
+    pub const JINI_LOCK_SLOT: &str = "rndi.jini.lock.slot";
+    /// Number of slots in the Jini strict-bind lock, i.e. the most
+    /// processes that can bind strictly through one lookup service. Every
+    /// process sharing the lookup service must use the same value. Default
+    /// 2 (raised to `slot + 1` when [`JINI_LOCK_SLOT`] is past it).
+    pub const JINI_LOCK_SLOTS: &str = "rndi.jini.lock.slots";
     /// Lease duration, in milliseconds, requested by providers that lease.
     pub const LEASE_MS: &str = "rndi.lease.ms";
-    /// Maximum federation hops before resolution aborts (cycle guard).
-    pub const MAX_FEDERATION_DEPTH: &str = "rndi.federation.max-depth";
     /// Maximum worker threads a federated subtree search fans out across
     /// mounted naming systems with. `1` degenerates to sequential visits.
     pub const FEDERATION_FANOUT: &str = "rndi.federation.fanout";
     /// TTL, in milliseconds, of the pipeline's read-through lookup cache.
     /// `0` (the default) disables the cache layer entirely.
     pub const CACHE_TTL_MS: &str = "rndi.pipeline.cache.ttl.ms";
-    /// Maximum entries the pipeline's read-through cache retains before
-    /// evicting least-recently-used ones.
-    pub const CACHE_MAX_ENTRIES: &str = "rndi.pipeline.cache.max-entries";
     /// Maximum attempts the pipeline's retry layer makes per operation on
     /// transient backend errors. `1` (the default) means no retries.
     pub const RETRY_MAX_ATTEMPTS: &str = "rndi.pipeline.retry.max-attempts";
@@ -45,24 +52,12 @@ pub mod keys {
     /// addition to the in-memory ring buffer. Unset (the default) means no
     /// file sink.
     pub const OBS_TRACE_FILE: &str = "rndi.obs.trace-file";
-    /// Capacity of the process-wide span ring buffer (default 4096).
-    pub const OBS_RING_CAPACITY: &str = "rndi.obs.ring-capacity";
-    /// Cap on distinct metric series per family before new label sets
-    /// fold into an `overflow="true"` series (default 4096; `0` = the
-    /// default). Guards the registry against label-cardinality blowups.
-    pub const OBS_MAX_SERIES: &str = "rndi.obs.max-series";
     /// Directory the flight recorder writes anomaly dumps (JSONL) into.
     /// Unset (the default) leaves the recorder disarmed.
     pub const OBS_FLIGHT_DIR: &str = "rndi.obs.flight-dir";
-    /// Flight-recorder slow-op trigger: dump when an op runs longer than
-    /// this multiple of its trailing p99 (default 4).
-    pub const OBS_FLIGHT_P99_MULT: &str = "rndi.obs.flight.p99-multiple";
     /// Observations required per (provider, op) before the slow-op
     /// trigger arms (default 64).
     pub const OBS_FLIGHT_MIN_SAMPLES: &str = "rndi.obs.flight.min-samples";
-    /// Flight-recorder error-spike trigger: dump when at least this
-    /// percent of the trailing window errored (default 50).
-    pub const OBS_FLIGHT_ERR_PCT: &str = "rndi.obs.flight.err-rate-pct";
     /// `host:port` a `NetServer` listens on. `127.0.0.1:0` (the default)
     /// binds an ephemeral loopback port.
     pub const NET_LISTEN: &str = "rndi.net.listen";

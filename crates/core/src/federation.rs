@@ -27,9 +27,8 @@ use crate::spi::{ProviderBackend, ProviderRegistry};
 use crate::url::RndiUrl;
 use crate::value::BoundValue;
 
-/// Default maximum federation hops (overridable via
-/// [`keys::MAX_FEDERATION_DEPTH`]).
-const DEFAULT_MAX_DEPTH: u64 = 16;
+/// Maximum federation hops before resolution aborts (the cycle guard).
+const MAX_DEPTH: usize = 16;
 
 /// Default worker-pool width for federated subtree search fan-out
 /// (overridable via [`keys::FEDERATION_FANOUT`]).
@@ -112,7 +111,6 @@ pub fn drive_op(
     registry: &ProviderRegistry,
     env: &Environment,
 ) -> Result<OpOutcome> {
-    let max_depth = env.get_u64(keys::MAX_FEDERATION_DEPTH, DEFAULT_MAX_DEPTH) as usize;
     // The driver is the outermost instrumented layer for reified ops: when
     // the caller didn't trace the op, mint the trace root here so every
     // hop, pipeline layer, and remote server below joins one trace. An op
@@ -127,7 +125,7 @@ pub fn drive_op(
         }
     };
     let kind = op.kind;
-    let result = drive_op_loop(ctx, op, registry, env, max_depth);
+    let result = drive_op_loop(ctx, op, registry, env);
     if let Some((span_ctx, provider, start)) = root {
         let outcome = match &result {
             Ok(_) => SpanOutcome::Ok,
@@ -151,9 +149,8 @@ fn drive_op_loop(
     mut op: NamingOp,
     registry: &ProviderRegistry,
     env: &Environment,
-    max_depth: usize,
 ) -> Result<OpOutcome> {
-    for _ in 0..=max_depth {
+    for _ in 0..=MAX_DEPTH {
         match ctx.execute(&op) {
             Err(NamingError::Continue {
                 resolved,
@@ -169,7 +166,7 @@ fn drive_op_loop(
             other => return other,
         }
     }
-    Err(NamingError::FederationDepthExceeded { depth: max_depth })
+    Err(NamingError::FederationDepthExceeded { depth: MAX_DEPTH })
 }
 
 /// A rename's target as the next naming system spells it: the hop consumed
@@ -231,7 +228,7 @@ impl FederatedContext {
     /// loop), then every federation link bound directly under `name` is
     /// searched concurrently by a bounded worker pool of
     /// [`keys::FEDERATION_FANOUT`] threads, recursing into nested mounts
-    /// up to [`keys::MAX_FEDERATION_DEPTH`] levels. The merge order is
+    /// up to [`MAX_DEPTH`] levels. The merge order is
     /// deterministic regardless of worker scheduling: base hits first,
     /// then each mount's hits in mount-name order, each hit renamed to
     /// `"{mount}/{hit}"`. Mounts that cannot be resolved or searched are
@@ -282,10 +279,7 @@ impl FederatedContext {
         let mut base_search = NamingOp::search(name.clone(), filter.clone(), controls.clone());
         base_search.set_trace_ctx(span_ctx);
         let mut out = self.run_op(base_search)?.into_found(OpKind::Search)?;
-        let max_depth =
-            self.env
-                .get_u64(keys::MAX_FEDERATION_DEPTH, DEFAULT_MAX_DEPTH) as usize;
-        if controls.scope != SearchScope::Subtree || depth >= max_depth {
+        if controls.scope != SearchScope::Subtree || depth >= MAX_DEPTH {
             return Ok(Self::truncate(out, controls.count_limit));
         }
         // Federation links bound directly under the base, in name order.
@@ -492,7 +486,7 @@ mod tests {
         .unwrap();
         let registry = ProviderRegistry::new();
         registry.register(MemFactory::with_host("loop", "h", a.clone()));
-        let env = Environment::new().with(keys::MAX_FEDERATION_DEPTH, "4");
+        let env = Environment::new();
 
         let err = lookup_through(Arc::new(a), "self/self/x", &registry, &env).unwrap_err();
         assert!(matches!(err, NamingError::FederationDepthExceeded { .. }));

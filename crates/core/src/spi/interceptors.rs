@@ -11,8 +11,6 @@ use rndi_obs::{SpanOutcome, SpanRecord, TraceCtx};
 
 #[cfg(doc)]
 use super::{ProviderBackend, ProviderPipeline, WireFormat};
-#[cfg(doc)]
-use crate::env::keys;
 use crate::error::{NamingError, Result};
 use crate::event::{NamingEvent, NamingListener};
 use crate::lease::Clock;
@@ -191,8 +189,8 @@ struct CacheEntry {
 }
 
 /// Default [`CacheInterceptor`] capacity (entries), overridable via
-/// [`keys::CACHE_MAX_ENTRIES`].
-pub const DEFAULT_CACHE_MAX_ENTRIES: usize = 4096;
+/// [`CacheInterceptor::with_max_entries`].
+const DEFAULT_CACHE_MAX_ENTRIES: usize = 4096;
 
 /// The map plus an LRU order over its keys. `recency` maps a monotonically
 /// increasing tick to the key touched at that tick; each key owns exactly

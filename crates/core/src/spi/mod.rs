@@ -32,7 +32,7 @@ pub mod telemetry;
 
 pub use interceptors::{
     is_transient, CacheInterceptor, Interceptor, MarshalInterceptor, ObsInterceptor, OpInvoker,
-    RetryInterceptor, DEFAULT_CACHE_MAX_ENTRIES,
+    RetryInterceptor,
 };
 pub use pipeline::ProviderPipeline;
 

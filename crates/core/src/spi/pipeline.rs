@@ -6,7 +6,6 @@ use std::time::Duration;
 
 use super::interceptors::{
     CacheInterceptor, Interceptor, MarshalInterceptor, ObsInterceptor, OpInvoker, RetryInterceptor,
-    DEFAULT_CACHE_MAX_ENTRIES,
 };
 use super::{ProviderBackend, WireFormat};
 #[cfg(doc)]
@@ -91,8 +90,8 @@ impl<B: ProviderBackend + ?Sized> ProviderPipeline<B> {
     /// innermost `"backend"`) are the only layers that count or time an op.
     /// They engage unless [`keys::OBS_ENABLED`] is `false`, which leaves
     /// the stack uninstrumented; [`keys::OBS_TRACE_FILE`] additionally
-    /// streams finished spans to a JSONL file and
-    /// [`keys::OBS_RING_CAPACITY`] resizes the process-wide span ring.
+    /// streams finished spans to a JSONL file and [`keys::OBS_FLIGHT_DIR`]
+    /// arms the flight recorder.
     pub fn standard(backend: Arc<B>, env: &Environment) -> Arc<Self> {
         let provider_label = backend.provider_id();
         let obs = env.get_bool(keys::OBS_ENABLED, true);
@@ -100,21 +99,11 @@ impl<B: ProviderBackend + ?Sized> ProviderPipeline<B> {
             if let Some(path) = env.get(keys::OBS_TRACE_FILE) {
                 rndi_obs::trace::install_jsonl(path);
             }
-            let ring_capacity = env.get_u64(keys::OBS_RING_CAPACITY, 0);
-            if ring_capacity > 0 {
-                rndi_obs::trace::ring().set_capacity(ring_capacity as usize);
-            }
-            let max_series = env.get_u64(keys::OBS_MAX_SERIES, 0);
-            if max_series > 0 {
-                rndi_obs::metrics::set_max_series(max_series as usize);
-            }
             if let Some(dir) = env.get(keys::OBS_FLIGHT_DIR) {
                 let defaults = rndi_obs::FlightConfig::default();
                 rndi_obs::recorder::arm(rndi_obs::FlightConfig {
                     dir: dir.to_string(),
-                    p99_multiple: env.get_u64(keys::OBS_FLIGHT_P99_MULT, defaults.p99_multiple),
                     min_samples: env.get_u64(keys::OBS_FLIGHT_MIN_SAMPLES, defaults.min_samples),
-                    err_rate_pct: env.get_u64(keys::OBS_FLIGHT_ERR_PCT, defaults.err_rate_pct),
                     ..defaults
                 });
             }
@@ -145,11 +134,8 @@ impl<B: ProviderBackend + ?Sized> ProviderPipeline<B> {
         }
 
         let ttl_ms = env.get_u64(keys::CACHE_TTL_MS, 0);
-        let max_entries =
-            env.get_u64(keys::CACHE_MAX_ENTRIES, DEFAULT_CACHE_MAX_ENTRIES as u64) as usize;
         let cache = (ttl_ms > 0).then(|| {
             let cache = CacheInterceptor::new(ttl_ms)
-                .with_max_entries(max_entries)
                 .with_serve_stale_ms(env.get_u64(keys::CACHE_SERVE_STALE_MS, 0));
             Arc::new(if obs {
                 cache.with_metrics(&provider_label)

@@ -21,8 +21,7 @@ pub enum ChannelEvent {
     /// will re-synchronize your state from `coordinator` (a `SetState`
     /// follows once the coordinator answers its `StateRequest`).
     ResyncNeeded { coordinator: Addr },
-    /// This member died (crashed externally, or killed by memory
-    /// exhaustion in the flow-control layer).
+    /// This member died ([`Cluster::crash`]).
     Crashed { reason: String },
 }
 
@@ -33,8 +32,6 @@ pub enum SendError {
     NotConnected,
     /// The member is dead.
     Dead,
-    /// Bounded flow control refused the message (back off and retry).
-    Backpressure,
 }
 
 impl std::fmt::Display for SendError {
@@ -42,7 +39,6 @@ impl std::fmt::Display for SendError {
         match self {
             SendError::NotConnected => f.write_str("channel not connected"),
             SendError::Dead => f.write_str("member is dead"),
-            SendError::Backpressure => f.write_str("flow control backpressure"),
         }
     }
 }

@@ -3,9 +3,8 @@
 //!
 //! Messages are queued in a single FIFO and processed by explicit
 //! [`Cluster::pump`] calls, so every interleaving is reproducible; a
-//! bounded pump budget lets drivers model receivers that are slower than
-//! senders (which is how the benchmark harness grows the unbounded queues
-//! of Fig. 5 until they crash).
+//! bounded pump budget lets a driver interleave its own steps with
+//! message processing.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -18,7 +17,6 @@ use crate::addr::Addr;
 use crate::channel::{ChannelEvent, GroupChannel, SendError};
 use crate::config::{OrderingMode, StackConfig};
 use crate::member::MemberCore;
-use crate::protocols::flow::{Admission, InboxAccount};
 use crate::protocols::gms;
 use crate::protocols::primary;
 use crate::view::View;
@@ -28,8 +26,6 @@ struct Envelope {
     from: Addr,
     to: Addr,
     wire: Wire,
-    /// Inbox bytes charged at enqueue, released at processing.
-    charged: u64,
 }
 
 struct Node {
@@ -38,20 +34,17 @@ struct Node {
     group: Option<String>,
     /// The transport-agnostic protocol engine (sequencer/bimodal/view).
     member: MemberCore,
-    inbox: InboxAccount,
     partition_side: u32,
 }
 
 impl Node {
     fn new(addr: Addr, config: StackConfig) -> Node {
-        let inbox = InboxAccount::new(config.inbox_bound, config.memory_limit);
         let member = MemberCore::new(addr, config.ordering.clone());
         Node {
             alive: true,
             config,
             group: None,
             member,
-            inbox,
             partition_side: 0,
         }
     }
@@ -179,7 +172,7 @@ impl Cluster {
             OrderingMode::Sequencer => {
                 // Forward to the coordinator (possibly myself) for stamping.
                 for out in outgoing {
-                    Self::enqueue(&mut core, addr, out.to, out.wire, false)?;
+                    Self::enqueue(&mut core, addr, out.to, out.wire);
                 }
             }
             OrderingMode::Bimodal { loss, .. } => {
@@ -190,7 +183,7 @@ impl Cluster {
                     if lossy {
                         continue; // initial multicast dropped; gossip repairs
                     }
-                    Self::enqueue(&mut core, addr, out.to, out.wire, false)?;
+                    Self::enqueue(&mut core, addr, out.to, out.wire);
                 }
             }
         }
@@ -216,7 +209,7 @@ impl Cluster {
         if !node.alive {
             return Err(SendError::Dead);
         }
-        Self::enqueue(&mut core, from, to, Wire::State { bytes }, true)?;
+        Self::enqueue(&mut core, from, to, Wire::State { bytes });
         Ok(())
     }
 
@@ -239,7 +232,26 @@ impl Cluster {
     /// Kill a member outright (process crash).
     pub fn crash(&self, addr: Addr) {
         let mut core = self.core.lock();
-        Self::kill(&mut core, addr, "crashed by fault injection");
+        let Some(node) = core.nodes.get_mut(&addr) else {
+            return;
+        };
+        if !node.alive {
+            return;
+        }
+        node.alive = false;
+        node.member.push_event(ChannelEvent::Crashed {
+            reason: "crashed by fault injection".to_string(),
+        });
+        node.member.clear_view();
+        // Its queued messages evaporate with the process.
+        core.in_flight.retain(|e| e.to != addr);
+        // It no longer participates in its group.
+        if let Some(group) = core.nodes.get(&addr).and_then(|n| n.group.clone()) {
+            if let Some(g) = core.groups.get_mut(&group) {
+                g.join_order.retain(|a| *a != addr);
+            }
+            Self::recompute_group(&mut core, &group);
+        }
     }
 
     /// Partition the cluster: each listed set becomes an isolated side;
@@ -317,14 +329,13 @@ impl Cluster {
                 .map(|n| n.member.digest())
                 .unwrap_or_default();
             for peer in peers.into_iter().take(fanout) {
-                let _ = Self::enqueue(
+                Self::enqueue(
                     &mut core,
                     addr,
                     peer,
                     Wire::DigestPush {
                         entries: digest.clone(),
                     },
-                    false,
                 );
             }
         }
@@ -420,75 +431,16 @@ impl Cluster {
         }
     }
 
-    /// Queue a message; `control` messages bypass flow control.
-    fn enqueue(
-        core: &mut Core,
-        from: Addr,
-        to: Addr,
-        wire: Wire,
-        control: bool,
-    ) -> Result<(), SendError> {
+    /// Queue a message.
+    fn enqueue(core: &mut Core, from: Addr, to: Addr, wire: Wire) {
         if !Self::reachable(core, from, to) {
             // Silently dropped, like a packet into a partition.
-            return Ok(());
-        }
-        let size = wire.size();
-        let mut charged = 0;
-        if !control {
-            let node = core.nodes.get_mut(&to).expect("reachable implies exists");
-            match node.inbox.admit(size) {
-                Admission::Ok => charged = size,
-                Admission::Reject => return Err(SendError::Backpressure),
-                Admission::Crash => {
-                    let bytes = node.inbox.bytes();
-                    Self::kill(
-                        core,
-                        to,
-                        &format!("memory exhausted: {bytes} bytes of queued messages"),
-                    );
-                    return Ok(());
-                }
-            }
-        }
-        core.in_flight.push_back(Envelope {
-            from,
-            to,
-            wire,
-            charged,
-        });
-        Ok(())
-    }
-
-    fn kill(core: &mut Core, addr: Addr, reason: &str) {
-        let Some(node) = core.nodes.get_mut(&addr) else {
-            return;
-        };
-        if !node.alive {
             return;
         }
-        node.alive = false;
-        node.member.push_event(ChannelEvent::Crashed {
-            reason: reason.to_string(),
-        });
-        node.member.clear_view();
-        // Its queued messages evaporate with the process.
-        core.in_flight.retain(|e| e.to != addr);
-        // It no longer participates in its group.
-        if let Some(group) = core.nodes.get(&addr).and_then(|n| n.group.clone()) {
-            if let Some(g) = core.groups.get_mut(&group) {
-                g.join_order.retain(|a| *a != addr);
-            }
-            Self::recompute_group(core, &group);
-        }
+        core.in_flight.push_back(Envelope { from, to, wire });
     }
 
     fn process(core: &mut Core, env: Envelope) {
-        // Release the inbox charge regardless of outcome.
-        if env.charged > 0 {
-            if let Some(n) = core.nodes.get_mut(&env.to) {
-                n.inbox.release(env.charged);
-            }
-        }
         if !Self::reachable(core, env.from, env.to) {
             return;
         }
@@ -500,7 +452,7 @@ impl Cluster {
             None => return,
         };
         for out in outgoing {
-            let _ = Self::enqueue(core, to, out.to, out.wire, false);
+            Self::enqueue(core, to, out.to, out.wire);
         }
     }
 
@@ -781,7 +733,6 @@ mod tests {
                 loss: 0.4,
                 fanout: 2,
             },
-            ..Default::default()
         };
         let chans: Vec<GroupChannel> = (0..3)
             .map(|_| cluster.create_channel(config.clone()))
@@ -818,7 +769,6 @@ mod tests {
                 loss: 0.0,
                 fanout: 1,
             },
-            ..Default::default()
         };
         let a = cluster.create_channel(config.clone());
         let b = cluster.create_channel(config);
@@ -834,84 +784,6 @@ mod tests {
         for n in core.nodes.values() {
             assert_eq!(n.member.retained_count(), 0);
         }
-    }
-
-    #[test]
-    fn unbounded_queue_crashes_slow_receiver() {
-        let cluster = Cluster::new(5);
-        let bimodal = OrderingMode::Bimodal {
-            loss: 0.0,
-            fanout: 1,
-        };
-        // The sender has headroom; the slow receiver's unbounded queue is
-        // what exhausts memory (the Fig. 5 failure mode).
-        let a = cluster.create_channel(StackConfig {
-            ordering: bimodal.clone(),
-            inbox_bound: None,
-            memory_limit: None,
-        });
-        let b = cluster.create_channel(StackConfig {
-            ordering: bimodal,
-            inbox_bound: None,
-            memory_limit: Some(4_000),
-        });
-        a.connect("g").unwrap();
-        cluster.pump_all();
-        b.connect("g").unwrap();
-        cluster.pump_all();
-        a.poll();
-        b.poll();
-        // Flood without pumping: b's inbox grows without bound.
-        let mut crashed = false;
-        for i in 0..200 {
-            if a.mcast(vec![i as u8; 100]).is_err() {
-                break;
-            }
-            if !b.is_alive() {
-                crashed = true;
-                break;
-            }
-        }
-        assert!(crashed, "memory exhaustion killed the receiver");
-        let evs = b.poll();
-        assert!(evs
-            .iter()
-            .any(|e| matches!(e, ChannelEvent::Crashed { reason } if reason.contains("memory"))));
-    }
-
-    #[test]
-    fn bounded_queue_applies_backpressure_instead() {
-        let cluster = Cluster::new(5);
-        let config = StackConfig {
-            ordering: OrderingMode::Bimodal {
-                loss: 0.0,
-                fanout: 1,
-            },
-            inbox_bound: Some(8),
-            memory_limit: Some(4_000),
-        };
-        let a = cluster.create_channel(config.clone());
-        let b = cluster.create_channel(config);
-        a.connect("g").unwrap();
-        cluster.pump_all();
-        b.connect("g").unwrap();
-        cluster.pump_all();
-        let mut backpressured = false;
-        for i in 0..200 {
-            match a.mcast(vec![i as u8; 100]) {
-                Err(SendError::Backpressure) => {
-                    backpressured = true;
-                    break;
-                }
-                Err(other) => panic!("unexpected {other:?}"),
-                Ok(()) => {}
-            }
-        }
-        assert!(backpressured);
-        assert!(b.is_alive(), "bounded mode degrades gracefully");
-        // After draining, sends work again.
-        cluster.pump_all();
-        assert!(a.mcast(vec![1]).is_ok());
     }
 
     #[test]
@@ -932,7 +804,6 @@ mod tests {
                 loss: 0.5,
                 fanout: 10, // more than the single peer available
             },
-            ..Default::default()
         };
         let a = cluster.create_channel(config.clone());
         let b = cluster.create_channel(config);

@@ -25,20 +25,12 @@ pub enum OrderingMode {
 #[derive(Clone, Debug)]
 pub struct StackConfig {
     pub ordering: OrderingMode,
-    /// Maximum queued inbound messages before flow control reacts;
-    /// `None` = unbounded (the paper-faithful, crash-prone setting).
-    pub inbox_bound: Option<usize>,
-    /// Process memory budget for retained/queued message bytes; exceeding
-    /// it crashes the member (memory exhaustion). `None` = unlimited.
-    pub memory_limit: Option<u64>,
 }
 
 impl Default for StackConfig {
     fn default() -> Self {
         StackConfig {
             ordering: OrderingMode::Sequencer,
-            inbox_bound: None,
-            memory_limit: None,
         }
     }
 }
@@ -51,7 +43,5 @@ mod tests {
     fn defaults() {
         let c = StackConfig::default();
         assert_eq!(c.ordering, OrderingMode::Sequencer);
-        assert!(c.inbox_bound.is_none());
-        assert!(c.memory_limit.is_none());
     }
 }

@@ -23,13 +23,14 @@
 //!   partition, it resolves state conflicts by uniquely selecting the
 //!   partition deemed to have the valid state, and forcing other
 //!   partitions to re-synchronize."
-//! * **Flow control** ([`protocols::flow`]) — bounded or unbounded message
-//!   buffers with memory accounting; a queued message is charged
-//!   [`Wire::size`], the bytes its binary frame ([`Wire::encode`], built on
-//!   [`codec`]) occupies on a link. The **unbounded** variant reproduces
-//!   the paper's Fig. 5 failure: "flooding the server with requests cause
-//!   internal JGroups message queues to grow without bounds, eventually
-//!   causing memory exhaustion and server crash."
+//! * **Wire format** ([`Wire`]) — one binary frame per message
+//!   ([`Wire::encode`], built on [`codec`]), the bytes `rndi-cluster` puts
+//!   on a link.
+//!
+//! The paper's Fig. 5 collapse — "internal JGroups message queues … grow
+//! without bounds, eventually causing memory exhaustion and server crash" —
+//! is modelled by `simnet`'s queueing server, which the figures run; this
+//! crate's queues are not bounded or charged.
 //!
 //! The whole cluster is deterministic: messages queue in a
 //! [`cluster::Cluster`] and are processed by explicit [`Cluster::pump`]

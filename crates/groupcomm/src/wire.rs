@@ -4,8 +4,8 @@
 //! order, over the primitives of [`crate::codec`]: addresses and sequence
 //! numbers as `u64`, bodies as `u32`-prefixed bytes, lists as a `u32`
 //! count and their elements. It is what `rndi-cluster` puts on its TCP
-//! links, and [`Wire::size`] — what flow control charges a queued message
-//! — is that frame's length, computed from the variant's lengths.
+//! links, and [`Wire::size`] is that frame's length, computed from the
+//! variant's lengths ([`Wire::encode`] sizes its buffer with it).
 
 use crate::addr::Addr;
 use crate::codec::{self, bytes_len, DecodeError, Reader, U32_LEN, U64_LEN, U8_LEN};

@@ -64,7 +64,6 @@ proptest! {
         let cluster = Cluster::new(seed);
         let config = StackConfig {
             ordering: OrderingMode::Bimodal { loss, fanout: 2 },
-            ..Default::default()
         };
         let chans = build(&cluster, 3, config);
         let mut per_sender: Vec<Vec<u8>> = vec![vec![]; 3];

@@ -452,7 +452,6 @@ mod tests {
                     loss: 0.3,
                     fanout: 2,
                 },
-                ..Default::default()
             },
             None,
             42,

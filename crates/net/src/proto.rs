@@ -646,9 +646,18 @@ pub fn decode_error(wire: &WireError) -> NamingError {
         WireError::Continue {
             resolved,
             remaining,
-        } => NamingError::Continue {
-            resolved: resolved.clone().into_bound(),
-            remaining: CompositeName::parse(remaining).unwrap_or_else(|_| CompositeName::empty()),
+        } => match CompositeName::parse(remaining) {
+            Ok(remaining) => NamingError::Continue {
+                resolved: resolved.clone().into_bound(),
+                remaining,
+            },
+            // Continuing with the empty name would answer at `resolved`
+            // with nothing left to resolve: a wrong answer, not an error.
+            Err(e) => NamingError::ServiceFailure {
+                detail: format!(
+                    "server sent a continuation with a malformed remaining name {remaining:?}: {e}"
+                ),
+            },
         },
         WireError::FederationDepthExceeded { depth } => NamingError::FederationDepthExceeded {
             depth: *depth as usize,

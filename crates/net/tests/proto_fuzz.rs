@@ -6,6 +6,8 @@
 use proptest::prelude::*;
 
 use rndi_core::attrs::{AttrMod, Attribute, Attributes};
+use rndi_core::error::NamingError;
+use rndi_core::name::CompositeName;
 use rndi_core::op::ALL_OP_KINDS;
 use rndi_core::value::StoredValue;
 use rndi_net::conn::{FrameBuf, ResponseBody, ServerConn};
@@ -330,5 +332,31 @@ proptest! {
         let mut bytes = proto::PREAMBLE_V2.to_vec();
         bytes.extend_from_slice(&(proto::MAX_FRAME_LEN as u32 + oversize).to_be_bytes());
         prop_assert!(conn.receive(&bytes).is_err());
+    }
+}
+
+/// A continuation whose remaining name does not parse is the server's
+/// fault and surfaces as a `ServiceFailure` naming that text — it never
+/// continues at `resolved` with the empty name, which would answer the
+/// wrong entry.
+#[test]
+fn a_malformed_continuation_is_a_service_failure() {
+    let continuation = |remaining: &str| proto::WireError::Continue {
+        resolved: StoredValue::Str("ldap://h/dc=x".into()),
+        remaining: remaining.into(),
+    };
+    for bad in ["\\", "a/b\\"] {
+        match proto::decode_error(&continuation(bad)) {
+            NamingError::ServiceFailure { detail } => {
+                assert!(detail.contains(&format!("{bad:?}")), "{bad:?}: {detail}")
+            }
+            other => panic!("{bad:?} decoded as {other:?}"),
+        }
+    }
+    match proto::decode_error(&continuation("rest/of/name")) {
+        NamingError::Continue { remaining, .. } => {
+            assert_eq!(remaining, CompositeName::parse("rest/of/name").unwrap())
+        }
+        other => panic!("a well-formed continuation decoded as {other:?}"),
     }
 }

@@ -18,11 +18,10 @@ use parking_lot::Mutex;
 /// far beyond any naming op.
 pub const HISTOGRAM_BUCKETS: usize = 40;
 
-/// Default cap on distinct `(name, label set)` series per registry
-/// (`rndi.obs.max-series`). Past the cap, new label sets fold into an
-/// `overflow="true"` series instead of growing the registry unboundedly
-/// under per-client labels.
-const DEFAULT_MAX_SERIES: usize = 4096;
+/// Cap on distinct `(name, label set)` series per registry. Past the cap,
+/// new label sets fold into an `overflow="true"` series instead of growing
+/// the registry unboundedly under per-client labels.
+const MAX_SERIES: usize = 4096;
 
 /// Canonical metric names shared across the workspace, so the core
 /// pipeline, providers, servers, and benches all feed the same families.
@@ -415,7 +414,8 @@ pub struct Registry {
     histograms: Mutex<Family<Histogram>>,
     /// Distinct (name, label set) series across all three families.
     series: AtomicUsize,
-    max_series: AtomicUsize,
+    /// [`MAX_SERIES`]; tests lower it.
+    max_series: usize,
 }
 
 impl Default for Registry {
@@ -425,7 +425,7 @@ impl Default for Registry {
             gauges: Mutex::default(),
             histograms: Mutex::default(),
             series: AtomicUsize::new(0),
-            max_series: AtomicUsize::new(DEFAULT_MAX_SERIES),
+            max_series: MAX_SERIES,
         }
     }
 }
@@ -435,19 +435,9 @@ impl Registry {
         Registry::default()
     }
 
-    /// Change the series cap (`rndi.obs.max-series`); `0` means unlimited.
-    pub fn set_max_series(&self, max: usize) {
-        let max = if max == 0 { usize::MAX } else { max };
-        self.max_series.store(max, Ordering::Relaxed);
-    }
-
     /// Number of distinct series currently registered.
     pub fn series_count(&self) -> usize {
         self.series.load(Ordering::Relaxed)
-    }
-
-    fn max(&self) -> usize {
-        self.max_series.load(Ordering::Relaxed)
     }
 
     /// Bump [`names::SERIES_OVERFLOW`], bypassing the cap. Called after
@@ -469,10 +459,10 @@ impl Registry {
 
     /// The counter `name{labels}`, created on first use.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
-        let (c, folded) = self
-            .counters
-            .lock()
-            .get_capped(&self.series, self.max(), name, labels);
+        let (c, folded) =
+            self.counters
+                .lock()
+                .get_capped(&self.series, self.max_series, name, labels);
         if folded {
             self.note_overflow();
         }
@@ -480,10 +470,10 @@ impl Registry {
     }
 
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
-        let (g, folded) = self
-            .gauges
-            .lock()
-            .get_capped(&self.series, self.max(), name, labels);
+        let (g, folded) =
+            self.gauges
+                .lock()
+                .get_capped(&self.series, self.max_series, name, labels);
         if folded {
             self.note_overflow();
         }
@@ -491,10 +481,10 @@ impl Registry {
     }
 
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
-        let (h, folded) = self
-            .histograms
-            .lock()
-            .get_capped(&self.series, self.max(), name, labels);
+        let (h, folded) =
+            self.histograms
+                .lock()
+                .get_capped(&self.series, self.max_series, name, labels);
         if folded {
             self.note_overflow();
         }
@@ -606,12 +596,6 @@ pub fn snapshot() -> crate::snapshot::MetricsSnapshot {
     global().snapshot()
 }
 
-/// Cap the process-wide registry's series cardinality
-/// (`rndi.obs.max-series`); `0` means unlimited.
-pub fn set_max_series(max: usize) {
-    global().set_max_series(max)
-}
-
 /// Clear the process-wide registry (test isolation).
 pub fn reset() {
     global().reset()
@@ -695,8 +679,10 @@ mod tests {
 
     #[test]
     fn series_cap_folds_into_overflow() {
-        let r = Registry::new();
-        r.set_max_series(3);
+        let r = Registry {
+            max_series: 3,
+            ..Registry::default()
+        };
         let a = r.counter("capped_total", &[("client", "c0")]);
         r.counter("capped_total", &[("client", "c1")]).inc();
         r.gauge("depth", &[]).set(1);

@@ -29,7 +29,9 @@ use crate::trace;
 /// trailing window therefore spans between one and two epochs.
 const EPOCH_SAMPLES: u64 = 1024;
 
-/// Flight-recorder tuning (`rndi.obs.flight.*`).
+/// Flight-recorder tuning. A pipeline arms it with `dir` and `min_samples`
+/// from `rndi.obs.flight-dir` and `rndi.obs.flight.min-samples`, and the
+/// rest at their defaults.
 #[derive(Clone, Debug)]
 pub struct FlightConfig {
     /// Directory for dump files; arming creates it if missing.

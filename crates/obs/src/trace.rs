@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::metrics::{self, names, Counter, Histogram};
 
-/// Default capacity of the process-wide span ring buffer.
+/// Capacity of the process-wide span ring buffer.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
 // ----------------------------------------------------------- identity --
@@ -326,11 +326,11 @@ fn stripe_index() -> usize {
 /// stays one uncontended stripe lock plus one relaxed counter bump.
 /// Evictions are counted, both locally ([`RingSink::dropped`]) and in
 /// `rndi_obs_trace_dropped_total`, so operators can tell a dump is
-/// partial. (A stripe whose thread goes quiet holds its last spans until
-/// a capacity change sweeps them, so the live total may transiently
-/// exceed `capacity` — still bounded, by `capacity` per stripe.)
+/// partial. (A stripe whose thread goes quiet holds its last spans, so the
+/// live total may exceed `capacity` — still bounded, by `capacity` per
+/// stripe.)
 pub struct RingSink {
-    capacity: AtomicU64,
+    capacity: u64,
     /// Global push-sequence allocator (stripes draw [`SEQ_BLOCK`]-sized
     /// runs from it); also the eviction clock.
     seq: AtomicU64,
@@ -354,7 +354,7 @@ fn dropped_total() -> &'static Arc<Counter> {
 impl RingSink {
     pub fn new(capacity: usize) -> Self {
         RingSink {
-            capacity: AtomicU64::new(capacity.max(1) as u64),
+            capacity: capacity.max(1) as u64,
             seq: AtomicU64::new(0),
             len_total: AtomicU64::new(0),
             synced: AtomicU64::new(0),
@@ -376,30 +376,6 @@ impl RingSink {
         }
         stripe.dropped += evicted;
         evicted
-    }
-
-    pub fn set_capacity(&self, capacity: usize) {
-        let cap = capacity.max(1) as u64;
-        self.capacity.store(cap, Ordering::Relaxed);
-        // Sweep every stripe against the new horizon — this is also what
-        // reclaims spans stranded in stripes whose threads went quiet.
-        // The horizon is the highest sequence actually *used*, not the
-        // shared counter, which runs up to a block ahead per stripe.
-        let next_seq = self
-            .stripes
-            .iter()
-            .map(|s| s.lock().seq_next)
-            .max()
-            .unwrap_or(0);
-        let mut evicted = 0u64;
-        for stripe in &self.stripes {
-            evicted += Self::age_out(&mut stripe.lock(), next_seq, cap);
-        }
-        if evicted > 0 {
-            self.len_total.fetch_sub(evicted, Ordering::Relaxed);
-        }
-        // Surface the trims in the exposition counter right away.
-        self.dropped();
     }
 
     /// Spans evicted from this ring before anyone read them. Also
@@ -489,7 +465,7 @@ impl RingSink {
     /// out exactly one span of its own stripe, so it writes no shared
     /// cache line at all.
     pub fn push(&self, span: SpanRecord) {
-        let cap = self.capacity.load(Ordering::Relaxed);
+        let cap = self.capacity;
         let mut stripe = self.stripes[stripe_index()].lock();
         if stripe.seq_next == stripe.seq_end {
             let base = self.seq.fetch_add(SEQ_BLOCK, Ordering::Relaxed);
@@ -709,9 +685,6 @@ mod tests {
         let slow = ring.slowest_roots(10);
         assert!(slow.iter().all(|s| s.parent_span == 0));
         assert_eq!(slow.first().map(|s| s.duration_ns), Some(20));
-        ring.set_capacity(1);
-        assert_eq!(ring.len(), 1);
-        assert_eq!(ring.dropped(), 3, "capacity trims count as drops");
         ring.clear();
         assert!(ring.is_empty());
     }

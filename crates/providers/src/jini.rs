@@ -18,7 +18,7 @@
 //!   atomicity for the raw overwrite cost.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 
@@ -177,6 +177,25 @@ impl AtomicBindProxy {
     }
 }
 
+/// The in-process half of the strict-bind lock for `slot` of `registrar`.
+/// Eisenberg–McGuire excludes distinct slots only, and every caller in this
+/// process that binds through one registrar under one slot is the same E&M
+/// process: they take this mutex first, so the registers arbitrate between
+/// processes alone. Callers on different registrars never share it.
+fn slot_mutex(registrar: &Registrar, slot: usize) -> Arc<Mutex<()>> {
+    type Table = HashMap<(u64, usize), Weak<Mutex<()>>>;
+    static TABLE: OnceLock<Mutex<Table>> = OnceLock::new();
+    let mut table = TABLE.get_or_init(Default::default).lock();
+    table.retain(|_, m| m.strong_count() > 0);
+    let key = (registrar.id(), slot);
+    if let Some(m) = table.get(&key).and_then(Weak::upgrade) {
+        return m;
+    }
+    let m = Arc::new(Mutex::new(()));
+    table.insert(key, Arc::downgrade(&m));
+    m
+}
+
 /// Renews registrar leases on behalf of the provider.
 struct JiniLeases {
     registrar: Registrar,
@@ -211,6 +230,8 @@ pub struct JiniProviderContext {
     leases: Arc<JiniLeases>,
     lease_mgr: LeaseRenewalManager,
     lock: EisenbergMcGuire<RegistrarRegisters>,
+    /// Held around `lock` ([`slot_mutex`]).
+    slot_mutex: Arc<Mutex<()>>,
     hub: Arc<EventHub>,
     /// The registrar subscription that feeds `hub`. It is leased like any
     /// registration, so [`JiniProviderContext::poll_leases`] renews it too.
@@ -241,8 +262,8 @@ impl JiniProviderContext {
     ) -> Arc<ProviderPipeline<Self>> {
         let strict = env.get_bool(keys::JINI_STRICT_BIND, true);
         let lease_ms = env.get_u64(keys::LEASE_MS, DEFAULT_LEASE_MS);
-        let slot = env.get_u64("rndi.jini.lock.slot", 0) as usize;
-        let slots = env.get_u64("rndi.jini.lock.slots", 2) as usize;
+        let slot = env.get_u64(keys::JINI_LOCK_SLOT, 0) as usize;
+        let slots = env.get_u64(keys::JINI_LOCK_SLOTS, 2) as usize;
         let leases = Arc::new(JiniLeases {
             registrar: registrar.clone(),
             by_name: Mutex::new(HashMap::new()),
@@ -258,6 +279,7 @@ impl JiniProviderContext {
             slot,
             slots.max(slot + 1),
         );
+        let slot_mutex = slot_mutex(&registrar, slot);
         let hub = Arc::new(EventHub::new());
         let events = Mutex::new(Self::subscribe(&registrar, &hub));
         let backend = Arc::new(JiniProviderContext {
@@ -268,6 +290,7 @@ impl JiniProviderContext {
             leases,
             lease_mgr,
             lock,
+            slot_mutex,
             hub,
             events,
             instance: instance.to_string(),
@@ -389,6 +412,7 @@ impl JiniProviderContext {
         } else if self.strict {
             // Distributed lock: check-and-register atomically with
             // respect to every other strict-mode client.
+            let _local = self.slot_mutex.lock();
             self.lock.with(|| {
                 if self.exists(flat) {
                     return Err(NamingError::already_bound(flat));

@@ -103,6 +103,8 @@ struct State {
 /// ```
 #[derive(Clone)]
 pub struct Registrar {
+    /// Unique per registrar in this process; shared by its clones.
+    id: u64,
     clock: Arc<dyn Clock>,
     state: Arc<RwLock<State>>,
     stats: Arc<StatsCounters>,
@@ -111,7 +113,9 @@ pub struct Registrar {
 impl Registrar {
     /// Create a registrar. `max_lease_ms` caps every granted lease.
     pub fn new(clock: Arc<dyn Clock>, max_lease_ms: u64, seed: u64) -> Self {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Registrar {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             clock,
             state: Arc::new(RwLock::new(State {
                 rng: StdRng::seed_from_u64(seed),
@@ -371,6 +375,12 @@ impl Registrar {
             events
         };
         self.fire(events);
+    }
+
+    /// Which registrar this handle talks to: equal for every clone of one
+    /// registrar, distinct between any two registrars in the process.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Number of live registrations.

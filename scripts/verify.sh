@@ -73,10 +73,10 @@ cargo test -q --test hdns_write_allocs compaction_peak_heap_stays_near_the_snaps
 echo "==> cluster simulation: 64 random fault schedules"
 cargo test -q -p rndi-cluster --test sim_chaos random_fault_schedules_lose_no_acknowledged_write
 
-# Named on its own because `Wire::{encode, decode, size}` is what group
-# flow control charges and what rndi-cluster puts on TCP: round trips,
-# size() == encode().len(), strict rejection and a measured allocation bound
-# on hostile frames. A failure prints the case number and seed.
+# Named on its own because `Wire::{encode, decode, size}` is what
+# rndi-cluster puts on TCP: round trips, size() == encode().len(), strict
+# rejection and a measured allocation bound on hostile frames. A failure
+# prints the case number and seed.
 echo "==> codec proptests: groupcast wire frames"
 cargo test -q -p groupcast --test wire_codec
 
@@ -151,17 +151,23 @@ grep -q "slowest traces"               <<<"$fig8_out"
 # the old words stay free as identifiers. The four wall-clock targets whose
 # numbers became `cargo test` assertions are searched for everywhere, as whole
 # words (`rndi_net_concurrency_limit` is a live metric), and so are the two
-# adapters of the method-level provider SPI that `ProviderBackend` replaced.
-# (CHANGES/ROADMAP/ISSUE are history; this script holds the list.)
+# adapters of the method-level provider SPI that `ProviderBackend` replaced,
+# groupcast's flow-control layer (simnet's queueing server models Fig. 5),
+# and the six Environment keys that became constants, with their property
+# names. (CHANGES/ROADMAP/ISSUE are history; this script holds the list.)
 echo "==> no doc, script or manifest names a deleted artefact"
 GONE='fig2_jini_lookup|fig3_jini_rebind|fig4_hdns_lookup|fig5_hdns_rebind|fig6_dns_lookup|fig7_ldap|fig8_federation|ablation_stack|ablation_flowctl|ablation_bindproxy|scale_federation|obs_overhead|spi_overhead'
 WALL_CLOCK='net_concurrency|overload_goodput|readpath_scale|shard_scale'
 SECOND_SPI='ContextBackend|execute_reified'
+FLOW_CONTROL='InboxAccount|inbox_bound|Backpressure'
+CONSTANT_KEYS='MAX_FEDERATION_DEPTH|CACHE_MAX_ENTRIES|OBS_RING_CAPACITY|OBS_MAX_SERIES|OBS_FLIGHT_P99_MULT|OBS_FLIGHT_ERR_PCT'
+CONSTANT_KEYS+='|rndi\.federation\.max-depth|rndi\.pipeline\.cache\.max-entries|rndi\.obs\.ring-capacity'
+CONSTANT_KEYS+='|rndi\.obs\.max-series|rndi\.obs\.flight\.p99-multiple|rndi\.obs\.flight\.err-rate-pct'
 HISTORY=(':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!REVIEW.md' ':!scripts/verify.sh')
 if git grep -n -E "bench_figures\\.txt|--bench +($GONE)" -- . "${HISTORY[@]}" ||
    git grep -n -E "$GONE" -- '*.md' '*.toml' '*.yml' 'scripts/' "${HISTORY[@]}" ||
-   git grep -n -w -E "$WALL_CLOCK|$SECOND_SPI" -- . "${HISTORY[@]}"; then
-  echo "verify: the files above still name a deleted artefact" >  echo "verify: the files above still name a deleted bench artefact" >&22
+   git grep -n -w -E "$WALL_CLOCK|$SECOND_SPI|$FLOW_CONTROL|$CONSTANT_KEYS" -- . "${HISTORY[@]}"; then
+  echo "verify: the files above still name a deleted artefact" >&2
   exit 1
 fi
 # Likewise the pipeline's second stats path: an op is counted once, by

@@ -184,7 +184,6 @@ fn bimodal_stack_survives_lossy_network() {
                 loss: 0.25,
                 fanout: 2,
             },
-            ..Default::default()
         },
         None,
         77,
