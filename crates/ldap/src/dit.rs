@@ -17,13 +17,13 @@
 //!
 //! Space: an entry's bytes exist once. Its tree key is one `Arc<str>` that
 //! the entry map and the entry's postings share, the entry one
-//! `Arc<LdapEntry>` that reads hand out, each attribute id one `Arc<str>`
-//! per spelling that every entry shares; the index keys a value by a hash
-//! of it and holds no copy of its text.
+//! `Arc<LdapEntry>` that reads hand out, its attributes one record of
+//! exactly their length; the index keys a value by a hash of it and holds
+//! no copy of its text.
 
 use std::cell::Cell;
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::BuildHasher;
 use std::ops::Bound::{Included, Unbounded};
 use std::sync::{Arc, OnceLock};
@@ -213,33 +213,6 @@ impl EqIndex {
     }
 }
 
-/// The attribute ids the tree's entries share: one `Arc<str>` per
-/// spelling. Swept of the spellings no entry holds any more whenever it has
-/// doubled since its last sweep, so it stays within twice the ids in the
-/// tree.
-#[derive(Default, Debug, Clone)]
-struct Ids {
-    shared: HashSet<Arc<str>>,
-    sweep_at: usize,
-}
-
-impl Ids {
-    /// Point each of `entry`'s ids at the shared copy of its spelling.
-    fn share(&mut self, entry: &mut LdapEntry) {
-        for id in entry.stored_ids() {
-            if let Some(shared) = self.shared.get(&**id) {
-                *id = shared.clone();
-                continue;
-            }
-            if self.shared.len() >= self.sweep_at {
-                self.shared.retain(|id| Arc::strong_count(id) > 1);
-                self.sweep_at = 2 * self.shared.len().max(8);
-            }
-            self.shared.insert(id.clone());
-        }
-    }
-}
-
 /// The best read strategy the equality index offers for a filter.
 enum ReadPath<'a> {
     /// No equality conjunct indexed — fall back to the scope range scan.
@@ -258,7 +231,6 @@ pub struct Dit {
     /// Every `(attribute, value)` pair → the entries holding it. Maintained
     /// by every mutation, alongside `entries`.
     eq_index: EqIndex,
-    ids: Ids,
 }
 
 impl Dit {
@@ -302,9 +274,8 @@ impl Dit {
     }
 
     /// Store `entry` under a fresh key, which its postings share.
-    fn put(&mut self, at: &TreeKey, mut entry: LdapEntry) {
+    fn put(&mut self, at: &TreeKey, entry: LdapEntry) {
         let key: Arc<str> = at.own().into();
-        self.ids.share(&mut entry);
         for (attr, value) in entry.pairs() {
             let value = self.eq_index.key(value);
             self.eq_index.insert(attr, value, &key);
@@ -369,14 +340,13 @@ impl Dit {
     /// in the index — compared as they are filed, so a value that changed
     /// case alone keeps its posting, and so does one whose hash another
     /// value of the attribute shares.
-    fn update_at(&mut self, at: &TreeKey, mut entry: LdapEntry) -> Result<(), DitError> {
+    fn update_at(&mut self, at: &TreeKey, entry: LdapEntry) -> Result<(), DitError> {
         // A one-key range: the map's own (shared) key and the slot, in one
         // probe.
         let own = (Included(at.own()), Included(at.own()));
         let Some((key, slot)) = self.entries.range_mut::<str, _>(own).next() else {
             return Err(DitError::NoSuchObject(entry.dn.to_string()));
         };
-        self.ids.share(&mut entry);
         let index = &mut self.eq_index;
         for (attr, value) in slot.pairs().filter(|(a, v)| !entry.has_value(a, v)) {
             let value = index.key(value);

@@ -1,47 +1,99 @@
 //! Directory entries.
+//!
+//! An entry is its DN and one *record*: every `(attribute, values)` pair it
+//! holds, in one `Box<str>` written once at its final length. Attributes
+//! follow each other in case-folded id order, one per folded id, each as
+//! its id and then its values, in the order they arrived. An id the
+//! standard schema names, spelt as it spells it, is one byte, `0x40` + its
+//! place in `KNOWN_IDS`; any other is its length and its text. A value is
+//! its length, doubled and plus one when another value of the attribute
+//! follows, and its text. A number is written as base-32 digits, low first,
+//! one byte each with `0x20` set on every digit but the last — all below
+//! `0x40`, so an id's first byte says which form it takes, and the record
+//! is text whose every field is a slice of it. Readers hand out views into
+//! the record; every builder writes a new one.
 
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::cmp::Ordering;
+use std::fmt;
 use std::hash::Hasher;
-use std::sync::Arc;
+use std::ops::Range;
 
 use crate::dn::Dn;
 
-/// A multi-valued attribute (string values, per common LDAP usage). The
-/// first value is held inline: a one-value attribute allocates no list.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LdapAttr {
-    /// Original-case identifier; a `Dit` shares one copy of each spelling
-    /// among its entries.
-    id: Arc<str>,
-    value: Box<str>,
-    more: Box<[Box<str>]>,
+/// The attribute types [`Schema::standard`](crate::schema::Schema::standard)
+/// names, which a record writes as one byte each: an ASCII one, so at most
+/// 64 of them.
+const KNOWN_IDS: [&str; 18] = [
+    "cn",
+    "cpuCount",
+    "description",
+    "endpoint",
+    "l",
+    "memoryMb",
+    "o",
+    "objectClass",
+    "os",
+    "ou",
+    "owner",
+    "rndiClass",
+    "rndiValue",
+    "seeAlso",
+    "serialNumber",
+    "sn",
+    "telephoneNumber",
+    "userPassword",
+];
+const _: () = assert!(KNOWN_IDS.len() <= 0x40);
+
+/// One multi-valued attribute of an entry (string values, per common LDAP
+/// usage), borrowed from the entry's record. Its values are a set under
+/// ASCII case folding, in the order they arrived.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct LdapAttr<'a> {
+    id: &'a str,
+    /// The values, as the record writes them.
+    values: &'a str,
 }
 
-impl LdapAttr {
-    /// The attribute `id` holding `values`, or `None` when there are none.
-    fn new(id: Arc<str>, values: impl IntoIterator<Item = Box<str>>) -> Option<LdapAttr> {
-        let mut values = values.into_iter();
-        let (value, more) = (values.next()?, values.collect());
-        Some(LdapAttr { id, value, more })
+impl<'a> LdapAttr<'a> {
+    pub fn id(self) -> &'a str {
+        self.id
     }
 
-    pub fn id(&self) -> &str {
-        &self.id
+    pub fn values(self) -> impl Iterator<Item = &'a str> {
+        let mut rest = self.values;
+        std::iter::from_fn(move || (!rest.is_empty()).then(|| take_value(&mut rest).0))
     }
 
-    pub fn values(&self) -> impl Iterator<Item = &str> {
-        std::iter::once(&self.value).chain(&self.more).map(|v| &**v)
+    /// Whether a value is `value` under ASCII case folding.
+    fn holds(self, value: &str) -> bool {
+        self.values().any(|v| v.eq_ignore_ascii_case(value))
+    }
+}
+
+impl fmt::Debug for LdapAttr<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: ", self.id)?;
+        f.debug_list().entries(self.values()).finish()
     }
 }
 
 /// An entry: a DN plus attributes, one per case-insensitive id.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct LdapEntry {
     pub dn: Dn,
-    /// Sorted by case-folded id, which is never stored: lookups fold as
-    /// they compare.
-    attrs: Vec<LdapAttr>,
+    /// The attributes, laid out as the module documentation describes.
+    record: Box<str>,
+}
+
+impl fmt::Debug for LdapEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let attrs: Vec<LdapAttr<'_>> = self.attrs().collect();
+        let mut out = f.debug_struct("LdapEntry");
+        out.field("dn", &self.dn).field("attrs", &attrs).finish()
+    }
 }
 
 /// `s` in lower case (ASCII, as every comparison in this crate folds),
@@ -73,74 +125,192 @@ pub(crate) fn hash_folded(s: &str, state: &mut impl Hasher) {
     state.write_u8(0xff);
 }
 
+/// Append `n` to `record` in base-32 digits.
+fn put_num(record: &mut String, mut n: usize) {
+    while n >= 0x20 {
+        record.push(char::from(0x20 | (n & 0x1f) as u8));
+        n >>= 5;
+    }
+    record.push(char::from(n as u8));
+}
+
+/// Split a number off the front of `rest`.
+fn take_num(rest: &mut &str) -> usize {
+    let (mut n, mut digits) = (0, 0);
+    for b in rest.bytes() {
+        n |= usize::from(b & 0x1f) << (5 * digits);
+        digits += 1;
+        if b & 0x20 == 0 {
+            break;
+        }
+    }
+    *rest = &rest[digits..];
+    n
+}
+
+fn put_id(record: &mut String, id: &str) {
+    match KNOWN_IDS.iter().position(|known| *known == id) {
+        Some(at) => record.push(char::from(0x40 + at as u8)),
+        None => {
+            put_num(record, id.len());
+            record.push_str(id);
+        }
+    }
+}
+
+fn put_value(record: &mut String, value: &str, more: bool) {
+    put_num(record, value.len() << 1 | usize::from(more));
+    record.push_str(value);
+}
+
+/// Split a value off the front of `rest`, with whether another value of
+/// its attribute follows it.
+fn take_value<'a>(rest: &mut &'a str) -> (&'a str, bool) {
+    let n = take_num(rest);
+    let (value, tail) = rest.split_at(n >> 1);
+    *rest = tail;
+    (value, n & 1 == 1)
+}
+
+/// Split an attribute off the front of `rest`; `None` at its end.
+fn take_attr<'a>(rest: &mut &'a str) -> Option<LdapAttr<'a>> {
+    let id = match *rest.as_bytes().first()? {
+        code @ 0x40.. => {
+            *rest = &rest[1..];
+            KNOWN_IDS[usize::from(code - 0x40)]
+        }
+        _ => {
+            let len = take_num(rest);
+            let (id, tail) = rest.split_at(len);
+            *rest = tail;
+            id
+        }
+    };
+    let values = *rest;
+    while take_value(rest).1 {}
+    let values = &values[..values.len() - rest.len()];
+    Some(LdapAttr { id, values })
+}
+
+thread_local! {
+    /// Where this thread writes a record before copying it into the
+    /// entry's `Box<str>`, which is then the one block a record costs.
+    static SCRATCH: Cell<String> = const { Cell::new(String::new()) };
+}
+
+/// The record `write` produces, in a block of exactly its length.
+fn write_record(write: impl FnOnce(&mut String)) -> Box<str> {
+    // `try_with`: an entry may be built while a thread's locals go away.
+    let mut text = SCRATCH.try_with(Cell::take).unwrap_or_default();
+    text.clear();
+    write(&mut text);
+    let record = Box::from(text.as_str());
+    let _ = SCRATCH.try_with(|scratch| scratch.set(text));
+    record
+}
+
 impl LdapEntry {
     pub fn new(dn: Dn) -> Self {
         LdapEntry {
             dn,
-            attrs: Vec::new(),
+            record: Box::default(),
         }
     }
 
     /// Builder-style attribute insertion (adds a value).
-    pub fn with(mut self, id: &str, value: impl Into<String>) -> Self {
+    pub fn with(mut self, id: &str, value: impl AsRef<str>) -> Self {
         self.add_value(id, value);
         self
     }
 
-    /// Where `id`'s attribute is (`Ok`) or would be inserted (`Err`).
-    fn position(&self, id: &str) -> Result<usize, usize> {
-        self.attrs.binary_search_by(|a| cmp_folded(&a.id, id))
+    /// Each attribute with the bytes it takes in the record.
+    fn spans(&self) -> impl Iterator<Item = (Range<usize>, LdapAttr<'_>)> {
+        let (mut rest, end) = (&*self.record, self.record.len());
+        std::iter::from_fn(move || {
+            let start = end - rest.len();
+            let attr = take_attr(&mut rest)?;
+            Some((start..end - rest.len(), attr))
+        })
     }
 
-    pub fn add_value(&mut self, id: &str, value: impl Into<String>) {
-        let value = value.into().into_boxed_str();
-        match self.position(id) {
-            Ok(at) => {
-                let held = &mut self.attrs[at];
-                let mut more = std::mem::take(&mut held.more).into_vec();
-                more.push(value);
-                held.more = more.into();
-            }
-            Err(at) => {
-                let (id, more) = (id.into(), Box::default());
-                self.attrs.insert(at, LdapAttr { id, value, more });
+    /// `id`'s attribute and the bytes it takes (`Ok`), or the empty range
+    /// where it would be written (`Err`).
+    fn position(&self, id: &str) -> Result<(Range<usize>, LdapAttr<'_>), Range<usize>> {
+        for (span, attr) in self.spans() {
+            match cmp_folded(attr.id, id) {
+                Ordering::Less => {}
+                Ordering::Equal => return Ok((span, attr)),
+                Ordering::Greater => return Err(span.start..span.start),
             }
         }
+        Err(self.record.len()..self.record.len())
     }
 
-    /// Replace an attribute's values wholesale; empty removes it.
+    /// The record with `span` — an attribute's bytes, or none — replaced
+    /// by the attribute `id` holding `values`, which are distinct: by
+    /// nothing when there are none.
+    fn rewritten<'v>(
+        &self,
+        span: Range<usize>,
+        id: &str,
+        values: impl Iterator<Item = &'v str>,
+    ) -> Box<str> {
+        let mut values = values.peekable();
+        write_record(|record| {
+            record.push_str(&self.record[..span.start]);
+            if values.peek().is_some() {
+                put_id(record, id);
+            }
+            while let Some(value) = values.next() {
+                put_value(record, value, values.peek().is_some());
+            }
+            record.push_str(&self.record[span.end..]);
+        })
+    }
+
+    /// Add `value` to `id`'s attribute, unless it holds it already under
+    /// ASCII case folding.
+    pub fn add_value(&mut self, id: &str, value: impl AsRef<str>) {
+        let value = value.as_ref();
+        self.record = match self.position(id) {
+            Ok((_, held)) if held.holds(value) => return,
+            Ok((span, held)) => self.rewritten(span, held.id, held.values().chain([value])),
+            Err(at) => self.rewritten(at, id, [value].into_iter()),
+        };
+    }
+
+    /// Replace an attribute's values wholesale, keeping the first of those
+    /// that fold alike; empty removes it.
     pub fn replace(&mut self, id: &str, values: Vec<String>) {
-        let values = values.into_iter().map(String::into_boxed_str);
-        match (self.position(id), LdapAttr::new(id.into(), values)) {
-            (Ok(at), Some(attr)) => self.attrs[at] = attr,
-            (Ok(at), None) => drop(self.attrs.remove(at)),
-            (Err(at), Some(attr)) => self.attrs.insert(at, attr),
-            (Err(_), None) => {}
-        }
+        let first =
+            |(at, v): &(usize, &String)| !values[..*at].iter().any(|u| u.eq_ignore_ascii_case(v));
+        let distinct = values
+            .iter()
+            .enumerate()
+            .filter(first)
+            .map(|(_, v)| v.as_str());
+        let span = self.position(id).map_or_else(|at| at, |(span, _)| span);
+        self.record = self.rewritten(span, id, distinct);
     }
 
     /// Remove specific values (removes the attribute when none remain);
     /// with an empty `values` list, removes the attribute entirely.
     pub fn remove_values(&mut self, id: &str, values: &[String]) {
-        let Ok(at) = self.position(id) else {
+        let Ok((span, held)) = self.position(id) else {
             return;
         };
-        let held = &self.attrs[at];
-        let removed = |v: &&str| values.iter().any(|rm| rm.eq_ignore_ascii_case(v));
-        let kept = held.values().filter(|v| !removed(v)).map(Box::from);
-        match LdapAttr::new(held.id.clone(), kept).filter(|_| !values.is_empty()) {
-            Some(kept) => self.attrs[at] = kept,
-            None => drop(self.attrs.remove(at)),
-        }
+        let kept =
+            |v: &&str| !values.is_empty() && !values.iter().any(|rm| rm.eq_ignore_ascii_case(v));
+        self.record = self.rewritten(span, held.id, held.values().filter(kept));
     }
 
-    pub fn get(&self, id: &str) -> Option<&LdapAttr> {
-        self.position(id).ok().map(|at| &self.attrs[at])
+    pub fn get(&self, id: &str) -> Option<LdapAttr<'_>> {
+        self.position(id).ok().map(|(_, attr)| attr)
     }
 
     /// First value of an attribute.
     pub fn first(&self, id: &str) -> Option<&str> {
-        self.get(id).map(|a| &*a.value)
+        self.get(id)?.values().next()
     }
 
     pub fn has(&self, id: &str) -> bool {
@@ -149,40 +319,33 @@ impl LdapEntry {
 
     /// Whether the attribute holds `value` (case-insensitive).
     pub fn has_value(&self, id: &str, value: &str) -> bool {
-        self.get(id)
-            .is_some_and(|a| a.values().any(|v| v.eq_ignore_ascii_case(value)))
+        self.get(id).is_some_and(|a| a.holds(value))
     }
 
     /// The attributes, ordered by case-folded id.
-    pub fn attrs(&self) -> impl Iterator<Item = &LdapAttr> {
-        self.attrs.iter()
-    }
-
-    /// Trim the attribute list to its length, as a tree stores the entry,
-    /// and hand out each id to be pointed at the tree's copy of its
-    /// spelling.
-    pub(crate) fn stored_ids(&mut self) -> impl Iterator<Item = &mut Arc<str>> {
-        self.attrs.shrink_to_fit();
-        self.attrs.iter_mut().map(|a| &mut a.id)
+    pub fn attrs(&self) -> impl Iterator<Item = LdapAttr<'_>> {
+        self.spans().map(|(_, attr)| attr)
     }
 
     /// Every `(attribute id, value)` the entry holds.
     pub fn pairs(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.attrs
-            .iter()
-            .flat_map(|a| a.values().map(move |v| (a.id(), v)))
+        self.attrs()
+            .flat_map(|a| a.values().map(move |v| (a.id, v)))
     }
 
     /// A copy with only the requested attribute ids — the projection
     /// applied to search results.
     pub fn project(&self, ids: &[String]) -> LdapEntry {
-        let mut out = LdapEntry::new(self.dn.clone());
-        for id in ids {
-            if let (Some(a), Err(at)) = (self.get(id), out.position(id)) {
-                out.attrs.insert(at, a.clone());
+        let asked = |attr: LdapAttr<'_>| ids.iter().any(|id| id.eq_ignore_ascii_case(attr.id));
+        let record = write_record(|record| {
+            for (span, _) in self.spans().filter(|&(_, attr)| asked(attr)) {
+                record.push_str(&self.record[span]);
             }
+        });
+        LdapEntry {
+            dn: self.dn.clone(),
+            record,
         }
-        out
     }
 }
 

@@ -27,6 +27,7 @@ pub enum ResultCode {
     InvalidCredentials = 49,
     InsufficientAccessRights = 50,
     UnwillingToPerform = 53,
+    NamingViolation = 64,
     ObjectClassViolation = 65,
     NotAllowedOnNonLeaf = 66,
     EntryAlreadyExists = 68,
@@ -283,15 +284,29 @@ impl Connection {
     }
 
     /// What a write of a whole entry checks before it takes the lock: this
-    /// connection may write, and the entry fits the schema.
+    /// connection may write, and the entry may be stored.
     fn admit_entry(&self, entry: &LdapEntry) -> LdapResult<()> {
         self.guard_write()?;
-        if self.server.config.validate_schema {
-            if let Err(reason) = self.server.config.schema.validate(entry) {
+        self.admit_content(entry)
+    }
+
+    /// Whether `entry` may be stored: it fits the schema, and holds the
+    /// value its RDN names (RFC 4512 §2.3), or a search for that value
+    /// would miss it.
+    fn admit_content(&self, entry: &LdapEntry) -> LdapResult<()> {
+        let config = &self.server.config;
+        if config.validate_schema {
+            if let Err(reason) = config.schema.validate(entry) {
                 return Err((ResultCode::ObjectClassViolation, reason));
             }
         }
-        Ok(())
+        match entry.dn.rdn() {
+            Some(rdn) if !entry.has_value(&rdn.attr(), &rdn.value()) => Err((
+                ResultCode::NamingViolation,
+                format!("{} does not hold its RDN's value", entry.dn),
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// Add an entry.
@@ -357,7 +372,6 @@ impl Connection {
 
     fn modify_inner(&self, dn: &Dn, mods: &[Modification]) -> LdapResult<()> {
         self.guard_write()?;
-        let config = &self.server.config;
         let mut inner = self.server.inner.lock();
         inner.stats.writes += 1;
         // The one deep copy a write makes: readers keep the entry they hold.
@@ -377,11 +391,7 @@ impl Connection {
                 Modification::Delete(id, values) => entry.remove_values(id, values),
             }
         }
-        if config.validate_schema {
-            if let Err(reason) = config.schema.validate(&entry) {
-                return Err((ResultCode::ObjectClassViolation, reason));
-            }
-        }
+        self.admit_content(&entry)?;
         inner.dit.update(entry).map_err(dit_err)
     }
 

@@ -1,10 +1,14 @@
-//! Property tests: DIT structural invariants and filter totality.
+//! Property tests: DIT structural invariants, filter totality, an entry's
+//! record against its oracle; and the rules a stored entry keeps.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use dirserv::{DirectoryServer, Dit, Dn, LdapEntry, LdapFilter, Rdn, Scope, ServerConfig};
+use dirserv::server::{LdapResult, Modification};
+use dirserv::{
+    DirectoryServer, Dit, Dn, LdapEntry, LdapFilter, Rdn, ResultCode, Scope, ServerConfig,
+};
 
 fn dn_strategy() -> impl Strategy<Value = Dn> {
     proptest::collection::vec(("[a-c]", "[a-d]{1,2}"), 1..4).prop_map(|rdns| {
@@ -479,4 +483,374 @@ fn update_edits_only_the_pairs_that_left_or_arrived() {
     assert_eq!(found(&d, "(cn=mokey)"), 0);
     assert_eq!(found(&d, "(objectClass=device)"), 0);
     assert_eq!(found(&d, "(description=MOKEY)"), 1);
+}
+
+/// What `the_record_matches_its_oracle` draws from: ids in several
+/// spellings — ones the record writes as one byte, ones it spells out, one
+/// longer than a one-digit length, the empty id — and values with case
+/// variants, DN-escaped characters, the empty value and one longer than
+/// 65 535 bytes, so that no length prefix can truncate it.
+const ORACLE_IDS: [&str; 9] = [
+    "cn",
+    "CN",
+    "objectClass",
+    "objectclass",
+    "rndiValue",
+    "x-Site",
+    "X-SITE",
+    "x-an-attribute-type-longer-than-thirty-two-bytes",
+    "",
+];
+
+fn oracle_value(at: usize) -> String {
+    match at {
+        0 => "a".into(),
+        1 => "A".into(),
+        2 => "b".into(),
+        3 => String::new(),
+        4 => r"a\,b=c".into(),
+        5 => r"A\,B=C".into(),
+        6 => "é, +;".into(),
+        7 => "z".repeat(65_537),
+        _ => "Z".repeat(65_537),
+    }
+}
+
+/// The entry as it was before its attributes became one record — a list
+/// sorted by case-folded id, each attribute owning its id and its values —
+/// with values kept as a set under ASCII case folding, as the record keeps
+/// them. Kept here and nowhere else.
+#[derive(Clone, Debug, Default)]
+struct OracleEntry {
+    attrs: Vec<(String, Vec<String>)>,
+}
+
+fn cmp_folded(a: &str, b: &str) -> std::cmp::Ordering {
+    a.to_ascii_lowercase().cmp(&b.to_ascii_lowercase())
+}
+
+impl OracleEntry {
+    fn position(&self, id: &str) -> Result<usize, usize> {
+        self.attrs
+            .binary_search_by(|(held, _)| cmp_folded(held, id))
+    }
+
+    fn get(&self, id: &str) -> Option<&(String, Vec<String>)> {
+        self.position(id).ok().map(|at| &self.attrs[at])
+    }
+
+    fn holds(values: &[String], value: &str) -> bool {
+        values.iter().any(|v| v.eq_ignore_ascii_case(value))
+    }
+
+    fn add_value(&mut self, id: &str, value: &str) {
+        match self.position(id) {
+            Ok(at) if Self::holds(&self.attrs[at].1, value) => {}
+            Ok(at) => self.attrs[at].1.push(value.into()),
+            Err(at) => self.attrs.insert(at, (id.into(), vec![value.into()])),
+        }
+    }
+
+    fn replace(&mut self, id: &str, values: &[String]) {
+        let mut distinct: Vec<String> = Vec::new();
+        for v in values {
+            if !Self::holds(&distinct, v) {
+                distinct.push(v.clone());
+            }
+        }
+        match (self.position(id), distinct.is_empty()) {
+            (Ok(at), false) => self.attrs[at] = (id.into(), distinct),
+            (Ok(at), true) => drop(self.attrs.remove(at)),
+            (Err(at), false) => self.attrs.insert(at, (id.into(), distinct)),
+            (Err(_), true) => {}
+        }
+    }
+
+    fn remove_values(&mut self, id: &str, values: &[String]) {
+        let Ok(at) = self.position(id) else {
+            return;
+        };
+        self.attrs[at]
+            .1
+            .retain(|v| !values.is_empty() && !Self::holds(values, v));
+        if self.attrs[at].1.is_empty() {
+            self.attrs.remove(at);
+        }
+    }
+
+    /// `filter` evaluated over the oracle: each atom over the values of its
+    /// attribute one at a time, as a one-value entry answers it.
+    fn matches(&self, filter: &LdapFilter) -> bool {
+        let atom = |attr: &str| {
+            let values = self.get(attr).map_or(&[][..], |(_, values)| values);
+            values
+                .iter()
+                .any(|v| filter.matches(&LdapEntry::new(Dn::root()).with(attr, v)))
+        };
+        match filter {
+            LdapFilter::And(fs) => fs.iter().all(|f| self.matches(f)),
+            LdapFilter::Or(fs) => fs.iter().any(|f| self.matches(f)),
+            LdapFilter::Not(f) => !self.matches(f),
+            LdapFilter::Present(a) => self.get(a).is_some(),
+            LdapFilter::Equality(a, _)
+            | LdapFilter::Greater(a, _)
+            | LdapFilter::Less(a, _)
+            | LdapFilter::Approx(a, _) => atom(a),
+            LdapFilter::Substrings { attr, .. } => atom(attr),
+        }
+    }
+}
+
+/// One builder call, its id and values by their place in `ORACLE_IDS` and
+/// `oracle_value`.
+#[derive(Clone, Debug)]
+enum EntryStep {
+    With(usize, usize),
+    AddValue(usize, usize),
+    Replace(usize, Vec<usize>),
+    RemoveValues(usize, Vec<usize>),
+}
+
+fn any_entry_step() -> impl Strategy<Value = EntryStep> {
+    let id = || 0..ORACLE_IDS.len();
+    // The two long values are drawn now and then, not one step in four.
+    let value = || prop_oneof![12 => 0usize..7, 1 => 7usize..9];
+    let values = || proptest::collection::vec(value(), 0..4);
+    prop_oneof![
+        3 => (id(), value()).prop_map(|(i, v)| EntryStep::With(i, v)),
+        3 => (id(), value()).prop_map(|(i, v)| EntryStep::AddValue(i, v)),
+        2 => (id(), values()).prop_map(|(i, vs)| EntryStep::Replace(i, vs)),
+        2 => (id(), values()).prop_map(|(i, vs)| EntryStep::RemoveValues(i, vs)),
+    ]
+}
+
+/// The filters every state is matched against: each kind of atom over ids
+/// and values of the alphabet, and the three combinators.
+fn oracle_filters() -> Vec<LdapFilter> {
+    let mut filters = Vec::new();
+    for id in ORACLE_IDS.iter().map(|id| id.to_string()) {
+        filters.push(LdapFilter::Present(id.clone()));
+        for v in ["a", "", r"a\,b=c"] {
+            filters.push(LdapFilter::Equality(id.clone(), v.into()));
+        }
+    }
+    for id in ["CN", "x-site"].map(String::from) {
+        filters.push(LdapFilter::Greater(id.clone(), "a".into()));
+        filters.push(LdapFilter::Less(id.clone(), "a".into()));
+        filters.push(LdapFilter::Approx(id.clone(), "A".into()));
+        filters.push(LdapFilter::Substrings {
+            attr: id,
+            initial: Some("z".into()),
+            any: vec![],
+            final_: None,
+        });
+    }
+    let cn = LdapFilter::Equality("cn".into(), "A".into());
+    let class = LdapFilter::Present("objectclass".into());
+    filters.push(LdapFilter::And(vec![cn.clone(), class.clone()]));
+    filters.push(LdapFilter::Or(vec![cn.clone(), class]));
+    filters.push(LdapFilter::Not(Box::new(cn)));
+    filters
+}
+
+/// Where the entry built by `steps` first disagrees with the oracle built
+/// by the same steps, a panic counting as a disagreement so that it is
+/// shrunk and its seed printed too; `None` when it never does.
+fn record_divergence(steps: &[EntryStep]) -> Option<String> {
+    std::panic::catch_unwind(|| first_divergence(steps))
+        .unwrap_or_else(|_| Some("the entry panicked (message above)".into()))
+}
+
+fn first_divergence(steps: &[EntryStep]) -> Option<String> {
+    let dn = Dn::parse(r"cn=a\,b=c,o=x\\y").unwrap();
+    let values = |at: &[usize]| -> Vec<String> { at.iter().map(|&v| oracle_value(v)).collect() };
+    let (mut entry, mut oracle) = (LdapEntry::new(dn.clone()), OracleEntry::default());
+    let filters = oracle_filters();
+    for (i, step) in steps.iter().enumerate() {
+        match step {
+            EntryStep::With(id, v) => {
+                entry = entry.with(ORACLE_IDS[*id], oracle_value(*v));
+                oracle.add_value(ORACLE_IDS[*id], &oracle_value(*v));
+            }
+            EntryStep::AddValue(id, v) => {
+                entry.add_value(ORACLE_IDS[*id], oracle_value(*v));
+                oracle.add_value(ORACLE_IDS[*id], &oracle_value(*v));
+            }
+            EntryStep::Replace(id, vs) => {
+                entry.replace(ORACLE_IDS[*id], values(vs));
+                oracle.replace(ORACLE_IDS[*id], &values(vs));
+            }
+            EntryStep::RemoveValues(id, vs) => {
+                entry.remove_values(ORACLE_IDS[*id], &values(vs));
+                oracle.remove_values(ORACLE_IDS[*id], &values(vs));
+            }
+        }
+        let attrs: Vec<(String, Vec<String>)> = entry
+            .attrs()
+            .map(|a| (a.id().into(), a.values().map(String::from).collect()))
+            .collect();
+        if attrs != oracle.attrs {
+            return Some(format!("after step {i}: attrs differ"));
+        }
+        let pairs: Vec<(&str, &str)> = entry.pairs().collect();
+        let want: Vec<(&str, &str)> = oracle
+            .attrs
+            .iter()
+            .flat_map(|(id, vs)| vs.iter().map(move |v| (id.as_str(), v.as_str())))
+            .collect();
+        if pairs != want {
+            return Some(format!("after step {i}: pairs differ"));
+        }
+        for id in ORACLE_IDS {
+            let got = entry
+                .get(id)
+                .map(|a| (a.id().to_string(), a.values().map(String::from).collect()));
+            if got.as_ref() != oracle.get(id) {
+                return Some(format!("after step {i}: get({id:?}) differs"));
+            }
+            let first = oracle.get(id).map(|(_, vs)| vs[0].as_str());
+            if (entry.first(id), entry.has(id)) != (first, first.is_some()) {
+                return Some(format!("after step {i}: first/has({id:?}) differ"));
+            }
+            for v in (0..9).map(oracle_value) {
+                let held = oracle
+                    .get(id)
+                    .is_some_and(|(_, vs)| OracleEntry::holds(vs, &v));
+                if entry.has_value(id, &v) != held {
+                    return Some(format!("after step {i}: has_value({id:?}, …) differs"));
+                }
+            }
+        }
+        for (at, filter) in filters.iter().enumerate() {
+            if filter.matches(&entry) != oracle.matches(filter) {
+                return Some(format!("after step {i}: filter {at} ({filter:?}) differs"));
+            }
+        }
+        for ids in [&["CN", "x-site"][..], &["rndivalue", "", "RNDIVALUE"], &[]] {
+            let ids: Vec<String> = ids.iter().map(|id| id.to_string()).collect();
+            let projected = entry.project(&ids);
+            let mut want = oracle.clone();
+            want.attrs
+                .retain(|(id, _)| ids.iter().any(|k| k.eq_ignore_ascii_case(id)));
+            let got: Vec<(String, Vec<String>)> = projected
+                .attrs()
+                .map(|a| (a.id().into(), a.values().map(String::from).collect()))
+                .collect();
+            if got != want.attrs || projected.dn != dn {
+                return Some(format!("after step {i}: project({ids:?}) differs"));
+            }
+        }
+        // The record is canonical: the same content, built another way,
+        // is an equal entry.
+        let rebuilt = oracle
+            .attrs
+            .iter()
+            .fold(LdapEntry::new(dn.clone()), |mut e, (id, vs)| {
+                e.replace(id, vs.clone());
+                e
+            });
+        if rebuilt != entry {
+            return Some(format!(
+                "after step {i}: the entry rebuilt from the oracle differs"
+            ));
+        }
+    }
+    None
+}
+
+/// `steps` less every step it still fails without, one at a time.
+fn shrink_steps(mut steps: Vec<EntryStep>) -> Vec<EntryStep> {
+    let mut i = 0;
+    while i < steps.len() {
+        let mut fewer = steps.clone();
+        fewer.remove(i);
+        if record_divergence(&fewer).is_some() {
+            steps = fewer;
+        } else {
+            i += 1;
+        }
+    }
+    steps
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// `LdapEntry`'s one record against the attribute list it replaced:
+    /// every accessor and `LdapFilter::matches` agree after every builder
+    /// call. A failure prints the runner's seed and the sequence shrunk to
+    /// the steps it still fails without.
+    #[test]
+    fn the_record_matches_its_oracle(steps in proptest::collection::vec(any_entry_step(), 0..24)) {
+        if let Some(why) = record_divergence(&steps) {
+            let shrunk = shrink_steps(steps);
+            let why = record_divergence(&shrunk).unwrap_or(why);
+            prop_assert!(false, "{why}\nshrunk sequence: {shrunk:#?}");
+        }
+    }
+}
+
+/// A server holding `o=emory` and `ou=dcl,o=emory`.
+fn emory() -> DirectoryServer {
+    let server = DirectoryServer::new(ServerConfig {
+        read_throttle_per_sec: None,
+        ..Default::default()
+    });
+    let conn = server.connect_anonymous();
+    for (dn, class, attr, value) in [
+        ("o=emory", "organization", "o", "emory"),
+        ("ou=dcl,o=emory", "organizationalUnit", "ou", "dcl"),
+    ] {
+        let entry = LdapEntry::new(Dn::parse(dn).unwrap())
+            .with("objectClass", class)
+            .with(attr, value);
+        conn.add(entry).unwrap();
+    }
+    server
+}
+
+#[test]
+fn an_attributes_values_are_a_set() {
+    let conn = emory().connect_anonymous();
+    let dn = Dn::parse("ou=dcl,o=emory").unwrap();
+    let add = |v: &str| Modification::Add("description".into(), vec![v.into()]);
+    conn.modify(&dn, &[add("a")]).unwrap();
+    conn.modify(&dn, &[add("A"), add("b"), add("B")]).unwrap();
+    let (entry, _) = conn.read(&dn, 0).unwrap();
+    let held: Vec<&str> = entry.get("description").unwrap().values().collect();
+    assert_eq!(held, ["a", "b"]);
+}
+
+#[test]
+fn an_entry_holds_its_rdns_value() {
+    let server = emory();
+    let conn = server.connect_anonymous();
+    let dn = Dn::parse("cn=y,ou=dcl,o=emory").unwrap();
+    let device = |cn: &str| {
+        LdapEntry::new(dn.clone())
+            .with("objectClass", "device")
+            .with("cn", cn)
+    };
+    let code = |result: LdapResult<()>| result.map_err(|(code, _)| code);
+    let refused = Err(ResultCode::NamingViolation);
+    assert_eq!(code(conn.add(device("z"))), refused);
+    assert_eq!(code(conn.replace_traced(device("z"), None)), refused);
+    assert_eq!(server.entry_count(), 2, "nothing was stored");
+
+    conn.add(device("Y")).unwrap();
+    let replace = Modification::Replace("cn".into(), vec!["z".into()]);
+    let add_z = Modification::Add("cn".into(), vec!["z".into()]);
+    let drop_y = Modification::Delete("cn".into(), vec!["y".into()]);
+    assert_eq!(code(conn.modify(&dn, &[replace])), refused);
+    assert_eq!(code(conn.modify(&dn, &[add_z, drop_y])), refused);
+    assert_eq!(
+        code(conn.replace_traced(device("z").with("cn", "y"), None)),
+        Ok(())
+    );
+    // What the rule keeps true: a search for the RDN's value finds the entry.
+    let cn_y = LdapFilter::parse("(cn=y)").unwrap();
+    let base = Dn::parse("o=emory").unwrap();
+    let found = conn.search(&base, Scope::Subtree, &cn_y, None, 0).unwrap();
+    assert_eq!(found.entries.len(), 1);
+    assert_eq!(found.entries[0].dn, dn);
 }

@@ -50,6 +50,10 @@ fn code_err(code: ResultCode, detail: String) -> NamingError {
             name: detail,
             reason: "schema violation".into(),
         },
+        ResultCode::NamingViolation => NamingError::InvalidName {
+            name: detail,
+            reason: "naming violation".into(),
+        },
         other => NamingError::service(format!("LDAP error {other:?}: {detail}")),
     }
 }

@@ -23,13 +23,15 @@ echo "==> cargo build --release"
 cargo build --release --workspace
 
 # The oracle and codec proptests, the federation matrix, the directory's and
-# the HDNS replica's byte budgets and the resolver's line count are skipped
-# here and named below, so each still runs once, as is the compaction's heap
-# peak. (The two single-binary allocation budgets, tests/federation_allocs.rs
-# and tests/hdns_write_allocs.rs's rebind budget, run here.)
+# the HDNS replica's byte budgets, the federated path's shrinking reallocs and
+# the resolver's line count are skipped here and named below, so each still
+# runs once, as is the compaction's heap peak. (The two single-binary
+# allocation budgets, tests/federation_allocs.rs's and
+# tests/hdns_write_allocs.rs's rebind budget, run here.)
 NAMED_BELOW=(the_walk_matches_its_oracle read_is_a_base_scope_match_all_search wire_codec_
+  the_record_matches_its_oracle
   every_operation_continues_through_a_mount_on_every_provider
-  a_bound_leaf_stays_inside_its_byte_budget
+  a_bound_leaf_stays_inside_its_byte_budget a_warmed_federated_op_shrinks_no_block_in_place
   a_stored_binding_stays_inside_its_byte_budget a_replica_read_touches_no_heap
   federated_lookups_cache_one_line_per_denied_subtree
   compaction_peak_heap_stays_near_the_snapshot_length
@@ -45,24 +47,29 @@ cargo test -q --test heterogeneity every_operation_continues_through_a_mount_on_
 
 # Named on their own because they pin rewritten code to the code it
 # replaced: the DNS provider's one-build prefix walk against the per-prefix
-# oracle, Connection::read against a base-scope search, and the HDNS store of
+# oracle, Connection::read against a base-scope search, a directory entry's
+# one-block record against the attribute list it was, and the HDNS store of
 # shared records against the path-keyed map it was. A failure prints the
-# case number and the seed that replays it (the store's, also the op
-# sequence shrunk to the ops it fails with).
-echo "==> oracle proptests: dns walk, ldap read, hdns store"
+# case number and the seed that replays it (the record's and the store's,
+# also the sequence shrunk to the steps it fails with).
+echo "==> oracle proptests: dns walk, ldap read, ldap record, hdns store"
 cargo test -q -p rndi-providers --lib the_walk_matches_its_oracle
 cargo test -q -p dirserv --test props read_is_a_base_scope_match_all_search
+cargo test -q -p dirserv --test props the_record_matches_its_oracle
 cargo test -q -p hdns --test store_oracle the_store_matches_its_oracle
 
 # Named on their own so the figures are in every log: the live heap bytes
 # one bound leaf of fed_resolve's shape leaves in dirserv and one binding of
 # the wire store leaves in an HDNS replica (whose reads allocate nothing),
-# the lines and upstream queries fed_resolve's DNS leg leaves in the resolver
-# (RFC 8020 denial), and the heap one compaction of replica_write's store
-# peaks at, each against its budget.
-echo "==> budgets: what dirserv and an HDNS replica hold per binding, what the resolver caches, what a compaction peaks at"
+# the shrinking reallocs a warmed federated lookup and rebind make (none: a
+# block trimmed in place leaves a sliver the heap grows by), the lines and
+# upstream queries fed_resolve's DNS leg leaves in the resolver (RFC 8020
+# denial), and the heap one compaction of replica_write's store peaks at,
+# each against its budget.
+echo "==> budgets: what dirserv and an HDNS replica hold per binding, what a federated op shrinks, what the resolver caches, what a compaction peaks at"
 cargo test -q --test ldap_footprint a_bound_leaf_stays_inside_its_byte_budget -- --nocapture
 cargo test -q --test hdns_footprint -- --nocapture
+cargo test -q --test federation_allocs a_warmed_federated_op_shrinks_no_block_in_place -- --nocapture
 cargo test -q --test dns_denial federated_lookups_cache_one_line_per_denied_subtree -- --nocapture
 cargo test -q --test hdns_write_allocs compaction_peak_heap_stays_near_the_snapshot_length -- --nocapture
 

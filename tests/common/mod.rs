@@ -10,6 +10,7 @@ thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
     static ALLOCATED_BYTES: Cell<u64> = const { Cell::new(0) };
+    static SHRINKS: Cell<u64> = const { Cell::new(0) };
     static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
     static PEAK_LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
@@ -41,6 +42,16 @@ fn note_freed(bytes: usize) {
     });
 }
 
+/// A `realloc` to a smaller size: a block trimmed in place, which leaves
+/// its tail as a sliver beside it.
+fn note_shrink() {
+    let _ = COUNTING.try_with(|on| {
+        if on.get() {
+            let _ = SHRINKS.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counters are plain thread-local
 // cells and touch no allocator state.
@@ -66,6 +77,9 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
         note_freed(layout.size());
+        if new_size < layout.size() {
+            note_shrink();
+        }
         // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -75,24 +89,32 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 /// What this thread allocated while some closure ran: calls into the
-/// allocator (a `realloc` is one), and the bytes they asked for.
+/// allocator (a `realloc` is one), the bytes they asked for, and how many
+/// of the calls were `realloc`s to a smaller size.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Allocated {
     pub calls: u64,
     pub bytes: u64,
+    pub shrinks: u64,
 }
 
 /// `f`'s result and what this thread allocated while it ran.
 pub fn count_during<R>(f: impl FnOnce() -> R) -> (R, Allocated) {
-    let before = (ALLOCATIONS.with(Cell::get), ALLOCATED_BYTES.with(Cell::get));
+    let counters = || [&ALLOCATIONS, &ALLOCATED_BYTES, &SHRINKS].map(|n| n.with(Cell::get));
+    let before = counters();
     COUNTING.with(|on| on.set(true));
     let result = f();
     COUNTING.with(|on| on.set(false));
-    let allocated = Allocated {
-        calls: ALLOCATIONS.with(Cell::get) - before.0,
-        bytes: ALLOCATED_BYTES.with(Cell::get) - before.1,
-    };
-    (result, allocated)
+    let after = counters();
+    let [calls, bytes, shrinks] = [0, 1, 2].map(|i| after[i] - before[i]);
+    (
+        result,
+        Allocated {
+            calls,
+            bytes,
+            shrinks,
+        },
+    )
 }
 
 /// `f`'s result and by how many bytes this thread's heap grew while it ran:

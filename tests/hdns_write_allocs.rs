@@ -49,12 +49,15 @@ fn worst_rebind(realm: &HdnsRealm) -> Allocated {
         Allocated {
             calls: worst.calls.max(one.calls),
             bytes: worst.bytes.max(one.bytes),
+            shrinks: worst.shrinks.max(one.shrinks),
         }
     })
 }
 
 fn within(measured: Allocated, budget: Allocated) -> bool {
-    measured.calls <= budget.calls && measured.bytes <= budget.bytes
+    measured.calls <= budget.calls
+        && measured.bytes <= budget.bytes
+        && measured.shrinks <= budget.shrinks
 }
 
 #[test]
@@ -67,10 +70,12 @@ fn replicated_rebind_stays_inside_its_allocation_budget() {
     const BUDGET_1: Allocated = Allocated {
         calls: 20,
         bytes: 1_886,
+        shrinks: 0,
     };
     const BUDGET_3: Allocated = Allocated {
         calls: 37,
         bytes: 3_595,
+        shrinks: 0,
     };
     /// A 1 MiB value is copied three times on its way through the group
     /// (proposal, `Ordered` body, decoded record); the JSON path built two

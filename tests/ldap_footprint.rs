@@ -42,7 +42,7 @@ fn server() -> DirectoryServer {
 
 #[test]
 fn a_bound_leaf_stays_inside_its_byte_budget() {
-    const BYTES_PER_LEAF_BUDGET: i64 = 550;
+    const BYTES_PER_LEAF_BUDGET: i64 = 400;
 
     let server = server();
     let factory = LdapFactory::new(Arc::new(ZeroClock));
