@@ -430,6 +430,9 @@ impl Replica for NodeReplica {
     fn take_events(&self) -> Vec<HdnsEvent> {
         self.hdns.lock().take_events()
     }
+    fn generation(&self) -> Arc<std::sync::atomic::AtomicU64> {
+        self.hdns.lock().generation().clone()
+    }
     fn pump(&self) {
         self.hdns.lock().process()
     }

@@ -10,6 +10,7 @@
 use std::fmt;
 
 use crate::name::CompositeName;
+use crate::spi::boundary::Holds;
 use crate::value::BoundValue;
 
 /// Result alias used throughout the API.
@@ -48,10 +49,13 @@ pub enum NamingError {
     /// A lease renewal failed and the entry may have expired remotely.
     LeaseExpired { name: String },
     /// Federation continuation: `resolved` is the object at the boundary of
-    /// this naming system and `remaining` the suffix still to resolve.
+    /// this naming system and `remaining` the suffix still to resolve;
+    /// `holds`, when the provider can say, how far and how long every name
+    /// beneath the boundary continues the same way.
     Continue {
         resolved: BoundValue,
         remaining: CompositeName,
+        holds: Option<Box<Holds>>,
     },
     /// Federation nested too deeply (cycle guard).
     FederationDepthExceeded { depth: usize },
@@ -175,6 +179,7 @@ mod tests {
         let e = NamingError::Continue {
             resolved: BoundValue::Null,
             remaining: CompositeName::empty(),
+            holds: None,
         };
         assert!(e.is_continue());
         assert!(!NamingError::not_found("x").is_continue());

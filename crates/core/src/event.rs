@@ -106,12 +106,14 @@ impl EventHub {
         self.regs.read().is_empty()
     }
 
-    /// Dispatch an event to every matching listener.
+    /// Dispatch an event to every matching listener: those registered at
+    /// or above its name, and — for an event at the empty name, the whole
+    /// namespace replaced — every one.
     pub fn fire(&self, event: &NamingEvent) {
         let listeners: Vec<Arc<dyn NamingListener>> = {
             let regs = self.regs.read();
             regs.iter()
-                .filter(|r| event.name.starts_with(&r.prefix))
+                .filter(|r| event.name.is_empty() || event.name.starts_with(&r.prefix))
                 .map(|r| r.listener.clone())
                 .collect()
         };

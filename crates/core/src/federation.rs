@@ -8,9 +8,12 @@
 //! the resolved object into the next context (instantiating providers by
 //! URL scheme where needed) and re-issues the operation with the remaining
 //! name, until the operation completes or the hop limit trips.
+//! A hop whose provider said how far and how long it holds is remembered
+//! ([`Continuations`]) and taken again without asking it.
 
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -23,7 +26,10 @@ use crate::error::{NamingError, Result};
 use crate::filter::Filter;
 use crate::name::CompositeName;
 use crate::op::{NamingOp, OpKind, OpOutcome, OpPayload};
-use crate::spi::{ProviderBackend, ProviderRegistry};
+use crate::spi::boundary::{Holds, Keeper};
+use crate::spi::{
+    cache_events, CacheMap, ProviderBackend, ProviderRegistry, DEFAULT_CACHE_MAX_ENTRIES,
+};
 use crate::url::RndiUrl;
 use crate::value::BoundValue;
 
@@ -76,26 +82,240 @@ where
         .collect()
 }
 
-/// Turn a resolved boundary object into the continuation context plus the
-/// name prefix it contributes (URL references contribute their path).
+/// Turn a resolved boundary object into the continuation context, plus —
+/// for a URL reference — the URL, whose path the next naming system's name
+/// starts with.
 fn continuation_context(
     resolved: BoundValue,
     registry: &ProviderRegistry,
     env: &Environment,
-) -> Result<(Arc<dyn DirContext>, CompositeName)> {
+) -> Result<(Arc<dyn DirContext>, Option<RndiUrl>)> {
     match resolved {
-        BoundValue::Context(ctx) => Ok((ctx, CompositeName::empty())),
+        BoundValue::Context(ctx) => Ok((ctx, None)),
         BoundValue::Reference(r) => {
             let url_str = r.url_addr().ok_or_else(|| NamingError::NotAContext {
                 name: format!("reference {:?} has no URL address", r.class_name),
             })?;
             let url = RndiUrl::parse(url_str)?;
             let ctx = registry.create_context(&url, env)?;
-            Ok((ctx, url.path))
+            Ok((ctx, Some(url)))
         }
         other => Err(NamingError::NotAContext {
             name: format!("cannot continue through a {} value", other.class_name()),
         }),
+    }
+}
+
+/// The cache's index: a hash of a context's identity (the address of its
+/// allocation, which the hop's route keeps from reuse with a `Weak`) and a
+/// name prefix. A hit compares both with what the hop holds.
+fn hop_key(from: usize, prefix: &[String]) -> u64 {
+    let mut h = DefaultHasher::new();
+    (from, prefix).hash(&mut h);
+    h.finish()
+}
+
+/// Components end to end, each its byte length then its bytes (none when
+/// one is longer than a byte can say): a hop's names in one block.
+fn pack<'a>(components: impl Iterator<Item = &'a String>) -> Option<Box<[u8]>> {
+    let mut packed = Vec::new();
+    for c in components {
+        packed.push(u8::try_from(c.len()).ok()?);
+        packed.extend_from_slice(c.as_bytes());
+    }
+    Some(packed.into_boxed_slice())
+}
+
+fn unpack(mut packed: &[u8]) -> impl Iterator<Item = &str> {
+    std::iter::from_fn(move || {
+        let (&len, rest) = packed.split_first()?;
+        let (c, rest) = rest.split_at(len as usize);
+        packed = rest;
+        Some(std::str::from_utf8(c).expect("packed from a String"))
+    })
+}
+
+/// What the hops from one context through one URL root (its path cut off)
+/// share: many links lead from one naming system to another.
+struct Route {
+    from: Weak<dyn DirContext>,
+    root: RndiUrl,
+    keeper: Arc<dyn Keeper>,
+}
+
+/// A hop `drive_op` took through a URL reference: from the route's
+/// context, a name strictly beneath the first `within` components of
+/// `names` loses its first `consumed`, gains the rest of `names` (the
+/// URL's path) in front, and goes on in the context the registry creates
+/// for the route's root — on every hop, as for an answered one, so a
+/// factory's own changes are seen — while the keeper says `mark` holds.
+struct Hop {
+    names: Box<[u8]>,
+    within: usize,
+    consumed: usize,
+    route: Arc<Route>,
+    mark: u64,
+}
+
+impl Hop {
+    /// The URL's path.
+    fn path(&self) -> impl Iterator<Item = String> + '_ {
+        unpack(&self.names).skip(self.within).map(String::from)
+    }
+}
+
+/// The continuation cache a [`ProviderRegistry`] keeps: `(context, prefix)
+/// → hop`, for hops whose provider said how far and how long they hold, at
+/// most 4 096 (the pipeline cache's bound), least recently used out first. What
+/// a hop holds is a fact about the context it leaves; what the next context
+/// is, the registry decides on every hop. Its events count into
+/// `rndi_cache_events_total{provider="federation"}`: `hit`, `miss` (a
+/// continuation a provider answered), `stale` (dropped: its state moved
+/// on) and `eviction`.
+#[derive(Default)]
+pub struct Continuations {
+    hops: Mutex<Hops>,
+}
+
+/// The hops, and the routes they take (a few, shared).
+type Hops = (CacheMap<u64, Hop>, Vec<Arc<Route>>);
+
+/// Routes shared at most; past that, hops start sharing afresh.
+const MAX_ROUTES: usize = 8;
+
+/// Hit, miss, stale, eviction.
+fn count(event: usize, n: u64) {
+    static EVENTS: OnceLock<[Arc<rndi_obs::Counter>; 4]> = OnceLock::new();
+    EVENTS.get_or_init(|| cache_events("federation", ["hit", "miss", "stale", "eviction"]))[event]
+        .add(n);
+}
+
+const HIT: usize = 0;
+const MISS: usize = 1;
+const STALE: usize = 2;
+const EVICTION: usize = 3;
+
+impl Continuations {
+    /// Hops cached now.
+    pub fn len(&self) -> usize {
+        self.hops.lock().0.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Forget every hop.
+    pub fn clear(&self) {
+        *self.hops.lock() = Default::default();
+    }
+
+    /// Take the cached hop for `op` at `ctx`, if one holds: re-target the
+    /// op (a rename's new name by the rule an answered hop follows,
+    /// [`rebased`]) and return the next context.
+    fn follow(
+        &self,
+        ctx: &Arc<dyn DirContext>,
+        op: &mut NamingOp,
+        registry: &ProviderRegistry,
+        env: &Environment,
+    ) -> Result<Option<Arc<dyn DirContext>>> {
+        // Listener operations never leave a naming system.
+        if op.name.len() < 2 || matches!(op.kind, OpKind::AddListener | OpKind::RemoveListener) {
+            return Ok(None);
+        }
+        let mut hops = self.hops.lock();
+        let map = &mut hops.0;
+        let (from, names) = (Arc::as_ptr(ctx) as *const () as usize, op.name.components());
+        let taken = (1..names.len()).find_map(|within| {
+            let prefix = &names[..within];
+            let slot = map.find(&hop_key(from, prefix))?;
+            let hop = map.value(slot);
+            let own = unpack(&hop.names).take(within);
+            if hop.route.from.as_ptr() as *const () as usize != from
+                || hop.within != within
+                || !own.eq(prefix.iter().map(String::as_str))
+            {
+                return None;
+            }
+            if !hop.route.keeper.still(hop.mark) {
+                map.remove_slot(slot);
+                count(STALE, 1);
+                return None;
+            }
+            Some(slot)
+        });
+        let Some(slot) = taken else {
+            return Ok(None);
+        };
+        let hop = map.value(slot);
+        if !hop.route.keeper.admits(names) {
+            return Ok(None);
+        }
+        if let OpPayload::NewName(target) = &mut op.payload {
+            let path = CompositeName::from_components(hop.path());
+            *target = rebased(&op.name, Some(hop.consumed), target, &path)?;
+        }
+        op.name.rebase(hop.consumed, hop.path());
+        let route = hop.route.clone();
+        map.touch(slot);
+        drop(hops);
+        count(HIT, 1);
+        registry.create_context(&route.root, env).map(Some)
+    }
+
+    /// Remember the hop from `ctx` that took `name` through `url`, having
+    /// consumed `consumed` components, as far as `holds` says.
+    fn remember(
+        &self,
+        ctx: &Arc<dyn DirContext>,
+        name: &CompositeName,
+        url: &RndiUrl,
+        consumed: usize,
+        holds: Holds,
+    ) {
+        if holds.within == 0 || !(consumed..=name.len()).contains(&holds.within) {
+            return;
+        }
+        let prefix = &name.components()[..holds.within];
+        let Some(names) = pack(prefix.iter().chain(url.path.components())) else {
+            return;
+        };
+        let route = Route {
+            from: Arc::downgrade(ctx),
+            root: url.with_path(CompositeName::empty()),
+            keeper: holds.keeper,
+        };
+        let mut hops = self.hops.lock();
+        let (map, routes) = &mut *hops;
+        let shared = routes.iter().find(|r| {
+            Weak::ptr_eq(&r.from, &route.from)
+                && r.root == route.root
+                && Arc::ptr_eq(&r.keeper, &route.keeper)
+        });
+        let route = match shared {
+            Some(shared) => shared.clone(),
+            None => {
+                if routes.len() == MAX_ROUTES {
+                    routes.clear();
+                }
+                routes.push(Arc::new(route));
+                routes[routes.len() - 1].clone()
+            }
+        };
+        let hop = Hop {
+            names,
+            within: holds.within,
+            consumed,
+            route,
+            mark: holds.mark,
+        };
+        let key = hop_key(Arc::as_ptr(ctx) as *const () as usize, prefix);
+        let evicted = map.insert(key, hop, DEFAULT_CACHE_MAX_ENTRIES);
+        drop(hops);
+        if evicted > 0 {
+            count(EVICTION, evicted);
+        }
     }
 }
 
@@ -104,7 +324,9 @@ fn continuation_context(
 /// same op — moved, not copied, so a write's payload crosses every naming
 /// system without being cloned — at the remaining name (a `rename`'s
 /// target with it), and interceptor annotations (retry attempt, trace tags)
-/// survive across naming-system boundaries.
+/// survive across naming-system boundaries. A hop the registry's
+/// [`Continuations`] hold is taken without asking its provider; one a
+/// provider answers with a [`Holds`] is remembered there.
 pub fn drive_op(
     ctx: Arc<dyn DirContext>,
     mut op: NamingOp,
@@ -150,15 +372,29 @@ fn drive_op_loop(
     registry: &ProviderRegistry,
     env: &Environment,
 ) -> Result<OpOutcome> {
+    let hops = registry.continuations();
     for _ in 0..=MAX_DEPTH {
+        if let Some(next) = hops.follow(&ctx, &mut op, registry, env)? {
+            ctx = next;
+            continue;
+        }
         match ctx.execute(&op) {
             Err(NamingError::Continue {
                 resolved,
                 remaining,
+                holds,
             }) => {
-                let (next, prefix) = continuation_context(resolved, registry, env)?;
+                count(MISS, 1);
+                let (next, url) = continuation_context(resolved, registry, env)?;
+                let consumed = op.name.len().checked_sub(remaining.len());
+                if let (Some(holds), Some(consumed), Some(url)) = (holds, consumed, &url) {
+                    if op.name.components().ends_with(remaining.components()) {
+                        hops.remember(&ctx, &op.name, url, consumed, *holds);
+                    }
+                }
+                let prefix = url.map(|u| u.path).unwrap_or_default();
                 if let OpPayload::NewName(target) = &mut op.payload {
-                    *target = rebased(&op.name, &remaining, target, &prefix)?;
+                    *target = rebased(&op.name, consumed, target, &prefix)?;
                 }
                 ctx = next;
                 op.name = prefix.join(&remaining);
@@ -170,17 +406,17 @@ fn drive_op_loop(
 }
 
 /// A rename's target as the next naming system spells it: the hop consumed
-/// the leading components of `old` that `remaining` no longer has, and the
-/// target moves with it only if it starts with those same components and
-/// goes on beneath them — a binding cannot be renamed out of the naming
-/// system that holds it.
+/// the leading `consumed` components of `old` (none known: the hop's
+/// remaining name is longer than `old`), and the target moves with it only
+/// if it starts with those same components and goes on beneath them — a
+/// binding cannot be renamed out of the naming system that holds it.
 fn rebased(
     old: &CompositeName,
-    remaining: &CompositeName,
+    consumed: Option<usize>,
     target: &CompositeName,
     prefix: &CompositeName,
 ) -> Result<CompositeName> {
-    match old.len().checked_sub(remaining.len()) {
+    match consumed {
         Some(consumed)
             if target.len() > consumed
                 && target.components()[..consumed] == old.components()[..consumed] =>
@@ -353,7 +589,8 @@ impl FederatedContext {
         depth: usize,
         parent: &TraceCtx,
     ) -> Result<Vec<SearchItem>> {
-        let (ctx, prefix) = continuation_context(link, &self.registry, &self.env)?;
+        let (ctx, url) = continuation_context(link, &self.registry, &self.env)?;
+        let prefix = url.map(|u| u.path).unwrap_or_default();
         let child = FederatedContext::new(ctx, self.registry.clone(), self.env.clone());
         child.search_federated(&prefix, filter, controls, depth, Some(parent))
     }

@@ -114,6 +114,7 @@ impl MemContext {
                     return Err(NamingError::Continue {
                         resolved: value,
                         remaining: name.suffix(i + 1),
+                        holds: None,
                     })
                 }
                 Some(Node::Leaf(_)) => return Err(leaf(ctx.abs(component).to_string())),
@@ -778,6 +779,7 @@ mod tests {
             NamingError::Continue {
                 resolved,
                 remaining,
+                ..
             } => {
                 assert_eq!(
                     resolved.as_reference().unwrap().url_addr(),

@@ -148,6 +148,12 @@ impl CompositeName {
         CompositeName { components }
     }
 
+    /// Replace the leading `consumed` components with `prefix`, in place
+    /// (`prefix.join(&self.suffix(consumed))` without a new name).
+    pub fn rebase(&mut self, consumed: usize, prefix: impl IntoIterator<Item = String>) {
+        self.components.splice(..consumed, prefix);
+    }
+
     /// Whether `prefix` is a leading subsequence of this name.
     pub fn starts_with(&self, prefix: &CompositeName) -> bool {
         self.components.len() >= prefix.components.len()

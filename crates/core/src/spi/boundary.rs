@@ -21,10 +21,64 @@
 //!   it. A link found there continues with the rest of the name; a plain
 //!   leaf explains a read's miss as `NotAContext`.
 //! * The empty name and the listener operations never leave.
+//! * A provider that can say how far and how long its answer holds reports
+//!   it with the link ([`Holds`]): every name strictly beneath a prefix of
+//!   the one it asked about leaves the same way, whatever the operation,
+//!   while its own state says so. `drive_op` follows such names without
+//!   asking again.
+
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use crate::error::{NamingError, Result};
 use crate::op::{NamingOp, OpKind, OpOutcome};
 use crate::value::BoundValue;
+
+/// What keeps a continuation true: the naming system's own state, checked
+/// against the mark its answer left.
+pub trait Keeper: Send + Sync {
+    /// Whether what held at `mark` still does.
+    fn still(&self, mark: u64) -> bool;
+
+    /// Whether the naming system takes `name` at all: one it refuses
+    /// outright (a DNS label outside its charset) leaves through no link.
+    fn admits(&self, _name: &[String]) -> bool {
+        true
+    }
+}
+
+/// A generation: a counter the naming system bumps on every change it
+/// applies (an HDNS replica's ops and state transfers).
+impl Keeper for AtomicU64 {
+    fn still(&self, mark: u64) -> bool {
+        self.load(Ordering::Acquire) == mark
+    }
+}
+
+/// How far and how long a continuation holds: every name that strictly
+/// extends the first `within` components of the one asked about, and that
+/// the keeper admits, leaves the same way while it says `mark` holds.
+#[derive(Clone)]
+pub struct Holds {
+    pub within: usize,
+    pub keeper: Arc<dyn Keeper>,
+    pub mark: u64,
+}
+
+impl fmt::Debug for Holds {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Holds(within {}, mark {})", self.within, self.mark)
+    }
+}
+
+/// Two promises are the same when they rest on the same state.
+impl PartialEq for Holds {
+    fn eq(&self, other: &Self) -> bool {
+        (self.within, self.mark) == (other.within, other.mark)
+            && Arc::ptr_eq(&self.keeper, &other.keeper)
+    }
+}
 
 /// What a provider found bound at a prefix of a name.
 pub struct Bound {
@@ -38,6 +92,10 @@ pub struct Bound {
     /// How the provider spells this prefix in an error, when not the way
     /// the caller wrote it.
     pub spelled: Option<String>,
+    /// How far beneath it, and how long, names leave through it, were it a
+    /// link (`within` counts from the start of the name, at least `len`);
+    /// read only when it is one.
+    pub holds: Option<Holds>,
 }
 
 impl Bound {
@@ -48,6 +106,7 @@ impl Bound {
             value,
             holds_names: false,
             spelled: None,
+            holds: None,
         }
     }
 
@@ -75,6 +134,10 @@ pub fn run(
     let leave = |bound: Bound| NamingError::Continue {
         resolved: bound.value,
         remaining: op.name.suffix(bound.len),
+        holds: bound
+            .holds
+            .filter(|h| (bound.len..=n).contains(&h.within))
+            .map(Box::new),
     };
     match op.kind {
         OpKind::Lookup | OpKind::GetAttributes => {

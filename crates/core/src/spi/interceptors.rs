@@ -1,6 +1,7 @@
 //! The interceptors of the standard stack: retry, cache, marshalling, obs.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -16,7 +17,6 @@ use crate::event::{NamingEvent, NamingListener};
 use crate::lease::Clock;
 use crate::name::CompositeName;
 use crate::op::{codec, NamingOp, OpKind, OpOutcome, OpPayload, ALL_OP_KINDS};
-use crate::value::BoundValue;
 /// The continuation an [`Interceptor`] calls to pass the op down the stack.
 pub trait OpInvoker {
     fn invoke(&self, op: &NamingOp) -> Result<OpOutcome>;
@@ -171,87 +171,140 @@ fn jitter(base: Duration) -> Duration {
 
 // ------------------------------------------------------------- cache --
 
+/// Default [`CacheInterceptor`] capacity (entries), overridable via
+/// [`CacheInterceptor::with_max_entries`]; also `drive_op`'s
+/// continuation-cache bound.
+pub(crate) const DEFAULT_CACHE_MAX_ENTRIES: usize = 4096;
+
+/// A map with a least-recently-used order over its keys: the pipeline's
+/// lookup cache and `drive_op`'s continuation cache. Entries
+/// sit in slots on one circular recency list through slot 0, which holds
+/// none, so a hit ([`CacheMap::find`], [`CacheMap::touch`]) relinks slots
+/// and allocates nothing. A bounded map takes room for all its slots at once.
+pub(crate) struct CacheMap<K, V> {
+    index: HashMap<K, u32>,
+    slots: Vec<Slot<K, V>>,
+    free: Vec<u32>,
+}
+
+/// An entry, then its more and its less recently used neighbour.
+type Slot<K, V> = (Option<(K, V)>, u32, u32);
+
+impl<K, V> Default for CacheMap<K, V> {
+    fn default() -> Self {
+        CacheMap {
+            index: HashMap::new(),
+            slots: vec![(None, 0, 0)],
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<K: Hash + Eq + Clone, V> CacheMap<K, V> {
+    pub(crate) fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// The slot holding `key`; its recency is left alone.
+    pub(crate) fn find(&self, key: &K) -> Option<u32> {
+        self.index.get(key).copied()
+    }
+
+    pub(crate) fn value(&self, slot: u32) -> &V {
+        &self.slots[slot as usize].0.as_ref().expect("a live slot").1
+    }
+
+    fn unlink(&mut self, slot: u32) {
+        let (_, prev, next) = self.slots[slot as usize];
+        self.slots[prev as usize].2 = next;
+        self.slots[next as usize].1 = prev;
+    }
+
+    /// Mark `slot` the most recently used.
+    pub(crate) fn touch(&mut self, slot: u32) {
+        self.unlink(slot);
+        let head = self.slots[0].2;
+        (self.slots[slot as usize].1, self.slots[slot as usize].2) = (0, head);
+        self.slots[head as usize].1 = slot;
+        self.slots[0].2 = slot;
+    }
+
+    /// Empty `slot`, returning what it held.
+    pub(crate) fn remove_slot(&mut self, slot: u32) -> V {
+        self.unlink(slot);
+        let (key, value) = self.slots[slot as usize].0.take().expect("a live slot");
+        self.index.remove(&key);
+        self.free.push(slot);
+        value
+    }
+
+    /// Drop every entry `keep` refuses; returns how many went.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) -> usize {
+        let doomed: Vec<u32> = (self.index.values().copied())
+            .filter(|&s| matches!(&self.slots[s as usize].0, Some((k, v)) if !keep(k, v)))
+            .collect();
+        for &slot in &doomed {
+            self.remove_slot(slot);
+        }
+        doomed.len()
+    }
+
+    /// Insert as the most recently used, replacing any entry under `key`
+    /// and first evicting least recently used ones past `max` (`0`:
+    /// unbounded). Returns how many were evicted.
+    pub(crate) fn insert(&mut self, key: K, value: V, max: usize) -> u64 {
+        if let Some(slot) = self.find(&key) {
+            self.remove_slot(slot);
+        }
+        let mut evicted = 0;
+        while max > 0 && self.len() >= max {
+            self.remove_slot(self.slots[0].1);
+            evicted += 1;
+        }
+        let slot = self.free.pop().unwrap_or_else(|| {
+            if max > 0 && self.slots.len() == self.slots.capacity() {
+                self.slots.reserve_exact(max + 1 - self.slots.len());
+            }
+            self.slots.push((None, 0, 0));
+            u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 slots")
+        });
+        self.slots[slot as usize] = (Some((key.clone(), value)), slot, slot);
+        self.index.insert(key, slot);
+        self.touch(slot);
+        evicted
+    }
+}
+
 enum CachedResult {
     Outcome(OpOutcome),
     /// Federation continuations are stable mount resolutions — caching
     /// them spares the upstream system a hop on every federated lookup.
-    Continue {
-        resolved: BoundValue,
-        remaining: CompositeName,
-    },
+    Continue(NamingError),
+}
+
+impl CachedResult {
+    fn replay(&self) -> Result<OpOutcome> {
+        match self {
+            CachedResult::Outcome(out) => Ok(out.clone()),
+            CachedResult::Continue(e) => Err(e.clone()),
+        }
+    }
 }
 
 struct CacheEntry {
     result: CachedResult,
     expires_ms: u64,
-    /// Recency stamp: the key's position in [`CacheMap::recency`].
-    tick: u64,
-}
-
-/// Default [`CacheInterceptor`] capacity (entries), overridable via
-/// [`CacheInterceptor::with_max_entries`].
-const DEFAULT_CACHE_MAX_ENTRIES: usize = 4096;
-
-/// The map plus an LRU order over its keys. `recency` maps a monotonically
-/// increasing tick to the key touched at that tick; each key owns exactly
-/// one tick (its entry's `tick`), so the `recency` minimum is always the
-/// least-recently-used key.
-#[derive(Default)]
-struct CacheMap {
-    map: HashMap<String, CacheEntry>,
-    recency: BTreeMap<u64, String>,
-    next_tick: u64,
-}
-
-impl CacheMap {
-    fn touch(&mut self, key: &str) {
-        let Some(entry) = self.map.get_mut(key) else {
-            return;
-        };
-        self.recency.remove(&entry.tick);
-        entry.tick = self.next_tick;
-        self.recency.insert(self.next_tick, key.to_string());
-        self.next_tick += 1;
-    }
-
-    fn remove(&mut self, key: &str) -> Option<CacheEntry> {
-        let entry = self.map.remove(key)?;
-        self.recency.remove(&entry.tick);
-        Some(entry)
-    }
-
-    /// Insert, evicting least-recently-used entries past `max_entries`
-    /// (`0` = unbounded). Returns how many entries were evicted.
-    fn insert(&mut self, key: String, result: CachedResult, expires_ms: u64, max: usize) -> u64 {
-        self.remove(&key);
-        let mut evicted = 0;
-        if max > 0 {
-            while self.map.len() >= max {
-                let (_, lru) = self.recency.pop_first().expect("map non-empty");
-                self.map.remove(&lru);
-                evicted += 1;
-            }
-        }
-        let tick = self.next_tick;
-        self.next_tick += 1;
-        self.recency.insert(tick, key.clone());
-        self.map.insert(
-            key,
-            CacheEntry {
-                result,
-                expires_ms,
-                tick,
-            },
-        );
-        evicted
-    }
+    /// The backend's generation when the entry was filled (see
+    /// [`CacheInterceptor::with_generation`]).
+    generation: Option<u64>,
 }
 
 /// Read-through lookup cache with TTL expiry and a max-entries LRU bound.
 /// Entries are invalidated by mutations flowing through the pipeline and
 /// by the provider's own naming events (subscribe the interceptor itself, a
 /// `NamingListener`, to a hub, or let [`ProviderPipeline::standard`] wire it
-/// to the backend's hub).
+/// to the backend's hub); over a backend that keeps a generation, a hit is
+/// served only while the generation is the one the entry was filled at.
 pub struct CacheInterceptor {
     ttl_ms: u64,
     max_entries: usize,
@@ -259,7 +312,8 @@ pub struct CacheInterceptor {
     /// if the backend reports `Overloaded`; `0` disables serve-stale.
     serve_stale_ms: u64,
     clock: Arc<dyn Clock>,
-    entries: Mutex<CacheMap>,
+    generation: Option<Arc<AtomicU64>>,
+    entries: Mutex<CacheMap<CompositeName, CacheEntry>>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
@@ -282,6 +336,7 @@ impl CacheInterceptor {
             max_entries: DEFAULT_CACHE_MAX_ENTRIES,
             serve_stale_ms: 0,
             clock,
+            generation: None,
             entries: Mutex::new(CacheMap::default()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -308,22 +363,22 @@ impl CacheInterceptor {
         self
     }
 
+    /// Coherence: `generation` is the backend's
+    /// [`ProviderBackend::generation`], a counter it bumps on every change it
+    /// applies, whoever made it. An entry is served only while the counter
+    /// still reads what it read before the entry was filled.
+    pub fn with_generation(mut self, generation: Arc<AtomicU64>) -> Self {
+        self.generation = Some(generation);
+        self
+    }
+
     /// Also count cache events into the process-wide
     /// `rndi_cache_events_total` family, labelled by provider.
     pub fn with_metrics(mut self, provider: &str) -> Self {
-        let mk = |event: &str| {
-            rndi_obs::metrics::counter(
-                names::CACHE_EVENTS,
-                &[("provider", provider), ("event", event)],
-            )
-        };
-        self.metrics = Some([
-            mk("hit"),
-            mk("miss"),
-            mk("invalidation"),
-            mk("eviction"),
-            mk("stale"),
-        ]);
+        self.metrics = Some(cache_events(
+            provider,
+            ["hit", "miss", "invalidation", "eviction", "stale"],
+        ));
         self
     }
 
@@ -358,7 +413,7 @@ impl CacheInterceptor {
 
     /// Live entry count (diagnostics).
     pub fn len(&self) -> usize {
-        self.entries.lock().map.len()
+        self.entries.lock().len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -367,33 +422,51 @@ impl CacheInterceptor {
 
     /// Drop entries at, under, or above `name` (a changed mount affects
     /// everything resolved through it, in both directions).
-    fn invalidate(&self, name: &str) {
-        let mut entries = self.entries.lock();
-        let doomed: Vec<String> = entries
-            .map
-            .keys()
-            .filter(|key| {
-                name.is_empty()
-                    || *key == name
-                    || key.starts_with(&format!("{name}/"))
-                    || name.starts_with(&format!("{key}/"))
-            })
-            .cloned()
-            .collect();
-        for key in &doomed {
-            entries.remove(key);
-        }
-        if !doomed.is_empty() {
+    fn invalidate(&self, name: &CompositeName) {
+        let doomed = self
+            .entries
+            .lock()
+            .retain(|key, _| !(key.starts_with(name) || name.starts_with(key)));
+        if doomed > 0 {
             self.invalidations
-                .fetch_add(doomed.len() as u64, Ordering::Relaxed);
-            self.metric_add(2, doomed.len() as u64);
+                .fetch_add(doomed as u64, Ordering::Relaxed);
+            self.metric_add(2, doomed as u64);
         }
     }
+
+    /// The slot of `key` if its entry may be served at `now_ms` past
+    /// `grace_ms` of expiry, at `generation`.
+    fn servable(
+        entries: &CacheMap<CompositeName, CacheEntry>,
+        key: &CompositeName,
+        now_ms: u64,
+        grace_ms: u64,
+        generation: Option<u64>,
+    ) -> Option<u32> {
+        entries.find(key).filter(|&slot| {
+            let entry = entries.value(slot);
+            entry.expires_ms.saturating_add(grace_ms) > now_ms && entry.generation == generation
+        })
+    }
+}
+
+/// The process-wide `rndi_cache_events_total` counters of one cache, by
+/// event.
+pub(crate) fn cache_events<const N: usize>(
+    provider: &str,
+    events: [&str; N],
+) -> [Arc<rndi_obs::Counter>; N] {
+    events.map(|event| {
+        rndi_obs::metrics::counter(
+            names::CACHE_EVENTS,
+            &[("provider", provider), ("event", event)],
+        )
+    })
 }
 
 impl NamingListener for CacheInterceptor {
     fn on_event(&self, event: &NamingEvent) {
-        self.invalidate(&event.name.to_string());
+        self.invalidate(&event.name);
     }
 }
 
@@ -407,9 +480,9 @@ impl Interceptor for CacheInterceptor {
             let result = next.invoke(op);
             // Invalidate even on failure: a timed-out write may have
             // landed, so serving the old cached value would be wrong.
-            self.invalidate(&op.name.to_string());
+            self.invalidate(&op.name);
             if let OpPayload::NewName(new) = &op.payload {
-                self.invalidate(&new.to_string());
+                self.invalidate(new);
             }
             return result;
         }
@@ -417,82 +490,52 @@ impl Interceptor for CacheInterceptor {
             return next.invoke(op);
         }
 
-        let key = op.name.to_string();
+        let key = &op.name;
         let now = self.clock.now_ms();
+        // Read before the backend is: a change applied while it answers
+        // leaves the entry filled at a generation already gone.
+        let generation = self.generation.as_ref().map(|g| g.load(Ordering::Acquire));
         {
             let mut entries = self.entries.lock();
-            let fresh = entries
-                .map
-                .get(&key)
-                .is_some_and(|entry| entry.expires_ms > now);
-            if fresh {
-                entries.touch(&key);
-                let entry = entries.map.get(&key).expect("checked above");
+            if let Some(slot) = Self::servable(&entries, key, now, 0, generation) {
+                entries.touch(slot);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.metric_add(0, 1);
-                return match &entry.result {
-                    CachedResult::Outcome(out) => Ok(out.clone()),
-                    CachedResult::Continue {
-                        resolved,
-                        remaining,
-                    } => Err(NamingError::Continue {
-                        resolved: resolved.clone(),
-                        remaining: remaining.clone(),
-                    }),
-                };
+                return entries.value(slot).result.replay();
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.metric_add(1, 1);
         let result = next.invoke(op);
-        if self.serve_stale_ms > 0 {
-            if let Err(e) = &result {
-                if e.is_overloaded() {
-                    // Degrade gracefully: an entry expired less than the
-                    // grace window ago beats an error while the backend
-                    // sheds load. Expired entries linger in the map until
-                    // overwritten or invalidated, so it is still here.
-                    let mut entries = self.entries.lock();
-                    let within_grace = entries.map.get(&key).is_some_and(|entry| {
-                        entry.expires_ms.saturating_add(self.serve_stale_ms) > now
-                    });
-                    if within_grace {
-                        entries.touch(&key);
-                        let entry = entries.map.get(&key).expect("checked above");
-                        self.stale_serves.fetch_add(1, Ordering::Relaxed);
-                        self.metric_add(4, 1);
-                        return match &entry.result {
-                            CachedResult::Outcome(out) => Ok(out.clone()),
-                            CachedResult::Continue {
-                                resolved,
-                                remaining,
-                            } => Err(NamingError::Continue {
-                                resolved: resolved.clone(),
-                                remaining: remaining.clone(),
-                            }),
-                        };
-                    }
-                }
+        if self.serve_stale_ms > 0 && result.as_ref().is_err_and(NamingError::is_overloaded) {
+            // Degrade gracefully: an entry expired less than the grace
+            // window ago beats an error while the backend sheds load.
+            // Expired entries linger in the map until overwritten or
+            // invalidated, so it is still here.
+            let mut entries = self.entries.lock();
+            if let Some(slot) = Self::servable(&entries, key, now, self.serve_stale_ms, generation)
+            {
+                entries.touch(slot);
+                self.stale_serves.fetch_add(1, Ordering::Relaxed);
+                self.metric_add(4, 1);
+                return entries.value(slot).result.replay();
             }
         }
         let cached = match &result {
             Ok(out) => Some(CachedResult::Outcome(out.clone())),
-            Err(NamingError::Continue {
-                resolved,
-                remaining,
-            }) => Some(CachedResult::Continue {
-                resolved: resolved.clone(),
-                remaining: remaining.clone(),
-            }),
+            Err(e) if e.is_continue() => Some(CachedResult::Continue(e.clone())),
             Err(_) => None,
         };
         if let Some(result) = cached {
-            let evicted = self.entries.lock().insert(
-                key,
+            let entry = CacheEntry {
                 result,
-                now.saturating_add(self.ttl_ms),
-                self.max_entries,
-            );
+                expires_ms: now.saturating_add(self.ttl_ms),
+                generation,
+            };
+            let evicted = self
+                .entries
+                .lock()
+                .insert(key.clone(), entry, self.max_entries);
             if evicted > 0 {
                 self.evictions.fetch_add(evicted, Ordering::Relaxed);
                 self.metric_add(3, evicted);

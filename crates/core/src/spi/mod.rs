@@ -12,6 +12,7 @@
 //!   walk for a backend with no query engine of its own.
 
 use std::collections::HashMap;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -20,6 +21,7 @@ use crate::context::DirContext;
 use crate::env::Environment;
 use crate::error::{NamingError, Result};
 use crate::event::EventHub;
+use crate::federation::Continuations;
 use crate::name::CompoundSyntax;
 use crate::op::{NamingOp, OpOutcome};
 use crate::url::RndiUrl;
@@ -30,6 +32,7 @@ mod pipeline;
 pub mod search;
 pub mod telemetry;
 
+pub(crate) use interceptors::{cache_events, CacheMap, DEFAULT_CACHE_MAX_ENTRIES};
 pub use interceptors::{
     is_transient, CacheInterceptor, Interceptor, MarshalInterceptor, ObsInterceptor, OpInvoker,
     RetryInterceptor,
@@ -47,10 +50,11 @@ pub trait UrlContextFactory: Send + Sync {
     fn create(&self, url: &RndiUrl, env: &Environment) -> Result<Arc<dyn DirContext>>;
 }
 
-/// Scheme → factory table.
+/// Scheme → factory table, and the federation hops resolved through it.
 #[derive(Default)]
 pub struct ProviderRegistry {
     factories: RwLock<HashMap<String, Arc<dyn UrlContextFactory>>>,
+    continuations: Continuations,
 }
 
 impl ProviderRegistry {
@@ -90,6 +94,11 @@ impl ProviderRegistry {
         let mut v: Vec<String> = self.factories.read().keys().cloned().collect();
         v.sort();
         v
+    }
+
+    /// The federation hops cached for [`crate::federation::drive_op`].
+    pub fn continuations(&self) -> &Continuations {
+        &self.continuations
     }
 
     /// Create a context for a URL by dispatching on its scheme.
@@ -144,6 +153,14 @@ pub trait ProviderBackend: Send + Sync {
     /// Whether this backend stores live values or marshalled bytes.
     fn wire_format(&self) -> WireFormat {
         WireFormat::Native
+    }
+
+    /// A counter the backend bumps on every change it applies to what it
+    /// serves, whoever made the change, if it keeps one. The pipeline's
+    /// cache serves an entry only while the counter reads what it read when
+    /// the entry was filled.
+    fn generation(&self) -> Option<Arc<AtomicU64>> {
+        None
     }
 }
 

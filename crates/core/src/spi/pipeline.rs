@@ -1,6 +1,7 @@
 //! [`ProviderPipeline`]: the interceptor stack in front of a backend, and
 //! the context its callers hold.
 
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -135,8 +136,11 @@ impl<B: ProviderBackend + ?Sized> ProviderPipeline<B> {
 
         let ttl_ms = env.get_u64(keys::CACHE_TTL_MS, 0);
         let cache = (ttl_ms > 0).then(|| {
-            let cache = CacheInterceptor::new(ttl_ms)
+            let mut cache = CacheInterceptor::new(ttl_ms)
                 .with_serve_stale_ms(env.get_u64(keys::CACHE_SERVE_STALE_MS, 0));
+            if let Some(generation) = backend.generation() {
+                cache = cache.with_generation(generation);
+            }
             Arc::new(if obs {
                 cache.with_metrics(&provider_label)
             } else {
@@ -237,6 +241,10 @@ impl<B: ProviderBackend + ?Sized> ProviderBackend for ProviderPipeline<B> {
         // The stack already marshals for encoded backends; callers above
         // the pipeline always see live values.
         WireFormat::Native
+    }
+
+    fn generation(&self) -> Option<Arc<AtomicU64>> {
+        self.backend.generation()
     }
 }
 

@@ -46,6 +46,7 @@ impl ProviderBackend for Scripted {
             (OpKind::Lookup, Some("mount")) => Err(NamingError::Continue {
                 resolved: BoundValue::str("elsewhere"),
                 remaining: CompositeName::from("rest"),
+                holds: None,
             }),
             (OpKind::Lookup, Some("flaky"))
                 if self

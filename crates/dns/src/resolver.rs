@@ -74,18 +74,19 @@ impl Cache {
         self.by_type.iter().map(HashMap::len).sum()
     }
 
-    /// What is cached for `name`/`rtype` at `now_ms`: its own line (an
-    /// expired one is dropped), or a live denial of it or an ancestor.
+    /// What is cached for `name`/`rtype` at `now_ms`, and when that lapses:
+    /// its own line (an expired one is dropped), or a live denial of it or
+    /// an ancestor.
     fn answer(
         &mut self,
         name: &DnsName,
         rtype: RecordType,
         now_ms: u64,
-    ) -> Option<Result<Vec<ResourceRecord>, ResolveError>> {
+    ) -> Option<(Result<Vec<ResourceRecord>, ResolveError>, u64)> {
         let lines = &mut self.by_type[rtype as usize];
         if let Some(line) = lines.get(name.as_str()) {
             if now_ms < line.expires_at_ms {
-                return Some(Ok(line.records.clone()));
+                return Some((Ok(line.records.clone()), line.expires_at_ms));
             }
             lines.remove(name.as_str());
         }
@@ -94,10 +95,10 @@ impl Cache {
             (!text.is_empty()).then(|| text.split_once('.').map_or("", |(_, up)| up))
         });
         let denied = &self.by_type[DENIED];
-        let live = |text| denied.get(text).is_some_and(|l| now_ms < l.expires_at_ms);
+        let live = |text| Some(denied.get(text)?.expires_at_ms).filter(|&at| now_ms < at);
         ancestry
-            .any(live)
-            .then(|| Err(ResolveError::NxDomain(name.clone())))
+            .find_map(live)
+            .map(|expires| (Err(ResolveError::NxDomain(name.clone())), expires))
     }
 
     /// Cache `records` for `name`/`rtype` — or, for `None`, a denial of
@@ -257,12 +258,25 @@ impl Resolver {
         now_ms: u64,
         trace: Option<&rndi_obs::TraceCtx>,
     ) -> Result<Vec<ResourceRecord>, ResolveError> {
+        self.resolve_until(name, rtype, now_ms, trace).0
+    }
+
+    /// [`Resolver::resolve_traced`], and the virtual time the answer lapses
+    /// at: its TTL's or, for NXDOMAIN, the denial's (`now_ms` for a
+    /// failure, which nothing may rest on).
+    pub fn resolve_until(
+        &self,
+        name: &DnsName,
+        rtype: RecordType,
+        now_ms: u64,
+        trace: Option<&rndi_obs::TraceCtx>,
+    ) -> (Result<Vec<ResourceRecord>, ResolveError>, u64) {
         let start = std::time::Instant::now();
-        let result = self.resolve(name, rtype, now_ms);
+        let (result, expires) = self.answer(name, rtype, now_ms);
         instruments()
             .resolve
             .observe(start.elapsed(), result.is_ok(), trace);
-        result
+        (result, expires)
     }
 
     /// Store an answer, counting whatever the bound made it push out.
@@ -273,15 +287,17 @@ impl Resolver {
         ttl_ms: u64,
         records: Option<Vec<ResourceRecord>>,
         now_ms: u64,
-    ) {
+    ) -> u64 {
+        let expires = now_ms + ttl_ms;
         let evicted = self
             .cache
             .lock()
-            .insert(name, rtype, now_ms + ttl_ms, records, now_ms);
+            .insert(name, rtype, expires, records, now_ms);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
             instruments().cache_evictions.add(evicted);
         }
+        expires
     }
 
     /// Resolve `name`/`rtype` at virtual time `now_ms`.
@@ -291,6 +307,16 @@ impl Resolver {
         rtype: RecordType,
         now_ms: u64,
     ) -> Result<Vec<ResourceRecord>, ResolveError> {
+        self.answer(name, rtype, now_ms).0
+    }
+
+    /// [`Resolver::resolve`], and when the answer lapses.
+    fn answer(
+        &self,
+        name: &DnsName,
+        rtype: RecordType,
+        now_ms: u64,
+    ) -> (Result<Vec<ResourceRecord>, ResolveError>, u64) {
         // Cache consultation.
         let cached = self.cache.lock().answer(name, rtype, now_ms);
         if let Some(answer) = cached {
@@ -301,17 +327,16 @@ impl Resolver {
         self.misses.fetch_add(1, Ordering::Relaxed);
         instruments().cache_misses.inc();
 
+        let fail = |why| (Err(ResolveError::ServFail(why)), now_ms);
         let Some(server) = self.roots.first() else {
-            return Err(ResolveError::ServFail(format!(
-                "no reachable nameserver for {name}"
-            )));
+            return fail(format!("no reachable nameserver for {name}"));
         };
         self.upstream_queries.fetch_add(1, Ordering::Relaxed);
         let resp = server.query(name, rtype);
         match resp.rcode {
-            Rcode::NoError if resp.is_referral() => Err(ResolveError::ServFail(format!(
+            Rcode::NoError if resp.is_referral() => fail(format!(
                 "{name} is delegated to a nameserver this resolver cannot reach"
-            ))),
+            )),
             Rcode::NoError => {
                 let ttl_ms = resp
                     .answers
@@ -319,17 +344,17 @@ impl Resolver {
                     .map(|r| r.ttl as u64 * 1000)
                     .min()
                     .unwrap_or(self.negative_ttl_ms);
-                self.remember(name, rtype, ttl_ms, Some(resp.answers.clone()), now_ms);
-                Ok(resp.answers)
+                let expires =
+                    self.remember(name, rtype, ttl_ms, Some(resp.answers.clone()), now_ms);
+                (Ok(resp.answers), expires)
             }
             Rcode::NxDomain => {
-                self.remember(name, rtype, self.negative_ttl_ms, None, now_ms);
-                Err(ResolveError::NxDomain(name.clone()))
+                let expires = self.remember(name, rtype, self.negative_ttl_ms, None, now_ms);
+                (Err(ResolveError::NxDomain(name.clone())), expires)
             }
-            Rcode::Refused | Rcode::ServFail => Err(ResolveError::ServFail(format!(
-                "{name}: upstream rcode {:?}",
-                resp.rcode
-            ))),
+            Rcode::Refused | Rcode::ServFail => {
+                fail(format!("{name}: upstream rcode {:?}", resp.rcode))
+            }
         }
     }
 }

@@ -2,6 +2,7 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use groupcast::{Addr, ChannelEvent, GroupChannel, SendError, View};
@@ -129,6 +130,9 @@ pub struct HdnsNode<C: ReplicaChannel = GroupChannel> {
     next_op: u64,
     tickets: HashMap<u64, OpOutcome>,
     events: Vec<HdnsEvent>,
+    /// Bumped after every op applied and every state installed: what a
+    /// reader cached stays right while this reads what it read first.
+    generation: Arc<AtomicU64>,
     /// Snapshot + op log on disk; `None` for a memory-only replica.
     wal: Option<Wal>,
     /// What start-up recovery found.
@@ -173,6 +177,7 @@ impl<C: ReplicaChannel> HdnsNode<C> {
             next_op: 0,
             tickets: HashMap::new(),
             events: Vec::new(),
+            generation: Arc::default(),
             wal,
             recovery,
             persist_error: None,
@@ -193,6 +198,20 @@ impl<C: ReplicaChannel> HdnsNode<C> {
 
     pub fn is_alive(&self) -> bool {
         self.alive
+    }
+
+    /// This replica's generation: a counter bumped after every op it
+    /// applies and every state it installs, so a reader that saw one value
+    /// and sees it again has missed no change here.
+    pub fn generation(&self) -> &Arc<AtomicU64> {
+        &self.generation
+    }
+
+    /// Count on from `previous`'s generation (a restart of the replica it
+    /// was), one past it: what was read from the old incarnation is stale.
+    pub(crate) fn succeed(&mut self, previous: &HdnsNode<C>) {
+        self.generation = previous.generation.clone();
+        self.generation.fetch_add(1, Ordering::AcqRel);
     }
 
     /// The currently installed membership view.
@@ -298,6 +317,9 @@ impl<C: ReplicaChannel> HdnsNode<C> {
                     if let Some(wal) = &mut self.wal {
                         wal.stage(self.store.ops_applied, &bytes);
                     }
+                    if result.is_ok() {
+                        self.generation.fetch_add(1, Ordering::AcqRel);
+                    }
                     if let (Ok(()), Some(event)) = (&result, event) {
                         self.events.push(event);
                     }
@@ -374,6 +396,7 @@ impl<C: ReplicaChannel> HdnsNode<C> {
             self.persist();
         }
         self.store = store;
+        self.generation.fetch_add(1, Ordering::AcqRel);
         self.events.push(HdnsEvent::Resynced);
         if let Some(wal) = &mut self.wal {
             wal.lineage_changed();

@@ -7,6 +7,7 @@
 //! recovery scenarios.
 
 use std::path::PathBuf;
+use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -102,11 +103,12 @@ impl HdnsRealm {
 
     fn spawn_replica(&self, idx: usize) {
         let channel = self.cluster.create_channel(self.config.clone());
-        let node = HdnsNode::new(channel, self.data_path(idx));
+        let mut node = HdnsNode::new(channel, self.data_path(idx));
         node.connect(&self.group)
             .expect("a channel the cluster just created is alive");
         let mut nodes = self.nodes.lock();
         if idx < nodes.len() {
+            node.succeed(&nodes[idx].lock());
             nodes[idx] = Arc::new(Mutex::new(node));
         } else {
             nodes.push(Arc::new(Mutex::new(node)));
@@ -352,6 +354,9 @@ impl Replica for (HdnsRealm, usize) {
     }
     fn take_events(&self) -> Vec<HdnsEvent> {
         self.0.take_events(self.1)
+    }
+    fn generation(&self) -> Arc<AtomicU64> {
+        self.0.nodes.lock()[self.1].lock().generation().clone()
     }
     fn pump(&self) {
         self.0.drive()

@@ -7,6 +7,9 @@
 //! TCP pacer. Both write through [`replicate`], the one submit → pump →
 //! outcome → abandon loop.
 
+use std::sync::atomic::AtomicU64;
+use std::sync::Arc;
+
 use parking_lot::Mutex;
 use rndi_obs::TraceCtx;
 
@@ -52,6 +55,9 @@ pub trait Replica: Send + Sync {
     fn write(&self, op: Op, trace: Option<&TraceCtx>) -> Result<(), RealmError>;
     /// Drain this replica's change events.
     fn take_events(&self) -> Vec<HdnsEvent>;
+    /// The replica's generation ([`HdnsNode::generation`]): the same
+    /// counter for as long as this replica is served, restarts included.
+    fn generation(&self) -> Arc<AtomicU64>;
     /// Let pending group traffic reach this replica.
     fn pump(&self);
 }

@@ -586,9 +586,12 @@ pub fn encode_error(e: &NamingError) -> WireError {
         },
         NamingError::ContextNotEmpty { name } => WireError::ContextNotEmpty { name: name.clone() },
         NamingError::LeaseExpired { name } => WireError::LeaseExpired { name: name.clone() },
+        // What a continuation holds rests on the server's state, which the
+        // client cannot check: it crosses without it.
         NamingError::Continue {
             resolved,
             remaining,
+            ..
         } => match StoredValue::try_from_bound(resolved) {
             Some(resolved) => WireError::Continue {
                 resolved,
@@ -650,6 +653,7 @@ pub fn decode_error(wire: &WireError) -> NamingError {
             Ok(remaining) => NamingError::Continue {
                 resolved: resolved.clone().into_bound(),
                 remaining,
+                holds: None,
             },
             // Continuing with the empty name would answer at `resolved`
             // with nothing left to resolve: a wrong answer, not an error.
@@ -790,6 +794,7 @@ mod tests {
             NamingError::Continue {
                 resolved: BoundValue::Reference(Reference::url("ldap://h/dc=x")),
                 remaining: CompositeName::parse("rest/of/name").unwrap(),
+                holds: None,
             },
             NamingError::FederationDepthExceeded { depth: 9 },
         ];

@@ -28,7 +28,7 @@ use rndi_core::env::Environment;
 use rndi_core::error::{NamingError, Result};
 use rndi_core::name::CompositeName;
 use rndi_core::op::{NamingOp, OpKind, OpOutcome};
-use rndi_core::spi::boundary::{self, Bound};
+use rndi_core::spi::boundary::{self, Bound, Holds, Keeper};
 use rndi_core::spi::{ProviderBackend, ProviderPipeline, UrlContextFactory};
 use rndi_core::url::{looks_like_url, RndiUrl};
 use rndi_core::value::{BoundValue, Reference};
@@ -42,8 +42,41 @@ use crate::common::MsClock;
 pub struct DnsProviderContext {
     resolver: Arc<Resolver>,
     anchor: DnsName,
-    clock: Arc<dyn MsClock>,
+    ttl: Arc<Ttl>,
     instance: String,
+}
+
+/// What keeps a link this provider found: answers that lapse on its clock,
+/// for the names beneath the anchor it takes at all.
+struct Ttl {
+    clock: Arc<dyn MsClock>,
+    anchor_len: usize,
+}
+
+impl Ttl {
+    fn new(clock: Arc<dyn MsClock>, anchor: &DnsName) -> Arc<Ttl> {
+        let anchor_len = anchor.as_str().len();
+        Arc::new(Ttl { clock, anchor_len })
+    }
+}
+
+impl Keeper for Ttl {
+    fn still(&self, expires_ms: u64) -> bool {
+        self.clock.now_ms() < expires_ms
+    }
+
+    /// The names [`DnsProviderContext::dns_name`] builds: every label
+    /// non-empty, at most 63 bytes, in the DNS charset; the whole at most
+    /// 255 bytes on the wire.
+    fn admits(&self, name: &[String]) -> bool {
+        let label = |l: &str| {
+            (1..=63).contains(&l.len())
+                && l.chars()
+                    .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_')
+        };
+        let text = name.iter().map(|c| c.len() + 1).sum::<usize>() + self.anchor_len;
+        name.iter().all(|c| c.split('.').all(label)) && text < 255
+    }
 }
 
 impl DnsProviderContext {
@@ -67,9 +100,9 @@ impl DnsProviderContext {
     ) -> Arc<ProviderPipeline<Self>> {
         ProviderPipeline::standard(
             Arc::new(DnsProviderContext {
+                ttl: Ttl::new(clock, &anchor),
                 resolver,
                 anchor,
-                clock,
                 instance: instance.to_string(),
             }),
             env,
@@ -114,7 +147,9 @@ impl DnsProviderContext {
     /// and hand back the first TXT value found. Every prefix is asked about,
     /// longest first; the resolver answers each name below a denied one
     /// from that one cached denial (RFC 8020). DNS errors name DNS names,
-    /// and only a plain record can be refused.
+    /// and only a plain record can be refused. A link found just below a
+    /// denied name holds for every name beneath that one, until the first
+    /// of the two answers lapses.
     fn bound_prefix(
         &self,
         name: &CompositeName,
@@ -122,14 +157,24 @@ impl DnsProviderContext {
         mut dns_name: DnsName,
         trace: Option<&rndi_obs::TraceCtx>,
     ) -> Result<Option<Bound>> {
+        // When the denial of the prefix one longer lapses, if it was denied.
+        let mut denial: Option<u64> = None;
         for k in (0..=upto).rev() {
-            if let Some(text) = self.txt_at(&dns_name, trace)? {
+            let (text, denied, expires_ms) = self.txt_at(&dns_name, trace)?;
+            if let Some(text) = text {
                 let value = Self::decode(text);
+                let holds = denial.map(|denial| Holds {
+                    within: k + 1,
+                    keeper: self.ttl.clone(),
+                    mark: denial.min(expires_ms),
+                });
                 return Ok(Some(Bound {
                     spelled: matches!(value, BoundValue::Str(_)).then(|| dns_name.to_string()),
+                    holds,
                     ..Bound::leaf(k, value)
                 }));
             }
+            denial = denied.then_some(expires_ms);
             if k > 0 {
                 dns_name = Self::without(dns_name, &name.components()[k - 1]);
             }
@@ -137,21 +182,28 @@ impl DnsProviderContext {
         Ok(None)
     }
 
+    /// The TXT value at `dns_name`, whether the name was denied outright
+    /// (NXDOMAIN: nothing beneath it exists either, RFC 8020), and when
+    /// that answer lapses.
     fn txt_at(
         &self,
         dns_name: &DnsName,
         trace: Option<&rndi_obs::TraceCtx>,
-    ) -> Result<Option<String>> {
+    ) -> Result<(Option<String>, bool, u64)> {
+        let now = self.ttl.clock.now_ms();
         match self
             .resolver
-            .resolve_traced(dns_name, RecordType::Txt, self.clock.now_ms(), trace)
+            .resolve_until(dns_name, RecordType::Txt, now, trace)
         {
-            Ok(rrs) => Ok(rrs.into_iter().find_map(|rr| match rr.rdata {
-                RData::Txt(t) => Some(t),
-                _ => None,
-            })),
-            Err(ResolveError::NxDomain(_)) => Ok(None),
-            Err(e) => Err(NamingError::service(e.to_string())),
+            (Ok(rrs), expires) => {
+                let text = rrs.into_iter().find_map(|rr| match rr.rdata {
+                    RData::Txt(t) => Some(t),
+                    _ => None,
+                });
+                Ok((text, false, expires))
+            }
+            (Err(ResolveError::NxDomain(_)), expires) => Ok((None, true, expires)),
+            (Err(e), _) => Err(NamingError::service(e.to_string())),
         }
     }
 
@@ -172,6 +224,7 @@ impl DnsProviderContext {
         trace: Option<&rndi_obs::TraceCtx>,
     ) -> Result<BoundValue> {
         self.txt_at(dns_name, trace)?
+            .0
             .map(Self::decode)
             .ok_or_else(|| {
                 NamingError::not_found(if name.is_empty() {
@@ -188,10 +241,12 @@ impl DnsProviderContext {
         trace: Option<&rndi_obs::TraceCtx>,
     ) -> Result<Attributes> {
         // Expose the record's TTL as the sole attribute.
-        match self
-            .resolver
-            .resolve_traced(dns_name, RecordType::Txt, self.clock.now_ms(), trace)
-        {
+        match self.resolver.resolve_traced(
+            dns_name,
+            RecordType::Txt,
+            self.ttl.clock.now_ms(),
+            trace,
+        ) {
             Ok(rrs) if !rrs.is_empty() => Ok(Attributes::new().with("ttl", rrs[0].ttl.to_string())),
             Ok(_) => Ok(Attributes::new()),
             Err(ResolveError::NxDomain(n)) => Err(NamingError::not_found(n.to_string())),
@@ -364,6 +419,7 @@ mod tests {
             NamingError::Continue {
                 resolved,
                 remaining,
+                ..
             } => {
                 assert_eq!(
                     resolved.as_reference().unwrap().url_addr(),
@@ -385,6 +441,7 @@ mod tests {
             NamingError::Continue {
                 resolved,
                 remaining,
+                ..
             } => {
                 assert_eq!(
                     resolved.as_reference().unwrap().url_addr(),
@@ -495,12 +552,13 @@ mod tests {
         if name.is_empty() {
             let text = ctx
                 .txt_at(&ctx.anchor, None)?
+                .0
                 .ok_or_else(|| NamingError::not_found(ctx.anchor.to_string()))?;
             return Ok(DnsProviderContext::decode(text));
         }
         for k in (0..=name.len()).rev() {
             let dns_name = dns_name_oracle(ctx, name, k)?;
-            let Some(text) = ctx.txt_at(&dns_name, None)? else {
+            let Some(text) = ctx.txt_at(&dns_name, None)?.0 else {
                 continue;
             };
             let value = DnsProviderContext::decode(text);
@@ -511,6 +569,7 @@ mod tests {
                 return Err(NamingError::Continue {
                     resolved: value,
                     remaining: name.suffix(k),
+                    holds: None,
                 });
             }
             return Err(NamingError::NotAContext {
@@ -526,7 +585,7 @@ mod tests {
     ) -> Result<NamingError> {
         for k in (0..name.len()).rev() {
             let dns_name = dns_name_oracle(ctx, name, k)?;
-            let Some(text) = ctx.txt_at(&dns_name, None)? else {
+            let Some(text) = ctx.txt_at(&dns_name, None)?.0 else {
                 continue;
             };
             let value = DnsProviderContext::decode(text);
@@ -534,6 +593,7 @@ mod tests {
                 return Ok(NamingError::Continue {
                     resolved: value,
                     remaining: name.suffix(k),
+                    holds: None,
                 });
             }
             break;
@@ -577,6 +637,7 @@ mod tests {
             NamingError::Continue {
                 resolved,
                 remaining,
+                ..
             } => format!("continue {} remaining {:?}", told(&resolved), remaining),
             other => format!("{other:?}"),
         }
@@ -604,8 +665,8 @@ mod tests {
         let resolver = Arc::new(Resolver::new(vec![server]));
         let ctx = DnsProviderContext {
             resolver: resolver.clone(),
+            ttl: Ttl::new(ManualClock::new(), &anchor),
             anchor,
-            clock: ManualClock::new(),
             instance: "prop".to_string(),
         };
         (ctx, resolver)

@@ -11,6 +11,7 @@
 //! replica.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -24,7 +25,7 @@ use rndi_core::error::{NamingError, Result};
 use rndi_core::event::EventHub;
 use rndi_core::name::CompositeName;
 use rndi_core::op::{NamingOp, OpKind, OpOutcome};
-use rndi_core::spi::boundary::{self, Bound};
+use rndi_core::spi::boundary::{self, Bound, Holds};
 use rndi_core::spi::search;
 use rndi_core::spi::{ProviderBackend, ProviderPipeline, UrlContextFactory, WireFormat};
 use rndi_core::url::RndiUrl;
@@ -89,6 +90,9 @@ fn from_entry_value(e: &HdnsEntry) -> BoundValue {
 pub struct HdnsProviderContext {
     /// The replica this context talks to (the paper's "nearest node").
     replica: Box<dyn Replica>,
+    /// The replica's generation: what this provider answers holds while it
+    /// is unchanged.
+    generation: Arc<AtomicU64>,
     hub: Arc<EventHub>,
     /// `hdns:<instance>`.
     id: String,
@@ -118,6 +122,7 @@ impl HdnsProviderContext {
     ) -> Arc<ProviderPipeline<Self>> {
         ProviderPipeline::standard(
             Arc::new(HdnsProviderContext {
+                generation: replica.generation(),
                 replica,
                 hub: Arc::new(EventHub::new()),
                 id: format!("hdns:{instance}"),
@@ -142,17 +147,28 @@ impl HdnsProviderContext {
 
     /// Answers the federation probe: the entry at the longest bound prefix
     /// of the first `upto` components. The path is joined once; each
-    /// shorter prefix is a slice of it.
+    /// shorter prefix is a slice of it. A link is a leaf, so every name
+    /// beneath it leaves through it, until the replica next changes.
     fn bound_prefix(&self, name: &CompositeName, upto: usize) -> Option<Bound> {
+        // Read before the store is: a change applied meanwhile leaves what
+        // this answer holds already lapsed.
+        let at = self.generation.load(Ordering::Acquire);
         let components = &name.components()[..upto];
         let path = components.join("/");
         let mut end = path.len();
         for (k, last) in components.iter().enumerate().rev() {
             if let Some(e) = self.replica.lookup(&path[..end]) {
-                return Some(if e.is_context() {
-                    Bound::context(k + 1)
-                } else {
-                    Bound::leaf(k + 1, common::unmarshal(e.value()))
+                if e.is_context() {
+                    return Some(Bound::context(k + 1));
+                }
+                let holds = Holds {
+                    within: k + 1,
+                    keeper: self.generation.clone(),
+                    mark: at,
+                };
+                return Some(Bound {
+                    holds: Some(holds),
+                    ..Bound::leaf(k + 1, common::unmarshal(e.value()))
                 });
             }
             end = end.saturating_sub(last.len() + 1);
@@ -178,7 +194,12 @@ impl HdnsProviderContext {
                     self.hub.fire_removed(path_to_name(&from), None);
                     self.hub.fire_added(path_to_name(&to), BoundValue::Null);
                 }
-                HdnsEvent::Resynced => {}
+                // The store was replaced wholesale: anything may have
+                // changed, everywhere.
+                HdnsEvent::Resynced => {
+                    self.hub
+                        .fire_changed(CompositeName::empty(), None, BoundValue::Null)
+                }
             }
         }
     }
@@ -404,6 +425,10 @@ impl ProviderBackend for HdnsProviderContext {
     fn wire_format(&self) -> WireFormat {
         WireFormat::Encoded
     }
+
+    fn generation(&self) -> Option<Arc<AtomicU64>> {
+        Some(self.generation.clone())
+    }
 }
 
 /// URL factory: `hdns://host[:port]/...`. Hosts map to `(realm, replica)`
@@ -587,6 +612,8 @@ mod tests {
     fn events_delivered_to_listeners() {
         use rndi_core::event::EventType::{ObjectAdded, ObjectRemoved};
         let (a, b) = setup();
+        // Replica 1 joined by state transfer: deliver that before listening.
+        b.poll_events();
         let l = rndi_core::event::CollectingListener::new();
         b.add_listener(&CompositeName::empty(), l.clone()).unwrap();
         a.bind_str("e", "1").unwrap();

@@ -735,6 +735,7 @@ mod tests {
             NamingError::Continue {
                 resolved,
                 remaining,
+                ..
             } => {
                 assert_eq!(
                     resolved.as_reference().unwrap().url_addr(),

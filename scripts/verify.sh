@@ -23,15 +23,15 @@ echo "==> cargo build --release"
 cargo build --release --workspace
 
 # The oracle and codec proptests, the federation matrix, the directory's and
-# the HDNS replica's byte budgets, the federated path's shrinking reallocs and
-# the resolver's line count are skipped here and named below, so each still
-# runs once, as is the compaction's heap peak. (The two single-binary
-# allocation budgets, tests/federation_allocs.rs's and
-# tests/hdns_write_allocs.rs's rebind budget, run here.)
+# the HDNS replica's byte budgets, the federated path's allocations and
+# shrinking reallocs and the resolver's line count are skipped here and named
+# below, so each still runs once, as is the compaction's heap peak. (The
+# HDNS rebind's allocation budget, tests/hdns_write_allocs.rs, runs here.)
 NAMED_BELOW=(the_walk_matches_its_oracle read_is_a_base_scope_match_all_search wire_codec_
   the_record_matches_its_oracle
   every_operation_continues_through_a_mount_on_every_provider
   a_bound_leaf_stays_inside_its_byte_budget a_warmed_federated_op_shrinks_no_block_in_place
+  federated_lookup_and_rebind_stay_inside_their_allocation_budgets
   a_stored_binding_stays_inside_its_byte_budget a_replica_read_touches_no_heap
   federated_lookups_cache_one_line_per_denied_subtree
   compaction_peak_heap_stays_near_the_snapshot_length
@@ -61,14 +61,16 @@ cargo test -q -p hdns --test store_oracle the_store_matches_its_oracle
 # Named on their own so the figures are in every log: the live heap bytes
 # one bound leaf of fed_resolve's shape leaves in dirserv and one binding of
 # the wire store leaves in an HDNS replica (whose reads allocate nothing),
-# the shrinking reallocs a warmed federated lookup and rebind make (none: a
-# block trimmed in place leaves a sliver the heap grows by), the lines and
+# the allocations a warmed federated lookup and rebind make (their DNS and
+# HDNS hops cached) and their shrinking reallocs (none: a block trimmed in
+# place leaves a sliver the heap grows by), the lines and
 # upstream queries fed_resolve's DNS leg leaves in the resolver (RFC 8020
 # denial), and the heap one compaction of replica_write's store peaks at,
 # each against its budget.
-echo "==> budgets: what dirserv and an HDNS replica hold per binding, what a federated op shrinks, what the resolver caches, what a compaction peaks at"
+echo "==> budgets: what dirserv and an HDNS replica hold per binding, what a federated op allocates and shrinks, what the resolver caches, what a compaction peaks at"
 cargo test -q --test ldap_footprint a_bound_leaf_stays_inside_its_byte_budget -- --nocapture
 cargo test -q --test hdns_footprint -- --nocapture
+cargo test -q --test federation_allocs federated_lookup_and_rebind_stay_inside_their_allocation_budgets -- --nocapture
 cargo test -q --test federation_allocs a_warmed_federated_op_shrinks_no_block_in_place -- --nocapture
 cargo test -q --test dns_denial federated_lookups_cache_one_line_per_denied_subtree -- --nocapture
 cargo test -q --test hdns_write_allocs compaction_peak_heap_stays_near_the_snapshot_length -- --nocapture

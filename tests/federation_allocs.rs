@@ -1,6 +1,7 @@
 //! Allocation budget of the federated path: how many heap allocations one
-//! `dns://… → hdns://… → ldap://…` lookup and one rebind through the same
-//! chain make, counted exactly, and that neither shrinks a block in place.
+//! warmed `dns://… → hdns://… → ldap://…` lookup and one rebind through the
+//! same chain make, counted exactly, and that neither shrinks a block in
+//! place.
 //! Lives in its own test binary because `common` installs a counting
 //! `#[global_allocator]`.
 
@@ -146,8 +147,11 @@ fn measured() -> (InitialContext, Vec<String>, PerOp, PerOp) {
 
 #[test]
 fn federated_lookup_and_rebind_stay_inside_their_allocation_budgets() {
-    const LOOKUP_BUDGET: u64 = 82;
-    const REBIND_BUDGET: u64 = 111;
+    // Warmed, the DNS and HDNS hops come from the continuation cache: what
+    // is left is the leaf's read or write (14 and 42..=44 allocations asked
+    // at `ldap://…` directly) and the hops' re-targeting.
+    const LOOKUP_BUDGET: u64 = 35;
+    const REBIND_BUDGET: u64 = 65;
 
     let (ctx, urls, lookup, rebind) = measured();
     println!(

@@ -233,6 +233,7 @@ fn federation_mounts_continue_uniform() {
             NamingError::Continue {
                 remaining,
                 resolved,
+                ..
             } => {
                 assert_eq!(remaining.to_string(), "deeper/obj", "{name}");
                 assert!(resolved.is_federation_link(), "{name}");
@@ -361,6 +362,7 @@ fn every_operation_continues_through_a_mount_on_every_provider() {
                 Err(NamingError::Continue {
                     resolved,
                     remaining,
+                    ..
                 }) if remaining.to_string() == rest && resolved.is_federation_link() => {}
                 Ok(got) => failures.push(format!("{provider}/{label}({name}): got Ok({got})")),
                 Err(got) => failures.push(format!("{provider}/{label}({name}): got {got:?}")),
@@ -382,6 +384,63 @@ fn every_operation_continues_through_a_mount_on_every_provider() {
         failures.len(),
         failures.join("\n")
     );
+}
+
+/// The matrix again, end to end: each cell through a [`FederatedContext`]
+/// over the provider, into `mem://east`. Once cold — the registry's
+/// continuation cache emptied before every cell — and once on a warmed
+/// cache. Both passes start from an empty far system and must tell the same
+/// story cell for cell; the HDNS hop, the one a writable provider says how
+/// long holds, is taken from the cache on the warm pass.
+#[test]
+fn the_federation_matrix_is_the_same_on_a_warm_cache() {
+    let ops = name_taking_ops();
+    let (east, mem) = (MemContext::new(), MemFactory::new());
+    mem.register_host("east", east.clone());
+    let registry = Arc::new(ProviderRegistry::new());
+    registry.register(mem);
+    let hits = || {
+        let labels = [("provider", "federation"), ("event", "hit")];
+        rndi::obs::metrics::counter("rndi_cache_events_total", &labels).get()
+    };
+    for (provider, ctx) in all_providers("warm-matrix") {
+        let link = BoundValue::Reference(Reference::url("mem://east"));
+        ctx.bind(&"link".into(), link)
+            .unwrap_or_else(|e| panic!("{provider}: binding the link: {e}"));
+        let fed = FederatedContext::new(ctx, registry.clone(), Environment::new());
+        let cells = |warm: bool| -> Vec<String> {
+            for pair in east.list_str("").unwrap() {
+                let _ = east.destroy_subcontext(&pair.name.as_str().into());
+                let _ = east.unbind_str(&pair.name);
+            }
+            let beneath = ops.iter().map(|(label, op)| ("link/x", *label, op));
+            let at = ops
+                .iter()
+                .filter(|(label, _)| matches!(*label, "list" | "list_bindings" | "search"))
+                .map(|(label, op)| ("link", *label, op));
+            let cell = |(name, label, op): (&str, &str, &CellOp)| {
+                if !warm {
+                    registry.continuations().clear();
+                }
+                format!("{label}({name}): {:?}", op(fed.as_ref(), &name.into()))
+            };
+            beneath.chain(at).map(cell).collect()
+        };
+        let cold = cells(false);
+        let _ = fed.lookup(&"link/x".into());
+        let warmed = hits();
+        let warm = cells(true);
+        assert_eq!(cold.len(), 17, "{provider}");
+        for (c, w) in cold.iter().zip(&warm) {
+            assert_eq!(c, w, "{provider}: cold, then warm");
+        }
+        if provider == "hdns" {
+            assert!(
+                hits() >= warmed + 14,
+                "{provider}: every cell beneath the link took the cached hop"
+            );
+        }
+    }
 }
 
 #[test]

@@ -248,6 +248,12 @@ fn federated_lookup_produces_one_trace_with_a_server_span_per_backend_call() {
             &[("provider", "minidns"), ("event", event)],
         )
     };
+    let hop_hits = || {
+        count(
+            "rndi_cache_events_total",
+            &[("provider", "federation"), ("event", "hit")],
+        )
+    };
 
     // Two components under the anchor: the DNS walk probes k + 1 = 3 names
     // (both NXDOMAIN, then the anchor's link), HDNS resolves the department
@@ -263,7 +269,9 @@ fn federated_lookup_produces_one_trace_with_a_server_span_per_backend_call() {
         (0, 3),
         "a cold resolver misses every probe"
     );
-    // The same lookup again: same calls, all three probes from the cache.
+    // The same lookup again with the registry's federation hops forgotten:
+    // same calls, all three probes from the resolver's cache.
+    ctx.registry().continuations().clear();
     assert_eq!(ctx.lookup(url).unwrap().as_str(), Some("found"));
     assert_eq!(resolves() - before.0, 6);
     assert_eq!(searches() - before.1, 2);
@@ -338,6 +346,33 @@ fn federated_lookup_produces_one_trace_with_a_server_span_per_backend_call() {
         4,
         "no other server calls"
     );
+
+    // The same lookup a third time: both hops it took are cached, so only
+    // the leaf is asked — one pipeline span off the federation root, one
+    // directory read, no resolution.
+    let hops_before = hop_hits();
+    assert_eq!(ctx.lookup(url).unwrap().as_str(), Some("found"));
+    assert_eq!(resolves() - before.0, 6, "no DNS probe on a cached hop");
+    assert_eq!(searches() - before.1, 3);
+    assert_eq!(scans() - before.2, 3);
+    assert_eq!(hop_hits() - hops_before, 2, "the DNS and the HDNS hop");
+    let root = ring
+        .snapshot()
+        .into_iter()
+        .rev()
+        .find(|s| {
+            s.layer == "federation" && s.op == "lookup" && s.provider.starts_with("dns:obs-global")
+        })
+        .expect("federation root span recorded");
+    let trace = ring.trace(root.trace_id);
+    let pipelines: Vec<_> = trace.iter().filter(|s| s.layer == "pipeline").collect();
+    assert_eq!(pipelines.len(), 1, "one hop asked: {pipelines:?}");
+    assert!(pipelines[0].provider.starts_with("ldap:"));
+    assert_eq!(
+        (pipelines[0].parent_span, pipelines[0].depth),
+        (root.span_id, 1)
+    );
+    assert_eq!(trace.iter().filter(|s| s.layer == "server").count(), 1);
 
     // The resolver cache's behaviour is in the live exposition.
     let text = rndi::obs::metrics::render();
