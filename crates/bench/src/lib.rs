@@ -19,6 +19,8 @@
 //! [`claims::CLAIMS`], checked by `cargo test` and printed ✔/✘ under its
 //! figure.
 
+#![deny(unsafe_code)]
+
 pub mod claims;
 pub mod cost;
 pub mod experiment;

@@ -29,6 +29,8 @@
 //! Knobs (`rndi.cluster.*`): `seed`, `gossip-interval-ms`,
 //! `phi-threshold`, `quarantine-ms` — see [`ClusterConfig`].
 
+#![deny(unsafe_code)]
+
 pub mod bridge;
 pub mod config;
 pub mod gossip;

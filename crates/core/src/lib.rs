@@ -46,6 +46,8 @@
 //! assert_eq!(ctx.lookup("greeting").unwrap().as_str(), Some("hello world"));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod attrs;
 pub mod context;
 pub mod env;

@@ -598,7 +598,8 @@ impl Interceptor for MarshalInterceptor {
 /// and one innermost (`layer="backend"`, the backend round-trip only), so
 /// the gap between the two histograms is middleware + queueing time.
 /// Instrument handles are resolved once per pipeline at construction; the
-/// per-op cost is a trace-cell write, a few atomics, and a ring push.
+/// per-op cost is two `Instant` reads, a trace-cell write, a few atomics,
+/// and a push into the trace ring.
 pub struct ObsInterceptor {
     provider: Arc<str>,
     position: &'static str,
@@ -632,8 +633,6 @@ impl ObsInterceptor {
             };
             [mk("ok"), mk("err"), mk("continue")]
         });
-        // Calibrate the span clock at assembly time, not on the first op.
-        rndi_obs::clock::init();
         ObsInterceptor {
             provider: Arc::from(provider),
             position,
@@ -657,9 +656,9 @@ impl Interceptor for ObsInterceptor {
         // caller's view on exit) — re-annotation must not clone the op.
         let saved = op.trace.get();
         op.trace.set(&ctx);
-        let start = rndi_obs::clock::now_ns();
+        let start = Instant::now();
         let result = next.invoke(op);
-        let took = Duration::from_nanos(rndi_obs::clock::now_ns().saturating_sub(start));
+        let took = start.elapsed();
         op.trace.restore(saved);
         let (slot, outcome) = match &result {
             Ok(_) => (0, SpanOutcome::Ok),

@@ -16,6 +16,8 @@
 //! * [`resolver::Resolver`] — resolution against its servers with a TTL
 //!   cache that caches NXDOMAIN for a whole subtree (RFC 8020).
 
+#![deny(unsafe_code)]
+
 pub mod name;
 pub mod resolver;
 pub mod rr;

@@ -39,6 +39,8 @@
 //! [`Cluster::pump`]: cluster::Cluster::pump
 //! [`Cluster::detect_failures`]: cluster::Cluster::detect_failures
 
+#![deny(unsafe_code)]
+
 pub mod addr;
 pub mod channel;
 pub mod cluster;

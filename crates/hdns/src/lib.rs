@@ -15,8 +15,8 @@
 //!   registration data on a local disk"), and re-synchronizes after losing
 //!   a PRIMARY_PARTITION decision.
 //! * `proposal` — the byte form a write travels and is logged in: a
-//!   versioned binary codec over [`groupcast::codec`], which still reads
-//!   the JSON earlier versions wrote.
+//!   versioned binary codec over [`groupcast::codec`]. The JSON earlier
+//!   versions wrote is refused, not read.
 //! * [`wal`] — that disk state: a snapshot plus an append-only log of the
 //!   proposals delivered since, written against a small [`wal::Storage`]
 //!   trait; persistence costs O(op), compaction and recovery live here.
@@ -31,6 +31,8 @@
 //! mapping in mind: `bind` is natively atomic (first delivered bind wins,
 //! duplicates are rejected deterministically at every replica), so the
 //! JNDI provider needs no distributed locking.
+
+#![deny(unsafe_code)]
 
 pub mod node;
 mod proposal;

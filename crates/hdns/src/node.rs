@@ -486,7 +486,6 @@ impl<C: ReplicaChannel> HdnsNode<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::tests::{json_era_store, JSON_ERA_SNAPSHOT};
     use groupcast::{Cluster, StackConfig};
 
     fn pair() -> (Cluster, HdnsNode, HdnsNode) {
@@ -746,27 +745,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_only_data_dir_from_before_the_log_recovers() {
-        // What the every-64-ops `fs::write(path, store.snapshot())` left,
-        // when a snapshot was JSON.
-        let old = json_era_store();
-        let dir = crate::TestDir::new("legacy");
-        let path = dir.0.join("replica-0.json");
-        std::fs::create_dir_all(&dir.0).unwrap();
-        std::fs::write(&path, JSON_ERA_SNAPSHOT).unwrap();
-
-        let (cluster, mut a) = solo(3, &path);
-        assert_eq!(a.store_snapshot(), old.snapshot());
-        assert_eq!(a.recovery().snapshot_entries, 2);
-        assert!(a.recovery().error.is_none());
-        bind(&cluster, &mut a, "c/y", 8);
-        let expected = a.store_snapshot();
-        drop(a);
-        let (_cluster2, b) = solo(4, &path);
-        assert_eq!(b.store_snapshot(), expected);
-    }
-
-    #[test]
     fn persist_failure_is_counted_and_readable() {
         // A regular file where the snapshot's parent directory should be.
         let dir = crate::TestDir::new("blocker");
@@ -903,11 +881,18 @@ mod tests {
         assert!(fresh.take_events().contains(&HdnsEvent::Resynced));
         assert!(fresh.last_state_error().is_none());
 
-        // A donor running an older binary sends its state as JSON.
-        hand(JSON_ERA_SNAPSHOT.to_vec(), &mut fresh);
-        assert_eq!(fresh.store_snapshot(), json_era_store().snapshot());
-        assert!(fresh.take_events().contains(&HdnsEvent::Resynced));
-        assert!(fresh.last_state_error().is_none());
+        // A donor running a version that sent its state as JSON is refused
+        // the same way, and the store it would have replaced stays.
+        let before = undecodable_state().get();
+        let kept = fresh.store_snapshot();
+        hand(br#"{"entries":{},"ops_applied":0}"#.to_vec(), &mut fresh);
+        assert!(undecodable_state().get() > before);
+        assert_eq!(fresh.store_snapshot(), kept);
+        assert!(!fresh.take_events().contains(&HdnsEvent::Resynced));
+        assert!(matches!(
+            fresh.last_state_error(),
+            Some(StateError::Undecodable(_))
+        ));
     }
 
     #[test]

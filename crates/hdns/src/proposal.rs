@@ -13,22 +13,17 @@
 //! over [`groupcast::codec`]: little-endian integers, `u32`-prefixed text
 //! and bytes, `attrs` as a `u32` count and its key/value pairs in key
 //! order. Versions before this one wrote the proposal as JSON; such a
-//! payload starts with `{`, which is no version byte, and
-//! [`Proposal::decode`] still reads it — so an op log written by an older
-//! binary, or one that turns binary half-way, recovers. Nothing writes
-//! JSON any more.
+//! payload starts with `{`, which is no version byte, so
+//! [`Proposal::decode`] refuses it like any other unknown version.
 
 use std::collections::BTreeMap;
 
 use groupcast::codec::{self, DecodeError, Reader};
-use serde::Deserialize;
 
 use crate::store::{each_attr, put_attrs, HdnsEntry, Op};
 
 /// The binary format's version byte.
 const VERSION: u8 = 0x01;
-/// How every JSON-era payload begins.
-pub(crate) const JSON_OPEN: u8 = b'{';
 
 const TAG_BIND: u8 = 1;
 const TAG_UNBIND: u8 = 2;
@@ -41,8 +36,7 @@ const FLAG_OVERWRITE: u8 = 1;
 
 /// One write on its way through the group: the op and the submitter's
 /// handle for it.
-#[derive(Debug, PartialEq, Eq, Deserialize)]
-#[cfg_attr(test, derive(Clone, serde::Serialize))]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Proposal {
     pub(crate) op_id: u64,
     pub(crate) op: Op,
@@ -106,21 +100,13 @@ impl Proposal {
     /// The proposal in `payload`: the binary form, strictly (known version,
     /// tag and flags, UTF-8 text, every length inside the input, attributes
     /// in key order, nothing trailing — so what decodes re-encodes to the
-    /// same bytes), or the JSON form of earlier versions.
+    /// same bytes).
     pub(crate) fn decode(payload: &[u8]) -> Result<Proposal, DecodeError> {
         let mut r = Reader::new(payload);
-        match r.u8("proposal version")? {
-            VERSION => {}
-            JSON_OPEN => {
-                return serde_json::from_slice(payload)
-                    .map_err(|_| DecodeError::Invalid("JSON-era proposal"))
-            }
-            tag => {
-                return Err(DecodeError::UnknownTag {
-                    what: "proposal version",
-                    tag,
-                })
-            }
+        let tag = r.u8("proposal version")?;
+        if tag != VERSION {
+            let what = "proposal version";
+            return Err(DecodeError::UnknownTag { what, tag });
         }
         let op_id = r.u64("op id")?;
         let op = match r.u8("op tag")? {
@@ -161,16 +147,10 @@ impl Proposal {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::store::FLAG_IS_CONTEXT;
     use proptest::prelude::*;
-
-    /// What `HdnsNode::submit` put on the wire and in the log before the
-    /// binary form: the oracle the JSON fallback is held to.
-    pub(crate) fn json_of(p: &Proposal) -> Vec<u8> {
-        serde_json::to_vec(p).expect("ops serialize")
-    }
 
     fn any_path() -> impl Strategy<Value = String> {
         "[a-zA-Z0-9/ _.é-ü一-丿]{0,24}"
@@ -223,13 +203,6 @@ pub(crate) mod tests {
             let bytes = p.encode();
             prop_assert_eq!(bytes[0], VERSION);
             prop_assert_eq!(Proposal::decode(&bytes), Ok(p));
-        }
-
-        #[test]
-        fn proposal_codec_reads_the_json_of_earlier_versions(p in any_proposal()) {
-            let json = json_of(&p);
-            prop_assert_eq!(json[0], JSON_OPEN);
-            prop_assert_eq!(Proposal::decode(&json), Ok(p));
         }
 
         #[test]
@@ -294,22 +267,26 @@ pub(crate) mod tests {
             Proposal::decode(&bytes),
             Err(DecodeError::Truncated("attribute count"))
         );
-        for (bytes, what) in [
-            (&[0x02u8, 0, 0][..], "proposal version"),
-            (&[b'[', b']'][..], "proposal version"),
+        // An unknown version, a JSON array, and what versions before the
+        // binary form wrote: a JSON object.
+        for bytes in [
+            &[0x02u8, 0, 0][..],
+            b"[]",
+            br#"{"op_id":7,"op":{"Unbind":{"path":"a"}}}"#,
         ] {
-            assert!(
-                matches!(Proposal::decode(bytes), Err(DecodeError::UnknownTag { what: w, .. }) if w == what)
-            );
+            assert!(matches!(
+                Proposal::decode(bytes),
+                Err(DecodeError::UnknownTag {
+                    what: "proposal version",
+                    ..
+                })
+            ));
         }
-        assert_eq!(
-            Proposal::decode(b"{\"op_id\":"),
-            Err(DecodeError::Invalid("JSON-era proposal"))
-        );
     }
 
+    /// The benchmark's rebind, as logged and multicast.
     #[test]
-    fn the_benchmark_rebind_record_is_a_third_of_its_json() {
+    fn the_benchmark_rebind_record_is_106_bytes() {
         let p = Proposal {
             op_id: 123_456,
             op: Op::Bind {
@@ -318,8 +295,6 @@ pub(crate) mod tests {
                 overwrite: true,
             },
         };
-        let (binary, json) = (p.encode().len(), json_of(&p).len());
-        assert_eq!(binary, 106);
-        assert!(json >= 3 * binary, "{json} JSON bytes vs {binary}");
+        assert_eq!(p.encode().len(), 106);
     }
 }

@@ -16,9 +16,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use groupcast::codec::{self, DecodeError, Reader, U32_LEN, U64_LEN, U8_LEN};
-use serde::{Deserialize, Serialize, Value};
-
-use crate::proposal::JSON_OPEN;
+use serde::{Deserialize, Serialize};
 
 /// The snapshot format's version byte (a proposal's is `0x01`).
 const SNAPSHOT_VERSION: u8 = 0x02;
@@ -193,36 +191,6 @@ impl PartialEq for HdnsEntry {
 
 impl Eq for HdnsEntry {}
 
-/// An entry as JSON-era proposals and snapshots spell it.
-#[derive(Deserialize)]
-#[cfg_attr(test, derive(Serialize))]
-struct JsonEntry {
-    value: Vec<u8>,
-    attrs: BTreeMap<String, String>,
-    is_context: bool,
-}
-
-impl Deserialize for HdnsEntry {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let e = JsonEntry::from_value(v)?;
-        let flags = if e.is_context { FLAG_IS_CONTEXT } else { 0 };
-        let attrs = e.attrs.iter().map(|(k, v)| (k.as_str(), v.as_str()));
-        Ok(HdnsEntry::build("", flags, &e.value, attrs))
-    }
-}
-
-#[cfg(test)]
-impl Serialize for HdnsEntry {
-    fn to_value(&self) -> Value {
-        JsonEntry {
-            value: self.value().to_vec(),
-            attrs: self.attrs().map(|(k, v)| (k.into(), v.into())).collect(),
-            is_context: self.is_context(),
-        }
-        .to_value()
-    }
-}
-
 /// Store operation failures — deterministic across replicas.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum HdnsError {
@@ -251,8 +219,7 @@ impl std::error::Error for HdnsError {}
 
 /// A write operation, multicast to the group and applied deterministically
 /// at every replica.
-#[derive(Clone, Debug, PartialEq, Eq, Deserialize)]
-#[cfg_attr(test, derive(Serialize))]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Op {
     /// Bind an entry; `overwrite = false` gives atomic-bind semantics.
     Bind {
@@ -328,13 +295,6 @@ pub struct HdnsStore {
     entries: BTreeSet<Keyed>,
     /// Number of operations applied (replica convergence diagnostics).
     pub ops_applied: u64,
-}
-
-/// A store as JSON-era snapshots spell it.
-#[derive(Deserialize)]
-struct JsonStore {
-    entries: BTreeMap<String, HdnsEntry>,
-    ops_applied: u64,
 }
 
 impl HdnsStore {
@@ -515,17 +475,10 @@ impl HdnsStore {
         out
     }
 
-    /// Restore from a snapshot: the binary form, strictly (so what restores
-    /// re-encodes to the same bytes), or the JSON form of earlier versions.
+    /// Restore from a snapshot, strictly: what restores re-encodes to the
+    /// same bytes. Versions before the binary form wrote JSON snapshots;
+    /// one starts with `{`, which is no version byte, and is refused.
     pub fn restore(bytes: &[u8]) -> Result<HdnsStore, String> {
-        if bytes.first() == Some(&JSON_OPEN) {
-            let json: JsonStore = serde_json::from_slice(bytes).map_err(|e| e.to_string())?;
-            let entries = json.entries.into_iter().map(|(path, e)| Keyed(e.at(&path)));
-            return Ok(HdnsStore {
-                entries: entries.collect(),
-                ops_applied: json.ops_applied,
-            });
-        }
         Self::decode(bytes).map_err(|e| e.to_string())
     }
 
@@ -562,26 +515,8 @@ impl HdnsStore {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
-
-    /// What `snapshot()` wrote for [`json_era_store`] before the binary
-    /// form: a data dir or a state transfer from an older binary.
-    pub(crate) const JSON_ERA_SNAPSHOT: &[u8] = r#"{"entries":{"c":{"attrs":{},"is_context":true,"value":[]},"c/x":{"attrs":{"k":"v","owner":"é"},"is_context":false,"value":[7]}},"ops_applied":2}"#.as_bytes();
-
-    pub(crate) fn json_era_store() -> HdnsStore {
-        let mut s = HdnsStore::new();
-        s.apply(&Op::CreateContext { path: "c".into() }).unwrap();
-        s.apply(&Op::Bind {
-            path: "c/x".into(),
-            entry: HdnsEntry::leaf(vec![7])
-                .with_attr("k", "v")
-                .with_attr("owner", "é"),
-            overwrite: false,
-        })
-        .unwrap();
-        s
-    }
 
     #[test]
     fn bind_get_roundtrip() {

@@ -481,62 +481,58 @@ mod tests {
         assert_eq!(wal.log_len, good);
     }
 
-    /// What the version before the binary proposal left on disk — a
-    /// snapshot and a log of JSON records — recovers to the same store,
-    /// takes binary appends behind them, and the mixed log recovers too.
+    /// What versions before the binary formats left on disk — a JSON
+    /// snapshot and a log of JSON records — is refused loudly: never read,
+    /// never truncated, both files moved aside byte for byte, and the
+    /// error names the snapshot. The replica starts empty and its binary
+    /// appends recover.
     #[test]
-    fn a_json_era_data_dir_recovers_then_takes_binary_appends() {
-        use crate::proposal::tests::json_of;
-        use crate::store::tests::{json_era_store, JSON_ERA_SNAPSHOT};
+    fn a_json_era_data_dir_is_quarantined_then_takes_binary_appends() {
         use crate::{HdnsEntry, Op};
 
-        let bind = |path: &str, byte: u8, overwrite| Op::Bind {
-            path: path.into(),
-            entry: HdnsEntry::leaf(vec![byte; 74]).with_attr("owner", "é"),
-            overwrite,
-        };
-        let mut model = json_era_store();
+        let snapshot =
+            br#"{"entries":{"c":{"attrs":{},"is_context":true,"value":[]}},"ops_applied":1}"#;
         let dir = crate::TestDir::new("json-era");
         let path = dir.0.join("replica-0.json");
         std::fs::create_dir_all(&dir.0).unwrap();
-        std::fs::write(&path, JSON_ERA_SNAPSHOT).unwrap();
-
-        let json_era = [
-            bind("c/y", 2, false),
-            bind("c/y", 3, false), // fails everywhere, logged all the same
-            bind("c/y", 4, true),
-            Op::Rename {
-                from: "c/x".into(),
-                to: "c/new".into(),
-            },
-            Op::SetAttrs {
-                path: "c/new".into(),
-                attrs: [("k".to_string(), "w".to_string())].into(),
-            },
-            Op::CreateContext { path: "d".into() },
-            Op::Unbind { path: "c/y".into() },
-        ];
+        std::fs::write(&path, snapshot).unwrap();
         let mut log = Vec::new();
-        for (op_id, op) in (0..).zip(&json_era) {
-            let _ = model.apply(op);
-            let record = json_of(&Proposal {
-                op_id,
-                op: op.clone(),
-            });
-            encode_record(&mut log, model.ops_applied, &record);
-        }
+        encode_record(
+            &mut log,
+            2,
+            br#"{"op_id":0,"op":{"CreateContext":{"path":"d"}}}"#,
+        );
+        // A torn record behind it: a log that was read would be cut here.
+        log.extend_from_slice(&[9, 0, 0]);
         FsStorage::new(path.clone()).append(&log).unwrap();
 
         let (mut wal, store, report) = Wal::open(Box::new(FsStorage::new(path.clone())));
-        assert_eq!(store.snapshot(), model.snapshot());
-        assert_eq!(report.snapshot_entries, 2);
-        assert_eq!(report.replayed, json_era.len() as u64);
-        assert_eq!(report.discarded_bytes, 0);
-        assert!(report.error.is_none());
+        assert!(store.is_empty());
+        assert_eq!(store.ops_applied, 0);
+        assert_eq!((report.snapshot_entries, report.replayed), (0, 0));
+        assert_eq!(report.discarded_bytes, 0, "the log was not read");
+        let error = report.error.expect("a JSON-era snapshot is an error");
+        assert!(error.to_string().contains("snapshot"), "{error}");
+        let beside = |suffix: &str| {
+            let mut name = path.clone().into_os_string();
+            name.push(suffix);
+            std::fs::read(name)
+        };
+        assert_eq!(beside(".corrupt").unwrap(), snapshot);
+        assert_eq!(beside(".wal.corrupt").unwrap(), log);
+        assert!(beside(".wal").is_err(), "the log moved aside whole");
 
-        let binary = [bind("d/y", 5, false), Op::Unbind { path: "d/y".into() }];
+        let mut model = HdnsStore::new();
+        let binary = [
+            Op::CreateContext { path: "d".into() },
+            Op::Bind {
+                path: "d/y".into(),
+                entry: HdnsEntry::leaf(vec![5; 74]).with_attr("owner", "é"),
+                overwrite: false,
+            },
+        ];
         for (op_id, op) in (100..).zip(&binary) {
-            let _ = model.apply(op);
+            model.apply(op).unwrap();
             let record = Proposal {
                 op_id,
                 op: op.clone(),
@@ -549,7 +545,7 @@ mod tests {
 
         let (_, store, report) = Wal::open(Box::new(FsStorage::new(path)));
         assert_eq!(store.snapshot(), model.snapshot());
-        assert_eq!(report.replayed, (json_era.len() + binary.len()) as u64);
+        assert_eq!(report.replayed, binary.len() as u64);
         assert_eq!(report.discarded_bytes, 0);
         assert!(report.error.is_none());
     }

@@ -22,6 +22,8 @@
 //! Independent of `rndi-core` by design: it models a pre-existing backend
 //! that the integration middleware adapts to.
 
+#![deny(unsafe_code)]
+
 pub mod dit;
 pub mod dn;
 pub mod entry;

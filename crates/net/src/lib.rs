@@ -33,6 +33,8 @@
 //! many in-flight calls and deliver responses out of order, and whose
 //! `trace` field is the one carrier of a call's trace context.
 
+#![deny(unsafe_code)]
+
 pub mod client;
 pub mod conn;
 pub mod proto;

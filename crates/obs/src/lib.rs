@@ -22,6 +22,8 @@
 //!   (slower than a multiple of the trailing p99, or an error-rate spike)
 //!   it dumps the trace ring and the metrics delta to a JSONL file.
 
+#![deny(unsafe_code)]
+
 pub mod clock;
 pub mod expo;
 pub mod metrics;

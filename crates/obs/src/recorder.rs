@@ -8,9 +8,15 @@
 //! spikes past a threshold, it snapshots the trace ring plus the metrics
 //! delta since the last dump into a JSONL file under `rndi.obs.flight-dir`.
 //!
+//! The watches are one provider → op table behind one mutex. A client
+//! pipeline and the server pipeline serving it never share a watch: a
+//! `NetClient`'s provider label is `net-client:<endpoint>`, so the client's
+//! durations, which include the wire, train their own baseline.
+//!
 //! The unarmed fast path is one relaxed atomic load; armed, an observation
-//! costs a short mutex-guarded bucket update. Dumps are serialized by a
-//! cooldown so an anomaly storm can't turn the recorder into the anomaly.
+//! clones the recorder handle under the slot's read lock and makes a short
+//! mutex-guarded bucket update. Dumps are serialized by a cooldown so an
+//! anomaly storm can't turn the recorder into the anomaly.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -139,48 +145,13 @@ impl OpWatch {
     }
 }
 
-/// How many independently-locked shards the watch table spreads over.
-/// Stripes are assigned per *observing thread* (round-robin at first
-/// observation), not by provider hash: a client pipeline and the server
-/// pipeline serving it observe the same `(provider, op)` pair from
-/// different cores, and any shared key would bounce one lock (and the
-/// watch state behind it) between those cores on every armed op. Each
-/// thread therefore trains its own trailing baselines — which is also the
-/// sounder signal, since client-side durations include the wire and
-/// server-side ones don't.
-const WATCH_STRIPES: usize = 8;
-
-fn watch_stripe() -> usize {
-    use std::cell::Cell;
-    use std::sync::atomic::AtomicUsize;
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static HOME: Cell<usize> = const { Cell::new(usize::MAX) };
-    }
-    HOME.with(|home| {
-        let mut v = home.get();
-        if v == usize::MAX {
-            v = NEXT.fetch_add(1, Ordering::Relaxed) % WATCH_STRIPES;
-            home.set(v);
-        }
-        v
-    })
-}
-
-/// One shard of the watch table, padded so neighbouring shards — locked
-/// from different observing threads — never share a cache line.
-#[repr(align(128))]
-#[derive(Default)]
-struct WatchShard(HashMap<String, HashMap<String, OpWatch>>);
-
 /// The recorder itself; normally a process-wide singleton managed through
 /// [`arm`]/[`observe`], but constructible directly for tests.
 pub struct FlightRecorder {
     config: FlightConfig,
-    /// Watches keyed provider → op, one shard per observing thread's home
-    /// stripe. Two levels so the armed hot path looks up by `&str` without
-    /// building a joined key string.
-    watches: [Mutex<WatchShard>; WATCH_STRIPES],
+    /// Watches keyed provider → op. Two levels so the armed hot path looks
+    /// up by `&str` without building a joined key string.
+    watches: Mutex<HashMap<String, HashMap<String, OpWatch>>>,
     baseline: Mutex<MetricsSnapshot>,
     last_dump: Mutex<Option<Instant>>,
     started: Instant,
@@ -192,7 +163,7 @@ impl FlightRecorder {
         let _ = std::fs::create_dir_all(&config.dir);
         FlightRecorder {
             config,
-            watches: std::array::from_fn(|_| Mutex::new(WatchShard::default())),
+            watches: Mutex::new(HashMap::new()),
             baseline: Mutex::new(metrics::snapshot()),
             last_dump: Mutex::new(None),
             started: Instant::now(),
@@ -212,8 +183,7 @@ impl FlightRecorder {
     /// Feed one finished operation. Cheap unless it trips a trigger.
     pub fn observe(&self, provider: &str, op: &str, duration_ns: u64, err: bool) {
         let (trigger, p99) = {
-            let mut shard = self.watches[watch_stripe()].lock();
-            let watches = &mut shard.0;
+            let mut watches = self.watches.lock();
             // Avoid allocating map keys on the hit path — this runs once
             // per finished pipeline op while armed.
             if !watches.get(provider).is_some_and(|m| m.contains_key(op)) {
@@ -312,21 +282,9 @@ impl FlightRecorder {
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 
-/// Bumped on every arm/disarm so per-thread cached recorder handles know
-/// when to refresh. Reads stay in the Shared cache state on every core;
-/// taking the slot's read lock instead would CAS the lock word and bounce
-/// it between observing cores on every armed op.
-static GENERATION: AtomicU64 = AtomicU64::new(0);
-
 fn slot() -> &'static RwLock<Option<Arc<FlightRecorder>>> {
     static SLOT: OnceLock<RwLock<Option<Arc<FlightRecorder>>>> = OnceLock::new();
     SLOT.get_or_init(|| RwLock::new(None))
-}
-
-thread_local! {
-    /// (generation, recorder) cached per observing thread.
-    static CACHED: std::cell::RefCell<(u64, Option<Arc<FlightRecorder>>)> =
-        const { std::cell::RefCell::new((u64::MAX, None)) };
 }
 
 /// Arm the process-wide recorder. Re-arming with the same dump directory
@@ -343,7 +301,6 @@ pub fn arm(config: FlightConfig) -> Arc<FlightRecorder> {
     }
     let recorder = Arc::new(FlightRecorder::new(config));
     *slot().write() = Some(recorder.clone());
-    GENERATION.fetch_add(1, Ordering::Release);
     ARMED.store(true, Ordering::Release);
     recorder
 }
@@ -352,7 +309,6 @@ pub fn arm(config: FlightConfig) -> Arc<FlightRecorder> {
 pub fn disarm() {
     ARMED.store(false, Ordering::Release);
     *slot().write() = None;
-    GENERATION.fetch_add(1, Ordering::Release);
 }
 
 pub fn armed() -> bool {
@@ -364,24 +320,14 @@ pub fn current() -> Option<Arc<FlightRecorder>> {
     slot().read().clone()
 }
 
-/// Hot-path hook: no-op unless armed (one relaxed load). Armed, the
-/// recorder handle comes from a generation-checked per-thread cache, so
-/// the steady state touches no shared-writable line before the thread's
-/// own watch stripe.
+/// Hot-path hook: no-op unless armed (one relaxed load).
 pub fn observe(provider: &str, op: &str, duration_ns: u64, err: bool) {
     if !ARMED.load(Ordering::Relaxed) {
         return;
     }
-    CACHED.with(|cached| {
-        let mut cached = cached.borrow_mut();
-        let gen = GENERATION.load(Ordering::Acquire);
-        if cached.0 != gen {
-            *cached = (gen, slot().read().clone());
-        }
-        if let Some(recorder) = cached.1.as_ref() {
-            recorder.observe(provider, op, duration_ns, err);
-        }
-    });
+    if let Some(recorder) = current() {
+        recorder.observe(provider, op, duration_ns, err);
+    }
 }
 
 #[cfg(test)]

@@ -275,124 +275,46 @@ pub trait TraceSink: Send + Sync {
     fn record(&self, span: &SpanRecord);
 }
 
-/// How many independently-locked segments a [`RingSink`] spreads its
-/// spans over. Each producer thread sticks to one stripe, so client and
-/// server threads recording into the process ring never contend on (or
-/// bounce) a shared lock.
-const RING_STRIPES: usize = 8;
-
-/// Sequence numbers a stripe draws from the shared counter at a time.
-/// One relaxed add per block instead of per push keeps the counter line
-/// from bouncing between producer cores; the cost is that cross-stripe
-/// ordering (and the eviction horizon) is only block-accurate.
-const SEQ_BLOCK: u64 = 64;
-
-/// One lock's worth of ring: a span queue (each span tagged with its
-/// push sequence), this stripe's eviction count, and its unspent block
-/// of sequence numbers. Everything lives inside the lock, so the
-/// steady-state push touches no shared read-modify-write at all.
-/// (Aligned so neighbouring stripes — each written by a different
-/// producer thread — never share a cache line.)
-#[repr(align(128))]
-#[derive(Default)]
-struct RingStripe {
-    spans: VecDeque<(u64, SpanRecord)>,
-    dropped: u64,
-    seq_next: u64,
-    seq_end: u64,
-}
-
-/// This thread's home stripe, assigned round-robin on first use.
-fn stripe_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static HOME: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-    }
-    HOME.with(|cell| {
-        let mut i = cell.get();
-        if i == usize::MAX {
-            i = NEXT.fetch_add(1, Ordering::Relaxed) % RING_STRIPES;
-            cell.set(i);
-        }
-        i
-    })
-}
-
 /// Bounded in-memory ring buffer: the default sink, always installed.
-/// The ring keeps (approximately) the newest `capacity` spans process-wide:
-/// every push takes a global sequence number and each stripe evicts its
-/// spans once they age more than `capacity` sequence steps — so the
-/// surviving set matches the old single-queue FIFO, while the hot path
-/// stays one uncontended stripe lock plus one relaxed counter bump.
-/// Evictions are counted, both locally ([`RingSink::dropped`]) and in
-/// `rndi_obs_trace_dropped_total`, so operators can tell a dump is
-/// partial. (A stripe whose thread goes quiet holds its last spans, so the
-/// live total may exceed `capacity` — still bounded, by `capacity` per
-/// stripe.)
+///
+/// One queue behind one lock, holding the newest `capacity` spans in the
+/// order they were recorded. A push into a full ring evicts the oldest span
+/// first, so the queue never grows past `capacity`; each eviction is
+/// counted, in [`RingSink::dropped`] and in `rndi_obs_trace_dropped_total`,
+/// so operators can tell a dump is partial.
 pub struct RingSink {
-    capacity: u64,
-    /// Global push-sequence allocator (stripes draw [`SEQ_BLOCK`]-sized
-    /// runs from it); also the eviction clock.
-    seq: AtomicU64,
-    /// Live spans across all stripes. At steady state each push evicts
-    /// exactly one span, so this is not touched on the hot path.
-    len_total: AtomicU64,
-    /// Drops already forwarded to the global counter (see [`Self::dropped`]).
-    synced: AtomicU64,
-    stripes: [Mutex<RingStripe>; RING_STRIPES],
+    capacity: usize,
+    ring: Mutex<Ring>,
+    /// `rndi_obs_trace_dropped_total`, which every ring feeds. Resolved
+    /// when the ring is made, so the series exists from then on; after a
+    /// `metrics::reset()` it keeps counting into the detached instrument,
+    /// like every other cached handle.
+    dropped_total: Arc<Counter>,
 }
 
-/// Shared counter handle for ring evictions (all `RingSink`s feed it).
-/// Cached so the per-drop cost stays two relaxed adds, not a registry
-/// lock; after a `metrics::reset()` it keeps counting into the detached
-/// instrument, like every other cached handle.
-fn dropped_total() -> &'static Arc<Counter> {
-    static DROPPED: OnceLock<Arc<Counter>> = OnceLock::new();
-    DROPPED.get_or_init(|| metrics::counter(names::TRACE_DROPPED, &[]))
+/// What the lock guards: the spans, and how many were evicted.
+#[derive(Default)]
+struct Ring {
+    spans: VecDeque<SpanRecord>,
+    dropped: u64,
 }
 
 impl RingSink {
     pub fn new(capacity: usize) -> Self {
         RingSink {
-            capacity: capacity.max(1) as u64,
-            seq: AtomicU64::new(0),
-            len_total: AtomicU64::new(0),
-            synced: AtomicU64::new(0),
-            stripes: std::array::from_fn(|_| Mutex::new(RingStripe::default())),
+            capacity: capacity.max(1),
+            ring: Mutex::new(Ring::default()),
+            dropped_total: metrics::counter(names::TRACE_DROPPED, &[]),
         }
     }
 
-    /// Drop every span older than `capacity` sequence steps from `stripe`.
-    /// Returns how many it evicted (already added to the stripe's count).
-    fn age_out(stripe: &mut RingStripe, next_seq: u64, cap: u64) -> u64 {
-        let mut evicted = 0u64;
-        while let Some(&(s, _)) = stripe.spans.front() {
-            if s < next_seq.saturating_sub(cap) {
-                stripe.spans.pop_front();
-                evicted += 1;
-            } else {
-                break;
-            }
-        }
-        stripe.dropped += evicted;
-        evicted
-    }
-
-    /// Spans evicted from this ring before anyone read them. Also
-    /// forwards any not-yet-reported drops to the global
-    /// `rndi_obs_trace_dropped_total` counter — callers (health, flight
-    /// dumps, scrapes) read this exactly where the figure is published.
+    /// Spans evicted from this ring before anyone read them.
     pub fn dropped(&self) -> u64 {
-        let total: u64 = self.stripes.iter().map(|s| s.lock().dropped).sum();
-        let prev = self.synced.swap(total, Ordering::Relaxed);
-        if total > prev {
-            dropped_total().add(total - prev);
-        }
-        total
+        self.ring.lock().dropped
     }
 
     pub fn len(&self) -> usize {
-        self.len_total.load(Ordering::Relaxed) as usize
+        self.ring.lock().spans.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -400,88 +322,52 @@ impl RingSink {
     }
 
     pub fn clear(&self) {
-        for stripe in &self.stripes {
-            let mut stripe = stripe.lock();
-            let n = stripe.spans.len();
-            stripe.spans.clear();
-            self.len_total.fetch_sub(n as u64, Ordering::Relaxed);
-        }
+        self.ring.lock().spans.clear();
     }
 
-    /// All buffered spans, oldest first (merged across stripes by push
-    /// sequence).
+    /// All buffered spans, oldest first.
     pub fn snapshot(&self) -> Vec<SpanRecord> {
-        let mut tagged = Vec::with_capacity(self.len());
-        for stripe in &self.stripes {
-            tagged.extend(stripe.lock().spans.iter().cloned());
-        }
-        tagged.sort_by_key(|&(s, _)| s);
-        tagged.into_iter().map(|(_, span)| span).collect()
+        self.ring.lock().spans.iter().cloned().collect()
     }
 
     /// Every buffered span of one trace, oldest first.
     pub fn trace(&self, trace_id: u64) -> Vec<SpanRecord> {
-        let mut tagged = Vec::new();
-        for stripe in &self.stripes {
-            tagged.extend(
-                stripe
-                    .lock()
-                    .spans
-                    .iter()
-                    .filter(|(_, s)| s.trace_id == trace_id)
-                    .cloned(),
-            );
-        }
-        tagged.sort_by_key(|&(s, _)| s);
-        tagged.into_iter().map(|(_, span)| span).collect()
+        let ring = self.ring.lock();
+        ring.spans
+            .iter()
+            .filter(|s| s.trace_id == trace_id)
+            .cloned()
+            .collect()
     }
 
     /// The `n` slowest root spans (no parent), slowest first — the entry
     /// point for "top-N slowest traces" reports.
     pub fn slowest_roots(&self, n: usize) -> Vec<SpanRecord> {
-        let mut roots = Vec::new();
-        for stripe in &self.stripes {
-            roots.extend(
-                stripe
-                    .lock()
-                    .spans
-                    .iter()
-                    .filter(|(_, s)| s.parent_span == 0)
-                    .map(|(_, s)| s.clone()),
-            );
-        }
+        let mut roots: Vec<SpanRecord> = {
+            let ring = self.ring.lock();
+            let roots = ring.spans.iter().filter(|s| s.parent_span == 0);
+            roots.cloned().collect()
+        };
         roots.sort_by_key(|s| std::cmp::Reverse(s.duration_ns));
         roots.truncate(n);
         roots
     }
-}
 
-impl RingSink {
     /// [`TraceSink::record`] by value: the common single-sink path moves
     /// the span straight into the ring instead of cloning it.
-    ///
-    /// The hot path is one uncontended stripe lock (sequence numbers come
-    /// from the stripe's pre-drawn block); at steady state the push ages
-    /// out exactly one span of its own stripe, so it writes no shared
-    /// cache line at all.
     pub fn push(&self, span: SpanRecord) {
-        let cap = self.capacity;
-        let mut stripe = self.stripes[stripe_index()].lock();
-        if stripe.seq_next == stripe.seq_end {
-            let base = self.seq.fetch_add(SEQ_BLOCK, Ordering::Relaxed);
-            stripe.seq_next = base;
-            stripe.seq_end = base + SEQ_BLOCK;
-        }
-        let seq = stripe.seq_next;
-        stripe.seq_next += 1;
-        stripe.spans.push_back((seq, span));
-        let evicted = Self::age_out(&mut stripe, seq + 1, cap);
-        drop(stripe);
-        // Net growth is usually 1 (warm-up) or 0 (steady state: one in,
-        // one out); only the 0 case skips the shared counter entirely.
-        if evicted != 1 {
-            self.len_total
-                .fetch_add(1u64.wrapping_sub(evicted), Ordering::Relaxed);
+        let mut ring = self.ring.lock();
+        let evicted = if ring.spans.len() == self.capacity {
+            ring.dropped += 1;
+            ring.spans.pop_front()
+        } else {
+            None
+        };
+        ring.spans.push_back(span);
+        // The evicted span is freed, and counted, after the lock is released.
+        drop(ring);
+        if evicted.is_some() {
+            self.dropped_total.inc();
         }
     }
 }
@@ -687,6 +573,40 @@ mod tests {
         assert_eq!(slow.first().map(|s| s.duration_ns), Some(20));
         ring.clear();
         assert!(ring.is_empty());
+    }
+
+    /// Eight producer threads in turn, each filling the ring and exiting:
+    /// the ring still holds exactly `capacity` spans — the newest, in the
+    /// order they were recorded — and counts every one it evicted.
+    #[test]
+    fn the_ring_holds_its_capacity_when_threads_take_turns() {
+        const THREADS: u64 = 8;
+        let cap = DEFAULT_RING_CAPACITY;
+        let ring = Arc::new(RingSink::new(cap));
+        let dropped_before = metrics::counter_total(names::TRACE_DROPPED);
+        let root = TraceCtx::root();
+        for t in 0..THREADS {
+            let ring = ring.clone();
+            std::thread::spawn(move || {
+                for i in 0..cap as u64 {
+                    ring.record(&span(&root, t * cap as u64 + i));
+                }
+            })
+            .join()
+            .unwrap();
+        }
+        let held = ring.snapshot();
+        assert_eq!(ring.len(), cap);
+        assert_eq!(held.len(), cap);
+        let newest: Vec<u64> = ((THREADS - 1) * cap as u64..THREADS * cap as u64).collect();
+        let got: Vec<u64> = held.iter().map(|s| s.duration_ns).collect();
+        assert!(got == newest, "not the newest {cap} spans in record order");
+        assert_eq!(ring.dropped(), (THREADS - 1) * cap as u64);
+        assert!(
+            metrics::counter_total(names::TRACE_DROPPED) - dropped_before
+                >= (THREADS - 1) * cap as u64,
+            "every eviction reached rndi_obs_trace_dropped_total"
+        );
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //! host registry, so `jini://host1/name` style URLs resolve to deployed
 //! backend instances.
 
+#![deny(unsafe_code)]
+
 pub mod common;
 pub mod dns;
 pub mod emlock;

@@ -24,6 +24,8 @@
 //! *existing, heterogeneous* backend that the integration middleware must
 //! adapt to, not one designed for it.
 
+#![deny(unsafe_code)]
+
 pub mod discovery;
 pub mod event;
 pub mod id;

@@ -26,6 +26,8 @@
 //!                                      pipeline → registrar/HDNS store
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod hash;
 pub mod map;
 pub mod observer;

@@ -19,6 +19,8 @@
 //! running the same experiment twice yields identical event orders, which is
 //! what lets the benchmark harness regenerate the paper's figures stably.
 
+#![deny(unsafe_code)]
+
 pub mod rng;
 pub mod sched;
 pub mod server;

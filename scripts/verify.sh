@@ -92,8 +92,8 @@ cargo test -q -p groupcast --test wire_codec
 # Named on its own because it is the durability contract: tests/crash_points.rs
 # crashes a replica at every storage call under process kill and power loss,
 # and the unit tests hold the proposal codec (`proposal_codec_*`: what the
-# op log's records are) to its round trip, its JSON-era oracle and hostile
-# input. A failure prints the seed, crash model and boundary that replay it.
+# op log's records are) to its round trip and hostile input, and a JSON-era
+# data dir to quarantine. A failure prints the seed, crash model and boundary that replay it.
 echo "==> cargo test -q -p hdns (unit tests + proposal codec + the crash-point suite)"
 cargo test -q -p hdns -- --skip the_store_matches_its_oracle
 
@@ -162,8 +162,11 @@ grep -q "slowest traces"               <<<"$fig8_out"
 # words (`rndi_net_concurrency_limit` is a live metric), and so are the two
 # adapters of the method-level provider SPI that `ProviderBackend` replaced,
 # groupcast's flow-control layer (simnet's queueing server models Fig. 5),
-# and the six Environment keys that became constants, with their property
-# names. (CHANGES/ROADMAP/ISSUE are history; this script holds the list.)
+# the six Environment keys that became constants, with their property
+# names, the telemetry plane's ring stripes, watch stripes and TSC clock
+# (one locked ring, `Instant`, one watch table replaced them), and HDNS's
+# JSON-era snapshot and proposal readers. (CHANGES/ROADMAP/ISSUE are
+# history; this script holds the list.)
 echo "==> no doc, script or manifest names a deleted artefact"
 GONE='fig2_jini_lookup|fig3_jini_rebind|fig4_hdns_lookup|fig5_hdns_rebind|fig6_dns_lookup|fig7_ldap|fig8_federation|ablation_stack|ablation_flowctl|ablation_bindproxy|scale_federation|obs_overhead|spi_overhead'
 WALL_CLOCK='net_concurrency|overload_goodput|readpath_scale|shard_scale'
@@ -172,10 +175,13 @@ FLOW_CONTROL='InboxAccount|inbox_bound|Backpressure'
 CONSTANT_KEYS='MAX_FEDERATION_DEPTH|CACHE_MAX_ENTRIES|OBS_RING_CAPACITY|OBS_MAX_SERIES|OBS_FLIGHT_P99_MULT|OBS_FLIGHT_ERR_PCT'
 CONSTANT_KEYS+='|rndi\.federation\.max-depth|rndi\.pipeline\.cache\.max-entries|rndi\.obs\.ring-capacity'
 CONSTANT_KEYS+='|rndi\.obs\.max-series|rndi\.obs\.flight\.p99-multiple|rndi\.obs\.flight\.err-rate-pct'
+STRIPED_PLANE='RING_STRIPES|SEQ_BLOCK|WATCH_STRIPES|now_ns|rdtsc'
+JSON_ERA='JsonStore|JsonEntry|JSON_OPEN'
 HISTORY=(':!CHANGES.md' ':!ROADMAP.md' ':!ISSUE.md' ':!REVIEW.md' ':!scripts/verify.sh')
 if git grep -n -E "bench_figures\\.txt|--bench +($GONE)" -- . "${HISTORY[@]}" ||
    git grep -n -E "$GONE" -- '*.md' '*.toml' '*.yml' 'scripts/' "${HISTORY[@]}" ||
-   git grep -n -w -E "$WALL_CLOCK|$SECOND_SPI|$FLOW_CONTROL|$CONSTANT_KEYS" -- . "${HISTORY[@]}"; then
+   git grep -n -w -E "$WALL_CLOCK|$SECOND_SPI|$FLOW_CONTROL|$CONSTANT_KEYS|$STRIPED_PLANE|$JSON_ERA" \
+     -- . "${HISTORY[@]}"; then
   echo "verify: the files above still name a deleted artefact" >&2
   exit 1
 fi

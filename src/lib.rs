@@ -40,6 +40,8 @@
 //! assert_eq!(v.as_str(), Some("laser-3"));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod serve;
 
 pub use rndi_core as core;
