@@ -22,8 +22,8 @@
 //!   coordinator; the majority side advances the lineage and absorbs the
 //!   minority back as state-transfer newcomers on heal.
 
+use crate::msg::{MemberState, ViewSummary};
 use groupcast::{Addr, View};
-use rndi_net::proto::{MemberState, ViewSummary};
 
 use crate::gossip::GossipEngine;
 
@@ -154,7 +154,7 @@ pub fn bootstrap(me: &str) -> Proposal {
 mod tests {
     use super::*;
     use crate::membership::MembershipTable;
-    use rndi_net::proto::MemberEntry;
+    use crate::msg::MemberEntry;
 
     fn engine_with(me: &str, peers: &[(&str, MemberState)]) -> GossipEngine {
         let mut e = GossipEngine::new(MembershipTable::new(me, format!("{me}:1"), 1_000), 8.0, 25);

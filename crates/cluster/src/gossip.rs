@@ -14,10 +14,13 @@
 //! [`PhiFailureDetector`]; [`GossipEngine::tick`] turns accrued phi into
 //! `Suspect` (≥ threshold) and `Dead` (≥ 2× threshold) demotions, which
 //! then disseminate as rumours — to peers that have lost the subject too.
+//!
+//! The engine speaks the typed [`crate::msg`] messages; the node encodes
+//! and decodes them at its edge, and `rndi-net` carries only their bytes.
 
 use std::collections::BTreeMap;
 
-use rndi_net::proto::{GossipReply, GossipRequest, MemberEntry, MemberState, ViewSummary};
+use crate::msg::{GossipReply, GossipRequest, MemberEntry, MemberState, ViewSummary};
 
 use crate::membership::MembershipTable;
 use crate::phi::PhiFailureDetector;
@@ -85,12 +88,7 @@ impl GossipEngine {
     ) -> GossipReply {
         self.note_contact(&from.name, now_ms);
         self.merge(from, now_ms);
-        for e in entries {
-            self.merge(e, now_ms);
-        }
-        if let Some(v) = view {
-            self.observe_view(v);
-        }
+        self.take_in(entries, view, now_ms);
         GossipReply::Sync {
             entries: self.table.entries(),
             view: self.best_view.clone(),
@@ -103,12 +101,15 @@ impl GossipEngine {
     pub fn absorb_reply(&mut self, peer: &str, reply: &GossipReply, now_ms: u64) {
         if let GossipReply::Sync { entries, view } = reply {
             self.note_contact(peer, now_ms);
-            for e in entries {
-                self.merge(e, now_ms);
-            }
-            if let Some(v) = view {
-                self.observe_view(v);
-            }
+            self.take_in(entries, view.as_ref(), now_ms);
+        }
+    }
+
+    /// Merge a peer's table and view.
+    fn take_in(&mut self, entries: &[MemberEntry], view: Option<&ViewSummary>, now_ms: u64) {
+        entries.iter().for_each(|e| self.merge(e, now_ms));
+        if let Some(v) = view {
+            self.observe_view(v);
         }
     }
 

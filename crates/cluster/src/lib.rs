@@ -7,8 +7,10 @@
 //! * [`MembershipTable`] — SWIM-style `(incarnation, state)` beliefs
 //!   merged under a total precedence order
 //!   (`Alive < Suspect < Dead < Quarantined`);
-//! * [`GossipEngine`] — periodic anti-entropy Syncs over the v2 envelope
-//!   protocol's `Gossip` family, piggybacking the group-view lineage;
+//! * [`msg`] — the plane's messages and their one versioned codec, which
+//!   `rndi-net` carries in `Gossip` envelopes as opaque bytes;
+//! * [`GossipEngine`] — periodic anti-entropy Syncs, piggybacking the
+//!   group-view lineage;
 //! * [`PhiFailureDetector`] — phi-accrual suspicion over gossip
 //!   inter-arrival times (`Suspect` at the configured threshold, `Dead`
 //!   at twice it);
@@ -23,8 +25,8 @@
 //! * [`ClusterNode`] — one booted member: a `NetServer` answering naming
 //!   calls with the standard `HdnsProviderContext` pipeline over its
 //!   `NodeReplica`, the gossip handler and the pacer (the only code that
-//!   touches sockets or reads a clock), with membership exported through
-//!   `Admin::Health` and the node's metrics registry.
+//!   touches sockets or reads a clock), with membership exported as
+//!   `rndi_cluster_*` gauges in the node's metrics registry.
 //!
 //! Knobs (`rndi.cluster.*`): `seed`, `gossip-interval-ms`,
 //! `phi-threshold`, `quarantine-ms` — see [`ClusterConfig`].
@@ -35,6 +37,7 @@ pub mod bridge;
 pub mod config;
 pub mod gossip;
 pub mod membership;
+pub mod msg;
 pub mod node;
 pub mod phi;
 pub mod quarantine;
@@ -43,6 +46,7 @@ pub use bridge::addr_of;
 pub use config::ClusterConfig;
 pub use gossip::GossipEngine;
 pub use membership::{MemberInfo, MembershipTable};
+pub use msg::{GossipReply, GossipRequest, MemberEntry, MemberState, ViewSummary};
 pub use node::{ClusterNode, NodeReplica, NodeState, RoundPlan, TcpChannel, BACKEND_WRITE_BUDGET};
 pub use phi::PhiFailureDetector;
 pub use quarantine::QuarantineTable;

@@ -23,7 +23,7 @@
 
 use std::collections::BTreeMap;
 
-use rndi_net::proto::{MemberEntry, MemberState};
+use crate::msg::{MemberEntry, MemberState};
 
 use crate::quarantine::QuarantineTable;
 

@@ -3,21 +3,23 @@
 //! Each node hosts a [`NetServer`] whose v2 envelope protocol carries
 //! three planes over the *same* listener: naming calls (the standard
 //! [`HdnsProviderContext`] pipeline over the local HDNS replica, as every
-//! other HDNS endpoint serves), admin telemetry (scrapes see membership
-//! through `Admin::Health`), and the `Gossip` family — membership Syncs
-//! plus `Group`-wrapped [`groupcast::Wire`] frames that carry the
-//! replication protocol (sequencer forwards, ordered deliveries, view
-//! installs, state snapshots) peer-to-peer.
+//! other HDNS endpoint serves), admin telemetry (a metrics scrape reads the
+//! node's registry, `rndi_cluster_*` gauges included), and `Gossip`
+//! envelopes. Those carry [`crate::msg`] payloads as opaque bytes:
+//! membership Syncs, and `Group` messages whose [`groupcast::Wire`] frames
+//! carry the replication protocol (sequencer forwards, ordered deliveries,
+//! view installs, state snapshots) peer-to-peer.
 //!
 //! Concurrency model: all protocol state lives in one [`NodeState`] behind
 //! a mutex, every step of it takes the time as an argument, and **no TCP
-//! I/O ever happens while it is held**. The server's gossip handler runs
-//! inline on a shard event loop, so it only mutates state and appends wire
-//! frames to an *outbox*; a per-node pacer thread asks the state for each
-//! round's plan, does the plan's I/O, hands the replies back, pumps the
-//! HDNS replica, and exports telemetry. Handler and pacer are the only
-//! code that knows sockets or clocks: the crate's seeded simulation
-//! (`tests/sim/mod.rs`) runs the same state with frames handed over in memory.
+//! I/O ever happens while it is held**. It takes and returns payload
+//! bytes, so every driver goes through the same codec calls. The server's
+//! gossip handler runs inline on a shard event loop, so it only mutates
+//! state and appends frames to an *outbox*; a per-node pacer thread asks
+//! the state for each round's plan, does the plan's I/O, hands the replies
+//! back, pumps the HDNS replica, and exports telemetry. Handler and pacer
+//! are the only code that knows sockets or clocks: the crate's seeded
+//! simulation (`tests/sim/mod.rs`) hands the same bytes over in memory.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -31,8 +33,7 @@ use groupcast::{Addr, MemberCore, OrderingMode, Outgoing, SendError, Wire};
 use hdns::replica::replicate;
 use hdns::{HdnsEntry, HdnsEvent, HdnsNode, Op, RealmError, Replica, ReplicaChannel};
 use rndi_core::error::{NamingError, Result};
-use rndi_net::proto::{GossipReply, GossipRequest, MemberEntry, MemberState, ViewSummary};
-use rndi_net::{GossipHandler, MembershipStats, NetClient, NetServer, ServerConfig};
+use rndi_net::{GossipHandler, NetClient, NetServer, ServerConfig};
 use rndi_obs::metrics::{names, Counter, Registry};
 use rndi_obs::TraceCtx;
 use rndi_providers::hdns::HdnsProviderContext;
@@ -41,6 +42,7 @@ use crate::bridge::{self, addr_of};
 use crate::config::ClusterConfig;
 use crate::gossip::GossipEngine;
 use crate::membership::MembershipTable;
+use crate::msg::{self, GossipReply, GossipRequest, MemberEntry, MemberState, ViewSummary};
 
 /// How long an in-process [`ClusterNode::write_sync`] waits for its
 /// ordered self-delivery.
@@ -61,8 +63,8 @@ pub struct NodeState {
     connected: bool,
     /// Reverse of [`bridge::addr_of`] over every name in the table.
     names_by_addr: BTreeMap<Addr, String>,
-    /// Group wires awaiting the pacer's flush, per target endpoint.
-    outbox: Vec<(String, GossipRequest)>,
+    /// Encoded `Group` messages awaiting the pacer's flush, per endpoint.
+    outbox: Vec<(String, Vec<u8>)>,
     /// Seed endpoint still being courted (dropped once it appears in the
     /// membership table).
     seed: Option<String>,
@@ -74,11 +76,12 @@ pub struct NodeState {
 /// off it (public for the crate's simulation tests).
 #[doc(hidden)]
 pub struct RoundPlan {
-    pub sync: GossipRequest,
+    /// The encoded Sync request, the same for every target.
+    pub sync: Vec<u8>,
     /// `(peer name if known, endpoint)` to Sync with.
     pub targets: Vec<(Option<String>, String)>,
-    /// `(endpoint, Group frame)` to deliver.
-    pub wires: Vec<(String, GossipRequest)>,
+    /// `(endpoint, encoded Group message)` to deliver.
+    pub wires: Vec<(String, Vec<u8>)>,
 }
 
 impl NodeState {
@@ -114,22 +117,22 @@ impl NodeState {
                 continue;
             }
             if let Some(name) = self.name_of(out.to).map(str::to_string) {
-                self.queue(&name, &out.wire);
+                self.queue(&name, out.wire);
             }
         }
     }
 
     /// Put `wire` in the outbox for member `name`, unless it has no known
     /// endpoint.
-    fn queue(&mut self, name: &str, wire: &Wire) {
+    fn queue(&mut self, name: &str, wire: Wire) {
         let Some(ep) = self.endpoint_of(name) else {
             return;
         };
-        let frame = GossipRequest::Group {
+        let frame = msg::encode_request(&GossipRequest::Group {
             group: self.group.clone(),
             from: self.core.me().0,
-            wire: wire.encode(),
-        };
+            wire,
+        });
         self.outbox.push((ep, frame));
     }
 
@@ -196,7 +199,7 @@ impl NodeState {
         targets.retain(|(_, ep)| !ep.is_empty() && ep != my_endpoint);
         self.engine.rounds += 1;
         RoundPlan {
-            sync: self.engine.sync_request(),
+            sync: msg::encode_request(&self.engine.sync_request()),
             targets,
             wires: std::mem::take(&mut self.outbox),
         }
@@ -204,8 +207,12 @@ impl NodeState {
 
     /// Take in the reply to a planned Sync with `(peer, endpoint)`; a seed
     /// contact (no name yet) is identified by its endpoint.
-    pub fn absorb(&mut self, peer: Option<&str>, endpoint: &str, reply: &GossipReply, now_ms: u64) {
-        let name = peer.map(str::to_string).or_else(|| match reply {
+    pub fn absorb(&mut self, peer: Option<&str>, endpoint: &str, reply: &[u8], now_ms: u64) {
+        let Ok(reply) = msg::decode_reply(reply) else {
+            self.undecodable_frames.inc();
+            return;
+        };
+        let name = peer.map(str::to_string).or_else(|| match &reply {
             GossipReply::Sync { entries, .. } => entries
                 .iter()
                 .find(|e| e.endpoint == endpoint)
@@ -213,45 +220,44 @@ impl NodeState {
             _ => None,
         });
         if let Some(name) = name {
-            self.engine.absorb_reply(&name, reply, now_ms);
+            self.engine.absorb_reply(&name, &reply, now_ms);
             self.index_names();
         }
     }
 
-    /// Serve one inbound `Gossip` envelope at `now_ms`: quick state merges
-    /// only, every resulting send deferred to the outbox.
-    pub fn handle(&mut self, req: GossipRequest, now_ms: u64) -> GossipReply {
-        match req {
-            GossipRequest::Sync {
+    /// Serve one inbound `Gossip` payload at `now_ms`: quick state merges
+    /// only, every resulting send deferred to the outbox. One that does not
+    /// decode is counted (its protocol step is lost) and answered `Ack`.
+    pub fn handle(&mut self, payload: &[u8], now_ms: u64) -> Vec<u8> {
+        let reply = match msg::decode_request(payload) {
+            Ok(GossipRequest::Sync {
                 from,
                 entries,
                 view,
-            } => {
+            }) => {
                 let reply = self
                     .engine
                     .handle_sync(&from, &entries, view.as_ref(), now_ms);
                 self.index_names();
                 reply
             }
-            GossipRequest::Group { group, from, wire } => {
-                if group != self.group || !self.connected {
-                    return GossipReply::Ack;
+            Ok(GossipRequest::Group { group, from, wire }) => {
+                if group == self.group && self.connected {
+                    let from = Addr(from);
+                    if let Some(name) = self.name_of(from).map(str::to_string) {
+                        self.engine.note_contact(&name, now_ms);
+                    }
+                    let outgoing = self.core.on_wire(from, wire);
+                    self.deliver(outgoing);
                 }
-                let from = Addr(from);
-                if let Some(name) = self.name_of(from).map(str::to_string) {
-                    self.engine.note_contact(&name, now_ms);
-                }
-                let Ok(w) = Wire::decode(&wire) else {
-                    // Dropped, but not silently: the sender's protocol
-                    // step is lost with it.
-                    self.undecodable_frames.inc();
-                    return GossipReply::Ack;
-                };
-                let outgoing = self.core.on_wire(from, w);
-                self.deliver(outgoing);
                 GossipReply::Ack
             }
-        }
+            Err(_) => {
+                self.undecodable_frames.inc();
+                GossipReply::Ack
+            }
+        };
+        msg::encode_reply(&reply)
     }
 
     /// Drive the view lineage: fold the installed view in, let the
@@ -277,9 +283,8 @@ impl NodeState {
         let (Some(view), Some(summary)) = (self.core.view().cloned(), self.view()) else {
             return;
         };
-        let install = Wire::InstallView(view);
         for name in summary.members.iter().filter(|n| **n != me) {
-            self.queue(name, &install);
+            self.queue(name, Wire::InstallView(view.clone()));
         }
     }
 }
@@ -445,9 +450,9 @@ struct Handler {
 }
 
 impl GossipHandler for Handler {
-    fn handle(&self, req: GossipRequest) -> GossipReply {
+    fn handle(&self, payload: &[u8]) -> Vec<u8> {
         let now = self.epoch.elapsed().as_millis() as u64;
-        self.state.lock().handle(req, now)
+        self.state.lock().handle(payload, now)
     }
 }
 
@@ -480,7 +485,6 @@ impl ClusterNode {
             state: replica.state.clone(),
             epoch,
         }));
-        let membership = server.membership_stats();
         replica.open(&endpoint)?;
 
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -491,7 +495,7 @@ impl ClusterNode {
             let config = config.clone();
             std::thread::Builder::new()
                 .name(format!("cluster-pacer-{}", config.name))
-                .spawn(move || pace(replica, stop, registry, membership, config, epoch))
+                .spawn(move || pace(replica, stop, registry, config, epoch))
                 .map_err(|e| NamingError::service(format!("spawn pacer: {e}")))?
         };
 
@@ -586,7 +590,6 @@ fn pace(
     replica: NodeReplica,
     stop: Arc<std::sync::atomic::AtomicBool>,
     registry: Arc<Registry>,
-    membership: Arc<MembershipStats>,
     config: ClusterConfig,
     epoch: Instant,
 ) {
@@ -598,73 +601,55 @@ fn pace(
 
         // Network, no lock. Failed peers just miss heartbeats — that is
         // the signal, not an error to handle.
-        let mut exchange = |ep: &str, req: GossipRequest| {
-            let reply = client_for(&mut clients, ep, &config)?.gossip(req);
+        let mut exchange = |ep: &str, payload: &[u8]| {
+            if !clients.contains_key(ep) {
+                clients.insert(ep.to_string(), NetClient::new(ep, &config.env).ok()?);
+            }
+            let reply = clients[ep].gossip(payload);
             if reply.is_err() {
                 clients.remove(ep);
             }
             reply.ok()
         };
         for (peer, ep) in &plan.targets {
-            if let Some(reply) = exchange(ep, plan.sync.clone()) {
+            if let Some(reply) = exchange(ep, &plan.sync) {
                 let mut state = replica.state.lock();
                 state.absorb(peer.as_deref(), ep, &reply, now());
             }
         }
-        for (ep, wire) in plan.wires {
-            exchange(&ep, wire);
+        for (ep, frame) in &plan.wires {
+            exchange(ep, frame);
         }
 
         // Pump the replica (applies deliveries, answers state requests
         // into the outbox for the next flush).
         replica.hdns.lock().process();
 
-        export(&replica.state, &registry, &membership, now());
+        export(&replica.state, &registry, now());
 
         std::thread::sleep(interval);
     }
 }
 
-fn client_for<'a>(
-    clients: &'a mut BTreeMap<String, NetClient>,
-    ep: &str,
-    config: &ClusterConfig,
-) -> Option<&'a NetClient> {
-    if !clients.contains_key(ep) {
-        clients.insert(ep.to_string(), NetClient::new(ep, &config.env).ok()?);
-    }
-    clients.get(ep)
-}
-
-/// Export membership into the health atomics (served by `Admin::Health`)
-/// and the node's registry (merged by cluster scrapes).
-fn export(
-    state: &Mutex<NodeState>,
-    registry: &Registry,
-    membership: &MembershipStats,
-    now_ms: u64,
-) {
+/// Export membership into the node's registry, where a metrics scrape
+/// reads it (and a cluster scrape merges it).
+fn export(state: &Mutex<NodeState>, registry: &Registry, now_ms: u64) {
     let i = state.lock();
     let count = |state| i.engine.table.count(state) as u64;
-    let alive = count(MemberState::Alive);
-    let suspect = count(MemberState::Suspect);
     let dead = count(MemberState::Dead) + count(MemberState::Quarantined);
     let epoch_seq = i.core.view().map_or(0, |v| v.id.seq);
-    let rounds = i.engine.rounds;
     let phi_millis = (i.engine.max_phi(now_ms) * 1_000.0) as u64;
-    drop(i);
-
-    membership.alive.store(alive, Ordering::Relaxed);
-    membership.suspect.store(suspect, Ordering::Relaxed);
-    membership.dead.store(dead, Ordering::Relaxed);
-    membership.view_epoch.store(epoch_seq, Ordering::Relaxed);
-
-    for (name, value) in [
-        (names::CLUSTER_MEMBERS, alive),
-        (names::CLUSTER_SUSPECTS, suspect),
+    let gauges = [
+        (names::CLUSTER_MEMBERS, count(MemberState::Alive)),
+        (names::CLUSTER_SUSPECTS, count(MemberState::Suspect)),
+        (names::CLUSTER_DEAD, dead),
         (names::CLUSTER_VIEW_EPOCH, epoch_seq),
         (names::CLUSTER_PHI, phi_millis),
-    ] {
+    ];
+    let rounds = i.engine.rounds;
+    drop(i);
+
+    for (name, value) in gauges {
         registry.gauge(name, &[]).set(value as i64);
     }
     let counter = registry.counter(names::CLUSTER_GOSSIP_ROUNDS, &[]);

@@ -7,8 +7,7 @@
 
 use proptest::prelude::*;
 
-use rndi_cluster::MembershipTable;
-use rndi_net::proto::{MemberEntry, MemberState};
+use rndi_cluster::{MemberEntry, MemberState, MembershipTable};
 
 const QUARANTINE_MS: u64 = 1_000;
 

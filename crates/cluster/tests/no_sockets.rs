@@ -9,8 +9,7 @@
 mod sim;
 
 use hdns::RealmError;
-use rndi_cluster::{GossipEngine, MembershipTable};
-use rndi_net::proto::{MemberEntry, MemberState};
+use rndi_cluster::{GossipEngine, MemberEntry, MemberState, MembershipTable};
 use sim::{Sim, INTERVAL_MS, LOSSY, RELIABLE};
 
 fn boot_partition_heal(seed: u64) {

@@ -4,10 +4,11 @@
 //! Each slot hosts one process, a real [`NodeReplica`]: the `NodeState`
 //! and `HdnsNode<TcpChannel>` that `ClusterNode`'s pacer and gossip handler
 //! drive over TCP. A round plays both for every live process in turn: it
-//! asks the node for its round plan, hands the frames to their targets'
-//! `handle` in memory, hands the replies back and pumps the replica; then
-//! virtual time advances by one gossip interval. A seed replays a run
-//! exactly.
+//! asks the node for its round plan, hands the encoded payloads the pacer
+//! would send to their targets' `handle` in memory, hands the encoded
+//! replies back and pumps the replica; then virtual time advances by one
+//! gossip interval. So every frame crosses the plane's codec, as on TCP. A
+//! seed replays a run exactly.
 //!
 //! Faults, each drawn from the seed where [`Faults`] asks for it:
 //! - **loss**: every membership frame (a Sync, its reply, an
@@ -44,9 +45,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use groupcast::{Addr, Wire};
 use hdns::{HdnsEntry, Op, RealmError};
-use rndi_cluster::{addr_of, ClusterConfig, NodeReplica};
+use rndi_cluster::msg::decode_request;
+use rndi_cluster::{
+    addr_of, ClusterConfig, GossipRequest, MemberEntry, MemberState, NodeReplica, ViewSummary,
+};
 use rndi_core::env::{keys, Environment};
-use rndi_net::proto::{GossipRequest, MemberEntry, MemberState, ViewSummary};
 use rndi_obs::metrics::Registry;
 
 pub const INTERVAL_MS: u64 = 10;
@@ -355,7 +358,7 @@ impl Sim {
             let target = self.node(j).clone();
             let mut reply = None;
             for _ in 0..self.copies() {
-                reply = Some(target.state.lock().handle(plan.sync.clone(), self.clock(j)));
+                reply = Some(target.state.lock().handle(&plan.sync, self.clock(j)));
             }
             let reply = reply.expect("handed over at least once");
             if !self.reaches(j, i) || self.lost() {
@@ -370,16 +373,20 @@ impl Sim {
             let Some(j) = self.slot_of(&ep) else {
                 continue;
             };
-            let GossipRequest::Group { wire, .. } = &frame else {
-                unreachable!("the outbox holds Group frames only")
-            };
-            let membership = matches!(Wire::decode(wire), Ok(Wire::InstallView(_)));
+            // Decoded only to classify it for the loss rule.
+            let membership = matches!(
+                decode_request(&frame),
+                Ok(GossipRequest::Group {
+                    wire: Wire::InstallView(_),
+                    ..
+                })
+            );
             if !self.reaches(i, j) || (membership && self.lost()) {
                 continue;
             }
             let target = self.node(j).clone();
             for _ in 0..self.copies() {
-                target.state.lock().handle(frame.clone(), self.clock(j));
+                target.state.lock().handle(&frame, self.clock(j));
             }
         }
     }

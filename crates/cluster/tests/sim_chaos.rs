@@ -12,10 +12,10 @@
 mod sim;
 
 use hdns::{Op, RealmError};
+use rndi_cluster::MemberState;
 use rndi_core::context::ContextExt;
 use rndi_core::env::Environment;
 use rndi_core::error::NamingError;
-use rndi_net::proto::MemberState;
 use rndi_providers::hdns::HdnsProviderContext;
 use sim::{Faults, Sim, LOSSY, QUARANTINE_MS};
 

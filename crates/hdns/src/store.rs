@@ -16,7 +16,6 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use groupcast::codec::{self, DecodeError, Reader, U32_LEN, U64_LEN, U8_LEN};
-use serde::{Deserialize, Serialize};
 
 /// The snapshot format's version byte (a proposal's is `0x01`).
 const SNAPSHOT_VERSION: u8 = 0x02;
@@ -192,7 +191,7 @@ impl PartialEq for HdnsEntry {
 impl Eq for HdnsEntry {}
 
 /// Store operation failures — deterministic across replicas.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum HdnsError {
     AlreadyBound(String),
     NotFound(String),

@@ -409,12 +409,13 @@ impl NetClient {
         }
     }
 
-    /// Round-trip one gossip request, multiplexed over the same socket as
-    /// data ops.
-    pub fn gossip(&self, req: proto::GossipRequest) -> Result<proto::GossipReply> {
+    /// Round-trip one membership payload, multiplexed over the same socket
+    /// as data ops: the bytes go out as they are, and the answer comes back
+    /// as the far node's handler wrote it.
+    pub fn gossip(&self, payload: &[u8]) -> Result<Vec<u8>> {
         let mut env = Envelope {
             req_id: 0,
-            body: EnvelopeBody::Gossip(req),
+            body: EnvelopeBody::Gossip(payload.to_vec()),
         };
         match self.roundtrip(&mut env)? {
             EnvelopeBody::GossipOk(reply) => Ok(reply),

@@ -17,8 +17,7 @@ use rndi_core::error::{NamingError, Result};
 use rndi_obs::TraceCtx;
 
 use crate::proto::{
-    self, AdminReply, AdminRequest, Envelope, EnvelopeBody, GossipReply, GossipRequest, WireError,
-    WireOp, WireOutcome,
+    self, AdminReply, AdminRequest, Envelope, EnvelopeBody, WireError, WireOp, WireOutcome,
 };
 
 /// An incremental length-prefixed frame reassembler. Bytes go in at
@@ -110,8 +109,8 @@ pub enum InboundMsg {
     },
     /// A telemetry scrape.
     Admin(AdminRequest),
-    /// A cluster membership exchange.
-    Gossip(GossipRequest),
+    /// A cluster membership payload, as opaque bytes.
+    Gossip(Vec<u8>),
     /// The frame was self-delimiting but its payload did not decode; the
     /// server answers this error instead of dropping the connection.
     Malformed(NamingError),
@@ -124,7 +123,7 @@ pub enum ResponseBody {
     Ok(WireOutcome),
     Err(WireError),
     Admin(AdminReply),
-    Gossip(GossipReply),
+    Gossip(Vec<u8>),
 }
 
 /// Server-side per-connection state machine: checks the connection
@@ -241,7 +240,7 @@ fn decode_request(frame: &[u8]) -> Result<Inbound> {
                     trace,
                 },
                 EnvelopeBody::Admin(req) => InboundMsg::Admin(req),
-                EnvelopeBody::Gossip(req) => InboundMsg::Gossip(req),
+                EnvelopeBody::Gossip(payload) => InboundMsg::Gossip(payload),
                 // A client must not send response bodies.
                 EnvelopeBody::Pong
                 | EnvelopeBody::Ok(_)

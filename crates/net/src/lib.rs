@@ -41,4 +41,4 @@ pub mod proto;
 pub mod server;
 
 pub use client::{ClientConfig, NetClient, NetClientFactory};
-pub use server::{GossipHandler, MembershipStats, NetServer, ServerConfig};
+pub use server::{GossipHandler, NetServer, ServerConfig};

@@ -27,6 +27,11 @@
 //! Not everything can cross a socket: live `Context` values and event
 //! listeners are process-local. Encoding them fails with
 //! [`NamingError::NotSupported`] before any bytes are written.
+//!
+//! The schema has no cluster vocabulary. A `Gossip` envelope carries a
+//! membership plane's payload as opaque bytes, and `GossipOk` its answer;
+//! what those bytes mean, and how they are encoded, is the plane's own
+//! business (`rndi_cluster::msg`).
 
 pub mod bin;
 
@@ -80,11 +85,12 @@ pub enum EnvelopeBody {
     /// [`EnvelopeBody::AdminOk`] or [`EnvelopeBody::Err`].
     Admin(AdminRequest),
     AdminOk(AdminReply),
-    /// A cluster membership exchange: gossip sync or a ferried
-    /// group-communication frame. Answered with [`EnvelopeBody::GossipOk`]
-    /// or [`EnvelopeBody::Err`].
-    Gossip(GossipRequest),
-    GossipOk(GossipReply),
+    /// A cluster membership payload, carried as opaque bytes: the
+    /// attached [`GossipHandler`](crate::GossipHandler) reads it and
+    /// writes the answer. Answered with [`EnvelopeBody::GossipOk`] or
+    /// [`EnvelopeBody::Err`].
+    Gossip(Vec<u8>),
+    GossipOk(Vec<u8>),
 }
 
 /// The admin request family: remote scrape of one serving instance.
@@ -109,97 +115,6 @@ pub enum AdminReply {
     Metrics(rndi_obs::MetricsSnapshot),
     TraceDump(Vec<rndi_obs::SpanRecord>),
     Health(rndi_obs::HealthSummary),
-}
-
-/// One member's lifecycle state as gossiped between nodes (the
-/// `Alive → Suspect → Dead → Quarantined` machine lives in
-/// `rndi-cluster`; the wire only carries the verdicts).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum MemberState {
-    Alive,
-    Suspect,
-    Dead,
-    Quarantined,
-}
-
-impl MemberState {
-    /// Stable wire tag.
-    pub fn tag(self) -> u8 {
-        match self {
-            MemberState::Alive => 0,
-            MemberState::Suspect => 1,
-            MemberState::Dead => 2,
-            MemberState::Quarantined => 3,
-        }
-    }
-
-    /// Decode a wire tag.
-    pub fn from_tag(tag: u8) -> Option<MemberState> {
-        Some(match tag {
-            0 => MemberState::Alive,
-            1 => MemberState::Suspect,
-            2 => MemberState::Dead,
-            3 => MemberState::Quarantined,
-            _ => return None,
-        })
-    }
-}
-
-/// One row of a gossiped membership table: who, where, which incarnation,
-/// and what the gossiper believes about it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MemberEntry {
-    /// Stable node name (survives restarts; the quarantine key).
-    pub name: String,
-    /// `host:port` the member's server listens on (a restart may move it).
-    pub endpoint: String,
-    /// Bumped by the member itself on restart or to refute a suspicion;
-    /// higher incarnation always wins a merge.
-    pub incarnation: u64,
-    pub state: MemberState,
-}
-
-/// A view summary piggybacked on gossip so liveness information never
-/// travels without the highest-seq view that goes with it (that coupling
-/// is what prevents a healed minority coordinator from installing a
-/// rival view).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ViewSummary {
-    pub seq: u64,
-    /// Member names in view (coordinator-first) order.
-    pub members: Vec<String>,
-}
-
-/// The gossip request family.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum GossipRequest {
-    /// Push-pull membership exchange; doubles as the heartbeat the
-    /// phi-accrual detector scores. `from` is the sender's own row.
-    Sync {
-        from: MemberEntry,
-        entries: Vec<MemberEntry>,
-        view: Option<ViewSummary>,
-    },
-    /// A group-communication frame ferried between members of `group`;
-    /// `from` is the sender's group address, `wire` a serialized
-    /// `groupcast::Wire`.
-    Group {
-        group: String,
-        from: u64,
-        wire: Vec<u8>,
-    },
-}
-
-/// The reply to a [`GossipRequest`], same order of kinds.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum GossipReply {
-    /// The pull half of the exchange: the responder's table and view.
-    Sync {
-        entries: Vec<MemberEntry>,
-        view: Option<ViewSummary>,
-    },
-    /// A ferried frame was accepted for processing.
-    Ack,
 }
 
 /// A [`NamingOp`] in wire form.

@@ -22,9 +22,8 @@ use rndi_core::value::{Reference, StoredValue};
 use rndi_obs::TraceCtx;
 
 use super::{
-    AdminReply, AdminRequest, Envelope, EnvelopeBody, GossipReply, GossipRequest, MemberEntry,
-    MemberState, ViewSummary, WireBinding, WireError, WireHit, WireNameClass, WireOp, WireOutcome,
-    WirePayload,
+    AdminReply, AdminRequest, Envelope, EnvelopeBody, WireBinding, WireError, WireHit,
+    WireNameClass, WireOp, WireOutcome, WirePayload,
 };
 
 // -------------------------------------------------------------- writer --
@@ -362,67 +361,16 @@ pub fn encode_envelope(env: &Envelope) -> Result<Vec<u8>> {
                 }
             }
         }
-        EnvelopeBody::Gossip(req) => {
+        EnvelopeBody::Gossip(payload) => {
             out.push(7);
-            match req {
-                GossipRequest::Sync {
-                    from,
-                    entries,
-                    view,
-                } => {
-                    out.push(0);
-                    put_member(&mut out, from);
-                    put_u32(&mut out, entries.len() as u32);
-                    for e in entries {
-                        put_member(&mut out, e);
-                    }
-                    put_view_summary(&mut out, view.as_ref());
-                }
-                GossipRequest::Group { group, from, wire } => {
-                    out.push(1);
-                    put_str(&mut out, group);
-                    put_u64(&mut out, *from);
-                    put_bytes(&mut out, wire);
-                }
-            }
+            put_bytes(&mut out, payload);
         }
-        EnvelopeBody::GossipOk(reply) => {
+        EnvelopeBody::GossipOk(payload) => {
             out.push(8);
-            match reply {
-                GossipReply::Sync { entries, view } => {
-                    out.push(0);
-                    put_u32(&mut out, entries.len() as u32);
-                    for e in entries {
-                        put_member(&mut out, e);
-                    }
-                    put_view_summary(&mut out, view.as_ref());
-                }
-                GossipReply::Ack => out.push(1),
-            }
+            put_bytes(&mut out, payload);
         }
     }
     Ok(out)
-}
-
-fn put_member(out: &mut Vec<u8>, e: &MemberEntry) {
-    put_str(out, &e.name);
-    put_str(out, &e.endpoint);
-    put_u64(out, e.incarnation);
-    out.push(e.state.tag());
-}
-
-fn put_view_summary(out: &mut Vec<u8>, view: Option<&ViewSummary>) {
-    match view {
-        None => out.push(0),
-        Some(v) => {
-            out.push(1);
-            put_u64(out, v.seq);
-            put_u32(out, v.members.len() as u32);
-            for m in &v.members {
-                put_str(out, m);
-            }
-        }
-    }
 }
 
 // -------------------------------------------------------------- reader --
@@ -514,49 +462,6 @@ impl<'a> Reader<'a> {
             1 => Ok(Some(self.stored()?)),
             other => Err(NamingError::service(format!(
                 "malformed envelope: bad option tag {other} for {what}"
-            ))),
-        }
-    }
-
-    fn member(&mut self) -> Result<MemberEntry> {
-        Ok(MemberEntry {
-            name: self.str("member name")?,
-            endpoint: self.str("member endpoint")?,
-            incarnation: self.u64("member incarnation")?,
-            state: {
-                let tag = self.u8("member state")?;
-                MemberState::from_tag(tag).ok_or_else(|| {
-                    NamingError::service(format!("malformed envelope: unknown member state {tag}"))
-                })?
-            },
-        })
-    }
-
-    fn members(&mut self) -> Result<Vec<MemberEntry>> {
-        let count = self.u32("member count")?;
-        // No pre-allocation from the untrusted count: each row is
-        // bounds-checked as it is read, so hostile counts fail fast.
-        let mut entries = Vec::new();
-        for _ in 0..count {
-            entries.push(self.member()?);
-        }
-        Ok(entries)
-    }
-
-    fn view_summary(&mut self) -> Result<Option<ViewSummary>> {
-        match self.u8("view flag")? {
-            0 => Ok(None),
-            1 => {
-                let seq = self.u64("view seq")?;
-                let count = self.u32("view member count")?;
-                let mut members = Vec::new();
-                for _ in 0..count {
-                    members.push(self.str("view member")?);
-                }
-                Ok(Some(ViewSummary { seq, members }))
-            }
-            other => Err(NamingError::service(format!(
-                "malformed envelope: bad view flag {other}"
             ))),
         }
     }
@@ -818,35 +723,8 @@ pub fn decode_envelope(payload: &[u8]) -> Result<Envelope> {
                 )))
             }
         }),
-        7 => EnvelopeBody::Gossip(match r.u8("gossip kind")? {
-            0 => GossipRequest::Sync {
-                from: r.member()?,
-                entries: r.members()?,
-                view: r.view_summary()?,
-            },
-            1 => GossipRequest::Group {
-                group: r.str("gossip group")?,
-                from: r.u64("gossip sender")?,
-                wire: r.bytes("gossip frame")?.to_vec(),
-            },
-            other => {
-                return Err(NamingError::service(format!(
-                    "malformed envelope: unknown gossip kind {other}"
-                )))
-            }
-        }),
-        8 => EnvelopeBody::GossipOk(match r.u8("gossip reply kind")? {
-            0 => GossipReply::Sync {
-                entries: r.members()?,
-                view: r.view_summary()?,
-            },
-            1 => GossipReply::Ack,
-            other => {
-                return Err(NamingError::service(format!(
-                    "malformed envelope: unknown gossip reply kind {other}"
-                )))
-            }
-        }),
+        7 => EnvelopeBody::Gossip(r.bytes("gossip payload")?.to_vec()),
+        8 => EnvelopeBody::GossipOk(r.bytes("gossip reply")?.to_vec()),
         other => {
             return Err(NamingError::service(format!(
                 "malformed envelope: unknown body tag {other}"
@@ -960,44 +838,13 @@ mod tests {
     }
 
     #[test]
-    fn gossip_envelopes_roundtrip() {
-        let me = MemberEntry {
-            name: "node-0".into(),
-            endpoint: "127.0.0.1:7000".into(),
-            incarnation: 3,
-            state: MemberState::Alive,
-        };
-        let peer = MemberEntry {
-            name: "node-1".into(),
-            endpoint: "127.0.0.1:7001".into(),
-            incarnation: 9,
-            state: MemberState::Suspect,
-        };
-        let view = ViewSummary {
-            seq: 4,
-            members: vec!["node-0".into(), "node-1".into()],
-        };
+    fn gossip_envelopes_carry_opaque_bytes() {
+        // What a membership plane sends is its own business: any bytes,
+        // none at all included, cross unchanged.
         let bodies = vec![
-            EnvelopeBody::Gossip(GossipRequest::Sync {
-                from: me.clone(),
-                entries: vec![me.clone(), peer.clone()],
-                view: Some(view.clone()),
-            }),
-            EnvelopeBody::Gossip(GossipRequest::Sync {
-                from: me,
-                entries: vec![],
-                view: None,
-            }),
-            EnvelopeBody::Gossip(GossipRequest::Group {
-                group: "hdns".into(),
-                from: 42,
-                wire: vec![1, 2, 3, 255],
-            }),
-            EnvelopeBody::GossipOk(GossipReply::Sync {
-                entries: vec![peer],
-                view: Some(view),
-            }),
-            EnvelopeBody::GossipOk(GossipReply::Ack),
+            EnvelopeBody::Gossip(vec![1, 0, 255, 7]),
+            EnvelopeBody::Gossip(Vec::new()),
+            EnvelopeBody::GossipOk(vec![1, 1]),
         ];
         for (i, body) in bodies.into_iter().enumerate() {
             let env = Envelope {
@@ -1006,37 +853,6 @@ mod tests {
             };
             assert_eq!(roundtrip(&env), env);
         }
-    }
-
-    #[test]
-    fn unknown_gossip_kinds_error_cleanly() {
-        for (body_tag, kind) in [(7u8, 9u8), (8, 9)] {
-            let mut bytes = Vec::new();
-            bytes.extend_from_slice(&1u64.to_le_bytes());
-            bytes.push(body_tag);
-            bytes.push(kind);
-            let err = decode_envelope(&bytes).unwrap_err();
-            assert!(
-                format!("{err}").contains("unknown gossip"),
-                "tag {body_tag}/{kind}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn hostile_member_count_fails_before_allocation() {
-        // A Sync promising 4 billion members with no bytes behind it must
-        // fail on the first row's bounds check, not allocate a table.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&1u64.to_le_bytes()); // req id
-        bytes.push(7); // Gossip
-        bytes.push(0); // Sync
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // from.name = ""
-        bytes.extend_from_slice(&0u32.to_le_bytes()); // from.endpoint = ""
-        bytes.extend_from_slice(&1u64.to_le_bytes()); // incarnation
-        bytes.push(0); // Alive
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes()); // hostile count
-        assert!(decode_envelope(&bytes).is_err());
     }
 
     #[test]

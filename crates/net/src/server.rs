@@ -14,11 +14,14 @@
 //! shard off the CPU while keeping single-digit-microsecond reaction
 //! when traffic resumes.
 //!
-//! A connection that speaks the `Gossip` family is moved to a shard of
-//! its own, started with the first [`NetServer::set_gossip_handler`]: a
-//! naming call may wait on the group (a replicated write waits for its
-//! ordered delivery), and the frames it waits for must never sit unread
-//! behind it on the same event loop.
+//! `Gossip` envelopes carry a cluster membership plane's payloads as
+//! opaque bytes: the attached [`GossipHandler`] reads each one and writes
+//! the answer, and a server with no plane answers a typed error without
+//! reaching its backend. A connection that speaks gossip is moved to a
+//! shard of its own, started with the first
+//! [`NetServer::set_gossip_handler`]: a naming call may wait on the group
+//! (a replicated write waits for its ordered delivery), and the frames it
+//! waits for must never sit unread behind it on the same event loop.
 //!
 //! Pipelined clients get pipelined service for free: every complete
 //! frame buffered on a socket is decoded, executed, and answered in one
@@ -47,7 +50,7 @@ use rndi_obs::metrics::{global_registry, names, Registry};
 use rndi_obs::{HealthSummary, SpanOutcome, SpanRecord, TraceCtx};
 
 use crate::conn::{Inbound, InboundMsg, ResponseBody, ServerConn};
-use crate::proto::{self, AdminReply, AdminRequest, GossipReply, GossipRequest};
+use crate::proto::{self, AdminReply, AdminRequest};
 
 /// Per-pass read budget per connection, so one firehose socket cannot
 /// starve its shard siblings.
@@ -182,9 +185,6 @@ struct ServerState {
     /// Serves `Gossip` envelopes when a cluster membership plane attached
     /// itself; otherwise gossip requests answer a typed error.
     gossip: Mutex<Option<Arc<dyn GossipHandler>>>,
-    /// Membership figures the attached plane keeps current, folded into
-    /// the `Admin(Health)` answer.
-    membership: Arc<MembershipStats>,
 }
 
 impl ServerState {
@@ -195,22 +195,12 @@ impl ServerState {
     }
 }
 
-/// Serves the `Gossip` request family — membership sync exchanges and
-/// ferried group-communication frames. Runs inline on the shard event
-/// loop, so implementations must be quick and never block on the network.
+/// Serves `Gossip` envelopes: takes a membership plane's payload and
+/// returns the bytes of its answer. The transport neither reads nor checks
+/// them. Runs inline on the shard event loop, so implementations must be
+/// quick and never block on the network.
 pub trait GossipHandler: Send + Sync {
-    fn handle(&self, req: GossipRequest) -> GossipReply;
-}
-
-/// Membership figures a cluster plane publishes for the health probe —
-/// plain atomics so `Admin(Health)` stays lock-free and nodes without a
-/// plane report zeros.
-#[derive(Default)]
-pub struct MembershipStats {
-    pub view_epoch: AtomicU64,
-    pub alive: AtomicU64,
-    pub suspect: AtomicU64,
-    pub dead: AtomicU64,
+    fn handle(&self, payload: &[u8]) -> Vec<u8>;
 }
 
 #[derive(Clone)]
@@ -282,10 +272,6 @@ impl ServerState {
                 .map(|l| l.load(Ordering::Relaxed))
                 .sum(),
             shed_total: self.shed.iter().map(|c| c.get()).sum(),
-            view_epoch: self.membership.view_epoch.load(Ordering::Relaxed),
-            members_alive: self.membership.alive.load(Ordering::Relaxed),
-            members_suspect: self.membership.suspect.load(Ordering::Relaxed),
-            members_dead: self.membership.dead.load(Ordering::Relaxed),
         }
     }
 }
@@ -558,7 +544,6 @@ impl NetServer {
             shed,
             req_instruments: Mutex::new(HashMap::new()),
             gossip: Mutex::new(None),
-            membership: Arc::new(MembershipStats::default()),
         });
         let mut threads = Vec::with_capacity(shard_count + 1);
         for shard in 0..shard_count {
@@ -608,12 +593,6 @@ impl NetServer {
             self.threads.lock().push(gossip_shard);
         }
         *slot = Some(handler);
-    }
-
-    /// The membership figures folded into `Admin(Health)`; a cluster
-    /// plane keeps them current.
-    pub fn membership_stats(&self) -> Arc<MembershipStats> {
-        self.state.membership.clone()
     }
 
     /// Graceful shutdown: stop accepting, answer buffered requests, flush
@@ -989,12 +968,12 @@ fn respond(
             }
         }
         InboundMsg::Admin(admin) => ResponseBody::Admin(handle_admin(state, admin)),
-        InboundMsg::Gossip(req) => {
+        InboundMsg::Gossip(payload) => {
             let handler = state.gossip.lock().clone();
             match handler {
                 Some(h) => {
                     conn.gossip = true;
-                    ResponseBody::Gossip(h.handle(req))
+                    ResponseBody::Gossip(h.handle(&payload))
                 }
                 None => ResponseBody::Err(proto::encode_error(&NamingError::service(
                     "no cluster membership plane on this node",

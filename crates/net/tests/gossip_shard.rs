@@ -4,9 +4,10 @@
 //! connection, which round-robin accept may well have put on the same
 //! loop. The server moves connections that speak gossip to a shard of
 //! their own; here one shard, one blocking call and one gossip peer make
-//! the collision certain.
+//! the collision certain. The transport reads no gossip payload: the
+//! frames here are bytes that mean nothing to it.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -14,8 +15,11 @@ use rndi_core::env::{keys, Environment};
 use rndi_core::error::{NamingError, Result};
 use rndi_core::op::{NamingOp, OpOutcome};
 use rndi_core::spi::ProviderBackend;
-use rndi_net::proto::{GossipReply, GossipRequest};
 use rndi_net::{GossipHandler, NetClient, NetServer};
+
+/// What a peer sends, and what the handler answers.
+const FRAME: &[u8] = b"\x01\x01 any bytes";
+const ACK: &[u8] = b"\x01\x01";
 
 /// What the call waits for and the gossip frame delivers.
 #[derive(Default)]
@@ -45,20 +49,13 @@ impl ProviderBackend for Group {
 }
 
 impl GossipHandler for Group {
-    fn handle(&self, _: GossipRequest) -> GossipReply {
+    fn handle(&self, payload: &[u8]) -> Vec<u8> {
+        assert_eq!(payload, FRAME, "the payload crosses unchanged");
         // Only a frame sent while the call waits counts.
         if self.waiting.load(Ordering::SeqCst) {
             self.delivered.store(true, Ordering::SeqCst);
         }
-        GossipReply::Ack
-    }
-}
-
-fn frame() -> GossipRequest {
-    GossipRequest::Group {
-        group: "g".into(),
-        from: 1,
-        wire: vec![],
+        ACK.to_vec()
     }
 }
 
@@ -72,7 +69,7 @@ fn gossip_is_served_while_a_call_blocks_the_only_shard() {
 
     // The peer's connection exists, and has spoken, before the call.
     let peer = NetClient::new(endpoint.clone(), &env).unwrap();
-    assert_eq!(peer.gossip(frame()).unwrap(), GossipReply::Ack);
+    assert_eq!(peer.gossip(FRAME).unwrap(), ACK);
 
     let caller = {
         let client = NetClient::new(endpoint, &env).unwrap();
@@ -81,8 +78,43 @@ fn gossip_is_served_while_a_call_blocks_the_only_shard() {
     while !group.waiting.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert_eq!(peer.gossip(frame()).unwrap(), GossipReply::Ack);
+    assert_eq!(peer.gossip(FRAME).unwrap(), ACK);
     let answer = caller.join().unwrap();
     assert!(matches!(answer, Ok(OpOutcome::Done)), "{answer:?}");
+    server.shutdown();
+}
+
+/// Counts the calls that reach it.
+#[derive(Default)]
+struct Counting(AtomicUsize);
+
+impl ProviderBackend for Counting {
+    fn execute(&self, _: &NamingOp) -> Result<OpOutcome> {
+        self.0.fetch_add(1, Ordering::SeqCst);
+        Ok(OpOutcome::Done)
+    }
+
+    fn provider_id(&self) -> String {
+        "counting".to_string()
+    }
+}
+
+#[test]
+fn gossip_to_a_server_without_a_plane_is_refused_before_the_backend() {
+    let backend = Arc::new(Counting::default());
+    let server = NetServer::bind(backend.clone(), &Environment::new()).expect("server starts");
+    let client = NetClient::new(server.local_addr().to_string(), &Environment::new()).unwrap();
+
+    match client.gossip(FRAME) {
+        Err(NamingError::ServiceFailure { detail }) => {
+            assert!(detail.contains("no cluster membership plane"), "{detail}")
+        }
+        other => panic!("expected the typed refusal, got {other:?}"),
+    }
+    assert_eq!(backend.0.load(Ordering::SeqCst), 0, "a backend was reached");
+    // The refusal is an answer, not a dropped connection.
+    let answer = client.execute(&NamingOp::lookup("k".into()));
+    assert!(matches!(answer, Ok(OpOutcome::Done)), "{answer:?}");
+    assert_eq!(backend.0.load(Ordering::SeqCst), 1);
     server.shutdown();
 }

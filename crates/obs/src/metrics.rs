@@ -120,6 +120,8 @@ pub mod names {
     pub const CLUSTER_MEMBERS: &str = "rndi_cluster_members";
     /// Gauge (per instance): members currently under phi suspicion.
     pub const CLUSTER_SUSPECTS: &str = "rndi_cluster_suspects";
+    /// Gauge (per instance): members this node holds Dead or Quarantined.
+    pub const CLUSTER_DEAD: &str = "rndi_cluster_dead";
     /// Gauge (per instance): sequence number of the installed view.
     pub const CLUSTER_VIEW_EPOCH: &str = "rndi_cluster_view_epoch";
     /// Counter (per instance): membership gossip rounds initiated.

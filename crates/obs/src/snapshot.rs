@@ -372,15 +372,6 @@ pub struct HealthSummary {
     /// Calls shed with `Overloaded` before dispatch, over the server's
     /// life (queue-full + rate-limited + expired-in-queue).
     pub shed_total: u64,
-    /// Membership summary (all zero on nodes without a cluster plane).
-    /// Sequence number of the node's installed group view.
-    pub view_epoch: u64,
-    /// Peers this node believes Alive (including itself).
-    pub members_alive: u64,
-    /// Peers under phi suspicion.
-    pub members_suspect: u64,
-    /// Peers declared dead (includes quarantined).
-    pub members_dead: u64,
 }
 
 impl HealthSummary {

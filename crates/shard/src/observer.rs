@@ -18,7 +18,9 @@
 //!   span id, so one trace shows its router, client, server, pipeline,
 //!   and backend legs together;
 //! - derives cluster signals: per-shard load imbalance, saturation
-//!   headroom, and per-op latency quantiles from the rollup histograms.
+//!   headroom, per-op latency quantiles from the rollup histograms, and
+//!   the membership picture from each instance's `rndi_cluster_*` gauges
+//!   (present only where a membership plane runs).
 //!
 //! Unreachable shards degrade the scrape, not fail it: their ids land in
 //! [`ClusterScrape::unreachable`] and everything else still merges.
@@ -117,11 +119,11 @@ pub struct DerivedSignals {
     /// Total ops shed (`Overloaded`) across the cluster, all reasons
     /// (queue full, rate limit, deadline expired in queue).
     pub shed_total: u64,
-    /// Highest installed group-view sequence across instances (`0` when
-    /// no instance runs a cluster membership plane).
+    /// Highest `rndi_cluster_view_epoch` across instances (`0` when no
+    /// instance runs a cluster membership plane).
     pub view_epoch: u64,
-    /// Alive / suspect member counts as reported by the instance holding
-    /// that highest view — the freshest membership opinion scraped.
+    /// `rndi_cluster_members` / `rndi_cluster_suspects` of the instance
+    /// holding that highest view — the freshest membership opinion scraped.
     pub members_alive: u64,
     pub members_suspect: u64,
     /// Whether every membership-bearing instance reported the same view
@@ -289,20 +291,25 @@ fn derive_signals(instances: &[InstanceScrape], rollup: &MetricsSnapshot) -> Der
         .fold(1.0_f64, f64::min);
     let shed_total = instances.iter().map(|inst| inst.health.shed_total).sum();
 
-    // Membership: only instances running a cluster plane report non-zero
-    // members (a node always counts itself alive). The rollup takes the
-    // freshest opinion — the highest view epoch scraped — and flags
-    // whether every membership-bearing instance agreed on it.
-    let membered: Vec<&HealthSummary> = instances
+    // Membership: only instances running a cluster plane export the
+    // `rndi_cluster_*` gauges, with a non-zero member count (a node always
+    // counts itself alive). The rollup takes the freshest opinion — the
+    // highest view epoch scraped — and flags whether every
+    // membership-bearing instance agreed on it.
+    let gauge = |inst: &InstanceScrape, name| {
+        let series = inst.metrics.gauges.iter().find(|g| g.name == name);
+        series.map_or(0, |g| g.value.max(0) as u64)
+    };
+    let epoch = |inst| gauge(inst, names::CLUSTER_VIEW_EPOCH);
+    let membered: Vec<&InstanceScrape> = instances
         .iter()
-        .map(|inst| &inst.health)
-        .filter(|h| h.members_alive > 0)
+        .filter(|inst| gauge(inst, names::CLUSTER_MEMBERS) > 0)
         .collect();
-    let view_epoch = membered.iter().map(|h| h.view_epoch).max().unwrap_or(0);
-    let freshest = membered.iter().find(|h| h.view_epoch == view_epoch);
-    let members_alive = freshest.map_or(0, |h| h.members_alive);
-    let members_suspect = freshest.map_or(0, |h| h.members_suspect);
-    let view_converged = membered.iter().all(|h| h.view_epoch == view_epoch);
+    let view_epoch = membered.iter().map(|inst| epoch(inst)).max().unwrap_or(0);
+    let freshest = membered.iter().find(|inst| epoch(inst) == view_epoch);
+    let members_alive = freshest.map_or(0, |inst| gauge(inst, names::CLUSTER_MEMBERS));
+    let members_suspect = freshest.map_or(0, |inst| gauge(inst, names::CLUSTER_SUSPECTS));
+    let view_converged = membered.iter().all(|inst| epoch(inst) == view_epoch);
 
     // The rollup keys request-duration histograms by op alone, so each
     // one is the whole cluster's latency distribution for that op.

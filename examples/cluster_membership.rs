@@ -13,8 +13,8 @@
 use std::time::{Duration, Instant};
 
 use hdns::{HdnsEntry, Op};
+use rndi::cluster::MemberState;
 use rndi::core::env::{keys, Environment};
-use rndi::net::proto::MemberState;
 use rndi::serve::{serve_cluster_hdns, HdnsCluster};
 
 /// Poll `cond` until it holds or `budget` elapses.

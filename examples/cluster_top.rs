@@ -17,23 +17,13 @@ use rndi::shard::ClusterScrape;
 fn render(scrape: &ClusterScrape, tick: usize) {
     println!("-- tick {tick} ---------------------------------------------------------");
     println!(
-        "{:<10} {:>9} {:>9} {:>8} {:>7} {:>9} {:>9} {:>7} {:>9} {:>5} {:>6}",
-        "shard",
-        "req_ok",
-        "req_err",
-        "err%",
-        "conns",
-        "headroom",
-        "adm_hdrm",
-        "shed",
-        "spans",
-        "view",
-        "alive"
+        "{:<10} {:>9} {:>9} {:>8} {:>7} {:>9} {:>9} {:>7} {:>9}",
+        "shard", "req_ok", "req_err", "err%", "conns", "headroom", "adm_hdrm", "shed", "spans"
     );
     for inst in &scrape.instances {
         let h = &inst.health;
         println!(
-            "{:<10} {:>9} {:>9} {:>7.2}% {:>7} {:>8.0}% {:>8.0}% {:>7} {:>9} {:>5} {:>6}",
+            "{:<10} {:>9} {:>9} {:>7.2}% {:>7} {:>8.0}% {:>8.0}% {:>7} {:>9}",
             inst.id,
             h.requests_ok,
             h.requests_err,
@@ -43,8 +33,6 @@ fn render(scrape: &ClusterScrape, tick: usize) {
             100.0 * h.admission_headroom(),
             h.shed_total,
             h.trace_spans,
-            h.view_epoch,
-            h.members_alive,
         );
     }
     for id in &scrape.unreachable {

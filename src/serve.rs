@@ -163,8 +163,8 @@ impl HdnsCluster {
     }
 
     /// One full telemetry pass over the cluster: per-node metrics
-    /// (including the `rndi_cluster_*` series), health with membership
-    /// summaries, and trace rings, merged.
+    /// (including the `rndi_cluster_*` series the membership signals are
+    /// derived from), health, and trace rings, merged.
     pub fn scrape_all(&self) -> Result<ClusterScrape> {
         Ok(self.observer()?.scrape_all())
     }

@@ -9,13 +9,13 @@ use std::time::{Duration, Instant};
 
 use rndi::serve::serve_cluster_hdns;
 use rndi_cluster::ClusterNode;
+use rndi_cluster::MemberState;
 use rndi_core::attrs::Attributes;
 use rndi_core::context::{Context, ContextExt, DirContext, SearchControls};
 use rndi_core::env::{keys, Environment};
 use rndi_core::error::NamingError;
 use rndi_core::filter::Filter;
 use rndi_core::value::BoundValue;
-use rndi_net::proto::MemberState;
 use rndi_net::NetClient;
 
 /// Poll `cond` until it holds or `budget` elapses; panics with `what` on
