@@ -165,11 +165,16 @@ impl GossipEngine {
         self.best_view.as_ref()
     }
 
-    /// Largest phi across peers this node still counts on (diagnostics).
+    /// Largest phi across the peers held Alive or Suspect (diagnostics).
     pub fn max_phi(&self, now_ms: u64) -> f64 {
         self.phi
-            .values()
-            .map(|d| d.phi(now_ms))
+            .iter()
+            .filter(|(peer, _)| {
+                self.table
+                    .get(peer)
+                    .is_some_and(|m| m.state <= MemberState::Suspect)
+            })
+            .map(|(_, d)| d.phi(now_ms))
             .fold(0.0_f64, f64::max)
     }
 
@@ -274,6 +279,20 @@ mod tests {
         let dead_at = 235 + 1_000;
         a.tick(dead_at);
         assert!(a.table.get("b").unwrap().state >= MemberState::Dead);
+    }
+
+    #[test]
+    fn a_dead_peer_stops_scoring_phi() {
+        let mut a = engine("a");
+        let mut b = engine("b");
+        for i in 0..10 {
+            exchange(&mut a, &mut b, 10 + i * 25);
+        }
+        assert!(a.max_phi(235 + 500) >= 8.0, "a silent live peer scores");
+        let dead_at = 235 + 1_000;
+        a.tick(dead_at);
+        assert!(a.table.get("b").unwrap().state >= MemberState::Dead);
+        assert_eq!(a.max_phi(dead_at + 60_000), 0.0);
     }
 
     #[test]

@@ -109,15 +109,16 @@ fn continuation_context(
 /// The cache's index: a hash of a context's identity (the address of its
 /// allocation, which the hop's route keeps from reuse with a `Weak`) and a
 /// name prefix. A hit compares both with what the hop holds.
-fn hop_key(from: usize, prefix: &[String]) -> u64 {
+fn hop_key(from: usize, prefix: &CompositeName) -> u64 {
     let mut h = DefaultHasher::new();
     (from, prefix).hash(&mut h);
     h.finish()
 }
 
 /// Components end to end, each its byte length then its bytes (none when
-/// one is longer than a byte can say): a hop's names in one block.
-fn pack<'a>(components: impl Iterator<Item = &'a String>) -> Option<Box<[u8]>> {
+/// one is longer than a byte can say): a hop's names in one block, smaller
+/// than a `CompositeName`'s (thousands of hops are cached).
+fn pack<'a>(components: impl Iterator<Item = &'a str>) -> Option<Box<[u8]>> {
     let mut packed = Vec::new();
     for c in components {
         packed.push(u8::try_from(c.len()).ok()?);
@@ -126,12 +127,12 @@ fn pack<'a>(components: impl Iterator<Item = &'a String>) -> Option<Box<[u8]>> {
     Some(packed.into_boxed_slice())
 }
 
-fn unpack(mut packed: &[u8]) -> impl Iterator<Item = &str> {
+fn unpack(mut packed: &[u8]) -> impl Iterator<Item = &str> + Clone {
     std::iter::from_fn(move || {
         let (&len, rest) = packed.split_first()?;
         let (c, rest) = rest.split_at(len as usize);
         packed = rest;
-        Some(std::str::from_utf8(c).expect("packed from a String"))
+        Some(std::str::from_utf8(c).expect("packed from a str"))
     })
 }
 
@@ -155,13 +156,6 @@ struct Hop {
     consumed: usize,
     route: Arc<Route>,
     mark: u64,
-}
-
-impl Hop {
-    /// The URL's path.
-    fn path(&self) -> impl Iterator<Item = String> + '_ {
-        unpack(&self.names).skip(self.within).map(String::from)
-    }
 }
 
 /// The continuation cache a [`ProviderRegistry`] keeps: `(context, prefix)
@@ -226,15 +220,14 @@ impl Continuations {
         }
         let mut hops = self.hops.lock();
         let map = &mut hops.0;
-        let (from, names) = (Arc::as_ptr(ctx) as *const () as usize, op.name.components());
-        let taken = (1..names.len()).find_map(|within| {
-            let prefix = &names[..within];
-            let slot = map.find(&hop_key(from, prefix))?;
+        let from = Arc::as_ptr(ctx) as *const () as usize;
+        let taken = (1..op.name.len()).find_map(|within| {
+            let prefix = op.name.prefix(within);
+            let slot = map.find(&hop_key(from, &prefix))?;
             let hop = map.value(slot);
-            let own = unpack(&hop.names).take(within);
             if hop.route.from.as_ptr() as *const () as usize != from
                 || hop.within != within
-                || !own.eq(prefix.iter().map(String::as_str))
+                || !unpack(&hop.names).take(within).eq(prefix.iter())
             {
                 return None;
             }
@@ -249,14 +242,20 @@ impl Continuations {
             return Ok(None);
         };
         let hop = map.value(slot);
-        if !hop.route.keeper.admits(names) {
+        if !hop.route.keeper.admits(&op.name) {
             return Ok(None);
         }
+        let path = || unpack(&hop.names).skip(hop.within);
         if let OpPayload::NewName(target) = &mut op.payload {
-            let path = CompositeName::from_components(hop.path());
+            let path = CompositeName::from_components(path());
             *target = rebased(&op.name, Some(hop.consumed), target, &path)?;
         }
-        op.name.rebase(hop.consumed, hop.path());
+        // No path: the name goes on as the rest of itself.
+        op.name = if path().next().is_none() {
+            op.name.suffix(hop.consumed)
+        } else {
+            CompositeName::from_components(path().chain(op.name.iter().skip(hop.consumed)))
+        };
         let route = hop.route.clone();
         map.touch(slot);
         drop(hops);
@@ -277,8 +276,8 @@ impl Continuations {
         if holds.within == 0 || !(consumed..=name.len()).contains(&holds.within) {
             return;
         }
-        let prefix = &name.components()[..holds.within];
-        let Some(names) = pack(prefix.iter().chain(url.path.components())) else {
+        let prefix = name.prefix(holds.within);
+        let Some(names) = pack(prefix.iter().chain(url.path.iter())) else {
             return;
         };
         let route = Route {
@@ -310,7 +309,7 @@ impl Continuations {
             route,
             mark: holds.mark,
         };
-        let key = hop_key(Arc::as_ptr(ctx) as *const () as usize, prefix);
+        let key = hop_key(Arc::as_ptr(ctx) as *const () as usize, &prefix);
         let evicted = map.insert(key, hop, DEFAULT_CACHE_MAX_ENTRIES);
         drop(hops);
         if evicted > 0 {
@@ -388,7 +387,7 @@ fn drive_op_loop(
                 let (next, url) = continuation_context(resolved, registry, env)?;
                 let consumed = op.name.len().checked_sub(remaining.len());
                 if let (Some(holds), Some(consumed), Some(url)) = (holds, consumed, &url) {
-                    if op.name.components().ends_with(remaining.components()) {
+                    if op.name.suffix(consumed) == remaining {
                         hops.remember(&ctx, &op.name, url, consumed, *holds);
                     }
                 }
@@ -417,10 +416,7 @@ fn rebased(
     prefix: &CompositeName,
 ) -> Result<CompositeName> {
     match consumed {
-        Some(consumed)
-            if target.len() > consumed
-                && target.components()[..consumed] == old.components()[..consumed] =>
-        {
+        Some(consumed) if target.len() > consumed && target.starts_with(&old.prefix(consumed)) => {
             Ok(prefix.join(&target.suffix(consumed)))
         }
         _ => Err(NamingError::unsupported(format!(

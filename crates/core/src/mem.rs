@@ -101,7 +101,7 @@ impl MemContext {
         leaf: fn(String) -> NamingError,
     ) -> Result<MemContext> {
         let mut ctx = self.clone();
-        for (i, component) in name.components()[..upto].iter().enumerate() {
+        for (i, component) in name.iter().take(upto).enumerate() {
             let node = ctx
                 .dir
                 .entries
@@ -127,8 +127,8 @@ impl MemContext {
     /// The context holding the last component of `name`, and that component.
     fn parent<'n>(&self, name: &'n CompositeName) -> Result<(MemContext, &'n str)> {
         let last = name
-            .components()
-            .last()
+            .iter()
+            .next_back()
             .ok_or_else(|| NamingError::invalid_name("", "empty name"))?;
         let ctx = self.walk(name, name.len() - 1, |name| NamingError::NotAContext {
             name,

@@ -32,6 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::{NamingError, Result};
+use crate::name::CompositeName;
 use crate::op::{NamingOp, OpKind, OpOutcome};
 use crate::value::BoundValue;
 
@@ -43,7 +44,7 @@ pub trait Keeper: Send + Sync {
 
     /// Whether the naming system takes `name` at all: one it refuses
     /// outright (a DNS label outside its charset) leaves through no link.
-    fn admits(&self, _name: &[String]) -> bool {
+    fn admits(&self, _name: &CompositeName) -> bool {
         true
     }
 }

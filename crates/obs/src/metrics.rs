@@ -126,8 +126,9 @@ pub mod names {
     pub const CLUSTER_VIEW_EPOCH: &str = "rndi_cluster_view_epoch";
     /// Counter (per instance): membership gossip rounds initiated.
     pub const CLUSTER_GOSSIP_ROUNDS: &str = "rndi_cluster_gossip_rounds_total";
-    /// Gauge (per instance, label `peer`): phi score ×1000 for one peer,
-    /// as scored by the accrual failure detector.
+    /// Gauge (per instance): the largest phi score ×1000 among the peers
+    /// the node holds Alive or Suspect, as scored by the accrual failure
+    /// detector (0 with none).
     pub const CLUSTER_PHI: &str = "rndi_cluster_phi_millis";
     /// Counter: HDNS replica persistence steps that failed — a log
     /// append, or any step of a compaction (tmp write, sync, rename,

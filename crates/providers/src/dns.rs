@@ -68,7 +68,7 @@ impl Keeper for Ttl {
     /// The names [`DnsProviderContext::dns_name`] builds: every label
     /// non-empty, at most 63 bytes, in the DNS charset; the whole at most
     /// 255 bytes on the wire.
-    fn admits(&self, name: &[String]) -> bool {
+    fn admits(&self, name: &CompositeName) -> bool {
         let label = |l: &str| {
             (1..=63).contains(&l.len())
                 && l.chars()
@@ -116,15 +116,15 @@ impl DnsProviderContext {
     /// charset; ≤ 255 bytes in all); the name of each shorter prefix is
     /// then an ancestor of it — see [`Self::without`].
     fn dns_name(&self, name: &CompositeName, k: usize) -> Result<DnsName> {
-        let components = &name.components()[..k];
-        if components.is_empty() {
+        let components = name.iter().take(k);
+        if k == 0 {
             return Ok(self.anchor.clone());
         }
         let anchor = self.anchor.as_str();
         let mut text = String::with_capacity(
-            components.iter().map(|c| c.len() + 1).sum::<usize>() + anchor.len(),
+            components.clone().map(|c| c.len() + 1).sum::<usize>() + anchor.len(),
         );
-        for c in components.iter().rev() {
+        for c in components.rev() {
             text.push_str(c);
             text.push('.');
         }
@@ -176,7 +176,7 @@ impl DnsProviderContext {
             }
             denial = denied.then_some(expires_ms);
             if k > 0 {
-                dns_name = Self::without(dns_name, &name.components()[k - 1]);
+                dns_name = Self::without(dns_name, &name[k - 1]);
             }
         }
         Ok(None)
@@ -271,10 +271,11 @@ impl ProviderBackend for DnsProviderContext {
             op,
             |upto| {
                 let dns_name = match &whole {
-                    Some(whole) => name.components()[upto..]
+                    Some(whole) => name
                         .iter()
+                        .skip(upto)
                         .rev()
-                        .fold(whole.clone(), |n, c| Self::without(n, c)),
+                        .fold(whole.clone(), Self::without),
                     None => self.dns_name(name, upto)?,
                 };
                 self.bound_prefix(name, upto, dns_name, trace)
@@ -536,7 +537,7 @@ mod tests {
         k: usize,
     ) -> Result<DnsName> {
         let mut out = ctx.anchor.clone();
-        for c in name.components().iter().take(k) {
+        for c in name.iter().take(k) {
             out = out.child(c);
             if DnsName::parse(&out.to_string()).is_err() {
                 return Err(NamingError::invalid_name(

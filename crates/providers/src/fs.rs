@@ -101,11 +101,11 @@ impl FsContext {
 
     /// Resolve the directory holding the final component.
     fn parent_dir(&self, name: &CompositeName) -> Result<(PathBuf, String)> {
-        let Some((leaf, parents)) = name.components().split_last() else {
+        let Some(leaf) = name.iter().next_back() else {
             return Err(NamingError::invalid_name("", "empty name"));
         };
         let mut dir = self.root.clone();
-        for (i, c) in parents.iter().enumerate() {
+        for (i, c) in name.iter().take(name.len() - 1).enumerate() {
             let sub = dir.join(Self::check_component(c)?);
             if !sub.is_dir() {
                 let upto_here = name.prefix(i + 1).to_string();
@@ -125,7 +125,7 @@ impl FsContext {
     /// file that ends the walk.
     fn bound_prefix(&self, name: &CompositeName, upto: usize) -> Result<Option<Bound>> {
         let mut dir = self.root.clone();
-        for (i, c) in name.components()[..upto].iter().enumerate() {
+        for (i, c) in name.iter().take(upto).enumerate() {
             let sub = dir.join(Self::check_component(c)?);
             if !sub.is_dir() {
                 let val = Self::val_path(&dir, c);

@@ -131,32 +131,26 @@ impl HdnsProviderContext {
         )
     }
 
-    /// The store path of a binding.
-    fn path(&self, name: &CompositeName) -> Result<String> {
+    /// The store path of a binding: the name's text (as `list` reads it).
+    fn path(name: &CompositeName) -> Result<&str> {
         if name.is_empty() {
             return Err(NamingError::invalid_name("", "empty name"));
         }
-        Ok(self.base(name))
-    }
-
-    /// The store path a listing or search starts from (the root for the
-    /// empty name).
-    fn base(&self, name: &CompositeName) -> String {
-        name.components().join("/")
+        Ok(name.joined())
     }
 
     /// Answers the federation probe: the entry at the longest bound prefix
-    /// of the first `upto` components. The path is joined once; each
-    /// shorter prefix is a slice of it. A link is a leaf, so every name
-    /// beneath it leaves through it, until the replica next changes.
+    /// of the first `upto` components. Each prefix's path is a slice of the
+    /// name's text. A link is a leaf, so every name beneath it leaves
+    /// through it, until the replica next changes.
     fn bound_prefix(&self, name: &CompositeName, upto: usize) -> Option<Bound> {
         // Read before the store is: a change applied meanwhile leaves what
         // this answer holds already lapsed.
         let at = self.generation.load(Ordering::Acquire);
-        let components = &name.components()[..upto];
-        let path = components.join("/");
+        let prefix = name.prefix(upto);
+        let path = prefix.joined();
         let mut end = path.len();
-        for (k, last) in components.iter().enumerate().rev() {
+        for (k, last) in prefix.iter().enumerate().rev() {
             if let Some(e) = self.replica.lookup(&path[..end]) {
                 if e.is_context() {
                     return Some(Bound::context(k + 1));
@@ -212,7 +206,7 @@ impl HdnsProviderContext {
 }
 
 fn path_to_name(path: &str) -> CompositeName {
-    CompositeName::from_components(path.split('/').map(String::from))
+    CompositeName::from_components(path.split('/'))
 }
 
 impl HdnsProviderContext {
@@ -229,17 +223,17 @@ impl HdnsProviderContext {
     }
 
     fn lookup(&self, name: &CompositeName) -> Result<BoundValue> {
-        let path = self.path(name)?;
+        let path = Self::path(name)?;
         let entry = self
             .replica
-            .lookup(&path)
+            .lookup(path)
             .ok_or_else(|| NamingError::not_found(path))?;
         Ok(from_entry_value(&entry))
     }
 
     fn unbind(&self, name: &CompositeName, trace: Option<&TraceCtx>) -> Result<()> {
-        let path = self.path(name)?;
-        self.write(Op::Unbind { path: path.clone() }, &path, trace)
+        let path = Self::path(name)?;
+        self.write(Op::Unbind { path: path.into() }, path, trace)
     }
 
     fn rename(
@@ -248,23 +242,22 @@ impl HdnsProviderContext {
         new: &CompositeName,
         trace: Option<&TraceCtx>,
     ) -> Result<()> {
-        let from = self.path(old)?;
-        let to = self.path(new)?;
+        let from = Self::path(old)?;
+        let to = Self::path(new)?;
         self.write(
             Op::Rename {
-                from: from.clone(),
-                to,
+                from: from.into(),
+                to: to.into(),
             },
-            &from,
+            from,
             trace,
         )
     }
 
     fn list(&self, name: &CompositeName) -> Result<Vec<NameClassPair>> {
-        let prefix = self.base(name);
         Ok(self
             .replica
-            .list(&prefix)
+            .list(name.joined())
             .into_iter()
             .map(|(n, e)| NameClassPair {
                 name: n,
@@ -278,10 +271,9 @@ impl HdnsProviderContext {
     }
 
     fn list_bindings(&self, name: &CompositeName) -> Result<Vec<Binding>> {
-        let prefix = self.base(name);
         Ok(self
             .replica
-            .list(&prefix)
+            .list(name.joined())
             .into_iter()
             .map(|(n, e)| Binding {
                 name: n,
@@ -291,26 +283,24 @@ impl HdnsProviderContext {
     }
 
     fn create_subcontext(&self, name: &CompositeName, trace: Option<&TraceCtx>) -> Result<()> {
-        let path = self.path(name)?;
-        self.write(Op::CreateContext { path: path.clone() }, &path, trace)
+        let path = Self::path(name)?;
+        self.write(Op::CreateContext { path: path.into() }, path, trace)
     }
 
     fn destroy_subcontext(&self, name: &CompositeName, trace: Option<&TraceCtx>) -> Result<()> {
-        let path = self.path(name)?;
-        match self.replica.lookup(&path) {
+        let path = Self::path(name)?;
+        match self.replica.lookup(path) {
             None => Ok(()),
-            Some(e) if e.is_context() => {
-                self.write(Op::Unbind { path: path.clone() }, &path, trace)
-            }
-            Some(_) => Err(NamingError::ContextExpected { name: path }),
+            Some(e) if e.is_context() => self.write(Op::Unbind { path: path.into() }, path, trace),
+            Some(_) => Err(NamingError::ContextExpected { name: path.into() }),
         }
     }
 
     fn get_attributes(&self, name: &CompositeName) -> Result<Attributes> {
-        let path = self.path(name)?;
+        let path = Self::path(name)?;
         let entry = self
             .replica
-            .lookup(&path)
+            .lookup(path)
             .ok_or_else(|| NamingError::not_found(path))?;
         from_entry_attrs(&entry)
     }
@@ -321,11 +311,11 @@ impl HdnsProviderContext {
         mods: &[AttrMod],
         trace: Option<&TraceCtx>,
     ) -> Result<()> {
-        let path = self.path(name)?;
+        let path = Self::path(name)?;
         let entry = self
             .replica
-            .lookup(&path)
-            .ok_or_else(|| NamingError::not_found(&path))?;
+            .lookup(path)
+            .ok_or_else(|| NamingError::not_found(path))?;
         let mut attrs = from_entry_attrs(&entry)?;
         for m in mods {
             m.apply(&mut attrs);
@@ -337,10 +327,10 @@ impl HdnsProviderContext {
         }
         self.write(
             Op::SetAttrs {
-                path: path.clone(),
+                path: path.into(),
                 attrs: map,
             },
-            &path,
+            path,
             trace,
         )
     }
@@ -353,14 +343,14 @@ impl HdnsProviderContext {
         overwrite: bool,
         trace: Option<&TraceCtx>,
     ) -> Result<()> {
-        let path = self.path(name)?;
+        let path = Self::path(name)?;
         self.write(
             Op::Bind {
-                path: path.clone(),
+                path: path.into(),
                 entry: to_entry(payload, attrs),
                 overwrite,
             },
-            &path,
+            path,
             trace,
         )
     }

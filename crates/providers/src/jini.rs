@@ -314,7 +314,7 @@ impl JiniProviderContext {
                 if name.starts_with(LOCK_PREFIX) {
                     return;
                 }
-                let composite = CompositeName::from_components([name.to_string()]);
+                let composite = CompositeName::from_components([name]);
                 let value = event
                     .item
                     .as_ref()
@@ -339,12 +339,12 @@ impl JiniProviderContext {
 
     /// The one component a name in this flat namespace has.
     fn single<'n>(&self, name: &'n CompositeName) -> Result<&'n str> {
-        match name.components() {
-            [one] if !one.is_empty() && !one.starts_with(LOCK_PREFIX) => Ok(one),
-            [one] if one.starts_with(LOCK_PREFIX) => Err(NamingError::NoPermission {
+        match (name.len(), name.head().unwrap_or_default()) {
+            (1, one) if one.starts_with(LOCK_PREFIX) => Err(NamingError::NoPermission {
                 detail: "reserved internal name".into(),
             }),
-            [] | [_] => Err(NamingError::invalid_name("", "empty name")),
+            (1, one) if !one.is_empty() => Ok(one),
+            (0 | 1, _) => Err(NamingError::invalid_name("", "empty name")),
             // The flat LUS cannot itself hold subcontexts.
             _ => Err(NamingError::NotAContext {
                 name: name.to_string(),

@@ -120,9 +120,8 @@ impl LdapProviderContext {
     /// DN for the first `k` components: their RDNs leaf-first, then the
     /// base's, written as one string.
     fn dn(&self, name: &CompositeName, k: usize) -> Result<Dn> {
-        let components = name.components();
-        let leaf_first = components[..k.min(components.len())].iter().rev();
-        self.base.under(leaf_first.map(|c| Self::component_rdn(c)))
+        let leaf_first = name.iter().take(k).rev();
+        self.base.under(leaf_first.map(Self::component_rdn))
     }
 
     fn read(&self, dn: &Dn, trace: Option<&TraceCtx>) -> Result<Option<Arc<LdapEntry>>> {
@@ -233,8 +232,8 @@ impl LdapProviderContext {
     ) -> Result<()> {
         let old_dn = self.dn(old, old.len())?;
         let (attr, value) = Self::component_rdn(
-            new.components()
-                .last()
+            new.iter()
+                .next_back()
                 .ok_or_else(|| NamingError::invalid_name("", "empty target"))?,
         )?;
         let new_rdn = Rdn::new(attr, value);

@@ -23,12 +23,14 @@ echo "==> cargo build --release"
 cargo build --release --workspace
 
 # The oracle and codec proptests, the federation matrix, the directory's and
-# the HDNS replica's byte budgets, the federated path's allocations and
-# shrinking reallocs and the resolver's line count are skipped here and named
-# below, so each still runs once, as is the compaction's heap peak. (The
-# HDNS rebind's allocation budget, tests/hdns_write_allocs.rs, runs here.)
+# the HDNS replica's byte budgets, a composite name's allocations, the
+# federated path's allocations and shrinking reallocs and the resolver's line
+# count are skipped here and named below, so each still runs once, as is the
+# compaction's heap peak. (The HDNS rebind's allocation budget,
+# tests/hdns_write_allocs.rs, runs here.)
 NAMED_BELOW=(the_walk_matches_its_oracle read_is_a_base_scope_match_all_search wire_codec_
-  gossip_codec_ the_record_matches_its_oracle
+  gossip_codec_ the_record_matches_its_oracle the_name_matches_its_oracle
+  a_name_is_one_block_and_its_views_allocate_nothing
   every_operation_continues_through_a_mount_on_every_provider
   a_bound_leaf_stays_inside_its_byte_budget a_warmed_federated_op_shrinks_no_block_in_place
   federated_lookup_and_rebind_stay_inside_their_allocation_budgets
@@ -48,28 +50,33 @@ cargo test -q --test heterogeneity every_operation_continues_through_a_mount_on_
 # Named on their own because they pin rewritten code to the code it
 # replaced: the DNS provider's one-build prefix walk against the per-prefix
 # oracle, Connection::read against a base-scope search, a directory entry's
-# one-block record against the attribute list it was, and the HDNS store of
-# shared records against the path-keyed map it was. A failure prints the
-# case number and the seed that replays it (the record's and the store's,
-# also the sequence shrunk to the steps it fails with).
-echo "==> oracle proptests: dns walk, ldap read, ldap record, hdns store"
+# one-block record against the attribute list it was, the HDNS store of
+# shared records against the path-keyed map it was, and a composite name's
+# one shared block against the list of component strings it was. A failure
+# prints the case number and the seed that replays it (the record's, the
+# store's and the name's, also the sequence shrunk to the steps it fails
+# with).
+echo "==> oracle proptests: dns walk, ldap read, ldap record, hdns store, composite name"
 cargo test -q -p rndi-providers --lib the_walk_matches_its_oracle
 cargo test -q -p dirserv --test props read_is_a_base_scope_match_all_search
 cargo test -q -p dirserv --test props the_record_matches_its_oracle
 cargo test -q -p hdns --test store_oracle the_store_matches_its_oracle
+cargo test -q -p rndi-core --test name_oracle the_name_matches_its_oracle -- --nocapture
 
 # Named on their own so the figures are in every log: the live heap bytes
 # one bound leaf of fed_resolve's shape leaves in dirserv and one binding of
 # the wire store leaves in an HDNS replica (whose reads allocate nothing),
-# the allocations a warmed federated lookup and rebind make (their DNS and
-# HDNS hops cached) and their shrinking reallocs (none: a block trimmed in
-# place leaves a sliver the heap grows by), the lines and
+# the allocations of a composite name (one block to build, none to clone,
+# view or read), the allocations a warmed federated lookup and rebind make
+# (their DNS and HDNS hops cached) and their shrinking reallocs (none: a
+# block trimmed in place leaves a sliver the heap grows by), the lines and
 # upstream queries fed_resolve's DNS leg leaves in the resolver (RFC 8020
 # denial), and the heap one compaction of replica_write's store peaks at,
 # each against its budget.
-echo "==> budgets: what dirserv and an HDNS replica hold per binding, what a federated op allocates and shrinks, what the resolver caches, what a compaction peaks at"
+echo "==> budgets: what dirserv and an HDNS replica hold per binding, what a name and a federated op allocate and shrink, what the resolver caches, what a compaction peaks at"
 cargo test -q --test ldap_footprint a_bound_leaf_stays_inside_its_byte_budget -- --nocapture
 cargo test -q --test hdns_footprint -- --nocapture
+cargo test -q --test name_footprint a_name_is_one_block_and_its_views_allocate_nothing -- --nocapture
 cargo test -q --test federation_allocs federated_lookup_and_rebind_stay_inside_their_allocation_budgets -- --nocapture
 cargo test -q --test federation_allocs a_warmed_federated_op_shrinks_no_block_in_place -- --nocapture
 cargo test -q --test dns_denial federated_lookups_cache_one_line_per_denied_subtree -- --nocapture
@@ -200,6 +207,14 @@ MEMBERSHIP='MemberEntry|MemberState|ViewSummary|GossipRequest|GossipReply'
 MEMBERSHIP+='|MembershipStats|membership_stats|members_alive|members_suspect|members_dead'
 if git grep -n -w -E "$MEMBERSHIP" -- crates/net crates/obs; then
   echo "verify: the files above name membership vocabulary in rndi-net or rndi-obs" >&2
+  exit 1
+fi
+# A composite name is one shared block (crates/core/src/name.rs): a list
+# of component strings inside `CompositeName` is the copying layout growing
+# back. (`CompoundName`, a provider-syntax name, keeps its list.)
+if awk '/^pub struct CompositeName/ { inside = 1 } inside { print FILENAME ":" FNR ": " $0 }
+        inside && /^}/ { exit }' crates/core/src/name.rs | grep -E 'Vec<String>'; then
+  echo "verify: CompositeName holds a Vec<String> again (crates/core/src/name.rs)" >&2
   exit 1
 fi
 # Likewise the pipeline's second stats path: an op is counted once, by

@@ -10,14 +10,14 @@ use rndi::core::prelude::*;
 
 fn component_strategy() -> impl Strategy<Value = String> {
     // Arbitrary printable components, including the characters that need
-    // escaping ('/', '\\', quotes).
-    proptest::string::string_regex("[ -~]{1,12}").expect("valid regex")
+    // escaping ('/', '\\', quotes), and the empty component.
+    proptest::string::string_regex("[ -~]{0,12}").expect("valid regex")
 }
 
 proptest! {
     #[test]
     fn composite_name_display_parse_roundtrip(
-        components in proptest::collection::vec(component_strategy(), 1..6)
+        components in proptest::collection::vec(component_strategy(), 0..6)
     ) {
         let name = CompositeName::from_components(components.clone());
         let printed = name.to_string();
