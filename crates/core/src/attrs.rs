@@ -7,6 +7,14 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::value::{from_hex, put_hex, put_num, put_text, take_len, take_num, take_text};
+
+/// The first byte of an attribute set's encoding and of an attribute's
+/// value list's: control characters that, like a value's tags, no JSON text
+/// starts with.
+const TAG_SET: char = '\u{10}';
+const TAG_VALUES: char = '\u{11}';
+
 /// A single attribute value. Kept deliberately simple — string and binary
 /// cover every backend in this workspace; numeric comparisons in search
 /// filters parse the string form.
@@ -78,6 +86,66 @@ impl Attribute {
     pub fn first_str(&self) -> Option<&str> {
         self.values.first().and_then(|v| v.as_str())
     }
+
+    /// The values as text, for a store that keeps one string per
+    /// attribute: a tag, then the list [`Attributes::encode`] writes.
+    pub fn encode_values(&self) -> String {
+        let mut out = String::from(TAG_VALUES);
+        put_values(&mut out, &self.values);
+        out
+    }
+
+    /// The attribute `id` with the values [`encode_values`] wrote, or with
+    /// those of the JSON string array earlier versions wrote. `None` for
+    /// anything else.
+    ///
+    /// [`encode_values`]: Attribute::encode_values
+    pub fn decode_values(id: &str, text: &str) -> Option<Attribute> {
+        let values = match text.strip_prefix(TAG_VALUES) {
+            Some(mut rest) => take_values(&mut rest).filter(|_| rest.is_empty())?,
+            None => serde_json::from_str::<Vec<String>>(text)
+                .ok()?
+                .into_iter()
+                .map(AttrValue::Str)
+                .collect(),
+        };
+        Some(Attribute {
+            id: id.to_owned(),
+            values,
+        })
+    }
+}
+
+/// A value list: its length, then each value as its length, doubled and
+/// plus one for bytes, and its text (bytes in hex).
+fn put_values(out: &mut String, values: &[AttrValue]) {
+    put_num(out, values.len());
+    for v in values {
+        match v {
+            AttrValue::Str(s) => {
+                put_num(out, s.len() << 1);
+                out.push_str(s);
+            }
+            AttrValue::Bytes(b) => {
+                put_num(out, b.len() << 2 | 1);
+                put_hex(out, b);
+            }
+        }
+    }
+}
+
+fn take_values(rest: &mut &str) -> Option<Vec<AttrValue>> {
+    let count = take_num(rest)?;
+    let mut values = Vec::with_capacity(count.min(rest.len()));
+    for _ in 0..count {
+        let n = take_num(rest)?;
+        let text = take_len(rest, n >> 1)?;
+        values.push(match n & 1 {
+            0 => AttrValue::Str(text.to_owned()),
+            _ => AttrValue::Bytes(from_hex(text)?),
+        });
+    }
+    Some(values)
 }
 
 /// An attribute set keyed by lower-cased identifier.
@@ -149,6 +217,37 @@ impl Attributes {
             }
         }
         out
+    }
+
+    /// The set as text, for a store that keeps attributes as strings: a
+    /// tag, the number of attributes, then each one's identifier and value
+    /// list (DESIGN.md, "The value codec").
+    pub fn encode(&self) -> String {
+        let mut out = String::from(TAG_SET);
+        put_num(&mut out, self.len());
+        for a in self.iter() {
+            put_text(&mut out, &a.id);
+            put_values(&mut out, &a.values);
+        }
+        out
+    }
+
+    /// The set [`encode`](Attributes::encode) wrote, or the JSON earlier
+    /// versions wrote. `None` for anything else.
+    pub fn decode(text: &str) -> Option<Attributes> {
+        let Some(mut rest) = text.strip_prefix(TAG_SET) else {
+            return serde_json::from_str(text).ok();
+        };
+        let mut out = Attributes::new();
+        for _ in 0..take_num(&mut rest)? {
+            let id = take_text(&mut rest)?.to_owned();
+            let values = take_values(&mut rest)?;
+            // In identifier order, each once, as `encode` writes them.
+            let key = id.to_ascii_lowercase();
+            (out.attrs.keys().next_back() < Some(&key)).then_some(())?;
+            out.attrs.insert(key, Attribute { id, values });
+        }
+        rest.is_empty().then_some(out)
     }
 
     /// Merge `other` into `self`, replacing same-id attributes.

@@ -7,8 +7,8 @@
 //! The crate provides:
 //!
 //! * **Names** — [`name::CompositeName`] (spanning naming systems, `/`
-//!   separated with escapes/quotes) and [`name::CompoundName`] (per-system
-//!   syntax: DNS dots, LDAP commas, …).
+//!   separated with escapes/quotes), and the [`name::CompoundSyntax`] each
+//!   system reports for its own names (DNS dots, LDAP commas, …).
 //! * **Contexts** — the [`context::Context`] / [`context::DirContext`]
 //!   client surface, written once over [`spi::ProviderBackend::execute`],
 //!   plus the data model: [`value::BoundValue`] `<name, object, attributes>` tuples
@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::filter::Filter;
     pub use crate::initial::InitialContext;
     pub use crate::mem::{MemContext, MemFactory};
-    pub use crate::name::{CompositeName, CompoundName, CompoundSyntax};
+    pub use crate::name::{CompositeName, CompoundSyntax};
     pub use crate::op::{NamingOp, OpKind, OpOutcome, OpPayload};
     pub use crate::spi::{
         Interceptor, OpInvoker, ProviderBackend, ProviderPipeline, ProviderRegistry,

@@ -4,8 +4,10 @@
 //! use `/` as the component separator with `\` escapes and `'`/`"` quoting —
 //! from **compound names**, which live within a single naming system and
 //! follow provider-specific syntax (dot-separated right-to-left for DNS,
-//! comma-separated right-to-left for LDAP, …). We implement both, with
-//! round-trippable parse/print.
+//! comma-separated right-to-left for LDAP, …). Composite names are
+//! implemented here, with round-trippable parse/print; a provider reports
+//! its compound syntax as a [`CompoundSyntax`], and its own names parse in
+//! the provider (`dirserv::Dn`, `minidns::DnsName`).
 
 use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
@@ -397,90 +399,6 @@ impl CompoundSyntax {
     }
 }
 
-/// A compound name: components within one naming system, stored
-/// **most-significant first** regardless of the display direction.
-#[derive(Clone, Debug)]
-pub struct CompoundName {
-    components: Vec<String>,
-    syntax: CompoundSyntax,
-}
-
-impl CompoundName {
-    /// Parse `s` under the given syntax.
-    pub fn parse(s: &str, syntax: CompoundSyntax) -> Result<Self> {
-        if s.is_empty() {
-            return Ok(CompoundName {
-                components: Vec::new(),
-                syntax,
-            });
-        }
-        let mut parts: Vec<String> = Vec::new();
-        let mut current = String::new();
-        let mut chars = s.chars();
-        while let Some(c) = chars.next() {
-            if Some(c) == syntax.escape {
-                match chars.next() {
-                    Some(next) => current.push(next),
-                    None => return Err(NamingError::invalid_name(s, "dangling escape")),
-                }
-            } else if c == syntax.separator {
-                parts.push(std::mem::take(&mut current));
-            } else {
-                current.push(c);
-            }
-        }
-        parts.push(current);
-        if syntax.trim_blanks {
-            for p in &mut parts {
-                *p = p.trim().to_string();
-            }
-        }
-        if syntax.right_to_left {
-            parts.reverse();
-        }
-        Ok(CompoundName {
-            components: parts,
-            syntax,
-        })
-    }
-
-    /// Components, most-significant first.
-    pub fn components(&self) -> &[String] {
-        &self.components
-    }
-
-    pub fn len(&self) -> usize {
-        self.components.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
-    }
-}
-
-impl fmt::Display for CompoundName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let escape = |c: &str| -> String {
-            let mut out = String::with_capacity(c.len());
-            for ch in c.chars() {
-                if ch == self.syntax.separator || Some(ch) == self.syntax.escape {
-                    if let Some(e) = self.syntax.escape {
-                        out.push(e);
-                    }
-                }
-                out.push(ch);
-            }
-            out
-        };
-        let ordered: Vec<String> = if self.syntax.right_to_left {
-            self.components.iter().rev().map(|c| escape(c)).collect()
-        } else {
-            self.components.iter().map(|c| escape(c)).collect()
-        };
-        f.write_str(&ordered.join(&self.syntax.separator.to_string()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,27 +471,5 @@ mod tests {
         let b = CompositeName::from_components(["y", "z"]);
         assert_eq!(a.join(&b).to_string(), "x/y/z");
         assert_eq!(a.child("w").to_string(), "x/w");
-    }
-
-    #[test]
-    fn compound_dns_right_to_left() {
-        let n = CompoundName::parse("dcl.mathcs.emory.edu", CompoundSyntax::dns()).unwrap();
-        // Most significant first: edu, emory, mathcs, dcl
-        assert_eq!(n.components(), ["edu", "emory", "mathcs", "dcl"]);
-        assert_eq!(n.to_string(), "dcl.mathcs.emory.edu");
-    }
-
-    #[test]
-    fn compound_ldap_trims_blanks() {
-        let n =
-            CompoundName::parse("cn=monkey, dc=emory , dc=edu", CompoundSyntax::ldap()).unwrap();
-        assert_eq!(n.components(), ["dc=edu", "dc=emory", "cn=monkey"]);
-    }
-
-    #[test]
-    fn compound_escaped_separator() {
-        let n = CompoundName::parse(r"a\.b.c", CompoundSyntax::dns()).unwrap();
-        assert_eq!(n.components(), ["c", "a.b"]);
-        assert_eq!(n.to_string(), r"a\.b.c");
     }
 }

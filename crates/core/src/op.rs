@@ -28,16 +28,17 @@ use rndi_obs::{TraceCell, TraceCtx};
 /// implementation.
 pub mod codec {
     use super::*;
-    use crate::value::StoredValue;
+    use crate::value::{Parts, StoredValue};
 
-    /// Marshal a bound value into provider-storable bytes. Live contexts
-    /// are rejected — bind a [`crate::value::Reference::url`] instead (the
-    /// durable representation of a federation link).
+    /// Marshal a bound value into provider-storable bytes: its
+    /// [`StoredValue`] encoding, written straight from `value`. Live
+    /// contexts are rejected — bind a [`crate::value::Reference::url`]
+    /// instead (the durable representation of a federation link).
     pub fn marshal(value: &BoundValue) -> Result<Vec<u8>> {
-        let stored = StoredValue::try_from_bound(value).ok_or_else(|| {
+        let parts = Parts::of(value).ok_or_else(|| {
             NamingError::unsupported("binding a live context; bind a URL reference instead")
         })?;
-        Ok(stored.encode())
+        Ok(parts.encode())
     }
 
     /// Unmarshal provider bytes back into a bound value. Undecodable bytes

@@ -7,7 +7,7 @@
 //! interpretable pointers, JNDI's `javax.naming.Reference`) and live
 //! [`Context`](crate::context::Context) handles.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -213,6 +213,9 @@ impl From<bool> for BoundValue {
 /// A wire-encodable subset of [`BoundValue`] — what state factories produce
 /// and providers actually store. Live `Context` handles are *not* encodable;
 /// they must first be converted to URL references.
+///
+/// Its encoding is text: a tag that no JSON text starts with, then the
+/// variant's fields (DESIGN.md, "The value codec").
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum StoredValue {
     Null,
@@ -225,15 +228,160 @@ pub enum StoredValue {
     Reference(Reference),
 }
 
+const TAG_NULL: u8 = 0x01;
+const TAG_STR: u8 = 0x02;
+const TAG_I64: u8 = 0x03;
+const TAG_F64: u8 = 0x04;
+const TAG_BOOL: u8 = 0x05;
+const TAG_BYTES: u8 = 0x06;
+const TAG_JSON: u8 = 0x07;
+const TAG_REFERENCE: u8 = 0x08;
+
+/// A value as the codec reads it, borrowed from a [`StoredValue`] or a
+/// [`BoundValue`], so marshalling copies nothing before it writes.
+#[derive(Clone, Copy)]
+pub(crate) enum Parts<'a> {
+    Null,
+    Str(&'a str),
+    I64(i64),
+    F64(f64),
+    Bool(bool),
+    Bytes(&'a [u8]),
+    Json(&'a serde_json::Value),
+    Reference(&'a Reference),
+}
+
+impl<'a> Parts<'a> {
+    /// `None` for a live context, which has no encoding.
+    pub(crate) fn of(value: &'a BoundValue) -> Option<Self> {
+        Some(match value {
+            BoundValue::Null => Parts::Null,
+            BoundValue::Str(s) => Parts::Str(s),
+            BoundValue::I64(v) => Parts::I64(*v),
+            BoundValue::F64(v) => Parts::F64(*v),
+            BoundValue::Bool(v) => Parts::Bool(*v),
+            BoundValue::Bytes(b) => Parts::Bytes(b),
+            BoundValue::Json(j) => Parts::Json(j),
+            BoundValue::Reference(r) => Parts::Reference(r),
+            BoundValue::Context(_) => return None,
+        })
+    }
+
+    /// The encoding, written into one block sized for it (a JSON tree's
+    /// text, and texts of 1 KiB and more, excepted).
+    pub(crate) fn encode(self) -> Vec<u8> {
+        // A length below 1 KiB is two digits at most.
+        let text_len = |s: &str| s.len() + 2;
+        let (tag, fields_len) = match self {
+            Parts::Null => (TAG_NULL, 0),
+            Parts::Str(s) => (TAG_STR, s.len()),
+            Parts::I64(_) => (TAG_I64, 20),
+            Parts::F64(_) => (TAG_F64, 16),
+            Parts::Bool(_) => (TAG_BOOL, 1),
+            Parts::Bytes(b) => (TAG_BYTES, 2 * b.len()),
+            Parts::Json(_) => (TAG_JSON, 63),
+            Parts::Reference(r) => {
+                let addrs = r.addrs.iter();
+                let addrs = addrs.map(|a| text_len(&a.addr_type) + text_len(&a.content));
+                let factory = r.factory.as_deref().map_or(1, text_len);
+                let len = text_len(&r.class_name) + factory + 2 + addrs.sum::<usize>();
+                (TAG_REFERENCE, len)
+            }
+        };
+        let mut out = String::with_capacity(1 + fields_len);
+        out.push(char::from(tag));
+        match self {
+            Parts::Null => {}
+            Parts::Str(s) => out.push_str(s),
+            Parts::I64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Parts::F64(v) => put_hex(&mut out, &v.to_bits().to_be_bytes()),
+            Parts::Bool(v) => out.push(if v { '1' } else { '0' }),
+            Parts::Bytes(b) => put_hex(&mut out, b),
+            Parts::Json(j) => {
+                let _ = write!(out, "{j}");
+            }
+            Parts::Reference(r) => {
+                put_text(&mut out, &r.class_name);
+                match &r.factory {
+                    None => put_num(&mut out, 0),
+                    Some(f) => {
+                        put_num(&mut out, f.len() + 1);
+                        out.push_str(f);
+                    }
+                }
+                put_num(&mut out, r.addrs.len());
+                for a in &r.addrs {
+                    put_text(&mut out, &a.addr_type);
+                    put_text(&mut out, &a.content);
+                }
+            }
+        }
+        out.into_bytes()
+    }
+}
+
 impl StoredValue {
     /// Encode to bytes (the marshalling the paper's providers pay for).
     pub fn encode(&self) -> Vec<u8> {
-        serde_json::to_vec(self).expect("StoredValue is always serializable")
+        Parts::encode(match self {
+            StoredValue::Null => Parts::Null,
+            StoredValue::Str(s) => Parts::Str(s),
+            StoredValue::I64(v) => Parts::I64(*v),
+            StoredValue::F64(v) => Parts::F64(*v),
+            StoredValue::Bool(v) => Parts::Bool(*v),
+            StoredValue::Bytes(b) => Parts::Bytes(b),
+            StoredValue::Json(j) => Parts::Json(j),
+            StoredValue::Reference(r) => Parts::Reference(r),
+        })
     }
 
-    /// Decode from bytes.
+    /// Decode from bytes: an encoding, or the JSON earlier versions wrote.
+    /// `None` for anything else, a malformed or truncated encoding included.
     pub fn decode(bytes: &[u8]) -> Option<StoredValue> {
-        serde_json::from_slice(bytes).ok()
+        if !(TAG_NULL..=TAG_REFERENCE).contains(bytes.first()?) {
+            return serde_json::from_slice(bytes).ok();
+        }
+        let text = std::str::from_utf8(bytes).ok()?;
+        let mut rest = &text[1..];
+        Some(match bytes[0] {
+            TAG_NULL if rest.is_empty() => StoredValue::Null,
+            TAG_STR => StoredValue::Str(rest.to_owned()),
+            // As `Display` writes it: no `+`, no leading zero, no `-0`.
+            TAG_I64 if rest == "0" || !rest.trim_start_matches('-').starts_with(['0', '+']) => {
+                StoredValue::I64(rest.parse().ok()?)
+            }
+            TAG_F64 if rest.len() == 16 => StoredValue::F64(f64::from_bits(
+                rest.bytes()
+                    .try_fold(0, |bits, b| Some(bits << 4 | u64::from(hex_digit(b)?)))?,
+            )),
+            TAG_BOOL if rest == "1" || rest == "0" => StoredValue::Bool(rest == "1"),
+            TAG_BYTES => StoredValue::Bytes(from_hex(rest)?),
+            TAG_JSON => {
+                // Only the text the encoder writes: no spacing, no repeated key.
+                let tree = serde_json::parse(rest).ok()?;
+                (tree.to_string() == rest).then_some(StoredValue::Json(tree))?
+            }
+            TAG_REFERENCE => StoredValue::Reference(Reference {
+                class_name: take_text(&mut rest)?.to_owned(),
+                factory: match take_num(&mut rest)? {
+                    0 => None,
+                    n => Some(take_len(&mut rest, n - 1)?.to_owned()),
+                },
+                addrs: {
+                    let count = take_num(&mut rest)?;
+                    let mut addrs = Vec::with_capacity(count.min(rest.len() / 2));
+                    for _ in 0..count {
+                        let addr_type = take_text(&mut rest)?.to_owned();
+                        let content = take_text(&mut rest)?.to_owned();
+                        addrs.push(RefAddr { addr_type, content });
+                    }
+                    (rest.is_empty()).then_some(addrs)?
+                },
+            }),
+            _ => return None,
+        })
     }
 
     /// Convert back into a [`BoundValue`].
@@ -265,6 +413,82 @@ impl StoredValue {
             BoundValue::Context(_) => return None,
         })
     }
+}
+
+// The text-safe fields of the value and attribute encodings. A number is
+// base-32 digits, low first, one byte each, with `0x20` set on every digit
+// but the last: bytes below `0x40`, so the encodings stay text.
+
+pub(crate) fn put_num(out: &mut String, mut n: usize) {
+    while n >= 0x20 {
+        out.push(char::from(0x20 | (n & 0x1f) as u8));
+        n >>= 5;
+    }
+    out.push(char::from(n as u8));
+}
+
+/// Split a number off the front of `rest`: `None` when its digits run out,
+/// leave the range, overflow, or end in a zero [`put_num`] does not write.
+pub(crate) fn take_num(rest: &mut &str) -> Option<usize> {
+    let mut n = 0u64;
+    for (i, b) in rest.bytes().enumerate().take(13) {
+        let digit = u64::from(b & 0x1f);
+        // The 13th digit holds bits 60..65: only four of them fit.
+        if b >= 0x40 || (i == 12 && digit > 0xf) {
+            return None;
+        }
+        n |= digit << (5 * i);
+        if b & 0x20 == 0 {
+            *rest = &rest[i + 1..];
+            return usize::try_from(n).ok().filter(|_| i == 0 || digit > 0);
+        }
+    }
+    None
+}
+
+/// `s`, after its length.
+pub(crate) fn put_text(out: &mut String, s: &str) {
+    put_num(out, s.len());
+    out.push_str(s);
+}
+
+/// Split off what [`put_text`] wrote.
+pub(crate) fn take_text<'a>(rest: &mut &'a str) -> Option<&'a str> {
+    let len = take_num(rest)?;
+    take_len(rest, len)
+}
+
+/// Split `len` bytes off the front of `rest`, if they end on a character.
+pub(crate) fn take_len<'a>(rest: &mut &'a str, len: usize) -> Option<&'a str> {
+    let text = rest.get(..len)?;
+    *rest = &rest[len..];
+    Some(text)
+}
+
+pub(crate) fn put_hex(out: &mut String, bytes: &[u8]) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    for b in bytes {
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0xf)]));
+    }
+}
+
+/// A digit [`put_hex`] writes: lower case only.
+fn hex_digit(b: u8) -> Option<u8> {
+    let digit = char::from(b).to_digit(16)?;
+    (!b.is_ascii_uppercase()).then_some(digit as u8)
+}
+
+/// What [`put_hex`] wrote, back as bytes.
+pub(crate) fn from_hex(hex: &str) -> Option<Vec<u8>> {
+    if hex.len() % 2 == 1 {
+        return None;
+    }
+    let mut bytes = Vec::with_capacity(hex.len() / 2);
+    for pair in hex.as_bytes().chunks(2) {
+        bytes.push(hex_digit(pair[0])? << 4 | hex_digit(pair[1])?);
+    }
+    Some(bytes)
 }
 
 #[cfg(test)]

@@ -137,18 +137,10 @@ pub struct WireOp {
 pub enum WirePayload {
     None,
     Value(StoredValue),
-    /// Raw marshalled bytes whose encoding this node does not recognise
-    /// (foreign data that must be preserved byte-exactly).
+    /// An already-marshalled payload, byte for byte: the shared op codec's
+    /// encoding, or foreign bytes that must be preserved exactly.
     Wire {
         bytes: Vec<u8>,
-        class_name: String,
-    },
-    /// An already-marshalled payload carried *decoded*: the wire form is
-    /// the [`StoredValue`] itself, not its serialized bytes nested inside
-    /// the outer frame. The receiver re-marshals with the shared op
-    /// codec, so backends still see [`OpPayload::Wire`] bytes.
-    Stored {
-        value: StoredValue,
         class_name: String,
     },
     NewName(String),
@@ -291,7 +283,10 @@ pub fn encode_op(op: &NamingOp) -> Result<WireOp> {
     let payload = match &op.payload {
         OpPayload::None => WirePayload::None,
         OpPayload::Value(v) => WirePayload::Value(stored(v)?),
-        OpPayload::Wire { bytes, class_name } => encode_wire_payload(bytes, class_name),
+        OpPayload::Wire { bytes, class_name } => WirePayload::Wire {
+            bytes: bytes.clone(),
+            class_name: class_name.clone(),
+        },
         OpPayload::NewName(n) => WirePayload::NewName(n.to_string()),
         OpPayload::Mods(mods) => WirePayload::Mods(mods.clone()),
         OpPayload::Query { filter, controls } => WirePayload::Query {
@@ -313,27 +308,6 @@ pub fn encode_op(op: &NamingOp) -> Result<WireOp> {
     })
 }
 
-/// Choose the single-encoded wire form for an already-marshalled payload.
-/// Bytes that are a bare canonical [`StoredValue`] encoding cross decoded
-/// (and are re-encoded on the far side — `encode ∘ decode` is the
-/// identity for the shared codec's own output); foreign bytes must survive
-/// byte-exactly, so they stay raw. JSON-tree values also stay raw: their
-/// re-encoding need not be byte-identical.
-fn encode_wire_payload(bytes: &[u8], class_name: &str) -> WirePayload {
-    if let Some(value) = StoredValue::decode(bytes) {
-        if !matches!(value, StoredValue::Json(_)) && value.encode() == bytes {
-            return WirePayload::Stored {
-                value,
-                class_name: class_name.to_string(),
-            };
-        }
-    }
-    WirePayload::Wire {
-        bytes: bytes.to_vec(),
-        class_name: class_name.to_string(),
-    }
-}
-
 fn parse_kind(label: &str) -> Result<OpKind> {
     ALL_OP_KINDS
         .iter()
@@ -351,10 +325,6 @@ pub fn decode_op(wire: &WireOp) -> Result<NamingOp> {
         WirePayload::Value(s) => OpPayload::Value(s.clone().into_bound()),
         WirePayload::Wire { bytes, class_name } => OpPayload::Wire {
             bytes: bytes.clone(),
-            class_name: class_name.clone(),
-        },
-        WirePayload::Stored { value, class_name } => OpPayload::Wire {
-            bytes: value.encode(),
             class_name: class_name.clone(),
         },
         WirePayload::NewName(n) => OpPayload::NewName(CompositeName::parse(n)?),

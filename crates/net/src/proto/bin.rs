@@ -128,11 +128,6 @@ fn put_op(out: &mut Vec<u8>, op: &WireOp) -> Result<()> {
             put_bytes(out, bytes);
             put_str(out, class_name);
         }
-        WirePayload::Stored { value, class_name } => {
-            out.push(3);
-            put_stored(out, value)?;
-            put_str(out, class_name);
-        }
         WirePayload::NewName(n) => {
             out.push(4);
             put_str(out, n);
@@ -508,10 +503,7 @@ impl<'a> Reader<'a> {
                 bytes: self.bytes("wire payload")?.to_vec(),
                 class_name: self.str("wire class")?,
             },
-            3 => WirePayload::Stored {
-                value: self.stored()?,
-                class_name: self.str("stored class")?,
-            },
+            // 3, a marshalled payload carried decoded, is retired.
             4 => WirePayload::NewName(self.str("new name")?),
             5 => WirePayload::Mods(self.json::<Vec<AttrMod>>("attr mods")?),
             6 => {

@@ -122,8 +122,6 @@ fn arb_payload() -> impl Strategy<Value = proto::WirePayload> {
             "[a-zA-Z.]{0,16}"
         )
             .prop_map(|(bytes, class_name)| proto::WirePayload::Wire { bytes, class_name }),
-        (arb_stored(), "[a-zA-Z.]{0,16}")
-            .prop_map(|(value, class_name)| { proto::WirePayload::Stored { value, class_name } }),
         "[ -~]{0,16}".prop_map(proto::WirePayload::NewName),
         proptest::collection::vec(
             prop_oneof![

@@ -4,7 +4,9 @@
 //! service; the paper lists "a local filesystem storage" among the systems
 //! its federation can incorporate. Mapping: a subcontext is a directory; a
 //! binding `x` is a file `x.val` holding the marshalled value, with an
-//! optional sibling `x.attrs` holding the attribute set as JSON.
+//! optional sibling `x.attrs` holding the attribute set as text
+//! (`Attributes::encode`; files holding the JSON of earlier versions still
+//! read).
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -149,11 +151,12 @@ impl FsContext {
         dir.join(format!("{leaf}.{ATTR_EXT}"))
     }
 
-    /// Missing attribute files mean "no attributes"; present-but-corrupt
-    /// files are an error (see [`common::attrs_from_json`]).
+    /// Missing attribute files mean "no attributes"; a corrupt one is an
+    /// error, so a binding never loses its attributes without a trace.
     fn read_attrs(dir: &Path, leaf: &str) -> Result<Attributes> {
         match std::fs::read_to_string(Self::attr_path(dir, leaf)) {
-            Ok(s) => common::attrs_from_json(&s),
+            Ok(s) => Attributes::decode(&s)
+                .ok_or_else(|| NamingError::service("stored attributes are corrupt")),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Attributes::new()),
             Err(e) => Err(io_err(e, "read attrs")),
         }
@@ -163,7 +166,7 @@ impl FsContext {
         if attrs.is_empty() {
             return remove_if_present(&Self::attr_path(dir, leaf), "remove attrs");
         }
-        std::fs::write(Self::attr_path(dir, leaf), common::attrs_to_json(attrs)?)
+        std::fs::write(Self::attr_path(dir, leaf), attrs.encode())
             .map_err(|e| io_err(e, "write attrs"))
     }
 

@@ -49,27 +49,21 @@ fn realm_err(e: RealmError, name: &str) -> NamingError {
 }
 
 /// Encode a marshalled payload + `Attributes` into an HDNS entry (binds
-/// arrive wire-encoded from the pipeline's marshalling layer).
+/// arrive wire-encoded from the pipeline's marshalling layer), each
+/// attribute's values as their text.
 fn to_entry(payload: Vec<u8>, attrs: &Attributes) -> HdnsEntry {
     attrs.iter().fold(HdnsEntry::leaf(payload), |e, a| {
-        let vals: Vec<&str> = a.values.iter().filter_map(|v| v.as_str()).collect();
-        e.with_attr(&a.id, &serde_json::to_string(&vals).expect("strings"))
+        e.with_attr(&a.id, &a.encode_values())
     })
 }
 
 fn from_entry_attrs(e: &HdnsEntry) -> Result<Attributes> {
-    let mut out = Attributes::new();
-    for (id, json) in e.attrs() {
-        let vals: Vec<String> = serde_json::from_str(json).map_err(|err| {
-            NamingError::service(format!("stored attribute {id} is corrupt: {err}"))
-        })?;
-        let mut attr = Attribute::new(id);
-        for v in vals {
-            attr = attr.with(v);
-        }
-        out.put(attr);
-    }
-    Ok(out)
+    e.attrs()
+        .map(|(id, text)| {
+            Attribute::decode_values(id, text)
+                .ok_or_else(|| NamingError::service(format!("stored attribute {id} is corrupt")))
+        })
+        .collect()
 }
 
 fn from_entry_value(e: &HdnsEntry) -> BoundValue {
@@ -320,11 +314,10 @@ impl HdnsProviderContext {
         for m in mods {
             m.apply(&mut attrs);
         }
-        let mut map = std::collections::BTreeMap::new();
-        for a in attrs.iter() {
-            let vals: Vec<&str> = a.values.iter().filter_map(|v| v.as_str()).collect();
-            map.insert(a.id.clone(), serde_json::to_string(&vals).expect("strings"));
-        }
+        let map = attrs
+            .iter()
+            .map(|a| (a.id.clone(), a.encode_values()))
+            .collect();
         self.write(
             Op::SetAttrs {
                 path: path.into(),

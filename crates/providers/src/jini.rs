@@ -47,7 +47,8 @@ use crate::emlock::{EisenbergMcGuire, SharedRegisters};
 
 /// Entry class carrying the binding name.
 const BINDING_ENTRY: &str = "RndiBinding";
-/// Entry class carrying the serialized attribute set.
+/// Entry class carrying the attribute set in its field `json`, named for the
+/// JSON older items hold there; it holds `Attributes::encode`, `decode` reads both.
 const ATTRS_ENTRY: &str = "RndiAttrs";
 /// Stub interface type marking provider-managed fake stubs.
 const STUB_TYPE: &str = "RndiObject";
@@ -89,8 +90,10 @@ fn item_attrs(item: &ServiceItem) -> Result<Attributes> {
         .iter()
         .find(|e| e.class == ATTRS_ENTRY)
         .and_then(|e| e.fields.get("json"))
-        .map(|s| common::attrs_from_json(s))
-        .unwrap_or_else(|| Ok(Attributes::new()))
+        .map_or(Ok(Attributes::new()), |text| {
+            Attributes::decode(text)
+                .ok_or_else(|| NamingError::service("stored attributes are corrupt"))
+        })
 }
 
 /// Lock registers stored as registry entries: each read/write is one LUS
@@ -119,26 +122,21 @@ impl SharedRegisters for RegistrarRegisters {
 
 /// Build a fake-stub registration from a pre-marshalled payload (binds
 /// arrive wire-encoded from the pipeline's marshalling layer).
-fn make_item(
-    name: &str,
-    payload: Vec<u8>,
-    class_name: &str,
-    attrs: &Attributes,
-) -> Result<ServiceItem> {
-    Ok(ServiceItem::new(ServiceStub::new(
+fn make_item(name: &str, payload: Vec<u8>, class_name: &str, attrs: &Attributes) -> ServiceItem {
+    ServiceItem::new(ServiceStub::new(
         vec![STUB_TYPE.to_string(), class_name.to_string()],
         payload,
     ))
     .with_id(service_id_for(name))
     .with_entry(Entry::new(BINDING_ENTRY).with("name", name))
-    .with_entry(Entry::new(ATTRS_ENTRY).with("json", common::attrs_to_json(attrs)?)))
+    .with_entry(Entry::new(ATTRS_ENTRY).with("json", attrs.encode()))
 }
 
 /// [`make_item`] for the provider's own plain values (lock registers,
 /// tombstones) — these are always simple scalars, so encoding can't fail.
 fn make_item_value(name: &str, value: &BoundValue, attrs: &Attributes) -> ServiceItem {
     let payload = common::marshal(value).expect("plain internal value marshals");
-    make_item(name, payload, value.class_name(), attrs).expect("plain internal attrs serialize")
+    make_item(name, payload, value.class_name(), attrs)
 }
 
 /// The paper's proposed optimization for strict bind (§5.1): "a
@@ -367,7 +365,7 @@ impl JiniProviderContext {
         class_name: &str,
         attrs: &Attributes,
     ) -> Result<()> {
-        let item = make_item(name, payload.to_vec(), class_name, attrs)?;
+        let item = make_item(name, payload.to_vec(), class_name, attrs);
         let reg = self.registrar.register(item, self.lease_ms);
         self.track_lease(name, &reg);
         Ok(())
@@ -401,7 +399,7 @@ impl JiniProviderContext {
         if let (true, Some(proxy)) = (self.strict, &self.proxy) {
             // The paper's proxy optimization: one round trip, the
             // lock held locally next to the LUS.
-            let item = make_item(flat, payload.to_vec(), class_name, &attrs)?;
+            let item = make_item(flat, payload.to_vec(), class_name, &attrs);
             match proxy.bind_if_absent(flat, item, self.lease_ms) {
                 Some(reg) => {
                     self.track_lease(flat, &reg);
@@ -568,7 +566,7 @@ impl JiniProviderContext {
                 id,
                 vec![
                     Entry::new(BINDING_ENTRY).with("name", flat),
-                    Entry::new(ATTRS_ENTRY).with("json", common::attrs_to_json(&attrs)?),
+                    Entry::new(ATTRS_ENTRY).with("json", attrs.encode()),
                 ],
             )
             .map_err(|_| NamingError::not_found(flat))

@@ -134,7 +134,7 @@ impl LdapProviderContext {
 
     fn decode(entry: &LdapEntry) -> BoundValue {
         match entry.first(VALUE_ATTR) {
-            Some(json) => common::unmarshal(json.as_bytes()),
+            Some(text) => common::unmarshal(text.as_bytes()),
             None => BoundValue::Null, // structural / foreign entry
         }
     }
@@ -187,6 +187,7 @@ impl LdapProviderContext {
         let mut entry = LdapEntry::new(dn.clone());
         entry.add_value(CLASS_ATTR, RNDI_CLASS);
         entry.add_value(&rdn.attr(), rdn.value());
+        // Every marshalled value is text; only foreign bytes are not.
         entry.add_value(
             VALUE_ATTR,
             String::from_utf8(payload)
@@ -230,6 +231,9 @@ impl LdapProviderContext {
         new: &CompositeName,
         trace: Option<&TraceCtx>,
     ) -> Result<()> {
+        if old.is_empty() {
+            return Err(NamingError::invalid_name("", "the base entry is fixed"));
+        }
         let old_dn = self.dn(old, old.len())?;
         let (attr, value) = Self::component_rdn(
             new.iter()

@@ -37,7 +37,8 @@ NAMED_BELOW=(the_walk_matches_its_oracle read_is_a_base_scope_match_all_search w
   a_stored_binding_stays_inside_its_byte_budget a_replica_read_touches_no_heap
   federated_lookups_cache_one_line_per_denied_subtree
   compaction_peak_heap_stays_near_the_snapshot_length
-  random_fault_schedules_lose_no_acknowledged_write)
+  random_fault_schedules_lose_no_acknowledged_write the_codec_
+  a_value_round_trip_stays_inside_its_allocation_budget)
 echo "==> cargo test -q (all but hdns, the oracle proptests, the federation matrix, the budgets and the cluster's random schedules)"
 cargo test -q --workspace --exclude hdns -- "${NAMED_BELOW[@]/#/--skip=}"
 
@@ -63,6 +64,13 @@ cargo test -q -p dirserv --test props the_record_matches_its_oracle
 cargo test -q -p hdns --test store_oracle the_store_matches_its_oracle
 cargo test -q -p rndi-core --test name_oracle the_name_matches_its_oracle -- --nocapture
 
+# Named on its own because it holds the value and attribute codecs to the
+# JSON their earlier versions wrote, which they still read: round trips,
+# UTF-8, tags no JSON text starts with, refused prefixes and noise. A
+# failure prints the seed and the case shrunk to the smallest that fails.
+echo "==> codec proptests: values and attribute sets against their JSON"
+cargo test -q -p rndi-core --test codec_oracle the_codec_ -- --nocapture
+
 # Named on their own so the figures are in every log: the live heap bytes
 # one bound leaf of fed_resolve's shape leaves in dirserv and one binding of
 # the wire store leaves in an HDNS replica (whose reads allocate nothing),
@@ -77,6 +85,7 @@ echo "==> budgets: what dirserv and an HDNS replica hold per binding, what a nam
 cargo test -q --test ldap_footprint a_bound_leaf_stays_inside_its_byte_budget -- --nocapture
 cargo test -q --test hdns_footprint -- --nocapture
 cargo test -q --test name_footprint a_name_is_one_block_and_its_views_allocate_nothing -- --nocapture
+cargo test -q --test value_footprint a_value_round_trip_stays_inside_its_allocation_budget -- --nocapture
 cargo test -q --test federation_allocs federated_lookup_and_rebind_stay_inside_their_allocation_budgets -- --nocapture
 cargo test -q --test federation_allocs a_warmed_federated_op_shrinks_no_block_in_place -- --nocapture
 cargo test -q --test dns_denial federated_lookups_cache_one_line_per_denied_subtree -- --nocapture
@@ -211,12 +220,41 @@ if git grep -n -w -E "$MEMBERSHIP" -- crates/net crates/obs; then
 fi
 # A composite name is one shared block (crates/core/src/name.rs): a list
 # of component strings inside `CompositeName` is the copying layout growing
-# back. (`CompoundName`, a provider-syntax name, keeps its list.)
+# back.
 if awk '/^pub struct CompositeName/ { inside = 1 } inside { print FILENAME ":" FNR ": " $0 }
         inside && /^}/ { exit }' crates/core/src/name.rs | grep -E 'Vec<String>'; then
   echo "verify: CompositeName holds a Vec<String> again (crates/core/src/name.rs)" >&2
   exit 1
 fi
+# A value and an attribute set are marshalled by rndi-core's tagged codec
+# (`StoredValue::encode`, `Attributes::encode`): JSON in a provider's
+# storage path, or in the codec's own encoder, is the text marshalling
+# growing back. (JSON-era data is read by the codec's decoders.)
+for f in crates/providers/src/{hdns,jini,fs,common}.rs; do
+  if grep -n -E 'serde_json::(to_|from_)' "$f"; then
+    echo "verify: $f marshals through serde_json" >&2
+    exit 1
+  fi
+done
+# The encoder is every `fn encode…` and `fn put_…` in value.rs and attrs.rs
+# (`Parts::encode` writes a value, `StoredValue::encode` hands it over) and
+# `op::codec::marshal`; a body runs to the `}` at its `fn`'s indentation.
+for enc in 'crates/core/src/value.rs:fn (encode|put_)[a-z_]*[(]' \
+           'crates/core/src/attrs.rs:fn (encode|put_)[a-z_]*[(]' \
+           'crates/core/src/op.rs:fn marshal[(]'; do
+  bodies=$(awk -v start="${enc#*:}" '
+      !inside && $0 ~ start { inside = 1; match($0, /^ */); end = substr($0, 1, RLENGTH) "}" }
+      inside { print FILENAME ":" FNR ": " $0 }
+      inside && $0 == end { inside = 0 }' "${enc%%:*}")
+  if [ -z "$bodies" ]; then
+    echo "verify: no encoder matching '${enc#*:}' in ${enc%%:*}" >&2
+    exit 1
+  fi
+  if grep -E 'serde_json::(to_|from_)' <<<"$bodies"; then
+    echo "verify: the encoder in ${enc%%:*} runs serde_json" >&2
+    exit 1
+  fi
+done
 # Likewise the pipeline's second stats path: an op is counted once, by
 # ObsInterceptor into the rndi-obs registry, and read from there.
 STATS_PATH='StatsInterceptor|PipelineStats|rndi_pipeline_|telemetry::(render|reset|register)'

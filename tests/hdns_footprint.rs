@@ -4,6 +4,8 @@
 //! replica read that must not touch the heap at all. Lives in its own test
 //! binary because `common` installs a counting `#[global_allocator]`.
 
+use rndi::core::op::codec::marshal;
+use rndi::core::value::BoundValue;
 use rndi::groupcast::StackConfig;
 use rndi::hdns::{HdnsEntry, HdnsRealm, HdnsStore, Op};
 
@@ -14,19 +16,16 @@ use common::{count_during, live_bytes_during};
 const CONTEXTS: u32 = 200;
 const LEAVES_PER_CONTEXT: u32 = 100;
 /// A 64-character string value as the provider pipeline marshals it.
-const VALUE_LEN: usize = 74;
-
 fn value(key: u32) -> Vec<u8> {
-    let mut v = format!("{key:08x}").into_bytes();
-    v.resize(VALUE_LEN, b'.');
-    v
+    marshal(&BoundValue::Str(format!("{key:08x}{}", ".".repeat(56)))).unwrap()
 }
 
 #[test]
 fn a_stored_binding_stays_inside_its_byte_budget() {
-    // Measured 146 with one shared record per binding; a map of path
-    // strings to entries that owned a value and an attribute map held 236.
-    const BYTES_PER_BINDING_BUDGET: i64 = 160;
+    // Measured 137 with one shared record per binding, and 145 while the
+    // value was its JSON (74 bytes, not 65); a map of path strings to
+    // entries that owned a value and an attribute map held 236.
+    const BYTES_PER_BINDING_BUDGET: i64 = 137;
 
     let (store, live) = live_bytes_during(|| {
         let mut store = HdnsStore::new();

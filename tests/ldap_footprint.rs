@@ -42,7 +42,8 @@ fn server() -> DirectoryServer {
 
 #[test]
 fn a_bound_leaf_stays_inside_its_byte_budget() {
-    const BYTES_PER_LEAF_BUDGET: i64 = 400;
+    // Measured 383; 392 while a value's text was its JSON.
+    const BYTES_PER_LEAF_BUDGET: i64 = 383;
 
     let server = server();
     let factory = LdapFactory::new(Arc::new(ZeroClock));

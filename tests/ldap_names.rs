@@ -52,3 +52,27 @@ fn a_name_that_differs_only_in_case_names_the_same_entry() {
     ));
     assert_eq!(server.entry_count(), 2, "the org and its unit are left");
 }
+
+#[test]
+fn renaming_the_empty_name_is_an_invalid_name() {
+    let server = DirectoryServer::new(ServerConfig::default());
+    let base = Dn::parse("o=bench").unwrap();
+    let org = LdapEntry::new(base.clone())
+        .with("objectClass", "organization")
+        .with("o", "bench");
+    server.connect_anonymous().add(org).unwrap();
+    let factory = LdapFactory::new(Arc::new(ZeroClock));
+    factory.register_host("dir", server.clone(), base);
+    let registry = ProviderRegistry::new();
+    registry.register(factory);
+    let ctx = registry
+        .create_context(&RndiUrl::parse("ldap://dir").unwrap(), &Environment::new())
+        .unwrap();
+
+    let renamed = ctx.rename(&CompositeName::parse("").unwrap(), &"cn=x".into());
+    assert!(
+        matches!(renamed, Err(NamingError::InvalidName { .. })),
+        "renaming the base entry: {renamed:?}"
+    );
+    assert_eq!(server.entry_count(), 1, "the base entry is left as it was");
+}
