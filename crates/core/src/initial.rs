@@ -65,11 +65,6 @@ impl InitialContext {
         }
     }
 
-    /// The environment this context was created with.
-    pub fn environment(&self) -> &Environment {
-        &self.env
-    }
-
     /// The provider registry in use.
     pub fn registry(&self) -> &Arc<ProviderRegistry> {
         &self.registry

@@ -69,11 +69,6 @@ impl ProviderRegistry {
             .insert(factory.scheme().to_ascii_lowercase(), factory);
     }
 
-    /// Remove the factory for `scheme`.
-    pub fn unregister(&self, scheme: &str) {
-        self.factories.write().remove(&scheme.to_ascii_lowercase());
-    }
-
     /// Find the factory for `scheme` (any case; a scheme that is lower
     /// case already, as every parsed [`RndiUrl`]'s is, is looked up as it
     /// stands).
@@ -87,13 +82,6 @@ impl ProviderRegistry {
         found.cloned().ok_or_else(|| NamingError::NoProvider {
             scheme: scheme.to_string(),
         })
-    }
-
-    /// Registered schemes, sorted.
-    pub fn schemes(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.factories.read().keys().cloned().collect();
-        v.sort();
-        v
     }
 
     /// The federation hops cached for [`crate::federation::drive_op`].
@@ -183,14 +171,11 @@ mod tests {
     fn registry_dispatch() {
         let reg = ProviderRegistry::new();
         reg.register(Arc::new(DummyFactory));
-        assert_eq!(reg.schemes(), ["dummy"]);
         let url = RndiUrl::parse("DUMMY://host").unwrap();
         assert!(reg.create_context(&url, &Environment::new()).is_ok());
         assert!(matches!(
             reg.get("nope"),
             Err(NamingError::NoProvider { .. })
         ));
-        reg.unregister("dummy");
-        assert!(reg.get("dummy").is_err());
     }
 }

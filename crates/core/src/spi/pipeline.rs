@@ -102,11 +102,12 @@ impl<B: ProviderBackend + ?Sized> ProviderPipeline<B> {
             }
             if let Some(dir) = env.get(keys::OBS_FLIGHT_DIR) {
                 let defaults = rndi_obs::FlightConfig::default();
-                rndi_obs::recorder::arm(rndi_obs::FlightConfig {
+                let config = rndi_obs::FlightConfig {
                     dir: dir.to_string(),
                     min_samples: env.get_u64(keys::OBS_FLIGHT_MIN_SAMPLES, defaults.min_samples),
                     ..defaults
-                });
+                };
+                rndi_obs::recorder::arm(config, rndi_obs::clock::SystemClock::new());
             }
         }
 

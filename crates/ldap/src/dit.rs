@@ -8,12 +8,12 @@
 //! text (RDNs reversed, joined with an unprintable separator), so every
 //! subtree is one contiguous key range and `OneLevel`/`Subtree` searches
 //! are bounded range scans instead of full-tree walks. An equality index
-//! over `(attribute, value)` pairs additionally lets searches whose filter
-//! contains an equality conjunct start from the posting set instead of the
-//! scope range — and, because postings are ordered by the same tree keys,
-//! only from the slice of it under the search base. Both structures only
-//! *prune*: every candidate is still verified with the real scope predicate
-//! and `LdapFilter::matches`.
+//! over `(attribute, value)` pairs, but for the types in `UNFILED`, lets
+//! searches whose filter holds an equality conjunct on a filed type start
+//! from the posting set instead of the scope range — and, because postings
+//! are ordered by the same tree keys, only from the slice of it under the
+//! search base. Both structures only *prune*: every candidate is still
+//! verified with the real scope predicate and `LdapFilter::matches`.
 //!
 //! Space: an entry's bytes exist once. Its tree key is one `Arc<str>` that
 //! the entry map and the entry's postings share, the entry one
@@ -37,6 +37,20 @@ use crate::filter::LdapFilter;
 /// one in, candidates are re-verified against the actual `Dn`, so the
 /// range scan stays a pruning step rather than a correctness assumption.
 const KEY_SEP: char = '\u{1f}';
+
+/// The attribute types whose values the equality index does not file:
+/// `rndiValue`, the JNDI provider's marshalled object, is unique per entry
+/// and read only by DN, through a base-scope match-all that never probes
+/// the index. An equality on one scans, and `LdapFilter::matches` decides.
+const UNFILED: [&str; 1] = ["rndiValue"];
+
+fn filed(attr: &str) -> bool {
+    !UNFILED.iter().any(|t| t.eq_ignore_ascii_case(attr))
+}
+
+fn filed_pairs(entry: &LdapEntry) -> impl Iterator<Item = (&str, &str)> {
+    entry.pairs().filter(|(attr, _)| filed(attr))
+}
 
 /// Search scope.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,8 +114,8 @@ impl Drop for TreeKey {
 }
 
 /// The tree keys of the entries holding one `(attribute, value)` pair,
-/// ordered as `Dit::entries` is. A pair one entry holds — a payload, a
-/// name — costs that entry's shared key and no set.
+/// ordered as `Dit::entries` is. A pair one entry holds — a name — costs
+/// that entry's shared key and no set.
 #[derive(Debug, Clone)]
 enum Postings {
     One(Arc<str>),
@@ -215,7 +229,7 @@ impl EqIndex {
 
 /// The best read strategy the equality index offers for a filter.
 enum ReadPath<'a> {
-    /// No equality conjunct indexed — fall back to the scope range scan.
+    /// No equality conjunct on a filed type — fall back to the scope range scan.
     Unindexed,
     /// An equality conjunct nothing satisfies — the result is empty.
     Empty,
@@ -228,8 +242,8 @@ enum ReadPath<'a> {
 pub struct Dit {
     /// Root-first tree key → entry; each subtree is a contiguous range.
     entries: BTreeMap<Arc<str>, Arc<LdapEntry>>,
-    /// Every `(attribute, value)` pair → the entries holding it. Maintained
-    /// by every mutation, alongside `entries`.
+    /// Every `(attribute, value)` pair of a filed type → the entries holding
+    /// it. Maintained by every mutation, alongside `entries`.
     eq_index: EqIndex,
 }
 
@@ -276,7 +290,7 @@ impl Dit {
     /// Store `entry` under a fresh key, which its postings share.
     fn put(&mut self, at: &TreeKey, entry: LdapEntry) {
         let key: Arc<str> = at.own().into();
-        for (attr, value) in entry.pairs() {
+        for (attr, value) in filed_pairs(&entry) {
             let value = self.eq_index.key(value);
             self.eq_index.insert(attr, value, &key);
         }
@@ -298,7 +312,7 @@ impl Dit {
     /// Remove the entry at `at`, and its postings, whatever is below it.
     fn take(&mut self, at: &TreeKey) -> Option<Arc<LdapEntry>> {
         let (key, entry) = self.entries.remove_entry(at.own())?;
-        for (attr, value) in entry.pairs() {
+        for (attr, value) in filed_pairs(&entry) {
             let value = self.eq_index.key(value);
             self.eq_index.remove(attr, value, &key);
         }
@@ -336,10 +350,10 @@ impl Dit {
         self.update_at(&TreeKey::of(&entry.dn), entry)
     }
 
-    /// Only the `(attribute, value)` pairs that left or arrived are edited
-    /// in the index — compared as they are filed, so a value that changed
-    /// case alone keeps its posting, and so does one whose hash another
-    /// value of the attribute shares.
+    /// Only the filed `(attribute, value)` pairs that left or arrived are
+    /// edited in the index — compared as they are filed, so a value that
+    /// changed case alone keeps its posting, and so does one whose hash
+    /// another value of the attribute shares. A rebound leaf edits none.
     fn update_at(&mut self, at: &TreeKey, entry: LdapEntry) -> Result<(), DitError> {
         // A one-key range: the map's own (shared) key and the slot, in one
         // probe.
@@ -348,13 +362,13 @@ impl Dit {
             return Err(DitError::NoSuchObject(entry.dn.to_string()));
         };
         let index = &mut self.eq_index;
-        for (attr, value) in slot.pairs().filter(|(a, v)| !entry.has_value(a, v)) {
+        for (attr, value) in filed_pairs(slot).filter(|(a, v)| !entry.has_value(a, v)) {
             let value = index.key(value);
             if !index.files(&entry, attr, value) {
                 index.remove(attr, value, key);
             }
         }
-        for (attr, value) in entry.pairs().filter(|(a, v)| !slot.has_value(a, v)) {
+        for (attr, value) in filed_pairs(&entry).filter(|(a, v)| !slot.has_value(a, v)) {
             let value = index.key(value);
             if !index.files(slot, attr, value) {
                 index.insert(attr, value, key);
@@ -392,9 +406,10 @@ impl Dit {
     /// The most selective indexed read strategy for `filter`: the smallest
     /// equality posting among conjuncts that *must* hold for a match.
     /// Recurses through `And` only — `Or`/`Not` arms don't constrain the
-    /// candidate set.
+    /// candidate set, nor does an equality on an unfiled type.
     fn filter_posting(&self, filter: &LdapFilter) -> ReadPath<'_> {
         match filter {
+            LdapFilter::Equality(attr, _) if !filed(attr) => ReadPath::Unindexed,
             LdapFilter::Equality(attr, value) => match self.eq_index.get(attr, value) {
                 Some(keys) => ReadPath::Keys(keys),
                 None => ReadPath::Empty,

@@ -1,8 +1,8 @@
-//! The process's one injectable millisecond [`Clock`]: what leases, TTLs
-//! and caches read, so tests and simulations can drive time by hand
-//! ([`ManualClock`]). Span timing does not go through it: an obs layer
-//! times its op with `Instant`, whose read is a vDSO call of a few tens of
-//! nanoseconds on an op of microseconds.
+//! The process's one injectable millisecond [`Clock`]: what leases, TTLs,
+//! caches and the flight recorder's cooldown read, so tests and
+//! simulations can drive time by hand ([`ManualClock`]). Span timing does
+//! not go through it: an obs layer times its op with `Instant`, whose read
+//! is a vDSO call of a few tens of nanoseconds on an op of microseconds.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -15,18 +15,18 @@
 //!
 //! The unarmed fast path is one relaxed atomic load; armed, an observation
 //! clones the recorder handle under the slot's read lock and makes a short
-//! mutex-guarded bucket update. Dumps are serialized by a cooldown so an
-//! anomaly storm can't turn the recorder into the anomaly.
+//! mutex-guarded bucket update. Dumps are serialized by a cooldown on the
+//! recorder's [`Clock`] so an anomaly storm can't become the anomaly.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use serde::Serialize as _;
 use serde_json::json;
 
+use crate::clock::Clock;
 use crate::metrics::{self, quantile_over, Histogram, HISTOGRAM_BUCKETS};
 use crate::snapshot::MetricsSnapshot;
 use crate::trace;
@@ -153,31 +153,36 @@ pub struct FlightRecorder {
     /// up by `&str` without building a joined key string.
     watches: Mutex<HashMap<String, HashMap<String, OpWatch>>>,
     baseline: Mutex<MetricsSnapshot>,
-    last_dump: Mutex<Option<Instant>>,
-    started: Instant,
+    clock: Arc<dyn Clock>,
+    last_dump_ms: Mutex<Option<u64>>,
+    started_ms: u64,
     dumps: AtomicU64,
 }
 
 impl FlightRecorder {
-    pub fn new(config: FlightConfig) -> Self {
+    pub fn new(config: FlightConfig, clock: Arc<dyn Clock>) -> Self {
         let _ = std::fs::create_dir_all(&config.dir);
         FlightRecorder {
             config,
             watches: Mutex::new(HashMap::new()),
             baseline: Mutex::new(metrics::snapshot()),
-            last_dump: Mutex::new(None),
-            started: Instant::now(),
+            last_dump_ms: Mutex::new(None),
+            started_ms: clock.now_ms(),
+            clock,
             dumps: AtomicU64::new(0),
         }
-    }
-
-    pub fn config(&self) -> &FlightConfig {
-        &self.config
     }
 
     /// Dumps written so far.
     pub fn dumps(&self) -> u64 {
         self.dumps.load(Ordering::Relaxed)
+    }
+
+    /// Observations of `(provider, op)` in its trailing window.
+    pub fn samples(&self, provider: &str, op: &str) -> u64 {
+        let watches = self.watches.lock();
+        let watch = watches.get(provider).and_then(|ops| ops.get(op));
+        watch.map_or(0, |watch| watch.prev_n + watch.cur_n)
     }
 
     /// Feed one finished operation. Cheap unless it trips a trigger.
@@ -228,14 +233,13 @@ impl FlightRecorder {
     ///
     /// [`dumps`]: FlightRecorder::dumps
     fn dump(&self, trigger: Trigger, provider: &str, op: &str, duration_ns: u64, p99: Option<f64>) {
+        let now_ms = self.clock.now_ms();
         {
-            let mut last = self.last_dump.lock();
-            if let Some(at) = *last {
-                if at.elapsed() < Duration::from_millis(self.config.cooldown_ms) {
-                    return;
-                }
+            let mut last = self.last_dump_ms.lock();
+            if last.is_some_and(|at| now_ms.saturating_sub(at) < self.config.cooldown_ms) {
+                return;
             }
-            *last = Some(Instant::now());
+            *last = Some(now_ms);
         }
         // Held to the end: dumps are numbered, and the baseline advanced,
         // one at a time.
@@ -254,7 +258,7 @@ impl FlightRecorder {
                 "duration_ns": duration_ns,
                 "trailing_p99_ns": p99,
                 "threshold_ns": (p99 * self.config.p99_multiple as f64),
-                "uptime_ms": (self.started.elapsed().as_millis() as u64),
+                "uptime_ms": (now_ms.saturating_sub(self.started_ms)),
                 "spans": (spans.len() as u64),
                 "trace_dropped": (trace::ring().dropped())
             }
@@ -287,10 +291,10 @@ fn slot() -> &'static RwLock<Option<Arc<FlightRecorder>>> {
     SLOT.get_or_init(|| RwLock::new(None))
 }
 
-/// Arm the process-wide recorder. Re-arming with the same dump directory
-/// keeps the running recorder (and its baselines); a new directory swaps
-/// the recorder out.
-pub fn arm(config: FlightConfig) -> Arc<FlightRecorder> {
+/// Arm the process-wide recorder, its cooldown read off `clock`.
+/// Re-arming with the same dump directory keeps the running recorder (its
+/// baselines and its clock); a new directory swaps the recorder out.
+pub fn arm(config: FlightConfig, clock: Arc<dyn Clock>) -> Arc<FlightRecorder> {
     {
         let guard = slot().read();
         if let Some(existing) = guard.as_ref() {
@@ -299,7 +303,7 @@ pub fn arm(config: FlightConfig) -> Arc<FlightRecorder> {
             }
         }
     }
-    let recorder = Arc::new(FlightRecorder::new(config));
+    let recorder = Arc::new(FlightRecorder::new(config, clock));
     *slot().write() = Some(recorder.clone());
     ARMED.store(true, Ordering::Release);
     recorder
@@ -309,10 +313,6 @@ pub fn arm(config: FlightConfig) -> Arc<FlightRecorder> {
 pub fn disarm() {
     ARMED.store(false, Ordering::Release);
     *slot().write() = None;
-}
-
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
 }
 
 /// The armed recorder, if any.
@@ -333,6 +333,10 @@ pub fn observe(provider: &str, op: &str, duration_ns: u64, err: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn recorder(config: FlightConfig) -> FlightRecorder {
+        FlightRecorder::new(config, crate::clock::ManualClock::new())
+    }
 
     fn test_dir(tag: &str) -> String {
         let dir = std::env::temp_dir().join(format!(
@@ -356,7 +360,7 @@ mod tests {
     #[test]
     fn slow_op_past_trailing_p99_dumps_once() {
         let dir = test_dir("slow");
-        let rec = FlightRecorder::new(FlightConfig {
+        let rec = recorder(FlightConfig {
             dir: dir.clone(),
             p99_multiple: 3,
             min_samples: 16,
@@ -388,7 +392,7 @@ mod tests {
     #[test]
     fn error_spike_dumps_and_cooldown_limits_rate() {
         let dir = test_dir("err");
-        let rec = FlightRecorder::new(FlightConfig {
+        let rec = recorder(FlightConfig {
             dir: dir.clone(),
             err_window: 16,
             err_rate_pct: 50,
@@ -410,7 +414,7 @@ mod tests {
         // The dump directory is a regular file, so no dump can be created.
         let dir = test_dir("unwritable");
         std::fs::write(&dir, b"not a directory").unwrap();
-        let rec = FlightRecorder::new(FlightConfig {
+        let rec = recorder(FlightConfig {
             dir: dir.clone(),
             err_window: 4,
             cooldown_ms: 0,
@@ -442,7 +446,7 @@ mod tests {
     #[test]
     fn per_op_watches_do_not_cross_contaminate() {
         let dir = test_dir("keyed");
-        let rec = FlightRecorder::new(FlightConfig {
+        let rec = recorder(FlightConfig {
             dir: dir.clone(),
             p99_multiple: 3,
             min_samples: 16,

@@ -67,15 +67,6 @@ impl SimRng {
         let scale = self.gen_range(lo..hi.max(lo + f64::EPSILON));
         Duration::from_nanos((base.as_nanos() as f64 * scale) as u64)
     }
-
-    /// Choose a uniformly random element of a slice; `None` if empty.
-    pub fn choose<'a, T>(&self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.gen_range(0..items.len())])
-        }
-    }
 }
 
 impl std::fmt::Debug for SimRng {
@@ -129,13 +120,5 @@ mod tests {
             let d = rng.jittered(base, 0.2).as_millis();
             assert!((80..=120).contains(&d), "jittered {d}");
         }
-    }
-
-    #[test]
-    fn choose_handles_empty_and_singleton() {
-        let rng = SimRng::seed_from_u64(5);
-        let empty: &[u8] = &[];
-        assert!(rng.choose(empty).is_none());
-        assert_eq!(rng.choose(&[9u8]), Some(&9));
     }
 }

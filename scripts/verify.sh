@@ -32,7 +32,8 @@ NAMED_BELOW=(the_walk_matches_its_oracle read_is_a_base_scope_match_all_search w
   gossip_codec_ the_record_matches_its_oracle the_name_matches_its_oracle
   a_name_is_one_block_and_its_views_allocate_nothing
   every_operation_continues_through_a_mount_on_every_provider
-  a_bound_leaf_stays_inside_its_byte_budget a_warmed_federated_op_shrinks_no_block_in_place
+  a_bound_leaf_stays_inside_its_byte_budget rebinding_every_leaf_does_not_grow_the_directory
+  a_warmed_federated_op_shrinks_no_block_in_place
   federated_lookup_and_rebind_stay_inside_their_allocation_budgets
   a_stored_binding_stays_inside_its_byte_budget a_replica_read_touches_no_heap
   federated_lookups_cache_one_line_per_denied_subtree
@@ -74,6 +75,7 @@ cargo test -q -p rndi-core --test codec_oracle the_codec_ -- --nocapture
 # Named on their own so the figures are in every log: the live heap bytes
 # one bound leaf of fed_resolve's shape leaves in dirserv and one binding of
 # the wire store leaves in an HDNS replica (whose reads allocate nothing),
+# what rounds of rebinding every such leaf grow dirserv by (nothing),
 # the allocations of a composite name (one block to build, none to clone,
 # view or read), the allocations a warmed federated lookup and rebind make
 # (their DNS and HDNS hops cached) and their shrinking reallocs (none: a
@@ -83,6 +85,7 @@ cargo test -q -p rndi-core --test codec_oracle the_codec_ -- --nocapture
 # each against its budget.
 echo "==> budgets: what dirserv and an HDNS replica hold per binding, what a name and a federated op allocate and shrink, what the resolver caches, what a compaction peaks at"
 cargo test -q --test ldap_footprint a_bound_leaf_stays_inside_its_byte_budget -- --nocapture
+cargo test -q --test ldap_footprint rebinding_every_leaf_does_not_grow_the_directory -- --nocapture
 cargo test -q --test hdns_footprint -- --nocapture
 cargo test -q --test name_footprint a_name_is_one_block_and_its_views_allocate_nothing -- --nocapture
 cargo test -q --test value_footprint a_value_round_trip_stays_inside_its_allocation_budget -- --nocapture

@@ -21,6 +21,11 @@ impl MsClock for ZeroClock {
     }
 }
 
+/// The span ring is process-wide, so a span one test's thread records may
+/// be evicted, and freed, by another's: the tests that count live bytes
+/// take turns.
+static ONE_AT_A_TIME: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 const DEPTS: u32 = 200;
 const LEAVES_PER_DEPT: u32 = 10;
 
@@ -40,39 +45,48 @@ fn server() -> DirectoryServer {
     server
 }
 
-#[test]
-fn a_bound_leaf_stays_inside_its_byte_budget() {
-    // Measured 383; 392 while a value's text was its JSON.
-    const BYTES_PER_LEAF_BUDGET: i64 = 383;
-
-    let server = server();
+/// A context on `server`'s `o=bench`, with `depts` departments made and
+/// one leaf in place, written often enough to fill the process's (bounded)
+/// span ring: the pipeline, its instruments, the index's per-attribute maps
+/// and every span slot exist from then on, so what is counted after is what
+/// the directory keeps.
+fn warmed_context(server: &DirectoryServer, depts: u32) -> InitialContext {
     let factory = LdapFactory::new(Arc::new(ZeroClock));
     factory.register_host("dir", server.clone(), Dn::parse("o=bench").unwrap());
     let registry = Arc::new(ProviderRegistry::new());
     registry.register(factory);
     let ctx = InitialContext::new(registry, Environment::new()).unwrap();
-
-    for dept in 0..DEPTS {
+    for dept in 0..depts {
         ctx.create_subcontext(&format!("ldap://dir/ou=d{dept:04}"))
             .unwrap();
     }
-    // One leaf in place before counting, and written often enough to fill
-    // the process's (bounded) span ring: the pipeline, its instruments, the
-    // index's per-attribute maps and every span slot exist from then on, so
-    // what is counted below is what the directory keeps.
     for round in 0..2 * rndi::obs::trace::DEFAULT_RING_CAPACITY {
         ctx.rebind("ldap://dir/ou=d0000/warm", format!("{round:<64}"))
             .unwrap();
     }
+    ctx
+}
 
-    // 2 000 distinct 64-byte values, as `fed_resolve` binds them.
-    let value = |dept: u32, leaf: u32| format!("{:<64}", format!("value {dept:04}/{leaf}"));
+/// A distinct 64-byte value, as `fed_resolve` binds them.
+fn value(round: u32, dept: u32, leaf: u32) -> String {
+    format!("{:<64}", format!("value {round}:{dept:04}/{leaf}"))
+}
+
+#[test]
+fn a_bound_leaf_stays_inside_its_byte_budget() {
+    // Measured 331 once the payload went unfiled; 383 while the equality
+    // index filed it, 392 while a value's text was its JSON.
+    const BYTES_PER_LEAF_BUDGET: i64 = 331;
+
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let server = server();
+    let ctx = warmed_context(&server, DEPTS);
     let ((), live) = live_bytes_during(|| {
         for dept in 0..DEPTS {
             for leaf in 0..LEAVES_PER_DEPT {
                 ctx.bind(
                     &format!("ldap://dir/ou=d{dept:04}/l{leaf}"),
-                    value(dept, leaf),
+                    value(0, dept, leaf),
                 )
                 .unwrap();
             }
@@ -88,13 +102,55 @@ fn a_bound_leaf_stays_inside_its_byte_budget() {
         "dirserv footprint: {per_leaf} live bytes per bound leaf \
          ({leaves} leaves, budget {BYTES_PER_LEAF_BUDGET})"
     );
+    println!("ledger: ldap.bytes_per_leaf {per_leaf} {BYTES_PER_LEAF_BUDGET}");
     assert!(
         per_leaf <= BYTES_PER_LEAF_BUDGET,
         "a bound leaf holds {per_leaf} bytes, budget {BYTES_PER_LEAF_BUDGET}"
     );
     assert_eq!(
         ctx.lookup("ldap://dir/ou=d0199/l9").unwrap().as_str(),
-        Some(value(199, 9).as_str())
+        Some(value(0, 199, 9).as_str())
+    );
+}
+
+#[test]
+fn rebinding_every_leaf_does_not_grow_the_directory() {
+    // Leaves enough that a map with a slot per leaf stands at over 80 % of
+    // its table, where a few rounds of remove-one-insert-one use up its
+    // free slots and double it.
+    const DEPTS: u32 = 350;
+    const ROUNDS: u32 = 4;
+    // A rebind frees the entry it replaces; what a round may keep is far
+    // below one doubled table (≈ 100 KiB at this size).
+    const SLACK_BYTES: i64 = 4096;
+
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let server = server();
+    let ctx = warmed_context(&server, DEPTS);
+    let bind_all = |round: u32| {
+        for dept in 0..DEPTS {
+            for leaf in 0..LEAVES_PER_DEPT {
+                let name = format!("ldap://dir/ou=d{dept:04}/l{leaf}");
+                ctx.rebind(&name, value(round, dept, leaf)).unwrap();
+            }
+        }
+    };
+    bind_all(0);
+    for round in 1..=ROUNDS {
+        let ((), grew) = live_bytes_during(|| bind_all(round));
+        println!(
+            "dirserv churn: rebinding {} leaves, round {round} grew the live heap {grew} B \
+             (slack {SLACK_BYTES})",
+            DEPTS * LEAVES_PER_DEPT
+        );
+        assert!(
+            grew <= SLACK_BYTES,
+            "round {round} of rebinding every leaf grew the heap {grew} B"
+        );
+    }
+    assert_eq!(
+        ctx.lookup("ldap://dir/ou=d0349/l9").unwrap().as_str(),
+        Some(value(ROUNDS, DEPTS - 1, 9).as_str())
     );
 }
 

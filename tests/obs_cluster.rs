@@ -3,78 +3,44 @@
 //! must deliver (1) a merged exposition whose cluster-rollup op counts
 //! equal the sum of the per-instance counts, (2) a cross-node trace
 //! assembled by id spanning the router and server legs, and (3) a flight
-//! recorder dump provoked by an injected slow op — all from the merged
-//! output, nothing asserted against a shard's private state.
+//! recorder that every op the shards serve reaches, and that dumps once
+//! for one anomalous latency — all from the merged output and the
+//! process-wide recorder, nothing asserted against a shard's private state.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use rndi::core::env::keys;
-use rndi::core::error::Result;
-use rndi::core::name::CompoundSyntax;
-use rndi::core::op::{NamingOp, OpOutcome};
 use rndi::core::prelude::*;
-use rndi::core::spi::ProviderBackend;
-use rndi::obs::expo;
-use rndi::providers::hdns::HdnsProviderContext;
+use rndi::obs::clock::ManualClock;
+use rndi::obs::{expo, recorder, FlightConfig};
 use rndi::serve;
 
-/// Wraps a shard backend and stalls any op whose name mentions `slow` —
-/// the anomaly injector for the flight-recorder leg of the test.
-struct SlowLens {
-    inner: Arc<dyn ProviderBackend>,
-    delay: Duration,
-}
-
-impl ProviderBackend for SlowLens {
-    fn execute(&self, op: &NamingOp) -> Result<OpOutcome> {
-        if op.name.to_string().contains("slow") {
-            std::thread::sleep(self.delay);
-        }
-        self.inner.execute(op)
-    }
-
-    fn provider_id(&self) -> String {
-        self.inner.provider_id()
-    }
-
-    fn compound_syntax(&self) -> CompoundSyntax {
-        self.inner.compound_syntax()
-    }
-}
-
-fn slow_hdns_cluster(shards: usize, env: &Environment) -> serve::ShardCluster {
-    let backends = (0..shards)
-        .map(|i| {
-            let realm = hdns::HdnsRealm::new(
-                &format!("shard-{i}"),
-                1,
-                groupcast::StackConfig::default(),
-                None,
-                i as u64 + 1,
-            );
-            Arc::new(SlowLens {
-                inner: HdnsProviderContext::with_env(realm, 0, &format!("hdns-shard-{i}"), env),
-                delay: Duration::from_millis(50),
-            }) as Arc<dyn ProviderBackend>
-        })
-        .collect();
-    serve::serve_sharded(backends, env).expect("cluster starts")
-}
+/// Observations of one op before the flight recorder's slow-op trigger
+/// arms: more than the load below makes of any op at any pipeline, so
+/// only the latencies this test feeds the recorder can trip it.
+const MIN_SAMPLES: u64 = 256;
 
 #[test]
 fn cluster_scrape_merges_rolls_up_assembles_and_flight_records() {
     let flight_dir = std::env::temp_dir().join(format!("rndi-flight-e2e-{}", std::process::id()));
-    let env = Environment::new()
-        .with(keys::OBS_FLIGHT_DIR, flight_dir.to_str().unwrap())
-        .with(keys::OBS_FLIGHT_MIN_SAMPLES, "32");
+    let flight_dir = flight_dir.to_str().unwrap();
+    // Armed before any pipeline, on a clock that does not move: each
+    // shard's pipeline re-arms with the same dump directory, which keeps
+    // this recorder.
+    let flight = recorder::arm(
+        FlightConfig {
+            dir: flight_dir.to_string(),
+            min_samples: MIN_SAMPLES,
+            ..Default::default()
+        },
+        ManualClock::new(),
+    );
+    let env = Environment::new().with(keys::OBS_FLIGHT_DIR, flight_dir);
 
-    let cluster = slow_hdns_cluster(4, &env);
+    let cluster = serve::serve_sharded_hdns(4, &env).expect("cluster starts");
     let ctx = cluster.connect(&env).unwrap();
 
-    // Load: the slow probe binds FIRST (its watch is still cold, so no
-    // dump fires), then enough fast traffic to establish a trailing p99.
-    ctx.bind_str("slow-probe", "anomaly").unwrap();
+    // Load: 32 binds, then three rounds of lookups of each.
     let names: Vec<String> = (0..32).map(|i| format!("entry-{i:02}")).collect();
     for n in &names {
         ctx.bind_str(n, format!("v-{n}").as_str()).unwrap();
@@ -89,20 +55,42 @@ fn cluster_scrape_merges_rolls_up_assembles_and_flight_records() {
         }
     }
 
-    // ---- (3) flight recorder: one op far past the trailing p99 dumps --
-    assert!(rndi::obs::recorder::armed(), "pipeline armed the recorder");
-    ctx.lookup_str("slow-probe").unwrap();
-    let dumps: Vec<_> = std::fs::read_dir(&flight_dir)
+    // ---- (3) flight recorder: the shards' ops reach it, and one op far
+    // past its trailing p99 dumps once --------------------------------
+    let armed = recorder::current().expect("armed");
+    assert!(Arc::ptr_eq(&armed, &flight), "the pipelines kept it");
+    let served = |op| -> u64 {
+        (0..4)
+            .map(|i| flight.samples(&format!("hdns:hdns-shard-{i}#0"), op))
+            .sum()
+    };
+    assert_eq!(
+        (served("bind"), served("lookup")),
+        (32, 96),
+        "every op a shard's pipeline served reached the recorder"
+    );
+    assert_eq!(flight.dumps(), 0, "the load alone trips nothing");
+
+    for _ in 0..MIN_SAMPLES {
+        recorder::observe("flight-probe", "lookup", 10_000, false);
+    }
+    recorder::observe("flight-probe", "lookup", 10_000_000, false);
+    // A second anomaly inside the cooldown, on a clock that has not moved.
+    recorder::observe("flight-probe", "lookup", 10_000_000, false);
+    let dumps: Vec<_> = std::fs::read_dir(flight_dir)
         .expect("flight dir exists")
         .filter_map(|e| e.ok())
         .filter(|e| e.file_name().to_string_lossy().starts_with("flight-"))
         .collect();
     assert_eq!(dumps.len(), 1, "exactly one anomaly, exactly one dump");
+    assert_eq!(flight.dumps(), 1);
     let dump = std::fs::read_to_string(dumps[0].path()).unwrap();
     let header = dump.lines().next().expect("dump has a header line");
     assert!(
-        header.contains("\"slow_op\"") && header.contains("\"lookup\""),
-        "dump header names the trigger and op: {header}"
+        header.contains("\"slow_op\"")
+            && header.contains("\"flight-probe\"")
+            && header.contains("\"lookup\""),
+        "dump header names the trigger, provider and op: {header}"
     );
     assert!(
         dump.lines().any(|l| l.contains("\"span\"")),
@@ -150,14 +138,14 @@ fn cluster_scrape_merges_rolls_up_assembles_and_flight_records() {
             rollup.label("outcome")
         );
     }
-    // And the cluster really served the load: ≥ 129 lookups (3×32 fast
-    // rounds + the slow probe) crossed the wire in total.
+    // And the cluster really served the load: the 3×32 lookups crossed
+    // the wire.
     let lookups: f64 = rollups
         .iter()
         .filter(|s| s.label("op") == Some("lookup") && s.label("outcome") == Some("ok"))
         .map(|s| s.value)
         .sum();
-    assert!(lookups >= 97.0, "rollup counted the lookup load: {lookups}");
+    assert!(lookups >= 96.0, "rollup counted the lookup load: {lookups}");
 
     // ---- (2) a cross-node trace assembled by id, router → server ----
     let assembled = scrape
@@ -202,7 +190,7 @@ fn cluster_scrape_merges_rolls_up_assembles_and_flight_records() {
             .signals
             .per_op
             .iter()
-            .any(|o| o.op == "lookup" && o.count >= 97 && o.p50_ns > 0.0 && o.p99_ns >= o.p50_ns),
+            .any(|o| o.op == "lookup" && o.count >= 96 && o.p50_ns > 0.0 && o.p99_ns >= o.p50_ns),
         "per-op latency quantiles derived from the rollup: {:?}",
         scrape.signals.per_op
     );
@@ -214,6 +202,6 @@ fn cluster_scrape_merges_rolls_up_assembles_and_flight_records() {
     }
 
     cluster.shutdown();
-    rndi::obs::recorder::disarm();
-    let _ = std::fs::remove_dir_all(&flight_dir);
+    recorder::disarm();
+    let _ = std::fs::remove_dir_all(flight_dir);
 }

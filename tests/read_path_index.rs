@@ -4,8 +4,11 @@
 //! posting-set probe, whatever the number of items: at two sizes 20× apart
 //! every such read adds exactly 1 to `rndi_index_reads_total{path="index"}`
 //! and 0 to `path="scan"`, and returns exactly what the retained linear-scan
-//! oracle (`Registrar::lookup_all_scan`, `Dit::search_scan`) returns. The
-//! counters are process-wide, so this binary holds this one test only.
+//! oracle (`Registrar::lookup_all_scan`, `Dit::search_scan`) returns. An
+//! equality on the directory's one unfiled type, the provider's payload
+//! `rndiValue`, is a scan that answers as the oracle does, alone or beside
+//! a filed conjunct, whose posting it leaves in charge. The counters are
+//! process-wide, so this binary holds this one test only.
 
 use std::sync::Arc;
 
@@ -46,6 +49,11 @@ fn registrar(n: usize) -> Registrar {
     registrar
 }
 
+/// Entry `i`'s payload at `version`: 64 characters, unique per entry.
+fn payload(i: usize, version: u32) -> String {
+    format!("{:<64}", format!("payload {i} v{version}"))
+}
+
 fn dit(n: usize) -> Dit {
     let mut dit = Dit::new();
     dit.add(LdapEntry::new(Dn::parse("dc=example").unwrap()).with("dc", "example"))
@@ -57,7 +65,8 @@ fn dit(n: usize) -> Dit {
         dit.add(
             LdapEntry::new(dn)
                 .with("cn", format!("u{i}"))
-                .with("dept", format!("d{}", i % 32)),
+                .with("dept", format!("d{}", i % 32))
+                .with("rndiValue", payload(i, 0)),
         )
         .unwrap();
     }
@@ -87,15 +96,15 @@ fn typed_lookups_and_equality_searches_ride_the_index_at_every_size() {
             assert_eq!(got, want, "n = {n}, {template:?}");
         }
 
-        let dit = dit(n);
+        let mut dit = dit(n);
         let base = Dn::parse("dc=example").unwrap();
+        let dns = |hits: Vec<&Arc<LdapEntry>>| {
+            let mut dns: Vec<String> = hits.iter().map(|e| e.dn.to_string()).collect();
+            dns.sort();
+            dns
+        };
         for filter in [format!("(cn=u{})", n / 2), "(dept=d7)".to_string()] {
             let filter = LdapFilter::parse(&filter).unwrap();
-            let dns = |hits: Vec<&Arc<LdapEntry>>| {
-                let mut dns: Vec<String> = hits.iter().map(|e| e.dn.to_string()).collect();
-                dns.sort();
-                dns
-            };
             let (got, paths) = counted("dirserv", || dit.search(&base, Scope::Subtree, &filter, 0));
             assert_eq!(
                 paths,
@@ -106,5 +115,36 @@ fn typed_lookups_and_equality_searches_ride_the_index_at_every_size() {
             assert!(!want.is_empty(), "n = {n}, {filter:?}");
             assert_eq!(dns(got.unwrap()), want, "n = {n}, {filter:?}");
         }
+
+        // The payload is not filed: alone it scans, beside `cn` it rides
+        // `cn`'s posting, and either way it answers as the oracle does.
+        let held = n / 3;
+        let payload_searches = |dit: &Dit, version: u32| {
+            let only = format!("(rndiValue={})", payload(held, version));
+            let with_cn = format!("(&(cn=u{held})(rndiValue={}))", payload(held, version));
+            [(only, (0, 1)), (with_cn, (1, 0))].map(|(filter, want_paths)| {
+                let filter = LdapFilter::parse(&filter).unwrap();
+                let (got, paths) =
+                    counted("dirserv", || dit.search(&base, Scope::Subtree, &filter, 0));
+                assert_eq!(
+                    paths, want_paths,
+                    "n = {n}, {filter:?}: (index, scan) reads"
+                );
+                let got = dns(got.unwrap());
+                let want = dns(dit.search_scan(&base, Scope::Subtree, &filter, 0).unwrap());
+                assert_eq!(got, want, "n = {n}, {filter:?}");
+                got
+            })
+        };
+        let dn = format!("cn=u{held},ou=people,dc=example");
+        let found = [vec![dn.clone()], vec![dn.clone()]];
+        assert_eq!(payload_searches(&dit, 0), found);
+
+        let mut entry = dit.get(&Dn::parse(&dn).unwrap()).unwrap().clone();
+        entry.replace("rndiValue", vec![payload(held, 1)]);
+        dit.replace(entry).unwrap();
+        let none: [Vec<String>; 2] = Default::default();
+        assert_eq!(payload_searches(&dit, 0), none, "n = {n}: old payload");
+        assert_eq!(payload_searches(&dit, 1), found, "n = {n}: new payload");
     }
 }
