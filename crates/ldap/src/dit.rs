@@ -4,39 +4,35 @@
 //! an entry's parent must exist (except suffixes at the tree root) and only
 //! leaf entries can be deleted.
 //!
-//! Read-path layout: the entry map is keyed by the *root-first* folded DN
-//! text (RDNs reversed, joined with an unprintable separator), so every
-//! subtree is one contiguous key range and `OneLevel`/`Subtree` searches
-//! are bounded range scans instead of full-tree walks. An equality index
-//! over `(attribute, value)` pairs, but for the types in `UNFILED`, lets
-//! searches whose filter holds an equality conjunct on a filed type start
-//! from the posting set instead of the scope range — and, because postings
-//! are ordered by the same tree keys, only from the slice of it under the
-//! search base. Both structures only *prune*: every candidate is still
-//! verified with the real scope predicate and `LdapFilter::matches`.
+//! Read-path layout: the entries are ordered by their *root-first* folded
+//! tree key (`Dn::push_key`: RDNs reversed, joined with an unprintable
+//! separator), so every subtree is one contiguous key range and
+//! `OneLevel`/`Subtree` searches are bounded range scans instead of
+//! full-tree walks. An equality index over `(attribute, value)` pairs, but
+//! for the types in `UNFILED`, lets searches whose filter holds an equality
+//! conjunct on a filed type start from the posting set instead of the scope
+//! range — and, because postings are ordered by the same tree keys, only
+//! from the slice of it under the search base. Both structures only
+//! *prune*: every candidate is still verified with the real scope predicate
+//! and `LdapFilter::matches`.
 //!
-//! Space: an entry's bytes exist once. Its tree key is one `Arc<str>` that
-//! the entry map and the entry's postings share, the entry one
-//! `Arc<LdapEntry>` that reads hand out, its attributes one record of
-//! exactly their length; the index keys a value by a hash of it and holds
-//! no copy of its text.
+//! Space: an entry is one block — tree key, DN and attributes — and the
+//! tree, the entry's postings and every reader hold 16-byte handles to it
+//! ([`LdapEntry`]); the index keys a value by a hash of it and holds no
+//! copy of its text.
 
+use std::borrow::Borrow;
 use std::cell::Cell;
+use std::cmp::Ordering;
 use std::collections::hash_map::RandomState;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::hash::BuildHasher;
 use std::ops::Bound::{Included, Unbounded};
 use std::sync::{Arc, OnceLock};
 
-use crate::dn::{Dn, Rdn};
+use crate::dn::{Dn, Rdn, KEY_SEP};
 use crate::entry::{fold, hash_folded, LdapEntry};
 use crate::filter::LdapFilter;
-
-/// Separator between RDNs in root-first tree keys. An information
-/// separator that normal DN text never contains; even if a value smuggles
-/// one in, candidates are re-verified against the actual `Dn`, so the
-/// range scan stays a pruning step rather than a correctness assumption.
-const KEY_SEP: char = '\u{1f}';
 
 /// The attribute types whose values the equality index does not file:
 /// `rndiValue`, the JNDI provider's marshalled object, is unique per entry
@@ -93,15 +89,14 @@ impl TreeKey {
         // `try_with`: a tree may be read while a thread's locals go away.
         let mut below = KEY_TEXT.try_with(Cell::take).unwrap_or_default();
         below.clear();
-        for rdn in dn.rdns() {
-            below.insert(0, KEY_SEP);
-            below.insert_str(0, rdn.as_str());
+        dn.push_key(&mut below);
+        if !dn.is_root() {
+            below.push(KEY_SEP);
         }
-        below.make_ascii_lowercase();
         TreeKey { below }
     }
 
-    /// The DN's own map key.
+    /// The DN's own key.
     fn own(&self) -> &str {
         self.below.strip_suffix(KEY_SEP).unwrap_or("")
     }
@@ -113,41 +108,81 @@ impl Drop for TreeKey {
     }
 }
 
-/// The tree keys of the entries holding one `(attribute, value)` pair,
-/// ordered as `Dit::entries` is. A pair one entry holds — a name — costs
-/// that entry's shared key and no set.
+/// An entry as the tree and its postings hold it: ordered, and found, by
+/// its tree key.
+#[derive(Clone, Debug)]
+struct Keyed(LdapEntry);
+
+impl Keyed {
+    fn key(&self) -> &str {
+        self.0.key()
+    }
+}
+
+impl Borrow<str> for Keyed {
+    fn borrow(&self) -> &str {
+        self.key()
+    }
+}
+
+impl Ord for Keyed {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(other.key())
+    }
+}
+
+impl PartialOrd for Keyed {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Keyed {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Keyed {}
+
+/// The entries holding one `(attribute, value)` pair, ordered as
+/// `Dit::entries` is: handles to the blocks the tree holds, never a copy.
+/// A pair one entry holds — a name — costs that entry's handle and no set.
 #[derive(Debug, Clone)]
 enum Postings {
-    One(Arc<str>),
+    One(Keyed),
     /// Boxed so that a posting — one per distinct value — is the size of a
-    /// key.
+    /// handle.
     #[allow(clippy::box_collection)]
-    Many(Box<BTreeSet<Arc<str>>>),
+    Many(Box<BTreeSet<Keyed>>),
 }
 
 impl Postings {
     fn len(&self) -> usize {
         match self {
             Postings::One(_) => 1,
-            Postings::Many(keys) => keys.len(),
+            Postings::Many(entries) => entries.len(),
         }
     }
 
     fn contains(&self, key: &str) -> bool {
         match self {
-            Postings::One(only) => **only == *key,
-            Postings::Many(keys) => keys.contains(key),
+            Postings::One(only) => only.key() == key,
+            Postings::Many(entries) => entries.contains(key),
         }
     }
 
-    fn insert(&mut self, key: &Arc<str>) {
+    /// Files `entry`, or points the posting at it when it files an entry
+    /// of the same key already: a posting holds the tree's own handle.
+    fn insert(&mut self, entry: &LdapEntry) {
+        let entry = Keyed(entry.clone());
         match self {
-            Postings::One(only) if only == key => {}
+            Postings::One(only) if *only == entry => *only = entry,
             Postings::One(only) => {
-                *self = Postings::Many(Box::new(BTreeSet::from([only.clone(), key.clone()])));
+                *self = Postings::Many(Box::new(BTreeSet::from([only.clone(), entry])));
             }
-            Postings::Many(keys) => {
-                keys.insert(key.clone());
+            Postings::Many(entries) => {
+                entries.replace(entry);
             }
         }
     }
@@ -156,11 +191,11 @@ impl Postings {
     /// itself has to go.
     fn remove(&mut self, key: &str) -> bool {
         match self {
-            Postings::One(only) => **only == *key,
-            Postings::Many(keys) => {
-                keys.remove(key);
-                if keys.len() == 1 {
-                    *self = Postings::One(keys.pop_first().expect("one key left"));
+            Postings::One(only) => only.key() == key,
+            Postings::Many(entries) => {
+                entries.remove(key);
+                if entries.len() == 1 {
+                    *self = Postings::One(entries.pop_first().expect("one entry left"));
                 }
                 false
             }
@@ -198,16 +233,16 @@ impl EqIndex {
         self.by_attr.get(fold(attr).as_ref())?.get(&self.key(value))
     }
 
-    fn insert(&mut self, attr: &str, value: u64, key: &Arc<str>) {
+    fn insert(&mut self, attr: &str, value: u64, entry: &LdapEntry) {
         let attr = fold(attr);
         if !self.by_attr.contains_key(attr.as_ref()) {
             self.by_attr.insert(attr.as_ref().into(), HashMap::new());
         }
         let by_value = self.by_attr.get_mut(attr.as_ref()).expect("present");
         match by_value.get_mut(&value) {
-            Some(postings) => postings.insert(key),
+            Some(postings) => postings.insert(entry),
             None => {
-                by_value.insert(value, Postings::One(key.clone()));
+                by_value.insert(value, Postings::One(Keyed(entry.clone())));
             }
         }
     }
@@ -233,15 +268,17 @@ enum ReadPath<'a> {
     Unindexed,
     /// An equality conjunct nothing satisfies — the result is empty.
     Empty,
-    /// Candidate tree keys (a superset of the matches).
+    /// Candidate entries (a superset of the matches).
     Keys(&'a Postings),
 }
 
-/// The tree. BTreeMap keeps deterministic enumeration order (root-first).
+/// The tree. A `BTreeSet` keeps deterministic enumeration order
+/// (root-first).
 #[derive(Default, Debug, Clone)]
 pub struct Dit {
-    /// Root-first tree key → entry; each subtree is a contiguous range.
-    entries: BTreeMap<Arc<str>, Arc<LdapEntry>>,
+    /// The entries, by root-first tree key; each subtree is a contiguous
+    /// range.
+    entries: BTreeSet<Keyed>,
     /// Every `(attribute, value)` pair of a filed type → the entries holding
     /// it. Maintained by every mutation, alongside `entries`.
     eq_index: EqIndex,
@@ -261,60 +298,56 @@ impl Dit {
     }
 
     pub fn contains(&self, dn: &Dn) -> bool {
-        self.entries.contains_key(TreeKey::of(dn).own())
+        self.entries.contains(TreeKey::of(dn).own())
     }
 
     pub fn get(&self, dn: &Dn) -> Option<&LdapEntry> {
-        self.entries.get(TreeKey::of(dn).own()).map(Arc::as_ref)
+        self.entries.get(TreeKey::of(dn).own()).map(|e| &e.0)
     }
 
     /// Add an entry. The parent must already exist unless the entry is a
     /// suffix (depth 1) or the root itself.
     pub fn add(&mut self, entry: LdapEntry) -> Result<(), DitError> {
-        self.add_at(&TreeKey::of(&entry.dn), entry)
-    }
-
-    fn add_at(&mut self, at: &TreeKey, entry: LdapEntry) -> Result<(), DitError> {
-        if self.entries.contains_key(at.own()) {
-            return Err(DitError::AlreadyExists(entry.dn.to_string()));
+        let dn = entry.dn();
+        if self.entries.contains(entry.key()) {
+            return Err(DitError::AlreadyExists(dn.to_string()));
         }
-        if let Some(parent) = entry.dn.parent() {
+        if let Some(parent) = dn.parent() {
             if !parent.is_root() && !self.contains(&parent) {
                 return Err(DitError::NoSuchParent(parent.to_string()));
             }
         }
-        self.put(at, entry);
+        self.put(entry);
         Ok(())
     }
 
-    /// Store `entry` under a fresh key, which its postings share.
-    fn put(&mut self, at: &TreeKey, entry: LdapEntry) {
-        let key: Arc<str> = at.own().into();
+    /// Store `entry`, and file its pairs.
+    fn put(&mut self, entry: LdapEntry) {
         for (attr, value) in filed_pairs(&entry) {
             let value = self.eq_index.key(value);
-            self.eq_index.insert(attr, value, &key);
+            self.eq_index.insert(attr, value, &entry);
         }
-        self.entries.insert(key, Arc::new(entry));
+        self.entries.insert(Keyed(entry));
     }
 
     /// Delete a leaf entry.
-    pub fn delete(&mut self, dn: &Dn) -> Result<Arc<LdapEntry>, DitError> {
+    pub fn delete(&mut self, dn: &Dn) -> Result<LdapEntry, DitError> {
         let at = TreeKey::of(dn);
-        if !self.entries.contains_key(at.own()) {
+        if !self.entries.contains(at.own()) {
             return Err(DitError::NoSuchObject(dn.to_string()));
         }
         if self.has_children(&at, dn) {
             return Err(DitError::NotAllowedOnNonLeaf(dn.to_string()));
         }
-        Ok(self.take(&at).expect("checked present"))
+        Ok(self.take(at.own()).expect("checked present"))
     }
 
-    /// Remove the entry at `at`, and its postings, whatever is below it.
-    fn take(&mut self, at: &TreeKey) -> Option<Arc<LdapEntry>> {
-        let (key, entry) = self.entries.remove_entry(at.own())?;
+    /// Remove the entry at `key`, and its postings, whatever is below it.
+    fn take(&mut self, key: &str) -> Option<LdapEntry> {
+        let Keyed(entry) = self.entries.take(key)?;
         for (attr, value) in filed_pairs(&entry) {
             let value = self.eq_index.key(value);
-            self.eq_index.remove(attr, value, &key);
+            self.eq_index.remove(attr, value, key);
         }
         Some(entry)
     }
@@ -327,79 +360,79 @@ impl Dit {
     fn has_children(&self, at: &TreeKey, dn: &Dn) -> bool {
         self.entries
             .range::<str, _>((Included(at.below.as_str()), Unbounded))
-            .take_while(|(k, _)| k.starts_with(&at.below))
-            .any(|(_, e)| e.dn != *dn && e.dn.is_under(dn))
+            .take_while(|e| e.key().starts_with(&at.below))
+            .any(|e| {
+                let below = e.0.dn();
+                below != *dn && below.is_under(dn)
+            })
     }
 
     /// Put `entry` at its DN: over the leaf entry already there, or as a
     /// new entry under an existing parent. On any error the tree is as it
     /// was.
     pub fn replace(&mut self, entry: LdapEntry) -> Result<(), DitError> {
-        let at = TreeKey::of(&entry.dn);
-        if !self.entries.contains_key(at.own()) {
-            return self.add_at(&at, entry);
+        if !self.entries.contains(entry.key()) {
+            return self.add(entry);
         }
-        if self.has_children(&at, &entry.dn) {
-            return Err(DitError::NotAllowedOnNonLeaf(entry.dn.to_string()));
+        let dn = entry.dn();
+        if self.has_children(&TreeKey::of(&dn), &dn) {
+            return Err(DitError::NotAllowedOnNonLeaf(dn.to_string()));
         }
-        self.update_at(&at, entry)
+        self.update(entry)
     }
 
     /// Replace an entry's content in place (same DN).
+    ///
+    /// Only the filed `(attribute, value)` pairs that left are unfiled —
+    /// compared as they are filed, so a value that changed case alone keeps
+    /// its posting, and so does one whose hash another value of the
+    /// attribute shares; every pair the entry holds then points at its new
+    /// block.
     pub fn update(&mut self, entry: LdapEntry) -> Result<(), DitError> {
-        self.update_at(&TreeKey::of(&entry.dn), entry)
-    }
-
-    /// Only the filed `(attribute, value)` pairs that left or arrived are
-    /// edited in the index — compared as they are filed, so a value that
-    /// changed case alone keeps its posting, and so does one whose hash
-    /// another value of the attribute shares. A rebound leaf edits none.
-    fn update_at(&mut self, at: &TreeKey, entry: LdapEntry) -> Result<(), DitError> {
-        // A one-key range: the map's own (shared) key and the slot, in one
-        // probe.
-        let own = (Included(at.own()), Included(at.own()));
-        let Some((key, slot)) = self.entries.range_mut::<str, _>(own).next() else {
-            return Err(DitError::NoSuchObject(entry.dn.to_string()));
-        };
+        if !self.entries.contains(entry.key()) {
+            return Err(DitError::NoSuchObject(entry.dn().to_string()));
+        }
+        let Keyed(old) = self
+            .entries
+            .replace(Keyed(entry.clone()))
+            .expect("checked present");
         let index = &mut self.eq_index;
-        for (attr, value) in filed_pairs(slot).filter(|(a, v)| !entry.has_value(a, v)) {
+        for (attr, value) in filed_pairs(&old).filter(|(a, v)| !entry.has_value(a, v)) {
             let value = index.key(value);
             if !index.files(&entry, attr, value) {
-                index.remove(attr, value, key);
+                index.remove(attr, value, entry.key());
             }
         }
-        for (attr, value) in filed_pairs(&entry).filter(|(a, v)| !slot.has_value(a, v)) {
+        for (attr, value) in filed_pairs(&entry) {
             let value = index.key(value);
-            if !index.files(slot, attr, value) {
-                index.insert(attr, value, key);
-            }
+            index.insert(attr, value, &entry);
         }
-        *slot = Arc::new(entry);
         Ok(())
     }
 
-    /// Rename a leaf entry's RDN (LDAP `modifyRDN`).
+    /// Rename a leaf entry's RDN (LDAP `modifyRDN`). The entry is checked
+    /// before the name it would take: a missing one is `NoSuchObject`
+    /// whatever is at the target.
     pub fn modify_rdn(&mut self, dn: &Dn, new_rdn: Rdn) -> Result<Dn, DitError> {
         let at = TreeKey::of(dn);
+        if !self.entries.contains(at.own()) {
+            return Err(DitError::NoSuchObject(dn.to_string()));
+        }
         if self.has_children(&at, dn) {
             return Err(DitError::NotAllowedOnNonLeaf(dn.to_string()));
         }
         let parent = dn.parent().unwrap_or_else(Dn::root);
         let new_dn = parent.child(new_rdn.clone());
-        let new_at = TreeKey::of(&new_dn);
-        if self.entries.contains_key(new_at.own()) {
+        if self.contains(&new_dn) {
             return Err(DitError::AlreadyExists(new_dn.to_string()));
         }
-        let Some(entry) = self.take(&at) else {
-            return Err(DitError::NoSuchObject(dn.to_string()));
-        };
-        let mut entry = Arc::unwrap_or_clone(entry);
-        entry.dn = new_dn.clone();
+        let entry = self.take(at.own()).expect("checked present");
+        let mut entry = entry.renamed(&new_dn);
         // The new RDN's attribute value must be present on the entry.
         if !entry.has_value(&new_rdn.attr, &new_rdn.value) {
             entry.add_value(&new_rdn.attr, new_rdn.value);
         }
-        self.put(&new_at, entry);
+        self.put(entry);
         Ok(new_dn)
     }
 
@@ -462,9 +495,9 @@ impl Dit {
         &self,
         base: &Dn,
         filter: &LdapFilter,
-    ) -> Result<Option<&Arc<LdapEntry>>, DitError> {
+    ) -> Result<Option<&LdapEntry>, DitError> {
         let at = TreeKey::of(base);
-        let at_base = self.entries.get(at.own());
+        let at_base = self.entries.get(at.own()).map(|e| &e.0);
         if at_base.is_none() && !base.is_root() {
             return Err(DitError::NoSuchObject(base.to_string()));
         }
@@ -473,9 +506,9 @@ impl Dit {
         let pruned = match posting {
             ReadPath::Unindexed => false,
             ReadPath::Empty => true,
-            ReadPath::Keys(keys) => !keys.contains(at.own()),
+            ReadPath::Keys(holders) => !holders.contains(at.own()),
         };
-        Ok(at_base.filter(|e| !pruned && e.dn == *base && filter.matches(e)))
+        Ok(at_base.filter(|e| !pruned && e.dn() == *base && filter.matches(e)))
     }
 
     /// Search from `base` with the given scope and filter.
@@ -492,12 +525,12 @@ impl Dit {
         scope: Scope,
         filter: &LdapFilter,
         size_limit: usize,
-    ) -> Result<Vec<&'a Arc<LdapEntry>>, DitError> {
+    ) -> Result<Vec<&'a LdapEntry>, DitError> {
         if scope == Scope::Base {
             return Ok(self.search_base(base, filter)?.into_iter().collect());
         }
         let at = TreeKey::of(base);
-        if !base.is_root() && !self.entries.contains_key(at.own()) {
+        if !base.is_root() && !self.entries.contains(at.own()) {
             return Err(DitError::NoSuchObject(base.to_string()));
         }
         // Only the base's own key and the contiguous range of keys below it
@@ -510,11 +543,12 @@ impl Dit {
         };
         let mut out = Vec::new();
         // Verifies a candidate; `false` once the result is full.
-        let mut offer = |e: &'a Arc<LdapEntry>| {
+        let mut offer = |e: &'a LdapEntry| {
+            let dn = e.dn();
             let in_scope = match scope {
-                Scope::Base => e.dn == *base,
-                Scope::OneLevel => e.dn.is_child_of(base),
-                Scope::Subtree => e.dn.is_under(base),
+                Scope::Base => dn == *base,
+                Scope::OneLevel => dn.is_child_of(base),
+                Scope::Subtree => dn.is_under(base),
             };
             if in_scope && filter.matches(e) {
                 out.push(e);
@@ -525,18 +559,21 @@ impl Dit {
         Self::count_read_path(&posting);
         match posting {
             ReadPath::Empty => {}
-            ReadPath::Keys(Postings::One(key)) => {
-                if let Some(e) = self.entries.get(key).filter(|_| in_block(key)) {
-                    offer(e);
+            ReadPath::Keys(Postings::One(only)) => {
+                if in_block(only.key()) {
+                    offer(&only.0);
                 }
             }
-            ReadPath::Keys(Postings::Many(keys)) => {
+            ReadPath::Keys(Postings::Many(holders)) => {
                 // Postings are ordered by the same root-first tree keys as
                 // `entries`, so the block is a slice of the posting set.
-                let own = keys.get(at.own()).filter(|_| !base.is_root());
-                let rest = keys.range::<str, _>((Included(at.below.as_str()), Unbounded));
-                for key in own.into_iter().chain(rest.take_while(|k| in_block(k))) {
-                    if self.entries.get(key).is_some_and(|e| !offer(e)) {
+                let own = holders.get(at.own()).filter(|_| !base.is_root());
+                let rest = holders.range::<str, _>((Included(at.below.as_str()), Unbounded));
+                for e in own
+                    .into_iter()
+                    .chain(rest.take_while(|e| in_block(e.key())))
+                {
+                    if !offer(&e.0) {
                         break;
                     }
                 }
@@ -545,8 +582,8 @@ impl Dit {
                 let range = self
                     .entries
                     .range::<str, _>((Included(at.own()), Unbounded));
-                for (_, e) in range.take_while(|(k, _)| in_block(k)) {
-                    if !offer(e) {
+                for e in range.take_while(|e| in_block(e.key())) {
+                    if !offer(&e.0) {
                         break;
                     }
                 }
@@ -564,16 +601,17 @@ impl Dit {
         scope: Scope,
         filter: &LdapFilter,
         size_limit: usize,
-    ) -> Result<Vec<&Arc<LdapEntry>>, DitError> {
+    ) -> Result<Vec<&LdapEntry>, DitError> {
         if !base.is_root() && !self.contains(base) {
             return Err(DitError::NoSuchObject(base.to_string()));
         }
         let mut out = Vec::new();
-        for e in self.entries.values() {
+        for e in self.iter() {
+            let dn = e.dn();
             let in_scope = match scope {
-                Scope::Base => e.dn == *base,
-                Scope::OneLevel => e.dn.is_child_of(base),
-                Scope::Subtree => e.dn.is_under(base),
+                Scope::Base => dn == *base,
+                Scope::OneLevel => dn.is_child_of(base),
+                Scope::Subtree => dn.is_under(base),
             };
             if in_scope && filter.matches(e) {
                 out.push(e);
@@ -587,7 +625,7 @@ impl Dit {
 
     /// Iterate all entries (diagnostics, persistence), root-first.
     pub fn iter(&self) -> impl Iterator<Item = &LdapEntry> {
-        self.entries.values().map(Arc::as_ref)
+        self.entries.iter().map(|e| &e.0)
     }
 }
 
@@ -660,7 +698,7 @@ mod tests {
 
         let hits = d.search(&base, Scope::OneLevel, &all, 0).unwrap();
         assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].dn.to_string(), "ou=mathcs,o=emory");
+        assert_eq!(hits[0].dn().to_string(), "ou=mathcs,o=emory");
 
         let hits = d.search(&base, Scope::Subtree, &all, 0).unwrap();
         assert_eq!(hits.len(), 3);
@@ -745,16 +783,20 @@ mod tests {
         let held = |d: &Dit| match d.eq_index.get("objectclass", "DEVICE") {
             None => 0,
             Some(Postings::One(_)) => 1,
-            Some(Postings::Many(keys)) => 10 + keys.len(),
+            Some(Postings::Many(holders)) => 10 + holders.len(),
         };
         assert_eq!(held(&d), 1, "one holder: its key, no set");
         let second = Dn::parse("cn=second,ou=mathcs,o=emory").unwrap();
         d.add(LdapEntry::new(second.clone()).with("objectClass", "device"))
             .unwrap();
         assert_eq!(held(&d), 12, "a second holder makes it a set");
-        // The posting shares the map's key; it does not copy it.
-        let (key, _) = d.entries.get_key_value(TreeKey::of(&second).own()).unwrap();
-        assert_eq!(Arc::strong_count(key), 2);
+        // The posting holds the tree's own block; it does not copy it.
+        let stored = d.get(&second).unwrap();
+        let Some(Postings::Many(holders)) = d.eq_index.get("objectclass", "device") else {
+            panic!("a set");
+        };
+        let filed = holders.get(TreeKey::of(&second).own()).unwrap();
+        assert!(filed.0.shares_block_with(stored));
 
         d.delete(&second).unwrap();
         assert_eq!(held(&d), 1, "back to one holder, back to its key");

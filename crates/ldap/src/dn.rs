@@ -5,6 +5,10 @@
 //! root. Attribute types compare case-insensitively; values are compared
 //! folded but preserved for display. `,` `\` and `=` inside an RDN are
 //! escaped with `\`.
+//!
+//! A DN is a view of one text: the text of a DN made on its own, or the
+//! DN's stretch of a directory entry's block (`entry.rs`), so that an
+//! entry's name costs it no block of its own.
 
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -12,6 +16,7 @@ use std::cmp::Ordering;
 use std::convert::Infallible;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::entry::{cmp_folded, hash_folded};
@@ -139,17 +144,30 @@ thread_local! {
     static SCRATCH: Cell<String> = const { Cell::new(String::new()) };
 }
 
+/// Separator between RDNs in root-first tree keys ([`Dn::push_key`]). An
+/// information separator that normal DN text never contains; even if a
+/// value smuggles one in, the tree re-verifies every candidate against the
+/// actual `Dn`, so the key order stays a pruning step rather than a
+/// correctness assumption.
+pub(crate) const KEY_SEP: char = '\u{1f}';
+
 /// A distinguished name, held as its canonical text — what `Display`
 /// prints: leaf first, attribute types lower-cased, values in the case they
-/// were given, `,` `\` `=` escaped — behind one `Arc<str>` plus the offset
-/// of this DN's leaf RDN. A DN and its ancestors share one text
-/// ([`Dn::parent`] moves the offset), and a clone is a reference-count
-/// step. Equality, ordering and hashing fold ASCII case, as LDAP compares
-/// names, and allocate nothing.
+/// were given, `,` `\` `=` escaped — as the stretch `start..end` of one
+/// `Arc<str>`: the DN's own text, or the entry block it names. A DN and its
+/// ancestors share one text ([`Dn::parent`] moves the start), and a clone
+/// is a reference-count step. Equality, ordering and hashing fold ASCII
+/// case, as LDAP compares names, and allocate nothing.
 #[derive(Clone, Default)]
 pub struct Dn {
     text: Arc<str>,
-    start: usize,
+    start: u32,
+    end: u32,
+}
+
+/// `at` as a DN's offset.
+fn offset(at: usize) -> u32 {
+    u32::try_from(at).expect("a DN is shorter than 4 GiB")
 }
 
 impl Dn {
@@ -175,6 +193,7 @@ impl Dn {
         let built = write(&mut text).map(|()| Dn {
             text: Arc::from(text.as_str()),
             start: 0,
+            end: offset(text.len()),
         });
         let _ = SCRATCH.try_with(|scratch| scratch.set(text));
         built
@@ -220,9 +239,34 @@ impl Dn {
         })
     }
 
+    /// The DN whose canonical text is `block[at]`: a view that shares the
+    /// block.
+    pub(crate) fn in_block(block: &Arc<str>, at: Range<usize>) -> Dn {
+        Dn {
+            text: block.clone(),
+            start: offset(at.start),
+            end: offset(at.end),
+        }
+    }
+
     /// The canonical text.
     pub fn as_str(&self) -> &str {
-        &self.text[self.start..]
+        &self.text[self.start as usize..self.end as usize]
+    }
+
+    /// Append this DN's tree key to `out`: its RDNs root first, joined by
+    /// [`KEY_SEP`], folded to lower case — as long as the DN's text, and
+    /// empty for the root. Every subtree is then one contiguous range of
+    /// keys, those that start with its root's key and a separator.
+    pub(crate) fn push_key(&self, out: &mut String) {
+        let from = out.len();
+        for (i, rdn) in self.rdns().enumerate() {
+            if i > 0 {
+                out.insert(from, KEY_SEP);
+            }
+            out.insert_str(from, rdn.as_str());
+        }
+        out[from..].make_ascii_lowercase();
     }
 
     /// The leaf RDN (None for the root DSE).
@@ -237,7 +281,8 @@ impl Dn {
         let skip = unescaped(text, b',').next().map_or(text.len(), |at| at + 1);
         (!self.is_root()).then(|| Dn {
             text: self.text.clone(),
-            start: self.start + skip,
+            start: self.start + offset(skip),
+            end: self.end,
         })
     }
 
@@ -404,6 +449,29 @@ mod tests {
         assert_eq!(Dn::parse(&printed).unwrap(), dn, "display roundtrips");
         let rdns: Vec<&str> = dn.rdns().map(|r| r.as_str()).collect();
         assert_eq!(rdns, [r"cn=Lastname\, Firstname", "o=emory"]);
+    }
+
+    #[test]
+    fn a_dn_is_a_pointer_and_two_offsets() {
+        assert_eq!(std::mem::size_of::<Dn>(), 24);
+    }
+
+    #[test]
+    fn the_tree_key_is_root_first_and_as_long_as_the_text() {
+        for (dn, key) in [
+            ("", ""),
+            ("O=Emory", "o=emory"),
+            (
+                r"CN=Mo\,key,ou=DCL,o=emory",
+                "o=emory\u{1f}ou=dcl\u{1f}cn=mo\\,key",
+            ),
+        ] {
+            let dn = Dn::parse(dn).unwrap();
+            let mut out = String::from("head");
+            dn.push_key(&mut out);
+            assert_eq!(out, format!("head{key}"));
+            assert_eq!(key.len(), dn.as_str().len());
+        }
     }
 
     #[test]

@@ -1,17 +1,30 @@
 //! Directory entries.
 //!
-//! An entry is its DN and one *record*: every `(attribute, values)` pair it
-//! holds, in one `Box<str>` written once at its final length. Attributes
-//! follow each other in case-folded id order, one per folded id, each as
-//! its id and then its values, in the order they arrived. An id the
+//! An entry is one block, an `Arc<str>` written once at its final length:
+//!
+//! ```text
+//! block = number(n) key dn record
+//! key   = the DN's tree key (`Dn::push_key`): RDNs root first, folded,
+//!         joined by KEY_SEP — n bytes, as long as the DN's text
+//! dn    = the DN's canonical text, n bytes
+//! ```
+//!
+//! and [`LdapEntry`] is the 16-byte handle to it, so the tree, its postings
+//! and every reader that holds an entry share one block, and a clone is a
+//! reference-count step. The tree orders and finds entries by the key;
+//! [`LdapEntry::dn`] is a [`Dn`] viewing the DN's stretch.
+//!
+//! The *record* is every `(attribute, values)` pair the entry holds.
+//! Attributes follow each other in case-folded id order, one per folded id,
+//! each as its id and then its values, in the order they arrived. An id the
 //! standard schema names, spelt as it spells it, is one byte, `0x40` + its
 //! place in `KNOWN_IDS`; any other is its length and its text. A value is
 //! its length, doubled and plus one when another value of the attribute
 //! follows, and its text. A number is written as base-32 digits, low first,
 //! one byte each with `0x20` set on every digit but the last — all below
-//! `0x40`, so an id's first byte says which form it takes, and the record
+//! `0x40`, so an id's first byte says which form it takes, and the block
 //! is text whose every field is a slice of it. Readers hand out views into
-//! the record; every builder writes a new one.
+//! the block; every builder writes a new one.
 
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -19,6 +32,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::hash::Hasher;
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::dn::Dn;
 
@@ -80,19 +94,25 @@ impl fmt::Debug for LdapAttr<'_> {
     }
 }
 
-/// An entry: a DN plus attributes, one per case-insensitive id.
-#[derive(Clone, PartialEq, Eq)]
-pub struct LdapEntry {
-    pub dn: Dn,
-    /// The attributes, laid out as the module documentation describes.
-    record: Box<str>,
+/// An entry: a DN plus attributes, one per case-insensitive id, in one
+/// shared block laid out as the module documentation describes. Equal
+/// entries have equal DNs, under LDAP case rules, and equal records.
+#[derive(Clone)]
+pub struct LdapEntry(Arc<str>);
+
+impl PartialEq for LdapEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.dn_text().eq_ignore_ascii_case(other.dn_text()) && self.record() == other.record()
+    }
 }
+
+impl Eq for LdapEntry {}
 
 impl fmt::Debug for LdapEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let attrs: Vec<LdapAttr<'_>> = self.attrs().collect();
         let mut out = f.debug_struct("LdapEntry");
-        out.field("dn", &self.dn).field("attrs", &attrs).finish()
+        out.field("dn", &self.dn()).field("attrs", &attrs).finish()
     }
 }
 
@@ -193,28 +213,83 @@ fn take_attr<'a>(rest: &mut &'a str) -> Option<LdapAttr<'a>> {
 }
 
 thread_local! {
-    /// Where this thread writes a record before copying it into the
-    /// entry's `Box<str>`, which is then the one block a record costs.
+    /// Where this thread writes a block before copying it into the entry's
+    /// `Arc<str>`, which is then the one allocation an entry costs.
     static SCRATCH: Cell<String> = const { Cell::new(String::new()) };
 }
 
-/// The record `write` produces, in a block of exactly its length.
-fn write_record(write: impl FnOnce(&mut String)) -> Box<str> {
+/// The entry whose block `write` produces, in an allocation of exactly its
+/// length.
+fn write_block(write: impl FnOnce(&mut String)) -> LdapEntry {
     // `try_with`: an entry may be built while a thread's locals go away.
     let mut text = SCRATCH.try_with(Cell::take).unwrap_or_default();
     text.clear();
     write(&mut text);
-    let record = Box::from(text.as_str());
+    let block = Arc::from(text.as_str());
     let _ = SCRATCH.try_with(|scratch| scratch.set(text));
-    record
+    LdapEntry(block)
+}
+
+/// Append the head of `dn`'s block — its key's length, its key, its text —
+/// to `block`.
+fn put_head(block: &mut String, dn: &Dn) {
+    put_num(block, dn.as_str().len());
+    dn.push_key(block);
+    block.push_str(dn.as_str());
 }
 
 impl LdapEntry {
+    /// The entry named `dn`, holding no attribute.
     pub fn new(dn: Dn) -> Self {
-        LdapEntry {
-            dn,
-            record: Box::default(),
-        }
+        write_block(|block| put_head(block, &dn))
+    }
+
+    /// Where the key starts, and its length (the DN's too).
+    fn key_at(&self) -> (usize, usize) {
+        let mut rest = &*self.0;
+        let n = take_num(&mut rest);
+        (self.0.len() - rest.len(), n)
+    }
+
+    /// The block split after its DN: `(head, record)`.
+    fn split(&self) -> (&str, &str) {
+        let (at, n) = self.key_at();
+        self.0.split_at(at + 2 * n)
+    }
+
+    /// The tree key: where the tree files this entry.
+    pub(crate) fn key(&self) -> &str {
+        let (at, n) = self.key_at();
+        &self.0[at..at + n]
+    }
+
+    fn dn_text(&self) -> &str {
+        let (at, n) = self.key_at();
+        &self.0[at + n..at + 2 * n]
+    }
+
+    fn record(&self) -> &str {
+        self.split().1
+    }
+
+    /// The entry's DN: a view of its block.
+    pub fn dn(&self) -> Dn {
+        let (at, n) = self.key_at();
+        Dn::in_block(&self.0, at + n..at + 2 * n)
+    }
+
+    /// This entry's attributes under `dn`, in a new block.
+    pub(crate) fn renamed(&self, dn: &Dn) -> LdapEntry {
+        write_block(|block| {
+            put_head(block, dn);
+            block.push_str(self.record());
+        })
+    }
+
+    /// Whether `self` and `other` are handles to one block.
+    #[cfg(test)]
+    pub(crate) fn shares_block_with(&self, other: &LdapEntry) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// Builder-style attribute insertion (adds a value).
@@ -225,7 +300,8 @@ impl LdapEntry {
 
     /// Each attribute with the bytes it takes in the record.
     fn spans(&self) -> impl Iterator<Item = (Range<usize>, LdapAttr<'_>)> {
-        let (mut rest, end) = (&*self.record, self.record.len());
+        let record = self.record();
+        let (mut rest, end) = (record, record.len());
         std::iter::from_fn(move || {
             let start = end - rest.len();
             let attr = take_attr(&mut rest)?;
@@ -243,28 +319,31 @@ impl LdapEntry {
                 Ordering::Greater => return Err(span.start..span.start),
             }
         }
-        Err(self.record.len()..self.record.len())
+        let end = self.record().len();
+        Err(end..end)
     }
 
-    /// The record with `span` — an attribute's bytes, or none — replaced
-    /// by the attribute `id` holding `values`, which are distinct: by
-    /// nothing when there are none.
+    /// This entry with `span` of its record — an attribute's bytes, or
+    /// none — replaced by the attribute `id` holding `values`, which are
+    /// distinct: by nothing when there are none.
     fn rewritten<'v>(
         &self,
         span: Range<usize>,
         id: &str,
         values: impl Iterator<Item = &'v str>,
-    ) -> Box<str> {
+    ) -> LdapEntry {
+        let (head, record) = self.split();
         let mut values = values.peekable();
-        write_record(|record| {
-            record.push_str(&self.record[..span.start]);
+        write_block(|block| {
+            block.push_str(head);
+            block.push_str(&record[..span.start]);
             if values.peek().is_some() {
-                put_id(record, id);
+                put_id(block, id);
             }
             while let Some(value) = values.next() {
-                put_value(record, value, values.peek().is_some());
+                put_value(block, value, values.peek().is_some());
             }
-            record.push_str(&self.record[span.end..]);
+            block.push_str(&record[span.end..]);
         })
     }
 
@@ -272,7 +351,7 @@ impl LdapEntry {
     /// ASCII case folding.
     pub fn add_value(&mut self, id: &str, value: impl AsRef<str>) {
         let value = value.as_ref();
-        self.record = match self.position(id) {
+        *self = match self.position(id) {
             Ok((_, held)) if held.holds(value) => return,
             Ok((span, held)) => self.rewritten(span, held.id, held.values().chain([value])),
             Err(at) => self.rewritten(at, id, [value].into_iter()),
@@ -290,7 +369,7 @@ impl LdapEntry {
             .filter(first)
             .map(|(_, v)| v.as_str());
         let span = self.position(id).map_or_else(|at| at, |(span, _)| span);
-        self.record = self.rewritten(span, id, distinct);
+        *self = self.rewritten(span, id, distinct);
     }
 
     /// Remove specific values (removes the attribute when none remain);
@@ -301,7 +380,7 @@ impl LdapEntry {
         };
         let kept =
             |v: &&str| !values.is_empty() && !values.iter().any(|rm| rm.eq_ignore_ascii_case(v));
-        self.record = self.rewritten(span, held.id, held.values().filter(kept));
+        *self = self.rewritten(span, held.id, held.values().filter(kept));
     }
 
     pub fn get(&self, id: &str) -> Option<LdapAttr<'_>> {
@@ -337,15 +416,13 @@ impl LdapEntry {
     /// applied to search results.
     pub fn project(&self, ids: &[String]) -> LdapEntry {
         let asked = |attr: LdapAttr<'_>| ids.iter().any(|id| id.eq_ignore_ascii_case(attr.id));
-        let record = write_record(|record| {
+        let (head, record) = self.split();
+        write_block(|block| {
+            block.push_str(head);
             for (span, _) in self.spans().filter(|&(_, attr)| asked(attr)) {
-                record.push_str(&self.record[span]);
+                block.push_str(&record[span]);
             }
-        });
-        LdapEntry {
-            dn: self.dn.clone(),
-            record,
-        }
+        })
     }
 }
 
@@ -408,6 +485,29 @@ mod tests {
         let e = entry();
         let p = e.project(&["CN".to_string(), "cn".to_string(), "sn".to_string()]);
         assert_eq!(p.attrs().count(), 1);
-        assert_eq!((p.first("cn"), &p.dn), (Some("x"), &e.dn));
+        assert_eq!((p.first("cn"), p.dn()), (Some("x"), e.dn()));
+    }
+
+    #[test]
+    fn an_entry_is_one_block_behind_a_16_byte_handle() {
+        assert_eq!(std::mem::size_of::<LdapEntry>(), 16);
+        let e = LdapEntry::new(Dn::parse("CN=X,o=y").unwrap()).with("cn", "X");
+        let block = &*e.0;
+        assert_eq!(block, "\u{8}o=y\u{1f}cn=xcn=X,o=y\u{40}\u{2}X");
+        assert_eq!(
+            (e.key(), e.dn_text(), e.record()),
+            ("o=y\u{1f}cn=x", "cn=X,o=y", "@\u{2}X")
+        );
+        let dn = e.dn();
+        assert_eq!(dn.as_str(), "cn=X,o=y");
+        assert!(Arc::ptr_eq(&e.0, &e.clone().0), "a clone shares the block");
+        // Renamed: a new head, the same record.
+        let renamed = e.renamed(&Dn::parse("cn=z,o=y").unwrap());
+        assert_eq!(
+            (renamed.key(), renamed.record()),
+            ("o=y\u{1f}cn=z", e.record())
+        );
+        let root = LdapEntry::new(Dn::root());
+        assert_eq!((&*root.0, root.dn().is_root()), ("\u{0}", true));
     }
 }

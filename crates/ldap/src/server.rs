@@ -199,14 +199,15 @@ impl std::fmt::Debug for Connection {
     }
 }
 
-/// What a search returns: the matched entries — the directory's own when
-/// no projection was asked for, projected copies otherwise — plus the
-/// artificial delay imposed by the anti-DoS throttle — callers modelling
-/// latency (the benchmark harness) add it to their response time.
+/// What a search returns: the matched entries — handles to the directory's
+/// own blocks when no projection was asked for, projected copies
+/// otherwise — plus the artificial delay imposed by the anti-DoS throttle —
+/// callers modelling latency (the benchmark harness) add it to their
+/// response time.
 // Public as the type the `Connection` search methods return.
 #[derive(Clone, Debug)]
 pub struct SearchOutcome {
-    pub entries: Vec<Arc<LdapEntry>>,
+    pub entries: Vec<LdapEntry>,
     pub delay_ms: u64,
 }
 
@@ -300,10 +301,11 @@ impl Connection {
                 return Err((ResultCode::ObjectClassViolation, reason));
             }
         }
-        match entry.dn.rdn() {
+        let dn = entry.dn();
+        match dn.rdn() {
             Some(rdn) if !entry.has_value(&rdn.attr(), &rdn.value()) => Err((
                 ResultCode::NamingViolation,
-                format!("{} does not hold its RDN's value", entry.dn),
+                format!("{dn} does not hold its RDN's value"),
             )),
             _ => Ok(()),
         }
@@ -374,7 +376,8 @@ impl Connection {
         self.guard_write()?;
         let mut inner = self.server.inner.lock();
         inner.stats.writes += 1;
-        // The one deep copy a write makes: readers keep the entry they hold.
+        // A handle to the stored block: each modification writes a new
+        // one, and readers keep the block they hold.
         let mut entry = inner
             .dit
             .get(dn)
@@ -463,7 +466,7 @@ impl Connection {
             .into_iter()
             .map(|e| match attrs {
                 None => e.clone(),
-                Some(ids) => Arc::new(e.project(ids)),
+                Some(ids) => e.project(ids),
             })
             .collect();
         Ok(SearchOutcome { entries, delay_ms })
@@ -471,9 +474,9 @@ impl Connection {
 
     /// Fetch one entry by DN with the throttle delay imposed on the read:
     /// what a base-scope match-all [`Connection::search`] answers, as one
-    /// keyed probe that shares the one entry — nothing is copied under the
-    /// server's lock.
-    pub fn read(&self, dn: &Dn, now_ms: u64) -> LdapResult<(Arc<LdapEntry>, u64)> {
+    /// keyed probe that hands out a handle to the entry's block — nothing
+    /// is copied under the server's lock.
+    pub fn read(&self, dn: &Dn, now_ms: u64) -> LdapResult<(LdapEntry, u64)> {
         self.read_traced(dn, now_ms, None)
     }
 
@@ -483,7 +486,7 @@ impl Connection {
         dn: &Dn,
         now_ms: u64,
         trace: Option<&TraceCtx>,
-    ) -> LdapResult<(Arc<LdapEntry>, u64)> {
+    ) -> LdapResult<(LdapEntry, u64)> {
         self.observe(ServerOp::Search, trace, || {
             let mut inner = self.server.inner.lock();
             let delay_ms = inner.admit_read(now_ms);

@@ -1,10 +1,11 @@
 //! Property tests: DIT structural invariants, filter totality, an entry's
 //! record against its oracle; and the rules a stored entry keeps.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 
+use dirserv::dit::DitError;
 use dirserv::server::{LdapResult, Modification};
 use dirserv::{
     DirectoryServer, Dit, Dn, LdapEntry, LdapFilter, Rdn, ResultCode, Scope, ServerConfig,
@@ -88,7 +89,7 @@ fn op_strategy() -> impl Strategy<Value = DitOp> {
 
 /// Apply an `Update`: `false` when the tree is empty.
 fn apply_update(dit: &mut Dit, n: usize, attrs: &[(&str, String)]) -> bool {
-    let Some(dn) = dit.iter().nth(n % dit.len().max(1)).map(|e| e.dn.clone()) else {
+    let Some(dn) = dit.iter().nth(n % dit.len().max(1)).map(LdapEntry::dn) else {
         return false;
     };
     let mut entry = LdapEntry::new(dn);
@@ -121,12 +122,12 @@ proptest! {
                 }
             }
             for e in dit.iter() {
-                if let Some(parent) = e.dn.parent() {
+                if let Some(parent) = e.dn().parent() {
                     if !parent.is_root() {
                         assert!(
                             dit.contains(&parent),
                             "orphan {} after {:?}",
-                            e.dn,
+                            e.dn(),
                             ops
                         );
                     }
@@ -231,7 +232,7 @@ proptest! {
         // Each base also in upper case: another spelling of the same DN.
         let mut all_bases = vec![Dn::root()];
         all_bases.extend(bases.iter().map(shouted));
-        all_bases.extend(dit.iter().take(2).map(|e| shouted(&e.dn)));
+        all_bases.extend(dit.iter().take(2).map(|e| shouted(&e.dn())));
         all_bases.extend(bases);
         for base in &all_bases {
             for scope in [Scope::Base, Scope::OneLevel, Scope::Subtree] {
@@ -241,9 +242,9 @@ proptest! {
                     let scanned = dit.search_scan(base, scope, &filter, limit);
                     match (&indexed, &scanned) {
                         (Ok(a), Ok(b)) => {
-                            let dns = |v: &[&Arc<LdapEntry>]| {
+                            let dns = |v: &[&LdapEntry]| {
                                 let mut d: Vec<String> =
-                                    v.iter().map(|e| e.dn.normalized()).collect();
+                                    v.iter().map(|e| e.dn().normalized()).collect();
                                 d.sort();
                                 d
                             };
@@ -349,8 +350,8 @@ proptest! {
         let dn = &dns[pick % dns.len()];
         let spelled = recased(dn, mask);
         let refusal = std::mem::discriminant::<dirserv::dit::DitError>;
-        let named = |hits: Vec<&Arc<LdapEntry>>| -> Vec<String> {
-            hits.iter().map(|e| e.dn.to_string()).collect()
+        let named = |hits: Vec<&LdapEntry>| -> Vec<String> {
+            hits.iter().map(|e| e.dn().to_string()).collect()
         };
         let found = |d: &Dn| {
             let all = LdapFilter::match_all();
@@ -360,8 +361,8 @@ proptest! {
                     dit.search_scan(d, scope, &all, 0).map(named).map_err(|e| refusal(&e)),
                 )
             });
-            let read = conn.read(d, 0).map(|(e, _)| e.dn.to_string()).map_err(|(code, _)| code);
-            (dit.get(d).map(|e| e.dn.to_string()), read, scopes)
+            let read = conn.read(d, 0).map(|(e, _)| e.dn().to_string()).map_err(|(code, _)| code);
+            (dit.get(d).map(|e| e.dn().to_string()), read, scopes)
         };
         prop_assert_eq!(found(&spelled), found(dn), "{} spelled {}", dn, spelled);
         let added = |d: &Dn| {
@@ -371,10 +372,168 @@ proptest! {
         prop_assert_eq!(added(&spelled), added(dn));
         let deleted = |d: &Dn| {
             let mut after = dit.clone();
-            let gone = after.delete(d).map(|e| e.dn.to_string()).map_err(|e| refusal(&e));
-            (gone, after.iter().map(|e| e.dn.to_string()).collect::<Vec<_>>())
+            let gone = after.delete(d).map(|e| e.dn().to_string()).map_err(|e| refusal(&e));
+            (gone, after.iter().map(|e| e.dn().to_string()).collect::<Vec<_>>())
         };
         prop_assert_eq!(deleted(&spelled), deleted(dn));
+    }
+}
+
+/// What the `Dit` model holds for an entry: its DN as it was spelt when
+/// stored, and its attributes by folded id, each `(id, values)` as they
+/// read back.
+#[derive(Clone, Debug, PartialEq)]
+struct ModelEntry {
+    dn: String,
+    attrs: BTreeMap<String, (String, Vec<String>)>,
+}
+
+fn modelled(entry: &LdapEntry) -> ModelEntry {
+    let attr = |a: dirserv::LdapAttr<'_>| {
+        let values = a.values().map(str::to_string).collect();
+        (a.id().to_ascii_lowercase(), (a.id().to_string(), values))
+    };
+    ModelEntry {
+        dn: entry.dn().to_string(),
+        attrs: entry.attrs().map(attr).collect(),
+    }
+}
+
+/// The tree `Dit` must behave as: entries by folded DN text, with the
+/// structural rules spelt out over strings. (The DNs it is driven with
+/// hold no escapes, so a comma always ends an RDN.)
+#[derive(Default)]
+struct DitModel(BTreeMap<String, ModelEntry>);
+
+impl DitModel {
+    /// `dn`'s parent's text as `dn` spells it; `None` for a suffix.
+    fn parent_text(dn: &Dn) -> Option<String> {
+        dn.to_string().split_once(',').map(|(_, p)| p.to_string())
+    }
+
+    fn has_children(&self, folded: &str) -> bool {
+        let below = format!(",{folded}");
+        self.0.keys().any(|k| k.ends_with(&below))
+    }
+
+    fn add(&mut self, entry: &LdapEntry) -> Result<(), DitError> {
+        let dn = entry.dn();
+        if self.0.contains_key(&dn.normalized()) {
+            return Err(DitError::AlreadyExists(dn.to_string()));
+        }
+        if let Some(parent) = Self::parent_text(&dn) {
+            if !self.0.contains_key(&parent.to_ascii_lowercase()) {
+                return Err(DitError::NoSuchParent(parent));
+            }
+        }
+        self.0.insert(dn.normalized(), modelled(entry));
+        Ok(())
+    }
+
+    fn delete(&mut self, dn: &Dn) -> Result<ModelEntry, DitError> {
+        let folded = dn.normalized();
+        if !self.0.contains_key(&folded) {
+            return Err(DitError::NoSuchObject(dn.to_string()));
+        }
+        if self.has_children(&folded) {
+            return Err(DitError::NotAllowedOnNonLeaf(dn.to_string()));
+        }
+        Ok(self.0.remove(&folded).expect("present"))
+    }
+
+    /// The source is checked before the target, as HDNS and the in-memory
+    /// provider check a rename.
+    fn rename(&mut self, dn: &Dn, attr: &str, value: &str) -> Result<String, DitError> {
+        let folded = dn.normalized();
+        if !self.0.contains_key(&folded) {
+            return Err(DitError::NoSuchObject(dn.to_string()));
+        }
+        if self.has_children(&folded) {
+            return Err(DitError::NotAllowedOnNonLeaf(dn.to_string()));
+        }
+        let new_dn = match Self::parent_text(dn) {
+            Some(parent) => format!("{attr}={value},{parent}"),
+            None => format!("{attr}={value}"),
+        };
+        if self.0.contains_key(&new_dn.to_ascii_lowercase()) {
+            return Err(DitError::AlreadyExists(new_dn));
+        }
+        let mut entry = self.0.remove(&folded).expect("present");
+        let (_, values) = entry
+            .attrs
+            .entry(attr.to_ascii_lowercase())
+            .or_insert_with(|| (attr.to_string(), Vec::new()));
+        if !values.iter().any(|v| v.eq_ignore_ascii_case(value)) {
+            values.push(value.to_string());
+        }
+        entry.dn = new_dn.clone();
+        self.0.insert(new_dn.to_ascii_lowercase(), entry);
+        Ok(new_dn)
+    }
+
+    /// The entries in the tree's order: root first, by folded RDN.
+    fn in_tree_order(&self) -> Vec<&ModelEntry> {
+        let root_first = |folded: &str| folded.split(',').rev().collect::<Vec<_>>().join("\u{1f}");
+        let mut entries: Vec<(String, &ModelEntry)> =
+            self.0.iter().map(|(k, e)| (root_first(k), e)).collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries.into_iter().map(|(_, e)| e).collect()
+    }
+}
+
+proptest! {
+    /// `Dit` against its model, a map keyed by folded DN: every op's
+    /// result — `Ok`, or which `DitError` with which DN — is the model's,
+    /// and after every op each stored entry reads back, in tree order and
+    /// through `get`, with the DN text and attributes the model holds. Ops
+    /// name their DNs in random case.
+    #[test]
+    fn the_tree_matches_its_model(
+        ops in proptest::collection::vec((op_strategy(), any::<u64>()), 0..60),
+    ) {
+        let (mut dit, mut model) = (Dit::new(), DitModel::default());
+        for (step, (op, mask)) in ops.iter().enumerate() {
+            let at = || format!("step {step} of {ops:?}");
+            match op {
+                DitOp::Add(dn) => {
+                    let entry = LdapEntry::new(recased(dn, *mask)).with("cn", "x");
+                    prop_assert_eq!(dit.add(entry.clone()), model.add(&entry), "{}", at());
+                }
+                DitOp::Delete(dn) => {
+                    let dn = recased(dn, *mask);
+                    let deleted = dit.delete(&dn).map(|e| modelled(&e));
+                    prop_assert_eq!(deleted, model.delete(&dn), "{}", at());
+                }
+                DitOp::Rename(dn, value) => {
+                    // The leaf's own type, so a target is often taken.
+                    let dn = recased(dn, *mask);
+                    let attr = dn.rdn().expect("not the root").attr().into_owned();
+                    let renamed = dit.modify_rdn(&dn, Rdn::new(&attr, value.clone()));
+                    let expected = model.rename(&dn, &attr, value);
+                    prop_assert_eq!(renamed.map(|d| d.to_string()), expected, "{}", at());
+                }
+                DitOp::Update(n, attrs) => {
+                    let order = model.in_tree_order();
+                    let Some(held) = order.get(n % order.len().max(1)) else {
+                        continue;
+                    };
+                    let dn = recased(&Dn::parse(&held.dn).unwrap(), *mask);
+                    let mut entry = LdapEntry::new(dn.clone());
+                    for (id, value) in attrs {
+                        entry.add_value(id, value.clone());
+                    }
+                    prop_assert_eq!(dit.update(entry.clone()), Ok(()), "{}", at());
+                    model.0.insert(dn.normalized(), modelled(&entry));
+                }
+            }
+            let stored: Vec<ModelEntry> = dit.iter().map(modelled).collect();
+            let expected: Vec<ModelEntry> = model.in_tree_order().into_iter().cloned().collect();
+            prop_assert_eq!(&stored, &expected, "{}", at());
+            for e in &expected {
+                let got = dit.get(&shouted(&Dn::parse(&e.dn).unwrap())).map(modelled);
+                prop_assert_eq!(got.as_ref(), Some(e), "{}", at());
+            }
+        }
     }
 }
 
@@ -418,8 +577,8 @@ fn equality_filter_under_a_deep_base_matches_scan_oracle() {
     for base in bases.map(|b| Dn::parse(b).unwrap()) {
         for scope in [Scope::Base, Scope::OneLevel, Scope::Subtree] {
             for limit in [0, 1] {
-                let dns = |hits: Vec<&Arc<LdapEntry>>| -> Vec<String> {
-                    hits.iter().map(|e| e.dn.normalized()).collect()
+                let dns = |hits: Vec<&LdapEntry>| -> Vec<String> {
+                    hits.iter().map(|e| e.dn().normalized()).collect()
                 };
                 assert_eq!(
                     dns(dit.search(&base, scope, &filter, limit).unwrap()),
@@ -433,7 +592,7 @@ fn equality_filter_under_a_deep_base_matches_scan_oracle() {
     let d1 = Dn::parse("ou=d1,o=grid").unwrap();
     let hits = dit.search(&d1, Scope::OneLevel, &filter, 0).unwrap();
     assert_eq!(hits.len(), 1);
-    assert_eq!(hits[0].dn.normalized(), "cn=l3,ou=d1,o=grid");
+    assert_eq!(hits[0].dn().normalized(), "cn=l3,ou=d1,o=grid");
 }
 
 /// The diffing `update`, case by case: what the proptest above draws at
@@ -736,7 +895,7 @@ fn first_divergence(steps: &[EntryStep]) -> Option<String> {
                 .attrs()
                 .map(|a| (a.id().into(), a.values().map(String::from).collect()))
                 .collect();
-            if got != want.attrs || projected.dn != dn {
+            if got != want.attrs || projected.dn() != dn {
                 return Some(format!("after step {i}: project({ids:?}) differs"));
             }
         }
@@ -852,5 +1011,5 @@ fn an_entry_holds_its_rdns_value() {
     let base = Dn::parse("o=emory").unwrap();
     let found = conn.search(&base, Scope::Subtree, &cn_y, None, 0).unwrap();
     assert_eq!(found.entries.len(), 1);
-    assert_eq!(found.entries[0].dn, dn);
+    assert_eq!(found.entries[0].dn(), dn);
 }

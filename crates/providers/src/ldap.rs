@@ -124,7 +124,7 @@ impl LdapProviderContext {
         self.base.under(leaf_first.map(Self::component_rdn))
     }
 
-    fn read(&self, dn: &Dn, trace: Option<&TraceCtx>) -> Result<Option<Arc<LdapEntry>>> {
+    fn read(&self, dn: &Dn, trace: Option<&TraceCtx>) -> Result<Option<LdapEntry>> {
         match self.conn.read_traced(dn, self.clock.now_ms(), trace) {
             Ok((entry, _)) => Ok(Some(entry)),
             Err((ResultCode::NoSuchObject, _)) => Ok(None),
@@ -254,11 +254,7 @@ impl LdapProviderContext {
     }
 
     /// The entries directly under `name`: what both listings read.
-    fn children(
-        &self,
-        name: &CompositeName,
-        trace: Option<&TraceCtx>,
-    ) -> Result<Vec<Arc<LdapEntry>>> {
+    fn children(&self, name: &CompositeName, trace: Option<&TraceCtx>) -> Result<Vec<LdapEntry>> {
         let base = self.dn(name, name.len())?;
         self.conn
             .search_traced(
@@ -279,7 +275,7 @@ impl LdapProviderContext {
             .iter()
             .map(|e| NameClassPair {
                 name: e
-                    .dn
+                    .dn()
                     .rdn()
                     .map(|r| r.as_str().to_owned())
                     .unwrap_or_default(),
@@ -298,7 +294,7 @@ impl LdapProviderContext {
             .iter()
             .map(|e| Binding {
                 name: e
-                    .dn
+                    .dn()
                     .rdn()
                     .map(|r| r.as_str().to_owned())
                     .unwrap_or_default(),
@@ -423,7 +419,7 @@ impl LdapProviderContext {
             .entries
             .iter()
             .map(|e| SearchItem {
-                name: relative_name(&e.dn, &base),
+                name: relative_name(&e.dn(), &base),
                 value: controls.return_values.then(|| Self::decode(e)),
                 attrs: Self::core_attrs(e),
             })

@@ -29,10 +29,12 @@ cargo build --release --workspace
 # compaction's heap peak. (The HDNS rebind's allocation budget,
 # tests/hdns_write_allocs.rs, runs here.)
 NAMED_BELOW=(the_walk_matches_its_oracle read_is_a_base_scope_match_all_search wire_codec_
-  gossip_codec_ the_record_matches_its_oracle the_name_matches_its_oracle
+  gossip_codec_ the_record_matches_its_oracle the_tree_matches_its_model
+  the_name_matches_its_oracle renaming_an_unbound_name_onto_a_bound_one_is_name_not_found
   a_name_is_one_block_and_its_views_allocate_nothing
   every_operation_continues_through_a_mount_on_every_provider
   a_bound_leaf_stays_inside_its_byte_budget rebinding_every_leaf_does_not_grow_the_directory
+  unbinding_every_leaf_returns_the_heap_it_took
   a_warmed_federated_op_shrinks_no_block_in_place
   federated_lookup_and_rebind_stay_inside_their_allocation_budgets
   a_stored_binding_stays_inside_its_byte_budget a_replica_read_touches_no_heap
@@ -49,19 +51,28 @@ cargo test -q --workspace --exclude hdns -- "${NAMED_BELOW[@]/#/--skip=}"
 echo "==> federation matrix: 5 providers x 17 operations continue through a mount"
 cargo test -q --test heterogeneity every_operation_continues_through_a_mount_on_every_provider
 
+# Named on its own because it holds three providers to one answer: renaming
+# a name that is not bound onto one that is is NameNotFound on LDAP, HDNS
+# and the in-memory provider alike (the directory checks the source first).
+echo "==> one rename rule: an unbound source is NameNotFound on ldap, hdns and mem"
+cargo test -q --test ldap_names renaming_an_unbound_name_onto_a_bound_one_is_name_not_found
+
 # Named on their own because they pin rewritten code to the code it
 # replaced: the DNS provider's one-build prefix walk against the per-prefix
 # oracle, Connection::read against a base-scope search, a directory entry's
-# one-block record against the attribute list it was, the HDNS store of
-# shared records against the path-keyed map it was, and a composite name's
-# one shared block against the list of component strings it was. A failure
-# prints the case number and the seed that replays it (the record's, the
-# store's and the name's, also the sequence shrunk to the steps it fails
-# with).
-echo "==> oracle proptests: dns walk, ldap read, ldap record, hdns store, composite name"
+# one-block record against the attribute list it was, the directory tree of
+# one-block entries against a map keyed by folded DN (every op's result,
+# every entry's DN, order and attributes), the HDNS store of shared records
+# against the path-keyed map it was, and a composite name's one shared
+# block against the list of component strings it was. A failure prints the
+# case number and the seed that replays it (the record's, the store's and
+# the name's, also the sequence shrunk to the steps it fails with; the
+# tree's, the op sequence and the step it fails at).
+echo "==> oracle proptests: dns walk, ldap read, ldap record, ldap tree, hdns store, composite name"
 cargo test -q -p rndi-providers --lib the_walk_matches_its_oracle
 cargo test -q -p dirserv --test props read_is_a_base_scope_match_all_search
 cargo test -q -p dirserv --test props the_record_matches_its_oracle
+cargo test -q -p dirserv --test props the_tree_matches_its_model
 cargo test -q -p hdns --test store_oracle the_store_matches_its_oracle
 cargo test -q -p rndi-core --test name_oracle the_name_matches_its_oracle -- --nocapture
 
@@ -75,7 +86,8 @@ cargo test -q -p rndi-core --test codec_oracle the_codec_ -- --nocapture
 # Named on their own so the figures are in every log: the live heap bytes
 # one bound leaf of fed_resolve's shape leaves in dirserv and one binding of
 # the wire store leaves in an HDNS replica (whose reads allocate nothing),
-# what rounds of rebinding every such leaf grow dirserv by (nothing),
+# what rounds of rebinding every such leaf grow dirserv by (nothing) and
+# what unbinding them all leaves behind (nothing: no posting pins a block),
 # the allocations of a composite name (one block to build, none to clone,
 # view or read), the allocations a warmed federated lookup and rebind make
 # (their DNS and HDNS hops cached) and their shrinking reallocs (none: a
@@ -86,6 +98,7 @@ cargo test -q -p rndi-core --test codec_oracle the_codec_ -- --nocapture
 echo "==> budgets: what dirserv and an HDNS replica hold per binding, what a name and a federated op allocate and shrink, what the resolver caches, what a compaction peaks at"
 cargo test -q --test ldap_footprint a_bound_leaf_stays_inside_its_byte_budget -- --nocapture
 cargo test -q --test ldap_footprint rebinding_every_leaf_does_not_grow_the_directory -- --nocapture
+cargo test -q --test ldap_footprint unbinding_every_leaf_returns_the_heap_it_took -- --nocapture
 cargo test -q --test hdns_footprint -- --nocapture
 cargo test -q --test name_footprint a_name_is_one_block_and_its_views_allocate_nothing -- --nocapture
 cargo test -q --test value_footprint a_value_round_trip_stays_inside_its_allocation_budget -- --nocapture
@@ -227,6 +240,14 @@ fi
 if awk '/^pub struct CompositeName/ { inside = 1 } inside { print FILENAME ":" FNR ": " $0 }
         inside && /^}/ { exit }' crates/core/src/name.rs | grep -E 'Vec<String>'; then
   echo "verify: CompositeName holds a Vec<String> again (crates/core/src/name.rs)" >&2
+  exit 1
+fi
+# A directory entry is one block — tree key, DN text, attributes — that the
+# tree and its postings hold handles to (crates/ldap/src/entry.rs): a
+# separate `Arc<str>` key or an `Arc<LdapEntry>` in the tree is the
+# four-block layout growing back.
+if grep -n -E 'Arc<str>|Arc<LdapEntry>' crates/ldap/src/dit.rs; then
+  echo "verify: crates/ldap/src/dit.rs keys entries by a separate Arc<str> or holds Arc<LdapEntry>" >&2
   exit 1
 fi
 # A value and an attribute set are marshalled by rndi-core's tagged codec

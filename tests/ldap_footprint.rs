@@ -74,9 +74,10 @@ fn value(round: u32, dept: u32, leaf: u32) -> String {
 
 #[test]
 fn a_bound_leaf_stays_inside_its_byte_budget() {
-    // Measured 331 once the payload went unfiled; 383 while the equality
-    // index filed it, 392 while a value's text was its JSON.
-    const BYTES_PER_LEAF_BUDGET: i64 = 331;
+    // Measured 250 once an entry became one block; 331 while its key, DN
+    // text, `Arc` and record were four, 383 while the equality index filed
+    // the payload, 392 while a value's text was its JSON.
+    const BYTES_PER_LEAF_BUDGET: i64 = 250;
 
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let server = server();
@@ -151,6 +152,41 @@ fn rebinding_every_leaf_does_not_grow_the_directory() {
     assert_eq!(
         ctx.lookup("ldap://dir/ou=d0349/l9").unwrap().as_str(),
         Some(value(ROUNDS, DEPTS - 1, 9).as_str())
+    );
+}
+
+#[test]
+fn unbinding_every_leaf_returns_the_heap_it_took() {
+    // An entry is one block that the tree and each of its postings hold: a
+    // posting left behind pins the whole entry, ≈ 150 B, so 2 000 leaves
+    // leaking one each would keep ≈ 300 KB.
+    const SLACK_BYTES: i64 = 4096;
+
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    let server = server();
+    let ctx = warmed_context(&server, DEPTS);
+    let before = server.entry_count();
+    let leaves = || (0..DEPTS).flat_map(|dept| (0..LEAVES_PER_DEPT).map(move |leaf| (dept, leaf)));
+    let ((), kept) = live_bytes_during(|| {
+        for (dept, leaf) in leaves() {
+            let name = format!("ldap://dir/ou=d{dept:04}/l{leaf}");
+            ctx.bind(&name, value(0, dept, leaf)).unwrap();
+        }
+        assert_eq!(server.entry_count(), before + leaves().count());
+        for (dept, leaf) in leaves() {
+            ctx.unbind(&format!("ldap://dir/ou=d{dept:04}/l{leaf}"))
+                .unwrap();
+        }
+    });
+    println!(
+        "dirserv unbind: binding then unbinding {} leaves kept {kept} B of live heap \
+         (slack {SLACK_BYTES})",
+        leaves().count()
+    );
+    assert_eq!(server.entry_count(), before);
+    assert!(
+        kept <= SLACK_BYTES,
+        "unbinding every leaf left {kept} B of the heap they took"
     );
 }
 

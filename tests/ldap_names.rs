@@ -76,3 +76,53 @@ fn renaming_the_empty_name_is_an_invalid_name() {
     );
     assert_eq!(server.entry_count(), 1, "the base entry is left as it was");
 }
+
+#[test]
+fn renaming_an_unbound_name_onto_a_bound_one_is_name_not_found() {
+    let registry = Arc::new(ProviderRegistry::new());
+
+    let server = DirectoryServer::new(ServerConfig {
+        read_throttle_per_sec: None,
+        ..Default::default()
+    });
+    let base = Dn::parse("o=bench").unwrap();
+    let org = LdapEntry::new(base.clone())
+        .with("objectClass", "organization")
+        .with("o", "bench");
+    server.connect_anonymous().add(org).unwrap();
+    let ldap = LdapFactory::new(Arc::new(ZeroClock));
+    ldap.register_host("dir", server, base);
+    registry.register(ldap);
+
+    let realm = rndi::hdns::HdnsRealm::new(
+        "ldap-names",
+        1,
+        rndi::groupcast::StackConfig::default(),
+        None,
+        7,
+    );
+    let hdns = rndi::providers::HdnsFactory::new();
+    hdns.register_host("h0", realm, 0);
+    registry.register(hdns);
+
+    let mem = MemFactory::new();
+    mem.register_host("m0", MemContext::new());
+    registry.register(mem);
+
+    let ic = InitialContext::new(registry, Environment::new()).unwrap();
+    for root in ["ldap://dir", "hdns://h0", "mem://m0"] {
+        ic.create_subcontext(&format!("{root}/ou=d0000")).unwrap();
+        ic.bind(&format!("{root}/ou=d0000/l5"), "v").unwrap();
+        let renamed = ic.rename(&format!("{root}/ou=d0000/ghost"), "ou=d0000/l5");
+        assert!(
+            matches!(renamed, Err(NamingError::NameNotFound { .. })),
+            "{root}: renaming an unbound name onto a bound one: {renamed:?}"
+        );
+        let kept = ic.lookup(&format!("{root}/ou=d0000/l5")).unwrap();
+        assert_eq!(
+            kept.as_str(),
+            Some("v"),
+            "{root}: the target is left as it was"
+        );
+    }
+}

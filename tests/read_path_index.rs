@@ -10,8 +10,6 @@
 //! a filed conjunct, whose posting it leaves in charge. The counters are
 //! process-wide, so this binary holds this one test only.
 
-use std::sync::Arc;
-
 use rndi::ldap::{Dit, Dn, LdapEntry, LdapFilter, Scope};
 use rndi::obs::metrics::names::INDEX_READS;
 use rndi::rlus::{
@@ -98,8 +96,8 @@ fn typed_lookups_and_equality_searches_ride_the_index_at_every_size() {
 
         let mut dit = dit(n);
         let base = Dn::parse("dc=example").unwrap();
-        let dns = |hits: Vec<&Arc<LdapEntry>>| {
-            let mut dns: Vec<String> = hits.iter().map(|e| e.dn.to_string()).collect();
+        let dns = |hits: Vec<&LdapEntry>| {
+            let mut dns: Vec<String> = hits.iter().map(|e| e.dn().to_string()).collect();
             dns.sort();
             dns
         };
