@@ -8,7 +8,6 @@
 //! one code path per trait method. The pipeline machinery that routes these
 //! values lives in [`crate::spi`].
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -190,38 +189,6 @@ impl fmt::Debug for OpPayload {
     }
 }
 
-/// Extensible per-operation metadata: interceptors annotate the op as it
-/// travels the pipeline (retry attempt, cache disposition, trace tags…)
-/// without the op schema having to know about them.
-#[derive(Clone, Debug, Default)]
-pub struct MetaBag(BTreeMap<String, String>);
-
-impl MetaBag {
-    pub fn new() -> Self {
-        MetaBag::default()
-    }
-
-    pub fn set(&mut self, key: impl Into<String>, value: impl Into<String>) {
-        self.0.insert(key.into(), value.into());
-    }
-
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.0.get(key).map(|s| s.as_str())
-    }
-
-    pub fn contains(&self, key: &str) -> bool {
-        self.0.contains_key(key)
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.0.iter().map(|(k, v)| (k.as_str(), v.as_str()))
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
 /// A reified naming operation: one `Context`/`DirContext` call as a value.
 #[derive(Clone, Debug)]
 pub struct NamingOp {
@@ -230,7 +197,6 @@ pub struct NamingOp {
     pub payload: OpPayload,
     /// Attributes accompanying `bind_with_attrs`/`rebind_with_attrs`.
     pub attrs: Option<Attributes>,
-    pub meta: MetaBag,
     /// The trace context this op executes under. A first-class
     /// interior-mutable cell so per-layer re-annotation is a handful of
     /// relaxed stores (no string encode, no op clone); the transport
@@ -245,7 +211,6 @@ impl NamingOp {
             name,
             payload,
             attrs: None,
-            meta: MetaBag::new(),
             trace: TraceCell::empty(),
         }
     }
@@ -629,16 +594,6 @@ mod tests {
             NamingOp::remove_listener(ListenerHandle::from_raw(7)).routing_key(),
             RoutingKey::Scatter
         );
-    }
-
-    #[test]
-    fn meta_bag_annotations() {
-        let mut op = NamingOp::lookup("x".into());
-        assert!(op.meta.is_empty());
-        op.meta.set("retry.attempt", "2");
-        assert_eq!(op.meta.get("retry.attempt"), Some("2"));
-        assert!(op.meta.contains("retry.attempt"));
-        assert_eq!(op.meta.iter().count(), 1);
     }
 
     #[test]

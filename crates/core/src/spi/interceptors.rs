@@ -119,13 +119,7 @@ impl Interceptor for RetryInterceptor {
         let started = Instant::now();
         let mut attempt: u32 = 0;
         loop {
-            let result = if attempt == 0 {
-                next.invoke(op)
-            } else {
-                let mut annotated = op.clone();
-                annotated.meta.set("retry.attempt", attempt.to_string());
-                next.invoke(&annotated)
-            };
+            let result = next.invoke(op);
             match result {
                 Err(ref e) if is_transient(e) && attempt + 1 < self.max_attempts => {
                     // A shed server says how long to stay away; otherwise

@@ -5,7 +5,7 @@
 //! pipeline already speaks, so putting a network between a context and
 //! its provider is a composition change, not a semantic one. The crate is
 //! split into three layers (fraktor-rs-style), each testable without the
-//! one below it:
+//! one below it: pure protocol, sans-IO state machines, and IO:
 //!
 //! - [`proto`] — pure protocol: message shapes, the compact binary
 //!   envelope codec ([`proto::bin`]), and the 4-byte connection preamble.
@@ -13,6 +13,9 @@
 //! - [`conn`] — sans-IO connection state machines: incremental frame
 //!   reassembly, the preamble handshake, and request-ID multiplexing for
 //!   pipelined calls. Bytes in, messages out; no sockets.
+//! - [`admit`] — the sans-IO admission machine: per-connection token
+//!   buckets, the bounded call queue, expiry in queue, the AIMD bound and
+//!   the shed hints. Calls and instants in, decisions out; no clock.
 //! - [`server`] / [`client`] — IO strategy: [`NetServer`] hosts **any**
 //!   [`ProviderBackend`](rndi_core::spi::ProviderBackend) — including a
 //!   full `ProviderPipeline`, so server-side cache/retry/obs layers keep
@@ -35,6 +38,7 @@
 
 #![deny(unsafe_code)]
 
+pub mod admit;
 pub mod client;
 pub mod conn;
 pub mod proto;

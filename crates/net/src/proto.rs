@@ -35,8 +35,6 @@
 
 pub mod bin;
 
-use std::collections::BTreeMap;
-
 use rndi_core::attrs::{AttrMod, Attributes};
 use rndi_core::context::{Binding, NameClassPair, SearchControls, SearchItem, SearchScope};
 use rndi_core::error::{NamingError, Result};
@@ -126,9 +124,6 @@ pub struct WireOp {
     pub name: String,
     pub payload: WirePayload,
     pub attrs: Option<Attributes>,
-    /// Interceptor annotations ([`rndi_core::op::MetaBag`]). The trace
-    /// context is not among them: it rides in the envelope.
-    pub meta: BTreeMap<String, String>,
 }
 
 /// [`OpPayload`] in wire form. Listener registrations are process-local
@@ -304,7 +299,6 @@ pub fn encode_op(op: &NamingOp) -> Result<WireOp> {
         name: op.name.to_string(),
         payload,
         attrs: op.attrs.clone(),
-        meta: op.meta.iter().map(|(k, v)| (k.into(), v.into())).collect(),
     })
 }
 
@@ -349,9 +343,6 @@ pub fn decode_op(wire: &WireOp) -> Result<NamingOp> {
     op.kind = kind;
     op.payload = payload;
     op.attrs = wire.attrs.clone();
-    for (k, v) in &wire.meta {
-        op.meta.set(k.clone(), v.clone());
-    }
     Ok(op)
 }
 
@@ -602,12 +593,9 @@ mod tests {
         ];
         for op in ops {
             let mut traced = op.clone();
-            traced.meta.set("retry.attempt", "2");
             traced.set_trace_ctx(&rndi_obs::TraceCtx::root());
             let wire = encode_op(&traced).unwrap();
-            // Interceptor annotations cross; the trace context is the
-            // envelope's business, not the op's.
-            assert_eq!(wire.meta.len(), 1);
+            // The trace context is the envelope's business, not the op's.
             let EnvelopeBody::Call { op: parsed, .. } = via_bytes(EnvelopeBody::Call {
                 op: Box::new(wire),
                 deadline_ms: 0,
@@ -618,7 +606,6 @@ mod tests {
             let back = decode_op(&parsed).unwrap();
             assert_eq!(back.kind, op.kind);
             assert_eq!(back.name.to_string(), op.name.to_string());
-            assert_eq!(back.meta.get("retry.attempt"), Some("2"));
             assert_eq!(back.trace_ctx(), None);
         }
     }

@@ -28,10 +28,6 @@ use super::{
 
 // -------------------------------------------------------------- writer --
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -111,11 +107,6 @@ fn put_op(out: &mut Vec<u8>, op: &WireOp) -> Result<()> {
             out.push(1);
             put_json(out, attrs)?;
         }
-    }
-    put_u16(out, op.meta.len() as u16);
-    for (k, v) in &op.meta {
-        put_str(out, k);
-        put_str(out, v);
     }
     match &op.payload {
         WirePayload::None => out.push(0),
@@ -404,10 +395,6 @@ impl<'a> Reader<'a> {
         Ok(self.take(1, what)?[0])
     }
 
-    fn u16(&mut self, what: &str) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2, what)?.try_into().unwrap()))
-    }
-
     fn u32(&mut self, what: &str) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
     }
@@ -489,13 +476,6 @@ impl<'a> Reader<'a> {
                 )))
             }
         };
-        let meta_count = self.u16("meta count")? as usize;
-        let mut meta = std::collections::BTreeMap::new();
-        for _ in 0..meta_count {
-            let k = self.str("meta key")?;
-            let v = self.str("meta value")?;
-            meta.insert(k, v);
-        }
         let payload = match self.u8("payload tag")? {
             0 => WirePayload::None,
             1 => WirePayload::Value(self.stored()?),
@@ -546,7 +526,6 @@ impl<'a> Reader<'a> {
             name,
             payload,
             attrs,
-            meta,
         })
     }
 
@@ -754,8 +733,7 @@ mod tests {
 
     #[test]
     fn call_roundtrip_with_trace() {
-        let mut op = NamingOp::rebind("a/b".into(), BoundValue::str("v"));
-        op.meta.set("retry.attempt", "2");
+        let op = NamingOp::rebind("a/b".into(), BoundValue::str("v"));
         let env = Envelope {
             req_id: 42,
             body: EnvelopeBody::Call {

@@ -1,18 +1,19 @@
 //! `NetServer`: hosts any [`ProviderBackend`] on a shard-per-core
 //! nonblocking event loop.
 //!
-//! The accept thread classifies nothing and blocks on nothing: it hands
-//! each new socket to one of `rndi.net.server.shards` worker shards in
-//! round-robin order. Each shard owns its connections outright — no
-//! cross-thread handoff per request — and drives them through the
-//! sans-IO [`ServerConn`] state machine:
-//! nonblocking reads feed the machine, decoded requests execute inline
-//! against the backend, and responses drain from the machine's output
-//! buffer back through nonblocking writes. Because one shard scans many
-//! sockets, thousands of idle connections cost memory, not threads; an
-//! adaptive backoff (spin → yield → escalating sleep) keeps an idle
-//! shard off the CPU while keeping single-digit-microsecond reaction
-//! when traffic resumes.
+//! The accept thread hands each new socket to one of
+//! `rndi.net.server.shards` worker shards in round-robin order. Each shard
+//! owns its connections outright and drives two sans-IO machines. A pass
+//! reads every socket into its [`ServerConn`] and offers each decoded call
+//! to the shard's [`Admission`] (shed at once with `Overloaded`, or
+//! queued), runs the queue to empty against the backend, then flushes each
+//! connection's output once, so N pipelined requests cost one read wakeup
+//! and at most one write flush, and a peer that hangs up after sending is
+//! still answered. The shard reads the clock once per admission decision
+//! and hands the instant in. Thousands of idle connections cost memory,
+//! not threads; an adaptive backoff (spin → yield → escalating sleep)
+//! keeps an idle shard off the CPU and reacts within microseconds when
+//! traffic resumes.
 //!
 //! `Gossip` envelopes carry a cluster membership plane's payloads as
 //! opaque bytes: the attached [`GossipHandler`] reads each one and writes
@@ -23,20 +24,15 @@
 //! (a replicated write waits for its ordered delivery), and the frames it
 //! waits for must never sit unread behind it on the same event loop.
 //!
-//! Pipelined clients get pipelined service for free: every complete
-//! frame buffered on a socket is decoded, executed, and answered in one
-//! pass, so N queued requests cost one read wakeup and (at most) one
-//! write flush.
-//!
 //! [`NetServer::shutdown`] drains: accepting stops, buffered requests
 //! are answered, output buffers flush, then sockets close.
 //! [`NetServer::abort`] is the unclean variant used by fault-injection
 //! tests: it tears the sockets down mid-request.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -44,11 +40,11 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use rndi_core::env::{keys, Environment};
 use rndi_core::error::{NamingError, Result};
-use rndi_core::op::NamingOp;
 use rndi_core::spi::ProviderBackend;
-use rndi_obs::metrics::{global_registry, names, Registry};
+use rndi_obs::metrics::{global_registry, names, Gauge, Registry};
 use rndi_obs::{HealthSummary, SpanOutcome, SpanRecord, TraceCtx};
 
+use crate::admit::{Admission, Next, Quota, Served};
 use crate::conn::{Inbound, InboundMsg, ResponseBody, ServerConn};
 use crate::proto::{self, AdminReply, AdminRequest};
 
@@ -65,20 +61,6 @@ const MAX_IDLE_SLEEP: Duration = Duration::from_millis(1);
 /// How long a draining shard keeps trying to flush response bytes.
 const DRAIN_FLUSH_BUDGET: Duration = Duration::from_millis(500);
 
-/// Multiplicative decrease the adaptive admission bound takes on a
-/// deadline signal (an op expired in queue or overran its budget).
-const AIMD_DECREASE: f64 = 0.7;
-
-/// Floor of the adaptive admission bound: never stop admitting entirely.
-const AIMD_MIN_LIMIT: f64 = 1.0;
-
-/// Weight of the newest sample in the service-time EMA that prices the
-/// `retry_after_ms` hints.
-const SERVICE_EMA_ALPHA: f64 = 0.1;
-
-/// Ceiling on any `retry_after_ms` hint the server emits.
-const MAX_RETRY_AFTER_MS: f64 = 10_000.0;
-
 /// Resolved server configuration (see the `rndi.net.*` environment keys).
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -92,8 +74,8 @@ pub struct ServerConfig {
     pub shards: usize,
     /// Per-shard admission-queue bound: calls beyond this many waiting are
     /// shed with `Overloaded` instead of queueing past their deadline.
-    /// `0` (the default) leaves the queue unbounded and keeps the
-    /// pre-admission execute-inline fast path.
+    /// `0` (the default) leaves the queue unbounded: every call still
+    /// passes admission and is answered in the pass that read it.
     pub queue_depth: usize,
     /// Per-connection token-bucket refill, ops per second; `0` disables
     /// rate limiting.
@@ -106,17 +88,9 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
+    /// What an environment that sets no `rndi.net.*` key reads as.
     fn default() -> Self {
-        ServerConfig {
-            listen: "127.0.0.1:0".to_string(),
-            max_conns: 64,
-            deadline_ms: 5_000,
-            shards: 0,
-            queue_depth: 0,
-            rate_ops: 0,
-            rate_burst: 0,
-            adaptive: false,
-        }
+        ServerConfig::from_env(&Environment::new()).expect("an empty environment parses")
     }
 }
 
@@ -166,17 +140,15 @@ struct ServerState {
     /// entry when it drops the connection, so churn does not accumulate
     /// descriptors.
     conns: Mutex<HashMap<u64, TcpStream>>,
-    /// Shard inboxes, kept for the health probe: their depth is the
-    /// accepted-but-not-yet-adopted backlog. The last one is the gossip
-    /// shard's: shards move connections that speak gossip there.
-    inboxes: Vec<Arc<ShardInbox>>,
-    /// Per-shard admission-queue depths, mirrored out of each shard's
-    /// event loop so the health probe can sum them without touching it.
-    queue_depths: Vec<Arc<AtomicU64>>,
-    /// Per-shard effective admission bounds (0 = unbounded), mirrored the
-    /// same way.
-    conc_limits: Vec<Arc<AtomicU64>>,
-    /// Shed counters by reason, indexed by [`ShedReason`].
+    /// Shard inboxes: the accept thread parks new sockets here, and the
+    /// owning shard adopts them at the top of its next pass. Their depth is
+    /// the health probe's accepted-but-not-yet-adopted backlog. The last one
+    /// is the gossip shard's: shards move connections that speak gossip there.
+    inboxes: Vec<Mutex<Vec<ShardConn>>>,
+    /// Per-shard `[queue depth, admission bound (0 = unbounded)]` gauges,
+    /// resolved once: each shard writes its own, the health probe sums.
+    admission: Vec<[Arc<Gauge>; 2]>,
+    /// Shed counters by reason, indexed by [`ShedReason`](crate::admit::ShedReason).
     shed: [Arc<rndi_obs::Counter>; 3],
     /// Per-op-kind request instruments, resolved once — a registry lookup
     /// allocates label strings under a global lock, far too expensive on
@@ -185,14 +157,6 @@ struct ServerState {
     /// Serves `Gossip` envelopes when a cluster membership plane attached
     /// itself; otherwise gossip requests answer a typed error.
     gossip: Mutex<Option<Arc<dyn GossipHandler>>>,
-}
-
-impl ServerState {
-    /// Index of the gossip shard: the last inbox, which the accept loop
-    /// never targets.
-    fn gossip_shard(&self) -> usize {
-        self.inboxes.len() - 1
-    }
 }
 
 /// Serves `Gossip` envelopes: takes a membership plane's payload and
@@ -211,6 +175,12 @@ struct ReqInstruments {
 }
 
 impl ServerState {
+    /// Index of the gossip shard: the last inbox, which the accept loop
+    /// never targets.
+    fn gossip_shard(&self) -> usize {
+        self.inboxes.len() - 1
+    }
+
     fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Arc<rndi_obs::Counter> {
         let mut all = vec![("server", &*self.label)];
         all.extend_from_slice(labels);
@@ -248,7 +218,7 @@ impl ServerState {
         let inbox_depth = self
             .inboxes
             .iter()
-            .map(|inbox| inbox.incoming.lock().len() as u64)
+            .map(|inbox| inbox.lock().len() as u64)
             .sum();
         let ring = rndi_obs::trace::ring();
         HealthSummary {
@@ -261,211 +231,34 @@ impl ServerState {
             requests_err: err,
             trace_spans: ring.len() as u64,
             trace_dropped: ring.dropped(),
-            queue_depth: self
-                .queue_depths
-                .iter()
-                .map(|d| d.load(Ordering::Relaxed))
-                .sum(),
-            concurrency_limit: self
-                .conc_limits
-                .iter()
-                .map(|l| l.load(Ordering::Relaxed))
-                .sum(),
+            queue_depth: self.admission.iter().map(|[d, _]| d.get() as u64).sum(),
+            concurrency_limit: self.admission.iter().map(|[_, l]| l.get() as u64).sum(),
             shed_total: self.shed.iter().map(|c| c.get()).sum(),
         }
     }
 }
 
-/// Why the admission layer refused a call before dispatch; doubles as
-/// the index into `ServerState::shed`.
-#[derive(Clone, Copy)]
-enum ShedReason {
-    /// The shard's admission queue was at its (possibly adaptive) bound.
-    Queue = 0,
-    /// The connection's token bucket was empty.
-    Rate = 1,
-    /// The call's deadline budget was spent while it waited in queue.
-    Deadline = 2,
-}
-
-/// One connection owned by a shard: the socket plus its protocol state
-/// machine.
+/// One connection a shard owns: its socket and protocol state machine.
 struct ShardConn {
-    /// Stable handle queued [`Pending`] entries point back at, and the key
-    /// of `abort`'s clone in `ServerState::conns`; assigned by the accept
-    /// loop, unique for the server's life.
+    /// Unique for the server's life; keys `abort`'s clone in `state.conns`.
     id: u64,
     stream: TcpStream,
     machine: ServerConn,
-    /// Admission rate limiter, present when `rate_ops > 0`.
-    bucket: Option<TokenBucket>,
+    /// Its rate limit, checked as each call is offered to admission.
+    quota: Quota,
     /// Has carried a `Gossip` request a membership plane answered.
     gossip: bool,
+    /// Hung up or broke the protocol: answered, then dropped, this pass.
+    closed: bool,
 }
 
-/// Per-connection token bucket: `rate` tokens/sec refill up to `burst`.
-struct TokenBucket {
-    rate: f64,
-    burst: f64,
-    tokens: f64,
-    refilled: Instant,
-}
-
-impl TokenBucket {
-    fn new(rate_ops: u64, rate_burst: u64) -> TokenBucket {
-        let rate = rate_ops as f64;
-        let burst = if rate_burst == 0 {
-            rate
-        } else {
-            rate_burst as f64
-        }
-        .max(1.0);
-        TokenBucket {
-            rate,
-            burst,
-            tokens: burst,
-            refilled: Instant::now(),
-        }
-    }
-
-    /// Take one token, or say how many milliseconds until one refills.
-    fn try_take(&mut self) -> std::result::Result<(), u64> {
-        let now = Instant::now();
-        let refill = now.duration_since(self.refilled).as_secs_f64() * self.rate;
-        self.tokens = (self.tokens + refill).min(self.burst);
-        self.refilled = now;
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            Ok(())
-        } else {
-            let wait_s = (1.0 - self.tokens) / self.rate.max(f64::EPSILON);
-            Err((wait_s * 1_000.0).ceil().clamp(1.0, MAX_RETRY_AFTER_MS) as u64)
-        }
-    }
-}
-
-/// One admitted call parked in a shard's admission queue.
-struct Pending {
-    conn_id: u64,
+/// One call admission holds: where its answer goes, and the call.
+struct Call {
+    /// Index of its connection in the shard's list, stable for the pass.
+    slot: usize,
     req_id: u64,
     op: Box<proto::WireOp>,
-    deadline_ms: u64,
     trace: Option<TraceCtx>,
-    /// When admission accepted the call; queue wait counts against the
-    /// op's deadline budget from here.
-    admitted: Instant,
-}
-
-/// Per-shard admission control: the bounded call queue, the AIMD bound,
-/// and the service-time estimate that prices `retry_after_ms` hints.
-///
-/// Each shard is a serial executor, so a bound on *waiting* calls is the
-/// shard's concurrency limit: by Little's law it caps queue wait at
-/// roughly `bound × service time`, which the controller walks down until
-/// admitted calls stop missing their deadlines.
-struct Admission {
-    queue: VecDeque<Pending>,
-    /// Configured queue bound; `0` = unbounded (admission off).
-    configured: usize,
-    adaptive: bool,
-    /// Current AIMD bound, `AIMD_MIN_LIMIT ..= configured`.
-    limit: f64,
-    /// EMA of backend service time, milliseconds.
-    ema_service_ms: f64,
-    depth_gauge: Arc<rndi_obs::metrics::Gauge>,
-    limit_gauge: Arc<rndi_obs::metrics::Gauge>,
-    depth_mirror: Arc<AtomicU64>,
-    limit_mirror: Arc<AtomicU64>,
-}
-
-impl Admission {
-    fn new(state: &ServerState, shard: usize) -> Admission {
-        let shard_label = shard.to_string();
-        let labels: &[(&str, &str)] = &[("server", &state.label), ("shard", &shard_label)];
-        let configured = state.config.queue_depth;
-        let admission = Admission {
-            queue: VecDeque::new(),
-            configured,
-            adaptive: state.config.adaptive && configured > 0,
-            limit: configured.max(1) as f64,
-            ema_service_ms: 0.0,
-            depth_gauge: state.registry.gauge(names::NET_QUEUE_DEPTH, labels),
-            limit_gauge: state.registry.gauge(names::NET_CONCURRENCY_LIMIT, labels),
-            depth_mirror: state.queue_depths[shard].clone(),
-            limit_mirror: state.conc_limits[shard].clone(),
-        };
-        admission.publish();
-        admission
-    }
-
-    /// Whether calls route through the queue at all. Off (the default)
-    /// keeps the pre-existing execute-inline fast path.
-    fn engaged(&self) -> bool {
-        self.configured > 0
-    }
-
-    /// The effective bound on waiting calls right now.
-    fn bound(&self) -> usize {
-        if self.adaptive {
-            self.limit.max(AIMD_MIN_LIMIT) as usize
-        } else {
-            self.configured
-        }
-    }
-
-    /// Mirror queue depth and bound into the gauges and health atomics.
-    fn publish(&self) {
-        let depth = self.queue.len() as u64;
-        self.depth_gauge.set(depth as i64);
-        self.depth_mirror.store(depth, Ordering::Relaxed);
-        let bound = if self.engaged() {
-            self.bound() as u64
-        } else {
-            0
-        };
-        self.limit_gauge.set(bound as i64);
-        self.limit_mirror.store(bound, Ordering::Relaxed);
-    }
-
-    /// Backoff hint for a shed caller: roughly one queue's worth of
-    /// estimated service time.
-    fn retry_after_ms(&self) -> u64 {
-        let per_op = self.ema_service_ms.max(1.0);
-        (self.queue.len().max(1) as f64 * per_op).clamp(1.0, MAX_RETRY_AFTER_MS) as u64
-    }
-
-    fn observe_service(&mut self, took: Duration) {
-        let ms = took.as_secs_f64() * 1_000.0;
-        self.ema_service_ms = if self.ema_service_ms == 0.0 {
-            ms
-        } else {
-            self.ema_service_ms * (1.0 - SERVICE_EMA_ALPHA) + ms * SERVICE_EMA_ALPHA
-        };
-    }
-
-    /// Additive increase: an in-budget completion earns capacity back,
-    /// slower the closer the bound already is (1/limit per completion).
-    fn on_in_budget(&mut self) {
-        if self.adaptive {
-            let ceiling = self.configured as f64;
-            self.limit = (self.limit + 1.0 / self.limit.max(1.0)).min(ceiling);
-        }
-    }
-
-    /// Multiplicative decrease on a deadline signal: admitted work is
-    /// expiring, so the admission window is too wide.
-    fn on_deadline_signal(&mut self) {
-        if self.adaptive {
-            self.limit = (self.limit * AIMD_DECREASE).max(AIMD_MIN_LIMIT);
-        }
-    }
-}
-
-/// The accept thread parks new sockets here; the owning shard adopts
-/// them at the top of its next pass.
-struct ShardInbox {
-    /// Accepted (or, on the gossip shard, handed-over) connections.
-    incoming: Mutex<Vec<ShardConn>>,
 }
 
 /// A running TCP server hosting one backend (typically a fully-assembled
@@ -510,21 +303,19 @@ impl NetServer {
             .map_err(|e| NamingError::service(format!("listener addr: {e}")))?;
         let label = format!("net:{}", backend.provider_id());
         let shard_count = config.effective_shards();
-        let inboxes: Vec<Arc<ShardInbox>> = (0..=shard_count)
-            .map(|_| {
-                Arc::new(ShardInbox {
-                    incoming: Mutex::new(Vec::new()),
-                })
+        let shed = ["queue", "rate", "deadline"].map(|reason| {
+            registry.counter(names::NET_SHED, &[("server", &label), ("reason", reason)])
+        });
+        let admission = (0..=shard_count)
+            .map(|shard| {
+                let shard = shard.to_string();
+                let labels: &[(&str, &str)] = &[("server", &label), ("shard", &shard)];
+                [
+                    registry.gauge(names::NET_QUEUE_DEPTH, labels),
+                    registry.gauge(names::NET_CONCURRENCY_LIMIT, labels),
+                ]
             })
             .collect();
-        let shed = [
-            registry.counter(names::NET_SHED, &[("server", &label), ("reason", "queue")]),
-            registry.counter(names::NET_SHED, &[("server", &label), ("reason", "rate")]),
-            registry.counter(
-                names::NET_SHED,
-                &[("server", &label), ("reason", "deadline")],
-            ),
-        ];
         let state = Arc::new(ServerState {
             backend,
             label: label.into(),
@@ -534,13 +325,8 @@ impl NetServer {
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             conns: Mutex::new(HashMap::new()),
-            inboxes: inboxes.clone(),
-            queue_depths: (0..=shard_count)
-                .map(|_| Arc::new(AtomicU64::new(0)))
-                .collect(),
-            conc_limits: (0..=shard_count)
-                .map(|_| Arc::new(AtomicU64::new(0)))
-                .collect(),
+            inboxes: (0..=shard_count).map(|_| Mutex::default()).collect(),
+            admission,
             shed,
             req_instruments: Mutex::new(HashMap::new()),
             gossip: Mutex::new(None),
@@ -564,16 +350,6 @@ impl NetServer {
     /// The bound address (resolves the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The server's telemetry label (`net:<backend provider id>`).
-    pub fn label(&self) -> &str {
-        &self.state.label
-    }
-
-    /// The registry this server's instruments land in.
-    pub fn registry(&self) -> Arc<Registry> {
-        self.state.registry.clone()
     }
 
     /// The health summary this server would answer to `Admin(Health)`.
@@ -634,39 +410,38 @@ fn accept_loop(listener: TcpListener, state: Arc<ServerState>) {
     let active_gauge = state
         .registry
         .gauge(names::NET_ACTIVE_CONNS, &[("server", &state.label)]);
+    let refused = state.counter(names::NET_CONNS, &[("event", "refused")]);
+    let accepted = state.counter(names::NET_CONNS, &[("event", "accepted")]);
     let mut next_shard = 0usize;
     let mut next_conn_id: u64 = 0;
     let mut idle = Backoff::new();
+    let config = &state.config;
     while !state.shutdown.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 idle.reset();
-                if state.active.load(Ordering::SeqCst) >= state.config.max_conns {
-                    state
-                        .counter(names::NET_CONNS, &[("event", "refused")])
-                        .inc();
+                if state.active.load(Ordering::SeqCst) >= config.max_conns {
+                    refused.inc();
                     drop(stream);
                     continue;
                 }
                 if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
                     continue;
                 }
-                state
-                    .counter(names::NET_CONNS, &[("event", "accepted")])
-                    .inc();
+                accepted.inc();
                 state.active.fetch_add(1, Ordering::SeqCst);
                 active_gauge.add(1);
                 next_conn_id += 1;
                 if let Ok(clone) = stream.try_clone() {
                     state.conns.lock().insert(next_conn_id, clone);
                 }
-                inboxes[next_shard].incoming.lock().push(ShardConn {
+                inboxes[next_shard].lock().push(ShardConn {
                     id: next_conn_id,
                     stream,
                     machine: ServerConn::new(),
-                    bucket: (state.config.rate_ops > 0)
-                        .then(|| TokenBucket::new(state.config.rate_ops, state.config.rate_burst)),
+                    quota: Quota::new(config.rate_ops, config.rate_burst, Instant::now()),
                     gossip: false,
+                    closed: false,
                 });
                 next_shard = (next_shard + 1) % inboxes.len();
             }
@@ -711,54 +486,61 @@ fn shard_loop(state: Arc<ServerState>, shard: usize) {
         .gauge(names::NET_ACTIVE_CONNS, &[("server", &state.label)]);
     let bytes_in = state.counter(names::NET_BYTES, &[("dir", "in")]);
     let bytes_out = state.counter(names::NET_BYTES, &[("dir", "out")]);
+    let [depth_gauge, bound_gauge] = &state.admission[shard];
     let mut conns: Vec<ShardConn> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
     let mut idle = Backoff::new();
-    let mut admission = Admission::new(&state, shard);
+    let config = &state.config;
+    let mut admission = Admission::new(config.queue_depth, config.adaptive, config.deadline_ms);
+    bound_gauge.set(admission.bound() as i64);
 
     while !state.shutdown.load(Ordering::SeqCst) {
-        conns.append(&mut state.inboxes[shard].incoming.lock());
+        conns.append(&mut state.inboxes[shard].lock());
+        // Read every connection, offering its calls to admission.
         let mut progress = false;
-        let mut i = 0;
-        while i < conns.len() {
-            match drive_conn(
-                &state,
-                &mut conns[i],
-                &mut admission,
-                &mut scratch,
-                &bytes_in,
-                &bytes_out,
-            ) {
-                Ok(moved) => {
-                    progress |= moved;
-                    // Gossip moves out from behind this loop's calls, once
-                    // no admitted call of the connection still points here.
-                    let conn = &conns[i];
-                    if conn.gossip
-                        && shard != gossip_shard
-                        && !admission.queue.iter().any(|p| p.conn_id == conn.id)
-                    {
-                        let conn = conns.swap_remove(i);
-                        state.inboxes[gossip_shard].incoming.lock().push(conn);
-                    } else {
-                        i += 1;
-                    }
-                }
-                Err(_) => {
-                    // Peer hung up, sent garbage framing, or did not open
-                    // with the protocol preamble: drop the connection. The
-                    // explicit shutdown is what the peer sees — `abort`'s
-                    // clone of the socket would otherwise keep it open.
-                    let dropped = conns.swap_remove(i);
-                    let _ = dropped.stream.shutdown(std::net::Shutdown::Both);
-                    state.conns.lock().remove(&dropped.id);
-                    state.active.fetch_sub(1, Ordering::SeqCst);
-                    active_gauge.add(-1);
-                    progress = true;
-                }
+        for (slot, conn) in conns.iter_mut().enumerate() {
+            // What was answered in place (sheds, pings, admin, gossip)
+            // leaves now, not behind the drain.
+            let swept = read_conn(&state, slot, conn, &mut admission, &mut scratch, &bytes_in)
+                .and_then(|read| Ok(flush_out(conn, &bytes_out)? | read));
+            match swept {
+                Ok(moved) => progress |= moved,
+                // Peer hung up, sent garbage framing, or did not open with
+                // the protocol preamble.
+                Err(_) => conn.closed = true,
             }
         }
-        progress |= drain_admitted(&state, &mut admission, &mut conns, &bytes_out);
+        if admission.depth() > 0 {
+            depth_gauge.set(admission.depth() as i64);
+            drain(&state, &mut admission, &mut conns);
+            depth_gauge.set(0);
+            bound_gauge.set(admission.bound() as i64);
+            progress = true;
+        }
+        // Flush what the drain answered; then drop the closed connections
+        // and move gossip out from behind this loop's calls.
+        let mut i = 0;
+        while i < conns.len() {
+            match flush_out(&mut conns[i], &bytes_out) {
+                Ok(moved) => progress |= moved,
+                Err(_) => conns[i].closed = true,
+            }
+            if conns[i].closed {
+                // The explicit shutdown is what the peer sees — `abort`'s
+                // clone of the socket would otherwise keep it open.
+                let dropped = conns.swap_remove(i);
+                let _ = dropped.stream.shutdown(std::net::Shutdown::Both);
+                state.conns.lock().remove(&dropped.id);
+                state.active.fetch_sub(1, Ordering::SeqCst);
+                active_gauge.add(-1);
+                progress = true;
+            } else if conns[i].gossip && shard != gossip_shard {
+                let conn = conns.swap_remove(i);
+                state.inboxes[gossip_shard].lock().push(conn);
+            } else {
+                i += 1;
+            }
+        }
         if progress {
             idle.reset();
         } else {
@@ -766,43 +548,33 @@ fn shard_loop(state: Arc<ServerState>, shard: usize) {
         }
     }
 
-    // Drain: answer whatever is already buffered and flush responses out
-    // before closing, bounded so a stuck peer cannot wedge shutdown.
-    drain_admitted(&state, &mut admission, &mut conns, &bytes_out);
+    // Drain: every pass ends with the queue empty, so what is left is
+    // response bytes; flush them before closing, bounded so a stuck peer
+    // cannot wedge shutdown.
     let deadline = Instant::now() + DRAIN_FLUSH_BUDGET;
     for conn in &mut conns {
-        while !conn.machine.pending_out().is_empty() && Instant::now() < deadline {
-            match conn.stream.write(conn.machine.pending_out()) {
-                Ok(0) => break,
-                Ok(n) => {
-                    bytes_out.add(n as u64);
-                    conn.machine.consume_out(n);
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => break,
-            }
+        while flush_out(conn, &bytes_out).is_ok()
+            && !conn.machine.pending_out().is_empty()
+            && Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_micros(200));
         }
         state.active.fetch_sub(1, Ordering::SeqCst);
         active_gauge.add(-1);
     }
 }
 
-/// One event-loop pass over one connection: flush queued output, read
-/// whatever the socket has, execute every complete request, flush again.
-/// Returns whether any bytes moved; an `Err` means the connection is done.
-fn drive_conn(
+/// Read what one socket has and route every complete request. Returns
+/// whether bytes arrived; an `Err` means the connection is done once this
+/// pass has answered what it read.
+fn read_conn(
     state: &ServerState,
+    slot: usize,
     conn: &mut ShardConn,
-    admission: &mut Admission,
+    admission: &mut Admission<Call>,
     scratch: &mut [u8],
     bytes_in: &Arc<rndi_obs::Counter>,
-    bytes_out: &Arc<rndi_obs::Counter>,
 ) -> std::io::Result<bool> {
-    let mut moved = flush_out(conn, bytes_out)?;
-
     // Read at most READ_CHUNK per pass so shard siblings stay served.
     let mut read_total = 0;
     let mut eof = false;
@@ -819,83 +591,53 @@ fn drive_conn(
         }
     }
     if read_total > 0 {
-        moved = true;
         bytes_in.add(read_total as u64);
+        let invalid = |e: NamingError| std::io::Error::new(ErrorKind::InvalidData, e.to_string());
         let inbound = conn
             .machine
             .receive(&scratch[..read_total])
-            .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
+            .map_err(invalid)?;
+        // One read is one arrival: its calls are offered at one instant.
+        let now = Instant::now();
         for req in inbound {
-            respond(state, conn, admission, req)
-                .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e.to_string()))?;
+            respond(state, slot, conn, admission, req, now).map_err(invalid)?;
         }
-        flush_out(conn, bytes_out)?;
     }
     if eof {
         return Err(ErrorKind::UnexpectedEof.into());
     }
-    Ok(moved)
+    Ok(read_total > 0)
 }
 
-/// Execute every queued call FIFO, shedding entries whose deadline budget
-/// was spent waiting. Runs after the read sweep so one pass admits from
-/// every connection before any queued work runs. Returns whether
-/// anything ran or was answered.
-fn drain_admitted(
-    state: &ServerState,
-    admission: &mut Admission,
-    conns: &mut [ShardConn],
-    bytes_out: &Arc<rndi_obs::Counter>,
-) -> bool {
-    if admission.queue.is_empty() {
-        return false;
-    }
-    let mut progress = false;
-    while let Some(entry) = admission.queue.pop_front() {
-        // The peer may have hung up while its call queued.
-        let Some(conn) = conns.iter_mut().find(|c| c.id == entry.conn_id) else {
-            continue;
-        };
-        let deadline = effective_deadline(entry.deadline_ms, state.config.deadline_ms);
-        let body = match deadline {
-            Some(budget) if entry.admitted.elapsed() >= budget => {
-                // The budget was spent in queue: reject cheaply instead of
-                // computing an answer nobody is still waiting for.
-                state.shed[ShedReason::Deadline as usize].inc();
-                admission.on_deadline_signal();
-                ResponseBody::Err(proto::WireError::Overloaded {
-                    retry_after_ms: admission.retry_after_ms(),
-                })
+/// Run the queue to empty. The instant one call finishes is the instant
+/// admission decides the next at; answers wait in the output buffers for
+/// the pass's flush.
+fn drain(state: &ServerState, admission: &mut Admission<Call>, conns: &mut [ShardConn]) {
+    let mut now = Instant::now();
+    while let Some(next) = admission.next(now) {
+        let (call, body) = match next {
+            Next::Run(pending) => {
+                let (body, end) =
+                    handle_call(state, &pending.call, pending.admitted, pending.budget);
+                let served = match &body {
+                    ResponseBody::Ok(_) => Served::InBudget,
+                    ResponseBody::Err(proto::WireError::Timeout { .. }) => Served::Late,
+                    _ => Served::Failed,
+                };
+                admission.complete(end.saturating_duration_since(now), served);
+                now = end;
+                (pending.call, body)
             }
-            _ => {
-                let started = Instant::now();
-                let body = handle_call(
-                    state,
-                    &entry.op,
-                    entry.deadline_ms,
-                    entry.trace,
-                    entry.admitted,
-                );
-                admission.observe_service(started.elapsed());
-                match &body {
-                    ResponseBody::Ok(_) => admission.on_in_budget(),
-                    ResponseBody::Err(proto::WireError::Timeout { .. }) => {
-                        admission.on_deadline_signal()
-                    }
-                    _ => {}
-                }
-                body
+            Next::Shed(call, shed) => {
+                state.shed[shed.reason as usize].inc();
+                (call, ResponseBody::Err(proto::encode_error(&shed.error())))
             }
         };
-        progress = true;
-        if conn.machine.push_response(entry.req_id, body).is_ok() {
-            // Best-effort flush; a broken socket surfaces on the next
-            // sweep's drive_conn and drops the connection there.
-            let _ = flush_out(conn, bytes_out);
+        let conn = &mut conns[call.slot];
+        if conn.machine.push_response(call.req_id, body).is_err() {
+            conn.closed = true;
         }
     }
-    admission.publish();
-    progress
 }
 
 fn flush_out(conn: &mut ShardConn, bytes_out: &Arc<rndi_obs::Counter>) -> std::io::Result<bool> {
@@ -916,18 +658,19 @@ fn flush_out(conn: &mut ShardConn, bytes_out: &Arc<rndi_obs::Counter>) -> std::i
     Ok(moved)
 }
 
-/// Route one decoded request: pings, admin scrapes, and malformed frames
-/// are answered inline (bounded work); calls go through admission — shed
-/// immediately, queued for [`drain_admitted`], or, with admission off,
-/// executed inline exactly as before.
+/// Route one decoded request: pings, admin scrapes, gossip and malformed
+/// frames are answered in place (bounded work); calls are offered to
+/// admission at `now` — shed at once, or queued for [`drain`].
 ///
 /// Shed responses can overtake queued ones from the same socket; that is
 /// fine because responses match by request ID.
 fn respond(
     state: &ServerState,
+    slot: usize,
     conn: &mut ShardConn,
-    admission: &mut Admission,
+    admission: &mut Admission<Call>,
     req: Inbound,
+    now: Instant,
 ) -> Result<()> {
     let body = match req.msg {
         InboundMsg::Ping => ResponseBody::Pong,
@@ -936,35 +679,18 @@ fn respond(
             deadline_ms,
             trace,
         } => {
-            if let Some(bucket) = conn.bucket.as_mut() {
-                if let Err(retry_after_ms) = bucket.try_take() {
-                    state.shed[ShedReason::Rate as usize].inc();
-                    return conn.machine.push_response(
-                        req.req_id,
-                        ResponseBody::Err(proto::WireError::Overloaded { retry_after_ms }),
-                    );
+            let call = Call {
+                slot,
+                req_id: req.req_id,
+                op,
+                trace,
+            };
+            match admission.offer(&mut conn.quota, call, deadline_ms, now) {
+                Ok(()) => return Ok(()),
+                Err(shed) => {
+                    state.shed[shed.reason as usize].inc();
+                    ResponseBody::Err(proto::encode_error(&shed.error()))
                 }
-            }
-            if admission.engaged() {
-                if admission.queue.len() >= admission.bound() {
-                    state.shed[ShedReason::Queue as usize].inc();
-                    ResponseBody::Err(proto::WireError::Overloaded {
-                        retry_after_ms: admission.retry_after_ms(),
-                    })
-                } else {
-                    admission.queue.push_back(Pending {
-                        conn_id: conn.id,
-                        req_id: req.req_id,
-                        op,
-                        deadline_ms,
-                        trace,
-                        admitted: Instant::now(),
-                    });
-                    admission.publish();
-                    return Ok(());
-                }
-            } else {
-                handle_call(state, &op, deadline_ms, trace, Instant::now())
             }
         }
         InboundMsg::Admin(admin) => ResponseBody::Admin(handle_admin(state, admin)),
@@ -1017,101 +743,61 @@ fn handle_admin(state: &ServerState, req: AdminRequest) -> AdminReply {
     }
 }
 
-/// Execute one admitted call. `start` is when the op's budget clock began
-/// — admission time for queued calls, so queue wait counts against the
-/// deadline and shows in the duration histogram the client's latency
-/// percentiles are derived from.
+/// Execute one call admission dispatched, under a "server" span nested
+/// under the client's. Its budget ran from `admitted`, so queue wait shows
+/// in the duration histogram, and a call that finishes past its budget
+/// answers `Timeout` (it may have landed). Returns the answer and the
+/// instant the call finished.
 fn handle_call(
     state: &ServerState,
-    wire_op: &proto::WireOp,
-    deadline_ms: u64,
-    trace: Option<TraceCtx>,
-    start: Instant,
-) -> ResponseBody {
-    let instruments = state.req_instruments(&wire_op.kind);
-    let result = dispatch_call(state, wire_op, deadline_ms, trace, start);
-    let took = start.elapsed();
+    call: &Call,
+    admitted: Instant,
+    budget: Option<Duration>,
+) -> (ResponseBody, Instant) {
+    let instruments = state.req_instruments(&call.op.kind);
+    let server_ctx = call
+        .trace
+        .map_or_else(TraceCtx::root, |parent| parent.child());
+    let executed = proto::decode_op(&call.op).map(|mut op| {
+        op.set_trace_ctx(&server_ctx);
+        (op.kind, state.backend.execute(&op))
+    });
+    let end = Instant::now();
+    let took = end.saturating_duration_since(admitted);
+    let result = executed.and_then(|(kind, mut result)| {
+        if let Some(budget) = budget.filter(|budget| took > *budget) {
+            result = Err(NamingError::Timeout {
+                detail: format!("request exceeded its {budget:?} deadline"),
+            });
+        }
+        let span_outcome = match &result {
+            Ok(_) => SpanOutcome::Ok,
+            Err(e) if e.is_continue() => SpanOutcome::Continue,
+            Err(_) => SpanOutcome::Err,
+        };
+        let label = state.label.clone();
+        let span = SpanRecord::new(
+            &server_ctx,
+            "server",
+            label,
+            kind.label(),
+            span_outcome,
+            took,
+        );
+        rndi_obs::trace::record(span);
+        result.and_then(|out| proto::encode_outcome(&out))
+    });
     if result.is_ok() {
         instruments.ok.inc();
     } else {
         instruments.err.inc();
     }
     instruments.duration.record_duration(took);
-    match result {
+    let body = match result {
         Ok(out) => ResponseBody::Ok(out),
         Err(e) => ResponseBody::Err(proto::encode_error(&e)),
-    }
-}
-
-fn dispatch_call(
-    state: &ServerState,
-    wire_op: &proto::WireOp,
-    deadline_ms: u64,
-    trace: Option<TraceCtx>,
-    start: Instant,
-) -> Result<proto::WireOutcome> {
-    let mut op = proto::decode_op(wire_op)?;
-    // Record a "server" span as a child of the envelope's context (the
-    // client's span) and annotate the op with it, so the backend
-    // pipeline's spans nest under this one.
-    let server_ctx = match &trace {
-        Some(parent) => parent.child(),
-        None => TraceCtx::root(),
     };
-    op.set_trace_ctx(&server_ctx);
-    let deadline = effective_deadline(deadline_ms, state.config.deadline_ms);
-    let result = run_with_deadline(state, &op, deadline, start);
-    let span_outcome = match &result {
-        Ok(_) => SpanOutcome::Ok,
-        Err(e) if e.is_continue() => SpanOutcome::Continue,
-        Err(_) => SpanOutcome::Err,
-    };
-    rndi_obs::trace::record(SpanRecord::new(
-        &server_ctx,
-        "server",
-        state.label.clone(),
-        op.kind.label(),
-        span_outcome,
-        start.elapsed(),
-    ));
-    result.and_then(|out| proto::encode_outcome(&out))
-}
-
-/// The stricter of the client's request budget and the server's own cap
-/// (`0` on either side = that side imposes none).
-fn effective_deadline(client_ms: u64, server_ms: u64) -> Option<Duration> {
-    match (client_ms, server_ms) {
-        (0, 0) => None,
-        (0, s) => Some(Duration::from_millis(s)),
-        (c, 0) => Some(Duration::from_millis(c)),
-        (c, s) => Some(Duration::from_millis(c.min(s))),
-    }
-}
-
-fn run_with_deadline(
-    state: &ServerState,
-    op: &NamingOp,
-    deadline: Option<Duration>,
-    start: Instant,
-) -> Result<rndi_core::op::OpOutcome> {
-    if let Some(budget) = deadline {
-        if start.elapsed() >= budget {
-            return Err(NamingError::Timeout {
-                detail: format!("request expired before dispatch ({budget:?} budget)"),
-            });
-        }
-    }
-    let result = state.backend.execute(op);
-    if let Some(budget) = deadline {
-        if start.elapsed() > budget {
-            // The op may have landed; deadline semantics report the miss
-            // (the client's socket timeout has likely fired anyway).
-            return Err(NamingError::Timeout {
-                detail: format!("request exceeded its {budget:?} deadline"),
-            });
-        }
-    }
-    result
+    (body, end)
 }
 
 #[cfg(test)]
@@ -1120,7 +806,7 @@ mod tests {
     use crate::NetClient;
     use rndi_core::context::ContextExt;
     use rndi_core::env::keys;
-    use rndi_core::op::{OpKind, OpOutcome};
+    use rndi_core::op::{NamingOp, OpKind, OpOutcome};
     use std::sync::mpsc;
 
     /// Answers every lookup; a lookup of `"block"` first reports that it

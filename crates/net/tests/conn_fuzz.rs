@@ -68,7 +68,6 @@ impl Piece {
                     name: name.clone(),
                     payload: proto::WirePayload::None,
                     attrs: None,
-                    meta: Default::default(),
                 };
                 let body = EnvelopeBody::Call {
                     op: Box::new(op),

@@ -180,7 +180,7 @@ fn a_traced_call_ships_its_context_once_in_the_envelope() {
     client.execute(&op).unwrap();
 
     let (msg, wire) = tap.join().expect("tap thread");
-    let InboundMsg::Call { op, trace, .. } = msg else {
+    let InboundMsg::Call { trace, .. } = msg else {
         panic!("expected a call, got {msg:?}");
     };
     let trace = trace.expect("envelope carries the context");
@@ -188,11 +188,6 @@ fn a_traced_call_ships_its_context_once_in_the_envelope() {
     assert_eq!(
         trace.parent_span, parent.span_id,
         "the context on the wire is the client span, a child of the caller's"
-    );
-    assert!(
-        op.meta.is_empty(),
-        "no obs.trace (or any) meta entry: {:?}",
-        op.meta
     );
     assert!(
         !wire.windows(9).any(|w| w == b"obs.trace"),

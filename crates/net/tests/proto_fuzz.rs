@@ -72,7 +72,6 @@ proptest! {
             name: "a".into(),
             payload: proto::WirePayload::None,
             attrs: None,
-            meta: Default::default(),
         };
         prop_assert_eq!(proto::decode_op(&op).is_ok(), known);
         let env = Envelope {
@@ -165,14 +164,12 @@ fn arb_wire_op() -> impl Strategy<Value = proto::WireOp> {
         "[ -~]{0,24}",
         arb_payload(),
         proptest::option::of(arb_attrs()),
-        proptest::collection::btree_map("[a-z.]{1,10}", "[ -~]{0,16}", 0..3),
     )
-        .prop_map(|(kind, name, payload, attrs, meta)| proto::WireOp {
+        .prop_map(|(kind, name, payload, attrs)| proto::WireOp {
             kind: ALL_OP_KINDS[kind].label().to_string(),
             name,
             payload,
             attrs,
-            meta,
         })
 }
 

@@ -189,16 +189,13 @@ impl ShardRouter {
         // the source untouched; only the final unbind removes it.
         self.point_routed[src].inc();
         self.point_routed[dst].inc();
-        let mut lookup = NamingOp::lookup(op.name.clone());
-        lookup.meta = op.meta.clone();
+        let lookup = NamingOp::lookup(op.name.clone());
         let value = self
             .leg(src, &lookup, span_ctx)?
             .into_value(OpKind::Lookup)?;
-        let mut bind = NamingOp::bind(new_name, value);
-        bind.meta = op.meta.clone();
+        let bind = NamingOp::bind(new_name, value);
         self.leg(dst, &bind, span_ctx)?.into_done(OpKind::Bind)?;
-        let mut unbind = NamingOp::unbind(op.name.clone());
-        unbind.meta = op.meta.clone();
+        let unbind = NamingOp::unbind(op.name.clone());
         self.leg(src, &unbind, span_ctx)?
             .into_done(OpKind::Unbind)?;
         Ok(OpOutcome::Done)

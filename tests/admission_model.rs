@@ -1,0 +1,323 @@
+//! The overload plane's policy on a simulated clock: `net::admit`'s
+//! machine driven exactly as a `NetServer` shard drives it — a pass offers
+//! every request that has arrived and answers the ones it sheds, runs the
+//! queue to empty, then answers every call it ran at once — by closed-loop
+//! clients whose service times come from a seeded RNG. No socket, thread
+//! or sleep: each seed replays.
+//!
+//! The shape is `tests/overload_resilience.rs`'s swarm (one shard, queue
+//! depth 4, AIMD on, a 250 ms budget) with a think time, so the load has a
+//! knee: with a 2 ms mean service time and 6 ms of think time, four
+//! clients keep the shard busy. At twice and ten times that many clients,
+//! on 64 seeds, goodput stays at or above 80 % of peak, every shed is the
+//! retryable `Overloaded` with a hint of 1 ms..10 s (never `Timeout`), and
+//! a seed gives the same tally every time it runs.
+
+use std::time::{Duration, Instant};
+
+use rndi::core::error::NamingError;
+use rndi::net::admit::{Admission, Next, Quota, Served, Shed, ShedReason};
+use rndi::simnet::SimRng;
+
+const MEAN_SERVICE: Duration = Duration::from_millis(2);
+const THINK: Duration = Duration::from_millis(6);
+const ONE_WAY: Duration = Duration::from_micros(50);
+/// Clients at which offered load meets capacity: (service + think) / service.
+const KNEE: usize = 4;
+const QUEUE_DEPTH: usize = 4;
+/// The client's budget, sent with each call and used to classify answers.
+const BUDGET: Duration = Duration::from_millis(250);
+/// A budget of six mean service times, where the policy's claims are
+/// reported rather than asserted.
+const TIGHT_BUDGET: Duration = Duration::from_millis(12);
+/// The server's own cap (`ServerConfig::default().deadline_ms`).
+const SERVER_CAP_MS: u64 = 5_000;
+const WARMUP: Duration = Duration::from_millis(500);
+const WINDOW: Duration = Duration::from_secs(2);
+const SEEDS: u64 = 64;
+
+/// What the clients saw of requests sent inside the measured window.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Tally {
+    in_budget: u64,
+    late: u64,
+    shed: u64,
+    timeout: u64,
+    /// Sheds of calls whose budget ran out in queue (`ShedReason::Deadline`).
+    expired: u64,
+}
+
+impl Tally {
+    fn add(&mut self, other: &Tally) {
+        self.in_budget += other.in_budget;
+        self.late += other.late;
+        self.shed += other.shed;
+        self.timeout += other.timeout;
+        self.expired += other.expired;
+    }
+
+    fn goodput(&self) -> f64 {
+        self.in_budget as f64 / WINDOW.as_secs_f64()
+    }
+}
+
+enum Answer {
+    Ok,
+    Timeout,
+    Shed(Shed),
+}
+
+/// One seeded run of `clients` closed-loop clients with `budget` against
+/// one shard.
+fn run(seed: u64, clients: usize, budget: Duration) -> Tally {
+    let rng = SimRng::seed_from_u64(seed);
+    // Only differences between instants matter; `at` maps simulated time
+    // onto them.
+    let origin = Instant::now();
+    let at = |t: Duration| origin + t;
+    let mut admission = Admission::new(QUEUE_DEPTH, true, SERVER_CAP_MS);
+    let mut quotas: Vec<Quota> = (0..clients).map(|_| Quota::new(0, 0, origin)).collect();
+    let mut sent: Vec<Duration> = (0..clients)
+        .map(|_| Duration::from_nanos(rng.gen_range(0..THINK.as_nanos() as u64)))
+        .collect();
+    let mut arrives: Vec<Duration> = sent.iter().map(|&t| t + ONE_WAY).collect();
+    let end = WARMUP + WINDOW;
+    let mut tally = Tally::default();
+    let mut now = Duration::ZERO;
+    while now < end {
+        // The sweep: every request that has arrived is offered at `now`,
+        // and a shed is answered at once.
+        let mut answers = Vec::new();
+        for client in 0..clients {
+            if arrives[client] <= now {
+                arrives[client] = Duration::MAX;
+                let budget_ms = budget.as_millis() as u64;
+                if let Err(shed) = admission.offer(&mut quotas[client], client, budget_ms, at(now))
+                {
+                    answers.push((client, Answer::Shed(shed), now + ONE_WAY));
+                }
+            }
+        }
+        if admission.depth() == 0 && answers.is_empty() {
+            now = arrives.iter().copied().min().expect("a client is waiting");
+            continue;
+        }
+        let swept = answers.len();
+        // The drain: each decision at the instant the previous call ended.
+        while let Some(next) = admission.next(at(now)) {
+            match next {
+                Next::Run(pending) => {
+                    let took = rng.exp_duration(MEAN_SERVICE);
+                    now += took;
+                    let overran = pending
+                        .budget
+                        .is_some_and(|budget| at(now) - pending.admitted > budget);
+                    let (served, answer) = if overran {
+                        (Served::Late, Answer::Timeout)
+                    } else {
+                        (Served::InBudget, Answer::Ok)
+                    };
+                    admission.complete(took, served);
+                    answers.push((pending.call, answer, Duration::ZERO));
+                }
+                Next::Shed(client, shed) => {
+                    assert_eq!(shed.reason, ShedReason::Deadline);
+                    answers.push((client, Answer::Shed(shed), Duration::ZERO));
+                }
+            }
+        }
+        // The flush: every answer the drain gave leaves together.
+        for (_, _, received) in &mut answers[swept..] {
+            *received = now + ONE_WAY;
+        }
+        for (client, answer, received) in answers {
+            if sent[client] >= WARMUP && received <= end {
+                match answer {
+                    Answer::Ok if received - sent[client] <= budget => tally.in_budget += 1,
+                    Answer::Ok => tally.late += 1,
+                    Answer::Timeout => tally.timeout += 1,
+                    Answer::Shed(shed) => {
+                        match shed.error() {
+                            NamingError::Overloaded { retry_after_ms } => assert!(
+                                (1..=10_000).contains(&retry_after_ms),
+                                "seed {seed}: hint {retry_after_ms} ms"
+                            ),
+                            other => panic!("seed {seed}: a shed answered {other:?}"),
+                        }
+                        tally.shed += 1;
+                        tally.expired += u64::from(shed.reason == ShedReason::Deadline);
+                    }
+                }
+            }
+            sent[client] = received + THINK;
+            arrives[client] = sent[client] + ONE_WAY;
+        }
+    }
+    tally
+}
+
+#[test]
+fn goodput_holds_past_the_knee_on_every_seed_and_every_shed_is_overloaded() {
+    let loads = [("1x", KNEE), ("2x", 2 * KNEE), ("10x", 10 * KNEE)];
+    let mut worst = [f64::INFINITY; 3];
+    let mut totals = [Tally::default(); 3];
+    for seed in 0..SEEDS {
+        let tallies = loads.map(|(_, clients)| run(seed, clients, BUDGET));
+        for (i, (name, clients)) in loads.iter().enumerate() {
+            assert_eq!(
+                run(seed, *clients, BUDGET),
+                tallies[i],
+                "seed {seed} at {name}: the same seed gives the same run"
+            );
+        }
+        let peak = tallies.iter().map(Tally::goodput).fold(0.0, f64::max);
+        for (i, (name, _)) in loads.iter().enumerate() {
+            let share = tallies[i].goodput() / peak;
+            worst[i] = worst[i].min(share);
+            totals[i].add(&tallies[i]);
+            assert!(
+                i == 0 || share >= 0.8,
+                "seed {seed} at {name}: goodput {:.0}/s is {:.0} % of peak {peak:.0}/s",
+                tallies[i].goodput(),
+                share * 100.0
+            );
+            assert_eq!(tallies[i].timeout, 0, "seed {seed} at {name}: a Timeout");
+            assert_eq!(
+                tallies[i].expired, 0,
+                "seed {seed} at {name}: expired in queue"
+            );
+        }
+        assert_eq!(tallies[0].shed, 0, "seed {seed}: a shed at the knee");
+        assert!(tallies[2].shed > 0, "seed {seed}: 10x the knee never shed");
+    }
+    for (i, (name, clients)) in loads.iter().enumerate() {
+        report(name, *clients, BUDGET, totals[i], worst[i]);
+    }
+    // ROADMAP item 17(b) also asks that no admitted call expire in queue
+    // once the AIMD bound settles. At a budget of a few service times the
+    // policy does not meet that, nor "never Timeout": a call admitted
+    // behind one long service overruns even at the floor bound of 1. The
+    // counts are printed, not asserted.
+    let mut totals = [Tally::default(); 3];
+    let mut worst = [f64::INFINITY; 3];
+    for seed in 0..SEEDS {
+        let tallies = loads.map(|(_, clients)| run(seed, clients, TIGHT_BUDGET));
+        let peak = tallies.iter().map(Tally::goodput).fold(0.0, f64::max);
+        for (i, t) in tallies.iter().enumerate() {
+            worst[i] = worst[i].min(t.goodput() / peak);
+            totals[i].add(t);
+        }
+    }
+    for (i, (name, clients)) in loads.iter().enumerate().skip(1) {
+        report(name, *clients, TIGHT_BUDGET, totals[i], worst[i]);
+    }
+}
+
+fn report(load: &str, clients: usize, budget: Duration, t: Tally, worst: f64) {
+    println!(
+        "admission_model: {load} ({clients} clients, {budget:?} budget, {SEEDS} seeds): \
+         worst goodput {:.1} % of peak; in budget {}, late {}, shed {}, timeout {}, \
+         expired in queue {}",
+        worst * 100.0,
+        t.in_budget,
+        t.late,
+        t.shed,
+        t.timeout,
+        t.expired
+    );
+}
+
+#[test]
+fn a_budget_spent_to_the_nanosecond_is_shed_as_overloaded() {
+    let t0 = Instant::now();
+    let budget = Duration::from_millis(250);
+    for (now, runs) in [
+        (t0 + budget - Duration::from_nanos(1), true),
+        (t0 + budget, false),
+    ] {
+        let mut admission = Admission::new(QUEUE_DEPTH, true, SERVER_CAP_MS);
+        let mut quota = Quota::new(0, 0, t0);
+        admission.offer(&mut quota, "call", 250, t0).unwrap();
+        match admission.next(now).expect("the call waits") {
+            Next::Run(pending) => {
+                assert!(runs, "dispatched at its budget");
+                assert_eq!(pending.budget, Some(budget));
+            }
+            Next::Shed(_, shed) => {
+                assert!(!runs, "shed 1 ns before its budget");
+                assert_eq!(shed.reason, ShedReason::Deadline);
+                assert!(matches!(shed.error(), NamingError::Overloaded { .. }));
+            }
+        }
+    }
+}
+
+#[test]
+fn the_token_bucket_hint_is_exact() {
+    let t0 = Instant::now();
+    let ms = Duration::from_millis;
+    // 4 tokens a second, a burst of 2: a token every 250 ms.
+    let mut admission = Admission::new(0, false, 0);
+    let mut quota = Quota::new(4, 2, t0);
+    let mut offer = |t| {
+        admission
+            .offer(&mut quota, (), 0, t)
+            .map_err(|s| s.retry_after_ms)
+    };
+    assert_eq!(offer(t0), Ok(()));
+    assert_eq!(offer(t0), Ok(()));
+    assert_eq!(offer(t0), Err(250), "empty: one token is 250 ms away");
+    assert_eq!(offer(t0 + ms(100)), Err(150), "0.4 tokens refilled");
+    assert_eq!(offer(t0 + ms(249)), Err(1));
+    assert_eq!(offer(t0 + ms(250)), Ok(()), "a whole token");
+    assert_eq!(offer(t0 + ms(250) + Duration::from_nanos(1)), Err(250));
+    // A long idle refills to the burst, not past it.
+    assert_eq!(offer(t0 + ms(10_000)), Ok(()));
+    assert_eq!(offer(t0 + ms(10_000)), Ok(()));
+    assert_eq!(offer(t0 + ms(10_000)), Err(250));
+    // One token a second: a token is a second away.
+    let mut slow = Quota::new(1, 1, t0);
+    assert_eq!(admission.offer(&mut slow, (), 0, t0), Ok(()));
+    let shed = admission.offer(&mut slow, (), 0, t0).unwrap_err();
+    assert_eq!(
+        (shed.reason, shed.retry_after_ms),
+        (ShedReason::Rate, 1_000)
+    );
+}
+
+#[test]
+fn depth_zero_is_an_unbounded_fifo_that_does_not_adapt() {
+    let t0 = Instant::now();
+    let mut admission = Admission::new(0, true, 0);
+    let mut quota = Quota::new(0, 0, t0);
+    for call in 0..1_000u32 {
+        admission.offer(&mut quota, call, 0, t0).unwrap();
+    }
+    assert_eq!((admission.depth(), admission.bound()), (1_000, 0));
+    let mut order = Vec::new();
+    while let Some(Next::Run(pending)) = admission.next(t0) {
+        assert_eq!(pending.budget, None, "no budget on either side");
+        admission.complete(Duration::from_millis(1), Served::Late);
+        order.push(pending.call);
+    }
+    assert_eq!(order, (0..1_000).collect::<Vec<_>>());
+    assert_eq!(admission.bound(), 0, "no bound to adapt");
+}
+
+#[test]
+fn the_bound_narrows_on_lateness_and_widens_back_to_its_ceiling() {
+    let ms = Duration::from_millis(1);
+    let mut admission: Admission<()> = Admission::new(QUEUE_DEPTH, true, 0);
+    admission.complete(ms, Served::Late);
+    assert_eq!(admission.bound(), 2, "4 x 0.7");
+    for _ in 0..10 {
+        admission.complete(ms, Served::Late);
+    }
+    assert_eq!(admission.bound(), 1, "the floor");
+    for _ in 0..100 {
+        admission.complete(ms, Served::InBudget);
+    }
+    assert_eq!(admission.bound(), QUEUE_DEPTH, "the ceiling");
+    admission.complete(ms, Served::Failed);
+    assert_eq!(admission.bound(), QUEUE_DEPTH, "no signal");
+}
