@@ -352,10 +352,11 @@ impl StoredValue {
             TAG_I64 if rest == "0" || !rest.trim_start_matches('-').starts_with(['0', '+']) => {
                 StoredValue::I64(rest.parse().ok()?)
             }
-            TAG_F64 if rest.len() == 16 => StoredValue::F64(f64::from_bits(
-                rest.bytes()
-                    .try_fold(0, |bits, b| Some(bits << 4 | u64::from(hex_digit(b)?)))?,
-            )),
+            TAG_F64 => {
+                let mut bits = [0; 8];
+                hex_into(rest, &mut bits).then_some(())?;
+                StoredValue::F64(f64::from_bits(u64::from_be_bytes(bits)))
+            }
             TAG_BOOL if rest == "1" || rest == "0" => StoredValue::Bool(rest == "1"),
             TAG_BYTES => StoredValue::Bytes(from_hex(rest)?),
             TAG_JSON => {
@@ -465,30 +466,62 @@ pub(crate) fn take_len<'a>(rest: &mut &'a str, len: usize) -> Option<&'a str> {
     Some(text)
 }
 
-pub(crate) fn put_hex(out: &mut String, bytes: &[u8]) {
+/// Each byte's two lower-case digits.
+const HEX_PAIRS: [[u8; 2]; 256] = {
     const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    for b in bytes {
-        out.push(char::from(DIGITS[usize::from(b >> 4)]));
-        out.push(char::from(DIGITS[usize::from(b & 0xf)]));
+    let mut pairs = [[0; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        pairs[b] = [DIGITS[b >> 4], DIGITS[b & 0xf]];
+        b += 1;
+    }
+    pairs
+};
+
+/// What a digit [`put_hex`] writes (lower case only) stands for, and
+/// `NOT_HEX` for any other byte.
+const HEX_VALUES: [u8; 256] = {
+    let mut values = [NOT_HEX; 256];
+    let mut d = 0;
+    while d < 16 {
+        values[HEX_PAIRS[d][1] as usize] = d as u8;
+        d += 1;
+    }
+    values
+};
+const NOT_HEX: u8 = 0x10;
+
+pub(crate) fn put_hex(out: &mut String, bytes: &[u8]) {
+    let mut digits = [[0; 2]; 64];
+    for chunk in bytes.chunks(digits.len()) {
+        for (pair, &b) in digits.iter_mut().zip(chunk) {
+            *pair = HEX_PAIRS[usize::from(b)];
+        }
+        let digits = digits[..chunk.len()].as_flattened();
+        out.push_str(std::str::from_utf8(digits).expect("hex digits are ASCII"));
     }
 }
 
-/// A digit [`put_hex`] writes: lower case only.
-fn hex_digit(b: u8) -> Option<u8> {
-    let digit = char::from(b).to_digit(16)?;
-    (!b.is_ascii_uppercase()).then_some(digit as u8)
+/// Fills `out` with the bytes the digit pairs in `hex` stand for; `false`
+/// unless `hex` is exactly `out`'s length in pairs [`put_hex`] writes.
+fn hex_into(hex: &str, out: &mut [u8]) -> bool {
+    let (pairs, odd) = hex.as_bytes().as_chunks::<2>();
+    if !odd.is_empty() || pairs.len() != out.len() {
+        return false;
+    }
+    let mut seen = 0;
+    for (b, &[hi, lo]) in out.iter_mut().zip(pairs) {
+        let (hi, lo) = (HEX_VALUES[usize::from(hi)], HEX_VALUES[usize::from(lo)]);
+        seen |= hi | lo;
+        *b = hi << 4 | lo;
+    }
+    seen < NOT_HEX
 }
 
 /// What [`put_hex`] wrote, back as bytes.
 pub(crate) fn from_hex(hex: &str) -> Option<Vec<u8>> {
-    if hex.len() % 2 == 1 {
-        return None;
-    }
-    let mut bytes = Vec::with_capacity(hex.len() / 2);
-    for pair in hex.as_bytes().chunks(2) {
-        bytes.push(hex_digit(pair[0])? << 4 | hex_digit(pair[1])?);
-    }
-    Some(bytes)
+    let mut bytes = vec![0; hex.len() / 2];
+    hex_into(hex, &mut bytes).then_some(bytes)
 }
 
 #[cfg(test)]

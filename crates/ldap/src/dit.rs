@@ -9,17 +9,20 @@
 //! separator), so every subtree is one contiguous key range and
 //! `OneLevel`/`Subtree` searches are bounded range scans instead of
 //! full-tree walks. An equality index over `(attribute, value)` pairs, but
-//! for the types in `UNFILED`, lets searches whose filter holds an equality
-//! conjunct on a filed type start from the posting set instead of the scope
-//! range — and, because postings are ordered by the same tree keys, only
-//! from the slice of it under the search base. Both structures only
-//! *prune*: every candidate is still verified with the real scope predicate
-//! and `LdapFilter::matches`.
+//! for the types in `UNFILED` and the pairs in `UNFILED_PAIRS`, lets
+//! searches whose filter holds an equality conjunct on a filed pair start
+//! from its posting instead of the scope range — and, because a posting is
+//! sorted by the same tree keys, only from the slice of it under the
+//! search base. Both structures only *prune*: every candidate is still
+//! verified with the real scope predicate and `LdapFilter::matches`.
 //!
 //! Space: an entry is one block — tree key, DN and attributes — and the
 //! tree, the entry's postings and every reader hold 16-byte handles to it
 //! ([`LdapEntry`]); the index keys a value by a hash of it and holds no
-//! copy of its text.
+//! copy of its text, and a posting several entries hold is one dense
+//! vector of their handles. Filing a holder in the middle of a posting
+//! moves the handles after it (16 bytes each); appending one, and
+//! re-pointing one at an entry's new block, move none.
 
 use std::borrow::Borrow;
 use std::cell::Cell;
@@ -40,12 +43,23 @@ use crate::filter::LdapFilter;
 /// the index. An equality on one scans, and `LdapFilter::matches` decides.
 const UNFILED: [&str; 1] = ["rndiValue"];
 
-fn filed(attr: &str) -> bool {
-    !UNFILED.iter().any(|t| t.eq_ignore_ascii_case(attr))
+/// The `(attribute, value)` pairs of filed types that the index does not
+/// file, compared under ASCII case folding as values are filed:
+/// `objectClass: rndiObject`, the class the JNDI provider gives every
+/// entry it binds. Its posting would name every such entry, so it could
+/// not narrow the provider's own reads (by DN, or one level down with
+/// every class), which never probe it. An equality on it scans, as on an
+/// unfiled type.
+const UNFILED_PAIRS: [(&str, &str); 1] = [("objectClass", "rndiObject")];
+
+fn filed(attr: &str, value: &str) -> bool {
+    let unfiled_pair =
+        |(a, v): &(&str, &str)| a.eq_ignore_ascii_case(attr) && v.eq_ignore_ascii_case(value);
+    !UNFILED.iter().any(|t| t.eq_ignore_ascii_case(attr)) && !UNFILED_PAIRS.iter().any(unfiled_pair)
 }
 
 fn filed_pairs(entry: &LdapEntry) -> impl Iterator<Item = (&str, &str)> {
-    entry.pairs().filter(|(attr, _)| filed(attr))
+    entry.pairs().filter(|(attr, value)| filed(attr, value))
 }
 
 /// Search scope.
@@ -145,30 +159,36 @@ impl PartialEq for Keyed {
 
 impl Eq for Keyed {}
 
-/// The entries holding one `(attribute, value)` pair, ordered as
+/// The entries holding one `(attribute, value)` pair, sorted as
 /// `Dit::entries` is: handles to the blocks the tree holds, never a copy.
-/// A pair one entry holds — a name — costs that entry's handle and no set.
+/// A pair one entry holds — a name — costs that entry's handle and no
+/// vector.
 #[derive(Debug, Clone)]
 enum Postings {
     One(Keyed),
-    /// Boxed so that a posting — one per distinct value — is the size of a
-    /// handle.
+    /// Sorted by tree key, each key once. Boxed so that a posting — one
+    /// per distinct value — is the size of a handle.
     #[allow(clippy::box_collection)]
-    Many(Box<BTreeSet<Keyed>>),
+    Many(Box<Vec<Keyed>>),
 }
 
 impl Postings {
     fn len(&self) -> usize {
         match self {
             Postings::One(_) => 1,
-            Postings::Many(entries) => entries.len(),
+            Postings::Many(holders) => holders.len(),
         }
+    }
+
+    /// Where `key` is among `holders`, or where it would go.
+    fn find(holders: &[Keyed], key: &str) -> Result<usize, usize> {
+        holders.binary_search_by(|e| e.key().cmp(key))
     }
 
     fn contains(&self, key: &str) -> bool {
         match self {
             Postings::One(only) => only.key() == key,
-            Postings::Many(entries) => entries.contains(key),
+            Postings::Many(holders) => Self::find(holders, key).is_ok(),
         }
     }
 
@@ -179,11 +199,18 @@ impl Postings {
         match self {
             Postings::One(only) if *only == entry => *only = entry,
             Postings::One(only) => {
-                *self = Postings::Many(Box::new(BTreeSet::from([only.clone(), entry])));
+                let only = only.clone();
+                let pair = if only < entry {
+                    [only, entry]
+                } else {
+                    [entry, only]
+                };
+                *self = Postings::Many(Box::new(Vec::from(pair)));
             }
-            Postings::Many(entries) => {
-                entries.replace(entry);
-            }
+            Postings::Many(holders) => match Self::find(holders, entry.key()) {
+                Ok(at) => holders[at] = entry,
+                Err(at) => holders.insert(at, entry),
+            },
         }
     }
 
@@ -192,10 +219,16 @@ impl Postings {
     fn remove(&mut self, key: &str) -> bool {
         match self {
             Postings::One(only) => only.key() == key,
-            Postings::Many(entries) => {
-                entries.remove(key);
-                if entries.len() == 1 {
-                    *self = Postings::One(entries.pop_first().expect("one entry left"));
+            Postings::Many(holders) => {
+                if let Ok(at) = Self::find(holders, key) {
+                    holders.remove(at);
+                }
+                if holders.len() == 1 {
+                    *self = Postings::One(holders.pop().expect("one holder left"));
+                } else if holders.len() < holders.capacity() / 4 {
+                    // A posting most of whose holders left gives their room
+                    // back, with room left to grow by half again.
+                    holders.shrink_to(holders.len() * 2);
                 }
                 false
             }
@@ -223,10 +256,10 @@ impl EqIndex {
         std::hash::Hasher::finish(&state)
     }
 
-    /// Whether `entry` holds a value of `attr` filed under `value`.
+    /// Whether `entry` holds a filed value of `attr` filed under `value`.
     fn files(&self, entry: &LdapEntry, attr: &str, value: u64) -> bool {
         let mut values = entry.get(attr).into_iter().flat_map(|a| a.values());
-        values.any(|v| self.key(v) == value)
+        values.any(|v| filed(attr, v) && self.key(v) == value)
     }
 
     fn get(&self, attr: &str, value: &str) -> Option<&Postings> {
@@ -262,9 +295,20 @@ impl EqIndex {
     }
 }
 
+/// How the equality index holds one `(attribute, value)` pair, as
+/// [`Dit::posting`] reports it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Posting {
+    /// One entry holds the pair: the posting is that entry's handle.
+    One,
+    /// Several do: a vector of this many handles, sorted by tree key.
+    Many(usize),
+}
+
 /// The best read strategy the equality index offers for a filter.
 enum ReadPath<'a> {
-    /// No equality conjunct on a filed type — fall back to the scope range scan.
+    /// No equality conjunct on a filed pair — fall back to the scope range
+    /// scan.
     Unindexed,
     /// An equality conjunct nothing satisfies — the result is empty.
     Empty,
@@ -279,8 +323,8 @@ pub struct Dit {
     /// The entries, by root-first tree key; each subtree is a contiguous
     /// range.
     entries: BTreeSet<Keyed>,
-    /// Every `(attribute, value)` pair of a filed type → the entries holding
-    /// it. Maintained by every mutation, alongside `entries`.
+    /// Every filed `(attribute, value)` pair → the entries holding it.
+    /// Maintained by every mutation, alongside `entries`.
     eq_index: EqIndex,
 }
 
@@ -436,13 +480,26 @@ impl Dit {
         Ok(new_dn)
     }
 
+    /// How the equality index files `(attr, value)`: `None` when no entry
+    /// holds the pair, or when the index does not file it (diagnostics).
+    pub fn posting(&self, attr: &str, value: &str) -> Option<Posting> {
+        if !filed(attr, value) {
+            return None;
+        }
+        Some(match self.eq_index.get(attr, value)? {
+            Postings::One(_) => Posting::One,
+            Postings::Many(holders) => Posting::Many(holders.len()),
+        })
+    }
+
     /// The most selective indexed read strategy for `filter`: the smallest
     /// equality posting among conjuncts that *must* hold for a match.
     /// Recurses through `And` only — `Or`/`Not` arms don't constrain the
-    /// candidate set, nor does an equality on an unfiled type.
+    /// candidate set, nor does an equality on a pair the index does not
+    /// file.
     fn filter_posting(&self, filter: &LdapFilter) -> ReadPath<'_> {
         match filter {
-            LdapFilter::Equality(attr, _) if !filed(attr) => ReadPath::Unindexed,
+            LdapFilter::Equality(attr, value) if !filed(attr, value) => ReadPath::Unindexed,
             LdapFilter::Equality(attr, value) => match self.eq_index.get(attr, value) {
                 Some(keys) => ReadPath::Keys(keys),
                 None => ReadPath::Empty,
@@ -565,14 +622,15 @@ impl Dit {
                 }
             }
             ReadPath::Keys(Postings::Many(holders)) => {
-                // Postings are ordered by the same root-first tree keys as
-                // `entries`, so the block is a slice of the posting set.
-                let own = holders.get(at.own()).filter(|_| !base.is_root());
-                let rest = holders.range::<str, _>((Included(at.below.as_str()), Unbounded));
-                for e in own
-                    .into_iter()
-                    .chain(rest.take_while(|e| in_block(e.key())))
-                {
+                // A posting is sorted by the same root-first tree keys as
+                // `entries`, so the block is a slice of it.
+                let own = Postings::find(holders, at.own())
+                    .ok()
+                    .filter(|_| !base.is_root());
+                let start = holders.partition_point(|e| e.key() < at.below.as_str());
+                let below = &holders[start..];
+                let below = &below[..below.partition_point(|e| e.key().starts_with(&at.below))];
+                for e in own.map(|at| &holders[at]).into_iter().chain(below) {
                     if !offer(&e.0) {
                         break;
                     }
@@ -785,18 +843,22 @@ mod tests {
             Some(Postings::One(_)) => 1,
             Some(Postings::Many(holders)) => 10 + holders.len(),
         };
-        assert_eq!(held(&d), 1, "one holder: its key, no set");
+        assert_eq!(held(&d), 1, "one holder: its key, no vector");
         let second = Dn::parse("cn=second,ou=mathcs,o=emory").unwrap();
         d.add(LdapEntry::new(second.clone()).with("objectClass", "device"))
             .unwrap();
-        assert_eq!(held(&d), 12, "a second holder makes it a set");
+        assert_eq!(held(&d), 12, "a second holder makes it a vector");
         // The posting holds the tree's own block; it does not copy it.
         let stored = d.get(&second).unwrap();
         let Some(Postings::Many(holders)) = d.eq_index.get("objectclass", "device") else {
-            panic!("a set");
+            panic!("a vector");
         };
-        let filed = holders.get(TreeKey::of(&second).own()).unwrap();
-        assert!(filed.0.shares_block_with(stored));
+        assert!(
+            holders.windows(2).all(|w| w[0].key() < w[1].key()),
+            "sorted"
+        );
+        let at = Postings::find(holders, TreeKey::of(&second).own()).unwrap();
+        assert!(holders[at].0.shares_block_with(stored));
 
         d.delete(&second).unwrap();
         assert_eq!(held(&d), 1, "back to one holder, back to its key");

@@ -32,7 +32,7 @@ pub mod schema;
 pub mod server;
 pub mod throttle;
 
-pub use dit::{Dit, Scope};
+pub use dit::{Dit, Posting, Scope};
 pub use dn::{Dn, Rdn};
 pub use entry::{LdapAttr, LdapEntry};
 pub use filter::LdapFilter;

@@ -11,8 +11,18 @@
 //! The algorithm runs over [`SharedRegisters`] — an abstraction the Jini
 //! provider implements with lock entries in the registry itself, so each
 //! register access is a full client/registrar round-trip.
+//!
+//! A holder that never leaves — a process that died in the critical
+//! section — keeps every other process waiting. A caller that passes a
+//! [`Deadline`] stops waiting once its clock reaches it, withdraws its
+//! flag, and gets a typed `Timeout`; one that passes none waits, and reads
+//! no clock.
 
 use std::sync::Arc;
+
+use rndi_core::error::{NamingError, Result};
+
+use crate::common::MsClock;
 
 /// The shared read/write register substrate (N flag registers + `turn`).
 pub trait SharedRegisters: Send + Sync {
@@ -35,6 +45,19 @@ fn mutex_counters() -> &'static [Arc<rndi_obs::Counter>; 2] {
         ["acquire", "release"]
             .map(|event| rndi_obs::metrics::counter(name, &[("lock", "emlock"), ("event", event)]))
     })
+}
+
+/// The time by which a waiting caller gives up: `at_ms` on `clock`.
+#[derive(Clone, Copy)]
+pub struct Deadline<'a> {
+    pub clock: &'a dyn MsClock,
+    pub at_ms: u64,
+}
+
+impl Deadline<'_> {
+    fn passed(&self) -> bool {
+        self.clock.now_ms() >= self.at_ms
+    }
 }
 
 /// One process's handle on the E&M lock: process index `me` of `n`
@@ -91,14 +114,25 @@ impl<R: SharedRegisters> EisenbergMcGuire<R> {
         self.regs.write(&self.turn_key(), &t.to_string());
     }
 
-    /// Enter the critical section (spins under contention).
-    fn lock(&self) {
+    /// Enter the critical section (spins under contention), or give up
+    /// at `deadline`, leaving this slot's flag idle.
+    fn lock(&self, deadline: Option<Deadline<'_>>) -> Result<()> {
+        let passed = || deadline.is_some_and(|d| d.passed());
+        let give_up = || {
+            self.set_flag(self.me, IDLE);
+            Err(NamingError::Timeout {
+                detail: format!("lock {} still held at the deadline", self.lock_name),
+            })
+        };
         loop {
             // Announce intent and defer to whoever holds the turn.
             self.set_flag(self.me, WAITING);
             let mut j = self.turn();
             while j != self.me {
                 if self.flag(j) != IDLE {
+                    if passed() {
+                        return give_up();
+                    }
                     j = self.turn();
                 } else {
                     j = (j + 1) % self.n;
@@ -116,10 +150,13 @@ impl<R: SharedRegisters> EisenbergMcGuire<R> {
                 if t == self.me || self.flag(t) == IDLE {
                     self.set_turn(self.me);
                     mutex_counters()[0].inc();
-                    return;
+                    return Ok(());
                 }
             }
-            // Lost the race; try again.
+            // Lost the race; try again, while there is time.
+            if passed() {
+                return give_up();
+            }
         }
     }
 
@@ -136,9 +173,14 @@ impl<R: SharedRegisters> EisenbergMcGuire<R> {
         mutex_counters()[1].inc();
     }
 
-    /// Run `f` inside the critical section.
-    pub fn with<T>(&self, f: impl FnOnce() -> T) -> T {
-        self.lock();
+    /// Run `f` inside the critical section; a typed `Timeout`, and `f`
+    /// not run, when the section is still held at `deadline`.
+    pub fn with<T>(
+        &self,
+        deadline: Option<Deadline<'_>>,
+        f: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        self.lock(deadline)?;
         let out = f();
         self.unlock();
         out
@@ -202,9 +244,9 @@ mod tests {
     fn single_process_lock_unlock() {
         let regs = MemRegisters::default();
         let lock = EisenbergMcGuire::new(regs, "l", 0, 1);
-        lock.lock();
+        lock.lock(None).unwrap();
         lock.unlock();
-        lock.with(|| ());
+        lock.with(None, || Ok(())).unwrap();
     }
 
     #[test]
@@ -217,7 +259,7 @@ mod tests {
             ops: ops.clone(),
         };
         let lock = EisenbergMcGuire::new(regs, "l", 0, 2);
-        lock.lock();
+        lock.lock(None).unwrap();
         lock.unlock();
         let (reads, writes) = ops.snapshot();
         assert!(writes >= 5, "at least the paper's 5 writes, got {writes}");
@@ -246,7 +288,7 @@ mod tests {
                 s.spawn(move || {
                     let lock = EisenbergMcGuire::new(regs, "shared", me, n);
                     for _ in 0..iters {
-                        lock.lock();
+                        lock.lock(None).unwrap();
                         let now = in_cs.fetch_add(1, Ordering::SeqCst) + 1;
                         max_seen.fetch_max(now, Ordering::SeqCst);
                         total.fetch_add(1, Ordering::SeqCst);
@@ -269,11 +311,40 @@ mod tests {
         let regs = MemRegisters::default();
         let a = EisenbergMcGuire::new(regs.clone(), "a", 0, 2);
         let b = EisenbergMcGuire::new(regs, "b", 0, 2);
-        a.lock();
+        a.lock(None).unwrap();
         // Same slot, different lock name: no deadlock.
-        b.lock();
+        b.lock(None).unwrap();
         b.unlock();
         a.unlock();
+    }
+
+    #[test]
+    fn a_holder_that_never_leaves_times_a_waiter_out_at_its_deadline() {
+        let clock = rndi_obs::clock::ManualClock::new();
+        let deadline = Some(Deadline {
+            clock: clock.as_ref(),
+            at_ms: 100,
+        });
+        // Slot 1 died in the critical section: active, with the turn or
+        // without it.
+        for turn in ["1", "0"] {
+            let regs = MemRegisters::default();
+            regs.write("__rndi_lock/l/flag/1", ACTIVE);
+            regs.write("__rndi_lock/l/turn", turn);
+            let lock = EisenbergMcGuire::new(regs.clone(), "l", 0, 2);
+            clock.set(100);
+            let got = lock.with(deadline, || Ok("entered"));
+            assert!(
+                matches!(got, Err(NamingError::Timeout { .. })),
+                "turn {turn}: {got:?}"
+            );
+            assert_eq!(lock.flag(0), IDLE, "turn {turn}: the waiter withdrew");
+            // Once the holder leaves, the lock is there to take, even past
+            // the deadline: only a holder makes a waiter give up.
+            regs.write("__rndi_lock/l/flag/1", IDLE);
+            assert_eq!(lock.with(deadline, || Ok("entered")).unwrap(), "entered");
+            clock.set(0);
+        }
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   strict `bind` semantics are implemented with Eisenberg–McGuire
 //!   mutual exclusion over lock registers stored *in the registry itself*
 //!   (each register access is a full LUS round-trip — the ≥8× penalty).
+//!   A strict bind waits for the lock no longer than `rndi.net.deadline-ms`
+//!   on the provider's clock, when that is set, and is then a `Timeout`.
 //!   Relaxed mode (`rndi.jini.bind.strict=false`) skips the lock, trading
 //!   atomicity for the raw overwrite cost.
 
@@ -43,7 +45,7 @@ use rndi_core::url::RndiUrl;
 use rndi_core::value::BoundValue;
 
 use crate::common::{self, MsClock};
-use crate::emlock::{EisenbergMcGuire, SharedRegisters};
+use crate::emlock::{Deadline, EisenbergMcGuire, SharedRegisters};
 
 /// Entry class carrying the binding name.
 const BINDING_ENTRY: &str = "RndiBinding";
@@ -230,6 +232,10 @@ pub struct JiniProviderContext {
     lock: EisenbergMcGuire<RegistrarRegisters>,
     /// Held around `lock` ([`slot_mutex`]).
     slot_mutex: Arc<Mutex<()>>,
+    /// How long a strict bind waits for `lock` (`rndi.net.deadline-ms`),
+    /// on `clock`; unset, it waits as long as the lock is held.
+    deadline_ms: Option<u64>,
+    clock: Arc<dyn MsClock>,
     hub: Arc<EventHub>,
     /// The registrar subscription that feeds `hub`. It is leased like any
     /// registration, so [`JiniProviderContext::poll_leases`] renews it too.
@@ -262,11 +268,12 @@ impl JiniProviderContext {
         let lease_ms = env.get_u64(keys::LEASE_MS, DEFAULT_LEASE_MS);
         let slot = env.get_u64(keys::JINI_LOCK_SLOT, 0) as usize;
         let slots = env.get_u64(keys::JINI_LOCK_SLOTS, 2) as usize;
+        let deadline_ms = Some(env.get_u64(keys::NET_DEADLINE_MS, 0)).filter(|ms| *ms > 0);
         let leases = Arc::new(JiniLeases {
             registrar: registrar.clone(),
             by_name: Mutex::new(HashMap::new()),
         });
-        let lease_mgr = LeaseRenewalManager::new(clock, 0.5);
+        let lease_mgr = LeaseRenewalManager::new(clock.clone(), 0.5);
         let lock = EisenbergMcGuire::new(
             RegistrarRegisters {
                 registrar: registrar.clone(),
@@ -289,6 +296,8 @@ impl JiniProviderContext {
             lease_mgr,
             lock,
             slot_mutex,
+            deadline_ms,
+            clock,
             hub,
             events,
             instance: instance.to_string(),
@@ -410,8 +419,12 @@ impl JiniProviderContext {
         } else if self.strict {
             // Distributed lock: check-and-register atomically with
             // respect to every other strict-mode client.
+            let deadline = self.deadline_ms.map(|ms| Deadline {
+                clock: self.clock.as_ref(),
+                at_ms: self.clock.now_ms().saturating_add(ms),
+            });
             let _local = self.slot_mutex.lock();
-            self.lock.with(|| {
+            self.lock.with(deadline, || {
                 if self.exists(flat) {
                     return Err(NamingError::already_bound(flat));
                 }

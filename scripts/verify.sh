@@ -33,7 +33,8 @@ NAMED_BELOW=(the_walk_matches_its_oracle read_is_a_base_scope_match_all_search w
   the_name_matches_its_oracle renaming_an_unbound_name_onto_a_bound_one_is_name_not_found
   a_name_is_one_block_and_its_views_allocate_nothing
   every_operation_continues_through_a_mount_on_every_provider
-  a_bound_leaf_stays_inside_its_byte_budget rebinding_every_leaf_does_not_grow_the_directory
+  a_bound_leaf_stays_inside_its_byte_budget the_tree_and_the_index_stay_inside_their_byte_budgets
+  rebinding_every_leaf_does_not_grow_the_directory
   unbinding_every_leaf_returns_the_heap_it_took
   a_warmed_federated_op_shrinks_no_block_in_place
   federated_lookup_and_rebind_stay_inside_their_allocation_budgets
@@ -84,7 +85,8 @@ echo "==> codec proptests: values and attribute sets against their JSON"
 cargo test -q -p rndi-core --test codec_oracle the_codec_ -- --nocapture
 
 # Named on their own so the figures are in every log: the live heap bytes
-# one bound leaf of fed_resolve's shape leaves in dirserv and one binding of
+# one bound leaf of fed_resolve's shape leaves in dirserv (and, of them,
+# what the tree's slot and the index's postings take) and one binding of
 # the wire store leaves in an HDNS replica (whose reads allocate nothing),
 # what rounds of rebinding every such leaf grow dirserv by (nothing) and
 # what unbinding them all leaves behind (nothing: no posting pins a block),
@@ -97,6 +99,7 @@ cargo test -q -p rndi-core --test codec_oracle the_codec_ -- --nocapture
 # each against its budget.
 echo "==> budgets: what dirserv and an HDNS replica hold per binding, what a name and a federated op allocate and shrink, what the resolver caches, what a compaction peaks at"
 cargo test -q --test ldap_footprint a_bound_leaf_stays_inside_its_byte_budget -- --nocapture
+cargo test -q --test ldap_footprint the_tree_and_the_index_stay_inside_their_byte_budgets -- --nocapture
 cargo test -q --test ldap_footprint rebinding_every_leaf_does_not_grow_the_directory -- --nocapture
 cargo test -q --test ldap_footprint unbinding_every_leaf_returns_the_heap_it_took -- --nocapture
 cargo test -q --test hdns_footprint -- --nocapture

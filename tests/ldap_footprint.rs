@@ -74,10 +74,12 @@ fn value(round: u32, dept: u32, leaf: u32) -> String {
 
 #[test]
 fn a_bound_leaf_stays_inside_its_byte_budget() {
-    // Measured 250 once an entry became one block; 331 while its key, DN
-    // text, `Arc` and record were four, 383 while the equality index filed
-    // the payload, 392 while a value's text was its JSON.
-    const BYTES_PER_LEAF_BUDGET: i64 = 250;
+    // Measured 202 once the index stopped filing the provider's own class
+    // and kept a posting as a sorted vector of handles; 250 once an entry
+    // became one block; 331 while its key, DN text, `Arc` and record were
+    // four, 383 while the equality index filed the payload, 392 while a
+    // value's text was its JSON.
+    const BYTES_PER_LEAF_BUDGET: i64 = 202;
 
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let server = server();
@@ -111,6 +113,76 @@ fn a_bound_leaf_stays_inside_its_byte_budget() {
     assert_eq!(
         ctx.lookup("ldap://dir/ou=d0199/l9").unwrap().as_str(),
         Some(value(0, 199, 9).as_str())
+    );
+}
+
+/// What a `Dit` of `fed_resolve`'s departments keeps per leaf of `leaves`
+/// it adds, the blocks built beforehand: the tree's slot and the postings'.
+fn added_bytes_per_leaf(leaves: &[LdapEntry]) -> i64 {
+    let mut dit = Dit::new();
+    dit.add(LdapEntry::new(Dn::parse("o=bench").unwrap()).with("o", "bench"))
+        .unwrap();
+    for dept in 0..DEPTS {
+        let ou = format!("d{dept:04}");
+        let dn = Dn::parse(&format!("ou={ou},o=bench")).unwrap();
+        dit.add(
+            LdapEntry::new(dn)
+                .with("objectClass", "organizationalUnit")
+                .with("ou", ou),
+        )
+        .unwrap();
+    }
+    let ((), live) = live_bytes_during(|| {
+        for leaf in leaves {
+            dit.add(leaf.clone()).unwrap();
+        }
+    });
+    live / leaves.len() as i64
+}
+
+#[test]
+fn the_tree_and_the_index_stay_inside_their_byte_budgets() {
+    // A handle in the tree's `BTreeSet`, at the fill a key-ordered load
+    // leaves its nodes.
+    const TREE_BYTES_PER_ENTRY_BUDGET: i64 = 30;
+    // The leaf's one filed pair, `cn: lN`, shared by one leaf a department:
+    // a handle in a sorted vector. Measured 69 while postings were
+    // `BTreeSet`s (35 for `cn`'s) and the index filed
+    // `objectClass: rndiObject` (34).
+    const INDEX_BYTES_PER_LEAF_BUDGET: i64 = 21;
+
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
+    // As the provider binds them, and the same names with no filed pair.
+    let leaves = |filed: bool| -> Vec<LdapEntry> {
+        (0..DEPTS)
+            .flat_map(|dept| (0..LEAVES_PER_DEPT).map(move |leaf| (dept, leaf)))
+            .map(|(dept, leaf)| {
+                let dn = Dn::parse(&format!("cn=l{leaf},ou=d{dept:04},o=bench")).unwrap();
+                let entry = LdapEntry::new(dn).with("objectClass", "rndiObject");
+                let entry = if filed {
+                    entry.with("cn", format!("l{leaf}"))
+                } else {
+                    entry
+                };
+                entry.with("rndiValue", value(0, dept, leaf))
+            })
+            .collect()
+    };
+    let tree = added_bytes_per_leaf(&leaves(false));
+    let index = added_bytes_per_leaf(&leaves(true)) - tree;
+    println!(
+        "dirserv structure: {tree} B of tree per entry (budget {TREE_BYTES_PER_ENTRY_BUDGET}), \
+         {index} B of index per leaf (budget {INDEX_BYTES_PER_LEAF_BUDGET})"
+    );
+    println!("ledger: ldap.tree_bytes_per_entry {tree} {TREE_BYTES_PER_ENTRY_BUDGET}");
+    println!("ledger: ldap.index_bytes_per_leaf {index} {INDEX_BYTES_PER_LEAF_BUDGET}");
+    assert!(
+        tree <= TREE_BYTES_PER_ENTRY_BUDGET,
+        "the tree holds {tree} bytes per entry, budget {TREE_BYTES_PER_ENTRY_BUDGET}"
+    );
+    assert!(
+        index <= INDEX_BYTES_PER_LEAF_BUDGET,
+        "the index holds {index} bytes per leaf, budget {INDEX_BYTES_PER_LEAF_BUDGET}"
     );
 }
 
