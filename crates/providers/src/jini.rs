@@ -13,7 +13,13 @@
 //! * **Atomicity** — the LUS registration primitive always overwrites, so
 //!   strict `bind` semantics are implemented with Eisenberg–McGuire
 //!   mutual exclusion over lock registers stored *in the registry itself*
-//!   (each register access is a full LUS round-trip — the ≥8× penalty).
+//!   (each register access is a full LUS round-trip — the ≥8× penalty):
+//!   5 reads and 5 writes, then the existence lookup and the bind's own
+//!   register, 12 registrar calls against a relaxed bind's 2. A call costs
+//!   what reading or writing one item does and no more: a lock register
+//!   is read by its stable id and written from an item built once per
+//!   state, and its writes fire no event, so the lock allocates nothing
+//!   (`tests/jini_allocs.rs` holds both counts).
 //!   A strict bind waits for the lock no longer than `rndi.net.deadline-ms`
 //!   on the provider's clock, when that is set, and is then a `Timeout`.
 //!   Relaxed mode (`rndi.jini.bind.strict=false`) skips the lock, trading
@@ -27,7 +33,7 @@ use parking_lot::Mutex;
 use rlus::registrar::EventRegistration;
 use rlus::{
     DiscoveryRealm, Entry, EntryTemplate, Registrar, ServiceId, ServiceItem, ServiceStub,
-    ServiceTemplate, Transition,
+    ServiceTemplate, SharedItem, Transition,
 };
 
 use rndi_core::attrs::{AttrMod, Attributes};
@@ -56,6 +62,9 @@ const ATTRS_ENTRY: &str = "RndiAttrs";
 const STUB_TYPE: &str = "RndiObject";
 /// Prefix marking internal lock registers (hidden from list/search).
 const LOCK_PREFIX: &str = "__rndi_lock/";
+/// Stub interface type of a lock register: not [`STUB_TYPE`], so the
+/// provider's event subscription never matches one.
+const LOCK_TYPE: &str = "RndiLockRegister";
 
 /// Default lease duration requested for bound entries.
 const DEFAULT_LEASE_MS: u64 = 60_000;
@@ -99,26 +108,53 @@ fn item_attrs(item: &ServiceItem) -> Result<Attributes> {
 }
 
 /// Lock registers stored as registry entries: each read/write is one LUS
-/// round-trip, exactly as the paper's distributed lock pays.
+/// round-trip, exactly as the paper's distributed lock pays, and no more
+/// than that: a read looks the register up by the stable id its writes
+/// register under, and a write registers one of the register's items,
+/// built once per state.
 struct RegistrarRegisters {
     registrar: Registrar,
     lease_ms: u64,
 }
 
+/// One lock register: its id template, and its item in each state.
+struct LockRegister {
+    by_id: ServiceTemplate,
+    states: Vec<SharedItem>,
+}
+
 impl SharedRegisters for RegistrarRegisters {
-    fn read(&self, key: &str) -> String {
-        self.registrar
-            .lookup(&binding_template(key))
-            .and_then(|item| match common::unmarshal(&item.service.payload) {
-                BoundValue::Str(s) => Some(s),
-                _ => None,
-            })
-            .unwrap_or_default()
+    type Register = LockRegister;
+
+    fn open(&self, key: &str, states: &[&str]) -> LockRegister {
+        let id = service_id_for(key);
+        let item = |state: &str| {
+            let payload = common::marshal(&BoundValue::str(state)).expect("a string marshals");
+            ServiceItem::new(ServiceStub::new(vec![LOCK_TYPE.to_string()], payload))
+                .with_id(id)
+                .with_entry(Entry::new(BINDING_ENTRY).with("name", key))
+        };
+        LockRegister {
+            by_id: ServiceTemplate::by_id(id),
+            states: states.iter().map(|s| SharedItem::from(item(s))).collect(),
+        }
     }
 
-    fn write(&self, key: &str, value: &str) {
-        let item = make_item_value(key, &BoundValue::str(value), &Attributes::new());
-        self.registrar.register(item, self.lease_ms);
+    fn read(&self, register: &LockRegister) -> usize {
+        self.registrar
+            .lookup(&register.by_id)
+            .and_then(|held| {
+                register
+                    .states
+                    .iter()
+                    .position(|state| state.service.payload == held.service.payload)
+            })
+            .unwrap_or(0)
+    }
+
+    fn write(&self, register: &LockRegister, state: usize) {
+        self.registrar
+            .register(register.states[state].clone(), self.lease_ms);
     }
 }
 
@@ -306,21 +342,19 @@ impl JiniProviderContext {
     }
 
     /// Bridge registrar remote events into the provider's event hub, for
-    /// as long a lease as the registrar grants.
+    /// as long a lease as the registrar grants. The subscription selects
+    /// fake stubs only, so a lock register's write fires nothing.
     fn subscribe(registrar: &Registrar, hub: &Arc<EventHub>) -> EventRegistration {
         struct Bridge {
             hub: Arc<EventHub>,
         }
         impl rlus::ServiceListener for Bridge {
             fn notify(&self, event: &rlus::ServiceEvent) {
-                let Some(name) = event.item.as_ref().and_then(binding_name) else {
+                let Some(name) = event.item.as_deref().and_then(binding_name) else {
                     // Removals carry no item; nothing to name the event
                     // with (a server-side limitation the provider accepts).
                     return;
                 };
-                if name.starts_with(LOCK_PREFIX) {
-                    return;
-                }
                 let composite = CompositeName::from_components([name]);
                 let value = event
                     .item
@@ -337,7 +371,7 @@ impl JiniProviderContext {
             }
         }
         registrar.notify(
-            ServiceTemplate::any().with_entry(EntryTemplate::new(BINDING_ENTRY)),
+            ServiceTemplate::by_type(STUB_TYPE).with_entry(EntryTemplate::new(BINDING_ENTRY)),
             &[Transition::Match, Transition::Changed, Transition::NoMatch],
             Arc::new(Bridge { hub: hub.clone() }),
             u64::MAX / 4,

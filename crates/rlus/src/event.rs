@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use crate::id::ServiceId;
-use crate::item::ServiceItem;
+use crate::item::SharedItem;
 
 /// Match-set transition kinds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -30,8 +30,9 @@ pub struct ServiceEvent {
     pub service_id: ServiceId,
     pub transition: Transition,
     /// The item after the transition (absent for `NoMatch`, mirroring the
-    /// Jini behaviour of delivering `null` for deleted items).
-    pub item: Option<ServiceItem>,
+    /// Jini behaviour of delivering `null` for deleted items): the
+    /// registrar's own shared copy, not a clone.
+    pub item: Option<SharedItem>,
 }
 
 /// Receives service events. Must be cheap and non-blocking.

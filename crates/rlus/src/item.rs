@@ -1,6 +1,8 @@
 //! Service items: what gets registered in the lookup service.
 
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -115,6 +117,32 @@ impl ServiceItem {
     }
 }
 
+/// A registered item as the registrar holds it and hands it out: one
+/// shared block, so a lookup or an event clones a pointer, not the item.
+/// Writing through it copies the item first when anyone else holds it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SharedItem(Arc<ServiceItem>);
+
+impl Deref for SharedItem {
+    type Target = ServiceItem;
+
+    fn deref(&self) -> &ServiceItem {
+        &self.0
+    }
+}
+
+impl DerefMut for SharedItem {
+    fn deref_mut(&mut self) -> &mut ServiceItem {
+        Arc::make_mut(&mut self.0)
+    }
+}
+
+impl From<ServiceItem> for SharedItem {
+    fn from(item: ServiceItem) -> Self {
+        SharedItem(Arc::new(item))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,6 +172,20 @@ mod tests {
             .with_entry(Entry::new("C").with("f", "v"));
         // payload 10 + type "T" 1 + class "C" 1 + field "f"+"v" 2
         assert_eq!(item.size(), 14);
+    }
+
+    #[test]
+    fn a_shared_item_is_copied_on_write_only_while_shared() {
+        let mut held = SharedItem::from(ServiceItem::new(ServiceStub::new(vec![], vec![1])));
+        let handed_out = held.clone();
+        held.service.payload = vec![2];
+        assert_eq!(handed_out.service.payload, vec![1], "the copy is untouched");
+        let at = &held.service as *const ServiceStub;
+        held.service.payload = vec![3];
+        assert_eq!(
+            &held.service as *const ServiceStub, at,
+            "sole holder: in place"
+        );
     }
 
     #[test]

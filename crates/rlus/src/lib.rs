@@ -7,7 +7,8 @@
 //! match-set transitions. This crate reimplements that contract:
 //!
 //! * [`id::ServiceId`] — 128-bit service identifiers.
-//! * [`item::ServiceItem`] — proxy stub + typed attribute entries.
+//! * [`item::ServiceItem`] — proxy stub + typed attribute entries; the
+//!   registrar holds and hands out each as one [`item::SharedItem`].
 //! * [`template::ServiceTemplate`] — id/type/entry matching.
 //! * [`lease::LeaseSet`] — granted leases with expiry sweeping; **all**
 //!   registrations are leased, exactly the property the paper's JNDI
@@ -38,7 +39,7 @@ pub mod template;
 pub use discovery::DiscoveryRealm;
 pub use event::{ServiceEvent, ServiceListener, Transition};
 pub use id::ServiceId;
-pub use item::{Entry, ServiceItem, ServiceStub};
+pub use item::{Entry, ServiceItem, ServiceStub, SharedItem};
 pub use lease::{Lease, LeaseError};
 pub use registrar::{Registrar, ServiceRegistration};
 /// The registrar's time source: the process's one millisecond clock.

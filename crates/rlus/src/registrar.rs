@@ -8,9 +8,15 @@
 //!   registration methods always overwrite the previous value") — there is
 //!   no compare-and-set / atomic-bind primitive.
 //! * Every registration and event subscription is **leased** and vanishes
-//!   unless renewed ([`Registrar::sweep`] reclaims expired grants).
+//!   unless renewed: a read never returns an item whose lease has lapsed,
+//!   and [`Registrar::sweep`] reclaims expired grants (firing their
+//!   `NoMatch` events).
 //! * Lookups match by [`ServiceTemplate`]; events fire on match-set
 //!   transitions.
+//!
+//! Items are stored as [`SharedItem`]s: [`Registrar::lookup`] and every
+//! event hand out the stored block itself, so a read or an event costs a
+//! reference count, not a copy of the item.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -23,7 +29,7 @@ use rand::SeedableRng;
 use crate::event::{ServiceEvent, ServiceListener, Transition};
 use crate::id::ServiceId;
 use crate::index::ServiceIndex;
-use crate::item::{Entry, ServiceItem};
+use crate::item::{Entry, ServiceItem, SharedItem};
 use crate::lease::{Lease, LeaseError, LeaseSet};
 use crate::template::ServiceTemplate;
 use crate::Clock;
@@ -54,8 +60,18 @@ pub struct RegistrarStats {
 }
 
 struct StoredItem {
-    item: ServiceItem,
+    item: SharedItem,
     lease_id: u64,
+    /// The lease's expiry, kept beside the item so that a read's liveness
+    /// check is one comparison.
+    expires_at_ms: u64,
+}
+
+impl StoredItem {
+    /// The item, unless its lease has lapsed by `now_ms`.
+    fn live(&self, now_ms: u64) -> Option<&SharedItem> {
+        (now_ms < self.expires_at_ms).then_some(&self.item)
+    }
 }
 
 struct EventReg {
@@ -129,8 +145,10 @@ impl Registrar {
         }
     }
 
-    /// Register (or overwrite) a service item.
-    pub fn register(&self, mut item: ServiceItem, lease_ms: u64) -> ServiceRegistration {
+    /// Register (or overwrite) a service item: a plain [`ServiceItem`], or
+    /// a [`SharedItem`] a caller keeps to register again without a copy.
+    pub fn register(&self, item: impl Into<SharedItem>, lease_ms: u64) -> ServiceRegistration {
+        let mut item = item.into();
         let now = self.clock.now_ms();
         let (reg, events) = {
             let mut st = self.state.write();
@@ -146,18 +164,18 @@ impl Registrar {
             let old = st.items.remove(&id);
             if let Some(prev) = &old {
                 self.stats.overwrites.fetch_add(1, Ordering::Relaxed);
-                st.index.remove(id, &prev.item);
                 let _ = st.service_leases.cancel(prev.lease_id);
             }
             let lease = st.service_leases.grant(id, lease_ms, now);
-            let events =
-                self.transition_events(&mut st, id, old.as_ref().map(|s| &s.item), Some(&item));
-            st.index.insert(id, &item);
+            let old = old.map(|s| s.item);
+            let events = self.transition_events(&mut st, id, old.as_ref(), Some(&item));
+            st.index.replace(id, old.as_deref(), Some(&item));
             st.items.insert(
                 id,
                 StoredItem {
                     item,
                     lease_id: lease.id,
+                    expires_at_ms: lease.expires_at_ms,
                 },
             );
             (
@@ -178,11 +196,12 @@ impl Registrar {
             let mut st = self.state.write();
             let stored = st.items.get(&id).ok_or(LeaseError::Unknown(0))?;
             let old = stored.item.clone();
-            let mut new = old.clone();
-            new.attribute_sets = entries;
+            let new = SharedItem::from(ServiceItem {
+                attribute_sets: entries,
+                ..ServiceItem::clone(&old)
+            });
             let events = self.transition_events(&mut st, id, Some(&old), Some(&new));
-            st.index.remove(id, &old);
-            st.index.insert(id, &new);
+            st.index.replace(id, Some(&old), Some(&new));
             st.items.get_mut(&id).expect("checked above").item = new;
             events
         };
@@ -190,24 +209,38 @@ impl Registrar {
         Ok(())
     }
 
-    /// First item matching `template`, if any.
-    pub fn lookup(&self, template: &ServiceTemplate) -> Option<ServiceItem> {
+    /// First item matching `template`, if any: the registrar's shared
+    /// copy.
+    pub fn lookup(&self, template: &ServiceTemplate) -> Option<SharedItem> {
+        let now = self.clock.now_ms();
         let st = self.state.read();
         self.stats.lookups.fetch_add(1, Ordering::Relaxed);
-        Self::collect_matches(&st, template, 1).pop()
+        let mut found = None;
+        Self::each_match(&st, template, now, |item| {
+            found = Some(item.clone());
+            false
+        });
+        found
     }
 
-    /// Up to `max` items matching `template` (0 = unlimited).
+    /// Up to `max` items matching `template` (0 = unlimited), copied out.
     ///
     /// Resolved via the secondary indexes: an explicit service id is a
-    /// direct map hit, otherwise the template's type/entry constraints are
-    /// intersected over posting sets and only the (usually few) candidates
-    /// are verified against the full template. A wildcard template still
-    /// scans — everything matches it anyway.
+    /// direct map hit, otherwise the smallest posting set the template's
+    /// type/entry constraints select is walked and only its (usually few)
+    /// candidates are verified against the full template. A wildcard
+    /// template still scans — everything matches it anyway.
     pub fn lookup_all(&self, template: &ServiceTemplate, max: usize) -> Vec<ServiceItem> {
+        let now = self.clock.now_ms();
         let st = self.state.read();
         self.stats.lookups.fetch_add(1, Ordering::Relaxed);
-        Self::collect_matches(&st, template, max)
+        let cap = if max == 0 { usize::MAX } else { max };
+        let mut out = Vec::new();
+        Self::each_match(&st, template, now, |item| {
+            out.push(ServiceItem::clone(item));
+            out.len() < cap
+        });
+        out
     }
 
     /// Reference implementation of [`Registrar::lookup_all`]: a linear scan
@@ -215,13 +248,14 @@ impl Registrar {
     /// property tests and `tests/read_path_index.rs` compare the
     /// indexed path against. Does not count toward [`RegistrarStats`].
     pub fn lookup_all_scan(&self, template: &ServiceTemplate, max: usize) -> Vec<ServiceItem> {
+        let now = self.clock.now_ms();
         let st = self.state.read();
         let iter = st
             .items
             .values()
-            .map(|s| &s.item)
+            .filter_map(|s| s.live(now))
             .filter(|i| template.matches(i))
-            .cloned();
+            .map(|i| ServiceItem::clone(i));
         if max == 0 {
             iter.collect()
         } else {
@@ -240,51 +274,58 @@ impl Registrar {
         })
     }
 
-    fn collect_matches(st: &State, template: &ServiceTemplate, max: usize) -> Vec<ServiceItem> {
-        let cap = if max == 0 { usize::MAX } else { max };
-        let mut out = Vec::new();
+    /// Hand `visit` each live item matching `template`, in service-id
+    /// order on the indexed paths, until it returns `false`.
+    fn each_match(
+        st: &State,
+        template: &ServiceTemplate,
+        now_ms: u64,
+        mut visit: impl FnMut(&SharedItem) -> bool,
+    ) {
+        let mut offer = |stored: &StoredItem| match stored.live(now_ms) {
+            Some(item) if template.matches(item) => visit(item),
+            _ => true,
+        };
         if let Some(id) = template.service_id {
             // Id-constrained templates resolve to at most one item directly.
             Self::read_path_counters()[0].inc();
             if let Some(stored) = st.items.get(&id) {
-                if template.matches(&stored.item) {
-                    out.push(stored.item.clone());
-                }
+                offer(stored);
             }
-            return out;
+            return;
         }
         match st.index.candidates(template) {
             Some(ids) => {
                 Self::read_path_counters()[0].inc();
                 for id in ids {
-                    let stored = st.items.get(&id).expect("index coherent with items");
-                    if template.matches(&stored.item) {
-                        out.push(stored.item.clone());
-                        if out.len() == cap {
-                            break;
-                        }
+                    if !offer(st.items.get(id).expect("index coherent with items")) {
+                        break;
                     }
                 }
             }
             None => {
                 Self::read_path_counters()[1].inc();
                 for stored in st.items.values() {
-                    if template.matches(&stored.item) {
-                        out.push(stored.item.clone());
-                        if out.len() == cap {
-                            break;
-                        }
+                    if !offer(stored) {
+                        break;
                     }
                 }
             }
         }
-        out
     }
 
     /// Renew a service lease.
     pub fn renew_service_lease(&self, lease_id: u64, ms: u64) -> Result<Lease, LeaseError> {
         let now = self.clock.now_ms();
-        self.state.write().service_leases.renew(lease_id, ms, now)
+        let mut st = self.state.write();
+        // An unexpired lease's resource is its item, which reads judge by
+        // the expiry stored beside it.
+        let id = st.service_leases.resource(lease_id, now).copied();
+        let lease = st.service_leases.renew(lease_id, ms, now)?;
+        if let Some(stored) = id.and_then(|id| st.items.get_mut(&id)) {
+            stored.expires_at_ms = lease.expires_at_ms;
+        }
+        Ok(lease)
     }
 
     /// Cancel a service lease, removing the item (fires `NoMatch` events).
@@ -292,11 +333,9 @@ impl Registrar {
         let events = {
             let mut st = self.state.write();
             let id = st.service_leases.cancel(lease_id)?;
-            let old = st.items.remove(&id);
-            if let Some(prev) = &old {
-                st.index.remove(id, &prev.item);
-            }
-            self.transition_events(&mut st, id, old.as_ref().map(|s| &s.item), None)
+            let old = st.items.remove(&id).map(|s| s.item);
+            st.index.replace(id, old.as_deref(), None);
+            self.transition_events(&mut st, id, old.as_ref(), None)
         };
         self.fire(events);
         Ok(())
@@ -356,16 +395,9 @@ impl Registrar {
             let mut events = Vec::new();
             for id in dead_services {
                 self.stats.leases_expired.fetch_add(1, Ordering::Relaxed);
-                let old = st.items.remove(&id);
-                if let Some(prev) = &old {
-                    st.index.remove(id, &prev.item);
-                }
-                events.extend(self.transition_events(
-                    &mut st,
-                    id,
-                    old.as_ref().map(|s| &s.item),
-                    None,
-                ));
+                let old = st.items.remove(&id).map(|s| s.item);
+                st.index.replace(id, old.as_deref(), None);
+                events.extend(self.transition_events(&mut st, id, old.as_ref(), None));
             }
             let dead_regs = st.event_leases.sweep(now);
             for reg_id in dead_regs {
@@ -405,8 +437,8 @@ impl Registrar {
         &self,
         st: &mut State,
         id: ServiceId,
-        old: Option<&ServiceItem>,
-        new: Option<&ServiceItem>,
+        old: Option<&SharedItem>,
+        new: Option<&SharedItem>,
     ) -> Vec<(Arc<dyn ServiceListener>, ServiceEvent)> {
         let mut out = Vec::new();
         for (reg_id, reg) in st.event_regs.iter_mut() {
@@ -518,6 +550,60 @@ mod tests {
         r.sweep();
         assert_eq!(r.item_count(), 0);
         assert_eq!(r.stats().leases_expired, 1);
+    }
+
+    #[test]
+    fn a_lapsed_lease_hides_its_item_from_every_read_before_any_sweep() {
+        let (r, clock) = registrar();
+        let l = BufferingListener::new();
+        r.notify(
+            ServiceTemplate::any(),
+            &[Transition::NoMatch],
+            l.clone(),
+            60_000,
+        );
+        let reg = r.register(item("x"), 1_000);
+        let templates = [
+            ServiceTemplate::any(),
+            ServiceTemplate::by_id(reg.service_id),
+            ServiceTemplate::by_type("Svc"),
+            ServiceTemplate::any().with_entry(EntryTemplate::new("Name").with("name", "x")),
+        ];
+        let seen = |t: &ServiceTemplate| {
+            [
+                usize::from(r.lookup(t).is_some()),
+                r.lookup_all(t, 0).len(),
+                r.lookup_all_scan(t, 0).len(),
+            ]
+        };
+        clock.set(999);
+        for t in &templates {
+            assert_eq!(seen(t), [1, 1, 1], "1 ms before expiry: {t:?}");
+        }
+        clock.set(1_000);
+        for t in &templates {
+            assert_eq!(seen(t), [0, 0, 0], "at expiry, unswept: {t:?}");
+        }
+        assert_eq!(r.item_count(), 1, "still held until a sweep");
+        assert_eq!(l.count(), 0, "no event before the sweep");
+        r.sweep();
+        let evs = l.drain();
+        assert_eq!(evs.len(), 1);
+        assert_eq!(evs[0].transition, Transition::NoMatch);
+        assert_eq!(evs[0].service_id, reg.service_id);
+    }
+
+    #[test]
+    fn a_renewal_moves_the_expiry_reads_judge_by() {
+        let (r, clock) = registrar();
+        let reg = r.register(item("x"), 1_000);
+        clock.set(800);
+        r.renew_service_lease(reg.lease.id, 1_000).unwrap();
+        let by_id = ServiceTemplate::by_id(reg.service_id);
+        clock.set(1_799);
+        assert!(r.lookup(&by_id).is_some(), "renewed to t=1800");
+        clock.set(1_800);
+        assert!(r.lookup(&by_id).is_none());
     }
 
     #[test]

@@ -70,8 +70,8 @@ impl ServiceTemplate {
         ServiceTemplate::default()
     }
 
-    // Kept, with `with_type`: the id- and type-constrained templates the
-    // crate's property and stress tests drive through the index.
+    /// The template a client that knows an item's id reads it by: one
+    /// map probe, no index.
     pub fn by_id(id: ServiceId) -> Self {
         ServiceTemplate {
             service_id: Some(id),
@@ -86,6 +86,8 @@ impl ServiceTemplate {
         }
     }
 
+    // Kept: the type-constrained templates the crate's property and
+    // stress tests drive through the index.
     pub fn with_type(mut self, type_name: impl Into<String>) -> Self {
         self.service_types.push(type_name.into());
         self

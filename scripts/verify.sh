@@ -42,7 +42,9 @@ NAMED_BELOW=(the_walk_matches_its_oracle read_is_a_base_scope_match_all_search w
   federated_lookups_cache_one_line_per_denied_subtree
   compaction_peak_heap_stays_near_the_snapshot_length
   random_fault_schedules_lose_no_acknowledged_write the_codec_
-  a_value_round_trip_stays_inside_its_allocation_budget)
+  a_value_round_trip_stays_inside_its_allocation_budget
+  a_jini_bind_stays_inside_its_allocation_budget
+  a_strict_bind_makes_the_papers_twelve_registrar_calls)
 echo "==> cargo test -q (all but hdns, the oracle proptests, the federation matrix, the budgets and the cluster's random schedules)"
 cargo test -q --workspace --exclude hdns -- "${NAMED_BELOW[@]/#/--skip=}"
 
@@ -95,9 +97,10 @@ cargo test -q -p rndi-core --test codec_oracle the_codec_ -- --nocapture
 # (their DNS and HDNS hops cached) and their shrinking reallocs (none: a
 # block trimmed in place leaves a sliver the heap grows by), the lines and
 # upstream queries fed_resolve's DNS leg leaves in the resolver (RFC 8020
-# denial), and the heap one compaction of replica_write's store peaks at,
-# each against its budget.
-echo "==> budgets: what dirserv and an HDNS replica hold per binding, what a name and a federated op allocate and shrink, what the resolver caches, what a compaction peaks at"
+# denial), the heap one compaction of replica_write's store peaks at, and
+# the allocations and registrar calls of a strict Jini bind, each against
+# its budget.
+echo "==> budgets: what dirserv and an HDNS replica hold per binding, what a name, a federated op and a Jini bind allocate and shrink, what the resolver caches, what a compaction peaks at, what a strict bind asks the registrar"
 cargo test -q --test ldap_footprint a_bound_leaf_stays_inside_its_byte_budget -- --nocapture
 cargo test -q --test ldap_footprint the_tree_and_the_index_stay_inside_their_byte_budgets -- --nocapture
 cargo test -q --test ldap_footprint rebinding_every_leaf_does_not_grow_the_directory -- --nocapture
@@ -109,6 +112,8 @@ cargo test -q --test federation_allocs federated_lookup_and_rebind_stay_inside_t
 cargo test -q --test federation_allocs a_warmed_federated_op_shrinks_no_block_in_place -- --nocapture
 cargo test -q --test dns_denial federated_lookups_cache_one_line_per_denied_subtree -- --nocapture
 cargo test -q --test hdns_write_allocs compaction_peak_heap_stays_near_the_snapshot_length -- --nocapture
+cargo test -q --test jini_allocs a_jini_bind_stays_inside_its_allocation_budget -- --nocapture
+cargo test -q --test jini_allocs a_strict_bind_makes_the_papers_twelve_registrar_calls -- --nocapture
 
 # Named on its own because it is the cluster's model check: 64 seeded
 # schedules of crashes, restarts, cuts, loss, duplication, reordering and
