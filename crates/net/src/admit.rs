@@ -1,6 +1,6 @@
 //! Admission: the overload plane's policy as a sans-IO state machine.
 //!
-//! A shard of [`NetServer`](crate::NetServer) is a serial executor. Every
+//! A [`Shard`](crate::shard::Shard) is a serial executor. Every
 //! call it reads is [`offer`](Admission::offer)ed here first: a
 //! connection's [`Quota`] (a token bucket) may refuse it, the queue bound
 //! may refuse it, and otherwise it waits in FIFO order. The shard then
@@ -10,8 +10,8 @@
 //! which feeds the service-time estimate and the AIMD bound.
 //!
 //! Every call takes the caller's `now`: the module reads no clock and holds
-//! no socket or thread, so a simulated clock drives it exactly as the
-//! shard's does (`tests/admission_model.rs`).
+//! no socket or thread, so a simulated clock drives it through the shard
+//! exactly as a server thread's does (`tests/admission_model.rs`).
 //!
 //! A bound on *waiting* calls is the shard's concurrency limit: by
 //! Little's law it caps queue wait at roughly `bound × service time`,

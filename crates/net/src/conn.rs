@@ -4,10 +4,10 @@
 //! out — no sockets, no threads, no clocks — which is what makes the
 //! protocol's trickiest behaviour (the preamble handshake, pipelined
 //! request-ID bookkeeping, partial frames split at arbitrary byte
-//! boundaries) unit-testable without IO. The readiness loops in
-//! [`crate::server`] and [`crate::client`] are thin drivers: they feed
-//! whatever bytes the socket produced into [`ServerConn::receive`] /
-//! [`ClientConn::receive`] and write out whatever the machine queued.
+//! boundaries) unit-testable without IO. [`crate::shard`] and
+//! [`crate::client`] feed whatever bytes arrived into
+//! [`ServerConn::receive`] / [`ClientConn::receive`], and the socket side
+//! writes out whatever the machine queued.
 //!
 //! Layering (fraktor-rs-style): `proto` knows *messages*, `conn` knows
 //! *connections* (preamble state, frame reassembly, request IDs), and

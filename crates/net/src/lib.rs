@@ -16,12 +16,15 @@
 //! - [`admit`] — the sans-IO admission machine: per-connection token
 //!   buckets, the bounded call queue, expiry in queue, the AIMD bound and
 //!   the shed hints. Calls and instants in, decisions out; no clock.
+//! - [`shard`] — one event loop's pass, sans-IO: connections by id, the
+//!   admission offer and the queue's run against the backend, admin,
+//!   gossip routing and the request instruments. Bytes and instants in,
+//!   bytes out.
 //! - [`server`] / [`client`] — IO strategy: [`NetServer`] hosts **any**
 //!   [`ProviderBackend`](rndi_core::spi::ProviderBackend) — including a
 //!   full `ProviderPipeline`, so server-side cache/retry/obs layers keep
-//!   working — on a shard-per-core nonblocking event loop that holds
-//!   thousands of connections with per-request deadlines and graceful
-//!   drain. [`NetClient`] **is** a `ProviderBackend`: the client-side
+//!   working — on shard-per-core nonblocking threads that move bytes for
+//!   thousands of connections, with graceful drain. [`NetClient`] **is** a `ProviderBackend`: the client-side
 //!   pipeline stack (cache, retry, obs interceptors) wraps remote calls
 //!   unchanged, over pooled connections that multiplex concurrent
 //!   requests.
@@ -43,6 +46,7 @@ pub mod client;
 pub mod conn;
 pub mod proto;
 pub mod server;
+pub mod shard;
 
 pub use client::{ClientConfig, NetClient, NetClientFactory};
 pub use server::{GossipHandler, NetServer, ServerConfig};

@@ -7,9 +7,9 @@
 //! the collision certain. The transport reads no gossip payload: the
 //! frames here are bytes that mean nothing to it.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use rndi_core::env::{keys, Environment};
 use rndi_core::error::{NamingError, Result};
@@ -24,21 +24,40 @@ const ACK: &[u8] = b"\x01\x01";
 /// What the call waits for and the gossip frame delivers.
 #[derive(Default)]
 struct Group {
-    waiting: AtomicBool,
-    delivered: AtomicBool,
+    state: Mutex<Progress>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct Progress {
+    waiting: bool,
+    delivered: bool,
+}
+
+impl Group {
+    fn update(&self, change: impl FnOnce(&mut Progress)) {
+        change(&mut self.state.lock().unwrap());
+        self.changed.notify_all();
+    }
+
+    /// Wait until `done` holds, for at most `within`; whether it did.
+    fn wait_for(&self, within: Duration, done: impl Fn(&Progress) -> bool) -> bool {
+        let state = self.state.lock().unwrap();
+        let (state, _) = self
+            .changed
+            .wait_timeout_while(state, within, |progress| !done(progress))
+            .unwrap();
+        done(&state)
+    }
 }
 
 impl ProviderBackend for Group {
     fn execute(&self, _: &NamingOp) -> Result<OpOutcome> {
-        self.waiting.store(true, Ordering::SeqCst);
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while !self.delivered.load(Ordering::SeqCst) {
-            if Instant::now() >= deadline {
-                return Err(NamingError::Timeout {
-                    detail: "the frame never came".into(),
-                });
-            }
-            std::thread::sleep(Duration::from_millis(1));
+        self.update(|progress| progress.waiting = true);
+        if !self.wait_for(Duration::from_secs(2), |progress| progress.delivered) {
+            return Err(NamingError::Timeout {
+                detail: "the frame never came".into(),
+            });
         }
         Ok(OpOutcome::Done)
     }
@@ -52,9 +71,7 @@ impl GossipHandler for Group {
     fn handle(&self, payload: &[u8]) -> Vec<u8> {
         assert_eq!(payload, FRAME, "the payload crosses unchanged");
         // Only a frame sent while the call waits counts.
-        if self.waiting.load(Ordering::SeqCst) {
-            self.delivered.store(true, Ordering::SeqCst);
-        }
+        self.update(|progress| progress.delivered |= progress.waiting);
         ACK.to_vec()
     }
 }
@@ -75,9 +92,10 @@ fn gossip_is_served_while_a_call_blocks_the_only_shard() {
         let client = NetClient::new(endpoint, &env).unwrap();
         std::thread::spawn(move || client.execute(&NamingOp::lookup("k".into())))
     };
-    while !group.waiting.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    assert!(
+        group.wait_for(Duration::from_secs(10), |progress| progress.waiting),
+        "the call never reached the backend"
+    );
     assert_eq!(peer.gossip(FRAME).unwrap(), ACK);
     let answer = caller.join().unwrap();
     assert!(matches!(answer, Ok(OpOutcome::Done)), "{answer:?}");

@@ -81,6 +81,8 @@ fn idle_connections_are_evicted_and_metered() {
     assert_eq!(pool_gauge(&addr), 1);
 
     let before = evictions(&addr, "idle");
+    // A sleep, because idle eviction is timed by the client's wall clock
+    // (`rndi.net.client.idle-ms`): the pooled socket must outlast it.
     std::thread::sleep(Duration::from_millis(150));
     // The next checkout sweeps the expired connection and dials afresh.
     client.lookup_str("a").unwrap();

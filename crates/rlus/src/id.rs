@@ -3,11 +3,9 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// A 128-bit identifier assigned by the registrar (or proposed by the
 /// service when re-registering after a restart).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ServiceId {
     pub hi: u64,
     pub lo: u64,

@@ -4,15 +4,13 @@ use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::id::ServiceId;
 
 /// The marshalled service proxy. In Jini this is a serialized Java object
 /// implementing the service's remote interfaces; here it is the interface
 /// type list plus an opaque payload (whatever the client marshalled — the
 /// JNDI provider stores encoded name/value tuples in it as "fake stubs").
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServiceStub {
     /// Fully qualified names of every interface the proxy implements, most
     /// derived first. Template type matching checks membership here.
@@ -43,7 +41,7 @@ impl ServiceStub {
 
 /// An attribute entry (Jini `net.jini.core.entry.Entry`): a typed record of
 /// public fields. Matching is per-class with exact field comparison.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Entry {
     /// The entry's class, e.g. `"net.jini.lookup.entry.Name"`.
     pub class: String,
@@ -73,7 +71,7 @@ impl Entry {
 }
 
 /// A registered (or to-be-registered) service.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ServiceItem {
     /// `None` on first registration — the registrar assigns one.
     pub service_id: Option<ServiceId>,
@@ -186,15 +184,5 @@ mod tests {
             &held.service as *const ServiceStub, at,
             "sole holder: in place"
         );
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let item = ServiceItem::new(ServiceStub::new(vec!["T".into()], vec![9]))
-            .with_id(ServiceId::new(1, 2))
-            .with_entry(Entry::name("n"));
-        let json = serde_json::to_string(&item).unwrap();
-        let back: ServiceItem = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, item);
     }
 }

@@ -8,13 +8,11 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::id::ServiceId;
 use crate::item::{Entry, ServiceItem};
 
 /// A partially specified [`Entry`]: `None` fields are wildcards.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EntryTemplate {
     pub class: String,
     pub fields: BTreeMap<String, Option<String>>,
@@ -55,7 +53,7 @@ impl EntryTemplate {
 }
 
 /// The full service template.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServiceTemplate {
     pub service_id: Option<ServiceId>,
     /// Types the service must implement (all of them).

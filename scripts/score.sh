@@ -29,7 +29,7 @@ echo "score: product_lines=$product shipped_lines=$((product - harness))" \
   "hdns_provider_lines=$(wc -l < crates/providers/src/hdns.rs)" \
   "env_keys=$env_keys" \
   "ClientConfig=$(fields crates/net/src/client.rs ClientConfig)" \
-  "ServerConfig=$(fields crates/net/src/server.rs ServerConfig)" \
+  "ServerConfig=$(fields crates/net/src/shard.rs ServerConfig)" \
   "ClusterConfig=$(fields crates/cluster/src/config.rs ClusterConfig)" \
   "StackConfig=$(fields crates/groupcomm/src/config.rs StackConfig)" \
   "harness_lines=$harness" \

@@ -44,7 +44,8 @@ NAMED_BELOW=(the_walk_matches_its_oracle read_is_a_base_scope_match_all_search w
   random_fault_schedules_lose_no_acknowledged_write the_codec_
   a_value_round_trip_stays_inside_its_allocation_budget
   a_jini_bind_stays_inside_its_allocation_budget
-  a_strict_bind_makes_the_papers_twelve_registrar_calls)
+  a_strict_bind_makes_the_papers_twelve_registrar_calls
+  a_pipelined_lookup_stays_inside_its_allocation_budget)
 echo "==> cargo test -q (all but hdns, the oracle proptests, the federation matrix, the budgets and the cluster's random schedules)"
 cargo test -q --workspace --exclude hdns -- "${NAMED_BELOW[@]/#/--skip=}"
 
@@ -98,9 +99,10 @@ cargo test -q -p rndi-core --test codec_oracle the_codec_ -- --nocapture
 # block trimmed in place leaves a sliver the heap grows by), the lines and
 # upstream queries fed_resolve's DNS leg leaves in the resolver (RFC 8020
 # denial), the heap one compaction of replica_write's store peaks at, and
-# the allocations and registrar calls of a strict Jini bind, each against
-# its budget.
-echo "==> budgets: what dirserv and an HDNS replica hold per binding, what a name, a federated op and a Jini bind allocate and shrink, what the resolver caches, what a compaction peaks at, what a strict bind asks the registrar"
+# the allocations and registrar calls of a strict Jini bind and the
+# allocations of a pipelined lookup through the shard pass, each against its
+# budget.
+echo "==> budgets: what dirserv and an HDNS replica hold per binding, what a name, a federated op, a Jini bind and a pipelined lookup allocate and shrink, what the resolver caches, what a compaction peaks at, what a strict bind asks the registrar"
 cargo test -q --test ldap_footprint a_bound_leaf_stays_inside_its_byte_budget -- --nocapture
 cargo test -q --test ldap_footprint the_tree_and_the_index_stay_inside_their_byte_budgets -- --nocapture
 cargo test -q --test ldap_footprint rebinding_every_leaf_does_not_grow_the_directory -- --nocapture
@@ -114,6 +116,7 @@ cargo test -q --test dns_denial federated_lookups_cache_one_line_per_denied_subt
 cargo test -q --test hdns_write_allocs compaction_peak_heap_stays_near_the_snapshot_length -- --nocapture
 cargo test -q --test jini_allocs a_jini_bind_stays_inside_its_allocation_budget -- --nocapture
 cargo test -q --test jini_allocs a_strict_bind_makes_the_papers_twelve_registrar_calls -- --nocapture
+cargo test -q --test shard_allocs a_pipelined_lookup_stays_inside_its_allocation_budget -- --nocapture
 
 # Named on its own because it is the cluster's model check: 64 seeded
 # schedules of crashes, restarts, cuts, loss, duplication, reordering and
@@ -242,21 +245,25 @@ if git grep -n -w -E "$MEMBERSHIP" -- crates/net crates/obs; then
   echo "verify: the files above name membership vocabulary in rndi-net or rndi-obs" >&2
   exit 1
 fi
-# Admission is one sans-IO state machine (crates/net/src/admit.rs) that a
-# NetServer shard drives: a clock read, a sleep, a thread or a socket in
-# it, or its token bucket, AIMD constants or the inline call path back in
-# server.rs, is the policy spreading into the driver again.
-echo "==> admission is a sans-IO machine; the server only drives it"
-if [ ! -f crates/net/src/admit.rs ]; then
-  echo "verify: crates/net/src/admit.rs is missing" >&2
-  exit 1
-fi
-if grep -n -E 'Instant::now|SystemTime|std::thread|sleep|std::net' crates/net/src/admit.rs; then
-  echo "verify: crates/net/src/admit.rs reads a clock, sleeps, or names a thread or socket" >&2
-  exit 1
-fi
-if grep -n -E 'TokenBucket|AIMD_|fn engaged|expired before dispatch' crates/net/src/server.rs; then
-  echo "verify: crates/net/src/server.rs holds admission policy or a second call path" >&2
+# Admission (crates/net/src/admit.rs) and the shard pass that drives it
+# (crates/net/src/shard.rs) are sans-IO machines that a NetServer thread
+# drives: a clock read, a sleep, a thread or a socket in either, or the
+# policy, the protocol machine, the admission queue or a backend call back
+# in server.rs, is the pass spreading back into the socket code.
+echo "==> admission and the shard pass are sans-IO machines; the server only moves bytes"
+for f in crates/net/src/admit.rs crates/net/src/shard.rs; do
+  if [ ! -f "$f" ]; then
+    echo "verify: $f is missing" >&2
+    exit 1
+  fi
+  if grep -n -E 'Instant::now|SystemTime|std::thread|sleep|std::net' "$f"; then
+    echo "verify: $f reads a clock, sleeps, or names a thread or socket" >&2
+    exit 1
+  fi
+done
+if grep -n -E 'TokenBucket|AIMD_|fn engaged|expired before dispatch|Admission|ServerConn|push_response|\.execute\(' \
+     crates/net/src/server.rs; then
+  echo "verify: crates/net/src/server.rs holds admission policy, protocol state or a call path" >&2
   exit 1
 fi
 # A composite name is one shared block (crates/core/src/name.rs): a list

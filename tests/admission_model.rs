@@ -1,22 +1,32 @@
-//! The overload plane's policy on a simulated clock: `net::admit`'s
-//! machine driven exactly as a `NetServer` shard drives it — a pass offers
-//! every request that has arrived and answers the ones it sheds, runs the
-//! queue to empty, then answers every call it ran at once — by closed-loop
+//! The overload plane on a simulated clock: the production `net::shard`
+//! pass, driven as a `NetServer` shard thread drives it — read and offer
+//! what arrived and answer the sheds, run the queue to empty, then answer
+//! every call it ran at once — through `ClientConn` bytes, by closed-loop
 //! clients whose service times come from a seeded RNG. No socket, thread
 //! or sleep: each seed replays.
 //!
-//! The shape is `tests/overload_resilience.rs`'s swarm (one shard, queue
-//! depth 4, AIMD on, a 250 ms budget) with a think time, so the load has a
-//! knee: with a 2 ms mean service time and 6 ms of think time, four
-//! clients keep the shard busy. At twice and ten times that many clients,
-//! on 64 seeds, goodput stays at or above 80 % of peak, every shed is the
-//! retryable `Overloaded` with a hint of 1 ms..10 s (never `Timeout`), and
-//! a seed gives the same tally every time it runs.
+//! The shape is one shard, queue depth 4, AIMD on and a 250 ms budget,
+//! with a think time, so the load has a knee: with a 2 ms mean service
+//! time and 6 ms of think time, four clients keep the shard busy. At twice
+//! and ten times that many clients, on 64 seeds, goodput stays at or above
+//! 80 % of peak, every shed is the retryable `Overloaded` with a hint of
+//! 1 ms..10 s (never `Timeout`), and a seed gives the same tally every time
+//! it runs.
 
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rndi::core::error::NamingError;
-use rndi::net::admit::{Admission, Next, Quota, Served, Shed, ShedReason};
+use rndi::core::error::{NamingError, Result};
+use rndi::core::op::{NamingOp, OpOutcome};
+use rndi::core::spi::ProviderBackend;
+use rndi::net::admit::{Admission, Next, Quota, Served, ShedReason};
+use rndi::net::conn::ClientConn;
+use rndi::net::proto::{self, AdminReply, AdminRequest, Envelope, EnvelopeBody};
+use rndi::net::shard::{Shard, Shared};
+use rndi::net::ServerConfig;
+use rndi::obs::metrics::{names, Registry};
 use rndi::simnet::SimRng;
 
 const MEAN_SERVICE: Duration = Duration::from_millis(2);
@@ -43,7 +53,8 @@ struct Tally {
     late: u64,
     shed: u64,
     timeout: u64,
-    /// Sheds of calls whose budget ran out in queue (`ShedReason::Deadline`).
+    /// Sheds of calls whose budget ran out in queue: answered by the
+    /// queue's run, not by the read that offered them.
     expired: u64,
 }
 
@@ -61,91 +72,146 @@ impl Tally {
     }
 }
 
+/// A backend that answers every call at once and counts it; the simulated
+/// clock charges each counted call a seeded service time when the shard
+/// reads it after the call.
+#[derive(Default)]
+struct Service(AtomicU64);
+
+impl ProviderBackend for Service {
+    fn execute(&self, _: &NamingOp) -> Result<OpOutcome> {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        Ok(OpOutcome::Done)
+    }
+
+    fn provider_id(&self) -> String {
+        "model".to_string()
+    }
+}
+
 enum Answer {
     Ok,
     Timeout,
-    Shed(Shed),
+    Shed,
+}
+
+/// Every answer the shard holds for `client`, read through its
+/// `ClientConn`; an `Overloaded` hint outside 1 ms..10 s fails the run.
+fn answers(shard: &mut Shard, client: &mut ClientConn, id: u64, seed: u64) -> Vec<Answer> {
+    let bytes = shard.outgoing(id).to_vec();
+    shard.consumed(id, bytes.len());
+    let envelopes = client.receive(&bytes).expect("the shard's bytes decode");
+    let answer = |body| match body {
+        EnvelopeBody::Ok(_) => Answer::Ok,
+        EnvelopeBody::Err(e) => match proto::decode_error(&e) {
+            NamingError::Timeout { .. } => Answer::Timeout,
+            NamingError::Overloaded { retry_after_ms } => {
+                assert!(
+                    (1..=10_000).contains(&retry_after_ms),
+                    "seed {seed}: hint {retry_after_ms} ms"
+                );
+                Answer::Shed
+            }
+            other => panic!("seed {seed}: a shed answered {other:?}"),
+        },
+        other => panic!("seed {seed}: answered {other:?}"),
+    };
+    envelopes.into_iter().map(|e| answer(e.body)).collect()
 }
 
 /// One seeded run of `clients` closed-loop clients with `budget` against
 /// one shard.
 fn run(seed: u64, clients: usize, budget: Duration) -> Tally {
+    simulate(seed, clients, budget).0
+}
+
+/// [`run`], and the shard it ran against.
+fn simulate(seed: u64, clients: usize, budget: Duration) -> (Tally, Shard) {
     let rng = SimRng::seed_from_u64(seed);
     // Only differences between instants matter; `at` maps simulated time
     // onto them.
     let origin = Instant::now();
     let at = |t: Duration| origin + t;
-    let mut admission = Admission::new(QUEUE_DEPTH, true, SERVER_CAP_MS);
-    let mut quotas: Vec<Quota> = (0..clients).map(|_| Quota::new(0, 0, origin)).collect();
+    let service = Arc::new(Service::default());
+    let config = ServerConfig {
+        queue_depth: QUEUE_DEPTH,
+        adaptive: true,
+        deadline_ms: SERVER_CAP_MS,
+        ..ServerConfig::default()
+    };
+    let shared = Shared::new(
+        service.clone(),
+        config,
+        Arc::new(Registry::new()),
+        1,
+        origin,
+    );
+    let mut shard = Shard::new(shared, 0);
+    let mut conns: Vec<ClientConn> = (0..clients)
+        .map(|client| {
+            shard.open(client as u64, None, origin);
+            ClientConn::new()
+        })
+        .collect();
     let mut sent: Vec<Duration> = (0..clients)
         .map(|_| Duration::from_nanos(rng.gen_range(0..THINK.as_nanos() as u64)))
         .collect();
     let mut arrives: Vec<Duration> = sent.iter().map(|&t| t + ONE_WAY).collect();
+    let op = Box::new(proto::encode_op(&NamingOp::lookup("svc".into())).unwrap());
     let end = WARMUP + WINDOW;
     let mut tally = Tally::default();
-    let mut now = Duration::ZERO;
-    while now < end {
-        // The sweep: every request that has arrived is offered at `now`,
-        // and a shed is answered at once.
-        let mut answers = Vec::new();
-        for client in 0..clients {
-            if arrives[client] <= now {
-                arrives[client] = Duration::MAX;
-                let budget_ms = budget.as_millis() as u64;
-                if let Err(shed) = admission.offer(&mut quotas[client], client, budget_ms, at(now))
-                {
-                    answers.push((client, Answer::Shed(shed), now + ONE_WAY));
-                }
-            }
-        }
-        if admission.depth() == 0 && answers.is_empty() {
-            now = arrives.iter().copied().min().expect("a client is waiting");
+    let now = Cell::new(Duration::ZERO);
+    while now.get() < end {
+        let arrived: Vec<usize> = (0..clients).filter(|&c| arrives[c] <= now.get()).collect();
+        if arrived.is_empty() {
+            now.set(arrives.iter().copied().min().expect("a client is waiting"));
             continue;
         }
-        let swept = answers.len();
-        // The drain: each decision at the instant the previous call ended.
-        while let Some(next) = admission.next(at(now)) {
-            match next {
-                Next::Run(pending) => {
-                    let took = rng.exp_duration(MEAN_SERVICE);
-                    now += took;
-                    let overran = pending
-                        .budget
-                        .is_some_and(|budget| at(now) - pending.admitted > budget);
-                    let (served, answer) = if overran {
-                        (Served::Late, Answer::Timeout)
-                    } else {
-                        (Served::InBudget, Answer::Ok)
-                    };
-                    admission.complete(took, served);
-                    answers.push((pending.call, answer, Duration::ZERO));
-                }
-                Next::Shed(client, shed) => {
-                    assert_eq!(shed.reason, ShedReason::Deadline);
-                    answers.push((client, Answer::Shed(shed), Duration::ZERO));
-                }
+        // The sweep: every request that has arrived is read and offered at
+        // `now`, and a shed is answered at once.
+        let mut answered = Vec::new();
+        for &client in &arrived {
+            arrives[client] = Duration::MAX;
+            let conn = &mut conns[client];
+            let call = Envelope {
+                req_id: conn.next_req_id(),
+                body: EnvelopeBody::Call {
+                    op: op.clone(),
+                    deadline_ms: budget.as_millis() as u64,
+                    trace: None,
+                },
+            };
+            let bytes = conn.encode(&call).unwrap();
+            shard
+                .received(client as u64, &bytes, at(now.get()))
+                .unwrap();
+            for answer in answers(&mut shard, conn, client as u64, seed) {
+                answered.push((client, answer, false, now.get() + ONE_WAY));
             }
         }
-        // The flush: every answer the drain gave leaves together.
-        for (_, _, received) in &mut answers[swept..] {
-            *received = now + ONE_WAY;
+        // The run: each call's service is charged to the clock the shard
+        // reads after it, and each decision is made at that instant.
+        shard.run(&mut || {
+            for _ in 0..service.0.swap(0, Ordering::Relaxed) {
+                now.set(now.get() + rng.exp_duration(MEAN_SERVICE));
+            }
+            at(now.get())
+        });
+        // The flush: every answer the run gave leaves together.
+        for &client in &arrived {
+            for answer in answers(&mut shard, &mut conns[client], client as u64, seed) {
+                answered.push((client, answer, true, now.get() + ONE_WAY));
+            }
         }
-        for (client, answer, received) in answers {
+        for (client, answer, by_run, received) in answered {
             if sent[client] >= WARMUP && received <= end {
                 match answer {
                     Answer::Ok if received - sent[client] <= budget => tally.in_budget += 1,
                     Answer::Ok => tally.late += 1,
                     Answer::Timeout => tally.timeout += 1,
-                    Answer::Shed(shed) => {
-                        match shed.error() {
-                            NamingError::Overloaded { retry_after_ms } => assert!(
-                                (1..=10_000).contains(&retry_after_ms),
-                                "seed {seed}: hint {retry_after_ms} ms"
-                            ),
-                            other => panic!("seed {seed}: a shed answered {other:?}"),
-                        }
+                    Answer::Shed => {
                         tally.shed += 1;
-                        tally.expired += u64::from(shed.reason == ShedReason::Deadline);
+                        tally.expired += u64::from(by_run);
                     }
                 }
             }
@@ -153,7 +219,7 @@ fn run(seed: u64, clients: usize, budget: Duration) -> Tally {
             arrives[client] = sent[client] + ONE_WAY;
         }
     }
-    tally
+    (tally, shard)
 }
 
 #[test]
@@ -211,6 +277,64 @@ fn goodput_holds_past_the_knee_on_every_seed_and_every_shed_is_overloaded() {
     for (i, (name, clients)) in loads.iter().enumerate().skip(1) {
         report(name, *clients, TIGHT_BUDGET, totals[i], worst[i]);
     }
+}
+
+/// The socket swarm's claims, on the shard: past the knee goodput holds
+/// and every shed is `Overloaded`, below it nothing is shed, and the shed
+/// totals and admission gauges cross the admin scrapes.
+#[test]
+fn saturating_swarm_holds_goodput_and_sheds_overloaded_not_timeout() {
+    let (light, _) = simulate(0, KNEE, BUDGET);
+    let (heavy, mut shard) = simulate(0, 10 * KNEE, BUDGET);
+    let peak = light.goodput().max(heavy.goodput());
+    assert!(
+        heavy.goodput() >= 0.8 * peak,
+        "goodput held past saturation: {:.0}/s vs peak {peak:.0}/s",
+        heavy.goodput()
+    );
+    assert!(
+        heavy.shed > 0,
+        "a 10x overload against a bounded queue sheds"
+    );
+    assert_eq!(
+        heavy.timeout, 0,
+        "shedding arrives as Overloaded, never Timeout"
+    );
+    assert_eq!(light.shed, 0, "no shedding below the knee");
+
+    let mut admin = ClientConn::new();
+    let id = u64::MAX;
+    let now = Instant::now();
+    shard.open(id, None, now);
+    let mut scrape = |req| {
+        let call = Envelope {
+            req_id: admin.next_req_id(),
+            body: EnvelopeBody::Admin(req),
+        };
+        shard
+            .received(id, &admin.encode(&call).unwrap(), now)
+            .unwrap();
+        let bytes = shard.outgoing(id).to_vec();
+        shard.consumed(id, bytes.len());
+        match admin.receive(&bytes).unwrap().pop().map(|e| e.body) {
+            Some(EnvelopeBody::AdminOk(reply)) => reply,
+            other => panic!("expected an admin reply, got {other:?}"),
+        }
+    };
+    let AdminReply::Health(health) = scrape(AdminRequest::Health) else {
+        panic!("health scrape answered something else")
+    };
+    // The tally counts the window; the server counts warm-up too.
+    assert!(health.shed_total >= heavy.shed, "health reports every shed");
+    assert!(health.concurrency_limit > 0, "admission limit exported");
+    assert!((0.0..=1.0).contains(&health.admission_headroom()));
+    let AdminReply::Metrics(snap) = scrape(AdminRequest::Metrics) else {
+        panic!("metrics scrape answered something else")
+    };
+    assert_eq!(snap.counter_total(names::NET_SHED), health.shed_total);
+    let exposition = snap.render();
+    assert!(exposition.contains(names::NET_QUEUE_DEPTH));
+    assert!(exposition.contains(names::NET_CONCURRENCY_LIMIT));
 }
 
 fn report(load: &str, clients: usize, budget: Duration, t: Tally, worst: f64) {

@@ -29,6 +29,9 @@ fn wait_for(budget: Duration, what: &str, mut cond: impl FnMut() -> bool) {
         if Instant::now() >= deadline {
             panic!("timed out waiting for {what}");
         }
+        // A sleep, because this is the one real-socket smoke test: the
+        // nodes gossip over TCP on their own threads and expose no event
+        // to wait on (the seeded simulation covers membership without one).
         std::thread::sleep(Duration::from_millis(5));
     }
 }

@@ -155,8 +155,11 @@ fn retry_recovers_from_server_crash_and_restart() {
     // delay that forces the client through at least one failed attempt.
     server.abort();
     let restarter = std::thread::spawn(move || {
+        // A sleep, because the claim is about a real socket: the port stays
+        // dead long enough for the client's first redial to fail.
         std::thread::sleep(Duration::from_millis(150));
-        // The freed port can linger; keep trying until the bind lands.
+        // The freed port can linger; keep trying until the bind lands (the
+        // kernel gives no event for a port coming free, hence the sleep).
         for _ in 0..100 {
             let config = ServerConfig {
                 listen: addr.to_string(),
