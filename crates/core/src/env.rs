@@ -67,26 +67,17 @@ pub mod keys {
     /// Per-request deadline, in milliseconds, that clients propagate and
     /// servers enforce. `0` disables deadlines. Default 5000.
     pub const NET_DEADLINE_MS: &str = "rndi.net.deadline-ms";
-    /// Multiplexed connections a `NetClient` keeps per endpoint.
-    /// Default 4.
+    /// Most multiplexed connections a `NetClient` pools per endpoint,
+    /// redials included. Default 4.
     pub const NET_CLIENT_POOL_SIZE: &str = "rndi.net.client.pool-size";
-    /// Maximum in-flight requests a `NetClient` pipelines per
-    /// connection before a new call blocks. Default 32.
+    /// In-flight requests per connection past which a `NetClient` dials
+    /// another; once the pool is full, the least-loaded connection takes
+    /// the call anyway. Default 32.
     pub const NET_CLIENT_PIPELINE_DEPTH: &str = "rndi.net.client.pipeline-depth";
     /// Event-loop shards (worker threads) a `NetServer` spreads its
     /// connections across. `0` (the default) sizes to the machine:
     /// `min(available cores, 4)`.
     pub const NET_SERVER_SHARDS: &str = "rndi.net.server.shards";
-    /// Hard cap on the total pooled connections a `NetClient` holds per
-    /// endpoint, counting transient redials — where
-    /// [`NET_CLIENT_POOL_SIZE`] is the steady-state target, this is the
-    /// ceiling the pool never grows past. `0` (the default) means
-    /// `pool-size`.
-    pub const NET_CLIENT_MAX_POOL: &str = "rndi.net.client.max-pool";
-    /// Milliseconds a pooled client connection may sit idle (no request
-    /// completed on it) before the pool evicts and closes it. `0`
-    /// disables idle eviction. Default 30000.
-    pub const NET_CLIENT_IDLE_MS: &str = "rndi.net.client.idle-ms";
     /// Bound on each `NetServer` event-loop shard's admission queue: calls
     /// beyond this many waiting are shed with `Overloaded` instead of
     /// queueing past their deadline. `0` (the default) leaves the queue

@@ -13,24 +13,23 @@
 //! ## Multiplexed, pipelined connections
 //!
 //! The client **multiplexes** concurrent calls over a small pool of
-//! connections instead of checking out one socket per request. Each call
-//! stamps its envelope with a fresh request ID, registers a response
-//! slot, and writes under a brief send lock; the response side uses a
-//! *caller-as-driver* scheme — whichever caller can take the read lock
-//! drives the socket, delivering responses to their owners' slots by
-//! request ID, and hands the read baton to another waiter when its own
-//! answer arrives. The serial case therefore never pays a cross-thread
-//! handoff (the one caller writes, then immediately reads its own reply),
+//! connections instead of checking out one socket per request. Each
+//! connection is one sans-IO [`ClientConn`] and a table of answer slots
+//! behind one lock, with one condition variable for its waiters. A call
+//! takes a request ID, registers an empty slot and writes its envelope
+//! under the send lock; then, while nobody is reading, it reads the socket
+//! itself and fills every waiting caller's slot by request ID, and
+//! otherwise it waits to be woken. The serial case therefore never pays a
+//! cross-thread handoff (the one caller writes, then reads its own reply),
 //! while N concurrent callers share one socket with requests pipelined
-//! back-to-back up to `rndi.net.client.pipeline-depth` in flight per
-//! connection.
+//! back-to-back, up to `rndi.net.client.pipeline-depth` in flight per
+//! connection before the pool dials another.
 
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
@@ -43,8 +42,12 @@ use rndi_core::url::RndiUrl;
 use rndi_obs::metrics::{self, names};
 use rndi_obs::{SpanOutcome, SpanRecord, TraceCtx};
 
-use crate::conn::{ClientConn, ClientDecoder, ClientEncoder};
+use crate::conn::ClientConn;
 use crate::proto::{self, AdminReply, AdminRequest, Envelope, EnvelopeBody};
+
+/// Milliseconds a pooled connection with nothing in flight may sit unused
+/// before the next checkout evicts it.
+const IDLE_EVICT_MS: u64 = 30_000;
 
 /// Resolved client configuration (see the `rndi.net.*` environment keys).
 #[derive(Clone, Debug)]
@@ -52,81 +55,77 @@ pub struct ClientConfig {
     /// Per-request deadline budget in milliseconds; `0` disables. Also
     /// used as the socket read/write timeout.
     pub deadline_ms: u64,
-    /// Multiplexed connections to keep per endpoint.
+    /// Most multiplexed connections pooled per endpoint, redials included.
     pub pool_size: usize,
     /// Maximum in-flight requests per connection before the pool prefers
     /// dialing another.
     pub pipeline_depth: usize,
-    /// Hard cap on total pooled connections, redials included. Resolved
-    /// at parse time: the `0 = pool-size` default is already applied.
-    pub max_pool: usize,
-    /// Idle milliseconds before a pooled connection is evicted; `0`
-    /// disables idle eviction.
-    pub idle_ms: u64,
 }
 
 impl ClientConfig {
     /// Read the `rndi.net.*` keys strictly: a present-but-unparsable value
     /// is a [`NamingError::ConfigurationError`], not a silent default.
     pub fn from_env(env: &Environment) -> Result<ClientConfig> {
-        let pool_size = (env.try_get_u64(keys::NET_CLIENT_POOL_SIZE, 4)? as usize).max(1);
-        let max_pool = match env.try_get_u64(keys::NET_CLIENT_MAX_POOL, 0)? as usize {
-            0 => pool_size,
-            n => n,
-        };
         Ok(ClientConfig {
             deadline_ms: env.try_get_u64(keys::NET_DEADLINE_MS, 5_000)?,
-            pool_size,
+            pool_size: (env.try_get_u64(keys::NET_CLIENT_POOL_SIZE, 4)? as usize).max(1),
             pipeline_depth: (env.try_get_u64(keys::NET_CLIENT_PIPELINE_DEPTH, 32)? as usize).max(1),
-            max_pool,
-            idle_ms: env.try_get_u64(keys::NET_CLIENT_IDLE_MS, 30_000)?,
         })
     }
+}
 
-    /// Steady-state pooled connections to keep: the pool-size target,
-    /// never above the hard cap.
-    fn keep(&self) -> usize {
-        self.pool_size.min(self.max_pool)
+/// What a connection's callers share under its one lock.
+struct Demux {
+    conn: ClientConn,
+    /// One slot per call in flight, filled with its answer when read; a
+    /// call removes its own.
+    slots: HashMap<u64, Option<EnvelopeBody>>,
+    /// Whether a caller is reading the socket for everyone.
+    reading: bool,
+    /// Why the connection failed; every call still on it fails.
+    broken: Option<String>,
+    /// The read buffer, lent to whichever caller reads.
+    buf: Vec<u8>,
+}
+
+impl Demux {
+    /// Decode what was read into the waiting callers' slots. An answer
+    /// whose caller gave up has no slot, and is dropped.
+    fn deliver(&mut self, bytes: &[u8]) -> Result<()> {
+        for answer in self.conn.receive(bytes)? {
+            if let Some(slot) = self.slots.get_mut(&answer.req_id) {
+                *slot = Some(answer.body);
+            }
+        }
+        Ok(())
     }
 }
 
-/// What a response-driving caller delivers to a waiting caller's slot.
-enum Delivery {
-    /// Your response body.
-    Body(EnvelopeBody),
-    /// The previous driver is done; a waiter must take over the read side.
-    TakeOver,
-    /// The connection failed; all in-flight requests are lost.
-    Broken(String),
-}
-
-struct MuxWriter {
-    enc: ClientEncoder,
-    stream: TcpStream,
-}
-
-struct MuxReader {
-    dec: ClientDecoder,
-    stream: TcpStream,
-    scratch: Vec<u8>,
-}
-
-/// One multiplexed connection: many in-flight request IDs over one
-/// socket. Send and receive halves lock independently; `pending` maps
-/// request IDs to the channel of the caller awaiting that response.
+/// One multiplexed connection: many in-flight request IDs over one socket.
 struct MuxConn {
-    writer: Mutex<MuxWriter>,
-    reader: Mutex<MuxReader>,
-    pending: Mutex<HashMap<u64, SyncSender<Delivery>>>,
-    broken: AtomicBool,
+    stream: TcpStream,
+    /// Held from taking a request ID to the end of its write, so frames go
+    /// out whole and the preamble first.
+    writer: Mutex<()>,
+    /// A `std` mutex, for `Condvar` to wait on.
+    demux: std::sync::Mutex<Demux>,
+    /// Notified when a read has been delivered or the connection fails.
+    ready: Condvar,
     /// Milliseconds since the owning client's epoch at last checkout —
     /// the idle-eviction clock.
     last_used: AtomicU64,
 }
 
 impl MuxConn {
+    /// A caller that panicked under the lock left `Demux` usable: the
+    /// reader clears `reading` before it decodes, and a lost read buffer
+    /// reads as a closed connection.
+    fn lock(&self) -> MutexGuard<'_, Demux> {
+        self.demux.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn inflight(&self) -> usize {
-        self.pending.lock().len()
+        self.lock().slots.len()
     }
 
     fn touch(&self, now_ms: u64) {
@@ -137,27 +136,10 @@ impl MuxConn {
         now_ms.saturating_sub(self.last_used.load(Ordering::Relaxed))
     }
 
-    /// Mark the connection dead and fail every in-flight request.
-    fn fail(&self, detail: &str) {
-        self.broken.store(true, Ordering::SeqCst);
-        let waiters: Vec<_> = self.pending.lock().drain().collect();
-        for (_, tx) in waiters {
-            let _ = tx.try_send(Delivery::Broken(detail.to_string()));
-        }
-    }
-
-    /// Hand the read baton to some waiting caller, if any.
-    fn wake_someone(&self) {
-        let pending = self.pending.lock();
-        for tx in pending.values() {
-            match tx.try_send(Delivery::TakeOver) {
-                Ok(()) => return,
-                // Full means that waiter already has a wakeup queued.
-                Err(TrySendError::Full(_)) => return,
-                // Disconnected: that caller gave up (timeout); try another.
-                Err(TrySendError::Disconnected(_)) => continue,
-            }
-        }
+    /// Mark the connection dead and wake every waiter to fail its call.
+    fn fail(&self, demux: &mut Demux, detail: String) {
+        demux.broken.get_or_insert(detail);
+        self.ready.notify_all();
     }
 }
 
@@ -247,12 +229,6 @@ impl NetClient {
     fn event(&self, event: &str) {
         if let Some((_, counter)) = self.events.iter().find(|(name, _)| *name == event) {
             counter.inc();
-        } else {
-            metrics::counter(
-                names::NET_CLIENT_EVENTS,
-                &[("endpoint", &self.endpoint), ("event", event)],
-            )
-            .inc();
         }
     }
 
@@ -279,20 +255,17 @@ impl NetClient {
 
     fn dial_mux(&self) -> Result<Arc<MuxConn>> {
         self.event("dial");
-        let stream = self.dial()?;
-        let read_half = stream
-            .try_clone()
-            .map_err(|e| io_error(&self.endpoint, "clone", e))?;
-        let (enc, dec) = ClientConn::new().into_split();
         Ok(Arc::new(MuxConn {
-            writer: Mutex::new(MuxWriter { enc, stream }),
-            reader: Mutex::new(MuxReader {
-                dec,
-                stream: read_half,
-                scratch: vec![0u8; 64 * 1024],
+            stream: self.dial()?,
+            writer: Mutex::new(()),
+            demux: std::sync::Mutex::new(Demux {
+                conn: ClientConn::new(),
+                slots: HashMap::new(),
+                reading: false,
+                broken: None,
+                buf: vec![0u8; 64 * 1024],
             }),
-            pending: Mutex::new(HashMap::new()),
-            broken: AtomicBool::new(false),
+            ready: Condvar::new(),
             last_used: AtomicU64::new(self.now_ms()),
         }))
     }
@@ -302,20 +275,18 @@ impl NetClient {
     }
 
     /// Drop broken connections and idle-expired ones (nothing in flight,
-    /// untouched past `idle-ms`) from the pool. Call with the pool
+    /// untouched past [`IDLE_EVICT_MS`]) from the pool. Call with the pool
     /// lock held; updates the size gauge.
     fn mux_sweep(&self, pool: &mut Vec<Arc<MuxConn>>) {
-        pool.retain(|c| !c.broken.load(Ordering::SeqCst));
-        if self.config.idle_ms > 0 {
-            let now = self.now_ms();
-            let before = pool.len();
-            pool.retain(|c| c.inflight() > 0 || c.idle_for(now) <= self.config.idle_ms);
-            let evicted = before - pool.len();
-            if evicted > 0 {
-                self.evicted_idle.add(evicted as u64);
-                for _ in 0..evicted {
-                    self.event("drop");
-                }
+        pool.retain(|c| c.lock().broken.is_none());
+        let now = self.now_ms();
+        let before = pool.len();
+        pool.retain(|c| c.inflight() > 0 || c.idle_for(now) <= IDLE_EVICT_MS);
+        let evicted = before - pool.len();
+        if evicted > 0 {
+            self.evicted_idle.add(evicted as u64);
+            for _ in 0..evicted {
+                self.event("drop");
             }
         }
         self.pool_gauge.set(pool.len() as i64);
@@ -328,7 +299,7 @@ impl NetClient {
     fn mux_insert(&self, conn: &Arc<MuxConn>) {
         let mut pool = self.mux_pool.lock();
         self.mux_sweep(&mut pool);
-        if pool.len() < self.config.max_pool {
+        if pool.len() < self.config.pool_size {
             pool.push(conn.clone());
             self.pool_gauge.set(pool.len() as i64);
         } else {
@@ -346,7 +317,8 @@ impl NetClient {
             let mut pool = self.mux_pool.lock();
             self.mux_sweep(&mut pool);
             if let Some(best) = pool.iter().min_by_key(|c| c.inflight()) {
-                if best.inflight() < self.config.pipeline_depth || pool.len() >= self.config.keep()
+                if best.inflight() < self.config.pipeline_depth
+                    || pool.len() >= self.config.pool_size
                 {
                     best.touch(self.now_ms());
                     self.event("reuse");
@@ -382,7 +354,7 @@ impl NetClient {
         match self.mux_exchange(&conn, env) {
             Ok(body) => Ok(body),
             Err(e) if !fresh && is_transport(&e) => {
-                conn.fail("superseded by redial");
+                conn.fail(&mut conn.lock(), "superseded by redial".to_string());
                 self.event("redial");
                 let conn = self.dial_mux()?;
                 self.mux_insert(&conn);
@@ -476,147 +448,87 @@ impl NetClient {
         }
     }
 
-    /// Send one call and wait for its response, driving the shared read
-    /// side if no other caller is. Returns transport-level errors only;
+    /// Send one call and wait for its answer, reading the socket for every
+    /// caller while nobody else is. Returns transport-level errors only;
     /// remote typed errors come back as `Ok(EnvelopeBody::Err(..))`.
     fn mux_exchange(&self, conn: &MuxConn, env: &mut Envelope) -> Result<EnvelopeBody> {
-        let start = Instant::now();
-        // Buffer 3: worst case one Body plus queued TakeOver wakeups.
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Delivery>(3);
-        let req_id;
-        {
-            let mut w = conn.writer.lock();
-            req_id = w.enc.next_req_id();
-            env.req_id = req_id;
-            conn.pending.lock().insert(req_id, tx);
-            let bytes = w.enc.encode(env)?;
-            if let Err(e) = w.stream.write_all(&bytes) {
-                conn.pending.lock().remove(&req_id);
-                conn.fail(&format!("send {}: {e}", self.endpoint));
+        let deadline = self.timeout().map(|budget| Instant::now() + budget);
+        let id = {
+            let _writing = conn.writer.lock();
+            let bytes = {
+                let mut demux = conn.lock();
+                env.req_id = demux.conn.next_req_id();
+                let bytes = demux.conn.encode(env)?;
+                demux.slots.insert(env.req_id, None);
+                bytes
+            };
+            if let Err(e) = (&conn.stream).write_all(&bytes) {
+                let mut demux = conn.lock();
+                demux.slots.remove(&env.req_id);
+                conn.fail(&mut demux, format!("send {}: {e}", self.endpoint));
                 return Err(io_error(&self.endpoint, "send", e));
             }
             self.bytes_out.add(bytes.len() as u64);
-        }
+            env.req_id
+        };
+        let mut demux = conn.lock();
         loop {
-            // A driver may have delivered our body while we were between
-            // states (e.g. just after a TakeOver wakeup).
-            if let Ok(Delivery::Body(body)) = rx.try_recv() {
+            if let Some(body) = demux.slots.get_mut(&id).and_then(Option::take) {
+                demux.slots.remove(&id);
                 return Ok(body);
             }
-            if let Some(mut r) = conn.reader.try_lock() {
-                let outcome = self.drive(conn, &mut r, req_id, start);
-                drop(r);
-                // Pass the read baton before returning, whatever happened
-                // to our own request.
-                if !conn.broken.load(Ordering::SeqCst) {
-                    conn.wake_someone();
-                }
-                match outcome {
-                    // The previous driver delivered our body just before
-                    // we took the lock; it is waiting in our channel.
-                    Ok(None) => continue,
-                    Ok(Some(body)) => return Ok(body),
-                    Err(e) => return Err(e),
-                }
+            if let Some(detail) = &demux.broken {
+                let e = NamingError::service(format!("mux {detail}"));
+                demux.slots.remove(&id);
+                return Err(e);
             }
-            let wait = match self.remaining(start) {
-                None => Duration::from_millis(50),
-                Some(rem) if rem.is_zero() => {
-                    conn.pending.lock().remove(&req_id);
-                    return Err(NamingError::Timeout {
-                        detail: format!("receive {}: response deadline", self.endpoint),
-                    });
-                }
-                Some(rem) => rem.min(Duration::from_millis(50)),
-            };
-            match rx.recv_timeout(wait) {
-                Ok(Delivery::Body(body)) => return Ok(body),
-                Ok(Delivery::TakeOver) => continue,
-                Ok(Delivery::Broken(detail)) => {
-                    return Err(NamingError::service(format!("mux {detail}")))
-                }
-                // Re-check the clock and the reader lock; the 50ms cap
-                // also covers a lost-baton race (driver exited just as we
-                // entered recv).
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(NamingError::service(format!(
-                        "mux receive {}: response slot dropped",
-                        self.endpoint
-                    )))
-                }
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left == Some(Duration::ZERO) {
+                demux.slots.remove(&id);
+                return Err(NamingError::Timeout {
+                    detail: format!("receive {}: response deadline", self.endpoint),
+                });
             }
-        }
-    }
-
-    fn remaining(&self, start: Instant) -> Option<Duration> {
-        self.timeout()
-            .map(|budget| budget.saturating_sub(start.elapsed()))
-    }
-
-    /// Drive the shared read side until our own response arrives,
-    /// delivering everyone else's responses to their slots along the way.
-    /// `Ok(None)` means a previous driver already delivered our body to
-    /// our channel — the caller should receive from it, not the socket.
-    fn drive(
-        &self,
-        conn: &MuxConn,
-        r: &mut MuxReader,
-        my_id: u64,
-        start: Instant,
-    ) -> Result<Option<EnvelopeBody>> {
-        if conn.pending.lock().get(&my_id).is_none() {
-            return Ok(None);
-        }
-        loop {
-            let n = match r.stream.read(&mut r.scratch) {
-                Ok(0) => {
-                    conn.fail(&format!("receive {}: connection closed", self.endpoint));
-                    return Err(NamingError::service(format!(
-                        "receive {}: connection closed",
-                        self.endpoint
-                    )));
+            if demux.reading {
+                let wait = left.unwrap_or(Duration::MAX);
+                demux = conn
+                    .ready
+                    .wait_timeout(demux, wait)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+                continue;
+            }
+            demux.reading = true;
+            let mut buf = std::mem::take(&mut demux.buf);
+            drop(demux);
+            let read = (&conn.stream).read(&mut buf);
+            demux = conn.lock();
+            demux.reading = false;
+            let gave_up = match read {
+                Ok(n) if n > 0 => {
+                    self.bytes_in.add(n as u64);
+                    if let Err(e) = demux.deliver(&buf[..n]) {
+                        conn.fail(&mut demux, format!("receive {}: {e}", self.endpoint));
+                    }
+                    None
                 }
-                Ok(n) => n,
+                // Our read timed out: give up this call only, and leave the
+                // connection to the others.
                 Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    // Our read timed out. Give up on our request but leave
-                    // the connection alive for the others.
-                    conn.pending.lock().remove(&my_id);
-                    return Err(io_error(&self.endpoint, "receive", e));
+                    demux.slots.remove(&id);
+                    Some(io_error(&self.endpoint, "receive", e))
                 }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    conn.fail(&format!("receive {}: {e}", self.endpoint));
-                    return Err(io_error(&self.endpoint, "receive", e));
-                }
-            };
-            self.bytes_in.add(n as u64);
-            let envelopes = match r.dec.receive(&r.scratch[..n]) {
-                Ok(envs) => envs,
-                Err(e) => {
-                    conn.fail(&format!("receive {}: {e}", self.endpoint));
-                    return Err(e);
+                Err(e) if e.kind() == ErrorKind::Interrupted => None,
+                closed => {
+                    let why = closed.map_or_else(|e| e.to_string(), |_| "connection closed".into());
+                    conn.fail(&mut demux, format!("receive {}: {why}", self.endpoint));
+                    None
                 }
             };
-            let mut mine = None;
-            for env in envelopes {
-                if env.req_id == my_id {
-                    mine = Some(env.body);
-                } else if let Some(tx) = conn.pending.lock().remove(&env.req_id) {
-                    let _ = tx.send(Delivery::Body(env.body));
-                }
-            }
-            if let Some(body) = mine {
-                conn.pending.lock().remove(&my_id);
-                return Ok(Some(body));
-            }
-            if let Some(rem) = self.remaining(start) {
-                if rem.is_zero() {
-                    conn.pending.lock().remove(&my_id);
-                    return Err(NamingError::Timeout {
-                        detail: format!("receive {}: response deadline", self.endpoint),
-                    });
-                }
+            demux.buf = buf;
+            conn.ready.notify_all();
+            if let Some(e) = gave_up {
+                return Err(e);
             }
         }
     }
@@ -723,5 +635,42 @@ impl UrlContextFactory for NetClientFactory {
         let endpoint = format!("{}:{port}", url.host);
         let merged = if env.is_empty() { &self.env } else { env };
         Ok(NetClient::connect(endpoint, merged)? as Arc<dyn rndi_core::context::DirContext>)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NetServer;
+    use rndi_core::mem::MemContext;
+
+    #[test]
+    fn a_connection_idle_past_thirty_seconds_is_evicted_on_the_next_checkout() {
+        let server = NetServer::bind(Arc::new(MemContext::new()), &Environment::new()).unwrap();
+        let mut client =
+            NetClient::new(server.local_addr().to_string(), &Environment::new()).unwrap();
+        // The client's clock starts a minute back, so that a last-use stamp
+        // can be set up to a minute in the past without a sleep.
+        client.epoch = Instant::now().checked_sub(Duration::from_secs(60)).unwrap();
+        let call = |client: &NetClient| client.scrape_health().unwrap();
+        let pooled = |client: &NetClient| client.mux_pool.lock()[0].clone();
+        call(&client);
+        let first = pooled(&client);
+
+        first.touch(client.now_ms() - (IDLE_EVICT_MS - 1_000));
+        call(&client);
+        assert!(Arc::ptr_eq(&pooled(&client), &first), "29 s idle: kept");
+        assert_eq!(client.evicted_idle.get(), 0);
+
+        first.touch(client.now_ms() - (IDLE_EVICT_MS + 1_000));
+        call(&client);
+        assert!(
+            !Arc::ptr_eq(&pooled(&client), &first),
+            "31 s idle: redialled"
+        );
+        assert_eq!(client.evicted_idle.get(), 1);
+        assert_eq!(client.pooled(), 1);
+        assert_eq!(client.pool_gauge.get(), 1);
+        server.shutdown();
     }
 }

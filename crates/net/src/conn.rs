@@ -270,28 +270,21 @@ fn decode_request(frame: &[u8]) -> Result<Inbound> {
     }
 }
 
-/// The send half of a client connection: request-ID allocation and
-/// envelope→bytes encoding, including the connect preamble on the first
-/// send. Split from [`ClientDecoder`] so a multiplexing client can hold
-/// the two halves under independent locks (writers encode while one
-/// caller drives the read side).
-pub struct ClientEncoder {
+/// Client-side sans-IO state for one connection: request-ID allocation,
+/// the connect preamble, the server's ack of it, and response frame
+/// reassembly. Who writes, who reads and who waits is [`crate::client`]'s
+/// business.
+#[derive(Default)]
+pub struct ClientConn {
     next_id: u64,
     sent_preamble: bool,
+    acked: bool,
+    frames: FrameBuf,
 }
 
-impl Default for ClientEncoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ClientEncoder {
+impl ClientConn {
     pub fn new() -> Self {
-        ClientEncoder {
-            next_id: 0,
-            sent_preamble: false,
-        }
+        ClientConn::default()
     }
 
     /// Allocate the next request ID.
@@ -320,20 +313,6 @@ impl ClientEncoder {
         out.extend_from_slice(&payload);
         Ok(out)
     }
-}
-
-/// The receive half of a client connection: preamble-ack consumption
-/// and frame reassembly into decoded envelopes.
-#[derive(Default)]
-pub struct ClientDecoder {
-    frames: FrameBuf,
-    acked: bool,
-}
-
-impl ClientDecoder {
-    pub fn new() -> Self {
-        ClientDecoder::default()
-    }
 
     /// Feed server bytes in; get decoded response envelopes out. The
     /// server's 4-byte preamble ack is consumed here; a missing or
@@ -359,43 +338,6 @@ impl ClientDecoder {
             envelopes.push(proto::bin::decode_envelope(&frame)?);
         }
         Ok(envelopes)
-    }
-}
-
-/// Client-side sans-IO state for one connection: request-ID
-/// allocation, the connect preamble, ack handling, and response frame
-/// reassembly. The threading (who waits, who drives the socket) lives in
-/// [`crate::client`], which uses [`ClientConn::into_split`] to lock the
-/// two directions independently.
-#[derive(Default)]
-pub struct ClientConn {
-    enc: ClientEncoder,
-    dec: ClientDecoder,
-}
-
-impl ClientConn {
-    pub fn new() -> Self {
-        ClientConn::default()
-    }
-
-    /// Allocate the next request ID.
-    pub fn next_req_id(&mut self) -> u64 {
-        self.enc.next_req_id()
-    }
-
-    /// See [`ClientEncoder::encode`].
-    pub fn encode(&mut self, env: &Envelope) -> Result<Vec<u8>> {
-        self.enc.encode(env)
-    }
-
-    /// See [`ClientDecoder::receive`].
-    pub fn receive(&mut self, bytes: &[u8]) -> Result<Vec<Envelope>> {
-        self.dec.receive(bytes)
-    }
-
-    /// Split into independently-lockable send and receive halves.
-    pub fn into_split(self) -> (ClientEncoder, ClientDecoder) {
-        (self.enc, self.dec)
     }
 }
 

@@ -45,7 +45,8 @@ NAMED_BELOW=(the_walk_matches_its_oracle read_is_a_base_scope_match_all_search w
   a_value_round_trip_stays_inside_its_allocation_budget
   a_jini_bind_stays_inside_its_allocation_budget
   a_strict_bind_makes_the_papers_twelve_registrar_calls
-  a_pipelined_lookup_stays_inside_its_allocation_budget)
+  a_pipelined_lookup_stays_inside_its_allocation_budget
+  a_lockstep_call_stays_inside_its_allocation_budget)
 echo "==> cargo test -q (all but hdns, the oracle proptests, the federation matrix, the budgets and the cluster's random schedules)"
 cargo test -q --workspace --exclude hdns -- "${NAMED_BELOW[@]/#/--skip=}"
 
@@ -100,9 +101,9 @@ cargo test -q -p rndi-core --test codec_oracle the_codec_ -- --nocapture
 # upstream queries fed_resolve's DNS leg leaves in the resolver (RFC 8020
 # denial), the heap one compaction of replica_write's store peaks at, and
 # the allocations and registrar calls of a strict Jini bind and the
-# allocations of a pipelined lookup through the shard pass, each against its
-# budget.
-echo "==> budgets: what dirserv and an HDNS replica hold per binding, what a name, a federated op, a Jini bind and a pipelined lookup allocate and shrink, what the resolver caches, what a compaction peaks at, what a strict bind asks the registrar"
+# allocations of a pipelined lookup through the shard pass and of a
+# lock-step NetClient call, each against its budget.
+echo "==> budgets: what dirserv and an HDNS replica hold per binding, what a name, a federated op, a Jini bind, a pipelined lookup and a lock-step call allocate and shrink, what the resolver caches, what a compaction peaks at, what a strict bind asks the registrar"
 cargo test -q --test ldap_footprint a_bound_leaf_stays_inside_its_byte_budget -- --nocapture
 cargo test -q --test ldap_footprint the_tree_and_the_index_stay_inside_their_byte_budgets -- --nocapture
 cargo test -q --test ldap_footprint rebinding_every_leaf_does_not_grow_the_directory -- --nocapture
@@ -117,6 +118,7 @@ cargo test -q --test hdns_write_allocs compaction_peak_heap_stays_near_the_snaps
 cargo test -q --test jini_allocs a_jini_bind_stays_inside_its_allocation_budget -- --nocapture
 cargo test -q --test jini_allocs a_strict_bind_makes_the_papers_twelve_registrar_calls -- --nocapture
 cargo test -q --test shard_allocs a_pipelined_lookup_stays_inside_its_allocation_budget -- --nocapture
+cargo test -q --test net_client_allocs a_lockstep_call_stays_inside_its_allocation_budget -- --nocapture
 
 # Named on its own because it is the cluster's model check: 64 seeded
 # schedules of crashes, restarts, cuts, loss, duplication, reordering and
@@ -266,6 +268,22 @@ if grep -n -E 'TokenBucket|AIMD_|fn engaged|expired before dispatch|Admission|Se
   echo "verify: crates/net/src/server.rs holds admission policy, protocol state or a call path" >&2
   exit 1
 fi
+# An Environment key that nothing reads is a knob that does nothing: every
+# `pub const` of rndi_core::env::keys is named by a source file other than
+# env.rs.
+echo "==> every Environment key has a reader"
+env_keys="$(awk '/^pub mod keys/ { inside = 1; next } inside && /^}/ { exit } inside' crates/core/src/env.rs |
+  sed -n 's/^ *pub const \([A-Z0-9_]*\): &str.*/\1/p')"
+if [ -z "$env_keys" ]; then
+  echo "verify: no keys found in crates/core/src/env.rs's keys module" >&2
+  exit 1
+fi
+for key in $env_keys; do
+  if ! grep -rlw --include='*.rs' "$key" crates/*/src src | grep -qv '^crates/core/src/env.rs$'; then
+    echo "verify: rndi_core::env::keys::$key has no reader in crates/*/src or src/" >&2
+    exit 1
+  fi
+done
 # A composite name is one shared block (crates/core/src/name.rs): a list
 # of component strings inside `CompositeName` is the copying layout growing
 # back.

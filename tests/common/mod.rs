@@ -136,3 +136,22 @@ pub fn peak_bytes_during<R>(f: impl FnOnce() -> R) -> (R, i64) {
     let (result, _) = count_during(f);
     (result, PEAK_LIVE_BYTES.with(Cell::get) - before)
 }
+
+/// Fill the process-wide trace ring to its capacity. Until it is full, the
+/// ring's queue doubles as spans arrive, and a span recorded by another
+/// test of the binary can move a doubling into a measured window.
+#[allow(dead_code)] // each test binary uses its own part of this module
+pub fn fill_trace_ring() {
+    use rndi::obs::trace::{self, SpanOutcome, SpanRecord, TraceCtx};
+    let span = SpanRecord::new(
+        &TraceCtx::root(),
+        "warm-up",
+        "warm-up",
+        "warm-up",
+        SpanOutcome::Ok,
+        std::time::Duration::ZERO,
+    );
+    for _ in 0..trace::DEFAULT_RING_CAPACITY {
+        trace::ring().push(span.clone());
+    }
+}

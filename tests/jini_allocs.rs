@@ -17,7 +17,7 @@ use rndi::rlus::registrar::RegistrarStats;
 use rndi::rlus::{DiscoveryRealm, ManualClock, Registrar};
 
 mod common;
-use common::count_during;
+use common::{count_during, fill_trace_ring};
 
 /// Services resident on the registrar, as in `fed_resolve`.
 const RESIDENTS: u32 = 64;
@@ -31,7 +31,9 @@ fn url(slot: u32) -> String {
 /// A registrar holding the residents, reached through a discovery realm
 /// and the provider's URL factory, in strict or relaxed bind mode, with
 /// every slot bound and unbound often enough that map capacities and
-/// instrument handles are in place.
+/// instrument handles are in place, and the trace ring full: the two tests
+/// of this binary run in parallel, and one's spans would otherwise move a
+/// doubling of the ring into the other's measured bind.
 fn world(strict: bool) -> (InitialContext, Registrar) {
     let clock = ManualClock::new();
     let registrar = Registrar::new(clock.clone(), u64::MAX / 4, 5);
@@ -58,6 +60,7 @@ fn world(strict: bool) -> (InitialContext, Registrar) {
             ic.unbind(&url(slot)).unwrap();
         }
     }
+    fill_trace_ring();
     (ic, registrar)
 }
 
